@@ -55,8 +55,7 @@ func (c *linearClass) Score(f *frame.Frame, attrs []string, metric string) (Insi
 	if err != nil {
 		return Insight{}, err
 	}
-	rho := stats.Pearson(x.Values(), y.Values())
-	fit := stats.FitLine(x.Values(), y.Values())
+	rho, fit := stats.PearsonFit(x.Values(), y.Values())
 	in := Insight{
 		Class:  "linear",
 		Metric: metric,
@@ -148,7 +147,7 @@ func (c *monotonicClass) Score(f *frame.Frame, attrs []string, metric string) (I
 	var raw float64
 	switch metric {
 	case "spearman":
-		raw = stats.Spearman(x.Values(), y.Values())
+		raw = stats.SpearmanOrdered(x.Ordered(), y.Ordered())
 	case "kendall":
 		raw = stats.KendallTauB(x.Values(), y.Values())
 	}
@@ -187,7 +186,7 @@ func (c *monotonicClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, m
 			if err != nil {
 				return Insight{}, err
 			}
-			raw = stats.Spearman(px.RowSampleValues, py.RowSampleValues)
+			raw = stats.SpearmanOrdered(px.RowSampleOrdered(), py.RowSampleOrdered())
 		}
 	case "kendall":
 		px, err := p.NumericProfileOf(attrs[0])
@@ -440,8 +439,10 @@ type segmentationClass struct {
 
 // NewSegmentationClass returns the segmentation insight class;
 // categorical candidates are limited to maxCardinality groups (12 when
-// ≤ 0). Exact scoring subsamples to at most sampleCap points (512 when
-// ≤ 0) because silhouettes are quadratic.
+// ≤ 0). Silhouettes are quadratic, so scoring subsamples n > sampleCap
+// rows (512 when ≤ 0) with stride ⌊n/sampleCap⌋. The stride is floored,
+// so the sample holds ⌈n/⌊n/sampleCap⌋⌉ points: at least sampleCap and
+// up to 2·sampleCap−1 (534 at 8 010 rows with the default cap).
 func NewSegmentationClass(maxCardinality, sampleCap int) Class {
 	if maxCardinality <= 0 {
 		maxCardinality = 12
@@ -479,6 +480,35 @@ func (c *segmentationClass) Candidates(f *frame.Frame) [][]string {
 	return out
 }
 
+// silhouette standardizes the (x, y) points by each column's mean and
+// σ, subsamples points and codes with one shared stride so they stay
+// row-aligned (silhouettes over misaligned pairs are garbage), and
+// returns the silhouette of the grouping codes induce. Exact and
+// approximate scoring differ only in what they pass: whole columns or
+// the profile's shared row sample.
+func (c *segmentationClass) silhouette(x, y *stats.Ordered, codes []int32) float64 {
+	n := min(len(x.Values), len(y.Values), len(codes))
+	step := 1
+	if n > c.sampleCap {
+		step = n / c.sampleCap
+	}
+	sx, sy := x.StdDev, y.StdDev
+	if sx == 0 || math.IsNaN(sx) {
+		sx = 1
+	}
+	if sy == 0 || math.IsNaN(sy) {
+		sy = 1
+	}
+	size := (n + step - 1) / step
+	pts := make([]stats.Point2, 0, size)
+	sampled := make([]int32, 0, size)
+	for i := 0; i < n; i += step {
+		pts = append(pts, stats.Point2{X: (x.Values[i] - x.Mean) / sx, Y: (y.Values[i] - y.Mean) / sy})
+		sampled = append(sampled, codes[i])
+	}
+	return stats.GroupSilhouette(pts, sampled)
+}
+
 func (c *segmentationClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
 	if err := checkArity("segmentation", attrs, 3); err != nil {
 		return Insight{}, err
@@ -499,26 +529,7 @@ func (c *segmentationClass) Score(f *frame.Frame, attrs []string, metric string)
 	if err != nil {
 		return Insight{}, err
 	}
-	n := f.Rows()
-	step := 1
-	if n > c.sampleCap {
-		step = n / c.sampleCap
-	}
-	mx, sx := stats.Mean(x.Values()), stats.StdDev(x.Values())
-	my, sy := stats.Mean(y.Values()), stats.StdDev(y.Values())
-	if sx == 0 || math.IsNaN(sx) {
-		sx = 1
-	}
-	if sy == 0 || math.IsNaN(sy) {
-		sy = 1
-	}
-	var pts []stats.Point2
-	var codes []int32
-	for i := 0; i < n; i += step {
-		pts = append(pts, stats.Point2{X: (x.At(i) - mx) / sx, Y: (y.At(i) - my) / sy})
-		codes = append(codes, z.Codes()[i])
-	}
-	sil := stats.GroupSilhouette(pts, codes)
+	sil := c.silhouette(x.Ordered(), y.Ordered(), z.Codes())
 	score := sil
 	if math.IsNaN(score) {
 		return Insight{}, errUndefined("segmentation", attrs)
@@ -559,35 +570,7 @@ func (c *segmentationClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string
 	if err != nil {
 		return Insight{}, err
 	}
-	// Subsample points and codes with one shared stride so they stay
-	// row-aligned (silhouettes over misaligned pairs are garbage).
-	xs, ys, codesAll := x.RowSampleValues, y.RowSampleValues, z.RowSampleCodes
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	if len(codesAll) < n {
-		n = len(codesAll)
-	}
-	step := 1
-	if c.sampleCap > 0 && n > c.sampleCap {
-		step = n / c.sampleCap
-	}
-	mx, sx := stats.Mean(xs), stats.StdDev(xs)
-	my, sy := stats.Mean(ys), stats.StdDev(ys)
-	if sx == 0 || math.IsNaN(sx) {
-		sx = 1
-	}
-	if sy == 0 || math.IsNaN(sy) {
-		sy = 1
-	}
-	var pts []stats.Point2
-	var codes []int32
-	for i := 0; i < n; i += step {
-		pts = append(pts, stats.Point2{X: (xs[i] - mx) / sx, Y: (ys[i] - my) / sy})
-		codes = append(codes, codesAll[i])
-	}
-	sil := stats.GroupSilhouette(pts, codes)
+	sil := c.silhouette(x.RowSampleOrdered(), y.RowSampleOrdered(), z.RowSampleCodes)
 	if math.IsNaN(sil) {
 		return Insight{}, errUndefined("segmentation", attrs)
 	}

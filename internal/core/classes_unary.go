@@ -127,7 +127,7 @@ func (c *momentsClass) Score(f *frame.Frame, attrs []string, metric string) (Ins
 	in := momentInsight(c, attrs[0], metric, m, false)
 	if metric == "iqr" {
 		// Robust dispersion needs order statistics, not moments.
-		in.Raw = stats.IQR(col.Values())
+		in.Raw = stats.IQRSorted(col.Ordered().Sorted)
 		in.Score = in.Raw
 	}
 	return in, nil
@@ -249,8 +249,9 @@ func (c *outliersClass) Score(f *frame.Frame, attrs []string, metric string) (In
 	if err != nil {
 		return Insight{}, err
 	}
-	score, outliers := stats.OutlierScore(col.Values(), c.detectorFor(metric))
-	box := stats.NewBoxStats(col.Values(), 0)
+	view := col.Ordered()
+	score, outliers := stats.OutlierScoreOrdered(view, c.detectorFor(metric))
+	box := stats.NewBoxStatsSorted(view.Sorted, 0)
 	return Insight{
 		Class:  "outliers",
 		Metric: metric,
@@ -463,13 +464,15 @@ func (c *multimodalityClass) Score(f *frame.Frame, attrs []string, metric string
 	if err != nil {
 		return Insight{}, err
 	}
-	vals := col.Values()
+	// Every metric here is a function of the sorted non-missing values
+	// alone (histogram counts are integers, so binning order is moot).
+	vals := col.Ordered().Sorted
 	var score float64
 	details := map[string]float64{}
 	switch metric {
 	case "dip":
-		score = stats.Dip(vals)
-		details["pvalue"] = stats.DipPValueApprox(score, col.Len()-col.Missing())
+		score = stats.DipSorted(vals)
+		details["pvalue"] = stats.DipPValueApprox(score, len(vals))
 	case "separation":
 		score = stats.BimodalitySeparation(vals)
 	case "kdemodes":

@@ -27,9 +27,12 @@ type RowBatch struct {
 // dictionary on first appearance. Column types are fixed by the
 // receiver — no re-inference. The receiver is never mutated (new
 // backing slices throughout), so concurrent readers of f stay
-// consistent; an empty batch returns f itself. opts may be nil for
-// defaults; only Comma is ignored (the batch is already split into
-// cells).
+// consistent; an empty batch returns f itself. A numeric column whose
+// ordered view was already built hands its row order to the successor
+// column, merged with the batch rows in O(n + b·log n) rather than
+// re-sorted; a column nobody ordered hands over nothing. opts may be
+// nil for defaults; only Comma is ignored (the batch is already split
+// into cells).
 func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 	if opts == nil {
 		opts = &ReadCSVOptions{}
@@ -90,7 +93,7 @@ func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 				}
 				vals = append(vals, v)
 			}
-			cols[ci] = NewNumericColumn(col.name, vals)
+			cols[ci] = col.extended(vals)
 		case *CategoricalColumn:
 			codes := make([]int32, 0, n)
 			codes = append(codes, col.codes...)

@@ -10,6 +10,10 @@ package frame
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
+
+	"foresight/internal/stats"
 )
 
 // Kind identifies the logical type of a column.
@@ -58,6 +62,14 @@ type NumericColumn struct {
 	name    string
 	values  []float64
 	missing int
+
+	// The ordered view (see Ordered) is built at most once, on first
+	// request. carried is the row order handed down by AppendRows when
+	// the predecessor column had one; it is written before the column
+	// is shared and never after.
+	viewOnce sync.Once
+	view     atomic.Pointer[stats.Ordered]
+	carried  []int32
 }
 
 // NewNumericColumn builds a numeric column over values. The slice is
@@ -116,6 +128,40 @@ func (c *NumericColumn) Present() []float64 {
 
 // At returns the value of cell i (possibly NaN).
 func (c *NumericColumn) At(i int) float64 { return c.values[i] }
+
+// Ordered returns the column's ordered view: its non-missing rows by
+// ascending value, the sorted values, mean and σ. The first call sorts
+// the column (or finishes the order AppendRows carried forward); every
+// later call, from any goroutine, returns the same retained view. A
+// column never changes, so the view can never be stale: a new dataset
+// generation is a new column with a view of its own, and a column
+// nobody scores exactly never pays for one.
+func (c *NumericColumn) Ordered() *stats.Ordered {
+	c.viewOnce.Do(func() {
+		if c.carried != nil {
+			c.view.Store(stats.OrderedFrom(c.values, c.carried))
+		} else {
+			c.view.Store(stats.NewOrdered(c.values))
+		}
+	})
+	return c.view.Load()
+}
+
+// extended returns the column that continues c with the appended
+// cells in values[c.Len():]. When c's order is already known it is
+// carried forward by splicing in the appended rows, so the successor's
+// first Ordered call does not sort the whole column again.
+func (c *NumericColumn) extended(values []float64) *NumericColumn {
+	out := NewNumericColumn(c.name, values)
+	order := c.carried
+	if v := c.view.Load(); v != nil {
+		order = v.Order
+	}
+	if order != nil {
+		out.carried = stats.ExtendOrder(order, values, len(c.values))
+	}
+	return out
+}
 
 // CategoricalColumn is a dictionary-encoded string column. codes[i] is
 // an index into dict, or -1 for a missing cell.

@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"foresight/internal/frame"
@@ -97,6 +98,26 @@ type NumericProfile struct {
 	// sampled row indexes; aligned across columns, so bivariate
 	// statistics computed from them preserve joint structure.
 	RowSampleValues []float64
+	// rowSampleView caches RowSampleOrdered.
+	rowSampleView atomic.Pointer[stats.Ordered]
+}
+
+// RowSampleOrdered returns the ordered view (row order, sorted values,
+// mean, σ) of RowSampleValues, built on first use and retained: the
+// sample-based fallbacks of the approximate path rank each column's
+// sample once rather than once per partner. The cache is keyed on the
+// slice it was built from, so reassigning RowSampleValues (the
+// builders do, before a profile is shared) simply rebuilds it;
+// concurrent first calls may each build one, and either is correct.
+func (np *NumericProfile) RowSampleOrdered() *stats.Ordered {
+	vals := np.RowSampleValues
+	if v := np.rowSampleView.Load(); v != nil && len(v.Values) == len(vals) &&
+		(len(vals) == 0 || &v.Values[0] == &vals[0]) {
+		return v
+	}
+	v := stats.NewOrdered(vals)
+	np.rowSampleView.Store(v)
+	return v
 }
 
 // CategoricalProfile bundles the per-column sketches of one

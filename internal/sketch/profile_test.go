@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"foresight/internal/frame"
@@ -254,5 +256,37 @@ func TestProfileRowSampleShared(t *testing.T) {
 	sampled := stats.Pearson(sx, sy)
 	if math.Abs(sampled-exact) > 0.15 {
 		t.Errorf("sampled ρ = %v vs exact %v", sampled, exact)
+	}
+}
+
+// TestRowSampleOrdered: the cached view is the view of the current
+// RowSampleValues — retained across calls, consistent under concurrent
+// first calls (run with -race), and rebuilt when the builders reassign
+// the slice.
+func TestRowSampleOrdered(t *testing.T) {
+	p := BuildProfile(testFrame(3000, 3), ProfileConfig{Seed: 11})
+	np := p.Numeric["x"]
+	views := make([]*stats.Ordered, 6)
+	var wg sync.WaitGroup
+	for g := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			views[g] = np.RowSampleOrdered()
+		}()
+	}
+	wg.Wait()
+	want := stats.NewOrdered(np.RowSampleValues)
+	for _, v := range views {
+		if !slices.Equal(v.Order, want.Order) || !slices.Equal(v.Sorted, want.Sorted) || v.Mean != want.Mean || v.StdDev != want.StdDev {
+			t.Fatal("a concurrent first call returned a view that differs from a fresh one")
+		}
+	}
+	if np.RowSampleOrdered() != np.RowSampleOrdered() {
+		t.Error("the view is rebuilt on every call")
+	}
+	np.RowSampleValues = append([]float64{-1e9}, np.RowSampleValues[1:]...)
+	if got := np.RowSampleOrdered(); got.Sorted[0] != -1e9 || &got.Values[0] != &np.RowSampleValues[0] {
+		t.Error("the view survived a reassignment of RowSampleValues")
 	}
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -33,44 +35,58 @@ func pairwiseComplete(xs, ys []float64) (px, py []float64) {
 	return px, py
 }
 
-// Covariance returns the population covariance of the
-// pairwise-complete observations of xs and ys.
-func Covariance(xs, ys []float64) float64 {
-	px, py := pairwiseComplete(xs, ys)
-	n := len(px)
-	if n < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(px), Mean(py)
-	sum := 0.0
-	for i := range px {
-		sum += (px[i] - mx) * (py[i] - my)
-	}
-	return sum / float64(n)
+// pairSums holds the centred second-order sums of the pairwise-complete
+// observations of two samples: everything Covariance, Pearson and
+// FitLine need, from two passes that skip incomplete rows in place (no
+// copies). The additions run in row order, exactly as they would over
+// extracted complete copies.
+type pairSums struct {
+	n             int
+	mx, my        float64
+	sxx, sxy, syy float64
 }
 
-// Pearson returns the Pearson correlation coefficient
-// ρ(x,y) = Σ(xᵢ−µx)(yᵢ−µy)/(n·σx·σy) over pairwise-complete
-// observations — the paper's linear-relationship metric. It returns
-// NaN when either side is constant or fewer than two pairs exist.
-func Pearson(xs, ys []float64) float64 {
-	px, py := pairwiseComplete(xs, ys)
-	n := len(px)
-	if n < 2 {
+// newPairSums panics on slices of different lengths (programmer
+// error).
+func newPairSums(xs, ys []float64) pairSums {
+	if len(xs) != len(ys) {
+		panic("stats: correlation inputs have different lengths")
+	}
+	var s pairSums
+	var sumX, sumY float64
+	for i, x := range xs {
+		y := ys[i]
+		if x != x || y != y {
+			continue
+		}
+		sumX += x
+		sumY += y
+		s.n++
+	}
+	if s.n < 2 {
+		return s
+	}
+	s.mx, s.my = sumX/float64(s.n), sumY/float64(s.n)
+	for i, x := range xs {
+		y := ys[i]
+		if x != x || y != y {
+			continue
+		}
+		dx, dy := x-s.mx, y-s.my
+		s.sxy += dx * dy
+		s.sxx += dx * dx
+		s.syy += dy * dy
+	}
+	return s
+}
+
+// pearson returns ρ = sxy/√(sxx·syy), NaN when either side is constant
+// or fewer than two pairs exist.
+func (s pairSums) pearson() float64 {
+	if s.n < 2 || s.sxx == 0 || s.syy == 0 {
 		return math.NaN()
 	}
-	mx, my := Mean(px), Mean(py)
-	var sxy, sxx, syy float64
-	for i := range px {
-		dx, dy := px[i]-mx, py[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	r := sxy / math.Sqrt(sxx*syy)
+	r := s.sxy / math.Sqrt(s.sxx*s.syy)
 	// Clamp rounding excursions outside [-1, 1].
 	if r > 1 {
 		r = 1
@@ -80,16 +96,27 @@ func Pearson(xs, ys []float64) float64 {
 	return r
 }
 
-// Spearman returns the Spearman rank correlation coefficient over
-// pairwise-complete observations: the Pearson correlation of the
-// fractional ranks (average-tie convention). It is the paper's metric
-// for nonlinear monotonic relationships.
-func Spearman(xs, ys []float64) float64 {
-	px, py := pairwiseComplete(xs, ys)
-	if len(px) < 2 {
+// Covariance returns the population covariance of the
+// pairwise-complete observations of xs and ys.
+func Covariance(xs, ys []float64) float64 {
+	s := newPairSums(xs, ys)
+	if s.n < 2 {
 		return math.NaN()
 	}
-	return Pearson(Ranks(px), Ranks(py))
+	return s.sxy / float64(s.n)
+}
+
+// Pearson returns the Pearson correlation coefficient
+// ρ(x,y) = Σ(xᵢ−µx)(yᵢ−µy)/(n·σx·σy) over pairwise-complete
+// observations — the paper's linear-relationship metric. It returns
+// NaN when either side is constant or fewer than two pairs exist.
+func Pearson(xs, ys []float64) float64 { return newPairSums(xs, ys).pearson() }
+
+// PearsonFit returns Pearson(xs, ys) and FitLine(xs, ys) from one scan
+// of the pairs: both are functions of the same five sums.
+func PearsonFit(xs, ys []float64) (float64, LinearFit) {
+	s := newPairSums(xs, ys)
+	return s.pearson(), s.fit()
 }
 
 // KendallTauB returns Kendall's τ-b rank correlation over
@@ -106,12 +133,11 @@ func KendallTauB(xs, ys []float64) float64 {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
+	slices.SortFunc(idx, func(ia, ib int) int {
 		if px[ia] != px[ib] {
-			return px[ia] < px[ib]
+			return cmp.Compare(px[ia], px[ib])
 		}
-		return py[ia] < py[ib]
+		return cmp.Compare(py[ia], py[ib])
 	})
 	ySorted := make([]float64, n)
 	xSorted := make([]float64, n)

@@ -12,8 +12,11 @@ import (
 // implementation is a faithful port of the reference diptst routine
 // (Hartigan's published algorithm with Maechler's and Lu's fixes),
 // using 1-based work arrays to mirror the original indexing.
-func Dip(xs []float64) float64 {
-	sorted := sortedCopy(xs)
+func Dip(xs []float64) float64 { return DipSorted(sortedCopy(xs)) }
+
+// DipSorted is Dip for data already sorted ascending and free of NaNs
+// (Ordered.Sorted). It avoids the copy and sort.
+func DipSorted(sorted []float64) float64 {
 	n := len(sorted)
 	if n < 2 {
 		return 0

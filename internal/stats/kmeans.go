@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -187,60 +188,131 @@ func sq(x float64) float64 { return x * x }
 // clustering: ((b−a)/max(a,b)) averaged over points, where a is the
 // mean intra-cluster distance and b the mean distance to the nearest
 // other cluster. Values near 1 indicate strong segmentation. Points
-// assigned a negative cluster are skipped. O(n²); callers should
-// sample large inputs first.
+// assigned a negative cluster are skipped. O(m²) time and O(m·K)
+// scratch for m scored points in K clusters; callers should sample
+// large inputs first.
 func Silhouette(pts []Point2, assign []int) float64 {
-	n := len(pts)
-	if n != len(assign) || n < 2 {
+	if len(pts) != len(assign) {
 		return math.NaN()
 	}
-	// Cluster membership lists, iterated in sorted cluster order so
-	// floating-point accumulation is deterministic across runs.
-	members := map[int][]int{}
-	for i, c := range assign {
-		if c >= 0 && !math.IsNaN(pts[i].X) && !math.IsNaN(pts[i].Y) {
-			members[c] = append(members[c], i)
+	return silhouette(pts, func(i int) int { return assign[i] })
+}
+
+// GroupSilhouette measures how well a categorical attribute segments a
+// set of 2-D points: the silhouette of the grouping induced by codes
+// (negative codes, and points beyond len(codes), skipped). It is
+// Foresight's segmentation metric.
+func GroupSilhouette(pts []Point2, codes []int32) float64 {
+	return silhouette(pts, func(i int) int {
+		if i < len(codes) {
+			return int(codes[i])
+		}
+		return -1
+	})
+}
+
+// silhouette scores pts under the clustering cluster(i). The scored
+// points are laid out cluster by cluster (ascending id), rows ascending
+// within a cluster — the order the result averages them in. Each of
+// the m(m−1)/2 distances is computed once — Hypot(p−q) and Hypot(q−p)
+// are the same bits — and added to the (point, cluster) sum of both
+// endpoints. A sum over one cluster's members receives them in layout
+// order, that is by ascending row: the members laid out before the
+// point add theirs while they are the outer index, in turn, and the
+// ones after it are walked left to right once the point is. So every
+// sum sees the additions a per-point scan of each cluster's members
+// would make, in the same order, from half the distances and with the
+// running sum of the inner loop in a register.
+func silhouette(pts []Point2, cluster func(i int) int) float64 {
+	if len(pts) < 2 {
+		return math.NaN()
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+
+	// Scored points: their rows and cluster ids.
+	sc.ids = grow(sc.ids, 2*len(pts))
+	sc.slots = grow(sc.slots, 3*len(pts)+1)
+	m := 0
+	for i, p := range pts {
+		if c := cluster(i); c >= 0 && !math.IsNaN(p.X) && !math.IsNaN(p.Y) {
+			sc.slots[m] = int32(i)
+			sc.ids[m] = c
+			m++
 		}
 	}
-	if len(members) < 2 {
+	rows, ids := sc.slots[:m], sc.ids[:m]
+	distinct := sc.ids[m : 2*m]
+	copy(distinct, ids)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	K := len(distinct)
+	if K < 2 {
 		return math.NaN()
 	}
-	clusters := make([]int, 0, len(members))
-	for c := range members {
-		clusters = append(clusters, c)
+	// Counting sort into the layout: cluster k occupies positions
+	// [start[k], start[k+1]).
+	dense, start := sc.slots[m:2*m], sc.slots[2*m:2*m+K+1]
+	clear(start)
+	for a, c := range ids {
+		k, _ := slices.BinarySearch(distinct, c)
+		dense[a] = int32(k)
+		start[k+1]++
 	}
-	sort.Ints(clusters)
-	total, count := 0.0, 0
-	for _, c := range clusters {
-		idxs := members[c]
-		for _, i := range idxs {
-			a := 0.0
-			if len(idxs) > 1 {
-				for _, j := range idxs {
-					if j != i {
-						a += dist(pts[i], pts[j])
-					}
+	for k := 0; k < K; k++ {
+		start[k+1] += start[k]
+	}
+	// x, y by layout position; sums[k*m+p] is the distance from the
+	// point at p to cluster k.
+	sc.floats = grow(sc.floats, 2*m+m*K)
+	x, y, sums := sc.floats[:m], sc.floats[m:2*m], sc.floats[2*m:]
+	for a, row := range rows {
+		p := start[dense[a]]
+		start[dense[a]]++
+		x[p], y[p] = pts[row].X, pts[row].Y
+	}
+	copy(start[1:], start[:K]) // undo the cursor advance
+	start[0] = 0
+	clear(sums)
+
+	for k := 0; k < K; k++ {
+		toK := sums[k*m : k*m+m]
+		for a := int(start[k]); a < int(start[k+1]); a++ {
+			ax, ay := x[a], y[a]
+			lo := a + 1
+			for o := k; o < K; o++ {
+				hi := int(start[o+1])
+				sum := sums[o*m+a]
+				for b := lo; b < hi; b++ {
+					d := math.Hypot(ax-x[b], ay-y[b])
+					sum += d
+					toK[b] += d
 				}
-				a /= float64(len(idxs) - 1)
+				sums[o*m+a] = sum
+				lo = hi
 			}
-			b := math.Inf(1)
-			for _, oc := range clusters {
-				oidxs := members[oc]
-				if oc == c || len(oidxs) == 0 {
+		}
+	}
+
+	total, count := 0.0, 0
+	for k := 0; k < K; k++ {
+		size := start[k+1] - start[k]
+		for a := int(start[k]); a < int(start[k+1]); a++ {
+			intra := 0.0
+			if size > 1 {
+				intra = sums[k*m+a] / float64(size-1)
+			}
+			nearest := math.Inf(1)
+			for o := 0; o < K; o++ {
+				if o == k {
 					continue
 				}
-				sum := 0.0
-				for _, j := range oidxs {
-					sum += dist(pts[i], pts[j])
-				}
-				avg := sum / float64(len(oidxs))
-				if avg < b {
-					b = avg
+				if avg := sums[o*m+a] / float64(start[o+1]-start[o]); avg < nearest {
+					nearest = avg
 				}
 			}
-			den := math.Max(a, b)
-			if den > 0 {
-				total += (b - a) / den
+			if den := math.Max(intra, nearest); den > 0 {
+				total += (nearest - intra) / den
 				count++
 			}
 		}
@@ -249,23 +321,4 @@ func Silhouette(pts []Point2, assign []int) float64 {
 		return math.NaN()
 	}
 	return total / float64(count)
-}
-
-func dist(p, q Point2) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
-// GroupSilhouette measures how well a categorical attribute segments a
-// set of 2-D points: the silhouette of the grouping induced by codes
-// (negative codes skipped). It is Foresight's segmentation metric.
-func GroupSilhouette(pts []Point2, codes []int32) float64 {
-	assign := make([]int, len(pts))
-	for i := range pts {
-		if i < len(codes) {
-			assign[i] = int(codes[i])
-		} else {
-			assign[i] = -1
-		}
-	}
-	return Silhouette(pts, assign)
 }

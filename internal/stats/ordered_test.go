@@ -1,0 +1,350 @@
+package stats
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// fuzzAlphabet is what one fuzz byte decodes to: the values that break
+// rankers (NaN runs, both zeros, both infinities) and a handful of
+// small numbers so ties are heavy.
+var fuzzAlphabet = []float64{
+	math.NaN(), math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1),
+	1, 1, 2, -1, 0.5, 3, 1e300, -1e300, 5e-324, 7,
+}
+
+// fuzzFloats decodes data into a sample. An even first byte reads the
+// rest one byte per value through fuzzAlphabet; an odd one reads raw
+// little-endian float64s, so the fuzzer can reach any bit pattern.
+func fuzzFloats(data []byte) []float64 {
+	if len(data) == 0 {
+		return nil
+	}
+	mode, data := data[0], data[1:]
+	var out []float64
+	if mode%2 == 0 {
+		for _, b := range data {
+			out = append(out, fuzzAlphabet[int(b)%len(fuzzAlphabet)])
+		}
+		return out
+	}
+	for ; len(data) >= 8; data = data[8:] {
+		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+	}
+	return out
+}
+
+func requireSameBits(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if !sameBits(got, want) {
+		t.Fatalf("%s = %v (%#x), oracle %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+func checkRanks(t *testing.T, xs []float64) {
+	t.Helper()
+	got, want := Ranks(xs), ranksOracle(xs)
+	if len(got) != len(want) {
+		t.Fatalf("Ranks(%v): %d ranks, oracle %d", xs, len(got), len(want))
+	}
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("Ranks(%v)[%d] = %v, oracle %v", xs, i, got[i], want[i])
+		}
+	}
+}
+
+// checkSpearman compares both entry points — the transient-order
+// wrapper and the retained-view kernel — to the oracle.
+func checkSpearman(t *testing.T, xs, ys []float64) {
+	t.Helper()
+	want := spearmanOracle(xs, ys)
+	requireSameBits(t, "Spearman", Spearman(xs, ys), want)
+	requireSameBits(t, "SpearmanOrdered", SpearmanOrdered(NewOrdered(xs), NewOrdered(ys)), want)
+}
+
+var nan = math.NaN()
+
+var rankCases = [][]float64{
+	nil,
+	{4},
+	{nan},
+	{2, 1},
+	{1, nan},
+	{nan, nan, nan},
+	{10, 20, 20, 30},
+	{5, nan, 1},
+	{0, math.Copysign(0, -1), 0, math.Copysign(0, -1)},
+	{math.Inf(1), math.Inf(-1), math.Inf(1), 0, nan, math.Inf(-1)},
+	{3, 3, 3, 3, 3},
+	{nan, 1, nan, 1, nan, 2, 2, nan},
+}
+
+func TestRanksMatchOracle(t *testing.T) {
+	for _, xs := range rankCases {
+		checkRanks(t, xs)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, rng.Intn(60))
+		for i := range xs {
+			xs[i] = fuzzAlphabet[rng.Intn(len(fuzzAlphabet))]
+		}
+		checkRanks(t, xs)
+	}
+}
+
+func TestSpearmanMatchesOracle(t *testing.T) {
+	for _, xs := range rankCases {
+		for _, ys := range rankCases {
+			if len(xs) == len(ys) {
+				checkSpearman(t, xs, ys)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(80)
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
+			ys[i] = xs[i]*xs[i] + rng.NormFloat64()
+			if trial%3 == 0 { // heavy ties and missing cells
+				xs[i] = fuzzAlphabet[rng.Intn(len(fuzzAlphabet))]
+			}
+			if trial%5 == 0 && rng.Intn(4) == 0 {
+				ys[i] = nan
+			}
+		}
+		checkSpearman(t, xs, ys)
+	}
+	// One side all missing.
+	checkSpearman(t, []float64{nan, nan, nan}, []float64{1, 2, 3})
+}
+
+func TestPairSumsMatchOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(50)
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ys[i] = rng.NormFloat64()*1e3, rng.ExpFloat64()
+			if trial%2 == 0 {
+				xs[i] = fuzzAlphabet[rng.Intn(len(fuzzAlphabet))]
+			}
+			if trial%3 == 0 && rng.Intn(5) == 0 {
+				ys[i] = nan
+			}
+		}
+		rho, fit := PearsonFit(xs, ys)
+		requireSameBits(t, "PearsonFit rho", rho, pearsonOracle(xs, ys))
+		requireSameBits(t, "Pearson", Pearson(xs, ys), pearsonOracle(xs, ys))
+		requireSameBits(t, "Covariance", Covariance(xs, ys), covarianceOracle(xs, ys))
+		want := fitLineOracle(xs, ys)
+		for _, got := range []LinearFit{fit, FitLine(xs, ys)} {
+			requireSameBits(t, "slope", got.Slope, want.Slope)
+			requireSameBits(t, "intercept", got.Intercept, want.Intercept)
+			requireSameBits(t, "r2", got.R2, want.R2)
+			if got.N != want.N {
+				t.Fatalf("fit N = %d, oracle %d", got.N, want.N)
+			}
+		}
+	}
+}
+
+func TestOrderIsSortedAndExtendable(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, rng.Intn(70))
+		for i := range xs {
+			xs[i] = fuzzAlphabet[rng.Intn(len(fuzzAlphabet))]
+			if trial%2 == 0 {
+				xs[i] = math.Round(rng.NormFloat64() * 3)
+			}
+		}
+		order, _ := orderFrom(xs, 0)
+		present := 0
+		for _, v := range xs {
+			if !math.IsNaN(v) {
+				present++
+			}
+		}
+		if len(order) != present {
+			t.Fatalf("order of %v has %d rows, want %d", xs, len(order), present)
+		}
+		for k := 1; k < len(order); k++ {
+			a, b := order[k-1], order[k]
+			if xs[a] > xs[b] || (xs[a] == xs[b] && a >= b) {
+				t.Fatalf("order of %v = %v: rows %d, %d out of order", xs, order, a, b)
+			}
+		}
+		for _, from := range []int{0, len(xs) / 3, len(xs) - 1, len(xs)} {
+			if from < 0 {
+				continue
+			}
+			prefix, _ := orderFrom(xs[:from], 0)
+			got := ExtendOrder(prefix, xs, from)
+			if !slices.Equal(got, order) {
+				t.Fatalf("ExtendOrder(from %d) of %v = %v, want %v", from, xs, got, order)
+			}
+		}
+		v := NewOrdered(xs)
+		if !slices.Equal(v.Sorted, sortedCopy(xs)) && !containsBothZeros(xs) {
+			t.Fatalf("Sorted %v, sortedCopy %v", v.Sorted, sortedCopy(xs))
+		}
+		requireSameBits(t, "Mean", v.Mean, Mean(xs))
+		requireSameBits(t, "StdDev", v.StdDev, StdDev(xs))
+	}
+}
+
+// containsBothZeros reports a sample holding −0 and +0: the one case
+// where a sorted copy is not unique (the two compare equal, and an
+// unstable sort may interleave them either way).
+func containsBothZeros(xs []float64) bool {
+	neg, pos := false, false
+	for _, v := range xs {
+		if v == 0 {
+			if math.Signbit(v) {
+				neg = true
+			} else {
+				pos = true
+			}
+		}
+	}
+	return neg && pos
+}
+
+func FuzzRanks(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 1})             // NaN run
+	f.Add([]byte{0, 2, 3, 2, 3})             // −0 / +0 ties
+	f.Add([]byte{0, 4, 5, 4, 5, 0})          // ±Inf with a NaN
+	f.Add([]byte{0, 6, 7, 6, 7, 6, 7, 8, 8}) // heavy ties
+	f.Add([]byte{0, 9})                      // length 1
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRanks(t, fuzzFloats(data))
+	})
+}
+
+func FuzzSpearmanOrdered(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0, 6}, []byte{0, 8})                         // length 1
+	f.Add([]byte{0, 6, 8}, []byte{0, 8, 6})                   // length 2
+	f.Add([]byte{0, 0, 1, 0, 1}, []byte{0, 6, 8, 9, 10})      // one side all missing
+	f.Add([]byte{0, 2, 3, 6, 0, 8}, []byte{0, 3, 2, 0, 7, 8}) // zeros, NaNs on both sides
+	f.Add([]byte{0, 4, 5, 4, 6, 6, 6}, []byte{0, 5, 4, 11, 11, 11, 0})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		xs, ys := fuzzFloats(a), fuzzFloats(b)
+		n := min(len(xs), len(ys))
+		checkSpearman(t, xs[:n], ys[:n])
+	})
+}
+
+var silhouetteCases = []struct {
+	name   string
+	pts    []Point2
+	assign []int
+}{
+	{"two blobs", []Point2{{0, 0}, {0, 1}, {9, 9}, {9, 8}, {1, 0}}, []int{0, 0, 1, 1, 0}},
+	{"negative codes skipped", []Point2{{0, 0}, {5, 5}, {0, 1}, {9, 9}, {9, 8}}, []int{0, -1, 0, 1, 1}},
+	{"NaN points skipped", []Point2{{0, 0}, {nan, 5}, {0, 1}, {9, nan}, {9, 8}, {8, 8}}, []int{0, 0, 0, 1, 1, 1}},
+	{"single surviving cluster", []Point2{{0, 0}, {1, 1}, {nan, 2}, {3, 3}}, []int{0, 0, 1, -1}},
+	{"sparse large ids", []Point2{{0, 0}, {0, 1}, {9, 9}, {9, 8}, {4, 4}}, []int{1 << 40, 1 << 40, 7, 7, 1 << 20}},
+	{"all singletons", []Point2{{0, 0}, {1, 5}, {7, 2}, {3, 3}}, []int{3, 2, 1, 0}},
+	{"singleton among pairs", []Point2{{0, 0}, {0, 1}, {5, 5}, {9, 9}, {9, 8}}, []int{0, 0, 1, 2, 2}},
+	{"coincident points", []Point2{{1, 1}, {1, 1}, {1, 1}, {1, 1}}, []int{0, 0, 1, 1}},
+	{"infinite coordinate", []Point2{{math.Inf(1), 0}, {0, 1}, {9, 9}, {9, 8}}, []int{0, 0, 1, 1}},
+	{"too short", []Point2{{0, 0}}, []int{0}},
+	{"length mismatch", []Point2{{0, 0}, {1, 1}}, []int{0}},
+}
+
+func TestSilhouetteMatchesOracle(t *testing.T) {
+	for _, tc := range silhouetteCases {
+		requireSameBits(t, tc.name, Silhouette(tc.pts, tc.assign), silhouetteOracle(tc.pts, tc.assign))
+	}
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 150; trial++ {
+		n := rng.Intn(90)
+		k := 1 + rng.Intn(6)
+		pts := make([]Point2, n)
+		assign := make([]int, n)
+		codes := make([]int32, n)
+		for i := range pts {
+			c := rng.Intn(k+1) - 1 // −1 … k−1
+			pts[i] = Point2{float64(c)*2 + rng.NormFloat64(), rng.NormFloat64()}
+			if rng.Intn(15) == 0 {
+				pts[i].X = nan
+			}
+			assign[i] = c * (1 + trial%3*1000)
+			codes[i] = int32(c)
+		}
+		requireSameBits(t, "Silhouette", Silhouette(pts, assign), silhouetteOracle(pts, assign))
+		requireSameBits(t, "GroupSilhouette", GroupSilhouette(pts, codes), groupSilhouetteOracle(pts, codes))
+		short := codes[:n/2] // points beyond the codes are skipped
+		requireSameBits(t, "GroupSilhouette short", GroupSilhouette(pts, short), groupSilhouetteOracle(pts, short))
+	}
+}
+
+func FuzzSilhouette(f *testing.F) {
+	f.Add([]byte{0, 6, 7, 8, 9, 10, 11, 6, 6}, []byte{0, 0, 1, 1})
+	f.Add([]byte{0, 0, 6, 6, 7, 4, 5, 9, 9}, []byte{0, 255, 1, 1})
+	f.Fuzz(func(t *testing.T, coords, clusters []byte) {
+		vals := fuzzFloats(coords)
+		n := min(len(vals)/2, len(clusters))
+		pts := make([]Point2, n)
+		assign := make([]int, n)
+		for i := range pts {
+			pts[i] = Point2{vals[2*i], vals[2*i+1]}
+			assign[i] = int(int8(clusters[i])) << (clusters[i] % 3 * 20) // negative, dense and sparse ids
+		}
+		requireSameBits(t, "Silhouette", Silhouette(pts, assign), silhouetteOracle(pts, assign))
+	})
+}
+
+var benchSink float64
+
+func benchColumns(n int) (xs, ys []float64) {
+	rng := rand.New(rand.NewSource(3))
+	xs, ys = make([]float64, n), make([]float64, n)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+		ys[i] = xs[i] + rng.NormFloat64()
+		if rng.Intn(100) == 0 {
+			ys[i] = nan
+		}
+	}
+	return xs, ys
+}
+
+// BenchmarkSpearmanPair is one candidate of the monotonic class at the
+// explore_exact shape: both orders retained, 1 % missing cells.
+func BenchmarkSpearmanPair(b *testing.B) {
+	xs, ys := benchColumns(8000)
+	x, y := NewOrdered(xs), NewOrdered(ys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = SpearmanOrdered(x, y)
+	}
+}
+
+// BenchmarkSilhouette512 is one candidate of the segmentation class at
+// its sample cap: 512 points in four groups.
+func BenchmarkSilhouette512(b *testing.B) {
+	xs, ys := benchColumns(512)
+	pts := make([]Point2, len(xs))
+	codes := make([]int32, len(xs))
+	for i := range pts {
+		pts[i] = Point2{xs[i], ys[i]}
+		codes[i] = int32(i % 4)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = GroupSilhouette(pts, codes)
+	}
+}

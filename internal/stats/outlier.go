@@ -16,6 +16,13 @@ type OutlierDetector interface {
 	Detect(xs []float64) []int
 }
 
+// sortedDetector is implemented by the detectors whose fences come
+// from order statistics: given the sample's sorted non-NaN values they
+// skip their own copy and sort.
+type sortedDetector interface {
+	detectSorted(xs, sorted []float64) []int
+}
+
 // ZScoreDetector flags |x−µ|/σ > Threshold. The classical parametric
 // detector; sensitive to the outliers it is hunting (masking).
 type ZScoreDetector struct {
@@ -58,13 +65,15 @@ type MADDetector struct {
 func (d MADDetector) Name() string { return "mad" }
 
 // Detect implements OutlierDetector.
-func (d MADDetector) Detect(xs []float64) []int {
+func (d MADDetector) Detect(xs []float64) []int { return d.detectSorted(xs, sortedCopy(xs)) }
+
+func (d MADDetector) detectSorted(xs, s []float64) []int {
 	thr := d.Threshold
 	if thr == 0 {
 		thr = 3.5
 	}
-	med := Median(xs)
-	mad := MAD(xs)
+	med := QuantileSorted(s, 0.5)
+	mad := madSorted(s)
 	if mad == 0 || math.IsNaN(mad) {
 		return nil
 	}
@@ -89,12 +98,13 @@ type IQRDetector struct {
 func (d IQRDetector) Name() string { return "iqr" }
 
 // Detect implements OutlierDetector.
-func (d IQRDetector) Detect(xs []float64) []int {
+func (d IQRDetector) Detect(xs []float64) []int { return d.detectSorted(xs, sortedCopy(xs)) }
+
+func (d IQRDetector) detectSorted(xs, s []float64) []int {
 	k := d.K
 	if k == 0 {
 		k = 1.5
 	}
-	s := sortedCopy(xs)
 	if len(s) < 4 {
 		return nil
 	}
@@ -122,7 +132,22 @@ func OutlierScore(xs []float64, det OutlierDetector) (score float64, outliers []
 	if det == nil {
 		det = IQRDetector{}
 	}
-	outliers = det.Detect(xs)
+	return scoreOutliers(xs, det.Detect(xs))
+}
+
+// OutlierScoreOrdered is OutlierScore(o.Values, det): the built-in IQR
+// and MAD detectors reuse o.Sorted; any other detector runs as usual.
+func OutlierScoreOrdered(o *Ordered, det OutlierDetector) (score float64, outliers []int) {
+	if det == nil {
+		det = IQRDetector{}
+	}
+	if sd, ok := det.(sortedDetector); ok {
+		return scoreOutliers(o.Values, sd.detectSorted(o.Values, o.Sorted))
+	}
+	return scoreOutliers(o.Values, det.Detect(o.Values))
+}
+
+func scoreOutliers(xs []float64, outliers []int) (float64, []int) {
 	if len(outliers) == 0 {
 		return 0, nil
 	}
@@ -151,11 +176,14 @@ type BoxStats struct {
 
 // NewBoxStats computes the box-plot summary for the non-NaN values of
 // xs with fence multiplier k (1.5 when zero).
-func NewBoxStats(xs []float64, k float64) *BoxStats {
+func NewBoxStats(xs []float64, k float64) *BoxStats { return NewBoxStatsSorted(sortedCopy(xs), k) }
+
+// NewBoxStatsSorted is NewBoxStats for data already sorted ascending
+// and free of NaNs.
+func NewBoxStatsSorted(s []float64, k float64) *BoxStats {
 	if k == 0 {
 		k = 1.5
 	}
-	s := sortedCopy(xs)
 	if len(s) == 0 {
 		return &BoxStats{Min: math.NaN(), Q1: math.NaN(), Median: math.NaN(), Q3: math.NaN(), Max: math.NaN()}
 	}

@@ -37,15 +37,18 @@ func QuantileSorted(s []float64, q float64) float64 {
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // IQR returns the interquartile range Q3−Q1 of the non-NaN values.
-func IQR(xs []float64) float64 {
-	s := sortedCopy(xs)
+func IQR(xs []float64) float64 { return IQRSorted(sortedCopy(xs)) }
+
+// IQRSorted is IQR for data already sorted ascending and free of NaNs.
+func IQRSorted(s []float64) float64 {
 	return QuantileSorted(s, 0.75) - QuantileSorted(s, 0.25)
 }
 
 // MAD returns the median absolute deviation from the median, a robust
 // scale estimate.
-func MAD(xs []float64) float64 {
-	s := sortedCopy(xs)
+func MAD(xs []float64) float64 { return madSorted(sortedCopy(xs)) }
+
+func madSorted(s []float64) float64 {
 	if len(s) == 0 {
 		return math.NaN()
 	}
@@ -87,39 +90,3 @@ func (e *ECDF) At(x float64) float64 {
 
 // Values returns the sorted backing sample. Read-only.
 func (e *ECDF) Values() []float64 { return e.sorted }
-
-// Ranks assigns 1-based fractional ranks to xs with ties receiving the
-// average of their covered ranks (the standard convention for Spearman
-// correlation). NaN inputs receive NaN ranks and do not consume rank
-// positions.
-func Ranks(xs []float64) []float64 {
-	type iv struct {
-		idx int
-		v   float64
-	}
-	clean := make([]iv, 0, len(xs))
-	for i, v := range xs {
-		if !math.IsNaN(v) {
-			clean = append(clean, iv{i, v})
-		}
-	}
-	sort.Slice(clean, func(a, b int) bool { return clean[a].v < clean[b].v })
-
-	ranks := make([]float64, len(xs))
-	for i := range ranks {
-		ranks[i] = math.NaN()
-	}
-	for i := 0; i < len(clean); {
-		j := i
-		for j < len(clean) && clean[j].v == clean[i].v {
-			j++
-		}
-		// Average rank for the tie group [i, j).
-		avg := float64(i+j+1) / 2 // ranks are 1-based: (i+1 + j)/2
-		for k := i; k < j; k++ {
-			ranks[clean[k].idx] = avg
-		}
-		i = j
-	}
-	return ranks
-}

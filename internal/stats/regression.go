@@ -17,31 +17,20 @@ type LinearFit struct {
 
 // FitLine fits an OLS line through the pairwise-complete observations
 // of (xs, ys). Slope is NaN when x is constant.
-func FitLine(xs, ys []float64) LinearFit {
-	px, py := pairwiseComplete(xs, ys)
-	n := len(px)
-	if n < 2 {
-		return LinearFit{Slope: math.NaN(), Intercept: math.NaN(), R2: math.NaN(), N: n}
+func FitLine(xs, ys []float64) LinearFit { return newPairSums(xs, ys).fit() }
+
+func (s pairSums) fit() LinearFit {
+	if s.n < 2 || s.sxx == 0 {
+		return LinearFit{Slope: math.NaN(), Intercept: math.NaN(), R2: math.NaN(), N: s.n}
 	}
-	mx, my := Mean(px), Mean(py)
-	var sxx, sxy, syy float64
-	for i := range px {
-		dx, dy := px[i]-mx, py[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{Slope: math.NaN(), Intercept: math.NaN(), R2: math.NaN(), N: n}
-	}
-	slope := sxy / sxx
+	slope := s.sxy / s.sxx
 	fit := LinearFit{
 		Slope:     slope,
-		Intercept: my - slope*mx,
-		N:         n,
+		Intercept: s.my - slope*s.mx,
+		N:         s.n,
 	}
-	if syy > 0 {
-		fit.R2 = (sxy * sxy) / (sxx * syy)
+	if s.syy > 0 {
+		fit.R2 = (s.sxy * s.sxy) / (s.sxx * s.syy)
 	} else {
 		fit.R2 = math.NaN()
 	}
