@@ -338,12 +338,12 @@ func newCacheBenchEngine(b *testing.B) *query.Engine {
 }
 
 // BenchmarkQueryCold scores every candidate from scratch on each
-// request (memo disabled): the pre-cache serving cost.
+// request (memo dropped first): the pre-cache serving cost.
 func BenchmarkQueryCold(b *testing.B) {
 	engine := newCacheBenchEngine(b)
-	engine.SetCacheEnabled(false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		engine.InvalidateCache()
 		if _, err := engine.Carousels(5, false); err != nil {
 			b.Fatal(err)
 		}

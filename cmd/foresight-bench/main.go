@@ -6,9 +6,8 @@
 // observability-overhead guardrail (E10), the request-cancellation
 // experiment (E11), the streaming-ingest experiment (E12), the
 // sharded-parallel-build experiment (E13), the insight-telemetry
-// overhead experiment (E14), the top-k pruning experiment (E16), the
-// durable-ingest experiment (E17), and the sketch-parameter
-// ablations.
+// overhead experiment (E14), the durable-ingest experiment (E17), and
+// the sketch-parameter ablations.
 // Results print to stdout and, with -out, land as TSV/SVG artifacts.
 //
 // Usage:
@@ -30,7 +29,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e11,e12,e13,e14,e16,e17,ablations")
+	exp := flag.String("exp", "all", "comma-separated experiments: e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e11,e12,e13,e14,e17,ablations")
 	out := flag.String("out", "", "directory for TSV/SVG artifacts (empty = stdout only)")
 	full := flag.Bool("full", false, "paper-scale sizes (n=100K, d up to 200; slower)")
 	seed := flag.Int64("seed", 42, "experiment seed")
@@ -140,9 +139,6 @@ func main() {
 			rows14, dims14 = 100000, 64
 		}
 		return bench.RunE14TelemetryOverhead(w, *out, bench.E14Config{Rows: rows14, Dims: dims14, Seed: *seed})
-	})
-	run("e16", func() error {
-		return bench.RunE16Pruning(w, *out, bench.E16Config{K: 3, Seed: *seed})
 	})
 	run("e17", func() error {
 		c := bench.E17Config{BaseRows: 20000, BatchRows: 2000, Batches: 8, Dims: 8, Seed: *seed}

@@ -7,11 +7,11 @@
 //	foresight info      -data file.csv
 //	foresight carousels -data file.csv [-k 5] [-approx]
 //	foresight query     -data file.csv -class linear [-metric spearman]
-//	                    [-fix attr1,attr2] [-min 0.5] [-max 0.8] [-k 10] [-approx] [-prune=false]
+//	                    [-fix attr1,attr2] [-min 0.5] [-max 0.8] [-k 10] [-approx]
 //	foresight overview  -data file.csv [-class linear] [-svg out.svg]
 //	foresight render    -data file.csv -class linear -attrs x,y -svg out.svg
 //	foresight selfcheck -data file.csv [-profile store.bin] [-parts 3] [-shards 4] [-tol 0.07]
-//	foresight serve     -data file.csv [-addr :8600] [-workers 0] [-cache]
+//	foresight serve     -data file.csv [-addr :8600] [-workers 0]   (foresightd's flags)
 //	foresight top       [-addr http://localhost:8600] [-interval 2s] [-once]
 //	foresight demo      -name oecd|parkinson|imdb -out file.csv
 //
@@ -20,20 +20,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"foresight"
-	"foresight/internal/durable"
-	"foresight/internal/obs"
 	"foresight/internal/server"
 )
 
@@ -92,60 +84,26 @@ commands:
   report     self-contained HTML report (carousels + overview)
   profile    build and persist a sketch store (-parts partitioned, -shards parallel)
   selfcheck  verify sketch invariants against a dataset (-profile checks a saved store)
-  serve      start the demo web server (same UI as foresightd)
+  serve      start the demo web server (foresightd itself: same flags, same loop)
   top        live insight-telemetry dashboard for a running server
   demo       write a synthetic demo dataset as CSV
 
 run 'foresight <command> -h' for per-command flags`)
 }
 
-// loadData opens -data: a CSV path or a built-in demo dataset name.
-func loadData(path string, seed int64) (*foresight.Frame, error) {
-	switch strings.ToLower(path) {
-	case "":
-		return nil, fmt.Errorf("missing -data (CSV path or oecd|parkinson|imdb)")
-	case "oecd":
-		return foresight.OECDDataset(0, seed), nil
-	case "parkinson":
-		return foresight.ParkinsonDataset(0, seed), nil
-	case "imdb":
-		return foresight.IMDBDataset(0, seed), nil
-	default:
-		return foresight.ReadCSVFile(path, "", nil)
-	}
-}
-
-func newEngine(f *foresight.Frame, approx bool, seed int64) (*foresight.Engine, error) {
-	return newEngineWithProfile(f, approx, false, seed, "", 0)
-}
-
-// newEngineWithProfile builds the engine; when approx or prune is
-// requested a sketch store is loaded from profilePath (if given) or
-// built fresh — with the sharded data-parallel builder when
-// buildShards != 0. Pruning needs the store only for its cheap score
-// bounds; exact queries still score from raw data.
-func newEngineWithProfile(f *foresight.Frame, approx, prune bool, seed int64, profilePath string, buildShards int) (*foresight.Engine, error) {
+// newEngine builds the engine. With sketches set it carries a sketch
+// store, loaded from profilePath (if given) or built fresh: approximate
+// queries answer from it, and exact top-k queries take their score
+// bounds from it while still scoring from raw data.
+func newEngine(f *foresight.Frame, sketches bool, seed int64, profilePath string) (*foresight.Engine, error) {
 	var profile *foresight.Profile
-	if profilePath != "" {
-		file, err := os.Open(profilePath)
-		if err != nil {
+	if sketches || profilePath != "" {
+		var err error
+		if profile, err = server.Preprocess(f, profilePath, seed, 0); err != nil {
 			return nil, err
 		}
-		defer file.Close()
-		profile, err = foresight.LoadProfile(file)
-		if err != nil {
-			return nil, err
-		}
-	} else if approx || prune {
-		profile = foresight.BuildProfileSharded(f,
-			foresight.ProfileConfig{Seed: seed, Spearman: true}, buildShards)
 	}
-	engine, err := foresight.NewEngine(f, foresight.NewRegistry(), profile)
-	if err != nil {
-		return nil, err
-	}
-	engine.SetPruning(prune)
-	return engine, nil
+	return foresight.NewEngine(f, foresight.NewRegistry(), profile)
 }
 
 func runInfo(args []string) error {
@@ -153,7 +111,7 @@ func runInfo(args []string) error {
 	data := fs.String("data", "", "CSV path or demo dataset name")
 	seed := fs.Int64("seed", 42, "seed for demo datasets")
 	_ = fs.Parse(args)
-	f, err := loadData(*data, *seed)
+	f, err := server.LoadData(*data, *seed)
 	if err != nil {
 		return err
 	}
@@ -175,15 +133,14 @@ func runCarousels(args []string) error {
 	data := fs.String("data", "", "CSV path or demo dataset name")
 	k := fs.Int("k", 5, "insights per class")
 	approx := fs.Bool("approx", false, "answer from sketches")
-	prune := fs.Bool("prune", true, "bound-based top-k candidate pruning (identical results; builds the sketch store)")
 	workers := fs.Int("workers", 1, "parallel scoring workers (0 = GOMAXPROCS)")
 	seed := fs.Int64("seed", 42, "seed for demo datasets / sketches")
 	_ = fs.Parse(args)
-	f, err := loadData(*data, *seed)
+	f, err := server.LoadData(*data, *seed)
 	if err != nil {
 		return err
 	}
-	engine, err := newEngineWithProfile(f, *approx, *prune, *seed, "", 0)
+	engine, err := newEngine(f, true, *seed, "")
 	if err != nil {
 		return err
 	}
@@ -216,18 +173,17 @@ func runQuery(args []string) error {
 	maxScore := fs.Float64("max", 0, "maximum strength (0 = unbounded; negative is an error)")
 	k := fs.Int("k", 10, "top-k per class")
 	approx := fs.Bool("approx", false, "answer from sketches")
-	prune := fs.Bool("prune", true, "bound-based top-k candidate pruning (identical results; builds the sketch store)")
 	profilePath := fs.String("profile", "", "load a saved sketch store (implies -approx)")
 	seed := fs.Int64("seed", 42, "seed for demo datasets / sketches")
 	_ = fs.Parse(args)
 	if *profilePath != "" {
 		*approx = true
 	}
-	f, err := loadData(*data, *seed)
+	f, err := server.LoadData(*data, *seed)
 	if err != nil {
 		return err
 	}
-	engine, err := newEngineWithProfile(f, *approx, *prune, *seed, *profilePath, 0)
+	engine, err := newEngine(f, true, *seed, *profilePath)
 	if err != nil {
 		return err
 	}
@@ -271,11 +227,11 @@ func runOverview(args []string) error {
 	approx := fs.Bool("approx", false, "answer from sketches")
 	seed := fs.Int64("seed", 42, "seed for demo datasets / sketches")
 	_ = fs.Parse(args)
-	f, err := loadData(*data, *seed)
+	f, err := server.LoadData(*data, *seed)
 	if err != nil {
 		return err
 	}
-	engine, err := newEngine(f, *approx, *seed)
+	engine, err := newEngine(f, *approx, *seed, "")
 	if err != nil {
 		return err
 	}
@@ -311,7 +267,7 @@ func runRender(args []string) error {
 	svgPath := fs.String("svg", "", "output SVG path (default stdout)")
 	seed := fs.Int64("seed", 42, "seed for demo datasets")
 	_ = fs.Parse(args)
-	f, err := loadData(*data, *seed)
+	f, err := server.LoadData(*data, *seed)
 	if err != nil {
 		return err
 	}
@@ -342,115 +298,13 @@ func runRender(args []string) error {
 	return nil
 }
 
-// runServe starts the demo web server over -data, mirroring
-// cmd/foresightd so the CLI binary alone can serve the UI.
+// runServe is foresightd under the CLI's name: the flags and the run
+// loop are internal/server's.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	data := fs.String("data", "", "CSV path or demo dataset name")
-	addr := fs.String("addr", ":8600", "listen address")
-	k := fs.Int("k", 5, "insights per carousel")
-	approx := fs.Bool("approx", false, "answer queries from sketches")
-	workers := fs.Int("workers", 0, "parallel scoring workers (0 = GOMAXPROCS)")
-	buildShards := fs.Int("build-shards", 0, "parallel profile-build shards for preprocessing and large ingest batches (0 = sequential, <0 = GOMAXPROCS)")
-	cache := fs.Bool("cache", true, "memoize insight scores across queries")
-	prune := fs.Bool("prune", true, "bound-based top-k candidate pruning (results are identical either way; off = score every candidate)")
-	profilePath := fs.String("profile", "", "load a saved sketch store (implies -approx)")
-	seed := fs.Int64("seed", 42, "seed for demo datasets / sketches")
-	requestTimeout := fs.Duration("request-timeout", 5*time.Second, "per-request API deadline (0 = none)")
-	maxInflight := fs.Int("max-inflight", 256, "max concurrently served API requests (0 = unlimited)")
-	queryLogSample := fs.Float64("query-log-sample", 0, "fraction of engine queries logged as structured JSON telemetry lines (0 = off)")
-	walDir := fs.String("wal-dir", "", "durability directory for the write-ahead log and snapshots (empty = no durable ingest)")
-	fsyncMode := fs.String("fsync", "interval", "WAL fsync policy: always | interval | off")
-	recoverPermissive := fs.Bool("recover-permissive", false, "keep the valid WAL prefix on mid-log corruption instead of refusing to start")
+	flags := server.RegisterFlags(fs)
 	_ = fs.Parse(args)
-	if *profilePath != "" {
-		*approx = true
-	}
-	f, err := loadData(*data, *seed)
-	if err != nil {
-		return err
-	}
-	engine, err := newEngineWithProfile(f, *approx, *prune, *seed, *profilePath, *buildShards)
-	if err != nil {
-		return err
-	}
-	engine.SetWorkers(*workers)
-	engine.SetBuildShards(*buildShards)
-	engine.SetCacheEnabled(*cache)
-	reg := obs.NewRegistry()
-	obs.SetBuildInfo(reg, "foresight-cli")
-	// Durable ingest mirrors cmd/foresightd, but recovery runs
-	// synchronously before the listener starts — the CLI favors a
-	// simple startup over serving queries mid-replay.
-	var durMgr *durable.Manager
-	srvOpts := server.Options{
-		Registry:       reg,
-		LogWriter:      os.Stderr,
-		Version:        "foresight-cli",
-		RequestTimeout: *requestTimeout,
-		MaxInflight:    *maxInflight,
-		QueryLogSample: *queryLogSample,
-	}
-	if *walDir != "" {
-		policy, err := durable.ParseFsyncPolicy(*fsyncMode)
-		if err != nil {
-			return err
-		}
-		durMgr, err = durable.Open(durable.Options{
-			Dir: *walDir, Fsync: policy, Permissive: *recoverPermissive,
-			Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-		})
-		if err != nil {
-			return err
-		}
-		durMgr.Instrument(reg)
-		rec, err := durMgr.Recover(engine)
-		if err != nil {
-			return fmt.Errorf("WAL recovery: %w", err)
-		}
-		fmt.Printf("foresight: recovered %s: snapshot seq %d + %d replayed batches (%d rows), last seq %d\n",
-			*walDir, rec.SnapshotSeq, rec.ReplayedBatches, rec.ReplayedRows, rec.LastSeq)
-		defer durMgr.Close()
-		srvOpts.Durable = durMgr
-	}
-	srv := server.New(engine, *k, *approx, srvOpts)
-	fmt.Printf("foresight: serving %s on http://localhost%s (workers=%d cache=%v prune=%v; /metrics, /api/stats, /api/debug/insights)\n",
-		f.Summary(), *addr, engine.Workers(), *cache, engine.PruningEnabled())
-
-	// Same lifecycle discipline as cmd/foresightd: listener timeouts
-	// against stalled clients, SIGINT/SIGTERM drains in-flight
-	// requests before exiting.
-	writeTimeout := 30 * time.Second
-	if *requestTimeout > 0 && *requestTimeout+10*time.Second > writeTimeout {
-		writeTimeout = *requestTimeout + 10*time.Second
-	}
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       120 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Println("foresight: signal received, draining in-flight requests...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	err = httpSrv.Shutdown(shutdownCtx)
-	srv.Close() // stop the ingest worker before the WAL closes
-	return err
+	return flags.Run("foresight-cli")
 }
 
 func runDemo(args []string) error {

@@ -5,19 +5,21 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"foresight/internal/server"
 )
 
 func TestLoadData(t *testing.T) {
 	for _, name := range []string{"oecd", "parkinson", "imdb", "OECD"} {
-		f, err := loadData(name, 1)
+		f, err := server.LoadData(name, 1)
 		if err != nil || f.Rows() == 0 {
-			t.Errorf("loadData(%s): %v", name, err)
+			t.Errorf("LoadData(%s): %v", name, err)
 		}
 	}
-	if _, err := loadData("", 1); err == nil {
+	if _, err := server.LoadData("", 1); err == nil {
 		t.Error("empty -data should fail")
 	}
-	if _, err := loadData("/no/such/file.csv", 1); err == nil {
+	if _, err := server.LoadData("/no/such/file.csv", 1); err == nil {
 		t.Error("missing file should fail")
 	}
 	// CSV path.
@@ -26,9 +28,9 @@ func TestLoadData(t *testing.T) {
 	if err := os.WriteFile(path, []byte("a,b\n1,x\n2,y\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := loadData(path, 1)
+	f, err := server.LoadData(path, 1)
 	if err != nil || f.Rows() != 2 {
-		t.Errorf("loadData(csv): %v", err)
+		t.Errorf("LoadData(csv): %v", err)
 	}
 }
 

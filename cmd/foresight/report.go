@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"foresight"
+	"foresight/internal/server"
 )
 
 // runReport implements `foresight report`: a self-contained HTML
@@ -20,11 +21,11 @@ func runReport(args []string) error {
 	approx := fs.Bool("approx", false, "build panels from sketches only")
 	seed := fs.Int64("seed", 42, "seed for demo datasets / sketches")
 	_ = fs.Parse(args)
-	f, err := loadData(*data, *seed)
+	f, err := server.LoadData(*data, *seed)
 	if err != nil {
 		return err
 	}
-	engine, err := newEngine(f, *approx, *seed)
+	engine, err := newEngine(f, *approx, *seed, "")
 	if err != nil {
 		return err
 	}
@@ -89,7 +90,7 @@ func runProfile(args []string) error {
 	workers := fs.Int("workers", 1, "parallel workers")
 	seed := fs.Int64("seed", 42, "seed")
 	_ = fs.Parse(args)
-	f, err := loadData(*data, *seed)
+	f, err := server.LoadData(*data, *seed)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"foresight"
 	"foresight/internal/core"
 	"foresight/internal/durable"
+	"foresight/internal/server"
 	"foresight/internal/sketch"
 	"foresight/internal/sketch/sketchcheck"
 )
@@ -36,7 +37,7 @@ func runSelfcheck(args []string) error {
 	walDir := fs.String("wal", "", "verify this WAL/snapshot directory instead: CRC-scan every segment, replay into a scratch engine over -data, and gate the recovered profile against a cold rebuild")
 	permissive := fs.Bool("recover-permissive", false, "with -wal: tolerate mid-log corruption and verify the valid prefix")
 	_ = fs.Parse(args)
-	f, err := loadData(*data, *seed)
+	f, err := server.LoadData(*data, *seed)
 	if err != nil {
 		return err
 	}

@@ -35,249 +35,22 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
-	"net/http/pprof"
-	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-	"time"
 
-	"foresight"
-	"foresight/internal/durable"
-	"foresight/internal/obs"
 	"foresight/internal/server"
-	"foresight/internal/sketch"
 )
 
 // version is stamped via -ldflags "-X main.version=..." in release
 // builds; "dev" otherwise.
 var version = "dev"
 
+// The flags and the run loop live in internal/server, shared with
+// `foresight serve`.
 func main() {
-	data := flag.String("data", "oecd", "CSV path or demo dataset name (oecd|parkinson|imdb)")
-	addr := flag.String("addr", ":8600", "listen address")
-	debugAddr := flag.String("debug-addr", "", "optional second listen address for /debug/pprof/ and /metrics")
-	k := flag.Int("k", 5, "insights per carousel")
-	approx := flag.Bool("approx", false, "answer queries from sketches")
-	workers := flag.Int("workers", 0, "parallel candidate-scoring workers (0 = GOMAXPROCS)")
-	buildShards := flag.Int("build-shards", 0, "parallel profile-build shards for startup preprocessing and large ingest batches (0 = sequential, <0 = GOMAXPROCS)")
-	cache := flag.Bool("cache", true, "memoize insight scores across queries")
-	prune := flag.Bool("prune", true, "bound-based top-k candidate pruning (results are identical either way; off = score every candidate)")
-	seed := flag.Int64("seed", 42, "seed for demo datasets / sketches")
-	slowMS := flag.Int("slow-ms", 0, "only record request traces at least this slow (0 = record all)")
-	quiet := flag.Bool("quiet", false, "suppress per-request JSON logs on stderr")
-	requestTimeout := flag.Duration("request-timeout", 5*time.Second, "per-request deadline for API requests; expired requests get 504 and release their workers (0 = no deadline)")
-	maxInflight := flag.Int("max-inflight", 256, "maximum concurrently served API requests; excess requests are shed with 503 (0 = unlimited)")
-	ingestQueue := flag.Int("ingest-queue", 64, "maximum queued /api/ingest batches; excess batches are shed with 503")
-	shutdownGrace := flag.Duration("shutdown-grace", 15*time.Second, "how long SIGINT/SIGTERM waits for in-flight requests to drain before forcing exit")
-	queryLogSample := flag.Float64("query-log-sample", 0, "fraction of engine queries logged as structured JSON telemetry lines (0 = off, 1 = every query, 0.01 = every 100th)")
-	walDir := flag.String("wal-dir", "", "durability directory for the write-ahead log and snapshots; empty disables durable ingest (acked batches then live only in memory)")
-	fsyncMode := flag.String("fsync", "interval", "WAL fsync policy: always (sync before every ack), interval (background timer), off (page cache only)")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "background WAL flush period under -fsync interval")
-	checkpointRows := flag.Int("checkpoint-rows", 50000, "write a snapshot once this many rows accumulated in the WAL since the last one (<0 disables the row trigger)")
-	recoverPermissive := flag.Bool("recover-permissive", false, "on mid-log WAL corruption, keep the valid prefix and start instead of refusing (a torn final record is always repaired automatically)")
+	flags := server.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-
-	reg := obs.NewRegistry()
-	obs.SetBuildInfo(reg, version)
-	// Profile build/merge timings surface as a labeled histogram; the
-	// observer is installed before any profile is built so -approx
-	// preprocessing is captured too. server.New registers the same
-	// histogram (the registry dedupes by name) and re-installs an
-	// equivalent observer, so timings flow to one collector either way.
-	buildSeconds := reg.HistogramVec("foresight_profile_build_seconds",
-		"Profile build/merge phase latency in seconds, by sketch-layer phase.", nil, "phase")
-	sketch.SetTimingObserver(func(op string, d time.Duration) {
-		buildSeconds.With(op).Observe(d.Seconds())
-	})
-
-	f, err := loadData(*data, *seed)
-	if err != nil {
+	if err := flags.Run(version); err != nil {
 		log.Fatalf("foresightd: %v", err)
-	}
-	// Pruning needs the sketch profile for its score bounds, so -prune
-	// triggers the same preprocessing -approx does (exact queries still
-	// read raw data; only the bounds come from the sketches).
-	var profile *foresight.Profile
-	if *approx || *prune {
-		log.Printf("preprocessing sketches for %s...", f.Summary())
-		profile = foresight.BuildProfileSharded(f,
-			foresight.ProfileConfig{Seed: *seed, Spearman: true}, *buildShards)
-	}
-	engine, err := foresight.NewEngine(f, foresight.NewRegistry(), profile)
-	if err != nil {
-		log.Fatalf("foresightd: %v", err)
-	}
-	engine.SetWorkers(*workers)
-	engine.SetBuildShards(*buildShards)
-	engine.SetCacheEnabled(*cache)
-	engine.SetPruning(*prune)
-
-	// Durable ingest (DESIGN.md §6k): with -wal-dir, every acked ingest
-	// batch is write-ahead logged and periodically checkpointed, and
-	// startup recovers snapshot + WAL tail into the engine before the
-	// server reports ready.
-	var durMgr *durable.Manager
-	if *walDir != "" {
-		policy, err := durable.ParseFsyncPolicy(*fsyncMode)
-		if err != nil {
-			log.Fatalf("foresightd: %v", err)
-		}
-		durMgr, err = durable.Open(durable.Options{
-			Dir:            *walDir,
-			Fsync:          policy,
-			FsyncInterval:  *fsyncInterval,
-			CheckpointRows: *checkpointRows,
-			Permissive:     *recoverPermissive,
-			Logf:           log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("foresightd: %v", err)
-		}
-		durMgr.Instrument(reg)
-	}
-
-	opts := server.Options{
-		Registry:           reg,
-		LogWriter:          os.Stderr,
-		SlowTraceThreshold: time.Duration(*slowMS) * time.Millisecond,
-		Version:            version,
-		RequestTimeout:     *requestTimeout,
-		MaxInflight:        *maxInflight,
-		IngestQueue:        *ingestQueue,
-		QueryLogSample:     *queryLogSample,
-	}
-	if *quiet {
-		opts.LogWriter = nil
-	}
-	if durMgr != nil {
-		opts.StartUnready = true
-		opts.Durable = durMgr
-	}
-	srv := server.New(engine, *k, *approx, opts)
-
-	// Recovery runs concurrently with the listener coming up: queries
-	// serve against the pre-replay snapshot immediately, /readyz stays
-	// 503 and ingest is rejected until the replay lands. A recovery
-	// failure is fatal — starting with silently missing acked rows is
-	// worse than not starting (use -recover-permissive to accept a
-	// truncated log explicitly).
-	if durMgr != nil {
-		go func() {
-			rec, err := durMgr.Recover(engine)
-			if err != nil {
-				log.Fatalf("foresightd: WAL recovery: %v", err)
-			}
-			log.Printf("foresightd: recovered %s: snapshot seq %d (%d rows) + %d replayed batches (%d rows), last seq %d, torn tail %v (%.3fs)",
-				*walDir, rec.SnapshotSeq, rec.SnapshotRows, rec.ReplayedBatches, rec.ReplayedRows, rec.LastSeq, rec.TornTailDetected, rec.DurationSeconds)
-			srv.SetReady()
-		}()
-	}
-
-	if *debugAddr != "" {
-		go serveDebug(*debugAddr, reg)
-	}
-
-	// The listener's own timeouts guard against slow or stalled
-	// clients: ReadHeaderTimeout bounds header trickling, WriteTimeout
-	// caps the whole response (kept above the request deadline so the
-	// engine's 504 path always wins the race), IdleTimeout reaps
-	// keep-alive connections.
-	writeTimeout := 30 * time.Second
-	if *requestTimeout > 0 && *requestTimeout+10*time.Second > writeTimeout {
-		writeTimeout = *requestTimeout + 10*time.Second
-	}
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       120 * time.Second,
-	}
-
-	log.Printf("foresightd %s: serving %s on http://localhost%s (workers=%d cache=%v prune=%v timeout=%v max-inflight=%d; /metrics, /api/stats, /api/debug/traces, /api/debug/insights)",
-		version, f.Summary(), *addr, engine.Workers(), *cache, *prune, *requestTimeout, *maxInflight)
-	if err := runUntilSignalled(httpSrv, *shutdownGrace); err != nil {
-		log.Fatalf("foresightd: %v", err)
-	}
-	srv.Close() // stop the ingest worker after the listener has drained
-	if durMgr != nil {
-		if err := durMgr.Close(); err != nil {
-			log.Printf("foresightd: closing WAL: %v", err)
-		}
-	}
-	log.Printf("foresightd: shut down cleanly")
-}
-
-// runUntilSignalled serves on srv until SIGINT/SIGTERM, then drains
-// in-flight requests via Shutdown for up to grace before returning.
-// A listener error (port taken, etc.) is returned immediately; a
-// drain that outlives the grace period returns the shutdown error so
-// the exit status reflects the forced stop.
-func runUntilSignalled(srv *http.Server, grace time.Duration) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() {
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-
-	select {
-	case err := <-errc:
-		return fmt.Errorf("listen on %s: %w", srv.Addr, err)
-	case <-ctx.Done():
-	}
-	stop() // restore default signal behavior: a second signal kills immediately
-	log.Printf("foresightd: signal received, draining in-flight requests (grace %v)...", grace)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	return nil
-}
-
-// serveDebug runs the pprof + metrics sidecar listener. pprof's
-// handlers are registered explicitly rather than via the package's
-// DefaultServeMux side effect, so importing net/http/pprof never
-// leaks profiling routes onto the main server. A sidecar listen
-// failure (port already taken) is logged and absorbed — the main
-// server keeps serving; profiling is an accessory, not a dependency.
-func serveDebug(addr string, reg *obs.Registry) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/metrics", reg.Handler())
-	log.Printf("foresightd: debug listener on http://localhost%s (pprof at /debug/pprof/)", addr)
-	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("foresightd: debug listener on %s failed: %v (continuing without pprof sidecar)", addr, err)
-	}
-}
-
-func loadData(path string, seed int64) (*foresight.Frame, error) {
-	switch strings.ToLower(path) {
-	case "":
-		return nil, fmt.Errorf("missing -data")
-	case "oecd":
-		return foresight.OECDDataset(0, seed), nil
-	case "parkinson":
-		return foresight.ParkinsonDataset(0, seed), nil
-	case "imdb":
-		return foresight.IMDBDataset(0, seed), nil
-	default:
-		return foresight.ReadCSVFile(path, "", nil)
 	}
 }

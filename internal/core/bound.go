@@ -38,8 +38,9 @@ import (
 // Tier-2 bounds are inflated by boundSlack to absorb accumulation-
 // order divergence between the profile's (possibly shard-merged)
 // moments and the exact scorer's sequential pass; see boundSlack. The
-// `foresight selfcheck` bound gate and the E16 zero-delta gate
-// cross-check the inequality on real data.
+// `foresight selfcheck` bound gate and the engine's oracle tests
+// (query.TestPruningOnDemoDatasets) cross-check the inequality on
+// real data.
 
 // Bounder is an optional Class extension: classes that implement it
 // participate in the engine's threshold-style top-k pruning.
@@ -64,8 +65,7 @@ type Bounder interface {
 // orders of magnitude beyond what well-conditioned data produces —
 // and the absolute term covers bounds near zero. Pathologically
 // conditioned columns (|mean|/σ ≳ 1e9) could in principle exceed it;
-// the selfcheck bound gate watches for that and -prune=off remains
-// the escape hatch.
+// the selfcheck bound gate watches for that.
 func boundSlack(v float64) float64 {
 	return v + math.Abs(v)*1e-6 + 1e-9
 }

@@ -214,64 +214,7 @@ func ScoreAllApprox(c Class, f *frame.Frame, p *sketch.DatasetProfile, metric st
 // SortInsights orders insights by descending score, breaking ties by
 // class, metric, and attribute tuple for determinism.
 func SortInsights(ins []Insight) {
-	sort.Slice(ins, func(a, b int) bool {
-		if ins[a].Score != ins[b].Score {
-			return ins[a].Score > ins[b].Score
-		}
-		return ins[a].Key() < ins[b].Key()
-	})
-}
-
-// TopK returns the k strongest insights in SortInsights order
-// (descending score, ties broken by key); k ≤ 0 returns all, fully
-// sorted. For 0 < k < len(ins) the winners are selected with a
-// bounded min-heap in O(n log k) instead of sorting the whole input —
-// the result is a fresh slice and ins is left unmodified. The
-// selection matches sort-then-truncate exactly because the ordering
-// is total; inputs should be NaN-free (the engine filters NaN scores
-// before ranking), as NaN has no defined rank.
-func TopK(ins []Insight, k int) []Insight {
-	top, _ := TopKExcluded(ins, k)
-	return top
-}
-
-// TopKExcluded selects like TopK and additionally reports the highest
-// score among the insights the cut excluded, tracked for free during
-// the selection pass (so callers computing a top-k margin avoid a
-// second scan over the candidates). The score is NaN when nothing was
-// excluded.
-func TopKExcluded(ins []Insight, k int) ([]Insight, float64) {
-	if k <= 0 || k >= len(ins) {
-		SortInsights(ins)
-		return ins, math.NaN()
-	}
-	excluded := math.Inf(-1)
-	// h is a min-heap on ranking order: the root is the weakest
-	// retained insight, i.e. the next to be evicted.
-	h := make([]Insight, 0, k)
-	for _, in := range ins {
-		if len(h) < k {
-			h = append(h, in)
-			siftUp(h, len(h)-1)
-			continue
-		}
-		// Whichever of (in, root) loses this round is excluded for
-		// good: the root only ever gets stronger.
-		if outranks(in, h[0]) {
-			if h[0].Score > excluded {
-				excluded = h[0].Score
-			}
-			h[0] = in
-			siftDown(h, 0)
-		} else if in.Score > excluded {
-			excluded = in.Score
-		}
-	}
-	SortInsights(h)
-	if math.IsInf(excluded, -1) {
-		excluded = math.NaN()
-	}
-	return h, excluded
+	sort.Slice(ins, func(a, b int) bool { return outranks(ins[a], ins[b]) })
 }
 
 // outranks reports whether a ranks strictly ahead of b under the
@@ -281,35 +224,6 @@ func outranks(a, b Insight) bool {
 		return a.Score > b.Score
 	}
 	return a.Key() < b.Key()
-}
-
-func siftUp(h []Insight, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !outranks(h[parent], h[i]) {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-func siftDown(h []Insight, i int) {
-	n := len(h)
-	for {
-		weakest := i
-		if l := 2*i + 1; l < n && outranks(h[weakest], h[l]) {
-			weakest = l
-		}
-		if r := 2*i + 2; r < n && outranks(h[weakest], h[r]) {
-			weakest = r
-		}
-		if weakest == i {
-			return
-		}
-		h[i], h[weakest] = h[weakest], h[i]
-		i = weakest
-	}
 }
 
 // validateMetric resolves metric ("" = default) against supported and

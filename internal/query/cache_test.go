@@ -1,8 +1,10 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,23 +92,15 @@ func overviewEqual(t *testing.T, label string, a, b *Overview) {
 	}
 }
 
-// TestCacheEquivalence asserts the acceptance criterion that results
-// are bit-identical with the cache on or off, across every query
-// surface, both backends, and repeated (memo-serving) evaluation.
+// TestCacheEquivalence asserts that results served from the memo are
+// bit-identical to scoring from scratch, across every query surface,
+// both backends, and repeated (memo-serving) evaluation.
 func TestCacheEquivalence(t *testing.T) {
 	f := testFrame(1500, 31)
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 7, K: 128, Spearman: true})
-	cold, err := NewEngine(f, core.NewRegistry(), p)
+	e, err := NewEngine(f, core.NewRegistry(), p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	cold.SetCacheEnabled(false)
-	warm, err := NewEngine(f, core.NewRegistry(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.CacheEnabled() {
-		t.Fatal("cache should be enabled by default")
 	}
 	queries := []Query{
 		{K: 5},
@@ -118,55 +112,74 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ { // round 2 serves purely from the memo
 		for qi, q := range queries {
-			a, err := cold.Execute(q)
+			got, err := e.Execute(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := warm.Execute(q)
-			if err != nil {
-				t.Fatal(err)
+			if want := oracleExecute(t, e, q); !reflect.DeepEqual(got, want) {
+				t.Errorf("round %d query %d: engine differs from the oracle:\n got: %+v\nwant: %+v", round, qi, got, want)
 			}
-			resultsEqual(t, fmt.Sprintf("round %d query %d", round, qi), a, b)
 		}
 		for _, class := range []string{"linear", "skew"} {
-			ova, err := cold.Overview(class, "", false)
+			ov, err := e.Overview(class, "", false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ovb, err := warm.Overview(class, "", false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			overviewEqual(t, fmt.Sprintf("round %d overview %s", round, class), ova, ovb)
+			oracleOverview(t, fmt.Sprintf("round %d overview %s", round, class), e, ov, false)
 		}
 	}
 	// Neighborhood rides on Execute; check it end to end too.
-	top, err := warm.Execute(Query{Classes: []string{"linear"}, K: 1})
+	top, err := e.Execute(Query{Classes: []string{"linear"}, K: 1})
 	if err != nil || len(top) == 0 {
 		t.Fatalf("no focus: %v", err)
 	}
-	na, err := cold.Neighborhood(top[0].Insights[0], nil, 7, false)
+	focus := top[0].Insights[0]
+	got, err := e.Neighborhood(focus, nil, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := warm.Neighborhood(top[0].Insights[0], nil, 7, false)
-	if err != nil {
+	if want := oracleNeighborhood(t, e, focus, nil, 7, false); !reflect.DeepEqual(got, want) {
+		t.Errorf("neighborhood differs from the oracle:\n got: %+v\nwant: %+v", got, want)
+	}
+	if st := e.CacheStats(); st.Hits == 0 || st.Entries == 0 {
+		t.Errorf("engine never hit its memo: %+v", st)
+	}
+}
+
+// TestStaleGenerationBypassesMemo pins the snapshot contract of the
+// scoring pass: a pass whose snapshot generation is no longer live
+// neither reads nor publishes the memo, and still scores correctly.
+func TestStaleGenerationBypassesMemo(t *testing.T) {
+	e := newTestEngine(t, 400, 36)
+	c, _ := e.registry.Lookup("linear")
+	cands := c.Candidates(e.Frame())
+	stale := e.snapshot()
+	// Warm the old generation, then move past it.
+	if _, _, err := e.scorePass(context.Background(), stale, c, cands, false, "pearson", 0, 0, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if len(na) != len(nb) {
-		t.Fatalf("neighborhood sizes %d vs %d", len(na), len(nb))
+	e.InvalidateCache()
+	live := e.snapshot()
+	if _, _, err := e.scorePass(context.Background(), live, c, cands[:1], false, "pearson", 0, 0, math.Inf(1)); err != nil {
+		t.Fatal(err)
 	}
-	for i := range na {
-		if !insightEqual(na[i], nb[i]) {
-			t.Errorf("neighbor %d: %v vs %v", i, na[i], nb[i])
+	before := e.CacheStats()
+	if before.Entries != 1 {
+		t.Fatalf("live generation should hold one entry: %+v", before)
+	}
+	for _, k := range []int{0, 2} { // unbounded and top-k passes alike
+		got, _, err := e.scorePass(context.Background(), stale, c, cands, false, "pearson", k, 0, math.Inf(1))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	st := warm.CacheStats()
-	if st.Hits == 0 || st.Entries == 0 {
-		t.Errorf("warm engine never hit its cache: %+v", st)
-	}
-	if cs := cold.CacheStats(); cs.Hits != 0 || cs.Misses != 0 || cs.Entries != 0 {
-		t.Errorf("disabled cache accrued state: %+v", cs)
+		if after := e.CacheStats(); after != before {
+			t.Errorf("k=%d: stale pass touched the memo: %+v, was %+v", k, after, before)
+		}
+		for i, attrs := range cands {
+			if want, _ := c.Score(e.Frame(), attrs, "pearson"); !insightEqual(got[i], want) {
+				t.Errorf("k=%d: slot %d = %+v, want %+v", k, i, got[i], want)
+			}
+		}
 	}
 }
 

@@ -63,14 +63,14 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		"Engine operations that returned early on a cancelled or expired context.",
 		func() uint64 { return e.Cancellations() })
 	// Pruning counters: views over the engine's own counters
-	// (prune.go). Pruned counts genuinely never-scored candidates —
+	// (score.go). Pruned counts genuinely never-scored candidates —
 	// post-scoring strength filtering is reported separately by the
 	// insight telemetry's filtered counters.
 	reg.CounterFunc("foresight_engine_pruned_total",
 		"Candidates skipped (never scored) by bound-based top-k pruning.",
 		func() uint64 { return e.PruneStats().Pruned })
 	reg.CounterFunc("foresight_engine_prune_considered_total",
-		"Candidates that entered the bound-pruned scoring path.",
+		"Candidates of scoring passes that took the bound-ordered branch.",
 		func() uint64 { return e.PruneStats().Considered })
 	reg.CounterFunc("foresight_engine_prune_seeded_total",
 		"Memoized scores that pre-seeded a pruning threshold.",

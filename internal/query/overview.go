@@ -72,16 +72,16 @@ func (e *Engine) OverviewContext(ctx context.Context, className, metric string, 
 	}
 	ov := &Overview{Class: className, Metric: resolvedMetric}
 
-	// Score every candidate through the memoized worker pool (the
-	// same path Execute uses), so SetWorkers parallelizes heat maps
-	// and repeated overviews hit the cache. Slots with an empty Class
-	// mark tuples whose scoring errored.
+	// Score every candidate through the pass Execute uses, with
+	// nothing to prune against (an overview shows every tuple), so
+	// SetWorkers parallelizes heat maps and repeated overviews hit the
+	// memo. Slots with an empty Class mark tuples whose scoring errored.
 	tr := obs.TraceFrom(ctx)
 	endEnum := tr.StartSpan("enumerate:" + className)
 	cands := c.Candidates(snap.frame)
 	endEnum()
 	endScore := tr.StartSpan("score:" + className)
-	scored, err := e.scoreCandidates(ctx, snap, c, cands, approx, resolvedMetric)
+	scored, _, err := e.scorePass(ctx, snap, c, cands, approx, resolvedMetric, 0, 0, math.Inf(1))
 	endScore()
 	if err != nil {
 		return nil, e.noteCancel(err)
@@ -160,24 +160,13 @@ func (e *Engine) OverviewContext(ctx context.Context, className, metric string, 
 		// sample has no margin and nothing is ever pruned; filtered
 		// counts the tuples whose metric was undefined or whose
 		// scoring errored.
-		st := telemetry.ClassSample{
-			Class:      className,
-			Candidates: len(cands),
-			Filtered:   len(cands) - len(ov.Insights),
-			Emitted:    len(ov.Insights),
-			Margin:     math.NaN(),
-			Scores:     make([]float64, len(ov.Insights)),
-			Attrs:      make([][]string, len(ov.Insights)),
-		}
-		for i, in := range ov.Insights {
-			st.Scores[i] = in.Score
-			st.Attrs[i] = in.Attrs
-		}
 		telem.Record(telemetry.QuerySample{
 			Op:         "overview",
 			Generation: snap.gen,
 			DurationMS: time.Since(start).Seconds() * 1e3,
-			Classes:    []telemetry.ClassSample{st},
+			Classes: []telemetry.ClassSample{
+				classSample(className, len(cands), 0, len(cands)-len(ov.Insights), ov.Insights, math.NaN()),
+			},
 		})
 	}
 	return ov, nil

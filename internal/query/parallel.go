@@ -3,15 +3,10 @@ package query
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"foresight/internal/core"
-	"foresight/internal/frame"
-	"foresight/internal/sketch"
 )
 
 // The paper's stated future work is to "improve the scalability with
@@ -20,10 +15,9 @@ import (
 // engine can fan candidate scoring out over a worker pool. Results
 // are bit-identical to sequential execution (workers write to
 // per-candidate slots; filtering and ranking happen after the
-// barrier), so parallelism is purely a throughput knob. Execute and
-// Overview both route their scoring loops through this pool (via the
-// memo in cache.go), so SetWorkers applies to carousels, ad-hoc
-// queries, and heat maps alike.
+// barrier), so parallelism is purely a throughput knob. The scoring
+// pass (score.go) runs every miss through this pool, so SetWorkers
+// applies to carousels, ad-hoc queries, and heat maps alike.
 //
 // The pool is also where cancellation and panic isolation live:
 // runParallel stops dispatching work the moment its context is done
@@ -151,39 +145,4 @@ feed:
 		panic(p)
 	}
 	return ctx.Err()
-}
-
-// scoreOne scores a single candidate tuple, folding scoring errors
-// into a zero-value slot with NaN score (empty Class marks the error;
-// callers filter). This is the unit of work both the worker pool and
-// the memo operate on.
-func scoreOne(c core.Class, f *frame.Frame, p *sketch.DatasetProfile, attrs []string, approx bool, metric string) core.Insight {
-	var in core.Insight
-	var err error
-	if approx {
-		in, err = c.ScoreApprox(p, attrs, metric)
-	} else {
-		in, err = c.Score(f, attrs, metric)
-	}
-	if err != nil {
-		return core.Insight{Score: math.NaN()}
-	}
-	return in
-}
-
-// scoreCandidatesParallel scores every candidate tuple of the snapshot
-// with the engine's worker pool, bypassing the memo (one slot per
-// candidate). On cancellation the unscored suffix is left as
-// zero-value slots and the context error is returned.
-func (e *Engine) scoreCandidatesParallel(ctx context.Context, snap snapshot, c core.Class, cands [][]string, approx bool, metric string) ([]core.Insight, error) {
-	out := make([]core.Insight, len(cands))
-	err := runParallel(ctx, e.Workers(), len(cands), func(i int) {
-		e.inflightScores.Add(1)
-		defer e.inflightScores.Add(-1)
-		out[i] = scoreOne(c, snap.frame, snap.profile, cands[i], approx, metric)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"foresight/internal/core"
+	"foresight/internal/datagen"
 	"foresight/internal/frame"
 	"foresight/internal/obs/telemetry"
 	"foresight/internal/sketch"
@@ -28,89 +29,92 @@ func pruneMatrix() []Query {
 	}
 }
 
-// prunePair builds two engines over the same frame and profile, one
-// with pruning (the default), one with the -prune=off escape hatch.
-func prunePair(t *testing.T, f *frame.Frame, p *sketch.DatasetProfile) (on, off *Engine) {
-	t.Helper()
-	var err error
-	if on, err = NewEngine(f, core.NewRegistry(), p); err != nil {
-		t.Fatal(err)
-	}
-	if off, err = NewEngine(f, core.NewRegistry(), p); err != nil {
-		t.Fatal(err)
-	}
-	off.SetPruning(false)
-	if !on.PruningEnabled() || off.PruningEnabled() {
-		t.Fatal("pruning toggle wiring broken")
-	}
-	return on, off
-}
-
-// TestPruningEquivalence is the contract test of ISSUE 9: with sound
-// bounds, pruning must be invisible in results. Every query shape is
-// run twice (the second pass exercises the memo-seeded threshold) and
-// compared deeply — scores, attrs, ordering, details — against the
-// unpruned engine; Overview and Neighborhood are compared too.
+// TestPruningEquivalence is the contract test of bound pruning: with
+// sound bounds, pruning must be invisible in results. Every query
+// shape is run twice (the second pass exercises the memo-seeded
+// threshold) and compared deeply — scores, attrs, ordering, details —
+// against the brute-force oracle; Overview and Neighborhood are
+// compared too.
 func TestPruningEquivalence(t *testing.T) {
 	f := testFrame(800, 3)
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 3, Spearman: true})
-	on, off := prunePair(t, f, p)
+	e, err := NewEngine(f, core.NewRegistry(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without a profile there are no bounds: same answers, every
+	// candidate scored.
+	bare, err := NewEngine(f, core.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for pass := 0; pass < 2; pass++ {
 		for _, q := range pruneMatrix() {
-			ra, errA := on.Execute(q)
-			rb, errB := off.Execute(q)
-			if errA != nil || errB != nil {
-				t.Fatalf("pass %d %+v: on err %v, off err %v", pass, q, errA, errB)
+			got, err := e.Execute(q)
+			if err != nil {
+				t.Fatalf("pass %d %+v: %v", pass, q, err)
 			}
-			if !reflect.DeepEqual(ra, rb) {
-				t.Errorf("pass %d %+v: pruned results differ from unpruned:\n on: %+v\noff: %+v", pass, q, ra, rb)
+			want := oracleExecute(t, e, q)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("pass %d %+v: pruned results differ from the oracle:\n got: %+v\nwant: %+v", pass, q, got, want)
+			}
+			if q.Approx {
+				continue
+			}
+			if got, err := bare.Execute(q); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("pass %d %+v: profile-less results differ from the oracle (err %v)", pass, q, err)
 			}
 		}
 	}
 
-	ova, errA := on.Overview("linear", "", false)
-	ovb, errB := off.Overview("linear", "", false)
-	if errA != nil || errB != nil {
-		t.Fatalf("overview: %v / %v", errA, errB)
+	ov, err := e.Overview("linear", "", false)
+	if err != nil {
+		t.Fatalf("overview: %v", err)
 	}
-	if !reflect.DeepEqual(ova, ovb) {
-		t.Error("overview differs under pruning")
-	}
+	oracleOverview(t, "overview", e, ov, false)
 
-	res, err := on.Execute(Query{Classes: []string{"linear"}, K: 1})
+	res, err := e.Execute(Query{Classes: []string{"linear"}, K: 1})
 	if err != nil || len(res) == 0 || len(res[0].Insights) == 0 {
 		t.Fatalf("focus query: %v", err)
 	}
 	focus := res[0].Insights[0]
-	na, errA := on.Neighborhood(focus, nil, 3, false)
-	nb, errB := off.Neighborhood(focus, nil, 3, false)
-	if errA != nil || errB != nil {
-		t.Fatalf("neighborhood: %v / %v", errA, errB)
+	nbrs, err := e.Neighborhood(focus, nil, 3, false)
+	if err != nil {
+		t.Fatalf("neighborhood: %v", err)
 	}
-	if !reflect.DeepEqual(na, nb) {
-		t.Error("neighborhood differs under pruning")
+	if !reflect.DeepEqual(nbrs, oracleNeighborhood(t, e, focus, nil, 3, false)) {
+		t.Error("neighborhood differs from the oracle")
 	}
 
 	// The run must have actually pruned (the dip bound alone
 	// guarantees it under MinScore 0.5) and seeded from the memo on
-	// the repeat pass; the off engine must never have.
-	st := on.PruneStats()
-	if !st.Enabled || st.Considered == 0 || st.Pruned == 0 || st.Seeded == 0 {
-		t.Errorf("pruning engine never pruned/seeded: %+v", st)
+	// the repeat pass; the profile-less engine must never have.
+	st := e.PruneStats()
+	if st.Considered == 0 || st.Pruned == 0 || st.Seeded == 0 {
+		t.Errorf("engine never pruned/seeded: %+v", st)
 	}
 	if st.Pruned > st.Considered {
 		t.Errorf("pruned %d > considered %d", st.Pruned, st.Considered)
 	}
-	if offSt := off.PruneStats(); offSt.Enabled || offSt.Pruned != 0 || offSt.Considered != 0 {
-		t.Errorf("disabled engine recorded pruning work: %+v", offSt)
+	if st := bare.PruneStats(); st != (PruneStats{}) {
+		t.Errorf("profile-less engine recorded pruning work: %+v", st)
+	}
+	// Considered counts every candidate of a bounded pass, whether the
+	// memo answered it or not (here it answers all of them).
+	lin, _ := e.registry.Lookup("linear")
+	if _, err := e.Execute(Query{Classes: []string{"linear"}, K: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.PruneStats().Considered-st.Considered, uint64(len(lin.Candidates(f))); got != want {
+		t.Errorf("an all-hit bounded pass considered %d candidates, want %d", got, want)
 	}
 }
 
 // TestPruningEquivalenceUnderIngest hammers a pruning engine with
 // queries while ingest batches land (run with -race), then checks the
-// settled state still answers identically to an unpruned engine over
-// the same extended frame and profile.
+// settled state still answers identically to the oracle over the same
+// extended frame and profile.
 func TestPruningEquivalenceUnderIngest(t *testing.T) {
 	f := testFrame(800, 7)
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 7, Spearman: true})
@@ -143,20 +147,69 @@ func TestPruningEquivalenceUnderIngest(t *testing.T) {
 	}
 	wg.Wait()
 
-	off, err := NewEngine(e.Frame(), core.NewRegistry(), e.Profile())
-	if err != nil {
-		t.Fatal(err)
+	for pass := 0; pass < 2; pass++ {
+		for _, q := range pruneMatrix() {
+			got, err := e.Execute(q)
+			if err != nil {
+				t.Fatalf("%+v: %v", q, err)
+			}
+			if !reflect.DeepEqual(got, oracleExecute(t, e, q)) {
+				t.Errorf("pass %d %+v: post-ingest pruned results differ from the oracle", pass, q)
+			}
+		}
 	}
-	off.SetPruning(false)
-	for _, q := range pruneMatrix() {
-		ra, errA := e.Execute(q)
-		rb, errB := off.Execute(q)
-		if errA != nil || errB != nil {
-			t.Fatalf("%+v: on err %v, off err %v", q, errA, errB)
+}
+
+// TestPruningOnDemoDatasets replays the query matrix on the three demo
+// datasets (OECD, Parkinson, IMDB; the correctness half of the retired
+// E16 experiment): zero differing insights against the oracle, and
+// the bounds must actually skip work on at least one of them.
+// Segmentation sits out: its bound is the constant 1, so it can never
+// be pruned, and scoring Parkinson's 4730 triples costs seconds per
+// pass (TestPruningEquivalence covers the class).
+func TestPruningOnDemoDatasets(t *testing.T) {
+	reg := core.NewEmptyRegistry()
+	for _, c := range core.BuiltinClasses() {
+		if c.Name() != "segmentation" {
+			if err := reg.Register(c); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !reflect.DeepEqual(ra, rb) {
-			t.Errorf("%+v: post-ingest pruned results differ from unpruned", q)
+	}
+	var pruned uint64
+	for _, f := range []*frame.Frame{
+		datagen.OECD(0, 42), datagen.Parkinson(0, 42), datagen.IMDB(0, 42),
+	} {
+		p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 42, Spearman: true})
+		e, err := NewEngine(f, reg, p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for pass := 0; pass < 2; pass++ {
+			for _, q := range pruneMatrix() {
+				q.Fixed, q.Semantic = nil, frame.SemanticNone // testFrame's names
+				got, err := e.Execute(q)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", f.Name(), q, err)
+				}
+				want := oracleExecute(t, e, q)
+				if len(got) != len(want) {
+					t.Fatalf("%s pass %d %+v: %d classes, oracle has %d", f.Name(), pass, q, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Class != want[i].Class || got[i].Metric != want[i].Metric ||
+						!insightsEqual(got[i].Insights, want[i].Insights) {
+						t.Errorf("%s pass %d %+v: %s differs from the oracle", f.Name(), pass, q, got[i].Class)
+					}
+				}
+			}
+		}
+		st := e.PruneStats()
+		t.Logf("%s: considered %d, pruned %d, seeded %d", f.Name(), st.Considered, st.Pruned, st.Seeded)
+		pruned += st.Pruned
+	}
+	if pruned == 0 {
+		t.Error("no candidate was pruned on any demo dataset")
 	}
 }
 

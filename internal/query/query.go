@@ -67,7 +67,7 @@ type Result struct {
 //
 // An Engine is safe for concurrent use: any number of goroutines may
 // call Execute, Carousels, Overview, and Neighborhood in parallel.
-// The mutators (Ingest, SetProfile, SetWorkers, SetCacheEnabled) may
+// The mutators (Ingest, SetProfile, SetWorkers, InvalidateCache) may
 // also run concurrently; every query snapshots the (frame, profile,
 // cache generation) triple once and computes entirely against it, so
 // a query that overlaps an ingest observes either the old dataset or
@@ -109,20 +109,17 @@ type Engine struct {
 	// cancellations counts engine operations that returned early
 	// because their context was cancelled or its deadline expired.
 	cancellations atomic.Uint64
-	// pruningOff disables the bound-based top-k pruning path
-	// (prune.go); the zero value means pruning is enabled.
-	pruningOff atomic.Bool
-	// Pruning-efficacy counters (prune.go): candidates that entered
-	// the pruned path, candidates skipped without being scored, and
-	// memoized scores that seeded the threshold.
+	// Pruning-efficacy counters (score.go): candidates of passes that
+	// took the bound-ordered branch, candidates skipped without being
+	// scored, and memoized scores that seeded the threshold.
 	pruneConsidered atomic.Uint64
 	prunedTotal     atomic.Uint64
 	pruneSeeded     atomic.Uint64
 }
 
 // NewEngine returns an engine over f using the registry's insight
-// classes. profile may be nil (exact queries only). The scoring memo
-// starts enabled; SetCacheEnabled(false) turns it off.
+// classes. profile may be nil: exact queries only, and no score
+// bounds, so every candidate of a top-k query is scored.
 func NewEngine(f *frame.Frame, reg *core.Registry, profile *sketch.DatasetProfile) (*Engine, error) {
 	if f == nil {
 		return nil, fmt.Errorf("query: nil frame")
@@ -309,15 +306,15 @@ func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]Result, e
 // attribute tuples, and the top-k margin; otherwise the sample is zero
 // and no extra work happens on the hot path.
 //
-// Under pruning, the Margin telemetry is conservative: the strongest
-// excluded candidate may have been skipped rather than scored, so the
-// reported margin can exceed the true one. The returned insights are
-// unaffected (see the equivalence argument in prune.go).
+// The Margin telemetry is conservative: the strongest excluded
+// candidate may have been pruned rather than scored, so the reported
+// margin can exceed the true one. The returned insights are unaffected
+// (see the equivalence argument in score.go).
 func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c core.Class, q Query, metric string, maxScore float64, wantStats bool) ([]core.Insight, telemetry.ClassSample, error) {
 	// Filter candidates by the structural constraints first, then
-	// score (bound-pruned, memoized, possibly in parallel), then
-	// filter by strength and rank. The memo keys on the resolved
-	// metric so explicit default-metric queries and "" share entries.
+	// score (scorePass), then filter by strength and rank. The memo
+	// keys on the resolved metric so explicit default-metric queries
+	// and "" share entries.
 	endEnum := tr.StartSpan("enumerate:" + c.Name())
 	var cands [][]string
 	for _, attrs := range c.Candidates(snap.frame) {
@@ -338,18 +335,16 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c
 		return nil, telemetry.ClassSample{}, err
 	}
 	endScore := tr.StartSpan("score:" + c.Name())
-	scored, pruned, err := e.scoreCandidatesPruned(ctx, snap, c, cands, q, resolved, maxScore)
+	scored, pruned, err := e.scorePass(ctx, snap, c, cands, q.Approx, resolved, q.K, q.MinScore, maxScore)
 	endScore()
 	if err != nil {
 		return nil, telemetry.ClassSample{}, err
 	}
 	defer tr.StartSpan("rank:" + c.Name())()
-	ins := make([]core.Insight, 0, len(scored))
+	ins := make([]core.Insight, 0, len(scored)-pruned)
 	for _, in := range scored {
-		if math.IsNaN(in.Score) {
-			continue
-		}
-		if in.Score < q.MinScore || in.Score > maxScore {
+		// Skipped slots and undefined metrics are NaN.
+		if math.IsNaN(in.Score) || in.Score < q.MinScore || in.Score > maxScore {
 			continue
 		}
 		ins = append(ins, in)
@@ -358,21 +353,28 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c
 	if !wantStats {
 		return top, telemetry.ClassSample{}, nil
 	}
+	return top, classSample(c.Name(), len(cands), pruned, len(cands)-pruned-len(ins), top, topKMargin(top, bestExcluded)), nil
+}
+
+// classSample is the telemetry record of one class's scoring pass:
+// how many candidates it had, how many were pruned unscored, how many
+// were scored and then dropped, and the insights it emitted.
+func classSample(class string, candidates, pruned, filtered int, emitted []core.Insight, margin float64) telemetry.ClassSample {
 	st := telemetry.ClassSample{
-		Class:      c.Name(),
-		Candidates: len(cands),
+		Class:      class,
+		Candidates: candidates,
 		Pruned:     pruned,
-		Filtered:   len(scored) - len(ins),
-		Emitted:    len(top),
-		Margin:     topKMargin(top, bestExcluded),
-		Scores:     make([]float64, len(top)),
-		Attrs:      make([][]string, len(top)),
+		Filtered:   filtered,
+		Emitted:    len(emitted),
+		Margin:     margin,
+		Scores:     make([]float64, len(emitted)),
+		Attrs:      make([][]string, len(emitted)),
 	}
-	for i, in := range top {
+	for i, in := range emitted {
 		st.Scores[i] = in.Score
 		st.Attrs[i] = in.Attrs
 	}
-	return top, st, nil
+	return st
 }
 
 // topKMargin returns the top-k score margin: the score of the weakest

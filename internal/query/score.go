@@ -1,0 +1,310 @@
+package query
+
+import (
+	"context"
+	"math"
+	"sort"
+
+	"foresight/internal/core"
+)
+
+// This file is the engine's one scoring pass. Every insight query and
+// every overview scores a class's candidates through scorePass, in
+// this order:
+//
+//	key   one memo key per candidate
+//	peek  one locked look at the memo; hits are answered by value
+//	bound only when the query has something to prune against (K or
+//	      MinScore), the class is a core.Bounder and the snapshot has a
+//	      profile: bound the misses, order them by descending bound
+//	score claim → score → publish the misses through the singleflight
+//	      map and the worker pool (scoreMisses), in 2×workers chunks
+//	      when bounded, raising the kth-best threshold between chunks
+//	      and stopping at the first bound strictly below it
+//
+// and the caller filters and ranks what comes back. Nothing selects
+// between scorers: "nothing to prune against", "no profile", one
+// worker and "the snapshot's generation is no longer live" are
+// conditions the pass reads from its inputs.
+//
+// Equivalence argument (skipping candidates never changes a result): a
+// candidate is skipped only when bound < t for the threshold t at that
+// moment, and bounds are sound (score ≤ bound, enforced by the
+// selfcheck gate and TestPruningOnDemoDatasets). If t came from
+// MinScore, the score would have been dropped by the strength filter;
+// if t is the kth-best filtered score seen so far, at least k
+// candidates outscore it strictly, so it cannot enter the top k
+// (core.TopKExcluded breaks ties by score first — a strictly smaller
+// score never displaces a larger one, whatever the key order). The
+// comparison is strict: a candidate whose bound equals the threshold
+// is still scored, because an exact tie is resolved by insight key and
+// could go either way. Both filters and the top-k selection are
+// order-independent (the selection is a total order on (score desc,
+// key asc)), so removing candidates that cannot survive them leaves
+// the returned insights — scores, attrs, ordering — unchanged. Only
+// the Margin/bestExcluded telemetry can differ (the best excluded
+// candidate may now be unscored), which is documented as conservative.
+// Skipped candidates are never scored, claimed or memoized.
+
+// PruneStats is a point-in-time snapshot of the engine's pruning
+// counters, exposed via /api/stats and the Prometheus views.
+type PruneStats struct {
+	// Considered counts the candidates of passes that took the
+	// bound-ordered branch.
+	Considered uint64 `json:"considered"`
+	// Pruned counts candidates skipped outright — never scored —
+	// because their bound fell below the top-k/MinScore threshold.
+	Pruned uint64 `json:"pruned"`
+	// Seeded counts memoized scores that pre-seeded the top-k
+	// threshold before any scoring ran (higher = earlier cutoffs).
+	Seeded uint64 `json:"seeded"`
+}
+
+// PruneStats returns a snapshot of the pruning counters.
+func (e *Engine) PruneStats() PruneStats {
+	return PruneStats{
+		Considered: e.pruneConsidered.Load(),
+		Pruned:     e.prunedTotal.Load(),
+		Seeded:     e.pruneSeeded.Load(),
+	}
+}
+
+// skipped marks a slot that holds no insight: the candidate's scoring
+// errored or the pass proved it outside the result without scoring
+// it. The empty Class tells it from a scored slot and the NaN score
+// keeps it out of every ranking.
+var skipped = core.Insight{Score: math.NaN()}
+
+// scoreOne scores a single candidate tuple, folding scoring errors
+// into a skipped slot. This is the unit of work both the worker pool
+// and the memo operate on.
+func scoreOne(c core.Class, snap snapshot, attrs []string, approx bool, metric string) core.Insight {
+	var in core.Insight
+	var err error
+	if approx {
+		in, err = c.ScoreApprox(snap.profile, attrs, metric)
+	} else {
+		in, err = c.Score(snap.frame, attrs, metric)
+	}
+	if err != nil {
+		return skipped
+	}
+	return in
+}
+
+// scorePass returns one slot per candidate tuple, in candidate order,
+// plus the number of candidates it pruned: proved outside the top k
+// scores within [minScore, maxScore] without scoring them (k ≤ 0 means
+// no top-k cut). Pruned and errored candidates come back as skipped
+// slots.
+//
+// Scoring runs entirely against the caller's snapshot. If the memo's
+// generation has moved past the snapshot's (an ingest or SetProfile
+// landed after the snapshot was taken), the memo is bypassed both ways
+// — stale scores are neither consumed nor published — so the response
+// stays internally consistent with its snapshot.
+//
+// The context bounds the whole pass: scoring stops dispatching and
+// singleflight waits unblock as soon as ctx is done, returning
+// ctx.Err(). Whatever was scored before the cutoff is already in the
+// memo.
+func (e *Engine) scorePass(ctx context.Context, snap snapshot, c core.Class, cands [][]string, approx bool, metric string, k int, minScore, maxScore float64) ([]core.Insight, int, error) {
+	out := make([]core.Insight, len(cands))
+	keys := make([]cacheKey, len(cands))
+	class := c.Name()
+	for i, attrs := range cands {
+		keys[i] = keyFor(class, metric, approx, attrs)
+	}
+	misses := e.cache.peek(snap.gen, keys, out)
+
+	_, bounded := c.(core.Bounder)
+	if !bounded || snap.profile == nil || (k <= 0 && minScore <= 0) {
+		// No bounds, or nothing to prune against: score every miss.
+		if len(misses) > 0 {
+			if err := e.scoreMisses(ctx, snap, c, cands, keys, misses, out, approx, metric); err != nil {
+				return nil, 0, err
+			}
+		}
+		return out, 0, nil
+	}
+	e.pruneConsidered.Add(uint64(len(cands)))
+
+	// The threshold is the kth-best score seen so far that survives the
+	// caller's strength filter (NaN never does), floored by minScore.
+	// Memoized scores are free, so they seed it and let the cutoff fire
+	// before any scoring happens on a warm engine.
+	kth := core.NewKBest(k, func(a, b float64) bool { return a > b })
+	offer := func(s float64) bool {
+		if s >= minScore && s <= maxScore {
+			kth.Offer(s)
+			return true
+		}
+		return false
+	}
+	var seeded uint64
+	for i, m := 0, 0; i < len(out); i++ {
+		if m < len(misses) && misses[m] == i {
+			m++
+		} else if offer(out[i].Score) {
+			seeded++
+		}
+	}
+	e.pruneSeeded.Add(seeded)
+
+	// Misses in descending bound order, index-ascending on ties, so the
+	// pass is deterministic. Bounds are never NaN (ScoreBoundFor).
+	bounds := make([]float64, len(cands))
+	for _, i := range misses {
+		bounds[i] = core.ScoreBoundFor(c, snap.profile, cands[i], metric)
+	}
+	sort.Slice(misses, func(x, y int) bool {
+		a, b := misses[x], misses[y]
+		if bounds[a] != bounds[b] {
+			return bounds[a] > bounds[b]
+		}
+		return a < b
+	})
+
+	// Score them in chunks sized for the worker pool, re-reading the
+	// threshold between chunks. It only rises and bounds only fall, so
+	// the first bound strictly below it ends the whole pass.
+	chunk := 2 * e.Workers()
+	pos := 0
+	for pos < len(misses) {
+		t := minScore
+		if s, ok := kth.Kth(); ok && s > t {
+			t = s
+		}
+		end := pos
+		for end < len(misses) && end-pos < chunk && bounds[misses[end]] >= t {
+			end++
+		}
+		if end == pos {
+			break
+		}
+		if err := e.scoreMisses(ctx, snap, c, cands, keys, misses[pos:end], out, approx, metric); err != nil {
+			return nil, 0, err
+		}
+		for _, i := range misses[pos:end] {
+			offer(out[i].Score)
+		}
+		pos = end
+	}
+	pruned := misses[pos:]
+	for _, i := range pruned {
+		out[i] = skipped
+	}
+	e.prunedTotal.Add(uint64(len(pruned)))
+	return out, len(pruned), nil
+}
+
+// scoreMisses fills out[i] for every candidate index i in idx: from
+// the memo when another request published the score since the peek,
+// by waiting on another request's in-flight scoring of the same key,
+// or by claiming the key, scoring it on the worker pool and publishing
+// it — so concurrent duplicate scoring collapses to one computation.
+//
+// An owner that bails out (its ctx fired, or its scorer panicked)
+// marks its unfinished slots abandoned and wakes every waiter; waiters
+// claim abandoned candidates afresh instead of inheriting work nobody
+// finished. A panicking scorer propagates to the caller after that.
+func (e *Engine) scoreMisses(ctx context.Context, snap snapshot, c core.Class, cands [][]string, keys []cacheKey, idx []int, out []core.Insight, approx bool, metric string) error {
+	sc := e.cache
+	// slots[j] is the in-flight slot of idx[j], owned or waited on; a
+	// stale generation claims nothing and owns every index slotless.
+	slots := make([]*inflightSlot, len(idx))
+	owned := make([]int, 0, len(idx))
+	var waiting []int
+	sc.mu.Lock()
+	live := sc.gen == snap.gen
+	for j, i := range idx {
+		if !live {
+			owned = append(owned, j)
+			continue
+		}
+		if in, ok := sc.entries[keys[i]]; ok {
+			out[i] = in
+			sc.hits++
+			continue
+		}
+		sc.misses++
+		if sl, ok := sc.inflight[keys[i]]; ok {
+			sc.waits++
+			slots[j] = sl
+			waiting = append(waiting, j)
+			continue
+		}
+		slots[j] = &inflightSlot{done: make(chan struct{})}
+		sc.inflight[keys[i]] = slots[j]
+		owned = append(owned, j)
+	}
+	sc.mu.Unlock()
+
+	// Abandon any owned slot that never completed, whatever the exit
+	// path (ctx error, waiter-loop bailout, scorer panic): waiters are
+	// woken with abandoned set so the work is retried by whoever still
+	// wants it, never inherited as a hang. Runs after the pool has
+	// quiesced, so no owner can race the close.
+	defer func() {
+		for _, j := range owned {
+			sl := slots[j]
+			if sl == nil {
+				continue
+			}
+			select {
+			case <-sl.done:
+			default:
+				sc.mu.Lock()
+				if sc.gen == snap.gen && sc.inflight[keys[idx[j]]] == sl {
+					delete(sc.inflight, keys[idx[j]])
+				}
+				sc.mu.Unlock()
+				sl.abandoned = true
+				close(sl.done)
+			}
+		}
+	}()
+
+	err := runParallel(ctx, e.Workers(), len(owned), func(o int) {
+		e.inflightScores.Add(1)
+		defer e.inflightScores.Add(-1)
+		sl, i := slots[owned[o]], idx[owned[o]]
+		out[i] = scoreOne(c, snap, cands[i], approx, metric)
+		if sl == nil {
+			return
+		}
+		sl.in = out[i]
+		close(sl.done)
+		sc.mu.Lock()
+		// Publish only into the generation the computation started in;
+		// results that straddle an invalidation are returned to their
+		// callers but never pollute the new generation.
+		if sc.gen == snap.gen {
+			sc.entries[keys[i]] = out[i]
+			delete(sc.inflight, keys[i])
+		}
+		sc.mu.Unlock()
+	})
+	if err != nil {
+		return err
+	}
+	var retry []int
+	for _, j := range waiting {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-slots[j].done:
+		}
+		if slots[j].abandoned {
+			retry = append(retry, idx[j])
+		} else {
+			out[idx[j]] = slots[j].in
+		}
+	}
+	if len(retry) == 0 {
+		return nil
+	}
+	// Their owner gave up before scoring these keys (cancelled or
+	// panicked): claim them like any other miss.
+	return e.scoreMisses(ctx, snap, c, cands, keys, retry, out, approx, metric)
+}

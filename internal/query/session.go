@@ -81,39 +81,48 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 		return nil, e.noteCancel(err)
 	}
 	defer obs.StartSpan(ctx, "similarity")()
-	type scored struct {
-		in  core.Insight
-		sim float64
-	}
-	var all []scored
+	var all []ranked
+	focusKey := focus.Key()
 	for _, r := range res {
-		for _, in := range r.Insights {
-			if in.Key() == focus.Key() {
-				continue
-			}
-			all = append(all, scored{in, Similarity(focus, in)})
-		}
-	}
-	// Sort by similarity desc, then strength desc, then key.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0; j-- {
-			a, b := all[j-1], all[j]
-			if b.sim > a.sim || (b.sim == a.sim && (b.in.Score > a.in.Score ||
-				(b.in.Score == a.in.Score && b.in.Key() < a.in.Key()))) {
-				all[j-1], all[j] = all[j], all[j-1]
-			} else {
-				break
+		for i := range r.Insights {
+			in := &r.Insights[i]
+			if key := in.Key(); key != focusKey {
+				all = append(all, ranked{in, Similarity(focus, *in), key})
 			}
 		}
 	}
-	if k > 0 && k < len(all) {
-		all = all[:k]
+	// Similarity desc, then strength desc, then key.
+	return topRanked(all, k, func(a, b ranked) bool {
+		if a.score != b.score {
+			return a.score > b.score
+		}
+		if a.in.Score != b.in.Score {
+			return a.in.Score > b.in.Score
+		}
+		return a.key < b.key
+	}), nil
+}
+
+// ranked is an insight with what a rank stage orders it by — a score
+// (similarity to the focus, or blended strength) and, for ties, its
+// key — each computed once per insight rather than per comparison.
+type ranked struct {
+	in    *core.Insight
+	score float64
+	key   string
+}
+
+// topRanked returns the k first insights of all under before (all of
+// them, sorted, when k ≤ 0). before must be a total order — keys are
+// unique, so ending on the key makes it one — which is what makes the
+// O(n log k) selection equal to sorting and truncating.
+func topRanked(all []ranked, k int, before func(a, b ranked) bool) []core.Insight {
+	top := core.TopKFunc(all, k, before)
+	out := make([]core.Insight, len(top))
+	for i, r := range top {
+		out[i] = *r.in
 	}
-	out := make([]core.Insight, len(all))
-	for i, s := range all {
-		out[i] = s.in
-	}
-	return out, nil
+	return out
 }
 
 // Session is one analyst's exploration state (§4.1): the set of
@@ -215,43 +224,32 @@ func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result,
 	}
 	out := make([]Result, 0, len(res))
 	for _, r := range res {
-		maxScore := 0.0
-		for _, in := range r.Insights {
-			if in.Score > maxScore {
-				maxScore = in.Score
-			}
-		}
-		ranked := make([]core.Insight, len(r.Insights))
-		copy(ranked, r.Insights)
+		// r.Insights is non-empty and ranked by strength.
+		maxScore := r.Insights[0].Score
+		var carousel []core.Insight
 		if len(s.Focus) > 0 && maxScore > 0 {
-			type kv struct {
-				in    core.Insight
-				score float64
+			all := make([]ranked, len(r.Insights))
+			for i := range r.Insights {
+				in := &r.Insights[i]
+				all[i] = ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(*in)), in.Key()}
 			}
-			tmp := make([]kv, len(ranked))
-			for i, in := range ranked {
-				rel := s.relevance(in)
-				tmp[i] = kv{in, (in.Score / maxScore) * (blend + (1-blend)*rel)}
-			}
-			// Stable insertion sort by blended score desc, key asc.
-			for i := 1; i < len(tmp); i++ {
-				for j := i; j > 0; j-- {
-					a, b := tmp[j-1], tmp[j]
-					if b.score > a.score || (b.score == a.score && b.in.Key() < a.in.Key()) {
-						tmp[j-1], tmp[j] = tmp[j], tmp[j-1]
-					} else {
-						break
-					}
+			// Blended score desc, then key.
+			carousel = topRanked(all, k, func(a, b ranked) bool {
+				if a.score != b.score {
+					return a.score > b.score
 				}
+				return a.key < b.key
+			})
+		} else {
+			// Already ranked by strength: the carousel is its head.
+			n := len(r.Insights)
+			if k > 0 && k < n {
+				n = k
 			}
-			for i := range tmp {
-				ranked[i] = tmp[i].in
-			}
+			carousel = make([]core.Insight, n)
+			copy(carousel, r.Insights)
 		}
-		if k > 0 && k < len(ranked) {
-			ranked = ranked[:k]
-		}
-		out = append(out, Result{Class: r.Class, Metric: r.Metric, Insights: ranked})
+		out = append(out, Result{Class: r.Class, Metric: r.Metric, Insights: carousel})
 	}
 	return out, nil
 }

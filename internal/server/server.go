@@ -198,17 +198,7 @@ func New(engine *query.Engine, k int, approx bool, opts ...Options) *Server {
 	s.sheds = reg.Counter("foresight_http_sheds_total",
 		"Requests shed by the max-inflight gate (returned as 503).")
 	engine.Instrument(reg)
-	// Profile build/merge phase timings (sketch layer's process-wide
-	// observer) land in the same registry, so sharded ingest rebuilds
-	// show their shard/merge breakdown at /metrics. The registry
-	// dedupes by name: a binary that registered the histogram earlier
-	// (foresightd does, to catch startup preprocessing) shares the
-	// collector with us.
-	buildSeconds := reg.HistogramVec("foresight_profile_build_seconds",
-		"Profile build/merge phase latency in seconds, by sketch-layer phase.", nil, "phase")
-	sketch.SetTimingObserver(func(op string, d time.Duration) {
-		buildSeconds.With(op).Observe(d.Seconds())
-	})
+	observeBuildTimings(reg)
 	reg.GaugeFunc("foresight_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	reg.GaugeFunc("go_goroutines", "Number of goroutines.",
@@ -258,6 +248,19 @@ func New(engine *query.Engine, k int, approx bool, opts ...Options) *Server {
 	s.handle("/api/debug/insights", s.handleDebugInsights, http.MethodGet)
 	s.mux.Handle("/metrics", s.httpObs.Wrap("/metrics", s.recoverPanics("/metrics", reg.Handler())))
 	return s
+}
+
+// observeBuildTimings routes the sketch layer's process-wide
+// build/merge phase timings into reg, so startup preprocessing and
+// sharded ingest rebuilds show their shard/merge breakdown at
+// /metrics. The registry dedupes by name, so Run (before the startup
+// build) and New install observers over one collector.
+func observeBuildTimings(reg *obs.Registry) {
+	buildSeconds := reg.HistogramVec("foresight_profile_build_seconds",
+		"Profile build/merge phase latency in seconds, by sketch-layer phase.", nil, "phase")
+	sketch.SetTimingObserver(func(op string, d time.Duration) {
+		buildSeconds.With(op).Observe(d.Seconds())
+	})
 }
 
 // handle registers an instrumented handler for pattern: the obs

@@ -362,7 +362,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if out.Dataset != "oecd" || out.Workers < 1 {
 		t.Errorf("stats = %+v", out)
 	}
-	if !out.Cache.Enabled || out.Cache.Misses == 0 || out.Cache.Entries == 0 {
+	if out.Cache.Misses == 0 || out.Cache.Entries == 0 {
 		t.Errorf("cache never filled: %+v", out.Cache)
 	}
 	if out.Cache.Hits == 0 {
