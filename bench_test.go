@@ -15,6 +15,7 @@ import (
 	"foresight/internal/bench"
 	"foresight/internal/core"
 	"foresight/internal/datagen"
+	"foresight/internal/frame"
 	"foresight/internal/query"
 	"foresight/internal/sketch"
 	"foresight/internal/stats"
@@ -280,6 +281,63 @@ func BenchmarkProjectColumns(b *testing.B) {
 				_ = sketch.ProjectColumn(col, 0, sketch.ProjectConfig{K: k, Seed: 1})
 			}
 		})
+	}
+}
+
+// ingestBenchFrame is a base×(16+2) frame and the 250-row batch the
+// ingest benchmarks append to it (its own first rows, as string cells).
+func ingestBenchFrame(base int) (*frame.Frame, frame.RowBatch) {
+	f := datagen.Scalable(datagen.ScalableConfig{Rows: base, NumericCols: 16, CatCols: 2, Seed: 5})
+	batch := frame.RowBatch{Records: make([][]string, 250)}
+	for r := range batch.Records {
+		rec := make([]string, f.Cols())
+		for c := range rec {
+			rec[c] = f.Column(c).StringAt(r)
+		}
+		batch.Records[r] = rec
+	}
+	return f, batch
+}
+
+// BenchmarkExtend is the sketch half of one ingest acknowledgement: a
+// 250-row batch folded into the profile of a base of 8K, 32K and 128K
+// rows (K fixed so the bases differ in nothing else). O(batch) means
+// ns/op is flat across the bases.
+func BenchmarkExtend(b *testing.B) {
+	for _, base := range []int{8 << 10, 32 << 10, 128 << 10} {
+		b.Run(fmt.Sprintf("base=%dk", base>>10), func(b *testing.B) {
+			f, batch := ingestBenchFrame(base)
+			p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, K: 256})
+			f2, err := f.AppendRows(batch, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Extend(f2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAppendRowsChain is the frame half: one op is a chain of 40
+// successive 250-row appends onto a 20 000-row frame, each onto the
+// frame the one before returned, as live ingest does.
+func BenchmarkAppendRowsChain(b *testing.B) {
+	base, batch := ingestBenchFrame(20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := base
+		for j := 0; j < 40; j++ {
+			var err error
+			if f, err = f.AppendRows(batch, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

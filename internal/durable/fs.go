@@ -10,7 +10,7 @@
 //   - checkpointed snapshots (snapshot.go): a rows- or bytes-triggered
 //     checkpoint writes an atomic snapshot (temp file + fsync +
 //     rename + directory fsync) of the frame's appended rows plus the
-//     wire-v2 sketch store, after which the WAL segments the snapshot
+//     serialized sketch store, after which the WAL segments the snapshot
 //     covers are deleted;
 //
 //   - startup recovery (manager.go): load the newest valid snapshot,

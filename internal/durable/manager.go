@@ -187,7 +187,7 @@ func (m *Manager) Recover(e *query.Engine) (RecoveryStats, error) {
 	}
 	var snap *snapshotData
 	for _, si := range snaps {
-		s, err := loadSnapshot(m.fsys, si.name)
+		s, err := loadSnapshot(m.fsys, si.name, m.opts.Logf)
 		if err != nil {
 			stats.SnapshotsSkipped++
 			m.opts.Logf("durable: skipping snapshot %s: %v", si.name, err)
@@ -283,8 +283,9 @@ func (m *Manager) applySnapshot(e *query.Engine, snap *snapshotData) error {
 	if len(snap.Records) == 0 {
 		return nil
 	}
-	// No usable snapshot profile: replay the rows through Ingest so
-	// the engine's own profile (when present) extends incrementally.
+	// No usable snapshot profile (none was written, or it was written
+	// under another wire version): replay the rows through Ingest so the
+	// engine's own profile (when present) extends incrementally.
 	_, err := e.Ingest(context.Background(), frame.RowBatch{Records: snap.Records}, nil)
 	if err != nil {
 		return fmt.Errorf("durable: applying snapshot rows: %w", err)

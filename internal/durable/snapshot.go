@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -17,15 +18,21 @@ import (
 // process's base dataset was loaded: the appended rows (rendered back
 // to the same string-cell form ingest accepts, so replaying them
 // through AppendRows reproduces the frame bit-identically) and, when
-// the engine carries one, the sketch store in its wire-v2 form. The
+// the engine carries one, the sketch store in its Save form. The
 // file name carries the WAL sequence number of the last batch the
 // snapshot covers; recovery loads the newest valid snapshot and
 // replays only WAL records after that sequence.
 //
 // File layout: 8B magic "FSNAPSH1" | u64 body length | u32 CRC32C(body)
 // | body. Body: u64 seq | u64 baseRows | columns | rows | u8
-// hasProfile | [u64 profile length | wire-v2 profile]. Writes are
-// atomic: temp file + fsync + rename + directory fsync.
+// hasProfile | [u64 profile length | profile as sketch.Save wrote it].
+// Writes are atomic: temp file + fsync + rename + directory fsync.
+//
+// The profile section is versioned by the sketch package, not here. A
+// snapshot whose section was written under an older wire version (its
+// dots follow a direction stream this binary no longer draws) is still
+// a valid snapshot of the rows: loadSnapshot returns it with a nil
+// Profile, and recovery replays the rows through Ingest.
 type snapshotData struct {
 	Seq      uint64
 	BaseRows int
@@ -119,7 +126,7 @@ func writeSnapshot(fsys FS, dir string, data snapshotData) (string, error) {
 
 // loadSnapshot reads and fully validates one snapshot file (magic,
 // length, CRC over the whole body, decodable content).
-func loadSnapshot(fsys FS, name string) (*snapshotData, error) {
+func loadSnapshot(fsys FS, name string, logf func(string, ...any)) (*snapshotData, error) {
 	rc, err := fsys.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("durable: opening snapshot %s: %w", name, err)
@@ -174,7 +181,10 @@ func loadSnapshot(fsys FS, name string) (*snapshotData, error) {
 			return nil, fmt.Errorf("durable: snapshot %s: short profile section", name)
 		}
 		p, err := sketch.LoadProfile(bytes.NewReader(body[bc.off : bc.off+int(plen)]))
-		if err != nil {
+		switch {
+		case errors.Is(err, sketch.ErrProfileVersion):
+			logf("durable: snapshot %s: keeping its rows, re-sketching them: %v", name, err)
+		case err != nil:
 			return nil, fmt.Errorf("durable: snapshot %s: loading profile: %w", name, err)
 		}
 		data.Profile = p

@@ -25,14 +25,22 @@ type RowBatch struct {
 // matching a missing token (or empty) are missing, numeric cells that
 // fail to parse become NaN, and categorical cells extend the
 // dictionary on first appearance. Column types are fixed by the
-// receiver — no re-inference. The receiver is never mutated (new
-// backing slices throughout), so concurrent readers of f stay
-// consistent; an empty batch returns f itself. A numeric column whose
-// ordered view was already built hands its row order to the successor
-// column, merged with the batch rows in O(n + b·log n) rather than
-// re-sorted; a column nobody ordered hands over nothing. opts may be
-// nil for defaults; only Comma is ignored (the batch is already split
-// into cells).
+// receiver — no re-inference. No cell, length or count a reader of f
+// can see changes, so concurrent readers of f stay consistent; an
+// empty batch returns f itself.
+//
+// The cost is amortised O(batch) cells per column, plus a copy of each
+// categorical dictionary: a successor column shares its predecessor's
+// backing array and writes only the spare capacity above the
+// predecessor's Len() (see growTail), so a chain of appends — each
+// onto the frame the last one returned, as live ingest does — copies a
+// column only when it outgrows its array. Appending to the same frame
+// twice is allowed; the second successor copies. A numeric column
+// whose ordered view was already built hands its row order to the
+// successor column, merged with the batch rows in O(n + b·log n)
+// rather than re-sorted; a column nobody ordered hands over nothing.
+// opts may be nil for defaults; only Comma is ignored (the batch is
+// already split into cells).
 func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 	if opts == nil {
 		opts = &ReadCSVOptions{}
@@ -66,7 +74,6 @@ func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 		}
 	}
 
-	n := f.rows + len(b.Records)
 	cols := make([]Column, len(f.cols))
 	for ci, c := range f.cols {
 		bi := fieldOf[ci]
@@ -78,25 +85,25 @@ func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 		}
 		switch col := c.(type) {
 		case *NumericColumn:
-			vals := make([]float64, 0, n)
-			vals = append(vals, col.values...)
+			vals := growTail(col.values, &col.tail, len(b.Records))
+			missing := 0
 			for r := range b.Records {
 				s := cell(r)
-				if opts.isMissing(s) {
-					vals = append(vals, math.NaN())
-					continue
+				v := math.NaN()
+				if !opts.isMissing(s) {
+					if p, err := strconv.ParseFloat(strings.ReplaceAll(s, ",", ""), 64); err == nil && !math.IsInf(p, 0) {
+						v = p
+					}
 				}
-				v, err := strconv.ParseFloat(strings.ReplaceAll(s, ",", ""), 64)
-				if err != nil || math.IsInf(v, 0) {
-					vals = append(vals, math.NaN())
-					continue
+				if math.IsNaN(v) {
+					missing++
 				}
-				vals = append(vals, v)
+				vals[f.rows+r] = v
 			}
-			cols[ci] = col.extended(vals)
+			cols[ci] = col.extended(vals, missing)
 		case *CategoricalColumn:
-			codes := make([]int32, 0, n)
-			codes = append(codes, col.codes...)
+			codes := growTail(col.codes, &col.tail, len(b.Records))
+			missing := 0
 			dict := append([]string(nil), col.dict...)
 			index := make(map[string]int32, len(dict))
 			for code, v := range dict {
@@ -105,7 +112,8 @@ func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 			for r := range b.Records {
 				s := cell(r)
 				if opts.isMissing(s) {
-					codes = append(codes, -1)
+					codes[f.rows+r] = -1
+					missing++
 					continue
 				}
 				code, ok := index[s]
@@ -114,13 +122,11 @@ func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 					dict = append(dict, s)
 					index[s] = code
 				}
-				codes = append(codes, code)
+				codes[f.rows+r] = code
 			}
-			nc, err := NewCategoricalFromCodes(col.name, codes, dict)
-			if err != nil {
-				return nil, fmt.Errorf("frame: append: %w", err)
-			}
-			cols[ci] = nc
+			// Every appended code is -1 or came out of index, so the
+			// range check NewCategoricalFromCodes runs has nothing to find.
+			cols[ci] = &CategoricalColumn{name: col.name, codes: codes, dict: dict, missing: col.missing + missing}
 		default:
 			return nil, fmt.Errorf("frame: append: cannot append to column kind %T", c)
 		}

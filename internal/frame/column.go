@@ -59,8 +59,11 @@ type Column interface {
 // NumericColumn is a column of float64 values. Missing values are
 // stored as NaN, so the backing slice always has length Len().
 type NumericColumn struct {
-	name    string
+	name string
+	// values has length Len(); the capacity past it is the tail (see
+	// growTail), so every accessor hands out values[:n:n].
 	values  []float64
+	tail    atomic.Bool
 	missing int
 
 	// The ordered view (see Ordered) is built at most once, on first
@@ -72,8 +75,28 @@ type NumericColumn struct {
 	carried  []int32
 }
 
+// growTail returns a slice of length len(s)+extra whose first len(s)
+// cells are s's and whose remaining cells the caller may write: how a
+// successor column extends its predecessor in amortised O(extra). A
+// column's backing array is append-only — cells below Len() never
+// change, and readers never see past Len() — so the successor can
+// share it and write only the spare capacity above. That tail goes to
+// at most one successor, the first to claim it; a second append from
+// the same column, or one the spare capacity cannot hold, copies into
+// a new array a quarter larger than it needs.
+func growTail[T any](s []T, claimed *atomic.Bool, extra int) []T {
+	n := len(s)
+	if cap(s)-n >= extra && claimed.CompareAndSwap(false, true) {
+		return s[:n+extra]
+	}
+	out := make([]T, n+extra, max(n+extra, n+n/4))
+	copy(out, s)
+	return out
+}
+
 // NewNumericColumn builds a numeric column over values. The slice is
-// retained, not copied; callers must not mutate it afterwards.
+// retained, not copied; callers must not mutate it afterwards. Its
+// spare capacity, if any, is left alone.
 func NewNumericColumn(name string, values []float64) *NumericColumn {
 	missing := 0
 	for _, v := range values {
@@ -81,7 +104,7 @@ func NewNumericColumn(name string, values []float64) *NumericColumn {
 			missing++
 		}
 	}
-	return &NumericColumn{name: name, values: values, missing: missing}
+	return &NumericColumn{name: name, values: values[:len(values):len(values)], missing: missing}
 }
 
 // Name returns the attribute name.
@@ -108,14 +131,15 @@ func (c *NumericColumn) StringAt(i int) string {
 }
 
 // Values returns the backing slice (NaN = missing). Callers must treat
-// it as read-only.
-func (c *NumericColumn) Values() []float64 { return c.values }
+// it as read-only; its capacity is its length, so an append to it
+// copies rather than writing into a successor column's cells.
+func (c *NumericColumn) Values() []float64 { return c.values[:len(c.values):len(c.values)] }
 
 // Present returns the non-missing values in order. It allocates a new
 // slice only when the column contains missing values.
 func (c *NumericColumn) Present() []float64 {
 	if c.missing == 0 {
-		return c.values
+		return c.Values()
 	}
 	out := make([]float64, 0, len(c.values)-c.missing)
 	for _, v := range c.values {
@@ -139,20 +163,21 @@ func (c *NumericColumn) At(i int) float64 { return c.values[i] }
 func (c *NumericColumn) Ordered() *stats.Ordered {
 	c.viewOnce.Do(func() {
 		if c.carried != nil {
-			c.view.Store(stats.OrderedFrom(c.values, c.carried))
+			c.view.Store(stats.OrderedFrom(c.Values(), c.carried))
 		} else {
-			c.view.Store(stats.NewOrdered(c.values))
+			c.view.Store(stats.NewOrdered(c.Values()))
 		}
 	})
 	return c.view.Load()
 }
 
 // extended returns the column that continues c with the appended
-// cells in values[c.Len():]. When c's order is already known it is
-// carried forward by splicing in the appended rows, so the successor's
-// first Ordered call does not sort the whole column again.
-func (c *NumericColumn) extended(values []float64) *NumericColumn {
-	out := NewNumericColumn(c.name, values)
+// cells in values[c.Len():] (values from growTail), `missing` of them
+// NaN. When c's order is already known it is carried forward by
+// splicing in the appended rows, so the successor's first Ordered call
+// does not sort the whole column again.
+func (c *NumericColumn) extended(values []float64, missing int) *NumericColumn {
+	out := &NumericColumn{name: c.name, values: values, missing: c.missing + missing}
 	order := c.carried
 	if v := c.view.Load(); v != nil {
 		order = v.Order
@@ -166,8 +191,11 @@ func (c *NumericColumn) extended(values []float64) *NumericColumn {
 // CategoricalColumn is a dictionary-encoded string column. codes[i] is
 // an index into dict, or -1 for a missing cell.
 type CategoricalColumn struct {
-	name    string
+	name string
+	// codes has length Len(); the capacity past it is the tail (see
+	// growTail), so every accessor hands out codes[:n:n].
 	codes   []int32
+	tail    atomic.Bool
 	dict    []string
 	missing int
 }
@@ -210,7 +238,7 @@ func NewCategoricalFromCodes(name string, codes []int32, dict []string) (*Catego
 			return nil, fmt.Errorf("frame: column %q: code %d at row %d out of range [0,%d)", name, code, i, len(dict))
 		}
 	}
-	return &CategoricalColumn{name: name, codes: codes, dict: dict, missing: missing}, nil
+	return &CategoricalColumn{name: name, codes: codes[:len(codes):len(codes)], dict: dict, missing: missing}, nil
 }
 
 // Name returns the attribute name.
@@ -236,8 +264,9 @@ func (c *CategoricalColumn) StringAt(i int) string {
 	return c.dict[c.codes[i]]
 }
 
-// Codes returns the backing code slice (-1 = missing). Read-only.
-func (c *CategoricalColumn) Codes() []int32 { return c.codes }
+// Codes returns the backing code slice (-1 = missing). Read-only;
+// like Values, its capacity is its length.
+func (c *CategoricalColumn) Codes() []int32 { return c.codes[:len(c.codes):len(c.codes)] }
 
 // Dict returns the dictionary of distinct values. Read-only.
 func (c *CategoricalColumn) Dict() []string { return c.dict }

@@ -13,14 +13,14 @@ import "fmt"
 // column's backing slice (NaN = missing). Read-only, like Values.
 // Panics when the range is out of bounds, matching slice semantics.
 func (c *NumericColumn) ValuesRange(start, end int) []float64 {
-	return c.values[start:end]
+	return c.values[start:end:end]
 }
 
 // CodesRange returns the zero-copy window codes[start:end) of the
 // dictionary-code slice (-1 = missing). Read-only, like Codes.
 // Panics when the range is out of bounds, matching slice semantics.
 func (c *CategoricalColumn) CodesRange(start, end int) []int32 {
-	return c.codes[start:end]
+	return c.codes[start:end:end]
 }
 
 // RowView is a zero-copy view of rows [Start, End) of a frame: one

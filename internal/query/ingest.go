@@ -20,10 +20,9 @@ import (
 // new one.
 
 // shardedIngestMinRows is the batch size below which the sharded
-// delta build is not worth its goroutine and channel setup; small
+// delta build is not worth its goroutines and its merge tree; small
 // batches (the common streaming case) keep the sequential delta even
-// when the engine has build shards configured. Two direction blocks
-// is the smallest append the sharded path can split anyway.
+// when the engine has build shards configured.
 const shardedIngestMinRows = 8192
 
 // IngestResult reports one applied ingest batch.

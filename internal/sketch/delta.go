@@ -75,9 +75,12 @@ func cloneReservoir(s *Reservoir) *Reservoir {
 // centered on the stored build-time projection centers so the partial
 // stays merge-compatible — and folded into a deep copy of p; the
 // receiver is never mutated, so concurrent readers holding p keep a
-// consistent store. Rank (Spearman) projections are dropped from the
-// result: ranks are a global transform that cannot be extended
-// row-incrementally.
+// consistent store. The cost is O(appended rows) plus the copy of p,
+// whatever p.Rows is: the directions of the appended rows are drawn
+// from their own blocks of the stream (see ProjectColumns), not
+// reached by replaying it from row 0. Rank (Spearman) projections are
+// dropped from the result: ranks are a global transform that cannot be
+// extended row-incrementally.
 func (p *DatasetProfile) Extend(f *frame.Frame) (*DatasetProfile, error) {
 	defer observeSince("extend", time.Now())
 	return p.extend(f, 1)
@@ -88,8 +91,8 @@ func (p *DatasetProfile) Extend(f *frame.Frame) (*DatasetProfile, error) {
 // machinery), worthwhile for large batch appends. Shard counts follow
 // the uniform convention: 0 or 1 is the sequential delta build —
 // identical to Extend — and negative means GOMAXPROCS. Appends
-// spanning at most one direction block fall back to the sequential
-// delta regardless.
+// inside one direction block fall back to the sequential delta
+// regardless.
 func (p *DatasetProfile) ExtendSharded(f *frame.Frame, shards int) (*DatasetProfile, error) {
 	defer observeSince("extend.sharded", time.Now())
 	return p.extend(f, resolveShards(shards))

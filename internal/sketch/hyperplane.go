@@ -3,7 +3,7 @@ package sketch
 import (
 	"math"
 	"math/bits"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // Projection is the random-projection sketch of one centered column:
@@ -148,23 +148,17 @@ type ProjectConfig struct {
 	K int
 	// Seed makes the direction set deterministic.
 	Seed int64
-	// BlockRows is the row-block size for direction generation
-	// (memory = BlockRows·K·4 bytes). Defaults to 4096 when ≤ 0.
-	BlockRows int
 	// Workers parallelizes the per-column accumulation inside each
-	// row block (0 or 1 = sequential, < 0 = GOMAXPROCS, n > 1 = n
-	// goroutines — the sketch layer's uniform convention). Direction
-	// generation stays sequential so the directions — and therefore
-	// the sketches — are identical at any worker count.
+	// direction block (0 or 1 = sequential, < 0 = GOMAXPROCS, n > 1 = n
+	// goroutines — the sketch layer's uniform convention). The
+	// directions are a function of (Seed, block) alone, so the sketches
+	// are identical at any worker count.
 	Workers int
 }
 
 func (c *ProjectConfig) fill() {
 	if c.K <= 0 {
 		c.K = 256
-	}
-	if c.BlockRows <= 0 {
-		c.BlockRows = 4096
 	}
 }
 
@@ -182,45 +176,63 @@ func KForRows(n int) int {
 	return k
 }
 
-// ProjectColumns computes the k-dimensional Gaussian projections of
-// every column in one pass over the data. cols[j] is the j-th column's
-// values (NaN = missing, mean-imputed to zero after centering);
-// means[j] its mean. The Gaussian directions are generated
-// block-by-block from cfg.Seed and are identical for every column and
-// every call with the same (rows, cfg), so sketches from different
-// calls are comparable. Cost: O(d·n·k) multiply-adds plus O(n·k)
-// Gaussian draws; memory O(BlockRows·k + d·k).
-func ProjectColumns(cols [][]float64, means []float64, rows int, cfg ProjectConfig) []*Projection {
+// directionGranule is the number of rows one block of the shared
+// direction stream covers: block b holds the directions of global
+// rows [b·directionGranule, (b+1)·directionGranule). It is part of the
+// stream's definition — changing it changes every projection, like
+// changing the seed — not a tuning knob. 256 rows × K float32 (227 KB
+// at K = 222) stays L2-resident while the columns stream past it.
+const directionGranule = 256
+
+// fillDirections writes the directions of the first len(buf)/k rows
+// of block b of seed's stream into buf, row-major. A block is a pure
+// function of (seed, b): the generator is seeded per block in O(1), so
+// reaching any row costs at most one granule of draws, whatever came
+// before it.
+func fillDirections(seed int64, b int, buf []float32) {
+	// splitmix64 finalizer: adjacent block indexes land on unrelated
+	// points of the generator's cycle.
+	z := uint64(b) + 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	rng := rand.New(rand.NewPCG(uint64(seed), z^(z>>31)))
+	for i := range buf {
+		buf[i] = float32(rng.NormFloat64())
+	}
+}
+
+// projectRange is the one projection kernel: the k-dimensional
+// Gaussian projections of rows [start, end) of every column. cols[j]
+// is the j-th whole column, indexed by global row (NaN = missing,
+// mean-imputed to zero after centering; rows past len(cols[j]) count
+// as missing); means[j] is its centering value. Rows accumulate in
+// ascending order, so one call over [a, c) and the Merge of calls over
+// [a, b) and [b, c) differ only by floating-point association.
+// Cost: O(d·(end−start)·k) multiply-adds plus at most
+// (end−start+directionGranule)·k Gaussian draws; memory
+// O(directionGranule·k + d·k).
+func projectRange(cols [][]float64, means []float64, start, end int, cfg ProjectConfig) []*Projection {
 	cfg.fill()
 	d := len(cols)
 	out := make([]*Projection, d)
 	for j := range out {
-		out[j] = &Projection{Dots: make([]float64, cfg.K), Rows: rows, Seed: cfg.Seed}
+		out[j] = &Projection{Dots: make([]float64, cfg.K), Rows: end - start, Seed: cfg.Seed}
 	}
-	if d == 0 || rows == 0 {
+	if d == 0 || start >= end {
 		return out
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	block := make([]float32, cfg.BlockRows*cfg.K)
-	for start := 0; start < rows; start += cfg.BlockRows {
-		end := start + cfg.BlockRows
-		if end > rows {
-			end = rows
-		}
-		nb := end - start
-		for i := 0; i < nb*cfg.K; i++ {
-			block[i] = float32(rng.NormFloat64())
-		}
+	k := cfg.K
+	block := make([]float32, directionGranule*k)
+	for b := start / directionGranule; b*directionGranule < end; b++ {
+		base := b * directionGranule
+		lo, hi := max(start, base), min(end, base+directionGranule)
+		fillDirections(cfg.Seed, b, block[:(hi-base)*k])
 		eachColumn(d, cfg.Workers, func(j int) {
 			col := cols[j]
 			dots := out[j].Dots
 			mean := means[j]
-			for r := 0; r < nb; r++ {
-				idx := start + r
-				if idx >= len(col) {
-					break
-				}
-				v := col[idx]
+			for r := lo; r < hi && r < len(col); r++ {
+				v := col[r]
 				if math.IsNaN(v) {
 					continue // mean-imputed: centered value is 0
 				}
@@ -228,7 +240,7 @@ func ProjectColumns(cols [][]float64, means []float64, rows int, cfg ProjectConf
 				if v == 0 {
 					continue
 				}
-				g := block[r*cfg.K : (r+1)*cfg.K]
+				g := block[(r-base)*k : (r-base+1)*k]
 				for q, gv := range g {
 					dots[q] += v * float64(gv)
 				}
@@ -236,6 +248,20 @@ func ProjectColumns(cols [][]float64, means []float64, rows int, cfg ProjectConf
 		})
 	}
 	return out
+}
+
+// ProjectColumns computes the k-dimensional Gaussian projections of
+// the first `rows` rows of every column in one pass over the data.
+// cols[j] is the j-th column's values (NaN = missing, mean-imputed to
+// zero after centering); means[j] its mean. The direction of global
+// row r is a function of (cfg.Seed, r) alone — drawn per block of
+// directionGranule rows from a generator seeded by (Seed, block) — so
+// it is identical for every column, every call and every row range:
+// projections of disjoint ranges built anywhere Merge into the
+// projection of their union, and extending a projection by appended
+// rows never regenerates the directions of the rows before them.
+func ProjectColumns(cols [][]float64, means []float64, rows int, cfg ProjectConfig) []*Projection {
+	return projectRange(cols, means, 0, rows, cfg)
 }
 
 // ProjectColumn is ProjectColumns for a single column.

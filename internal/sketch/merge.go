@@ -203,7 +203,7 @@ func buildPartitionProfile(f *frame.Frame, cfg ProfileConfig, start, end int, me
 		cols[i] = nc.Values()
 		colMeans[i] = means[nc.Name()]
 	}
-	projections := projectColumnsRange(cols, colMeans, f.Rows(), start, end,
+	projections := projectRange(cols, colMeans, start, end,
 		ProjectConfig{K: cfg.K, Seed: cfg.Seed + 101, Workers: cfg.Workers})
 	for i, nc := range numeric {
 		np := p.Numeric[nc.Name()]
@@ -212,61 +212,6 @@ func buildPartitionProfile(f *frame.Frame, cfg ProfileConfig, start, end int, me
 		np.Planes = HyperplaneFromProjection(projections[i])
 	}
 	return p
-}
-
-// projectColumnsRange is ProjectColumns restricted to rows
-// [start, end): directions for the full stream are generated from the
-// seed in order (so partitions agree on the direction of every global
-// row), but only rows in range accumulate.
-func projectColumnsRange(cols [][]float64, means []float64, rows, start, end int, cfg ProjectConfig) []*Projection {
-	cfg.fill()
-	d := len(cols)
-	out := make([]*Projection, d)
-	for j := range out {
-		out[j] = &Projection{Dots: make([]float64, cfg.K), Rows: end - start, Seed: cfg.Seed}
-	}
-	if d == 0 || rows == 0 || start >= end {
-		return out
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	block := make([]float32, cfg.BlockRows*cfg.K)
-	for blockStart := 0; blockStart < rows && blockStart < end; blockStart += cfg.BlockRows {
-		blockEnd := blockStart + cfg.BlockRows
-		if blockEnd > rows {
-			blockEnd = rows
-		}
-		nb := blockEnd - blockStart
-		for i := 0; i < nb*cfg.K; i++ {
-			block[i] = float32(rng.NormFloat64())
-		}
-		if blockEnd <= start {
-			continue // before the partition: directions consumed, no work
-		}
-		eachColumn(d, cfg.Workers, func(j int) {
-			col := cols[j]
-			dots := out[j].Dots
-			mean := means[j]
-			for r := 0; r < nb; r++ {
-				idx := blockStart + r
-				if idx < start || idx >= end || idx >= len(col) {
-					continue
-				}
-				v := col[idx]
-				if math.IsNaN(v) {
-					continue
-				}
-				v -= mean
-				if v == 0 {
-					continue
-				}
-				g := block[r*cfg.K : (r+1)*cfg.K]
-				for q, gv := range g {
-					dots[q] += v * float64(gv)
-				}
-			}
-		})
-	}
-	return out
 }
 
 // BuildProfilePartitioned preprocesses f in `parts` row partitions

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -20,10 +21,19 @@ import (
 // freshly seeded generator, so post-load updates remain valid sketch
 // behavior but are not bit-identical to an unserialized twin.
 
-// profileWireVersion guards the serialized layout. Version 2 added
-// NumericProfile.ProjCenter (the build-time projection-centering
-// mean, required for incremental extension).
-const profileWireVersion = 2
+// profileWireVersion guards the serialized layout and the meaning of
+// its numbers. Version 2 added NumericProfile.ProjCenter (the
+// build-time projection-centering mean, required for incremental
+// extension). Version 3 has version 2's layout but its dots are drawn
+// from the per-block direction stream (fillDirections): a version-2
+// store still answers queries, but extending it would add dots along
+// different directions, so it is refused rather than converted.
+const profileWireVersion = 3
+
+// ErrProfileVersion is returned (wrapped) by LoadProfile for a store
+// written under another profileWireVersion. The data it was built from
+// is what to keep; the store itself must be rebuilt.
+var ErrProfileVersion = errors.New("sketch: unsupported profile version")
 
 type kllWire struct {
 	K          int
@@ -257,7 +267,7 @@ func LoadProfile(r io.Reader) (*DatasetProfile, error) {
 		return nil, fmt.Errorf("sketch: decoding profile: %w", err)
 	}
 	if wire.Version != profileWireVersion {
-		return nil, fmt.Errorf("sketch: profile version %d, want %d", wire.Version, profileWireVersion)
+		return nil, fmt.Errorf("%w %d, want %d: rebuild with `foresight profile`", ErrProfileVersion, wire.Version, profileWireVersion)
 	}
 	p := &DatasetProfile{
 		Rows:        wire.Rows,

@@ -2,6 +2,8 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -139,6 +141,16 @@ func TestLoadProfileErrors(t *testing.T) {
 	}
 	if _, err := LoadProfile(strings.NewReader("")); err == nil {
 		t.Error("empty input should fail")
+	}
+	// A store of the previous wire version decodes (same layout) but its
+	// dots follow the old direction stream: refused, with what to do.
+	var v2 bytes.Buffer
+	if err := gob.NewEncoder(&v2).Encode(profileWire{Version: 2, Rows: 10}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadProfile(&v2)
+	if !errors.Is(err, ErrProfileVersion) || !strings.Contains(err.Error(), "rebuild with `foresight profile`") {
+		t.Errorf("version-2 store: err = %v, want ErrProfileVersion naming the rebuild command", err)
 	}
 }
 

@@ -59,7 +59,9 @@ type RowSample struct {
 
 // NewRowSample draws a uniform sample of min(capacity, n) distinct
 // row indexes from [0, n) using a partial Fisher–Yates shuffle with
-// the given seed. The indexes are returned in ascending order for
+// the given seed. The shuffle runs over a sparse map of the displaced
+// slots of the identity permutation, so the cost is O(capacity)
+// whatever n is. The indexes are returned in ascending order for
 // cache-friendly column access.
 func NewRowSample(n, capacity int, seed int64) *RowSample {
 	if capacity <= 0 {
@@ -73,15 +75,22 @@ func NewRowSample(n, capacity int, seed int64) *RowSample {
 		return &RowSample{Indexes: idx}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	// moved[s] is the value at slot s where it is no longer s. Step i
+	// swaps slots i and j ≥ i; slot i is never read again, so only the
+	// value landing in slot j is recorded.
+	moved := make(map[int]int, capacity)
+	at := func(s int) int {
+		if v, ok := moved[s]; ok {
+			return v
+		}
+		return s
 	}
-	for i := 0; i < capacity; i++ {
+	idx := make([]int, capacity)
+	for i := range idx {
 		j := i + rng.Intn(n-i)
-		perm[i], perm[j] = perm[j], perm[i]
+		idx[i] = at(j)
+		moved[j] = at(i)
 	}
-	idx := perm[:capacity]
 	// Ascending order for sequential column reads.
 	sortInts(idx)
 	return &RowSample{Indexes: idx}

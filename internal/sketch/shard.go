@@ -2,9 +2,7 @@ package sketch
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"foresight/internal/frame"
@@ -19,16 +17,12 @@ import (
 // reduce through the merge operators in a fixed binary-tree order, so
 // the result is reproducible given (frame, cfg, shards).
 //
-// The delicate part is the projection pass. All shards must consume
-// the *same* Gaussian direction stream (one direction vector per
-// global row, generated sequentially from the seed), or their
-// Projections would not be summable. A single producer goroutine
-// generates direction blocks in stream order and hands each block to
-// the one shard that owns it; shard interiors are aligned to block
-// boundaries so no block straddles two shards. Generation (~n·k
-// Gaussian draws) pipelines with accumulation (~n·k·d multiply-adds
-// across shards), so wall time approaches
-// max(generate, accumulate/shards) instead of their sum.
+// The projection pass needs no coordination: the direction of a
+// global row is a function of (seed, row) (see fillDirections), so
+// each shard runs the projection kernel over its own rows and the
+// shard Projections sum to the sequential result up to floating-point
+// association. Shard interiors are aligned to direction blocks so no
+// block is drawn twice.
 
 // resolveShards applies the sketch layer's uniform parallelism
 // convention to a shard count: 0 and 1 mean sequential, negative
@@ -41,39 +35,28 @@ func resolveShards(shards int) int {
 }
 
 // shardBounds splits rows [lo, hi) into at most `shards` contiguous
-// ranges. Interior boundaries align to the projection pass's
-// direction blocks — multiples of blockRows counted from global row 0
-// — so each direction block is consumed by exactly one shard. Empty
-// ranges are dropped; fewer than `shards` ranges come back when the
-// span covers fewer blocks than shards.
-func shardBounds(lo, hi, shards, blockRows int) [][2]int {
+// ranges. Interior boundaries align to the direction stream's blocks —
+// multiples of directionGranule counted from global row 0 — so each
+// block is drawn by exactly one shard. Empty ranges are dropped; fewer
+// than `shards` ranges come back when the span covers fewer blocks
+// than shards.
+func shardBounds(lo, hi, shards int) [][2]int {
 	if hi <= lo {
 		return nil
 	}
 	if shards < 1 {
 		shards = 1
 	}
-	firstBlock := lo / blockRows
-	lastBlock := (hi + blockRows - 1) / blockRows
+	firstBlock := lo / directionGranule
+	lastBlock := (hi + directionGranule - 1) / directionGranule
 	nBlocks := lastBlock - firstBlock
 	if shards > nBlocks {
 		shards = nBlocks
 	}
 	bounds := make([][2]int, 0, shards)
 	for p := 0; p < shards; p++ {
-		bs := firstBlock + p*nBlocks/shards
-		be := firstBlock + (p+1)*nBlocks/shards
-		if be == bs {
-			continue
-		}
-		start := bs * blockRows
-		if start < lo {
-			start = lo
-		}
-		end := be * blockRows
-		if end > hi {
-			end = hi
-		}
+		start := max(lo, (firstBlock+p*nBlocks/shards)*directionGranule)
+		end := min(hi, (firstBlock+(p+1)*nBlocks/shards)*directionGranule)
 		if end > start {
 			bounds = append(bounds, [2]int{start, end})
 		}
@@ -81,127 +64,14 @@ func shardBounds(lo, hi, shards, blockRows int) [][2]int {
 	return bounds
 }
 
-// gaussBlock is one row block of the shared Gaussian direction
-// stream: nb·K row-major float32 draws covering global rows
-// [start, start+nb). The buffer is pooled; the consumer returns it
-// after accumulating.
-type gaussBlock struct {
-	start int
-	nb    int
-	buf   *[]float32
-}
-
 // shardedProjections computes, for every shard range in bounds, the
-// per-column Projections of that shard's rows — using direction
-// vectors identical to what ProjectColumns would generate for the
-// whole frame, so shard Projections sum to the sequential result up
-// to floating-point associativity. One producer generates direction
-// blocks in stream order from a single rng (determinism) and routes
-// each block to its owning shard's channel; shard consumers
-// accumulate concurrently. Returned as out[shard][column].
-func shardedProjections(cols [][]float64, means []float64, totalRows int, bounds [][2]int, cfg ProjectConfig) [][]*Projection {
-	cfg.fill()
-	d := len(cols)
+// per-column Projections of that shard's rows: one projectRange per
+// shard, the shards concurrent. Returned as out[shard][column].
+func shardedProjections(cols [][]float64, means []float64, bounds [][2]int, cfg ProjectConfig) [][]*Projection {
 	out := make([][]*Projection, len(bounds))
-	for p := range out {
-		out[p] = make([]*Projection, d)
-		for j := range out[p] {
-			out[p][j] = &Projection{
-				Dots: make([]float64, cfg.K),
-				Rows: bounds[p][1] - bounds[p][0],
-				Seed: cfg.Seed,
-			}
-		}
-	}
-	if d == 0 || len(bounds) == 0 || totalRows == 0 {
-		return out
-	}
-	lo, hi := bounds[0][0], bounds[len(bounds)-1][1]
-
-	pool := sync.Pool{New: func() any {
-		s := make([]float32, cfg.BlockRows*cfg.K)
-		return &s
-	}}
-	chans := make([]chan gaussBlock, len(bounds))
-	for p := range chans {
-		// Small buffer: lets the producer run ahead a little without
-		// letting memory grow past O(shards·BlockRows·K).
-		chans[p] = make(chan gaussBlock, 2)
-	}
-
-	go func() {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		owner := 0
-		for bs := 0; bs < totalRows && bs < hi; bs += cfg.BlockRows {
-			be := bs + cfg.BlockRows
-			if be > totalRows {
-				be = totalRows
-			}
-			nb := be - bs
-			bufp := pool.Get().(*[]float32)
-			buf := (*bufp)[:nb*cfg.K]
-			for i := range buf {
-				buf[i] = float32(rng.NormFloat64())
-			}
-			if be <= lo {
-				// Before the range: draws consumed to keep the stream
-				// aligned, but no shard needs the block.
-				pool.Put(bufp)
-				continue
-			}
-			first := bs
-			if first < lo {
-				first = lo
-			}
-			for owner < len(bounds) && bounds[owner][1] <= first {
-				owner++
-			}
-			chans[owner] <- gaussBlock{start: bs, nb: nb, buf: bufp}
-		}
-		for _, ch := range chans {
-			close(ch)
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for p := range bounds {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			start, end := bounds[p][0], bounds[p][1]
-			for blk := range chans[p] {
-				buf := (*blk.buf)[:blk.nb*cfg.K]
-				rlo, rhi := blk.start, blk.start+blk.nb
-				if rlo < start {
-					rlo = start
-				}
-				if rhi > end {
-					rhi = end
-				}
-				for j := 0; j < d; j++ {
-					col := cols[j]
-					dots := out[p][j].Dots
-					mean := means[j]
-					for r := rlo; r < rhi && r < len(col); r++ {
-						v := col[r]
-						if math.IsNaN(v) {
-							continue // mean-imputed: centered value is 0
-						}
-						v -= mean
-						if v == 0 {
-							continue
-						}
-						g := buf[(r-blk.start)*cfg.K : (r-blk.start+1)*cfg.K]
-						for q, gv := range g {
-							dots[q] += v * float64(gv)
-						}
-					}
-				}
-				pool.Put(blk.buf)
-			}
-		}(p)
-	}
-	wg.Wait()
+	eachColumn(len(bounds), len(bounds), func(p int) {
+		out[p] = projectRange(cols, means, bounds[p][0], bounds[p][1], cfg)
+	})
 	return out
 }
 
@@ -240,9 +110,7 @@ func mergeProfileTree(parts []*DatasetProfile, workers int) *DatasetProfile {
 // means. The caller rebuilds row samples; Spearman rank projections
 // (a global transform) are the caller's concern too.
 func shardedPartial(f *frame.Frame, cfg ProfileConfig, lo, hi int, means map[string]float64, shards int) *DatasetProfile {
-	projCfg := ProjectConfig{K: cfg.K, Seed: cfg.Seed + 101, Workers: cfg.Workers}
-	projCfg.fill()
-	bounds := shardBounds(lo, hi, shards, projCfg.BlockRows)
+	bounds := shardBounds(lo, hi, shards)
 	if len(bounds) <= 1 {
 		return buildPartitionProfile(f, cfg, lo, hi, means)
 	}
@@ -255,7 +123,7 @@ func shardedPartial(f *frame.Frame, cfg ProfileConfig, lo, hi int, means map[str
 	})
 	observeSince("build.shard", shardStart)
 
-	// Phase 2 — shared-direction projections, pipelined across shards.
+	// Phase 2 — shared-direction projections, one kernel call per shard.
 	projStart := time.Now()
 	numeric := f.NumericColumns()
 	cols := make([][]float64, len(numeric))
@@ -264,7 +132,8 @@ func shardedPartial(f *frame.Frame, cfg ProfileConfig, lo, hi int, means map[str
 		cols[i] = nc.Values()
 		colMeans[i] = means[nc.Name()]
 	}
-	shardProj := shardedProjections(cols, colMeans, f.Rows(), bounds, projCfg)
+	shardProj := shardedProjections(cols, colMeans, bounds,
+		ProjectConfig{K: cfg.K, Seed: cfg.Seed + 101, Workers: cfg.Workers})
 	for p := range parts {
 		for i, nc := range numeric {
 			np := parts[p].Numeric[nc.Name()]
@@ -327,10 +196,8 @@ func BuildProfileSharded(f *frame.Frame, cfg ProfileConfig, shards int) *Dataset
 			rankCols[i] = stats.Ranks(numeric[i].Values())
 			rankMeans[i] = stats.Mean(rankCols[i])
 		})
-		rankCfg := ProjectConfig{K: cfg.K, Seed: cfg.Seed + 211, Workers: cfg.Workers}
-		rankCfg.fill()
-		rankBounds := shardBounds(0, f.Rows(), shards, rankCfg.BlockRows)
-		rankShard := shardedProjections(rankCols, rankMeans, f.Rows(), rankBounds, rankCfg)
+		rankShard := shardedProjections(rankCols, rankMeans, shardBounds(0, f.Rows(), shards),
+			ProjectConfig{K: cfg.K, Seed: cfg.Seed + 211, Workers: cfg.Workers})
 		for i, nc := range numeric {
 			np := merged.Numeric[nc.Name()]
 			total := rankShard[0][i]

@@ -19,17 +19,18 @@ func saveBytes(t *testing.T, p *DatasetProfile) []byte {
 
 func TestShardBounds(t *testing.T) {
 	cases := []struct {
-		lo, hi, shards, block int
+		lo, hi, shards int
 	}{
-		{0, 100000, 4, 4096},
-		{0, 4096, 8, 4096},
-		{8192, 30000, 3, 4096},
-		{5, 5000, 2, 4096},
-		{0, 1, 16, 4096},
-		{7, 7, 4, 4096},
+		{0, 100000, 4},
+		{0, directionGranule, 8},
+		{8192, 30000, 3},
+		{5, 5000, 2},
+		{0, 1, 16},
+		{7, 7, 4},
+		{20250, 20500, 2},
 	}
 	for _, c := range cases {
-		bounds := shardBounds(c.lo, c.hi, c.shards, c.block)
+		bounds := shardBounds(c.lo, c.hi, c.shards)
 		if c.hi <= c.lo {
 			if len(bounds) != 0 {
 				t.Errorf("(%+v): empty range produced %v", c, bounds)
@@ -49,7 +50,7 @@ func TestShardBounds(t *testing.T) {
 			}
 			// Interior boundaries are block-aligned so no direction block
 			// straddles two shards.
-			if bounds[i][0]%c.block != 0 {
+			if bounds[i][0]%directionGranule != 0 {
 				t.Errorf("(%+v): interior boundary %d not block-aligned", c, bounds[i][0])
 			}
 		}

@@ -86,7 +86,9 @@ func (s *SpaceSaving) UpdateWeighted(item string, weight uint64) {
 }
 
 // admit inserts an untracked item, evicting the minimum counter (and
-// inheriting its count as the error bound) when at capacity.
+// inheriting its count as the error bound) when at capacity. Among
+// counters tied at the minimum the smallest item goes, so the sketch
+// is a function of its update sequence and not of map iteration order.
 func (s *SpaceSaving) admit(item string, weight uint64) {
 	if len(s.counters) < s.capacity {
 		s.counters[item] = &ssCounter{item: item, count: weight}
@@ -94,7 +96,7 @@ func (s *SpaceSaving) admit(item string, weight uint64) {
 	}
 	var min *ssCounter
 	for _, c := range s.counters {
-		if min == nil || c.count < min.count {
+		if min == nil || c.count < min.count || (c.count == min.count && c.item < min.item) {
 			min = c
 		}
 	}
