@@ -6,6 +6,7 @@
 package foresight_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -435,6 +436,42 @@ func BenchmarkOverviewCached(b *testing.B) {
 		if _, err := engine.Overview("linear", "", false); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWarmExploreCycle is the analyst's loop on a warm engine at
+// 64 numeric columns (2016 pairs per bivariate class), answered from
+// the sketches: carousel, focused carousel, neighborhood, overview.
+// Every reply is a read of the generation's class views, so time and
+// allocations follow the replies, not the classes.
+func BenchmarkWarmExploreCycle(b *testing.B) {
+	f := datagen.Scalable(datagen.ScalableConfig{Rows: 2000, NumericCols: 64, Seed: 12})
+	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 12, K: 128, Spearman: true})
+	engine, err := query.NewEngine(f, core.NewRegistry(), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plain, focused := query.NewSession(engine, 5, true), query.NewSession(engine, 5, true)
+	top, err := engine.Execute(query.Query{Classes: []string{"linear"}, K: 40, Approx: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	focus := top[0].Insights[len(top[0].Insights)-1]
+	focused.FocusOn(focus)
+	cycle := func() {
+		_, err1 := plain.RecommendationsK(5)
+		_, err2 := focused.RecommendationsK(5)
+		_, err3 := engine.Neighborhood(focus, nil, 10, true)
+		_, err4 := engine.Overview("linear", "", true)
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cycle() // the cold carousel scores every candidate once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }
 

@@ -218,12 +218,63 @@ func SortInsights(ins []Insight) {
 }
 
 // outranks reports whether a ranks strictly ahead of b under the
-// SortInsights order.
+// SortInsights order: descending score, ties by ascending Key().
 func outranks(a, b Insight) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
-	return a.Key() < b.Key()
+	return keyLess(&a, &b)
+}
+
+// keyPiece returns the i-th piece of in.Key() — class, "/", metric,
+// "/", then the attributes with a "," between them — and false past
+// the last one.
+func (in *Insight) keyPiece(i int) (string, bool) {
+	switch i {
+	case 0:
+		return in.Class, true
+	case 1, 3:
+		return "/", true
+	case 2:
+		return in.Metric, true
+	}
+	switch j := i - 4; {
+	case j >= 2*len(in.Attrs)-1:
+		return "", false
+	case j%2 == 1:
+		return ",", true
+	default:
+		return in.Attrs[j/2], true
+	}
+}
+
+// keyLess reports a.Key() < b.Key() without building either string:
+// it walks the two keys piece by piece as one byte stream each. The
+// fields cannot be compared one at a time instead, because a name may
+// hold bytes that sort below the separators.
+func keyLess(a, b *Insight) bool {
+	ai, bi := 0, 0
+	as, aok := a.keyPiece(0)
+	bs, bok := b.keyPiece(0)
+	for {
+		for aok && as == "" {
+			ai++
+			as, aok = a.keyPiece(ai)
+		}
+		for bok && bs == "" {
+			bi++
+			bs, bok = b.keyPiece(bi)
+		}
+		if !aok || !bok {
+			// A key that ends first is a proper prefix, hence smaller.
+			return !aok && bok
+		}
+		n := min(len(as), len(bs))
+		if as[:n] != bs[:n] {
+			return as[:n] < bs[:n]
+		}
+		as, bs = as[n:], bs[n:]
+	}
 }
 
 // validateMetric resolves metric ("" = default) against supported and

@@ -74,33 +74,41 @@ type inflightSlot struct {
 }
 
 // scoreCache is the concurrent, generation-stamped memo plus the
-// singleflight map. All fields are guarded by mu; scoring itself runs
-// outside the lock.
+// singleflight map and the class views (view.go). All fields are
+// guarded by mu; scoring itself runs outside the lock.
 type scoreCache struct {
 	mu       sync.Mutex
 	gen      uint64
 	entries  map[cacheKey]core.Insight
 	inflight map[cacheKey]*inflightSlot
+	views    map[viewKey]*classView
 	hits     uint64
 	misses   uint64
 	waits    uint64
 }
 
 func newScoreCache() *scoreCache {
-	return &scoreCache{
-		entries:  make(map[cacheKey]core.Insight),
-		inflight: make(map[cacheKey]*inflightSlot),
-	}
+	sc := &scoreCache{}
+	sc.reset()
+	return sc
 }
 
-// invalidate starts a new generation: memoized entries are dropped and
-// in-flight computations from the old generation publish nowhere.
-// Counters survive so hit ratios remain observable across frames.
+// reset empties the generation's state; the caller holds mu (or is
+// the constructor).
+func (sc *scoreCache) reset() {
+	sc.entries = make(map[cacheKey]core.Insight)
+	sc.inflight = make(map[cacheKey]*inflightSlot)
+	sc.views = make(map[viewKey]*classView)
+}
+
+// invalidate starts a new generation: memoized entries and class
+// views are dropped and in-flight computations from the old generation
+// publish nowhere. Counters survive so hit ratios remain observable
+// across frames.
 func (sc *scoreCache) invalidate() {
 	sc.mu.Lock()
 	sc.gen++
-	sc.entries = make(map[cacheKey]core.Insight)
-	sc.inflight = make(map[cacheKey]*inflightSlot)
+	sc.reset()
 	sc.mu.Unlock()
 }
 

@@ -159,10 +159,36 @@ func insightsEqual(a, b []core.Insight) bool {
 	return true
 }
 
+// oracleRecommendations is the reference for Session.RecommendationsK:
+// per class, every insight ordered by (blended score desc, key asc),
+// then cut at k.
+func oracleRecommendations(t *testing.T, s *Session, k int) []Result {
+	t.Helper()
+	var want []Result
+	for _, r := range oracleExecute(t, s.engine, Query{Approx: s.Approx}) {
+		ranked := append([]core.Insight(nil), r.Insights...)
+		blended := func(in core.Insight) float64 {
+			return in.Score / r.Insights[0].Score * (s.Blend + (1-s.Blend)*s.relevance(in.Attrs))
+		}
+		if len(s.Focus) > 0 && r.Insights[0].Score > 0 {
+			sort.SliceStable(ranked, func(i, j int) bool {
+				if a, b := blended(ranked[i]), blended(ranked[j]); a != b {
+					return a > b
+				}
+				return ranked[i].Key() < ranked[j].Key()
+			})
+		}
+		if k > 0 && k < len(ranked) {
+			ranked = ranked[:k]
+		}
+		want = append(want, Result{Class: r.Class, Metric: r.Metric, Insights: ranked})
+	}
+	return want
+}
+
 // TestRecommendationsMatchSortThenTruncate pins the carousel rank
-// stage to its definition: per class, every insight ordered by
-// (blended score desc, key asc), then cut at k — focused and
-// unfocused, for k below, at and beyond the class sizes.
+// stage to its definition, focused and unfocused, for k below, at and
+// beyond the class sizes.
 func TestRecommendationsMatchSortThenTruncate(t *testing.T) {
 	e := newTestEngine(t, 600, 17)
 	s := NewSession(e, 5, false)
@@ -174,26 +200,7 @@ func TestRecommendationsMatchSortThenTruncate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []Result
-			for _, r := range all {
-				ranked := append([]core.Insight(nil), r.Insights...)
-				blended := func(in core.Insight) float64 {
-					return in.Score / r.Insights[0].Score * (s.Blend + (1-s.Blend)*s.relevance(in))
-				}
-				if len(focus) > 0 && r.Insights[0].Score > 0 {
-					sort.SliceStable(ranked, func(i, j int) bool {
-						if a, b := blended(ranked[i]), blended(ranked[j]); a != b {
-							return a > b
-						}
-						return ranked[i].Key() < ranked[j].Key()
-					})
-				}
-				if k < len(ranked) {
-					ranked = ranked[:k]
-				}
-				want = append(want, Result{Class: r.Class, Metric: r.Metric, Insights: ranked})
-			}
-			if !reflect.DeepEqual(got, want) {
+			if want := oracleRecommendations(t, s, k); !reflect.DeepEqual(got, want) {
 				t.Errorf("focus %d k=%d: carousels differ from sort-then-truncate", len(focus), k)
 			}
 		}

@@ -15,6 +15,10 @@ import (
 // space" (Figure 2): the metric value of every tuple in the class,
 // arranged for display as a heat map (arity 2) or a ranked bar list
 // (arity 1).
+//
+// The engine assembles one Overview per (class, metric, backend) and
+// generation and hands the same value to every caller: it is shared
+// and read-only, slices included.
 type Overview struct {
 	Class  string `json:"class"`
 	Metric string `json:"metric"`
@@ -30,7 +34,8 @@ type Overview struct {
 	// set and Values is symmetric (e.g. the pairwise correlation heat
 	// map).
 	Symmetric bool `json:"symmetric"`
-	// Insights lists every scored tuple, ranked by strength.
+	// Insights lists every tuple with a defined score, ranked by
+	// strength.
 	Insights []core.Insight `json:"insights"`
 }
 
@@ -42,68 +47,95 @@ func (e *Engine) Overview(className, metric string, approx bool) (*Overview, err
 }
 
 // OverviewContext is Overview with a context; a trace on ctx records
-// candidate-enumeration, scoring, and matrix-assembly spans.
-// Cancellation is honored between enumeration, scoring, and assembly:
-// once ctx is done the overview returns ctx.Err() promptly and the
-// engine's cancellation counter increments.
+// the spans of building the class view when this is the first request
+// of the generation to need it. Once ctx is done the overview returns
+// ctx.Err() promptly and the engine's cancellation counter increments.
 func (e *Engine) OverviewContext(ctx context.Context, className, metric string, approx bool) (*Overview, error) {
+	v, _, err := e.overviewView(ctx, className, metric, approx)
+	if err != nil {
+		return nil, err
+	}
+	return v.overview, nil
+}
+
+// OverviewJSON returns the bytes a json.Encoder writes for the
+// Overview that OverviewContext returns, and the cache generation they
+// were computed against. The body is encoded once per generation and
+// shared: callers must not modify it. An overview holding a value JSON
+// cannot represent fails with a *json.UnsupportedValueError.
+func (e *Engine) OverviewJSON(ctx context.Context, className, metric string, approx bool) (body []byte, generation uint64, err error) {
+	v, gen, err := e.overviewView(ctx, className, metric, approx)
+	if err != nil {
+		return nil, 0, err
+	}
+	body, err = v.overviewJSON()
+	return body, gen, err
+}
+
+// overviewView is one overview operation: it validates the request,
+// fetches (or builds) the class view that holds the overview, and
+// records the operation's metrics and telemetry.
+func (e *Engine) overviewView(ctx context.Context, className, metric string, approx bool) (*classView, uint64, error) {
 	start := time.Now()
 	defer e.observeOp("overview", start)
 	if err := ctx.Err(); err != nil {
-		return nil, e.noteCancel(err)
+		return nil, 0, e.noteCancel(err)
 	}
 	c, ok := e.registry.Lookup(className)
 	if !ok {
-		return nil, fmt.Errorf("query: unknown insight class %q", className)
+		return nil, 0, fmt.Errorf("query: unknown insight class %q", className)
 	}
 	if metric != "" && !supportsMetric(c, metric) {
-		return nil, fmt.Errorf("query: class %q does not support metric %q", className, metric)
+		return nil, 0, fmt.Errorf("query: class %q does not support metric %q", className, metric)
 	}
 	if c.Arity() > 2 {
-		return nil, fmt.Errorf("query: class %q (arity %d) has no overview visualization", className, c.Arity())
+		return nil, 0, fmt.Errorf("query: class %q (arity %d) has no overview visualization", className, c.Arity())
 	}
 	snap := e.snapshot()
 	if approx && snap.profile == nil {
-		return nil, fmt.Errorf("query: approximate overview requires a preprocessed profile")
+		return nil, 0, fmt.Errorf("query: approximate overview requires a preprocessed profile")
 	}
-	resolvedMetric := metric
-	if resolvedMetric == "" {
-		resolvedMetric = c.Metrics()[0]
+	if metric == "" {
+		metric = c.Metrics()[0]
 	}
-	ov := &Overview{Class: className, Metric: resolvedMetric}
-
-	// Score every candidate through the pass Execute uses, with
-	// nothing to prune against (an overview shows every tuple), so
-	// SetWorkers parallelizes heat maps and repeated overviews hit the
-	// memo. Slots with an empty Class mark tuples whose scoring errored.
-	tr := obs.TraceFrom(ctx)
-	endEnum := tr.StartSpan("enumerate:" + className)
-	cands := c.Candidates(snap.frame)
-	endEnum()
-	endScore := tr.StartSpan("score:" + className)
-	scored, _, err := e.scorePass(ctx, snap, c, cands, approx, resolvedMetric, 0, 0, math.Inf(1))
-	endScore()
+	// An overview shows every tuple, so it reads the view every other
+	// whole-class request of the generation reads.
+	v, err := e.viewOf(ctx, obs.TraceFrom(ctx), snap, c, metric, approx, true)
 	if err != nil {
-		return nil, e.noteCancel(err)
+		return nil, 0, e.noteCancel(err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, e.noteCancel(err)
+	if telem := e.telem.Load(); telem != nil {
+		// An overview emits every scored tuple (no top-k), so the
+		// sample has no margin and nothing is ever pruned; filtered
+		// counts the tuples whose metric was undefined or whose
+		// scoring errored.
+		telem.Record(telemetry.QuerySample{
+			Op:         "overview",
+			Generation: snap.gen,
+			DurationMS: time.Since(start).Seconds() * 1e3,
+			Classes:    []telemetry.ClassSample{v.sample},
+		})
 	}
-	defer tr.StartSpan("assemble:" + className)()
+	return v, snap.gen, nil
+}
 
+// assembleOverview arranges the scored slots of an arity-1 or arity-2
+// class (one per candidate; an empty Class marks a tuple whose scoring
+// errored) for display. ranked, the class's ranking, becomes the
+// overview's insight list.
+func assembleOverview(c core.Class, metric string, cands [][]string, scored, ranked []core.Insight) *Overview {
+	ov := &Overview{Class: c.Name(), Metric: metric, Insights: ranked}
 	switch c.Arity() {
 	case 1:
-		ov.RowAttrs = []string{resolvedMetric}
+		ov.RowAttrs = []string{metric}
 		ov.Values = [][]float64{nil}
 		for i, attrs := range cands {
-			in := scored[i]
 			ov.ColAttrs = append(ov.ColAttrs, attrs[0])
-			if in.Class == "" {
-				ov.Values[0] = append(ov.Values[0], math.NaN())
-				continue
+			raw := math.NaN()
+			if scored[i].Class != "" {
+				raw = scored[i].Raw
 			}
-			ov.Values[0] = append(ov.Values[0], in.Raw)
-			ov.Insights = append(ov.Insights, in)
+			ov.Values[0] = append(ov.Values[0], raw)
 		}
 	case 2:
 		rowIdx := map[string]int{}
@@ -143,7 +175,6 @@ func (e *Engine) OverviewContext(ctx context.Context, className, metric string, 
 			if ov.Symmetric {
 				ov.Values[ci][ri] = in.Raw
 			}
-			ov.Insights = append(ov.Insights, in)
 		}
 		if ov.Symmetric {
 			// Self-correlation diagonal for display parity with Fig. 2.
@@ -154,22 +185,7 @@ func (e *Engine) OverviewContext(ctx context.Context, className, metric string, 
 			}
 		}
 	}
-	core.SortInsights(ov.Insights)
-	if telem := e.telem.Load(); telem != nil {
-		// An overview emits every scored tuple (no top-k), so the
-		// sample has no margin and nothing is ever pruned; filtered
-		// counts the tuples whose metric was undefined or whose
-		// scoring errored.
-		telem.Record(telemetry.QuerySample{
-			Op:         "overview",
-			Generation: snap.gen,
-			DurationMS: time.Since(start).Seconds() * 1e3,
-			Classes: []telemetry.ClassSample{
-				classSample(className, len(cands), 0, len(cands)-len(ov.Insights), ov.Insights, math.NaN()),
-			},
-		})
-	}
-	return ov, nil
+	return ov
 }
 
 // sameAttrSets reports whether the first and second tuple positions

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,11 +56,40 @@ type Query struct {
 	Semantic frame.SemanticType `json:"semantic,omitempty"`
 }
 
-// Result groups the insights returned for one class.
+// Result groups the insights returned for one class. The Insights
+// slice is the caller's own; the Attrs and Details inside each insight
+// are shared with the engine's memo and read-only.
 type Result struct {
 	Class    string         `json:"class"`
 	Metric   string         `json:"metric"`
 	Insights []core.Insight `json:"insights"`
+}
+
+// ranking is one class's share of an engine operation, before it is
+// handed to a caller.
+type ranking struct {
+	class  string
+	metric string
+	// ins is ranked by strength and never empty.
+	ins []core.Insight
+	// keys is non-nil exactly when ins is a slice of the class's view
+	// (view.go): ins is then shared and read-only, and keys[i] is
+	// ins[i].Key(). Otherwise ins is a fresh slice.
+	keys []string
+}
+
+// results hands rankings to a caller: what aliases a class view is
+// copied on the way out.
+func results(rs []ranking) []Result {
+	var out []Result
+	for _, r := range rs {
+		ins := r.ins
+		if r.keys != nil {
+			ins = slices.Clone(ins)
+		}
+		out = append(out, Result{Class: r.class, Metric: r.metric, Insights: ins})
+	}
+	return out
 }
 
 // Engine executes insight queries against one dataset. The profile is
@@ -212,10 +242,11 @@ func (e *Engine) Execute(q Query) ([]Result, error) {
 }
 
 // ExecuteContext is Execute with a context. A trace attached to ctx
-// (obs.WithTrace) records named spans for each phase — parse,
-// per-class candidate enumeration, scoring, and ranking — so slow
-// queries show where their time went; without a trace the spans cost
-// one nil check each.
+// (obs.WithTrace) records named spans for each phase — parse, then
+// per class candidate enumeration, scoring, view building (when the
+// request builds the class view) and ranking — so slow queries show
+// where their time went; without a trace the spans cost one nil check
+// each.
 //
 // Cancellation is honored between phases and inside scoring: once ctx
 // is done the engine stops enumerating and dispatching candidates and
@@ -223,13 +254,16 @@ func (e *Engine) Execute(q Query) ([]Result, error) {
 // completed before the cutoff stay in the memo, so a retry resumes
 // warm). Early exits increment the engine's cancellation counter.
 func (e *Engine) ExecuteContext(ctx context.Context, q Query) ([]Result, error) {
-	return e.executeOp(ctx, q, "execute")
+	rs, err := e.executeOp(ctx, q, "execute")
+	return results(rs), err
 }
 
-// executeOp is ExecuteContext with an operation label: carousels and
+// executeOp is ExecuteContext with an operation label — carousels and
 // neighborhoods funnel through the same scoring path but report their
-// own op in the engine metrics and the insight-telemetry samples.
-func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]Result, error) {
+// own op in the engine metrics and the insight-telemetry samples — and
+// without the copy out of the class views, which the session and the
+// neighborhood read in place.
+func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]ranking, error) {
 	start := time.Now()
 	defer e.observeOp(op, start)
 	if err := ctx.Err(); err != nil {
@@ -261,7 +295,7 @@ func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]Result, e
 	endParse()
 	telem := e.telem.Load()
 	var samples []telemetry.ClassSample
-	var out []Result
+	var out []ranking
 	for _, c := range classes {
 		if err := ctx.Err(); err != nil {
 			return nil, e.noteCancel(err)
@@ -273,21 +307,19 @@ func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]Result, e
 			}
 			continue
 		}
-		ins, st, err := e.scoreClass(ctx, tr, snap, c, q, metric, maxScore, telem != nil)
+		if metric == "" {
+			metric = c.Metrics()[0]
+		}
+		r, st, err := e.scoreClass(ctx, tr, snap, c, q, metric, maxScore, telem != nil)
 		if err != nil {
 			return nil, e.noteCancel(err)
 		}
 		if telem != nil {
 			samples = append(samples, st)
 		}
-		if len(ins) == 0 {
-			continue
+		if len(r.ins) > 0 {
+			out = append(out, r)
 		}
-		m := metric
-		if m == "" {
-			m = c.Metrics()[0]
-		}
-		out = append(out, Result{Class: c.Name(), Metric: m, Insights: ins})
 	}
 	if telem != nil {
 		telem.Record(telemetry.QuerySample{
@@ -300,22 +332,56 @@ func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]Result, e
 	return out, nil
 }
 
-// scoreClass scores one class against the snapshot. When wantStats is
-// set (a telemetry store is attached) it also fills a ClassSample with
-// candidate/pruned/filtered/emitted counts, the emitted scores and
-// attribute tuples, and the top-k margin; otherwise the sample is zero
-// and no extra work happens on the hot path.
+// scoreClass ranks one class against the snapshot under the resolved
+// metric. When wantStats is set (a telemetry store is attached) it
+// also fills a ClassSample with candidate/pruned/filtered/emitted
+// counts, the emitted scores and attribute tuples, and the top-k
+// margin; otherwise the sample is zero and no extra work happens on
+// the hot path.
 //
-// The Margin telemetry is conservative: the strongest excluded
-// candidate may have been pruned rather than scored, so the reported
-// margin can exceed the true one. The returned insights are unaffected
-// (see the equivalence argument in score.go).
-func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c core.Class, q Query, metric string, maxScore float64, wantStats bool) ([]core.Insight, telemetry.ClassSample, error) {
+// A query that constrains no attribute ranks the whole class, and the
+// class view is that ranking: SortInsights is a total order, so the
+// insights within [MinScore, MaxScore] are one contiguous run of the
+// view, their top k is the head of that run, and the strongest
+// excluded insight is the one right after it — filter → top-k over
+// the scored candidates gives exactly this slice. Such a query reads
+// the generation's view when there is one and builds it when its own
+// pass would score every candidate anyway. Otherwise — Fixed or
+// Semantic set, or a top-k/MinScore query arriving before any view —
+// the candidates go through the bound-ordered per-candidate pass.
+//
+// The Margin telemetry of that pass is conservative: the strongest
+// excluded candidate may have been pruned rather than scored, so the
+// reported margin can exceed the true one. The returned insights are
+// unaffected (see the equivalence argument in score.go).
+func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c core.Class, q Query, metric string, maxScore float64, wantStats bool) (ranking, telemetry.ClassSample, error) {
+	r := ranking{class: c.Name(), metric: metric}
+	var st telemetry.ClassSample
+	if len(q.Fixed) == 0 && q.Semantic == frame.SemanticNone {
+		v, err := e.viewOf(ctx, tr, snap, c, metric, q.Approx, !prunes(c, snap, q.K, q.MinScore))
+		if err != nil {
+			return r, st, err
+		}
+		if v != nil {
+			defer tr.StartSpan("rank:" + r.class)()
+			lo, hi := v.scoreRange(q.MinScore, maxScore)
+			end, bestExcluded := hi, math.NaN()
+			if q.K > 0 && lo+q.K < hi {
+				end, bestExcluded = lo+q.K, v.ranked[lo+q.K].Score
+			}
+			r.ins, r.keys = v.ranked[lo:end], v.keys[lo:end]
+			if wantStats {
+				st = v.sample
+				if end-lo < len(v.ranked) {
+					st = classSample(r.class, v.candidates, 0, v.candidates-(hi-lo), r.ins, topKMargin(r.ins, bestExcluded))
+				}
+			}
+			return r, st, nil
+		}
+	}
 	// Filter candidates by the structural constraints first, then
-	// score (scorePass), then filter by strength and rank. The memo
-	// keys on the resolved metric so explicit default-metric queries
-	// and "" share entries.
-	endEnum := tr.StartSpan("enumerate:" + c.Name())
+	// score (scorePass), then filter by strength and rank.
+	endEnum := tr.StartSpan("enumerate:" + r.class)
 	var cands [][]string
 	for _, attrs := range c.Candidates(snap.frame) {
 		if !containsAll(attrs, q.Fixed) {
@@ -326,21 +392,17 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c
 		}
 		cands = append(cands, attrs)
 	}
-	resolved := metric
-	if resolved == "" {
-		resolved = c.Metrics()[0]
-	}
 	endEnum()
 	if err := ctx.Err(); err != nil {
-		return nil, telemetry.ClassSample{}, err
+		return r, st, err
 	}
-	endScore := tr.StartSpan("score:" + c.Name())
-	scored, pruned, err := e.scorePass(ctx, snap, c, cands, q.Approx, resolved, q.K, q.MinScore, maxScore)
+	endScore := tr.StartSpan("score:" + r.class)
+	scored, pruned, err := e.scorePass(ctx, snap, c, cands, q.Approx, metric, q.K, q.MinScore, maxScore)
 	endScore()
 	if err != nil {
-		return nil, telemetry.ClassSample{}, err
+		return r, st, err
 	}
-	defer tr.StartSpan("rank:" + c.Name())()
+	defer tr.StartSpan("rank:" + r.class)()
 	ins := make([]core.Insight, 0, len(scored)-pruned)
 	for _, in := range scored {
 		// Skipped slots and undefined metrics are NaN.
@@ -349,11 +411,12 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c
 		}
 		ins = append(ins, in)
 	}
-	top, bestExcluded := core.TopKExcluded(ins, q.K)
-	if !wantStats {
-		return top, telemetry.ClassSample{}, nil
+	var bestExcluded float64
+	r.ins, bestExcluded = core.TopKExcluded(ins, q.K)
+	if wantStats {
+		st = classSample(r.class, len(cands), pruned, len(cands)-pruned-len(ins), r.ins, topKMargin(r.ins, bestExcluded))
 	}
-	return top, classSample(c.Name(), len(cands), pruned, len(cands)-pruned-len(ins), top, topKMargin(top, bestExcluded)), nil
+	return r, st, nil
 }
 
 // classSample is the telemetry record of one class's scoring pass:
@@ -426,14 +489,7 @@ func supportsMetric(c core.Class, metric string) bool {
 
 func containsAll(attrs, fixed []string) bool {
 	for _, f := range fixed {
-		found := false
-		for _, a := range attrs {
-			if a == f {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(attrs, f) {
 			return false
 		}
 	}
@@ -459,5 +515,6 @@ func (e *Engine) Carousels(k int, approx bool) ([]Result, error) {
 // the same scoring path as ExecuteContext but reports op "carousels"
 // in the engine metrics and telemetry.
 func (e *Engine) CarouselsContext(ctx context.Context, k int, approx bool) ([]Result, error) {
-	return e.executeOp(ctx, Query{K: k, Approx: approx}, "carousels")
+	rs, err := e.executeOp(ctx, Query{K: k, Approx: approx}, "carousels")
+	return results(rs), err
 }

@@ -75,6 +75,15 @@ func (e *Engine) PruneStats() PruneStats {
 // keeps it out of every ranking.
 var skipped = core.Insight{Score: math.NaN()}
 
+// prunes reports whether a pass over c's candidates takes the
+// bound-ordered branch: the class has bounds, the snapshot has the
+// profile they are computed from, and the query has a top-k cut or a
+// strength floor for them to fall below.
+func prunes(c core.Class, snap snapshot, k int, minScore float64) bool {
+	_, bounded := c.(core.Bounder)
+	return bounded && snap.profile != nil && (k > 0 || minScore > 0)
+}
+
 // scoreOne scores a single candidate tuple, folding scoring errors
 // into a skipped slot. This is the unit of work both the worker pool
 // and the memo operate on.
@@ -117,8 +126,7 @@ func (e *Engine) scorePass(ctx context.Context, snap snapshot, c core.Class, can
 	}
 	misses := e.cache.peek(snap.gen, keys, out)
 
-	_, bounded := c.(core.Bounder)
-	if !bounded || snap.profile == nil || (k <= 0 && minScore <= 0) {
+	if !prunes(c, snap, k, minScore) {
 		// No bounds, or nothing to prune against: score every miss.
 		if len(misses) > 0 {
 			if err := e.scoreMisses(ctx, snap, c, cands, keys, misses, out, approx, metric); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"foresight/internal/core"
 	"foresight/internal/obs"
@@ -35,25 +36,26 @@ func Similarity(a, b core.Insight) float64 {
 	return 0.5*jac + 0.5*scoreProx
 }
 
+// jaccard is |a ∩ b| / |a ∪ b| over attribute tuples (1 for two empty
+// ones). Tuples hold at most three attributes, so membership is a
+// scan, not a set.
 func jaccard(a, b []string) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	set := map[string]bool{}
-	for _, s := range a {
-		set[s] = true
+	union := 0
+	for i, s := range a {
+		if !slices.Contains(a[:i], s) {
+			union++
+		}
 	}
 	inter := 0
-	union := len(set)
 	for _, s := range b {
-		if set[s] {
+		if slices.Contains(a, s) {
 			inter++
 		} else {
 			union++
 		}
-	}
-	if union == 0 {
-		return 0
 	}
 	return float64(inter) / float64(union)
 }
@@ -67,13 +69,13 @@ func (e *Engine) Neighborhood(focus core.Insight, classes []string, k int, appro
 
 // NeighborhoodContext is Neighborhood with a context; a trace on ctx
 // records the underlying query's spans plus a similarity-ranking span.
-// Cancellation is inherited from the underlying ExecuteContext and
-// re-checked before the similarity ranking.
+// Cancellation is inherited from the underlying query and re-checked
+// before the similarity ranking.
 func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, classes []string, k int, approx bool) ([]core.Insight, error) {
 	// executeOp labels the metrics sample and the telemetry record
-	// "neighborhood" (the similarity ranking below rides on top of one
-	// ordinary scoring pass).
-	res, err := e.executeOp(ctx, Query{Classes: classes, Approx: approx}, "neighborhood")
+	// "neighborhood". The query constrains nothing, so every ranking
+	// is a class view, read in place with its kept keys.
+	rs, err := e.executeOp(ctx, Query{Classes: classes, Approx: approx}, "neighborhood")
 	if err != nil {
 		return nil, err
 	}
@@ -81,18 +83,12 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 		return nil, e.noteCancel(err)
 	}
 	defer obs.StartSpan(ctx, "similarity")()
-	var all []ranked
-	focusKey := focus.Key()
-	for _, r := range res {
-		for i := range r.Insights {
-			in := &r.Insights[i]
-			if key := in.Key(); key != focusKey {
-				all = append(all, ranked{in, Similarity(focus, *in), key})
-			}
-		}
+	n := 0
+	for _, r := range rs {
+		n += len(r.ins)
 	}
 	// Similarity desc, then strength desc, then key.
-	return topRanked(all, k, func(a, b ranked) bool {
+	top := newTopRanked(n, k, func(a, b ranked) bool {
 		if a.score != b.score {
 			return a.score > b.score
 		}
@@ -100,7 +96,16 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 			return a.in.Score > b.in.Score
 		}
 		return a.key < b.key
-	}), nil
+	})
+	focusKey := focus.Key()
+	for _, r := range rs {
+		for i := range r.ins {
+			if r.keys[i] != focusKey {
+				top.Offer(ranked{&r.ins[i], Similarity(focus, r.ins[i]), r.keys[i]})
+			}
+		}
+	}
+	return insightsOf(top), nil
 }
 
 // ranked is an insight with what a rank stage orders it by — a score
@@ -112,14 +117,22 @@ type ranked struct {
 	key   string
 }
 
-// topRanked returns the k first insights of all under before (all of
-// them, sorted, when k ≤ 0). before must be a total order — keys are
+// newTopRanked selects the k first of up to n insights under before
+// (all n, sorted, when k ≤ 0). before must be a total order — keys are
 // unique, so ending on the key makes it one — which is what makes the
 // O(n log k) selection equal to sorting and truncating.
-func topRanked(all []ranked, k int, before func(a, b ranked) bool) []core.Insight {
-	top := core.TopKFunc(all, k, before)
-	out := make([]core.Insight, len(top))
-	for i, r := range top {
+func newTopRanked(n, k int, before func(a, b ranked) bool) *core.KBest[ranked] {
+	if k <= 0 || k > n {
+		k = n
+	}
+	return core.NewKBest(k, before)
+}
+
+// insightsOf copies the selected insights out in rank order.
+func insightsOf(top *core.KBest[ranked]) []core.Insight {
+	sorted := top.Sorted()
+	out := make([]core.Insight, len(sorted))
+	for i, r := range sorted {
 		out[i] = *r.in
 	}
 	return out
@@ -179,10 +192,10 @@ func (s *Session) Unfocus(key string) bool {
 
 // relevance is the maximum attribute overlap between attrs and any
 // focused insight (0 when nothing is focused).
-func (s *Session) relevance(in core.Insight) float64 {
+func (s *Session) relevance(attrs []string) float64 {
 	best := 0.0
 	for _, f := range s.Focus {
-		if j := jaccard(f.Attrs, in.Attrs); j > best {
+		if j := jaccard(f.Attrs, attrs); j > best {
 			best = j
 		}
 	}
@@ -213,7 +226,9 @@ func (s *Session) RecommendationsK(k int) ([]Result, error) {
 // The underlying scoring pass is labeled "carousels" in the engine
 // metrics and telemetry — this is the carousel view's serving path.
 func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result, error) {
-	res, err := s.engine.executeOp(ctx, Query{Approx: s.Approx}, "carousels")
+	// The query constrains nothing, so every ranking is a class view:
+	// read in place, with only the carousels copied out.
+	rs, err := s.engine.executeOp(ctx, Query{Approx: s.Approx}, "carousels")
 	if err != nil {
 		return nil, err
 	}
@@ -222,34 +237,32 @@ func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result,
 	if blend <= 0 || blend > 1 {
 		blend = 0.5
 	}
-	out := make([]Result, 0, len(res))
-	for _, r := range res {
-		// r.Insights is non-empty and ranked by strength.
-		maxScore := r.Insights[0].Score
+	out := make([]Result, 0, len(rs))
+	for _, r := range rs {
+		maxScore := r.ins[0].Score
 		var carousel []core.Insight
 		if len(s.Focus) > 0 && maxScore > 0 {
-			all := make([]ranked, len(r.Insights))
-			for i := range r.Insights {
-				in := &r.Insights[i]
-				all[i] = ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(*in)), in.Key()}
-			}
 			// Blended score desc, then key.
-			carousel = topRanked(all, k, func(a, b ranked) bool {
+			top := newTopRanked(len(r.ins), k, func(a, b ranked) bool {
 				if a.score != b.score {
 					return a.score > b.score
 				}
 				return a.key < b.key
 			})
+			for i := range r.ins {
+				in := &r.ins[i]
+				top.Offer(ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(in.Attrs)), r.keys[i]})
+			}
+			carousel = insightsOf(top)
 		} else {
 			// Already ranked by strength: the carousel is its head.
-			n := len(r.Insights)
+			n := len(r.ins)
 			if k > 0 && k < n {
 				n = k
 			}
-			carousel = make([]core.Insight, n)
-			copy(carousel, r.Insights)
+			carousel = slices.Clone(r.ins[:n])
 		}
-		out = append(out, Result{Class: r.Class, Metric: r.Metric, Insights: carousel})
+		out = append(out, Result{Class: r.class, Metric: r.metric, Insights: carousel})
 	}
 	return out, nil
 }

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"net/http"
@@ -572,17 +573,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]interface{}{"results": res})
 }
 
+// handleOverview serves a class's global view. The JSON reply — the
+// one multi-megabyte body of the API at hundreds of attributes — is a
+// pure function of (generation, class, metric, backend): the engine
+// keeps it encoded for the generation, and it carries a strong ETag so
+// a client that still holds it revalidates with If-None-Match and gets
+// a bodyless 304.
 func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
 	class := r.URL.Query().Get("class")
 	if class == "" {
 		class = "linear"
 	}
-	ov, err := s.engine.OverviewContext(r.Context(), class, r.URL.Query().Get("metric"), boolParam(r, "approx"))
-	if err != nil {
-		s.jsonError(w, r, http.StatusBadRequest, err)
-		return
-	}
+	metric, approx := r.URL.Query().Get("metric"), boolParam(r, "approx")
 	if r.URL.Query().Get("format") == "svg" {
+		ov, err := s.engine.OverviewContext(r.Context(), class, metric, approx)
+		if err != nil {
+			s.jsonError(w, r, http.StatusBadRequest, err)
+			return
+		}
 		defer obs.StartSpan(r.Context(), "render")()
 		w.Header().Set("Content-Type", "image/svg+xml")
 		title := fmt.Sprintf("%s overview (%s)", ov.Class, ov.Metric)
@@ -594,7 +602,43 @@ func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
 		_, _ = fmt.Fprint(w, viz.CorrelogramSVG(ov.RowAttrs, ov.Values, title))
 		return
 	}
-	s.writeJSON(w, ov)
+	body, gen, err := s.engine.OverviewJSON(r.Context(), class, metric, approx)
+	var unencodable *json.UnsupportedValueError
+	switch {
+	case errors.As(err, &unencodable):
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	case err != nil:
+		s.jsonError(w, r, http.StatusBadRequest, err)
+		return
+	}
+	// The process start time keeps a tag from outliving a restart,
+	// where generations count from zero again.
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d\x00%d\x00%s\x00%s\x00%t", s.start.UnixNano(), gen, class, metric, approx)
+	etag := `"` + strconv.FormatUint(h.Sum64(), 16) + `"`
+	w.Header().Set("ETag", etag)
+	w.Header().Set("Cache-Control", "no-cache")
+	if etagMatches(r.Header.Get("If-None-Match"), etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
+}
+
+// etagMatches reports whether an If-None-Match header value names
+// etag: "*", or a comma-separated list of entity tags compared weakly
+// (RFC 9110 §13.1.2), so a W/ prefix is ignored.
+func etagMatches(header, etag string) bool {
+	for _, tag := range strings.Split(header, ",") {
+		tag = strings.TrimSpace(tag)
+		if tag == "*" || strings.TrimPrefix(tag, "W/") == etag {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
