@@ -285,11 +285,11 @@ func BenchmarkProjectColumns(b *testing.B) {
 	}
 }
 
-// ingestBenchFrame is a base×(16+2) frame and the 250-row batch the
+// ingestBenchFrame is a base×(numeric+cats) frame and the batch the
 // ingest benchmarks append to it (its own first rows, as string cells).
-func ingestBenchFrame(base int) (*frame.Frame, frame.RowBatch) {
-	f := datagen.Scalable(datagen.ScalableConfig{Rows: base, NumericCols: 16, CatCols: 2, Seed: 5})
-	batch := frame.RowBatch{Records: make([][]string, 250)}
+func ingestBenchFrame(base, numeric, cats, batchRows int) (*frame.Frame, frame.RowBatch) {
+	f := datagen.Scalable(datagen.ScalableConfig{Rows: base, NumericCols: numeric, CatCols: cats, Seed: 5})
+	batch := frame.RowBatch{Records: make([][]string, batchRows)}
 	for r := range batch.Records {
 		rec := make([]string, f.Cols())
 		for c := range rec {
@@ -302,13 +302,26 @@ func ingestBenchFrame(base int) (*frame.Frame, frame.RowBatch) {
 
 // BenchmarkExtend is the sketch half of one ingest acknowledgement: a
 // 250-row batch folded into the profile of a base of 8K, 32K and 128K
-// rows (K fixed so the bases differ in nothing else). O(batch) means
-// ns/op is flat across the bases.
+// rows × (16+2) (K fixed so the bases differ in nothing else) — O(batch)
+// means ns/op is flat across the bases — and, at the repository
+// benchmark's ingest shape, 30 000 rows × (48+4) under the default
+// sizes, a 250-row and a 10-row batch: what the small one still costs
+// is the per-profile overhead.
 func BenchmarkExtend(b *testing.B) {
-	for _, base := range []int{8 << 10, 32 << 10, 128 << 10} {
-		b.Run(fmt.Sprintf("base=%dk", base>>10), func(b *testing.B) {
-			f, batch := ingestBenchFrame(base)
-			p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, K: 256})
+	for _, c := range []struct {
+		name                      string
+		base, numeric, cats, rows int
+		cfg                       sketch.ProfileConfig
+	}{
+		{"base=8k", 8 << 10, 16, 2, 250, sketch.ProfileConfig{Seed: 1, K: 256}},
+		{"base=32k", 32 << 10, 16, 2, 250, sketch.ProfileConfig{Seed: 1, K: 256}},
+		{"base=128k", 128 << 10, 16, 2, 250, sketch.ProfileConfig{Seed: 1, K: 256}},
+		{"wide/batch=250", 30000, 48, 4, 250, sketch.ProfileConfig{Seed: 1}},
+		{"wide/batch=10", 30000, 48, 4, 10, sketch.ProfileConfig{Seed: 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			f, batch := ingestBenchFrame(c.base, c.numeric, c.cats, c.rows)
+			p := sketch.BuildProfile(f, c.cfg)
 			f2, err := f.AppendRows(batch, nil)
 			if err != nil {
 				b.Fatal(err)
@@ -328,7 +341,7 @@ func BenchmarkExtend(b *testing.B) {
 // successive 250-row appends onto a 20 000-row frame, each onto the
 // frame the one before returned, as live ingest does.
 func BenchmarkAppendRowsChain(b *testing.B) {
-	base, batch := ingestBenchFrame(20000)
+	base, batch := ingestBenchFrame(20000, 16, 2, 250)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -16,9 +16,9 @@ import (
 
 // runSelfcheck executes the sketch invariant suite against live
 // profiles of -data: ground-truth checks for every per-column sketch,
-// persist→load and Clone query identity, and cross-checks of the
-// partitioned/sharded/extend build paths against the sequential build
-// within -tol. With -profile it instead verifies an already-persisted
+// persist→load query identity, Extend leaving its receiver intact, and
+// cross-checks of the partitioned/sharded/extend build paths against
+// the sequential build within -tol. With -profile it instead verifies an already-persisted
 // sketch store against the dataset it claims to summarize. It then
 // cross-checks the pruning contract — ScoreBound ≥ Score on sampled
 // candidates of every bounded insight class, both scoring paths —

@@ -47,7 +47,8 @@ type IngestResult struct {
 // The context is checked before the work starts and between the two
 // expensive phases (append, sketch delta); once the swap has happened
 // the batch is applied regardless of ctx. On error the engine is
-// untouched.
+// untouched, and so it is by a batch of no rows, which reports the
+// current row count and generation.
 func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.ReadCSVOptions) (IngestResult, error) {
 	defer e.observeOp("ingest", time.Now())
 	e.ingestMu.Lock()
@@ -62,6 +63,10 @@ func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.R
 	endAppend()
 	if err != nil {
 		return IngestResult{}, err
+	}
+	if f2.Rows() == snap.frame.Rows() {
+		// Nothing appended: nothing to publish, invalidate or log.
+		return IngestResult{TotalRows: f2.Rows(), Generation: snap.gen}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return IngestResult{}, e.noteCancel(err)

@@ -206,3 +206,43 @@ func TestIngestNoProfile(t *testing.T) {
 		t.Error("profile should stay nil on an exact-only engine")
 	}
 }
+
+// countingSink counts the batches the engine asks it to log.
+type countingSink struct{ batches int }
+
+func (s *countingSink) AppendBatch(frame.RowBatch, IngestResult) error {
+	s.batches++
+	return nil
+}
+
+// TestIngestEmptyBatch: a batch of no rows changes nothing — the frame,
+// the profile (Spearman sketches included, which an extension drops),
+// the generation and with it the memo — and is not logged.
+func TestIngestEmptyBatch(t *testing.T) {
+	f := testFrame(100, 9)
+	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, K: 32, Spearman: true})
+	e, err := NewEngine(f, core.NewRegistry(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &countingSink{}
+	e.SetDurableSink(sink)
+	gen := e.CacheStats().Generation
+
+	res, err := e.Ingest(context.Background(), frame.RowBatch{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RowsAppended != 0 || res.TotalRows != 100 || res.Generation != gen {
+		t.Errorf("empty ingest reported %+v, want 0 rows appended, 100 total, generation %d", res, gen)
+	}
+	if e.Frame() != f || e.Profile() != p {
+		t.Error("empty ingest published a new frame or profile")
+	}
+	if got := e.CacheStats().Generation; got != gen {
+		t.Errorf("empty ingest moved the generation %d → %d", gen, got)
+	}
+	if sink.batches != 0 {
+		t.Errorf("empty ingest was logged %d times", sink.batches)
+	}
+}

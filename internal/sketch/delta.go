@@ -10,61 +10,50 @@ import (
 // Incremental extension: the payoff of §3's mergeable sketches. When
 // rows are appended to a profiled dataset, a partial profile over
 // just the new rows folds into the existing store via Merge — no
-// rescan of the old rows. The only global state that cannot extend
-// incrementally is rebuilt from the new frame directly: the shared
-// row sample and per-column gathers (they index global rows), the
-// categorical dictionaries (appends can introduce new labels), and
-// rank (Spearman) projections, which are dropped — ranks are a global
-// transform of the whole column.
+// rescan of the old rows. The shared row sample extends too (it is
+// algorithm R over row indexes, see rowSampleSlot); only the rank
+// (Spearman) projections are dropped — ranks are a global transform of
+// the whole column.
 
-// Clone returns a deep copy of p sharing no mutable state with the
-// receiver, so the copy can be extended while readers keep querying
-// the original. Sketch RNGs are reseeded deterministically (same
-// contract as Save/Load round-trips: queries answer identically;
-// future updates remain valid sketch behavior).
-func (p *DatasetProfile) Clone() *DatasetProfile {
+// mergeTarget returns the profile Extend folds a delta into: a copy of
+// p that owns everything DatasetProfile.Merge writes in place — the
+// moments, the KLL compactors, the projection dots, the categorical
+// sketches — each copied once. What Merge replaces rather than writes
+// (the value reservoir, the sign bits) and what Extend itself replaces
+// (the row sample and its gathers) is shared with p until then. Rank
+// (Spearman) projections are left out: ranks cannot extend, and stale
+// ones would silently answer for the old rows only.
+func (p *DatasetProfile) mergeTarget() *DatasetProfile {
 	out := &DatasetProfile{
 		Rows:        p.Rows,
 		Numeric:     make(map[string]*NumericProfile, len(p.Numeric)),
 		Categorical: make(map[string]*CategoricalProfile, len(p.Categorical)),
-		RowSample:   &RowSample{Indexes: append([]int(nil), p.RowSample.Indexes...)},
+		RowSample:   p.RowSample,
 		Config:      p.Config,
 	}
 	for name, np := range p.Numeric {
-		c := &NumericProfile{
+		out.Numeric[name] = &NumericProfile{
 			Name:            np.Name,
 			Moments:         np.Moments,
-			Quantiles:       kllFromWire(kllToWire(np.Quantiles)),
-			Proj:            projectionFromWire(projectionToWire(np.Proj)),
+			Quantiles:       np.Quantiles.Clone(),
+			Proj:            &Projection{Dots: append([]float64(nil), np.Proj.Dots...), Rows: np.Proj.Rows, Seed: np.Proj.Seed},
 			ProjCenter:      np.ProjCenter,
-			Planes:          hyperplaneFromWire(hyperplaneToWire(np.Planes)),
-			Sample:          cloneReservoir(np.Sample),
-			RowSampleValues: append([]float64(nil), np.RowSampleValues...),
+			Planes:          np.Planes,
+			Sample:          np.Sample,
+			RowSampleValues: np.RowSampleValues,
 		}
-		if np.RankProj != nil {
-			c.RankProj = projectionFromWire(projectionToWire(np.RankProj))
-			c.RankPlanes = hyperplaneFromWire(hyperplaneToWire(np.RankPlanes))
-		}
-		out.Numeric[name] = c
 	}
 	for name, cp := range p.Categorical {
 		out.Categorical[name] = &CategoricalProfile{
 			Name:           cp.Name,
-			Heavy:          spaceSavingFromWire(spaceSavingToWire(cp.Heavy)),
-			Distinct:       kmvFromWire(kmvToWire(cp.Distinct)),
+			Heavy:          cp.Heavy.Clone(),
+			Distinct:       cp.Distinct.Clone(),
 			Rows:           cp.Rows,
-			RowSampleCodes: append([]int32(nil), cp.RowSampleCodes...),
+			RowSampleCodes: cp.RowSampleCodes,
 			Cardinality:    cp.Cardinality,
-			Dict:           append([]string(nil), cp.Dict...),
+			Dict:           cp.Dict,
 		}
 	}
-	return out
-}
-
-func cloneReservoir(s *Reservoir) *Reservoir {
-	out := NewReservoir(s.capacity, s.seed)
-	out.items = append(out.items, s.items...)
-	out.n = s.n
 	return out
 }
 
@@ -73,14 +62,16 @@ func cloneReservoir(s *Reservoir) *Reservoir {
 // f.Rows()) newly appended (Frame.AppendRows produces exactly this
 // shape). The new rows are profiled with the partition builder —
 // centered on the stored build-time projection centers so the partial
-// stays merge-compatible — and folded into a deep copy of p; the
-// receiver is never mutated, so concurrent readers holding p keep a
-// consistent store. The cost is O(appended rows) plus the copy of p,
-// whatever p.Rows is: the directions of the appended rows are drawn
-// from their own blocks of the stream (see ProjectColumns), not
-// reached by replaying it from row 0. Rank (Spearman) projections are
-// dropped from the result: ranks are a global transform that cannot be
-// extended row-incrementally.
+// stays merge-compatible — and folded by Merge into mergeTarget's copy
+// of p; the shared row sample is offered the new rows and only the
+// slots they take are regathered. The receiver is never mutated, so
+// concurrent readers holding p keep a consistent store; the result
+// shares with it what the batch left alone. The cost is O(appended
+// rows) plus one copy of the sketches, whatever p.Rows is, and the
+// result is a function of (what Save writes of p, f): a profile
+// reloaded from a snapshot extends to the same bytes. Rank (Spearman)
+// projections are dropped from the result. With no rows appended the
+// result is p itself.
 func (p *DatasetProfile) Extend(f *frame.Frame) (*DatasetProfile, error) {
 	defer observeSince("extend", time.Now())
 	return p.extend(f, 1)
@@ -123,39 +114,65 @@ func (p *DatasetProfile) extend(f *frame.Frame, shards int) (*DatasetProfile, er
 		}
 	}
 
-	out := p.Clone()
-	// Ranks cannot extend; leaving the stale projections in place would
-	// silently answer Spearman queries for the old rows only.
-	for _, np := range out.Numeric {
-		np.RankProj, np.RankPlanes = nil, nil
-	}
 	if f.Rows() == old {
-		return out, nil
+		return p, nil
 	}
+
+	copyStart := time.Now()
+	out := p.mergeTarget()
+	observeSince("extend.copy", copyStart)
 
 	cfg := out.Config
 	cfg.Spearman = false
+	deltaStart := time.Now()
 	var delta *DatasetProfile
 	if shards > 1 {
 		delta = shardedPartial(f, cfg, old, f.Rows(), centers, shards)
 	} else {
 		delta = buildPartitionProfile(f, cfg, old, f.Rows(), centers)
 	}
+	observeSince("extend.delta", deltaStart)
+
+	mergeStart := time.Now()
 	if err := out.Merge(delta); err != nil {
 		return nil, err
 	}
+	observeSince("extend.merge", mergeStart)
 
-	// Rebuild the global state that indexes or labels the whole frame.
-	out.RowSample = NewRowSample(f.Rows(), cfg.RowSampleSize, cfg.Seed+1)
+	// The state that indexes or labels the whole frame: offer the new
+	// rows to the row sample and regather the slots they took; take the
+	// dictionaries (appends can introduce labels) from the frame.
+	sampleStart := time.Now()
+	var slots []int
+	out.RowSample, slots = p.RowSample.extended(old, f.Rows(), cfg.RowSampleSize, cfg.Seed+1)
+	idx := out.RowSample.Indexes
 	for _, nc := range numeric {
-		out.Numeric[nc.Name()].RowSampleValues = out.RowSample.GatherFloats(nc.Values())
+		np := out.Numeric[nc.Name()]
+		np.RowSampleValues = regather(np.RowSampleValues, nc.Values(), idx, slots)
 	}
 	for _, cc := range categorical {
 		cp := out.Categorical[cc.Name()]
-		cp.RowSampleCodes = out.RowSample.GatherCodes(cc.Codes())
+		cp.RowSampleCodes = regather(cp.RowSampleCodes, cc.Codes(), idx, slots)
 		cp.Cardinality = cc.Cardinality()
-		cp.Dict = append([]string(nil), cc.Dict()...)
+		cp.Dict = cc.Dict()
 	}
+	observeSince("extend.rowsample", sampleStart)
 	out.Rows = f.Rows()
 	return out, nil
+}
+
+// regather returns a column's gather at the row sample idx, given its
+// gather at the sample idx extends and the slots the extension wrote:
+// a copy of old with those slots read afresh from col, or old itself
+// when there are none.
+func regather[T any](old, col []T, idx, slots []int) []T {
+	if len(slots) == 0 {
+		return old
+	}
+	out := make([]T, len(idx))
+	copy(out, old)
+	for _, j := range slots {
+		out[j] = col[idx[j]]
+	}
+	return out
 }

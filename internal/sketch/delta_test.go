@@ -1,57 +1,122 @@
 package sketch
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
+	"foresight/internal/datagen"
+	"foresight/internal/frame"
 	"foresight/internal/stats"
 )
 
-// TestMergeReservoirsUniform guards the prefix-bias fix: an
-// underfilled reservoir's item array is in stream order, so a merge
-// that consumed side prefixes would over-represent early-stream items.
+// TestMergeReservoirsUniform guards the prefix-bias fix: a
+// reservoir's item array is not in random order (underfilled it is in
+// stream order, and algorithm R overwrites in place), so a merge that
+// consumed side prefixes would over-represent early-stream items.
 // Values encode stream position; after merging, the taken items from
-// each side must cover that side's stream positions uniformly.
+// each side must cover that side's stream positions uniformly — both
+// when a side is replayed whole (1000 values under the capacity) and
+// when two subsampled sides go through the weighted draw.
 func TestMergeReservoirsUniform(t *testing.T) {
-	a := NewReservoir(1024, 1)
-	b := NewReservoir(1024, 2)
-	for i := 0; i < 1000; i++ {
-		a.Update(float64(i))        // side A: positions 0..999
-		b.Update(float64(1000 + i)) // side B: positions 1000..1999
-	}
-	m := mergeReservoirs(a, b, 7)
-	if m.Count() != 2000 {
-		t.Fatalf("merged count = %d, want 2000", m.Count())
-	}
-	if len(m.Sample()) != 1024 {
-		t.Fatalf("merged sample len = %d, want capacity 1024", len(m.Sample()))
-	}
-	fromA, lateA, lateB := 0, 0, 0
-	for _, v := range m.Sample() {
-		if v < 1000 {
-			fromA++
-			if v >= 500 {
-				lateA++
+	for _, per := range []int{1000, 6000} {
+		a := NewReservoir(1024, 1)
+		b := NewReservoir(1024, 2)
+		for i := 0; i < per; i++ {
+			a.Update(float64(i))       // side A: positions 0..per-1
+			b.Update(float64(per + i)) // side B: positions per..2·per-1
+		}
+		m := mergeReservoirs(a, b)
+		if m.Count() != uint64(2*per) {
+			t.Fatalf("per=%d: merged count = %d, want %d", per, m.Count(), 2*per)
+		}
+		if len(m.Sample()) != 1024 {
+			t.Fatalf("per=%d: merged sample len = %d, want capacity 1024", per, len(m.Sample()))
+		}
+		fromA, lateA, lateB := 0, 0, 0
+		for _, v := range m.Sample() {
+			if v < float64(per) {
+				fromA++
+				if v >= float64(per/2) {
+					lateA++
+				}
+			} else if v >= float64(per+per/2) {
+				lateB++
 			}
-		} else if v >= 1500 {
-			lateB++
+		}
+		fromB := len(m.Sample()) - fromA
+		// Side balance: each side contributed half the stream.
+		if fromA < 410 || fromA > 614 {
+			t.Errorf("per=%d: side A contributed %d/1024, want ≈512", per, fromA)
+		}
+		// Within-side uniformity: the second half of each stream must hold
+		// ≈half of that side's taken items. The prefix-bias bug put all of
+		// a side's taken items in its stream prefix.
+		if frac := float64(lateA) / float64(fromA); frac < 0.35 || frac > 0.65 {
+			t.Errorf("per=%d: late-stream share of side A = %.2f (%d/%d), want ≈0.5", per, frac, lateA, fromA)
+		}
+		if frac := float64(lateB) / float64(fromB); frac < 0.35 || frac > 0.65 {
+			t.Errorf("per=%d: late-stream share of side B = %.2f (%d/%d), want ≈0.5", per, frac, lateB, fromB)
 		}
 	}
-	fromB := len(m.Sample()) - fromA
-	// Side balance: each side contributed half the stream.
-	if fromA < 410 || fromA > 614 {
-		t.Errorf("side A contributed %d/1024, want ≈512", fromA)
+}
+
+// TestReservoirMergeReplay: merging a side that still holds its whole
+// stream is feeding that side's values to Update — on a copy, under
+// the receiver's seed, whichever side is the whole one.
+func TestReservoirMergeReplay(t *testing.T) {
+	fill := func(s *Reservoir, n int, from float64) *Reservoir {
+		for i := 0; i < n; i++ {
+			s.Update(from + float64(i))
+		}
+		return s
 	}
-	// Within-side uniformity: the second half of each stream must hold
-	// ≈half of that side's taken items. The prefix-bias bug put all of
-	// a side's taken items in its stream prefix.
-	if frac := float64(lateA) / float64(fromA); frac < 0.35 || frac > 0.65 {
-		t.Errorf("late-stream share of side A = %.2f (%d/%d), want ≈0.5", frac, lateA, fromA)
-	}
-	if frac := float64(lateB) / float64(fromB); frac < 0.35 || frac > 0.65 {
-		t.Errorf("late-stream share of side B = %.2f (%d/%d), want ≈0.5", frac, lateB, fromB)
+	for _, tc := range []struct {
+		name   string
+		na, nb int
+	}{
+		{"subsampled+whole", 5000, 40},
+		{"whole+whole", 30, 40},
+		{"whole+whole overflowing", 50, 40},
+		{"whole+subsampled", 40, 5000},
+		{"empty+whole", 0, 40},
+		{"empty+subsampled", 0, 5000},
+	} {
+		a := fill(NewReservoir(64, 11), tc.na, 0)
+		b := fill(NewReservoir(64, 12), tc.nb, 1e6)
+		aItems, bItems := slices.Clone(a.items), slices.Clone(b.items)
+
+		// The oracle: the other side's state under a's seed, fed the
+		// whole side value by value.
+		into, replay := a, b
+		if !b.whole() {
+			into, replay = b, a
+		}
+		want := &Reservoir{capacity: 64, items: slices.Clone(into.items), n: into.n, seed: a.seed}
+		for _, x := range replay.items {
+			want.Update(x)
+		}
+
+		got := mergeReservoirs(a, b)
+		if got.seed != a.seed || got.n != uint64(tc.na+tc.nb) || !slices.Equal(got.items, want.items) {
+			t.Errorf("%s: merge differs from replay (seed %d, n %d)", tc.name, got.seed, got.n)
+		}
+		if !slices.Equal(a.items, aItems) || !slices.Equal(b.items, bItems) || a.n != uint64(tc.na) || b.n != uint64(tc.nb) {
+			t.Errorf("%s: merge modified an argument", tc.name)
+		}
+		// And the result goes on as the oracle does.
+		for i := 0; i < 500; i++ {
+			got.Update(float64(-i))
+			want.Update(float64(-i))
+		}
+		if !slices.Equal(got.items, want.items) {
+			t.Errorf("%s: merged reservoir does not continue the replayed one's coins", tc.name)
+		}
 	}
 }
 
@@ -279,13 +344,182 @@ func TestProfileExtendErrors(t *testing.T) {
 	if _, err := p.Extend(sub); err == nil {
 		t.Error("extending onto a narrower frame should fail")
 	}
-	// Same row count returns a working clone.
-	p2 := BuildProfile(base, ProfileConfig{Seed: 1, K: 32})
-	same, err := p2.Extend(base)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestExtendZeroRows: with nothing appended there is nothing to extend,
+// and in particular nothing to drop — the rank (Spearman) sketches of
+// the receiver cover exactly the frame's rows. Extend and
+// ExtendSharded return the receiver.
+func TestExtendZeroRows(t *testing.T) {
+	f := testFrame(1000, 44)
+	p := BuildProfile(f, ProfileConfig{Seed: 1, K: 32, Spearman: true})
+	want := saveBytes(t, p)
+	for name, extend := range map[string]func() (*DatasetProfile, error){
+		"Extend":        func() (*DatasetProfile, error) { return p.Extend(f) },
+		"ExtendSharded": func() (*DatasetProfile, error) { return p.ExtendSharded(f, 4) },
+	} {
+		same, err := extend()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if same != p {
+			t.Errorf("%s of zero rows returned a new profile", name)
+		}
+		if _, err := same.EstimateSpearman("x", "y"); err != nil {
+			t.Errorf("%s of zero rows lost the Spearman sketches: %v", name, err)
+		}
 	}
-	if same == p2 || same.Rows != p2.Rows {
-		t.Errorf("same-rows Extend should clone: %v rows vs %v", same.Rows, p2.Rows)
+	if !slices.Equal(saveBytes(t, p), want) {
+		t.Error("zero-row Extend changed the receiver")
+	}
+}
+
+// rowsOf renders rows [from, to) of f as an ingest batch.
+func rowsOf(f *frame.Frame, from, to int) frame.RowBatch {
+	batch := frame.RowBatch{Records: make([][]string, 0, to-from)}
+	for r := from; r < to; r++ {
+		rec := make([]string, f.Cols())
+		for c := range rec {
+			rec[c] = f.Column(c).StringAt(r)
+		}
+		batch.Records = append(batch.Records, rec)
+	}
+	return batch
+}
+
+// TestExtendAfterLoadMatchesLive is the recovery invariant: Extend is a
+// function of (what Save writes of its receiver, the frame), so a
+// profile reloaded from a snapshot mid-stream and the live one it was
+// saved from extend to the same saved bytes. The small configuration
+// makes every batch overflow the reservoirs (the weighted merge draw)
+// and compact the quantile sketches; the default one takes the replay
+// path. The chain's row sample must also be the one a rebuild draws.
+func TestExtendAfterLoadMatchesLive(t *testing.T) {
+	src := testFrame(6*250, 6)
+	catCol := src.ColumnIndex("cat")
+	for _, cfg := range []ProfileConfig{
+		{Seed: 6, K: 64},
+		{Seed: 6, K: 64, KLLSize: 16, HeavyCapacity: 8, KMVSize: 16, SampleSize: 64, RowSampleSize: 128},
+	} {
+		for _, newLabels := range []bool{false, true} {
+			f := testFrame(3000, 5)
+			live := BuildProfile(f, cfg)
+			var reloaded *DatasetProfile
+			for i := 0; i < 6; i++ {
+				batch := rowsOf(src, i*250, (i+1)*250)
+				if newLabels {
+					for r, rec := range batch.Records {
+						rec[catCol] = fmt.Sprintf("batch%d-%d", i, r%7)
+					}
+				}
+				var err error
+				if f, err = f.AppendRows(batch, nil); err != nil {
+					t.Fatal(err)
+				}
+				if live, err = live.Extend(f); err != nil {
+					t.Fatal(err)
+				}
+				if reloaded != nil {
+					if reloaded, err = reloaded.Extend(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i == 2 {
+					if reloaded, err = LoadProfile(bytes.NewReader(saveBytes(t, live))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			label := fmt.Sprintf("sample=%d newLabels=%v", cfg.SampleSize, newLabels)
+			if !bytes.Equal(saveBytes(t, live), saveBytes(t, reloaded)) {
+				t.Errorf("%s: the live chain and the one reloaded after batch 3 save to different bytes", label)
+			}
+			rebuilt := BuildProfile(f, cfg)
+			if !slices.Equal(live.RowSample.Indexes, rebuilt.RowSample.Indexes) {
+				t.Errorf("%s: extended row sample differs from a rebuild's", label)
+			}
+			for name, np := range rebuilt.Numeric {
+				if !slices.Equal(live.Numeric[name].RowSampleValues, np.RowSampleValues) {
+					t.Errorf("%s: %s row-sample values differ from a rebuild's", label, name)
+				}
+			}
+			for name, cp := range rebuilt.Categorical {
+				if !slices.Equal(live.Categorical[name].RowSampleCodes, cp.RowSampleCodes) ||
+					!slices.Equal(live.Categorical[name].Dict, cp.Dict) {
+					t.Errorf("%s: %s row-sample codes or labels differ from a rebuild's", label, name)
+				}
+			}
+		}
+	}
+}
+
+// extendCost measures one Extend of p onto f: heap bytes and
+// allocations per call.
+func extendCost(t *testing.T, p *DatasetProfile, f *frame.Frame) (bytesPerOp, allocsPerOp float64) {
+	t.Helper()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := p.Extend(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(after.Mallocs-before.Mallocs) / runs
+}
+
+// TestExtendAllocationCeiling holds Extend to O(batch) in what it
+// allocates, the part of its cost a test can pin exactly. A 250-row
+// batch costs the same onto 8K rows as onto 128K — the copies are of
+// sketches, whose size does not follow the row count — and stays under
+// a ceiling that the clone by wire round trip it replaces did not
+// (2.67 MB in 1 489 allocations at this shape). A 10-row batch pays
+// the copies of what it writes and almost no delta: onto 128K rows,
+// where it seldom takes a row-sample slot and so shares the gathers, it
+// costs under a third of the ceiling; onto 8K rows it takes two or
+// three slots, copies the gathers (16 KB a column) like any larger
+// batch, and is held only to costing less than one.
+func TestExtendAllocationCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 128K-row profile")
+	}
+	const ceilingBytes, ceilingAllocs = 1.3e6, 1400
+	var cost [2][2]float64
+	for i, base := range []int{8 << 10, 128 << 10} {
+		f := datagen.Scalable(datagen.ScalableConfig{Rows: base, NumericCols: 16, CatCols: 2, Seed: 5})
+		p := BuildProfile(f, ProfileConfig{Seed: 1, K: 256})
+		f250, err := f.AppendRows(rowsOf(f, 0, 250), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, a := extendCost(t, p, f250)
+		cost[i] = [2]float64{b, a}
+		t.Logf("base %dK: 250-row Extend %.0f B/op, %.0f allocs/op", base>>10, b, a)
+		if b > ceilingBytes || a > ceilingAllocs {
+			t.Errorf("base %dK: 250-row Extend allocates %.0f B in %.0f allocations, ceiling %.0f B / %d",
+				base>>10, b, a, ceilingBytes, ceilingAllocs)
+		}
+		f10, err := f.AppendRows(rowsOf(f, 0, 10), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b10, a10 := extendCost(t, p, f10)
+		t.Logf("base %dK: 10-row Extend %.0f B/op, %.0f allocs/op", base>>10, b10, a10)
+		limit := b
+		if base == 128<<10 {
+			limit = ceilingBytes / 3
+		}
+		if b10 > limit || a10 > a {
+			t.Errorf("base %dK: 10-row Extend allocates %.0f B in %.0f allocations, want under %.0f B / %.0f",
+				base>>10, b10, a10, limit, a)
+		}
+	}
+	for k, what := range []string{"bytes", "allocations"} {
+		small, large := cost[0][k], cost[1][k]
+		if math.Abs(small-large) > 0.1*max(small, large) {
+			t.Errorf("250-row Extend %s/op: %.0f onto 8K rows, %.0f onto 128K — not O(batch)", what, small, large)
+		}
 	}
 }

@@ -190,12 +190,9 @@ const directionGranule = 256
 // reaching any row costs at most one granule of draws, whatever came
 // before it.
 func fillDirections(seed int64, b int, buf []float32) {
-	// splitmix64 finalizer: adjacent block indexes land on unrelated
-	// points of the generator's cycle.
-	z := uint64(b) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	rng := rand.New(rand.NewPCG(uint64(seed), z^(z>>31)))
+	// splitmix64: adjacent block indexes land on unrelated points of
+	// the generator's cycle.
+	rng := rand.New(rand.NewPCG(uint64(seed), mix64(uint64(b)+golden)))
 	for i := range buf {
 		buf[i] = float32(rng.NormFloat64())
 	}
@@ -222,8 +219,10 @@ func projectRange(cols [][]float64, means []float64, start, end int, cfg Project
 		return out
 	}
 	k := cfg.K
-	block := make([]float32, directionGranule*k)
-	for b := start / directionGranule; b*directionGranule < end; b++ {
+	// One block's directions, up to the last row of it the range reaches.
+	first := start / directionGranule
+	block := make([]float32, min(directionGranule, end-first*directionGranule)*k)
+	for b := first; b*directionGranule < end; b++ {
 		base := b * directionGranule
 		lo, hi := max(start, base), min(end, base+directionGranule)
 		fillDirections(cfg.Seed, b, block[:(hi-base)*k])

@@ -3,6 +3,8 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -252,53 +254,86 @@ func TestProjectionMergeAssociativity(t *testing.T) {
 	}
 }
 
-// TestDatasetProfileCloneAliasing: Clone must deep-copy every sketch,
-// so mutating the original afterwards cannot change any answer the
-// clone gives. Pinned here because aliasing bugs in Clone only
-// surface when someone mutates — queries alone never catch them.
-func TestDatasetProfileCloneAliasing(t *testing.T) {
+// TestExtendLeavesReceiverIntact: Extend copies what a merge writes and
+// shares the rest with its receiver, so an aliasing bug would show as
+// the old profile — the one concurrent queries still hold — changing
+// an answer or a saved byte. Readers hammer the receiver while a chain
+// of extensions runs off it (under -race a write to anything shared is
+// reported outright).
+func TestExtendLeavesReceiverIntact(t *testing.T) {
 	f := testFrame(2000, 9)
-	p := BuildProfile(f, ProfileConfig{Seed: 3})
-	c := p.Clone()
+	src := testFrame(1200, 10)
+	p := BuildProfile(f, ProfileConfig{Seed: 3, Spearman: true})
+	want := saveBytes(t, p)
 
 	type snapshot struct {
-		median, outlier, pearson, entropy, distinct float64
-		topItem                                     string
-		topCount                                    uint64
-		rowSample0                                  float64
+		median, outlier, pearson, spearman, entropy, distinct float64
+		topItem                                               string
+		topCount                                              uint64
+		rowSample0, rowSampleMean                             float64
 	}
 	take := func(p *DatasetProfile) snapshot {
 		var s snapshot
 		s.median = p.Numeric["x"].Quantiles.Median()
 		s.outlier = p.Numeric["x"].OutlierScoreEstimate(0)
 		s.pearson, _ = p.EstimatePearson("x", "y")
+		s.spearman, _ = p.EstimateSpearman("x", "y")
 		s.entropy = p.Categorical["cat"].EntropyEstimate()
 		s.distinct = p.Categorical["cat"].Distinct.Distinct()
 		top := p.Categorical["cat"].Heavy.Top(1)
 		s.topItem, s.topCount = top[0].Item, top[0].Count
 		s.rowSample0 = p.Numeric["x"].RowSampleValues[0]
+		s.rowSampleMean = p.Numeric["x"].RowSampleOrdered().Mean
 		return s
 	}
-	before := take(c)
+	before := take(p)
 
-	// Vandalize the original along every sketch family.
-	for i := 0; i < 5000; i++ {
-		p.Numeric["x"].Quantiles.Update(1e9)
-		p.Numeric["x"].Sample.Update(1e9)
-		p.Categorical["cat"].Heavy.Update("vandal")
-		p.Categorical["cat"].Distinct.Update(fmt.Sprintf("vandal-%d", i))
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := take(p); got != before {
+					t.Errorf("receiver answers changed during Extend:\n before %+v\n now    %+v", before, got)
+					return
+				}
+			}
+		}()
 	}
-	for i := range p.Numeric["x"].Proj.Dots {
-		p.Numeric["x"].Proj.Dots[i] = -p.Numeric["x"].Proj.Dots[i]
-	}
-	p.Numeric["x"].RowSampleValues[0] = math.Inf(1)
-	p.RowSample.Indexes[0] = 0
-	p.Numeric["x"].Moments.Add(1e12)
 
-	after := take(c)
-	if before != after {
-		t.Fatalf("clone answers changed after mutating the original:\n before %+v\n after  %+v",
-			before, after)
+	// Every link extends the one before it, which shares with p what no
+	// batch so far has written; each frame is also reached from p again.
+	cur, grown := p, f
+	for i := 0; i < 6; i++ {
+		var err error
+		if grown, err = grown.AppendRows(rowsOf(src, i*200, (i+1)*200), nil); err != nil {
+			t.Fatal(err)
+		}
+		if cur, err = cur.Extend(grown); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ExtendSharded(grown, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	readers.Wait()
+
+	if after := take(p); after != before {
+		t.Errorf("receiver answers changed after Extend:\n before %+v\n after  %+v", before, after)
+	}
+	if !slices.Equal(saveBytes(t, p), want) {
+		t.Error("receiver saves to different bytes after Extend")
+	}
+	if cur.Rows != 3200 || p.Rows != 2000 {
+		t.Errorf("rows: chain %d, receiver %d", cur.Rows, p.Rows)
 	}
 }
 

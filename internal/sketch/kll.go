@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 )
@@ -11,14 +10,15 @@ import (
 // mergeable summary supporting rank and quantile queries with uniform
 // additive rank error O(1/k). Foresight uses it for approximate
 // box-plot statistics (outlier insight), approximate ECDFs
-// (multimodality insight), and rank-grid Spearman estimates.
+// (multimodality insight), and rank-grid Spearman estimates. The
+// parity a compaction of level h keeps is coin(seed, h, n) at the
+// sketch's current count n.
 type KLL struct {
 	k          int
 	compactors [][]float64
 	size       int
 	maxSize    int
 	n          uint64
-	rng        *rand.Rand
 	seed       int64
 }
 
@@ -29,7 +29,7 @@ func NewKLL(k int, seed int64) *KLL {
 	if k < 8 {
 		k = 200
 	}
-	s := &KLL{k: k, rng: rand.New(rand.NewSource(seed)), seed: seed}
+	s := &KLL{k: k, seed: seed}
 	s.grow()
 	return s
 }
@@ -109,10 +109,7 @@ func (s *KLL) compress() {
 func (s *KLL) compactLevel(h int, buf []float64) []float64 {
 	items := s.compactors[h]
 	sort.Float64s(items)
-	offset := 0
-	if s.rng.Intn(2) == 1 {
-		offset = 1
-	}
+	offset := int(coin(s.seed, uint64(h), s.n) & 1)
 	for i := offset; i < len(items); i += 2 {
 		buf = append(buf, items[i])
 	}
@@ -144,11 +141,8 @@ func (s *KLL) K() int { return s.k }
 func (s *KLL) RankErrorBound() float64 { return 4.0 / float64(s.k) }
 
 // Clone returns a deep copy of the sketch. The copy answers the same
-// queries as the original and can be merged or updated independently.
-// Its compaction RNG restarts from the original's seed, so a clone's
-// future coin flips are deterministic but not a continuation of the
-// original's sequence — acceptable for snapshot/merge use, where the
-// clone is read or folded rather than streamed into at length.
+// queries as the original, can be merged or updated independently, and
+// given the same updates stays equal to it.
 func (s *KLL) Clone() *KLL {
 	c := &KLL{
 		k:       s.k,
@@ -156,11 +150,15 @@ func (s *KLL) Clone() *KLL {
 		maxSize: s.maxSize,
 		n:       s.n,
 		seed:    s.seed,
-		rng:     rand.New(rand.NewSource(s.seed)),
 	}
+	// One array for every level, each level's capacity clipped to its
+	// length: an append to a level moves it out instead of running into
+	// the next one.
 	c.compactors = make([][]float64, len(s.compactors))
+	buf := make([]float64, 0, s.size)
 	for h, items := range s.compactors {
-		c.compactors[h] = append([]float64(nil), items...)
+		buf = append(buf, items...)
+		c.compactors[h] = buf[len(buf)-len(items) : len(buf) : len(buf)]
 	}
 	return c
 }

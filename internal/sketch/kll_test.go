@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -151,6 +152,17 @@ func TestKLLClone(t *testing.T) {
 	s := NewKLL(64, 7)
 	for i := 0; i < 50000; i++ {
 		s.Update(rng.NormFloat64())
+	}
+	// A clone is a continuation: the same updates keep it equal to the
+	// original, compaction coins included.
+	twin := s.Clone()
+	for i := 0; i < 5000; i++ {
+		x := rng.NormFloat64()
+		s.Update(x)
+		twin.Update(x)
+	}
+	if !reflect.DeepEqual(s, twin) {
+		t.Error("a clone fed the original's updates diverged from it")
 	}
 	c := s.Clone()
 	if c.Count() != s.Count() || c.StoredItems() != s.StoredItems() || c.K() != s.K() {

@@ -27,7 +27,7 @@ func NewKMV(k int) *KMV {
 	if k < 16 {
 		k = 16
 	}
-	return &KMV{k: k, seen: make(map[uint64]struct{}, k)}
+	return &KMV{k: k, seen: make(map[uint64]struct{})}
 }
 
 func hash64(item string) uint64 {
@@ -96,6 +96,21 @@ func (s *KMV) Distinct() float64 {
 	}
 	// (k−1) / normalized k-th minimum.
 	return float64(s.k-1) / (maxHash / math.MaxUint64)
+}
+
+// Clone returns a deep copy of the sketch; the copy can be updated or
+// merged independently of the original.
+func (s *KMV) Clone() *KMV {
+	c := &KMV{
+		k:      s.k,
+		hashes: append([]uint64(nil), s.hashes...),
+		seen:   make(map[uint64]struct{}, len(s.seen)),
+		n:      s.n,
+	}
+	for h := range s.seen {
+		c.seen[h] = struct{}{}
+	}
+	return c
 }
 
 // Merge folds other into s: union the hash sets, keep the k smallest.

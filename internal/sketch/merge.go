@@ -3,7 +3,6 @@ package sketch
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"foresight/internal/frame"
@@ -54,10 +53,7 @@ func (p *DatasetProfile) Merge(other *DatasetProfile) error {
 				return err
 			}
 		}
-		// Reservoirs of disjoint partitions merge by weighted
-		// subsampling: keep each side's items with probability
-		// proportional to its stream share.
-		np.Sample = mergeReservoirs(np.Sample, onp.Sample, p.Config.Seed)
+		np.Sample = mergeReservoirs(np.Sample, onp.Sample)
 		// Derived bit vectors are rebuilt from the merged dots.
 		np.Planes = HyperplaneFromProjection(np.Proj)
 		if np.RankProj != nil {
@@ -85,54 +81,75 @@ func (p *DatasetProfile) Merge(other *DatasetProfile) error {
 }
 
 // mergeReservoirs combines two uniform samples over disjoint streams
-// into one approximately uniform sample of the union. Each draw picks
-// a side with probability proportional to that side's *remaining*
-// stream mass (so the side split tracks the hypergeometric
-// allocation), then takes a uniform not-yet-taken item from that
-// side's sample. The side samples are shuffled first: a reservoir's
-// item array is not in random order (an underfilled reservoir is in
-// stream order, and algorithm R overwrites in place), so consuming
-// prefixes would over-represent early-stream items.
-func mergeReservoirs(a, b *Reservoir, seed int64) *Reservoir {
-	if b == nil || b.Count() == 0 {
+// into one uniform sample of the union; neither argument is modified,
+// and the result continues a's coin stream (a's seed, the union's
+// count). A side that still holds its whole stream — every ingest batch
+// under the reservoir's capacity does — is replayed value by value
+// through algorithm R into a copy of the other side, which is exact
+// and costs O(that side). Two subsampled sides (shards of a sharded
+// build) are combined by a weighted draw that is only approximately
+// uniform: each draw picks a side with probability proportional to that
+// side's *remaining* stream mass (so the side split tracks the
+// hypergeometric allocation), then takes a uniform not-yet-taken item
+// of that side's sample. The item is drawn, not read off a prefix: a
+// reservoir's item array is not in random order (algorithm R overwrites
+// in place), so consuming prefixes would over-represent early-stream
+// items.
+func mergeReservoirs(a, b *Reservoir) *Reservoir {
+	if b.n == 0 {
 		return a
 	}
-	if a == nil || a.Count() == 0 {
-		return b
+	if b.whole() || a.whole() {
+		into, replay := a, b
+		if !b.whole() {
+			into, replay = b, a
+		}
+		out := &Reservoir{
+			capacity: a.capacity,
+			items:    append(make([]float64, 0, min(len(into.items)+len(replay.items), a.capacity)), into.items...),
+			n:        into.n,
+			seed:     a.seed,
+		}
+		for _, x := range replay.items {
+			out.Update(x)
+		}
+		return out
 	}
-	total := a.Count() + b.Count()
-	out := NewReservoir(a.capacity, seed+int64(total))
-	rng := rand.New(rand.NewSource(seed + int64(total) + 1))
-	as := append([]float64(nil), a.Sample()...)
-	bs := append([]float64(nil), b.Sample()...)
-	rng.Shuffle(len(as), func(i, j int) { as[i], as[j] = as[j], as[i] })
-	rng.Shuffle(len(bs), func(i, j int) { bs[i], bs[j] = bs[j], bs[i] })
+	total := a.n + b.n
+	// The draws of this merge are their own streams, keyed by where in
+	// a's stream the merge happens.
+	seed := int64(coin(a.seed, 1, total))
+	out := &Reservoir{capacity: a.capacity, items: make([]float64, 0, a.capacity), n: total, seed: a.seed}
+	as := append([]float64(nil), a.items...)
+	bs := append([]float64(nil), b.items...)
 	// Each sample item stands in for count/len(sample) stream items;
 	// decrement the side's remaining mass by that step per draw.
-	wa, wb := float64(a.Count()), float64(b.Count())
+	wa, wb := float64(a.n), float64(b.n)
 	stepA, stepB := wa/float64(len(as)), wb/float64(len(bs))
-	ai, bi := 0, 0
+	ai, bi := 0, 0 // items before these are taken
 	for len(out.items) < out.capacity && (ai < len(as) || bi < len(bs)) {
+		i := uint64(len(out.items))
 		pickA := bi >= len(bs) ||
-			(ai < len(as) && rng.Float64()*(wa+wb) < wa)
+			(ai < len(as) && unit(coin(seed, 0, i))*(wa+wb) < wa)
 		if pickA {
-			out.items = append(out.items, as[ai])
+			out.items = append(out.items, takeRemaining(as, ai, coin(seed, 1, i)))
 			ai++
-			wa -= stepA
+			wa = max(wa-stepA, 0)
 		} else {
-			out.items = append(out.items, bs[bi])
+			out.items = append(out.items, takeRemaining(bs, bi, coin(seed, 1, i)))
 			bi++
-			wb -= stepB
-		}
-		if wa < 0 {
-			wa = 0
-		}
-		if wb < 0 {
-			wb = 0
+			wb = max(wb-stepB, 0)
 		}
 	}
-	out.n = total
 	return out
+}
+
+// takeRemaining swaps a uniform item of xs[from:], chosen by coin c,
+// into xs[from] and returns it.
+func takeRemaining(xs []float64, from int, c uint64) float64 {
+	j := from + int(below(c, uint64(len(xs)-from)))
+	xs[from], xs[j] = xs[j], xs[from]
+	return xs[from]
 }
 
 // buildRangeSketches builds the row-local partial sketches of rows
@@ -142,7 +159,7 @@ func mergeReservoirs(a, b *Reservoir, seed int64) *Reservoir {
 // filled in by the caller. Zero-copy row views feed the update loops,
 // so a shard touches only its own window of each column. Per-column
 // sketch seeds are salted with the range start, so a given
-// (cfg, partitioning) is deterministic while distinct ranges draw
+// (cfg, partitioning) is deterministic while distinct ranges flip
 // independent compaction/sampling coins.
 func buildRangeSketches(f *frame.Frame, cfg ProfileConfig, start, end int) *DatasetProfile {
 	p := &DatasetProfile{
@@ -156,7 +173,7 @@ func buildRangeSketches(f *frame.Frame, cfg ProfileConfig, start, end int) *Data
 		np := &NumericProfile{
 			Name:      nc.Name(),
 			Quantiles: NewKLL(cfg.KLLSize, cfg.Seed+int64(i)*7+2+int64(start)),
-			Sample:    NewReservoir(cfg.SampleSize, cfg.Seed+int64(i)*7+3+int64(start)),
+			Sample:    NewReservoir(cfg.SampleSize, reservoirSeed(cfg.Seed, nc.Name())+int64(start)),
 		}
 		for _, v := range nc.ValuesRange(start, end) {
 			if math.IsNaN(v) {

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"foresight/internal/frame"
@@ -138,7 +139,7 @@ func TestMergeReservoirs(t *testing.T) {
 		a.Update(0) // stream A is all zeros
 		b.Update(1) // stream B is all ones
 	}
-	m := mergeReservoirs(a, b, 3)
+	m := mergeReservoirs(a, b)
 	if m.Count() != 2000 {
 		t.Fatalf("merged count = %d", m.Count())
 	}
@@ -153,11 +154,13 @@ func TestMergeReservoirs(t *testing.T) {
 		t.Errorf("merged sample has %d/100 ones, want ≈50", ones)
 	}
 	// Degenerate sides.
-	empty := NewReservoir(10, 1)
-	if got := mergeReservoirs(a, empty, 1); got != a {
+	empty := NewReservoir(100, 5)
+	if got := mergeReservoirs(a, empty); got != a {
 		t.Error("empty rhs should return lhs")
 	}
-	if got := mergeReservoirs(empty, b, 1); got != b {
-		t.Error("empty lhs should return rhs")
+	// An empty lhs takes the rhs sample but keeps its own coin stream.
+	got := mergeReservoirs(empty, b)
+	if got == b || got.seed != empty.seed || got.Count() != b.Count() || !slices.Equal(got.Sample(), b.Sample()) {
+		t.Errorf("empty lhs: seed %d count %d, want the rhs sample under seed %d", got.seed, got.Count(), empty.seed)
 	}
 }

@@ -26,6 +26,10 @@ import (
 //	build.merge        the shard partials' tree reduction
 //	extend             one DatasetProfile.Extend call
 //	extend.sharded     one DatasetProfile.ExtendSharded call
+//	extend.copy        copying what the merge will write (mergeTarget)
+//	extend.delta       the partial profile over the appended rows
+//	extend.merge       folding the partial in (also reported as merge)
+//	extend.rowsample   offering the rows to the row sample, regathering
 //	merge              one DatasetProfile.Merge call
 //
 // (build.project and build.spearman are reported by the sharded

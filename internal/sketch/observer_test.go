@@ -29,6 +29,21 @@ func TestTimingObserver(t *testing.T) {
 		}
 	}
 
+	// An extension reports where its time went.
+	p := BuildProfile(f, ProfileConfig{Seed: 1})
+	f2, err := f.AppendRows(rowsOf(f, 0, 20), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Extend(f2); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"extend", "extend.copy", "extend.delta", "extend.merge", "extend.rowsample"} {
+		if got[op] != 1 {
+			t.Errorf("op %s observed %d times, want 1", op, got[op])
+		}
+	}
+
 	// Partitioned build reports its merges too.
 	_ = BuildProfilePartitioned(f, ProfileConfig{Seed: 1}, 3)
 	mu.Lock()

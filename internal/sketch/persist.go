@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 )
 
 // Profile persistence: a DatasetProfile serializes to a stream so the
@@ -15,11 +14,11 @@ import (
 // encoding/gob over explicit wire structs, versioned for forward
 // compatibility.
 //
-// Persisted sketches answer queries identically to the originals.
-// Sketches that keep private RNG state for *future updates* (KLL
-// compaction coins, reservoir replacement draws) resume with a
-// freshly seeded generator, so post-load updates remain valid sketch
-// behavior but are not bit-identical to an unserialized twin.
+// Persisted sketches answer queries identically to the originals, and
+// take future updates identically too: their coins are a function of
+// (seed, count) — see coin — and both are either on the wire or
+// derived from what is (reservoirSeed), so Extend of a reloaded profile
+// saves to the bytes Extend of the original would.
 
 // profileWireVersion guards the serialized layout and the meaning of
 // its numbers. Version 2 added NumericProfile.ProjCenter (the
@@ -172,7 +171,6 @@ func reservoirFromWire(w reservoirWire, seed int64) *Reservoir {
 	s := NewReservoir(w.Capacity, seed)
 	s.n = w.N
 	s.items = append([]float64(nil), w.Items...)
-	s.rng = rand.New(rand.NewSource(seed + int64(w.N)))
 	return s
 }
 
@@ -284,7 +282,7 @@ func LoadProfile(r io.Reader) (*DatasetProfile, error) {
 			Proj:            projectionFromWire(nw.Proj),
 			ProjCenter:      nw.ProjCenter,
 			Planes:          hyperplaneFromWire(nw.Planes),
-			Sample:          reservoirFromWire(nw.Sample, wire.Config.Seed),
+			Sample:          reservoirFromWire(nw.Sample, reservoirSeed(wire.Config.Seed, nw.Name)),
 			RowSampleValues: nw.RowSampleValues,
 		}
 		if nw.HasRank {

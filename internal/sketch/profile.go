@@ -148,7 +148,7 @@ type DatasetProfile struct {
 	Rows        int
 	Numeric     map[string]*NumericProfile
 	Categorical map[string]*CategoricalProfile
-	// RowSample holds shared sampled row indexes (ascending).
+	// RowSample holds shared sampled row indexes (slot order).
 	RowSample *RowSample
 	Config    ProfileConfig
 }
@@ -178,7 +178,7 @@ func BuildProfile(f *frame.Frame, cfg ProfileConfig) *DatasetProfile {
 		np := &NumericProfile{
 			Name:      nc.Name(),
 			Quantiles: NewKLL(cfg.KLLSize, cfg.Seed+int64(i)*7+2),
-			Sample:    NewReservoir(cfg.SampleSize, cfg.Seed+int64(i)*7+3),
+			Sample:    NewReservoir(cfg.SampleSize, reservoirSeed(cfg.Seed, nc.Name())),
 		}
 		for _, v := range nc.Values() {
 			if math.IsNaN(v) {

@@ -1,17 +1,15 @@
 package sketch
 
-import (
-	"math/rand"
-)
-
 // Reservoir maintains a uniform random sample of a float64 stream
 // using Vitter's algorithm R. Foresight samples columns it cannot
-// sketch analytically (e.g. to estimate η² and silhouettes).
+// sketch analytically (e.g. to estimate η² and silhouettes). The
+// replacement slot of the n-th value is coin(seed, 0, n): a copy, or a
+// reservoir rebuilt from (seed, count, items), continues the stream
+// exactly as the original would.
 type Reservoir struct {
 	capacity int
 	items    []float64
 	n        uint64
-	rng      *rand.Rand
 	seed     int64
 }
 
@@ -22,12 +20,15 @@ func NewReservoir(capacity int, seed int64) *Reservoir {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Reservoir{
-		capacity: capacity,
-		items:    make([]float64, 0, capacity),
-		rng:      rand.New(rand.NewSource(seed)),
-		seed:     seed,
-	}
+	return &Reservoir{capacity: capacity, seed: seed}
+}
+
+// reservoirSeed is the seed of column name's value reservoir in a
+// profile configured with seed. It is derived from what a built and a
+// loaded profile both hold (the reservoir's own seed is not on the
+// wire), so both extend alike.
+func reservoirSeed(seed int64, name string) int64 {
+	return seed + int64(hash64(name))
 }
 
 // Update offers one value to the reservoir.
@@ -37,10 +38,14 @@ func (s *Reservoir) Update(x float64) {
 		s.items = append(s.items, x)
 		return
 	}
-	if j := s.rng.Int63n(int64(s.n)); j < int64(s.capacity) {
+	if j := below(coin(s.seed, 0, s.n), s.n); j < uint64(s.capacity) {
 		s.items[j] = x
 	}
 }
+
+// whole reports whether the reservoir still holds every value it was
+// offered, in stream order.
+func (s *Reservoir) whole() bool { return s.n == uint64(len(s.items)) }
 
 // Sample returns the current sample. Read-only; order is arbitrary.
 func (s *Reservoir) Sample() []float64 { return s.items }
@@ -54,46 +59,60 @@ func (s *Reservoir) Count() uint64 { return s.n }
 // silhouettes, Spearman) be estimated from per-column value lookups —
 // a form of sketch composition across attributes.
 type RowSample struct {
+	// Indexes holds the sampled rows in slot order (algorithm R's, not
+	// ascending).
 	Indexes []int
 }
 
+// rowSampleSlot is algorithm R over row indexes: the slot of a
+// capacity-slot sample that row r takes when it is offered, or -1 when
+// the sample passes it over. A pure function of its arguments, so the
+// sample of n rows is the sample of m < n rows offered rows [m, n).
+func rowSampleSlot(seed int64, r, capacity int) int {
+	if r < capacity {
+		return r
+	}
+	n := uint64(r) + 1
+	if j := below(coin(seed, 0, n), n); j < uint64(capacity) {
+		return int(j)
+	}
+	return -1
+}
+
 // NewRowSample draws a uniform sample of min(capacity, n) distinct
-// row indexes from [0, n) using a partial Fisher–Yates shuffle with
-// the given seed. The shuffle runs over a sparse map of the displaced
-// slots of the identity permutation, so the cost is O(capacity)
-// whatever n is. The indexes are returned in ascending order for
-// cache-friendly column access.
+// row indexes from [0, n): rows 0..n-1 offered in order to algorithm R
+// (see rowSampleSlot). capacity ≤ 0 defaults to 1024.
 func NewRowSample(n, capacity int, seed int64) *RowSample {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	if capacity >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
+	s, _ := (&RowSample{}).extended(0, n, capacity, seed)
+	return s
+}
+
+// extended returns the sample after rows [from, to) are offered to s,
+// which must be the sample of rows [0, from) under the same capacity
+// and seed, and the slots that were written (a slot written twice is
+// listed twice). s is not modified; it is the result when no row took
+// a slot.
+func (s *RowSample) extended(from, to, capacity int, seed int64) (*RowSample, []int) {
+	var idx, slots []int
+	for r := from; r < to; r++ {
+		j := rowSampleSlot(seed, r, capacity)
+		if j < 0 {
+			continue
 		}
-		return &RowSample{Indexes: idx}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	// moved[s] is the value at slot s where it is no longer s. Step i
-	// swaps slots i and j ≥ i; slot i is never read again, so only the
-	// value landing in slot j is recorded.
-	moved := make(map[int]int, capacity)
-	at := func(s int) int {
-		if v, ok := moved[s]; ok {
-			return v
+		if idx == nil {
+			idx = make([]int, min(to, capacity))
+			copy(idx, s.Indexes)
 		}
-		return s
+		idx[j] = r
+		slots = append(slots, j)
 	}
-	idx := make([]int, capacity)
-	for i := range idx {
-		j := i + rng.Intn(n-i)
-		idx[i] = at(j)
-		moved[j] = at(i)
+	if idx == nil {
+		return s, nil
 	}
-	// Ascending order for sequential column reads.
-	sortInts(idx)
-	return &RowSample{Indexes: idx}
+	return &RowSample{Indexes: idx}, slots
 }
 
 // Len returns the sample size.
@@ -119,17 +138,4 @@ func (s *RowSample) GatherCodes(codes []int32) []int32 {
 		}
 	}
 	return out
-}
-
-// sortInts is insertion-free sort.Ints without pulling sort into this
-// file's hot path signature; kept trivial.
-func sortInts(xs []int) {
-	// Simple shell sort: sample sizes are ≤ a few thousand.
-	for gap := len(xs) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(xs); i++ {
-			for j := i; j >= gap && xs[j] < xs[j-gap]; j -= gap {
-				xs[j], xs[j-gap] = xs[j-gap], xs[j]
-			}
-		}
-	}
 }

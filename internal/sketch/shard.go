@@ -224,7 +224,7 @@ func BuildProfileSharded(f *frame.Frame, cfg ProfileConfig, shards int) *Dataset
 	eachColumn(len(numeric), shards, func(i int) {
 		np := merged.Numeric[numeric[i].Name()]
 		np.RowSampleValues = merged.RowSample.GatherFloats(numeric[i].Values())
-		sample := NewReservoir(cfg.SampleSize, cfg.Seed+int64(i)*7+3)
+		sample := NewReservoir(cfg.SampleSize, reservoirSeed(cfg.Seed, numeric[i].Name()))
 		for _, v := range numeric[i].Values() {
 			if !math.IsNaN(v) {
 				sample.Update(v)

@@ -17,7 +17,8 @@
 //     error contract against ground truth (KLL rank error ≤
 //     RankErrorBound()·n, SpaceSaving true ≤ est ≤ true+err and the
 //     untracked-item floor bound);
-//   - persist→load and Clone are query-identical;
+//   - persist→load is query-identical, and Extend leaves its receiver
+//     saving to the same bytes;
 //   - alternate build paths (partitioned, sharded, Extend) agree with
 //     the sequential build within the E13 score-delta gate.
 //

@@ -130,8 +130,8 @@ func relClose(a, b, tol float64) bool {
 }
 
 // CheckProfileQueryIdentity asserts that two profiles answer every
-// supported query identically — the contract of persist→load and
-// Clone. NaN answers must match NaN answers.
+// supported query identically — the contract of persist→load. NaN
+// answers must match NaN answers.
 func CheckProfileQueryIdentity(r *Report, label string, a, b *sketch.DatasetProfile) {
 	r.check(a.Rows == b.Rows, "identity/rows",
 		"%s: rows %d vs %d", label, a.Rows, b.Rows)

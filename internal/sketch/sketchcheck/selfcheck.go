@@ -48,8 +48,9 @@ func (c *Config) fill() {
 // it builds the sketch store along every path the codebase uses —
 // one-pass, partitioned merge, sharded merge tree, Extend delta-merge
 // (sequential and sharded) — checks each against ground truth
-// (CheckProfileInvariants), checks persist→load and Clone for query
-// identity, and gates the alternate paths against the sequential
+// (CheckProfileInvariants), checks persist→load for query identity,
+// checks that Extend leaves its receiver saving to the bytes it saved
+// to before, and gates the alternate paths against the sequential
 // build (CheckProfilesCompatible). The returned report holds every
 // violation found.
 func Run(f *frame.Frame, cfg Config) *Report {
@@ -70,9 +71,6 @@ func Run(f *frame.Frame, cfg Config) *Report {
 		CheckProfileQueryIdentity(r, "persist", seq, loaded)
 		CheckProfileInvariants(r, loaded, f)
 	}
-
-	// Clone must answer queries identically.
-	CheckProfileQueryIdentity(r, "clone", seq, seq.Clone())
 
 	// Partitioned build: the §3 merge operators, sequentially.
 	pcfg := cfg.Profile
@@ -96,6 +94,14 @@ func Run(f *frame.Frame, cfg Config) *Report {
 			return r
 		}
 		base := sketch.BuildProfile(prefix, cfg.Profile)
+		saved := func() []byte {
+			var buf bytes.Buffer
+			if err := base.Save(&buf); err != nil {
+				r.Fail("persist/save", "Save: %v", err)
+			}
+			return buf.Bytes()
+		}
+		before := saved()
 		ext, err := base.Extend(f)
 		if err != nil {
 			r.Fail("extend/extend", "Extend: %v", err)
@@ -110,6 +116,10 @@ func Run(f *frame.Frame, cfg Config) *Report {
 			CheckProfileInvariants(r, extSh, f)
 			CheckProfilesCompatible(r, "extend-sharded", seq, extSh, cfg.ScoreTol, false)
 		}
+		// Extend shares with its receiver what it does not write; the
+		// receiver must come out of both untouched.
+		r.check(bytes.Equal(before, saved()), "extend/isolation",
+			"the receiver of Extend saves to different bytes afterwards")
 	}
 	return r
 }

@@ -253,44 +253,125 @@ func TestShardCountsAgree(t *testing.T) {
 	}
 }
 
-// rowSampleDense is NewRowSample as it was before the sparse shuffle:
-// the same partial Fisher–Yates over a materialised n-int permutation.
-func rowSampleDense(n, capacity int, seed int64) []int {
+// rowSampleOracle is textbook algorithm R over the row indexes
+// 0..n-1, one pass from scratch: fill the reservoir, then give row r a
+// uniform slot of [0, r] and keep it when the slot is inside.
+func rowSampleOracle(n, capacity int, seed int64) []int {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	if capacity >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
+	idx := []int{}
+	for r := 0; r < n; r++ {
+		if len(idx) < capacity {
+			idx = append(idx, r)
+			continue
 		}
-		return idx
+		seen := uint64(r) + 1
+		if j := below(coin(seed, 0, seen), seen); j < uint64(capacity) {
+			idx[j] = r
+		}
 	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for i := 0; i < capacity; i++ {
-		j := i + rng.Intn(n-i)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	idx := perm[:capacity]
-	slices.Sort(idx)
 	return idx
 }
 
-func TestRowSampleMatchesDenseShuffle(t *testing.T) {
+// checkRowSampleExtend offers [0, n) to a row sample in the pieces the
+// cuts make and holds every intermediate sample to the oracle's
+// one-shot sample of that many rows; the slots reported written must
+// account for every difference from the sample before.
+func checkRowSampleExtend(n, capacity int, seed int64, cuts []int) error {
+	s, at := &RowSample{}, 0
+	for _, to := range append(slices.Clone(cuts), n) {
+		if to < at || to > n {
+			continue
+		}
+		next, slots := s.extended(at, to, capacity, seed)
+		if want := rowSampleOracle(to, capacity, seed); !slices.Equal(next.Indexes, want) {
+			return fmt.Errorf("n=%d capacity=%d seed=%d: extending %d→%d differs from the one-shot sample", n, capacity, seed, at, to)
+		}
+		for j, r := range next.Indexes {
+			if (j >= len(s.Indexes) || s.Indexes[j] != r) && !slices.Contains(slots, j) {
+				return fmt.Errorf("n=%d capacity=%d seed=%d: extending %d→%d rewrote slot %d without reporting it", n, capacity, seed, at, to, j)
+			}
+		}
+		s, at = next, to
+	}
+	seen := make(map[int]bool, len(s.Indexes))
+	for _, r := range s.Indexes {
+		if r < 0 || r >= n || seen[r] {
+			return fmt.Errorf("n=%d capacity=%d seed=%d: index %d out of range or repeated", n, capacity, seed, r)
+		}
+		seen[r] = true
+	}
+	if len(s.Indexes) != min(n, capacity) {
+		return fmt.Errorf("n=%d capacity=%d seed=%d: %d indexes", n, capacity, seed, len(s.Indexes))
+	}
+	return nil
+}
+
+// TestRowSampleExtendMatchesBuild: the sample of n rows is the sample
+// of m rows offered rows [m, n), however the way there is cut up, and
+// NewRowSample is the uncut case.
+func TestRowSampleExtendMatchesBuild(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 2048, 2049, 5000, 30000} {
-		for _, capacity := range []int{0, 1, 2, 5, 99, 100, 101, 2048, 40000} {
+		for _, capacity := range []int{1, 2, 5, 99, 100, 101, 2048, 40000} {
 			for seed := int64(-1); seed <= 3; seed++ {
-				got := NewRowSample(n, capacity, seed).Indexes
-				if want := rowSampleDense(n, capacity, seed); !slices.Equal(got, want) {
-					t.Fatalf("n=%d capacity=%d seed=%d: sparse shuffle differs from dense", n, capacity, seed)
+				if got, want := NewRowSample(n, capacity, seed).Indexes, rowSampleOracle(n, capacity, seed); !slices.Equal(got, want) {
+					t.Fatalf("n=%d capacity=%d seed=%d: NewRowSample differs from the oracle", n, capacity, seed)
+				}
+				cuts := []int{n / 3, n / 3, n/2 + 1, n - 1}
+				if err := checkRowSampleExtend(n, capacity, seed, cuts); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
 	}
+	if got, want := NewRowSample(3000, 0, 9).Indexes, rowSampleOracle(3000, 0, 9); !slices.Equal(got, want) {
+		t.Fatal("default capacity: NewRowSample differs from the oracle")
+	}
+}
+
+// TestRowSampleUniform: every row of 30 000 is as likely to be sampled
+// as any other — early rows, which fill the reservoir, no more than
+// late ones, which must displace them. χ² over 30 buckets of 1 000
+// rows, pooled over 200 seeds; 59.7 is the 0.1 % point at 29 degrees
+// of freedom (the seeds are fixed, so this cannot flake).
+func TestRowSampleUniform(t *testing.T) {
+	const n, capacity, buckets, seeds = 30000, 2048, 30, 200
+	var hits [buckets]float64
+	for seed := int64(0); seed < seeds; seed++ {
+		for _, r := range NewRowSample(n, capacity, seed).Indexes {
+			hits[r/(n/buckets)]++
+		}
+	}
+	want := float64(seeds*capacity) / buckets
+	chi2 := 0.0
+	for _, h := range hits {
+		chi2 += (h - want) * (h - want) / want
+	}
+	if chi2 > 59.7 {
+		t.Errorf("χ² = %.1f over %d buckets: sampled rows are not uniform over [0, %d)", chi2, buckets, n)
+	}
+}
+
+// FuzzRowSampleExtend cuts the way to n rows wherever the fuzzer
+// likes.
+func FuzzRowSampleExtend(f *testing.F) {
+	f.Add(uint16(5000), uint16(64), int64(1), []byte{10, 200, 30})
+	f.Add(uint16(100), uint16(100), int64(-3), []byte{})
+	f.Add(uint16(3), uint16(2000), int64(0), []byte{1, 1, 1})
+	f.Fuzz(func(t *testing.T, n, capacity uint16, seed int64, steps []byte) {
+		if len(steps) > 64 {
+			steps = steps[:64]
+		}
+		cuts, at := make([]int, 0, len(steps)), 0
+		for _, step := range steps {
+			at += int(step) * (int(n)/256 + 1)
+			cuts = append(cuts, min(at, int(n)))
+		}
+		if err := checkRowSampleExtend(int(n), int(capacity)+1, seed, cuts); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSpaceSavingDeterministic: an over-capacity stream full of ties at
