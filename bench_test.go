@@ -268,23 +268,6 @@ func BenchmarkSketchMomentsAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkProjectColumns(b *testing.B) {
-	for _, k := range []int{32, 128, 512} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			n := 10000
-			col := make([]float64, n)
-			for i := range col {
-				col[i] = rng.NormFloat64()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = sketch.ProjectColumn(col, 0, sketch.ProjectConfig{K: k, Seed: 1})
-			}
-		})
-	}
-}
-
 // ingestBenchFrame is a base×(numeric+cats) frame and the batch the
 // ingest benchmarks append to it (its own first rows, as string cells).
 func ingestBenchFrame(base, numeric, cats, batchRows int) (*frame.Frame, frame.RowBatch) {
@@ -298,6 +281,23 @@ func ingestBenchFrame(base, numeric, cats, batchRows int) (*frame.Frame, frame.R
 		batch.Records[r] = rec
 	}
 	return f, batch
+}
+
+// BenchmarkBuildProfile is the startup build at the repository
+// benchmark's ingest shape, 30 000 rows × (48+4) with rank projections,
+// in 1, 2 and 4 shards. It reports what sharding buys on the machine it
+// runs on and gates nothing; that the shard counts agree is
+// TestShardCountsAgree's.
+func BenchmarkBuildProfile(b *testing.B) {
+	f, _ := ingestBenchFrame(30000, 48, 4, 0)
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sketch.BuildProfileSharded(f, sketch.ProfileConfig{Seed: 1, Spearman: true}, shards)
+			}
+		})
+	}
 }
 
 // BenchmarkExtend is the sketch half of one ingest acknowledgement: a
@@ -352,21 +352,6 @@ func BenchmarkAppendRowsChain(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-func BenchmarkHyperplaneHamming(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	col := make([]float64, 2000)
-	for i := range col {
-		col[i] = rng.NormFloat64()
-	}
-	p := sketch.ProjectColumn(col, 0, sketch.ProjectConfig{K: 512, Seed: 1})
-	h1 := sketch.HyperplaneFromProjection(p)
-	h2 := sketch.HyperplaneFromProjection(p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h1.Hamming(h2)
 	}
 }
 

@@ -5,9 +5,8 @@
 // (E8), the memoized-cache serving experiment (E9), the
 // observability-overhead guardrail (E10), the request-cancellation
 // experiment (E11), the streaming-ingest experiment (E12), the
-// sharded-parallel-build experiment (E13), the insight-telemetry
-// overhead experiment (E14), the durable-ingest experiment (E17), and
-// the sketch-parameter ablations.
+// insight-telemetry overhead experiment (E14), the durable-ingest
+// experiment (E17), and the sketch-parameter ablations.
 // Results print to stdout and, with -out, land as TSV/SVG artifacts.
 //
 // Usage:
@@ -29,7 +28,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e11,e12,e13,e14,e17,ablations")
+	exp := flag.String("exp", "all", "comma-separated experiments: e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e11,e12,e14,e17,ablations")
 	out := flag.String("out", "", "directory for TSV/SVG artifacts (empty = stdout only)")
 	full := flag.Bool("full", false, "paper-scale sizes (n=100K, d up to 200; slower)")
 	seed := flag.Int64("seed", 42, "experiment seed")
@@ -125,13 +124,6 @@ func main() {
 			c = bench.E12Config{BaseRows: 100000, BatchRows: 10000, Batches: 8, Dims: 32, Seed: *seed}
 		}
 		return bench.RunE12Ingest(w, *out, c)
-	})
-	run("e13", func() error {
-		c := bench.E13Config{Rows: 30000, Dims: 24, Seed: *seed}
-		if *full {
-			c = bench.E13Config{Rows: 100000, Dims: 64, Seed: *seed}
-		}
-		return bench.RunE13ShardedBuild(w, *out, c)
 	})
 	run("e14", func() error {
 		rows14, dims14 := 20000, 32

@@ -10,7 +10,7 @@
 //	                    [-fix attr1,attr2] [-min 0.5] [-max 0.8] [-k 10] [-approx]
 //	foresight overview  -data file.csv [-class linear] [-svg out.svg]
 //	foresight render    -data file.csv -class linear -attrs x,y -svg out.svg
-//	foresight selfcheck -data file.csv [-profile store.bin] [-parts 3] [-shards 4] [-tol 0.07]
+//	foresight selfcheck -data file.csv [-profile store.bin] [-shards 4] [-tol 0.07]
 //	foresight serve     -data file.csv [-addr :8600] [-workers 0]   (foresightd's flags)
 //	foresight top       [-addr http://localhost:8600] [-interval 2s] [-once]
 //	foresight demo      -name oecd|parkinson|imdb -out file.csv
@@ -82,7 +82,7 @@ commands:
   overview   per-class global view (the Figure-2 heat map)
   render     one insight visualization as SVG
   report     self-contained HTML report (carousels + overview)
-  profile    build and persist a sketch store (-parts partitioned, -shards parallel)
+  profile    build and persist a sketch store (-shards N builds in parallel)
   selfcheck  verify sketch invariants against a dataset (-profile checks a saved store)
   serve      start the demo web server (foresightd itself: same flags, same loop)
   top        live insight-telemetry dashboard for a running server

@@ -90,7 +90,7 @@ func TestRunDemoProfileReportRoundTrip(t *testing.T) {
 	}
 
 	prof := filepath.Join(dir, "oecd.profile")
-	if err := runProfile([]string{"-data", csv, "-out", prof, "-k", "32", "-parts", "2"}); err != nil {
+	if err := runProfile([]string{"-data", csv, "-out", prof, "-k", "32", "-shards", "2"}); err != nil {
 		t.Fatalf("runProfile: %v", err)
 	}
 	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
@@ -121,7 +121,7 @@ func TestRunSelfcheck(t *testing.T) {
 	if err := runDemo([]string{"-name", "oecd", "-out", csv}); err != nil {
 		t.Fatalf("runDemo: %v", err)
 	}
-	if err := runSelfcheck([]string{"-data", csv, "-parts", "2", "-shards", "2"}); err != nil {
+	if err := runSelfcheck([]string{"-data", csv, "-shards", "2"}); err != nil {
 		t.Fatalf("selfcheck on demo data: %v", err)
 	}
 	// Verify a persisted store, then verify it against the WRONG data

@@ -17,9 +17,10 @@ import (
 // runSelfcheck executes the sketch invariant suite against live
 // profiles of -data: ground-truth checks for every per-column sketch,
 // persist→load query identity, Extend leaving its receiver intact, and
-// cross-checks of the partitioned/sharded/extend build paths against
-// the sequential build within -tol. With -profile it instead verifies an already-persisted
-// sketch store against the dataset it claims to summarize. It then
+// cross-checks of the sharded and extend build paths against the
+// one-shard build within -tol. With -profile it instead verifies an
+// already-persisted sketch store against the dataset it claims to
+// summarize. It then
 // cross-checks the pruning contract — ScoreBound ≥ Score on sampled
 // candidates of every bounded insight class, both scoring paths —
 // since an unsound bound would silently change top-k results. Exits
@@ -29,9 +30,8 @@ func runSelfcheck(args []string) error {
 	fs := flag.NewFlagSet("selfcheck", flag.ExitOnError)
 	data := fs.String("data", "", "CSV path or demo dataset name")
 	profilePath := fs.String("profile", "", "verify this saved sketch store instead of building fresh")
-	parts := fs.Int("parts", 3, "partitions for the partitioned-build path")
 	shards := fs.Int("shards", 4, "shards for the sharded-build and extend paths")
-	tol := fs.Float64("tol", 0.07, "estimator-delta gate between build paths (the E13 gate)")
+	tol := fs.Float64("tol", 0.07, "estimator-delta gate between build paths (every alternate path is held to it)")
 	boundSample := fs.Int("bound-sample", 64, "candidates sampled per class/metric for the ScoreBound ≥ Score gate (0 = all)")
 	seed := fs.Int64("seed", 42, "seed for demo datasets / sketches")
 	walDir := fs.String("wal", "", "verify this WAL/snapshot directory instead: CRC-scan every segment, replay into a scratch engine over -data, and gate the recovered profile against a cold rebuild")
@@ -59,13 +59,11 @@ func runSelfcheck(args []string) error {
 		}
 		r = sketchcheck.RunProfile(f, p)
 	} else {
-		r = sketchcheck.Run(f, sketchcheck.Config{
-			Profile:  sketch.ProfileConfig{Seed: *seed},
-			Parts:    *parts,
-			Shards:   *shards,
-			ScoreTol: *tol,
-		})
-		p = sketch.BuildProfile(f, sketch.ProfileConfig{Seed: *seed, Spearman: true})
+		// The server's configuration, rank projections included, so the
+		// gates cover the profile that is actually served.
+		cfg := sketch.ProfileConfig{Seed: *seed, Spearman: true}
+		r = sketchcheck.Run(f, sketchcheck.Config{Profile: cfg, Shards: *shards, ScoreTol: *tol})
+		p = sketch.BuildProfile(f, cfg)
 	}
 	sketchcheck.WriteReport(os.Stdout, r)
 

@@ -164,21 +164,12 @@ func NewNormalityClass() Class { return core.NewNormalityClass() }
 // approximate (interactive-speed) insight queries.
 func BuildProfile(f *Frame, cfg ProfileConfig) *Profile { return sketch.BuildProfile(f, cfg) }
 
-// BuildProfilePartitioned preprocesses in `parts` row partitions and
-// merges the partial sketches — §3's mergeable-sketch pipeline.
-// Functionally equivalent to BuildProfile (rank projections excepted;
-// see the sketch package docs).
-func BuildProfilePartitioned(f *Frame, cfg ProfileConfig, parts int) *Profile {
-	return sketch.BuildProfilePartitioned(f, cfg, parts)
-}
-
 // BuildProfileSharded preprocesses with `shards` row shards built
 // concurrently and reduced through the mergeable-sketch operators in
-// a deterministic tree order — the data-parallel fast path for large
-// frames. Exact statistics match BuildProfile; sketch-derived scores
-// agree within sketch error (benchmarked in EXPERIMENTS.md E13). 0 or
-// 1 delegates to BuildProfile (bit-identical); negative selects
-// GOMAXPROCS.
+// a deterministic tree order — §3's mergeable-sketch pipeline, and the
+// data-parallel fast path for large frames. Every shard count agrees
+// on the exact statistics; sketch-derived scores agree within sketch
+// error. 0 or 1 is BuildProfile; negative selects GOMAXPROCS.
 func BuildProfileSharded(f *Frame, cfg ProfileConfig, shards int) *Profile {
 	return sketch.BuildProfileSharded(f, cfg, shards)
 }

@@ -30,14 +30,21 @@ func TestProfileBuildMetrics(t *testing.T) {
 
 	_, _, body := fetch(t, ts.URL+"/metrics")
 	for _, want := range []string{
-		`foresight_profile_build_seconds_count{phase="build.sharded"}`,
-		`foresight_profile_build_seconds_count{phase="build.shard"}`,
+		`foresight_profile_build_seconds_count{phase="build"}`,
+		`foresight_profile_build_seconds_count{phase="build.sketch"}`,
 		`foresight_profile_build_seconds_count{phase="build.project"}`,
 		`foresight_profile_build_seconds_count{phase="build.merge"}`,
+		`foresight_profile_build_seconds_count{phase="build.rowsample"}`,
 		`foresight_profile_build_seconds_count{phase="merge"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// One histogram per phase, not per entry point.
+	for _, gone := range []string{`phase="build.sharded"`, `phase="extend.sharded"`} {
+		if strings.Contains(body, gone) {
+			t.Errorf("metrics still split by entry point: %s", gone)
 		}
 	}
 }

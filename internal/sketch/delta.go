@@ -60,11 +60,11 @@ func (p *DatasetProfile) mergeTarget() *DatasetProfile {
 // Extend returns a new profile covering f, which must extend the
 // profiled frame in place: the same columns, with rows [p.Rows,
 // f.Rows()) newly appended (Frame.AppendRows produces exactly this
-// shape). The new rows are profiled with the partition builder —
-// centered on the stored build-time projection centers so the partial
-// stays merge-compatible — and folded by Merge into mergeTarget's copy
-// of p; the shared row sample is offered the new rows and only the
-// slots they take are regathered. The receiver is never mutated, so
+// shape). The new rows are profiled by buildRange — centered on the
+// stored build-time projection centers so the partial stays
+// merge-compatible — and folded by Merge into mergeTarget's copy of p;
+// the shared row sample is offered the new rows and only the slots
+// they take are regathered. The receiver is never mutated, so
 // concurrent readers holding p keep a consistent store; the result
 // shares with it what the batch left alone. The cost is O(appended
 // rows) plus one copy of the sketches, whatever p.Rows is, and the
@@ -73,23 +73,20 @@ func (p *DatasetProfile) mergeTarget() *DatasetProfile {
 // projections are dropped from the result. With no rows appended the
 // result is p itself.
 func (p *DatasetProfile) Extend(f *frame.Frame) (*DatasetProfile, error) {
-	defer observeSince("extend", time.Now())
 	return p.extend(f, 1)
 }
 
-// ExtendSharded is Extend with the delta profile over the appended
-// rows built by the sharded data-parallel path (BuildProfileSharded's
-// machinery), worthwhile for large batch appends. Shard counts follow
-// the uniform convention: 0 or 1 is the sequential delta build —
-// identical to Extend — and negative means GOMAXPROCS. Appends
-// inside one direction block fall back to the sequential delta
-// regardless.
+// ExtendSharded is Extend with the partial over the appended rows
+// built in up to `shards` concurrent shards, worthwhile for large batch
+// appends. Shard counts follow the uniform convention: 0 or 1 is one
+// shard — identical to Extend — and negative means GOMAXPROCS. Appends
+// inside one direction block are one shard regardless.
 func (p *DatasetProfile) ExtendSharded(f *frame.Frame, shards int) (*DatasetProfile, error) {
-	defer observeSince("extend.sharded", time.Now())
-	return p.extend(f, resolveShards(shards))
+	return p.extend(f, resolveParallel(shards))
 }
 
 func (p *DatasetProfile) extend(f *frame.Frame, shards int) (*DatasetProfile, error) {
+	defer observeSince("extend", time.Now())
 	old := p.Rows
 	if f.Rows() < old {
 		return nil, fmt.Errorf("sketch: extend: frame has %d rows, profile covers %d", f.Rows(), old)
@@ -100,13 +97,13 @@ func (p *DatasetProfile) extend(f *frame.Frame, shards int) (*DatasetProfile, er
 		return nil, fmt.Errorf("sketch: extend: frame has %d numeric + %d categorical columns, profile has %d + %d",
 			len(numeric), len(categorical), len(p.Numeric), len(p.Categorical))
 	}
-	centers := make(map[string]float64, len(numeric))
-	for _, nc := range numeric {
+	centers := make([]float64, len(numeric))
+	for i, nc := range numeric {
 		np, ok := p.Numeric[nc.Name()]
 		if !ok {
 			return nil, fmt.Errorf("sketch: extend: no profile for numeric column %q", nc.Name())
 		}
-		centers[nc.Name()] = np.ProjCenter
+		centers[i] = np.ProjCenter
 	}
 	for _, cc := range categorical {
 		if _, ok := p.Categorical[cc.Name()]; !ok {
@@ -125,12 +122,7 @@ func (p *DatasetProfile) extend(f *frame.Frame, shards int) (*DatasetProfile, er
 	cfg := out.Config
 	cfg.Spearman = false
 	deltaStart := time.Now()
-	var delta *DatasetProfile
-	if shards > 1 {
-		delta = shardedPartial(f, cfg, old, f.Rows(), centers, shards)
-	} else {
-		delta = buildPartitionProfile(f, cfg, old, f.Rows(), centers)
-	}
+	delta := buildRange(f, cfg, old, f.Rows(), centers, shards)
 	observeSince("extend.delta", deltaStart)
 
 	mergeStart := time.Now()

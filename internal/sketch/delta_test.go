@@ -230,7 +230,7 @@ func TestKLLMergeChain(t *testing.T) {
 // TestProfileExtendMatchesScratch is the delta path's equivalence
 // check: profile a prefix, Extend to the full frame, and the result
 // must answer like a from-scratch profile within the same tolerances
-// the partitioned builder is held to.
+// a sharded build is held to.
 func TestProfileExtendMatchesScratch(t *testing.T) {
 	f := testFrame(12000, 41)
 	keep := make([]bool, f.Rows())

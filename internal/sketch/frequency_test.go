@@ -214,75 +214,6 @@ func TestQuickSpaceSavingMerge(t *testing.T) {
 	}
 }
 
-func TestCountMinBasics(t *testing.T) {
-	s := NewCountMin(4, 1024)
-	for i := 0; i < 100; i++ {
-		s.Update("hot", 1)
-	}
-	s.Update("cold", 2)
-	if got := s.Estimate("hot"); got < 100 {
-		t.Errorf("CountMin must not underestimate: hot = %d", got)
-	}
-	if got := s.Estimate("cold"); got < 2 {
-		t.Errorf("cold = %d, want ≥2", got)
-	}
-	if got := s.Estimate("absent"); got > uint64(s.ErrorBound())+1 {
-		t.Errorf("absent estimate %d exceeds error bound %v", got, s.ErrorBound())
-	}
-	if s.Count() != 102 {
-		t.Errorf("Count = %d, want 102", s.Count())
-	}
-}
-
-func TestCountMinWithError(t *testing.T) {
-	s := NewCountMinWithError(0.01, 0.01)
-	stream := zipfStream(20000, 1000, 7)
-	exact := map[string]uint64{}
-	for _, item := range stream {
-		s.Update(item, 1)
-		exact[item]++
-	}
-	over := 0
-	for item, truth := range exact {
-		est := s.Estimate(item)
-		if est < truth {
-			t.Fatalf("underestimate for %s: %d < %d", item, est, truth)
-		}
-		if float64(est-truth) > s.ErrorBound() {
-			over++
-		}
-	}
-	// With depth=⌈ln 100⌉=5, essentially no item should break the bound.
-	if over > len(exact)/100 {
-		t.Errorf("%d/%d items exceed εN bound", over, len(exact))
-	}
-	// Defaults when given garbage.
-	d := NewCountMinWithError(-1, 2)
-	if d.width == 0 || d.depth == 0 {
-		t.Error("bad args should produce sane defaults")
-	}
-}
-
-func TestCountMinMerge(t *testing.T) {
-	a := NewCountMin(4, 256)
-	b := NewCountMin(4, 256)
-	a.Update("x", 3)
-	b.Update("x", 4)
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if got := a.Estimate("x"); got < 7 {
-		t.Errorf("merged x = %d, want ≥7", got)
-	}
-	c := NewCountMin(2, 128)
-	if err := a.Merge(c); err != ErrShapeMismatch {
-		t.Errorf("mismatched merge error = %v, want ErrShapeMismatch", err)
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Errorf("Merge(nil) = %v", err)
-	}
-}
-
 func TestKMVExactSmall(t *testing.T) {
 	s := NewKMV(1024)
 	for i := 0; i < 100; i++ {

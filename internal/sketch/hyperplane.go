@@ -202,9 +202,15 @@ func fillDirections(seed int64, b int, buf []float32) {
 // Gaussian projections of rows [start, end) of every column. cols[j]
 // is the j-th whole column, indexed by global row (NaN = missing,
 // mean-imputed to zero after centering; rows past len(cols[j]) count
-// as missing); means[j] is its centering value. Rows accumulate in
-// ascending order, so one call over [a, c) and the Merge of calls over
-// [a, b) and [b, c) differ only by floating-point association.
+// as missing); means[j] is its centering value. The direction of
+// global row r is a function of (cfg.Seed, r) alone (fillDirections),
+// so it is identical for every column, every call and every row range:
+// projections of disjoint ranges built anywhere Merge into the
+// projection of their union, and extending a projection by appended
+// rows never regenerates the directions of the rows before them. Rows
+// accumulate in ascending order, so one call over [a, c) and the Merge
+// of calls over [a, b) and [b, c) differ only by floating-point
+// association.
 // Cost: O(d·(end−start)·k) multiply-adds plus at most
 // (end−start+directionGranule)·k Gaussian draws; memory
 // O(directionGranule·k + d·k).
@@ -247,23 +253,4 @@ func projectRange(cols [][]float64, means []float64, start, end int, cfg Project
 		})
 	}
 	return out
-}
-
-// ProjectColumns computes the k-dimensional Gaussian projections of
-// the first `rows` rows of every column in one pass over the data.
-// cols[j] is the j-th column's values (NaN = missing, mean-imputed to
-// zero after centering); means[j] its mean. The direction of global
-// row r is a function of (cfg.Seed, r) alone — drawn per block of
-// directionGranule rows from a generator seeded by (Seed, block) — so
-// it is identical for every column, every call and every row range:
-// projections of disjoint ranges built anywhere Merge into the
-// projection of their union, and extending a projection by appended
-// rows never regenerates the directions of the rows before them.
-func ProjectColumns(cols [][]float64, means []float64, rows int, cfg ProjectConfig) []*Projection {
-	return projectRange(cols, means, 0, rows, cfg)
-}
-
-// ProjectColumn is ProjectColumns for a single column.
-func ProjectColumn(col []float64, mean float64, cfg ProjectConfig) *Projection {
-	return ProjectColumns([][]float64{col}, []float64{mean}, len(col), cfg)[0]
 }

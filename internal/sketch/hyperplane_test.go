@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,10 +23,15 @@ func correlatedPair(n int, rho float64, seed int64) (xs, ys []float64) {
 	return xs, ys
 }
 
+// projectColumn is projectRange over all of one column.
+func projectColumn(col []float64, mean float64, cfg ProjectConfig) *Projection {
+	return projectRange([][]float64{col}, []float64{mean}, 0, len(col), cfg)[0]
+}
+
 func projectPair(xs, ys []float64, k int, seed int64) (*Projection, *Projection) {
 	cols := [][]float64{xs, ys}
 	means := []float64{stats.Mean(xs), stats.Mean(ys)}
-	ps := ProjectColumns(cols, means, len(xs), ProjectConfig{K: k, Seed: seed})
+	ps := projectRange(cols, means, 0, len(xs), ProjectConfig{K: k, Seed: seed})
 	return ps[0], ps[1]
 }
 
@@ -45,7 +51,7 @@ func TestHyperplaneCorrelationAccuracy(t *testing.T) {
 
 func TestHyperplaneSelfCorrelation(t *testing.T) {
 	xs, _ := correlatedPair(5000, 0, 2)
-	p := ProjectColumn(xs, stats.Mean(xs), ProjectConfig{K: 128, Seed: 3})
+	p := projectColumn(xs, stats.Mean(xs), ProjectConfig{K: 128, Seed: 3})
 	h := HyperplaneFromProjection(p)
 	if got := h.EstimateCorrelation(h); got != 1 {
 		t.Errorf("self correlation = %v, want 1 (Hamming 0)", got)
@@ -71,7 +77,7 @@ func TestHyperplaneAntiCorrelation(t *testing.T) {
 func TestHyperplaneShapeMismatch(t *testing.T) {
 	xs, ys := correlatedPair(100, 0.5, 6)
 	px, _ := projectPair(xs, ys, 64, 1)
-	py2 := ProjectColumn(ys, stats.Mean(ys), ProjectConfig{K: 128, Seed: 1})
+	py2 := projectColumn(ys, stats.Mean(ys), ProjectConfig{K: 128, Seed: 1})
 	hx := HyperplaneFromProjection(px)
 	hy := HyperplaneFromProjection(py2)
 	if hx.Hamming(hy) != -1 {
@@ -84,7 +90,7 @@ func TestHyperplaneShapeMismatch(t *testing.T) {
 		t.Error("nil should report -1")
 	}
 	// Different seeds are also incompatible.
-	pySeed := ProjectColumn(ys, stats.Mean(ys), ProjectConfig{K: 64, Seed: 999})
+	pySeed := projectColumn(ys, stats.Mean(ys), ProjectConfig{K: 64, Seed: 999})
 	if hx.Hamming(HyperplaneFromProjection(pySeed)) != -1 {
 		t.Error("different seed should report -1")
 	}
@@ -146,8 +152,8 @@ func TestProjectionMergePartitions(t *testing.T) {
 		}
 	}
 	mx, my := stats.Mean(xs), stats.Mean(ys)
-	psA := ProjectColumns([][]float64{xsA, ysA}, []float64{mx, my}, n, ProjectConfig{K: 256, Seed: 13})
-	psB := ProjectColumns([][]float64{xsB, ysB}, []float64{mx, my}, n, ProjectConfig{K: 256, Seed: 13})
+	psA := projectRange([][]float64{xsA, ysA}, []float64{mx, my}, 0, n, ProjectConfig{K: 256, Seed: 13})
+	psB := projectRange([][]float64{xsB, ysB}, []float64{mx, my}, 0, n, ProjectConfig{K: 256, Seed: 13})
 	pxA, pyA := psA[0], psA[1]
 	if err := pxA.Merge(psB[0]); err != nil {
 		t.Fatalf("Merge: %v", err)
@@ -162,7 +168,7 @@ func TestProjectionMergePartitions(t *testing.T) {
 	}
 	_ = pyA
 	// Shape mismatch.
-	bad := ProjectColumn(xs, mx, ProjectConfig{K: 64, Seed: 13})
+	bad := projectColumn(xs, mx, ProjectConfig{K: 64, Seed: 13})
 	if err := pxA.Merge(bad); err != ErrShapeMismatch {
 		t.Errorf("mismatched merge = %v, want ErrShapeMismatch", err)
 	}
@@ -184,7 +190,7 @@ func TestProjectColumnsDeterministic(t *testing.T) {
 
 func TestProjectColumnsEdgeCases(t *testing.T) {
 	// Empty inputs.
-	out := ProjectColumns(nil, nil, 0, ProjectConfig{K: 16, Seed: 1})
+	out := projectRange(nil, nil, 0, 0, ProjectConfig{K: 16, Seed: 1})
 	if len(out) != 0 {
 		t.Error("no columns should give no projections")
 	}
@@ -193,7 +199,7 @@ func TestProjectColumnsEdgeCases(t *testing.T) {
 	for i := range nan {
 		nan[i] = math.NaN()
 	}
-	p := ProjectColumn(nan, 0, ProjectConfig{K: 16, Seed: 1})
+	p := projectColumn(nan, 0, ProjectConfig{K: 16, Seed: 1})
 	for _, d := range p.Dots {
 		if d != 0 {
 			t.Fatal("NaN column should project to zero")
@@ -204,7 +210,7 @@ func TestProjectColumnsEdgeCases(t *testing.T) {
 	for i := range constant {
 		constant[i] = 3
 	}
-	pc := ProjectColumn(constant, 3, ProjectConfig{K: 16, Seed: 1})
+	pc := projectColumn(constant, 3, ProjectConfig{K: 16, Seed: 1})
 	for _, d := range pc.Dots {
 		if d != 0 {
 			t.Fatal("constant column should project to zero")
@@ -237,5 +243,28 @@ func TestKForRowsMonotone(t *testing.T) {
 			t.Errorf("KForRows not monotone at n=%d", n)
 		}
 		prev = k
+	}
+}
+
+func BenchmarkProjectRange(b *testing.B) {
+	for _, k := range []int{32, 128, 512} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			col, _ := correlatedPair(10000, 0, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = projectColumn(col, 0, ProjectConfig{K: k, Seed: 1})
+			}
+		})
+	}
+}
+
+func BenchmarkHyperplaneHamming(b *testing.B) {
+	col, _ := correlatedPair(2000, 0, 1)
+	p := projectColumn(col, 0, ProjectConfig{K: 512, Seed: 1})
+	h1 := HyperplaneFromProjection(p)
+	h2 := HyperplaneFromProjection(p)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h1.Hamming(h2)
 	}
 }

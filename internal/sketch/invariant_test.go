@@ -141,48 +141,6 @@ func TestSpaceSavingUntrackedBoundAfterMerge(t *testing.T) {
 	}
 }
 
-// TestCountMinMergeErrorBound: counters are additive, so after a
-// merge ErrorBound() must reflect the combined stream weight — and
-// because row hashing is a pure function of (depth, width), two
-// independently constructed same-shape sketches merge into exactly
-// the one-pass sketch of the concatenation.
-func TestCountMinMergeErrorBound(t *testing.T) {
-	a := NewCountMin(4, 128)
-	b := NewCountMin(4, 128)
-	one := NewCountMin(4, 128)
-	for i := 0; i < 500; i++ {
-		item := fmt.Sprintf("a%d", i%17)
-		a.Update(item, 2)
-		one.Update(item, 2)
-	}
-	for i := 0; i < 300; i++ {
-		item := fmt.Sprintf("b%d", i%13)
-		b.Update(item, 1)
-		one.Update(item, 1)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 1300 {
-		t.Fatalf("merged Count = %d, want 1300", a.Count())
-	}
-	if want := math.E * float64(a.Count()) / float64(128); a.ErrorBound() != want {
-		t.Fatalf("merged ErrorBound = %v, want e·N/width = %v", a.ErrorBound(), want)
-	}
-	for i := 0; i < 17; i++ {
-		item := fmt.Sprintf("a%d", i)
-		if got, want := a.Estimate(item), one.Estimate(item); got != want {
-			t.Fatalf("Estimate(%s) = %d after merge, one-pass %d", item, got, want)
-		}
-	}
-	for i := 0; i < 13; i++ {
-		item := fmt.Sprintf("b%d", i)
-		if got, want := a.Estimate(item), one.Estimate(item); got != want {
-			t.Fatalf("Estimate(%s) = %d after merge, one-pass %d", item, got, want)
-		}
-	}
-}
-
 // TestProjectionMergeAssociativity: projection merges are vector
 // additions, so they commute exactly (IEEE addition is commutative)
 // and associate up to floating-point rounding — each reassociation

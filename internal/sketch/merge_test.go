@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"testing"
@@ -13,7 +14,9 @@ func TestPartitionedProfileMatchesSinglePass(t *testing.T) {
 	f := testFrame(12000, 41)
 	cfg := ProfileConfig{Seed: 6, K: 256}
 	single := BuildProfile(f, cfg)
-	parted := BuildProfilePartitioned(f, cfg, 4)
+	// An odd shard count over 47 direction blocks: the partials are
+	// unequal (15, 16 and 16 blocks) and the tree has a bye.
+	parted := BuildProfileSharded(f, cfg, 3)
 
 	if parted.Rows != single.Rows {
 		t.Fatalf("rows = %d, want %d", parted.Rows, single.Rows)
@@ -89,20 +92,31 @@ func fColumn(t *testing.T, f *frame.Frame, name string) []float64 {
 
 func TestPartitionedEdgeCases(t *testing.T) {
 	f := testFrame(100, 42)
-	// One partition = plain build shape.
-	p1 := BuildProfilePartitioned(f, ProfileConfig{Seed: 1, K: 32}, 1)
-	if p1.Rows != 100 {
-		t.Errorf("rows = %d", p1.Rows)
+	// Fewer direction blocks than shards, more shards than rows, and a
+	// count below one: all one shard, the plain build.
+	want := saveBytes(t, BuildProfile(f, ProfileConfig{Seed: 1, K: 32}))
+	for _, shards := range []int{3, 1000, 0} {
+		p := BuildProfileSharded(f, ProfileConfig{Seed: 1, K: 32}, shards)
+		if p.Rows != 100 {
+			t.Errorf("shards=%d: rows = %d", shards, p.Rows)
+		}
+		if !bytes.Equal(saveBytes(t, p), want) {
+			t.Errorf("shards=%d over one block differs from the one-shard build", shards)
+		}
 	}
-	// More partitions than rows.
-	p2 := BuildProfilePartitioned(f, ProfileConfig{Seed: 1, K: 32}, 1000)
-	if p2.Rows != 100 {
-		t.Errorf("rows = %d", p2.Rows)
+	// No rows: every column still gets its (empty) sketches (found by
+	// FuzzProfileRoundTrip when the partitioned builder divided by zero).
+	empty, err := f.FilterRows(make([]bool, f.Rows()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// parts < 1 coerced.
-	p3 := BuildProfilePartitioned(f, ProfileConfig{Seed: 1, K: 32}, 0)
-	if p3.Rows != 100 {
-		t.Errorf("rows = %d", p3.Rows)
+	p := BuildProfileSharded(empty, ProfileConfig{Seed: 1, K: 32, Spearman: true}, 3)
+	if p.Rows != 0 || len(p.Numeric) != 4 || len(p.Categorical) != 1 {
+		t.Fatalf("empty frame: rows %d, %d numeric, %d categorical", p.Rows, len(p.Numeric), len(p.Categorical))
+	}
+	if np := p.Numeric["x"]; np.Moments.Count() != 0 || np.Proj.K() != 32 || np.RankProj.K() != 32 || np.Sample.Count() != 0 {
+		t.Errorf("empty frame: x has count %d, %d dots, %d rank dots, %d sampled",
+			np.Moments.Count(), np.Proj.K(), np.RankProj.K(), np.Sample.Count())
 	}
 }
 

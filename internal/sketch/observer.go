@@ -8,32 +8,31 @@ import (
 // Sketch-layer observability. The profile builders and the merge path
 // report their timings through a process-wide observer callback
 // instead of taking a registry parameter: ProfileConfig is serialized
-// (persist.go) and compared across partitions (merge.go), so it must
+// (persist.go) and compared across partials (merge.go), so it must
 // stay a plain value type. The callback keeps this package free of
 // any dependency while letting the serving layer aggregate build and
 // merge timings into its metrics registry.
 //
-// Reported operations:
+// Reported operations — one table, named after what runs, not after
+// the entry point that asked for it:
 //
-//	build              one full BuildProfile pass
-//	build.numeric      the per-column numeric sketch pass
+//	build              one BuildProfile / BuildProfileSharded call
+//	build.sketch       the row-local sketch pass over a range's shards
 //	build.project      the shared-direction projection pass
-//	build.spearman     the rank projections (when enabled)
-//	build.categorical  the categorical sketch pass
-//	build.partitioned  one full BuildProfilePartitioned pass
-//	build.sharded      one full BuildProfileSharded pass
-//	build.shard        the concurrent per-shard sketch phase
-//	build.merge        the shard partials' tree reduction
-//	extend             one DatasetProfile.Extend call
-//	extend.sharded     one DatasetProfile.ExtendSharded call
+//	build.merge        the shard partials' tree reduction (> 1 shard)
+//	build.spearman     the ranks and their projections (when enabled)
+//	build.rowsample    the row sample, its gathers, the reservoir replay
+//	extend             one Extend / ExtendSharded call
 //	extend.copy        copying what the merge will write (mergeTarget)
 //	extend.delta       the partial profile over the appended rows
 //	extend.merge       folding the partial in (also reported as merge)
 //	extend.rowsample   offering the rows to the row sample, regathering
 //	merge              one DatasetProfile.Merge call
 //
-// (build.project and build.spearman are reported by the sharded
-// builder too, timing its pipelined projection phases.)
+// build and extend are each reported once per call at any shard count.
+// A sub-phase is reported by whoever runs it: an extension's delta is a
+// buildRange, so build.sketch, build.project and (in shards)
+// build.merge are reported inside extend.delta too.
 
 // TimingFunc receives one timed sketch operation.
 type TimingFunc func(op string, d time.Duration)

@@ -5,6 +5,15 @@ import (
 	"sync"
 )
 
+// resolveParallel applies the convention below to a worker or shard
+// count: negative means GOMAXPROCS.
+func resolveParallel(n int) int {
+	if n < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
+}
+
 // eachColumn runs fn(i) for i in [0, n), fanning out over a worker
 // pool. Worker-count semantics are uniform across the sketch layer
 // (ProfileConfig.Workers, ProjectConfig.Workers and every internal
@@ -20,9 +29,7 @@ import (
 // index space may fan out through here — the sharded builder uses it
 // for row shards and merge pairs too.
 func eachColumn(n, workers int, fn func(i int)) {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = resolveParallel(workers)
 	if workers <= 1 || n < 2 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
-	"foresight/internal/frame"
 	"foresight/internal/stats"
 )
 
@@ -151,113 +149,6 @@ type DatasetProfile struct {
 	// RowSample holds shared sampled row indexes (slot order).
 	RowSample *RowSample
 	Config    ProfileConfig
-}
-
-// BuildProfile preprocesses f: one pass per column for moments,
-// quantile, heavy-hitter, distinct and reservoir sketches, then one
-// blocked pass for the shared-direction projections. Deterministic
-// given (f, cfg).
-func BuildProfile(f *frame.Frame, cfg ProfileConfig) *DatasetProfile {
-	defer observeSince("build", time.Now())
-	cfg.fill(f.Rows())
-	p := &DatasetProfile{
-		Rows:        f.Rows(),
-		Numeric:     make(map[string]*NumericProfile),
-		Categorical: make(map[string]*CategoricalProfile),
-		RowSample:   NewRowSample(f.Rows(), cfg.RowSampleSize, cfg.Seed+1),
-		Config:      cfg,
-	}
-
-	numeric := f.NumericColumns()
-	cols := make([][]float64, len(numeric))
-	means := make([]float64, len(numeric))
-	profiles := make([]*NumericProfile, len(numeric))
-	numericStart := time.Now()
-	eachColumn(len(numeric), cfg.Workers, func(i int) {
-		nc := numeric[i]
-		np := &NumericProfile{
-			Name:      nc.Name(),
-			Quantiles: NewKLL(cfg.KLLSize, cfg.Seed+int64(i)*7+2),
-			Sample:    NewReservoir(cfg.SampleSize, reservoirSeed(cfg.Seed, nc.Name())),
-		}
-		for _, v := range nc.Values() {
-			if math.IsNaN(v) {
-				continue
-			}
-			np.Moments.Add(v)
-			np.Quantiles.Update(v)
-			np.Sample.Update(v)
-		}
-		cols[i] = nc.Values()
-		means[i] = np.Moments.Mean
-		np.RowSampleValues = p.RowSample.GatherFloats(nc.Values())
-		profiles[i] = np
-	})
-	for i, nc := range numeric {
-		p.Numeric[nc.Name()] = profiles[i]
-	}
-	observeSince("build.numeric", numericStart)
-
-	projStart := time.Now()
-	projCfg := ProjectConfig{K: cfg.K, Seed: cfg.Seed + 101, Workers: cfg.Workers}
-	projections := ProjectColumns(cols, means, f.Rows(), projCfg)
-	for i, nc := range numeric {
-		np := p.Numeric[nc.Name()]
-		np.Proj = projections[i]
-		np.ProjCenter = means[i]
-		np.Planes = HyperplaneFromProjection(projections[i])
-	}
-	observeSince("build.project", projStart)
-
-	if cfg.Spearman && len(numeric) > 0 {
-		spearmanStart := time.Now()
-		rankCols := make([][]float64, len(numeric))
-		rankMeans := make([]float64, len(numeric))
-		eachColumn(len(numeric), cfg.Workers, func(i int) {
-			ranks := stats.Ranks(numeric[i].Values())
-			rankCols[i] = ranks
-			rankMeans[i] = stats.Mean(ranks)
-		})
-		rankProj := ProjectColumns(rankCols, rankMeans, f.Rows(),
-			ProjectConfig{K: cfg.K, Seed: cfg.Seed + 211, Workers: cfg.Workers})
-		for i, nc := range numeric {
-			np := p.Numeric[nc.Name()]
-			np.RankProj = rankProj[i]
-			np.RankPlanes = HyperplaneFromProjection(rankProj[i])
-		}
-		observeSince("build.spearman", spearmanStart)
-	}
-
-	catStart := time.Now()
-	categorical := f.CategoricalColumns()
-	catProfiles := make([]*CategoricalProfile, len(categorical))
-	eachColumn(len(categorical), cfg.Workers, func(i int) {
-		cc := categorical[i]
-		cp := &CategoricalProfile{
-			Name:     cc.Name(),
-			Heavy:    NewSpaceSaving(cfg.HeavyCapacity),
-			Distinct: NewKMV(cfg.KMVSize),
-		}
-		dict := cc.Dict()
-		for _, code := range cc.Codes() {
-			if code < 0 {
-				continue
-			}
-			item := dict[code]
-			cp.Heavy.Update(item)
-			cp.Distinct.Update(item)
-			cp.Rows++
-		}
-		cp.RowSampleCodes = p.RowSample.GatherCodes(cc.Codes())
-		cp.Cardinality = cc.Cardinality()
-		cp.Dict = cc.Dict()
-		catProfiles[i] = cp
-	})
-	for i, cc := range categorical {
-		p.Categorical[cc.Name()] = catProfiles[i]
-	}
-	observeSince("build.categorical", catStart)
-	return p
 }
 
 // NumericProfileOf returns the profile for a numeric attribute, or an

@@ -2,9 +2,13 @@ package sketch
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 
+	"foresight/internal/datagen"
+	"foresight/internal/frame"
 	"foresight/internal/stats"
 )
 
@@ -32,7 +36,9 @@ func TestShardBounds(t *testing.T) {
 	for _, c := range cases {
 		bounds := shardBounds(c.lo, c.hi, c.shards)
 		if c.hi <= c.lo {
-			if len(bounds) != 0 {
+			// An empty span is one empty range, so a build over no rows
+			// still runs.
+			if len(bounds) != 1 || bounds[0] != [2]int{c.lo, c.lo} {
 				t.Errorf("(%+v): empty range produced %v", c, bounds)
 			}
 			continue
@@ -175,17 +181,61 @@ func TestShardedBuildDeterministic(t *testing.T) {
 	}
 }
 
-// shards = 0 and 1 delegate to the sequential builder — bit-identical
-// output, so flipping -build-shards off reproduces today's profiles.
-func TestShardedZeroIsSequential(t *testing.T) {
-	f := testFrame(9000, 49)
-	cfg := ProfileConfig{Seed: 3, K: 64, Spearman: true}
-	want := saveBytes(t, BuildProfile(f, cfg))
-	for _, shards := range []int{0, 1} {
-		got := saveBytes(t, BuildProfileSharded(f, cfg, shards))
-		if !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d not bit-identical to sequential build", shards)
+// TestBuildProfileBytesPinned holds BuildProfile to the bytes it saved
+// to before the three builders became one (digests generated on the
+// parent of that change): the demo datasets at their default sizes as
+// the server builds them, one synthetic shape large enough to compact
+// the quantile sketches and overflow both samples, that shape with no
+// rows, and its extension by a 10-row batch. Shard counts 0 and 1 and
+// any worker count are the same build.
+func TestBuildProfileBytesPinned(t *testing.T) {
+	digest := func(p *DatasetProfile) string {
+		p.Config.Workers = 0 // Save writes the config
+		return fmt.Sprintf("%x", sha256.Sum256(saveBytes(t, p)))
+	}
+	cfg := ProfileConfig{Seed: 42, Spearman: true}
+	scalable := datagen.Scalable(datagen.ScalableConfig{Rows: 3000, NumericCols: 6, CatCols: 2, Seed: 7})
+	empty, err := scalable.FilterRows(make([]bool, scalable.Rows()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		f    *frame.Frame
+		want string
+	}{
+		{"oecd", datagen.OECD(0, 42), "1c22db5e992bc45ce88d678334cb21466b83d25aedc5096a6b09fe2444359a87"},
+		{"parkinson", datagen.Parkinson(0, 42), "5614510c16088c3aacb7435a16236a989cce17be97b62320e61c5e90e123de1c"},
+		{"imdb", datagen.IMDB(0, 42), "eb90275f152ae424f3d2f55e098219a958edca5133de3a7ecdf5baa6bfc6b513"},
+		{"scalable", scalable, "bd7fb5114bf70d69883c927d9d40ef0e535436c5f65e620e2ea46eb9cffbdddf"},
+		{"empty", empty, "a0d6a0069d8da822942d35be1150af76505fda64d7a36170a43a7b3c907ebb54"},
+	} {
+		if got := digest(BuildProfile(c.f, cfg)); got != c.want {
+			t.Errorf("%s: BuildProfile saves to %s, pinned %s", c.name, got, c.want)
 		}
+		for _, shards := range []int{0, 1} {
+			if got := digest(BuildProfileSharded(c.f, cfg, shards)); got != c.want {
+				t.Errorf("%s: shards=%d saves to %s, pinned %s", c.name, shards, got, c.want)
+			}
+		}
+		par := cfg
+		par.Workers = 3
+		if got := digest(BuildProfile(c.f, par)); got != c.want {
+			t.Errorf("%s: workers=3 saves to %s, pinned %s", c.name, got, c.want)
+		}
+	}
+
+	grown, err := scalable.AppendRows(rowsOf(scalable, 0, 10), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := BuildProfile(scalable, cfg).Extend(grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantExt = "8ad138e57dbf5563b0ab5fdf8709c2ef8cd9ad3f8566873cf3a81a5a900cc911"
+	if got := digest(ext); got != wantExt {
+		t.Errorf("extend: saves to %s, pinned %s", got, wantExt)
 	}
 }
 
@@ -253,7 +303,7 @@ func TestExtendShardedMatchesExtend(t *testing.T) {
 			}
 		}
 	}
-	// shards = 0/1 is exactly the sequential delta.
+	// shards = 0/1 is exactly the one-shard delta.
 	sh0, err := p.ExtendSharded(f, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@
 //     internal/stats.
 //   - KLL: quantile sketch with uniform rank-error guarantees.
 //   - SpaceSaving: frequent-items sketch (heavy hitters).
-//   - CountMin: frequency sketch with one-sided error.
 //   - KMV: k-minimum-values distinct-count sketch.
 //   - Reservoir: uniform random sample of a stream.
 //   - Hyperplane: random hyperplane (SimHash) sketch; the Hamming

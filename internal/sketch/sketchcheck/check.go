@@ -2,16 +2,15 @@
 // sketch algebra of paper §3. Everything Foresight serves rests on the
 // claim that its sketches are mergeable, composable summaries with
 // guaranteed error bounds — and the codebase exercises that algebra
-// along four independent paths (one-pass build, Extend delta-merge,
+// along four independent paths (one-shard build, Extend delta-merge,
 // BuildProfileSharded merge trees, gob persist/reload). This package
 // states the algebraic laws once, as reusable Check* functions, and
 // lets fuzzers, table tests and the `foresight selfcheck` CLI all
 // drive the same assertions:
 //
-//   - merge ≡ one-pass: CountMin and KMV merges are *exactly* the
-//     one-pass sketch of the concatenated stream (counters are
-//     additive and hashing is a pure function of shape), so their
-//     differential checks demand equality;
+//   - merge ≡ one-pass: a KMV merge is *exactly* the one-pass sketch
+//     of the concatenated stream (hashing is a pure function of the
+//     item), so its differential check demands equality;
 //   - merge within bounds: KLL and SpaceSaving merges are randomized
 //     or conservative, so their checks assert each sketch's exported
 //     error contract against ground truth (KLL rank error ≤
@@ -19,8 +18,8 @@
 //     untracked-item floor bound);
 //   - persist→load is query-identical, and Extend leaves its receiver
 //     saving to the same bytes;
-//   - alternate build paths (partitioned, sharded, Extend) agree with
-//     the sequential build within the E13 score-delta gate.
+//   - alternate build paths (sharded, Extend) agree with the one-shard
+//     build within the score-delta gate.
 //
 // Violations accumulate in a Report instead of panicking, so one run
 // surfaces every broken invariant at once.
@@ -242,49 +241,6 @@ func CheckSpaceSaving(r *Report, label string, s *sketch.SpaceSaving, truth map[
 		}
 		if !r.check(t <= floor, "ss/untracked-floor",
 			"%s: untracked item %q has true count %d > floor %d", label, item, t, floor) {
-			return
-		}
-	}
-}
-
-// CheckCountMin asserts the count-min contract against exact counts:
-// estimates never underestimate (the hard one-sided guarantee),
-// Count() equals the stream weight, and ErrorBound() is e·N/width for
-// the observed N.
-func CheckCountMin(r *Report, label string, s *sketch.CountMin, truth map[string]uint64) {
-	var total uint64
-	for _, c := range truth {
-		total += c
-	}
-	r.check(s.Count() == total, "cm/count",
-		"%s: Count() = %d, stream weight %d", label, s.Count(), total)
-	want := math.E * float64(total) / float64(s.Width())
-	r.check(s.ErrorBound() == want, "cm/error-bound",
-		"%s: ErrorBound() = %v, want e·N/width = %v (N=%d, width=%d)",
-		label, s.ErrorBound(), want, total, s.Width())
-	for item, t := range truth {
-		est := s.Estimate(item)
-		if !r.check(est >= t, "cm/one-sided",
-			"%s: item %q estimated %d < true %d (one-sided error violated)",
-			label, item, est, t) {
-			return
-		}
-	}
-}
-
-// CheckCountMinEqual asserts that two count-min sketches answer every
-// probe identically — the differential form of "merge ≡ one-pass",
-// exact because counters are additive and hashing is a pure function
-// of (depth, width).
-func CheckCountMinEqual(r *Report, label string, a, b *sketch.CountMin, probes []string) {
-	r.check(a.Count() == b.Count(), "cm/equal-count",
-		"%s: counts differ: %d vs %d", label, a.Count(), b.Count())
-	r.check(a.Depth() == b.Depth() && a.Width() == b.Width(), "cm/equal-shape",
-		"%s: shapes differ: %dx%d vs %dx%d", label, a.Depth(), a.Width(), b.Depth(), b.Width())
-	for _, item := range probes {
-		ea, eb := a.Estimate(item), b.Estimate(item)
-		if !r.check(ea == eb, "cm/equal-estimate",
-			"%s: item %q estimated %d vs %d", label, item, ea, eb) {
 			return
 		}
 	}

@@ -75,27 +75,6 @@ func TestCheckSpaceSavingDetectsViolations(t *testing.T) {
 	}
 }
 
-func TestCheckCountMinEqualDetectsDrift(t *testing.T) {
-	a, b := sketch.NewCountMin(3, 64), sketch.NewCountMin(3, 64)
-	probes := make([]string, 20)
-	for i := range probes {
-		probes[i] = fmt.Sprintf("v%d", i)
-		a.Update(probes[i], uint64(i+1))
-		b.Update(probes[i], uint64(i+1))
-	}
-	r := &Report{}
-	CheckCountMinEqual(r, "same", a, b, probes)
-	if !r.Ok() {
-		t.Fatalf("identical sketches flagged: %v", r.Err())
-	}
-	b.Update("v3", 1)
-	r = &Report{}
-	CheckCountMinEqual(r, "drifted", a, b, probes)
-	if r.Ok() {
-		t.Fatal("drifted sketches not detected")
-	}
-}
-
 func TestCheckKMVExactRegime(t *testing.T) {
 	s := sketch.NewKMV(64)
 	for i := 0; i < 20; i++ {
@@ -127,6 +106,42 @@ func TestCheckProfileQueryIdentityDetectsMutation(t *testing.T) {
 	CheckProfileQueryIdentity(r, "mutated", p, c)
 	if r.Ok() {
 		t.Fatal("mutated twin not detected")
+	}
+}
+
+// TestCheckProfilesCompatibleGatesSpearman: the cross-path gate looks
+// at the rank projections whenever both sides carry them — it used to
+// compare Pearson estimates only, while the server always serves
+// Spearman from the sketches — and skips them when a side (an Extend)
+// has none.
+func TestCheckProfilesCompatibleGatesSpearman(t *testing.T) {
+	f := checkFrame(1500, 7)
+	cfg := sketch.ProfileConfig{Seed: 2, Spearman: true}
+	one, sharded := sketch.BuildProfile(f, cfg), sketch.BuildProfileSharded(f, cfg, 3)
+	r := &Report{}
+	CheckProfilesCompatible(r, "sharded", one, sharded, 0.07, true)
+	if !r.Ok() {
+		t.Fatalf("sharded build flagged: %v", r.Err())
+	}
+	withRanks := r.Checked
+
+	// y's ranks reversed: Spearman(x, y) flips sign, Pearson is untouched.
+	ny := sharded.Numeric["y"]
+	for i := range ny.RankProj.Dots {
+		ny.RankProj.Dots[i] = -ny.RankProj.Dots[i]
+	}
+	ny.RankPlanes = sketch.HyperplaneFromProjection(ny.RankProj)
+	r = &Report{}
+	CheckProfilesCompatible(r, "reversed", one, sharded, 0.07, true)
+	if r.Ok() || !strings.Contains(r.Err().Error(), "compat/spearman") {
+		t.Fatalf("reversed rank projection not caught by compat/spearman: %v", r.Err())
+	}
+
+	plain := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 2})
+	r = &Report{}
+	CheckProfilesCompatible(r, "no-ranks", one, plain, 0.07, true)
+	if !r.Ok() || r.Checked != withRanks-1 {
+		t.Fatalf("without rank projections: %d checks (want %d), err %v", r.Checked, withRanks-1, r.Err())
 	}
 }
 

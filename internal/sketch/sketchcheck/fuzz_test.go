@@ -1,7 +1,6 @@
 package sketchcheck
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -216,81 +215,6 @@ func FuzzSpaceSavingMerge(f *testing.F) {
 	})
 }
 
-// FuzzCountMinMerge checks the strongest differential law in the
-// algebra: because count-min counters are additive and row hashing is
-// a pure function of (depth, width), a merge must be *exactly* the
-// one-pass sketch of the concatenated stream — every estimate equal,
-// in every merge order — and mismatched shapes must be rejected.
-func FuzzCountMinMerge(f *testing.F) {
-	f.Add([]byte{2, 3, 0, 4, 0, 1, 1, 2, 2, 3, 3, 0, 4, 1, 5, 2})
-	f.Add([]byte{1, 63, 3, 200, 7, 7, 7, 7, 1, 2, 3, 4, 5, 6})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		z := &fz{data: data}
-		depth := 1 + int(z.byte()%5)
-		width := 1 + int(z.byte()%64)
-		nparts := 2 + int(z.byte()%3)
-		type ev struct {
-			item   string
-			weight uint64
-		}
-		segs := make([][]ev, nparts)
-		truth := make(map[string]uint64)
-		for p := range segs {
-			n := int(z.u16() % 400)
-			segs[p] = make([]ev, n)
-			for i := 0; i < n; i++ {
-				e := ev{item: fmt.Sprintf("v%d", z.byte()%24), weight: uint64(1 + z.byte()%4)}
-				segs[p][i] = e
-				truth[e.item] += e.weight
-			}
-		}
-		build := func(ps ...[]ev) *sketch.CountMin {
-			s := sketch.NewCountMin(depth, width)
-			for _, seg := range ps {
-				for _, e := range seg {
-					s.Update(e.item, e.weight)
-				}
-			}
-			return s
-		}
-		probes := make([]string, 0, len(truth)+1)
-		for item := range truth {
-			probes = append(probes, item)
-		}
-		probes = append(probes, "never-seen")
-
-		r := &Report{}
-		one := build(segs...)
-		CheckCountMin(r, "one-pass", one, truth)
-
-		mergedL := build(segs[0])
-		for i := 1; i < nparts; i++ {
-			if err := mergedL.Merge(build(segs[i])); err != nil {
-				t.Fatalf("merge-left: %v", err)
-			}
-		}
-		CheckCountMinEqual(r, "merge-left", one, mergedL, probes)
-
-		mergedR := build(segs[nparts-1])
-		for i := nparts - 2; i >= 0; i-- {
-			if err := mergedR.Merge(build(segs[i])); err != nil {
-				t.Fatalf("merge-right: %v", err)
-			}
-		}
-		CheckCountMinEqual(r, "merge-right", one, mergedR, probes)
-
-		if err := build(segs[0]).Merge(sketch.NewCountMin(depth, width+1)); !errors.Is(err, sketch.ErrShapeMismatch) {
-			r.Fail("cm/shape-check", "merging width %d into width %d: err = %v, want ErrShapeMismatch",
-				width+1, width, err)
-		}
-		if err := build(segs[0]).Merge(sketch.NewCountMin(depth+1, width)); !errors.Is(err, sketch.ErrShapeMismatch) {
-			r.Fail("cm/shape-check", "merging depth %d into depth %d: err = %v, want ErrShapeMismatch",
-				depth+1, depth, err)
-		}
-		fatalReport(t, r)
-	})
-}
-
 // FuzzKMVMerge checks that the k-minimum-values merge is exactly the
 // one-pass sketch of the union stream built at k = min over the
 // inputs (the hash function is unkeyed, so the k smallest hashes of a
@@ -383,10 +307,11 @@ func fuzzProfileConfig(z *fz) sketch.ProfileConfig {
 	}
 }
 
-// FuzzProfileRoundTrip builds profiles one-pass and partitioned
+// FuzzProfileRoundTrip builds profiles in one shard and in several
 // (reaching merged boundary states: KLL levels freshly grown by
 // merge, SpaceSaving counters trimmed after over-capacity merges,
-// empty reservoirs from all-missing partitions), persists each, and
+// empty reservoirs from all-missing shards, more shards than direction
+// blocks, no rows at all), persists each, and
 // requires the reloaded profile to answer every query identically,
 // while both continue to satisfy the ground-truth invariants.
 func FuzzProfileRoundTrip(f *testing.F) {
@@ -396,7 +321,7 @@ func FuzzProfileRoundTrip(f *testing.F) {
 		z := &fz{data: data}
 		rows := int(z.u16() % 700)
 		cfg := fuzzProfileConfig(z)
-		parts := 1 + int(z.byte()%5)
+		shards := 1 + int(z.byte()%5)
 		fr := fuzzFrame(z, rows)
 
 		r := &Report{}
@@ -404,8 +329,8 @@ func FuzzProfileRoundTrip(f *testing.F) {
 			label string
 			p     *sketch.DatasetProfile
 		}{
-			{"one-pass", sketch.BuildProfile(fr, cfg)},
-			{"partitioned", sketch.BuildProfilePartitioned(fr, cfg, parts)},
+			{"one-shard", sketch.BuildProfile(fr, cfg)},
+			{"sharded", sketch.BuildProfileSharded(fr, cfg, shards)},
 		} {
 			CheckProfileInvariants(r, build.p, fr)
 			rt := RunProfile(fr, build.p)

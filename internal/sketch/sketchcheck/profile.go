@@ -2,6 +2,7 @@ package sketchcheck
 
 import (
 	"math"
+	"sort"
 
 	"foresight/internal/frame"
 	"foresight/internal/sketch"
@@ -22,8 +23,8 @@ func momentsEqual(a, b stats.Moments) bool {
 // summarizes: every per-column sketch is checked against the exact
 // column (ground truth), counts are consistent across sketches that
 // saw the same stream, and composed estimators stay inside their
-// ranges. It holds for profiles built along *any* path — one-pass,
-// partitioned, sharded, extended, reloaded — because every assertion
+// ranges. It holds for profiles built along *any* path — one shard,
+// several, extended, reloaded — because every assertion
 // is against ground truth rather than against another build path.
 func CheckProfileInvariants(r *Report, p *sketch.DatasetProfile, f *frame.Frame) {
 	r.check(p.Rows == f.Rows(), "profile/rows",
@@ -229,8 +230,8 @@ func hittersEqual(a, b []sketch.HeavyHitter) bool {
 }
 
 // CheckProfilesCompatible asserts that two profiles built over the
-// same data along different paths (one-pass vs partitioned, sharded,
-// or Extend) agree within stated bounds:
+// same data along different paths (one shard vs several, or Extend)
+// agree within stated bounds:
 //
 //   - exact statistics — row counts, moment counts, min/max,
 //     cardinalities, KMV distinct estimates (whose merge is exactly
@@ -241,15 +242,17 @@ func hittersEqual(a, b []sketch.HeavyHitter) bool {
 //     bound of the truth, so their distance is bounded by the sum);
 //   - estimator outputs that feed insight scores (entropy,
 //     uniformity, heavy-hitter lists) agree within scoreTol — callers
-//     pass the E13 gate (0.07 max score delta) that every alternate
-//     build path is benchmarked against;
+//     pass the 0.07 max score delta every alternate build path is
+//     held to;
 //   - Pearson estimates are gated only when sameCenters is true, i.e.
-//     both builds centered projections on the full-data means
-//     (partitioned/sharded vs one-pass). Extend keeps the base
-//     profile's prefix-mean centers — a documented live-ingest
-//     tradeoff — so against a from-scratch rebuild it is a *different
-//     estimator* whose drift is unbounded on mean-shifting columns,
-//     not an execution-order invariant.
+//     both builds centered projections on the full-data means (one
+//     shard vs several). Extend keeps the base profile's prefix-mean
+//     centers — a documented live-ingest tradeoff — so against a
+//     from-scratch rebuild it is a *different estimator* whose drift
+//     is unbounded on mean-shifting columns, not an execution-order
+//     invariant;
+//   - Spearman estimates are gated the same way whenever both sides
+//     carry rank projections (Extend drops them).
 //
 // Reservoir-fed estimators (outlier, dip) are deliberately NOT
 // cross-checked: different build paths legitimately retain different
@@ -288,11 +291,10 @@ func CheckProfilesCompatible(r *Report, label string, a, b *sketch.DatasetProfil
 			}
 		}
 	}
-	for i := 0; sameCenters && i < len(names) && i < 8; i++ {
+	sort.Strings(names)
+	for i := 0; i < len(names) && i < 8; i++ {
 		for j := i + 1; j < len(names) && j < 8; j++ {
 			x, y := names[i], names[j]
-			pa, _ := a.EstimatePearson(x, y)
-			pb, _ := b.EstimatePearson(x, y)
 			// The SimHash estimator lives on the cos(π·m/K) grid and
 			// carries ~π/(2√K) angular noise, so two builds that center
 			// projections differently (Extend keeps the base profile's
@@ -301,12 +303,26 @@ func CheckProfilesCompatible(r *Report, label string, a, b *sketch.DatasetProfil
 			// same-centering paths produce identical bits and pass the
 			// bare scoreTol regardless.
 			tol := scoreTol
-			if na := a.Numeric[x]; na != nil && na.Planes != nil && na.Planes.K() > 0 {
+			if na := a.Numeric[x]; na.Planes != nil && na.Planes.K() > 0 {
 				tol += math.Pi / math.Sqrt(float64(na.Planes.K()))
 			}
-			r.check(math.Abs(pa-pb) <= tol || (math.IsNaN(pa) && math.IsNaN(pb)),
-				"compat/pearson", "%s: Pearson(%s,%s) %v vs %v exceeds gate %.3f (score %.2f + SimHash resolution)",
-				label, x, y, pa, pb, tol, scoreTol)
+			if sameCenters {
+				pa, _ := a.EstimatePearson(x, y)
+				pb, _ := b.EstimatePearson(x, y)
+				r.check(math.Abs(pa-pb) <= tol || (math.IsNaN(pa) && math.IsNaN(pb)),
+					"compat/pearson", "%s: Pearson(%s,%s) %v vs %v exceeds gate %.3f (score %.2f + SimHash resolution)",
+					label, x, y, pa, pb, tol, scoreTol)
+			}
+			// Rank projections are centered on the mean rank, a function
+			// of the whole frame, so every path that carries them centers
+			// alike.
+			sa, errA := a.EstimateSpearman(x, y)
+			sb, errB := b.EstimateSpearman(x, y)
+			if errA == nil && errB == nil {
+				r.check(math.Abs(sa-sb) <= tol || (math.IsNaN(sa) && math.IsNaN(sb)),
+					"compat/spearman", "%s: Spearman(%s,%s) %v vs %v exceeds gate %.3f (score %.2f + SimHash resolution)",
+					label, x, y, sa, sb, tol, scoreTol)
+			}
 		}
 	}
 	for name, ca := range a.Categorical {

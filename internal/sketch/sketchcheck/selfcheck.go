@@ -13,9 +13,6 @@ import (
 type Config struct {
 	// Profile sizes the sketches; zero fields take the usual defaults.
 	Profile sketch.ProfileConfig
-	// Parts is the partition count for the BuildProfilePartitioned
-	// path (default 3 — odd, so merges see unequal partials).
-	Parts int
 	// Shards is the shard count for BuildProfileSharded /
 	// ExtendSharded (default 4).
 	Shards int
@@ -24,15 +21,12 @@ type Config struct {
 	// ingest pattern of small batches on a large base).
 	ExtendFrac float64
 	// ScoreTol is the estimator-delta gate between build paths
-	// (default 0.07 — the E13 gate every alternate build path is
-	// benchmarked against).
+	// (default 0.07 — the gate every alternate build path is held
+	// to).
 	ScoreTol float64
 }
 
 func (c *Config) fill() {
-	if c.Parts <= 0 {
-		c.Parts = 3
-	}
 	if c.Shards == 0 {
 		c.Shards = 4
 	}
@@ -46,8 +40,8 @@ func (c *Config) fill() {
 
 // Run executes the full invariant suite against live profiles of f:
 // it builds the sketch store along every path the codebase uses —
-// one-pass, partitioned merge, sharded merge tree, Extend delta-merge
-// (sequential and sharded) — checks each against ground truth
+// one shard, a sharded merge tree, Extend delta-merge (in one shard
+// and several) — checks each against ground truth
 // (CheckProfileInvariants), checks persist→load for query identity,
 // checks that Extend leaves its receiver saving to the bytes it saved
 // to before, and gates the alternate paths against the sequential
@@ -57,7 +51,7 @@ func Run(f *frame.Frame, cfg Config) *Report {
 	r := &Report{}
 	cfg.fill()
 
-	// Sequential one-pass build: the reference.
+	// One-shard build: the reference.
 	seq := sketch.BuildProfile(f, cfg.Profile)
 	CheckProfileInvariants(r, seq, f)
 
@@ -72,13 +66,7 @@ func Run(f *frame.Frame, cfg Config) *Report {
 		CheckProfileInvariants(r, loaded, f)
 	}
 
-	// Partitioned build: the §3 merge operators, sequentially.
-	pcfg := cfg.Profile
-	part := sketch.BuildProfilePartitioned(f, pcfg, cfg.Parts)
-	CheckProfileInvariants(r, part, f)
-	CheckProfilesCompatible(r, "partitioned", seq, part, cfg.ScoreTol, true)
-
-	// Sharded build: the same merge operators, concurrently, reduced
+	// Sharded build: the §3 merge operators, concurrently, reduced
 	// through a binary tree.
 	sh := sketch.BuildProfileSharded(f, cfg.Profile, cfg.Shards)
 	CheckProfileInvariants(r, sh, f)

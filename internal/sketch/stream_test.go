@@ -109,7 +109,7 @@ func checkProjectRangeSplit(cols [][]float64, means []float64, a, b, c int, cfg 
 			}
 		}
 	}
-	onePass := ProjectColumns(masked, means, len(cols[0]), cfg)
+	onePass := projectRange(masked, means, 0, len(cols[0]), cfg)
 	for j := range cols {
 		if err := left[j].Merge(right[j]); err != nil {
 			return fmt.Errorf("column %d: merge: %w", j, err)
@@ -221,7 +221,7 @@ func TestExtendChainMatchesOnePass(t *testing.T) {
 	for i, nc := range numeric {
 		cols[i], centers[i] = nc.Values(), p.Numeric[nc.Name()].ProjCenter
 	}
-	onePass := ProjectColumns(cols, centers, f.Rows(), ProjectConfig{K: p.Config.K, Seed: p.Config.Seed + 101})
+	onePass := projectRange(cols, centers, 0, f.Rows(), ProjectConfig{K: p.Config.K, Seed: p.Config.Seed + 101})
 	for i, nc := range numeric {
 		if err := dotsClose(p.Numeric[nc.Name()].Proj, onePass[i]); err != nil {
 			t.Errorf("%s after 6 appends: %v", nc.Name(), err)
@@ -229,17 +229,25 @@ func TestExtendChainMatchesOnePass(t *testing.T) {
 	}
 }
 
-// TestShardCountsAgree holds BuildProfileSharded at 2, 3 and 8 shards
-// to the sequential build: the same dots up to association (plain and
-// rank), so the same sign bits except where a dot sits on zero.
+// TestShardCountsAgree holds BuildProfileSharded at 2, 3, 4, 8 and
+// GOMAXPROCS shards to the one-shard build: the same dots up to
+// association (plain and rank) although every count centres on its own
+// merge of the shard means, so the same sign bits except where a dot
+// sits on zero; and the same row sample and value reservoirs exactly.
 func TestShardCountsAgree(t *testing.T) {
 	f := testFrame(5000, 61)
 	cfg := ProfileConfig{Seed: 4, K: 128, Spearman: true}
 	seq := BuildProfileSharded(f, cfg, 0)
-	for _, shards := range []int{2, 3, 8} {
+	for _, shards := range []int{2, 3, 4, 8, -1} {
 		sh := BuildProfileSharded(f, cfg, shards)
+		if !slices.Equal(sh.RowSample.Indexes, seq.RowSample.Indexes) {
+			t.Errorf("shards=%d: row sample differs", shards)
+		}
 		for name, want := range seq.Numeric {
 			got := sh.Numeric[name]
+			if !slices.Equal(got.Sample.Sample(), want.Sample.Sample()) {
+				t.Errorf("shards=%d %s: value reservoir differs", shards, name)
+			}
 			if err := dotsClose(got.Proj, want.Proj); err != nil {
 				t.Errorf("shards=%d %s: %v", shards, name, err)
 			}
