@@ -473,6 +473,70 @@ func BenchmarkWarmExploreCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkColdCarousel is the first carousel a user of each demo
+// dataset sees: an exact session carousel on an empty memo, the engine
+// set up as foresightd sets it up (sketch store built, all cores). It
+// reports and gates nothing.
+func BenchmarkColdCarousel(b *testing.B) {
+	for _, f := range []*frame.Frame{datagen.OECD(0, 42), datagen.Parkinson(0, 42), datagen.IMDB(0, 42)} {
+		b.Run(f.Name(), func(b *testing.B) {
+			p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 42, Spearman: true})
+			engine, err := query.NewEngine(f, core.NewRegistry(), p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			engine.SetWorkers(0)
+			session := query.NewSession(engine, 5, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				engine.InvalidateCache()
+				if _, err := session.Recommendations(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSegmentationWide is the segmentation class pass at the shape
+// the repository benchmark's explore_wide avoids (ROADMAP 6(c)): 30 000
+// rows × 160 numeric columns and one 8-level categorical, answered from
+// the sketches — 12 720 triples of 512 sampled points each. It reports
+// what a cold carousel would pay for the class there and gates nothing.
+func BenchmarkSegmentationWide(b *testing.B) {
+	wide := datagen.Scalable(datagen.ScalableConfig{Rows: 30000, NumericCols: 160, Seed: 5})
+	levels := make([]string, wide.Rows())
+	for i := range levels {
+		levels[i] = fmt.Sprintf("level%d", i%8)
+	}
+	cols := make([]frame.Column, 0, wide.Cols()+1)
+	for c := 0; c < wide.Cols(); c++ {
+		cols = append(cols, wide.Column(c))
+	}
+	f, err := frame.New("wide+lowcard", append(cols, frame.NewCategoricalColumn("lowcard", levels))...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got := len(core.NewSegmentationClass(0, 0).Candidates(f)); got != 12720 {
+		b.Fatalf("%d segmentation triples, want 12720", got)
+	}
+	engine, err := query.NewEngine(f, core.NewRegistry(), sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 5}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine.SetWorkers(0)
+	q := query.Query{Classes: []string{"segmentation"}, Approx: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engine.InvalidateCache()
+		if _, err := engine.Execute(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- TopK: bounded min-heap vs full sort ---
 
 func benchInsights(n int, seed int64) []core.Insight {

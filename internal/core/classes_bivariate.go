@@ -439,10 +439,11 @@ type segmentationClass struct {
 
 // NewSegmentationClass returns the segmentation insight class;
 // categorical candidates are limited to maxCardinality groups (12 when
-// ≤ 0). Silhouettes are quadratic, so scoring subsamples n > sampleCap
-// rows (512 when ≤ 0) with stride ⌊n/sampleCap⌋. The stride is floored,
-// so the sample holds ⌈n/⌊n/sampleCap⌋⌉ points: at least sampleCap and
-// up to 2·sampleCap−1 (534 at 8 010 rows with the default cap).
+// ≤ 0). A silhouette costs a square root per pair of scored points, so
+// of n > sampleCap rows (512 when ≤ 0) scoring reads every
+// ⌊n/sampleCap⌋-th. The stride is floored, so the sample holds
+// ⌈n/⌊n/sampleCap⌋⌉ points: at least sampleCap and up to 2·sampleCap−1
+// (534 at 8 010 rows with the default cap).
 func NewSegmentationClass(maxCardinality, sampleCap int) Class {
 	if maxCardinality <= 0 {
 		maxCardinality = 12
@@ -480,33 +481,18 @@ func (c *segmentationClass) Candidates(f *frame.Frame) [][]string {
 	return out
 }
 
-// silhouette standardizes the (x, y) points by each column's mean and
-// σ, subsamples points and codes with one shared stride so they stay
-// row-aligned (silhouettes over misaligned pairs are garbage), and
-// returns the silhouette of the grouping codes induce. Exact and
-// approximate scoring differ only in what they pass: whole columns or
-// the profile's shared row sample.
-func (c *segmentationClass) silhouette(x, y *stats.Ordered, codes []int32) float64 {
+// silhouette is the silhouette of the grouping codes (dictionary codes
+// below levels) induce on the (x, y) scatter, each axis standardized by
+// its own mean and σ, over one shared stride of rows so points and codes
+// stay row-aligned. Exact and approximate scoring differ only in what
+// they pass: whole columns or the profile's shared row sample.
+func (c *segmentationClass) silhouette(x, y *stats.Ordered, codes []int32, levels int) float64 {
 	n := min(len(x.Values), len(y.Values), len(codes))
 	step := 1
 	if n > c.sampleCap {
 		step = n / c.sampleCap
 	}
-	sx, sy := x.StdDev, y.StdDev
-	if sx == 0 || math.IsNaN(sx) {
-		sx = 1
-	}
-	if sy == 0 || math.IsNaN(sy) {
-		sy = 1
-	}
-	size := (n + step - 1) / step
-	pts := make([]stats.Point2, 0, size)
-	sampled := make([]int32, 0, size)
-	for i := 0; i < n; i += step {
-		pts = append(pts, stats.Point2{X: (x.Values[i] - x.Mean) / sx, Y: (y.Values[i] - y.Mean) / sy})
-		sampled = append(sampled, codes[i])
-	}
-	return stats.GroupSilhouette(pts, sampled)
+	return stats.GroupSilhouette(x, y, codes, levels, step)
 }
 
 func (c *segmentationClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
@@ -529,7 +515,7 @@ func (c *segmentationClass) Score(f *frame.Frame, attrs []string, metric string)
 	if err != nil {
 		return Insight{}, err
 	}
-	sil := c.silhouette(x.Ordered(), y.Ordered(), z.Codes())
+	sil := c.silhouette(x.Ordered(), y.Ordered(), z.Codes(), z.Cardinality())
 	score := sil
 	if math.IsNaN(score) {
 		return Insight{}, errUndefined("segmentation", attrs)
@@ -570,7 +556,7 @@ func (c *segmentationClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string
 	if err != nil {
 		return Insight{}, err
 	}
-	sil := c.silhouette(x.RowSampleOrdered(), y.RowSampleOrdered(), z.RowSampleCodes)
+	sil := c.silhouette(x.RowSampleOrdered(), y.RowSampleOrdered(), z.RowSampleCodes, z.Cardinality)
 	if math.IsNaN(sil) {
 		return Insight{}, errUndefined("segmentation", attrs)
 	}

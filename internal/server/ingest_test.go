@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -192,4 +194,49 @@ func TestIngestClose(t *testing.T) {
 	_ = ts
 	srv.Close()
 	srv.Close() // idempotent
+}
+
+// FuzzIngestBody feeds arbitrary bytes to both ingest-body decoders
+// against the test server's column list. Neither may panic; a batch
+// they accept has one full-width record per row, and no more rows than
+// the body has bytes — every row is spelled out in the body, none is
+// allocated from a count it states.
+func FuzzIngestBody(f *testing.F) {
+	for _, body := range []string{
+		// What the tests above post, accepted and rejected.
+		`{"columns": ["x", "g"], "rows": [[4.5, "c"], [null, "a"]]}`,
+		`{"rows": [{"x": 9}, {"g": "b"}]}`,
+		"g,x\nc,7\nb,8\n",
+		`{"rows": [`,
+		`{"columns": ["nope"], "rows": [["1"]]}`,
+		`{"rows": [{"nope": 1}]}`,
+		`{"rows": [[1, "a"], {"x": 2}]}`,
+		`{"rows": []}`,
+		"x,g\n",
+		"zzz\n1\n",
+		`{"rows": [{"x": 10, "g": "a"}, {"x": 11, "g": "b"}, {"x": 12, "g": "a"}]}`,
+		`{"rows": [[true, {"nested": 1}]]}`,
+		"x,g\n\"1\n",
+	} {
+		f.Add([]byte(body))
+	}
+	names := []string{"x", "g"}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for name, parse := range map[string]func(io.Reader, []string) ([][]string, error){
+			"csv": parseCSVBatch, "json": parseJSONBatch,
+		} {
+			rows, err := parse(bytes.NewReader(body), names)
+			if err != nil {
+				continue
+			}
+			if len(rows) > len(body) {
+				t.Fatalf("%s: %d rows from a %d-byte body", name, len(rows), len(body))
+			}
+			for i, rec := range rows {
+				if len(rec) != len(names) {
+					t.Fatalf("%s: row %d has %d cells, want %d", name, i, len(rec), len(names))
+				}
+			}
+		}
+	})
 }

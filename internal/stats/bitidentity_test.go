@@ -3,6 +3,8 @@ package stats_test
 import (
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"foresight/internal/core"
@@ -36,7 +38,9 @@ func oracleMonotonic(f *frame.Frame, attrs []string) oracleScore {
 	return oracleScore{raw: rho, score: math.Abs(rho), details: map[string]float64{"rho": rho}}
 }
 
-func oracleSegmentation(f *frame.Frame, attrs []string) oracleScore {
+// segmentationPoints is what the segmentation class scores for attrs:
+// the strided sample of the (x, y) scatter, standardised, with its codes.
+func segmentationPoints(f *frame.Frame, attrs []string) (pts []stats.Point2, codes []int32, levels int) {
 	const sampleCap = 512
 	x, y := values(f, attrs[0]), values(f, attrs[1])
 	z, _ := f.Categorical(attrs[2])
@@ -53,18 +57,21 @@ func oracleSegmentation(f *frame.Frame, attrs []string) oracleScore {
 	if sy == 0 || math.IsNaN(sy) {
 		sy = 1
 	}
-	var pts []stats.Point2
-	var codes []int32
 	for i := 0; i < n; i += step {
 		pts = append(pts, stats.Point2{X: (x[i] - mx) / sx, Y: (y[i] - my) / sy})
 		codes = append(codes, z.Codes()[i])
 	}
-	sil := stats.GroupSilhouetteOracle(pts, codes)
+	return pts, codes, z.Cardinality()
+}
+
+func oracleSegmentation(f *frame.Frame, attrs []string) oracleScore {
+	pts, codes, levels := segmentationPoints(f, attrs)
+	sil := stats.GroupSilhouetteOracle(pts, codes, levels)
 	if math.IsNaN(sil) {
 		return oracleScore{undefined: true}
 	}
 	return oracleScore{raw: sil, score: math.Max(sil, 0), details: map[string]float64{
-		"groups": float64(z.Cardinality()),
+		"groups": float64(levels),
 	}}
 }
 
@@ -208,4 +215,78 @@ func TestRewrittenClassesBitIdenticalToOracles(t *testing.T) {
 		}
 		diffBits(t, f2, after)
 	}
+}
+
+// TestSilhouetteCloseToHypot bounds what replacing math.Hypot by
+// √(dx²+dy²) did to a silhouette: the two distances differ in the last
+// place, the score by no more than 1e-12, and a score is defined under
+// one exactly when it is under the other.
+func TestSilhouetteCloseToHypot(t *testing.T) {
+	near := func(what string, got, hypot float64) {
+		t.Helper()
+		if math.IsNaN(got) != math.IsNaN(hypot) || math.Abs(got-hypot) > 1e-12 {
+			t.Errorf("%s: %v, under Hypot %v", what, got, hypot)
+		}
+	}
+	stats.EachSilhouetteCase(near)
+
+	class := core.NewSegmentationClass(0, 0)
+	datasets := []struct {
+		f      *frame.Frame
+		stride int // the oracle costs a Hypot per ordered pair of points
+	}{
+		{datagen.OECD(0, 42), 1},
+		{datagen.IMDB(0, 42), 3},
+		{datagen.Parkinson(120, 42), 1}, // every triple, on few rows; then few triples on every row
+		{datagen.Parkinson(0, 42), 40},
+		{extremeFrame(t), 1},
+	}
+	for _, ds := range datasets {
+		cands := class.Candidates(ds.f) // none on OECD: its one categorical names the row
+		if len(cands) == 0 && ds.f.Name() != "oecd" {
+			t.Fatalf("%s: no segmentation candidates", ds.f.Name())
+		}
+		if testing.Short() {
+			ds.stride *= 10
+		}
+		for ci := 0; ci < len(cands); ci += ds.stride {
+			attrs := cands[ci]
+			pts, codes, levels := segmentationPoints(ds.f, attrs)
+			hypot := stats.GroupSilhouetteHypotOracle(pts, codes, levels)
+			got := math.NaN()
+			if in, err := class.Score(ds.f, attrs, "silhouette"); err == nil {
+				got = in.Raw
+			} else if !errors.As(err, new(*core.UndefinedError)) {
+				t.Fatal(err)
+			}
+			near(ds.f.Name()+" "+strings.Join(attrs, ","), got, hypot)
+		}
+	}
+}
+
+// extremeFrame holds two blobs a categorical separates, at scales where
+// σ is unusable (the moments overflow to NaN or underflow to 0, so the
+// points are only centred) and √(dx²+dy²) needs the rescale that Hypot
+// did not, and once with an infinite cell, which leaves the score
+// undefined under either distance.
+func extremeFrame(t *testing.T) *frame.Frame {
+	const n = 60
+	huge, tiny, inf, unit := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	group := make([]string, n)
+	for i := range group {
+		g := i % 2
+		unit[i] = float64(20*g) + 1.5 + math.Sin(float64(i)) // row 0 is not 0: a huge first value is what turns the moments NaN
+		huge[i], tiny[i], inf[i] = unit[i]*1e200, unit[i]*1e-200, unit[i]
+		group[i] = []string{"a", "b"}[g]
+	}
+	inf[7] = math.Inf(1)
+	f, err := frame.New("extreme",
+		frame.NewNumericColumn("huge", huge), frame.NewNumericColumn("huge2", slices.Clone(huge)),
+		frame.NewNumericColumn("tiny", tiny), frame.NewNumericColumn("tiny2", slices.Clone(tiny)),
+		frame.NewNumericColumn("inf", inf), frame.NewNumericColumn("unit", unit),
+		frame.NewCategoricalColumn("group", group))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }

@@ -7,4 +7,15 @@ var (
 	PearsonOracle         = pearsonOracle
 	FitLineOracle         = fitLineOracle
 	GroupSilhouetteOracle = groupSilhouetteOracle
+	// The silhouette under the distance it was defined with before:
+	// math.Hypot, no rescale.
+	GroupSilhouetteHypotOracle = groupSilhouetteHypotOracle
 )
+
+// EachSilhouetteCase scores every hand-built silhouette case through the
+// kernel and through the Hypot oracle.
+func EachSilhouetteCase(visit func(name string, got, hypot float64)) {
+	for _, tc := range silhouetteCases {
+		visit(tc.name, groupSilhouette(tc.pts, tc.codes, tc.levels), groupSilhouetteHypotOracle(tc.pts, tc.codes, tc.levels))
+	}
+}

@@ -119,7 +119,41 @@ func spearmanOracle(xs, ys []float64) float64 {
 	return pearsonOracle(ranksOracle(px), ranksOracle(py))
 }
 
+// Point2 is a point in the plane: the oracles' input form, which the
+// kernel reads as two columns.
+type Point2 struct{ X, Y float64 }
+
+func sqrtDist(p, q Point2) float64 {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	return math.Sqrt(dx*dx + dy*dy)
+}
+
+// hypotDist is the distance the kernel used before it took sqrtDist:
+// kept to bound how far the change of definition moves a score.
+func hypotDist(p, q Point2) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
+
+// silhouetteOracle is the definition GroupSilhouette implements, for any
+// cluster ids (negative = not scored): points whose largest finite
+// |coordinate| is outside 1e±150 are divided by it, then every point
+// scans every cluster's members with sqrtDist.
 func silhouetteOracle(pts []Point2, assign []int) float64 {
+	big := 0.0
+	for i, p := range pts {
+		if assign[i] >= 0 && !math.IsNaN(p.X) && !math.IsNaN(p.Y) {
+			big = math.Max(big, math.Max(math.Abs(p.X), math.Abs(p.Y)))
+		}
+	}
+	if big > 0 && !math.IsInf(big, 1) && (big > 1e150 || big < 1e-150) {
+		scaled := make([]Point2, len(pts))
+		for i, p := range pts {
+			scaled[i] = Point2{p.X / big, p.Y / big}
+		}
+		pts = scaled
+	}
+	return silhouetteOracleWith(sqrtDist, pts, assign)
+}
+
+func silhouetteOracleWith(dist func(p, q Point2) float64, pts []Point2, assign []int) float64 {
 	n := len(pts)
 	if n != len(assign) || n < 2 {
 		return math.NaN()
@@ -138,7 +172,6 @@ func silhouetteOracle(pts []Point2, assign []int) float64 {
 		clusters = append(clusters, c)
 	}
 	sort.Ints(clusters)
-	dist := func(p, q Point2) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 	total, count := 0.0, 0
 	for _, c := range clusters {
 		idxs := members[c]
@@ -180,16 +213,25 @@ func silhouetteOracle(pts []Point2, assign []int) float64 {
 	return total / float64(count)
 }
 
-func groupSilhouetteOracle(pts []Point2, codes []int32) float64 {
-	assign := make([]int, len(pts))
-	for i := range pts {
-		if i < len(codes) {
+// groupAssign reads dictionary codes as cluster ids: a point with no
+// code, or one outside [0, levels), is not scored.
+func groupAssign(n int, codes []int32, levels int) []int {
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = -1
+		if i < len(codes) && codes[i] >= 0 && int(codes[i]) < levels {
 			assign[i] = int(codes[i])
-		} else {
-			assign[i] = -1
 		}
 	}
-	return silhouetteOracle(pts, assign)
+	return assign
+}
+
+func groupSilhouetteOracle(pts []Point2, codes []int32, levels int) float64 {
+	return silhouetteOracle(pts, groupAssign(len(pts), codes, levels))
+}
+
+func groupSilhouetteHypotOracle(pts []Point2, codes []int32, levels int) float64 {
+	return silhouetteOracleWith(hypotDist, pts, groupAssign(len(pts), codes, levels))
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -244,64 +244,133 @@ func FuzzSpearmanOrdered(f *testing.F) {
 	})
 }
 
+// columns is the kernel's input form of pts: two columns that
+// standardise to themselves (mean 0, σ 1).
+func columns(pts []Point2) (x, y *Ordered) {
+	xs, ys := make([]float64, len(pts)), make([]float64, len(pts))
+	for i, p := range pts {
+		xs[i], ys[i] = p.X, p.Y
+	}
+	return &Ordered{Values: xs, StdDev: 1}, &Ordered{Values: ys, StdDev: 1}
+}
+
+func groupSilhouette(pts []Point2, codes []int32, levels int) float64 {
+	x, y := columns(pts)
+	return GroupSilhouette(x, y, codes, levels, 1)
+}
+
 var silhouetteCases = []struct {
 	name   string
 	pts    []Point2
-	assign []int
+	codes  []int32
+	levels int
 }{
-	{"two blobs", []Point2{{0, 0}, {0, 1}, {9, 9}, {9, 8}, {1, 0}}, []int{0, 0, 1, 1, 0}},
-	{"negative codes skipped", []Point2{{0, 0}, {5, 5}, {0, 1}, {9, 9}, {9, 8}}, []int{0, -1, 0, 1, 1}},
-	{"NaN points skipped", []Point2{{0, 0}, {nan, 5}, {0, 1}, {9, nan}, {9, 8}, {8, 8}}, []int{0, 0, 0, 1, 1, 1}},
-	{"single surviving cluster", []Point2{{0, 0}, {1, 1}, {nan, 2}, {3, 3}}, []int{0, 0, 1, -1}},
-	{"sparse large ids", []Point2{{0, 0}, {0, 1}, {9, 9}, {9, 8}, {4, 4}}, []int{1 << 40, 1 << 40, 7, 7, 1 << 20}},
-	{"all singletons", []Point2{{0, 0}, {1, 5}, {7, 2}, {3, 3}}, []int{3, 2, 1, 0}},
-	{"singleton among pairs", []Point2{{0, 0}, {0, 1}, {5, 5}, {9, 9}, {9, 8}}, []int{0, 0, 1, 2, 2}},
-	{"coincident points", []Point2{{1, 1}, {1, 1}, {1, 1}, {1, 1}}, []int{0, 0, 1, 1}},
-	{"infinite coordinate", []Point2{{math.Inf(1), 0}, {0, 1}, {9, 9}, {9, 8}}, []int{0, 0, 1, 1}},
-	{"too short", []Point2{{0, 0}}, []int{0}},
-	{"length mismatch", []Point2{{0, 0}, {1, 1}}, []int{0}},
+	{"two blobs", []Point2{{0, 0}, {0, 1}, {9, 9}, {9, 8}, {1, 0}}, []int32{0, 0, 1, 1, 0}, 2},
+	{"negative codes skipped", []Point2{{0, 0}, {5, 5}, {0, 1}, {9, 9}, {9, 8}}, []int32{0, -1, 0, 1, 1}, 2},
+	{"codes beyond the levels skipped", []Point2{{0, 0}, {5, 5}, {0, 1}, {9, 9}, {9, 8}, {3, 3}}, []int32{0, 2, 0, 1, 1, 1 << 30}, 2},
+	{"missing codes skipped", []Point2{{0, 0}, {0, 1}, {9, 9}, {9, 8}, {5, 5}}, []int32{0, 0, 1, 1}, 2},
+	{"NaN points skipped", []Point2{{0, 0}, {nan, 5}, {0, 1}, {9, nan}, {9, 8}, {8, 8}}, []int32{0, 0, 0, 1, 1, 1}, 2},
+	{"single surviving cluster", []Point2{{0, 0}, {1, 1}, {nan, 2}, {3, 3}}, []int32{0, 0, 1, -1}, 2},
+	{"empty levels between", []Point2{{0, 0}, {0, 1}, {9, 9}, {9, 8}, {4, 4}}, []int32{11, 11, 7, 7, 2}, 12},
+	{"all singletons", []Point2{{0, 0}, {1, 5}, {7, 2}, {3, 3}}, []int32{3, 2, 1, 0}, 4},
+	{"singleton among pairs", []Point2{{0, 0}, {0, 1}, {5, 5}, {9, 9}, {9, 8}}, []int32{0, 0, 1, 2, 2}, 3},
+	{"coincident points", []Point2{{1, 1}, {1, 1}, {1, 1}, {1, 1}}, []int32{0, 0, 1, 1}, 2},
+	{"infinite coordinate", []Point2{{math.Inf(1), 0}, {0, 1}, {9, 9}, {9, 8}}, []int32{0, 0, 1, 1}, 2},
+	{"huge coordinates", []Point2{{0, 0}, {0, 1e200}, {9e200, 9e200}, {9e200, 8e200}, {1e200, 0}}, []int32{0, 0, 1, 1, 0}, 2},
+	{"tiny coordinates", []Point2{{0, 0}, {0, 1e-200}, {9e-200, 9e-200}, {9e-200, 8e-200}, {1e-200, 0}}, []int32{0, 0, 1, 1, 0}, 2},
+	{"huge and infinite", []Point2{{math.Inf(-1), 0}, {0, 1e200}, {9e200, 9e200}, {9e200, 8e200}}, []int32{0, 0, 1, 1}, 2},
+	{"one level", []Point2{{0, 0}, {1, 1}}, []int32{0, 0}, 1},
+	{"too short", []Point2{{0, 0}}, []int32{0}, 2},
 }
 
 func TestSilhouetteMatchesOracle(t *testing.T) {
 	for _, tc := range silhouetteCases {
-		requireSameBits(t, tc.name, Silhouette(tc.pts, tc.assign), silhouetteOracle(tc.pts, tc.assign))
+		requireSameBits(t, tc.name, groupSilhouette(tc.pts, tc.codes, tc.levels), groupSilhouetteOracle(tc.pts, tc.codes, tc.levels))
 	}
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 150; trial++ {
 		n := rng.Intn(90)
 		k := 1 + rng.Intn(6)
-		pts := make([]Point2, n)
-		assign := make([]int, n)
+		spread := 1 + trial%3*3 // dense codes, and ones with empty levels between
+		levels := rng.Intn((k-1)*spread + 3)
+		xs, ys := make([]float64, n), make([]float64, n)
 		codes := make([]int32, n)
-		for i := range pts {
+		for i := range codes {
 			c := rng.Intn(k+1) - 1 // −1 … k−1
-			pts[i] = Point2{float64(c)*2 + rng.NormFloat64(), rng.NormFloat64()}
+			xs[i], ys[i] = float64(c)*2+rng.NormFloat64(), rng.NormFloat64()
 			if rng.Intn(15) == 0 {
-				pts[i].X = nan
+				xs[i] = nan
 			}
-			assign[i] = c * (1 + trial%3*1000)
-			codes[i] = int32(c)
+			codes[i] = int32(c * spread)
 		}
-		requireSameBits(t, "Silhouette", Silhouette(pts, assign), silhouetteOracle(pts, assign))
-		requireSameBits(t, "GroupSilhouette", GroupSilhouette(pts, codes), groupSilhouetteOracle(pts, codes))
+		// What the kernel is to score: every stride-th row, standardised.
+		x, y := NewOrdered(xs), NewOrdered(ys)
+		if trial%4 == 0 {
+			y.StdDev = 0 // reads as 1
+		}
+		stride := 1 + rng.Intn(3)
+		var pts []Point2
+		var sampled []int32
+		sx, sy := unitIfUnusable(x.StdDev), unitIfUnusable(y.StdDev)
+		for i := 0; i < n; i += stride {
+			pts = append(pts, Point2{(xs[i] - x.Mean) / sx, (ys[i] - y.Mean) / sy})
+			sampled = append(sampled, codes[i])
+		}
+		requireSameBits(t, "GroupSilhouette", GroupSilhouette(x, y, codes, levels, stride), groupSilhouetteOracle(pts, sampled, levels))
 		short := codes[:n/2] // points beyond the codes are skipped
-		requireSameBits(t, "GroupSilhouette short", GroupSilhouette(pts, short), groupSilhouetteOracle(pts, short))
+		requireSameBits(t, "GroupSilhouette short", groupSilhouette(pts, short, levels), groupSilhouetteOracle(pts, short, levels))
+	}
+}
+
+// A silhouette is a ratio of distances: points scaled so far that their
+// squared differences would overflow or underflow score what the
+// unscaled points score.
+func TestSilhouetteScaleInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	pts := make([]Point2, 80)
+	codes := make([]int32, len(pts))
+	for i := range pts {
+		codes[i] = int32(i % 3)
+		pts[i] = Point2{float64(codes[i]) + rng.NormFloat64(), rng.NormFloat64()}
+	}
+	want := groupSilhouette(pts, codes, 3)
+	if math.IsNaN(want) {
+		t.Fatal("unscaled score undefined")
+	}
+	for _, scale := range []float64{1e200, 1e-200, 1e151, 1e-151} {
+		scaled := make([]Point2, len(pts))
+		for i, p := range pts {
+			scaled[i] = Point2{p.X * scale, p.Y * scale}
+		}
+		if got := groupSilhouette(scaled, codes, 3); !(math.Abs(got-want) <= 1e-12) {
+			t.Errorf("scale %g: %v, unscaled %v", scale, got, want)
+		}
 	}
 }
 
 func FuzzSilhouette(f *testing.F) {
-	f.Add([]byte{0, 6, 7, 8, 9, 10, 11, 6, 6}, []byte{0, 0, 1, 1})
-	f.Add([]byte{0, 0, 6, 6, 7, 4, 5, 9, 9}, []byte{0, 255, 1, 1})
+	f.Add([]byte{8, 6, 7, 8, 9, 10, 11, 6, 6}, []byte{0, 0, 1, 1})
+	f.Add([]byte{40, 0, 6, 6, 7, 4, 5, 9, 9}, []byte{0, 255, 1, 3}) // stride 2, a negative code
 	f.Fuzz(func(t *testing.T, coords, clusters []byte) {
+		if len(coords) == 0 {
+			return
+		}
+		levels, stride := int(coords[0])/2%12, 1+int(coords[0])/32%3
 		vals := fuzzFloats(coords)
 		n := min(len(vals)/2, len(clusters))
 		pts := make([]Point2, n)
-		assign := make([]int, n)
+		codes := make([]int32, n)
 		for i := range pts {
 			pts[i] = Point2{vals[2*i], vals[2*i+1]}
-			assign[i] = int(int8(clusters[i])) << (clusters[i] % 3 * 20) // negative, dense and sparse ids
+			codes[i] = int32(int8(clusters[i])) % 16 // negative, dense, and at or beyond levels
 		}
-		requireSameBits(t, "Silhouette", Silhouette(pts, assign), silhouetteOracle(pts, assign))
+		var strided []Point2
+		var sampled []int32
+		for i := 0; i < n; i += stride {
+			strided, sampled = append(strided, pts[i]), append(sampled, codes[i])
+		}
+		x, y := columns(pts)
+		requireSameBits(t, "GroupSilhouette", GroupSilhouette(x, y, codes, levels, stride), groupSilhouetteOracle(strided, sampled, levels))
 	})
 }
 
@@ -336,15 +405,14 @@ func BenchmarkSpearmanPair(b *testing.B) {
 // its sample cap: 512 points in four groups.
 func BenchmarkSilhouette512(b *testing.B) {
 	xs, ys := benchColumns(512)
-	pts := make([]Point2, len(xs))
+	x, y := NewOrdered(xs), NewOrdered(ys)
 	codes := make([]int32, len(xs))
-	for i := range pts {
-		pts[i] = Point2{xs[i], ys[i]}
+	for i := range codes {
 		codes[i] = int32(i % 4)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = GroupSilhouette(pts, codes)
+		benchSink = GroupSilhouette(x, y, codes, 4, 1)
 	}
 }

@@ -158,57 +158,38 @@ func TestKMeans1DEdges(t *testing.T) {
 	}
 }
 
-func TestKMeans2DAndSilhouette(t *testing.T) {
+func TestSilhouetteSeparatedVsRandomLabels(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var pts []Point2
+	var blob []int32
 	for i := 0; i < 150; i++ {
 		cx := float64(i%3) * 10
 		pts = append(pts, Point2{cx + rng.NormFloat64()*0.5, cx + rng.NormFloat64()*0.5})
+		blob = append(blob, int32(i%3))
 	}
-	assign, centers := KMeans2D(pts, 3, 100, rand.New(rand.NewSource(8)))
-	if len(centers) != 3 {
-		t.Fatalf("centers = %v", centers)
-	}
-	sil := Silhouette(pts, assign)
-	if sil < 0.8 {
+	if sil := groupSilhouette(pts, blob, 3); sil < 0.8 {
 		t.Errorf("silhouette of well-separated clusters = %v, want >0.8", sil)
 	}
 	// Random labels → poor silhouette.
-	randAssign := make([]int, len(pts))
-	for i := range randAssign {
-		randAssign[i] = rng.Intn(3)
+	random := make([]int32, len(pts))
+	for i := range random {
+		random[i] = int32(rng.Intn(3))
 	}
-	silRand := Silhouette(pts, randAssign)
-	if silRand > 0.3 {
-		t.Errorf("random-label silhouette = %v, want low", silRand)
-	}
-}
-
-func TestKMeans2DEdges(t *testing.T) {
-	assign, centers := KMeans2D(nil, 2, 10, nil)
-	if len(assign) != 0 || centers != nil {
-		t.Error("empty 2D input handling wrong")
-	}
-	pts := []Point2{{math.NaN(), 1}, {1, 1}, {2, 2}}
-	assign2, _ := KMeans2D(pts, 2, 10, nil)
-	if assign2[0] != -1 {
-		t.Error("NaN point should be assigned -1")
-	}
-	// Identical points with k larger than distinct count.
-	same := []Point2{{1, 1}, {1, 1}, {1, 1}}
-	_, c := KMeans2D(same, 2, 10, rand.New(rand.NewSource(1)))
-	if len(c) != 2 {
-		t.Errorf("identical points centers = %v", c)
+	if sil := groupSilhouette(pts, random, 3); sil > 0.3 {
+		t.Errorf("random-label silhouette = %v, want low", sil)
 	}
 }
 
 func TestSilhouetteDegenerate(t *testing.T) {
 	pts := []Point2{{0, 0}, {1, 1}}
-	if s := Silhouette(pts, []int{0, 0}); !math.IsNaN(s) {
+	if s := groupSilhouette(pts, []int32{0, 0}, 2); !math.IsNaN(s) {
 		t.Errorf("single-cluster silhouette = %v, want NaN", s)
 	}
-	if s := Silhouette(pts, []int{0}); !math.IsNaN(s) {
-		t.Errorf("mismatched lengths silhouette = %v, want NaN", s)
+	if s := groupSilhouette(pts, []int32{0}, 2); !math.IsNaN(s) {
+		t.Errorf("silhouette of one coded point = %v, want NaN", s)
+	}
+	if s := groupSilhouette(pts, []int32{0, 1}, 1); !math.IsNaN(s) {
+		t.Errorf("one-level silhouette = %v, want NaN", s)
 	}
 }
 
@@ -221,11 +202,11 @@ func TestGroupSilhouette(t *testing.T) {
 		pts = append(pts, Point2{base + math.Sin(float64(i)), base + math.Cos(float64(i))})
 		codes = append(codes, g)
 	}
-	if s := GroupSilhouette(pts, codes); s < 0.8 {
+	if s := groupSilhouette(pts, codes, 2); s < 0.8 {
 		t.Errorf("group silhouette = %v, want high", s)
 	}
 	// Codes shorter than points → extra points skipped.
-	if s := GroupSilhouette(pts, codes[:30]); math.IsNaN(s) {
+	if s := groupSilhouette(pts, codes[:30], 2); math.IsNaN(s) {
 		t.Error("partial codes should still compute")
 	}
 }
