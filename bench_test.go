@@ -6,11 +6,13 @@
 package foresight_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"testing"
+	"time"
 
 	"foresight"
 	"foresight/internal/bench"
@@ -296,6 +298,46 @@ func BenchmarkBuildProfile(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sketch.BuildProfileSharded(f, sketch.ProfileConfig{Seed: 1, Spearman: true}, shards)
 			}
+		})
+	}
+}
+
+// BenchmarkStartup is what foresightd does between exec and /readyz on
+// a CSV, at the repository benchmark's explore_wide and ingest_stream
+// shapes: frame.ReadCSV over the file's bytes, then the profile build
+// with rank projections on every core. It reports the two halves
+// (read_s, build_s) and the reader's throughput, and gates nothing.
+func BenchmarkStartup(b *testing.B) {
+	for _, c := range []struct {
+		name                string
+		rows, numeric, cats int
+	}{
+		{"wide", 30000, 160, 8},
+		{"stream", 20000, 48, 4},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var csv bytes.Buffer
+			src := datagen.Scalable(datagen.ScalableConfig{Rows: c.rows, NumericCols: c.numeric, CatCols: c.cats, Seed: 5})
+			if err := src.WriteCSV(&csv); err != nil {
+				b.Fatal(err)
+			}
+			var read, build time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				f, err := frame.ReadCSV(bytes.NewReader(csv.Bytes()), c.name, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				read += time.Since(start)
+				start = time.Now()
+				sketch.BuildProfileSharded(f, sketch.ProfileConfig{Seed: 42, Spearman: true, Workers: -1}, 0)
+				build += time.Since(start)
+			}
+			b.ReportMetric(read.Seconds()/float64(b.N), "read_s")
+			b.ReportMetric(build.Seconds()/float64(b.N), "build_s")
+			b.ReportMetric(float64(csv.Len())*float64(b.N)/1e6/read.Seconds(), "MB/s")
 		})
 	}
 }

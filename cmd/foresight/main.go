@@ -99,7 +99,7 @@ func newEngine(f *foresight.Frame, sketches bool, seed int64, profilePath string
 	var profile *foresight.Profile
 	if sketches || profilePath != "" {
 		var err error
-		if profile, err = server.Preprocess(f, profilePath, seed, 0); err != nil {
+		if profile, err = server.Preprocess(f, profilePath, seed, 1, 0); err != nil {
 			return nil, err
 		}
 	}

@@ -3,7 +3,6 @@ package frame
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 )
 
@@ -49,6 +48,7 @@ func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 	if len(b.Records) == 0 {
 		return f, nil
 	}
+	missingCell := opts.missingCells()
 	names := b.Columns
 	if len(names) == 0 {
 		names = f.Names()
@@ -90,8 +90,8 @@ func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 			for r := range b.Records {
 				s := cell(r)
 				v := math.NaN()
-				if !opts.isMissing(s) {
-					if p, err := strconv.ParseFloat(strings.ReplaceAll(s, ",", ""), 64); err == nil && !math.IsInf(p, 0) {
+				if !missingCell.is(s) {
+					if p, ok := parseNumber(s); ok {
 						v = p
 					}
 				}
@@ -102,31 +102,23 @@ func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 			}
 			cols[ci] = col.extended(vals, missing)
 		case *CategoricalColumn:
+			// The successor's codes continue the predecessor's in the array
+			// growTail hands over; its dictionary is a copy that grows.
 			codes := growTail(col.codes, &col.tail, len(b.Records))
-			missing := 0
-			dict := append([]string(nil), col.dict...)
-			index := make(map[string]int32, len(dict))
-			for code, v := range dict {
-				index[v] = int32(code)
+			d := dictionary{
+				codes:   codes[:f.rows],
+				dict:    append([]string(nil), col.dict...),
+				index:   make(map[string]int32, len(col.dict)),
+				missing: col.missing,
+			}
+			for code, v := range d.dict {
+				d.index[v] = int32(code)
 			}
 			for r := range b.Records {
 				s := cell(r)
-				if opts.isMissing(s) {
-					codes[f.rows+r] = -1
-					missing++
-					continue
-				}
-				code, ok := index[s]
-				if !ok {
-					code = int32(len(dict))
-					dict = append(dict, s)
-					index[s] = code
-				}
-				codes[f.rows+r] = code
+				d.add(s, missingCell.is(s))
 			}
-			// Every appended code is -1 or came out of index, so the
-			// range check NewCategoricalFromCodes runs has nothing to find.
-			cols[ci] = &CategoricalColumn{name: col.name, codes: codes, dict: dict, missing: col.missing + missing}
+			cols[ci] = d.column(col.name)
 		default:
 			return nil, fmt.Errorf("frame: append: cannot append to column kind %T", c)
 		}

@@ -10,6 +10,7 @@ package frame
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -200,29 +201,47 @@ type CategoricalColumn struct {
 	missing int
 }
 
+// dictionary is a categorical column under construction: the codes of
+// the cells so far and the distinct texts in order of first appearance.
+type dictionary struct {
+	codes   []int32
+	dict    []string
+	index   map[string]int32
+	missing int
+}
+
+func (d *dictionary) add(cell string, missing bool) {
+	if missing {
+		d.codes = append(d.codes, -1)
+		d.missing++
+		return
+	}
+	code, ok := d.index[cell]
+	if !ok {
+		// cell may be a slice of a longer text — its CSV record, a
+		// request body; keep only its own bytes.
+		cell = strings.Clone(cell)
+		code = int32(len(d.dict))
+		d.dict = append(d.dict, cell)
+		d.index[cell] = code
+	}
+	d.codes = append(d.codes, code)
+}
+
+// column is the finished column.
+func (d *dictionary) column(name string) *CategoricalColumn {
+	return &CategoricalColumn{name: name, codes: d.codes, dict: d.dict, missing: d.missing}
+}
+
 // NewCategoricalColumn builds a categorical column from raw string
 // values. Empty strings are treated as missing. The dictionary is
 // assigned in first-appearance order.
 func NewCategoricalColumn(name string, values []string) *CategoricalColumn {
-	codes := make([]int32, len(values))
-	index := make(map[string]int32)
-	var dict []string
-	missing := 0
-	for i, v := range values {
-		if v == "" {
-			codes[i] = -1
-			missing++
-			continue
-		}
-		code, ok := index[v]
-		if !ok {
-			code = int32(len(dict))
-			dict = append(dict, v)
-			index[v] = code
-		}
-		codes[i] = code
+	d := dictionary{codes: make([]int32, 0, len(values)), index: make(map[string]int32)}
+	for _, v := range values {
+		d.add(v, v == "")
 	}
-	return &CategoricalColumn{name: name, codes: codes, dict: dict, missing: missing}
+	return d.column(name)
 }
 
 // NewCategoricalFromCodes builds a categorical column directly from

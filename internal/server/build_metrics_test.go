@@ -7,6 +7,7 @@ import (
 
 	"foresight/internal/core"
 	"foresight/internal/datagen"
+	"foresight/internal/obs"
 	"foresight/internal/query"
 	"foresight/internal/sketch"
 )
@@ -46,5 +47,34 @@ func TestProfileBuildMetrics(t *testing.T) {
 		if strings.Contains(body, gone) {
 			t.Errorf("metrics still split by entry point: %s", gone)
 		}
+	}
+}
+
+// TestLoadPhaseMetric: Run's dataset load is a phase of the same
+// histogram, reported before any profile exists, so /metrics
+// decomposes startup into load + build.*.
+func TestLoadPhaseMetric(t *testing.T) {
+	reg := obs.NewRegistry()
+	fl := &Flags{data: "oecd", seed: 42}
+	f, err := fl.load(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Preprocess(f, "", fl.seed, fl.workers, fl.buildShards); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		`foresight_profile_build_seconds_count{phase="load"} 1`,
+		`foresight_profile_build_seconds_count{phase="build"} 1`,
+		`foresight_profile_build_seconds_count{phase="build.spearman"} 1`,
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if _, err := (&Flags{data: "/no/such.csv"}).load(obs.NewRegistry()); err == nil {
+		t.Error("loading a missing file should fail")
 	}
 }

@@ -50,8 +50,8 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&fl.k, "k", 5, "insights per carousel")
 	fs.BoolVar(&fl.approx, "approx", false, "answer queries from sketches")
 	fs.StringVar(&fl.profilePath, "profile", "", "load a saved sketch store instead of preprocessing (implies -approx)")
-	fs.IntVar(&fl.workers, "workers", 0, "parallel candidate-scoring workers (0 = GOMAXPROCS)")
-	fs.IntVar(&fl.buildShards, "build-shards", 0, "parallel profile-build shards for startup preprocessing and large ingest batches (0 = sequential, <0 = GOMAXPROCS)")
+	fs.IntVar(&fl.workers, "workers", 0, "parallel workers for candidate scoring and the startup profile build (0 = GOMAXPROCS)")
+	fs.IntVar(&fl.buildShards, "build-shards", 0, "row shards for the startup profile build and large ingest batches, built concurrently and merged (0 or 1 = one shard, <0 = GOMAXPROCS)")
 	fs.Int64Var(&fl.seed, "seed", 42, "seed for demo datasets / sketches")
 	fs.IntVar(&fl.slowMS, "slow-ms", 0, "only record request traces at least this slow (0 = record all)")
 	fs.BoolVar(&fl.quiet, "quiet", false, "suppress per-request JSON logs on stderr")
@@ -86,10 +86,15 @@ func LoadData(path string, seed int64) (*frame.Frame, error) {
 }
 
 // Preprocess returns f's sketch store: the one saved at path, or with
-// no path a fresh build over the given number of shards.
-func Preprocess(f *frame.Frame, path string, seed int64, shards int) (*sketch.DatasetProfile, error) {
+// no path a fresh build on the given number of workers (the -workers
+// convention: 0 = GOMAXPROCS) over the given number of row shards. The
+// store is the same bytes at any worker count.
+func Preprocess(f *frame.Frame, path string, seed int64, workers, shards int) (*sketch.DatasetProfile, error) {
 	if path == "" {
-		return sketch.BuildProfileSharded(f, sketch.ProfileConfig{Seed: seed, Spearman: true}, shards), nil
+		if workers == 0 {
+			workers = -1 // the sketch layer's spelling of GOMAXPROCS
+		}
+		return sketch.BuildProfileSharded(f, sketch.ProfileConfig{Seed: seed, Spearman: true, Workers: workers}, shards), nil
 	}
 	file, err := os.Open(path)
 	if err != nil {
@@ -97,6 +102,23 @@ func Preprocess(f *frame.Frame, path string, seed int64, shards int) (*sketch.Da
 	}
 	defer file.Close()
 	return sketch.LoadProfile(file)
+}
+
+// load opens the -data argument and reports how long that took as the
+// "load" phase of foresight_profile_build_seconds, beside the build
+// phases the sketch layer reports: the two together are startup, so
+// /metrics alone says where it went. The timing observer is installed
+// here, before the profile is built, so that the startup build lands in
+// the histogram too.
+func (fl *Flags) load(reg *obs.Registry) (*frame.Frame, error) {
+	phases := observeBuildTimings(reg)
+	start := time.Now()
+	f, err := LoadData(fl.data, fl.seed)
+	if err != nil {
+		return nil, err
+	}
+	phases.With("load").Observe(time.Since(start).Seconds())
+	return f, nil
 }
 
 // Run serves the parsed flags until SIGINT/SIGTERM: load the dataset,
@@ -108,17 +130,13 @@ func Preprocess(f *frame.Frame, path string, seed int64, shards int) (*sketch.Da
 // /api/stats and the build-info metric.
 func (fl *Flags) Run(version string) error {
 	reg := obs.NewRegistry()
-	// Installed before the profile is built so startup preprocessing
-	// lands in the histogram too.
-	observeBuildTimings(reg)
-
-	f, err := LoadData(fl.data, fl.seed)
+	f, err := fl.load(reg)
 	if err != nil {
 		return err
 	}
 	approx := fl.approx || fl.profilePath != ""
 	log.Printf("preprocessing sketches for %s...", f.Summary())
-	profile, err := Preprocess(f, fl.profilePath, fl.seed, fl.buildShards)
+	profile, err := Preprocess(f, fl.profilePath, fl.seed, fl.workers, fl.buildShards)
 	if err != nil {
 		return err
 	}

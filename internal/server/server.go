@@ -255,13 +255,15 @@ func New(engine *query.Engine, k int, approx bool, opts ...Options) *Server {
 // build/merge phase timings into reg, so startup preprocessing and
 // sharded ingest rebuilds show their shard/merge breakdown at
 // /metrics. The registry dedupes by name, so Run (before the startup
-// build) and New install observers over one collector.
-func observeBuildTimings(reg *obs.Registry) {
+// build) and New install observers over one collector, which is
+// returned for the one phase the sketch layer does not see: Run's load.
+func observeBuildTimings(reg *obs.Registry) *obs.HistogramVec {
 	buildSeconds := reg.HistogramVec("foresight_profile_build_seconds",
-		"Profile build/merge phase latency in seconds, by sketch-layer phase.", nil, "phase")
+		"Dataset load and profile build/merge phase latency in seconds, by phase.", nil, "phase")
 	sketch.SetTimingObserver(func(op string, d time.Duration) {
 		buildSeconds.With(op).Observe(d.Seconds())
 	})
+	return buildSeconds
 }
 
 // handle registers an instrumented handler for pattern: the obs

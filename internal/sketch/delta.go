@@ -71,7 +71,8 @@ func (p *DatasetProfile) mergeTarget() *DatasetProfile {
 // result is a function of (what Save writes of p, f): a profile
 // reloaded from a snapshot extends to the same bytes. Rank (Spearman)
 // projections are dropped from the result. With no rows appended the
-// result is p itself.
+// result is p itself. The delta runs on the calling goroutine whatever
+// Config.Workers built p with.
 func (p *DatasetProfile) Extend(f *frame.Frame) (*DatasetProfile, error) {
 	return p.extend(f, 1)
 }
@@ -121,6 +122,7 @@ func (p *DatasetProfile) extend(f *frame.Frame, shards int) (*DatasetProfile, er
 
 	cfg := out.Config
 	cfg.Spearman = false
+	cfg.Workers = 0
 	deltaStart := time.Now()
 	delta := buildRange(f, cfg, old, f.Rows(), centers, shards)
 	observeSince("extend.delta", deltaStart)

@@ -148,11 +148,12 @@ type ProjectConfig struct {
 	K int
 	// Seed makes the direction set deterministic.
 	Seed int64
-	// Workers parallelizes the per-column accumulation inside each
-	// direction block (0 or 1 = sequential, < 0 = GOMAXPROCS, n > 1 = n
-	// goroutines — the sketch layer's uniform convention). The
-	// directions are a function of (Seed, block) alone, so the sketches
-	// are identical at any worker count.
+	// Workers is how many goroutines may share the pass (0 or 1 =
+	// sequential, < 0 = GOMAXPROCS, n > 1 = n — the sketch layer's
+	// uniform convention). A pass large enough to repay them is cut into
+	// one contiguous column chunk per worker (see projectRange); a small
+	// one — an ingest batch — runs on the caller's goroutine whatever
+	// Workers says. The sketches are identical at any worker count.
 	Workers int
 }
 
@@ -207,13 +208,26 @@ func fillDirections(seed int64, b int, buf []float32) {
 // so it is identical for every column, every call and every row range:
 // projections of disjoint ranges built anywhere Merge into the
 // projection of their union, and extending a projection by appended
-// rows never regenerates the directions of the rows before them. Rows
-// accumulate in ascending order, so one call over [a, c) and the Merge
-// of calls over [a, b) and [b, c) differ only by floating-point
-// association.
-// Cost: O(d·(end−start)·k) multiply-adds plus at most
+// rows never regenerates the directions of the rows before them.
+//
+// The definition of dot q of a column is the scalar one: start at 0
+// and, row by ascending row, add (value − mean)·direction[row][q],
+// each product and each sum rounded to float64. Rows accumulate in
+// ascending order, so one call over [a, c) and the Merge of calls over
+// [a, b) and [b, c) differ only by floating-point association.
+// projectChunk computes exactly that, a tile of dots at a time.
+//
+// With cfg.Workers > 1 and enough work to repay starting goroutines,
+// the columns are cut into one contiguous chunk per worker and each
+// chunk runs the sequential kernel by itself, drawing its own copy of
+// every direction block: the duplicated draws cost a fifth of an
+// 80-column chunk's multiply-adds, and in exchange the chunks share no
+// buffer and meet at no barrier. A column's dots are computed by one goroutine
+// with the same operations in the same order wherever its chunk
+// boundary falls, so the result is identical at any worker count.
+// Cost: O(d·(end−start)·k) multiply-adds plus, per chunk, at most
 // (end−start+directionGranule)·k Gaussian draws; memory
-// O(directionGranule·k + d·k).
+// O(directionGranule·k) per chunk + d·k.
 func projectRange(cols [][]float64, means []float64, start, end int, cfg ProjectConfig) []*Projection {
 	cfg.fill()
 	d := len(cols)
@@ -224,33 +238,110 @@ func projectRange(cols [][]float64, means []float64, start, end int, cfg Project
 	if d == 0 || start >= end {
 		return out
 	}
+	// A chunk draws every direction itself, about sixteen multiply-adds'
+	// worth each, so it wants at least that many columns to spend the
+	// draws on, and a goroutine a few blocks of rows to repay its start.
+	// Chunks are whole tiles; only the last may end in a partial one.
+	const minChunkTiles, minChunkBlocks = 2, 4
+	tiles := (d + tileColumns - 1) / tileColumns
+	chunks := min(resolveParallel(cfg.Workers), tiles/minChunkTiles)
+	if chunks < 2 || end-start < minChunkBlocks*directionGranule {
+		projectChunk(cols, means, out, start, end, cfg)
+		return out
+	}
+	eachColumn(chunks, chunks, func(c int) {
+		lo, hi := c*tiles/chunks*tileColumns, min(d, (c+1)*tiles/chunks*tileColumns)
+		projectChunk(cols[lo:hi], means[lo:hi], out[lo:hi], start, end, cfg)
+	})
+	return out
+}
+
+// tileColumns is how many columns the kernel projects at once: their
+// running dots for one direction are projectTile's accumulators.
+const tileColumns = 8
+
+// projectChunk adds rows [start, end) of cols to out's dots, one
+// direction block at a time. Within a block the work is tiled: the
+// centred values of tileColumns columns are staged once (missing cells
+// and rows past a column's end as 0, whose products leave a dot
+// unchanged), then for each direction their tileColumns running dots
+// sit in registers while the block's rows stream past — a direction is
+// loaded and widened once for eight multiply-adds, and no dot is loaded
+// or stored inside the loop. Each running dot starts from the value
+// the previous block left and adds its rows in ascending order: the
+// scalar definition's operations in the scalar definition's order,
+// which is what keeps every dot bit-identical to it
+// (projectRangeScalar in the tests). The last tile of a chunk may hold
+// fewer columns; the unused lanes project zeros into dots nobody reads.
+func projectChunk(cols [][]float64, means []float64, out []*Projection, start, end int, cfg ProjectConfig) {
 	k := cfg.K
 	// One block's directions, up to the last row of it the range reaches.
 	first := start / directionGranule
 	block := make([]float32, min(directionGranule, end-first*directionGranule)*k)
+	var staged [tileColumns][directionGranule]float64
+	var acc [tileColumns]float64
 	for b := first; b*directionGranule < end; b++ {
 		base := b * directionGranule
 		lo, hi := max(start, base), min(end, base+directionGranule)
 		fillDirections(cfg.Seed, b, block[:(hi-base)*k])
-		eachColumn(d, cfg.Workers, func(j int) {
-			col := cols[j]
-			dots := out[j].Dots
-			mean := means[j]
-			for r := lo; r < hi && r < len(col); r++ {
-				v := col[r]
-				if math.IsNaN(v) {
-					continue // mean-imputed: centered value is 0
-				}
-				v -= mean
-				if v == 0 {
-					continue
-				}
-				g := block[(r-base)*k : (r-base+1)*k]
-				for q, gv := range g {
-					dots[q] += v * float64(gv)
+		g := block[(lo-base)*k : (hi-base)*k]
+		n := hi - lo
+		for j := 0; j < len(cols); j += tileColumns {
+			tile := out[j:min(j+tileColumns, len(cols))]
+			for c := range staged {
+				if c < len(tile) {
+					center(staged[c][:n], cols[j+c], lo, means[j+c])
+				} else {
+					clear(staged[c][:n])
 				}
 			}
-		})
+			for q := 0; q < k; q++ {
+				for c, p := range tile {
+					acc[c] = p.Dots[q]
+				}
+				projectTile(&staged, n, g[q:], k, &acc)
+				for c, p := range tile {
+					p.Dots[q] = acc[c]
+				}
+			}
+		}
 	}
-	return out
+}
+
+// center stages rows [lo, lo+len(dst)) of col minus mean; a missing
+// cell or a row past the column's end is mean-imputed, i.e. 0.
+func center(dst, col []float64, lo int, mean float64) {
+	n := 0
+	if lo < len(col) {
+		n = copy(dst, col[lo:])
+	}
+	for i, v := range dst[:n] {
+		if v != v {
+			dst[i] = 0
+		} else {
+			dst[i] = v - mean
+		}
+	}
+	clear(dst[n:])
+}
+
+// projectTile adds x[c][r]·g[r·k] to acc[c] for the first n rows r, in
+// row order, for every column c of the tile; g starts at the first
+// row's entry for the direction and k is the row stride.
+func projectTile(x *[tileColumns][directionGranule]float64, n int, g []float32, k int, acc *[tileColumns]float64) {
+	x0, x1, x2, x3 := x[0][:n], x[1][:n], x[2][:n], x[3][:n]
+	x4, x5, x6, x7 := x[4][:n], x[5][:n], x[6][:n], x[7][:n]
+	a0, a1, a2, a3, a4, a5, a6, a7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
+	for r := range x0 {
+		gv := float64(g[r*k])
+		a0 += x0[r] * gv
+		a1 += x1[r] * gv
+		a2 += x2[r] * gv
+		a3 += x3[r] * gv
+		a4 += x4[r] * gv
+		a5 += x5[r] * gv
+		a6 += x6[r] * gv
+		a7 += x7[r] * gv
+	}
+	acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = a0, a1, a2, a3, a4, a5, a6, a7
 }

@@ -246,6 +246,11 @@ func TestKForRowsMonotone(t *testing.T) {
 	}
 }
 
+// BenchmarkProjectRange times the projection kernel: one column at
+// three widths, then the calls the benchmark workloads make — the
+// startup pass over explore_wide's numeric columns, sequential and on
+// two workers, and ingest_stream's 250-row and 10-row batches at the
+// end of its frame.
 func BenchmarkProjectRange(b *testing.B) {
 	for _, k := range []int{32, 128, 512} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
@@ -253,6 +258,25 @@ func BenchmarkProjectRange(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = projectColumn(col, 0, ProjectConfig{K: k, Seed: 1})
+			}
+		})
+	}
+	for _, c := range []struct {
+		name                      string
+		rows, d, k, from, workers int
+	}{
+		{"wide/workers=1", 30000, 160, 222, 0, 1},
+		{"wide/workers=2", 30000, 160, 222, 0, 2},
+		{"batch250", 20250, 48, 205, 20000, 0},
+		{"batch10", 20250, 48, 205, 20240, 0},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cols, means := splitColumns(c.rows, c.d, 9)
+			cfg := ProjectConfig{K: c.k, Seed: 1, Workers: c.workers}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = projectRange(cols, means, c.from, c.rows, cfg)
 			}
 		})
 	}

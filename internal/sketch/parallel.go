@@ -3,6 +3,7 @@ package sketch
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // resolveParallel applies the convention below to a worker or shard
@@ -19,40 +20,41 @@ func resolveParallel(n int) int {
 // (ProfileConfig.Workers, ProjectConfig.Workers and every internal
 // parallel loop):
 //
-//	workers == 0 or 1   sequential (the paper's own measurements are
-//	                    single-threaded, so sequential is the default)
+//	workers == 0 or 1   sequential (the library's default, and how the
+//	                    paper's own measurements ran; foresightd builds
+//	                    with its -workers, i.e. GOMAXPROCS)
 //	workers < 0         GOMAXPROCS
 //	workers > 1         that many goroutines
 //
-// fn must only touch state owned by index i, which makes results
-// identical at any worker count. Despite the name, any independent
-// index space may fan out through here — the sharded builder uses it
-// for row shards and merge pairs too.
+// Each worker — the caller is one of them — takes its next index from
+// a shared atomic counter until the indexes run out, so uneven items
+// balance and nothing is handed from one goroutine to another. fn must
+// only touch state owned by index i, which makes results identical at
+// any worker count. Despite the name, any independent index space may
+// fan out through here — the sharded builder uses it for row shards
+// and merge pairs, projectRange for column chunks.
 func eachColumn(n, workers int, fn func(i int)) {
-	workers = resolveParallel(workers)
-	if workers <= 1 || n < 2 {
+	workers = min(resolveParallel(workers), n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	if workers > n {
-		workers = n
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
 	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
 }

@@ -196,7 +196,9 @@ func hyperplaneFromWire(w hyperplaneWire) *Hyperplane {
 	return &Hyperplane{bits: append([]uint64(nil), w.Bits...), k: w.K, seed: w.Seed}
 }
 
-// Save serializes the profile to w.
+// Save serializes the profile to w. The bytes are a function of the
+// sketches alone: Config.Workers, which describes the process that
+// built them, is written as 0.
 func (p *DatasetProfile) Save(w io.Writer) error {
 	wire := profileWire{
 		Version:   profileWireVersion,
@@ -204,6 +206,7 @@ func (p *DatasetProfile) Save(w io.Writer) error {
 		Config:    p.Config,
 		RowSample: p.RowSample.Indexes,
 	}
+	wire.Config.Workers = 0
 	// Deterministic column order for stable output.
 	for _, name := range sortedProfileNames(p) {
 		if np, ok := p.Numeric[name]; ok {

@@ -34,14 +34,17 @@ type ProfileConfig struct {
 	// sketches too. Costs one extra O(n log n) rank pass per column
 	// and doubles the projection work.
 	Spearman bool
-	// Workers parallelizes the per-column sketch passes and the
-	// projection inner loops (the paper's future-work "parallel
-	// search" extension applied to preprocessing). The convention is
-	// uniform across the sketch layer: 0 or 1 builds sequentially (the
-	// paper's own measurement is single-threaded), negative selects
-	// GOMAXPROCS, and n > 1 uses n goroutines. Results are identical
-	// at any worker count. For row-parallel (not just column-parallel)
-	// builds see BuildProfileSharded.
+	// Workers parallelizes the build: the per-column sketch passes, the
+	// rank transform and the projection passes' column chunks (the
+	// paper's future-work "parallel search" extension applied to
+	// preprocessing). The convention is uniform across the sketch
+	// layer: 0 or 1 builds sequentially (the library's default — the
+	// paper's own measurement is single-threaded; foresightd passes its
+	// -workers), negative selects GOMAXPROCS, and n > 1 uses n
+	// goroutines. Results are identical at any worker count, and the
+	// count is not part of a saved profile. Extend ignores it. For
+	// row-parallel (not just column-parallel) builds see
+	// BuildProfileSharded.
 	Workers int
 }
 

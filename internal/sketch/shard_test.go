@@ -183,14 +183,15 @@ func TestShardedBuildDeterministic(t *testing.T) {
 
 // TestBuildProfileBytesPinned holds BuildProfile to the bytes it saved
 // to before the three builders became one (digests generated on the
-// parent of that change): the demo datasets at their default sizes as
+// parent of that change; the wide row on the parent of the tiled
+// projection kernel): the demo datasets at their default sizes as
 // the server builds them, one synthetic shape large enough to compact
 // the quantile sketches and overflow both samples, that shape with no
-// rows, and its extension by a 10-row batch. Shard counts 0 and 1 and
-// any worker count are the same build.
+// rows, a wider one, and the extension by a 10-row batch. Shard counts 0 and 1 and
+// any worker count are the same build, and save to the same bytes (the
+// worker count is not written).
 func TestBuildProfileBytesPinned(t *testing.T) {
 	digest := func(p *DatasetProfile) string {
-		p.Config.Workers = 0 // Save writes the config
 		return fmt.Sprintf("%x", sha256.Sum256(saveBytes(t, p)))
 	}
 	cfg := ProfileConfig{Seed: 42, Spearman: true}
@@ -199,6 +200,9 @@ func TestBuildProfileBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Wide and long enough that the projection passes run as column
+	// chunks at two or more workers.
+	wide := datagen.Scalable(datagen.ScalableConfig{Rows: 3000, NumericCols: 40, CatCols: 2, Seed: 7})
 	for _, c := range []struct {
 		name string
 		f    *frame.Frame
@@ -209,6 +213,7 @@ func TestBuildProfileBytesPinned(t *testing.T) {
 		{"imdb", datagen.IMDB(0, 42), "eb90275f152ae424f3d2f55e098219a958edca5133de3a7ecdf5baa6bfc6b513"},
 		{"scalable", scalable, "bd7fb5114bf70d69883c927d9d40ef0e535436c5f65e620e2ea46eb9cffbdddf"},
 		{"empty", empty, "a0d6a0069d8da822942d35be1150af76505fda64d7a36170a43a7b3c907ebb54"},
+		{"wide", wide, "2b1d6a74525b4d2fa080ae64438f4b536c2ed1455030a07f17953083b84ce528"},
 	} {
 		if got := digest(BuildProfile(c.f, cfg)); got != c.want {
 			t.Errorf("%s: BuildProfile saves to %s, pinned %s", c.name, got, c.want)
@@ -218,10 +223,12 @@ func TestBuildProfileBytesPinned(t *testing.T) {
 				t.Errorf("%s: shards=%d saves to %s, pinned %s", c.name, shards, got, c.want)
 			}
 		}
-		par := cfg
-		par.Workers = 3
-		if got := digest(BuildProfile(c.f, par)); got != c.want {
-			t.Errorf("%s: workers=3 saves to %s, pinned %s", c.name, got, c.want)
+		for _, workers := range []int{-1, 2, 3} {
+			par := cfg
+			par.Workers = workers
+			if got := digest(BuildProfile(c.f, par)); got != c.want {
+				t.Errorf("%s: workers=%d saves to %s, pinned %s", c.name, workers, got, c.want)
+			}
 		}
 	}
 

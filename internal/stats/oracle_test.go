@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -38,6 +39,35 @@ func ranksOracle(xs []float64) []float64 {
 		i = j
 	}
 	return ranks
+}
+
+// orderFromOracle is orderFrom as it was before the radix sort: one
+// comparison sort of (value, row) pairs, whatever the length.
+func orderFromOracle(xs []float64, from int) (order []int32, sorted []float64) {
+	type keyed struct {
+		v   float64
+		row int32
+	}
+	keys := make([]keyed, 0, len(xs)-from)
+	for i := from; i < len(xs); i++ {
+		if v := xs[i]; v == v {
+			keys = append(keys, keyed{v, int32(i)})
+		}
+	}
+	slices.SortFunc(keys, func(a, b keyed) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return int(a.row) - int(b.row)
+	})
+	order, sorted = make([]int32, len(keys)), make([]float64, len(keys))
+	for k, e := range keys {
+		order[k], sorted[k] = e.row, e.v
+	}
+	return order, sorted
 }
 
 func pearsonOracle(xs, ys []float64) float64 {

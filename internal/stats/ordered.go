@@ -53,38 +53,97 @@ func newOrdered(values []float64, order []int32, sorted []float64) *Ordered {
 	}
 }
 
+// radixMin is the sample length from which orderFrom sorts by radix:
+// below it eight counting passes cost more than a comparison sort of
+// the whole sample.
+const radixMin = 192
+
 // orderFrom returns the non-NaN rows of xs from row from on by
 // ascending value, equal values (including −0 and +0) by ascending row,
 // so the order is a function of xs alone; sorted holds the values in
-// that order.
+// that order. From radixMin values up the sort is a stable LSD radix
+// over the values' order-preserving bit patterns, one byte a pass (a
+// byte every key shares costs no pass), in pooled scratch; shorter
+// samples — the batch tail ExtendOrder sorts — take the comparison
+// sort. Both produce the one order the definition allows.
 func orderFrom(xs []float64, from int) (order []int32, sorted []float64) {
 	if len(xs) > math.MaxInt32 {
 		panic("stats: sample too long for an int32 order")
 	}
-	type keyed struct {
-		v   float64
-		row int32
-	}
-	keys := make([]keyed, 0, len(xs)-from)
+	order = make([]int32, 0, len(xs)-from)
 	for i := from; i < len(xs); i++ {
 		if v := xs[i]; v == v {
-			keys = append(keys, keyed{v, int32(i)})
+			order = append(order, int32(i))
 		}
 	}
-	slices.SortFunc(keys, func(a, b keyed) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		}
-		return int(a.row) - int(b.row)
-	})
-	order, sorted = make([]int32, len(keys)), make([]float64, len(keys))
-	for k, e := range keys {
-		order[k], sorted[k] = e.row, e.v
+	if len(order) < radixMin {
+		slices.SortFunc(order, func(a, b int32) int {
+			switch va, vb := xs[a], xs[b]; {
+			case va < vb:
+				return -1
+			case va > vb:
+				return 1
+			}
+			return int(a) - int(b)
+		})
+	} else {
+		radixOrder(order, xs)
+	}
+	sorted = make([]float64, len(order))
+	for k, row := range order {
+		sorted[k] = xs[row]
 	}
 	return order, sorted
+}
+
+// radixOrder sorts order — rows of xs, none NaN, ascending on entry —
+// as orderFrom defines it. A value's key is its IEEE bits with the sign
+// bit flipped (positives) or every bit flipped (negatives), which
+// orders as the values do; −0 takes +0's key, so the two tie and, the
+// passes being stable over rows that start ascending, stay in row
+// order like every other tie.
+func radixOrder(order []int32, xs []float64) {
+	n := len(order)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.keys = grow(sc.keys, 2*n)
+	sc.slots = grow(sc.slots, n)
+	keys, keysTo := sc.keys[:n], sc.keys[n:]
+	rows, rowsTo := order, sc.slots
+
+	var counts [8][256]int32
+	for k, row := range rows {
+		v := xs[row]
+		b := math.Float64bits(v)
+		if v == 0 {
+			b = 0
+		}
+		b ^= uint64(int64(b)>>63) | 1<<63
+		keys[k] = b
+		for d := range counts {
+			counts[d][byte(b>>(8*d))]++
+		}
+	}
+	for d := range counts {
+		count, shift := &counts[d], 8*d
+		if count[byte(keys[0]>>shift)] == int32(n) {
+			continue // every key has this byte: the pass would move nothing
+		}
+		at := int32(0)
+		for b, c := range count {
+			count[b], at = at, at+c
+		}
+		for i, key := range keys {
+			to := count[byte(key>>shift)]
+			count[byte(key>>shift)] = to + 1
+			keysTo[to], rowsTo[to] = key, rows[i]
+		}
+		keys, keysTo = keysTo, keys
+		rows, rowsTo = rowsTo, rows
+	}
+	if &rows[0] != &order[0] {
+		copy(order, rows)
+	}
 }
 
 // ExtendOrder returns the order of xs given the order of xs[:from]:
@@ -105,11 +164,12 @@ func ExtendOrder(order []int32, xs []float64, from int) []int32 {
 }
 
 // scratch is the pooled working memory of the pair kernels
-// (SpearmanOrdered, silhouette); nothing in it outlives a call.
+// (SpearmanOrdered, silhouette) and of the radix sort; nothing in it
+// outlives a call.
 type scratch struct {
 	floats []float64
 	slots  []int32
-	ids    []int
+	keys   []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -44,8 +45,44 @@ func requireSameBits(t *testing.T, what string, got, want float64) {
 	}
 }
 
+// checkOrder holds orderFrom to the comparison sort it replaced, bit
+// for bit: on xs as given (short samples take the comparison sort
+// still), through radixOrder directly at that length, and on xs tiled
+// past radixMin, where every value of xs is a tie group the radix must
+// leave in row order.
+func checkOrder(t *testing.T, xs []float64) {
+	t.Helper()
+	tiled := slices.Clip(xs)
+	for len(xs) > 0 && len(tiled) < 2*radixMin {
+		tiled = append(tiled, xs...)
+	}
+	for _, sample := range [][]float64{xs, tiled} {
+		for _, from := range []int{0, len(sample) / 3} {
+			wantOrder, wantSorted := orderFromOracle(sample, from)
+			order, sorted := orderFrom(sample, from)
+			if !slices.Equal(order, wantOrder) {
+				t.Fatalf("orderFrom(%v, %d) = %v, oracle %v", sample, from, order, wantOrder)
+			}
+			for k := range sorted {
+				if !sameBits(sorted[k], wantSorted[k]) {
+					t.Fatalf("orderFrom(%v, %d): sorted[%d] = %v, oracle %v", sample, from, k, sorted[k], wantSorted[k])
+				}
+			}
+			if len(wantOrder) > 0 {
+				radix := slices.Clone(wantOrder)
+				slices.Sort(radix) // rows ascending, as orderFrom hands them over
+				radixOrder(radix, sample)
+				if !slices.Equal(radix, wantOrder) {
+					t.Fatalf("radixOrder(%v, %d) = %v, oracle %v", sample, from, radix, wantOrder)
+				}
+			}
+		}
+	}
+}
+
 func checkRanks(t *testing.T, xs []float64) {
 	t.Helper()
+	checkOrder(t, xs)
 	got, want := Ranks(xs), ranksOracle(xs)
 	if len(got) != len(want) {
 		t.Fatalf("Ranks(%v): %d ranks, oracle %d", xs, len(got), len(want))
@@ -61,6 +98,8 @@ func checkRanks(t *testing.T, xs []float64) {
 // wrapper and the retained-view kernel — to the oracle.
 func checkSpearman(t *testing.T, xs, ys []float64) {
 	t.Helper()
+	checkOrder(t, xs)
+	checkOrder(t, ys)
 	want := spearmanOracle(xs, ys)
 	requireSameBits(t, "Spearman", Spearman(xs, ys), want)
 	requireSameBits(t, "SpearmanOrdered", SpearmanOrdered(NewOrdered(xs), NewOrdered(ys)), want)
@@ -92,6 +131,18 @@ func TestRanksMatchOracle(t *testing.T) {
 		xs := make([]float64, rng.Intn(60))
 		for i := range xs {
 			xs[i] = fuzzAlphabet[rng.Intn(len(fuzzAlphabet))]
+		}
+		checkRanks(t, xs)
+	}
+	// Past radixMin: continuous values of every magnitude and sign, with
+	// the alphabet's special values mixed in.
+	for _, n := range []int{radixMin - 1, radixMin, 1000, 5000} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+			if rng.Intn(8) == 0 {
+				xs[i] = fuzzAlphabet[rng.Intn(len(fuzzAlphabet))]
+			}
 		}
 		checkRanks(t, xs)
 	}
@@ -225,6 +276,7 @@ func FuzzRanks(f *testing.F) {
 	f.Add([]byte{0, 6, 7, 6, 7, 6, 7, 8, 8}) // heavy ties
 	f.Add([]byte{0, 9})                      // length 1
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	f.Add([]byte{0, 3, 2, 5, 4, 0, 6, 2, 4, 13, 12, 14, 3, 5, 1, 9}) // ±0, ±Inf, ties, NaN, subnormal
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkRanks(t, fuzzFloats(data))
 	})
@@ -237,6 +289,7 @@ func FuzzSpearmanOrdered(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 1}, []byte{0, 6, 8, 9, 10})      // one side all missing
 	f.Add([]byte{0, 2, 3, 6, 0, 8}, []byte{0, 3, 2, 0, 7, 8}) // zeros, NaNs on both sides
 	f.Add([]byte{0, 4, 5, 4, 6, 6, 6}, []byte{0, 5, 4, 11, 11, 11, 0})
+	f.Add([]byte{0, 3, 2, 5, 4, 0, 6, 2}, []byte{0, 2, 3, 4, 5, 13, 0, 3}) // ±0, ±Inf, ties, NaN on both sides
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		xs, ys := fuzzFloats(a), fuzzFloats(b)
 		n := min(len(xs), len(ys))
@@ -414,5 +467,21 @@ func BenchmarkSilhouette512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = GroupSilhouette(x, y, codes, 4, 1)
+	}
+}
+
+// BenchmarkOrderFrom is the sort under Ranks, every Ordered() view and
+// the row sample's order, at the lengths the benchmark workloads sort:
+// the row sample, explore_exact's columns and explore_wide's (1 % NaN).
+func BenchmarkOrderFrom(b *testing.B) {
+	for _, n := range []int{2048, 8000, 30000} {
+		_, ys := benchColumns(n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				order, _ := orderFrom(ys, 0)
+				benchSink = float64(len(order))
+			}
+		})
 	}
 }
