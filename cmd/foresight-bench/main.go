@@ -2,11 +2,10 @@
 // figure (E1, E2), every quantified claim (E3 accuracy, E4
 // preprocessing speedup, E5 interactive latency, E6 all-pairs
 // complexity), the §4.1 usage scenario (E7), the §4.2 demo datasets
-// (E8), the memoized-cache serving experiment (E9), the
-// observability-overhead guardrail (E10), the request-cancellation
-// experiment (E11), the streaming-ingest experiment (E12), the
-// insight-telemetry overhead experiment (E14), the durable-ingest
-// experiment (E17), and the sketch-parameter ablations.
+// (E8), and the sketch-parameter ablations. The serving layer built on
+// top (cache, observability, cancellation, ingest, telemetry,
+// durability) is timed end to end by the repository benchmark
+// (benchmark/), not here.
 // Results print to stdout and, with -out, land as TSV/SVG artifacts.
 //
 // Usage:
@@ -28,7 +27,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e11,e12,e14,e17,ablations")
+	exp := flag.String("exp", "all", "comma-separated experiments: e1,e2,e3,e4,e5,e6,e7,e8,ablations")
 	out := flag.String("out", "", "directory for TSV/SVG artifacts (empty = stdout only)")
 	full := flag.Bool("full", false, "paper-scale sizes (n=100K, d up to 200; slower)")
 	seed := flag.Int64("seed", 42, "experiment seed")
@@ -97,48 +96,6 @@ func main() {
 		return nil
 	})
 	run("e8", func() error { return bench.RunE8DemoDatasets(w, *out, *seed) })
-	run("e9", func() error {
-		rows9, dims9 := 20000, 32
-		if *full {
-			rows9, dims9 = 100000, 64
-		}
-		return bench.RunE9CacheServing(w, *out, bench.E9Config{Rows: rows9, Dims: dims9, Seed: *seed})
-	})
-	run("e10", func() error {
-		rows10, dims10 := 20000, 32
-		if *full {
-			rows10, dims10 = 100000, 64
-		}
-		return bench.RunE10ObsOverhead(w, *out, bench.E10Config{Rows: rows10, Dims: dims10, Seed: *seed})
-	})
-	run("e11", func() error {
-		rows11, dims11 := 20000, 32
-		if *full {
-			rows11, dims11 = 100000, 64
-		}
-		return bench.RunE11Cancellation(w, *out, bench.E11Config{Rows: rows11, Dims: dims11, Seed: *seed})
-	})
-	run("e12", func() error {
-		c := bench.E12Config{BaseRows: 20000, BatchRows: 2000, Batches: 8, Dims: 16, Seed: *seed}
-		if *full {
-			c = bench.E12Config{BaseRows: 100000, BatchRows: 10000, Batches: 8, Dims: 32, Seed: *seed}
-		}
-		return bench.RunE12Ingest(w, *out, c)
-	})
-	run("e14", func() error {
-		rows14, dims14 := 20000, 32
-		if *full {
-			rows14, dims14 = 100000, 64
-		}
-		return bench.RunE14TelemetryOverhead(w, *out, bench.E14Config{Rows: rows14, Dims: dims14, Seed: *seed})
-	})
-	run("e17", func() error {
-		c := bench.E17Config{BaseRows: 20000, BatchRows: 2000, Batches: 8, Dims: 8, Seed: *seed}
-		if *full {
-			c = bench.E17Config{BaseRows: 100000, BatchRows: 10000, Batches: 8, Dims: 16, Seed: *seed}
-		}
-		return bench.RunE17Durable(w, *out, c)
-	})
 	run("ablations", func() error { return bench.RunAllAblations(w, *out, *seed) })
 
 	fmt.Fprintf(w, "\nall experiments finished in %v\n", time.Since(start).Round(time.Millisecond))

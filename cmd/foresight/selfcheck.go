@@ -31,7 +31,7 @@ func runSelfcheck(args []string) error {
 	data := fs.String("data", "", "CSV path or demo dataset name")
 	profilePath := fs.String("profile", "", "verify this saved sketch store instead of building fresh")
 	shards := fs.Int("shards", 4, "shards for the sharded-build and extend paths")
-	tol := fs.Float64("tol", 0.07, "estimator-delta gate between build paths (every alternate path is held to it)")
+	tol := fs.Float64("tol", sketchcheck.DefaultScoreTol, "estimator-delta gate between build paths (every alternate path is held to it)")
 	boundSample := fs.Int("bound-sample", 64, "candidates sampled per class/metric for the ScoreBound ≥ Score gate (0 = all)")
 	seed := fs.Int64("seed", 42, "seed for demo datasets / sketches")
 	walDir := fs.String("wal", "", "verify this WAL/snapshot directory instead: CRC-scan every segment, replay into a scratch engine over -data, and gate the recovered profile against a cold rebuild")
@@ -93,7 +93,7 @@ func runSelfcheck(args []string) error {
 // recovered profile outside the gate.
 func runWALCheck(f *foresight.Frame, dir string, tol float64, seed int64, permissive bool) error {
 	if tol <= 0 {
-		tol = 0.07
+		tol = sketchcheck.DefaultScoreTol
 	}
 	cfg := sketch.ProfileConfig{Seed: seed, Spearman: true}
 	base := sketch.BuildProfile(f, cfg)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"foresight/internal/core"
@@ -509,123 +508,4 @@ func RunE6AllPairs(w io.Writer, outDir string, cfg E6Config) error {
 	t.Print(w)
 	fmt.Fprintln(w, "exact time grows linearly with n; sketch time stays flat (independent of n).")
 	return t.WriteTSV(outDir, "e6_allpairs")
-}
-
-// E9Config sizes the scoring-cache / concurrent-serving experiment.
-type E9Config struct {
-	Rows, Dims int
-	// Clients is the number of concurrent requesters in the
-	// thundering-herd phase; Requests is how many carousel requests
-	// each issues.
-	Clients, Requests int
-	Seed              int64
-}
-
-// RunE9CacheServing measures the memoized scoring cache added on top
-// of the paper's engine: cold-vs-warm latency for the carousel and
-// overview queries, and the thundering-herd case — many concurrent
-// clients issuing identical requests, which the singleflight layer
-// collapses to one scoring pass. The cache preserves bit-identical
-// results (asserted by the query-package tests); this experiment
-// quantifies the speedup.
-func RunE9CacheServing(w io.Writer, outDir string, cfg E9Config) error {
-	if cfg.Rows <= 0 {
-		cfg.Rows = 20000
-	}
-	if cfg.Dims <= 0 {
-		cfg.Dims = 32
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 8
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 8
-	}
-	f := datagen.Scalable(datagen.ScalableConfig{
-		Rows: cfg.Rows, NumericCols: cfg.Dims, CatCols: 3, Seed: cfg.Seed,
-	})
-	engine, err := query.NewEngine(f, core.NewRegistry(), nil)
-	if err != nil {
-		return err
-	}
-	t := NewTable(fmt.Sprintf("E9: memoized score cache (n=%d, d=%d)", cfg.Rows, cfg.Dims+3),
-		"request", "cold", "warm (cached)", "speedup")
-
-	measure := func(name string, fn func() error) error {
-		engine.InvalidateCache()
-		var ferr error
-		cold := timeIt(func() { ferr = fn() })
-		if ferr != nil {
-			return ferr
-		}
-		warm := timeIt(func() { ferr = fn() })
-		if ferr != nil {
-			return ferr
-		}
-		t.AddRow(name, cold, warm, float64(cold)/float64(warm))
-		return nil
-	}
-	if err := measure("carousels top-5 (all classes)", func() error {
-		_, err := engine.Carousels(5, false)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := measure("overview (linear heat map)", func() error {
-		_, err := engine.Overview("linear", "", false)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := measure("range filter rho in [0.3,0.9]", func() error {
-		_, err := engine.Execute(query.Query{Classes: []string{"linear"}, MinScore: 0.3, MaxScore: 0.9})
-		return err
-	}); err != nil {
-		return err
-	}
-	t.Print(w)
-
-	// Thundering herd: Clients goroutines issue identical carousel
-	// requests against a cold cache; the singleflight map ensures each
-	// candidate is scored exactly once in total.
-	engine.InvalidateCache()
-	before := engine.CacheStats()
-	var wg sync.WaitGroup
-	var herdErr error
-	var mu sync.Mutex
-	herd := timeIt(func() {
-		for c := 0; c < cfg.Clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := 0; r < cfg.Requests; r++ {
-					if _, err := engine.Carousels(5, false); err != nil {
-						mu.Lock()
-						herdErr = err
-						mu.Unlock()
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	})
-	if herdErr != nil {
-		return herdErr
-	}
-	after := engine.CacheStats()
-	total := cfg.Clients * cfg.Requests
-	t2 := NewTable(fmt.Sprintf("E9: thundering herd (%d clients x %d identical requests)", cfg.Clients, cfg.Requests),
-		"metric", "value")
-	t2.AddRow("wall clock", herd)
-	t2.AddRow("requests/sec", float64(total)/herd.Seconds())
-	t2.AddRow("scores computed (entries)", after.Entries)
-	t2.AddRow("memo hits", after.Hits-before.Hits)
-	t2.AddRow("memo misses", after.Misses-before.Misses)
-	t2.Print(w)
-	fmt.Fprintln(w, "entries ≈ one scoring pass: concurrent duplicates waited on the in-flight computation instead of rescoring.")
-	if err := t.WriteTSV(outDir, "e9_cache"); err != nil {
-		return err
-	}
-	return t2.WriteTSV(outDir, "e9_herd")
 }

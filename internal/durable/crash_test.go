@@ -10,6 +10,7 @@ import (
 	"foresight/internal/frame"
 	"foresight/internal/query"
 	"foresight/internal/sketch"
+	"foresight/internal/sketch/sketchcheck"
 )
 
 // The crash-matrix tests drive the full durability stack — manager,
@@ -24,6 +25,10 @@ import (
 
 const crashBatchRows = 3
 
+// crashProfileConfig sizes the sketch store of every scenario engine
+// and of the cold rebuild recovery is checked against.
+var crashProfileConfig = sketch.ProfileConfig{Seed: 7, K: 32}
+
 // baseTestFrame returns the fixed base dataset every scenario starts
 // from: numeric x, categorical g — enough to exercise both column
 // kinds through snapshot render and replay.
@@ -37,7 +42,7 @@ func baseTestFrame() *frame.Frame {
 func newCrashEngine(t *testing.T) *query.Engine {
 	t.Helper()
 	f := baseTestFrame()
-	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 7, K: 32})
+	p := sketch.BuildProfile(f, crashProfileConfig)
 	e, err := query.NewEngine(f, core.NewRegistry(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +98,7 @@ func runScenario(fs *ErrFS, batches, checkpointAfter int) (acked int) {
 // runScenario can be reused by the dry run and every crash point.
 func newScenarioEngine() (*query.Engine, error) {
 	f := baseTestFrame()
-	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 7, K: 32})
+	p := sketch.BuildProfile(f, crashProfileConfig)
 	return query.NewEngine(f, core.NewRegistry(), p)
 }
 
@@ -280,6 +285,12 @@ func TestRecoveredProfileMatchesColdRebuild(t *testing.T) {
 	}
 	if p.Rows != e.Frame().Rows() {
 		t.Fatalf("recovered profile covers %d rows, frame has %d", p.Rows, e.Frame().Rows())
+	}
+	r := &sketchcheck.Report{}
+	cold := sketch.BuildProfile(e.Frame(), crashProfileConfig)
+	sketchcheck.CheckProfilesCompatible(r, "wal-recovered", p, cold, sketchcheck.DefaultScoreTol, false)
+	if r.Checked == 0 || !r.Ok() {
+		t.Fatalf("recovered vs cold rebuild: %d checks, %v", r.Checked, r.Err())
 	}
 }
 

@@ -311,7 +311,8 @@ func TestScorerPanicIsolation(t *testing.T) {
 }
 
 // Abandoning concurrent requests drains the worker pool and counts
-// every cancellation — the E11 property at unit-test scale.
+// every cancellation, and the scores finished before the cancel stay
+// memoized: a retry scores only what the cancelled pass never reached.
 func TestAbandonedRequestsDrainWorkers(t *testing.T) {
 	f := testFrame(200, 11)
 	reg := core.NewEmptyRegistry()
@@ -348,4 +349,13 @@ func TestAbandonedRequestsDrainWorkers(t *testing.T) {
 		t.Errorf("cancellations = %d, want %d", c, clients)
 	}
 	waitFor(t, "worker pool to drain", func() bool { return e.ScoringInflight() == 0 })
+
+	// Cancellation discards the wait, not the work: across the cancelled
+	// pass and the retry every candidate is scored exactly once.
+	if _, err := e.CarouselsContext(context.Background(), 5, false); err != nil {
+		t.Fatalf("retry after cancellation: %v", err)
+	}
+	if n, want := cc.calls.Load(), int64(len(cc.Candidates(f))); n != want {
+		t.Errorf("Score calls across cancelled pass and retry = %d, want %d (one per candidate)", n, want)
+	}
 }

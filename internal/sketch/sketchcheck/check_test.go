@@ -119,7 +119,7 @@ func TestCheckProfilesCompatibleGatesSpearman(t *testing.T) {
 	cfg := sketch.ProfileConfig{Seed: 2, Spearman: true}
 	one, sharded := sketch.BuildProfile(f, cfg), sketch.BuildProfileSharded(f, cfg, 3)
 	r := &Report{}
-	CheckProfilesCompatible(r, "sharded", one, sharded, 0.07, true)
+	CheckProfilesCompatible(r, "sharded", one, sharded, DefaultScoreTol, true)
 	if !r.Ok() {
 		t.Fatalf("sharded build flagged: %v", r.Err())
 	}
@@ -132,14 +132,14 @@ func TestCheckProfilesCompatibleGatesSpearman(t *testing.T) {
 	}
 	ny.RankPlanes = sketch.HyperplaneFromProjection(ny.RankProj)
 	r = &Report{}
-	CheckProfilesCompatible(r, "reversed", one, sharded, 0.07, true)
+	CheckProfilesCompatible(r, "reversed", one, sharded, DefaultScoreTol, true)
 	if r.Ok() || !strings.Contains(r.Err().Error(), "compat/spearman") {
 		t.Fatalf("reversed rank projection not caught by compat/spearman: %v", r.Err())
 	}
 
 	plain := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 2})
 	r = &Report{}
-	CheckProfilesCompatible(r, "no-ranks", one, plain, 0.07, true)
+	CheckProfilesCompatible(r, "no-ranks", one, plain, DefaultScoreTol, true)
 	if !r.Ok() || r.Checked != withRanks-1 {
 		t.Fatalf("without rank projections: %d checks (want %d), err %v", r.Checked, withRanks-1, r.Err())
 	}

@@ -244,8 +244,7 @@ func hittersEqual(a, b []sketch.HeavyHitter) bool {
 //     bound of the truth, so their distance is bounded by the sum);
 //   - estimator outputs that feed insight scores (entropy,
 //     uniformity, heavy-hitter lists) agree within scoreTol — callers
-//     pass the 0.07 max score delta every alternate build path is
-//     held to;
+//     pass DefaultScoreTol;
 //   - Pearson estimates are gated only when sameCenters is true, i.e.
 //     both builds centered projections on the full-data means (one
 //     shard vs several). Extend keeps the base profile's prefix-mean

@@ -9,6 +9,12 @@ import (
 	"foresight/internal/sketch"
 )
 
+// DefaultScoreTol is the estimator-delta gate every alternate build
+// path (sharded, extended, recovered from a WAL) is held to against
+// the one-shard build: the selfcheck default, `foresight selfcheck
+// -tol`'s default and the WAL gate's fallback.
+const DefaultScoreTol = 0.07
+
 // Config parameterizes a selfcheck run.
 type Config struct {
 	// Profile sizes the sketches; zero fields take the usual defaults.
@@ -21,8 +27,7 @@ type Config struct {
 	// ingest pattern of small batches on a large base).
 	ExtendFrac float64
 	// ScoreTol is the estimator-delta gate between build paths
-	// (default 0.07 — the gate every alternate build path is held
-	// to).
+	// (default DefaultScoreTol).
 	ScoreTol float64
 }
 
@@ -34,7 +39,7 @@ func (c *Config) fill() {
 		c.ExtendFrac = 0.85
 	}
 	if c.ScoreTol <= 0 {
-		c.ScoreTol = 0.07
+		c.ScoreTol = DefaultScoreTol
 	}
 }
 
