@@ -7,6 +7,7 @@ package foresight_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -539,6 +540,39 @@ func BenchmarkColdCarousel(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFreshCarousel is the read right behind a small write at the
+// repository benchmark's ingest_stream shape, 20 000 rows × (48+4) with
+// the sketch store foresightd builds: one op is a 10-row Engine.Ingest,
+// then an approx session carousel on the memo that ingest invalidated.
+// Extend carries no rank projections, so monotonic scores every pair by
+// exact Spearman on the row sample. It is the in-process counterpart of
+// e2e.fresh_carousel_ms, reports the carousel alone as carousel_ms, and
+// gates nothing.
+func BenchmarkFreshCarousel(b *testing.B) {
+	f, batch := ingestBenchFrame(20000, 48, 4, 10)
+	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 42, Spearman: true, Workers: -1})
+	engine, err := query.NewEngine(f, core.NewRegistry(), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine.SetWorkers(0)
+	session := query.NewSession(engine, 5, true)
+	var carousel time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Ingest(context.Background(), batch, nil); err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := session.Recommendations(); err != nil {
+			b.Fatal(err)
+		}
+		carousel += time.Since(start)
+	}
+	b.ReportMetric(carousel.Seconds()*1e3/float64(b.N), "carousel_ms")
 }
 
 // BenchmarkSegmentationWide is the segmentation class pass at the shape

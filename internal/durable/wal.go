@@ -23,8 +23,9 @@ const (
 	FsyncAlways FsyncPolicy = iota
 	// FsyncInterval syncs on a background timer (default 100ms): an
 	// acknowledged batch can be lost if the process dies inside the
-	// window, bounded by the interval. The production default — the
-	// E17 overhead gate is measured here.
+	// window, bounded by the interval. The production default, and the
+	// policy under which the repository benchmark's ingest_stream times
+	// the WAL.
 	FsyncInterval
 	// FsyncOff never syncs explicitly; durability rides on the OS page
 	// cache. Survives process crashes (the kernel has the writes) but

@@ -186,8 +186,9 @@ func (e *Engine) snapshot() snapshot {
 }
 
 // ScoringInflight reports the number of candidate-scoring tasks
-// currently running in the worker pool — the gauge E11 watches drain
-// to zero after requests are abandoned.
+// currently running in the worker pool: /metrics exports it as
+// foresight_scoring_inflight, and TestAbandonedRequestsDrainWorkers
+// watches it drain to zero after requests are abandoned.
 func (e *Engine) ScoringInflight() int64 { return e.inflightScores.Load() }
 
 // Cancellations reports how many engine operations returned early on

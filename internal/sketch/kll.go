@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -207,27 +208,36 @@ func (s *KLL) Merge(other *KLL) error {
 	return nil
 }
 
-// weighted returns all retained (value, weight) pairs sorted by value.
-func (s *KLL) weighted() (vals []float64, weights []uint64) {
-	type vw struct {
-		v float64
-		w uint64
-	}
-	var all []vw
-	for h, items := range s.compactors {
+// weightedItem is one retained value and the number of observations
+// it stands for.
+type weightedItem struct {
+	v float64
+	w uint64
+}
+
+// weighted returns all retained items sorted by value, and their total
+// weight. The comparison is the value alone, so equal values may come
+// in any order: the value at which a cumulative weight is first reached
+// is the same whatever it is, up to the sign of a zero.
+func (s *KLL) weighted() (items []weightedItem, total uint64) {
+	items = make([]weightedItem, 0, s.size)
+	for h, level := range s.compactors {
 		w := uint64(1) << uint(h)
-		for _, v := range items {
-			all = append(all, vw{v, w})
+		for _, v := range level {
+			items = append(items, weightedItem{v, w})
 		}
+		total += w * uint64(len(level))
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a].v < all[b].v })
-	vals = make([]float64, len(all))
-	weights = make([]uint64, len(all))
-	for i, p := range all {
-		vals[i] = p.v
-		weights[i] = p.w
-	}
-	return vals, weights
+	slices.SortFunc(items, func(a, b weightedItem) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return 0
+	})
+	return items, total
 }
 
 // Rank returns the estimated number of observations ≤ x.
@@ -254,30 +264,11 @@ func (s *KLL) CDF(x float64) float64 {
 
 // Quantile returns the estimated q-th quantile (0 ≤ q ≤ 1); NaN when
 // the sketch is empty or q is out of range.
-func (s *KLL) Quantile(q float64) float64 {
-	if s.n == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	vals, weights := s.weighted()
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	var total uint64
-	for _, w := range weights {
-		total += w
-	}
-	target := q * float64(total)
-	var cum uint64
-	for i, v := range vals {
-		cum += weights[i]
-		if float64(cum) >= target {
-			return v
-		}
-	}
-	return vals[len(vals)-1]
-}
+func (s *KLL) Quantile(q float64) float64 { return s.Quantiles([]float64{q})[0] }
 
-// Quantiles evaluates several quantiles with one weighted pass.
+// Quantiles evaluates several quantiles with one weighted pass: each is
+// the first value at which the cumulative weight reaches q of the
+// total, or the largest value.
 func (s *KLL) Quantiles(qs []float64) []float64 {
 	out := make([]float64, len(qs))
 	if s.n == 0 {
@@ -286,23 +277,19 @@ func (s *KLL) Quantiles(qs []float64) []float64 {
 		}
 		return out
 	}
-	vals, weights := s.weighted()
-	var total uint64
-	for _, w := range weights {
-		total += w
-	}
+	items, total := s.weighted()
 	for i, q := range qs {
-		if q < 0 || q > 1 || math.IsNaN(q) || len(vals) == 0 {
+		if q < 0 || q > 1 || math.IsNaN(q) || len(items) == 0 {
 			out[i] = math.NaN()
 			continue
 		}
 		target := q * float64(total)
 		var cum uint64
-		out[i] = vals[len(vals)-1]
-		for j, v := range vals {
-			cum += weights[j]
+		out[i] = items[len(items)-1].v
+		for _, it := range items {
+			cum += it.w
 			if float64(cum) >= target {
-				out[i] = v
+				out[i] = it.v
 				break
 			}
 		}

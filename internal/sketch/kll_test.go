@@ -269,3 +269,104 @@ func TestQuickKLLMergeCount(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// quantilesOracle is Quantiles as it was before weighted sorted typed
+// pairs: the retained items through sort.Slice, split into values and
+// weights, then one scan per quantile.
+func quantilesOracle(s *KLL, qs []float64) []float64 {
+	type vw struct {
+		v float64
+		w uint64
+	}
+	var all []vw
+	for h, items := range s.compactors {
+		w := uint64(1) << uint(h)
+		for _, v := range items {
+			all = append(all, vw{v, w})
+		}
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].v < all[b].v })
+	vals := make([]float64, len(all))
+	weights := make([]uint64, len(all))
+	for i, p := range all {
+		vals[i] = p.v
+		weights[i] = p.w
+	}
+	out := make([]float64, len(qs))
+	var total uint64
+	for _, w := range weights {
+		total += w
+	}
+	for i, q := range qs {
+		if s.n == 0 || q < 0 || q > 1 || math.IsNaN(q) || len(vals) == 0 {
+			out[i] = math.NaN()
+			continue
+		}
+		target := q * float64(total)
+		var cum uint64
+		out[i] = vals[len(vals)-1]
+		for j, v := range vals {
+			cum += weights[j]
+			if float64(cum) >= target {
+				out[i] = v
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestKLLQuantilesMatchOracle: on sketches of heavily duplicated values
+// (both zeros among them), with compacted levels and merged ones,
+// Quantiles and Quantile return the bits the sort.Slice version did.
+func TestKLLQuantilesMatchOracle(t *testing.T) {
+	qs := []float64{0, 1e-9, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1, -0.5, 1.5, math.NaN()}
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 60; trial++ {
+		distinct := 1 + rng.Intn(1+trial*trial)
+		draw := func() float64 {
+			v := float64(rng.Intn(distinct) - distinct/2)
+			if v == 0 && rng.Intn(2) == 0 {
+				v = math.Copysign(0, -1)
+			}
+			return v
+		}
+		s := NewKLL(8+rng.Intn(120), int64(trial))
+		for i := 0; i < rng.Intn(20000); i++ {
+			s.Update(draw())
+		}
+		if trial%3 == 0 {
+			other := NewKLL(8+rng.Intn(120), int64(trial)+100)
+			for i := 0; i < rng.Intn(20000); i++ {
+				other.Update(draw())
+			}
+			if err := s.Merge(other); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := s.Quantiles(qs), quantilesOracle(s, qs)
+		for i, q := range qs {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: Quantiles q=%v = %v, oracle %v", trial, q, got[i], want[i])
+			}
+			if one := s.Quantile(q); math.Float64bits(one) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: Quantile(%v) = %v, oracle %v", trial, q, one, want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkKLLQuantiles is the outliers class's read of a column's KLL:
+// the box-plot quantiles of a compacted sketch at the default k.
+func BenchmarkKLLQuantiles(b *testing.B) {
+	rng := rand.New(rand.NewSource(43))
+	s := NewKLL(200, 1)
+	for i := 0; i < 20000; i++ {
+		s.Update(math.Round(rng.NormFloat64()*1e4) / 1e4)
+	}
+	qs := []float64{0.25, 0.5, 0.75}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Quantiles(qs)
+	}
+}

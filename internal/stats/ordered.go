@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -25,6 +26,106 @@ type Ordered struct {
 	Sorted []float64
 	// Mean and StdDev are Mean(Values) and StdDev(Values).
 	Mean, StdDev float64
+
+	rankOnce sync.Once
+	ranks    *rankIndex // built by the first SpearmanOrdered over the view
+}
+
+// rankIndex is where each row of an Ordered view sits in its Order, so
+// a rank correlation reads ranks instead of re-deriving them per pair.
+type rankIndex struct {
+	// at holds one entry per row: the row's position in Order when its
+	// value is untied, missingRow when it is NaN, and tiedRow−g when it
+	// is a member of tie group g.
+	at []int32
+	// ties[g] is the span of Order that tie group g covers.
+	ties []tieSpan
+	// missing lists the NaN rows, ascending.
+	missing []int32
+}
+
+// tieSpan is the half-open range [start, end) of Order positions that
+// one tie group covers.
+type tieSpan struct{ start, end int32 }
+
+const (
+	missingRow = -1
+	tiedRow    = -2
+)
+
+// rankIndex returns the view's rank index, built on first use; every
+// later call, from any goroutine, returns the same one.
+func (v *Ordered) rankIndex() *rankIndex {
+	v.rankOnce.Do(func() { v.ranks = newRankIndex(v.Values, v.Order, v.Sorted) })
+	return v.ranks
+}
+
+// newRankIndex walks order once, grouping equal values as ranksOrdered
+// does, then lists the rows it never reached.
+func newRankIndex(values []float64, order []int32, sorted []float64) *rankIndex {
+	r := &rankIndex{at: make([]int32, len(values))}
+	if len(order) < len(values) {
+		for i := range r.at {
+			r.at[i] = missingRow
+		}
+	}
+	for a := 0; a < len(order); {
+		b := a + 1
+		for b < len(order) && sorted[b] == sorted[a] {
+			b++
+		}
+		if b == a+1 {
+			r.at[order[a]] = int32(a)
+		} else {
+			g := tiedRow - int32(len(r.ties))
+			for _, row := range order[a:b] {
+				r.at[row] = g
+			}
+			r.ties = append(r.ties, tieSpan{int32(a), int32(b)})
+		}
+		a = b
+	}
+	if len(order) < len(values) {
+		r.missing = make([]int32, 0, len(values)-len(order))
+		for row, at := range r.at {
+			if at == missingRow {
+				r.missing = append(r.missing, int32(row))
+			}
+		}
+	}
+	return r
+}
+
+// dropTable fills table, of length len(Order)+1, with the prefix counts
+// of the rows this view orders but the partner misses: table[p] is D(p),
+// how many of them sit at Order positions below p, a dropped member of a
+// tie group counting at the group's start. It returns the table and how
+// many rows drop, or nil and 0 when none do.
+func (r *rankIndex) dropTable(partnerMissing []int32, table []int32) ([]int32, int) {
+	dropped := 0
+	for _, row := range partnerMissing {
+		at := r.at[row]
+		if at == missingRow {
+			continue
+		}
+		if dropped == 0 {
+			clear(table)
+		}
+		if at < 0 {
+			at = r.ties[tiedRow-at].start
+		}
+		table[at+1]++
+		dropped++
+	}
+	if dropped == 0 {
+		return nil, 0
+	}
+	below := int32(0)
+	for p, c := range table {
+		below += c
+		table[p] = below
+	}
+	return table, dropped
 }
 
 // NewOrdered sorts values once and derives the rest.
@@ -164,8 +265,8 @@ func ExtendOrder(order []int32, xs []float64, from int) []int32 {
 }
 
 // scratch is the pooled working memory of the pair kernels
-// (SpearmanOrdered, silhouette) and of the radix sort; nothing in it
-// outlives a call.
+// (SpearmanOrdered's drop tables, silhouette) and of the radix sort;
+// nothing in it outlives a call.
 type scratch struct {
 	floats []float64
 	slots  []int32
@@ -181,51 +282,19 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// ranksOrdered writes 1-based average-tie ranks into dst by walking
-// order once; sorted[k] is the value of row order[k]. slot maps a row
-// to its index in dst, or −1 to leave the row out of the ranking
-// altogether (it consumes no rank position); nil means every row is its
-// own slot. Ranks depend only on the multiset of ranked values, so
-// walking a whole-column order while skipping rows gives exactly the
-// ranks of sorting the kept rows alone.
-func ranksOrdered(dst, sorted []float64, order, slot []int32) {
-	ranked := 0 // rows ranked so far
+// ranksOrdered writes 1-based average-tie ranks into dst, indexed by
+// row, by walking order once; sorted[k] is the value of row order[k].
+func ranksOrdered(dst, sorted []float64, order []int32) {
 	for a := 0; a < len(order); {
 		b := a + 1
 		for b < len(order) && sorted[b] == sorted[a] {
 			b++
 		}
-		if b == a+1 { // an untied value: the whole walk, on continuous data
-			s := order[a]
-			if slot != nil {
-				s = slot[s]
-			}
-			if s >= 0 {
-				ranked++
-				dst[s] = float64(ranked)
-			}
-			a = b
-			continue
-		}
-		kept := b - a
-		if slot != nil {
-			kept = 0
-			for _, row := range order[a:b] {
-				if slot[row] >= 0 {
-					kept++
-				}
-			}
-		}
-		// The tie group holds ranks ranked+1 … ranked+kept.
-		avg := float64(2*ranked+kept+1) / 2
+		// Positions a … b−1 hold ranks a+1 … b.
+		avg := float64(a+b+1) / 2
 		for _, row := range order[a:b] {
-			if slot == nil {
-				dst[row] = avg
-			} else if s := slot[row]; s >= 0 {
-				dst[s] = avg
-			}
+			dst[row] = avg
 		}
-		ranked += kept
 		a = b
 	}
 }
@@ -242,44 +311,132 @@ func Ranks(xs []float64) []float64 {
 			ranks[i] = math.NaN()
 		}
 	}
-	ranksOrdered(ranks, sorted, order, nil)
+	ranksOrdered(ranks, sorted, order)
 	return ranks
 }
 
-// SpearmanOrdered is Spearman over two samples whose orders are
-// already known: one pass indexes the pairwise-complete rows, one walk
-// per side ranks them, then Pearson — no sort and, with the pooled
-// scratch, no allocation.
+// SpearmanOrdered is Spearman over two samples whose orders are already
+// known, in one pass over the two views' rank indexes and in exact
+// integer arithmetic.
+//
+// Among the m pairwise-complete rows, a row whose tie group covers
+// Order positions [s, e) has the doubled average rank s + e + 1 − D(s) −
+// D(e), where D(p) counts the rows at positions below p that the partner
+// misses (a pooled prefix table, filled from just those rows; none on
+// complete data). Centred on m + 1 that is an integer a with |a| < m,
+// and Σa², Σb² and Σab are summed in int64 over blocks short enough
+// that no block can overflow, the block sums into 128 bits.
+//
+// Those integers are four times the centred sums Pearson forms over the
+// ranks; Pearson's own float64 sums are exact — every term and partial
+// sum a multiple of ¼ below 2⁵³ — up to about 300 000 complete rows,
+// and there the kernel returns the bits Pearson(ranks) returns. Beyond
+// that, to the 2³¹ − 1 rows an Ordered allows, the sums stay exact and
+// each is rounded once, where Pearson's would drift. No sort and, with
+// the pooled scratch, no allocation once both indexes exist.
 func SpearmanOrdered(x, y *Ordered) float64 {
 	n := len(x.Values)
 	if n != len(y.Values) {
 		panic("stats: correlation inputs have different lengths")
 	}
+	rx, ry := x.rankIndex(), y.rankIndex()
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	var slot []int32
-	m := n
-	if len(x.Order) < n || len(y.Order) < n {
-		sc.slots = grow(sc.slots, n)
-		slot = sc.slots
-		m = 0
-		for i, xv := range x.Values {
-			if yv := y.Values[i]; xv != xv || yv != yv {
-				slot[i] = -1
-				continue
-			}
-			slot[i] = int32(m)
-			m++
-		}
-	}
+	sc.slots = grow(sc.slots, len(x.Order)+len(y.Order)+2)
+	dx, droppedX := rx.dropTable(ry.missing, sc.slots[:len(x.Order)+1])
+	dy, _ := ry.dropTable(rx.missing, sc.slots[len(x.Order)+1:])
+	m := len(x.Order) - droppedX
 	if m < 2 {
 		return math.NaN()
 	}
-	sc.floats = grow(sc.floats, 2*m)
-	rx, ry := sc.floats[:m], sc.floats[m:]
-	ranksOrdered(rx, x.Sorted, x.Order, slot)
-	ranksOrdered(ry, y.Sorted, y.Order, slot)
-	return Pearson(rx, ry)
+	var aa, bb, ab int128
+	atX, atY := rx.at[:n], ry.at[:n]
+	block := rowsPerBlock(m)
+	for lo := 0; lo < n; {
+		hi := lo + min(block, n-lo)
+		var saa, sbb, sab int64
+		for i := lo; i < hi; i++ {
+			ax, ay := atX[i], atY[i]
+			if ax == missingRow || ay == missingRow {
+				continue
+			}
+			a, b := rx.centred(ax, dx, m), ry.centred(ay, dy, m)
+			saa += a * a
+			sbb += b * b
+			sab += a * b
+		}
+		aa.add(saa)
+		bb.add(sbb)
+		ab.add(sab)
+		lo = hi
+	}
+	return pairSums{n: m, sxx: aa.float64() / 4, syy: bb.float64() / 4, sxy: ab.float64() / 4}.pearson()
+}
+
+// centred returns twice the pairwise-complete rank of a row whose entry
+// is at, less m + 1; drop is the view's drop table (nil: none drop).
+func (r *rankIndex) centred(at int32, drop []int32, m int) int64 {
+	if at >= 0 { // untied: s = at, e = at+1, and D(e) = D(s)
+		c := 2*int64(at) + 1 - int64(m)
+		if drop != nil {
+			c -= 2 * int64(drop[at])
+		}
+		return c
+	}
+	t := r.ties[tiedRow-at]
+	c := int64(t.start) + int64(t.end) - int64(m)
+	if drop != nil {
+		c -= int64(drop[t.start]) + int64(drop[t.end])
+	}
+	return c
+}
+
+// rowsPerBlock is how many rows one int64 block of SpearmanOrdered may
+// sum: each term is at most (m−1)² in magnitude.
+func rowsPerBlock(m int) int {
+	worst := int64(m-1) * int64(m-1)
+	if worst <= 1 {
+		return math.MaxInt
+	}
+	return int(max(1, math.MaxInt64/worst))
+}
+
+// int128 is a two's-complement 128-bit integer, the exact total of
+// int64 block sums.
+type int128 struct{ hi, lo uint64 }
+
+func (a *int128) add(v int64) {
+	var carry uint64
+	a.lo, carry = bits.Add64(a.lo, uint64(v), 0)
+	a.hi += uint64(v>>63) + carry
+}
+
+// float64 returns a rounded once to the nearest float64 (ties to even).
+func (a int128) float64() float64 {
+	hi, lo := a.hi, a.lo
+	neg := int64(hi) < 0
+	if neg {
+		var borrow uint64
+		lo, borrow = bits.Sub64(0, lo, 0)
+		hi, _ = bits.Sub64(0, hi, borrow)
+	}
+	var f float64
+	if hi == 0 {
+		f = float64(lo)
+	} else {
+		// Keep the top 64 bits, folding the rest into a sticky low bit:
+		// the conversion then rounds as it would the whole value.
+		shift := uint(64 - bits.LeadingZeros64(hi))
+		top := hi<<(64-shift) | lo>>shift
+		if lo<<(64-shift) != 0 {
+			top |= 1
+		}
+		f = math.Ldexp(float64(top), int(shift))
+	}
+	if neg {
+		return -f
+	}
+	return f
 }
 
 // Spearman returns the Spearman rank correlation coefficient over

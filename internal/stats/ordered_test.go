@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
+	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -174,6 +177,147 @@ func TestSpearmanMatchesOracle(t *testing.T) {
 	}
 	// One side all missing.
 	checkSpearman(t, []float64{nan, nan, nan}, []float64{1, 2, 3})
+	// At the row sample's length and past it: tie groups of every size
+	// that lose members to the partner's NaNs, and drops anywhere in the
+	// order.
+	for _, n := range []int{2048, 9000} {
+		for _, levels := range []float64{4, 300, 1e6} {
+			xs, ys := make([]float64, n), make([]float64, n)
+			for i := range xs {
+				xs[i] = math.Round(rng.NormFloat64() * levels)
+				ys[i] = math.Round((xs[i]/levels + rng.NormFloat64()) * levels)
+				if rng.Intn(20) == 0 {
+					xs[i] = nan
+				}
+				if rng.Intn(20) == 0 {
+					ys[i] = nan
+				}
+			}
+			checkSpearman(t, xs, ys)
+		}
+	}
+}
+
+// TestSpearmanSumsExact holds the kernel's integer sums to math/big at
+// the lengths int64 alone cannot carry: the 128-bit total of int64 block
+// sums, each block as long as rowsPerBlock allows for m rows of the
+// largest centred rank m−1, up to the 2³¹−1 rows an Ordered allows;
+// and the single rounding of a total to float64, at ties included.
+func TestSpearmanSumsExact(t *testing.T) {
+	maxInt64 := new(big.Int).SetInt64(math.MaxInt64)
+	for _, m := range []int{2, 3, 1000, 1<<21 - 1, 1 << 21, 1<<21 + 1, 1 << 28, math.MaxInt32} {
+		worst := big.NewInt(int64(m - 1))
+		worst.Mul(worst, worst)
+		block := rowsPerBlock(m)
+		if m == 2 {
+			if block != math.MaxInt {
+				t.Fatalf("m = 2: %d rows a block, want no limit", block)
+			}
+			continue
+		}
+		// A block of the largest terms fits in int64; one row more would not.
+		full := new(big.Int).Mul(worst, big.NewInt(int64(block)))
+		if full.Cmp(maxInt64) > 0 || full.Add(full, worst).Cmp(maxInt64) <= 0 {
+			t.Fatalf("m = %d: %d rows a block for terms of %v", m, block, worst)
+		}
+		// Fold full blocks of those terms as the kernel does, past 2⁶⁴
+		// and back.
+		want, total := new(big.Int), int128{}
+		blockSum := int64(m-1) * int64(m-1) * int64(block)
+		for _, sign := range []int64{1, 1, 1, -1, 1, -1, -1, -1, -1} {
+			total.add(sign * blockSum)
+			want.Add(want, big.NewInt(sign*blockSum))
+			requireInt128(t, total, want)
+		}
+	}
+	// Totals far past 2⁶⁴ in both signs, and the carries between halves.
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		var total int128
+		want := new(big.Int)
+		for i := 0; i < 1+rng.Intn(40); i++ {
+			v := rng.Int63()
+			switch rng.Intn(4) {
+			case 0:
+				v = -v
+			case 1:
+				v = math.MaxInt64
+			case 2:
+				v = math.MinInt64
+			}
+			total.add(v)
+			want.Add(want, big.NewInt(v))
+			requireInt128(t, total, want)
+		}
+	}
+	// Rounding at 2⁶⁴ and above, where one float64 step is 2¹²: halfway
+	// totals go to the even neighbour, a sticky bit past the half rounds
+	// up.
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	for _, off := range []int64{0, 1, 1 << 11, 1<<11 + 1, 3 << 11, 1<<12 - 1, 1 << 12} {
+		for _, scale := range []uint{0, 1, 40, 62} {
+			v := new(big.Int).Add(two64, big.NewInt(off))
+			v.Lsh(v, scale)
+			for _, neg := range []bool{false, true} {
+				w := new(big.Int).Set(v)
+				if neg {
+					w.Neg(w)
+				}
+				requireInt128(t, int128FromBig(w), w)
+			}
+		}
+	}
+}
+
+func int128FromBig(v *big.Int) int128 {
+	u := new(big.Int).Set(v)
+	if u.Sign() < 0 {
+		u.Add(u, new(big.Int).Lsh(big.NewInt(1), 128))
+	}
+	lo := new(big.Int).And(u, new(big.Int).SetUint64(math.MaxUint64))
+	return int128{hi: new(big.Int).Rsh(u, 64).Uint64(), lo: lo.Uint64()}
+}
+
+func requireInt128(t *testing.T, got int128, want *big.Int) {
+	t.Helper()
+	if got != int128FromBig(want) {
+		t.Fatalf("int128 total %#x:%#x, want %v", got.hi, got.lo, want)
+	}
+	f, _ := new(big.Float).SetInt(want).Float64()
+	requireSameBits(t, "int128.float64 of "+want.String(), got.float64(), f)
+}
+
+// TestSpearmanOrderedConcurrentFirstTouch scores one pair of fresh views
+// from eight goroutines at once, so the views' rank indexes are first
+// built under a race. Run with -race.
+func TestSpearmanOrderedConcurrentFirstTouch(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	xs, ys := make([]float64, 3000), make([]float64, 3000)
+	for i := range xs {
+		xs[i], ys[i] = math.Round(rng.NormFloat64()*50), rng.NormFloat64()
+		if rng.Intn(30) == 0 {
+			ys[i] = nan
+		}
+	}
+	x, y := NewOrdered(xs), NewOrdered(ys)
+	got := make([]float64, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				got[g] = SpearmanOrdered(x, y)
+			} else {
+				got[g] = SpearmanOrdered(y, x)
+			}
+		}()
+	}
+	wg.Wait()
+	want := spearmanOracle(xs, ys)
+	for _, r := range got {
+		requireSameBits(t, "concurrent SpearmanOrdered", r, want)
+	}
 }
 
 func TestPairSumsMatchOracles(t *testing.T) {
@@ -290,6 +434,12 @@ func FuzzSpearmanOrdered(f *testing.F) {
 	f.Add([]byte{0, 2, 3, 6, 0, 8}, []byte{0, 3, 2, 0, 7, 8}) // zeros, NaNs on both sides
 	f.Add([]byte{0, 4, 5, 4, 6, 6, 6}, []byte{0, 5, 4, 11, 11, 11, 0})
 	f.Add([]byte{0, 3, 2, 5, 4, 0, 6, 2}, []byte{0, 2, 3, 4, 5, 13, 0, 3}) // ±0, ±Inf, ties, NaN on both sides
+	// What the rank index adds to the walk it replaced:
+	f.Add([]byte{0, 6, 6, 6, 8, 11}, []byte{0, 0, 15, 0, 9, 10}) // a tie group loses two of three members
+	f.Add([]byte{0, 8, 9, 11, 10, 6}, []byte{0, 6, 0, 1, 15, 8}) // dropped rows first and last in x's order
+	f.Add([]byte{0, 6, 0, 8, 11}, []byte{0, 9, 1, 10, 15})       // a row NaN on both sides
+	f.Add([]byte{0, 6, 8, 11, 15}, []byte{0, 0, 1, 10, 0})       // every row dropped but one
+	f.Add([]byte{0, 6, 8, 11, 15}, []byte{0, 0, 9, 10, 1})       // every row dropped but two
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		xs, ys := fuzzFloats(a), fuzzFloats(b)
 		n := min(len(xs), len(ys))
@@ -442,15 +592,36 @@ func benchColumns(n int) (xs, ys []float64) {
 	return xs, ys
 }
 
-// BenchmarkSpearmanPair is one candidate of the monotonic class at the
-// explore_exact shape: both orders retained, 1 % missing cells.
+// BenchmarkSpearmanPair is one candidate of the monotonic class, both
+// views built and ranked once before the clock starts: 1 % missing cells
+// on each side, and values rounded to 6 significant digits, so tie
+// groups form as they do in the repository benchmark's CSVs. The
+// lengths are the row sample the approximate fallback ranks, and the
+// columns of explore_exact and of ingest_stream. It gates nothing.
 func BenchmarkSpearmanPair(b *testing.B) {
-	xs, ys := benchColumns(8000)
-	x, y := NewOrdered(xs), NewOrdered(ys)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for _, n := range []int{2048, 8000, 20000} {
+		rng := rand.New(rand.NewSource(3))
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
+			ys[i] = xs[i] + rng.NormFloat64()
+		}
+		for _, col := range [][]float64{xs, ys} {
+			for i, v := range col {
+				col[i], _ = strconv.ParseFloat(strconv.FormatFloat(v, 'g', 6, 64), 64)
+				if rng.Intn(100) == 0 {
+					col[i] = nan
+				}
+			}
+		}
+		x, y := NewOrdered(xs), NewOrdered(ys)
 		benchSink = SpearmanOrdered(x, y)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = SpearmanOrdered(x, y)
+			}
+		})
 	}
 }
 
