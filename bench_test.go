@@ -348,8 +348,9 @@ func BenchmarkStartup(b *testing.B) {
 // rows × (16+2) (K fixed so the bases differ in nothing else) — O(batch)
 // means ns/op is flat across the bases — and, at the repository
 // benchmark's ingest shape, 30 000 rows × (48+4) under the default
-// sizes, a 250-row and a 10-row batch: what the small one still costs
-// is the per-profile overhead.
+// sizes, a 250-row, a 10-row and an 8 192-row batch: what the small one
+// still costs is the per-profile overhead. Each runs on 1 and 2 workers,
+// the profile's Config.Workers, which Extend runs on.
 func BenchmarkExtend(b *testing.B) {
 	for _, c := range []struct {
 		name                      string
@@ -361,20 +362,27 @@ func BenchmarkExtend(b *testing.B) {
 		{"base=128k", 128 << 10, 16, 2, 250, sketch.ProfileConfig{Seed: 1, K: 256}},
 		{"wide/batch=250", 30000, 48, 4, 250, sketch.ProfileConfig{Seed: 1}},
 		{"wide/batch=10", 30000, 48, 4, 10, sketch.ProfileConfig{Seed: 1}},
+		{"wide/batch=8192", 30000, 48, 4, 8192, sketch.ProfileConfig{Seed: 1}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			f, batch := ingestBenchFrame(c.base, c.numeric, c.cats, c.rows)
-			p := sketch.BuildProfile(f, c.cfg)
 			f2, err := f.AppendRows(batch, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Extend(f2); err != nil {
-					b.Fatal(err)
-				}
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+					cfg := c.cfg
+					cfg.Workers = workers
+					p := sketch.BuildProfile(f, cfg)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := p.Extend(f2); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"foresight/internal/query"
-	"foresight/internal/sketch"
 	"foresight/internal/sketch/sketchcheck"
 )
 
@@ -117,15 +116,6 @@ func TestRecoverSnapshotWithParentV3Profile(t *testing.T) {
 		}
 		return m, e, rec
 	}
-	saved := func(p *sketch.DatasetProfile) []byte {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := p.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
 	m, e, rec := life()
 	p := e.Profile()
 	if rec.SnapshotSeq != 6 || p.Config.SampleSize != 8 || !slices.Equal(p.RowSample.Indexes, []int{2, 3, 8, 11, 13, 15, 16, 21}) {
@@ -153,7 +143,7 @@ func TestRecoverSnapshotWithParentV3Profile(t *testing.T) {
 			}
 		}
 	}
-	want := saved(e.Profile())
+	want := saved(t, e.Profile())
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +153,7 @@ func TestRecoverSnapshotWithParentV3Profile(t *testing.T) {
 	if rec.SnapshotSeq != 6 || rec.ReplayedBatches != 4 {
 		t.Fatalf("second recovery %+v: want the snapshot and a tail of 4 batches", rec)
 	}
-	if !bytes.Equal(saved(e.Profile()), want) {
+	if !bytes.Equal(saved(t, e.Profile()), want) {
 		t.Error("the profile recovered from snapshot + WAL tail saves to other bytes than the one that was live")
 	}
 }

@@ -3,6 +3,7 @@ package durable
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -147,6 +148,39 @@ func recoverAndVerify(t *testing.T, fs *ErrFS, ackedMin, attempted int, label st
 	if m.wal == nil {
 		t.Fatalf("%s: recovery did not open the WAL for appending", label)
 	}
+	checkRowSection(t, m, gotBatches, label)
+}
+
+// sectionRecords decodes a row section.
+func sectionRecords(t *testing.T, s rowSection) [][]string {
+	t.Helper()
+	c := &cursor{b: append(appendU32(nil, uint32(s.n)), s.b...)}
+	recs := c.rows("section row")
+	if c.err != nil || c.off != len(c.b) {
+		t.Fatalf("row section does not decode: %v (%d of %d bytes read)", c.err, c.off, len(c.b))
+	}
+	return recs
+}
+
+// checkRowSection requires the row section m's next checkpoint writes
+// to be exactly the first `batches` scenario batches: the manager's
+// memory is the durable prefix, neither more nor less.
+func checkRowSection(t *testing.T, m *Manager, batches int, label string) {
+	t.Helper()
+	m.mu.Lock()
+	rows := m.snapRows
+	m.mu.Unlock()
+	recs := sectionRecords(t, rows)
+	if len(recs) != batches*crashBatchRows {
+		t.Fatalf("%s: row section holds %d rows, want %d batches of %d", label, len(recs), batches, crashBatchRows)
+	}
+	for b := 0; b < batches; b++ {
+		for r, row := range crashBatch(b).Records {
+			if !slices.Equal(recs[b*crashBatchRows+r], row) {
+				t.Fatalf("%s: row section batch %d row %d is %q, want %q", label, b, r, recs[b*crashBatchRows+r], row)
+			}
+		}
+	}
 }
 
 // TestCrashMatrixFreshLog crashes a fresh-directory scenario (6
@@ -169,6 +203,80 @@ func TestCrashMatrixFreshLog(t *testing.T) {
 		fs := NewErrFS()
 		fs.CrashAt(n)
 		acked := runScenario(fs, batches, ckptAfter)
+		if !fs.Crashed() {
+			t.Fatalf("crash point %d/%d did not fire", n, ops)
+		}
+		recoverAndVerify(t, fs, acked, batches, fmt.Sprintf("crash@%d (acked %d)", n, acked))
+	}
+}
+
+// runAsyncScenario is runScenario with the checkpoints left to the
+// row trigger, which fires every second batch; each is waited for
+// before the next batch, so the op sequence is deterministic. After
+// every batch, acked or not, the row section the next checkpoint writes
+// must be exactly the acked batches, and the running section must hold
+// every row the engine does, a batch the WAL refused included.
+func runAsyncScenario(t *testing.T, fs *ErrFS, batches int) (acked int) {
+	e, err := newScenarioEngine()
+	if err != nil {
+		return 0
+	}
+	m, err := Open(Options{
+		Dir: "wal", FS: fs, Fsync: FsyncAlways,
+		CheckpointRows: 2 * crashBatchRows, CheckpointBytes: -1,
+	})
+	if err != nil {
+		return 0
+	}
+	defer m.Close()
+	if _, err := m.Recover(e); err != nil {
+		return 0
+	}
+	prior := int(m.Recovery().LastSeq)
+	for i := 0; i < batches; i++ {
+		_, err := e.Ingest(context.Background(), crashBatch(prior+i), nil)
+		m.ckptWG.Wait()
+		if err == nil {
+			acked++
+		}
+		label := fmt.Sprintf("after batch %d", prior+i)
+		checkRowSection(t, m, prior+acked, label)
+		m.mu.Lock()
+		running := m.rows.n
+		m.mu.Unlock()
+		if want := e.Frame().Rows() - baseTestFrame().Rows(); running != want {
+			t.Fatalf("%s: running row section holds %d rows, the engine appended %d", label, running, want)
+		}
+		if err != nil {
+			return acked
+		}
+	}
+	return acked
+}
+
+// TestCrashMatrixAsyncCheckpoints crashes a scenario whose checkpoints
+// the row trigger fires (every second batch, CheckpointRows = 6) at
+// every filesystem operation it performs. At every fault point the row
+// section a checkpoint would write is the acked prefix, and recovery — from
+// whichever snapshot survived, re-seeding the section from it and the
+// replayed tail — yields that prefix again, in the frame and in the
+// section the next checkpoint would write.
+func TestCrashMatrixAsyncCheckpoints(t *testing.T) {
+	const batches = 7
+	dry := NewErrFS()
+	if acked := runAsyncScenario(t, dry, batches); acked != batches {
+		t.Fatalf("fault-free dry run acked %d/%d", acked, batches)
+	}
+	ops := dry.Ops()
+	recoverAndVerify(t, dry, batches, batches, "fault-free")
+	if snaps, _ := listSnapshots(dry, "wal"); len(snaps) == 0 {
+		t.Fatal("the row trigger wrote no snapshot")
+	}
+
+	for n := 1; n <= ops; n++ {
+		fs := NewErrFS()
+		fs.CrashAt(n)
+		acked := runAsyncScenario(t, fs, batches)
 		if !fs.Crashed() {
 			t.Fatalf("crash point %d/%d did not fire", n, ops)
 		}

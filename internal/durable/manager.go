@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,6 +118,9 @@ type Manager struct {
 
 	engine   *query.Engine
 	baseRows int
+	// cols are the engine frame's column names, the order of every row
+	// in rows.
+	cols []string
 
 	mu        sync.Mutex
 	wal       *wal
@@ -123,12 +128,20 @@ type Manager struct {
 	ckptSeq   uint64
 	rowsSince int
 	byteSince int64
-	// lastFrame/lastProfile are the engine state exactly as of lastSeq,
-	// captured inside AppendBatch (which runs under the engine's ingest
-	// lock), so a checkpoint always snapshots a (frame, profile, seq)
-	// triple that is mutually consistent even while ingest continues.
-	lastFrame   *frame.Frame
-	lastProfile *sketch.DatasetProfile
+	// rows is the snapshot row section of every row the engine has
+	// appended since the base dataset — each batch's cells as the WAL
+	// logs them, in frame column order — including a batch the WAL
+	// refused, which the engine applied all the same. snapRows (a prefix
+	// of rows), snapProfile and snapSeq are what the next checkpoint
+	// writes: the section and the engine's profile as of a logged batch.
+	// AppendBatch (which runs under the engine's ingest lock) extends rows
+	// and captures the triple, so a checkpoint always snapshots rows and
+	// a profile that describe the same data even while ingest continues,
+	// and renders no row to do it.
+	rows        rowSection
+	snapRows    rowSection
+	snapProfile *sketch.DatasetProfile
+	snapSeq     uint64
 
 	checkpointing atomic.Bool
 	ckptWG        sync.WaitGroup
@@ -175,6 +188,7 @@ func (m *Manager) Recover(e *query.Engine) (RecoveryStats, error) {
 	var stats RecoveryStats
 	m.engine = e
 	m.baseRows = e.Frame().Rows()
+	m.cols = e.Frame().Names()
 
 	// Newest valid snapshot wins; corrupted ones are skipped with a
 	// warning (an older snapshot plus a longer WAL replay is still a
@@ -185,27 +199,33 @@ func (m *Manager) Recover(e *query.Engine) (RecoveryStats, error) {
 		// otherwise report it.
 		return stats, fmt.Errorf("durable: listing snapshots: %w", err)
 	}
-	var snap *snapshotData
+	var snap *snapshotBody
+	var snapProfile *sketch.DatasetProfile
 	for _, si := range snaps {
-		s, err := loadSnapshot(m.fsys, si.name, m.opts.Logf)
+		s, p, err := loadSnapshot(m.fsys, si.name, m.opts.Logf)
 		if err != nil {
 			stats.SnapshotsSkipped++
 			m.opts.Logf("durable: skipping snapshot %s: %v", si.name, err)
 			continue
 		}
-		snap = s
+		snap, snapProfile = s, p
 		break
 	}
+	// The row section starts as the snapshot's and grows by every
+	// replayed batch, so the next checkpoint writes what this one did
+	// plus the tail.
+	var rows rowSection
 	if snap != nil {
-		if snap.BaseRows != m.baseRows || !sameStrings(snap.Cols, e.Frame().Names()) {
+		if snap.BaseRows != m.baseRows || !slices.Equal(snap.Cols, m.cols) {
 			return stats, fmt.Errorf("durable: WAL directory %s belongs to a different dataset (snapshot base %d rows × %d cols, engine %d rows × %d cols)",
-				m.dir, snap.BaseRows, len(snap.Cols), m.baseRows, len(e.Frame().Names()))
+				m.dir, snap.BaseRows, len(snap.Cols), m.baseRows, len(m.cols))
 		}
-		if err := m.applySnapshot(e, snap); err != nil {
+		if err := m.applySnapshot(e, snap.Records, snapProfile); err != nil {
 			return stats, err
 		}
 		stats.SnapshotSeq = snap.Seq
-		stats.SnapshotRows = len(snap.Records)
+		stats.SnapshotRows = snap.Rows.n
+		rows = rowSection{n: snap.Rows.n, b: slices.Clone(snap.Rows.b)}
 	}
 
 	ctx := context.Background()
@@ -215,6 +235,7 @@ func (m *Manager) Recover(e *query.Engine) (RecoveryStats, error) {
 			if err != nil {
 				return err
 			}
+			rows.add(m.cols, rec.Columns, rec.Records)
 			stats.ReplayedBatches++
 			stats.ReplayedRows += len(rec.Records)
 			return nil
@@ -237,8 +258,8 @@ func (m *Manager) Recover(e *query.Engine) (RecoveryStats, error) {
 	// that recovered a lot of rows folds them into a snapshot soon
 	// instead of replaying them again on every restart.
 	m.rowsSince = stats.ReplayedRows
-	m.lastFrame = e.Frame()
-	m.lastProfile = e.Profile()
+	m.rows, m.snapRows = rows, rows
+	m.snapProfile, m.snapSeq = e.Profile(), stats.LastSeq
 	m.recovery = stats
 	m.mu.Unlock()
 
@@ -265,82 +286,77 @@ func (m *Manager) onSync(err error) {
 	m.fsyncs.Add(1)
 }
 
-// applySnapshot installs the snapshot's rows (and profile, when both
+// applySnapshot installs a snapshot's rows (and profile, when both
 // sides have one) into the engine. With a snapshot profile the sketch
 // store is restored directly — no re-sketching of snapshot rows; the
 // frame is rebuilt by appending the stored rows to the base frame.
-func (m *Manager) applySnapshot(e *query.Engine, snap *snapshotData) error {
-	if len(snap.Records) == 0 && snap.Profile == nil {
-		return nil
-	}
-	if snap.Profile != nil && e.Profile() != nil {
-		f2, err := e.Frame().AppendRows(frame.RowBatch{Records: snap.Records}, nil)
+func (m *Manager) applySnapshot(e *query.Engine, records [][]string, p *sketch.DatasetProfile) error {
+	if p != nil && e.Profile() != nil {
+		f2, err := e.Frame().AppendRows(frame.RowBatch{Records: records}, nil)
 		if err != nil {
 			return fmt.Errorf("durable: applying snapshot rows: %w", err)
 		}
-		return e.RestoreSnapshot(f2, snap.Profile)
+		return e.RestoreSnapshot(f2, p)
 	}
-	if len(snap.Records) == 0 {
+	if len(records) == 0 {
 		return nil
 	}
 	// No usable snapshot profile (none was written, or it was written
 	// under another wire version): replay the rows through Ingest so the
 	// engine's own profile (when present) extends incrementally.
-	_, err := e.Ingest(context.Background(), frame.RowBatch{Records: snap.Records}, nil)
+	_, err := e.Ingest(context.Background(), frame.RowBatch{Records: records}, nil)
 	if err != nil {
 		return fmt.Errorf("durable: applying snapshot rows: %w", err)
 	}
 	return nil
 }
 
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // AppendBatch implements query.DurableSink: it is called by
 // Engine.Ingest, under the engine's ingest lock, after the batch has
 // been applied and before the caller acknowledges it. The WAL append
 // (and, under FsyncAlways, its flush) must succeed for the ingest to
-// report success. It also captures the applied (frame, profile, seq)
-// triple for the checkpointer and fires a checkpoint when the rows- or
-// bytes-since-checkpoint trigger trips.
+// report success. The batch's cells join the row section either way,
+// since the engine serves them either way; only a logged batch captures
+// the (rows, profile, seq) triple for the checkpointer and may fire a
+// checkpoint, when the rows- or bytes-since-checkpoint trigger trips. A
+// refused batch has no seq, so it reaches a snapshot only under the seq
+// of a later batch the log took.
+//
+// The triple is captured only while the section holds as many rows as
+// the engine's frame does past the base, which it always does while the
+// engine moves by Ingest alone. An engine rolled back behind the
+// manager's back (RestoreSnapshot), or a batch logged that the engine
+// does not hold, breaks that for good; the last triple captured then
+// stands, and recovery replays the log past it.
 func (m *Manager) AppendBatch(batch frame.RowBatch, res query.IngestResult) error {
 	if !m.recovered.Load() {
 		return fmt.Errorf("durable: ingest before recovery completed")
 	}
 	seq, n, err := m.wal.Append(batch.Columns, batch.Records)
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.rows.add(m.cols, batch.Columns, batch.Records)
 	if err != nil {
 		m.appendErrors.Add(1)
 		return err
 	}
 	m.appends.Add(1)
 	m.appendBytes.Add(uint64(n))
-
-	m.mu.Lock()
 	m.lastSeq = seq
 	m.rowsSince += res.RowsAppended
 	m.byteSince += int64(n)
-	m.lastFrame = m.engine.Frame()
-	m.lastProfile = m.engine.Profile()
+	if m.rows.n != m.engine.Frame().Rows()-m.baseRows {
+		return nil
+	}
+	m.snapRows, m.snapProfile, m.snapSeq = m.rows, m.engine.Profile(), seq
 	trigger := (m.opts.CheckpointRows > 0 && m.rowsSince >= m.opts.CheckpointRows) ||
 		(m.opts.CheckpointBytes > 0 && m.byteSince >= m.opts.CheckpointBytes)
-	var f *frame.Frame
-	var p *sketch.DatasetProfile
 	if trigger && m.checkpointing.CompareAndSwap(false, true) {
-		f, p = m.lastFrame, m.lastProfile
 		m.rowsSince, m.byteSince = 0, 0
 		m.ckptWG.Add(1)
-		go m.runCheckpoint(f, p, seq)
+		go m.runCheckpoint(m.snapRows, m.snapProfile, seq)
 	}
-	m.mu.Unlock()
 	return nil
 }
 
@@ -355,28 +371,35 @@ func (m *Manager) Checkpoint() error {
 		return fmt.Errorf("durable: checkpoint already in progress")
 	}
 	m.mu.Lock()
-	f, p, seq := m.lastFrame, m.lastProfile, m.lastSeq
+	rows, p, seq := m.snapRows, m.snapProfile, m.snapSeq
 	m.rowsSince, m.byteSince = 0, 0
 	m.mu.Unlock()
 	m.ckptWG.Add(1)
-	return m.runCheckpoint(f, p, seq)
+	return m.runCheckpoint(rows, p, seq)
 }
 
-// runCheckpoint writes one snapshot and retires the WAL segments it
-// covers. Frames and profiles are immutable once published, so this
-// runs concurrently with live ingest without any engine lock.
-func (m *Manager) runCheckpoint(f *frame.Frame, p *sketch.DatasetProfile, seq uint64) error {
+// runCheckpoint writes one snapshot — the captured row section as it
+// is, and p's Save bytes — and retires the WAL segments it covers.
+// Profiles are immutable once published and appends leave a captured
+// section's bytes alone, so this runs concurrently with live ingest
+// without any engine lock.
+func (m *Manager) runCheckpoint(rows rowSection, p *sketch.DatasetProfile, seq uint64) error {
 	defer m.ckptWG.Done()
 	defer m.checkpointing.Store(false)
 	start := time.Now()
-	data := snapshotData{
-		Seq:      seq,
-		BaseRows: m.baseRows,
-		Cols:     f.Names(),
-		Records:  appendedRecords(f, m.baseRows),
-		Profile:  p,
+	body := &snapshotBody{Seq: seq, BaseRows: m.baseRows, Cols: m.cols, Rows: rows}
+	var err error
+	if p != nil {
+		var buf bytes.Buffer
+		if err = p.Save(&buf); err != nil {
+			err = fmt.Errorf("durable: serializing profile for snapshot: %w", err)
+		}
+		body.Profile = buf.Bytes()
 	}
-	if _, err := writeSnapshot(m.fsys, m.dir, data); err != nil {
+	if err == nil {
+		_, err = writeSnapshot(m.fsys, m.dir, body)
+	}
+	if err != nil {
 		m.ckptErrors.Add(1)
 		m.opts.Logf("durable: checkpoint at seq %d failed: %v", seq, err)
 		return err

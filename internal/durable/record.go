@@ -61,13 +61,18 @@ func appendString(b []byte, s string) []byte {
 	return append(appendU32(b, uint32(len(s))), s...)
 }
 
+func appendRow(b []byte, row []string) []byte {
+	b = appendU32(b, uint32(len(row)))
+	for _, cell := range row {
+		b = appendString(b, cell)
+	}
+	return b
+}
+
 func appendRows(b []byte, rows [][]string) []byte {
 	b = appendU32(b, uint32(len(rows)))
 	for _, row := range rows {
-		b = appendU32(b, uint32(len(row)))
-		for _, cell := range row {
-			b = appendString(b, cell)
-		}
+		b = appendRow(b, row)
 	}
 	return b
 }
@@ -150,6 +155,19 @@ func (c *cursor) str(what string) string {
 	return s
 }
 
+// strs reads a u32 count and that many strings.
+func (c *cursor) strs(what string) []string {
+	n := int(c.u32(what + " count"))
+	if c.err == nil && (n < 0 || n > (len(c.b)-c.off)/4+1) {
+		c.fail(what + " count")
+	}
+	var out []string
+	for i := 0; i < n && c.err == nil; i++ {
+		out = append(out, c.str(what))
+	}
+	return out
+}
+
 func (c *cursor) rows(what string) [][]string {
 	n := int(c.u32(what + " count"))
 	if c.err != nil {
@@ -189,13 +207,7 @@ func decodeBatchRecord(payload []byte) (batchRecord, error) {
 	c := &cursor{b: payload}
 	var r batchRecord
 	r.Seq = c.u64("seq")
-	ncols := int(c.u32("column count"))
-	if c.err == nil && (ncols < 0 || ncols > (len(c.b)-c.off)/4+1) {
-		c.fail("column count")
-	}
-	for i := 0; i < ncols && c.err == nil; i++ {
-		r.Columns = append(r.Columns, c.str("column name"))
-	}
+	r.Columns = c.strs("column name")
 	r.Records = c.rows("record")
 	if c.err != nil {
 		return batchRecord{}, c.err

@@ -6,39 +6,109 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
-	"foresight/internal/frame"
 	"foresight/internal/sketch"
 )
 
 // A snapshot is one atomic checkpoint of everything ingested since the
-// process's base dataset was loaded: the appended rows (rendered back
-// to the same string-cell form ingest accepts, so replaying them
-// through AppendRows reproduces the frame bit-identically) and, when
-// the engine carries one, the sketch store in its Save form. The
-// file name carries the WAL sequence number of the last batch the
-// snapshot covers; recovery loads the newest valid snapshot and
-// replays only WAL records after that sequence.
+// process's base dataset was loaded: the appended rows, as the cells
+// ingest accepted them (replaying them through AppendRows reproduces
+// the frame bit-identically), and, when the engine carries one, the
+// sketch store in its Save form. The file name carries the WAL
+// sequence number of the last batch the snapshot covers; recovery
+// loads the newest valid snapshot and replays only WAL records after
+// that sequence.
 //
 // File layout: 8B magic "FSNAPSH1" | u64 body length | u32 CRC32C(body)
-// | body. Body: u64 seq | u64 baseRows | columns | rows | u8
-// hasProfile | [u64 profile length | profile as sketch.Save wrote it].
+// | body. Body: u64 seq | u64 baseRows | u32 ncols, columns | u32 nrows,
+// rows | u8 hasProfile (0 or 1) | [u64 profile length | profile as
+// sketch.Save wrote it]. Strings and rows are laid out as in a WAL
+// record (record.go); a row holds one cell per column, in column order.
 // Writes are atomic: temp file + fsync + rename + directory fsync.
 //
 // The profile section is versioned by the sketch package, not here. A
 // snapshot whose section was written under an older wire version (its
 // dots follow a direction stream this binary no longer draws) is still
 // a valid snapshot of the rows: loadSnapshot returns it with a nil
-// Profile, and recovery replays the rows through Ingest.
-type snapshotData struct {
+// profile, and recovery replays the rows through Ingest.
+
+// snapshotHeaderSize is the magic, body length and CRC before a body.
+const snapshotHeaderSize = len(snapMagic) + 12
+
+// rowSection is a snapshot's row section held encoded: n rows in the
+// WAL's row layout, without the section's leading count. The manager
+// keeps one for every row appended since the base dataset and extends
+// it as batches are logged, so a checkpoint writes rows it never has
+// to render; a copy of it is a prefix that later appends leave alone,
+// since they write only past its length.
+type rowSection struct {
+	n int
+	b []byte
+}
+
+// add appends records to s with one cell per column of cols, in cols'
+// order. columns names the records' fields as a frame.RowBatch does
+// (empty: cols itself); a column the batch does not name gets the empty
+// cell, which AppendRows reads as missing, just as it reads an unnamed
+// column.
+func (s *rowSection) add(cols, columns []string, records [][]string) {
+	s.n += len(records)
+	if len(columns) == 0 {
+		for _, rec := range records {
+			s.b = appendRow(s.b, rec)
+		}
+		return
+	}
+	fieldOf := make([]int, len(cols))
+	for ci, name := range cols {
+		fieldOf[ci] = slices.Index(columns, name)
+	}
+	for _, rec := range records {
+		s.b = appendU32(s.b, uint32(len(cols)))
+		for _, fi := range fieldOf {
+			cell := ""
+			if fi >= 0 {
+				cell = rec[fi]
+			}
+			s.b = appendString(s.b, cell)
+		}
+	}
+}
+
+// snapshotBody is a snapshot's body as it is on disk: the profile
+// section is still the bytes sketch.Save wrote.
+type snapshotBody struct {
 	Seq      uint64
 	BaseRows int
 	Cols     []string
-	Records  [][]string
-	Profile  *sketch.DatasetProfile
+	Rows     rowSection
+	// Records are Rows decoded; parseSnapshot fills them, the writer
+	// reads Rows alone.
+	Records [][]string
+	// Profile is nil when the snapshot has no profile section.
+	Profile []byte
+}
+
+// pieces returns the body's encoding in four parts — what precedes the
+// rows, the rows, the profile flag and length, the profile — so that
+// writing it copies neither of the large sections.
+func (b *snapshotBody) pieces() [4][]byte {
+	head := appendU64(nil, b.Seq)
+	head = appendU64(head, uint64(b.BaseRows))
+	head = appendU32(head, uint32(len(b.Cols)))
+	for _, c := range b.Cols {
+		head = appendString(head, c)
+	}
+	head = appendU32(head, uint32(b.Rows.n))
+	flag := []byte{0}
+	if b.Profile != nil {
+		flag = appendU64([]byte{1}, uint64(len(b.Profile)))
+	}
+	return [4][]byte{head, b.Rows.b, flag, b.Profile}
 }
 
 func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }
@@ -70,36 +140,27 @@ func listSnapshots(fsys FS, dir string) ([]snapshotInfo, error) {
 	return snaps, nil
 }
 
-// writeSnapshot persists data atomically and returns the final path.
-func writeSnapshot(fsys FS, dir string, data snapshotData) (string, error) {
-	body := appendU64(nil, data.Seq)
-	body = appendU64(body, uint64(data.BaseRows))
-	body = appendU32(body, uint32(len(data.Cols)))
-	for _, c := range data.Cols {
-		body = appendString(body, c)
-	}
-	body = appendRows(body, data.Records)
-	if data.Profile != nil {
-		body = append(body, 1)
-		var pbuf bytes.Buffer
-		if err := data.Profile.Save(&pbuf); err != nil {
-			return "", fmt.Errorf("durable: serializing profile for snapshot: %w", err)
-		}
-		body = appendU64(body, uint64(pbuf.Len()))
-		body = append(body, pbuf.Bytes()...)
-	} else {
-		body = append(body, 0)
+// writeSnapshot persists body atomically and returns the final path.
+func writeSnapshot(fsys FS, dir string, body *snapshotBody) (string, error) {
+	pieces := body.pieces()
+	var size uint64
+	var sum uint32
+	for _, p := range pieces {
+		size += uint64(len(p))
+		sum = crc32.Update(sum, crcTable, p)
 	}
 
-	final := join(dir, snapshotName(data.Seq))
+	final := join(dir, snapshotName(body.Seq))
 	tmp := final + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
 		return "", fmt.Errorf("durable: creating snapshot temp file: %w", err)
 	}
-	header := append([]byte(snapMagic), appendU32(appendU64(nil, uint64(len(body))), crc32.Checksum(body, crcTable))...)
-	if _, err := f.Write(header); err == nil {
-		_, err = f.Write(body)
+	_, err = f.Write(appendU32(appendU64([]byte(snapMagic), size), sum))
+	for _, p := range pieces {
+		if err == nil && len(p) > 0 {
+			_, err = f.Write(p)
+		}
 	}
 	if err != nil {
 		f.Close()
@@ -125,71 +186,96 @@ func writeSnapshot(fsys FS, dir string, data snapshotData) (string, error) {
 }
 
 // loadSnapshot reads and fully validates one snapshot file (magic,
-// length, CRC over the whole body, decodable content).
-func loadSnapshot(fsys FS, name string, logf func(string, ...any)) (*snapshotData, error) {
+// length, CRC over the whole body, decodable content) and decodes its
+// profile section, which is nil when there is none or it was written
+// under another wire version.
+func loadSnapshot(fsys FS, name string, logf func(string, ...any)) (*snapshotBody, *sketch.DatasetProfile, error) {
+	size, err := fsys.Size(name)
+	if err != nil {
+		return nil, nil, fmt.Errorf("durable: snapshot %s: %w", name, err)
+	}
+	if size < int64(snapshotHeaderSize) || size > int64(snapshotHeaderSize)+maxRecordPayload {
+		return nil, nil, fmt.Errorf("durable: snapshot %s: implausible size %d", name, size)
+	}
 	rc, err := fsys.Open(name)
 	if err != nil {
-		return nil, fmt.Errorf("durable: opening snapshot %s: %w", name, err)
+		return nil, nil, fmt.Errorf("durable: opening snapshot %s: %w", name, err)
 	}
 	defer rc.Close()
-	header := make([]byte, len(snapMagic)+12)
-	if _, err := io.ReadFull(rc, header); err != nil {
-		return nil, fmt.Errorf("durable: snapshot %s: short header: %w", name, err)
+	file := make([]byte, size)
+	if _, err := io.ReadFull(rc, file); err != nil {
+		return nil, nil, fmt.Errorf("durable: snapshot %s: short read: %w", name, err)
 	}
-	if string(header[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("durable: snapshot %s: bad magic", name)
+	body, err := parseSnapshot(file)
+	if err != nil {
+		return nil, nil, fmt.Errorf("durable: snapshot %s: %w", name, err)
 	}
-	c := &cursor{b: header[len(snapMagic):]}
-	bodyLen := c.u64("snapshot length")
-	sum := c.u32("snapshot checksum")
-	if bodyLen > maxRecordPayload {
-		return nil, fmt.Errorf("durable: snapshot %s: implausible length %d", name, bodyLen)
+	if body.Profile == nil {
+		return body, nil, nil
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(rc, body); err != nil {
-		return nil, fmt.Errorf("durable: snapshot %s: short body: %w", name, err)
+	p, err := sketch.LoadProfile(bytes.NewReader(body.Profile))
+	switch {
+	case errors.Is(err, sketch.ErrProfileVersion):
+		logf("durable: snapshot %s: keeping its rows, re-sketching them: %v", name, err)
+	case err != nil:
+		return nil, nil, fmt.Errorf("durable: snapshot %s: loading profile: %w", name, err)
+	}
+	return body, p, nil
+}
+
+// parseSnapshot validates a whole snapshot file — magic, a body length
+// that is the file's, the CRC — and decodes its body. Only the
+// canonical encoding is accepted: a profile flag other than 0 or 1, or
+// bytes past the end of the last section, are errors. What it returns
+// aliases file.
+func parseSnapshot(file []byte) (*snapshotBody, error) {
+	if len(file) < snapshotHeaderSize || string(file[:len(snapMagic)]) != snapMagic {
+		return nil, fmt.Errorf("durable: bad snapshot magic")
+	}
+	c := &cursor{b: file[len(snapMagic):snapshotHeaderSize]}
+	bodyLen, sum := c.u64("snapshot length"), c.u32("snapshot checksum")
+	body := file[snapshotHeaderSize:]
+	if bodyLen != uint64(len(body)) {
+		return nil, fmt.Errorf("durable: snapshot length %d, %d bytes follow the header", bodyLen, len(body))
 	}
 	if crc32.Checksum(body, crcTable) != sum {
-		return nil, fmt.Errorf("durable: snapshot %s: checksum mismatch", name)
+		return nil, fmt.Errorf("durable: snapshot checksum mismatch")
 	}
-	bc := &cursor{b: body}
-	data := &snapshotData{}
-	data.Seq = bc.u64("seq")
-	data.BaseRows = int(bc.u64("base rows"))
-	ncols := int(bc.u32("column count"))
-	if bc.err == nil && (ncols < 0 || ncols > (len(bc.b)-bc.off)/4+1) {
-		bc.fail("column count")
+	c = &cursor{b: body}
+	b := &snapshotBody{}
+	b.Seq = c.u64("seq")
+	b.BaseRows = int(c.u64("base rows"))
+	b.Cols = c.strs("column name")
+	start := c.off + 4 // past the row count
+	b.Records = c.rows("snapshot row")
+	if c.err != nil {
+		return nil, c.err
 	}
-	for i := 0; i < ncols && bc.err == nil; i++ {
-		data.Cols = append(data.Cols, bc.str("column name"))
+	b.Rows = rowSection{n: len(b.Records), b: body[start:c.off:c.off]}
+	if c.off >= len(body) {
+		return nil, fmt.Errorf("durable: snapshot missing profile flag")
 	}
-	data.Records = bc.rows("snapshot row")
-	if bc.err != nil {
-		return nil, fmt.Errorf("durable: snapshot %s: %w", name, bc.err)
-	}
-	if bc.off >= len(body) {
-		return nil, fmt.Errorf("durable: snapshot %s: missing profile flag", name)
-	}
-	hasProfile := body[bc.off] == 1
-	bc.off++
-	if hasProfile {
-		plen := bc.u64("profile length")
-		if bc.err != nil {
-			return nil, fmt.Errorf("durable: snapshot %s: %w", name, bc.err)
+	flag := body[c.off]
+	c.off++
+	switch flag {
+	case 0:
+	case 1:
+		plen := c.u64("profile length")
+		if c.err != nil {
+			return nil, c.err
 		}
-		if uint64(len(body)-bc.off) < plen {
-			return nil, fmt.Errorf("durable: snapshot %s: short profile section", name)
+		if uint64(len(body)-c.off) < plen {
+			return nil, fmt.Errorf("durable: short snapshot profile section")
 		}
-		p, err := sketch.LoadProfile(bytes.NewReader(body[bc.off : bc.off+int(plen)]))
-		switch {
-		case errors.Is(err, sketch.ErrProfileVersion):
-			logf("durable: snapshot %s: keeping its rows, re-sketching them: %v", name, err)
-		case err != nil:
-			return nil, fmt.Errorf("durable: snapshot %s: loading profile: %w", name, err)
-		}
-		data.Profile = p
+		b.Profile = body[c.off : c.off+int(plen) : c.off+int(plen)]
+		c.off += int(plen)
+	default:
+		return nil, fmt.Errorf("durable: snapshot profile flag %d", flag)
 	}
-	return data, nil
+	if c.off != len(body) {
+		return nil, fmt.Errorf("durable: %d trailing bytes after snapshot", len(body)-c.off)
+	}
+	return b, nil
 }
 
 // pruneSnapshots removes all but the newest keep snapshots (older ones
@@ -215,30 +301,4 @@ func pruneSnapshots(fsys FS, dir string, keep int) {
 		_ = fsys.Remove(s.name)
 	}
 	_ = fsys.SyncDir(dir)
-}
-
-// appendedRecords renders the frame's rows past baseRows back into the
-// string-cell form ingest accepts. Numeric cells use %g (which
-// round-trips float64 exactly), missing cells become the empty string;
-// because every one of these rows originally entered through
-// AppendRows under the same missing-value rules, replaying the
-// rendered cells reproduces the frame content bit-identically.
-func appendedRecords(f *frame.Frame, baseRows int) [][]string {
-	n := f.Rows() - baseRows
-	if n <= 0 {
-		return nil
-	}
-	out := make([][]string, n)
-	cols := make([]frame.Column, f.Cols())
-	for i := 0; i < f.Cols(); i++ {
-		cols[i] = f.Column(i)
-	}
-	for r := 0; r < n; r++ {
-		row := make([]string, len(cols))
-		for ci, col := range cols {
-			row[ci] = col.StringAt(baseRows + r)
-		}
-		out[r] = row
-	}
-	return out
 }

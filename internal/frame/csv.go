@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -32,12 +33,15 @@ type ReadCSVOptions struct {
 	NumericThreshold float64
 }
 
+// defaultMissingTokens are the MissingTokens of a nil list.
+var defaultMissingTokens = []string{"na", "n/a", "nan", "null", "-"}
+
 func (o *ReadCSVOptions) fill() {
 	if o.Comma == 0 {
 		o.Comma = ','
 	}
 	if o.MissingTokens == nil {
-		o.MissingTokens = []string{"na", "n/a", "nan", "null", "-"}
+		o.MissingTokens = slices.Clone(defaultMissingTokens)
 	}
 	if o.NumericThreshold == 0 {
 		o.NumericThreshold = 0.95
@@ -45,6 +49,14 @@ func (o *ReadCSVOptions) fill() {
 	if o.MaxCategories < 0 {
 		o.MaxCategories = 0
 	}
+}
+
+// MissingIsDefault reports whether AppendRows reads every cell under o
+// as it does under nil options: the missing tokens, the only rule of o
+// that reaches an append, are nil or the default list. A nil o is the
+// defaults.
+func (o *ReadCSVOptions) MissingIsDefault() bool {
+	return o == nil || o.MissingTokens == nil || slices.Equal(o.MissingTokens, defaultMissingTokens)
 }
 
 // missingCells decides which cells are missing under one set of

@@ -14,16 +14,11 @@ import (
 // rebuild. The frame grows by AppendRows (immutable — readers keep
 // their snapshot), the sketch store grows by the mergeable-sketch
 // delta path (sketch.DatasetProfile.Extend profiles just the new rows
-// and folds them in via Merge, paper §3), and the pair is swapped in
+// and folds them in via Merge, paper §3, on the workers the profile was
+// built with — foresightd's -workers), and the pair is swapped in
 // atomically together with a score-cache invalidation, so every query
 // before the swap sees the old dataset and every query after sees the
 // new one.
-
-// shardedIngestMinRows is the batch size below which the sharded
-// delta build is not worth its goroutines and its merge tree; small
-// batches (the common streaming case) keep the sequential delta even
-// when the engine has build shards configured.
-const shardedIngestMinRows = 8192
 
 // IngestResult reports one applied ingest batch.
 type IngestResult struct {
@@ -42,7 +37,10 @@ type IngestResult struct {
 // Ingest calls serialize; queries are never blocked — they keep
 // answering from the previous (frame, profile) snapshot until the swap
 // and from the new one after it. opts carries the missing-value rules
-// (nil for ReadCSV defaults).
+// (nil for ReadCSV defaults). With a durable sink installed only the
+// defaults are accepted: the log keeps a batch's raw cells and
+// recovery re-reads them under the defaults, so a batch read under
+// other rules would come back as different data.
 //
 // The context is checked before the work starts and between the two
 // expensive phases (append, sketch delta); once the swap has happened
@@ -55,6 +53,9 @@ func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.R
 	defer e.ingestMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return IngestResult{}, e.noteCancel(err)
+	}
+	if e.durableSink != nil && !opts.MissingIsDefault() {
+		return IngestResult{}, fmt.Errorf("query: ingest: missing-value rules other than the defaults cannot be logged (recovery re-reads a batch under the defaults)")
 	}
 	snap := e.snapshot()
 
@@ -75,12 +76,7 @@ func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.R
 	var p2 *sketch.DatasetProfile
 	if snap.profile != nil {
 		endDelta := obs.StartSpan(ctx, "ingest:delta")
-		newRows := f2.Rows() - snap.frame.Rows()
-		if shards := e.BuildShards(); shards != 0 && newRows >= shardedIngestMinRows {
-			p2, err = snap.profile.ExtendSharded(f2, shards)
-		} else {
-			p2, err = snap.profile.Extend(f2)
-		}
+		p2, err = snap.profile.Extend(f2)
 		endDelta()
 		if err != nil {
 			return IngestResult{}, err

@@ -246,3 +246,44 @@ func TestIngestEmptyBatch(t *testing.T) {
 		t.Errorf("empty ingest was logged %d times", sink.batches)
 	}
 }
+
+// TestIngestRefusesCustomMissingRulesWhenLogged: the log keeps a batch's
+// raw cells and recovery re-reads them under the default missing-value
+// rules, so with a durable sink installed a batch under other rules is
+// refused before anything is touched. The defaults, left nil or
+// spelled out, are accepted, and without a sink any rules are.
+func TestIngestRefusesCustomMissingRulesWhenLogged(t *testing.T) {
+	f := testFrame(100, 10)
+	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, K: 32})
+	e, err := NewEngine(f, core.NewRegistry(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &countingSink{}
+	e.SetDurableSink(sink)
+	gen := e.CacheStats().Generation
+	custom := &frame.ReadCSVOptions{MissingTokens: []string{"?"}}
+	if _, err := e.Ingest(context.Background(), ingestRows(5, 100), custom); err == nil {
+		t.Fatal("ingest under custom missing tokens with a durable sink should fail")
+	}
+	if e.Frame() != f || e.Profile() != p || e.CacheStats().Generation != gen || sink.batches != 0 {
+		t.Fatal("a refused ingest touched the engine or the log")
+	}
+
+	for _, opts := range []*frame.ReadCSVOptions{
+		{},
+		{MissingTokens: []string{"na", "n/a", "nan", "null", "-"}, Comma: ';', NumericThreshold: 0.5},
+	} {
+		if _, err := e.Ingest(context.Background(), ingestRows(5, 100), opts); err != nil {
+			t.Fatalf("ingest under the default rules %+v: %v", opts, err)
+		}
+	}
+	if sink.batches != 2 {
+		t.Errorf("logged %d batches, want 2", sink.batches)
+	}
+
+	e.SetDurableSink(nil)
+	if _, err := e.Ingest(context.Background(), ingestRows(5, 100), custom); err != nil {
+		t.Fatalf("ingest under custom missing tokens without a sink: %v", err)
+	}
+}

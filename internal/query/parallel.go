@@ -51,25 +51,6 @@ func (e *Engine) Workers() int {
 	return e.workers
 }
 
-// SetBuildShards sets the profile-build parallelism used by large
-// batch ingests (and advertised to callers constructing profiles for
-// this engine). The value follows the sketch layer's shard
-// convention, not SetWorkers': 0 (default) and 1 build sequentially —
-// bit-identical to the pre-sharding path — and n < 0 selects
-// GOMAXPROCS.
-func (e *Engine) SetBuildShards(n int) {
-	e.mu.Lock()
-	e.buildShards = n
-	e.mu.Unlock()
-}
-
-// BuildShards reports the configured profile-build parallelism.
-func (e *Engine) BuildShards() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.buildShards
-}
-
 // poolPanic carries a recovered worker panic (plus the worker's stack)
 // across the pool barrier so it can be re-raised on the caller.
 type poolPanic struct {

@@ -120,9 +120,6 @@ type Engine struct {
 	// workers is the candidate-scoring parallelism (see SetWorkers);
 	// values < 2 mean sequential.
 	workers int
-	// buildShards is the profile-build parallelism for large batch
-	// ingests (see SetBuildShards); 0 means sequential.
-	buildShards int
 	// cache memoizes per-candidate scores across queries (cache.go).
 	cache *scoreCache
 	// metrics holds the registered collectors after Instrument

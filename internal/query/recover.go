@@ -35,17 +35,28 @@ func (e *Engine) SetDurableSink(s DurableSink) {
 // RestoreSnapshot installs a recovered (frame, profile) pair as the
 // engine's current state — the checkpoint fast path: the snapshot
 // already carries the sketch store that was live when it was written,
-// so recovery skips re-sketching the snapshot's rows. The swap is
-// atomic with a cache invalidation, exactly like an ingest swap.
+// so recovery skips re-sketching the snapshot's rows. A saved profile
+// carries no worker count, so p, which the caller hands over and no
+// one else holds yet, takes the one of the profile it replaces: a
+// restored store extends on the workers a built one would. A profile
+// must sketch exactly f's rows: one that does not could never extend
+// correctly, so it is refused. The swap is atomic with a cache
+// invalidation, exactly like an ingest swap.
 func (e *Engine) RestoreSnapshot(f *frame.Frame, p *sketch.DatasetProfile) error {
 	if f == nil {
 		return fmt.Errorf("query: restore with nil frame")
+	}
+	if p != nil && p.Rows != f.Rows() {
+		return fmt.Errorf("query: restore: the profile sketches %d rows, the frame has %d", p.Rows, f.Rows())
 	}
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	e.mu.Lock()
 	e.frame = f
 	if p != nil {
+		if e.profile != nil {
+			p.Config.Workers = e.profile.Config.Workers
+		}
 		e.profile = p
 	}
 	e.cache.invalidate()

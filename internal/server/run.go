@@ -50,8 +50,8 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&fl.k, "k", 5, "insights per carousel")
 	fs.BoolVar(&fl.approx, "approx", false, "answer queries from sketches")
 	fs.StringVar(&fl.profilePath, "profile", "", "load a saved sketch store instead of preprocessing (implies -approx)")
-	fs.IntVar(&fl.workers, "workers", 0, "parallel workers for candidate scoring and the startup profile build (0 = GOMAXPROCS)")
-	fs.IntVar(&fl.buildShards, "build-shards", 0, "row shards for the startup profile build and large ingest batches, built concurrently and merged (0 or 1 = one shard, <0 = GOMAXPROCS)")
+	fs.IntVar(&fl.workers, "workers", 0, "parallel workers for candidate scoring, the startup profile build and every ingest's sketch delta (0 = GOMAXPROCS)")
+	fs.IntVar(&fl.buildShards, "build-shards", 0, "row shards for the startup profile build, built concurrently and merged (0 or 1 = one shard, <0 = GOMAXPROCS)")
 	fs.Int64Var(&fl.seed, "seed", 42, "seed for demo datasets / sketches")
 	fs.IntVar(&fl.slowMS, "slow-ms", 0, "only record request traces at least this slow (0 = record all)")
 	fs.BoolVar(&fl.quiet, "quiet", false, "suppress per-request JSON logs on stderr")
@@ -86,14 +86,15 @@ func LoadData(path string, seed int64) (*frame.Frame, error) {
 }
 
 // Preprocess returns f's sketch store: the one saved at path, or with
-// no path a fresh build on the given number of workers (the -workers
-// convention: 0 = GOMAXPROCS) over the given number of row shards. The
-// store is the same bytes at any worker count.
+// no path a fresh build over the given number of row shards. Either
+// way the store runs on the given number of workers (the -workers
+// convention: 0 = GOMAXPROCS) — the build, and every ingest's Extend —
+// and is the same bytes at any worker count.
 func Preprocess(f *frame.Frame, path string, seed int64, workers, shards int) (*sketch.DatasetProfile, error) {
+	if workers == 0 {
+		workers = -1 // the sketch layer's spelling of GOMAXPROCS
+	}
 	if path == "" {
-		if workers == 0 {
-			workers = -1 // the sketch layer's spelling of GOMAXPROCS
-		}
 		return sketch.BuildProfileSharded(f, sketch.ProfileConfig{Seed: seed, Spearman: true, Workers: workers}, shards), nil
 	}
 	file, err := os.Open(path)
@@ -101,7 +102,12 @@ func Preprocess(f *frame.Frame, path string, seed int64, workers, shards int) (*
 		return nil, err
 	}
 	defer file.Close()
-	return sketch.LoadProfile(file)
+	p, err := sketch.LoadProfile(file)
+	if err != nil {
+		return nil, err
+	}
+	p.Config.Workers = workers
+	return p, nil
 }
 
 // load opens the -data argument and reports how long that took as the
@@ -145,7 +151,6 @@ func (fl *Flags) Run(version string) error {
 		return err
 	}
 	engine.SetWorkers(fl.workers)
-	engine.SetBuildShards(fl.buildShards)
 
 	opts := Options{
 		Registry:           reg,

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"sync"
 	"time"
 
 	"foresight/internal/frame"
@@ -168,26 +169,36 @@ func mergeProfileTree(parts []*DatasetProfile, workers int) {
 // an extension passes the stored build-time centres, so its partial
 // stays merge-compatible with the store; nil centres each column on the
 // mean of its moments over the range, merged across shards in shard
-// order. cfg must be filled. The partial carries no row sample and no
-// rank projections: both are functions of the whole frame, not of a
-// range (finish).
+// order. With given centres and cfg.Workers > 1, the row-local sketches
+// and the projections run concurrently, each on the workers. cfg must
+// be filled. The partial carries no row sample and no rank projections:
+// both are functions of the whole frame, not of a range (finish).
 func buildRange(f *frame.Frame, cfg ProfileConfig, lo, hi int, centers []float64, shards int) *DatasetProfile {
 	bounds := shardBounds(lo, hi, shards)
-
-	sketchStart := time.Now()
-	parts := make([]*DatasetProfile, len(bounds))
-	eachColumn(len(bounds), shards, func(p int) {
-		parts[p] = buildRangeSketches(f, cfg, bounds[p][0], bounds[p][1])
-	})
-	observeSince("build.sketch", sketchStart)
-
-	projStart := time.Now()
 	numeric := f.NumericColumns()
 	cols := make([][]float64, len(numeric))
 	for i, nc := range numeric {
 		cols[i] = nc.Values()
 	}
-	if centers == nil {
+
+	parts := make([]*DatasetProfile, len(bounds))
+	sketches := func() {
+		defer observeSince("build.sketch", time.Now())
+		eachColumn(len(bounds), shards, func(p int) {
+			parts[p] = buildRangeSketches(f, cfg, bounds[p][0], bounds[p][1])
+		})
+	}
+	var shardProj [][]*Projection
+	project := func() {
+		defer observeSince("build.project", time.Now())
+		shardProj = shardedProjections(cols, centers, bounds,
+			ProjectConfig{K: cfg.K, Seed: cfg.Seed + 101, Workers: cfg.Workers})
+	}
+	switch {
+	case centers == nil:
+		// The projections centre on the range's means, which the sketches
+		// compute.
+		sketches()
 		centers = make([]float64, len(numeric))
 		for i, nc := range numeric {
 			m := parts[0].Numeric[nc.Name()].Moments
@@ -196,9 +207,22 @@ func buildRange(f *frame.Frame, cfg ProfileConfig, lo, hi int, centers []float64
 			}
 			centers[i] = m.Mean
 		}
+		project()
+	case resolveParallel(cfg.Workers) > 1:
+		// Given centres, the two halves read the frame and write nothing
+		// in common, so they run side by side.
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			project()
+		}()
+		sketches()
+		wg.Wait()
+	default:
+		sketches()
+		project()
 	}
-	shardProj := shardedProjections(cols, centers, bounds,
-		ProjectConfig{K: cfg.K, Seed: cfg.Seed + 101, Workers: cfg.Workers})
 	for p, part := range parts {
 		for i, nc := range numeric {
 			np := part.Numeric[nc.Name()]
@@ -207,7 +231,6 @@ func buildRange(f *frame.Frame, cfg ProfileConfig, lo, hi int, centers []float64
 			np.Planes = HyperplaneFromProjection(np.Proj)
 		}
 	}
-	observeSince("build.project", projStart)
 
 	if len(parts) > 1 {
 		mergeStart := time.Now()

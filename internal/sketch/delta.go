@@ -71,22 +71,11 @@ func (p *DatasetProfile) mergeTarget() *DatasetProfile {
 // result is a function of (what Save writes of p, f): a profile
 // reloaded from a snapshot extends to the same bytes. Rank (Spearman)
 // projections are dropped from the result. With no rows appended the
-// result is p itself. The delta runs on the calling goroutine whatever
-// Config.Workers built p with.
+// result is p itself. The delta and the merge run on p.Config.Workers —
+// the row-local sketches beside the projection, each over column
+// chunks — and, like a build, give the same bytes at any count; the
+// result keeps p's count.
 func (p *DatasetProfile) Extend(f *frame.Frame) (*DatasetProfile, error) {
-	return p.extend(f, 1)
-}
-
-// ExtendSharded is Extend with the partial over the appended rows
-// built in up to `shards` concurrent shards, worthwhile for large batch
-// appends. Shard counts follow the uniform convention: 0 or 1 is one
-// shard — identical to Extend — and negative means GOMAXPROCS. Appends
-// inside one direction block are one shard regardless.
-func (p *DatasetProfile) ExtendSharded(f *frame.Frame, shards int) (*DatasetProfile, error) {
-	return p.extend(f, resolveParallel(shards))
-}
-
-func (p *DatasetProfile) extend(f *frame.Frame, shards int) (*DatasetProfile, error) {
 	defer observeSince("extend", time.Now())
 	old := p.Rows
 	if f.Rows() < old {
@@ -122,9 +111,8 @@ func (p *DatasetProfile) extend(f *frame.Frame, shards int) (*DatasetProfile, er
 
 	cfg := out.Config
 	cfg.Spearman = false
-	cfg.Workers = 0
 	deltaStart := time.Now()
-	delta := buildRange(f, cfg, old, f.Rows(), centers, shards)
+	delta := buildRange(f, cfg, old, f.Rows(), centers, 1)
 	observeSince("extend.delta", deltaStart)
 
 	mergeStart := time.Now()

@@ -348,29 +348,85 @@ func TestProfileExtendErrors(t *testing.T) {
 
 // TestExtendZeroRows: with nothing appended there is nothing to extend,
 // and in particular nothing to drop — the rank (Spearman) sketches of
-// the receiver cover exactly the frame's rows. Extend and
-// ExtendSharded return the receiver.
+// the receiver cover exactly the frame's rows. Extend returns the
+// receiver, on any number of workers.
 func TestExtendZeroRows(t *testing.T) {
 	f := testFrame(1000, 44)
-	p := BuildProfile(f, ProfileConfig{Seed: 1, K: 32, Spearman: true})
-	want := saveBytes(t, p)
-	for name, extend := range map[string]func() (*DatasetProfile, error){
-		"Extend":        func() (*DatasetProfile, error) { return p.Extend(f) },
-		"ExtendSharded": func() (*DatasetProfile, error) { return p.ExtendSharded(f, 4) },
-	} {
-		same, err := extend()
+	for _, workers := range []int{0, 4} {
+		p := BuildProfile(f, ProfileConfig{Seed: 1, K: 32, Spearman: true, Workers: workers})
+		want := saveBytes(t, p)
+		same, err := p.Extend(f)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if same != p {
-			t.Errorf("%s of zero rows returned a new profile", name)
+			t.Errorf("workers=%d: Extend of zero rows returned a new profile", workers)
 		}
 		if _, err := same.EstimateSpearman("x", "y"); err != nil {
-			t.Errorf("%s of zero rows lost the Spearman sketches: %v", name, err)
+			t.Errorf("workers=%d: Extend of zero rows lost the Spearman sketches: %v", workers, err)
+		}
+		if !slices.Equal(saveBytes(t, p), want) {
+			t.Errorf("workers=%d: zero-row Extend changed the receiver", workers)
 		}
 	}
-	if !slices.Equal(saveBytes(t, p), want) {
-		t.Error("zero-row Extend changed the receiver")
+}
+
+// TestExtendBytesAtAnyWorkerCount: Extend runs on its receiver's
+// Config.Workers, keeps that count in its result, and the count never
+// reaches the bytes. The batches are one row, ten, an
+// acknowledgement's 250, exactly the rest of a direction block (255
+// rows from its second row) and one row past it (257), and six blocks'
+// worth; the frame is wide enough that the projection runs in column
+// chunks, and has a numeric and a categorical column that are all
+// missing.
+func TestExtendBytesAtAnyWorkerCount(t *testing.T) {
+	const base = 10*directionGranule + 1
+	wide := datagen.Scalable(datagen.ScalableConfig{Rows: base + 1500, NumericCols: 40, CatCols: 2, Seed: 9})
+	cols := make([]frame.Column, 0, wide.Cols()+2)
+	for i := range wide.Cols() {
+		cols = append(cols, wide.Column(i))
+	}
+	nan := make([]float64, wide.Rows())
+	for i := range nan {
+		nan[i] = math.NaN()
+	}
+	cols = append(cols,
+		frame.NewNumericColumn("all-missing", nan),
+		frame.NewCategoricalColumn("no-label", make([]string, wide.Rows())))
+	src := frame.MustNew("wide", cols...)
+	keep := make([]bool, src.Rows())
+	for i := range base {
+		keep[i] = true
+	}
+	f, err := src.FilterRows(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ProfileConfig{Seed: 3, Spearman: true}
+	for _, rows := range []int{1, 10, 250, 255, 257, 1500} {
+		grown, err := f.AppendRows(rowsOf(src, base, base+rows), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := BuildProfile(f, cfg).Extend(grown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := saveBytes(t, seq)
+		for _, workers := range []int{1, 2, 3, -1} {
+			par := cfg
+			par.Workers = workers
+			ext, err := BuildProfile(f, par).Extend(grown)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ext.Config.Workers != workers {
+				t.Errorf("rows=%d workers=%d: result runs on %d workers", rows, workers, ext.Config.Workers)
+			}
+			if !bytes.Equal(saveBytes(t, ext), want) {
+				t.Errorf("rows=%d workers=%d: Extend saves to different bytes than on one worker", rows, workers)
+			}
+		}
 	}
 }
 

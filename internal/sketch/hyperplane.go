@@ -150,10 +150,11 @@ type ProjectConfig struct {
 	Seed int64
 	// Workers is how many goroutines may share the pass (0 or 1 =
 	// sequential, < 0 = GOMAXPROCS, n > 1 = n — the sketch layer's
-	// uniform convention). A pass large enough to repay them is cut into
-	// one contiguous column chunk per worker (see projectRange); a small
-	// one — an ingest batch — runs on the caller's goroutine whatever
-	// Workers says. The sketches are identical at any worker count.
+	// uniform convention). A pass with enough columns is cut into one
+	// contiguous column chunk per worker (see projectRange): over many
+	// rows each chunk draws its own directions, over a few — an ingest
+	// batch — the chunks share each block's. The sketches are identical
+	// at any worker count.
 	Workers int
 }
 
@@ -215,19 +216,24 @@ func fillDirections(seed int64, b int, buf []float32) {
 // each product and each sum rounded to float64. Rows accumulate in
 // ascending order, so one call over [a, c) and the Merge of calls over
 // [a, b) and [b, c) differ only by floating-point association.
-// projectChunk computes exactly that, a tile of dots at a time.
+// projectBlock computes exactly that, a tile of dots at a time.
 //
-// With cfg.Workers > 1 and enough work to repay starting goroutines,
-// the columns are cut into one contiguous chunk per worker and each
-// chunk runs the sequential kernel by itself, drawing its own copy of
-// every direction block: the duplicated draws cost a fifth of an
-// 80-column chunk's multiply-adds, and in exchange the chunks share no
-// buffer and meet at no barrier. A column's dots are computed by one goroutine
-// with the same operations in the same order wherever its chunk
-// boundary falls, so the result is identical at any worker count.
-// Cost: O(d·(end−start)·k) multiply-adds plus, per chunk, at most
-// (end−start+directionGranule)·k Gaussian draws; memory
-// O(directionGranule·k) per chunk + d·k.
+// With cfg.Workers > 1 and enough columns, the columns are cut into one
+// contiguous chunk per worker. Over many rows each chunk runs the
+// sequential kernel by itself, drawing its own copy of every direction
+// block: the duplicated draws cost a fifth of an 80-column chunk's
+// multiply-adds, and in exchange no chunk waits for another's draws or
+// meets it at a barrier. Over a few blocks of rows — an ingest batch,
+// whose row-local sketches run beside the projection and want the core
+// a second copy of the draws would take — each block is drawn once and
+// the chunks read it side by side, meeting once per block. Both sides
+// of the cutoff are measured (DESIGN §6g, step 4). Either way a
+// column's dots are computed by one
+// goroutine with the same operations in the same order wherever its
+// chunk boundary falls, so the result is identical at any worker count.
+// Cost: O(d·(end−start)·k) multiply-adds plus, per chunk (or once, for
+// a short range), at most (end−start+directionGranule)·k Gaussian
+// draws; memory O(directionGranule·k) per chunk + d·k.
 func projectRange(cols [][]float64, means []float64, start, end int, cfg ProjectConfig) []*Projection {
 	cfg.fill()
 	d := len(cols)
@@ -238,19 +244,32 @@ func projectRange(cols [][]float64, means []float64, start, end int, cfg Project
 	if d == 0 || start >= end {
 		return out
 	}
-	// A chunk draws every direction itself, about sixteen multiply-adds'
-	// worth each, so it wants at least that many columns to spend the
-	// draws on, and a goroutine a few blocks of rows to repay its start.
-	// Chunks are whole tiles; only the last may end in a partial one.
+	// A chunk that draws every direction itself, about sixteen
+	// multiply-adds' worth each, wants at least that many columns to
+	// spend the draws on; below a few blocks of rows the chunks share
+	// the draws. Chunks are whole tiles; only the last may end in a
+	// partial one.
 	const minChunkTiles, minChunkBlocks = 2, 4
 	tiles := (d + tileColumns - 1) / tileColumns
 	chunks := min(resolveParallel(cfg.Workers), tiles/minChunkTiles)
-	if chunks < 2 || end-start < minChunkBlocks*directionGranule {
+	if chunks < 2 {
 		projectChunk(cols, means, out, start, end, cfg)
 		return out
 	}
+	chunk := func(c int) (lo, hi int) {
+		return c * tiles / chunks * tileColumns, min(d, (c+1)*tiles/chunks*tileColumns)
+	}
+	if end-start < minChunkBlocks*directionGranule {
+		eachBlock(start, end, cfg, func(lo, hi int, g []float32) {
+			eachColumn(chunks, chunks, func(c int) {
+				clo, chi := chunk(c)
+				projectBlock(cols[clo:chi], means[clo:chi], out[clo:chi], lo, hi, g, cfg.K)
+			})
+		})
+		return out
+	}
 	eachColumn(chunks, chunks, func(c int) {
-		lo, hi := c*tiles/chunks*tileColumns, min(d, (c+1)*tiles/chunks*tileColumns)
+		lo, hi := chunk(c)
 		projectChunk(cols[lo:hi], means[lo:hi], out[lo:hi], start, end, cfg)
 	})
 	return out
@@ -260,49 +279,64 @@ func projectRange(cols [][]float64, means []float64, start, end int, cfg Project
 // running dots for one direction are projectTile's accumulators.
 const tileColumns = 8
 
-// projectChunk adds rows [start, end) of cols to out's dots, one
-// direction block at a time. Within a block the work is tiled: the
-// centred values of tileColumns columns are staged once (missing cells
-// and rows past a column's end as 0, whose products leave a dot
-// unchanged), then for each direction their tileColumns running dots
-// sit in registers while the block's rows stream past — a direction is
-// loaded and widened once for eight multiply-adds, and no dot is loaded
-// or stored inside the loop. Each running dot starts from the value
-// the previous block left and adds its rows in ascending order: the
-// scalar definition's operations in the scalar definition's order,
-// which is what keeps every dot bit-identical to it
-// (projectRangeScalar in the tests). The last tile of a chunk may hold
-// fewer columns; the unused lanes project zeros into dots nobody reads.
-func projectChunk(cols [][]float64, means []float64, out []*Projection, start, end int, cfg ProjectConfig) {
+// eachBlock draws the directions of rows [start, end) one direction
+// block at a time, in ascending order, and hands fn each block's part
+// of the range: rows [lo, hi) and their directions g, row-major, k a
+// row. g is overwritten by the next block.
+func eachBlock(start, end int, cfg ProjectConfig, fn func(lo, hi int, g []float32)) {
 	k := cfg.K
 	// One block's directions, up to the last row of it the range reaches.
 	first := start / directionGranule
 	block := make([]float32, min(directionGranule, end-first*directionGranule)*k)
-	var staged [tileColumns][directionGranule]float64
-	var acc [tileColumns]float64
 	for b := first; b*directionGranule < end; b++ {
 		base := b * directionGranule
 		lo, hi := max(start, base), min(end, base+directionGranule)
 		fillDirections(cfg.Seed, b, block[:(hi-base)*k])
-		g := block[(lo-base)*k : (hi-base)*k]
-		n := hi - lo
-		for j := 0; j < len(cols); j += tileColumns {
-			tile := out[j:min(j+tileColumns, len(cols))]
-			for c := range staged {
-				if c < len(tile) {
-					center(staged[c][:n], cols[j+c], lo, means[j+c])
-				} else {
-					clear(staged[c][:n])
-				}
+		fn(lo, hi, block[(lo-base)*k:(hi-base)*k])
+	}
+}
+
+// projectChunk adds rows [start, end) of cols to out's dots, one
+// direction block at a time (projectBlock).
+func projectChunk(cols [][]float64, means []float64, out []*Projection, start, end int, cfg ProjectConfig) {
+	eachBlock(start, end, cfg, func(lo, hi int, g []float32) {
+		projectBlock(cols, means, out, lo, hi, g, cfg.K)
+	})
+}
+
+// projectBlock adds rows [lo, hi) of cols, which lie in one direction
+// block, to out's dots; g holds the rows' directions, k a row. The work
+// is tiled: the centred values of tileColumns columns are staged once
+// (missing cells and rows past a column's end as 0, whose products
+// leave a dot unchanged), then for each direction their tileColumns
+// running dots sit in registers while the rows stream past — a
+// direction is loaded and widened once for eight multiply-adds, and no
+// dot is loaded or stored inside the loop. Each running dot starts
+// from the value the previous block left and adds its rows in
+// ascending order: the scalar definition's operations in the scalar
+// definition's order, which is what keeps every dot bit-identical to it
+// (projectRangeScalar in the tests). The last tile may hold fewer
+// columns; the unused lanes project zeros into dots nobody reads.
+func projectBlock(cols [][]float64, means []float64, out []*Projection, lo, hi int, g []float32, k int) {
+	var staged [tileColumns][directionGranule]float64
+	var acc [tileColumns]float64
+	n := hi - lo
+	for j := 0; j < len(cols); j += tileColumns {
+		tile := out[j:min(j+tileColumns, len(cols))]
+		for c := range staged {
+			if c < len(tile) {
+				center(staged[c][:n], cols[j+c], lo, means[j+c])
+			} else {
+				clear(staged[c][:n])
 			}
-			for q := 0; q < k; q++ {
-				for c, p := range tile {
-					acc[c] = p.Dots[q]
-				}
-				projectTile(&staged, n, g[q:], k, &acc)
-				for c, p := range tile {
-					p.Dots[q] = acc[c]
-				}
+		}
+		for q := 0; q < k; q++ {
+			for c, p := range tile {
+				acc[c] = p.Dots[q]
+			}
+			projectTile(&staged, n, g[q:], k, &acc)
+			for c, p := range tile {
+				p.Dots[q] = acc[c]
 			}
 		}
 	}

@@ -267,7 +267,10 @@ func TestExtendLeavesReceiverIntact(t *testing.T) {
 	}
 
 	// Every link extends the one before it, which shares with p what no
-	// batch so far has written; each frame is also reached from p again.
+	// batch so far has written; each frame is also reached from p again,
+	// on two workers.
+	onWorkers := *p
+	onWorkers.Config.Workers = 2
 	cur, grown := p, f
 	for i := 0; i < 6; i++ {
 		var err error
@@ -277,7 +280,7 @@ func TestExtendLeavesReceiverIntact(t *testing.T) {
 		if cur, err = cur.Extend(grown); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.ExtendSharded(grown, 2); err != nil {
+		if _, err := onWorkers.Extend(grown); err != nil {
 			t.Fatal(err)
 		}
 	}

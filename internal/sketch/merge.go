@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -16,7 +17,9 @@ import (
 // the same dataset with the same configuration* into p. Sketches
 // merge pairwise; the shared row sample and per-column row-sample
 // gathers are NOT merged (they index global rows) and must be rebuilt
-// by the caller — finish and extend do so.
+// by the caller — finish and extend do so. The numeric columns merge
+// on p.Config.Workers, each by the same operations in the same order
+// at any count. A failed merge may leave p partly merged.
 func (p *DatasetProfile) Merge(other *DatasetProfile) error {
 	if other == nil {
 		return nil
@@ -25,6 +28,8 @@ func (p *DatasetProfile) Merge(other *DatasetProfile) error {
 	if p.Config.K != other.Config.K || p.Config.Seed != other.Config.Seed {
 		return ErrShapeMismatch
 	}
+	type pair struct{ dst, src *NumericProfile }
+	pairs := make([]pair, 0, len(other.Numeric))
 	for name, onp := range other.Numeric {
 		np, ok := p.Numeric[name]
 		if !ok {
@@ -38,24 +43,14 @@ func (p *DatasetProfile) Merge(other *DatasetProfile) error {
 			return fmt.Errorf("sketch: merge: column %q centered at %v vs %v: %w",
 				name, np.ProjCenter, onp.ProjCenter, ErrShapeMismatch)
 		}
-		np.Moments.Merge(onp.Moments)
-		if err := np.Quantiles.Merge(onp.Quantiles); err != nil {
-			return err
-		}
-		if err := np.Proj.Merge(onp.Proj); err != nil {
-			return err
-		}
-		if np.RankProj != nil && onp.RankProj != nil {
-			if err := np.RankProj.Merge(onp.RankProj); err != nil {
-				return err
-			}
-		}
-		np.Sample = mergeReservoirs(np.Sample, onp.Sample)
-		// Derived bit vectors are rebuilt from the merged dots.
-		np.Planes = HyperplaneFromProjection(np.Proj)
-		if np.RankProj != nil {
-			np.RankPlanes = HyperplaneFromProjection(np.RankProj)
-		}
+		pairs = append(pairs, pair{np, onp})
+	}
+	errs := make([]error, len(pairs))
+	eachColumn(len(pairs), p.Config.Workers, func(i int) {
+		errs[i] = pairs[i].dst.merge(pairs[i].src)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
 	for name, ocp := range other.Categorical {
 		cp, ok := p.Categorical[name]
@@ -74,6 +69,30 @@ func (p *DatasetProfile) Merge(other *DatasetProfile) error {
 		}
 	}
 	p.Rows += other.Rows
+	return nil
+}
+
+// merge folds one numeric column's sketches over a disjoint row
+// partition into np; Merge has checked that both sides share a centre.
+func (np *NumericProfile) merge(o *NumericProfile) error {
+	np.Moments.Merge(o.Moments)
+	if err := np.Quantiles.Merge(o.Quantiles); err != nil {
+		return err
+	}
+	if err := np.Proj.Merge(o.Proj); err != nil {
+		return err
+	}
+	if np.RankProj != nil && o.RankProj != nil {
+		if err := np.RankProj.Merge(o.RankProj); err != nil {
+			return err
+		}
+	}
+	np.Sample = mergeReservoirs(np.Sample, o.Sample)
+	// Derived bit vectors are rebuilt from the merged dots.
+	np.Planes = HyperplaneFromProjection(np.Proj)
+	if np.RankProj != nil {
+		np.RankPlanes = HyperplaneFromProjection(np.RankProj)
+	}
 	return nil
 }
 

@@ -22,7 +22,7 @@ import (
 //	build.merge        the shard partials' tree reduction (> 1 shard)
 //	build.spearman     the ranks and their projections (when enabled)
 //	build.rowsample    the row sample, its gathers, the reservoir replay
-//	extend             one Extend / ExtendSharded call
+//	extend             one Extend call
 //	extend.copy        copying what the merge will write (mergeTarget)
 //	extend.delta       the partial profile over the appended rows
 //	extend.merge       folding the partial in (also reported as merge)
@@ -31,8 +31,9 @@ import (
 //
 // build and extend are each reported once per call at any shard count.
 // A sub-phase is reported by whoever runs it: an extension's delta is a
-// buildRange, so build.sketch, build.project and (in shards)
-// build.merge are reported inside extend.delta too.
+// buildRange, so build.sketch and build.project are reported inside
+// extend.delta too — side by side, so overlapping, on two or more
+// workers.
 
 // TimingFunc receives one timed sketch operation.
 type TimingFunc func(op string, d time.Duration)

@@ -44,9 +44,10 @@ func TestTimingObserver(t *testing.T) {
 		}
 	}
 
-	// One phase table at any shard count: a sharded build is one more
-	// "build" and a sharded extension one more "extend", not a phase of
-	// their own; the tree reduction reports itself and its merges.
+	// One phase table at any shard or worker count: a sharded build is
+	// one more "build" and an extension on workers one more "extend", not
+	// a phase of their own; the tree reduction reports itself and its
+	// merges.
 	if got["build.merge"] != 0 {
 		t.Errorf("build.merge observed %d times before any sharded build, want 0", got["build.merge"])
 	}
@@ -56,20 +57,20 @@ func TestTimingObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildProfile(big, ProfileConfig{Seed: 1}).ExtendSharded(grown, 2); err != nil {
+	if _, err := BuildProfile(big, ProfileConfig{Seed: 1, Workers: 2}).Extend(grown); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for op, want := range map[string]int{"build": 4, "extend": 2, "build.merge": 2, "extend.delta": 2} {
+	for op, want := range map[string]int{"build": 4, "extend": 2, "build.merge": 1, "extend.delta": 2} {
 		if got[op] != want {
 			t.Errorf("op %s observed %d times, want %d", op, got[op], want)
 		}
 	}
-	// Two merges reduce three shards, one reduces two, and each
-	// extension folds its delta in with one more.
-	if got["merge"] != 5 {
-		t.Errorf("merge observed %d times, want 5", got["merge"])
+	// Two merges reduce three shards, and each extension folds its delta
+	// in with one more.
+	if got["merge"] != 4 {
+		t.Errorf("merge observed %d times, want 4", got["merge"])
 	}
 	for op := range got {
 		switch op {

@@ -34,17 +34,18 @@ type ProfileConfig struct {
 	// sketches too. Costs one extra O(n log n) rank pass per column
 	// and doubles the projection work.
 	Spearman bool
-	// Workers parallelizes the build: the per-column sketch passes, the
-	// rank transform and the projection passes' column chunks (the
-	// paper's future-work "parallel search" extension applied to
-	// preprocessing). The convention is uniform across the sketch
-	// layer: 0 or 1 builds sequentially (the library's default — the
-	// paper's own measurement is single-threaded; foresightd passes its
-	// -workers), negative selects GOMAXPROCS, and n > 1 uses n
-	// goroutines. Results are identical at any worker count, and the
-	// count is not part of a saved profile. Extend ignores it. For
-	// row-parallel (not just column-parallel) builds see
-	// BuildProfileSharded.
+	// Workers parallelizes the build and every Extend of its result: the
+	// per-column sketch passes, the rank transform, the projection
+	// passes' column chunks and Merge's numeric columns (the paper's
+	// future-work "parallel search" extension applied to preprocessing
+	// and ingest). The convention is uniform across the sketch layer: 0
+	// or 1 runs sequentially (the library's default — the paper's own
+	// measurement is single-threaded; foresightd passes its -workers),
+	// negative selects GOMAXPROCS, and n > 1 uses n goroutines. Results
+	// are identical at any worker count, and the count is not part of a
+	// saved profile: LoadProfile returns 0, and whoever installs a loaded
+	// profile sets the count it should extend on. For row-parallel (not
+	// just column-parallel) builds see BuildProfileSharded.
 	Workers int
 }
 

@@ -236,13 +236,17 @@ func TestBuildProfileBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := BuildProfile(scalable, cfg).Extend(grown)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const wantExt = "8ad138e57dbf5563b0ab5fdf8709c2ef8cd9ad3f8566873cf3a81a5a900cc911"
-	if got := digest(ext); got != wantExt {
-		t.Errorf("extend: saves to %s, pinned %s", got, wantExt)
+	for _, workers := range []int{0, -1, 2, 3} {
+		par := cfg
+		par.Workers = workers
+		ext, err := BuildProfile(scalable, par).Extend(grown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(ext); got != wantExt {
+			t.Errorf("extend on workers=%d: saves to %s, pinned %s", workers, got, wantExt)
+		}
 	}
 }
 
@@ -266,56 +270,5 @@ func TestShardedEdgeCases(t *testing.T) {
 	p3 := BuildProfileSharded(mid, ProfileConfig{Seed: 1, K: 32}, 64)
 	if got := p3.Numeric["x"].Moments.Count(); got != 10000 {
 		t.Errorf("count = %d", got)
-	}
-}
-
-func TestExtendShardedMatchesExtend(t *testing.T) {
-	f := testFrame(30000, 52)
-	keep := make([]bool, f.Rows())
-	for i := 0; i < 8000; i++ {
-		keep[i] = true
-	}
-	base, err := f.FilterRows(keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ProfileConfig{Seed: 6, K: 256}
-	p := BuildProfile(base, cfg)
-
-	seq, err := p.Extend(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := p.ExtendSharded(f, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.Rows != seq.Rows {
-		t.Fatalf("rows = %d, want %d", sh.Rows, seq.Rows)
-	}
-	for name, snp := range seq.Numeric {
-		pnp := sh.Numeric[name]
-		if pnp.Moments.Count() != snp.Moments.Count() {
-			t.Errorf("%s: count %d vs %d", name, pnp.Moments.Count(), snp.Moments.Count())
-		}
-		if math.Abs(pnp.Moments.Mean-snp.Moments.Mean) > 1e-9*math.Max(1, math.Abs(snp.Moments.Mean)) {
-			t.Errorf("%s: mean %v vs %v", name, pnp.Moments.Mean, snp.Moments.Mean)
-		}
-		// Both deltas consume the same direction stream over the appended
-		// rows, so the extended dots agree to fp noise.
-		for i := range snp.Proj.Dots {
-			d := math.Abs(pnp.Proj.Dots[i] - snp.Proj.Dots[i])
-			if d > 1e-6*math.Max(1, math.Abs(snp.Proj.Dots[i])) {
-				t.Fatalf("%s: dot %d differs: %v vs %v", name, i, pnp.Proj.Dots[i], snp.Proj.Dots[i])
-			}
-		}
-	}
-	// shards = 0/1 is exactly the one-shard delta.
-	sh0, err := p.ExtendSharded(f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(saveBytes(t, sh0), saveBytes(t, seq)) {
-		t.Fatal("ExtendSharded(0) not bit-identical to Extend")
 	}
 }

@@ -1,6 +1,7 @@
 package sketchcheck
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -307,6 +308,16 @@ func fuzzProfileConfig(z *fz) sketch.ProfileConfig {
 	}
 }
 
+// saveBytes returns what p.Save writes.
+func saveBytes(t *testing.T, p *sketch.DatasetProfile) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzProfileRoundTrip builds profiles in one shard and in several
 // (reaching merged boundary states: KLL levels freshly grown by
 // merge, SpaceSaving counters trimmed after over-capacity merges,
@@ -349,13 +360,11 @@ func FuzzProfileRoundTrip(f *testing.F) {
 // FuzzExtendVsRebuild profiles a prefix of the frame, folds the
 // remaining rows in via the Extend delta-merge, and checks (a) the
 // extended profile still satisfies every ground-truth invariant for
-// the full frame, (b) ExtendSharded agrees with Extend exactly when the
-// appended rows lie inside one direction block (both take the
-// sequential delta path) and satisfies the same invariants when they
-// span two (its delta is then a merge of shard partials, whose
-// quantile sketches compact differently), and (c) the exact statistics
-// — counts, min/max, KMV distinct — match a from-scratch rebuild
-// precisely, since their merges admit no drift.
+// the full frame, (b) the same extension on two workers saves to the
+// same bytes, wherever the appended rows fall among the direction
+// blocks, and (c) the exact statistics — counts, min/max, KMV distinct
+// — match a from-scratch rebuild precisely, since their merges admit
+// no drift.
 func FuzzExtendVsRebuild(f *testing.F) {
 	f.Add([]byte{16, 0, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18})
 	f.Add([]byte{2, 0, 1, 0, 255, 255, 254, 255, 253, 255, 0, 0, 9, 9})
@@ -375,20 +384,17 @@ func FuzzExtendVsRebuild(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Extend: %v", err)
 		}
-		extSh, err := base.ExtendSharded(full, 2)
+		par := cfg
+		par.Workers = 2
+		extPar, err := sketch.BuildProfile(prefix, par).Extend(full)
 		if err != nil {
-			t.Fatalf("ExtendSharded: %v", err)
+			t.Fatalf("Extend on 2 workers: %v", err)
 		}
 
 		r := &Report{}
 		CheckProfileInvariants(r, ext, full)
-		// 256 is the sketch package's direction block; if that moves,
-		// this is the check that says so.
-		if cut/256 == (rows-1)/256 {
-			CheckProfileQueryIdentity(r, "extend-vs-extend-sharded", ext, extSh)
-		} else {
-			CheckProfileInvariants(r, extSh, full)
-		}
+		r.check(bytes.Equal(saveBytes(t, ext), saveBytes(t, extPar)), "extend/workers",
+			"Extend on 2 workers saves to different bytes than on 1")
 
 		rebuild := sketch.BuildProfile(full, cfg)
 		for name, np := range rebuild.Numeric {

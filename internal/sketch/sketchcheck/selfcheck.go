@@ -19,8 +19,7 @@ const DefaultScoreTol = 0.07
 type Config struct {
 	// Profile sizes the sketches; zero fields take the usual defaults.
 	Profile sketch.ProfileConfig
-	// Shards is the shard count for BuildProfileSharded /
-	// ExtendSharded (default 4).
+	// Shards is the shard count for BuildProfileSharded (default 4).
 	Shards int
 	// ExtendFrac is the fraction of rows profiled before the Extend
 	// delta-merge folds in the rest (default 0.85, matching the live
@@ -45,11 +44,11 @@ func (c *Config) fill() {
 
 // Run executes the full invariant suite against live profiles of f:
 // it builds the sketch store along every path the codebase uses —
-// one shard, a sharded merge tree, Extend delta-merge (in one shard
-// and several) — checks each against ground truth
-// (CheckProfileInvariants), checks persist→load for query identity,
-// checks that Extend leaves its receiver saving to the bytes it saved
-// to before, and gates the alternate paths against the sequential
+// one shard, a sharded merge tree, Extend delta-merge — checks each
+// against ground truth (CheckProfileInvariants), checks persist→load
+// for query identity, checks that Extend leaves its receiver saving to
+// the bytes it saved to before and saves to the same bytes on every
+// core as on one, and gates the alternate paths against the sequential
 // build (CheckProfilesCompatible). The returned report holds every
 // violation found.
 func Run(f *frame.Frame, cfg Config) *Report {
@@ -87,32 +86,34 @@ func Run(f *frame.Frame, cfg Config) *Report {
 			return r
 		}
 		base := sketch.BuildProfile(prefix, cfg.Profile)
-		saved := func() []byte {
+		saved := func(p *sketch.DatasetProfile) []byte {
 			var buf bytes.Buffer
-			if err := base.Save(&buf); err != nil {
+			if err := p.Save(&buf); err != nil {
 				r.Fail("persist/save", "Save: %v", err)
 			}
 			return buf.Bytes()
 		}
-		before := saved()
+		before := saved(base)
 		ext, err := base.Extend(f)
 		if err != nil {
 			r.Fail("extend/extend", "Extend: %v", err)
-		} else {
-			CheckProfileInvariants(r, ext, f)
-			CheckProfilesCompatible(r, "extend", seq, ext, cfg.ScoreTol, false)
+			return r
 		}
-		extSh, err := base.ExtendSharded(f, cfg.Shards)
-		if err != nil {
-			r.Fail("extend/extend-sharded", "ExtendSharded: %v", err)
-		} else {
-			CheckProfileInvariants(r, extSh, f)
-			CheckProfilesCompatible(r, "extend-sharded", seq, extSh, cfg.ScoreTol, false)
-		}
+		CheckProfileInvariants(r, ext, f)
+		CheckProfilesCompatible(r, "extend", seq, ext, cfg.ScoreTol, false)
 		// Extend shares with its receiver what it does not write; the
-		// receiver must come out of both untouched.
-		r.check(bytes.Equal(before, saved()), "extend/isolation",
+		// receiver must come out untouched.
+		r.check(bytes.Equal(before, saved(base)), "extend/isolation",
 			"the receiver of Extend saves to different bytes afterwards")
+		// The worker count is not in the bytes.
+		par := *base
+		par.Config.Workers = -1
+		if extPar, err := par.Extend(f); err != nil {
+			r.Fail("extend/workers", "Extend on every core: %v", err)
+		} else {
+			r.check(bytes.Equal(saved(ext), saved(extPar)), "extend/workers",
+				"Extend on every core saves to different bytes than on one")
+		}
 	}
 	return r
 }
