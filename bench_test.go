@@ -287,17 +287,17 @@ func ingestBenchFrame(base, numeric, cats, batchRows int) (*frame.Frame, frame.R
 }
 
 // BenchmarkBuildProfile is the startup build at the repository
-// benchmark's ingest shape, 30 000 rows × (48+4) with rank projections,
-// in 1, 2 and 4 shards. It reports what sharding buys on the machine it
-// runs on and gates nothing; that the shard counts agree is
-// TestShardCountsAgree's.
+// benchmark's explore_wide shape, 30 000 rows × (160+8) with rank
+// projections, on 1, 2 and GOMAXPROCS workers. It reports what the
+// workers buy on the machine it runs on and gates nothing; that every
+// worker count saves to the same bytes is TestBuildProfileBytesPinned's.
 func BenchmarkBuildProfile(b *testing.B) {
-	f, _ := ingestBenchFrame(30000, 48, 4, 0)
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+	f := datagen.Scalable(datagen.ScalableConfig{Rows: 30000, NumericCols: 160, CatCols: 8, Seed: 5})
+	for _, workers := range []int{1, 2, -1} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sketch.BuildProfileSharded(f, sketch.ProfileConfig{Seed: 1, Spearman: true}, shards)
+				sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, Spearman: true, Workers: workers})
 			}
 		})
 	}
@@ -333,7 +333,7 @@ func BenchmarkStartup(b *testing.B) {
 				}
 				read += time.Since(start)
 				start = time.Now()
-				sketch.BuildProfileSharded(f, sketch.ProfileConfig{Seed: 42, Spearman: true, Workers: -1}, 0)
+				sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 42, Spearman: true, Workers: -1})
 				build += time.Since(start)
 			}
 			b.ReportMetric(read.Seconds()/float64(b.N), "read_s")

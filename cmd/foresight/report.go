@@ -78,15 +78,14 @@ func runReport(args []string) error {
 }
 
 // runProfile implements `foresight profile`: build and persist a
-// sketch store, optionally in shards.
+// sketch store, on every core by default as foresightd builds it.
 func runProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	data := fs.String("data", "", "CSV path or demo dataset name")
 	out := fs.String("out", "", "output profile path")
 	k := fs.Int("k", 0, "hyperplane directions (0 = log²n)")
-	shards := fs.Int("shards", 0, "parallel build shards (0 = one, <0 = GOMAXPROCS)")
 	spearman := fs.Bool("spearman", true, "build rank projections for Spearman estimates")
-	workers := fs.Int("workers", 1, "parallel workers")
+	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS, as foresightd; the bytes do not depend on it)")
 	seed := fs.Int64("seed", 42, "seed")
 	_ = fs.Parse(args)
 	f, err := server.LoadData(*data, *seed)
@@ -96,8 +95,10 @@ func runProfile(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("profile needs -out")
 	}
-	cfg := foresight.ProfileConfig{K: *k, Seed: *seed, Spearman: *spearman, Workers: *workers}
-	p := foresight.BuildProfileSharded(f, cfg, *shards)
+	if *workers == 0 {
+		*workers = -1 // the sketch layer's spelling of GOMAXPROCS
+	}
+	p := foresight.BuildProfile(f, foresight.ProfileConfig{K: *k, Seed: *seed, Spearman: *spearman, Workers: *workers})
 	file, err := os.Create(*out)
 	if err != nil {
 		return err

@@ -16,11 +16,11 @@ import (
 
 // runSelfcheck executes the sketch invariant suite against live
 // profiles of -data: ground-truth checks for every per-column sketch,
-// persist→load query identity, Extend leaving its receiver intact, and
-// cross-checks of the sharded and extend build paths against the
-// one-shard build within -tol. With -profile it instead verifies an
-// already-persisted sketch store against the dataset it claims to
-// summarize. It then
+// persist→load query identity, Extend leaving its receiver intact, the
+// same bytes from a build on any worker count, and a cross-check of
+// the extend path against the one-pass build within -tol. With
+// -profile it instead verifies an already-persisted sketch store
+// against the dataset it claims to summarize. It then
 // cross-checks the pruning contract — ScoreBound ≥ Score on sampled
 // candidates of every bounded insight class, both scoring paths —
 // since an unsound bound would silently change top-k results. Exits
@@ -30,7 +30,6 @@ func runSelfcheck(args []string) error {
 	fs := flag.NewFlagSet("selfcheck", flag.ExitOnError)
 	data := fs.String("data", "", "CSV path or demo dataset name")
 	profilePath := fs.String("profile", "", "verify this saved sketch store instead of building fresh")
-	shards := fs.Int("shards", 4, "shards for the sharded-build and extend paths")
 	tol := fs.Float64("tol", sketchcheck.DefaultScoreTol, "estimator-delta gate between build paths (every alternate path is held to it)")
 	boundSample := fs.Int("bound-sample", 64, "candidates sampled per class/metric for the ScoreBound ≥ Score gate (0 = all)")
 	seed := fs.Int64("seed", 42, "seed for demo datasets / sketches")
@@ -62,7 +61,7 @@ func runSelfcheck(args []string) error {
 		// The server's configuration, rank projections included, so the
 		// gates cover the profile that is actually served.
 		cfg := sketch.ProfileConfig{Seed: *seed, Spearman: true}
-		r = sketchcheck.Run(f, sketchcheck.Config{Profile: cfg, Shards: *shards, ScoreTol: *tol})
+		r = sketchcheck.Run(f, sketchcheck.Config{Profile: cfg, ScoreTol: *tol})
 		p = sketch.BuildProfile(f, cfg)
 	}
 	sketchcheck.WriteReport(os.Stdout, r)

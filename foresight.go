@@ -164,16 +164,6 @@ func NewNormalityClass() Class { return core.NewNormalityClass() }
 // approximate (interactive-speed) insight queries.
 func BuildProfile(f *Frame, cfg ProfileConfig) *Profile { return sketch.BuildProfile(f, cfg) }
 
-// BuildProfileSharded preprocesses with `shards` row shards built
-// concurrently and reduced through the mergeable-sketch operators in
-// a deterministic tree order — §3's mergeable-sketch pipeline, and the
-// data-parallel fast path for large frames. Every shard count agrees
-// on the exact statistics; sketch-derived scores agree within sketch
-// error. 0 or 1 is BuildProfile; negative selects GOMAXPROCS.
-func BuildProfileSharded(f *Frame, cfg ProfileConfig, shards int) *Profile {
-	return sketch.BuildProfileSharded(f, cfg, shards)
-}
-
 // LoadProfile reloads a sketch store saved with Profile.Save, so the
 // preprocessing pass runs once per dataset rather than once per
 // session.

@@ -154,8 +154,8 @@ func contains(xs []string, want string) bool {
 
 func TestFacadePartitionedAndPersistence(t *testing.T) {
 	f := foresight.IMDBDataset(2000, 3)
-	cfg := foresight.ProfileConfig{Seed: 5, K: 64}
-	p := foresight.BuildProfileSharded(f, cfg, 3)
+	cfg := foresight.ProfileConfig{Seed: 5, K: 64, Workers: 3}
+	p := foresight.BuildProfile(f, cfg)
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestFacadePartitionedAndPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || len(res[0].Insights) != 3 {
-		t.Fatalf("approx query over loaded sharded profile: %+v", res)
+		t.Fatalf("approx query over loaded profile: %+v", res)
 	}
 	// Sketch-only rendering of the top insight.
 	svg, err := foresight.RenderSVGFromProfile(loaded, res[0].Insights[0])

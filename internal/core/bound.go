@@ -36,8 +36,8 @@ import (
 //     scores standardized by sample moments, separation/kdemodes).
 //
 // Tier-2 bounds are inflated by boundSlack to absorb accumulation-
-// order divergence between the profile's (possibly shard-merged)
-// moments and the exact scorer's sequential pass; see boundSlack. The
+// order divergence between the profile's (possibly merged, after an
+// ingest) moments and the exact scorer's sequential pass; see boundSlack. The
 // `foresight selfcheck` bound gate and the engine's oracle tests
 // (query.TestPruningOnDemoDatasets) cross-check the inequality on
 // real data.
@@ -59,7 +59,7 @@ type Bounder interface {
 
 // boundSlack inflates a sketch-identity bound so floating-point
 // accumulation-order differences between the profile's moments
-// (possibly built shard-merged) and the exact scorer's sequential
+// (possibly merged by Extend) and the exact scorer's sequential
 // pass cannot flip `bound ≥ score` into a lie: v → v + |v|·1e-6 +
 // 1e-9. The relative term covers n·ε-style divergence up to ~1 ppm —
 // orders of magnitude beyond what well-conditioned data produces —

@@ -2,10 +2,10 @@ package frame
 
 import "fmt"
 
-// Zero-copy row-range views. The sharded profile builder (package
-// sketch) splits a frame's row range into contiguous shards and runs
-// one sketch pass per shard; these views hand each shard its window of
-// every column's backing array without copying a single value. A view
+// Zero-copy row-range views. The profile builder (package sketch)
+// runs its sketch pass over a row range — every row at startup, the
+// appended batch on ingest; these views hand it that window of every
+// column's backing array without copying a single value. A view
 // is valid as long as the frame is — frames are immutable by
 // convention, so views never observe mutation.
 
@@ -24,7 +24,7 @@ func (c *CategoricalColumn) CodesRange(start, end int) []int32 {
 }
 
 // RowView is a zero-copy view of rows [Start, End) of a frame: one
-// contiguous row shard. It carries no data of its own — every accessor
+// contiguous row range. It carries no data of its own — every accessor
 // returns a window into the underlying column's backing array.
 type RowView struct {
 	f          *Frame
@@ -32,7 +32,7 @@ type RowView struct {
 }
 
 // RowView returns the view of rows [start, end). It errors (rather
-// than panics) on an invalid range so shard-boundary arithmetic bugs
+// than panics) on an invalid range so range-boundary arithmetic bugs
 // surface as errors at the call site.
 func (f *Frame) RowView(start, end int) (RowView, error) {
 	if start < 0 || end < start || end > f.rows {

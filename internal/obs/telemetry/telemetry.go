@@ -16,7 +16,7 @@
 // Writes are striped: each recorded query folds into one of a few
 // lock-striped partial stores, and Snapshot drains the partials into a
 // cumulative store using the sketch layer's own Merge operators — the
-// exact code path shard and ingest merges exercise, now under a
+// exact code path ingest merges exercise, now under a
 // serving workload. Snapshotting therefore never blocks scoring for
 // longer than a map-pointer swap per stripe.
 //

@@ -7,15 +7,15 @@ import (
 
 	"foresight/internal/core"
 	"foresight/internal/datagen"
+	"foresight/internal/frame"
 	"foresight/internal/obs"
 	"foresight/internal/query"
 	"foresight/internal/sketch"
 )
 
 // TestProfileBuildMetrics: server.New installs the sketch timing
-// observer, so profile builds that happen while the server is up —
-// sharded ingest rebuilds in particular — surface their per-phase
-// breakdown in /metrics.
+// observer, so profile builds and extensions that happen while the
+// server is up surface their per-phase breakdown in /metrics.
 func TestProfileBuildMetrics(t *testing.T) {
 	f := datagen.OECD(10000, 42)
 	engine, err := query.NewEngine(f, core.NewRegistry(), nil)
@@ -25,17 +25,28 @@ func TestProfileBuildMetrics(t *testing.T) {
 	ts := httptest.NewServer(New(engine, 5, false))
 	t.Cleanup(ts.Close)
 
-	// A sharded build after server construction: its phase timings must
-	// flow through the observer into the server's registry.
-	sketch.BuildProfileSharded(f, sketch.ProfileConfig{Seed: 1, K: 64}, 2)
+	// A build on workers and its extension after server construction:
+	// their phase timings must flow through the observer into the
+	// server's registry.
+	row := make([]string, f.Cols())
+	for c := range row {
+		row[c] = f.Column(c).StringAt(0)
+	}
+	grown, err := f.AppendRows(frame.RowBatch{Records: [][]string{row}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, K: 64, Workers: 2}).Extend(grown); err != nil {
+		t.Fatal(err)
+	}
 
 	_, _, body := fetch(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		`foresight_profile_build_seconds_count{phase="build"}`,
 		`foresight_profile_build_seconds_count{phase="build.sketch"}`,
 		`foresight_profile_build_seconds_count{phase="build.project"}`,
-		`foresight_profile_build_seconds_count{phase="build.merge"}`,
 		`foresight_profile_build_seconds_count{phase="build.rowsample"}`,
+		`foresight_profile_build_seconds_count{phase="extend.delta"}`,
 		`foresight_profile_build_seconds_count{phase="merge"}`,
 	} {
 		if !strings.Contains(body, want) {
@@ -43,7 +54,7 @@ func TestProfileBuildMetrics(t *testing.T) {
 		}
 	}
 	// One histogram per phase, not per entry point.
-	for _, gone := range []string{`phase="build.sharded"`, `phase="extend.sharded"`} {
+	for _, gone := range []string{`phase="build.merge"`, `phase="build.sharded"`, `phase="extend.sharded"`} {
 		if strings.Contains(body, gone) {
 			t.Errorf("metrics still split by entry point: %s", gone)
 		}
@@ -60,7 +71,7 @@ func TestLoadPhaseMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Preprocess(f, "", fl.seed, fl.workers, fl.buildShards); err != nil {
+	if _, err := Preprocess(f, "", fl.seed, fl.workers); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()

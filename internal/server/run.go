@@ -29,7 +29,7 @@ import (
 // defaults and run the same loop.
 type Flags struct {
 	data, addr, debugAddr, profilePath string
-	k, workers, buildShards            int
+	k, workers                         int
 	approx, quiet                      bool
 	seed                               int64
 	slowMS, maxInflight, ingestQueue   int
@@ -51,7 +51,6 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&fl.approx, "approx", false, "answer queries from sketches")
 	fs.StringVar(&fl.profilePath, "profile", "", "load a saved sketch store instead of preprocessing (implies -approx)")
 	fs.IntVar(&fl.workers, "workers", 0, "parallel workers for candidate scoring, the startup profile build and every ingest's sketch delta (0 = GOMAXPROCS)")
-	fs.IntVar(&fl.buildShards, "build-shards", 0, "row shards for the startup profile build, built concurrently and merged (0 or 1 = one shard, <0 = GOMAXPROCS)")
 	fs.Int64Var(&fl.seed, "seed", 42, "seed for demo datasets / sketches")
 	fs.IntVar(&fl.slowMS, "slow-ms", 0, "only record request traces at least this slow (0 = record all)")
 	fs.BoolVar(&fl.quiet, "quiet", false, "suppress per-request JSON logs on stderr")
@@ -86,16 +85,15 @@ func LoadData(path string, seed int64) (*frame.Frame, error) {
 }
 
 // Preprocess returns f's sketch store: the one saved at path, or with
-// no path a fresh build over the given number of row shards. Either
-// way the store runs on the given number of workers (the -workers
-// convention: 0 = GOMAXPROCS) — the build, and every ingest's Extend —
-// and is the same bytes at any worker count.
-func Preprocess(f *frame.Frame, path string, seed int64, workers, shards int) (*sketch.DatasetProfile, error) {
+// no path a fresh build. Either way the store runs on the given number
+// of workers (the -workers convention: 0 = GOMAXPROCS) — the build, and
+// every ingest's Extend — and is the same bytes at any worker count.
+func Preprocess(f *frame.Frame, path string, seed int64, workers int) (*sketch.DatasetProfile, error) {
 	if workers == 0 {
 		workers = -1 // the sketch layer's spelling of GOMAXPROCS
 	}
 	if path == "" {
-		return sketch.BuildProfileSharded(f, sketch.ProfileConfig{Seed: seed, Spearman: true, Workers: workers}, shards), nil
+		return sketch.BuildProfile(f, sketch.ProfileConfig{Seed: seed, Spearman: true, Workers: workers}), nil
 	}
 	file, err := os.Open(path)
 	if err != nil {
@@ -142,7 +140,7 @@ func (fl *Flags) Run(version string) error {
 	}
 	approx := fl.approx || fl.profilePath != ""
 	log.Printf("preprocessing sketches for %s...", f.Summary())
-	profile, err := Preprocess(f, fl.profilePath, fl.seed, fl.workers, fl.buildShards)
+	profile, err := Preprocess(f, fl.profilePath, fl.seed, fl.workers)
 	if err != nil {
 		return err
 	}

@@ -205,11 +205,7 @@ func New(engine *query.Engine, k int, approx bool, opts ...Options) *Server {
 	reg.GaugeFunc("go_goroutines", "Number of goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	reg.GaugeFunc("go_heap_alloc_bytes", "Bytes of allocated heap objects.",
-		func() float64 {
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			return float64(m.HeapAlloc)
-		})
+		func() float64 { return float64(readRuntimeStats().HeapAlloc) })
 	s.httpObs = &obs.HTTP{
 		Metrics: obs.NewHTTPMetrics(reg, "foresight_http"),
 		Log:     obs.NewLogger(o.LogWriter),
@@ -253,8 +249,8 @@ func New(engine *query.Engine, k int, approx bool, opts ...Options) *Server {
 
 // observeBuildTimings routes the sketch layer's process-wide
 // build/merge phase timings into reg, so startup preprocessing and
-// sharded ingest rebuilds show their shard/merge breakdown at
-// /metrics. The registry dedupes by name, so Run (before the startup
+// every ingest's extension show their phase breakdown at /metrics.
+// The registry dedupes by name, so Run (before the startup
 // build) and New install observers over one collector, which is
 // returned for the one phase the sketch layer does not see: Run's load.
 func observeBuildTimings(reg *obs.Registry) *obs.HistogramVec {
@@ -781,8 +777,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	focusCount := len(s.session.Focus)
 	s.mu.RUnlock()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
+	m := readRuntimeStats()
 	f := s.engine.Frame()
 	stats := map[string]interface{}{
 		"cache":       s.engine.CacheStats(),
@@ -800,7 +795,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"heap_sys":       m.HeapSys,
 			"total_alloc":    m.TotalAlloc,
 			"num_gc":         m.NumGC,
-			"gc_pause_total": time.Duration(m.PauseTotalNs).String(),
+			"gc_pause_total": m.GCPauseTotal.String(),
 		},
 		"build": map[string]interface{}{
 			"version": s.version,

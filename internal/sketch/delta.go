@@ -112,7 +112,7 @@ func (p *DatasetProfile) Extend(f *frame.Frame) (*DatasetProfile, error) {
 	cfg := out.Config
 	cfg.Spearman = false
 	deltaStart := time.Now()
-	delta := buildRange(f, cfg, old, f.Rows(), centers, 1)
+	delta := buildRange(f, cfg, old, f.Rows(), centers)
 	observeSince("extend.delta", deltaStart)
 
 	mergeStart := time.Now()

@@ -230,7 +230,7 @@ func TestKLLMergeChain(t *testing.T) {
 // TestProfileExtendMatchesScratch is the delta path's equivalence
 // check: profile a prefix, Extend to the full frame, and the result
 // must answer like a from-scratch profile within the same tolerances
-// a sharded build is held to.
+// the extension path is held to everywhere.
 func TestProfileExtendMatchesScratch(t *testing.T) {
 	f := testFrame(12000, 41)
 	keep := make([]bool, f.Rows())

@@ -78,8 +78,8 @@ func (s *KLL) UpdateAll(xs []float64) {
 
 // kllScratch pools the transient buffers that hold a compaction's
 // promoted half before it is copied into the next level. Compactions
-// are frequent and short-lived, and the sharded profile builder runs
-// many sketches' compactions concurrently, so pooling keeps the
+// are frequent and short-lived, and a build on workers runs many
+// sketches' compactions concurrently, so pooling keeps the
 // allocator out of the hot path. Buffers are only ever held within a
 // single compress call, so the pool is safe at any concurrency.
 var kllScratch = sync.Pool{New: func() any { return new([]float64) }}

@@ -8,7 +8,7 @@ import (
 )
 
 // §3's sketches are all mergeable, so the preprocessing pass can run
-// over disjoint row ranges (shards of a build, the batch of an
+// over disjoint row ranges (the rows at build time, each batch of an
 // extension) and combine the partial sketches. This file is the
 // combining half: the profile merge and the reservoir merge under it.
 // build.go is the half that builds the partials.
@@ -102,12 +102,13 @@ func (np *NumericProfile) merge(o *NumericProfile) error {
 // count). A side that still holds its whole stream — every ingest batch
 // under the reservoir's capacity does — is replayed value by value
 // through algorithm R into a copy of the other side, which is exact
-// and costs O(that side). Two subsampled sides (shards of a sharded
-// build) are combined by a weighted draw that is only approximately
-// uniform: each draw picks a side with probability proportional to that
-// side's *remaining* stream mass (so the side split tracks the
-// hypergeometric allocation), then takes a uniform not-yet-taken item
-// of that side's sample. The item is drawn, not read off a prefix: a
+// and costs O(that side). Two subsampled sides (a batch larger than
+// the reservoir, folded into a store that is already subsampled) are
+// combined by a weighted draw that is only approximately uniform: each
+// draw picks a side with probability proportional to that side's
+// *remaining* stream mass (so the side split tracks the hypergeometric
+// allocation), then takes a uniform not-yet-taken item of that side's
+// sample. The item is drawn, not read off a prefix: a
 // reservoir's item array is not in random order (algorithm R overwrites
 // in place), so consuming prefixes would over-represent early-stream
 // items.

@@ -10,22 +10,44 @@ import (
 	"foresight/internal/stats"
 )
 
+// TestPartitionedProfileMatchesSinglePass builds a prefix and folds
+// the rest of the frame in with Extend: a batch that spans many
+// direction blocks and holds more rows than a value reservoir, so
+// both reservoirs arrive subsampled and mergeReservoirs takes its
+// weighted two-subsample path. The merged profile is held to the
+// one-pass build: moments up to association, dots to the one-pass
+// projection at the stored centres, KLL within its error bounds, and
+// the categorical sketches' bounds against exact counts.
 func TestPartitionedProfileMatchesSinglePass(t *testing.T) {
 	f := testFrame(12000, 41)
 	cfg := ProfileConfig{Seed: 6, K: 256}
+	const cut = 5000 // mid-block; the batch is 7 000 rows > SampleSize
+	keep := make([]bool, f.Rows())
+	for i := range cut {
+		keep[i] = true
+	}
+	prefix, err := f.FilterRows(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parted, err := BuildProfile(prefix, cfg).Extend(f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	single := BuildProfile(f, cfg)
-	// An odd shard count over 47 direction blocks: the partials are
-	// unequal (15, 16 and 16 blocks) and the tree has a bye.
-	parted := BuildProfileSharded(f, cfg, 3)
-
 	if parted.Rows != single.Rows {
 		t.Fatalf("rows = %d, want %d", parted.Rows, single.Rows)
 	}
-	for name, snp := range single.Numeric {
-		pnp := parted.Numeric[name]
-		if pnp == nil {
-			t.Fatalf("numeric %q missing", name)
-		}
+
+	numeric := f.NumericColumns()
+	cols, centers := make([][]float64, len(numeric)), make([]float64, len(numeric))
+	for i, nc := range numeric {
+		cols[i], centers[i] = nc.Values(), parted.Numeric[nc.Name()].ProjCenter
+	}
+	onePass := projectRange(cols, centers, 0, f.Rows(), ProjectConfig{K: parted.Config.K, Seed: cfg.Seed + 101})
+	for i, nc := range numeric {
+		name := nc.Name()
+		snp, pnp := single.Numeric[name], parted.Numeric[name]
 		// Moments: merged running sums equal the single pass within fp
 		// associativity.
 		if math.Abs(pnp.Moments.Mean-snp.Moments.Mean) > 1e-9*math.Max(1, math.Abs(snp.Moments.Mean)) {
@@ -38,12 +60,10 @@ func TestPartitionedProfileMatchesSinglePass(t *testing.T) {
 		if math.Abs(pnp.Moments.Variance()-snp.Moments.Variance()) > relTol {
 			t.Errorf("%s: variance %v vs %v", name, pnp.Moments.Variance(), snp.Moments.Variance())
 		}
-		// Projections: identical directions, so dots agree to fp noise.
-		for i := range snp.Proj.Dots {
-			d := math.Abs(pnp.Proj.Dots[i] - snp.Proj.Dots[i])
-			if d > 1e-6*math.Max(1, math.Abs(snp.Proj.Dots[i])) {
-				t.Fatalf("%s: dot %d differs: %v vs %v", name, i, pnp.Proj.Dots[i], snp.Proj.Dots[i])
-			}
+		// Projections: the same directions, so the merged dots are the
+		// one-pass dots at the same centre up to association.
+		if err := dotsClose(pnp.Proj, onePass[i]); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 		// KLL quantiles: merged sketch stays within its error bounds.
 		for _, q := range []float64{0.25, 0.5, 0.75} {
@@ -54,6 +74,11 @@ func TestPartitionedProfileMatchesSinglePass(t *testing.T) {
 				t.Errorf("%s: merged q%v = %v, exact %v", name, q, got, exact)
 			}
 		}
+		// The weighted merge keeps a full reservoir over the union.
+		if pnp.Sample.Count() != snp.Sample.Count() || len(pnp.Sample.Sample()) != parted.Config.SampleSize {
+			t.Errorf("%s: reservoir holds %d of %d, want %d of %d", name,
+				len(pnp.Sample.Sample()), pnp.Sample.Count(), len(snp.Sample.Sample()), snp.Sample.Count())
+		}
 	}
 	// Hyperplane correlation estimates effectively identical.
 	for _, pair := range [][2]string{{"x", "y"}, {"x", "z"}} {
@@ -63,11 +88,27 @@ func TestPartitionedProfileMatchesSinglePass(t *testing.T) {
 			t.Errorf("pearson(%v): partitioned %v vs single %v", pair, b, a)
 		}
 	}
-	// Categorical sketches merged.
-	sc := single.Categorical["cat"]
-	pc := parted.Categorical["cat"]
-	if pc.Rows != sc.Rows {
-		t.Errorf("cat rows: %d vs %d", pc.Rows, sc.Rows)
+
+	// Categorical: exact fields match; merged heavy hitters keep the
+	// SpaceSaving bound true ∈ [Count−Err, Count] against exact counts.
+	sc, pc := single.Categorical["cat"], parted.Categorical["cat"]
+	if pc.Rows != sc.Rows || pc.Cardinality != sc.Cardinality {
+		t.Errorf("cat rows, cardinality: %d, %d vs %d, %d", pc.Rows, pc.Cardinality, sc.Rows, sc.Cardinality)
+	}
+	cc, err := f.Categorical("cat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := map[string]uint64{}
+	for _, code := range cc.Codes() {
+		if code >= 0 {
+			exact[cc.Dict()[code]]++
+		}
+	}
+	for _, hh := range pc.Heavy.Top(5) {
+		if truth := exact[hh.Item]; hh.Count < truth || hh.Count-hh.Err > truth {
+			t.Errorf("heavy %q: [%d, %d] misses the true count %d", hh.Item, hh.Count-hh.Err, hh.Count, truth)
+		}
 	}
 	if math.Abs(pc.Heavy.RelFreqTopK(3)-sc.Heavy.RelFreqTopK(3)) > 0.02 {
 		t.Errorf("cat relfreq: %v vs %v", pc.Heavy.RelFreqTopK(3), sc.Heavy.RelFreqTopK(3))
@@ -75,7 +116,7 @@ func TestPartitionedProfileMatchesSinglePass(t *testing.T) {
 	if rel := math.Abs(pc.Distinct.Distinct()-sc.Distinct.Distinct()) / math.Max(sc.Distinct.Distinct(), 1); rel > 0.05 {
 		t.Errorf("cat distinct: %v vs %v", pc.Distinct.Distinct(), sc.Distinct.Distinct())
 	}
-	// Row sample rebuilt at the global level.
+	// Row sample extended to the global level.
 	if parted.RowSample.Len() != single.RowSample.Len() {
 		t.Errorf("row sample len %d vs %d", parted.RowSample.Len(), single.RowSample.Len())
 	}
@@ -90,27 +131,27 @@ func fColumn(t *testing.T, f *frame.Frame, name string) []float64 {
 	return c.Values()
 }
 
+// TestPartitionedEdgeCases: more workers than direction blocks or
+// column tiles, and a count below one, are the sequential build; a
+// frame with no rows still gets every column's (empty) sketches.
 func TestPartitionedEdgeCases(t *testing.T) {
 	f := testFrame(100, 42)
-	// Fewer direction blocks than shards, more shards than rows, and a
-	// count below one: all one shard, the plain build.
-	want := saveBytes(t, BuildProfile(f, ProfileConfig{Seed: 1, K: 32}))
-	for _, shards := range []int{3, 1000, 0} {
-		p := BuildProfileSharded(f, ProfileConfig{Seed: 1, K: 32}, shards)
-		if p.Rows != 100 {
-			t.Errorf("shards=%d: rows = %d", shards, p.Rows)
-		}
-		if !bytes.Equal(saveBytes(t, p), want) {
-			t.Errorf("shards=%d over one block differs from the one-shard build", shards)
+	cfg := ProfileConfig{Seed: 1, K: 32}
+	want := saveBytes(t, BuildProfile(f, cfg))
+	for _, workers := range []int{3, 1000, -1} {
+		par := cfg
+		par.Workers = workers
+		if !bytes.Equal(saveBytes(t, BuildProfile(f, par)), want) {
+			t.Errorf("workers=%d over one block differs from the sequential build", workers)
 		}
 	}
-	// No rows: every column still gets its (empty) sketches (found by
-	// FuzzProfileRoundTrip when the partitioned builder divided by zero).
+	// No rows (found by FuzzProfileRoundTrip when a row-split builder
+	// divided by zero).
 	empty, err := f.FilterRows(make([]bool, f.Rows()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := BuildProfileSharded(empty, ProfileConfig{Seed: 1, K: 32, Spearman: true}, 3)
+	p := BuildProfile(empty, ProfileConfig{Seed: 1, K: 32, Spearman: true, Workers: 3})
 	if p.Rows != 0 || len(p.Numeric) != 4 || len(p.Categorical) != 1 {
 		t.Fatalf("empty frame: rows %d, %d numeric, %d categorical", p.Rows, len(p.Numeric), len(p.Categorical))
 	}

@@ -16,12 +16,11 @@ import (
 // Reported operations — one table, named after what runs, not after
 // the entry point that asked for it:
 //
-//	build              one BuildProfile / BuildProfileSharded call
-//	build.sketch       the row-local sketch pass over a range's shards
+//	build              one BuildProfile call
+//	build.sketch       the row-local sketch pass over a range
 //	build.project      the shared-direction projection pass
-//	build.merge        the shard partials' tree reduction (> 1 shard)
 //	build.spearman     the ranks and their projections (when enabled)
-//	build.rowsample    the row sample, its gathers, the reservoir replay
+//	build.rowsample    the row sample and its gathers
 //	extend             one Extend call
 //	extend.copy        copying what the merge will write (mergeTarget)
 //	extend.delta       the partial profile over the appended rows
@@ -29,7 +28,7 @@ import (
 //	extend.rowsample   offering the rows to the row sample, regathering
 //	merge              one DatasetProfile.Merge call
 //
-// build and extend are each reported once per call at any shard count.
+// build and extend are each reported once per call at any worker count.
 // A sub-phase is reported by whoever runs it: an extension's delta is a
 // buildRange, so build.sketch and build.project are reported inside
 // extend.delta too — side by side, so overlapping, on two or more

@@ -44,15 +44,11 @@ func TestTimingObserver(t *testing.T) {
 		}
 	}
 
-	// One phase table at any shard or worker count: a sharded build is
-	// one more "build" and an extension on workers one more "extend", not
-	// a phase of their own; the tree reduction reports itself and its
-	// merges.
-	if got["build.merge"] != 0 {
-		t.Errorf("build.merge observed %d times before any sharded build, want 0", got["build.merge"])
-	}
+	// One phase table at any worker count: a build or an extension on
+	// workers is one more "build" or "extend", not a phase of its own,
+	// and an extension folds its delta in with one merge.
 	big := datagen.Scalable(datagen.ScalableConfig{Rows: 3 * directionGranule, NumericCols: 2, Seed: 3})
-	_ = BuildProfileSharded(big, ProfileConfig{Seed: 1}, 3)
+	_ = BuildProfile(big, ProfileConfig{Seed: 1, Workers: 3})
 	grown, err := big.AppendRows(rowsOf(big, 0, 2*directionGranule), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -62,20 +58,15 @@ func TestTimingObserver(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for op, want := range map[string]int{"build": 4, "extend": 2, "build.merge": 1, "extend.delta": 2} {
+	for op, want := range map[string]int{"build": 4, "extend": 2, "extend.delta": 2, "merge": 2} {
 		if got[op] != want {
 			t.Errorf("op %s observed %d times, want %d", op, got[op], want)
 		}
 	}
-	// Two merges reduce three shards, and each extension folds its delta
-	// in with one more.
-	if got["merge"] != 4 {
-		t.Errorf("merge observed %d times, want 4", got["merge"])
-	}
 	for op := range got {
 		switch op {
-		case "build.sharded", "build.partitioned", "extend.sharded":
-			t.Errorf("fork-named phase %s still reported", op)
+		case "build.merge", "build.sharded", "build.partitioned", "extend.sharded":
+			t.Errorf("retired phase %s still reported", op)
 		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// resolveParallel applies the convention below to a worker or shard
-// count: negative means GOMAXPROCS.
+// resolveParallel applies the convention below to a worker count:
+// negative means GOMAXPROCS.
 func resolveParallel(n int) int {
 	if n < 0 {
 		return runtime.GOMAXPROCS(0)
@@ -31,8 +31,7 @@ func resolveParallel(n int) int {
 // balance and nothing is handed from one goroutine to another. fn must
 // only touch state owned by index i, which makes results identical at
 // any worker count. Despite the name, any independent index space may
-// fan out through here — the sharded builder uses it for row shards
-// and merge pairs, projectRange for column chunks.
+// fan out through here — projectRange uses it for column chunks.
 func eachColumn(n, workers int, fn func(i int)) {
 	workers = min(resolveParallel(workers), n)
 	if workers <= 1 {

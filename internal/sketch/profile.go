@@ -44,8 +44,8 @@ type ProfileConfig struct {
 	// negative selects GOMAXPROCS, and n > 1 uses n goroutines. Results
 	// are identical at any worker count, and the count is not part of a
 	// saved profile: LoadProfile returns 0, and whoever installs a loaded
-	// profile sets the count it should extend on. For row-parallel (not
-	// just column-parallel) builds see BuildProfileSharded.
+	// profile sets the count it should extend on. It is the build's one
+	// parallelism knob: the rows are one range, split over columns.
 	Workers int
 }
 

@@ -2,8 +2,8 @@
 // sketch algebra of paper §3. Everything Foresight serves rests on the
 // claim that its sketches are mergeable, composable summaries with
 // guaranteed error bounds — and the codebase exercises that algebra
-// along four independent paths (one-shard build, Extend delta-merge,
-// BuildProfileSharded merge trees, gob persist/reload). This package
+// along independent paths (one-pass build on any worker count, Extend
+// delta-merge, gob persist/reload). This package
 // states the algebraic laws once, as reusable Check* functions, and
 // lets fuzzers, table tests and the `foresight selfcheck` CLI all
 // drive the same assertions:
@@ -18,8 +18,9 @@
 //     untracked-item floor bound);
 //   - persist→load is query-identical, and Extend leaves its receiver
 //     saving to the same bytes;
-//   - alternate build paths (sharded, Extend) agree with the one-shard
-//     build within the score-delta gate.
+//   - a build saves to the same bytes on any worker count, and the
+//     Extend path agrees with the one-pass build within the
+//     score-delta gate.
 //
 // Violations accumulate in a Report instead of panicking, so one run
 // surfaces every broken invariant at once.

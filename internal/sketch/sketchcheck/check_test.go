@@ -117,22 +117,24 @@ func TestCheckProfileQueryIdentityDetectsMutation(t *testing.T) {
 func TestCheckProfilesCompatibleGatesSpearman(t *testing.T) {
 	f := checkFrame(1500, 7)
 	cfg := sketch.ProfileConfig{Seed: 2, Spearman: true}
-	one, sharded := sketch.BuildProfile(f, cfg), sketch.BuildProfileSharded(f, cfg, 3)
+	par := cfg
+	par.Workers = 3
+	one, other := sketch.BuildProfile(f, cfg), sketch.BuildProfile(f, par)
 	r := &Report{}
-	CheckProfilesCompatible(r, "sharded", one, sharded, DefaultScoreTol, true)
+	CheckProfilesCompatible(r, "workers", one, other, DefaultScoreTol, true)
 	if !r.Ok() {
-		t.Fatalf("sharded build flagged: %v", r.Err())
+		t.Fatalf("build on workers flagged: %v", r.Err())
 	}
 	withRanks := r.Checked
 
 	// y's ranks reversed: Spearman(x, y) flips sign, Pearson is untouched.
-	ny := sharded.Numeric["y"]
+	ny := other.Numeric["y"]
 	for i := range ny.RankProj.Dots {
 		ny.RankProj.Dots[i] = -ny.RankProj.Dots[i]
 	}
 	ny.RankPlanes = sketch.HyperplaneFromProjection(ny.RankProj)
 	r = &Report{}
-	CheckProfilesCompatible(r, "reversed", one, sharded, DefaultScoreTol, true)
+	CheckProfilesCompatible(r, "reversed", one, other, DefaultScoreTol, true)
 	if r.Ok() || !strings.Contains(r.Err().Error(), "compat/spearman") {
 		t.Fatalf("reversed rank projection not caught by compat/spearman: %v", r.Err())
 	}

@@ -318,13 +318,13 @@ func saveBytes(t *testing.T, p *sketch.DatasetProfile) []byte {
 	return buf.Bytes()
 }
 
-// FuzzProfileRoundTrip builds profiles in one shard and in several
-// (reaching merged boundary states: KLL levels freshly grown by
-// merge, SpaceSaving counters trimmed after over-capacity merges,
-// empty reservoirs from all-missing shards, more shards than direction
-// blocks, no rows at all), persists each, and
-// requires the reloaded profile to answer every query identically,
-// while both continue to satisfy the ground-truth invariants.
+// FuzzProfileRoundTrip builds profiles in one pass and as a prefix
+// extended by the rest of the frame (reaching merged boundary states:
+// KLL levels freshly grown by merge, SpaceSaving counters trimmed after
+// over-capacity merges, empty reservoirs from all-missing sides, an
+// empty prefix or batch, no rows at all), persists each, and requires
+// the reloaded profile to answer every query identically, while both
+// continue to satisfy the ground-truth invariants.
 func FuzzProfileRoundTrip(f *testing.F) {
 	f.Add([]byte{8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
 	f.Add([]byte{0, 0, 1, 1, 1, 1, 1, 1, 1})
@@ -332,16 +332,24 @@ func FuzzProfileRoundTrip(f *testing.F) {
 		z := &fz{data: data}
 		rows := int(z.u16() % 700)
 		cfg := fuzzProfileConfig(z)
-		shards := 1 + int(z.byte()%5)
+		cut := rows * int(z.byte()) / 255
 		fr := fuzzFrame(z, rows)
+		prefix, err := PrefixFrame(fr, cut)
+		if err != nil {
+			t.Fatalf("prefix: %v", err)
+		}
+		extended, err := sketch.BuildProfile(prefix, cfg).Extend(fr)
+		if err != nil {
+			t.Fatalf("Extend: %v", err)
+		}
 
 		r := &Report{}
 		for _, build := range []struct {
 			label string
 			p     *sketch.DatasetProfile
 		}{
-			{"one-shard", sketch.BuildProfile(fr, cfg)},
-			{"sharded", sketch.BuildProfileSharded(fr, cfg, shards)},
+			{"one-pass", sketch.BuildProfile(fr, cfg)},
+			{"extended", extended},
 		} {
 			CheckProfileInvariants(r, build.p, fr)
 			rt := RunProfile(fr, build.p)

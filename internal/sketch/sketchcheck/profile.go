@@ -23,8 +23,8 @@ func momentsEqual(a, b stats.Moments) bool {
 // summarizes: every per-column sketch is checked against the exact
 // column (ground truth), counts are consistent across sketches that
 // saw the same stream, and composed estimators stay inside their
-// ranges. It holds for profiles built along *any* path — one shard,
-// several, extended, reloaded — because every assertion
+// ranges. It holds for profiles built along *any* path — one pass,
+// extended, reloaded, on any worker count — because every assertion
 // is against ground truth rather than against another build path.
 func CheckProfileInvariants(r *Report, p *sketch.DatasetProfile, f *frame.Frame) {
 	r.check(p.Rows == f.Rows(), "profile/rows",
@@ -232,8 +232,8 @@ func hittersEqual(a, b []sketch.HeavyHitter) bool {
 }
 
 // CheckProfilesCompatible asserts that two profiles built over the
-// same data along different paths (one shard vs several, or Extend)
-// agree within stated bounds:
+// same data along different paths (one pass vs Extend, or a WAL
+// recovery) agree within stated bounds:
 //
 //   - exact statistics — row counts, moment counts, min/max,
 //     cardinalities, KMV distinct estimates (whose merge is exactly
@@ -246,12 +246,11 @@ func hittersEqual(a, b []sketch.HeavyHitter) bool {
 //     uniformity, heavy-hitter lists) agree within scoreTol — callers
 //     pass DefaultScoreTol;
 //   - Pearson estimates are gated only when sameCenters is true, i.e.
-//     both builds centered projections on the full-data means (one
-//     shard vs several). Extend keeps the base profile's prefix-mean
-//     centers — a documented live-ingest tradeoff — so against a
-//     from-scratch rebuild it is a *different estimator* whose drift
-//     is unbounded on mean-shifting columns, not an execution-order
-//     invariant;
+//     both builds centered projections on the full-data means. Extend
+//     keeps the base profile's prefix-mean centers — a documented
+//     live-ingest tradeoff — so against a from-scratch rebuild it is
+//     a *different estimator* whose drift is unbounded on
+//     mean-shifting columns, not an execution-order invariant;
 //   - Spearman estimates are gated the same way whenever both sides
 //     carry rank projections (Extend drops them).
 //

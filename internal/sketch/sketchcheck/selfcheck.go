@@ -10,8 +10,8 @@ import (
 )
 
 // DefaultScoreTol is the estimator-delta gate every alternate build
-// path (sharded, extended, recovered from a WAL) is held to against
-// the one-shard build: the selfcheck default, `foresight selfcheck
+// path (extended, recovered from a WAL) is held to against the
+// one-pass build: the selfcheck default, `foresight selfcheck
 // -tol`'s default and the WAL gate's fallback.
 const DefaultScoreTol = 0.07
 
@@ -19,8 +19,6 @@ const DefaultScoreTol = 0.07
 type Config struct {
 	// Profile sizes the sketches; zero fields take the usual defaults.
 	Profile sketch.ProfileConfig
-	// Shards is the shard count for BuildProfileSharded (default 4).
-	Shards int
 	// ExtendFrac is the fraction of rows profiled before the Extend
 	// delta-merge folds in the rest (default 0.85, matching the live
 	// ingest pattern of small batches on a large base).
@@ -31,9 +29,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Shards == 0 {
-		c.Shards = 4
-	}
 	if c.ExtendFrac <= 0 || c.ExtendFrac >= 1 {
 		c.ExtendFrac = 0.85
 	}
@@ -43,19 +38,19 @@ func (c *Config) fill() {
 }
 
 // Run executes the full invariant suite against live profiles of f:
-// it builds the sketch store along every path the codebase uses —
-// one shard, a sharded merge tree, Extend delta-merge — checks each
-// against ground truth (CheckProfileInvariants), checks persist→load
-// for query identity, checks that Extend leaves its receiver saving to
-// the bytes it saved to before and saves to the same bytes on every
-// core as on one, and gates the alternate paths against the sequential
-// build (CheckProfilesCompatible). The returned report holds every
-// violation found.
+// it builds the sketch store along every path the codebase uses — one
+// pass, Extend delta-merge — checks each against ground truth
+// (CheckProfileInvariants), checks persist→load for query identity,
+// checks that a build and an Extend save to the same bytes on any
+// worker count as on one and that Extend leaves its receiver saving to
+// the bytes it saved to before, and gates the extension against the
+// one-pass build (CheckProfilesCompatible). The returned report holds
+// every violation found.
 func Run(f *frame.Frame, cfg Config) *Report {
 	r := &Report{}
 	cfg.fill()
 
-	// One-shard build: the reference.
+	// One-pass build: the reference.
 	seq := sketch.BuildProfile(f, cfg.Profile)
 	CheckProfileInvariants(r, seq, f)
 
@@ -70,11 +65,24 @@ func Run(f *frame.Frame, cfg Config) *Report {
 		CheckProfileInvariants(r, loaded, f)
 	}
 
-	// Sharded build: the §3 merge operators, concurrently, reduced
-	// through a binary tree.
-	sh := sketch.BuildProfileSharded(f, cfg.Profile, cfg.Shards)
-	CheckProfileInvariants(r, sh, f)
-	CheckProfilesCompatible(r, "sharded", seq, sh, cfg.ScoreTol, true)
+	saved := func(p *sketch.DatasetProfile) []byte {
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			r.Fail("persist/save", "Save: %v", err)
+		}
+		return buf.Bytes()
+	}
+
+	// The worker count is not in the bytes: a build on every core and
+	// on three workers (column chunks that do not divide evenly) saves
+	// to the reference's.
+	want := saved(seq)
+	for _, workers := range []int{-1, 3} {
+		par := cfg.Profile
+		par.Workers = workers
+		r.check(bytes.Equal(saved(sketch.BuildProfile(f, par)), want), "build/workers",
+			"a build on workers=%d saves to different bytes than the reference", workers)
+	}
 
 	// Extend: profile a prefix, fold the remaining rows in via the
 	// delta-merge, compare against the full rebuild.
@@ -86,13 +94,6 @@ func Run(f *frame.Frame, cfg Config) *Report {
 			return r
 		}
 		base := sketch.BuildProfile(prefix, cfg.Profile)
-		saved := func(p *sketch.DatasetProfile) []byte {
-			var buf bytes.Buffer
-			if err := p.Save(&buf); err != nil {
-				r.Fail("persist/save", "Save: %v", err)
-			}
-			return buf.Bytes()
-		}
 		before := saved(base)
 		ext, err := base.Extend(f)
 		if err != nil {

@@ -1,12 +1,14 @@
 package sketch
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"foresight/internal/datagen"
 	"foresight/internal/frame"
 )
 
@@ -229,34 +231,21 @@ func TestExtendChainMatchesOnePass(t *testing.T) {
 	}
 }
 
-// TestShardCountsAgree holds BuildProfileSharded at 2, 3, 4, 8 and
-// GOMAXPROCS shards to the one-shard build: the same dots up to
-// association (plain and rank) although every count centres on its own
-// merge of the shard means, so the same sign bits except where a dot
-// sits on zero; and the same row sample and value reservoirs exactly.
+// TestShardCountsAgree holds BuildProfile at 1, 2, 3 and GOMAXPROCS
+// workers to the sequential build byte for byte, on a frame wide
+// enough that the projections run in column chunks and long enough
+// that they span several direction blocks. (The name is from the row
+// shards it compared before the worker count was the build's one
+// parallelism knob.)
 func TestShardCountsAgree(t *testing.T) {
-	f := testFrame(5000, 61)
+	f := datagen.Scalable(datagen.ScalableConfig{Rows: 5000, NumericCols: 40, CatCols: 2, Seed: 61})
 	cfg := ProfileConfig{Seed: 4, K: 128, Spearman: true}
-	seq := BuildProfileSharded(f, cfg, 0)
-	for _, shards := range []int{2, 3, 4, 8, -1} {
-		sh := BuildProfileSharded(f, cfg, shards)
-		if !slices.Equal(sh.RowSample.Indexes, seq.RowSample.Indexes) {
-			t.Errorf("shards=%d: row sample differs", shards)
-		}
-		for name, want := range seq.Numeric {
-			got := sh.Numeric[name]
-			if !slices.Equal(got.Sample.Sample(), want.Sample.Sample()) {
-				t.Errorf("shards=%d %s: value reservoir differs", shards, name)
-			}
-			if err := dotsClose(got.Proj, want.Proj); err != nil {
-				t.Errorf("shards=%d %s: %v", shards, name, err)
-			}
-			if err := dotsClose(got.RankProj, want.RankProj); err != nil {
-				t.Errorf("shards=%d %s ranks: %v", shards, name, err)
-			}
-			if d := got.Planes.Hamming(want.Planes); d > 1 {
-				t.Errorf("shards=%d %s: %d sign bits differ", shards, name, d)
-			}
+	want := saveBytes(t, BuildProfile(f, cfg))
+	for _, workers := range []int{1, 2, 3, -1} {
+		par := cfg
+		par.Workers = workers
+		if !bytes.Equal(saveBytes(t, BuildProfile(f, par)), want) {
+			t.Errorf("workers=%d: saves to different bytes than the sequential build", workers)
 		}
 	}
 }
