@@ -275,7 +275,12 @@ func BenchmarkSketchMomentsAdd(b *testing.B) {
 // ingest benchmarks append to it (its own first rows, as string cells).
 func ingestBenchFrame(base, numeric, cats, batchRows int) (*frame.Frame, frame.RowBatch) {
 	f := datagen.Scalable(datagen.ScalableConfig{Rows: base, NumericCols: numeric, CatCols: cats, Seed: 5})
-	batch := frame.RowBatch{Records: make([][]string, batchRows)}
+	return f, headBatch(f, batchRows)
+}
+
+// headBatch renders f's first rows as an ingest batch of string cells.
+func headBatch(f *frame.Frame, rows int) frame.RowBatch {
+	batch := frame.RowBatch{Records: make([][]string, rows)}
 	for r := range batch.Records {
 		rec := make([]string, f.Cols())
 		for c := range rec {
@@ -283,7 +288,27 @@ func ingestBenchFrame(base, numeric, cats, batchRows int) (*frame.Frame, frame.R
 		}
 		batch.Records[r] = rec
 	}
-	return f, batch
+	return batch
+}
+
+// withLowCard is f plus a categorical column "lowcard" of the given
+// number of levels, cycled row by row: few enough levels (≤ 12) for the
+// segmentation class to take it.
+func withLowCard(b *testing.B, f *frame.Frame, levels int) *frame.Frame {
+	b.Helper()
+	labels := make([]string, f.Rows())
+	for i := range labels {
+		labels[i] = fmt.Sprintf("level%d", i%levels)
+	}
+	cols := make([]frame.Column, 0, f.Cols()+1)
+	for c := 0; c < f.Cols(); c++ {
+		cols = append(cols, f.Column(c))
+	}
+	out, err := frame.New(f.Name()+"+lowcard", append(cols, frame.NewCategoricalColumn("lowcard", labels))...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
 }
 
 // BenchmarkBuildProfile is the startup build at the repository
@@ -560,13 +585,37 @@ func BenchmarkColdCarousel(b *testing.B) {
 // gates nothing.
 func BenchmarkFreshCarousel(b *testing.B) {
 	f, batch := ingestBenchFrame(20000, 48, 4, 10)
+	freshCarousel(b, f, batch, true)
+}
+
+// BenchmarkFreshCarouselExact is the same op at the repository
+// benchmark's explore_exact shape, 8 000 rows × (32+4) with one
+// categorical of four levels, so segmentation scores its 496 triples:
+// a 10-row Engine.Ingest, then an exact session carousel on every core.
+// Nearly all of it is the fresh carousel's scoring pass, a dozen calls
+// into the worker pool; it is the in-process counterpart of
+// explore_exact's cycle_ms, reports the carousel alone as carousel_ms,
+// and gates nothing.
+func BenchmarkFreshCarouselExact(b *testing.B) {
+	f := withLowCard(b, datagen.Scalable(datagen.ScalableConfig{Rows: 8000, NumericCols: 32, CatCols: 3, Seed: 5}), 4)
+	if got := len(core.NewSegmentationClass(0, 0).Candidates(f)); got != 496 {
+		b.Fatalf("%d segmentation triples, want 496", got)
+	}
+	freshCarousel(b, f, headBatch(f, 10), false)
+}
+
+// freshCarousel times one op of the fresh-carousel benchmarks on f with
+// the sketch store foresightd builds: ingest batch, then a session
+// carousel (from the sketches when approx) on every core, reported
+// alone as carousel_ms.
+func freshCarousel(b *testing.B, f *frame.Frame, batch frame.RowBatch, approx bool) {
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 42, Spearman: true, Workers: -1})
 	engine, err := query.NewEngine(f, core.NewRegistry(), p)
 	if err != nil {
 		b.Fatal(err)
 	}
 	engine.SetWorkers(0)
-	session := query.NewSession(engine, 5, true)
+	session := query.NewSession(engine, 5, approx)
 	var carousel time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -589,19 +638,7 @@ func BenchmarkFreshCarousel(b *testing.B) {
 // the sketches — 12 720 triples of 512 sampled points each. It reports
 // what a cold carousel would pay for the class there and gates nothing.
 func BenchmarkSegmentationWide(b *testing.B) {
-	wide := datagen.Scalable(datagen.ScalableConfig{Rows: 30000, NumericCols: 160, Seed: 5})
-	levels := make([]string, wide.Rows())
-	for i := range levels {
-		levels[i] = fmt.Sprintf("level%d", i%8)
-	}
-	cols := make([]frame.Column, 0, wide.Cols()+1)
-	for c := 0; c < wide.Cols(); c++ {
-		cols = append(cols, wide.Column(c))
-	}
-	f, err := frame.New("wide+lowcard", append(cols, frame.NewCategoricalColumn("lowcard", levels))...)
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := withLowCard(b, datagen.Scalable(datagen.ScalableConfig{Rows: 30000, NumericCols: 160, Seed: 5}), 8)
 	if got := len(core.NewSegmentationClass(0, 0).Candidates(f)); got != 12720 {
 		b.Fatalf("%d segmentation triples, want 12720", got)
 	}

@@ -134,38 +134,6 @@ func TestExecuteContextPreCancelled(t *testing.T) {
 	}
 }
 
-// runParallel must stop dispatching once ctx fires, in both the
-// sequential and the pooled regime.
-func TestRunParallelCancelStopsDispatch(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var ran atomic.Int64
-			var once sync.Once
-			started := make(chan struct{})
-			go func() {
-				<-started
-				cancel()
-			}()
-			err := runParallel(ctx, workers, 100, func(i int) {
-				ran.Add(1)
-				once.Do(func() { close(started) })
-				<-ctx.Done() // pin the slot until cancellation
-			})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			// Only indices already in flight when the cancel landed may
-			// have run (plus at most one racing through the feeder's
-			// select); the rest of the 100 must never start.
-			if n := ran.Load(); n > int64(workers)+1 {
-				t.Errorf("ran %d indices after cancellation, want ≤ %d", n, workers+1)
-			}
-		})
-	}
-}
-
 // The singleflight wait must select on the waiter's own context: a
 // waiter with a deadline returns DeadlineExceeded while the owner is
 // still scoring, instead of blocking on the owner's done channel.

@@ -118,8 +118,9 @@ type Engine struct {
 	// reports success (recover.go). Guarded by ingestMu.
 	durableSink DurableSink
 	// workers is the candidate-scoring parallelism (see SetWorkers);
-	// values < 2 mean sequential.
-	workers int
+	// values < 2 mean sequential. Atomic, so a scoring pass reads it
+	// without the engine lock.
+	workers atomic.Int32
 	// cache memoizes per-candidate scores across queries (cache.go).
 	cache *scoreCache
 	// metrics holds the registered collectors after Instrument

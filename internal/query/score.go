@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"foresight/internal/core"
+	"foresight/internal/par"
 )
 
 // This file is the engine's one scoring pass. Every insight query and
@@ -273,7 +274,7 @@ func (e *Engine) scoreMisses(ctx context.Context, snap snapshot, c core.Class, c
 		}
 	}()
 
-	err := runParallel(ctx, e.Workers(), len(owned), func(o int) {
+	err := par.Each(ctx, e.Workers(), len(owned), func(o int) {
 		e.inflightScores.Add(1)
 		defer e.inflightScores.Add(-1)
 		sl, i := slots[owned[o]], idx[owned[o]]

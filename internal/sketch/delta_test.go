@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"foresight/internal/datagen"
@@ -367,6 +368,36 @@ func TestExtendZeroRows(t *testing.T) {
 		}
 		if !slices.Equal(saveBytes(t, p), want) {
 			t.Errorf("workers=%d: zero-row Extend changed the receiver", workers)
+		}
+	}
+}
+
+// TestExtendWorkerPanicReachesCaller: a panic inside the delta's
+// parallel loops is re-raised on the goroutine that called Extend
+// instead of killing the process from a worker. The store has lost its
+// value reservoirs, so merging the delta's into them dereferences nil
+// on every numeric column, on every share of the pool.
+func TestExtendWorkerPanicReachesCaller(t *testing.T) {
+	f := testFrame(1000, 44)
+	grown, err := f.AppendRows(rowsOf(f, 0, 10), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, -1} {
+		p := BuildProfile(f, ProfileConfig{Seed: 1, K: 32, Workers: workers})
+		for _, np := range p.Numeric {
+			np.Sample = nil
+		}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			_, _ = p.Extend(grown)
+			return nil
+		}()
+		if got == nil {
+			t.Fatalf("workers=%d: Extend returned past a panicking merge", workers)
+		}
+		if !strings.Contains(fmt.Sprint(got), "nil pointer dereference") {
+			t.Errorf("workers=%d: panic value lost the original message: %v", workers, got)
 		}
 	}
 }

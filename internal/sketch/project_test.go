@@ -3,7 +3,6 @@ package sketch
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
 )
 
@@ -112,28 +111,4 @@ func sameProjections(got, want []*Projection) error {
 		}
 	}
 	return nil
-}
-
-// TestEachColumnCoversOnce runs eachColumn's dispatch under the race
-// detector's eye: every index exactly once, whether there are fewer
-// indexes than workers, as many, or far more.
-func TestEachColumnCoversOnce(t *testing.T) {
-	for _, c := range []struct{ n, workers int }{
-		{0, 4}, {1, 4}, {3, 4}, {4, 4}, {5, 4}, {1000, 4}, {1000, -1}, {7, 0}, {7, 1},
-	} {
-		seen := make([]int, c.n) // written by whichever goroutine draws i
-		var calls atomic.Int64
-		eachColumn(c.n, c.workers, func(i int) {
-			seen[i]++
-			calls.Add(1)
-		})
-		if int(calls.Load()) != c.n {
-			t.Errorf("n=%d workers=%d: %d calls", c.n, c.workers, calls.Load())
-		}
-		for i, times := range seen {
-			if times != 1 {
-				t.Errorf("n=%d workers=%d: index %d visited %d times", c.n, c.workers, i, times)
-			}
-		}
-	}
 }
