@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -292,13 +293,25 @@ func headBatch(f *frame.Frame, rows int) frame.RowBatch {
 }
 
 // withLowCard is f plus a categorical column "lowcard" of the given
-// number of levels, cycled row by row: few enough levels (≤ 12) for the
-// segmentation class to take it.
-func withLowCard(b *testing.B, f *frame.Frame, levels int) *frame.Frame {
+// number of levels: few enough (≤ 12) for the segmentation class to take
+// it. Unlinked, the levels cycle row by row and segment nothing; linked,
+// a row's level is its standardised |num000|·levels/3, capped, so it
+// follows num000's block as the repository benchmark's c00 follows a
+// factor.
+func withLowCard(b *testing.B, f *frame.Frame, levels int, linked bool) *frame.Frame {
 	b.Helper()
 	labels := make([]string, f.Rows())
+	anchor, err := f.Numeric("num000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	z := anchor.Ordered()
 	for i := range labels {
-		labels[i] = fmt.Sprintf("level%d", i%levels)
+		level := i % levels
+		if linked {
+			level = min(levels-1, int(math.Abs(z.Values[i]-z.Mean)/z.StdDev*float64(levels)/3))
+		}
+		labels[i] = fmt.Sprintf("level%d", level)
 	}
 	cols := make([]frame.Column, 0, f.Cols()+1)
 	for c := 0; c < f.Cols(); c++ {
@@ -590,24 +603,43 @@ func BenchmarkFreshCarousel(b *testing.B) {
 
 // BenchmarkFreshCarouselExact is the same op at the repository
 // benchmark's explore_exact shape, 8 000 rows × (32+4) with one
-// categorical of four levels, so segmentation scores its 496 triples:
-// a 10-row Engine.Ingest, then an exact session carousel on every core.
-// Nearly all of it is the fresh carousel's scoring pass, a dozen calls
-// into the worker pool; it is the in-process counterpart of
-// explore_exact's cycle_ms, reports the carousel alone as carousel_ms,
-// and gates nothing.
+// categorical of four levels, so segmentation has 496 triples: a 10-row
+// Engine.Ingest, then an exact session carousel on every core. It is
+// the in-process counterpart of explore_exact's cycle_ms, reports the
+// carousel alone as carousel_ms and the segmentation triples it scored
+// as triples_scored, and gates nothing. The categorical comes two ways:
+//
+//   - cycled: no level segments anything, so every silhouette is ≤ 0
+//     and all 496 scores tie at 0. The certificates the previous
+//     carousel left bound every triple by 0 as well, which rules none
+//     out, so every op scores all 496.
+//   - linked: the levels follow num000's block, as explore_exact's c00
+//     follows a factor. The certificates rule out all but the triples
+//     near the top five, so an op scores a handful.
 func BenchmarkFreshCarouselExact(b *testing.B) {
-	f := withLowCard(b, datagen.Scalable(datagen.ScalableConfig{Rows: 8000, NumericCols: 32, CatCols: 3, Seed: 5}), 4)
-	if got := len(core.NewSegmentationClass(0, 0).Candidates(f)); got != 496 {
-		b.Fatalf("%d segmentation triples, want 496", got)
+	base := datagen.Scalable(datagen.ScalableConfig{Rows: 8000, NumericCols: 32, CatCols: 3, Seed: 5})
+	for _, linked := range []bool{false, true} {
+		name := "cycled"
+		if linked {
+			name = "linked"
+		}
+		b.Run(name, func(b *testing.B) {
+			f := withLowCard(b, base, 4, linked)
+			if got := len(core.NewSegmentationClass(0, 0).Candidates(f)); got != 496 {
+				b.Fatalf("%d segmentation triples, want 496", got)
+			}
+			freshCarousel(b, f, headBatch(f, 10), false)
+		})
 	}
-	freshCarousel(b, f, headBatch(f, 10), false)
 }
 
 // freshCarousel times one op of the fresh-carousel benchmarks on f with
 // the sketch store foresightd builds: ingest batch, then a session
 // carousel (from the sketches when approx) on every core, reported
-// alone as carousel_ms.
+// alone as carousel_ms. One untimed op first leaves what a carousel
+// leaves for the next. triples_scored is what the carousel's
+// bound-ordered passes scored, which only segmentation's (certificates,
+// exact) takes.
 func freshCarousel(b *testing.B, f *frame.Frame, batch frame.RowBatch, approx bool) {
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 42, Spearman: true, Workers: -1})
 	engine, err := query.NewEngine(f, core.NewRegistry(), p)
@@ -616,10 +648,7 @@ func freshCarousel(b *testing.B, f *frame.Frame, batch frame.RowBatch, approx bo
 	}
 	engine.SetWorkers(0)
 	session := query.NewSession(engine, 5, approx)
-	var carousel time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	op := func() time.Duration {
 		if _, err := engine.Ingest(context.Background(), batch, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -627,18 +656,29 @@ func freshCarousel(b *testing.B, f *frame.Frame, batch frame.RowBatch, approx bo
 		if _, err := session.Recommendations(); err != nil {
 			b.Fatal(err)
 		}
-		carousel += time.Since(start)
+		return time.Since(start)
 	}
+	op()
+	before := engine.PruneStats()
+	var carousel time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		carousel += op()
+	}
+	b.StopTimer()
+	after := engine.PruneStats()
 	b.ReportMetric(carousel.Seconds()*1e3/float64(b.N), "carousel_ms")
+	b.ReportMetric(float64((after.Considered-before.Considered)-(after.Pruned-before.Pruned))/float64(b.N), "triples_scored")
 }
 
 // BenchmarkSegmentationWide is the segmentation class pass at the shape
-// the repository benchmark's explore_wide avoids (ROADMAP 6(c)): 30 000
+// the repository benchmark's explore_wide avoids (ROADMAP 6(d)): 30 000
 // rows × 160 numeric columns and one 8-level categorical, answered from
 // the sketches — 12 720 triples of 512 sampled points each. It reports
 // what a cold carousel would pay for the class there and gates nothing.
 func BenchmarkSegmentationWide(b *testing.B) {
-	f := withLowCard(b, datagen.Scalable(datagen.ScalableConfig{Rows: 30000, NumericCols: 160, Seed: 5}), 8)
+	f := withLowCard(b, datagen.Scalable(datagen.ScalableConfig{Rows: 30000, NumericCols: 160, Seed: 5}), 8, false)
 	if got := len(core.NewSegmentationClass(0, 0).Candidates(f)); got != 12720 {
 		b.Fatalf("%d segmentation triples, want 12720", got)
 	}

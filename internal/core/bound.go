@@ -5,6 +5,7 @@ import (
 
 	"foresight/internal/frame"
 	"foresight/internal/sketch"
+	"foresight/internal/stats"
 )
 
 // This file implements the upper-bound side of threshold-style top-k
@@ -55,6 +56,20 @@ import (
 // queries alike.
 type Bounder interface {
 	ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64
+}
+
+// Certificate is what an exact score leaves behind for SuccessorBound:
+// immutable, and opaque outside the class that made it.
+type Certificate []float64
+
+// Successor is an optional Class extension for exact scores that
+// outlive an append. ScoreCertified is Score plus its certificate (nil
+// when none). SuccessorBound must be ≥ what Score returns for attrs on
+// any f that extends the certificate's frame by appended rows, or +Inf;
+// the engine prunes on min(ScoreBound, SuccessorBound).
+type Successor interface {
+	ScoreCertified(f *frame.Frame, attrs []string, metric string) (Insight, Certificate, error)
+	SuccessorBound(cert Certificate, f *frame.Frame, attrs []string, metric string) float64
 }
 
 // boundSlack inflates a sketch-identity bound so floating-point
@@ -293,6 +308,20 @@ func (c *segmentationClass) ScoreBound(p *sketch.DatasetProfile, attrs []string,
 		return unitBound
 	}
 	return math.Inf(1)
+}
+
+// SuccessorBound is the kernel's bound on the raw silhouette, inflated
+// and clamped as the score is.
+func (c *segmentationClass) SuccessorBound(cert Certificate, f *frame.Frame, attrs []string, metric string) float64 {
+	if metric != "silhouette" || len(attrs) != 3 {
+		return math.Inf(1)
+	}
+	x, y, z, err := c.columns(f, attrs)
+	if err != nil {
+		return math.Inf(1)
+	}
+	b := stats.SilhouetteCert(cert).Bound(x.Ordered(), y.Ordered(), z.Codes(), z.Cardinality(), c.step(f.Rows()))
+	return max(boundSlack(b), 0)
 }
 
 // ScoreBound caps normalized binned MI at 1 (clamped by the scorer)

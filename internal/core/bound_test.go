@@ -158,3 +158,69 @@ func TestRegisterRejectsZeroMetrics(t *testing.T) {
 		t.Errorf("built-in registry has %d classes, want 12", got)
 	}
 }
+
+// ownRows renders rows [from, from+n) of f as an ingest batch.
+func ownRows(f *frame.Frame, from, n int) frame.RowBatch {
+	batch := frame.RowBatch{Records: make([][]string, n)}
+	for r := range batch.Records {
+		for c := 0; c < f.Cols(); c++ {
+			batch.Records[r] = append(batch.Records[r], f.Column(c).StringAt(from+r))
+		}
+	}
+	return batch
+}
+
+// TestSegmentationSuccessorBound: segmentation's exact score is the same
+// with or without its certificate, the certificate bounds the score on
+// frames that extend its own, and it says nothing (+Inf) once the stride
+// or the categorical's levels change.
+func TestSegmentationSuccessorBound(t *testing.T) {
+	f := datagen.Parkinson(0, 42)
+	for _, c := range []*segmentationClass{NewSegmentationClass(0, 0).(*segmentationClass), NewSegmentationClass(0, 64).(*segmentationClass)} {
+		cands := c.Candidates(f)
+		grown, err := f.AppendRows(ownRows(f, 0, 5), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown, err = grown.AppendRows(ownRows(f, 100, 3), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restrided, err := f.AppendRows(ownRows(f, 0, f.Rows()/4), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		certified := 0
+		for i := 0; i < len(cands); i += 97 {
+			attrs := cands[i]
+			in, cert, err := c.ScoreCertified(f, attrs, "")
+			plain, err2 := c.Score(f, attrs, "")
+			if err != nil || err2 != nil || in.Score != plain.Score || in.Raw != plain.Raw {
+				t.Fatalf("%v: certified %v (%v), plain %v (%v)", attrs, in, err, plain, err2)
+			}
+			if cert == nil {
+				continue
+			}
+			certified++
+			next, _ := c.Score(grown, attrs, "")
+			if b := c.SuccessorBound(cert, grown, attrs, "silhouette"); !(next.Score <= b) {
+				t.Errorf("%v: score %v after an append, bound %v", attrs, next.Score, b)
+			}
+			if c.step(restrided.Rows()) != c.step(f.Rows()) && !math.IsInf(c.SuccessorBound(cert, restrided, attrs, "silhouette"), 1) {
+				t.Errorf("%v: a bound across a stride change", attrs)
+			}
+			batch := ownRows(f, 0, 1)
+			batch.Records[0][f.ColumnIndex(attrs[2])] = "a level never seen"
+			relevelled, err := f.AppendRows(batch, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b := c.SuccessorBound(cert, relevelled, attrs, "silhouette"); !math.IsInf(b, 1) {
+				t.Errorf("%v: bound %v across a new level", attrs, b)
+			}
+		}
+		if certified == 0 {
+			t.Fatal("no certificate to check")
+		}
+	}
+}

@@ -481,44 +481,49 @@ func (c *segmentationClass) Candidates(f *frame.Frame) [][]string {
 	return out
 }
 
-// silhouette is the silhouette of the grouping codes (dictionary codes
-// below levels) induce on the (x, y) scatter, each axis standardized by
-// its own mean and σ, over one shared stride of rows so points and codes
-// stay row-aligned. Exact and approximate scoring differ only in what
-// they pass: whole columns or the profile's shared row sample.
-func (c *segmentationClass) silhouette(x, y *stats.Ordered, codes []int32, levels int) float64 {
-	n := min(len(x.Values), len(y.Values), len(codes))
-	step := 1
+// step is the stride the silhouette reads n rows at.
+func (c *segmentationClass) step(n int) int {
 	if n > c.sampleCap {
-		step = n / c.sampleCap
+		return n / c.sampleCap
 	}
-	return stats.GroupSilhouette(x, y, codes, levels, step)
+	return 1
+}
+
+// columns looks up a triple's columns in f.
+func (c *segmentationClass) columns(f *frame.Frame, attrs []string) (x, y *frame.NumericColumn, z *frame.CategoricalColumn, err error) {
+	if x, err = f.Numeric(attrs[0]); err != nil {
+		return nil, nil, nil, err
+	}
+	if y, err = f.Numeric(attrs[1]); err != nil {
+		return nil, nil, nil, err
+	}
+	z, err = f.Categorical(attrs[2])
+	return x, y, z, err
 }
 
 func (c *segmentationClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
+	in, _, err := c.ScoreCertified(f, attrs, metric)
+	return in, err
+}
+
+// ScoreCertified is the silhouette of the grouping z's codes induce on
+// the standardized (x, y) scatter, and the kernel's certificate.
+func (c *segmentationClass) ScoreCertified(f *frame.Frame, attrs []string, metric string) (Insight, Certificate, error) {
 	if err := checkArity("segmentation", attrs, 3); err != nil {
-		return Insight{}, err
+		return Insight{}, nil, err
 	}
 	metric, err := validateMetric(c, metric)
 	if err != nil {
-		return Insight{}, err
+		return Insight{}, nil, err
 	}
-	x, err := f.Numeric(attrs[0])
+	x, y, z, err := c.columns(f, attrs)
 	if err != nil {
-		return Insight{}, err
+		return Insight{}, nil, err
 	}
-	y, err := f.Numeric(attrs[1])
-	if err != nil {
-		return Insight{}, err
-	}
-	z, err := f.Categorical(attrs[2])
-	if err != nil {
-		return Insight{}, err
-	}
-	sil := c.silhouette(x.Ordered(), y.Ordered(), z.Codes(), z.Cardinality())
+	sil, cert := stats.CertifiedSilhouette(x.Ordered(), y.Ordered(), z.Codes(), z.Cardinality(), c.step(f.Rows()))
 	score := sil
 	if math.IsNaN(score) {
-		return Insight{}, errUndefined("segmentation", attrs)
+		return Insight{}, nil, errUndefined("segmentation", attrs)
 	}
 	if score < 0 {
 		score = 0 // negative silhouettes mean "no segmentation"
@@ -533,7 +538,7 @@ func (c *segmentationClass) Score(f *frame.Frame, attrs []string, metric string)
 		Details: map[string]float64{
 			"groups": float64(z.Cardinality()),
 		},
-	}, nil
+	}, Certificate(cert), nil
 }
 
 func (c *segmentationClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
@@ -556,7 +561,8 @@ func (c *segmentationClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string
 	if err != nil {
 		return Insight{}, err
 	}
-	sil := c.silhouette(x.RowSampleOrdered(), y.RowSampleOrdered(), z.RowSampleCodes, z.Cardinality)
+	xs, ys, codes := x.RowSampleOrdered(), y.RowSampleOrdered(), z.RowSampleCodes
+	sil := stats.GroupSilhouette(xs, ys, codes, z.Cardinality, c.step(min(len(xs.Values), len(ys.Values), len(codes))))
 	if math.IsNaN(sil) {
 		return Insight{}, errUndefined("segmentation", attrs)
 	}

@@ -194,3 +194,48 @@ func TestReadCSVMaxCategories(t *testing.T) {
 		t.Errorf("cap 0 should keep both columns, got %v", f0.Names())
 	}
 }
+
+// TestAppendRowsKeepsCodes: a batch that adds a level, one that would
+// sort first included, leaves every old row's dictionary code and
+// label where it was, batch after batch. Certificates of exact scores
+// rely on it: they hold across an append only while old rows keep
+// their groups.
+func TestAppendRowsKeepsCodes(t *testing.T) {
+	f := appendTestFrame(t)
+	for _, batch := range [][][]string{{{"1", "0first"}, {"2", "b"}}, {{"3", ""}, {"4", "zz"}, {"5", "a"}}} {
+		g0, _ := f.Categorical("g")
+		codes, dict := append([]int32(nil), g0.Codes()...), append([]string(nil), g0.Dict()...)
+		next, err := f.AppendRows(RowBatch{Records: batch}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ := next.Categorical("g")
+		for r, code := range codes {
+			if g.Codes()[r] != code || g.StringAt(r) != g0.StringAt(r) {
+				t.Fatalf("row %d: code %d (%q), was %d (%q)", r, g.Codes()[r], g.StringAt(r), code, g0.StringAt(r))
+			}
+		}
+		if got := g.Dict()[:len(dict)]; strings.Join(got, "\x00") != strings.Join(dict, "\x00") {
+			t.Fatalf("dictionary prefix %q, was %q", got, dict)
+		}
+		f = next
+	}
+}
+
+// TestZeroIsPositive: a "-0" cell is stored as +0, read or appended.
+func TestZeroIsPositive(t *testing.T) {
+	f, err := ReadCSV(strings.NewReader("x\n-0\n-0.0e3\n0\n"), "t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err = f.AppendRows(RowBatch{Records: [][]string{{"-0"}, {"-0.000"}}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := f.Numeric("x")
+	for r, v := range x.Values() {
+		if v != 0 || math.Signbit(v) {
+			t.Errorf("row %d: %v, sign bit %v", r, v, math.Signbit(v))
+		}
+	}
+}

@@ -108,7 +108,7 @@ func (m *missingCells) is(cell string) bool {
 }
 
 // parseNumber reads a non-missing cell as a finite float64, thousands
-// separators allowed; anything else is not a number.
+// separators allowed, a zero as +0; anything else is not a number.
 func parseNumber(cell string) (float64, bool) {
 	if strings.IndexByte(cell, ',') >= 0 {
 		cell = strings.ReplaceAll(cell, ",", "")
@@ -129,7 +129,7 @@ func parseNumber(cell string) (float64, bool) {
 	if err != nil || math.IsInf(v, 0) {
 		return 0, false
 	}
-	return v, true
+	return v + 0, true // −0 + 0 is +0
 }
 
 // keptSpellings is how many distinct texts a column that has parsed as

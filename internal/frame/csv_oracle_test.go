@@ -11,10 +11,10 @@ import (
 	"testing"
 )
 
-// ReadCSV as it was before the typed one-pass reader, kept verbatim as
-// the test-only reference: every cell's trimmed text in a [][]string,
-// then one column typed at a time. It does not know the byte-order
-// mark.
+// ReadCSV as it was before the typed one-pass reader, kept as the
+// test-only reference: every cell's trimmed text in a [][]string, then
+// one column typed at a time. It does not know the byte-order mark, and
+// it has since learnt that a zero is stored as +0.
 
 func isMissingOracle(o *ReadCSVOptions, cell string) bool {
 	if cell == "" {
@@ -98,6 +98,9 @@ func inferColumnOracle(name string, cells []string, opts *ReadCSVOptions) Column
 		if err != nil || math.IsInf(v, 0) {
 			parsed[i] = math.NaN()
 			continue
+		}
+		if v == 0 {
+			v = 0 // a zero is stored as +0
 		}
 		parsed[i] = v
 		numericOK++

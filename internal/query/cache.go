@@ -82,9 +82,13 @@ type scoreCache struct {
 	entries  map[cacheKey]core.Insight
 	inflight map[cacheKey]*inflightSlot
 	views    map[viewKey]*classView
-	hits     uint64
-	misses   uint64
-	waits    uint64
+	// certs holds the certificates of this generation's scores, carried
+	// those handed down by ingests since the last invalidation; carried
+	// is replaced, never written, so snapshots read it without the lock.
+	certs, carried map[cacheKey]core.Certificate
+	hits           uint64
+	misses         uint64
+	waits          uint64
 }
 
 func newScoreCache() *scoreCache {
@@ -99,25 +103,47 @@ func (sc *scoreCache) reset() {
 	sc.entries = make(map[cacheKey]core.Insight)
 	sc.inflight = make(map[cacheKey]*inflightSlot)
 	sc.views = make(map[viewKey]*classView)
+	sc.certs = make(map[cacheKey]core.Certificate)
 }
 
-// invalidate starts a new generation: memoized entries and class
-// views are dropped and in-flight computations from the old generation
-// publish nowhere. Counters survive so hit ratios remain observable
-// across frames.
+// invalidate starts a new generation: memoized entries, class views and
+// certificates are dropped and in-flight computations from the old
+// generation publish nowhere. Counters survive so hit ratios remain
+// observable across frames.
 func (sc *scoreCache) invalidate() {
 	sc.mu.Lock()
-	sc.gen++
-	sc.reset()
-	sc.mu.Unlock()
+	defer sc.mu.Unlock()
+	sc.advance(nil)
 }
 
-// generation returns the live generation; the engine reads it under
-// its own lock to stamp snapshots.
-func (sc *scoreCache) generation() uint64 {
+// appended is invalidate for a frame that extends the live one by
+// appended rows: a certificate records the rows it was made on, so all
+// of them carry over, the retiring generation's over older ones.
+func (sc *scoreCache) appended() {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return sc.gen
+	carried := sc.certs // the retiring generation's: nobody else holds them
+	for k, cert := range sc.carried {
+		if _, ok := carried[k]; !ok {
+			carried[k] = cert
+		}
+	}
+	sc.advance(carried)
+}
+
+// advance starts the next generation; the caller holds mu.
+func (sc *scoreCache) advance(carried map[cacheKey]core.Certificate) {
+	sc.gen++
+	sc.carried = carried
+	sc.reset()
+}
+
+// generation returns the live generation and the certificates carried
+// into it; the engine reads them under its own lock to stamp snapshots.
+func (sc *scoreCache) generation() (uint64, map[cacheKey]core.Certificate) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.gen, sc.carried
 }
 
 // InvalidateCache drops every memoized score and bumps the cache

@@ -88,8 +88,8 @@ func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.R
 	if p2 != nil {
 		e.profile = p2
 	}
-	e.cache.invalidate()
-	gen := e.cache.generation()
+	e.cache.appended()
+	gen, _ := e.cache.generation()
 	e.mu.Unlock()
 	res := IngestResult{
 		RowsAppended: f2.Rows() - snap.frame.Rows(),

@@ -75,6 +75,9 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("foresight_engine_prune_seeded_total",
 		"Memoized scores that pre-seeded a pruning threshold.",
 		func() uint64 { return e.PruneStats().Seeded })
+	reg.CounterFunc("foresight_engine_carried_bounds_total",
+		"Candidates of bound-ordered passes bounded by a certificate an ingest handed down.",
+		func() uint64 { return e.PruneStats().Carried })
 	e.metrics.Store(m)
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"foresight/internal/core"
 	"foresight/internal/datagen"
+	"foresight/internal/frame"
 	"foresight/internal/obs"
 )
 
@@ -154,5 +155,33 @@ func TestInstrumentedResultsIdentical(t *testing.T) {
 				t.Errorf("insight %d/%d differs: %v vs %v", i, j, x, y)
 			}
 		}
+	}
+}
+
+// TestCarriedBoundsMetric: the carousel behind an ingest bounds
+// segmentation's triples by the certificates the one before it left,
+// and /metrics exports the count beside the pruning counters.
+func TestCarriedBoundsMetric(t *testing.T) {
+	e, _, g := linkedEngines(t, 700, 8, 5)
+	reg := obs.NewRegistry()
+	e.Instrument(reg)
+	s := NewSession(e, 5, false)
+	if _, err := s.Recommendations(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Ingest(context.Background(), frame.RowBatch{Records: g.rows(10)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recommendations(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.PruneStats()
+	if st.Carried == 0 || st.Pruned == 0 {
+		t.Fatalf("the carousel behind an ingest carried %d bounds and pruned %d", st.Carried, st.Pruned)
+	}
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	if want := "foresight_engine_carried_bounds_total " + uitoa(st.Carried); !strings.Contains(b.String(), want) {
+		t.Errorf("missing %q in:\n%s", want, b.String())
 	}
 }

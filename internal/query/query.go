@@ -54,6 +54,10 @@ type Query struct {
 	// represent currency or dates"). Applies to any position in the
 	// tuple: at least one attribute must match.
 	Semantic frame.SemanticType `json:"semantic,omitempty"`
+	// top is the carousel length of a session without a focus.
+	top int
+	// keep, when set, is one more structural constraint on a tuple.
+	keep func(attrs []string) bool
 }
 
 // Result groups the insights returned for one class. The Insights
@@ -137,12 +141,13 @@ type Engine struct {
 	// cancellations counts engine operations that returned early
 	// because their context was cancelled or its deadline expired.
 	cancellations atomic.Uint64
-	// Pruning-efficacy counters (score.go): candidates of passes that
-	// took the bound-ordered branch, candidates skipped without being
-	// scored, and memoized scores that seeded the threshold.
+	// Pruning-efficacy counters (score.go): candidates of bound-ordered
+	// passes, those skipped unscored, memoized scores that seeded the
+	// threshold, and misses a handed-down certificate bounded.
 	pruneConsidered atomic.Uint64
 	prunedTotal     atomic.Uint64
 	pruneSeeded     atomic.Uint64
+	carriedBounds   atomic.Uint64
 }
 
 // NewEngine returns an engine over f using the registry's insight
@@ -175,12 +180,16 @@ type snapshot struct {
 	frame   *frame.Frame
 	profile *sketch.DatasetProfile
 	gen     uint64
+	// carried holds the certificates handed down to generation gen
+	// (cache.go), each a bound on its tuple's exact score on frame.
+	carried map[cacheKey]core.Certificate
 }
 
 func (e *Engine) snapshot() snapshot {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return snapshot{frame: e.frame, profile: e.profile, gen: e.cache.generation()}
+	gen, carried := e.cache.generation()
+	return snapshot{frame: e.frame, profile: e.profile, gen: gen, carried: carried}
 }
 
 // ScoringInflight reports the number of candidate-scoring tasks
@@ -265,70 +274,97 @@ func (e *Engine) ExecuteContext(ctx context.Context, q Query) ([]Result, error) 
 func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]ranking, error) {
 	start := time.Now()
 	defer e.observeOp(op, start)
-	if err := ctx.Err(); err != nil {
-		return nil, e.noteCancel(err)
-	}
-	tr := obs.TraceFrom(ctx)
-	endParse := tr.StartSpan("parse")
-	classes, explicit, err := e.resolveClasses(q.Classes)
+	rq, err := e.begin(ctx, q)
 	if err != nil {
-		endParse()
 		return nil, err
 	}
-	// One snapshot for the whole request: every class scores against
-	// the same (frame, profile, generation), even if an ingest lands
-	// mid-query.
-	snap := e.snapshot()
-	if q.Approx && snap.profile == nil {
-		endParse()
-		return nil, fmt.Errorf("query: approximate query requires a preprocessed profile")
-	}
-	if q.MaxScore < 0 {
-		endParse()
-		return nil, fmt.Errorf("query: negative MaxScore %v (use 0 for unbounded)", q.MaxScore)
-	}
-	maxScore := q.MaxScore
-	if maxScore == 0 {
-		maxScore = math.Inf(1)
-	}
-	endParse()
-	telem := e.telem.Load()
-	var samples []telemetry.ClassSample
 	var out []ranking
-	for _, c := range classes {
+	for i, c := range rq.classes {
 		if err := ctx.Err(); err != nil {
 			return nil, e.noteCancel(err)
 		}
+		r, st, err := e.scoreClass(ctx, rq.tr, rq.snap, c, q, rq.metrics[i], rq.maxScore, rq.telem != nil)
+		if err != nil {
+			return nil, e.noteCancel(err)
+		}
+		rq.note(st)
+		if len(r.ins) > 0 {
+			out = append(out, r)
+		}
+	}
+	rq.record(op, start)
+	return out, nil
+}
+
+// request is an engine read past its parse phase (begin).
+type request struct {
+	tr       *obs.Trace
+	snap     snapshot
+	classes  []core.Class
+	metrics  []string
+	maxScore float64
+	telem    *telemetry.Insights
+	samples  []telemetry.ClassSample
+}
+
+// begin is the parse phase of an engine read: q's classes, each under
+// its resolved metric (one lacking q.Metric is skipped, or refused when
+// named alone), and one snapshot for the whole request — every class
+// scores against the same (frame, profile, generation).
+func (e *Engine) begin(ctx context.Context, q Query) (request, error) {
+	if err := ctx.Err(); err != nil {
+		return request{}, e.noteCancel(err)
+	}
+	tr := obs.TraceFrom(ctx)
+	defer tr.StartSpan("parse")()
+	classes, explicit, err := e.resolveClasses(q.Classes)
+	if err != nil {
+		return request{}, err
+	}
+	rq := request{tr: tr, snap: e.snapshot(), maxScore: q.MaxScore, telem: e.telem.Load()}
+	if q.Approx && rq.snap.profile == nil {
+		return request{}, fmt.Errorf("query: approximate query requires a preprocessed profile")
+	}
+	if q.MaxScore < 0 {
+		return request{}, fmt.Errorf("query: negative MaxScore %v (use 0 for unbounded)", q.MaxScore)
+	}
+	if rq.maxScore == 0 {
+		rq.maxScore = math.Inf(1)
+	}
+	rq.classes, rq.metrics = classes[:0], make([]string, 0, len(classes))
+	for _, c := range classes {
 		metric := q.Metric
 		if metric != "" && !supportsMetric(c, metric) {
 			if explicit && len(classes) == 1 {
-				return nil, fmt.Errorf("query: class %q does not support metric %q", c.Name(), metric)
+				return request{}, fmt.Errorf("query: class %q does not support metric %q", c.Name(), metric)
 			}
 			continue
 		}
 		if metric == "" {
 			metric = c.Metrics()[0]
 		}
-		r, st, err := e.scoreClass(ctx, tr, snap, c, q, metric, maxScore, telem != nil)
-		if err != nil {
-			return nil, e.noteCancel(err)
-		}
-		if telem != nil {
-			samples = append(samples, st)
-		}
-		if len(r.ins) > 0 {
-			out = append(out, r)
-		}
+		rq.classes, rq.metrics = append(rq.classes, c), append(rq.metrics, metric)
 	}
-	if telem != nil {
-		telem.Record(telemetry.QuerySample{
+	return rq, nil
+}
+
+// note keeps one class's telemetry sample when a store is attached.
+func (rq *request) note(st telemetry.ClassSample) {
+	if rq.telem != nil {
+		rq.samples = append(rq.samples, st)
+	}
+}
+
+// record files the request's samples under op.
+func (rq *request) record(op string, start time.Time) {
+	if rq.telem != nil {
+		rq.telem.Record(telemetry.QuerySample{
 			Op:         op,
-			Generation: snap.gen,
+			Generation: rq.snap.gen,
 			DurationMS: time.Since(start).Seconds() * 1e3,
-			Classes:    samples,
+			Classes:    rq.samples,
 		})
 	}
-	return out, nil
 }
 
 // scoreClass ranks one class against the snapshot under the resolved
@@ -345,9 +381,12 @@ func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]ranking, 
 // excluded insight is the one right after it — filter → top-k over
 // the scored candidates gives exactly this slice. Such a query reads
 // the generation's view when there is one and builds it when its own
-// pass would score every candidate anyway. Otherwise — Fixed or
-// Semantic set, or a top-k/MinScore query arriving before any view —
-// the candidates go through the bound-ordered per-candidate pass.
+// pass would score every candidate anyway. Otherwise — a structural
+// constraint, or a top-k/MinScore query arriving before any view —
+// the candidates go through the bound-ordered per-candidate pass. So
+// does a session carousel (q.top) of a class whose exact scores leave
+// certificates, once its generation carries some: most candidates are
+// then proved out unscored, and if none is, the pass leaves the view.
 //
 // The Margin telemetry of that pass is conservative: the strongest
 // excluded candidate may have been pruned rather than scored, so the
@@ -356,8 +395,13 @@ func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]ranking, 
 func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c core.Class, q Query, metric string, maxScore float64, wantStats bool) (ranking, telemetry.ClassSample, error) {
 	r := ranking{class: c.Name(), metric: metric}
 	var st telemetry.ClassSample
-	if len(q.Fixed) == 0 && q.Semantic == frame.SemanticNone {
-		v, err := e.viewOf(ctx, tr, snap, c, metric, q.Approx, !prunes(c, snap, q.K, q.MinScore))
+	whole := len(q.Fixed) == 0 && q.Semantic == frame.SemanticNone && q.keep == nil
+	k := q.K
+	if _, ok := c.(core.Successor); ok && whole && k <= 0 && !q.Approx && len(snap.carried) > 0 {
+		k = q.top
+	}
+	if whole {
+		v, err := e.viewOf(ctx, tr, snap, c, metric, q.Approx, !prunes(c, snap, k, q.MinScore))
 		if err != nil {
 			return r, st, err
 		}
@@ -386,7 +430,7 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c
 		if !containsAll(attrs, q.Fixed) {
 			continue
 		}
-		if q.Semantic != frame.SemanticNone && !anySemantic(snap.frame, attrs, q.Semantic) {
+		if q.Semantic != frame.SemanticNone && !anySemantic(snap.frame, attrs, q.Semantic) || q.keep != nil && !q.keep(attrs) {
 			continue
 		}
 		cands = append(cands, attrs)
@@ -396,10 +440,15 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c
 		return r, st, err
 	}
 	endScore := tr.StartSpan("score:" + r.class)
-	scored, pruned, err := e.scorePass(ctx, snap, c, cands, q.Approx, metric, q.K, q.MinScore, maxScore)
+	scored, pruned, err := e.scorePass(ctx, snap, c, cands, q.Approx, metric, k, q.MinScore, maxScore)
 	endScore()
 	if err != nil {
 		return r, st, err
+	}
+	if whole && k != q.K && pruned == 0 {
+		endView := tr.StartSpan("view:" + r.class)
+		e.cache.publishView(snap.gen, viewKey{class: r.class, metric: metric, approx: q.Approx}, newClassView(c, metric, cands, scored))
+		endView()
 	}
 	defer tr.StartSpan("rank:" + r.class)()
 	ins := make([]core.Insight, 0, len(scored)-pruned)
@@ -411,7 +460,7 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c
 		ins = append(ins, in)
 	}
 	var bestExcluded float64
-	r.ins, bestExcluded = core.TopKExcluded(ins, q.K)
+	r.ins, bestExcluded = core.TopKExcluded(ins, k)
 	if wantStats {
 		st = classSample(r.class, len(cands), pruned, len(cands)-pruned-len(ins), r.ins, topKMargin(r.ins, bestExcluded))
 	}

@@ -17,11 +17,13 @@ import (
 //	peek  one locked look at the memo; hits are answered by value
 //	bound only when the query has something to prune against (K or
 //	      MinScore), the class is a core.Bounder and the snapshot has a
-//	      profile: bound the misses, order them by descending bound
+//	      profile: bound the misses (by a handed-down certificate where
+//	      that is lower), order them by descending bound
 //	score claim → score → publish the misses through the singleflight
 //	      map and the worker pool (scoreMisses), in 2×workers chunks
 //	      when bounded, raising the kth-best threshold between chunks
-//	      and stopping at the first bound strictly below it
+//	      and stopping at the first bound strictly below it; a run of
+//	      equal bounds is never split
 //
 // and the caller filters and ranks what comes back. Nothing selects
 // between scorers: "nothing to prune against", "no profile", one
@@ -59,6 +61,9 @@ type PruneStats struct {
 	// Seeded counts memoized scores that pre-seeded the top-k
 	// threshold before any scoring ran (higher = earlier cutoffs).
 	Seeded uint64 `json:"seeded"`
+	// Carried counts the misses of those passes whose bound came from a
+	// certificate an ingest handed down: it was below the class's own.
+	Carried uint64 `json:"carried"`
 }
 
 // PruneStats returns a snapshot of the pruning counters.
@@ -67,6 +72,7 @@ func (e *Engine) PruneStats() PruneStats {
 		Considered: e.pruneConsidered.Load(),
 		Pruned:     e.prunedTotal.Load(),
 		Seeded:     e.pruneSeeded.Load(),
+		Carried:    e.carriedBounds.Load(),
 	}
 }
 
@@ -86,20 +92,25 @@ func prunes(c core.Class, snap snapshot, k int, minScore float64) bool {
 }
 
 // scoreOne scores a single candidate tuple, folding scoring errors
-// into a skipped slot. This is the unit of work both the worker pool
-// and the memo operate on.
-func scoreOne(c core.Class, snap snapshot, attrs []string, approx bool, metric string) core.Insight {
+// into a skipped slot, and returns the certificate an exact score left
+// (nil when none). This is the unit of work both the worker pool and
+// the memo operate on.
+func scoreOne(c core.Class, snap snapshot, attrs []string, approx bool, metric string) (core.Insight, core.Certificate) {
 	var in core.Insight
+	var cert core.Certificate
 	var err error
-	if approx {
+	switch s, ok := c.(core.Successor); {
+	case approx:
 		in, err = c.ScoreApprox(snap.profile, attrs, metric)
-	} else {
+	case ok:
+		in, cert, err = s.ScoreCertified(snap.frame, attrs, metric)
+	default:
 		in, err = c.Score(snap.frame, attrs, metric)
 	}
 	if err != nil {
-		return skipped
+		return skipped, nil
 	}
-	return in
+	return in, cert
 }
 
 // scorePass returns one slot per candidate tuple, in candidate order,
@@ -161,11 +172,21 @@ func (e *Engine) scorePass(ctx context.Context, snap snapshot, c core.Class, can
 	e.pruneSeeded.Add(seeded)
 
 	// Misses in descending bound order, index-ascending on ties, so the
-	// pass is deterministic. Bounds are never NaN (ScoreBoundFor).
+	// pass is deterministic. Bounds are never NaN (ScoreBoundFor, and a
+	// NaN certificate bound is never below it).
 	bounds := make([]float64, len(cands))
+	succ, _ := c.(core.Successor)
+	var carried uint64
 	for _, i := range misses {
 		bounds[i] = core.ScoreBoundFor(c, snap.profile, cands[i], metric)
+		if cert, ok := snap.carried[keys[i]]; ok {
+			if b := succ.SuccessorBound(cert, snap.frame, cands[i], metric); b < bounds[i] {
+				bounds[i] = b
+				carried++
+			}
+		}
 	}
+	e.carriedBounds.Add(carried)
 	sort.Slice(misses, func(x, y int) bool {
 		a, b := misses[x], misses[y]
 		if bounds[a] != bounds[b] {
@@ -176,7 +197,9 @@ func (e *Engine) scorePass(ctx context.Context, snap snapshot, c core.Class, can
 
 	// Score them in chunks sized for the worker pool, re-reading the
 	// threshold between chunks. It only rises and bounds only fall, so
-	// the first bound strictly below it ends the whole pass.
+	// the first bound strictly below it ends the whole pass. A run of
+	// equal bounds B is one chunk: its scores cannot lift the threshold
+	// above B, so all of it is scored either way, in one hand-off.
 	chunk := 2 * e.Workers()
 	pos := 0
 	for pos < len(misses) {
@@ -185,7 +208,8 @@ func (e *Engine) scorePass(ctx context.Context, snap snapshot, c core.Class, can
 			t = s
 		}
 		end := pos
-		for end < len(misses) && end-pos < chunk && bounds[misses[end]] >= t {
+		for end < len(misses) && bounds[misses[end]] >= t &&
+			(end-pos < chunk || bounds[misses[end]] == bounds[misses[end-1]]) {
 			end++
 		}
 		if end == pos {
@@ -278,7 +302,8 @@ func (e *Engine) scoreMisses(ctx context.Context, snap snapshot, c core.Class, c
 		e.inflightScores.Add(1)
 		defer e.inflightScores.Add(-1)
 		sl, i := slots[owned[o]], idx[owned[o]]
-		out[i] = scoreOne(c, snap, cands[i], approx, metric)
+		var cert core.Certificate
+		out[i], cert = scoreOne(c, snap, cands[i], approx, metric)
 		if sl == nil {
 			return
 		}
@@ -291,6 +316,9 @@ func (e *Engine) scoreMisses(ctx context.Context, snap snapshot, c core.Class, c
 		if sc.gen == snap.gen {
 			sc.entries[keys[i]] = out[i]
 			delete(sc.inflight, keys[i])
+			if cert != nil {
+				sc.certs[keys[i]] = cert
+			}
 		}
 		sc.mu.Unlock()
 	})

@@ -7,9 +7,11 @@ import (
 	"io"
 	"math"
 	"slices"
+	"time"
 
 	"foresight/internal/core"
 	"foresight/internal/obs"
+	"foresight/internal/obs/telemetry"
 )
 
 // Similarity returns a [0,1] similarity between two insights,
@@ -68,27 +70,22 @@ func (e *Engine) Neighborhood(focus core.Insight, classes []string, k int, appro
 }
 
 // NeighborhoodContext is Neighborhood with a context; a trace on ctx
-// records the underlying query's spans plus a similarity-ranking span.
-// Cancellation is inherited from the underlying query and re-checked
-// before the similarity ranking.
+// records the classes' spans plus a similarity-ranking span.
+//
+// Across classes similarity is attribute Jaccard alone. So a class read
+// whole — one with a view, the focus's own (class, metric), or one
+// whose pass could prune nothing (k ≤ 0 means no cut) — is one way;
+// the rest are walked by Jaccard level, highest first, one top-k pass a
+// level, until the kth neighbor is more similar than the next level.
 func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, classes []string, k int, approx bool) ([]core.Insight, error) {
-	// executeOp labels the metrics sample and the telemetry record
-	// "neighborhood". The query constrains nothing, so every ranking
-	// is a class view, read in place with its kept keys.
-	rs, err := e.executeOp(ctx, Query{Classes: classes, Approx: approx}, "neighborhood")
+	start := time.Now()
+	defer e.observeOp("neighborhood", start)
+	rq, err := e.begin(ctx, Query{Classes: classes, Approx: approx})
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, e.noteCancel(err)
-	}
-	defer obs.StartSpan(ctx, "similarity")()
-	n := 0
-	for _, r := range rs {
-		n += len(r.ins)
-	}
 	// Similarity desc, then strength desc, then key.
-	top := newTopRanked(n, k, func(a, b ranked) bool {
+	top := newTopRanked(k, func(a, b ranked) bool {
 		if a.score != b.score {
 			return a.score > b.score
 		}
@@ -98,13 +95,70 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 		return a.key < b.key
 	})
 	focusKey := focus.Key()
-	for _, r := range rs {
-		for i := range r.ins {
-			if r.keys[i] != focusKey {
-				top.Offer(ranked{&r.ins[i], Similarity(focus, r.ins[i]), r.keys[i]})
+	offer := func(ins []core.Insight, keys []string) {
+		for i := range ins {
+			var key string
+			if keys != nil {
+				key = keys[i]
+			} else {
+				key = ins[i].Key()
+			}
+			if key != focusKey {
+				top.Offer(ranked{&ins[i], Similarity(focus, ins[i]), key})
 			}
 		}
 	}
+	var walk []int
+	for i, c := range rq.classes {
+		if err := ctx.Err(); err != nil {
+			return nil, e.noteCancel(err)
+		}
+		own := c.Name() == focus.Class && rq.metrics[i] == focus.Metric
+		if !own && prunes(c, rq.snap, k, 0) && !e.cache.hasView(rq.snap.gen, viewKey{c.Name(), rq.metrics[i], approx}) {
+			walk = append(walk, i)
+			continue
+		}
+		r, st, err := e.scoreClass(ctx, rq.tr, rq.snap, c, Query{Approx: approx}, rq.metrics[i], rq.maxScore, rq.telem != nil)
+		if err != nil {
+			return nil, e.noteCancel(err)
+		}
+		rq.note(st)
+		offer(r.ins, r.keys)
+	}
+
+	// A level's candidates tie on similarity, so the class's top k of a
+	// level is all of it that can place. The sample sums the passes.
+	for _, i := range walk {
+		c := rq.classes[i]
+		var levels []float64
+		for _, attrs := range c.Candidates(rq.snap.frame) {
+			if l := jaccard(focus.Attrs, attrs); !slices.Contains(levels, l) {
+				levels = append(levels, l)
+			}
+		}
+		slices.Sort(levels)
+		st := telemetry.ClassSample{Class: c.Name(), Margin: math.NaN()}
+		for l := len(levels) - 1; l >= 0; l-- {
+			if kth, ok := top.Kth(); ok && kth.score > levels[l] {
+				break
+			}
+			at := levels[l]
+			q := Query{Approx: approx, K: k, keep: func(attrs []string) bool { return jaccard(focus.Attrs, attrs) == at }}
+			r, part, err := e.scoreClass(ctx, rq.tr, rq.snap, c, q, rq.metrics[i], rq.maxScore, rq.telem != nil)
+			if err != nil {
+				return nil, e.noteCancel(err)
+			}
+			offer(r.ins, nil)
+			st.Candidates, st.Pruned, st.Filtered = st.Candidates+part.Candidates, st.Pruned+part.Pruned, st.Filtered+part.Filtered
+			st.Emitted, st.Scores, st.Attrs = st.Emitted+part.Emitted, append(st.Scores, part.Scores...), append(st.Attrs, part.Attrs...)
+		}
+		rq.note(st)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, e.noteCancel(err)
+	}
+	rq.record("neighborhood", start)
+	defer obs.StartSpan(ctx, "similarity")()
 	return insightsOf(top), nil
 }
 
@@ -117,13 +171,13 @@ type ranked struct {
 	key   string
 }
 
-// newTopRanked selects the k first of up to n insights under before
-// (all n, sorted, when k ≤ 0). before must be a total order — keys are
+// newTopRanked selects the k first insights offered under before (all
+// of them, sorted, when k ≤ 0). before must be a total order — keys are
 // unique, so ending on the key makes it one — which is what makes the
 // O(n log k) selection equal to sorting and truncating.
-func newTopRanked(n, k int, before func(a, b ranked) bool) *core.KBest[ranked] {
-	if k <= 0 || k > n {
-		k = n
+func newTopRanked(k int, before func(a, b ranked) bool) *core.KBest[ranked] {
+	if k <= 0 {
+		k = math.MaxInt
 	}
 	return core.NewKBest(k, before)
 }
@@ -226,9 +280,14 @@ func (s *Session) RecommendationsK(k int) ([]Result, error) {
 // The underlying scoring pass is labeled "carousels" in the engine
 // metrics and telemetry — this is the carousel view's serving path.
 func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result, error) {
-	// The query constrains nothing, so every ranking is a class view:
-	// read in place, with only the carousels copied out.
-	rs, err := s.engine.executeOp(ctx, Query{Approx: s.Approx}, "carousels")
+	// The query constrains nothing, so a ranking is a class view, read
+	// in place with only the carousels copied out — or, without a focus
+	// to re-rank by, just the top k of a class that can prune.
+	q := Query{Approx: s.Approx}
+	if len(s.Focus) == 0 {
+		q.top = k
+	}
+	rs, err := s.engine.executeOp(ctx, q, "carousels")
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +302,7 @@ func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result,
 		var carousel []core.Insight
 		if len(s.Focus) > 0 && maxScore > 0 {
 			// Blended score desc, then key.
-			top := newTopRanked(len(r.ins), k, func(a, b ranked) bool {
+			top := newTopRanked(k, func(a, b ranked) bool {
 				if a.score != b.score {
 					return a.score > b.score
 				}

@@ -137,6 +137,13 @@ func (sc *scoreCache) view(gen uint64, k viewKey) *classView {
 	return v
 }
 
+// hasView reports, without reading it, whether gen holds a view for k.
+func (sc *scoreCache) hasView(gen uint64, k viewKey) bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.gen == gen && sc.views[k] != nil
+}
+
 // publishView keeps v as generation gen's view for k and returns the
 // view to use: v itself, or the one a concurrent request published
 // first. A generation that is no longer live keeps nothing.

@@ -111,10 +111,22 @@ func nearestCenter(centers []float64, v float64) int {
 // is beyond 1e±150 the points are divided by it first, which a
 // silhouette — a ratio of distances — does not see.
 func GroupSilhouette(x, y *Ordered, codes []int32, levels, stride int) float64 {
+	s, _ := silhouette(x, y, codes, levels, stride, false)
+	return s
+}
+
+// CertifiedSilhouette is GroupSilhouette, same bits, and its certificate
+// in O(m·levels) more: nil when a group has one point, a mean distance
+// is not positive and finite, the points were rescaled, or S is NaN.
+func CertifiedSilhouette(x, y *Ordered, codes []int32, levels, stride int) (float64, SilhouetteCert) {
+	return silhouette(x, y, codes, levels, stride, true)
+}
+
+func silhouette(x, y *Ordered, codes []int32, levels, stride int, certify bool) (float64, SilhouetteCert) {
 	n := min(len(x.Values), len(y.Values), len(codes))
 	stride = max(stride, 1)
 	if n < 2 || levels < 2 {
-		return math.NaN()
+		return math.NaN(), nil
 	}
 	sx, sy := unitIfUnusable(x.StdDev), unitIfUnusable(y.StdDev)
 	// point is row i standardised, and whether it is scored.
@@ -143,7 +155,7 @@ func GroupSilhouette(x, y *Ordered, codes []int32, levels, stride int) float64 {
 		start[k+1] += start[k]
 	}
 	if K < 2 {
-		return math.NaN()
+		return math.NaN(), nil
 	}
 	copy(next, start)
 	m := int(start[levels])
@@ -160,7 +172,8 @@ func GroupSilhouette(x, y *Ordered, codes []int32, levels, stride int) float64 {
 			big = max(big, math.Abs(px), math.Abs(py))
 		}
 	}
-	if big > 0 && !math.IsInf(big, 1) && (big > 1e150 || big < 1e-150) {
+	rescale := big > 0 && !math.IsInf(big, 1) && (big > 1e150 || big < 1e-150)
+	if rescale {
 		for p := range xs {
 			xs[p] /= big
 			ys[p] /= big
@@ -211,9 +224,139 @@ func GroupSilhouette(x, y *Ordered, codes []int32, levels, stride int) float64 {
 		}
 	}
 	if count == 0 {
-		return math.NaN()
+		return math.NaN(), nil
 	}
-	return total / float64(count)
+	s := total / float64(count)
+	if !certify || rescale || s != s {
+		return s, nil
+	}
+	return s, newSilhouetteCert(s, x, y, n, levels, stride, start, xs, ys, sums)
+}
+
+// SilhouetteCert is what CertifiedSilhouette leaves behind for Bound, in
+// one allocation: a header, then per level n_g, T_g = Σᵢ 1/μ_g(i) over
+// every point, M_g = minᵢ μ_g(i), and the mean and M2 of the members' x
+// and y as the points were standardised. μ_g(i) is point i's mean
+// distance to the members of g other than itself.
+type SilhouetteCert []float64
+
+// The header: S, the rows and stride the points were drawn at, the
+// levels, m, and per axis the σ and mean the points were standardised by.
+const (
+	certScore, certRows, certStride, certLevels, certPoints = 0, 1, 2, 3, 4
+	certSX, certMX, certSY, certMY, certFields              = 5, 6, 7, 8, 9
+)
+
+// A group's fields.
+const (
+	groupN, groupInv, groupMin, groupMeanX      = 0, 1, 2, 3
+	groupM2X, groupMeanY, groupM2Y, groupFields = 4, 5, 6, 7
+)
+
+// newSilhouetteCert fills the certificate of the silhouette s from the
+// kernel's layout, points and sums, or returns nil where none exists.
+func newSilhouetteCert(s float64, x, y *Ordered, n, levels, stride int, start []int32, xs, ys, sums []float64) SilhouetteCert {
+	m := int(start[levels])
+	c := make(SilhouetteCert, certFields+levels*groupFields)
+	copy(c, []float64{s, float64(n), float64(stride), float64(levels), float64(m), unitIfUnusable(x.StdDev), x.Mean, unitIfUnusable(y.StdDev), y.Mean})
+	for k := 0; k < levels; k++ {
+		lo, hi := int(start[k]), int(start[k+1])
+		if hi-lo == 1 {
+			return nil
+		}
+		g := c[certFields+k*groupFields:][:groupFields]
+		g[groupMin] = math.Inf(1)
+		for p := 0; p < m && hi > lo; p++ {
+			mu := sums[k*m+p] / float64(hi-lo)
+			if lo <= p && p < hi {
+				mu = sums[k*m+p] / float64(hi-lo-1)
+			}
+			if !(mu > 0 && mu < math.Inf(1)) {
+				return nil
+			}
+			g[groupInv] += 1 / mu
+			g[groupMin] = min(g[groupMin], mu)
+		}
+		for p := lo; p < hi; p++ {
+			addMember(g, xs[p], ys[p])
+		}
+	}
+	return c
+}
+
+// addMember folds a member at (x, y) into group g's count and moments
+// (Welford).
+func addMember(g []float64, x, y float64) {
+	g[groupN]++
+	dx, dy := x-g[groupMeanX], y-g[groupMeanY]
+	g[groupMeanX] += dx / g[groupN]
+	g[groupMeanY] += dy / g[groupN]
+	g[groupM2X] += dx * (x - g[groupMeanX])
+	g[groupM2Y] += dy * (y - g[groupMeanY])
+}
+
+// Bound returns an upper bound on GroupSilhouette(x, y, codes, levels,
+// stride) for columns whose first rows, codes included, are the ones the
+// certificate was made on: S + (m·λ + ΣE + J·(1 − S))/(m + J) for m
+// points at silhouette S and J appended points (DESIGN §6j), in rounded
+// arithmetic that callers inflate. It is +Inf where the certificate
+// says nothing: the stride or the levels differ, or an appended point
+// joins a group of fewer than two, or too close to bound.
+func (c SilhouetteCert) Bound(x, y *Ordered, codes []int32, levels, stride int) float64 {
+	lambda, sumE, added, ok := c.terms(x, y, codes, levels, stride)
+	if !ok {
+		return math.Inf(1)
+	}
+	s, m := c[certScore], c[certPoints]
+	return s + (m*lambda+sumE+added*(1-s))/(m+added)
+}
+
+// terms returns Bound's λ, ΣE and J, or false where the bound is +Inf.
+func (c SilhouetteCert) terms(x, y *Ordered, codes []int32, levels, stride int) (lambda, sumE, added float64, ok bool) {
+	n := min(len(x.Values), len(y.Values), len(codes))
+	stride, from := max(stride, 1), int(c[certRows])
+	sx, sy := unitIfUnusable(x.StdDev), unitIfUnusable(y.StdDev)
+	rx, ry := c[certSX]/sx, c[certSY]/sy
+	if stride != int(c[certStride]) || levels != int(c[certLevels]) || n < from ||
+		!(rx > 0 && ry > 0 && rx < math.Inf(1) && ry < math.Inf(1)) {
+		return 0, 0, 0, false
+	}
+	// A silhouette is 1-Lipschitz in ln a/b, and σ changes every distance
+	// by a factor within [ρlo, ρhi].
+	lambda = math.Abs(math.Log(rx) - math.Log(ry))
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.floats = grow(sc.floats, levels*groupFields)
+	groups := sc.floats
+	copy(groups, c[certFields:])
+	// Today's distances are at least ρlo times the certificate's: T, M
+	// and δ stay in the certificate's units over ρlo, where E is the same
+	// and no scale under- or overflows.
+	lo := min(rx, ry)
+	rx, ry = rx/lo, ry/lo
+	for j := (from + stride - 1) / stride * stride; j < n; j += stride {
+		vx, vy := x.Values[j], y.Values[j]
+		if px, py := (vx-x.Mean)/sx, (vy-y.Mean)/sy; uint32(codes[j]) >= uint32(levels) || px != px || py != py {
+			continue // not scored today
+		}
+		g := groups[int(codes[j])*groupFields:][:groupFields]
+		size := g[groupN]
+		// j moves μ_g(i) by δ ≤ √(‖p_j − c_g‖² + tr Σ_g)/(n_g − 1), ln μ_g(i)
+		// by δ/(μ_g(i) − δ); a coordinate today is ρ times q's, up to a shift.
+		qx, qy := (vx-c[certMX])/c[certSX], (vy-c[certMY])/c[certSY]
+		dx, dy := qx-g[groupMeanX], qy-g[groupMeanY]
+		delta := math.Sqrt(rx*rx*(dx*dx+g[groupM2X]/size)+ry*ry*(dy*dy+g[groupM2Y]/size)) / (size - 1)
+		if size < 2 || !(delta < g[groupMin]) {
+			return 0, 0, 0, false
+		}
+		keep := 1 - delta/g[groupMin]
+		sumE += delta * g[groupInv] / keep
+		g[groupInv] /= keep
+		g[groupMin] -= delta
+		addMember(g, qx, qy)
+		added++
+	}
+	return lambda, sumE, added, true
 }
 
 func unitIfUnusable(sd float64) float64 {
