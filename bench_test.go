@@ -489,7 +489,9 @@ func BenchmarkQueryCold(b *testing.B) {
 	engine := newCacheBenchEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.InvalidateCache()
+		if err := engine.RestoreSnapshot(engine.Frame(), nil); err != nil {
+			b.Fatal(err)
+		}
 		if _, err := engine.Carousels(5, false); err != nil {
 			b.Fatal(err)
 		}
@@ -579,7 +581,9 @@ func BenchmarkColdCarousel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				engine.InvalidateCache()
+				if err := engine.RestoreSnapshot(f, nil); err != nil {
+					b.Fatal(err)
+				}
 				if _, err := session.Recommendations(); err != nil {
 					b.Fatal(err)
 				}
@@ -691,7 +695,9 @@ func BenchmarkSegmentationWide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.InvalidateCache()
+		if err := engine.RestoreSnapshot(f, nil); err != nil {
+			b.Fatal(err)
+		}
 		if _, err := engine.Execute(q); err != nil {
 			b.Fatal(err)
 		}

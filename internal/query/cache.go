@@ -1,26 +1,33 @@
 package query
 
 import (
+	"maps"
 	"strings"
 	"sync"
 
 	"foresight/internal/core"
+	"foresight/internal/frame"
+	"foresight/internal/sketch"
 )
 
-// This file implements the engine's score memo. Foresight's
-// interactivity rests on answering insight queries in near-real-time
-// (paper §3), and the dominant workload is repeated queries over the
-// same dataset: every carousel refresh, overview, neighborhood and
-// focus update re-ranks the same candidate tuples. Scores depend only
-// on (class, metric, tuple, approx) for a fixed frame/profile, so they
-// are perfectly cacheable. The memo holds each scored slot, stamps
-// entries with a generation that SetProfile/Ingest/InvalidateCache
-// bump, and carries the singleflight map through which the scoring
-// pass (score.go) collapses duplicate concurrent scoring of the same
-// key, so a thundering herd of identical requests computes each score
-// exactly once. Filters (MinScore/MaxScore, Fixed, Semantic) and
-// ranking always apply after the memo lookup, so a memoized score and
-// a fresh one give bit-identical results.
+// This file implements the engine's generations and their score memo.
+// Foresight's interactivity rests on answering insight queries in
+// near-real-time (paper §3), and the dominant workload is repeated
+// queries over the same dataset: every carousel refresh, overview,
+// neighborhood and focus update re-ranks the same candidate tuples.
+// Scores depend only on (class, metric, tuple, approx) for a fixed
+// frame/profile, so they are perfectly cacheable. A generation is one
+// (frame, profile) pair together with everything computed from it: the
+// memo holding each scored slot, the singleflight map through which the
+// scoring pass (score.go) collapses duplicate concurrent scoring of the
+// same key — so a thundering herd of identical requests computes each
+// score exactly once — the class views, and the certificates exact
+// scores leave. The engine holds the live generation behind one atomic
+// pointer; a request loads it once and works on what it loaded, so a
+// pass that outlives its generation reads and fills maps no new reader
+// sees. Filters (MinScore/MaxScore, Fixed, Semantic) and ranking always
+// apply after the memo lookup, so a memoized score and a fresh one give
+// bit-identical results.
 //
 // Cancellation threads through the singleflight protocol: a waiter
 // blocks on the owner's done channel AND its own ctx, so an expired
@@ -43,8 +50,9 @@ type CacheStats struct {
 	Waits uint64 `json:"waits"`
 	// Entries is the number of memoized scores in the live generation.
 	Entries int `json:"entries"`
-	// Generation increments on every invalidation (SetProfile or
-	// InvalidateCache); entries from older generations are gone.
+	// Generation numbers the live generation: 0 for the engine's first,
+	// one more for each Ingest that appends rows and each RestoreSnapshot
+	// (or InvalidateCache). Entries of older generations are gone.
 	Generation uint64 `json:"generation"`
 }
 
@@ -73,114 +81,77 @@ type inflightSlot struct {
 	abandoned bool
 }
 
-// scoreCache is the concurrent, generation-stamped memo plus the
-// singleflight map and the class views (view.go). All fields are
-// guarded by mu; scoring itself runs outside the lock.
-type scoreCache struct {
+// generation is the engine's dataset and what has been computed from
+// it. n, frame, profile and carried never change; the maps below mu are
+// guarded by it, and scoring itself runs outside the lock.
+type generation struct {
+	n       uint64
+	frame   *frame.Frame
+	profile *sketch.DatasetProfile
+	// carried holds the certificates handed down to this generation by
+	// the ingests since the last restore, each a bound on its tuple's
+	// exact score on frame.
+	carried map[cacheKey]core.Certificate
+
 	mu       sync.Mutex
-	gen      uint64
 	entries  map[cacheKey]core.Insight
 	inflight map[cacheKey]*inflightSlot
 	views    map[viewKey]*classView
-	// certs holds the certificates of this generation's scores, carried
-	// those handed down by ingests since the last invalidation; carried
-	// is replaced, never written, so snapshots read it without the lock.
-	certs, carried map[cacheKey]core.Certificate
-	hits           uint64
-	misses         uint64
-	waits          uint64
+	// certs holds the certificates this generation's exact scores left.
+	certs map[cacheKey]core.Certificate
 }
 
-func newScoreCache() *scoreCache {
-	sc := &scoreCache{}
-	sc.reset()
-	return sc
-}
-
-// reset empties the generation's state; the caller holds mu (or is
-// the constructor).
-func (sc *scoreCache) reset() {
-	sc.entries = make(map[cacheKey]core.Insight)
-	sc.inflight = make(map[cacheKey]*inflightSlot)
-	sc.views = make(map[viewKey]*classView)
-	sc.certs = make(map[cacheKey]core.Certificate)
-}
-
-// invalidate starts a new generation: memoized entries, class views and
-// certificates are dropped and in-flight computations from the old
-// generation publish nowhere. Counters survive so hit ratios remain
-// observable across frames.
-func (sc *scoreCache) invalidate() {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.advance(nil)
-}
-
-// appended is invalidate for a frame that extends the live one by
-// appended rows: a certificate records the rows it was made on, so all
-// of them carry over, the retiring generation's over older ones.
-func (sc *scoreCache) appended() {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	carried := sc.certs // the retiring generation's: nobody else holds them
-	for k, cert := range sc.carried {
-		if _, ok := carried[k]; !ok {
-			carried[k] = cert
-		}
+func newGeneration(n uint64, f *frame.Frame, p *sketch.DatasetProfile, carried map[cacheKey]core.Certificate) *generation {
+	return &generation{
+		n: n, frame: f, profile: p, carried: carried,
+		entries:  make(map[cacheKey]core.Insight),
+		inflight: make(map[cacheKey]*inflightSlot),
+		views:    make(map[viewKey]*classView),
+		certs:    make(map[cacheKey]core.Certificate),
 	}
-	sc.advance(carried)
 }
 
-// advance starts the next generation; the caller holds mu.
-func (sc *scoreCache) advance(carried map[cacheKey]core.Certificate) {
-	sc.gen++
-	sc.carried = carried
-	sc.reset()
+// successor is the generation of f, which extends g's frame by appended
+// rows, and its profile p. A certificate records the rows it was made
+// on, so all of g's carry over, its own over those handed down to it.
+// The map is a fresh one: g's passes may still be publishing into
+// g.certs while the successor's read its carried set.
+func (g *generation) successor(f *frame.Frame, p *sketch.DatasetProfile) *generation {
+	g.mu.Lock()
+	carried := make(map[cacheKey]core.Certificate, len(g.carried)+len(g.certs))
+	maps.Copy(carried, g.carried)
+	maps.Copy(carried, g.certs)
+	g.mu.Unlock()
+	return newGeneration(g.n+1, f, p, carried)
 }
-
-// generation returns the live generation and the certificates carried
-// into it; the engine reads them under its own lock to stamp snapshots.
-func (sc *scoreCache) generation() (uint64, map[cacheKey]core.Certificate) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.gen, sc.carried
-}
-
-// InvalidateCache drops every memoized score and bumps the cache
-// generation. SetProfile calls this automatically; call it directly
-// after mutating frame-derived state the engine cannot observe.
-func (e *Engine) InvalidateCache() { e.cache.invalidate() }
 
 // CacheStats returns a snapshot of the scoring-cache counters.
 func (e *Engine) CacheStats() CacheStats {
-	sc := e.cache
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
+	g := e.gen.Load()
+	g.mu.Lock()
+	entries := len(g.entries)
+	g.mu.Unlock()
 	return CacheStats{
-		Hits:       sc.hits,
-		Misses:     sc.misses,
-		Waits:      sc.waits,
-		Entries:    len(sc.entries),
-		Generation: sc.gen,
+		Hits:       e.hits.Load(),
+		Misses:     e.misses.Load(),
+		Waits:      e.waits.Load(),
+		Entries:    entries,
+		Generation: g.n,
 	}
 }
 
-// peek answers keys from the memo without scoring, waiting or
-// claiming: a memoized score of the live generation gen lands in out
-// at its key's index and counts as a hit; the indices of the rest come
-// back in ascending order, uncounted — a missing candidate counts as a
-// miss only once the pass claims it, and never if it is pruned. A
-// generation that is no longer live misses everything.
-func (sc *scoreCache) peek(gen uint64, keys []cacheKey, out []core.Insight) (misses []int) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
+// peek answers keys from g's memo without scoring, waiting or claiming:
+// a memoized score lands in out at its key's index; the indices of the
+// rest come back in ascending order. The caller counts the answered
+// ones as hits — a missing candidate counts as a miss only once the
+// pass claims it, and never if it is pruned.
+func (g *generation) peek(keys []cacheKey, out []core.Insight) (misses []int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for i, k := range keys {
-		if sc.gen == gen {
-			if in, ok := sc.entries[k]; ok {
-				out[i] = in
-				sc.hits++
-				continue
-			}
+		if in, ok := g.entries[k]; ok {
+			out[i] = in
+			continue
 		}
 		if misses == nil {
 			misses = make([]int, 0, len(keys)-i)

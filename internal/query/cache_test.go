@@ -146,21 +146,23 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestStaleGenerationBypassesMemo pins the snapshot contract of the
-// scoring pass: a pass whose snapshot generation is no longer live
-// neither reads nor publishes the memo, and still scores correctly.
+// TestStaleGenerationBypassesMemo pins the generation contract of the
+// scoring pass: a pass over a generation that is no longer live reads
+// and fills that generation's memo only — the live generation's entries
+// stay as they were — and still scores correctly.
 func TestStaleGenerationBypassesMemo(t *testing.T) {
 	e := newTestEngine(t, 400, 36)
 	c, _ := e.registry.Lookup("linear")
 	cands := c.Candidates(e.Frame())
-	stale := e.snapshot()
+	stale := e.gen.Load()
 	// Warm the old generation, then move past it.
 	if _, _, err := e.scorePass(context.Background(), stale, c, cands, false, "pearson", 0, 0, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	e.InvalidateCache()
-	live := e.snapshot()
-	if _, _, err := e.scorePass(context.Background(), live, c, cands[:1], false, "pearson", 0, 0, math.Inf(1)); err != nil {
+	if err := e.RestoreSnapshot(e.Frame(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.scorePass(context.Background(), e.gen.Load(), c, cands[:1], false, "pearson", 0, 0, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	before := e.CacheStats()
@@ -168,12 +170,17 @@ func TestStaleGenerationBypassesMemo(t *testing.T) {
 		t.Fatalf("live generation should hold one entry: %+v", before)
 	}
 	for _, k := range []int{0, 2} { // unbounded and top-k passes alike
+		hits := e.CacheStats().Hits
 		got, _, err := e.scorePass(context.Background(), stale, c, cands, false, "pearson", k, 0, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if after := e.CacheStats(); after != before {
-			t.Errorf("k=%d: stale pass touched the memo: %+v, was %+v", k, after, before)
+		after := e.CacheStats()
+		if after.Entries != before.Entries || after.Generation != before.Generation {
+			t.Errorf("k=%d: a retired generation's pass touched the live memo: %+v, was %+v", k, after, before)
+		}
+		if n := after.Hits - hits; n != uint64(len(cands)) {
+			t.Errorf("k=%d: the retired generation's memo answered %d of %d candidates", k, n, len(cands))
 		}
 		for i, attrs := range cands {
 			if want, _ := c.Score(e.Frame(), attrs, "pearson"); !insightEqual(got[i], want) {
@@ -184,7 +191,8 @@ func TestStaleGenerationBypassesMemo(t *testing.T) {
 }
 
 // TestCacheStatsAndInvalidation checks the memo fills, serves hits,
-// and empties on SetProfile / InvalidateCache with a generation bump.
+// and empties with a generation bump on a restore, with a new profile
+// or the same data.
 func TestCacheStatsAndInvalidation(t *testing.T) {
 	f := testFrame(800, 32)
 	e, err := NewEngine(f, core.NewRegistry(), nil)
@@ -210,10 +218,12 @@ func TestCacheStatsAndInvalidation(t *testing.T) {
 	}
 
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 3, K: 64})
-	e.SetProfile(p)
+	if err := e.RestoreSnapshot(f, p); err != nil {
+		t.Fatal(err)
+	}
 	st3 := e.CacheStats()
 	if st3.Generation != st2.Generation+1 || st3.Entries != 0 {
-		t.Errorf("SetProfile should bump generation and drop entries: %+v", st3)
+		t.Errorf("a restore with a new profile should bump generation and drop entries: %+v", st3)
 	}
 	if _, err := e.Carousels(5, false); err != nil {
 		t.Fatal(err)
@@ -221,9 +231,11 @@ func TestCacheStatsAndInvalidation(t *testing.T) {
 	if st := e.CacheStats(); st.Misses <= st3.Misses {
 		t.Errorf("post-invalidation queries should rescore: %+v", st)
 	}
-	e.InvalidateCache()
+	if err := e.RestoreSnapshot(e.Frame(), nil); err != nil {
+		t.Fatal(err)
+	}
 	if st := e.CacheStats(); st.Entries != 0 || st.Generation != st3.Generation+1 {
-		t.Errorf("InvalidateCache: %+v", st)
+		t.Errorf("a restore of the same data: %+v", st)
 	}
 }
 
@@ -384,8 +396,9 @@ func TestConcurrentEngineQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentInvalidation interleaves SetProfile with a read load:
-// no race, and queries issued after the last swap see fresh results.
+// TestConcurrentInvalidation interleaves RestoreSnapshot with a read
+// load: no race, and queries issued after the last swap see fresh
+// results.
 func TestConcurrentInvalidation(t *testing.T) {
 	f := testFrame(600, 35)
 	pa := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, K: 64})
@@ -405,10 +418,13 @@ func TestConcurrentInvalidation(t *testing.T) {
 				return
 			default:
 			}
+			p := pa
 			if i%2 == 0 {
-				e.SetProfile(pb)
-			} else {
-				e.SetProfile(pa)
+				p = pb
+			}
+			if err := e.RestoreSnapshot(f, p); err != nil {
+				t.Error(err)
+				return
 			}
 		}
 	}()
@@ -428,7 +444,9 @@ func TestConcurrentInvalidation(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	e.SetProfile(pa)
+	if err := e.RestoreSnapshot(f, pa); err != nil {
+		t.Fatal(err)
+	}
 	golden, err := e.Execute(Query{K: 3, Approx: true})
 	if err != nil {
 		t.Fatal(err)

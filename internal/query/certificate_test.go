@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"foresight/internal/core"
@@ -152,7 +154,9 @@ func TestCertificatesKeepReplies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			fresh.InvalidateCache()
+			if err := fresh.RestoreSnapshot(fresh.Frame(), nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		got, want := replies(t, carrying, step%2 == 1), replies(t, fresh, step%2 == 1)
 		for i := range want {
@@ -169,17 +173,16 @@ func TestCertificatesKeepReplies(t *testing.T) {
 }
 
 // TestCertificatesDropOnInvalidate: only an append hands certificates
-// down. SetProfile, InvalidateCache and a restored snapshot start a
-// generation that carries none, whatever the frame.
+// down. A restored snapshot, and InvalidateCache, start a generation
+// that carries none, whatever the frame.
 func TestCertificatesDropOnInvalidate(t *testing.T) {
 	e, _, g := linkedEngines(t, 600, 8, 7)
-	carried := func() int { return len(e.snapshot().carried) }
+	carried := func() int { return len(e.gen.Load().carried) }
 	for _, drop := range []struct {
 		name string
 		do   func() error
 	}{
 		{"InvalidateCache", func() error { e.InvalidateCache(); return nil }},
-		{"SetProfile", func() error { e.SetProfile(e.Profile()); return nil }},
 		{"RestoreSnapshot", func() error { return e.RestoreSnapshot(e.Frame(), nil) }},
 	} {
 		if _, err := NewSession(e, 5, false).Recommendations(); err != nil {
@@ -197,5 +200,98 @@ func TestCertificatesDropOnInvalidate(t *testing.T) {
 		if n := carried(); n != 0 {
 			t.Errorf("%s carried %d certificates", drop.name, n)
 		}
+	}
+}
+
+// successorClass is a class whose exact scores outlive an append.
+type successorClass interface {
+	core.Class
+	core.Bounder
+	core.Successor
+}
+
+// gatedSuccessor is a successorClass whose certified scores wait for
+// gate while it is set, so a pass over it is provably mid-scoring while
+// the gate is shut.
+type gatedSuccessor struct {
+	successorClass
+	gate    chan struct{}
+	entered atomic.Int64
+}
+
+func (c *gatedSuccessor) ScoreCertified(f *frame.Frame, attrs []string, metric string) (core.Insight, core.Certificate, error) {
+	if c.gate != nil {
+		c.entered.Add(1)
+		<-c.gate
+	}
+	return c.successorClass.ScoreCertified(f, attrs, metric)
+}
+
+// TestRetiredPassBesideSuccessor: a pass that outlives its generation
+// publishes its certificates into that generation while the successor's
+// carousel bounds its misses by the certificates handed down to it. The
+// successor holds its own copy of them, so the two never share a map
+// (run it with -race), and each reply is the oracle's on its own frame.
+func TestRetiredPassBesideSuccessor(t *testing.T) {
+	base, _, g := linkedEngines(t, 300, 8, 13)
+	seg := &gatedSuccessor{successorClass: core.NewSegmentationClass(0, 0).(successorClass)}
+	reg := core.NewEmptyRegistry()
+	if err := reg.Register(seg); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(base.Frame(), reg, base.Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetWorkers(2)
+	ingest := func() {
+		t.Helper()
+		if _, err := e.Ingest(context.Background(), frame.RowBatch{Records: g.rows(10)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Generation 0 certifies every triple, and generation 1 carries them.
+	if _, err := NewSession(e, 5, false).Recommendations(); err != nil {
+		t.Fatal(err)
+	}
+	ingest()
+	retired := e.gen.Load()
+
+	// A whole-class read of generation 1 scores every triple; hold it at
+	// the gate and land the next ingest underneath it.
+	seg.gate = make(chan struct{})
+	done := make(chan []Result, 1)
+	go func() {
+		res, err := e.Execute(Query{})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	waitFor(t, "the pass to reach the gate", func() bool { return seg.entered.Load() > 0 })
+	ingest()
+	if len(e.gen.Load().carried) == 0 {
+		t.Fatal("the ingest carried no certificates")
+	}
+
+	// Release the retired pass and read the successor's carousel beside it.
+	close(seg.gate)
+	s := NewSession(e, 5, false)
+	got, err := s.Recommendations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleRecommendations(t, s, s.K); !reflect.DeepEqual(got, want) {
+		t.Errorf("the successor's carousel differs from the oracle:\n got: %+v\nwant: %+v", got, want)
+	}
+	old, err := NewEngine(retired.frame, reg, retired.profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := <-done, oracleExecute(t, old, Query{}); !reflect.DeepEqual(got, want) {
+		t.Error("the retired pass differs from the oracle on its own frame")
+	}
+	if st := e.PruneStats(); st.Carried == 0 {
+		t.Errorf("no miss was bounded by a carried certificate: %+v", st)
 	}
 }

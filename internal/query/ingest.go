@@ -12,13 +12,13 @@ import (
 
 // Live ingest: the engine accepts appended row batches without a full
 // rebuild. The frame grows by AppendRows (immutable — readers keep
-// their snapshot), the sketch store grows by the mergeable-sketch
+// the one they loaded), the sketch store grows by the mergeable-sketch
 // delta path (sketch.DatasetProfile.Extend profiles just the new rows
 // and folds them in via Merge, paper §3, on the workers the profile was
-// built with — foresightd's -workers), and the pair is swapped in
-// atomically together with a score-cache invalidation, so every query
-// before the swap sees the old dataset and every query after sees the
-// new one.
+// built with — foresightd's -workers), and the pair is stored as the
+// next generation (cache.go) in one atomic swap, so every query that
+// loaded the generation before sees the old dataset and every query
+// after sees the new one.
 
 // IngestResult reports one applied ingest batch.
 type IngestResult struct {
@@ -26,17 +26,18 @@ type IngestResult struct {
 	RowsAppended int `json:"rows_appended"`
 	// TotalRows is the frame's row count after the append.
 	TotalRows int `json:"total_rows"`
-	// Generation is the score-cache generation after the swap; it
-	// advances on every applied ingest, so a client can tell whether a
-	// response was computed before or after its batch landed.
+	// Generation numbers the engine's generation after the batch
+	// (CacheStats.Generation): one more than before when rows were
+	// appended, so a client can tell whether a response was computed
+	// before or after its batch landed.
 	Generation uint64 `json:"generation"`
 }
 
 // Ingest appends a batch of rows to the engine's dataset and extends
 // the sketch store incrementally (when one is attached). Concurrent
 // Ingest calls serialize; queries are never blocked — they keep
-// answering from the previous (frame, profile) snapshot until the swap
-// and from the new one after it. opts carries the missing-value rules
+// answering from the previous generation until the swap and from the
+// new one after it. opts carries the missing-value rules
 // (nil for ReadCSV defaults). With a durable sink installed only the
 // defaults are accepted: the log keeps a batch's raw cells and
 // recovery re-reads them under the defaults, so a batch read under
@@ -57,44 +58,38 @@ func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.R
 	if e.durableSink != nil && !opts.MissingIsDefault() {
 		return IngestResult{}, fmt.Errorf("query: ingest: missing-value rules other than the defaults cannot be logged (recovery re-reads a batch under the defaults)")
 	}
-	snap := e.snapshot()
+	g := e.gen.Load()
 
 	endAppend := obs.StartSpan(ctx, "ingest:append")
-	f2, err := snap.frame.AppendRows(batch, opts)
+	f2, err := g.frame.AppendRows(batch, opts)
 	endAppend()
 	if err != nil {
 		return IngestResult{}, err
 	}
-	if f2.Rows() == snap.frame.Rows() {
-		// Nothing appended: nothing to publish, invalidate or log.
-		return IngestResult{TotalRows: f2.Rows(), Generation: snap.gen}, nil
+	if f2.Rows() == g.frame.Rows() {
+		// Nothing appended: nothing to publish or log.
+		return IngestResult{TotalRows: f2.Rows(), Generation: g.n}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return IngestResult{}, e.noteCancel(err)
 	}
 
 	var p2 *sketch.DatasetProfile
-	if snap.profile != nil {
+	if g.profile != nil {
 		endDelta := obs.StartSpan(ctx, "ingest:delta")
-		p2, err = snap.profile.Extend(f2)
+		p2, err = g.profile.Extend(f2)
 		endDelta()
 		if err != nil {
 			return IngestResult{}, err
 		}
 	}
 
-	e.mu.Lock()
-	e.frame = f2
-	if p2 != nil {
-		e.profile = p2
-	}
-	e.cache.appended()
-	gen, _ := e.cache.generation()
-	e.mu.Unlock()
+	next := g.successor(f2, p2)
+	e.gen.Store(next)
 	res := IngestResult{
-		RowsAppended: f2.Rows() - snap.frame.Rows(),
+		RowsAppended: f2.Rows() - g.frame.Rows(),
 		TotalRows:    f2.Rows(),
-		Generation:   gen,
+		Generation:   next.n,
 	}
 
 	// Durability barrier: the batch is applied, now it must be logged

@@ -91,8 +91,8 @@ func (e *Engine) overviewView(ctx context.Context, className, metric string, app
 	if c.Arity() > 2 {
 		return nil, 0, fmt.Errorf("query: class %q (arity %d) has no overview visualization", className, c.Arity())
 	}
-	snap := e.snapshot()
-	if approx && snap.profile == nil {
+	g := e.gen.Load()
+	if approx && g.profile == nil {
 		return nil, 0, fmt.Errorf("query: approximate overview requires a preprocessed profile")
 	}
 	if metric == "" {
@@ -100,7 +100,7 @@ func (e *Engine) overviewView(ctx context.Context, className, metric string, app
 	}
 	// An overview shows every tuple, so it reads the view every other
 	// whole-class request of the generation reads.
-	v, err := e.viewOf(ctx, obs.TraceFrom(ctx), snap, c, metric, approx, true)
+	v, err := e.viewOf(ctx, obs.TraceFrom(ctx), g, c, metric, approx, true)
 	if err != nil {
 		return nil, 0, e.noteCancel(err)
 	}
@@ -111,12 +111,12 @@ func (e *Engine) overviewView(ctx context.Context, className, metric string, app
 		// scoring errored.
 		telem.Record(telemetry.QuerySample{
 			Op:         "overview",
-			Generation: snap.gen,
+			Generation: g.n,
 			DurationMS: time.Since(start).Seconds() * 1e3,
 			Classes:    []telemetry.ClassSample{v.sample},
 		})
 	}
-	return v, snap.gen, nil
+	return v, g.n, nil
 }
 
 // assembleOverview arranges the scored slots of an arity-1 or arity-2

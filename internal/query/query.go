@@ -100,40 +100,33 @@ func results(rs []ranking) []Result {
 // optional; queries with Approx set fail without it.
 //
 // An Engine is safe for concurrent use: any number of goroutines may
-// call Execute, Carousels, Overview, and Neighborhood in parallel.
-// The mutators (Ingest, SetProfile, SetWorkers, InvalidateCache) may
-// also run concurrently; every query snapshots the (frame, profile,
-// cache generation) triple once and computes entirely against it, so
-// a query that overlaps an ingest observes either the old dataset or
-// the new one — never a mix.
+// call Execute, Carousels, Overview, and Neighborhood in parallel, and
+// Ingest, RestoreSnapshot and SetWorkers may run beside them. The
+// dataset and everything computed from it is one generation (cache.go)
+// behind an atomic pointer: every query loads it once and computes
+// entirely against it, so a query that overlaps an ingest observes
+// either the old dataset or the new one — never a mix.
 type Engine struct {
 	registry *core.Registry
-	// mu guards the mutable state below so concurrent readers never
-	// observe a torn update; the score memo in cache.go carries its
-	// own finer-grained lock (ordering: mu before cache.mu).
-	mu      sync.RWMutex
-	frame   *frame.Frame
-	profile *sketch.DatasetProfile
-	// ingestMu serializes Ingest calls so concurrent appends cannot
-	// both extend the same base frame and lose rows (queries are not
-	// blocked: they read under mu only).
+	// gen is the live generation. Only Ingest and RestoreSnapshot
+	// replace it, under ingestMu.
+	gen atomic.Pointer[generation]
+	// ingestMu serializes Ingest and RestoreSnapshot, so concurrent
+	// appends cannot both extend the same base frame and lose rows.
 	ingestMu sync.Mutex
 	// durableSink, when set, logs every applied batch before Ingest
 	// reports success (recover.go). Guarded by ingestMu.
 	durableSink DurableSink
 	// workers is the candidate-scoring parallelism (see SetWorkers);
-	// values < 2 mean sequential. Atomic, so a scoring pass reads it
-	// without the engine lock.
+	// values < 2 mean sequential.
 	workers atomic.Int32
-	// cache memoizes per-candidate scores across queries (cache.go).
-	cache *scoreCache
 	// metrics holds the registered collectors after Instrument
 	// (metrics.go); nil means uninstrumented.
 	metrics atomic.Pointer[engineMetrics]
 	// telem is the optional insight-telemetry store (obs/telemetry):
 	// when set, every query records per-class score/candidate/margin
-	// samples after scoring completes, outside the engine lock. Nil
-	// costs one atomic load per operation.
+	// samples after scoring completes, outside every lock. Nil costs one
+	// atomic load per operation.
 	telem atomic.Pointer[telemetry.Insights]
 	// inflightScores counts candidate-scoring tasks currently running,
 	// exported as the worker-pool saturation gauge.
@@ -141,6 +134,8 @@ type Engine struct {
 	// cancellations counts engine operations that returned early
 	// because their context was cancelled or its deadline expired.
 	cancellations atomic.Uint64
+	// Memo counters (CacheStats), which survive generations.
+	hits, misses, waits atomic.Uint64
 	// Pruning-efficacy counters (score.go): candidates of bound-ordered
 	// passes, those skipped unscored, memoized scores that seeded the
 	// threshold, and misses a handed-down certificate bounded.
@@ -160,37 +155,14 @@ func NewEngine(f *frame.Frame, reg *core.Registry, profile *sketch.DatasetProfil
 	if reg == nil {
 		reg = core.NewRegistry()
 	}
-	return &Engine{frame: f, registry: reg, profile: profile, cache: newScoreCache()}, nil
+	e := &Engine{registry: reg}
+	e.gen.Store(newGeneration(0, f, profile, nil))
+	return e, nil
 }
 
 // Frame returns the engine's dataset (the current one — Ingest swaps
 // it; frames themselves are immutable).
-func (e *Engine) Frame() *frame.Frame {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.frame
-}
-
-// snapshot is one consistent view of the engine's data: the frame and
-// profile as of score-cache generation gen. Every query takes exactly
-// one snapshot and computes against it, so a response never mixes rows
-// from different ingest generations, and memoized scores are only
-// published or consumed when the snapshot's generation is still live.
-type snapshot struct {
-	frame   *frame.Frame
-	profile *sketch.DatasetProfile
-	gen     uint64
-	// carried holds the certificates handed down to generation gen
-	// (cache.go), each a bound on its tuple's exact score on frame.
-	carried map[cacheKey]core.Certificate
-}
-
-func (e *Engine) snapshot() snapshot {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	gen, carried := e.cache.generation()
-	return snapshot{frame: e.frame, profile: e.profile, gen: gen, carried: carried}
-}
+func (e *Engine) Frame() *frame.Frame { return e.gen.Load().frame }
 
 // ScoringInflight reports the number of candidate-scoring tasks
 // currently running in the worker pool: /metrics exports it as
@@ -225,23 +197,7 @@ func (e *Engine) InsightTelemetry() *telemetry.Insights { return e.telem.Load() 
 func (e *Engine) Registry() *core.Registry { return e.registry }
 
 // Profile returns the preprocessed sketch store (nil if absent).
-func (e *Engine) Profile() *sketch.DatasetProfile {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.profile
-}
-
-// SetProfile attaches (or replaces) the preprocessed store and
-// invalidates every memoized approximate score (the exact scores are
-// dropped too: one generation stamp covers the whole memo). The
-// invalidation happens inside the engine lock so no snapshot can pair
-// the new profile with the old generation's memo entries.
-func (e *Engine) SetProfile(p *sketch.DatasetProfile) {
-	e.mu.Lock()
-	e.profile = p
-	e.cache.invalidate()
-	e.mu.Unlock()
-}
+func (e *Engine) Profile() *sketch.DatasetProfile { return e.gen.Load().profile }
 
 // Execute runs the query and returns one Result per class, in
 // registry order, omitting classes with no surviving insights.
@@ -283,7 +239,7 @@ func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]ranking, 
 		if err := ctx.Err(); err != nil {
 			return nil, e.noteCancel(err)
 		}
-		r, st, err := e.scoreClass(ctx, rq.tr, rq.snap, c, q, rq.metrics[i], rq.maxScore, rq.telem != nil)
+		r, st, err := e.scoreClass(ctx, rq.tr, rq.g, c, q, rq.metrics[i], rq.maxScore, rq.telem != nil)
 		if err != nil {
 			return nil, e.noteCancel(err)
 		}
@@ -299,7 +255,7 @@ func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]ranking, 
 // request is an engine read past its parse phase (begin).
 type request struct {
 	tr       *obs.Trace
-	snap     snapshot
+	g        *generation
 	classes  []core.Class
 	metrics  []string
 	maxScore float64
@@ -309,8 +265,8 @@ type request struct {
 
 // begin is the parse phase of an engine read: q's classes, each under
 // its resolved metric (one lacking q.Metric is skipped, or refused when
-// named alone), and one snapshot for the whole request — every class
-// scores against the same (frame, profile, generation).
+// named alone), and one generation for the whole request — every class
+// scores against the same frame and profile.
 func (e *Engine) begin(ctx context.Context, q Query) (request, error) {
 	if err := ctx.Err(); err != nil {
 		return request{}, e.noteCancel(err)
@@ -321,8 +277,8 @@ func (e *Engine) begin(ctx context.Context, q Query) (request, error) {
 	if err != nil {
 		return request{}, err
 	}
-	rq := request{tr: tr, snap: e.snapshot(), maxScore: q.MaxScore, telem: e.telem.Load()}
-	if q.Approx && rq.snap.profile == nil {
+	rq := request{tr: tr, g: e.gen.Load(), maxScore: q.MaxScore, telem: e.telem.Load()}
+	if q.Approx && rq.g.profile == nil {
 		return request{}, fmt.Errorf("query: approximate query requires a preprocessed profile")
 	}
 	if q.MaxScore < 0 {
@@ -360,14 +316,14 @@ func (rq *request) record(op string, start time.Time) {
 	if rq.telem != nil {
 		rq.telem.Record(telemetry.QuerySample{
 			Op:         op,
-			Generation: rq.snap.gen,
+			Generation: rq.g.n,
 			DurationMS: time.Since(start).Seconds() * 1e3,
 			Classes:    rq.samples,
 		})
 	}
 }
 
-// scoreClass ranks one class against the snapshot under the resolved
+// scoreClass ranks one class against generation g under the resolved
 // metric. When wantStats is set (a telemetry store is attached) it
 // also fills a ClassSample with candidate/pruned/filtered/emitted
 // counts, the emitted scores and attribute tuples, and the top-k
@@ -392,16 +348,16 @@ func (rq *request) record(op string, start time.Time) {
 // excluded candidate may have been pruned rather than scored, so the
 // reported margin can exceed the true one. The returned insights are
 // unaffected (see the equivalence argument in score.go).
-func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c core.Class, q Query, metric string, maxScore float64, wantStats bool) (ranking, telemetry.ClassSample, error) {
+func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c core.Class, q Query, metric string, maxScore float64, wantStats bool) (ranking, telemetry.ClassSample, error) {
 	r := ranking{class: c.Name(), metric: metric}
 	var st telemetry.ClassSample
 	whole := len(q.Fixed) == 0 && q.Semantic == frame.SemanticNone && q.keep == nil
 	k := q.K
-	if _, ok := c.(core.Successor); ok && whole && k <= 0 && !q.Approx && len(snap.carried) > 0 {
+	if _, ok := c.(core.Successor); ok && whole && k <= 0 && !q.Approx && len(g.carried) > 0 {
 		k = q.top
 	}
 	if whole {
-		v, err := e.viewOf(ctx, tr, snap, c, metric, q.Approx, !prunes(c, snap, k, q.MinScore))
+		v, err := e.viewOf(ctx, tr, g, c, metric, q.Approx, !prunes(c, g, k, q.MinScore))
 		if err != nil {
 			return r, st, err
 		}
@@ -426,11 +382,11 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c
 	// score (scorePass), then filter by strength and rank.
 	endEnum := tr.StartSpan("enumerate:" + r.class)
 	var cands [][]string
-	for _, attrs := range c.Candidates(snap.frame) {
+	for _, attrs := range c.Candidates(g.frame) {
 		if !containsAll(attrs, q.Fixed) {
 			continue
 		}
-		if q.Semantic != frame.SemanticNone && !anySemantic(snap.frame, attrs, q.Semantic) || q.keep != nil && !q.keep(attrs) {
+		if q.Semantic != frame.SemanticNone && !anySemantic(g.frame, attrs, q.Semantic) || q.keep != nil && !q.keep(attrs) {
 			continue
 		}
 		cands = append(cands, attrs)
@@ -440,14 +396,14 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, snap snapshot, c
 		return r, st, err
 	}
 	endScore := tr.StartSpan("score:" + r.class)
-	scored, pruned, err := e.scorePass(ctx, snap, c, cands, q.Approx, metric, k, q.MinScore, maxScore)
+	scored, pruned, err := e.scorePass(ctx, g, c, cands, q.Approx, metric, k, q.MinScore, maxScore)
 	endScore()
 	if err != nil {
 		return r, st, err
 	}
 	if whole && k != q.K && pruned == 0 {
 		endView := tr.StartSpan("view:" + r.class)
-		e.cache.publishView(snap.gen, viewKey{class: r.class, metric: metric, approx: q.Approx}, newClassView(c, metric, cands, scored))
+		g.publishView(viewKey{class: r.class, metric: metric, approx: q.Approx}, newClassView(c, metric, cands, scored))
 		endView()
 	}
 	defer tr.StartSpan("rank:" + r.class)()

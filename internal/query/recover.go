@@ -40,8 +40,11 @@ func (e *Engine) SetDurableSink(s DurableSink) {
 // one else holds yet, takes the one of the profile it replaces: a
 // restored store extends on the workers a built one would. A profile
 // must sketch exactly f's rows: one that does not could never extend
-// correctly, so it is refused. The swap is atomic with a cache
-// invalidation, exactly like an ingest swap.
+// correctly, so it is refused; a nil p keeps the current profile. The
+// pair becomes a fresh generation, as an ingest's does, but one that
+// carries no certificates: nothing says f extends the frame they were
+// made on. RestoreSnapshot(e.Frame(), nil) starts a fresh generation on
+// the same data.
 func (e *Engine) RestoreSnapshot(f *frame.Frame, p *sketch.DatasetProfile) error {
 	if f == nil {
 		return fmt.Errorf("query: restore with nil frame")
@@ -51,15 +54,25 @@ func (e *Engine) RestoreSnapshot(f *frame.Frame, p *sketch.DatasetProfile) error
 	}
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
-	e.mu.Lock()
-	e.frame = f
-	if p != nil {
-		if e.profile != nil {
-			p.Config.Workers = e.profile.Config.Workers
-		}
-		e.profile = p
+	g := e.gen.Load()
+	if p == nil {
+		p = g.profile
+	} else if g.profile != nil {
+		p.Config.Workers = g.profile.Config.Workers
 	}
-	e.cache.invalidate()
-	e.mu.Unlock()
+	e.gen.Store(newGeneration(g.n+1, f, p, nil))
 	return nil
+}
+
+// InvalidateCache starts a fresh generation on the live data, as
+// RestoreSnapshot(e.Frame(), nil) does, without an ingest landing
+// between reading the frame and restoring it.
+//
+// Deprecated: use RestoreSnapshot. InvalidateCache remains for
+// benchmark/layers, which times cold passes with it.
+func (e *Engine) InvalidateCache() {
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	g := e.gen.Load()
+	e.gen.Store(newGeneration(g.n+1, g.frame, g.profile, nil))
 }

@@ -16,8 +16,8 @@ import (
 //	key   one memo key per candidate
 //	peek  one locked look at the memo; hits are answered by value
 //	bound only when the query has something to prune against (K or
-//	      MinScore), the class is a core.Bounder and the snapshot has a
-//	      profile: bound the misses (by a handed-down certificate where
+//	      MinScore), the class is a core.Bounder and the generation has
+//	      a profile: bound the misses (by a handed-down certificate where
 //	      that is lower), order them by descending bound
 //	score claim → score → publish the misses through the singleflight
 //	      map and the worker pool (scoreMisses), in 2×workers chunks
@@ -26,9 +26,8 @@ import (
 //	      equal bounds is never split
 //
 // and the caller filters and ranks what comes back. Nothing selects
-// between scorers: "nothing to prune against", "no profile", one
-// worker and "the snapshot's generation is no longer live" are
-// conditions the pass reads from its inputs.
+// between scorers: "nothing to prune against", "no profile" and one
+// worker are conditions the pass reads from its inputs.
 //
 // Equivalence argument (skipping candidates never changes a result): a
 // candidate is skipped only when bound < t for the threshold t at that
@@ -83,29 +82,29 @@ func (e *Engine) PruneStats() PruneStats {
 var skipped = core.Insight{Score: math.NaN()}
 
 // prunes reports whether a pass over c's candidates takes the
-// bound-ordered branch: the class has bounds, the snapshot has the
+// bound-ordered branch: the class has bounds, generation g has the
 // profile they are computed from, and the query has a top-k cut or a
 // strength floor for them to fall below.
-func prunes(c core.Class, snap snapshot, k int, minScore float64) bool {
+func prunes(c core.Class, g *generation, k int, minScore float64) bool {
 	_, bounded := c.(core.Bounder)
-	return bounded && snap.profile != nil && (k > 0 || minScore > 0)
+	return bounded && g.profile != nil && (k > 0 || minScore > 0)
 }
 
 // scoreOne scores a single candidate tuple, folding scoring errors
 // into a skipped slot, and returns the certificate an exact score left
 // (nil when none). This is the unit of work both the worker pool and
 // the memo operate on.
-func scoreOne(c core.Class, snap snapshot, attrs []string, approx bool, metric string) (core.Insight, core.Certificate) {
+func scoreOne(c core.Class, g *generation, attrs []string, approx bool, metric string) (core.Insight, core.Certificate) {
 	var in core.Insight
 	var cert core.Certificate
 	var err error
 	switch s, ok := c.(core.Successor); {
 	case approx:
-		in, err = c.ScoreApprox(snap.profile, attrs, metric)
+		in, err = c.ScoreApprox(g.profile, attrs, metric)
 	case ok:
-		in, cert, err = s.ScoreCertified(snap.frame, attrs, metric)
+		in, cert, err = s.ScoreCertified(g.frame, attrs, metric)
 	default:
-		in, err = c.Score(snap.frame, attrs, metric)
+		in, err = c.Score(g.frame, attrs, metric)
 	}
 	if err != nil {
 		return skipped, nil
@@ -117,31 +116,27 @@ func scoreOne(c core.Class, snap snapshot, attrs []string, approx bool, metric s
 // plus the number of candidates it pruned: proved outside the top k
 // scores within [minScore, maxScore] without scoring them (k ≤ 0 means
 // no top-k cut). Pruned and errored candidates come back as skipped
-// slots.
-//
-// Scoring runs entirely against the caller's snapshot. If the memo's
-// generation has moved past the snapshot's (an ingest or SetProfile
-// landed after the snapshot was taken), the memo is bypassed both ways
-// — stale scores are neither consumed nor published — so the response
-// stays internally consistent with its snapshot.
+// slots. Scoring runs entirely against generation g and reads and
+// fills only g's memo, whether or not g is still the live one.
 //
 // The context bounds the whole pass: scoring stops dispatching and
 // singleflight waits unblock as soon as ctx is done, returning
 // ctx.Err(). Whatever was scored before the cutoff is already in the
 // memo.
-func (e *Engine) scorePass(ctx context.Context, snap snapshot, c core.Class, cands [][]string, approx bool, metric string, k int, minScore, maxScore float64) ([]core.Insight, int, error) {
+func (e *Engine) scorePass(ctx context.Context, g *generation, c core.Class, cands [][]string, approx bool, metric string, k int, minScore, maxScore float64) ([]core.Insight, int, error) {
 	out := make([]core.Insight, len(cands))
 	keys := make([]cacheKey, len(cands))
 	class := c.Name()
 	for i, attrs := range cands {
 		keys[i] = keyFor(class, metric, approx, attrs)
 	}
-	misses := e.cache.peek(snap.gen, keys, out)
+	misses := g.peek(keys, out)
+	e.hits.Add(uint64(len(keys) - len(misses)))
 
-	if !prunes(c, snap, k, minScore) {
+	if !prunes(c, g, k, minScore) {
 		// No bounds, or nothing to prune against: score every miss.
 		if len(misses) > 0 {
-			if err := e.scoreMisses(ctx, snap, c, cands, keys, misses, out, approx, metric); err != nil {
+			if err := e.scoreMisses(ctx, g, c, cands, keys, misses, out, approx, metric); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -178,9 +173,9 @@ func (e *Engine) scorePass(ctx context.Context, snap snapshot, c core.Class, can
 	succ, _ := c.(core.Successor)
 	var carried uint64
 	for _, i := range misses {
-		bounds[i] = core.ScoreBoundFor(c, snap.profile, cands[i], metric)
-		if cert, ok := snap.carried[keys[i]]; ok {
-			if b := succ.SuccessorBound(cert, snap.frame, cands[i], metric); b < bounds[i] {
+		bounds[i] = core.ScoreBoundFor(c, g.profile, cands[i], metric)
+		if cert, ok := g.carried[keys[i]]; ok {
+			if b := succ.SuccessorBound(cert, g.frame, cands[i], metric); b < bounds[i] {
 				bounds[i] = b
 				carried++
 			}
@@ -215,7 +210,7 @@ func (e *Engine) scorePass(ctx context.Context, snap snapshot, c core.Class, can
 		if end == pos {
 			break
 		}
-		if err := e.scoreMisses(ctx, snap, c, cands, keys, misses[pos:end], out, approx, metric); err != nil {
+		if err := e.scoreMisses(ctx, g, c, cands, keys, misses[pos:end], out, approx, metric); err != nil {
 			return nil, 0, err
 		}
 		for _, i := range misses[pos:end] {
@@ -241,37 +236,32 @@ func (e *Engine) scorePass(ctx context.Context, snap snapshot, c core.Class, can
 // marks its unfinished slots abandoned and wakes every waiter; waiters
 // claim abandoned candidates afresh instead of inheriting work nobody
 // finished. A panicking scorer propagates to the caller after that.
-func (e *Engine) scoreMisses(ctx context.Context, snap snapshot, c core.Class, cands [][]string, keys []cacheKey, idx []int, out []core.Insight, approx bool, metric string) error {
-	sc := e.cache
-	// slots[j] is the in-flight slot of idx[j], owned or waited on; a
-	// stale generation claims nothing and owns every index slotless.
+func (e *Engine) scoreMisses(ctx context.Context, g *generation, c core.Class, cands [][]string, keys []cacheKey, idx []int, out []core.Insight, approx bool, metric string) error {
+	// slots[j] is the in-flight slot of idx[j], owned or waited on.
 	slots := make([]*inflightSlot, len(idx))
 	owned := make([]int, 0, len(idx))
 	var waiting []int
-	sc.mu.Lock()
-	live := sc.gen == snap.gen
+	var hits uint64
+	g.mu.Lock()
 	for j, i := range idx {
-		if !live {
-			owned = append(owned, j)
-			continue
-		}
-		if in, ok := sc.entries[keys[i]]; ok {
+		if in, ok := g.entries[keys[i]]; ok {
 			out[i] = in
-			sc.hits++
+			hits++
 			continue
 		}
-		sc.misses++
-		if sl, ok := sc.inflight[keys[i]]; ok {
-			sc.waits++
+		if sl, ok := g.inflight[keys[i]]; ok {
 			slots[j] = sl
 			waiting = append(waiting, j)
 			continue
 		}
 		slots[j] = &inflightSlot{done: make(chan struct{})}
-		sc.inflight[keys[i]] = slots[j]
+		g.inflight[keys[i]] = slots[j]
 		owned = append(owned, j)
 	}
-	sc.mu.Unlock()
+	g.mu.Unlock()
+	e.hits.Add(hits)
+	e.misses.Add(uint64(len(owned) + len(waiting)))
+	e.waits.Add(uint64(len(waiting)))
 
 	// Abandon any owned slot that never completed, whatever the exit
 	// path (ctx error, waiter-loop bailout, scorer panic): waiters are
@@ -281,17 +271,14 @@ func (e *Engine) scoreMisses(ctx context.Context, snap snapshot, c core.Class, c
 	defer func() {
 		for _, j := range owned {
 			sl := slots[j]
-			if sl == nil {
-				continue
-			}
 			select {
 			case <-sl.done:
 			default:
-				sc.mu.Lock()
-				if sc.gen == snap.gen && sc.inflight[keys[idx[j]]] == sl {
-					delete(sc.inflight, keys[idx[j]])
+				g.mu.Lock()
+				if g.inflight[keys[idx[j]]] == sl {
+					delete(g.inflight, keys[idx[j]])
 				}
-				sc.mu.Unlock()
+				g.mu.Unlock()
 				sl.abandoned = true
 				close(sl.done)
 			}
@@ -303,24 +290,16 @@ func (e *Engine) scoreMisses(ctx context.Context, snap snapshot, c core.Class, c
 		defer e.inflightScores.Add(-1)
 		sl, i := slots[owned[o]], idx[owned[o]]
 		var cert core.Certificate
-		out[i], cert = scoreOne(c, snap, cands[i], approx, metric)
-		if sl == nil {
-			return
-		}
+		out[i], cert = scoreOne(c, g, cands[i], approx, metric)
 		sl.in = out[i]
 		close(sl.done)
-		sc.mu.Lock()
-		// Publish only into the generation the computation started in;
-		// results that straddle an invalidation are returned to their
-		// callers but never pollute the new generation.
-		if sc.gen == snap.gen {
-			sc.entries[keys[i]] = out[i]
-			delete(sc.inflight, keys[i])
-			if cert != nil {
-				sc.certs[keys[i]] = cert
-			}
+		g.mu.Lock()
+		g.entries[keys[i]] = out[i]
+		delete(g.inflight, keys[i])
+		if cert != nil {
+			g.certs[keys[i]] = cert
 		}
-		sc.mu.Unlock()
+		g.mu.Unlock()
 	})
 	if err != nil {
 		return err
@@ -343,5 +322,5 @@ func (e *Engine) scoreMisses(ctx context.Context, snap snapshot, c core.Class, c
 	}
 	// Their owner gave up before scoring these keys (cancelled or
 	// panicked): claim them like any other miss.
-	return e.scoreMisses(ctx, snap, c, cands, keys, retry, out, approx, metric)
+	return e.scoreMisses(ctx, g, c, cands, keys, retry, out, approx, metric)
 }

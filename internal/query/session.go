@@ -114,11 +114,11 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 			return nil, e.noteCancel(err)
 		}
 		own := c.Name() == focus.Class && rq.metrics[i] == focus.Metric
-		if !own && prunes(c, rq.snap, k, 0) && !e.cache.hasView(rq.snap.gen, viewKey{c.Name(), rq.metrics[i], approx}) {
+		if !own && prunes(c, rq.g, k, 0) && rq.g.view(viewKey{c.Name(), rq.metrics[i], approx}) == nil {
 			walk = append(walk, i)
 			continue
 		}
-		r, st, err := e.scoreClass(ctx, rq.tr, rq.snap, c, Query{Approx: approx}, rq.metrics[i], rq.maxScore, rq.telem != nil)
+		r, st, err := e.scoreClass(ctx, rq.tr, rq.g, c, Query{Approx: approx}, rq.metrics[i], rq.maxScore, rq.telem != nil)
 		if err != nil {
 			return nil, e.noteCancel(err)
 		}
@@ -131,7 +131,7 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 	for _, i := range walk {
 		c := rq.classes[i]
 		var levels []float64
-		for _, attrs := range c.Candidates(rq.snap.frame) {
+		for _, attrs := range c.Candidates(rq.g.frame) {
 			if l := jaccard(focus.Attrs, attrs); !slices.Contains(levels, l) {
 				levels = append(levels, l)
 			}
@@ -144,7 +144,7 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 			}
 			at := levels[l]
 			q := Query{Approx: approx, K: k, keep: func(attrs []string) bool { return jaccard(focus.Attrs, attrs) == at }}
-			r, part, err := e.scoreClass(ctx, rq.tr, rq.snap, c, q, rq.metrics[i], rq.maxScore, rq.telem != nil)
+			r, part, err := e.scoreClass(ctx, rq.tr, rq.g, c, q, rq.metrics[i], rq.maxScore, rq.telem != nil)
 			if err != nil {
 				return nil, e.noteCancel(err)
 			}

@@ -90,10 +90,11 @@ func TestEngineTelemetryGenerationFollowsIngest(t *testing.T) {
 		t.Fatalf("telemetry generation = %d, engine = %d", got, gen0)
 	}
 
-	// A profile swap invalidates the cache (same generation stamp an
-	// ingest bumps); post-bump queries must carry the new generation
-	// and reset the sketches.
-	e.SetProfile(nil)
+	// A restore starts a new generation (as an ingest does); post-bump
+	// queries must carry the new generation and reset the sketches.
+	if err := e.RestoreSnapshot(e.Frame(), nil); err != nil {
+		t.Fatal(err)
+	}
 	gen1 := e.CacheStats().Generation
 	if gen1 == gen0 {
 		t.Fatal("invalidation did not bump the generation")

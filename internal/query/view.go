@@ -23,11 +23,10 @@ import (
 // ordinary scoring pass returns, and every later whole-class read of
 // the generation is a slice of it.
 //
-// A view lives in scoreCache under the memo's mutex and generation
-// stamp and dies in the same invalidate(), so it needs no size knob
-// and no eviction: there are at most classes × metrics × 2 of them,
-// each as large as its class. A request whose snapshot is no longer
-// live neither reads nor publishes one, exactly like the memo.
+// A view lives in its generation beside the memo, under the same mutex,
+// and is dropped with it, so it needs no size knob and no eviction:
+// there are at most classes × metrics × 2 of them, each as large as its
+// class.
 
 // viewKey names a view: a class under a resolved metric on the exact
 // or the approximate backend.
@@ -121,70 +120,55 @@ func (v *classView) overviewJSON() ([]byte, error) {
 	return v.body, v.bodyErr
 }
 
-// view returns the view the live generation gen holds for k, or nil.
-// Serving a class from its view stands for one memo hit per candidate,
-// which keeps the hit ratio meaning "scored before".
-func (sc *scoreCache) view(gen uint64, k viewKey) *classView {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.gen != gen {
-		return nil
-	}
-	v := sc.views[k]
-	if v != nil {
-		sc.hits += uint64(v.candidates)
-	}
-	return v
+// view returns the view g holds for k, or nil.
+func (g *generation) view(k viewKey) *classView {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.views[k]
 }
 
-// hasView reports, without reading it, whether gen holds a view for k.
-func (sc *scoreCache) hasView(gen uint64, k viewKey) bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.gen == gen && sc.views[k] != nil
-}
-
-// publishView keeps v as generation gen's view for k and returns the
-// view to use: v itself, or the one a concurrent request published
-// first. A generation that is no longer live keeps nothing.
-func (sc *scoreCache) publishView(gen uint64, k viewKey, v *classView) *classView {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.gen != gen {
-		return v
-	}
-	if first, ok := sc.views[k]; ok {
+// publishView keeps v as g's view for k and returns the view to use: v
+// itself, or the one a concurrent request published first.
+func (g *generation) publishView(k viewKey, v *classView) *classView {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if first, ok := g.views[k]; ok {
 		return first
 	}
-	sc.views[k] = v
+	g.views[k] = v
 	return v
 }
 
-// viewOf returns the view of class c under the resolved metric. When
-// the generation holds none and build is set, it scores every
-// candidate through scorePass with nothing to prune against — so the
-// memo, the singleflight map, the worker pool, cancellation and the
-// stale-generation rule all apply as to any other pass — ranks the
-// result and publishes it; without build it returns nil. An error
+// viewOf returns g's view of class c under the resolved metric. Serving
+// a class from its view stands for one memo hit per candidate, which
+// keeps the hit ratio meaning "scored before". When g holds none and
+// build is set, it scores every candidate through scorePass with
+// nothing to prune against — so the memo, the singleflight map, the
+// worker pool and cancellation all apply as to any other pass — ranks
+// the result and publishes it; without build it returns nil. An error
 // (cancellation) leaves no view behind, only the memoized scores the
 // retry starts from.
-func (e *Engine) viewOf(ctx context.Context, tr *obs.Trace, snap snapshot, c core.Class, metric string, approx, build bool) (*classView, error) {
+func (e *Engine) viewOf(ctx context.Context, tr *obs.Trace, g *generation, c core.Class, metric string, approx, build bool) (*classView, error) {
 	key := viewKey{class: c.Name(), metric: metric, approx: approx}
-	if v := e.cache.view(snap.gen, key); v != nil || !build {
+	if v := g.view(key); v != nil {
+		e.hits.Add(uint64(v.candidates))
 		return v, nil
 	}
+	if !build {
+		return nil, nil
+	}
 	endEnum := tr.StartSpan("enumerate:" + key.class)
-	cands := c.Candidates(snap.frame)
+	cands := c.Candidates(g.frame)
 	endEnum()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	endScore := tr.StartSpan("score:" + key.class)
-	scored, _, err := e.scorePass(ctx, snap, c, cands, approx, metric, 0, 0, math.Inf(1))
+	scored, _, err := e.scorePass(ctx, g, c, cands, approx, metric, 0, 0, math.Inf(1))
 	endScore()
 	if err != nil {
 		return nil, err
 	}
 	defer tr.StartSpan("view:" + key.class)()
-	return e.cache.publishView(snap.gen, key, newClassView(c, metric, cands, scored)), nil
+	return g.publishView(key, newClassView(c, metric, cands, scored)), nil
 }

@@ -145,15 +145,18 @@ func TestViewEquivalence(t *testing.T) {
 	checkAgainstOracle(t, "after racing ingests", e)
 }
 
+// viewCount is the number of views the live generation holds.
 func viewCount(e *Engine) int {
-	e.cache.mu.Lock()
-	defer e.cache.mu.Unlock()
-	return len(e.cache.views)
+	g := e.gen.Load()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.views)
 }
 
-// TestViewDiesWithGeneration: every invalidation drops the views with
-// the memo, and a request snapshotted before the bump neither reads a
-// view nor publishes one.
+// TestViewDiesWithGeneration: every new generation starts without the
+// views of the one before, and a request that loaded a generation
+// before it was replaced neither reads the live generation's views nor
+// publishes into them.
 func TestViewDiesWithGeneration(t *testing.T) {
 	f := testFrame(300, 22)
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 22, K: 64})
@@ -179,8 +182,11 @@ func TestViewDiesWithGeneration(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"SetProfile", func() { e.SetProfile(e.Profile()) }},
-		{"InvalidateCache", e.InvalidateCache},
+		{"RestoreSnapshot", func() {
+			if err := e.RestoreSnapshot(e.Frame(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		warm()
 		bump.do()
@@ -190,25 +196,27 @@ func TestViewDiesWithGeneration(t *testing.T) {
 	}
 
 	lin, _ := e.registry.Lookup("linear")
-	stale := e.snapshot()
-	e.InvalidateCache()
+	stale := e.gen.Load()
+	if err := e.RestoreSnapshot(e.Frame(), nil); err != nil {
+		t.Fatal(err)
+	}
 	before := e.CacheStats()
 	v, err := e.viewOf(context.Background(), nil, stale, lin, "pearson", false, true)
 	if err != nil || v == nil {
 		t.Fatalf("stale build: view %v, err %v", v, err)
 	}
 	if n := viewCount(e); n != 0 {
-		t.Errorf("a stale snapshot published %d views", n)
+		t.Errorf("a retired generation's pass published %d views into the live one", n)
 	}
-	if after := e.CacheStats(); after != before {
-		t.Errorf("a stale snapshot touched the memo: %+v, was %+v", after, before)
+	if after := e.CacheStats(); after.Entries != before.Entries || after.Generation != before.Generation {
+		t.Errorf("a retired generation's pass touched the live memo: %+v, was %+v", after, before)
 	}
-	live, err := e.viewOf(context.Background(), nil, e.snapshot(), lin, "pearson", false, true)
+	live, err := e.viewOf(context.Background(), nil, e.gen.Load(), lin, "pearson", false, true)
 	if err != nil || viewCount(e) != 1 {
 		t.Fatalf("live build: err %v, %d views", err, viewCount(e))
 	}
-	if got, _ := e.viewOf(context.Background(), nil, stale, lin, "pearson", false, false); got != nil {
-		t.Error("a stale snapshot read the live generation's view")
+	if got, _ := e.viewOf(context.Background(), nil, stale, lin, "pearson", false, false); got != v || got == live {
+		t.Error("a retired generation read the live generation's view instead of its own")
 	}
 	if !insightsEqual(v.ranked, live.ranked) {
 		t.Error("the stale and the live build rank the same data differently")

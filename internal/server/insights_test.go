@@ -185,8 +185,11 @@ func TestConcurrentScrapeTelemetryAndGenerationBumps(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			// Generation bump (same stamp an ingest advances).
-			srv.engine.SetProfile(nil)
+			// Generation bump (as an ingest's).
+			if err := srv.engine.RestoreSnapshot(srv.engine.Frame(), nil); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	wg.Wait()

@@ -37,7 +37,7 @@ func getOverview(t *testing.T, url, ifNoneMatch string) (int, string, []byte) {
 
 // TestOverviewConditionalGet: the overview's tag names (generation,
 // class, metric, backend) — it survives repeated requests, a matching
-// If-None-Match gets a bodyless 304, and ingest and SetProfile each
+// If-None-Match gets a bodyless 304, and an ingest and a restore each
 // retire it.
 func TestOverviewConditionalGet(t *testing.T) {
 	f := frame.MustNew("live",
@@ -86,8 +86,10 @@ func TestOverviewConditionalGet(t *testing.T) {
 	if status != 200 || afterIngest == tag || string(grown) == string(body) {
 		t.Errorf("after ingest: status %d, ETag %q (was %q), body changed %v", status, afterIngest, tag, string(grown) != string(body))
 	}
-	engine.SetProfile(engine.Profile())
-	if status, afterProfile, _ := getOverview(t, url, afterIngest); status != 200 || afterProfile == afterIngest || afterProfile == tag {
-		t.Errorf("after SetProfile: status %d, ETag %q (was %q)", status, afterProfile, afterIngest)
+	if err := engine.RestoreSnapshot(engine.Frame(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if status, afterRestore, _ := getOverview(t, url, afterIngest); status != 200 || afterRestore == afterIngest || afterRestore == tag {
+		t.Errorf("after a restore: status %d, ETag %q (was %q)", status, afterRestore, afterIngest)
 	}
 }
