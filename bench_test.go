@@ -610,16 +610,18 @@ func BenchmarkFreshCarousel(b *testing.B) {
 // categorical of four levels, so segmentation has 496 triples: a 10-row
 // Engine.Ingest, then an exact session carousel on every core. It is
 // the in-process counterpart of explore_exact's cycle_ms, reports the
-// carousel alone as carousel_ms and the segmentation triples it scored
-// as triples_scored, and gates nothing. The categorical comes two ways:
+// carousel alone as carousel_ms and the candidates its bound-ordered
+// passes scored as scored, and gates nothing. Every class takes that
+// pass; linear's 496 pairs, whose bound is the constant 1, are all of
+// them scored. The categorical comes two ways:
 //
 //   - cycled: no level segments anything, so every silhouette is ≤ 0
 //     and all 496 scores tie at 0. The certificates the previous
 //     carousel left bound every triple by 0 as well, which rules none
-//     out, so every op scores all 496.
+//     out, so every op scores all 496 triples.
 //   - linked: the levels follow num000's block, as explore_exact's c00
 //     follows a factor. The certificates rule out all but the triples
-//     near the top five, so an op scores a handful.
+//     near the top five, so an op scores a handful of them.
 func BenchmarkFreshCarouselExact(b *testing.B) {
 	base := datagen.Scalable(datagen.ScalableConfig{Rows: 8000, NumericCols: 32, CatCols: 3, Seed: 5})
 	for _, linked := range []bool{false, true} {
@@ -641,9 +643,8 @@ func BenchmarkFreshCarouselExact(b *testing.B) {
 // the sketch store foresightd builds: ingest batch, then a session
 // carousel (from the sketches when approx) on every core, reported
 // alone as carousel_ms. One untimed op first leaves what a carousel
-// leaves for the next. triples_scored is what the carousel's
-// bound-ordered passes scored, which only segmentation's (certificates,
-// exact) takes.
+// leaves for the next. scored is considered less pruned over the
+// carousel's bound-ordered passes: what they scored, or found memoized.
 func freshCarousel(b *testing.B, f *frame.Frame, batch frame.RowBatch, approx bool) {
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 42, Spearman: true, Workers: -1})
 	engine, err := query.NewEngine(f, core.NewRegistry(), p)
@@ -673,7 +674,7 @@ func freshCarousel(b *testing.B, f *frame.Frame, batch frame.RowBatch, approx bo
 	b.StopTimer()
 	after := engine.PruneStats()
 	b.ReportMetric(carousel.Seconds()*1e3/float64(b.N), "carousel_ms")
-	b.ReportMetric(float64((after.Considered-before.Considered)-(after.Pruned-before.Pruned))/float64(b.N), "triples_scored")
+	b.ReportMetric(float64((after.Considered-before.Considered)-(after.Pruned-before.Pruned))/float64(b.N), "scored")
 }
 
 // BenchmarkSegmentationWide is the segmentation class pass at the shape

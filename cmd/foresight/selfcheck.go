@@ -9,6 +9,7 @@ import (
 	"foresight"
 	"foresight/internal/core"
 	"foresight/internal/durable"
+	"foresight/internal/frame"
 	"foresight/internal/server"
 	"foresight/internal/sketch"
 	"foresight/internal/sketch/sketchcheck"
@@ -22,7 +23,8 @@ import (
 // -profile it instead verifies an already-persisted sketch store
 // against the dataset it claims to summarize. It then
 // cross-checks the pruning contract — ScoreBound ≥ Score on sampled
-// candidates of every bounded insight class, both scoring paths —
+// candidates of every bounded insight class, both scoring paths, and
+// SuccessorBound ≥ Score once rows are appended —
 // since an unsound bound would silently change top-k results. Exits
 // non-zero when any invariant is violated, so it slots into CI and
 // operational smoke tests directly.
@@ -70,6 +72,17 @@ func runSelfcheck(args []string) error {
 	if len(violations) == 0 {
 		fmt.Printf("score-bound gate OK: ScoreBound ≥ Score on sampled candidates (sample=%d per class/metric)\n", *boundSample)
 	}
+	// The successor gate: certificates made on the dataset bound the
+	// scores once 1 % of its rows (at least one) are appended again.
+	grown, err := f.AppendRows(ownRows(f, max(1, f.Rows()/100)), nil)
+	if err != nil {
+		return fmt.Errorf("selfcheck: growing the dataset: %w", err)
+	}
+	successors := core.CheckSuccessorBounds(foresight.NewRegistry(), f, grown, *boundSample)
+	if len(successors) == 0 {
+		fmt.Printf("successor-bound gate OK: SuccessorBound ≥ Score with %d of the dataset's rows appended (sample=%d per class/metric)\n", grown.Rows()-f.Rows(), *boundSample)
+	}
+	violations = append(violations, successors...)
 	for _, v := range violations {
 		fmt.Printf("VIOLATION score-bound %s/%s %s (%s): score %v > bound %v\n",
 			v.Class, v.Metric, strings.Join(v.Attrs, ","), v.Mode, v.Score, v.Bound)
@@ -79,6 +92,17 @@ func runSelfcheck(args []string) error {
 		return fmt.Errorf("selfcheck: %d invariant violation(s)", len(r.Violations)+len(violations))
 	}
 	return nil
+}
+
+// ownRows renders the first n rows of f as an ingest batch.
+func ownRows(f *foresight.Frame, n int) frame.RowBatch {
+	batch := frame.RowBatch{Columns: f.Names(), Records: make([][]string, n)}
+	for r := range batch.Records {
+		for c := 0; c < f.Cols(); c++ {
+			batch.Records[r] = append(batch.Records[r], f.Column(c).StringAt(r))
+		}
+	}
+	return batch
 }
 
 // runWALCheck verifies a durability directory end to end without

@@ -42,6 +42,15 @@ import (
 // `foresight selfcheck` bound gate and the engine's oracle tests
 // (query.TestPruningOnDemoDatasets) cross-check the inequality on
 // real data.
+//
+// A fourth source is the Successor extension: an exact score's own
+// certificate bounds the score after rows are appended (segmentation,
+// monotonic's Spearman, multimodality's dip), and the engine prunes on
+// the lower of the two bounds. Every bounded class takes the unfocused
+// exact carousel's top-k pass; the tier-1 constants cut nothing there
+// and leave the class scored whole, while the tier-2 and certificate
+// bounds discriminate. `foresight selfcheck` gates the certificates too
+// (CheckSuccessorBounds).
 
 // Bounder is an optional Class extension: classes that implement it
 // participate in the engine's threshold-style top-k pruning.
@@ -223,9 +232,23 @@ func (c *heavyHittersClass) ScoreBound(p *sketch.DatasetProfile, attrs []string,
 // statistics with no cheap cap.
 func (c *multimodalityClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
 	if metric == "dip" {
-		return boundSlack(0.25)
+		return quarterBound
 	}
 	return math.Inf(1)
+}
+
+// quarterBound is the inflated cap of the dip, which is at most ¼.
+var quarterBound = boundSlack(0.25)
+
+// SuccessorBound is the dip plus what the rows appended since the
+// certificate can move it, b/(n+b) for n values (DESIGN §6j), inflated
+// and capped as ScoreBound is.
+func (c *multimodalityClass) SuccessorBound(cert Certificate, f *frame.Frame, attrs []string, metric string) float64 {
+	appended := f.Rows() - int(cert[0])
+	if metric != "dip" || appended < 0 {
+		return math.Inf(1)
+	}
+	return min(boundSlack(stats.DipBound(cert[2], int(cert[1]), appended)), quarterBound)
 }
 
 // ScoreBound caps normalized entropy at its range maximum 1. Raw
@@ -257,6 +280,18 @@ func (c *monotonicClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, me
 		return unitBound
 	}
 	return math.Inf(1)
+}
+
+// SuccessorBound is the rank sums' bound on |ρ| after the rows appended
+// since the certificate (stats.RankSums.Bound, DESIGN §6j), inflated and
+// capped as ScoreBound is. Kendall leaves no certificate.
+func (c *monotonicClass) SuccessorBound(cert Certificate, f *frame.Frame, attrs []string, metric string) float64 {
+	appended := f.Rows() - int(cert[0])
+	if metric != "spearman" || appended < 0 {
+		return math.Inf(1)
+	}
+	s := stats.RankSums{M: int(cert[1]), XX: cert[2], YY: cert[3], XY: cert[4]}
+	return min(boundSlack(s.Bound(appended)), unitBound)
 }
 
 // ScoreBound caps η² at its clamped range maximum 1.
@@ -367,7 +402,8 @@ type BoundViolation struct {
 	Class  string
 	Metric string
 	Attrs  []string
-	// Mode is "exact" or "approx" — which scoring path broke the bound.
+	// Mode is "exact" or "approx" — which scoring path broke the bound —
+	// or "successor", an exact score above its certificate's bound.
 	Mode  string
 	Score float64
 	Bound float64
@@ -390,10 +426,7 @@ func CheckScoreBounds(reg *Registry, f *frame.Frame, p *sketch.DatasetProfile, p
 			continue
 		}
 		cands := c.Candidates(f)
-		stride := 1
-		if perClass > 0 && len(cands) > perClass {
-			stride = (len(cands) + perClass - 1) / perClass
-		}
+		stride := sampleStride(len(cands), perClass)
 		for _, metric := range c.Metrics() {
 			for i := 0; i < len(cands); i += stride {
 				attrs := cands[i]
@@ -417,4 +450,51 @@ func CheckScoreBounds(reg *Registry, f *frame.Frame, p *sketch.DatasetProfile, p
 		}
 	}
 	return out
+}
+
+// CheckSuccessorBounds cross-checks SuccessorBound ≥ Score as
+// CheckScoreBounds does ScoreBound: for every registered class
+// implementing Successor and every metric it declares, up to perClass
+// candidates of f (evenly strided; ≤ 0 = all) are certified on f and
+// scored on grown, which must extend f by appended rows. Violations
+// carry Mode "successor".
+func CheckSuccessorBounds(reg *Registry, f, grown *frame.Frame, perClass int) []BoundViolation {
+	var out []BoundViolation
+	if reg == nil || f == nil || grown == nil {
+		return out
+	}
+	for _, c := range reg.Classes() {
+		s, ok := c.(Successor)
+		if !ok {
+			continue
+		}
+		cands := c.Candidates(f)
+		stride := sampleStride(len(cands), perClass)
+		for _, metric := range c.Metrics() {
+			for i := 0; i < len(cands); i += stride {
+				attrs := cands[i]
+				_, cert, err := s.ScoreCertified(f, attrs, metric)
+				if err != nil || cert == nil {
+					continue
+				}
+				bound := s.SuccessorBound(cert, grown, attrs, metric)
+				if in, err := c.Score(grown, attrs, metric); err == nil && in.Score > bound {
+					out = append(out, BoundViolation{
+						Class: c.Name(), Metric: metric, Attrs: attrs,
+						Mode: "successor", Score: in.Score, Bound: bound,
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// sampleStride is the stride that visits at most perClass of n
+// candidates (every one when perClass ≤ 0).
+func sampleStride(n, perClass int) int {
+	if perClass > 0 && n > perClass {
+		return (n + perClass - 1) / perClass
+	}
+	return 1
 }

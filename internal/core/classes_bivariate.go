@@ -129,25 +129,36 @@ func (c *monotonicClass) VisKind() VisKind  { return VisScatter }
 func (c *monotonicClass) Candidates(f *frame.Frame) [][]string { return numericPairs(f) }
 
 func (c *monotonicClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
+	in, _, err := c.ScoreCertified(f, attrs, metric)
+	return in, err
+}
+
+// ScoreCertified is the pair's |ρ| or |τ-b|, and for a defined Spearman ρ
+// the certificate: the frame's rows and the kernel's rank sums.
+func (c *monotonicClass) ScoreCertified(f *frame.Frame, attrs []string, metric string) (Insight, Certificate, error) {
 	if err := checkArity("monotonic", attrs, 2); err != nil {
-		return Insight{}, err
+		return Insight{}, nil, err
 	}
 	metric, err := validateMetric(c, metric)
 	if err != nil {
-		return Insight{}, err
+		return Insight{}, nil, err
 	}
 	x, err := f.Numeric(attrs[0])
 	if err != nil {
-		return Insight{}, err
+		return Insight{}, nil, err
 	}
 	y, err := f.Numeric(attrs[1])
 	if err != nil {
-		return Insight{}, err
+		return Insight{}, nil, err
 	}
 	var raw float64
+	var cert Certificate
 	switch metric {
 	case "spearman":
-		raw = stats.SpearmanOrdered(x.Ordered(), y.Ordered())
+		s := stats.SpearmanSums(x.Ordered(), y.Ordered())
+		if raw = s.Rho(); raw == raw {
+			cert = Certificate{float64(f.Rows()), float64(s.M), s.XX, s.YY, s.XY}
+		}
 	case "kendall":
 		raw = stats.KendallTauB(x.Values(), y.Values())
 	}
@@ -159,7 +170,7 @@ func (c *monotonicClass) Score(f *frame.Frame, attrs []string, metric string) (I
 		Raw:     raw,
 		Vis:     VisScatter,
 		Details: map[string]float64{"rho": raw},
-	}, nil
+	}, cert, nil
 }
 
 func (c *monotonicClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {

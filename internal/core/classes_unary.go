@@ -453,25 +453,34 @@ func (c *multimodalityClass) Candidates(f *frame.Frame) [][]string {
 }
 
 func (c *multimodalityClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
+	in, _, err := c.ScoreCertified(f, attrs, metric)
+	return in, err
+}
+
+// ScoreCertified is the column's score, and for the dip the certificate:
+// the frame's rows, the values the dip was taken over and the dip.
+func (c *multimodalityClass) ScoreCertified(f *frame.Frame, attrs []string, metric string) (Insight, Certificate, error) {
 	if err := checkArity("multimodality", attrs, 1); err != nil {
-		return Insight{}, err
+		return Insight{}, nil, err
 	}
 	metric, err := validateMetric(c, metric)
 	if err != nil {
-		return Insight{}, err
+		return Insight{}, nil, err
 	}
 	col, err := f.Numeric(attrs[0])
 	if err != nil {
-		return Insight{}, err
+		return Insight{}, nil, err
 	}
 	// Every metric here is a function of the sorted non-missing values
 	// alone (histogram counts are integers, so binning order is moot).
 	vals := col.Ordered().Sorted
 	var score float64
+	var cert Certificate
 	details := map[string]float64{}
 	switch metric {
 	case "dip":
 		score = stats.DipSorted(vals)
+		cert = Certificate{float64(f.Rows()), float64(len(vals)), score}
 		details["pvalue"] = stats.DipPValueApprox(score, len(vals))
 	case "separation":
 		score = stats.BimodalitySeparation(vals)
@@ -487,7 +496,7 @@ func (c *multimodalityClass) Score(f *frame.Frame, attrs []string, metric string
 		Raw:     score,
 		Vis:     VisHistogramDensity,
 		Details: details,
-	}, nil
+	}, cert, nil
 }
 
 func (c *multimodalityClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {

@@ -15,15 +15,17 @@ import (
 
 	"foresight/internal/core"
 	"foresight/internal/frame"
+	"foresight/internal/obs/telemetry"
 	"foresight/internal/sketch"
 )
 
 // linkedRows is a seeded row stream shaped like the repository
 // benchmark's explore_exact input: numeric columns n000… in blocks of
-// four driven by one factor each, a 4-level categorical c00 whose level
-// follows factor 0 (so segmentation has triples worth finding) and a
-// 16-level c01 that segmentation skips, with missing cells and
-// outliers. rows returns the next n rows as string cells.
+// four driven by one factor each, every other one with a second mode (so
+// the dips differ), a 4-level categorical c00 whose level follows factor
+// 0 (so segmentation has triples worth finding) and a 16-level c01 that
+// segmentation skips, with missing cells and outliers. rows returns the
+// next n rows as string cells.
 type linkedRows struct {
 	rng     *rand.Rand
 	numeric int
@@ -47,6 +49,9 @@ func (g *linkedRows) rows(n int) [][]string {
 		rec := make([]string, 0, g.numeric+2)
 		for j := 0; j < g.numeric; j++ {
 			v := 10*float64(j) + 0.9*factors[j/4] + 0.45*g.rng.NormFloat64()
+			if j%2 == 1 && g.rng.Intn(2) == 0 {
+				v += 4
+			}
 			switch u := g.rng.Float64(); {
 			case u < 0.01:
 				rec = append(rec, "")
@@ -145,7 +150,13 @@ func replies(t *testing.T, e *Engine, firstNeighborhood bool) [][]byte {
 // body, what an engine that starts every generation from nothing
 // replies, across six ingests of ten rows. Run it with -race.
 func TestCertificatesKeepReplies(t *testing.T) {
-	carrying, fresh, g := linkedEngines(t, 300, 8, 31)
+	carrying, fresh, g := linkedEngines(t, 300, 16, 31)
+	// Candidates each class pruned, summed over the steps: telemetry
+	// counts them per generation, and a step is one generation.
+	pruned := map[*Engine]map[string]uint64{carrying: {}, fresh: {}}
+	for e := range pruned {
+		e.SetInsightTelemetry(telemetry.New(telemetry.Config{}))
+	}
 	for step := 0; step <= 6; step++ {
 		if step > 0 {
 			batch := frame.RowBatch{Records: g.rows(10)}
@@ -164,11 +175,27 @@ func TestCertificatesKeepReplies(t *testing.T) {
 				t.Fatalf("step %d, reply %d differs:\n got %s\nwant %s", step, i, got[i], want[i])
 			}
 		}
+		for e, sum := range pruned {
+			for _, c := range e.InsightTelemetry().Snapshot(e.CacheStats().Generation, 1).Classes {
+				sum[c.Class] += c.Pruned
+			}
+		}
 	}
 	// The replies matched because the mechanism held, not because it
-	// never ran.
+	// never ran: the carrying engine bounded misses by certificates of
+	// every class that leaves them, and pruned more of each than the fresh
+	// engine did.
 	if st, bare := carrying.PruneStats(), fresh.PruneStats(); st.Carried == 0 || bare.Carried != 0 || st.Pruned <= bare.Pruned {
 		t.Errorf("carrying engine %+v, fresh engine %+v", st, bare)
+	}
+	carried := map[string]bool{}
+	for key := range carrying.gen.Load().carried {
+		carried[key.class] = true
+	}
+	for _, class := range []string{"segmentation", "monotonic", "multimodality"} {
+		if got, bare := pruned[carrying][class], pruned[fresh][class]; !carried[class] || got <= bare {
+			t.Errorf("%s: carried %v, pruned %d by the carrying engine and %d by the fresh one", class, carried[class], got, bare)
+		}
 	}
 }
 

@@ -340,9 +340,11 @@ func (rq *request) record(op string, start time.Time) {
 // pass would score every candidate anyway. Otherwise — a structural
 // constraint, or a top-k/MinScore query arriving before any view —
 // the candidates go through the bound-ordered per-candidate pass. So
-// does a session carousel (q.top) of a class whose exact scores leave
-// certificates, once its generation carries some: most candidates are
-// then proved out unscored, and if none is, the pass leaves the view.
+// does an exact session carousel without a focus (q.top) of a class
+// without a view, whatever the class: bounds that discriminate (profile
+// moments, a carried certificate) leave most candidates unscored, and a
+// class they cut nothing from — a constant bound is one run of equal
+// bounds, one chunk — is scored whole, and the pass leaves its view.
 //
 // The Margin telemetry of that pass is conservative: the strongest
 // excluded candidate may have been pruned rather than scored, so the
@@ -353,7 +355,7 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c
 	var st telemetry.ClassSample
 	whole := len(q.Fixed) == 0 && q.Semantic == frame.SemanticNone && q.keep == nil
 	k := q.K
-	if _, ok := c.(core.Successor); ok && whole && k <= 0 && !q.Approx && len(g.carried) > 0 {
+	if whole && k <= 0 && !q.Approx {
 		k = q.top
 	}
 	if whole {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -300,10 +301,54 @@ func TestViewConcurrentFirstRequests(t *testing.T) {
 	}
 }
 
+// topKPass is what the bound-ordered top-k pass scores of c's candidates
+// on e's live generation, by the rule score.go states but without its
+// memo, pool or certificates: in descending ScoreBound order (candidate
+// order on ties), 2×workers at a time and a run of equal bounds whole,
+// while the next bound is not below the kth-best score so far. It
+// returns how many it scores and how many of those are defined.
+func topKPass(e *Engine, c core.Class, k int) (scored, defined int) {
+	g, metric := e.gen.Load(), c.Metrics()[0]
+	type slot struct{ bound, score float64 }
+	var slots []slot
+	for _, attrs := range c.Candidates(g.frame) {
+		s := slot{core.ScoreBoundFor(c, g.profile, attrs, metric), math.NaN()}
+		if in, err := c.Score(g.frame, attrs, metric); err == nil {
+			s.score = in.Score
+		}
+		slots = append(slots, s)
+	}
+	slices.SortStableFunc(slots, func(a, b slot) int { return cmp.Compare(b.bound, a.bound) })
+	var best []float64 // the defined scores so far, descending
+	for scored < len(slots) {
+		t := 0.0
+		if len(best) >= k {
+			t = best[k-1]
+		}
+		end := scored
+		for end < len(slots) && slots[end].bound >= t &&
+			(end-scored < 2*e.Workers() || slots[end].bound == slots[end-1].bound) {
+			end++
+		}
+		if end == scored {
+			break
+		}
+		for _, s := range slots[scored:end] {
+			if s.score >= 0 {
+				best = append(best, s.score)
+			}
+		}
+		slices.SortFunc(best, func(a, b float64) int { return cmp.Compare(b, a) })
+		scored = end
+	}
+	return scored, len(best)
+}
+
 // TestViewKeepsCounters replays a fixed request sequence and checks
 // the memo counters and the per-class telemetry against what one
 // lookup per candidate per request gives — the accounting every
-// request had before views, which a view-served class must keep.
+// request had before views, which a view-served class must keep — and
+// against what the unfocused carousel's top-5 pass scores.
 func TestViewKeepsCounters(t *testing.T) {
 	f := testFrame(300, 24)
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 24, K: 64})
@@ -314,11 +359,13 @@ func TestViewKeepsCounters(t *testing.T) {
 	telem := telemetry.New(telemetry.Config{})
 	e.SetInsightTelemetry(telem)
 
-	// Per class: candidates, those with a defined score, and the same
-	// two among the candidates holding "a".
+	// Per class: candidates, those with a defined score, the same two
+	// among the candidates holding "a", and the same two among what the
+	// top-5 pass scores.
 	cands, scored := map[string]int{}, map[string]int{}
 	withA, scoredWithA := map[string]int{}, map[string]int{}
-	total, fixedTotal := 0, 0
+	top5, definedTop5 := map[string]int{}, map[string]int{}
+	total, fixedTotal, cold := 0, 0, 0
 	for _, c := range e.registry.Classes() {
 		all := c.Candidates(f)
 		cands[c.Name()] = len(all)
@@ -329,6 +376,11 @@ func TestViewKeepsCounters(t *testing.T) {
 				fixedTotal++
 			}
 		}
+		top5[c.Name()], definedTop5[c.Name()] = topKPass(e, c, 5)
+		cold += top5[c.Name()]
+	}
+	if cold == total {
+		t.Fatal("the top-5 passes prune nothing on this frame")
 	}
 	for _, r := range oracleExecute(t, e, Query{}) {
 		scored[r.Class] = len(r.Insights)
@@ -346,13 +398,19 @@ func TestViewKeepsCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err = s.RecommendationsK(5) // cold: one miss per candidate
+	// Cold: one miss per candidate a top-5 pass scores. A class it scores
+	// whole leaves its view.
+	_, err = s.RecommendationsK(5)
 	must(err)
-	if st := e.CacheStats(); st.Misses != uint64(total) || st.Hits != 0 || st.Entries != total {
-		t.Fatalf("cold carousel: %+v, want %d misses", st, total)
+	if st := e.CacheStats(); st.Misses != uint64(cold) || st.Hits != 0 || st.Entries != cold {
+		t.Fatalf("cold carousel: %+v, want %d misses", st, cold)
 	}
-	_, err = s.RecommendationsK(5) // warm: one hit per candidate
+	// Warm: one hit per candidate of a class with a view, and per scored
+	// candidate of one without, whose memo proves the rest out again.
+	_, err = s.RecommendationsK(5)
 	must(err)
+	// Focused: the same hits, and the classes without a view score the
+	// rest, so that every class has one.
 	s.FocusOn(lin)
 	_, err = s.RecommendationsK(5)
 	must(err)
@@ -366,7 +424,7 @@ func TestViewKeepsCounters(t *testing.T) {
 	must(err)
 	_, err = e.Execute(Query{Fixed: []string{"a"}, K: 2})
 	must(err)
-	wantHits := uint64(4*total + 2*cands["linear"] + fixedTotal)
+	wantHits := uint64(2*cold + 2*total + 2*cands["linear"] + fixedTotal)
 	if st := e.CacheStats(); st.Hits != wantHits || st.Misses != uint64(total) || st.Entries != total {
 		t.Errorf("after the sequence: %+v, want %d hits, %d misses and entries", st, wantHits, total)
 	}
@@ -374,21 +432,32 @@ func TestViewKeepsCounters(t *testing.T) {
 	snap := telem.Snapshot(e.CacheStats().Generation, 3)
 	for _, c := range snap.Classes {
 		n, def := cands[c.Class], scored[c.Class]
-		// Three carousels and a neighborhood emit the whole class, the
+		passed, passedDef := top5[c.Class], definedTop5[c.Class]
+		// The cold carousel emits the top five of what its pass scored,
+		// and so does the warm one unless the cold one left a view; the
+		// focused carousel and the neighborhood emit the whole class, the
 		// top-3 query min(3, def), the fixed query two of what holds a.
 		wantQueries, wantCands := uint64(6), uint64(5*n+withA[c.Class])
-		wantEmitted := uint64(4*def + min(3, def) + min(2, scoredWithA[c.Class]))
-		wantFiltered := uint64(5*(n-def) + withA[c.Class] - scoredWithA[c.Class])
+		wantPruned := uint64(2 * (n - passed))
+		wantEmitted := uint64(min(5, passedDef) + 2*def + min(3, def) + min(2, scoredWithA[c.Class]))
+		wantFiltered := uint64(passed - passedDef + 3*(n-def) + withA[c.Class] - scoredWithA[c.Class])
+		if passed == n {
+			wantEmitted += uint64(def)
+			wantFiltered += uint64(n - def)
+		} else {
+			wantEmitted += uint64(min(5, passedDef))
+			wantFiltered += uint64(passed - passedDef)
+		}
 		if c.Class == "linear" {
 			wantQueries, wantCands = 8, wantCands+uint64(2*n)
 			wantEmitted += uint64(def + strong)
 			wantFiltered += uint64(n - def + n - strong)
 		}
-		if c.Queries != wantQueries || c.Candidates != wantCands || c.Pruned != 0 ||
+		if c.Queries != wantQueries || c.Candidates != wantCands || c.Pruned != wantPruned ||
 			c.Emitted != wantEmitted || c.Filtered != wantFiltered {
-			t.Errorf("%s telemetry: queries %d candidates %d pruned %d filtered %d emitted %d, want %d %d 0 %d %d",
+			t.Errorf("%s telemetry: queries %d candidates %d pruned %d filtered %d emitted %d, want %d %d %d %d %d",
 				c.Class, c.Queries, c.Candidates, c.Pruned, c.Filtered, c.Emitted,
-				wantQueries, wantCands, wantFiltered, wantEmitted)
+				wantQueries, wantCands, wantPruned, wantFiltered, wantEmitted)
 		}
 	}
 	if len(snap.Classes) != len(cands) {

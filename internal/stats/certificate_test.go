@@ -99,6 +99,189 @@ func FuzzSilhouetteCert(f *testing.F) {
 	})
 }
 
+// appendSize draws a batch of 1 to n rows, mostly few.
+func appendSize(rng *rand.Rand, n int) int {
+	return 1 + rng.Intn(max(1, n>>rng.Intn(6)))
+}
+
+// spearmanChain draws two columns of n rows, certifies their rank sums,
+// appends up to four batches and checks that every later |ρ| stays under
+// the sums' bound. mode picks the columns — continuous, or a few values
+// with one of them holding most rows, so the centred ranks are lopsided
+// — and the appends: draws of the same law, every row at one extreme of
+// both columns, every row into one tie group, rows whose partner cell is
+// missing, or duplicates of old rows.
+func spearmanChain(t *testing.T, rng *rand.Rand, mode uint8) {
+	t.Helper()
+	ties := mode%2 == 1
+	corr := 2*rng.Float64() - 1
+	value := func() float64 {
+		if !ties {
+			return rng.NormFloat64()
+		}
+		if rng.Intn(5) > 0 {
+			return 0
+		}
+		return []float64{math.Copysign(0, -1), 1, 2, 3, math.Inf(1)}[rng.Intn(5)]
+	}
+	var xs, ys []float64
+	draw := func() {
+		x, y := value(), value()
+		if rng.Intn(2) == 0 {
+			y = corr*x + (1-math.Abs(corr))*y
+		}
+		switch rng.Intn(15) {
+		case 0:
+			x = math.NaN()
+		case 1:
+			y = math.NaN()
+		}
+		xs, ys = append(xs, x), append(ys, y)
+	}
+	for n := 2 + rng.Intn(150); len(xs) < n; {
+		draw()
+	}
+	n := len(xs)
+	sums := SpearmanSums(NewOrdered(xs), NewOrdered(ys))
+	requireSameBits(t, "SpearmanSums.Rho", sums.Rho(), spearmanOracle(xs, ys))
+	var rx, ry []float64
+	for i := range xs {
+		if xs[i] == xs[i] && ys[i] == ys[i] {
+			rx, ry = append(rx, xs[i]), append(ry, ys[i])
+		}
+	}
+	centred := (float64(len(rx)) + 1) / 2
+	var want RankSums
+	if want.M = len(rx); want.M >= 2 {
+		rx, ry = ranksOracle(rx), ranksOracle(ry)
+		for i := range rx {
+			a, b := rx[i]-centred, ry[i]-centred
+			want.XX, want.YY, want.XY = want.XX+a*a, want.YY+b*b, want.XY+a*b
+		}
+	}
+	if sums != want {
+		t.Fatalf("rank sums %+v, oracle %+v", sums, want)
+	}
+	if sums.Rho() != sums.Rho() {
+		return
+	}
+	at := [2]float64{-1e9, 1e9}[rng.Intn(2)]
+	tieX, tieY := xs[rng.Intn(n)], ys[rng.Intn(n)]
+	kind := int(mode>>1) % 5
+	for batch := 0; batch < 1+rng.Intn(4); batch++ {
+		for b := appendSize(rng, n); b > 0; b-- {
+			switch kind {
+			case 0:
+				draw()
+			case 1:
+				xs, ys = append(xs, at), append(ys, at*math.Copysign(1, corr))
+			case 2:
+				xs, ys = append(xs, tieX), append(ys, tieY)
+			case 3:
+				if rng.Intn(2) == 0 {
+					xs, ys = append(xs, value()), append(ys, math.NaN())
+				} else {
+					xs, ys = append(xs, math.NaN()), append(ys, value())
+				}
+			case 4:
+				i := rng.Intn(n)
+				xs, ys = append(xs, xs[i]), append(ys, ys[i])
+			}
+		}
+		got := math.Abs(SpearmanOrdered(NewOrdered(xs), NewOrdered(ys)))
+		if bound := sums.Bound(len(xs) - n); got > slack(bound) {
+			t.Fatalf("%d → %d rows (append kind %d, sums %+v): |ρ| %v → %v > bound %v",
+				n, len(xs), kind, sums, math.Abs(sums.Rho()), got, bound)
+		}
+	}
+}
+
+// FuzzSpearmanCert checks that the rank sums are exact, give
+// SpearmanOrdered's bits, and bound |ρ| over random columns and append
+// chains.
+func FuzzSpearmanCert(f *testing.F) {
+	for seed := int64(0); seed < 40; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	// Lopsided ties and every appended row at the top: the bound without
+	// its b·m'²/4 term fails here.
+	f.Add(int64(103), uint8(103))
+	f.Fuzz(func(t *testing.T, seed int64, mode uint8) {
+		spearmanChain(t, rand.New(rand.NewSource(seed)), mode)
+	})
+}
+
+// dipChain draws a sample of up to 150 values, takes its dip, appends up
+// to four batches and checks that every later dip stays under DipBound.
+// mode picks the sample — continuous, two modes, or a few values — and
+// the appends: draws of the same law, every value at one far extreme,
+// every value into one tie group, missing values, duplicates of old
+// values, or a new mode.
+func dipChain(t *testing.T, rng *rand.Rand, mode uint8) {
+	t.Helper()
+	value := func() float64 {
+		switch mode % 3 {
+		case 1:
+			return rng.NormFloat64() + 6*float64(rng.Intn(2))
+		case 2:
+			return float64(rng.Intn(4))
+		}
+		return rng.NormFloat64()
+	}
+	var xs []float64
+	for n := rng.Intn(150); len(xs) < n; {
+		if rng.Intn(20) == 0 {
+			xs = append(xs, math.NaN())
+		} else {
+			xs = append(xs, value())
+		}
+	}
+	x := NewOrdered(xs)
+	dip := DipSorted(x.Sorted)
+	requireSameBits(t, "DipSorted", dip, Dip(xs))
+	n, kept := len(xs), len(x.Sorted)
+	tie := value()
+	if kept > 0 {
+		tie = x.Sorted[rng.Intn(kept)]
+	}
+	kind := int(mode/3) % 6
+	for batch := 0; batch < 1+rng.Intn(4); batch++ {
+		for b := appendSize(rng, max(n, 1)); b > 0; b-- {
+			v := value()
+			switch kind {
+			case 1:
+				v = 1e6
+			case 2:
+				v = tie
+			case 3:
+				v = math.NaN()
+			case 4:
+				if n > 0 {
+					v = xs[rng.Intn(n)]
+				}
+			case 5:
+				v = 40 + rng.NormFloat64()
+			}
+			xs = append(xs, v)
+		}
+		if got, bound := Dip(xs), DipBound(dip, kept, len(xs)-n); got > slack(bound) {
+			t.Fatalf("%d → %d values (%d kept, append kind %d): dip %v → %v > bound %v",
+				n, len(xs), kept, kind, dip, got, bound)
+		}
+	}
+}
+
+// FuzzDipCert checks that the dip's bound holds over random samples and
+// append chains.
+func FuzzDipCert(f *testing.F) {
+	for seed := int64(0); seed < 36; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, mode uint8) {
+		dipChain(t, rand.New(rand.NewSource(seed)), mode)
+	})
+}
+
 // certCase is a frame, the rows its certificate is made on, and the
 // levels and stride the silhouette reads it at.
 type certCase struct {

@@ -188,6 +188,16 @@ func DipSorted(sorted []float64) float64 {
 	return dip / float64(2*n)
 }
 
+// DipBound returns an upper bound on DipSorted of a sample that adds at
+// most b values to n values whose DipSorted was dip, in rounded
+// arithmetic that callers inflate. The values added move the empirical
+// CDF by at most b/(n+b) in sup norm; the dip, an inf over unimodal G of
+// a sup distance to G, is 1-Lipschitz in that norm; and the 1/(2n) floor
+// DipSorted applies only falls as n grows (DESIGN §6j).
+func DipBound(dip float64, n, b int) float64 {
+	return dip + float64(b)/float64(max(n+b, 1))
+}
+
 // DipPValueApprox returns a coarse significance level for a dip value
 // at sample size n, using the asymptotic √n·Dip scaling against
 // critical points interpolated from Hartigan's published table for the

@@ -334,7 +334,44 @@ func Ranks(xs []float64) []float64 {
 // that, to the 2³¹ − 1 rows an Ordered allows, the sums stay exact and
 // each is rounded once, where Pearson's would drift. No sort and, with
 // the pooled scratch, no allocation once both indexes exist.
-func SpearmanOrdered(x, y *Ordered) float64 {
+func SpearmanOrdered(x, y *Ordered) float64 { return SpearmanSums(x, y).Rho() }
+
+// RankSums are what SpearmanOrdered forms ρ from: the m pairwise-complete
+// rows and, over them, Σa², Σb² and Σab for a and b the average ranks
+// less (m + 1)/2, each exact and rounded once. Below two complete rows
+// the sums are zero.
+type RankSums struct {
+	M          int
+	XX, YY, XY float64
+}
+
+// Rho is the Spearman correlation the sums give: NaN below two complete
+// rows or when a side is constant.
+func (s RankSums) Rho() float64 {
+	return pairSums{n: s.M, sxx: s.XX, syy: s.YY, sxy: s.XY}.pearson()
+}
+
+// Bound returns an upper bound on |ρ| over the same two columns once up
+// to b rows are appended, in rounded arithmetic that callers inflate, or
+// +Inf. With m' = m + b (DESIGN §6j): an old row's average rank rises by
+// s ∈ [0, b] and the mean rank by b/2, so its centred rank moves by at
+// most b/2; a new row's centred rank is below m'/2 in magnitude. Hence
+// |Σa'b'| ≤ |S_xy| + E with E = (b/2)·√m·(√S_xx + √S_yy) + m·b²/4 +
+// b·m'²/4, and Σa'² ≥ L_xx = S_xx − b·√m·√S_xx (Cauchy–Schwarz).
+func (s RankSums) Bound(b int) float64 {
+	m, nb := float64(s.M), float64(b)
+	grown := m + nb
+	rm, rx, ry := math.Sqrt(m), math.Sqrt(s.XX), math.Sqrt(s.YY)
+	e := nb/2*rm*(rx+ry) + m*nb*nb/4 + nb*grown*grown/4
+	lx, ly := s.XX-nb*rm*rx, s.YY-nb*rm*ry
+	if !(lx > 0 && ly > 0) {
+		return math.Inf(1)
+	}
+	return (math.Abs(s.XY) + e) / math.Sqrt(lx*ly)
+}
+
+// SpearmanSums is SpearmanOrdered's kernel, which returns the sums.
+func SpearmanSums(x, y *Ordered) RankSums {
 	n := len(x.Values)
 	if n != len(y.Values) {
 		panic("stats: correlation inputs have different lengths")
@@ -347,7 +384,7 @@ func SpearmanOrdered(x, y *Ordered) float64 {
 	dy, _ := ry.dropTable(rx.missing, sc.slots[len(x.Order)+1:])
 	m := len(x.Order) - droppedX
 	if m < 2 {
-		return math.NaN()
+		return RankSums{M: m}
 	}
 	var aa, bb, ab int128
 	atX, atY := rx.at[:n], ry.at[:n]
@@ -370,7 +407,7 @@ func SpearmanOrdered(x, y *Ordered) float64 {
 		ab.add(sab)
 		lo = hi
 	}
-	return pairSums{n: m, sxx: aa.float64() / 4, syy: bb.float64() / 4, sxy: ab.float64() / 4}.pearson()
+	return RankSums{M: m, XX: aa.float64() / 4, YY: bb.float64() / 4, XY: ab.float64() / 4}
 }
 
 // centred returns twice the pairwise-complete rank of a row whose entry
