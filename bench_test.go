@@ -471,6 +471,48 @@ func BenchmarkStatsSpearman(b *testing.B) {
 	}
 }
 
+// BenchmarkPearsonPairs fits all 496 pairs of an 8 000 × 32 frame with
+// 1 % of its cells missing, the exact linear class's work on
+// explore_exact's shape: /pair one stats.PearsonFit a pair, /run each
+// column against its later partners through stats.PearsonFits. Both
+// report ns per pair.
+func BenchmarkPearsonPairs(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	const rows, cols = 8000, 32
+	xs := make([][]float64, cols)
+	for j := range xs {
+		xs[j] = make([]float64, rows)
+		for i := range xs[j] {
+			if xs[j][i] = rng.NormFloat64(); rng.Intn(100) == 0 {
+				xs[j][i] = math.NaN()
+			}
+		}
+	}
+	const pairs = cols * (cols - 1) / 2
+	rho, fits := make([]float64, cols), make([]stats.LinearFit, cols)
+	for _, run := range []bool{false, true} {
+		name := "pair"
+		if run {
+			name = "run"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, x := range xs {
+					if !run {
+						for k, y := range xs[j+1:] {
+							rho[k], fits[k] = stats.PearsonFit(x, y)
+						}
+						continue
+					}
+					stats.PearsonFits(x, xs[j+1:], rho, fits)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
+		})
+	}
+}
+
 // --- Scoring cache: repeated-query serving (ISSUE 1 tentpole) ---
 
 func newCacheBenchEngine(b *testing.B) *query.Engine {

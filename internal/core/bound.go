@@ -81,6 +81,19 @@ type Successor interface {
 	SuccessorBound(cert Certificate, f *frame.Frame, attrs []string, metric string) float64
 }
 
+// RunScorer is an optional Class extension for exact scores whose
+// kernel reads a candidate's first column once for a run of partners.
+// ScoreRun writes to out[k] what Score(f, run[k], metric) returns, bit
+// for bit, for candidates that all share run[0][0]; on an error, which
+// may come from any candidate, out is unspecified and each candidate
+// is to be scored alone. RunWidth partners fill one scan.
+type RunScorer interface {
+	ScoreRun(f *frame.Frame, run [][]string, metric string, out []Insight) error
+}
+
+// RunWidth is how many candidates of a run one scan serves.
+const RunWidth = stats.RunWidth
+
 // boundSlack inflates a sketch-identity bound so floating-point
 // accumulation-order differences between the profile's moments
 // (possibly merged by Extend) and the exact scorer's sequential

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"foresight/internal/frame"
@@ -40,43 +41,81 @@ func (c *linearClass) VisKind() VisKind  { return VisScatterFit }
 func (c *linearClass) Candidates(f *frame.Frame) [][]string { return numericPairs(f) }
 
 func (c *linearClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("linear", attrs, 2); err != nil {
-		return Insight{}, err
+	var out [1]Insight
+	err := c.ScoreRun(f, [][]string{attrs}, metric, out[:])
+	return out[0], err
+}
+
+// ScoreRun is Score for every pair of a run that shares attrs[0]: one
+// scan of that column serves up to stats.RunWidth partners
+// (stats.PearsonFits, the same bits as a pair at a time).
+func (c *linearClass) ScoreRun(f *frame.Frame, run [][]string, metric string, out []Insight) error {
+	var x []float64
+	var partners [stats.RunWidth][]float64
+	ys := partners[:0]
+	for k, attrs := range run {
+		if err := checkArity("linear", attrs, 2); err != nil {
+			return err
+		}
+		if k == 0 {
+			var err error
+			if metric, err = validateMetric(c, metric); err != nil {
+				return err
+			}
+			col, err := f.Numeric(attrs[0])
+			if err != nil {
+				return err
+			}
+			x = col.Values()
+		} else if err := checkRun("linear", run[0], attrs); err != nil {
+			return err
+		}
+		y, err := f.Numeric(attrs[1])
+		if err != nil {
+			return err
+		}
+		ys = append(ys, y.Values())
 	}
-	metric, err := validateMetric(c, metric)
-	if err != nil {
-		return Insight{}, err
+	var rhoBuf [stats.RunWidth]float64
+	var fitBuf [stats.RunWidth]stats.LinearFit
+	rho, fits := rhoBuf[:], fitBuf[:]
+	if len(run) > stats.RunWidth {
+		rho, fits = make([]float64, len(run)), make([]stats.LinearFit, len(run))
 	}
-	x, err := f.Numeric(attrs[0])
-	if err != nil {
-		return Insight{}, err
+	stats.PearsonFits(x, ys, rho, fits)
+	for k, attrs := range run {
+		in := Insight{
+			Class:  "linear",
+			Metric: metric,
+			Attrs:  attrs,
+			Vis:    VisScatterFit,
+			Details: map[string]float64{
+				"rho":       rho[k],
+				"slope":     fits[k].Slope,
+				"intercept": fits[k].Intercept,
+				"r2":        fits[k].R2,
+			},
+		}
+		switch metric {
+		case "pearson":
+			in.Raw = rho[k]
+			in.Score = math.Abs(rho[k])
+		case "r2":
+			in.Raw = fits[k].R2
+			in.Score = fits[k].R2
+		}
+		out[k] = in
 	}
-	y, err := f.Numeric(attrs[1])
-	if err != nil {
-		return Insight{}, err
+	return nil
+}
+
+// checkRun reports a candidate that does not share the first attribute
+// of its run's first candidate.
+func checkRun(class string, first, attrs []string) error {
+	if attrs[0] != first[0] {
+		return fmt.Errorf("core: class %q scores a run over one first attribute, got %v after %v", class, attrs, first)
 	}
-	rho, fit := stats.PearsonFit(x.Values(), y.Values())
-	in := Insight{
-		Class:  "linear",
-		Metric: metric,
-		Attrs:  attrs,
-		Vis:    VisScatterFit,
-		Details: map[string]float64{
-			"rho":       rho,
-			"slope":     fit.Slope,
-			"intercept": fit.Intercept,
-			"r2":        fit.R2,
-		},
-	}
-	switch metric {
-	case "pearson":
-		in.Raw = rho
-		in.Score = math.Abs(rho)
-	case "r2":
-		in.Raw = fit.R2
-		in.Score = fit.R2
-	}
-	return in, nil
+	return nil
 }
 
 func (c *linearClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
@@ -263,33 +302,63 @@ func (c *dependenceClass) Candidates(f *frame.Frame) [][]string {
 }
 
 func (c *dependenceClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("dependence", attrs, 2); err != nil {
-		return Insight{}, err
+	var out [1]Insight
+	err := c.ScoreRun(f, [][]string{attrs}, metric, out[:])
+	return out[0], err
+}
+
+// ScoreRun is Score for every pair of a run that shares its numeric
+// attrs[0]: one scan of that column serves up to stats.RunWidth
+// categoricals (stats.CorrelationRatios, the same bits as a pair at a
+// time).
+func (c *dependenceClass) ScoreRun(f *frame.Frame, run [][]string, metric string, out []Insight) error {
+	var values []float64
+	var codeBuf [stats.RunWidth][]int32
+	var groupBuf [stats.RunWidth]int
+	codes, groups := codeBuf[:0], groupBuf[:0]
+	for k, attrs := range run {
+		if err := checkArity("dependence", attrs, 2); err != nil {
+			return err
+		}
+		if k == 0 {
+			var err error
+			if metric, err = validateMetric(c, metric); err != nil {
+				return err
+			}
+			num, err := f.Numeric(attrs[0])
+			if err != nil {
+				return err
+			}
+			values = num.Values()
+		} else if err := checkRun("dependence", run[0], attrs); err != nil {
+			return err
+		}
+		cat, err := f.Categorical(attrs[1])
+		if err != nil {
+			return err
+		}
+		codes, groups = append(codes, cat.Codes()), append(groups, cat.Cardinality())
 	}
-	metric, err := validateMetric(c, metric)
-	if err != nil {
-		return Insight{}, err
+	var etaBuf [stats.RunWidth]float64
+	eta2 := etaBuf[:]
+	if len(run) > stats.RunWidth {
+		eta2 = make([]float64, len(run))
 	}
-	num, err := f.Numeric(attrs[0])
-	if err != nil {
-		return Insight{}, err
+	stats.CorrelationRatios(values, codes, groups, eta2)
+	for k, attrs := range run {
+		out[k] = Insight{
+			Class:  "dependence",
+			Metric: metric,
+			Attrs:  attrs,
+			Score:  eta2[k],
+			Raw:    eta2[k],
+			Vis:    VisStrip,
+			Details: map[string]float64{
+				"groups": float64(groups[k]),
+			},
+		}
 	}
-	cat, err := f.Categorical(attrs[1])
-	if err != nil {
-		return Insight{}, err
-	}
-	eta2 := stats.CorrelationRatio(cat.Codes(), num.Values(), cat.Cardinality())
-	return Insight{
-		Class:  "dependence",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  eta2,
-		Raw:    eta2,
-		Vis:    VisStrip,
-		Details: map[string]float64{
-			"groups": float64(cat.Cardinality()),
-		},
-	}, nil
+	return nil
 }
 
 func (c *dependenceClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {

@@ -123,11 +123,11 @@ func (c *momentsClass) Score(f *frame.Frame, attrs []string, metric string) (Ins
 	if err != nil {
 		return Insight{}, err
 	}
-	m := stats.NewMoments(col.Values())
-	in := momentInsight(c, attrs[0], metric, m, false)
+	view := col.Ordered()
+	in := momentInsight(c, attrs[0], metric, &view.Moments, false)
 	if metric == "iqr" {
 		// Robust dispersion needs order statistics, not moments.
-		in.Raw = stats.IQRSorted(col.Ordered().Sorted)
+		in.Raw = stats.IQRSorted(view.Sorted)
 		in.Score = in.Raw
 	}
 	return in, nil

@@ -69,11 +69,13 @@ type NumericColumn struct {
 
 	// The ordered view (see Ordered) is built at most once, on first
 	// request. carried is the row order handed down by AppendRows when
-	// the predecessor column had one; it is written before the column
-	// is shared and never after.
+	// the predecessor column had one, and fold the moments and sum of a
+	// prefix of the rows, handed down with it; both are written before
+	// the column is shared and never after.
 	viewOnce sync.Once
 	view     atomic.Pointer[stats.Ordered]
 	carried  []int32
+	fold     stats.Fold
 }
 
 // growTail returns a slice of length len(s)+extra whose first len(s)
@@ -155,16 +157,17 @@ func (c *NumericColumn) Present() []float64 {
 func (c *NumericColumn) At(i int) float64 { return c.values[i] }
 
 // Ordered returns the column's ordered view: its non-missing rows by
-// ascending value, the sorted values, mean and σ. The first call sorts
-// the column (or finishes the order AppendRows carried forward); every
-// later call, from any goroutine, returns the same retained view. A
-// column never changes, so the view can never be stale: a new dataset
+// ascending value, the sorted values, moments, mean and σ. The first
+// call sorts the column (or finishes the order AppendRows carried
+// forward, and folds only the rows the carried moments have not seen);
+// every later call, from any goroutine, returns the same retained view.
+// A column never changes, so the view can never be stale: a new dataset
 // generation is a new column with a view of its own, and a column
 // nobody scores exactly never pays for one.
 func (c *NumericColumn) Ordered() *stats.Ordered {
 	c.viewOnce.Do(func() {
 		if c.carried != nil {
-			c.view.Store(stats.OrderedFrom(c.Values(), c.carried))
+			c.view.Store(stats.OrderedFrom(c.Values(), c.carried, c.fold))
 		} else {
 			c.view.Store(stats.NewOrdered(c.Values()))
 		}
@@ -176,15 +179,16 @@ func (c *NumericColumn) Ordered() *stats.Ordered {
 // cells in values[c.Len():] (values from growTail), `missing` of them
 // NaN. When c's order is already known it is carried forward by
 // splicing in the appended rows, so the successor's first Ordered call
-// does not sort the whole column again.
+// does not sort the whole column again; the moments known with it are
+// handed down as they are, and that call folds in the rows they miss.
 func (c *NumericColumn) extended(values []float64, missing int) *NumericColumn {
 	out := &NumericColumn{name: c.name, values: values, missing: c.missing + missing}
-	order := c.carried
+	order, fold := c.carried, c.fold
 	if v := c.view.Load(); v != nil {
-		order = v.Order
+		order, fold = v.Order, v.Fold()
 	}
 	if order != nil {
-		out.carried = stats.ExtendOrder(order, values, len(c.values))
+		out.carried, out.fold = stats.ExtendOrder(order, values, len(c.values)), fold
 	}
 	return out
 }

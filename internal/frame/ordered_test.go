@@ -85,6 +85,72 @@ func TestAppendRowsCarriesOrder(t *testing.T) {
 	requireFreshView(t, f)
 }
 
+// TestAppendRowsCarriesMoments chains appends over columns holding NaN,
+// −0 and ±Inf, one constant until its last batch and one all-missing
+// until its third, touching the views at some steps and not at others:
+// the moments, mean and σ a column's view serves are a fresh view's,
+// bit for bit, and an append folds nothing itself — the successor holds
+// the moments its predecessor knew, over the predecessor's rows.
+func TestAppendRowsCarriesMoments(t *testing.T) {
+	inf := math.Inf(1)
+	f := MustNew("m",
+		NewNumericColumn("odd", []float64{math.Copysign(0, -1), 2.5, math.NaN(), 0, -1}),
+		NewNumericColumn("flat", []float64{5, 5, 5, math.NaN(), 5}),
+		NewNumericColumn("gone", []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()}),
+		NewNumericColumn("inf", []float64{inf, 1, -inf, 3, 4}),
+		NewNumericColumn("big", []float64{1e300, -1e300, 3, math.NaN(), 9e299}),
+	)
+	batches := [][][]string{
+		{{"-0", "5", "NA", "7", "1e300"}, {"inf", "5", "", "8", "-0"}},
+		{{"1e300", "5", "NA", "9", "2"}},
+		{{"-3.5", "5", "2", "NA", "-8e299"}, {"0", "5", "4.25", "1", "NA"}, {"-0", "NA", "NA", "2", "1e-300"}},
+		{{"12", "5", "-1", "3", "7"}},
+		{{"4", "6", "8", "4", "-1e300"}, {"1e-300", "5", "1", "5", "3"}},
+	}
+	for step, records := range batches {
+		prev := f
+		touched := step%2 == 1
+		if touched {
+			for _, c := range prev.NumericColumns() {
+				c.Ordered()
+			}
+		}
+		var err error
+		if f, err = prev.AppendRows(RowBatch{Columns: []string{"odd", "flat", "gone", "inf", "big"}, Records: records}, nil); err != nil {
+			t.Fatal(err)
+		}
+		for ci, c := range f.NumericColumns() {
+			p := prev.NumericColumns()[ci]
+			if c.carried == nil {
+				continue
+			}
+			if want := p.Len(); c.fold.Rows > want || (touched && c.fold.Rows != want) {
+				t.Fatalf("step %d %s: the append folded %d rows, its predecessor had %d", step, c.Name(), c.fold.Rows, want)
+			}
+		}
+		if step%3 != 1 {
+			requireFreshMoments(t, f)
+		}
+	}
+	requireFreshMoments(t, f)
+}
+
+func requireFreshMoments(t *testing.T, f *Frame) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, c := range f.NumericColumns() {
+		got, want := c.Ordered(), stats.NewOrdered(c.Values())
+		g, w := got.Moments, want.Moments
+		if g.N != w.N || !same(g.Mean, w.Mean) || !same(g.M2, w.M2) || !same(g.M3, w.M3) || !same(g.M4, w.M4) ||
+			!same(g.MinVal, w.MinVal) || !same(g.MaxVal, w.MaxVal) {
+			t.Fatalf("%s at %d rows: moments %+v, a fresh view's %+v", c.Name(), c.Len(), g, w)
+		}
+		if !same(got.Mean, want.Mean) || !same(got.StdDev, want.StdDev) {
+			t.Fatalf("%s at %d rows: mean %v σ %v, a fresh view's %v %v", c.Name(), c.Len(), got.Mean, got.StdDev, want.Mean, want.StdDev)
+		}
+	}
+}
+
 // TestOrderedConcurrentFirstTouch: many goroutines asking at once get
 // the one view. Run with -race.
 func TestOrderedConcurrentFirstTouch(t *testing.T) {

@@ -276,6 +276,7 @@ func TestScorerPanicIsolation(t *testing.T) {
 			waitFor(t, "worker pool to drain", func() bool { return e.ScoringInflight() == 0 })
 		})
 	}
+	t.Run("run", testRunScorerPanic)
 }
 
 // Abandoning concurrent requests drains the worker pool and counts

@@ -23,7 +23,11 @@ import (
 //	      map and the worker pool (scoreMisses), in 2×workers chunks
 //	      when bounded, raising the kth-best threshold between chunks
 //	      and stopping at the first bound strictly below it; a run of
-//	      equal bounds is never split
+//	      equal bounds is never split. The pool's unit is a run: up to
+//	      core.RunWidth claimed consecutive candidates sharing their
+//	      first attribute, which a core.RunScorer scores from one scan
+//	      of that column (runsOf); claiming, publishing and abandoning
+//	      stay per candidate
 //
 // and the caller filters and ranks what comes back. Nothing selects
 // between scorers: "nothing to prune against", "no profile" and one
@@ -90,10 +94,43 @@ func prunes(c core.Class, g *generation, k int, minScore float64) bool {
 	return bounded && g.profile != nil && (k > 0 || minScore > 0)
 }
 
+// runsOf partitions the owned misses of a pass (idx[owned[o]] indexes
+// cands) into the worker pool's units: a unit is up to core.RunWidth
+// consecutive owned misses that are consecutive candidates and share
+// their first attribute, for an exact pass of a core.RunScorer that is
+// not a core.Successor, and otherwise one miss. Unit u is
+// owned[starts[u]:starts[u+1]]; starts is nil when every unit is one
+// miss. No unit is wider than ⌈len(owned)/workers⌉, so runs never leave
+// a worker idle.
+func runsOf(c core.Class, approx bool, cands [][]string, idx, owned []int, workers int) (core.RunScorer, []int) {
+	rs, ok := c.(core.RunScorer)
+	_, succ := c.(core.Successor)
+	width := min(core.RunWidth, (len(owned)+workers-1)/workers)
+	if !ok || succ || approx || width < 2 {
+		return nil, nil
+	}
+	first := func(o int) string {
+		if attrs := cands[idx[owned[o]]]; len(attrs) > 0 {
+			return attrs[0]
+		}
+		return ""
+	}
+	starts := make([]int, 0, len(owned)+1)
+	for o := 0; o < len(owned); {
+		starts = append(starts, o)
+		end := o + 1
+		for end < len(owned) && end-o < width && idx[owned[end]] == idx[owned[end-1]]+1 && first(end) == first(o) {
+			end++
+		}
+		o = end
+	}
+	return rs, append(starts, len(owned))
+}
+
 // scoreOne scores a single candidate tuple, folding scoring errors
 // into a skipped slot, and returns the certificate an exact score left
-// (nil when none). This is the unit of work both the worker pool and
-// the memo operate on.
+// (nil when none). This is the unit of work the memo operates on, and
+// the worker pool's whenever runsOf forms no run.
 func scoreOne(c core.Class, g *generation, attrs []string, approx bool, metric string) (core.Insight, core.Certificate) {
 	var in core.Insight
 	var cert core.Certificate
@@ -285,21 +322,44 @@ func (e *Engine) scoreMisses(ctx context.Context, g *generation, c core.Class, c
 		}
 	}()
 
-	err := par.Each(ctx, e.Workers(), len(owned), func(o int) {
-		e.inflightScores.Add(1)
-		defer e.inflightScores.Add(-1)
-		sl, i := slots[owned[o]], idx[owned[o]]
-		var cert core.Certificate
-		out[i], cert = scoreOne(c, g, cands[i], approx, metric)
-		sl.in = out[i]
+	// publish completes owned slot j with its score.
+	publish := func(j int, in core.Insight, cert core.Certificate) {
+		sl, i := slots[j], idx[j]
+		out[i], sl.in = in, in
 		close(sl.done)
 		g.mu.Lock()
-		g.entries[keys[i]] = out[i]
+		g.entries[keys[i]] = in
 		delete(g.inflight, keys[i])
 		if cert != nil {
 			g.certs[keys[i]] = cert
 		}
 		g.mu.Unlock()
+	}
+	// The pool's unit is a run of owned misses (runsOf), scored straight
+	// into its slots of out; a run that fails as a whole is scored a
+	// candidate at a time.
+	rs, starts := runsOf(c, approx, cands, idx, owned, e.Workers())
+	units := len(owned)
+	if starts != nil {
+		units = len(starts) - 1
+	}
+	err := par.Each(ctx, e.Workers(), units, func(u int) {
+		lo, hi := u, u+1
+		if starts != nil {
+			lo, hi = starts[u], starts[u+1]
+		}
+		e.inflightScores.Add(int64(hi - lo))
+		defer e.inflightScores.Add(int64(lo - hi))
+		if i, w := idx[owned[lo]], hi-lo; w > 1 && rs.ScoreRun(g.frame, cands[i:i+w], metric, out[i:i+w]) == nil {
+			for _, j := range owned[lo:hi] {
+				publish(j, out[idx[j]], nil)
+			}
+			return
+		}
+		for _, j := range owned[lo:hi] {
+			in, cert := scoreOne(c, g, cands[idx[j]], approx, metric)
+			publish(j, in, cert)
+		}
 	})
 	if err != nil {
 		return err

@@ -242,7 +242,13 @@ func CorrelationRatio(codes []int32, values []float64, numGroups int) float64 {
 		d := values[i] - grand
 		ssTotal += d * d
 	}
-	if ssTotal == 0 {
+	return etaSquared(totalN, ssBetween, ssTotal)
+}
+
+// etaSquared is η² from the complete rows' count and sums of squares:
+// NaN below two rows or for a constant sample, else clamped to [0, 1].
+func etaSquared(totalN, ssBetween, ssTotal float64) float64 {
+	if totalN < 2 || ssTotal == 0 {
 		return math.NaN()
 	}
 	eta2 := ssBetween / ssTotal

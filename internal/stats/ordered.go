@@ -24,9 +24,12 @@ type Ordered struct {
 	Order []int32
 	// Sorted is Values[Order[k]]: the non-NaN values ascending.
 	Sorted []float64
-	// Mean and StdDev are Mean(Values) and StdDev(Values).
+	// Moments is NewMoments(Values); Mean and StdDev are Mean(Values)
+	// and StdDev(Values).
+	Moments      Moments
 	Mean, StdDev float64
 
+	sum      float64 // Mean's sum of the non-NaN values
 	rankOnce sync.Once
 	ranks    *rankIndex // built by the first SpearmanOrdered over the view
 }
@@ -131,27 +134,63 @@ func (r *rankIndex) dropTable(partnerMissing []int32, table []int32) ([]int32, i
 // NewOrdered sorts values once and derives the rest.
 func NewOrdered(values []float64) *Ordered {
 	order, sorted := orderFrom(values, 0)
-	return newOrdered(values, order, sorted)
+	return newOrdered(values, order, sorted, Fold{})
 }
 
-// OrderedFrom builds the view over values from their order, which the
-// caller already has (ExtendOrder of a prefix's order).
-func OrderedFrom(values []float64, order []int32) *Ordered {
+// OrderedFrom builds the view over values from what the caller already
+// has: their order (ExtendOrder of a prefix's order) and the fold of a
+// prefix of them, which only the rows after it are folded into.
+func OrderedFrom(values []float64, order []int32, prefix Fold) *Ordered {
 	sorted := make([]float64, len(order))
 	for k, row := range order {
 		sorted[k] = values[row]
 	}
-	return newOrdered(values, order, sorted)
+	return newOrdered(values, order, sorted, prefix)
 }
 
-func newOrdered(values []float64, order []int32, sorted []float64) *Ordered {
-	return &Ordered{
-		Values: values,
-		Order:  order,
-		Sorted: sorted,
-		Mean:   Mean(values),
-		StdDev: StdDev(values),
+func newOrdered(values []float64, order []int32, sorted []float64, prefix Fold) *Ordered {
+	f := prefix.Extend(values)
+	mean := math.NaN()
+	if f.Moments.N > 0 {
+		mean = f.Sum / float64(f.Moments.N)
 	}
+	return &Ordered{
+		Values:  values,
+		Order:   order,
+		Sorted:  sorted,
+		Moments: f.Moments,
+		Mean:    mean,
+		StdDev:  f.Moments.StdDev(),
+		sum:     f.Sum,
+	}
+}
+
+// Fold is the state an Ordered view's Moments and Mean are read from:
+// Welford's moments and Mean's plain sum of the non-NaN values among the
+// first Rows of a sample. Both are left folds — each value enters the
+// running state in row order — so folding an appended tail into a
+// prefix's Fold gives the bits folding the whole sample from empty
+// does.
+type Fold struct {
+	Moments Moments
+	Sum     float64
+	Rows    int
+}
+
+// Fold returns the view's fold over all of Values.
+func (v *Ordered) Fold() Fold { return Fold{Moments: v.Moments, Sum: v.sum, Rows: len(v.Values)} }
+
+// Extend folds values[f.Rows:] into f: values extends the sample f was
+// folded from.
+func (f Fold) Extend(values []float64) Fold {
+	for _, x := range values[f.Rows:] {
+		if x == x {
+			f.Sum += x
+		}
+		f.Moments.Add(x)
+	}
+	f.Rows = len(values)
+	return f
 }
 
 // radixMin is the sample length from which orderFrom sorts by radix:

@@ -132,26 +132,31 @@ func OutlierScore(xs []float64, det OutlierDetector) (score float64, outliers []
 	if det == nil {
 		det = IQRDetector{}
 	}
-	return scoreOutliers(xs, det.Detect(xs))
+	return scoreOutliers(xs, det.Detect(xs), nil)
 }
 
 // OutlierScoreOrdered is OutlierScore(o.Values, det): the built-in IQR
-// and MAD detectors reuse o.Sorted; any other detector runs as usual.
+// and MAD detectors reuse o.Sorted, and the score reads o.Moments; any
+// other detector runs as usual.
 func OutlierScoreOrdered(o *Ordered, det OutlierDetector) (score float64, outliers []int) {
 	if det == nil {
 		det = IQRDetector{}
 	}
 	if sd, ok := det.(sortedDetector); ok {
-		return scoreOutliers(o.Values, sd.detectSorted(o.Values, o.Sorted))
+		return scoreOutliers(o.Values, sd.detectSorted(o.Values, o.Sorted), &o.Moments)
 	}
-	return scoreOutliers(o.Values, det.Detect(o.Values))
+	return scoreOutliers(o.Values, det.Detect(o.Values), &o.Moments)
 }
 
-func scoreOutliers(xs []float64, outliers []int) (float64, []int) {
+// scoreOutliers averages the outliers' standardized distances under m,
+// the moments of xs (nil: computed here, when there are outliers).
+func scoreOutliers(xs []float64, outliers []int, m *Moments) (float64, []int) {
 	if len(outliers) == 0 {
 		return 0, nil
 	}
-	m := NewMoments(xs)
+	if m == nil {
+		m = NewMoments(xs)
+	}
 	sd := m.StdDev()
 	if sd == 0 || math.IsNaN(sd) {
 		return math.NaN(), outliers
