@@ -138,14 +138,11 @@ func ScoreBoundFor(c Class, p *sketch.DatasetProfile, attrs []string, metric str
 // within [min, max]; cv has no sound bound (a near-zero mean makes it
 // arbitrarily ill-conditioned).
 func (c *momentsClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	if len(attrs) != 1 {
-		return math.Inf(1)
-	}
-	np, err := p.NumericProfileOf(attrs[0])
+	_, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return math.Inf(1)
 	}
-	m := &np.Moments
+	m := &ps.num[0].Moments
 	switch metric {
 	case "variance":
 		return boundSlack(m.Variance())
@@ -179,14 +176,11 @@ func (c *outliersClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, met
 	default:
 		return math.Inf(1)
 	}
-	if len(attrs) != 1 {
-		return math.Inf(1)
-	}
-	np, err := p.NumericProfileOf(attrs[0])
+	_, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return math.Inf(1)
 	}
-	m := &np.Moments
+	m := &ps.num[0].Moments
 	sd := m.StdDev()
 	if sd == 0 || math.IsNaN(sd) {
 		// Degenerate spread: the scorers return NaN (filtered), so any
@@ -208,13 +202,11 @@ func (c *outliersClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, met
 // — so no slack is needed; the sketch-path RelFreqTopK is dominated
 // term by term.
 func (c *heavyHittersClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	if metric != "relfreq" || len(attrs) != 1 {
+	_, ps, err := c.onProfile(p, attrs, metric)
+	if metric != "relfreq" || err != nil || ps.cat[0].Heavy == nil {
 		return math.Inf(1)
 	}
-	cp, err := p.CategoricalProfileOf(attrs[0])
-	if err != nil || cp.Heavy == nil {
-		return math.Inf(1)
-	}
+	cp := ps.cat[0]
 	n := cp.Heavy.Count()
 	if n == 0 {
 		return math.Inf(1)
@@ -325,21 +317,11 @@ func (c *catAssocClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, met
 	case "cramersv":
 		return unitBound
 	case "mutualinfo":
-		if len(attrs) != 2 {
-			return math.Inf(1)
-		}
-		ca, err := p.CategoricalProfileOf(attrs[0])
+		_, ps, err := c.onProfile(p, attrs, metric)
 		if err != nil {
 			return math.Inf(1)
 		}
-		cb, err := p.CategoricalProfileOf(attrs[1])
-		if err != nil {
-			return math.Inf(1)
-		}
-		card := ca.Cardinality
-		if cb.Cardinality < card {
-			card = cb.Cardinality
-		}
+		card := min(ps.cat[0].Cardinality, ps.cat[1].Cardinality)
 		if card < 1 {
 			return math.Inf(1)
 		}
@@ -361,14 +343,12 @@ func (c *segmentationClass) ScoreBound(p *sketch.DatasetProfile, attrs []string,
 // SuccessorBound is the kernel's bound on the raw silhouette, inflated
 // and clamped as the score is.
 func (c *segmentationClass) SuccessorBound(cert Certificate, f *frame.Frame, attrs []string, metric string) float64 {
-	if metric != "silhouette" || len(attrs) != 3 {
+	_, cols, err := c.onFrame(f, attrs, metric)
+	if metric != "silhouette" || err != nil {
 		return math.Inf(1)
 	}
-	x, y, z, err := c.columns(f, attrs)
-	if err != nil {
-		return math.Inf(1)
-	}
-	b := stats.SilhouetteCert(cert).Bound(x.Ordered(), y.Ordered(), z.Codes(), z.Cardinality(), c.step(f.Rows()))
+	z := cols.cat[2]
+	b := stats.SilhouetteCert(cert).Bound(cols.num[0].Ordered(), cols.num[1].Ordered(), z.Codes(), z.Cardinality(), c.step(f.Rows()))
 	return max(boundSlack(b), 0)
 }
 
@@ -393,19 +373,11 @@ func (c *nonlinearClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, me
 // a rare *discriminating* unit-range bound, since both paths compute
 // the score from moments of the same cells.
 func (c *normalityClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	switch metric {
-	case "normscore", "jarquebera":
-	default:
-		return math.Inf(1)
-	}
-	if len(attrs) != 1 {
-		return math.Inf(1)
-	}
-	np, err := p.NumericProfileOf(attrs[0])
+	_, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return math.Inf(1)
 	}
-	return boundSlack(np.Moments.NormalityScore())
+	return boundSlack(ps.num[0].Moments.NormalityScore())
 }
 
 // BoundViolation reports one sampled candidate whose computed score

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
+	"strings"
 
 	"foresight/internal/frame"
 	"foresight/internal/sketch"
@@ -25,20 +25,29 @@ func numericPairs(f *frame.Frame) [][]string {
 // linearClass is insight class #6: strength of a linear relationship
 // between two numeric columns, ranked by |ρ| (alternative: R²);
 // scatter plot with best-fit line.
-type linearClass struct{}
+type linearClass struct{ spec }
 
 // NewLinearClass returns the linear-relationship insight class.
-func NewLinearClass() Class { return &linearClass{} }
-
-func (c *linearClass) Name() string { return "linear" }
-func (c *linearClass) Description() string {
-	return "Strong linear relationship between two attributes"
+func NewLinearClass() Class {
+	return &linearClass{spec{
+		name:    "linear",
+		desc:    "Strong linear relationship between two attributes",
+		metrics: []string{"pearson", "r2"},
+		vis:     VisScatterFit, kinds: "nn",
+	}}
 }
-func (c *linearClass) Arity() int        { return 2 }
-func (c *linearClass) Metrics() []string { return []string{"pearson", "r2"} }
-func (c *linearClass) VisKind() VisKind  { return VisScatterFit }
 
 func (c *linearClass) Candidates(f *frame.Frame) [][]string { return numericPairs(f) }
+
+// linearInsight fills in the insight of a correlation ρ whose fit
+// explains r2 of the variance.
+func linearInsight(in Insight, rho, r2 float64, details map[string]float64) Insight {
+	in.Raw, in.Score, in.Details = rho, math.Abs(rho), details
+	if in.Metric == "r2" {
+		in.Raw, in.Score = r2, r2
+	}
+	return in
+}
 
 func (c *linearClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
 	var out [1]Insight
@@ -53,28 +62,12 @@ func (c *linearClass) ScoreRun(f *frame.Frame, run [][]string, metric string, ou
 	var x []float64
 	var partners [stats.RunWidth][]float64
 	ys := partners[:0]
-	for k, attrs := range run {
-		if err := checkArity("linear", attrs, 2); err != nil {
-			return err
-		}
-		if k == 0 {
-			var err error
-			if metric, err = validateMetric(c, metric); err != nil {
-				return err
-			}
-			col, err := f.Numeric(attrs[0])
-			if err != nil {
-				return err
-			}
-			x = col.Values()
-		} else if err := checkRun("linear", run[0], attrs); err != nil {
-			return err
-		}
-		y, err := f.Numeric(attrs[1])
+	for k := range run {
+		in, cols, err := c.onRun(f, run, k, metric)
 		if err != nil {
 			return err
 		}
-		ys = append(ys, y.Values())
+		x, ys, out[k] = cols.num[0].Values(), append(ys, cols.num[1].Values()), in
 	}
 	var rhoBuf [stats.RunWidth]float64
 	var fitBuf [stats.RunWidth]stats.LinearFit
@@ -83,89 +76,49 @@ func (c *linearClass) ScoreRun(f *frame.Frame, run [][]string, metric string, ou
 		rho, fits = make([]float64, len(run)), make([]stats.LinearFit, len(run))
 	}
 	stats.PearsonFits(x, ys, rho, fits)
-	for k, attrs := range run {
-		in := Insight{
-			Class:  "linear",
-			Metric: metric,
-			Attrs:  attrs,
-			Vis:    VisScatterFit,
-			Details: map[string]float64{
-				"rho":       rho[k],
-				"slope":     fits[k].Slope,
-				"intercept": fits[k].Intercept,
-				"r2":        fits[k].R2,
-			},
-		}
-		switch metric {
-		case "pearson":
-			in.Raw = rho[k]
-			in.Score = math.Abs(rho[k])
-		case "r2":
-			in.Raw = fits[k].R2
-			in.Score = fits[k].R2
-		}
-		out[k] = in
-	}
-	return nil
-}
-
-// checkRun reports a candidate that does not share the first attribute
-// of its run's first candidate.
-func checkRun(class string, first, attrs []string) error {
-	if attrs[0] != first[0] {
-		return fmt.Errorf("core: class %q scores a run over one first attribute, got %v after %v", class, attrs, first)
+	for k := range run {
+		out[k] = linearInsight(out[k], rho[k], fits[k].R2, map[string]float64{
+			"rho":       rho[k],
+			"slope":     fits[k].Slope,
+			"intercept": fits[k].Intercept,
+			"r2":        fits[k].R2,
+		})
 	}
 	return nil
 }
 
 func (c *linearClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("linear", attrs, 2); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	rho, err := p.EstimatePearson(attrs[0], attrs[1])
-	if err != nil {
-		return Insight{}, err
-	}
-	in := Insight{
-		Class:   "linear",
-		Metric:  metric,
-		Attrs:   attrs,
-		Approx:  true,
-		Vis:     VisScatterFit,
-		Details: map[string]float64{"rho": rho},
-	}
-	switch metric {
-	case "pearson":
-		in.Raw = rho
-		in.Score = math.Abs(rho)
-	case "r2":
-		in.Raw = rho * rho
-		in.Score = rho * rho
-	}
-	return in, nil
+	// The hyperplane-sketch estimate (sketch.DatasetProfile.EstimatePearson).
+	rho := ps.num[0].Planes.EstimateCorrelation(ps.num[1].Planes)
+	return linearInsight(in, rho, rho*rho, map[string]float64{"rho": rho}), nil
 }
 
 // monotonicClass covers the paper's "nonlinear monotonic
 // relationships" additional insight: ranked by |Spearman ρ|
 // (alternative: Kendall τ-b); scatter plot.
-type monotonicClass struct{}
+type monotonicClass struct{ spec }
 
 // NewMonotonicClass returns the monotonic-relationship insight class.
-func NewMonotonicClass() Class { return &monotonicClass{} }
-
-func (c *monotonicClass) Name() string { return "monotonic" }
-func (c *monotonicClass) Description() string {
-	return "Monotonic (possibly nonlinear) relationship between two attributes"
+func NewMonotonicClass() Class {
+	return &monotonicClass{spec{
+		name:    "monotonic",
+		desc:    "Monotonic (possibly nonlinear) relationship between two attributes",
+		metrics: []string{"spearman", "kendall"},
+		vis:     VisScatter, kinds: "nn",
+	}}
 }
-func (c *monotonicClass) Arity() int        { return 2 }
-func (c *monotonicClass) Metrics() []string { return []string{"spearman", "kendall"} }
-func (c *monotonicClass) VisKind() VisKind  { return VisScatter }
 
 func (c *monotonicClass) Candidates(f *frame.Frame) [][]string { return numericPairs(f) }
+
+// rankInsight fills in the insight of a rank correlation.
+func rankInsight(in Insight, rho float64) Insight {
+	in.Score, in.Raw, in.Details = math.Abs(rho), rho, map[string]float64{"rho": rho}
+	return in
+}
 
 func (c *monotonicClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
 	in, _, err := c.ScoreCertified(f, attrs, metric)
@@ -175,90 +128,39 @@ func (c *monotonicClass) Score(f *frame.Frame, attrs []string, metric string) (I
 // ScoreCertified is the pair's |ρ| or |τ-b|, and for a defined Spearman ρ
 // the certificate: the frame's rows and the kernel's rank sums.
 func (c *monotonicClass) ScoreCertified(f *frame.Frame, attrs []string, metric string) (Insight, Certificate, error) {
-	if err := checkArity("monotonic", attrs, 2); err != nil {
-		return Insight{}, nil, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
 		return Insight{}, nil, err
 	}
-	x, err := f.Numeric(attrs[0])
-	if err != nil {
-		return Insight{}, nil, err
+	x, y := cols.num[0], cols.num[1]
+	if in.Metric == "kendall" {
+		return rankInsight(in, stats.KendallTauB(x.Values(), y.Values())), nil, nil
 	}
-	y, err := f.Numeric(attrs[1])
-	if err != nil {
-		return Insight{}, nil, err
-	}
-	var raw float64
+	s := stats.SpearmanSums(x.Ordered(), y.Ordered())
 	var cert Certificate
-	switch metric {
-	case "spearman":
-		s := stats.SpearmanSums(x.Ordered(), y.Ordered())
-		if raw = s.Rho(); raw == raw {
-			cert = Certificate{float64(f.Rows()), float64(s.M), s.XX, s.YY, s.XY}
-		}
-	case "kendall":
-		raw = stats.KendallTauB(x.Values(), y.Values())
+	rho := s.Rho()
+	if rho == rho {
+		cert = Certificate{float64(f.Rows()), float64(s.M), s.XX, s.YY, s.XY}
 	}
-	return Insight{
-		Class:   "monotonic",
-		Metric:  metric,
-		Attrs:   attrs,
-		Score:   math.Abs(raw),
-		Raw:     raw,
-		Vis:     VisScatter,
-		Details: map[string]float64{"rho": raw},
-	}, cert, nil
+	return rankInsight(in, rho), cert, nil
 }
 
 func (c *monotonicClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("monotonic", attrs, 2); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	var raw float64
-	switch metric {
-	case "spearman":
-		// Prefer the rank-projection sketch; fall back to the shared
-		// row sample when rank projections were not built.
-		if est, err := p.EstimateSpearman(attrs[0], attrs[1]); err == nil {
-			raw = est
-		} else {
-			px, err := p.NumericProfileOf(attrs[0])
-			if err != nil {
-				return Insight{}, err
-			}
-			py, err := p.NumericProfileOf(attrs[1])
-			if err != nil {
-				return Insight{}, err
-			}
-			raw = stats.SpearmanOrdered(px.RowSampleOrdered(), py.RowSampleOrdered())
-		}
-	case "kendall":
-		px, err := p.NumericProfileOf(attrs[0])
-		if err != nil {
-			return Insight{}, err
-		}
-		py, err := p.NumericProfileOf(attrs[1])
-		if err != nil {
-			return Insight{}, err
-		}
-		raw = stats.KendallTauB(px.RowSampleValues, py.RowSampleValues)
+	x, y := ps.num[0], ps.num[1]
+	switch {
+	case in.Metric == "kendall":
+		return rankInsight(in, stats.KendallTauB(x.RowSampleValues, y.RowSampleValues)), nil
+	case x.RankPlanes != nil && y.RankPlanes != nil:
+		// The rank-projection sketch (sketch.DatasetProfile.EstimateSpearman).
+		return rankInsight(in, x.RankPlanes.EstimateCorrelation(y.RankPlanes)), nil
+	default:
+		// Rank projections were not built: the shared row sample.
+		return rankInsight(in, stats.SpearmanOrdered(x.RowSampleOrdered(), y.RowSampleOrdered())), nil
 	}
-	return Insight{
-		Class:   "monotonic",
-		Metric:  metric,
-		Attrs:   attrs,
-		Score:   math.Abs(raw),
-		Raw:     raw,
-		Approx:  true,
-		Vis:     VisScatter,
-		Details: map[string]float64{"rho": raw},
-	}, nil
 }
 
 // dependenceClass covers "general statistical dependencies" between a
@@ -266,6 +168,7 @@ func (c *monotonicClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, m
 // η² (share of numeric variance explained by the grouping); strip-plot
 // visualization. Attrs order: [numeric, categorical].
 type dependenceClass struct {
+	spec
 	maxCardinality int
 }
 
@@ -276,16 +179,13 @@ func NewDependenceClass(maxCardinality int) Class {
 	if maxCardinality <= 0 {
 		maxCardinality = 64
 	}
-	return &dependenceClass{maxCardinality: maxCardinality}
+	return &dependenceClass{spec: spec{
+		name:    "dependence",
+		desc:    "Numeric attribute depends on a categorical attribute",
+		metrics: []string{"eta2"},
+		vis:     VisStrip, kinds: "nc",
+	}, maxCardinality: maxCardinality}
 }
-
-func (c *dependenceClass) Name() string { return "dependence" }
-func (c *dependenceClass) Description() string {
-	return "Numeric attribute depends on a categorical attribute"
-}
-func (c *dependenceClass) Arity() int        { return 2 }
-func (c *dependenceClass) Metrics() []string { return []string{"eta2"} }
-func (c *dependenceClass) VisKind() VisKind  { return VisStrip }
 
 func (c *dependenceClass) Candidates(f *frame.Frame) [][]string {
 	var out [][]string
@@ -316,28 +216,13 @@ func (c *dependenceClass) ScoreRun(f *frame.Frame, run [][]string, metric string
 	var codeBuf [stats.RunWidth][]int32
 	var groupBuf [stats.RunWidth]int
 	codes, groups := codeBuf[:0], groupBuf[:0]
-	for k, attrs := range run {
-		if err := checkArity("dependence", attrs, 2); err != nil {
-			return err
-		}
-		if k == 0 {
-			var err error
-			if metric, err = validateMetric(c, metric); err != nil {
-				return err
-			}
-			num, err := f.Numeric(attrs[0])
-			if err != nil {
-				return err
-			}
-			values = num.Values()
-		} else if err := checkRun("dependence", run[0], attrs); err != nil {
-			return err
-		}
-		cat, err := f.Categorical(attrs[1])
+	for k := range run {
+		in, cols, err := c.onRun(f, run, k, metric)
 		if err != nil {
 			return err
 		}
-		codes, groups = append(codes, cat.Codes()), append(groups, cat.Cardinality())
+		values, out[k] = cols.num[0].Values(), in
+		codes, groups = append(codes, cols.cat[1].Codes()), append(groups, cols.cat[1].Cardinality())
 	}
 	var etaBuf [stats.RunWidth]float64
 	eta2 := etaBuf[:]
@@ -345,57 +230,27 @@ func (c *dependenceClass) ScoreRun(f *frame.Frame, run [][]string, metric string
 		eta2 = make([]float64, len(run))
 	}
 	stats.CorrelationRatios(values, codes, groups, eta2)
-	for k, attrs := range run {
-		out[k] = Insight{
-			Class:  "dependence",
-			Metric: metric,
-			Attrs:  attrs,
-			Score:  eta2[k],
-			Raw:    eta2[k],
-			Vis:    VisStrip,
-			Details: map[string]float64{
-				"groups": float64(groups[k]),
-			},
-		}
+	for k := range run {
+		out[k] = scored(out[k], eta2[k], map[string]float64{"groups": float64(groups[k])})
 	}
 	return nil
 }
 
 func (c *dependenceClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("dependence", attrs, 2); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	np, err := p.NumericProfileOf(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	cp, err := p.CategoricalProfileOf(attrs[1])
-	if err != nil {
-		return Insight{}, err
-	}
-	eta2 := stats.CorrelationRatio(cp.RowSampleCodes, np.RowSampleValues, cp.Cardinality)
-	return Insight{
-		Class:  "dependence",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  eta2,
-		Raw:    eta2,
-		Approx: true,
-		Vis:    VisStrip,
-		Details: map[string]float64{
-			"groups": float64(cp.Cardinality),
-		},
-	}, nil
+	cp := ps.cat[1]
+	eta2 := stats.CorrelationRatio(cp.RowSampleCodes, ps.num[0].RowSampleValues, cp.Cardinality)
+	return scored(in, eta2, map[string]float64{"groups": float64(cp.Cardinality)}), nil
 }
 
 // catAssocClass measures association between two categorical
 // attributes, ranked by Cramér's V (alternative: mutual information);
 // mosaic/heatmap visualization.
 type catAssocClass struct {
+	spec
 	maxCardinality int
 }
 
@@ -406,16 +261,13 @@ func NewCategoricalAssociationClass(maxCardinality int) Class {
 	if maxCardinality <= 0 {
 		maxCardinality = 64
 	}
-	return &catAssocClass{maxCardinality: maxCardinality}
+	return &catAssocClass{spec: spec{
+		name:    "catassoc",
+		desc:    "Association between two categorical attributes",
+		metrics: []string{"cramersv", "mutualinfo"},
+		vis:     VisMosaic, kinds: "cc",
+	}, maxCardinality: maxCardinality}
 }
-
-func (c *catAssocClass) Name() string { return "catassoc" }
-func (c *catAssocClass) Description() string {
-	return "Association between two categorical attributes"
-}
-func (c *catAssocClass) Arity() int        { return 2 }
-func (c *catAssocClass) Metrics() []string { return []string{"cramersv", "mutualinfo"} }
-func (c *catAssocClass) VisKind() VisKind  { return VisMosaic }
 
 func (c *catAssocClass) Candidates(f *frame.Frame) [][]string {
 	cats := f.CategoricalColumns()
@@ -434,76 +286,33 @@ func (c *catAssocClass) Candidates(f *frame.Frame) [][]string {
 	return out
 }
 
+// association is the contingency table's Cramér's V or mutual
+// information, as metric asks.
+func association(ct *stats.Contingency, metric string) float64 {
+	if metric == "mutualinfo" {
+		return ct.MutualInformation()
+	}
+	return ct.CramersV()
+}
+
 func (c *catAssocClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("catassoc", attrs, 2); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	a, err := f.Categorical(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	b, err := f.Categorical(attrs[1])
-	if err != nil {
-		return Insight{}, err
-	}
+	a, b := cols.cat[0], cols.cat[1]
 	ct := stats.NewContingency(a.Codes(), b.Codes(), a.Cardinality(), b.Cardinality())
-	var raw float64
-	switch metric {
-	case "cramersv":
-		raw = ct.CramersV()
-	case "mutualinfo":
-		raw = ct.MutualInformation()
-	}
-	return Insight{
-		Class:  "catassoc",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  raw,
-		Raw:    raw,
-		Vis:    VisMosaic,
-		Details: map[string]float64{
-			"chi2": ct.ChiSquare(),
-		},
-	}, nil
+	return scored(in, association(ct, in.Metric), map[string]float64{"chi2": ct.ChiSquare()}), nil
 }
 
 func (c *catAssocClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("catassoc", attrs, 2); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	a, err := p.CategoricalProfileOf(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	b, err := p.CategoricalProfileOf(attrs[1])
-	if err != nil {
-		return Insight{}, err
-	}
+	a, b := ps.cat[0], ps.cat[1]
 	ct := stats.NewContingency(a.RowSampleCodes, b.RowSampleCodes, a.Cardinality, b.Cardinality)
-	var raw float64
-	switch metric {
-	case "cramersv":
-		raw = ct.CramersV()
-	case "mutualinfo":
-		raw = ct.MutualInformation()
-	}
-	return Insight{
-		Class:  "catassoc",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  raw,
-		Raw:    raw,
-		Approx: true,
-		Vis:    VisMosaic,
-	}, nil
+	return scored(in, association(ct, in.Metric), nil), nil
 }
 
 // segmentationClass covers the paper's "strong clustering of
@@ -512,6 +321,7 @@ func (c *catAssocClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, me
 // silhouette of the category-induced grouping. Attrs order:
 // [numericX, numericY, categorical].
 type segmentationClass struct {
+	spec
 	maxCardinality int
 	// sampleCap bounds the O(n²) silhouette computation.
 	sampleCap int
@@ -531,16 +341,13 @@ func NewSegmentationClass(maxCardinality, sampleCap int) Class {
 	if sampleCap <= 0 {
 		sampleCap = 512
 	}
-	return &segmentationClass{maxCardinality: maxCardinality, sampleCap: sampleCap}
+	return &segmentationClass{spec: spec{
+		name:    "segmentation",
+		desc:    "A categorical attribute segments a numeric scatter into clusters",
+		metrics: []string{"silhouette"},
+		vis:     VisColorScatter, kinds: "nnc",
+	}, maxCardinality: maxCardinality, sampleCap: sampleCap}
 }
-
-func (c *segmentationClass) Name() string { return "segmentation" }
-func (c *segmentationClass) Description() string {
-	return "A categorical attribute segments a numeric scatter into clusters"
-}
-func (c *segmentationClass) Arity() int        { return 3 }
-func (c *segmentationClass) Metrics() []string { return []string{"silhouette"} }
-func (c *segmentationClass) VisKind() VisKind  { return VisColorScatter }
 
 func (c *segmentationClass) Candidates(f *frame.Frame) [][]string {
 	var cats []*frame.CategoricalColumn
@@ -569,16 +376,19 @@ func (c *segmentationClass) step(n int) int {
 	return 1
 }
 
-// columns looks up a triple's columns in f.
-func (c *segmentationClass) columns(f *frame.Frame, attrs []string) (x, y *frame.NumericColumn, z *frame.CategoricalColumn, err error) {
-	if x, err = f.Numeric(attrs[0]); err != nil {
-		return nil, nil, nil, err
+// silhouetteInsight fills in the insight of a raw silhouette over the
+// given number of groups; the score clamps a negative one ("no
+// segmentation") to 0, and an undefined one has no insight.
+func silhouetteInsight(in Insight, sil float64, groups int) (Insight, error) {
+	if math.IsNaN(sil) {
+		return Insight{}, errUndefined(in.Class, in.Attrs)
 	}
-	if y, err = f.Numeric(attrs[1]); err != nil {
-		return nil, nil, nil, err
+	score := sil
+	if score < 0 {
+		score = 0
 	}
-	z, err = f.Categorical(attrs[2])
-	return x, y, z, err
+	in.Score, in.Raw, in.Details = score, sil, map[string]float64{"groups": float64(groups)}
+	return in, nil
 }
 
 func (c *segmentationClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
@@ -589,79 +399,26 @@ func (c *segmentationClass) Score(f *frame.Frame, attrs []string, metric string)
 // ScoreCertified is the silhouette of the grouping z's codes induce on
 // the standardized (x, y) scatter, and the kernel's certificate.
 func (c *segmentationClass) ScoreCertified(f *frame.Frame, attrs []string, metric string) (Insight, Certificate, error) {
-	if err := checkArity("segmentation", attrs, 3); err != nil {
-		return Insight{}, nil, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
 		return Insight{}, nil, err
 	}
-	x, y, z, err := c.columns(f, attrs)
-	if err != nil {
+	z := cols.cat[2]
+	sil, cert := stats.CertifiedSilhouette(cols.num[0].Ordered(), cols.num[1].Ordered(), z.Codes(), z.Cardinality(), c.step(f.Rows()))
+	if in, err = silhouetteInsight(in, sil, z.Cardinality()); err != nil {
 		return Insight{}, nil, err
 	}
-	sil, cert := stats.CertifiedSilhouette(x.Ordered(), y.Ordered(), z.Codes(), z.Cardinality(), c.step(f.Rows()))
-	score := sil
-	if math.IsNaN(score) {
-		return Insight{}, nil, errUndefined("segmentation", attrs)
-	}
-	if score < 0 {
-		score = 0 // negative silhouettes mean "no segmentation"
-	}
-	return Insight{
-		Class:  "segmentation",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  score,
-		Raw:    sil,
-		Vis:    VisColorScatter,
-		Details: map[string]float64{
-			"groups": float64(z.Cardinality()),
-		},
-	}, Certificate(cert), nil
+	return in, Certificate(cert), nil
 }
 
 func (c *segmentationClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("segmentation", attrs, 3); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	x, err := p.NumericProfileOf(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	y, err := p.NumericProfileOf(attrs[1])
-	if err != nil {
-		return Insight{}, err
-	}
-	z, err := p.CategoricalProfileOf(attrs[2])
-	if err != nil {
-		return Insight{}, err
-	}
-	xs, ys, codes := x.RowSampleOrdered(), y.RowSampleOrdered(), z.RowSampleCodes
-	sil := stats.GroupSilhouette(xs, ys, codes, z.Cardinality, c.step(min(len(xs.Values), len(ys.Values), len(codes))))
-	if math.IsNaN(sil) {
-		return Insight{}, errUndefined("segmentation", attrs)
-	}
-	score := sil
-	if score < 0 {
-		score = 0
-	}
-	return Insight{
-		Class:  "segmentation",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  score,
-		Raw:    sil,
-		Approx: true,
-		Vis:    VisColorScatter,
-		Details: map[string]float64{
-			"groups": float64(z.Cardinality),
-		},
-	}, nil
+	xs, ys, z := ps.num[0].RowSampleOrdered(), ps.num[1].RowSampleOrdered(), ps.cat[2]
+	sil := stats.GroupSilhouette(xs, ys, z.RowSampleCodes, z.Cardinality, c.step(min(len(xs.Values), len(ys.Values), len(z.RowSampleCodes))))
+	return silhouetteInsight(in, sil, z.Cardinality)
 }
 
 func errUndefined(class string, attrs []string) error {
@@ -676,18 +433,7 @@ type UndefinedError struct {
 }
 
 func (e *UndefinedError) Error() string {
-	return "core: " + e.Class + " undefined for " + joinAttrs(e.Attrs)
-}
-
-func joinAttrs(attrs []string) string {
-	out := ""
-	for i, a := range attrs {
-		if i > 0 {
-			out += ","
-		}
-		out += a
-	}
-	return out
+	return "core: " + e.Class + " undefined for " + strings.Join(e.Attrs, ",")
 }
 
 // BuiltinClasses returns the twelve insight classes Foresight ships

@@ -19,6 +19,7 @@ import (
 // information (equal-frequency bins, so the metric is invariant under
 // monotone transforms of either attribute).
 type nonlinearClass struct {
+	spec
 	bins int
 }
 
@@ -29,77 +30,41 @@ func NewNonlinearDependenceClass(bins int) Class {
 	if bins <= 0 {
 		bins = 8
 	}
-	return &nonlinearClass{bins: bins}
+	return &nonlinearClass{spec: spec{
+		name:    "nonlinear",
+		desc:    "General (possibly non-monotone) dependence between two numeric attributes",
+		metrics: []string{"normmi", "mi"},
+		vis:     VisScatter, kinds: "nn",
+	}, bins: bins}
 }
-
-func (c *nonlinearClass) Name() string { return "nonlinear" }
-func (c *nonlinearClass) Description() string {
-	return "General (possibly non-monotone) dependence between two numeric attributes"
-}
-func (c *nonlinearClass) Arity() int        { return 2 }
-func (c *nonlinearClass) Metrics() []string { return []string{"normmi", "mi"} }
-func (c *nonlinearClass) VisKind() VisKind  { return VisScatter }
 
 func (c *nonlinearClass) Candidates(f *frame.Frame) [][]string { return numericPairs(f) }
 
-func (c *nonlinearClass) score(xs, ys []float64, attrs []string, metric string, approx bool) Insight {
+func (c *nonlinearClass) score(in Insight, xs, ys []float64) Insight {
 	var raw float64
-	switch metric {
+	switch in.Metric {
 	case "normmi":
 		raw = stats.NormalizedBinnedMI(xs, ys, c.bins)
 	case "mi":
 		raw = stats.BinnedMutualInformation(xs, ys, c.bins)
 	}
-	return Insight{
-		Class:  "nonlinear",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  raw,
-		Raw:    raw,
-		Approx: approx,
-		Vis:    VisScatter,
-		Details: map[string]float64{
-			"bins": float64(c.bins),
-		},
-	}
+	return scored(in, raw, map[string]float64{"bins": float64(c.bins)})
 }
 
 func (c *nonlinearClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("nonlinear", attrs, 2); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	x, err := f.Numeric(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	y, err := f.Numeric(attrs[1])
-	if err != nil {
-		return Insight{}, err
-	}
-	return c.score(x.Values(), y.Values(), attrs, metric, false), nil
+	return c.score(in, cols.num[0].Values(), cols.num[1].Values()), nil
 }
 
 func (c *nonlinearClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("nonlinear", attrs, 2); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	x, err := p.NumericProfileOf(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	y, err := p.NumericProfileOf(attrs[1])
-	if err != nil {
-		return Insight{}, err
-	}
-	return c.score(x.RowSampleValues, y.RowSampleValues, attrs, metric, true), nil
+	return c.score(in, ps.num[0].RowSampleValues, ps.num[1].RowSampleValues), nil
 }
 
 // normalityClass ranks numeric attributes by closeness to a normal
@@ -108,36 +73,28 @@ func (c *nonlinearClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, m
 // Jarque–Bera-derived score in (0, 1]; 1 means moment-perfect
 // normality. Computed from the moments sketch, so exact and approx
 // paths agree.
-type normalityClass struct{}
+type normalityClass struct{ spec }
 
 // NewNormalityClass returns the optional normality insight class.
-func NewNormalityClass() Class { return &normalityClass{} }
-
-func (c *normalityClass) Name() string { return "normality" }
-func (c *normalityClass) Description() string {
-	return "Distribution close to normal (low Jarque–Bera)"
+func NewNormalityClass() Class {
+	return &normalityClass{spec{
+		name:    "normality",
+		desc:    "Distribution close to normal (low Jarque–Bera)",
+		metrics: []string{"normscore", "jarquebera"},
+		vis:     VisHistogram, kinds: "n",
+	}}
 }
-func (c *normalityClass) Arity() int        { return 1 }
-func (c *normalityClass) Metrics() []string { return []string{"normscore", "jarquebera"} }
-func (c *normalityClass) VisKind() VisKind  { return VisHistogram }
 
 func (c *normalityClass) Candidates(f *frame.Frame) [][]string {
 	return numericCandidates(f)
 }
 
-func normalityInsight(m *sketch.Moments, attrs []string, metric string, approx bool) Insight {
-	in := Insight{
-		Class:  "normality",
-		Metric: metric,
-		Attrs:  attrs,
-		Approx: approx,
-		Vis:    VisHistogram,
-		Details: map[string]float64{
-			"skewness": m.Skewness(),
-			"kurtosis": m.Kurtosis(),
-		},
+func normalityInsight(in Insight, m *sketch.Moments) Insight {
+	in.Details = map[string]float64{
+		"skewness": m.Skewness(),
+		"kurtosis": m.Kurtosis(),
 	}
-	switch metric {
+	switch in.Metric {
 	case "normscore":
 		in.Raw = m.NormalityScore()
 		in.Score = in.Raw
@@ -151,31 +108,17 @@ func normalityInsight(m *sketch.Moments, attrs []string, metric string, approx b
 }
 
 func (c *normalityClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("normality", attrs, 1); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	col, err := f.Numeric(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	return normalityInsight(stats.NewMoments(col.Values()), attrs, metric, false), nil
+	return normalityInsight(in, stats.NewMoments(cols.num[0].Values())), nil
 }
 
 func (c *normalityClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("normality", attrs, 1); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	np, err := p.NumericProfileOf(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	return normalityInsight(&np.Moments, attrs, metric, true), nil
+	return normalityInsight(in, &ps.num[0].Moments), nil
 }

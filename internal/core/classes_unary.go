@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"foresight/internal/frame"
 	"foresight/internal/sketch"
@@ -48,31 +49,18 @@ func identifierLike(c *frame.CategoricalColumn) bool {
 	return present > 0 && c.Cardinality()*2 > present
 }
 
-func checkArity(class string, attrs []string, want int) error {
-	if len(attrs) != want {
-		return fmt.Errorf("core: class %q wants %d attributes, got %v", class, want, attrs)
+// momentInsight fills in the insight of the three moment-based classes
+// from a Moments accumulator; robust dispersion needs order statistics,
+// not moments, so the IQR comes from iqr.
+func momentInsight(in Insight, m *sketch.Moments, iqr func() float64) Insight {
+	in.Details = map[string]float64{
+		"mean": m.Mean,
+		"sd":   m.StdDev(),
+		"min":  m.Min(),
+		"max":  m.Max(),
+		"n":    float64(m.Count()),
 	}
-	return nil
-}
-
-// momentInsight builds an insight from a Moments accumulator for the
-// three moment-based classes.
-func momentInsight(c Class, attr, metric string, m *sketch.Moments, approx bool) Insight {
-	in := Insight{
-		Class:  c.Name(),
-		Metric: metric,
-		Attrs:  []string{attr},
-		Approx: approx,
-		Vis:    c.VisKind(),
-		Details: map[string]float64{
-			"mean": m.Mean,
-			"sd":   m.StdDev(),
-			"min":  m.Min(),
-			"max":  m.Max(),
-			"n":    float64(m.Count()),
-		},
-	}
-	switch metric {
+	switch in.Metric {
 	case "variance":
 		in.Raw = m.Variance()
 		in.Score = in.Raw
@@ -91,102 +79,74 @@ func momentInsight(c Class, attr, metric string, m *sketch.Moments, approx bool)
 	case "excess":
 		in.Raw = m.ExcessKurtosis()
 		in.Score = math.Max(in.Raw, 0)
+	case "iqr":
+		in.Raw = iqr()
+		in.Score = in.Raw
 	}
 	return in
 }
 
 // momentsClass factors the shared shape of dispersion/skew/heavy-tails.
-type momentsClass struct {
-	name, desc string
-	metrics    []string
-}
-
-func (c *momentsClass) Name() string        { return c.name }
-func (c *momentsClass) Description() string { return c.desc }
-func (c *momentsClass) Arity() int          { return 1 }
-func (c *momentsClass) Metrics() []string   { return c.metrics }
-func (c *momentsClass) VisKind() VisKind    { return VisHistogram }
+type momentsClass struct{ spec }
 
 func (c *momentsClass) Candidates(f *frame.Frame) [][]string {
 	return numericCandidates(f)
 }
 
 func (c *momentsClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
-	if err := checkArity(c.name, attrs, 1); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	col, err := f.Numeric(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	view := col.Ordered()
-	in := momentInsight(c, attrs[0], metric, &view.Moments, false)
-	if metric == "iqr" {
-		// Robust dispersion needs order statistics, not moments.
-		in.Raw = stats.IQRSorted(view.Sorted)
-		in.Score = in.Raw
-	}
-	return in, nil
+	view := cols.num[0].Ordered()
+	return momentInsight(in, &view.Moments, func() float64 { return stats.IQRSorted(view.Sorted) }), nil
 }
 
 func (c *momentsClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity(c.name, attrs, 1); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
-	if err != nil {
-		return Insight{}, err
-	}
-	np, err := p.NumericProfileOf(attrs[0])
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
 	// The moments sketch is exact (running sums), so the "approximate"
 	// path gives the same numbers; it is still marked Approx because it
 	// came from the preprocessed store.
-	in := momentInsight(c, attrs[0], metric, &np.Moments, true)
-	if metric == "iqr" {
-		in.Raw = np.Quantiles.IQR()
-		in.Score = in.Raw
-	}
-	return in, nil
+	return momentInsight(in, &ps.num[0].Moments, ps.num[0].Quantiles.IQR), nil
 }
 
 // NewDispersionClass returns insight class #1: very high dispersion of
 // values around the mean, ranked by variance σ² (alternatives: stddev,
 // coefficient of variation), visualized as a histogram.
 func NewDispersionClass() Class {
-	return &momentsClass{
+	return &momentsClass{spec{
 		name:    "dispersion",
 		desc:    "High dispersion of values around the mean",
 		metrics: []string{"variance", "stddev", "cv", "iqr"},
-	}
+		vis:     VisHistogram, kinds: "n",
+	}}
 }
 
 // NewSkewClass returns insight class #2: asymmetry of a univariate
 // distribution, ranked by |γ₁| (standardized skewness coefficient),
 // visualized as a histogram.
 func NewSkewClass() Class {
-	return &momentsClass{
+	return &momentsClass{spec{
 		name:    "skew",
 		desc:    "Strong asymmetry (skewness) of a distribution",
 		metrics: []string{"skewness"},
-	}
+		vis:     VisHistogram, kinds: "n",
+	}}
 }
 
 // NewHeavyTailsClass returns insight class #3: propensity toward
 // extreme values, ranked by kurtosis (alternative: excess kurtosis),
 // visualized as a histogram.
 func NewHeavyTailsClass() Class {
-	return &momentsClass{
+	return &momentsClass{spec{
 		name:    "heavytails",
 		desc:    "Heavy-tailed distribution (extreme-value propensity)",
 		metrics: []string{"kurtosis", "excess"},
-	}
+		vis:     VisHistogram, kinds: "n",
+	}}
 }
 
 // outliersClass is insight class #4: presence and significance of
@@ -198,6 +158,7 @@ func NewHeavyTailsClass() Class {
 // standard detectors are always selectable as metric variants
 // ("iqr", "zscore", "mad").
 type outliersClass struct {
+	spec
 	detector stats.OutlierDetector
 }
 
@@ -207,16 +168,13 @@ func NewOutliersClass(det stats.OutlierDetector) Class {
 	if det == nil {
 		det = stats.IQRDetector{}
 	}
-	return &outliersClass{detector: det}
+	return &outliersClass{spec: spec{
+		name:    "outliers",
+		desc:    "Extreme outliers far from the mean",
+		metrics: []string{"meandist", "iqr", "zscore", "mad"},
+		vis:     VisBoxPlot, kinds: "n",
+	}, detector: det}
 }
-
-func (c *outliersClass) Name() string { return "outliers" }
-func (c *outliersClass) Description() string {
-	return "Extreme outliers far from the mean"
-}
-func (c *outliersClass) Arity() int        { return 1 }
-func (c *outliersClass) Metrics() []string { return []string{"meandist", "iqr", "zscore", "mad"} }
-func (c *outliersClass) VisKind() VisKind  { return VisBoxPlot }
 
 func (c *outliersClass) Candidates(f *frame.Frame) [][]string {
 	return numericCandidates(f)
@@ -238,81 +196,52 @@ func (c *outliersClass) detectorFor(metric string) stats.OutlierDetector {
 }
 
 func (c *outliersClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("outliers", attrs, 1); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	col, err := f.Numeric(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	view := col.Ordered()
-	score, outliers := stats.OutlierScoreOrdered(view, c.detectorFor(metric))
+	view := cols.num[0].Ordered()
+	score, outliers := stats.OutlierScoreOrdered(view, c.detectorFor(in.Metric))
 	box := stats.NewBoxStatsSorted(view.Sorted, 0)
-	return Insight{
-		Class:  "outliers",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  score,
-		Raw:    score,
-		Vis:    VisBoxPlot,
-		Details: map[string]float64{
-			"count":  float64(len(outliers)),
-			"q1":     box.Q1,
-			"median": box.Median,
-			"q3":     box.Q3,
-			"min":    box.Min,
-			"max":    box.Max,
-		},
-	}, nil
+	return scored(in, score, map[string]float64{
+		"count":  float64(len(outliers)),
+		"q1":     box.Q1,
+		"median": box.Median,
+		"q3":     box.Q3,
+		"min":    box.Min,
+		"max":    box.Max,
+	}), nil
 }
 
 func (c *outliersClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("outliers", attrs, 1); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	np, err := p.NumericProfileOf(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
+	np := ps.num[0]
 	qs := np.Quantiles.Quantiles([]float64{0.25, 0.5, 0.75})
 	var score float64
-	switch metric {
+	switch in.Metric {
 	case "zscore", "mad":
 		// No closed-form sketch: run the detector on the reservoir.
-		score, _ = stats.OutlierScore(np.Sample.Sample(), c.detectorFor(metric))
+		score, _ = stats.OutlierScore(np.Sample.Sample(), c.detectorFor(in.Metric))
 	default: // meandist / iqr: KLL fences ⊕ reservoir composition
 		score = np.OutlierScoreEstimate(0)
 	}
-	return Insight{
-		Class:  "outliers",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  score,
-		Raw:    score,
-		Approx: true,
-		Vis:    VisBoxPlot,
-		Details: map[string]float64{
-			"q1":     qs[0],
-			"median": qs[1],
-			"q3":     qs[2],
-			"min":    np.Moments.Min(),
-			"max":    np.Moments.Max(),
-		},
-	}, nil
+	return scored(in, score, map[string]float64{
+		"q1":     qs[0],
+		"median": qs[1],
+		"q3":     qs[2],
+		"min":    np.Moments.Min(),
+		"max":    np.Moments.Max(),
+	}), nil
 }
 
 // heavyHittersClass is insight class #5: heterogeneous frequencies of
 // a categorical column, ranked by RelFreq(k,c) — the total relative
 // frequency of the k most frequent values; Pareto chart visualization.
 type heavyHittersClass struct {
+	spec
 	k int
 }
 
@@ -322,16 +251,13 @@ func NewHeavyHittersClass(k int) Class {
 	if k <= 0 {
 		k = 3
 	}
-	return &heavyHittersClass{k: k}
+	return &heavyHittersClass{spec: spec{
+		name:    "heavyhitters",
+		desc:    "A few values dominate the frequency distribution",
+		metrics: []string{"relfreq"},
+		vis:     VisPareto, kinds: "c",
+	}, k: k}
 }
-
-func (c *heavyHittersClass) Name() string { return "heavyhitters" }
-func (c *heavyHittersClass) Description() string {
-	return "A few values dominate the frequency distribution"
-}
-func (c *heavyHittersClass) Arity() int        { return 1 }
-func (c *heavyHittersClass) Metrics() []string { return []string{"relfreq"} }
-func (c *heavyHittersClass) VisKind() VisKind  { return VisPareto }
 
 func (c *heavyHittersClass) Candidates(f *frame.Frame) [][]string {
 	// Requires at least k+1 distinct values, otherwise RelFreq is
@@ -339,74 +265,42 @@ func (c *heavyHittersClass) Candidates(f *frame.Frame) [][]string {
 	return categoricalCandidates(f, c.k+1, 0)
 }
 
+// relFreqInsight fills in the RelFreq(k) insight of a column with the
+// given cardinality and n present values; an empty column has none.
+func (c *heavyHittersClass) relFreqInsight(in Insight, empty bool, rf, cardinality, n float64) (Insight, error) {
+	if empty {
+		return Insight{}, fmt.Errorf("core: column %q has no values", in.Attrs[0])
+	}
+	return scored(in, rf, map[string]float64{
+		"k":           float64(c.k),
+		"cardinality": cardinality,
+		"n":           n,
+	}), nil
+}
+
 func (c *heavyHittersClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("heavyhitters", attrs, 1); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	col, err := f.Categorical(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	counts := col.Counts()
-	total := 0
+	counts := cols.cat[0].Counts()
+	total, sum := 0, 0
 	for _, n := range counts {
 		total += n
 	}
-	if total == 0 {
-		return Insight{}, fmt.Errorf("core: column %q has no values", attrs[0])
-	}
-	top := topCounts(counts, c.k)
-	sum := 0
-	for _, n := range top {
+	for _, n := range topCounts(counts, c.k) {
 		sum += n
 	}
-	rf := float64(sum) / float64(total)
-	return Insight{
-		Class:  "heavyhitters",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  rf,
-		Raw:    rf,
-		Vis:    VisPareto,
-		Details: map[string]float64{
-			"k":           float64(c.k),
-			"cardinality": float64(col.Cardinality()),
-			"n":           float64(total),
-		},
-	}, nil
+	return c.relFreqInsight(in, total == 0, float64(sum)/float64(total), float64(cols.cat[0].Cardinality()), float64(total))
 }
 
 func (c *heavyHittersClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("heavyhitters", attrs, 1); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	cp, err := p.CategoricalProfileOf(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	rf := cp.Heavy.RelFreqTopK(c.k)
-	return Insight{
-		Class:  "heavyhitters",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  rf,
-		Raw:    rf,
-		Approx: true,
-		Vis:    VisPareto,
-		Details: map[string]float64{
-			"k":           float64(c.k),
-			"cardinality": cp.Distinct.Distinct(),
-			"n":           float64(cp.Rows),
-		},
-	}, nil
+	cp := ps.cat[0]
+	return c.relFreqInsight(in, cp.Heavy.Count() == 0, cp.Heavy.RelFreqTopK(c.k), cp.Distinct.Distinct(), float64(cp.Rows))
 }
 
 // topCounts returns the k largest counts.
@@ -433,23 +327,35 @@ func topCounts(counts []int, k int) []int {
 // multimodalityClass is one of the paper's "additional insights": a
 // distribution with several modes, ranked by Hartigan's dip statistic
 // (alternative: 2-means separation), visualized as a histogram.
-type multimodalityClass struct{}
+type multimodalityClass struct{ spec }
 
 // NewMultimodalityClass returns the multimodality insight class.
-func NewMultimodalityClass() Class { return &multimodalityClass{} }
-
-func (c *multimodalityClass) Name() string { return "multimodality" }
-func (c *multimodalityClass) Description() string {
-	return "Distribution with multiple modes"
+func NewMultimodalityClass() Class {
+	return &multimodalityClass{spec{
+		name:    "multimodality",
+		desc:    "Distribution with multiple modes",
+		metrics: []string{"dip", "separation", "kdemodes"},
+		vis:     VisHistogramDensity, kinds: "n",
+	}}
 }
-func (c *multimodalityClass) Arity() int { return 1 }
-func (c *multimodalityClass) Metrics() []string {
-	return []string{"dip", "separation", "kdemodes"}
-}
-func (c *multimodalityClass) VisKind() VisKind { return VisHistogramDensity }
 
 func (c *multimodalityClass) Candidates(f *frame.Frame) [][]string {
 	return numericCandidates(f)
+}
+
+// modesInsight scores sorted values, free of NaNs, under in's metric:
+// every metric here is a function of the sorted values alone.
+func modesInsight(in Insight, sorted []float64) Insight {
+	var score float64
+	switch in.Metric {
+	case "dip":
+		score = stats.DipSorted(sorted)
+	case "separation":
+		score = stats.BimodalitySeparation(sorted)
+	case "kdemodes":
+		score = float64(stats.NewKDE(sorted, 0).ModeCount(0))
+	}
+	return scored(in, score, nil)
 }
 
 func (c *multimodalityClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
@@ -460,161 +366,74 @@ func (c *multimodalityClass) Score(f *frame.Frame, attrs []string, metric string
 // ScoreCertified is the column's score, and for the dip the certificate:
 // the frame's rows, the values the dip was taken over and the dip.
 func (c *multimodalityClass) ScoreCertified(f *frame.Frame, attrs []string, metric string) (Insight, Certificate, error) {
-	if err := checkArity("multimodality", attrs, 1); err != nil {
-		return Insight{}, nil, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
 		return Insight{}, nil, err
 	}
-	col, err := f.Numeric(attrs[0])
-	if err != nil {
-		return Insight{}, nil, err
-	}
-	// Every metric here is a function of the sorted non-missing values
-	// alone (histogram counts are integers, so binning order is moot).
-	vals := col.Ordered().Sorted
-	var score float64
+	// Histogram counts are integers, so binning order is moot too.
+	vals := cols.num[0].Ordered().Sorted
+	in = modesInsight(in, vals)
+	in.Details = map[string]float64{"peaks": float64(stats.AutoHistogram(vals, stats.FreedmanDiaconis).PeakCount())}
 	var cert Certificate
-	details := map[string]float64{}
-	switch metric {
-	case "dip":
-		score = stats.DipSorted(vals)
-		cert = Certificate{float64(f.Rows()), float64(len(vals)), score}
-		details["pvalue"] = stats.DipPValueApprox(score, len(vals))
-	case "separation":
-		score = stats.BimodalitySeparation(vals)
-	case "kdemodes":
-		score = float64(stats.NewKDE(vals, 0).ModeCount(0))
+	if in.Metric == "dip" {
+		cert = Certificate{float64(f.Rows()), float64(len(vals)), in.Score}
+		in.Details["pvalue"] = stats.DipPValueApprox(in.Score, len(vals))
 	}
-	details["peaks"] = float64(stats.AutoHistogram(vals, stats.FreedmanDiaconis).PeakCount())
-	return Insight{
-		Class:   "multimodality",
-		Metric:  metric,
-		Attrs:   attrs,
-		Score:   score,
-		Raw:     score,
-		Vis:     VisHistogramDensity,
-		Details: details,
-	}, cert, nil
+	return in, cert, nil
 }
 
 func (c *multimodalityClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("multimodality", attrs, 1); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	np, err := p.NumericProfileOf(attrs[0])
-	if err != nil {
-		return Insight{}, err
-	}
-	sample := np.Sample.Sample()
-	var score float64
-	switch metric {
-	case "dip":
-		score = stats.Dip(sample)
-	case "separation":
-		score = stats.BimodalitySeparation(sample)
-	case "kdemodes":
-		score = float64(stats.NewKDE(sample, 0).ModeCount(0))
-	}
-	return Insight{
-		Class:  "multimodality",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  score,
-		Raw:    score,
-		Approx: true,
-		Vis:    VisHistogramDensity,
-	}, nil
+	sample := slices.DeleteFunc(slices.Clone(ps.num[0].Sample.Sample()), math.IsNaN)
+	slices.Sort(sample)
+	return modesInsight(in, sample), nil
 }
 
 // uniformityClass ranks categorical columns by how evenly their values
 // are distributed: normalized Shannon entropy (alternative: raw
 // entropy). High scores mean near-uniform usage of many values; low
 // scores pair with heavy hitters. Bar-chart visualization.
-type uniformityClass struct{}
+type uniformityClass struct{ spec }
 
 // NewUniformityClass returns the uniformity (entropy) insight class.
-func NewUniformityClass() Class { return &uniformityClass{} }
-
-func (c *uniformityClass) Name() string { return "uniformity" }
-func (c *uniformityClass) Description() string {
-	return "Values spread evenly across many categories (high entropy)"
+func NewUniformityClass() Class {
+	return &uniformityClass{spec{
+		name:    "uniformity",
+		desc:    "Values spread evenly across many categories (high entropy)",
+		metrics: []string{"normentropy", "entropy"},
+		vis:     VisBar, kinds: "c",
+	}}
 }
-func (c *uniformityClass) Arity() int        { return 1 }
-func (c *uniformityClass) Metrics() []string { return []string{"normentropy", "entropy"} }
-func (c *uniformityClass) VisKind() VisKind  { return VisBar }
 
 func (c *uniformityClass) Candidates(f *frame.Frame) [][]string {
 	return categoricalCandidates(f, 2, 0)
 }
 
 func (c *uniformityClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("uniformity", attrs, 1); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	col, err := f.Categorical(attrs[0])
-	if err != nil {
-		return Insight{}, err
+	counts := cols.cat[0].Counts()
+	score := stats.NormalizedEntropy
+	if in.Metric == "entropy" {
+		score = stats.Entropy
 	}
-	counts := col.Counts()
-	var score float64
-	switch metric {
-	case "normentropy":
-		score = stats.NormalizedEntropy(counts)
-	case "entropy":
-		score = stats.Entropy(counts)
-	}
-	return Insight{
-		Class:  "uniformity",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  score,
-		Raw:    score,
-		Vis:    VisBar,
-		Details: map[string]float64{
-			"cardinality": float64(col.Cardinality()),
-		},
-	}, nil
+	return scored(in, score(counts), map[string]float64{"cardinality": float64(cols.cat[0].Cardinality())}), nil
 }
 
 func (c *uniformityClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	if err := checkArity("uniformity", attrs, 1); err != nil {
-		return Insight{}, err
-	}
-	metric, err := validateMetric(c, metric)
+	in, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	cp, err := p.CategoricalProfileOf(attrs[0])
-	if err != nil {
-		return Insight{}, err
+	cp := ps.cat[0]
+	score := cp.UniformityEstimate
+	if in.Metric == "entropy" {
+		score = cp.EntropyEstimate
 	}
-	var score float64
-	switch metric {
-	case "normentropy":
-		score = cp.UniformityEstimate()
-	case "entropy":
-		score = cp.EntropyEstimate()
-	}
-	return Insight{
-		Class:  "uniformity",
-		Metric: metric,
-		Attrs:  attrs,
-		Score:  score,
-		Raw:    score,
-		Approx: true,
-		Vis:    VisBar,
-		Details: map[string]float64{
-			"cardinality": cp.Distinct.Distinct(),
-		},
-	}, nil
+	return scored(in, score(), map[string]float64{"cardinality": cp.Distinct.Distinct()}), nil
 }

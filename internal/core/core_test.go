@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -281,7 +282,13 @@ func TestTopClassRankingsApprox(t *testing.T) {
 		"catassoc":     {"cat_a", "cat_b"},
 	} {
 		c, _ := r.Lookup(className)
-		ins := ScoreAllApprox(c, f, p, "")
+		var ins []Insight
+		for _, attrs := range c.Candidates(f) {
+			if in, err := c.ScoreApprox(p, attrs, ""); err == nil && !math.IsNaN(in.Score) {
+				ins = append(ins, in)
+			}
+		}
+		SortInsights(ins)
 		if len(ins) == 0 {
 			t.Errorf("%s: no approx insights", className)
 			continue
@@ -380,49 +387,167 @@ func TestMetricVariants(t *testing.T) {
 	}
 }
 
+// tupleKinds is what each class reads at each tuple position ('n'
+// numeric, 'c' categorical), written out here rather than read from
+// the classes so that the tests below check them.
+var tupleKinds = map[string]string{
+	"linear": "nn", "outliers": "n", "heavytails": "n", "dispersion": "n",
+	"skew": "n", "heavyhitters": "c", "monotonic": "nn", "dependence": "nc",
+	"catassoc": "cc", "multimodality": "n", "segmentation": "nnc",
+	"uniformity": "c", "nonlinear": "nn", "normality": "n",
+}
+
+// malformed reports a tuple every path must refuse: the wrong arity, an
+// unknown metric, an unknown column or a column of the wrong kind.
+func malformed(c Class, f *frame.Frame, attrs []string, metric string) bool {
+	kinds := tupleKinds[c.Name()]
+	if len(attrs) != len(kinds) || (metric != "" && !slices.Contains(c.Metrics(), metric)) {
+		return true
+	}
+	for i, a := range attrs {
+		_, numErr := f.Numeric(a)
+		_, catErr := f.Categorical(a)
+		if (kinds[i] == 'n' && numErr != nil) || (kinds[i] == 'c' && catErr != nil) {
+			return true
+		}
+	}
+	return false
+}
+
+// scoreBoth scores attrs on both paths and reports each path's error,
+// failing t on a panic.
+func scoreBoth(t *testing.T, c Class, f *frame.Frame, p *sketch.DatasetProfile, attrs []string, metric string) (exactErr, approxErr error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s%q metric %q on %d rows: panic: %v", c.Name(), attrs, metric, f.Rows(), r)
+		}
+	}()
+	_, exactErr = c.Score(f, attrs, metric)
+	_, approxErr = c.ScoreApprox(p, attrs, metric)
+	return exactErr, approxErr
+}
+
+// checkTuple holds both paths to the prologue's contract on one tuple:
+// no panic, a malformed tuple refused by both, and otherwise both paths
+// erroring or neither.
+func checkTuple(t *testing.T, c Class, f *frame.Frame, p *sketch.DatasetProfile, attrs []string, metric string) {
+	t.Helper()
+	exactErr, approxErr := scoreBoth(t, c, f, p, attrs, metric)
+	switch {
+	case malformed(c, f, attrs, metric) && (exactErr == nil || approxErr == nil):
+		t.Errorf("%s%q metric %q on %d rows: malformed, yet exact err %v, approx err %v",
+			c.Name(), attrs, metric, f.Rows(), exactErr, approxErr)
+	case (exactErr == nil) != (approxErr == nil):
+		t.Errorf("%s%q metric %q on %d rows: exact err %v, approx err %v",
+			c.Name(), attrs, metric, f.Rows(), exactErr, approxErr)
+	}
+}
+
+// degenerateFrame has n rows and one column of each degenerate kind
+// beside a normal numeric and a normal categorical.
+func degenerateFrame(n int) *frame.Frame {
+	missing, constant, num := make([]float64, n), make([]float64, n), make([]float64, n)
+	empty, cat := make([]string, n), make([]string, n)
+	for i := range n {
+		missing[i], constant[i], num[i] = math.NaN(), 7, float64(i*i%5)
+		cat[i] = fmt.Sprintf("v%d", i%3)
+	}
+	return frame.MustNew("degenerate",
+		frame.NewNumericColumn("nan", missing),
+		frame.NewNumericColumn("const", constant),
+		frame.NewNumericColumn("num", num),
+		frame.NewCategoricalColumn("emp", empty),
+		frame.NewCategoricalColumn("cat", cat),
+	)
+}
+
+// degenerateNames are the degenerate frame's columns and one it lacks.
+var degenerateNames = []string{"nan", "const", "num", "emp", "cat", "no_such_column"}
+
+// degenerateRows are the degenerate frames' row counts.
+var degenerateRows = []int{0, 1, 5}
+
 func TestScoreErrorPaths(t *testing.T) {
 	f := plantedFrame(500, 5)
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, K: 64})
-	r := NewRegistry()
-	for _, c := range r.Classes() {
-		// Wrong arity.
-		if _, err := c.Score(f, []string{}, ""); err == nil {
-			t.Errorf("%s: empty attrs should error", c.Name())
+	for _, c := range pinnedClasses() {
+		kinds := tupleKinds[c.Name()]
+		ok, wrongKind := make([]string, len(kinds)), make([]string, len(kinds))
+		for i := range kinds {
+			ok[i], wrongKind[i] = "xa", "zipfcat"
+			if kinds[i] == 'c' {
+				ok[i], wrongKind[i] = "zipfcat", "xa"
+			}
 		}
-		// Missing attribute.
-		bad := make([]string, c.Arity())
-		for i := range bad {
+		checkTuple(t, c, f, p, []string{}, "")
+		checkTuple(t, c, f, p, append(ok, "xb"), "")
+		checkTuple(t, c, f, p, ok, "no-such-metric")
+		for i := range kinds {
+			bad := slices.Clone(ok)
 			bad[i] = "no_such_column"
-		}
-		if _, err := c.Score(f, bad, ""); err == nil {
-			t.Errorf("%s: missing column should error", c.Name())
-		}
-		if _, err := c.ScoreApprox(p, bad, ""); err == nil {
-			t.Errorf("%s: approx missing column should error", c.Name())
-		}
-		// Unknown metric.
-		ok := make([]string, 0, c.Arity())
-		switch c.Arity() {
-		case 1:
-			ok = append(ok, "hi_var")
-		case 2:
-			ok = append(ok, "xa", "xb")
-		case 3:
-			ok = append(ok, "seg_x", "seg_y", "seg")
-		}
-		if _, err := c.Score(f, ok, "no-such-metric"); err == nil {
-			t.Errorf("%s: unknown metric should error", c.Name())
+			checkTuple(t, c, f, p, bad, "")
+			bad[i] = wrongKind[i]
+			checkTuple(t, c, f, p, bad, "")
 		}
 	}
-	// Kind mismatches.
-	lin, _ := r.Lookup("linear")
-	if _, err := lin.Score(f, []string{"xa", "zipfcat"}, ""); err == nil {
-		t.Error("linear on categorical should error")
+	// Every tuple of up to three of the degenerate columns (and one that
+	// is missing), under every metric, the default and an unknown one.
+	for _, n := range degenerateRows {
+		f := degenerateFrame(n)
+		p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, Spearman: true})
+		for _, c := range pinnedClasses() {
+			for _, metric := range slices.Concat(c.Metrics(), []string{"", "no-such-metric"}) {
+				tuples := [][]string{{}}
+				for range 3 {
+					var next [][]string
+					for _, tuple := range tuples {
+						checkTuple(t, c, f, p, tuple, metric)
+						for _, name := range degenerateNames {
+							next = append(next, append(slices.Clip(tuple), name))
+						}
+					}
+					tuples = next
+				}
+				for _, tuple := range tuples {
+					checkTuple(t, c, f, p, tuple, metric)
+				}
+			}
+		}
 	}
-	hh, _ := r.Lookup("heavyhitters")
-	if _, err := hh.Score(f, []string{"xa"}, ""); err == nil {
-		t.Error("heavyhitters on numeric should error")
+}
+
+// FuzzScoreTuple drives every class on both paths with what a request's
+// attrs and metric may carry (/api/render, /api/focus and
+// /api/neighborhood pass them straight in): up to four comma-separated
+// names, the degenerate frame's columns or anything else, and any
+// metric, on a degenerate frame of 0, 1 or 5 rows.
+func FuzzScoreTuple(f *testing.F) {
+	frames := make([]*frame.Frame, len(degenerateRows))
+	profiles := make([]*sketch.DatasetProfile, len(degenerateRows))
+	for i, n := range degenerateRows {
+		frames[i] = degenerateFrame(n)
+		profiles[i] = sketch.BuildProfile(frames[i], sketch.ProfileConfig{Seed: 1, Spearman: true})
 	}
+	f.Add(uint8(2), "num,const", "")
+	f.Add(uint8(2), "num,num,cat", "silhouette")
+	f.Add(uint8(1), "emp", "relfreq")
+	f.Add(uint8(0), "", "pearson")
+	f.Add(uint8(2), "cat,emp", "mutualinfo")
+	f.Add(uint8(2), "nan,cat,num,const", "kendall")
+	f.Fuzz(func(t *testing.T, rows uint8, tuple, metric string) {
+		attrs := strings.Split(tuple, ",")
+		if tuple == "" {
+			attrs = nil
+		}
+		if len(attrs) > 4 {
+			attrs = attrs[:4]
+		}
+		k := int(rows) % len(degenerateRows)
+		for _, c := range pinnedClasses() {
+			checkTuple(t, c, frames[k], profiles[k], attrs, metric)
+		}
+	})
 }
 
 func TestCandidateEnumeration(t *testing.T) {

@@ -196,21 +196,6 @@ func ScoreAll(c Class, f *frame.Frame, metric string) []Insight {
 	return out
 }
 
-// ScoreAllApprox is ScoreAll over the sketch store. Candidate
-// enumeration still needs the frame schema.
-func ScoreAllApprox(c Class, f *frame.Frame, p *sketch.DatasetProfile, metric string) []Insight {
-	var out []Insight
-	for _, attrs := range c.Candidates(f) {
-		in, err := c.ScoreApprox(p, attrs, metric)
-		if err != nil || math.IsNaN(in.Score) {
-			continue
-		}
-		out = append(out, in)
-	}
-	SortInsights(out)
-	return out
-}
-
 // SortInsights orders insights by descending score, breaking ties by
 // class, metric, and attribute tuple for determinism.
 func SortInsights(ins []Insight) {
@@ -275,19 +260,4 @@ func keyLess(a, b *Insight) bool {
 		}
 		as, bs = as[n:], bs[n:]
 	}
-}
-
-// validateMetric resolves metric ("" = default) against supported and
-// returns the resolved name or an error.
-func validateMetric(c Class, metric string) (string, error) {
-	ms := c.Metrics()
-	if metric == "" {
-		return ms[0], nil
-	}
-	for _, m := range ms {
-		if m == metric {
-			return m, nil
-		}
-	}
-	return "", fmt.Errorf("core: class %q does not support metric %q (have %v)", c.Name(), metric, ms)
 }
