@@ -3,13 +3,15 @@
 // Parkinson, IMDB movies — see DESIGN.md §2) and the scalable
 // workloads behind the performance experiments.
 //
-// Numeric columns are drawn through a Gaussian copula: a target
-// correlation matrix is Cholesky-factored, correlated standard
-// normals are generated, and each column is pushed through a monotone
-// marginal transform (normal, lognormal, left-skew, uniform, Pareto,
-// bimodal). Monotone transforms preserve rank structure, so planted
+// Numeric columns are drawn from factor models (FactorTable): each
+// column's latent z-score is a loading-weighted sum of shared standard
+// normal factors plus its own noise, so every loading pattern is a
+// valid correlation structure, and the z-score is pushed through a
+// monotone marginal transform (normal, lognormal, left-skew, bimodal,
+// affine). Monotone transforms preserve rank structure, so planted
 // Spearman correlations survive arbitrary marginals and planted
-// Pearson correlations survive approximately.
+// Pearson correlations survive approximately. Categorical columns,
+// outliers and missing cells are planted on top.
 package datagen
 
 import (
@@ -44,27 +46,6 @@ type LeftSkew struct{ Max, Mu, Sigma float64 }
 // Transform implements Marginal.
 func (m LeftSkew) Transform(z float64) float64 { return m.Max - math.Exp(m.Mu-m.Sigma*z) }
 
-// Uniform maps through the normal CDF to [Lo, Hi].
-type Uniform struct{ Lo, Hi float64 }
-
-// Transform implements Marginal.
-func (m Uniform) Transform(z float64) float64 {
-	return m.Lo + (m.Hi-m.Lo)*normCDF(z)
-}
-
-// Pareto is the heavy-tailed power law xm·(1−Φ(z))^(−1/α); smaller
-// Alpha means heavier tails (α ≤ 2 has infinite variance).
-type Pareto struct{ Xm, Alpha float64 }
-
-// Transform implements Marginal.
-func (m Pareto) Transform(z float64) float64 {
-	u := normCDF(z)
-	if u >= 1 {
-		u = 1 - 1e-12
-	}
-	return m.Xm * math.Pow(1-u, -1/m.Alpha)
-}
-
 // Bimodal is z + Sep·tanh(Sharp·z): a monotone transform with two
 // modes ±≈Sep; Sharp controls the valley depth (3 when zero).
 type Bimodal struct{ Sep, Sharp float64 }
@@ -86,109 +67,6 @@ type Scaled struct {
 
 // Transform implements Marginal.
 func (m Scaled) Transform(z float64) float64 { return m.A + m.B*m.Inner.Transform(z) }
-
-func normCDF(z float64) float64 { return 0.5 * (1 + math.Erf(z/math.Sqrt2)) }
-
-// Cholesky returns the lower-triangular factor L with LLᵀ = m. When m
-// is not positive definite it retries with growing diagonal jitter
-// (up to 1e-2) before failing, so nearly-PSD hand-written correlation
-// matrices are accepted.
-func Cholesky(m [][]float64) ([][]float64, error) {
-	d := len(m)
-	for _, row := range m {
-		if len(row) != d {
-			return nil, fmt.Errorf("datagen: correlation matrix is not square")
-		}
-	}
-	jitters := []float64{0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}
-	for _, jitter := range jitters {
-		l, ok := tryCholesky(m, jitter)
-		if ok {
-			return l, nil
-		}
-	}
-	return nil, fmt.Errorf("datagen: matrix is not positive definite (even with jitter)")
-}
-
-func tryCholesky(m [][]float64, jitter float64) ([][]float64, bool) {
-	d := len(m)
-	l := make([][]float64, d)
-	for i := range l {
-		l[i] = make([]float64, d)
-	}
-	for i := 0; i < d; i++ {
-		for j := 0; j <= i; j++ {
-			sum := m[i][j]
-			if i == j {
-				sum += jitter
-			}
-			for k := 0; k < j; k++ {
-				sum -= l[i][k] * l[j][k]
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, false
-				}
-				l[i][j] = math.Sqrt(sum)
-			} else {
-				l[i][j] = sum / l[j][j]
-			}
-		}
-	}
-	return l, true
-}
-
-// Identity returns the d×d identity correlation matrix.
-func Identity(d int) [][]float64 {
-	m := make([][]float64, d)
-	for i := range m {
-		m[i] = make([]float64, d)
-		m[i][i] = 1
-	}
-	return m
-}
-
-// SetCorr sets m[i][j] = m[j][i] = rho.
-func SetCorr(m [][]float64, i, j int, rho float64) {
-	m[i][j] = rho
-	m[j][i] = rho
-}
-
-// CopulaTable draws n rows of d correlated columns: z-vectors L·ε with
-// ε ~ N(0, I), each column pushed through its marginal. The result is
-// column-major ([col][row]). len(marginals) must equal the matrix
-// dimension.
-func CopulaTable(n int, corr [][]float64, marginals []Marginal, rng *rand.Rand) ([][]float64, error) {
-	d := len(corr)
-	if len(marginals) != d {
-		return nil, fmt.Errorf("datagen: %d marginals for %d columns", len(marginals), d)
-	}
-	l, err := Cholesky(corr)
-	if err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	cols := make([][]float64, d)
-	for j := range cols {
-		cols[j] = make([]float64, n)
-	}
-	eps := make([]float64, d)
-	for row := 0; row < n; row++ {
-		for j := 0; j < d; j++ {
-			eps[j] = rng.NormFloat64()
-		}
-		for j := 0; j < d; j++ {
-			z := 0.0
-			for k := 0; k <= j; k++ {
-				z += l[j][k] * eps[k]
-			}
-			cols[j][row] = marginals[j].Transform(z)
-		}
-	}
-	return cols, nil
-}
 
 // PlantOutliers replaces every stride-th value of col with extreme
 // points at ±sigmas standard deviations from the mean (alternating

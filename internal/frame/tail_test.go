@@ -56,11 +56,7 @@ func checkTailFrame(f *Frame, rows int) error {
 	if cap(x.Values()) != rows || cap(g.Codes()) != rows || cap(x.ValuesRange(0, rows/2)) != rows/2 || cap(g.CodesRange(0, rows/2)) != rows/2 {
 		return fmt.Errorf("an accessor exposes capacity past its length")
 	}
-	view, err := f.RowView(rows/2, rows)
-	if err != nil {
-		return err
-	}
-	vals, tail, codes := x.Values(), view.NumericValues(0), view.CategoricalCodes(0)
+	vals, tail, codes := x.Values(), x.ValuesRange(rows/2, rows), g.CodesRange(rows/2, rows)
 	missing, blank := 0, 0
 	for i := 0; i < rows; i++ {
 		want, label := tailCell(i)
@@ -78,10 +74,10 @@ func checkTailFrame(f *Frame, rows int) error {
 		}
 		if i >= rows/2 {
 			if got := tail[i-rows/2]; got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				return fmt.Errorf("row view x[%d] = %v, want %v", i, got, want)
+				return fmt.Errorf("ValuesRange x[%d] = %v, want %v", i, got, want)
 			}
 			if code := codes[i-rows/2]; (code < 0) != (label == "") || (code >= 0 && g.Dict()[code] != label) {
-				return fmt.Errorf("row view g[%d] = code %d, want %q", i, code, label)
+				return fmt.Errorf("CodesRange g[%d] = code %d, want %q", i, code, label)
 			}
 		}
 	}

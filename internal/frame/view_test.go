@@ -13,57 +13,32 @@ func viewTestFrame(t *testing.T) *Frame {
 	)
 }
 
-func TestRowViewZeroCopy(t *testing.T) {
-	f := viewTestFrame(t)
-	v, err := f.RowView(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Start() != 1 || v.End() != 4 || v.Rows() != 3 {
-		t.Fatalf("view bounds = [%d,%d) rows %d", v.Start(), v.End(), v.Rows())
-	}
-	nc := f.NumericColumns()[0]
-	vals := v.NumericValues(0)
-	if len(vals) != 3 || vals[0] != 1 || vals[1] != 2 || !math.IsNaN(vals[2]) {
-		t.Fatalf("numeric window = %v", vals)
-	}
-	// Zero-copy: the window must alias the column's backing array.
-	if &vals[0] != &nc.Values()[1] {
-		t.Error("NumericValues copied the backing array")
-	}
-	cc := f.CategoricalColumns()[0]
-	codes := v.CategoricalCodes(0)
-	if len(codes) != 3 || codes[1] != -1 {
-		t.Fatalf("code window = %v", codes)
-	}
-	if &codes[0] != &cc.Codes()[1] {
-		t.Error("CategoricalCodes copied the backing array")
-	}
-}
-
-func TestRowViewRangeChecks(t *testing.T) {
-	f := viewTestFrame(t)
-	for _, r := range [][2]int{{-1, 2}, {3, 2}, {0, 7}} {
-		if _, err := f.RowView(r[0], r[1]); err == nil {
-			t.Errorf("RowView(%d,%d) accepted an invalid range", r[0], r[1])
-		}
-	}
-	if v, err := f.RowView(0, f.Rows()); err != nil || v.Rows() != f.Rows() {
-		t.Errorf("full-range view failed: %v", err)
-	}
-	if v, err := f.RowView(2, 2); err != nil || v.Rows() != 0 {
-		t.Errorf("empty view failed: %v", err)
-	}
-}
-
 func TestColumnRangeAccessors(t *testing.T) {
 	f := viewTestFrame(t)
 	nc := f.NumericColumns()[0]
 	if got := nc.ValuesRange(4, 6); len(got) != 2 || got[0] != 4 || got[1] != 5 {
 		t.Errorf("ValuesRange = %v", got)
 	}
+	vals := nc.ValuesRange(1, 4)
+	if len(vals) != 3 || vals[0] != 1 || vals[1] != 2 || !math.IsNaN(vals[2]) {
+		t.Fatalf("numeric window = %v", vals)
+	}
+	// Zero-copy: a window must alias the column's backing array.
+	if &vals[0] != &nc.Values()[1] {
+		t.Error("ValuesRange copied the backing array")
+	}
 	cc := f.CategoricalColumns()[0]
 	if got := cc.CodesRange(0, 2); len(got) != 2 || got[0] == got[1] {
 		t.Errorf("CodesRange = %v", got)
+	}
+	codes := cc.CodesRange(1, 4)
+	if len(codes) != 3 || codes[1] != -1 {
+		t.Fatalf("code window = %v", codes)
+	}
+	if &codes[0] != &cc.Codes()[1] {
+		t.Error("CodesRange copied the backing array")
+	}
+	if got := nc.ValuesRange(2, 2); len(got) != 0 {
+		t.Errorf("empty window = %v", got)
 	}
 }

@@ -351,42 +351,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 < q < 1) from the bucket
-// counts by linear interpolation within the bucket that holds the
-// target rank; the first bucket interpolates from zero and the +Inf
-// bucket returns the last finite bound. NaN with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if cum+n < rank || n == 0 {
-			cum += n
-			continue
-		}
-		if i == len(h.bounds) {
-			// +Inf bucket: the best point estimate is the last bound.
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		return lo + (h.bounds[i]-lo)*(rank-cum)/n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 func (h *Histogram) name() string { return h.nameStr }
 func (h *Histogram) kind() string { return "histogram" }
 func (h *Histogram) render(w io.Writer) {

@@ -74,31 +74,31 @@ func TestConcurrentIncrements(t *testing.T) {
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "", []float64{0.1, 0.2, 0.4, 0.8})
-	// 100 observations uniform over (0, 0.4]: quartiles land near
-	// 0.1/0.2/0.3 under linear interpolation.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) * 0.004)
+	// An observation lands in the first bucket whose bound it does not
+	// exceed; beyond the last bound it lands in +Inf. The rendered
+	// buckets are cumulative, which is what a scraper's quantile
+	// estimate reads.
+	for v, n := range map[float64]int{0.05: 10, 0.1: 5, 0.15: 15, 0.3: 30, 0.6: 15, 5: 5} {
+		for i := 0; i < n; i++ {
+			h.Observe(v)
+		}
 	}
-	if q := h.Quantile(0.5); math.Abs(q-0.2) > 0.05 {
-		t.Errorf("p50 = %v, want ≈0.2", q)
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	for _, want := range []string{
+		`lat_seconds_bucket{le="0.1"} 15`,
+		`lat_seconds_bucket{le="0.2"} 30`,
+		`lat_seconds_bucket{le="0.4"} 60`,
+		`lat_seconds_bucket{le="0.8"} 75`,
+		`lat_seconds_bucket{le="+Inf"} 80`,
+		`lat_seconds_count 80`,
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("missing %q in:\n%s", want, b.String())
+		}
 	}
-	if q := h.Quantile(0.25); math.Abs(q-0.1) > 0.05 {
-		t.Errorf("p25 = %v, want ≈0.1", q)
-	}
-	if q := h.Quantile(0.95); q < 0.3 || q > 0.4 {
-		t.Errorf("p95 = %v, want in (0.3, 0.4]", q)
-	}
-	// Values beyond the last bound land in +Inf and clamp to the last
-	// finite bound for quantile estimation.
-	h2 := r.Histogram("lat2_seconds", "", []float64{0.1})
-	h2.Observe(5)
-	if q := h2.Quantile(0.99); q != 0.1 {
-		t.Errorf("overflow quantile = %v, want 0.1", q)
-	}
-	// No observations → NaN.
-	h3 := r.Histogram("lat3_seconds", "", nil)
-	if !math.IsNaN(h3.Quantile(0.5)) {
-		t.Error("empty histogram quantile should be NaN")
+	if h.Count() != 80 || math.Abs(h.Sum()-(0.5+0.5+2.25+9+9+25)) > 1e-9 {
+		t.Errorf("count %d, sum %v", h.Count(), h.Sum())
 	}
 }
 

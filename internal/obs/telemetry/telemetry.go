@@ -29,7 +29,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -698,70 +697,4 @@ func (t *Insights) Snapshot(currentGen uint64, topN int) Snapshot {
 	}
 	t.ringMu.Unlock()
 	return snap
-}
-
-// Merge folds other's accumulated telemetry into t: other's stripes
-// and cumulative store drain into t's cumulative store under the same
-// generation rules Record and Snapshot apply (newer generations reset,
-// older ones are discarded). This is the per-shard fold path: several
-// engines (or one engine's historical store) can be combined into one
-// view because every constituent — KLL, SpaceSaving — is mergeable.
-// Lifetime counters add; other is left drained but usable.
-func (t *Insights) Merge(other *Insights) error {
-	if t == nil || other == nil {
-		return nil
-	}
-	if other == t {
-		return fmt.Errorf("telemetry: cannot merge a store into itself")
-	}
-	// Draining other via its own Snapshot path would discard the
-	// aggregates; instead move its cumulative state over directly.
-	type part struct {
-		gen     uint64
-		classes map[string]*classAgg
-	}
-	var parts []part
-	for _, st := range other.stripes {
-		st.mu.Lock()
-		other.foldLocked(st, len(st.pending))
-		if len(st.classes) > 0 {
-			parts = append(parts, part{gen: st.gen, classes: st.classes})
-			st.classes = make(map[string]*classAgg)
-		}
-		st.mu.Unlock()
-	}
-	other.mu.Lock()
-	if len(other.cum) > 0 {
-		parts = append(parts, part{gen: other.cumGen, classes: other.cum})
-		other.cum = make(map[string]*classAgg)
-	}
-	other.mu.Unlock()
-	sort.Slice(parts, func(i, j int) bool { return parts[i].gen < parts[j].gen })
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, p := range parts {
-		if p.gen > t.cumGen {
-			if len(t.cum) > 0 {
-				t.resets++
-			}
-			t.cum = make(map[string]*classAgg)
-			t.cumGen = p.gen
-		}
-		if p.gen != t.cumGen {
-			for _, agg := range p.classes {
-				t.dropped.Add(agg.queries)
-			}
-			continue
-		}
-		for class, agg := range p.classes {
-			if have := t.cum[class]; have != nil {
-				have.merge(agg, t.cfg.MarginWindow)
-			} else {
-				t.cum[class] = agg
-			}
-		}
-	}
-	t.totalQueries.Add(other.totalQueries.Load())
-	return nil
 }

@@ -35,9 +35,6 @@ func TestNilStoreIsSafe(t *testing.T) {
 	if snap.CurrentGeneration != 7 || len(snap.Classes) != 0 {
 		t.Fatalf("nil snapshot = %+v", snap)
 	}
-	if err := ins.Merge(New(Config{})); err != nil {
-		t.Fatalf("nil merge: %v", err)
-	}
 }
 
 // TestScoreQuantilesWithinKLLBounds is the acceptance check: the
@@ -197,58 +194,6 @@ func TestStalenessReported(t *testing.T) {
 	snap := ins.Snapshot(3, 5) // engine is already at gen 3
 	if !snap.Stale || snap.Generation != 1 || snap.CurrentGeneration != 3 {
 		t.Fatalf("staleness not reported: %+v", snap)
-	}
-}
-
-func TestMergeFoldsPartialStores(t *testing.T) {
-	// Two stores — e.g. two shards' engines — fold into one view via
-	// the sketch Merge operators.
-	a, b := New(Config{ScoreK: 128}), New(Config{ScoreK: 128})
-	rng := rand.New(rand.NewSource(7))
-	all := make([]float64, 0, 20000)
-	for i := 0; i < 1000; i++ {
-		batch := make([]float64, 10)
-		for j := range batch {
-			batch[j] = rng.Float64()
-		}
-		all = append(all, batch...)
-		if i%2 == 0 {
-			a.Record(sampleFor("outlier", batch, [][]string{{"colA"}}))
-		} else {
-			b.Record(sampleFor("outlier", batch, [][]string{{"colB"}}))
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if err := a.Merge(a); err == nil {
-		t.Fatal("self-merge should error")
-	}
-	snap := a.Snapshot(1, 5)
-	cs := snap.Classes[0]
-	if cs.ScoreCount != 10000 || cs.Queries != 1000 {
-		t.Fatalf("merged class = %+v", cs)
-	}
-	sort.Float64s(all)
-	p50 := cs.Quantiles["p50"]
-	want := stats.QuantileSorted(all, 0.5)
-	if math.Abs(p50-want) > 0.05 {
-		t.Errorf("merged p50 = %v, want ≈%v", p50, want)
-	}
-	seen := map[string]bool{}
-	for _, h := range cs.HotColumns {
-		seen[h.Item] = true
-	}
-	if !seen["colA"] || !seen["colB"] {
-		t.Errorf("merged hot columns missing a shard: %+v", cs.HotColumns)
-	}
-	if snap.TotalQueries != 1000 {
-		t.Errorf("TotalQueries = %d", snap.TotalQueries)
-	}
-	// b was drained but stays usable.
-	b.Record(sampleFor("outlier", []float64{0.5}, nil))
-	if got := b.Snapshot(1, 5).Classes[0].ScoreCount; got != 1 {
-		t.Errorf("drained store ScoreCount = %d, want 1", got)
 	}
 }
 

@@ -56,7 +56,7 @@ type ingestJob struct {
 // startIngest wires the queue, metrics, and worker; called from New.
 func (s *Server) startIngest(queueSize int) {
 	if queueSize <= 0 {
-		queueSize = 32
+		queueSize = defaultIngestQueue
 	}
 	s.ingestQ = make(chan *ingestJob, queueSize)
 	s.ingestStop = make(chan struct{})

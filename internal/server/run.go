@@ -56,7 +56,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&fl.quiet, "quiet", false, "suppress per-request JSON logs on stderr")
 	fs.DurationVar(&fl.requestTimeout, "request-timeout", 5*time.Second, "per-request deadline for API requests; expired requests get 504 and release their workers (0 = no deadline)")
 	fs.IntVar(&fl.maxInflight, "max-inflight", 256, "maximum concurrently served API requests; excess requests are shed with 503 (0 = unlimited)")
-	fs.IntVar(&fl.ingestQueue, "ingest-queue", 64, "maximum queued /api/ingest batches; excess batches are shed with 503")
+	fs.IntVar(&fl.ingestQueue, "ingest-queue", defaultIngestQueue, "maximum queued /api/ingest batches; excess batches are shed with 503")
 	fs.DurationVar(&fl.shutdownGrace, "shutdown-grace", 15*time.Second, "how long SIGINT/SIGTERM waits for in-flight requests to drain before forcing exit")
 	fs.Float64Var(&fl.queryLogSample, "query-log-sample", 0, "fraction of engine queries logged as structured JSON telemetry lines (0 = off, 1 = every query, 0.01 = every 100th)")
 	fs.StringVar(&fl.walDir, "wal-dir", "", "durability directory for the write-ahead log and snapshots; empty disables durable ingest (acked batches then live only in memory)")

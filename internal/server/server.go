@@ -57,6 +57,13 @@ const maxRequestBody = 1 << 20
 // the per-status metrics.
 const statusClientClosedRequest = 499
 
+// traceCapacity bounds the /api/debug/traces ring buffer.
+const traceCapacity = 64
+
+// defaultIngestQueue is the /api/ingest queue bound when Options leaves
+// it 0, and the default of -ingest-queue.
+const defaultIngestQueue = 64
+
 // Options configures the server's observability stack. The zero value
 // is fully functional: a private registry, a 64-trace ring buffer
 // keeping every trace, and no request logging.
@@ -67,8 +74,6 @@ type Options struct {
 	// LogWriter receives one structured JSON line per request; nil
 	// disables request logging.
 	LogWriter io.Writer
-	// TraceCapacity bounds the /api/debug/traces ring buffer (0 → 64).
-	TraceCapacity int
 	// SlowTraceThreshold keeps only traces at least this long (0 keeps
 	// every trace).
 	SlowTraceThreshold time.Duration
@@ -85,7 +90,7 @@ type Options struct {
 	// survives saturation.
 	MaxInflight int
 	// IngestQueue bounds the /api/ingest batch queue (ingest.go);
-	// excess batches are shed with 503. 0 → 32.
+	// excess batches are shed with 503. 0 → 64 (defaultIngestQueue).
 	IngestQueue int
 	// QueryLogSample is the fraction of engine queries logged as
 	// structured JSON lines through LogWriter (0 disables, 1 logs every
@@ -93,9 +98,6 @@ type Options struct {
 	// HTTP log: a query line carries scoring telemetry (candidates,
 	// pruned, filtered, emitted, top-k margin), not HTTP fields.
 	QueryLogSample float64
-	// Telemetry sizes the insight-telemetry store served at
-	// /api/debug/insights; the zero value picks the defaults.
-	Telemetry telemetry.Config
 	// StartUnready starts the server not ready: /readyz answers 503 and
 	// ingest is rejected with 503 + Retry-After until SetReady is
 	// called. Used while WAL recovery replays into the engine — queries
@@ -182,7 +184,7 @@ func New(engine *query.Engine, k int, approx bool, opts ...Options) *Server {
 		session:        query.NewSession(engine, k, approx),
 		mux:            http.NewServeMux(),
 		registry:       reg,
-		traces:         obs.NewTraceLog(o.TraceCapacity, o.SlowTraceThreshold),
+		traces:         obs.NewTraceLog(traceCapacity, o.SlowTraceThreshold),
 		start:          time.Now(),
 		version:        version,
 		requestTimeout: o.RequestTimeout,
@@ -217,7 +219,7 @@ func New(engine *query.Engine, k int, approx bool, opts ...Options) *Server {
 	// /api/debug/insights plus the foresight_insight_* metric families.
 	// The sampled query log shares the request logger's writer and
 	// mutex, so the two JSON streams interleave cleanly.
-	s.telem = telemetry.New(o.Telemetry)
+	s.telem = telemetry.New(telemetry.Config{})
 	s.telem.Instrument(reg)
 	s.telem.SetQueryLog(s.httpObs.Log, o.QueryLogSample)
 	engine.SetInsightTelemetry(s.telem)

@@ -268,23 +268,6 @@ func CheckKMV(r *Report, label string, s *sketch.KMV, trueDistinct int) {
 	}
 }
 
-// CheckKMVBand additionally asserts the (k−1)/max estimator's
-// statistical accuracy band: relative error at most relErr (callers
-// pass a generous multiple of the 1/√k standard error; selfcheck uses
-// 8/√k). Only meaningful on natural data — adversarially chosen
-// inputs can defeat any fixed band, so fuzz targets use CheckKMV and
-// the exact merge ≡ one-pass differential instead.
-func CheckKMVBand(r *Report, label string, s *sketch.KMV, trueDistinct int, relErr float64) {
-	CheckKMV(r, label, s, trueDistinct)
-	if trueDistinct >= s.K() {
-		d := s.Distinct()
-		rel := math.Abs(d-float64(trueDistinct)) / float64(trueDistinct)
-		r.check(rel <= relErr, "kmv/accuracy-band",
-			"%s: Distinct() = %v vs true %d: relative error %.4f > band %.4f (k=%d)",
-			label, d, trueDistinct, rel, relErr, s.K())
-	}
-}
-
 // CheckKMVEqual asserts two KMV sketches are query-identical — the
 // differential form of "merge ≡ one-pass", exact because the hash
 // function is unkeyed and the k smallest hashes of a union are

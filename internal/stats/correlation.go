@@ -240,22 +240,3 @@ func mergeCountSwaps(ys []float64) int64 {
 	}
 	return rec(0, n)
 }
-
-// CorrelationMatrix returns the |cols|×|cols| matrix of pairwise
-// Pearson correlations. Diagonal entries are 1; undefined entries are
-// NaN. The matrix is symmetric by construction.
-func CorrelationMatrix(cols [][]float64) [][]float64 {
-	d := len(cols)
-	m := make([][]float64, d)
-	for i := range m {
-		m[i] = make([]float64, d)
-		m[i][i] = 1
-	}
-	for i := 0; i < d; i++ {
-		for j := i + 1; j < d; j++ {
-			r := Pearson(cols[i], cols[j])
-			m[i][j], m[j][i] = r, r
-		}
-	}
-	return m
-}

@@ -130,17 +130,6 @@ func kendallQuadratic(xs, ys []float64) float64 {
 	return (conc - disc) / math.Sqrt((n0-tx)*(n0-ty))
 }
 
-func TestCorrelationMatrix(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	c := []float64{4, 3, 2, 1}
-	m := CorrelationMatrix([][]float64{a, b, c})
-	almost(t, "diag", m[0][0], 1, 0)
-	almost(t, "ab", m[0][1], 1, 1e-12)
-	almost(t, "ac", m[0][2], -1, 1e-12)
-	almost(t, "symmetry", m[2][0], m[0][2], 0)
-}
-
 // Property: |Pearson| ≤ 1 and Pearson(x,x) = 1 for non-constant x.
 func TestQuickPearsonBounds(t *testing.T) {
 	prop := func(xs, ys []float64) bool {

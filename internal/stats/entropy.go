@@ -25,28 +25,6 @@ func Entropy(counts []int) float64 {
 	return h
 }
 
-// EntropyFromFreqs is Entropy over float64 frequencies (e.g. estimated
-// counts from a sketch). Negative entries are clamped to zero.
-func EntropyFromFreqs(freqs []float64) float64 {
-	total := 0.0
-	for _, f := range freqs {
-		if f > 0 {
-			total += f
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, f := range freqs {
-		if f > 0 {
-			p := f / total
-			h -= p * math.Log(p)
-		}
-	}
-	return h
-}
-
 // NormalizedEntropy returns Entropy / log(k) where k is the number of
 // distinct categories with positive counts; 1 means perfectly uniform,
 // 0 means a single category. k ≤ 1 yields 0.

@@ -14,12 +14,6 @@ func TestEntropy(t *testing.T) {
 	almost(t, "all zero", Entropy([]int{0, 0}), 0, 0)
 }
 
-func TestEntropyFromFreqs(t *testing.T) {
-	almost(t, "freqs uniform", EntropyFromFreqs([]float64{2.5, 2.5}), math.Log(2), 1e-12)
-	almost(t, "freqs negative clamped", EntropyFromFreqs([]float64{-1, 4}), 0, 1e-12)
-	almost(t, "freqs empty", EntropyFromFreqs(nil), 0, 0)
-}
-
 func TestNormalizedEntropy(t *testing.T) {
 	almost(t, "uniform", NormalizedEntropy([]int{3, 3, 3}), 1, 1e-12)
 	almost(t, "single", NormalizedEntropy([]int{9}), 0, 0)

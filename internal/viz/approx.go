@@ -1,127 +1,10 @@
 package viz
 
 import (
-	"fmt"
 	"math"
 
-	"foresight/internal/core"
 	"foresight/internal/sketch"
-	"foresight/internal/stats"
 )
-
-// RenderSVGFromProfile draws an insight's visualization using *only*
-// the preprocessed sketch store — no access to the raw columns. This
-// is the display-side counterpart of §3: histograms reconstruct from
-// KLL CDF differences, box plots from KLL quantiles plus the
-// reservoir, Pareto charts from SpaceSaving counters, scatters from
-// the shared row sample. Approximate renderings are titled with the
-// "~" marker.
-func RenderSVGFromProfile(p *sketch.DatasetProfile, in core.Insight) (string, error) {
-	in.Approx = true
-	title := insightTitle(in)
-	switch in.Vis {
-	case core.VisHistogram:
-		np, err := p.NumericProfileOf(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		edges, counts := HistogramFromKLL(np.Quantiles, &np.Moments, 0)
-		return histogramBarsSVG(edges, counts, title), nil
-	case core.VisHistogramDensity:
-		np, err := p.NumericProfileOf(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		// The reservoir sample stands in for the raw column.
-		return HistogramDensitySVG(np.Sample.Sample(), title), nil
-	case core.VisBoxPlot:
-		np, err := p.NumericProfileOf(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		return boxFromSketchSVG(np, title), nil
-	case core.VisPareto, core.VisBar:
-		cp, err := p.CategoricalProfileOf(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		hits := cp.Heavy.Top(0)
-		labels := make([]string, len(hits))
-		counts := make([]int, len(hits))
-		for i, h := range hits {
-			labels[i] = h.Item
-			counts[i] = int(h.Count)
-		}
-		if in.Vis == core.VisBar {
-			vals := make([]float64, len(counts))
-			for i, c := range counts {
-				vals[i] = float64(c)
-			}
-			return BarSVG(labels, vals, title, 0), nil
-		}
-		return ParetoSVG(labels, counts, title, 0), nil
-	case core.VisScatter, core.VisScatterFit:
-		x, err := p.NumericProfileOf(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		y, err := p.NumericProfileOf(in.Attrs[1])
-		if err != nil {
-			return "", err
-		}
-		var fit *stats.LinearFit
-		if in.Vis == core.VisScatterFit {
-			lf := stats.FitLine(x.RowSampleValues, y.RowSampleValues)
-			fit = &lf
-		}
-		return ScatterSVG(x.RowSampleValues, y.RowSampleValues, fit, title, 0), nil
-	case core.VisStrip:
-		num, err := p.NumericProfileOf(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		cat, err := p.CategoricalProfileOf(in.Attrs[1])
-		if err != nil {
-			return "", err
-		}
-		groups := make([]int, len(cat.RowSampleCodes))
-		for i, code := range cat.RowSampleCodes {
-			groups[i] = int(code)
-		}
-		return StripSVG(num.RowSampleValues, groups, cat.Dict, title, 0), nil
-	case core.VisMosaic:
-		a, err := p.CategoricalProfileOf(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		b, err := p.CategoricalProfileOf(in.Attrs[1])
-		if err != nil {
-			return "", err
-		}
-		ct := stats.NewContingency(a.RowSampleCodes, b.RowSampleCodes, a.Cardinality, b.Cardinality)
-		return MosaicSVG(ct.Counts, a.Dict, b.Dict, title), nil
-	case core.VisColorScatter:
-		x, err := p.NumericProfileOf(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		y, err := p.NumericProfileOf(in.Attrs[1])
-		if err != nil {
-			return "", err
-		}
-		z, err := p.CategoricalProfileOf(in.Attrs[2])
-		if err != nil {
-			return "", err
-		}
-		groups := make([]int, len(z.RowSampleCodes))
-		for i, code := range z.RowSampleCodes {
-			groups[i] = int(code)
-		}
-		return ColorScatterSVG(x.RowSampleValues, y.RowSampleValues, groups, title, 0), nil
-	default:
-		return "", fmt.Errorf("viz: no sketch renderer for visualization kind %q", in.Vis)
-	}
-}
 
 // HistogramFromKLL reconstructs an equal-width histogram from a KLL
 // sketch: counts are CDF differences across the bin edges, with the

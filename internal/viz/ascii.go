@@ -215,77 +215,47 @@ func ASCIICorrelogram(names []string, matrix [][]float64) string {
 }
 
 // RenderASCII renders an insight as a text panel for the CLI
-// carousel.
+// carousel. A kind with no drawing renders its title alone.
 func RenderASCII(f *frame.Frame, in core.Insight) (string, error) {
 	header := insightTitle(in) + "\n"
+	if _, ok := tupleKinds[in.Vis]; !ok {
+		return header, nil
+	}
+	c, err := resolve(in, frameSource{f})
+	if err != nil {
+		return "", err
+	}
 	switch in.Vis {
 	case core.VisHistogram, core.VisHistogramDensity:
-		col, err := f.Numeric(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		return header + ASCIIHistogram(col.Values(), 14), nil
+		return header + ASCIIHistogram(c[0].values, 14), nil
 	case core.VisBoxPlot:
-		col, err := f.Numeric(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		return header + ASCIIBoxPlot(col.Values()), nil
+		return header + ASCIIBoxPlot(c[0].values), nil
 	case core.VisPareto, core.VisBar:
-		col, err := f.Categorical(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		return header + ASCIIPareto(col.Dict(), col.Counts(), 8), nil
+		return header + ASCIIPareto(c[0].labels, c[0].counts, 8), nil
 	case core.VisScatter, core.VisScatterFit, core.VisColorScatter:
-		x, err := f.Numeric(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		y, err := f.Numeric(in.Attrs[1])
-		if err != nil {
-			return "", err
-		}
-		return header + ASCIIScatter(x.Values(), y.Values(), 14, 44), nil
+		return header + ASCIIScatter(c[0].values, c[1].values, 14, 44), nil
 	case core.VisStrip:
-		num, err := f.Numeric(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		cat, err := f.Categorical(in.Attrs[1])
-		if err != nil {
-			return "", err
-		}
 		// Group means table.
-		sums := make([]float64, cat.Cardinality())
-		counts := make([]float64, cat.Cardinality())
-		for i, code := range cat.Codes() {
-			if code >= 0 && !math.IsNaN(num.At(i)) {
-				sums[code] += num.At(i)
+		num, cat := c[0], c[1]
+		sums := make([]float64, cat.card)
+		counts := make([]float64, cat.card)
+		for i, code := range cat.codes {
+			if code >= 0 && !math.IsNaN(num.values[i]) {
+				sums[code] += num.values[i]
 				counts[code]++
 			}
 		}
 		var b strings.Builder
 		b.WriteString(header)
-		for g, label := range cat.Dict() {
+		for g, label := range cat.dict {
 			if counts[g] > 0 {
 				fmt.Fprintf(&b, "%-14s mean %s (n=%d)\n", truncate(label, 14), fmtNum(sums[g]/counts[g]), int(counts[g]))
 			}
 		}
 		return b.String(), nil
-	case core.VisMosaic:
-		a, err := f.Categorical(in.Attrs[0])
-		if err != nil {
-			return "", err
-		}
-		b, err := f.Categorical(in.Attrs[1])
-		if err != nil {
-			return "", err
-		}
-		ct := stats.NewContingency(a.Codes(), b.Codes(), a.Cardinality(), b.Cardinality())
-		return header + fmt.Sprintf("contingency %dx%d, chi2=%s\n",
-			a.Cardinality(), b.Cardinality(), fmtNum(ct.ChiSquare())), nil
-	default:
-		return header, nil
+	default: // core.VisMosaic
+		a, b := c[0], c[1]
+		ct := stats.NewContingency(a.codes, b.codes, a.card, b.card)
+		return header + fmt.Sprintf("contingency %dx%d, chi2=%s\n", a.card, b.card, fmtNum(ct.ChiSquare())), nil
 	}
 }

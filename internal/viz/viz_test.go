@@ -8,6 +8,7 @@ import (
 
 	"foresight/internal/core"
 	"foresight/internal/frame"
+	"foresight/internal/sketch"
 	"foresight/internal/stats"
 )
 
@@ -340,5 +341,68 @@ func TestRenderHistogramDensityKind(t *testing.T) {
 	txt, err := RenderASCII(f, in)
 	if err != nil || !strings.Contains(txt, "multimodality(") {
 		t.Errorf("ASCII density render: %v", err)
+	}
+}
+
+// TestRenderErrorPaths gives every kind's renderers tuples of every
+// wrong length and a kind mismatch at each position. Each must error,
+// never panic. An unknown kind errors on the SVG renderers and draws
+// its title alone in ASCII.
+func TestRenderErrorPaths(t *testing.T) {
+	f, _ := testInsightFrame()
+	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1})
+	renderers := map[string]func(core.Insight) (string, error){
+		"svg":         func(in core.Insight) (string, error) { return RenderSVG(f, in) },
+		"svg-profile": func(in core.Insight) (string, error) { return RenderSVGFromProfile(p, in) },
+		"ascii":       func(in core.Insight) (string, error) { return RenderASCII(f, in) },
+	}
+	mustErr := func(name string, render func(core.Insight) (string, error), in core.Insight) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s %s %v: panic: %v", name, in.Vis, in.Attrs, r)
+			}
+		}()
+		if _, err := render(in); err == nil {
+			t.Errorf("%s %s %v: no error", name, in.Vis, in.Attrs)
+		}
+	}
+	attr := map[byte]string{'n': "x", 'c': "g"}
+	other := map[byte]string{'n': "g", 'c': "x"}
+	for vis, kinds := range tupleKinds {
+		valid := make([]string, len(kinds))
+		for i := range kinds {
+			valid[i] = attr[kinds[i]]
+		}
+		for name, render := range renderers {
+			if _, err := render(core.Insight{Vis: vis, Attrs: valid}); err != nil {
+				t.Errorf("%s %s %v: %v", name, vis, valid, err)
+			}
+			for n := 0; n <= len(kinds)+1; n++ {
+				if n == len(kinds) {
+					continue
+				}
+				attrs := make([]string, n)
+				for i := range attrs {
+					attrs[i] = "x"
+					if i < len(kinds) {
+						attrs[i] = attr[kinds[i]]
+					}
+				}
+				mustErr(name, render, core.Insight{Vis: vis, Attrs: attrs})
+			}
+			for i := range kinds {
+				attrs := append([]string(nil), valid...)
+				attrs[i] = other[kinds[i]]
+				mustErr(name, render, core.Insight{Vis: vis, Attrs: attrs})
+			}
+		}
+	}
+	for _, name := range []string{"svg", "svg-profile"} {
+		mustErr(name, renderers[name], core.Insight{Vis: "nope", Attrs: []string{"x"}})
+	}
+	unknown := core.Insight{Class: "c", Metric: "m", Vis: "nope"}
+	if out, err := RenderASCII(f, unknown); err != nil || out != insightTitle(unknown)+"\n" {
+		t.Errorf("unknown kind in ASCII: %q, %v", out, err)
 	}
 }
