@@ -36,7 +36,7 @@ func BenchmarkE1Carousels(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Carousels(5, false); err != nil {
+		if _, err := engine.CarouselsContext(context.Background(), 5, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func BenchmarkE2Overview(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ov, err := engine.Overview("linear", "", false)
+		ov, err := engine.OverviewContext(context.Background(), "linear", "", false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func BenchmarkE5CarouselsApprox(b *testing.B) {
 	engine := newE5Engine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Execute(query.Query{K: 5, Approx: true}); err != nil {
+		if _, err := engine.ExecuteContext(context.Background(), query.Query{K: 5, Approx: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func BenchmarkE5FixedAttrQuery(b *testing.B) {
 	fixed := engine.Frame().NumericColumns()[0].Name()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := engine.Execute(query.Query{Classes: []string{"linear"}, Fixed: []string{fixed}, K: 10, Approx: true})
+		_, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"linear"}, Fixed: []string{fixed}, K: 10, Approx: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func BenchmarkE5RangeFilterQuery(b *testing.B) {
 	engine := newE5Engine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := engine.Execute(query.Query{Classes: []string{"linear"}, MinScore: 0.3, MaxScore: 0.6, Approx: true})
+		_, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"linear"}, MinScore: 0.3, MaxScore: 0.6, Approx: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,14 +151,14 @@ func BenchmarkE5RangeFilterQuery(b *testing.B) {
 
 func BenchmarkE5NeighborhoodQuery(b *testing.B) {
 	engine := newE5Engine(b)
-	top, err := engine.Execute(query.Query{Classes: []string{"linear"}, K: 1, Approx: true})
+	top, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"linear"}, K: 1, Approx: true})
 	if err != nil || len(top) == 0 {
 		b.Fatal("no focus insight")
 	}
 	focus := top[0].Insights[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Neighborhood(focus, []string{"linear"}, 10, true); err != nil {
+		if _, err := engine.NeighborhoodContext(context.Background(), focus, []string{"linear"}, 10, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -174,7 +174,7 @@ func BenchmarkE6AllPairsExact(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Overview("linear", "", false); err != nil {
+		if _, err := engine.OverviewContext(context.Background(), "linear", "", false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func BenchmarkE6AllPairsSketch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Overview("linear", "", true); err != nil {
+		if _, err := engine.OverviewContext(context.Background(), "linear", "", true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,7 +216,7 @@ func BenchmarkE8IMDBCarousels(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Carousels(1, false); err != nil {
+		if _, err := engine.CarouselsContext(context.Background(), 1, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -534,7 +534,7 @@ func BenchmarkQueryCold(b *testing.B) {
 		if err := engine.RestoreSnapshot(engine.Frame(), nil); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := engine.Carousels(5, false); err != nil {
+		if _, err := engine.CarouselsContext(context.Background(), 5, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -544,12 +544,12 @@ func BenchmarkQueryCold(b *testing.B) {
 // filtering and top-k ranking remain on the hot path.
 func BenchmarkQueryCached(b *testing.B) {
 	engine := newCacheBenchEngine(b)
-	if _, err := engine.Carousels(5, false); err != nil { // warm the memo
+	if _, err := engine.CarouselsContext(context.Background(), 5, false); err != nil { // warm the memo
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Carousels(5, false); err != nil {
+		if _, err := engine.CarouselsContext(context.Background(), 5, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -559,12 +559,12 @@ func BenchmarkQueryCached(b *testing.B) {
 // the memo (cold cost is BenchmarkE2Overview/E6AllPairsExact).
 func BenchmarkOverviewCached(b *testing.B) {
 	engine := newCacheBenchEngine(b)
-	if _, err := engine.Overview("linear", "", false); err != nil {
+	if _, err := engine.OverviewContext(context.Background(), "linear", "", false); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Overview("linear", "", false); err != nil {
+		if _, err := engine.OverviewContext(context.Background(), "linear", "", false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -583,17 +583,17 @@ func BenchmarkWarmExploreCycle(b *testing.B) {
 		b.Fatal(err)
 	}
 	plain, focused := query.NewSession(engine, 5, true), query.NewSession(engine, 5, true)
-	top, err := engine.Execute(query.Query{Classes: []string{"linear"}, K: 40, Approx: true})
+	top, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"linear"}, K: 40, Approx: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	focus := top[0].Insights[len(top[0].Insights)-1]
 	focused.FocusOn(focus)
 	cycle := func() {
-		_, err1 := plain.RecommendationsK(5)
-		_, err2 := focused.RecommendationsK(5)
-		_, err3 := engine.Neighborhood(focus, nil, 10, true)
-		_, err4 := engine.Overview("linear", "", true)
+		_, err1 := plain.RecommendationsKContext(context.Background(), 5)
+		_, err2 := focused.RecommendationsKContext(context.Background(), 5)
+		_, err3 := engine.NeighborhoodContext(context.Background(), focus, nil, 10, true)
+		_, err4 := engine.OverviewContext(context.Background(), "linear", "", true)
 		if err := errors.Join(err1, err2, err3, err4); err != nil {
 			b.Fatal(err)
 		}
@@ -626,7 +626,7 @@ func BenchmarkColdCarousel(b *testing.B) {
 				if err := engine.RestoreSnapshot(f, nil); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := session.Recommendations(); err != nil {
+				if _, err := session.RecommendationsKContext(context.Background(), session.K); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -700,7 +700,7 @@ func freshCarousel(b *testing.B, f *frame.Frame, batch frame.RowBatch, approx bo
 			b.Fatal(err)
 		}
 		start := time.Now()
-		if _, err := session.Recommendations(); err != nil {
+		if _, err := session.RecommendationsKContext(context.Background(), session.K); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(start)
@@ -741,7 +741,7 @@ func BenchmarkSegmentationWide(b *testing.B) {
 		if err := engine.RestoreSnapshot(f, nil); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := engine.Execute(q); err != nil {
+		if _, err := engine.ExecuteContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

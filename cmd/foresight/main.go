@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -145,7 +146,7 @@ func runCarousels(args []string) error {
 		return err
 	}
 	engine.SetWorkers(*workers)
-	carousels, err := engine.Carousels(*k, *approx)
+	carousels, err := engine.CarouselsContext(context.Background(), *k, *approx)
 	if err != nil {
 		return err
 	}
@@ -200,7 +201,7 @@ func runQuery(args []string) error {
 	if *fix != "" {
 		q.Fixed = strings.Split(*fix, ",")
 	}
-	results, err := engine.Execute(q)
+	results, err := engine.ExecuteContext(context.Background(), q)
 	if err != nil {
 		return err
 	}
@@ -235,7 +236,7 @@ func runOverview(args []string) error {
 	if err != nil {
 		return err
 	}
-	ov, err := engine.Overview(*class, *metric, *approx)
+	ov, err := engine.OverviewContext(context.Background(), *class, *metric, *approx)
 	if err != nil {
 		return err
 	}

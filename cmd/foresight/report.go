@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +30,7 @@ func runReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	carousels, err := engine.Carousels(*k, *approx)
+	carousels, err := engine.CarouselsContext(context.Background(), *k, *approx)
 	if err != nil {
 		return err
 	}
@@ -58,7 +59,7 @@ func runReport(args []string) error {
 		}
 	}
 	// Overview correlogram (Figure 2).
-	if ov, err := engine.Overview("linear", "", *approx); err == nil {
+	if ov, err := engine.OverviewContext(context.Background(), "linear", "", *approx); err == nil {
 		sections = append(sections, foresight.ReportSection{
 			Title:     "overview — all pairwise correlations",
 			Caption:   "circle size and intensity encode |rho|; blue positive, red negative",

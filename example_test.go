@@ -1,6 +1,7 @@
 package foresight_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -19,7 +20,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := engine.Execute(foresight.Query{Classes: []string{"linear"}, K: 1})
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"linear"}, K: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -34,7 +35,7 @@ func ExampleQuery() {
 	csv := "a,b,c\n1,1.1,5\n2,1.9,1\n3,3.2,4\n4,3.8,2\n5,5.1,3\n6,6.2,0\n"
 	f, _ := foresight.ReadCSV(strings.NewReader(csv), "demo", nil)
 	engine, _ := foresight.NewEngine(f, nil, nil)
-	res, _ := engine.Execute(foresight.Query{
+	res, _ := engine.ExecuteContext(context.Background(), foresight.Query{
 		Classes:  []string{"linear"},
 		Fixed:    []string{"a"},
 		MinScore: 0.9,
@@ -58,7 +59,7 @@ func ExampleSession() {
 	skew, _ := reg.Lookup("skew")
 	in, _ := skew.Score(f, []string{"SelfReportedHealth"}, "")
 	session.FocusOn(in)
-	recs, _ := session.Recommendations()
+	recs, _ := session.RecommendationsKContext(context.Background(), session.K)
 	for _, r := range recs {
 		if r.Class == "linear" {
 			top := r.Insights[0]

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -32,7 +33,7 @@ func main() {
 	// are the right lens for heavy-tailed money data.
 	fmt.Println("\nQ1. What factors correlate with profitability?")
 	for _, target := range []string{"Gross", "BudgetRecovery"} {
-		res, err := engine.Execute(foresight.Query{
+		res, err := engine.ExecuteContext(context.Background(), foresight.Query{
 			Classes: []string{"monotonic"}, Fixed: []string{target}, K: 5, Approx: true,
 		})
 		if err != nil {
@@ -48,7 +49,7 @@ func main() {
 	// look at their linear partners among the commercial metrics.
 	fmt.Println("\nQ2. How are critical response and commercial success interrelated?")
 	for _, target := range []string{"IMDBScore", "NumCriticReviews"} {
-		res, err := engine.Execute(foresight.Query{
+		res, err := engine.ExecuteContext(context.Background(), foresight.Query{
 			Classes: []string{"linear"}, Fixed: []string{target}, K: 4, Approx: true,
 		})
 		if err != nil {
@@ -63,7 +64,7 @@ func main() {
 	// Q3: which attributes are dominated by a few heavy hitters?
 	// (Directors and languages are; genres less so.)
 	fmt.Println("\nQ3. Heavy-hitter structure of the categorical attributes:")
-	res, err := engine.Execute(foresight.Query{Classes: []string{"heavyhitters"}, Approx: true})
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"heavyhitters"}, Approx: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func main() {
 	// carousel, filtered to currency-tagged attributes (metadata
 	// constraint from the paper's future-work list).
 	fmt.Println("\nQ4. Heavy tails among currency attributes (metadata-filtered query):")
-	res, err = engine.Execute(foresight.Query{
+	res, err = engine.ExecuteContext(context.Background(), foresight.Query{
 		Classes: []string{"heavytails"}, Semantic: "currency", K: 5, Approx: true,
 	})
 	if err != nil {
@@ -88,7 +89,7 @@ func main() {
 	// A range-filtered query, as in §2.1: moderately correlated pairs
 	// only (filter out the trivially high ones).
 	fmt.Println("\nQ5. Moderately correlated pairs (0.4 ≤ |rho| ≤ 0.7):")
-	res, err = engine.Execute(foresight.Query{
+	res, err = engine.ExecuteContext(context.Background(), foresight.Query{
 		Classes: []string{"linear"}, MinScore: 0.4, MaxScore: 0.7, K: 5, Approx: true,
 	})
 	if err != nil {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -24,7 +25,7 @@ func main() {
 	session := foresight.NewSession(engine, 5, false)
 
 	// "...and eyeballs various insights displayed in the carousels."
-	carousels, err := session.Recommendations()
+	carousels, err := session.RecommendationsKContext(context.Background(), session.K)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func main() {
 	// "Encouraged by this quick discovery, she brings this insight into
 	// focus by clicking on it. Foresight updates its recommendations..."
 	session.FocusOn(focus)
-	updated, err := session.Recommendations()
+	updated, err := session.RecommendationsKContext(context.Background(), session.K)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func main() {
 	// and she finds that Life Satisfaction and SRH are highly
 	// correlated."
 	session.FocusOn(srh)
-	again, err := session.Recommendations()
+	again, err := session.RecommendationsKContext(context.Background(), session.K)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func has(in foresight.Insight, attr string) bool {
 // pairScore runs a fixed-pair query and returns the signed metric (0
 // when the pair was filtered as undefined).
 func pairScore(engine *foresight.Engine, class, metric string, a, b string) float64 {
-	res, err := engine.Execute(foresight.Query{Classes: []string{class}, Metric: metric, Fixed: []string{a, b}})
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{class}, Metric: metric, Fixed: []string{a, b}})
 	if err != nil || len(res) == 0 || len(res[0].Insights) == 0 {
 		return 0
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -32,7 +33,7 @@ func main() {
 
 	// Which numeric measures does the cohort explain best?
 	fmt.Println("\n1. Cohort-dependent measures (η², dependence class):")
-	res, err := engine.Execute(foresight.Query{
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{
 		Classes: []string{"dependence"}, Fixed: []string{"Cohort"}, K: 6,
 	})
 	if err != nil {
@@ -44,7 +45,7 @@ func main() {
 
 	// Does the cohort segment the motor-score plane?
 	fmt.Println("\n2. Cohort segmentation of score scatters (silhouette):")
-	res, err = engine.Execute(foresight.Query{
+	res, err = engine.ExecuteContext(context.Background(), foresight.Query{
 		Classes: []string{"segmentation"}, Fixed: []string{"Cohort"}, K: 4,
 	})
 	if err != nil {
@@ -56,7 +57,7 @@ func main() {
 
 	// Outliers in biomarkers (planted in CRP_Inflammation).
 	fmt.Println("\n3. Outlier-heavy measurements (box-plot class):")
-	res, err = engine.Execute(foresight.Query{Classes: []string{"outliers"}, K: 4})
+	res, err = engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"outliers"}, K: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func main() {
 
 	// The custom class at work: most-missing columns first.
 	fmt.Println("4. Data completeness (custom plug-in class):")
-	res, err = engine.Execute(foresight.Query{Classes: []string{"missingness"}, K: 4})
+	res, err = engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"missingness"}, K: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -45,7 +46,7 @@ func main() {
 	}
 
 	// 3. Ask for the top-3 insights of every class (the Figure-1 view).
-	carousels, err := engine.Carousels(3, false)
+	carousels, err := engine.CarouselsContext(context.Background(), 3, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func main() {
 	}
 
 	// 4. Run a targeted insight query: what correlates with revenue?
-	res, err := engine.Execute(foresight.Query{
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{
 		Classes: []string{"linear"},
 		Fixed:   []string{"revenue"},
 		K:       3,

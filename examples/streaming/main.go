@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -72,7 +73,7 @@ func main() {
 
 	// ...and explores interactively from sketches alone.
 	start = time.Now()
-	res, err := engine.Execute(foresight.Query{Classes: []string{"linear"}, K: 5, Approx: true})
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"linear"}, K: 5, Approx: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func main() {
 	}
 
 	start = time.Now()
-	hh, err := engine.Execute(foresight.Query{Classes: []string{"heavyhitters"}, K: 3, Approx: true})
+	hh, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"heavyhitters"}, K: 3, Approx: true})
 	if err != nil {
 		log.Fatal(err)
 	}

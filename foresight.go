@@ -10,11 +10,12 @@
 //	f, _ := foresight.ReadCSVFile("data.csv", "", nil)
 //	profile := foresight.BuildProfile(f, foresight.ProfileConfig{Seed: 1})
 //	engine, _ := foresight.NewEngine(f, foresight.NewRegistry(), profile)
-//	carousels, _ := engine.Carousels(5, true)   // Figure-1 view
-//	overview, _ := engine.Overview("linear", "", true) // Figure-2 view
+//	ctx := context.Background()
+//	carousels, _ := engine.CarouselsContext(ctx, 5, true)          // Figure-1 view
+//	overview, _ := engine.OverviewContext(ctx, "linear", "", true) // Figure-2 view
 //	session := foresight.NewSession(engine, 5, true)
 //	session.FocusOn(carousels[0].Insights[0])
-//	updated, _ := session.Recommendations()
+//	updated, _ := session.RecommendationsKContext(ctx, session.K)  // §4.1 re-ranking
 //
 // Everything here is a thin re-export of the internal packages; see
 // DESIGN.md for the module map.

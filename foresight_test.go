@@ -2,6 +2,7 @@ package foresight_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ func TestEndToEndOECD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	carousels, err := engine.Carousels(5, false)
+	carousels, err := engine.CarouselsContext(context.Background(), 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestEndToEndOECD(t *testing.T) {
 	// Focus it; recommendations update.
 	session := foresight.NewSession(engine, 5, false)
 	session.FocusOn(*wlhTdl)
-	updated, err := session.Recommendations()
+	updated, err := session.RecommendationsKContext(context.Background(), session.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestEndToEndOECD(t *testing.T) {
 	}
 
 	// Overview (Figure 2) and its SVG.
-	ov, err := engine.Overview("linear", "", false)
+	ov, err := engine.OverviewContext(context.Background(), "linear", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestPublicCSVAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Execute(foresight.Query{Classes: []string{"linear"}, K: 1})
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"linear"}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestFacadePartitionedAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Execute(foresight.Query{Classes: []string{"linear"}, K: 3, Approx: true})
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"linear"}, K: 3, Approx: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestFacadeCustomRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Execute(foresight.Query{K: 2})
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestFacadeParallelWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine.SetWorkers(0) // GOMAXPROCS
-	res, err := engine.Execute(foresight.Query{Classes: []string{"linear"}, K: 1})
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"linear"}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +249,14 @@ func TestDrillDownWorkflow(t *testing.T) {
 	}
 	// Within one cohort the Cohort column is constant, so it yields no
 	// dependence insights; motor-score correlations remain.
-	res, err := engine.Execute(foresight.Query{Classes: []string{"dependence"}, Fixed: []string{"Cohort"}})
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"dependence"}, Fixed: []string{"Cohort"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 0 {
 		t.Errorf("constant cohort should yield no dependence insights, got %d", len(res))
 	}
-	lin, err := engine.Execute(foresight.Query{Classes: []string{"linear"}, K: 1})
+	lin, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"linear"}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestNormalityClassThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Execute(foresight.Query{Classes: []string{"normality"}})
+	res, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{"normality"}})
 	if err != nil {
 		t.Fatal(err)
 	}

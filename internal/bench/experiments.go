@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -25,7 +26,7 @@ func RunE1Carousels(w io.Writer, outDir string, k int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	carousels, err := engine.Carousels(k, false)
+	carousels, err := engine.CarouselsContext(context.Background(), k, false)
 	if err != nil {
 		return err
 	}
@@ -63,7 +64,7 @@ func RunE2Overview(w io.Writer, outDir string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	ov, err := engine.Overview("linear", "", false)
+	ov, err := engine.OverviewContext(context.Background(), "linear", "", false)
 	if err != nil {
 		return err
 	}
@@ -127,7 +128,7 @@ func RunE7Scenario(w io.Writer, outDir string, seed int64) ([]ScenarioCheck, err
 	// 1. "Working Long Hours and Time Devoted To Leisure have a strong
 	//    negative correlation, one of the top-ranked correlation
 	//    insights."
-	res, err := engine.Execute(query.Query{Classes: []string{"linear"}, K: 5})
+	res, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"linear"}, K: 5})
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +156,7 @@ func RunE7Scenario(w io.Writer, outDir string, seed int64) ([]ScenarioCheck, err
 	if wlhTdl != nil {
 		session.FocusOn(*wlhTdl)
 	}
-	mono, err := engine.Execute(query.Query{Classes: []string{"monotonic"},
+	mono, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"monotonic"},
 		Fixed: []string{"WorkingLongHours", "TimeDevotedToLeisure"}, Metric: "spearman"})
 	if err != nil {
 		return nil, err
@@ -169,7 +170,7 @@ func RunE7Scenario(w io.Writer, outDir string, seed int64) ([]ScenarioCheck, err
 
 	// 3. "Time Devoted To Leisure has no correlation with Self
 	//    Reported Health."
-	lin, err := engine.Execute(query.Query{Classes: []string{"linear"},
+	lin, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"linear"},
 		Fixed: []string{"TimeDevotedToLeisure", "SelfReportedHealth"}})
 	if err != nil {
 		return nil, err
@@ -201,7 +202,7 @@ func RunE7Scenario(w io.Writer, outDir string, seed int64) ([]ScenarioCheck, err
 	//    Reported Health are highly correlated" among the new
 	//    recommendations.
 	session.FocusOn(srhSkew)
-	recs, err := session.Recommendations()
+	recs, err := session.RecommendationsKContext(context.Background(), session.K)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +259,7 @@ func RunE8DemoDatasets(w io.Writer, outDir string, seed int64) error {
 		if err != nil {
 			return err
 		}
-		carousels, err := engine.Carousels(1, false)
+		carousels, err := engine.CarouselsContext(context.Background(), 1, false)
 		if err != nil {
 			return err
 		}
@@ -282,7 +283,7 @@ func RunE8DemoDatasets(w io.Writer, outDir string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	res, err := engine.Execute(query.Query{Classes: []string{"monotonic"}, Fixed: []string{"Gross"}, K: 5})
+	res, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"monotonic"}, Fixed: []string{"Gross"}, K: 5})
 	if err != nil {
 		return err
 	}

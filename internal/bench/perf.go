@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -413,7 +414,7 @@ func RunE5QueryLatency(w io.Writer, outDir string, cfg E5Config) error {
 	run := func(name string, q query.Query) error {
 		var res []query.Result
 		var qerr error
-		dur := timeIt(func() { res, qerr = engine.Execute(q) })
+		dur := timeIt(func() { res, qerr = engine.ExecuteContext(context.Background(), q) })
 		if qerr != nil {
 			return qerr
 		}
@@ -440,14 +441,14 @@ func RunE5QueryLatency(w io.Writer, outDir string, cfg E5Config) error {
 		return err
 	}
 	// Neighborhood of the top correlation.
-	top, err := engine.Execute(query.Query{Classes: []string{"linear"}, K: 1, Approx: true})
+	top, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"linear"}, K: 1, Approx: true})
 	if err != nil {
 		return err
 	}
 	if len(top) > 0 && len(top[0].Insights) > 0 {
 		var nbrs []core.Insight
 		dur := timeIt(func() {
-			nbrs, err = engine.Neighborhood(top[0].Insights[0], []string{"linear", "monotonic"}, 10, true)
+			nbrs, err = engine.NeighborhoodContext(context.Background(), top[0].Insights[0], []string{"linear", "monotonic"}, 10, true)
 		})
 		if err != nil {
 			return err
@@ -455,7 +456,7 @@ func RunE5QueryLatency(w io.Writer, outDir string, cfg E5Config) error {
 		t.AddRow("neighborhood (2 classes)", dur, len(nbrs))
 	}
 	var ovDur time.Duration
-	ovDur = timeIt(func() { _, err = engine.Overview("linear", "", true) })
+	ovDur = timeIt(func() { _, err = engine.OverviewContext(context.Background(), "linear", "", true) })
 	if err != nil {
 		return err
 	}

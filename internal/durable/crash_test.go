@@ -345,7 +345,7 @@ func TestRecoverySurvivesConcurrentQueries(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := e.Execute(query.Query{K: 2}); err != nil {
+				if _, err := e.ExecuteContext(context.Background(), query.Query{K: 2}); err != nil {
 					t.Errorf("query during replay: %v", err)
 					return
 				}

@@ -112,7 +112,7 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ { // round 2 serves purely from the memo
 		for qi, q := range queries {
-			got, err := e.Execute(q)
+			got, err := e.ExecuteContext(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestCacheEquivalence(t *testing.T) {
 			}
 		}
 		for _, class := range []string{"linear", "skew"} {
-			ov, err := e.Overview(class, "", false)
+			ov, err := e.OverviewContext(context.Background(), class, "", false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,12 +129,12 @@ func TestCacheEquivalence(t *testing.T) {
 		}
 	}
 	// Neighborhood rides on Execute; check it end to end too.
-	top, err := e.Execute(Query{Classes: []string{"linear"}, K: 1})
+	top, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 1})
 	if err != nil || len(top) == 0 {
 		t.Fatalf("no focus: %v", err)
 	}
 	focus := top[0].Insights[0]
-	got, err := e.Neighborhood(focus, nil, 7, false)
+	got, err := e.NeighborhoodContext(context.Background(), focus, nil, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +199,14 @@ func TestCacheStatsAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Carousels(5, false); err != nil {
+	if _, err := e.CarouselsContext(context.Background(), 5, false); err != nil {
 		t.Fatal(err)
 	}
 	st1 := e.CacheStats()
 	if st1.Misses == 0 || st1.Entries == 0 || st1.Hits != 0 {
 		t.Fatalf("first pass stats: %+v", st1)
 	}
-	if _, err := e.Carousels(5, false); err != nil {
+	if _, err := e.CarouselsContext(context.Background(), 5, false); err != nil {
 		t.Fatal(err)
 	}
 	st2 := e.CacheStats()
@@ -225,7 +225,7 @@ func TestCacheStatsAndInvalidation(t *testing.T) {
 	if st3.Generation != st2.Generation+1 || st3.Entries != 0 {
 		t.Errorf("a restore with a new profile should bump generation and drop entries: %+v", st3)
 	}
-	if _, err := e.Carousels(5, false); err != nil {
+	if _, err := e.CarouselsContext(context.Background(), 5, false); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.CacheStats(); st.Misses <= st3.Misses {
@@ -295,7 +295,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.Execute(Query{K: 3}); err != nil {
+			if _, err := e.ExecuteContext(context.Background(), Query{K: 3}); err != nil {
 				errs <- err
 			}
 		}()
@@ -327,20 +327,20 @@ func TestConcurrentEngineQueries(t *testing.T) {
 	}
 	e.SetWorkers(4)
 
-	goldenExec, err := e.Execute(Query{K: 5})
+	goldenExec, err := e.ExecuteContext(context.Background(), Query{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenApprox, err := e.Execute(Query{K: 5, Approx: true})
+	goldenApprox, err := e.ExecuteContext(context.Background(), Query{K: 5, Approx: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenOv, err := e.Overview("linear", "", false)
+	goldenOv, err := e.OverviewContext(context.Background(), "linear", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	focus := goldenExec[0].Insights[0]
-	goldenNbrs, err := e.Neighborhood(focus, nil, 5, false)
+	goldenNbrs, err := e.NeighborhoodContext(context.Background(), focus, nil, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,28 +354,28 @@ func TestConcurrentEngineQueries(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				switch (i + round) % 4 {
 				case 0:
-					res, err := e.Execute(Query{K: 5})
+					res, err := e.ExecuteContext(context.Background(), Query{K: 5})
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					resultsEqual(t, "concurrent exec", goldenExec, res)
 				case 1:
-					res, err := e.Execute(Query{K: 5, Approx: true})
+					res, err := e.ExecuteContext(context.Background(), Query{K: 5, Approx: true})
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					resultsEqual(t, "concurrent approx", goldenApprox, res)
 				case 2:
-					ov, err := e.Overview("linear", "", false)
+					ov, err := e.OverviewContext(context.Background(), "linear", "", false)
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					overviewEqual(t, "concurrent overview", goldenOv, ov)
 				case 3:
-					nbrs, err := e.Neighborhood(focus, nil, 5, false)
+					nbrs, err := e.NeighborhoodContext(context.Background(), focus, nil, 5, false)
 					if err != nil {
 						t.Error(err)
 						return
@@ -433,7 +433,7 @@ func TestConcurrentInvalidation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 5; round++ {
-				if _, err := e.Execute(Query{K: 3, Approx: true}); err != nil {
+				if _, err := e.ExecuteContext(context.Background(), Query{K: 3, Approx: true}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -447,11 +447,11 @@ func TestConcurrentInvalidation(t *testing.T) {
 	if err := e.RestoreSnapshot(f, pa); err != nil {
 		t.Fatal(err)
 	}
-	golden, err := e.Execute(Query{K: 3, Approx: true})
+	golden, err := e.ExecuteContext(context.Background(), Query{K: 3, Approx: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := e.Execute(Query{K: 3, Approx: true})
+	again, err := e.ExecuteContext(context.Background(), Query{K: 3, Approx: true})
 	if err != nil {
 		t.Fatal(err)
 	}

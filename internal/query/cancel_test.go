@@ -109,28 +109,51 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // A context cancelled before the call must return immediately without
-// scoring anything, and count one cancellation.
+// scoring anything, and count one cancellation — on every engine read.
 func TestExecuteContextPreCancelled(t *testing.T) {
-	gc := &gateClass{}
-	e := gatedEngine(t, gc)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := e.ExecuteContext(ctx, Query{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := gc.calls.Load(); n != 0 {
-		t.Errorf("scored %d candidates after pre-cancelled ctx", n)
-	}
-	if c := e.Cancellations(); c != 1 {
-		t.Errorf("cancellations = %d, want 1", c)
-	}
-	// Overview honors the same contract.
-	if _, err := e.OverviewContext(ctx, "gated", "", false); !errors.Is(err, context.Canceled) {
-		t.Errorf("overview err = %v, want context.Canceled", err)
-	}
-	if c := e.Cancellations(); c != 2 {
-		t.Errorf("cancellations = %d, want 2", c)
+	focus := core.Insight{Class: "gated", Metric: "len", Attrs: []string{"a"}}
+	for _, read := range []struct {
+		name string
+		call func(context.Context, *Engine) error
+	}{
+		{"execute", func(ctx context.Context, e *Engine) error {
+			_, err := e.ExecuteContext(ctx, Query{})
+			return err
+		}},
+		{"carousels", func(ctx context.Context, e *Engine) error {
+			_, err := e.CarouselsContext(ctx, 3, false)
+			return err
+		}},
+		{"overview", func(ctx context.Context, e *Engine) error {
+			_, err := e.OverviewContext(ctx, "gated", "", false)
+			return err
+		}},
+		{"neighborhood", func(ctx context.Context, e *Engine) error {
+			_, err := e.NeighborhoodContext(ctx, focus, nil, 3, false)
+			return err
+		}},
+		{"recommendations", func(ctx context.Context, e *Engine) error {
+			s := NewSession(e, 3, false)
+			s.FocusOn(focus)
+			_, err := s.RecommendationsKContext(ctx, 3)
+			return err
+		}},
+	} {
+		t.Run(read.name, func(t *testing.T) {
+			gc := &gateClass{}
+			e := gatedEngine(t, gc)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := read.call(ctx, e); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if n := gc.calls.Load(); n != 0 {
+				t.Errorf("scored %d candidates after pre-cancelled ctx", n)
+			}
+			if c := e.Cancellations(); c != 1 {
+				t.Errorf("cancellations = %d, want 1", c)
+			}
+		})
 	}
 }
 
@@ -143,7 +166,7 @@ func TestSingleflightWaiterUnblocksOnCtxExpiry(t *testing.T) {
 
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, err := e.Execute(Query{}) // background ctx; blocks on the gate
+		_, err := e.ExecuteContext(context.Background(), Query{}) // background ctx; blocks on the gate
 		ownerDone <- err
 	}()
 	waitFor(t, "owner to reach the gated Score", func() bool { return gc.calls.Load() >= 1 })
@@ -190,7 +213,7 @@ func TestAbandonedSlotsRescoredByWaiter(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	var waiterRes []Result
 	go func() {
-		res, err := e.Execute(Query{}) // background ctx: must not hang
+		res, err := e.ExecuteContext(context.Background(), Query{}) // background ctx: must not hang
 		waiterRes = res
 		waiterDone <- err
 	}()
@@ -218,7 +241,7 @@ func TestAbandonedSlotsRescoredByWaiter(t *testing.T) {
 		t.Errorf("total Score calls = %d, want %d (1 owner + %d waiter rescores)", n, nCands, nCands-1)
 	}
 	// Nothing left dangling for future requests.
-	if _, err := e.Execute(Query{}); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), Query{}); err != nil {
 		t.Fatalf("follow-up query: %v", err)
 	}
 }

@@ -122,26 +122,26 @@ func replies(t *testing.T, e *Engine, firstNeighborhood bool) [][]byte {
 	}
 	s := NewSession(e, 5, false)
 	if firstNeighborhood {
-		add(e.Neighborhood(focus, nil, 10, false))
+		add(e.NeighborhoodContext(context.Background(), focus, nil, 10, false))
 	}
 	for _, k := range []int{5, 1, 10} {
-		add(s.RecommendationsK(k))
+		add(s.RecommendationsKContext(context.Background(), k))
 	}
 	for _, k := range []int{3, 10, 40} {
-		add(e.Neighborhood(focus, nil, k, false))
-		add(e.Neighborhood(seg, nil, k, false))
+		add(e.NeighborhoodContext(context.Background(), focus, nil, k, false))
+		add(e.NeighborhoodContext(context.Background(), seg, nil, k, false))
 	}
-	add(e.Neighborhood(focus, []string{"segmentation", "monotonic", "catassoc"}, 10, false))
-	add(e.Overview("linear", "", false))
-	add(e.Execute(Query{Fixed: []string{"n000"}, K: 10}))
-	add(e.Execute(Query{Fixed: []string{"c00"}, K: 3}))
-	add(e.Execute(Query{MinScore: 0.3, K: 4}))
-	add(e.Execute(Query{Classes: []string{"segmentation"}, MinScore: 0.1}))
+	add(e.NeighborhoodContext(context.Background(), focus, []string{"segmentation", "monotonic", "catassoc"}, 10, false))
+	add(e.OverviewContext(context.Background(), "linear", "", false))
+	add(e.ExecuteContext(context.Background(), Query{Fixed: []string{"n000"}, K: 10}))
+	add(e.ExecuteContext(context.Background(), Query{Fixed: []string{"c00"}, K: 3}))
+	add(e.ExecuteContext(context.Background(), Query{MinScore: 0.3, K: 4}))
+	add(e.ExecuteContext(context.Background(), Query{Classes: []string{"segmentation"}, MinScore: 0.1}))
 	s.FocusOn(focus)
-	add(s.RecommendationsK(5))
+	add(s.RecommendationsKContext(context.Background(), 5))
 	s.Unfocus(focus.Key())
-	add(s.RecommendationsK(5))
-	add(NewSession(e, 5, true).RecommendationsK(5))
+	add(s.RecommendationsKContext(context.Background(), 5))
+	add(NewSession(e, 5, true).RecommendationsKContext(context.Background(), 5))
 	return out
 }
 
@@ -212,7 +212,7 @@ func TestCertificatesDropOnInvalidate(t *testing.T) {
 		{"InvalidateCache", func() error { e.InvalidateCache(); return nil }},
 		{"RestoreSnapshot", func() error { return e.RestoreSnapshot(e.Frame(), nil) }},
 	} {
-		if _, err := NewSession(e, 5, false).Recommendations(); err != nil {
+		if _, err := NewSession(e, 5, false).RecommendationsKContext(context.Background(), 5); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.Ingest(context.Background(), frame.RowBatch{Records: g.rows(10)}, nil); err != nil {
@@ -278,7 +278,7 @@ func TestRetiredPassBesideSuccessor(t *testing.T) {
 		}
 	}
 	// Generation 0 certifies every triple, and generation 1 carries them.
-	if _, err := NewSession(e, 5, false).Recommendations(); err != nil {
+	if _, err := NewSession(e, 5, false).RecommendationsKContext(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	ingest()
@@ -289,7 +289,7 @@ func TestRetiredPassBesideSuccessor(t *testing.T) {
 	seg.gate = make(chan struct{})
 	done := make(chan []Result, 1)
 	go func() {
-		res, err := e.Execute(Query{})
+		res, err := e.ExecuteContext(context.Background(), Query{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -304,7 +304,7 @@ func TestRetiredPassBesideSuccessor(t *testing.T) {
 	// Release the retired pass and read the successor's carousel beside it.
 	close(seg.gate)
 	s := NewSession(e, 5, false)
-	got, err := s.Recommendations()
+	got, err := s.RecommendationsKContext(context.Background(), s.K)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,10 @@ func TestEngineInstrument(t *testing.T) {
 	reg := obs.NewRegistry()
 	e.Instrument(reg)
 
-	if _, err := e.Execute(Query{Classes: []string{"linear"}, K: 3}); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Overview("linear", "", false); err != nil {
+	if _, err := e.OverviewContext(context.Background(), "linear", "", false); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
@@ -111,7 +111,7 @@ func TestCacheWaitsCounted(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = e.Carousels(5, false)
+			_, _ = e.CarouselsContext(context.Background(), 5, false)
 		}()
 	}
 	wg.Wait()
@@ -134,7 +134,7 @@ func TestInstrumentedResultsIdentical(t *testing.T) {
 	tr := obs.NewTrace("x", "y")
 	ctx := obs.WithTrace(context.Background(), tr)
 
-	a, err := plain.Execute(Query{K: 5})
+	a, err := plain.ExecuteContext(context.Background(), Query{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +166,13 @@ func TestCarriedBoundsMetric(t *testing.T) {
 	reg := obs.NewRegistry()
 	e.Instrument(reg)
 	s := NewSession(e, 5, false)
-	if _, err := s.Recommendations(); err != nil {
+	if _, err := s.RecommendationsKContext(context.Background(), s.K); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Ingest(context.Background(), frame.RowBatch{Records: g.rows(10)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Recommendations(); err != nil {
+	if _, err := s.RecommendationsKContext(context.Background(), s.K); err != nil {
 		t.Fatal(err)
 	}
 	st := e.PruneStats()

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sort"
@@ -59,7 +60,7 @@ func oracleScores(e *Engine, c core.Class, metric string, approx bool, keep func
 	return ins
 }
 
-// oracleExecute is the reference for Engine.Execute.
+// oracleExecute is the reference for Engine.ExecuteContext.
 func oracleExecute(t *testing.T, e *Engine, q Query) []Result {
 	t.Helper()
 	classes, _, err := e.resolveClasses(q.Classes)
@@ -94,7 +95,7 @@ func oracleExecute(t *testing.T, e *Engine, q Query) []Result {
 	return out
 }
 
-// oracleOverview checks ov against the reference for Engine.Overview:
+// oracleOverview checks ov against the reference for Engine.OverviewContext:
 // every scored tuple ranked by strength, and its raw value in the cell
 // its attributes index.
 func oracleOverview(t *testing.T, label string, e *Engine, ov *Overview, approx bool) {
@@ -117,7 +118,7 @@ func oracleOverview(t *testing.T, label string, e *Engine, ov *Overview, approx 
 	}
 }
 
-// oracleNeighborhood is the reference for Engine.Neighborhood: sort by
+// oracleNeighborhood is the reference for Engine.NeighborhoodContext: sort by
 // (similarity, strength, key), then truncate.
 func oracleNeighborhood(t *testing.T, e *Engine, focus core.Insight, classes []string, k int, approx bool) []core.Insight {
 	t.Helper()
@@ -159,7 +160,7 @@ func insightsEqual(a, b []core.Insight) bool {
 	return true
 }
 
-// oracleRecommendations is the reference for Session.RecommendationsK:
+// oracleRecommendations is the reference for Session.RecommendationsKContext:
 // per class, every insight ordered by (blended score desc, key asc),
 // then cut at k.
 func oracleRecommendations(t *testing.T, s *Session, k int) []Result {
@@ -196,7 +197,7 @@ func TestRecommendationsMatchSortThenTruncate(t *testing.T) {
 	for _, focus := range [][]core.Insight{nil, {all[0].Insights[0], all[len(all)-1].Insights[1]}} {
 		s.Focus = focus
 		for _, k := range []int{1, 3, 5, 21, 1000} {
-			got, err := s.RecommendationsK(k)
+			got, err := s.RecommendationsKContext(context.Background(), k)
 			if err != nil {
 				t.Fatal(err)
 			}

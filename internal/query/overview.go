@@ -39,17 +39,13 @@ type Overview struct {
 	Insights []core.Insight `json:"insights"`
 }
 
-// Overview computes the global view for one class. Classes of arity 3
-// have no overview (the paper makes overviews optional); an error is
-// returned. metric "" selects the class default.
-func (e *Engine) Overview(className, metric string, approx bool) (*Overview, error) {
-	return e.OverviewContext(context.Background(), className, metric, approx)
-}
-
-// OverviewContext is Overview with a context; a trace on ctx records
-// the spans of building the class view when this is the first request
-// of the generation to need it. Once ctx is done the overview returns
-// ctx.Err() promptly and the engine's cancellation counter increments.
+// OverviewContext computes the global view for one class. Classes of
+// arity 3 have no overview (the paper makes overviews optional); an
+// error is returned. metric "" selects the class default. A trace on
+// ctx records the spans of building the class view when this is the
+// first request of the generation to need it. Once ctx is done the
+// overview returns ctx.Err() promptly and the engine's cancellation
+// counter increments.
 func (e *Engine) OverviewContext(ctx context.Context, className, metric string, approx bool) (*Overview, error) {
 	v, _, err := e.overviewView(ctx, className, metric, approx)
 	if err != nil {

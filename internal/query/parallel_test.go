@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"foresight/internal/core"
@@ -28,11 +29,11 @@ func TestParallelExecuteMatchesSequential(t *testing.T) {
 		{Classes: []string{"linear"}, MinScore: 0.2, MaxScore: 0.9},
 		{K: 3, Approx: true},
 	} {
-		a, err := seq.Execute(q)
+		a, err := seq.ExecuteContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := par.Execute(q)
+		b, err := par.ExecuteContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func TestPruningEquivalence(t *testing.T) {
 
 	for pass := 0; pass < 2; pass++ {
 		for _, q := range pruneMatrix() {
-			got, err := e.Execute(q)
+			got, err := e.ExecuteContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("pass %d %+v: %v", pass, q, err)
 			}
@@ -63,24 +63,24 @@ func TestPruningEquivalence(t *testing.T) {
 			if q.Approx {
 				continue
 			}
-			if got, err := bare.Execute(q); err != nil || !reflect.DeepEqual(got, want) {
+			if got, err := bare.ExecuteContext(context.Background(), q); err != nil || !reflect.DeepEqual(got, want) {
 				t.Errorf("pass %d %+v: profile-less results differ from the oracle (err %v)", pass, q, err)
 			}
 		}
 	}
 
-	ov, err := e.Overview("linear", "", false)
+	ov, err := e.OverviewContext(context.Background(), "linear", "", false)
 	if err != nil {
 		t.Fatalf("overview: %v", err)
 	}
 	oracleOverview(t, "overview", e, ov, false)
 
-	res, err := e.Execute(Query{Classes: []string{"linear"}, K: 1})
+	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 1})
 	if err != nil || len(res) == 0 || len(res[0].Insights) == 0 {
 		t.Fatalf("focus query: %v", err)
 	}
 	focus := res[0].Insights[0]
-	nbrs, err := e.Neighborhood(focus, nil, 3, false)
+	nbrs, err := e.NeighborhoodContext(context.Background(), focus, nil, 3, false)
 	if err != nil {
 		t.Fatalf("neighborhood: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestPruningEquivalence(t *testing.T) {
 	}
 	// A top-k query that finds the class's view (the overview built
 	// it) reads the view: no pass runs, so nothing is considered.
-	if _, err := e.Execute(Query{Classes: []string{"linear"}, K: 1}); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.PruneStats().Considered - st.Considered; got != 0 {
@@ -118,7 +118,7 @@ func TestPruningEquivalence(t *testing.T) {
 			want++
 		}
 	}
-	if _, err := e.Execute(Query{Classes: []string{"linear"}, Fixed: []string{"a"}, K: 1}); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, Fixed: []string{"a"}, K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.PruneStats().Considered - st.Considered; got != want || want == 0 {
@@ -154,7 +154,7 @@ func TestPruningEquivalenceUnderIngest(t *testing.T) {
 			defer wg.Done()
 			qs := pruneMatrix()
 			for j := 0; j < 3; j++ {
-				if _, err := e.Execute(qs[(g+j)%len(qs)]); err != nil {
+				if _, err := e.ExecuteContext(context.Background(), qs[(g+j)%len(qs)]); err != nil {
 					t.Errorf("concurrent execute: %v", err)
 				}
 			}
@@ -164,7 +164,7 @@ func TestPruningEquivalenceUnderIngest(t *testing.T) {
 
 	for pass := 0; pass < 2; pass++ {
 		for _, q := range pruneMatrix() {
-			got, err := e.Execute(q)
+			got, err := e.ExecuteContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%+v: %v", q, err)
 			}
@@ -209,7 +209,7 @@ func TestPruningOnDemoDatasets(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			for _, q := range pruneMatrix() {
 				q.Fixed, q.Semantic = nil, frame.SemanticNone // testFrame's names
-				got, err := e.Execute(q)
+				got, err := e.ExecuteContext(context.Background(), q)
 				if err != nil {
 					t.Fatalf("%s %+v: %v", f.Name(), q, err)
 				}
@@ -239,10 +239,10 @@ func TestPruningOnDemoDatasets(t *testing.T) {
 // negative value is a loud error instead of an empty result.
 func TestMaxScoreValidation(t *testing.T) {
 	e := newTestEngine(t, 300, 9)
-	if _, err := e.Execute(Query{MaxScore: -0.1}); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), Query{MaxScore: -0.1}); err == nil {
 		t.Error("negative MaxScore accepted")
 	}
-	res, err := e.Execute(Query{Classes: []string{"linear"}, K: 2, MaxScore: 0})
+	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 2, MaxScore: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +267,12 @@ func TestPrunedFilteredTelemetrySplit(t *testing.T) {
 
 	// Every dip bound is ~0.25, strictly below MinScore 0.5: the whole
 	// class is pruned without scoring a single candidate.
-	if _, err := e.Execute(Query{Classes: []string{"multimodality"}, MinScore: 0.5}); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"multimodality"}, MinScore: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	// The linear bound (~1) clears MinScore 0.999, so every pair is
 	// scored — and then dropped by the filter: pure Filtered traffic.
-	if _, err := e.Execute(Query{Classes: []string{"linear"}, MinScore: 0.999}); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, MinScore: 0.999}); err != nil {
 		t.Fatal(err)
 	}
 

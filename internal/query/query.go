@@ -100,12 +100,13 @@ func results(rs []ranking) []Result {
 // optional; queries with Approx set fail without it.
 //
 // An Engine is safe for concurrent use: any number of goroutines may
-// call Execute, Carousels, Overview, and Neighborhood in parallel, and
-// Ingest, RestoreSnapshot and SetWorkers may run beside them. The
-// dataset and everything computed from it is one generation (cache.go)
-// behind an atomic pointer: every query loads it once and computes
-// entirely against it, so a query that overlaps an ingest observes
-// either the old dataset or the new one — never a mix.
+// call ExecuteContext, CarouselsContext, OverviewContext and
+// NeighborhoodContext in parallel, and Ingest, RestoreSnapshot and
+// SetWorkers may run beside them. The dataset and everything computed
+// from it is one generation (cache.go) behind an atomic pointer: every
+// query loads it once and computes entirely against it, so a query
+// that overlaps an ingest observes either the old dataset or the new
+// one — never a mix.
 type Engine struct {
 	registry *core.Registry
 	// gen is the live generation. Only Ingest and RestoreSnapshot
@@ -199,18 +200,13 @@ func (e *Engine) Registry() *core.Registry { return e.registry }
 // Profile returns the preprocessed sketch store (nil if absent).
 func (e *Engine) Profile() *sketch.DatasetProfile { return e.gen.Load().profile }
 
-// Execute runs the query and returns one Result per class, in
-// registry order, omitting classes with no surviving insights.
-func (e *Engine) Execute(q Query) ([]Result, error) {
-	return e.ExecuteContext(context.Background(), q)
-}
-
-// ExecuteContext is Execute with a context. A trace attached to ctx
-// (obs.WithTrace) records named spans for each phase — parse, then
-// per class candidate enumeration, scoring, view building (when the
-// request builds the class view) and ranking — so slow queries show
-// where their time went; without a trace the spans cost one nil check
-// each.
+// ExecuteContext runs the query and returns one Result per class, in
+// registry order, omitting classes with no surviving insights. A trace
+// attached to ctx (obs.WithTrace) records named spans for each phase —
+// parse, then per class candidate enumeration, scoring, view building
+// (when the request builds the class view) and ranking — so slow
+// queries show where their time went; without a trace the spans cost
+// one nil check each.
 //
 // Cancellation is honored between phases and inside scoring: once ctx
 // is done the engine stops enumerating and dispatching candidates and
@@ -511,15 +507,11 @@ func anySemantic(f *frame.Frame, attrs []string, want frame.SemanticType) bool {
 	return false
 }
 
-// Carousels returns the Figure-1 view: the top-k insights of every
-// registered class, keyed by class name in registry order.
-func (e *Engine) Carousels(k int, approx bool) ([]Result, error) {
-	return e.CarouselsContext(context.Background(), k, approx)
-}
-
-// CarouselsContext is Carousels with a context for tracing. It runs
-// the same scoring path as ExecuteContext but reports op "carousels"
-// in the engine metrics and telemetry.
+// CarouselsContext returns the Figure-1 view: the top-k insights of
+// every registered class, keyed by class name in registry order. It
+// runs the same scoring path as ExecuteContext, with its tracing and
+// cancellation, but reports op "carousels" in the engine metrics and
+// telemetry.
 func (e *Engine) CarouselsContext(ctx context.Context, k int, approx bool) ([]Result, error) {
 	rs, err := e.executeOp(ctx, Query{K: k, Approx: approx}, "carousels")
 	return results(rs), err

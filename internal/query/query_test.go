@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -85,7 +86,7 @@ func TestNewEngineValidation(t *testing.T) {
 
 func TestExecuteBasicTopK(t *testing.T) {
 	e := newTestEngine(t, 2000, 1)
-	res, err := e.Execute(Query{Classes: []string{"linear"}, K: 3})
+	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestExecuteBasicTopK(t *testing.T) {
 
 func TestExecuteFixedAttribute(t *testing.T) {
 	e := newTestEngine(t, 2000, 2)
-	res, err := e.Execute(Query{Classes: []string{"linear"}, Fixed: []string{"c"}})
+	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, Fixed: []string{"c"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestExecuteScoreRange(t *testing.T) {
 	e := newTestEngine(t, 2000, 3)
 	// The paper's example: ρ ∈ [0.5, 0.8] filters trivially high
 	// correlations.
-	res, err := e.Execute(Query{Classes: []string{"linear"}, MinScore: 0.5, MaxScore: 0.8})
+	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, MinScore: 0.5, MaxScore: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestExecuteScoreRange(t *testing.T) {
 
 func TestExecuteSemanticFilter(t *testing.T) {
 	e := newTestEngine(t, 1000, 4)
-	res, err := e.Execute(Query{Classes: []string{"skew"}, Semantic: frame.SemanticCurrency})
+	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"skew"}, Semantic: frame.SemanticCurrency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestExecuteSemanticFilter(t *testing.T) {
 func TestExecuteMetricSelection(t *testing.T) {
 	e := newTestEngine(t, 1500, 5)
 	// Named metric on a single class.
-	res, err := e.Execute(Query{Classes: []string{"monotonic"}, Metric: "kendall", K: 1})
+	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"monotonic"}, Metric: "kendall", K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +169,11 @@ func TestExecuteMetricSelection(t *testing.T) {
 		t.Errorf("metric not applied: %+v", res[0])
 	}
 	// Unsupported metric on a single named class errors.
-	if _, err := e.Execute(Query{Classes: []string{"linear"}, Metric: "kendall"}); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, Metric: "kendall"}); err == nil {
 		t.Error("unsupported metric should error for explicit single class")
 	}
 	// Unsupported metric across all classes silently skips.
-	all, err := e.Execute(Query{Metric: "pearson"})
+	all, err := e.ExecuteContext(context.Background(), Query{Metric: "pearson"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,17 +186,17 @@ func TestExecuteMetricSelection(t *testing.T) {
 
 func TestExecuteUnknownClass(t *testing.T) {
 	e := newTestEngine(t, 100, 6)
-	if _, err := e.Execute(Query{Classes: []string{"wat"}}); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"wat"}}); err == nil {
 		t.Error("unknown class should error")
 	}
 }
 
 func TestExecuteApproxRequiresProfile(t *testing.T) {
 	e := newTestEngine(t, 100, 7)
-	if _, err := e.Execute(Query{Approx: true}); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), Query{Approx: true}); err == nil {
 		t.Error("approx without profile should error")
 	}
-	if _, err := e.Overview("linear", "", true); err == nil {
+	if _, err := e.OverviewContext(context.Background(), "linear", "", true); err == nil {
 		t.Error("approx overview without profile should error")
 	}
 }
@@ -207,11 +208,11 @@ func TestExecuteApproxMatchesExactRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := e.Execute(Query{Classes: []string{"linear"}, K: 1})
+	exact, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := e.Execute(Query{Classes: []string{"linear"}, K: 1, Approx: true})
+	approx, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 1, Approx: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestExecuteApproxMatchesExactRanking(t *testing.T) {
 
 func TestCarousels(t *testing.T) {
 	e := newTestEngine(t, 1500, 9)
-	res, err := e.Carousels(4, false)
+	res, err := e.CarouselsContext(context.Background(), 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestCarousels(t *testing.T) {
 
 func TestOverviewCorrelationMatrix(t *testing.T) {
 	e := newTestEngine(t, 1500, 10)
-	ov, err := e.Overview("linear", "", false)
+	ov, err := e.OverviewContext(context.Background(), "linear", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestOverviewCorrelationMatrix(t *testing.T) {
 
 func TestOverviewUnary(t *testing.T) {
 	e := newTestEngine(t, 1000, 11)
-	ov, err := e.Overview("skew", "", false)
+	ov, err := e.OverviewContext(context.Background(), "skew", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestOverviewUnary(t *testing.T) {
 
 func TestOverviewMixedKindsNotSymmetric(t *testing.T) {
 	e := newTestEngine(t, 800, 12)
-	ov, err := e.Overview("dependence", "", false)
+	ov, err := e.OverviewContext(context.Background(), "dependence", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,13 +305,13 @@ func TestOverviewMixedKindsNotSymmetric(t *testing.T) {
 
 func TestOverviewErrors(t *testing.T) {
 	e := newTestEngine(t, 500, 13)
-	if _, err := e.Overview("nope", "", false); err == nil {
+	if _, err := e.OverviewContext(context.Background(), "nope", "", false); err == nil {
 		t.Error("unknown class should error")
 	}
-	if _, err := e.Overview("segmentation", "", false); err == nil {
+	if _, err := e.OverviewContext(context.Background(), "segmentation", "", false); err == nil {
 		t.Error("arity-3 class should have no overview")
 	}
-	if _, err := e.Overview("linear", "bogus", false); err == nil {
+	if _, err := e.OverviewContext(context.Background(), "linear", "bogus", false); err == nil {
 		t.Error("unknown metric should error")
 	}
 }
@@ -340,12 +341,12 @@ func TestSimilarity(t *testing.T) {
 
 func TestNeighborhood(t *testing.T) {
 	e := newTestEngine(t, 1500, 14)
-	res, err := e.Execute(Query{Classes: []string{"linear"}, K: 1})
+	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	focus := res[0].Insights[0] // (a,b)
-	nbrs, err := e.Neighborhood(focus, nil, 10, false)
+	nbrs, err := e.NeighborhoodContext(context.Background(), focus, nil, 10, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestNeighborhood(t *testing.T) {
 	if shares < 4 {
 		t.Errorf("top neighbors should mostly share attributes, got %d/5", shares)
 	}
-	if _, err := e.Neighborhood(focus, []string{"bogus"}, 5, false); err == nil {
+	if _, err := e.NeighborhoodContext(context.Background(), focus, []string{"bogus"}, 5, false); err == nil {
 		t.Error("bad class in neighborhood should error")
 	}
 }
@@ -375,7 +376,7 @@ func TestNeighborhood(t *testing.T) {
 func TestSessionFocusReranking(t *testing.T) {
 	e := newTestEngine(t, 1500, 15)
 	s := NewSession(e, 5, false)
-	base, err := s.Recommendations()
+	base, err := s.RecommendationsKContext(context.Background(), s.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func TestSessionFocusReranking(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.FocusOn(skewIns)
-	got, err := s.Recommendations()
+	got, err := s.RecommendationsKContext(context.Background(), s.K)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestRunScoringMatchesPerCandidate(t *testing.T) {
 				{Classes: []string{"linear", "dependence"}, Fixed: []string{fixed}},
 				{Classes: []string{"linear"}, Metric: "r2"},
 			} {
-				res, err := e.Execute(q)
+				res, err := e.ExecuteContext(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func TestFailingRunSkipsLikeScore(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.SetWorkers(workers)
-		ov, err := e.Overview("linear", "", false)
+		ov, err := e.OverviewContext(context.Background(), "linear", "", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func testRunScorerPanic(t *testing.T) {
 	}
 	waiter := make(chan []Result, 1)
 	go func() {
-		res, err := e.Execute(Query{})
+		res, err := e.ExecuteContext(context.Background(), Query{})
 		if err != nil {
 			t.Error(err)
 		}

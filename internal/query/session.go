@@ -62,15 +62,11 @@ func jaccard(a, b []string) float64 {
 	return float64(inter) / float64(union)
 }
 
-// Neighborhood returns the k insights most similar to focus across
-// the given classes (empty = all), excluding focus itself. This is
-// the second-level exploration of §2: "look at nearby insights".
-func (e *Engine) Neighborhood(focus core.Insight, classes []string, k int, approx bool) ([]core.Insight, error) {
-	return e.NeighborhoodContext(context.Background(), focus, classes, k, approx)
-}
-
-// NeighborhoodContext is Neighborhood with a context; a trace on ctx
-// records the classes' spans plus a similarity-ranking span.
+// NeighborhoodContext returns the k insights most similar to focus
+// across the given classes (empty = all), excluding focus itself. This
+// is the second-level exploration of §2: "look at nearby insights". A
+// trace on ctx records the classes' spans plus a similarity-ranking
+// span.
 //
 // Across classes similarity is attribute Jaccard alone. So a class read
 // whole — one with a view, the focus's own (class, metric), or one
@@ -194,9 +190,9 @@ func insightsOf(top *core.KBest[ranked]) []core.Insight {
 
 // Session is one analyst's exploration state (§4.1): the set of
 // focused insights, plus the parameters of the current view. As
-// insights are focused, Recommendations re-ranks every carousel to
-// prefer the neighborhood of the focus set. Sessions serialize to
-// JSON so they can be saved, revisited, and shared.
+// insights are focused, RecommendationsKContext re-ranks every
+// carousel to prefer the neighborhood of the focus set. Sessions
+// serialize to JSON so they can be saved, revisited, and shared.
 type Session struct {
 	engine *Engine
 	// Focus is the ordered list of focused insights.
@@ -256,29 +252,21 @@ func (s *Session) relevance(attrs []string) float64 {
 	return best
 }
 
-// Recommendations returns the current carousels: per class, the top-K
+// RecommendationsKContext returns the current carousels, k insights
+// long (the session's own length is s.K): per class, the top k
 // insights ranked by blended score strength·(Blend + (1−Blend)·
 // relevance-to-focus). With an empty focus set this is exactly the
 // Figure-1 ranking. Normalization is per class: strengths are divided
 // by the class maximum so the blend is scale-free.
-func (s *Session) Recommendations() ([]Result, error) {
-	return s.RecommendationsK(s.K)
-}
-
-// RecommendationsK is Recommendations with an explicit carousel
-// length, leaving the session's K untouched. A Session is not itself
-// synchronized, but this method only reads session state, so callers
-// that serialize mutations (FocusOn, Unfocus, field writes) behind a
-// write lock may run any number of RecommendationsK calls under read
-// locks concurrently — the engine underneath is fully concurrent.
-func (s *Session) RecommendationsK(k int) ([]Result, error) {
-	return s.RecommendationsKContext(context.Background(), k)
-}
-
-// RecommendationsKContext is RecommendationsK with a context; a trace
-// on ctx records the engine's spans plus the blend re-ranking span.
-// The underlying scoring pass is labeled "carousels" in the engine
-// metrics and telemetry — this is the carousel view's serving path.
+//
+// A Session is not itself synchronized, but this method only reads
+// session state, so callers that serialize mutations (FocusOn,
+// Unfocus, field writes) behind a write lock may run any number of
+// calls under read locks concurrently — the engine underneath is fully
+// concurrent. A trace on ctx records the engine's spans plus the blend
+// re-ranking span. The underlying scoring pass is labeled "carousels"
+// in the engine metrics and telemetry — this is the carousel view's
+// serving path.
 func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result, error) {
 	// The query constrains nothing, so a ranking is a class view, read
 	// in place with only the carousels copied out — or, without a focus

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -91,7 +92,7 @@ func TestSessionEmptyFrameClasses(t *testing.T) {
 	e := newTestEngine(t, 60, 24)
 	s := NewSession(e, 3, false)
 	s.Blend = 2 // out of range: coerced internally
-	recs, err := s.Recommendations()
+	recs, err := s.RecommendationsKContext(context.Background(), s.K)
 	if err != nil {
 		t.Fatal(err)
 	}

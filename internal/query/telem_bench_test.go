@@ -15,7 +15,7 @@ func benchEngine(b *testing.B) *Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Carousels(5, false); err != nil {
+	if _, err := e.CarouselsContext(context.Background(), 5, false); err != nil {
 		b.Fatal(err)
 	}
 	return e

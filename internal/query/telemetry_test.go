@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -24,17 +25,17 @@ func TestEngineTelemetryWiring(t *testing.T) {
 		t.Fatal("telemetry store not attached")
 	}
 
-	res, err := e.Execute(Query{Classes: []string{"linear"}, K: 2})
+	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 2})
 	if err != nil || len(res) == 0 {
 		t.Fatalf("execute: %v (%d results)", err, len(res))
 	}
-	if _, err := e.Carousels(2, false); err != nil {
+	if _, err := e.CarouselsContext(context.Background(), 2, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Overview("linear", "", false); err != nil {
+	if _, err := e.OverviewContext(context.Background(), "linear", "", false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Neighborhood(res[0].Insights[0], nil, 3, false); err != nil {
+	if _, err := e.NeighborhoodContext(context.Background(), res[0].Insights[0], nil, 3, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +83,7 @@ func TestEngineTelemetryGenerationFollowsIngest(t *testing.T) {
 	}
 	ins := telemetry.New(telemetry.Config{})
 	e.SetInsightTelemetry(ins)
-	if _, err := e.Carousels(2, false); err != nil {
+	if _, err := e.CarouselsContext(context.Background(), 2, false); err != nil {
 		t.Fatal(err)
 	}
 	gen0 := e.CacheStats().Generation
@@ -99,7 +100,7 @@ func TestEngineTelemetryGenerationFollowsIngest(t *testing.T) {
 	if gen1 == gen0 {
 		t.Fatal("invalidation did not bump the generation")
 	}
-	if _, err := e.Carousels(2, false); err != nil {
+	if _, err := e.CarouselsContext(context.Background(), 2, false); err != nil {
 		t.Fatal(err)
 	}
 	snap := ins.Snapshot(gen1, 5)

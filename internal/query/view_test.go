@@ -51,7 +51,7 @@ func checkAgainstOracle(t *testing.T, label string, e *Engine) {
 	focusSets := [][]core.Insight{nil, {first[0]}, {first[len(first)-1], last[0], all[1].Insights[0]}}
 	for round := 0; round < 2; round++ {
 		for _, q := range viewQueries(n) {
-			got, err := e.Execute(q)
+			got, err := e.ExecuteContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", label, q, err)
 			}
@@ -64,7 +64,7 @@ func checkAgainstOracle(t *testing.T, label string, e *Engine) {
 			for fi, focus := range focusSets {
 				s.Focus = focus
 				for _, k := range []int{0, 1, 5, n} {
-					got, err := s.RecommendationsK(k)
+					got, err := s.RecommendationsKContext(context.Background(), k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -72,7 +72,7 @@ func checkAgainstOracle(t *testing.T, label string, e *Engine) {
 						t.Errorf("%s round %d approx=%v focus set %d k=%d: carousels differ from the oracle", label, round, approx, fi, k)
 					}
 					for _, f := range focus {
-						got, err := e.Neighborhood(f, nil, k, approx)
+						got, err := e.NeighborhoodContext(context.Background(), f, nil, k, approx)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -83,7 +83,7 @@ func checkAgainstOracle(t *testing.T, label string, e *Engine) {
 				}
 			}
 			for _, class := range []string{"linear", "skew", "catassoc"} {
-				ov, err := e.Overview(class, "", approx)
+				ov, err := e.OverviewContext(context.Background(), class, "", approx)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,10 +132,10 @@ func TestViewEquivalence(t *testing.T) {
 			s := NewSession(e, 5, g%2 == 0)
 			s.FocusOn(focus)
 			for j := 0; j < 4; j++ {
-				_, err1 := s.RecommendationsK(5)
-				_, err2 := e.Neighborhood(focus, nil, 10, g%2 == 0)
-				_, err3 := e.Overview("linear", "", g%2 == 0)
-				_, err4 := e.Execute(Query{K: 3, MinScore: 0.1})
+				_, err1 := s.RecommendationsKContext(context.Background(), 5)
+				_, err2 := e.NeighborhoodContext(context.Background(), focus, nil, 10, g%2 == 0)
+				_, err3 := e.OverviewContext(context.Background(), "linear", "", g%2 == 0)
+				_, err4 := e.ExecuteContext(context.Background(), Query{K: 3, MinScore: 0.1})
 				if err := errors.Join(err1, err2, err3, err4); err != nil {
 					t.Errorf("read racing an ingest: %v", err)
 				}
@@ -167,7 +167,7 @@ func TestViewDiesWithGeneration(t *testing.T) {
 	}
 	warm := func() {
 		t.Helper()
-		if _, err := e.Execute(Query{}); err != nil {
+		if _, err := e.ExecuteContext(context.Background(), Query{}); err != nil {
 			t.Fatal(err)
 		}
 		if n := viewCount(e); n != len(e.registry.Classes()) {
@@ -249,7 +249,7 @@ func TestViewCancelledBuildLeavesNothing(t *testing.T) {
 	if st := e.CacheStats(); st.Entries == 0 || st.Entries >= nCands {
 		t.Fatalf("cancelled request memoized %d of %d scores, want some but not all", st.Entries, nCands)
 	}
-	res, err := e.Execute(Query{})
+	res, err := e.ExecuteContext(context.Background(), Query{})
 	if err != nil || len(res) != 1 || len(res[0].Insights) != nCands {
 		t.Fatalf("retry: %+v, err %v", res, err)
 	}
@@ -281,7 +281,7 @@ func TestViewConcurrentFirstRequests(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var err error
-			if res[i], err = e.Execute(Query{}); err != nil {
+			if res[i], err = e.ExecuteContext(context.Background(), Query{}); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -400,29 +400,29 @@ func TestViewKeepsCounters(t *testing.T) {
 	}
 	// Cold: one miss per candidate a top-5 pass scores. A class it scores
 	// whole leaves its view.
-	_, err = s.RecommendationsK(5)
+	_, err = s.RecommendationsKContext(context.Background(), 5)
 	must(err)
 	if st := e.CacheStats(); st.Misses != uint64(cold) || st.Hits != 0 || st.Entries != cold {
 		t.Fatalf("cold carousel: %+v, want %d misses", st, cold)
 	}
 	// Warm: one hit per candidate of a class with a view, and per scored
 	// candidate of one without, whose memo proves the rest out again.
-	_, err = s.RecommendationsK(5)
+	_, err = s.RecommendationsKContext(context.Background(), 5)
 	must(err)
 	// Focused: the same hits, and the classes without a view score the
 	// rest, so that every class has one.
 	s.FocusOn(lin)
-	_, err = s.RecommendationsK(5)
+	_, err = s.RecommendationsKContext(context.Background(), 5)
 	must(err)
-	_, err = e.Neighborhood(lin, nil, 10, false)
+	_, err = e.NeighborhoodContext(context.Background(), lin, nil, 10, false)
 	must(err)
-	_, err = e.Overview("linear", "", false)
+	_, err = e.OverviewContext(context.Background(), "linear", "", false)
 	must(err)
-	_, err = e.Execute(Query{K: 3})
+	_, err = e.ExecuteContext(context.Background(), Query{K: 3})
 	must(err)
-	_, err = e.Execute(Query{Classes: []string{"linear"}, MinScore: 0.5})
+	_, err = e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, MinScore: 0.5})
 	must(err)
-	_, err = e.Execute(Query{Fixed: []string{"a"}, K: 2})
+	_, err = e.ExecuteContext(context.Background(), Query{Fixed: []string{"a"}, K: 2})
 	must(err)
 	wantHits := uint64(2*cold + 2*total + 2*cands["linear"] + fixedTotal)
 	if st := e.CacheStats(); st.Hits != wantHits || st.Misses != uint64(total) || st.Entries != total {
@@ -476,7 +476,7 @@ func TestViewRepliesAreCopies(t *testing.T) {
 		}
 	}
 	for round := 0; round < 2; round++ {
-		res, err := e.Execute(Query{})
+		res, err := e.ExecuteContext(context.Background(), Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,14 +484,14 @@ func TestViewRepliesAreCopies(t *testing.T) {
 			t.Fatalf("round %d: Execute differs from the oracle", round)
 		}
 		focus := res[0].Insights[0]
-		car, err := s.RecommendationsK(0)
+		car, err := s.RecommendationsKContext(context.Background(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := oracleRecommendations(t, s, 0); !reflect.DeepEqual(car, want) {
 			t.Fatalf("round %d: carousels differ from the oracle", round)
 		}
-		nbrs, err := e.Neighborhood(focus, nil, 0, false)
+		nbrs, err := e.NeighborhoodContext(context.Background(), focus, nil, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -575,7 +575,7 @@ func warmAllocs(t *testing.T, cols int) (allocs map[string]float64, candidates i
 		t.Fatal(err)
 	}
 	plain, focused := NewSession(e, 5, false), NewSession(e, 5, false)
-	res, err := e.Execute(Query{})
+	res, err := e.ExecuteContext(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,10 +589,10 @@ func warmAllocs(t *testing.T, cols int) (allocs map[string]float64, candidates i
 		})
 	}
 	allocs = map[string]float64{
-		"carousel":         run(func() error { _, err := plain.RecommendationsK(5); return err }),
-		"focused carousel": run(func() error { _, err := focused.RecommendationsK(5); return err }),
-		"neighborhood":     run(func() error { _, err := e.Neighborhood(focus, nil, 10, false); return err }),
-		"overview":         run(func() error { _, err := e.Overview("linear", "", false); return err }),
+		"carousel":         run(func() error { _, err := plain.RecommendationsKContext(context.Background(), 5); return err }),
+		"focused carousel": run(func() error { _, err := focused.RecommendationsKContext(context.Background(), 5); return err }),
+		"neighborhood":     run(func() error { _, err := e.NeighborhoodContext(context.Background(), focus, nil, 10, false); return err }),
+		"overview":         run(func() error { _, err := e.OverviewContext(context.Background(), "linear", "", false); return err }),
 		"overview JSON": run(func() error {
 			_, _, err := e.OverviewJSON(context.Background(), "linear", "", false)
 			return err

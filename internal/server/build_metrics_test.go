@@ -22,7 +22,7 @@ func TestProfileBuildMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(engine, 5, false))
+	ts := httptest.NewServer(New(engine, 5, false, Options{}))
 	t.Cleanup(ts.Close)
 
 	// A build on workers and its extension after server construction:

@@ -29,7 +29,7 @@ func newIngestServer(t *testing.T) (*httptest.Server, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(engine, 5, true)
+	srv := New(engine, 5, true, Options{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()

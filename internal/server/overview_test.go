@@ -49,7 +49,7 @@ func TestOverviewConditionalGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(engine, 5, false)
+	srv := New(engine, 5, false, Options{})
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()

@@ -134,7 +134,7 @@ func replayScript(t *testing.T, dataset string, approx bool, workers int) []stri
 		t.Fatal(err)
 	}
 	engine.SetWorkers(workers)
-	srv := New(engine, 5, approx)
+	srv := New(engine, 5, approx, Options{})
 	defer srv.Close()
 	r := &replay{t: t, srv: srv}
 

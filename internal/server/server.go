@@ -118,11 +118,11 @@ type DurableStats interface{ Stats() durable.Stats }
 // into an http.Handler. A demo server holds a single shared session,
 // like the paper's single-analyst demo.
 //
-// The engine is safe for concurrent use on its own; mu only protects
-// the shared session. Read-only endpoints (carousels, query,
-// overview, neighborhood, render, stats, state GET) take the read
-// lock or none at all, so they serve in parallel; only focus/unfocus
-// and state restore serialize behind the write lock.
+// The engine is safe for concurrent use on its own; mu guards only
+// the session value and is held across no body read and no engine
+// call: a carousel scores a copy of the session, and focus and restore
+// decode their body before they change the session. So a client that
+// stalls its body, or a slow carousel, holds no other request.
 type Server struct {
 	engine  *query.Engine
 	session *query.Session
@@ -163,14 +163,11 @@ type Server struct {
 	ingestSeconds   *obs.Histogram
 }
 
-// New returns a Server over the engine with carousel length k. An
-// optional Options value configures the observability stack; the
-// engine is instrumented into the server's registry either way.
-func New(engine *query.Engine, k int, approx bool, opts ...Options) *Server {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
+// New returns a Server over the engine with carousel length k. o
+// configures the observability stack and the serving rails (the zero
+// Options is a plain server); the engine is instrumented into the
+// server's registry either way.
+func New(engine *query.Engine, k int, approx bool, o Options) *Server {
 	reg := o.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -536,19 +533,21 @@ func (s *Server) handleClasses(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCarousels(w http.ResponseWriter, r *http.Request) {
 	k := intParam(r, "k", 5)
-	// Read lock only: the per-request k is passed explicitly instead
-	// of being written into the shared session, so any number of
-	// carousel requests rank concurrently (scores come from the
-	// engine's memo after the first request).
+	// The per-request k is passed explicitly instead of being written
+	// into the shared session, and a copy of the session is scored
+	// outside the lock, so carousels rank beside each other and beside
+	// focus changes (scores come from the engine's memo after the first
+	// request).
 	s.mu.RLock()
-	res, err := s.session.RecommendationsKContext(r.Context(), k)
-	focus := append([]core.Insight(nil), s.session.Focus...)
+	session := *s.session
+	session.Focus = append([]core.Insight(nil), s.session.Focus...)
 	s.mu.RUnlock()
+	res, err := session.RecommendationsKContext(r.Context(), k)
 	if err != nil {
 		s.jsonError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeJSON(w, map[string]interface{}{"carousels": res, "focus": focus})
+	s.writeJSON(w, map[string]interface{}{"carousels": res, "focus": session.Focus})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -903,14 +902,14 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(buf.Bytes())
 	case http.MethodPost:
 		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		restored, err := query.LoadSession(r.Body, s.engine)
 		if err != nil {
 			s.jsonError(w, r, http.StatusBadRequest, err)
 			return
 		}
+		s.mu.Lock()
 		s.session = restored
+		s.mu.Unlock()
 		s.writeJSON(w, map[string]interface{}{"restored": true, "focus_count": len(restored.Focus)})
 	}
 }

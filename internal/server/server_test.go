@@ -22,7 +22,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(engine, 5, false))
+	ts := httptest.NewServer(New(engine, 5, false, Options{}))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -263,7 +263,7 @@ func TestRenderApproxEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(engine, 5, true))
+	ts := httptest.NewServer(New(engine, 5, true, Options{}))
 	defer ts.Close()
 	res, _ := http.Get(ts.URL + "/api/render?class=skew&attrs=SelfReportedHealth&approx=1")
 	if res.StatusCode != 200 || !strings.Contains(res.Header.Get("Content-Type"), "svg") {
@@ -275,7 +275,7 @@ func TestRenderApproxEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(New(bare, 5, false))
+	ts2 := httptest.NewServer(New(bare, 5, false, Options{}))
 	defer ts2.Close()
 	res2, _ := http.Get(ts2.URL + "/api/render?class=skew&attrs=SelfReportedHealth&approx=1")
 	if res2.StatusCode != 400 {

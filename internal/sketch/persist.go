@@ -140,9 +140,13 @@ func spaceSavingToWire(s *SpaceSaving) spaceSavingWire {
 }
 
 func spaceSavingFromWire(w spaceSavingWire) *SpaceSaving {
-	s := NewSpaceSaving(w.Capacity)
-	s.n = w.N
-	s.evictBound = w.EvictBound
+	// The capacity on the wire is outside bytes: the map is sized from
+	// the counters that are there, so a stated capacity costs nothing
+	// until that many items arrive.
+	s := &SpaceSaving{capacity: w.Capacity, counters: make(map[string]*ssCounter, len(w.Items)), n: w.N, evictBound: w.EvictBound}
+	if s.capacity <= 0 {
+		s.capacity = defaultSpaceSavingCapacity
+	}
 	for _, h := range w.Items {
 		s.counters[h.Item] = &ssCounter{item: h.Item, count: h.Count, err: h.Err}
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -301,4 +302,82 @@ func TestPersistEmptyProfile(t *testing.T) {
 	if cp == nil || cp.Heavy.Count() != 0 || cp.Distinct.Count() != 0 {
 		t.Fatal("empty categorical state not preserved")
 	}
+}
+
+// loadAllocCeiling is the most LoadProfile may allocate for an l-byte
+// input. The slope covers a column that states nothing: gob decodes an
+// empty wire struct from a byte or two, and each becomes a profile of
+// empty sketches. The constant covers gob's own state and the one
+// buffer it allocates ahead of a slice length it has not yet checked
+// against the input, which it caps at 10 MiB.
+func loadAllocCeiling(l int) uint64 { return 2048*uint64(l) + 16<<20 }
+
+// loadAllocBytes loads a profile from b and reports the heap bytes it
+// allocated: the fewer of two runs, so an allocation elsewhere in the
+// process during one of them does not count against the decoder.
+func loadAllocBytes(b []byte) (*DatasetProfile, uint64, error) {
+	var p *DatasetProfile
+	var err error
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for range 2 {
+		runtime.ReadMemStats(&before)
+		p, err = LoadProfile(bytes.NewReader(b))
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return p, least, err
+}
+
+func savedProfile(t testing.TB, p *DatasetProfile) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzLoadProfile feeds arbitrary bytes to LoadProfile, which reads a
+// store from outside the program (foresightd -profile, selfcheck
+// -profile, every snapshot's profile section). It must never panic;
+// its allocation stays under loadAllocCeiling whatever sizes the bytes
+// state; and a profile it accepts saves to bytes that load and save
+// again identically.
+func FuzzLoadProfile(f *testing.F) {
+	fr := testFrame(8, 5)
+	plain := savedProfile(f, BuildProfile(fr, ProfileConfig{Seed: 1, K: 8}))
+	ranked := savedProfile(f, BuildProfile(fr, ProfileConfig{Seed: 2, K: 8, Spearman: true}))
+	// Every cut of the plain store; the ranked one shares its layout,
+	// so a cut every few bytes covers the sections it adds.
+	for n := range len(plain) {
+		f.Add(plain[:n])
+	}
+	for n := 0; n < len(ranked); n += 16 {
+		f.Add(ranked[:n])
+	}
+	f.Add(plain)
+	f.Add(ranked)
+	// A heavy-hitter sketch stating a capacity its counters never use.
+	inflated := BuildProfile(fr, ProfileConfig{Seed: 1, K: 8})
+	inflated.Categorical["cat"].Heavy.capacity = 1 << 26
+	f.Add(savedProfile(f, inflated))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, alloc, err := loadAllocBytes(b)
+		if limit := loadAllocCeiling(len(b)); alloc > limit {
+			t.Fatalf("loading %d bytes allocated %d, ceiling %d", len(b), alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		once := savedProfile(t, p)
+		again, err := LoadProfile(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("a saved profile does not load: %v", err)
+		}
+		if twice := savedProfile(t, again); !bytes.Equal(once, twice) {
+			t.Fatalf("load and save is not stable:\n once  %x\n twice %x", once, twice)
+		}
+	})
 }

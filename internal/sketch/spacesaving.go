@@ -42,11 +42,15 @@ type HeavyHitter struct {
 	Err uint64
 }
 
+// defaultSpaceSavingCapacity is the capacity of a sketch asked for
+// none.
+const defaultSpaceSavingCapacity = 64
+
 // NewSpaceSaving returns a sketch tracking up to capacity items
-// (minimum 1; 64 when capacity ≤ 0).
+// (defaultSpaceSavingCapacity when capacity ≤ 0).
 func NewSpaceSaving(capacity int) *SpaceSaving {
 	if capacity <= 0 {
-		capacity = 64
+		capacity = defaultSpaceSavingCapacity
 	}
 	return &SpaceSaving{
 		capacity: capacity,
