@@ -8,7 +8,6 @@ package foresight_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -570,18 +569,62 @@ func BenchmarkOverviewCached(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmExploreCycle is the analyst's loop on a warm engine at
-// 64 numeric columns (2016 pairs per bivariate class), answered from
-// the sketches: carousel, focused carousel, neighborhood, overview.
-// Every reply is a read of the generation's class views, so time and
-// allocations follow the replies, not the classes.
+// BenchmarkWarmExploreCycle is the analyst's loop on a warm engine,
+// answered from the sketches: carousel, focused carousel, neighborhood,
+// overview and a fix= query. /cycle times the whole loop at 64 numeric
+// columns (2016 pairs per bivariate class). /wide times each read alone
+// at the repository benchmark's explore_wide shape, 30 000 rows ×
+// (160+8): its focused_carousel, neighborhood and query are the
+// in-process counterparts of e2e.focused_carousel_ms, neighborhood_ms
+// and query_ms. Every reply is a read of the generation's class views,
+// so time and allocations follow the replies, not the classes. It
+// gates nothing.
 func BenchmarkWarmExploreCycle(b *testing.B) {
-	f := datagen.Scalable(datagen.ScalableConfig{Rows: 2000, NumericCols: 64, Seed: 12})
-	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 12, K: 128, Spearman: true})
-	engine, err := query.NewEngine(f, core.NewRegistry(), p)
+	b.Run("cycle", func(b *testing.B) {
+		f := datagen.Scalable(datagen.ScalableConfig{Rows: 2000, NumericCols: 64, Seed: 12})
+		reads := exploreReads(b, f, sketch.ProfileConfig{Seed: 12, K: 128, Spearman: true})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range reads {
+				r.run(b)
+			}
+		}
+	})
+	b.Run("wide", func(b *testing.B) {
+		f := datagen.Scalable(datagen.ScalableConfig{Rows: 30000, NumericCols: 160, CatCols: 8, Seed: 5})
+		for _, r := range exploreReads(b, f, sketch.ProfileConfig{Seed: 42, Spearman: true, Workers: -1}) {
+			b.Run(r.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r.run(b)
+				}
+			})
+		}
+	})
+}
+
+// exploreRead is one read of the explore cycle.
+type exploreRead struct {
+	name string
+	fn   func() error
+}
+
+func (r exploreRead) run(b *testing.B) {
+	if err := r.fn(); err != nil {
+		b.Fatalf("%s: %v", r.name, err)
+	}
+}
+
+// exploreReads returns the reads of one explore cycle on an engine over
+// f answered from the sketches, after one cold cycle that scores every
+// candidate once. The focus is linear's 40th pair.
+func exploreReads(b *testing.B, f *frame.Frame, cfg sketch.ProfileConfig) []exploreRead {
+	engine, err := query.NewEngine(f, core.NewRegistry(), sketch.BuildProfile(f, cfg))
 	if err != nil {
 		b.Fatal(err)
 	}
+	engine.SetWorkers(0)
 	plain, focused := query.NewSession(engine, 5, true), query.NewSession(engine, 5, true)
 	top, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"linear"}, K: 40, Approx: true})
 	if err != nil {
@@ -589,21 +632,21 @@ func BenchmarkWarmExploreCycle(b *testing.B) {
 	}
 	focus := top[0].Insights[len(top[0].Insights)-1]
 	focused.FocusOn(focus)
-	cycle := func() {
-		_, err1 := plain.RecommendationsKContext(context.Background(), 5)
-		_, err2 := focused.RecommendationsKContext(context.Background(), 5)
-		_, err3 := engine.NeighborhoodContext(context.Background(), focus, nil, 10, true)
-		_, err4 := engine.OverviewContext(context.Background(), "linear", "", true)
-		if err := errors.Join(err1, err2, err3, err4); err != nil {
-			b.Fatal(err)
-		}
+	ctx := context.Background()
+	reads := []exploreRead{
+		{"carousel", func() error { _, err := plain.RecommendationsKContext(ctx, 5); return err }},
+		{"focused_carousel", func() error { _, err := focused.RecommendationsKContext(ctx, 5); return err }},
+		{"neighborhood", func() error { _, err := engine.NeighborhoodContext(ctx, focus, nil, 10, true); return err }},
+		{"overview", func() error { _, err := engine.OverviewContext(ctx, "linear", "", true); return err }},
+		{"query", func() error {
+			_, err := engine.ExecuteContext(ctx, query.Query{Fixed: focus.Attrs[:1], K: 10, Approx: true})
+			return err
+		}},
 	}
-	cycle() // the cold carousel scores every candidate once
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
+	for _, r := range reads {
+		r.run(b)
 	}
+	return reads
 }
 
 // BenchmarkColdCarousel is the first carousel a user of each demo

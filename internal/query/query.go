@@ -76,10 +76,11 @@ type ranking struct {
 	metric string
 	// ins is ranked by strength and never empty.
 	ins []core.Insight
-	// keys is non-nil exactly when ins is a slice of the class's view
-	// (view.go): ins is then shared and read-only, and keys[i] is
-	// ins[i].Key(). Otherwise ins is a fresh slice.
-	keys []string
+	// view is set exactly when ins is view.ranked[from:from+len(ins)],
+	// a slice of the class's view (view.go), shared and read-only.
+	// Otherwise ins is a fresh slice.
+	view *classView
+	from int
 }
 
 // results hands rankings to a caller: what aliases a class view is
@@ -88,7 +89,7 @@ func results(rs []ranking) []Result {
 	var out []Result
 	for _, r := range rs {
 		ins := r.ins
-		if r.keys != nil {
+		if r.view != nil {
 			ins = slices.Clone(ins)
 		}
 		out = append(out, Result{Class: r.class, Metric: r.metric, Insights: ins})
@@ -283,6 +284,11 @@ func (e *Engine) begin(ctx context.Context, q Query) (request, error) {
 	if rq.maxScore == 0 {
 		rq.maxScore = math.Inf(1)
 	}
+	for _, a := range q.Fixed {
+		if _, ok := rq.g.frame.Lookup(a); !ok {
+			return request{}, fmt.Errorf("query: fixed attribute %q names no column of %q", a, rq.g.frame.Name())
+		}
+	}
 	rq.classes, rq.metrics = classes[:0], make([]string, 0, len(classes))
 	for _, c := range classes {
 		metric := q.Metric
@@ -333,9 +339,11 @@ func (rq *request) record(op string, start time.Time) {
 // excluded insight is the one right after it — filter → top-k over
 // the scored candidates gives exactly this slice. Such a query reads
 // the generation's view when there is one and builds it when its own
-// pass would score every candidate anyway. Otherwise — a structural
-// constraint, or a top-k/MinScore query arriving before any view —
-// the candidates go through the bound-ordered per-candidate pass. So
+// pass would score every candidate anyway. A query that fixes
+// attributes and nothing else reads the view's attribute index when
+// there is a view (fixedFromView). Otherwise — a semantic or keep
+// constraint, or a query arriving before any view — the candidates go
+// through the bound-ordered per-candidate pass. So
 // does an exact session carousel without a focus (q.top) of a class
 // without a view, whatever the class: bounds that discriminate (profile
 // moments, a carried certificate) leave most candidates unscored, and a
@@ -366,13 +374,20 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c
 			if q.K > 0 && lo+q.K < hi {
 				end, bestExcluded = lo+q.K, v.ranked[lo+q.K].Score
 			}
-			r.ins, r.keys = v.ranked[lo:end], v.keys[lo:end]
+			r.ins, r.view, r.from = v.ranked[lo:end], v, lo
 			if wantStats {
 				st = v.sample
 				if end-lo < len(v.ranked) {
 					st = classSample(r.class, v.candidates, 0, v.candidates-(hi-lo), r.ins, topKMargin(r.ins, bestExcluded))
 				}
 			}
+			return r, st, nil
+		}
+	}
+	if len(q.Fixed) > 0 && q.Semantic == frame.SemanticNone && q.keep == nil {
+		if v := g.view(viewKey{class: r.class, metric: metric, approx: q.Approx}); v != nil {
+			defer tr.StartSpan("rank:" + r.class)()
+			r, st = e.fixedFromView(r, v, q, maxScore, wantStats)
 			return r, st, nil
 		}
 	}
@@ -421,6 +436,52 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c
 	return r, st, nil
 }
 
+// fixedFromView ranks the insights of view v that hold every attribute
+// q fixes — what the per-candidate pass would return, since the view
+// holds every candidate's memoized slot: it visits the shortest posting
+// list of the fixed attributes, keeps the tuples that hold them all,
+// and of those the ones within [MinScore, maxScore], which in view
+// order are already ranked, so their top K is their head. Each matching
+// candidate, defined or not, counts one memo hit, as the pass's peek
+// would; the sample's Filtered counts the matches outside the strength
+// range, not those the top-K cut drops.
+func (e *Engine) fixedFromView(r ranking, v *classView, q Query, maxScore float64, wantStats bool) (ranking, telemetry.ClassSample) {
+	var list []int32
+	for i, a := range q.Fixed {
+		if l := v.holding(a); i == 0 || len(l) < len(list) {
+			list = l
+		}
+	}
+	lo, hi := v.scoreRange(q.MinScore, maxScore)
+	matched, kept, bestExcluded := 0, 0, math.NaN()
+	for _, p := range list {
+		in := &v.ranked[p]
+		if !containsAll(in.Attrs, q.Fixed) {
+			continue
+		}
+		matched++
+		if int(p) < lo || int(p) >= hi {
+			continue
+		}
+		if kept++; q.K <= 0 || kept <= q.K {
+			r.ins = append(r.ins, *in)
+		} else if kept == q.K+1 {
+			bestExcluded = in.Score
+		}
+	}
+	for _, attrs := range v.undefined {
+		if containsAll(attrs, q.Fixed) {
+			matched++
+		}
+	}
+	e.hits.Add(uint64(matched))
+	var st telemetry.ClassSample
+	if wantStats {
+		st = classSample(r.class, matched, 0, matched-kept, r.ins, topKMargin(r.ins, bestExcluded))
+	}
+	return r, st
+}
+
 // classSample is the telemetry record of one class's scoring pass:
 // how many candidates it had, how many were pruned unscored, how many
 // were scored and then dropped, and the insights it emitted.
@@ -463,14 +524,17 @@ func topKMargin(top []core.Insight, bestExcluded float64) float64 {
 }
 
 // resolveClasses maps names to classes; empty names = all registered.
-// The second return reports whether the caller named classes
-// explicitly.
+// A class named twice is answered once, where it is first named. The
+// second return reports whether the caller named classes explicitly.
 func (e *Engine) resolveClasses(names []string) ([]core.Class, bool, error) {
 	if len(names) == 0 {
 		return e.registry.Classes(), false, nil
 	}
 	out := make([]core.Class, 0, len(names))
-	for _, name := range names {
+	for i, name := range names {
+		if slices.Contains(names[:i], name) {
+			continue
+		}
 		c, ok := e.registry.Lookup(name)
 		if !ok {
 			return nil, true, fmt.Errorf("query: unknown insight class %q (have %v)", name, e.registry.Names())

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sort"
 	"time"
 
 	"foresight/internal/core"
@@ -70,9 +71,10 @@ func jaccard(a, b []string) float64 {
 //
 // Across classes similarity is attribute Jaccard alone. So a class read
 // whole — one with a view, the focus's own (class, metric), or one
-// whose pass could prune nothing (k ≤ 0 means no cut) — is one way;
-// the rest are walked by Jaccard level, highest first, one top-k pass a
-// level, until the kth neighbor is more similar than the next level.
+// whose pass could prune nothing (k ≤ 0 means no cut) — is read from
+// its view's attribute index (offerNear); the rest are walked by
+// Jaccard level, highest first, one top-k pass a level, until the kth
+// neighbor is more similar than the next level.
 func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, classes []string, k int, approx bool) ([]core.Insight, error) {
 	start := time.Now()
 	defer e.observeOp("neighborhood", start)
@@ -80,30 +82,7 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 	if err != nil {
 		return nil, err
 	}
-	// Similarity desc, then strength desc, then key.
-	top := newTopRanked(k, func(a, b ranked) bool {
-		if a.score != b.score {
-			return a.score > b.score
-		}
-		if a.in.Score != b.in.Score {
-			return a.in.Score > b.in.Score
-		}
-		return a.key < b.key
-	})
-	focusKey := focus.Key()
-	offer := func(ins []core.Insight, keys []string) {
-		for i := range ins {
-			var key string
-			if keys != nil {
-				key = keys[i]
-			} else {
-				key = ins[i].Key()
-			}
-			if key != focusKey {
-				top.Offer(ranked{&ins[i], Similarity(focus, ins[i]), key})
-			}
-		}
-	}
+	top := newTopRanked(k, nearer)
 	var walk []int
 	for i, c := range rq.classes {
 		if err := ctx.Err(); err != nil {
@@ -119,11 +98,12 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 			return nil, e.noteCancel(err)
 		}
 		rq.note(st)
-		offer(r.ins, r.keys)
+		offerNear(top, focus, r, own, k)
 	}
 
 	// A level's candidates tie on similarity, so the class's top k of a
 	// level is all of it that can place. The sample sums the passes.
+	focusKey := focus.Key()
 	for _, i := range walk {
 		c := rq.classes[i]
 		var levels []float64
@@ -144,7 +124,11 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 			if err != nil {
 				return nil, e.noteCancel(err)
 			}
-			offer(r.ins, nil)
+			for j := range r.ins {
+				if key := r.ins[j].Key(); key != focusKey {
+					top.Offer(ranked{&r.ins[j], Similarity(focus, r.ins[j]), key})
+				}
+			}
 			st.Candidates, st.Pruned, st.Filtered = st.Candidates+part.Candidates, st.Pruned+part.Pruned, st.Filtered+part.Filtered
 			st.Emitted, st.Scores, st.Attrs = st.Emitted+part.Emitted, append(st.Scores, part.Scores...), append(st.Attrs, part.Attrs...)
 		}
@@ -156,6 +140,74 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 	rq.record("neighborhood", start)
 	defer obs.StartSpan(ctx, "similarity")()
 	return insightsOf(top), nil
+}
+
+// nearer is the neighborhood's order: similarity desc, then strength
+// desc, then key.
+func nearer(a, b ranked) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	if a.in.Score != b.in.Score {
+		return a.in.Score > b.in.Score
+	}
+	return a.key < b.key
+}
+
+// simSlack bounds how far rounding can lift Similarity above its exact
+// value on a tuple that shares no attribute with the focus (DESIGN
+// §6c): 0.5·(1 − |a−b|/den) rounds three times, to within 2u of its
+// exact value, u = 2⁻⁵³. A tuple farther from the focus's score is
+// exactly no more similar, so it computes at most 4u above a nearer
+// one; 8u leaves room for the rounding of the sum itself.
+const simSlack = 0x1p-50
+
+// offerNear offers top the insights of r — a class read whole from its
+// view — that can still rank among the k nearest to focus; with k ≤ 0,
+// all of them. Those sharing an attribute with the focus come from the
+// view's attribute index. The rest have Jaccard 0. In another class
+// their similarity is 0, so they rank in view order and only the first
+// k can place. In the focus's own (class, metric) it is 0.5·proximity,
+// which falls with the distance from the focus's score on either side
+// of it: each side is walked outward until the next similarity, lifted
+// by simSlack, is strictly below the kth.
+func offerNear(top *core.KBest[ranked], focus core.Insight, r ranking, own bool, k int) {
+	v, lo, hi := r.view, r.from, r.from+len(r.ins)
+	focusKey := focus.Key()
+	offer := func(p int) bool {
+		if v.keys[p] == focusKey {
+			return false
+		}
+		top.Offer(ranked{&v.ranked[p], Similarity(focus, v.ranked[p]), v.keys[p]})
+		return true
+	}
+	near := v.holdingAny(focus.Attrs, lo, hi)
+	for _, p := range near {
+		offer(int(p))
+	}
+	if !own {
+		for p, n := lo, 0; p < hi && (k <= 0 || n < k); p++ {
+			if !holds(near, p) && offer(p) {
+				n++
+			}
+		}
+		return
+	}
+	outward := func(p, end, step int) {
+		for ; p != end; p += step {
+			if holds(near, p) {
+				continue
+			}
+			if kth, ok := top.Kth(); ok && Similarity(focus, v.ranked[p])+simSlack < kth.score {
+				return
+			}
+			offer(p)
+		}
+	}
+	// Above mid the scores exceed the focus's, from mid on they do not.
+	mid := lo + sort.Search(hi-lo, func(i int) bool { return !(v.ranked[lo+i].Score > focus.Score) })
+	outward(mid-1, lo-1, -1)
+	outward(mid, hi, 1)
 }
 
 // ranked is an insight with what a rank stage orders it by — a score
@@ -284,23 +336,15 @@ func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result,
 	if blend <= 0 || blend > 1 {
 		blend = 0.5
 	}
+	var focusAttrs []string
+	for _, f := range s.Focus {
+		focusAttrs = append(focusAttrs, f.Attrs...)
+	}
 	out := make([]Result, 0, len(rs))
 	for _, r := range rs {
-		maxScore := r.ins[0].Score
 		var carousel []core.Insight
-		if len(s.Focus) > 0 && maxScore > 0 {
-			// Blended score desc, then key.
-			top := newTopRanked(k, func(a, b ranked) bool {
-				if a.score != b.score {
-					return a.score > b.score
-				}
-				return a.key < b.key
-			})
-			for i := range r.ins {
-				in := &r.ins[i]
-				top.Offer(ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(in.Attrs)), r.keys[i]})
-			}
-			carousel = insightsOf(top)
+		if len(s.Focus) > 0 && r.ins[0].Score > 0 {
+			carousel = s.blendFocused(r, k, blend, focusAttrs)
 		} else {
 			// Already ranked by strength: the carousel is its head.
 			n := len(r.ins)
@@ -312,6 +356,45 @@ func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result,
 		out = append(out, Result{Class: r.class, Metric: r.metric, Insights: carousel})
 	}
 	return out, nil
+}
+
+// blendFocused returns the carousel of r, a class read whole from its
+// view, k long: its insights ranked by blended score desc, then key.
+// Those holding one of focusAttrs come from the view's attribute index.
+// The rest have relevance 0, so they blend to strength·blend, which
+// does not rise in view order: past the kth of them, the first that
+// blends strictly lower ends the class. Ties go on, because they break
+// by key.
+func (s *Session) blendFocused(r ranking, k int, blend float64, focusAttrs []string) []core.Insight {
+	top := newTopRanked(k, func(a, b ranked) bool {
+		if a.score != b.score {
+			return a.score > b.score
+		}
+		return a.key < b.key
+	})
+	v, lo, hi := r.view, r.from, r.from+len(r.ins)
+	maxScore := r.ins[0].Score
+	blended := func(p int) ranked {
+		in := &v.ranked[p]
+		return ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(in.Attrs)), v.keys[p]}
+	}
+	near := v.holdingAny(focusAttrs, lo, hi)
+	for _, p := range near {
+		top.Offer(blended(int(p)))
+	}
+	var last float64
+	for p, n := lo, 0; p < hi; p++ {
+		if holds(near, p) {
+			continue
+		}
+		x := blended(p)
+		if k > 0 && n >= k && x.score < last {
+			break
+		}
+		top.Offer(x)
+		n, last = n+1, x.score
+	}
+	return insightsOf(top)
 }
 
 // sessionState is the serialized form of a Session.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,7 +22,10 @@ import (
 // re-sorted all of them. A view is that work done once: it is built by
 // the first request that needs the whole class, from the slots the
 // ordinary scoring pass returns, and every later whole-class read of
-// the generation is a slice of it.
+// the generation is a slice of it. The reads that want only the tuples
+// holding given attributes — a fix= query, a focused carousel, a
+// neighborhood — find them through the view's attribute index (holding),
+// built by the first of them.
 //
 // A view lives in its generation beside the memo, under the same mutex,
 // and is dropped with it, so it needs no size knob and no eviction:
@@ -45,6 +49,14 @@ type classView struct {
 	// core.SortInsights order; keys[i] is ranked[i].Key().
 	ranked []core.Insight
 	keys   []string
+	// undefined holds the candidate tuples ranked leaves out, those
+	// whose score is undefined or whose scoring failed: a fixed-attribute
+	// read still counts them.
+	undefined [][]string
+	// postings maps each attribute to the ascending positions in ranked
+	// of the insights that hold it, built on first use (holding).
+	index    sync.Once
+	postings map[string][]int32
 	// sample is the telemetry of emitting the whole ranking.
 	sample telemetry.ClassSample
 	// overview is the class's global view; nil for arity 3. Its JSON
@@ -86,11 +98,13 @@ func newClassView(c core.Class, metric string, cands [][]string, scored []core.I
 		v.ranked = make([]core.Insight, 0, defined)
 		v.keys = make([]string, 0, defined)
 	}
-	for _, in := range scored {
-		if !math.IsNaN(in.Score) {
-			v.ranked = append(v.ranked, in)
-			v.keys = append(v.keys, in.Key())
+	for i, in := range scored {
+		if math.IsNaN(in.Score) {
+			v.undefined = append(v.undefined, cands[i])
+			continue
 		}
+		v.ranked = append(v.ranked, in)
+		v.keys = append(v.keys, in.Key())
 	}
 	sort.Sort(byRank{v})
 	v.sample = classSample(c.Name(), len(cands), 0, len(cands)-defined, v.ranked, math.NaN())
@@ -107,6 +121,45 @@ func (v *classView) scoreRange(minScore, maxScore float64) (lo, hi int) {
 	lo = sort.Search(len(v.ranked), func(i int) bool { return !(v.ranked[i].Score > maxScore) })
 	hi = lo + sort.Search(len(v.ranked)-lo, func(i int) bool { return v.ranked[lo+i].Score < minScore })
 	return lo, hi
+}
+
+// holding returns the ascending positions in ranked of the insights
+// that hold attr. The first call indexes the whole view; a view that
+// is never asked by attribute never builds the index.
+func (v *classView) holding(attr string) []int32 {
+	v.index.Do(func() {
+		v.postings = make(map[string][]int32)
+		for i := range v.ranked {
+			attrs := v.ranked[i].Attrs
+			for j, a := range attrs {
+				if !slices.Contains(attrs[:j], a) {
+					v.postings[a] = append(v.postings[a], int32(i))
+				}
+			}
+		}
+	})
+	return v.postings[attr]
+}
+
+// holdingAny returns the ascending positions in [lo, hi) of the
+// insights that hold at least one of attrs: those whose attribute
+// Jaccard overlap with a tuple of attrs is above 0.
+func (v *classView) holdingAny(attrs []string, lo, hi int) []int32 {
+	var out []int32
+	for _, a := range attrs {
+		l := v.holding(a)
+		from, _ := slices.BinarySearch(l, int32(lo))
+		to, _ := slices.BinarySearch(l, int32(hi))
+		out = append(out, l[from:to]...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// holds reports whether the ascending positions near include p.
+func holds(near []int32, p int) bool {
+	_, ok := slices.BinarySearch(near, int32(p))
+	return ok
 }
 
 // overviewJSON returns what json.Encoder writes for v.overview,

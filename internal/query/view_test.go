@@ -558,7 +558,7 @@ func TestJaccardMatchesSetBody(t *testing.T) {
 
 // warmAllocs builds an engine over cols numeric columns, warms its
 // views, and returns the allocations of one warm call of each
-// whole-class read.
+// whole-class read and of a fixed-attribute query.
 func warmAllocs(t *testing.T, cols int) (allocs map[string]float64, candidates int) {
 	t.Helper()
 	f := datagen.Scalable(datagen.ScalableConfig{Rows: 200, NumericCols: cols, Seed: 26})
@@ -595,6 +595,10 @@ func warmAllocs(t *testing.T, cols int) (allocs map[string]float64, candidates i
 		"overview":         run(func() error { _, err := e.OverviewContext(context.Background(), "linear", "", false); return err }),
 		"overview JSON": run(func() error {
 			_, _, err := e.OverviewJSON(context.Background(), "linear", "", false)
+			return err
+		}),
+		"fix= query": run(func() error {
+			_, err := e.ExecuteContext(context.Background(), Query{Fixed: focus.Attrs[:1], K: 5})
 			return err
 		}),
 	}
