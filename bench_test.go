@@ -12,6 +12,9 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +24,7 @@ import (
 	"foresight/internal/datagen"
 	"foresight/internal/frame"
 	"foresight/internal/query"
+	"foresight/internal/server"
 	"foresight/internal/sketch"
 	"foresight/internal/stats"
 )
@@ -647,6 +651,71 @@ func exploreReads(b *testing.B, f *frame.Frame, cfg sketch.ProfileConfig) []expl
 		r.run(b)
 	}
 	return reads
+}
+
+// BenchmarkSustainedExploreCycle runs the repository benchmark's
+// explore cycle — carousel, focus, focused carousel, neighborhood,
+// overview, fix= query, render, unfocus — 500 times in a row through
+// Server.ServeHTTP, answered from the sketches, on 2000 rows × (64 + 2),
+// rotating over four focus pairs. Nothing reads the insight telemetry
+// meanwhile, so its deferred fold runs inline whenever a write stripe's
+// queue fills, as on a server nobody scrapes. It reports the ms per
+// cycle of the first and the last 100 cycles and their ratio: a cost
+// that grows with the requests served shows as a ratio above 1. It
+// gates nothing.
+func BenchmarkSustainedExploreCycle(b *testing.B) {
+	const cycles, window = 500, 100
+	f := datagen.Scalable(datagen.ScalableConfig{Rows: 2000, NumericCols: 64, CatCols: 2, Seed: 12})
+	engine, err := query.NewEngine(f, core.NewRegistry(), sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 12, Spearman: true}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(engine, 5, true, server.Options{})
+	defer srv.Close()
+	top, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"linear"}, K: 4, Approx: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	serve := func(method, target, body string) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s %s: %d %s", method, target, rec.Code, rec.Body)
+		}
+	}
+	cycle := func(i int) {
+		focus := top[0].Insights[i%len(top[0].Insights)]
+		attrs := strings.Join(focus.Attrs, ",")
+		serve("GET", "/api/carousels?k=5", "")
+		serve("POST", "/api/focus", fmt.Sprintf(`{"class":"linear","attrs":["%s","%s"]}`, focus.Attrs[0], focus.Attrs[1]))
+		serve("GET", "/api/carousels?k=5", "")
+		serve("GET", "/api/neighborhood?class=linear&attrs="+attrs+"&k=10&approx=1", "")
+		serve("GET", "/api/overview?class=linear&approx=1", "")
+		serve("GET", "/api/query?fix="+focus.Attrs[0]+"&k=10&approx=1", "")
+		serve("GET", "/api/render?class=linear&attrs="+attrs+"&approx=1", "")
+		serve("POST", "/api/unfocus", "")
+	}
+	cycle(0) // builds the class views
+	var first, last time.Duration
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		start := time.Now()
+		for i := 0; i < cycles; i++ {
+			switch i {
+			case window:
+				first = time.Since(start)
+			case cycles - window:
+				start = time.Now()
+			}
+			cycle(i)
+		}
+		last = time.Since(start)
+	}
+	b.StopTimer()
+	firstMS, lastMS := first.Seconds()*1e3/window, last.Seconds()*1e3/window
+	b.ReportMetric(firstMS, "first100_ms/cycle")
+	b.ReportMetric(lastMS, "last100_ms/cycle")
+	b.ReportMetric(lastMS/firstMS, "last/first")
 }
 
 // BenchmarkColdCarousel is the first carousel a user of each demo

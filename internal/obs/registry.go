@@ -345,6 +345,57 @@ func (h *Histogram) ObserveAll(vs []float64) {
 	}
 }
 
+// HistogramSummary is a batch of observations reduced to what a
+// histogram keeps of them, for a batch that is recorded many times:
+// Add(SummarizeHistogram(b, vs)) adds to a histogram over the bucket
+// bounds b exactly what ObserveAll(vs) adds — the same bucket counts,
+// and the same sum, taken in the same order — in O(buckets).
+type HistogramSummary struct {
+	counts []uint64 // per bucket of the sorted bounds, +Inf last
+	n      uint64
+	sum    float64
+}
+
+// SummarizeHistogram reduces vs over the bucket upper bounds buckets
+// (nil → DefBuckets), as ObserveAll would bucket and sum them.
+func SummarizeHistogram(buckets, vs []float64) HistogramSummary {
+	if len(buckets) == 0 {
+		buckets = DefBuckets
+	}
+	bounds := append([]float64(nil), buckets...)
+	sort.Float64s(bounds)
+	s := HistogramSummary{counts: make([]uint64, len(bounds)+1), n: uint64(len(vs))}
+	for _, v := range vs {
+		s.counts[sort.SearchFloat64s(bounds, v)]++
+		s.sum += v
+	}
+	return s
+}
+
+// Add records a summarized batch. The summary must be over the
+// histogram's own bucket bounds.
+func (h *Histogram) Add(s HistogramSummary) {
+	if s.n == 0 {
+		return
+	}
+	if len(s.counts) != len(h.counts) {
+		panic(fmt.Sprintf("obs: %s: a summary over %d buckets added to %d", h.nameStr, len(s.counts), len(h.counts)))
+	}
+	for i, c := range s.counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.count.Add(s.n)
+	for {
+		old := h.sumBits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + s.sum)
+		if h.sumBits.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

@@ -31,6 +31,7 @@ package telemetry
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -110,6 +111,33 @@ type ClassSample struct {
 	// retained insight minus the strongest excluded one. NaN when the
 	// query did not truncate (k ≤ 0 or fewer survivors than k).
 	Margin float64
+
+	// kept is set on a sample Keep prepared: what recording it costs,
+	// computed once and shared by every copy.
+	kept *kept
+}
+
+// kept is what a sample that many requests emit unchanged costs to
+// record, computed once: the summary its scores add to the class
+// histogram and, built by the first fold that reaches it, the sketches
+// of one emission, which the fold merges in weighted by how many
+// requests emitted it.
+type kept struct {
+	hist obs.HistogramSummary
+	once sync.Once
+	agg  *classAgg
+}
+
+// Keep returns s prepared to be recorded many times unchanged — a
+// class view's ranking, emitted whole by every request that reads the
+// view. Recording it adds a precomputed summary to the score histogram
+// in O(buckets), the same bucket counts and sum as observing each
+// score, and each drain of the deferred fold folds the requests that
+// emitted it in one weighted merge rather than score by score
+// (foldKept). s and the slices it holds must not change afterwards.
+func Keep(s ClassSample) ClassSample {
+	s.kept = &kept{hist: obs.SummarizeHistogram(scoreBuckets, s.Scores)}
+	return s
 }
 
 // QuerySample is the telemetry for one engine operation (one execute,
@@ -163,14 +191,26 @@ func newClassAgg(cfg Config, class string) *classAgg {
 	}
 }
 
-// fold absorbs one sample into the aggregate. gen and seq tag the
-// margin point so trends stay ordered across stripes.
-func (a *classAgg) fold(s ClassSample, window int, gen, seq uint64) {
+// count absorbs one sample's counters and margin into the aggregate.
+// gen and seq tag the margin point so trends stay ordered across
+// stripes.
+func (a *classAgg) count(s ClassSample, window int, gen, seq uint64) {
 	a.queries++
 	a.cands += uint64(s.Candidates)
 	a.pruned += uint64(s.Pruned)
 	a.filtered += uint64(s.Filtered)
 	a.emitted += uint64(s.Emitted)
+	if !math.IsNaN(s.Margin) {
+		a.margins = append(a.margins, MarginPoint{Generation: gen, Margin: s.Margin, Seq: seq})
+		if len(a.margins) > window {
+			a.margins = a.margins[len(a.margins)-window:]
+		}
+	}
+}
+
+// observe folds one emission's scores and attribute tuples into the
+// sketches.
+func (a *classAgg) observe(s ClassSample) {
 	a.scores.UpdateAll(s.Scores)
 	for _, attrs := range s.Attrs {
 		for _, col := range attrs {
@@ -183,12 +223,23 @@ func (a *classAgg) fold(s ClassSample, window int, gen, seq uint64) {
 			a.tuples.UpdateBytes(a.keyBuf)
 		}
 	}
-	if !math.IsNaN(s.Margin) {
-		a.margins = append(a.margins, MarginPoint{Generation: gen, Margin: s.Margin, Seq: seq})
-		if len(a.margins) > window {
-			a.margins = a.margins[len(a.margins)-window:]
-		}
-	}
+}
+
+// foldKept folds w emissions of the kept sample s into the sketches:
+// the sketches of one emission, built once per sample with the
+// configuration of the first store to fold it, merged in weighted by w
+// (KLL.MergeWeighted, SpaceSaving.MergeWeighted). Both merges keep
+// their bounds across sizes, so a store configured otherwise stays
+// honest, at the coarser of the two accuracies.
+func (a *classAgg) foldKept(cfg Config, s ClassSample, w uint64) {
+	k := s.kept
+	k.once.Do(func() {
+		k.agg = newClassAgg(cfg, s.Class)
+		k.agg.observe(s)
+	})
+	a.scores.MergeWeighted(k.agg.scores, w)
+	a.cols.MergeWeighted(k.agg.cols, w)
+	a.tuples.MergeWeighted(k.agg.tuples, w)
 }
 
 // merge folds other into a via the sketch Merge operators. Margin
@@ -231,7 +282,9 @@ type stripe struct {
 	// Snapshot time, or inline once the queue doubles past foldBatch.
 	// Batching keeps the expensive part (sketch map/compactor walks,
 	// cold in a request's cache footprint) off the serving path and
-	// touches each sketch once per batch while it is warm.
+	// touches each sketch once per batch while it is warm; a kept
+	// sample folds once per batch, whatever number of requests in it
+	// emitted it (foldLocked).
 	pending []pendingSample
 }
 
@@ -463,7 +516,11 @@ func (t *Insights) Record(s QuerySample) {
 			cm.pruned.Add(uint64(cs.Pruned))
 			cm.filtered.Add(uint64(cs.Filtered))
 			cm.emitted.Add(uint64(cs.Emitted))
-			cm.scores.ObserveAll(cs.Scores)
+			if cs.kept != nil {
+				cm.scores.Add(cs.kept.hist)
+			} else {
+				cm.scores.ObserveAll(cs.Scores)
+			}
 			if !math.IsNaN(cs.Margin) {
 				cm.margins.Observe(cs.Margin)
 			}
@@ -488,11 +545,19 @@ func (t *Insights) Record(s QuerySample) {
 }
 
 // foldLocked folds the oldest n pending samples of st into its partial
-// aggregates. The caller holds st.mu.
+// aggregates. The counters and margins of every sample fold in record
+// order; a kept sample's sketches fold once, weighted by how many of
+// the n samples carry it, after the rest. The caller holds st.mu.
 func (t *Insights) foldLocked(st *stripe, n int) {
 	if n > len(st.pending) {
 		n = len(st.pending)
 	}
+	type weighted struct {
+		a  *classAgg
+		cs ClassSample
+		w  uint64
+	}
+	var kepts []weighted
 	for _, p := range st.pending[:n] {
 		for _, cs := range p.s.Classes {
 			a := st.classes[cs.Class]
@@ -500,8 +565,21 @@ func (t *Insights) foldLocked(st *stripe, n int) {
 				a = newClassAgg(t.cfg, cs.Class)
 				st.classes[cs.Class] = a
 			}
-			a.fold(cs, t.cfg.MarginWindow, p.s.Generation, p.seq)
+			a.count(cs, t.cfg.MarginWindow, p.s.Generation, p.seq)
+			if cs.kept == nil {
+				a.observe(cs)
+				continue
+			}
+			i := slices.IndexFunc(kepts, func(k weighted) bool { return k.cs.kept == cs.kept })
+			if i < 0 {
+				i = len(kepts)
+				kepts = append(kepts, weighted{a: a, cs: cs})
+			}
+			kepts[i].w++
 		}
+	}
+	for _, k := range kepts {
+		k.a.foldKept(t.cfg, k.cs, k.w)
 	}
 	// Slide the tail down and zero the vacated slots so folded samples
 	// stop pinning the engine's score/attr slices.

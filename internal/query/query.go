@@ -41,7 +41,8 @@ type Query struct {
 	// MinScore/MaxScore filter on the strength metric, e.g. the
 	// paper's ρ ∈ [0.5, 0.8] filter. MaxScore = 0 means +∞ (the
 	// zero value is "no upper bound", so a plain Query{} is
-	// unbounded); a negative MaxScore is rejected with an error.
+	// unbounded); a negative MaxScore or a NaN bound is rejected with
+	// an error.
 	MinScore float64 `json:"min_score,omitempty"`
 	MaxScore float64 `json:"max_score,omitempty"`
 	// K bounds the number of returned insights per class (0 = all).
@@ -280,6 +281,15 @@ func (e *Engine) begin(ctx context.Context, q Query) (request, error) {
 	}
 	if q.MaxScore < 0 {
 		return request{}, fmt.Errorf("query: negative MaxScore %v (use 0 for unbounded)", q.MaxScore)
+	}
+	// A NaN bound compares false against every score: the
+	// per-candidate pass would keep nothing and a view's score range
+	// everything.
+	if math.IsNaN(q.MinScore) {
+		return request{}, fmt.Errorf("query: MinScore is NaN")
+	}
+	if math.IsNaN(q.MaxScore) {
+		return request{}, fmt.Errorf("query: MaxScore is NaN")
 	}
 	if rq.maxScore == 0 {
 		rq.maxScore = math.Inf(1)

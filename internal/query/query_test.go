@@ -147,6 +147,37 @@ func TestExecuteScoreRange(t *testing.T) {
 	}
 }
 
+// TestNaNScoreBoundRefused: a NaN bound is refused with an error that
+// names it, whether the class has a view yet or not. A NaN compares
+// false against every score, so the per-candidate pass kept nothing
+// while a view's score range kept the whole class.
+func TestNaNScoreBoundRefused(t *testing.T) {
+	e := newTestEngine(t, 300, 3)
+	ctx := context.Background()
+	ask := func(stage string) {
+		t.Helper()
+		for _, q := range []Query{
+			{Fixed: []string{"a"}, MinScore: math.NaN(), K: 3},
+			{Fixed: []string{"a"}, MaxScore: math.NaN(), K: 3},
+			{Classes: []string{"linear"}, MinScore: math.NaN()},
+		} {
+			name := "MinScore"
+			if math.IsNaN(q.MaxScore) {
+				name = "MaxScore"
+			}
+			res, err := e.ExecuteContext(ctx, q)
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: %+v answered %d classes, err %v; want an error naming %s", stage, q, len(res), err, name)
+			}
+		}
+	}
+	ask("before the views")
+	if _, err := e.ExecuteContext(ctx, Query{}); err != nil {
+		t.Fatal(err)
+	}
+	ask("after the views")
+}
+
 func TestExecuteSemanticFilter(t *testing.T) {
 	e := newTestEngine(t, 1000, 4)
 	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"skew"}, Semantic: frame.SemanticCurrency})

@@ -57,7 +57,9 @@ type classView struct {
 	// of the insights that hold it, built on first use (holding).
 	index    sync.Once
 	postings map[string][]int32
-	// sample is the telemetry of emitting the whole ranking.
+	// sample is the telemetry of emitting the whole ranking, kept
+	// (telemetry.Keep) so that recording it costs the same whatever the
+	// size of the class.
 	sample telemetry.ClassSample
 	// overview is the class's global view; nil for arity 3. Its JSON
 	// encoding is produced on first use.
@@ -66,6 +68,10 @@ type classView struct {
 	body     []byte
 	bodyErr  error
 }
+
+// keep prepares a view's sample for recording; the /metrics
+// equivalence test swaps in the identity to record the per-score path.
+var keep = telemetry.Keep
 
 // byRank sorts a view's insights and keys together by descending
 // score, ties by ascending key — core.SortInsights order.
@@ -107,7 +113,7 @@ func newClassView(c core.Class, metric string, cands [][]string, scored []core.I
 		v.keys = append(v.keys, in.Key())
 	}
 	sort.Sort(byRank{v})
-	v.sample = classSample(c.Name(), len(cands), 0, len(cands)-defined, v.ranked, math.NaN())
+	v.sample = keep(classSample(c.Name(), len(cands), 0, len(cands)-defined, v.ranked, math.NaN()))
 	if c.Arity() <= 2 {
 		v.overview = assembleOverview(c, metric, cands, scored, v.ranked)
 	}

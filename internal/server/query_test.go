@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -58,6 +59,8 @@ func FuzzQueryString(f *testing.F) {
 		"class=bogus",
 		"class=linear&metric=r2&k=-1",
 		"min=NaN&max=Inf&fix=Country",
+		"fix=LifeSatisfaction&min=NaN&k=3",
+		"class=linear&max=nan",
 		"max=-1",
 		"k=1&fix=LifeSatisfaction&fix=Country&class=skew,linear,skew",
 		"%zz&k=%",
@@ -79,6 +82,10 @@ func FuzzQueryString(f *testing.F) {
 			}
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, req)
+			nan := math.IsNaN(floatParam(req, "min", 0)) || math.IsNaN(floatParam(req, "max", 0))
+			if nan && rec.Code != http.StatusBadRequest {
+				t.Fatalf("%q: a NaN score bound answered %d, want 400", req.URL.RawQuery, rec.Code)
+			}
 			switch rec.Code {
 			case http.StatusBadRequest:
 				continue

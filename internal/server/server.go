@@ -692,7 +692,8 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
-	_, _ = fmt.Fprint(w, svg)
+	w.Header().Set("Content-Length", strconv.Itoa(len(svg)))
+	_, _ = io.WriteString(w, svg)
 }
 
 // handleNeighborhood returns the k insights most similar to the given

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -167,6 +168,76 @@ func TestSpaceSavingMerge(t *testing.T) {
 	}
 	if err := a.Merge(nil); err != nil {
 		t.Errorf("Merge(nil) = %v", err)
+	}
+}
+
+// TestSpaceSavingMergeWeighted: merging a sketch with weight w counts
+// its stream w times — exactly while nothing evicts, and bracketed
+// (est − err ≤ true ≤ est) once the donor or the receiver has evicted
+// — and leaves the donor as it was.
+func TestSpaceSavingMergeWeighted(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	donor := NewSpaceSaving(8)
+	truth := map[string]uint64{}
+	for i := 0; i < 400; i++ {
+		item := string(rune('a' + int(rng.ExpFloat64()*3)%20))
+		donor.Update(item)
+		truth[item]++
+	}
+	before := donor.Clone()
+	recv := NewSpaceSaving(8)
+	base := map[string]uint64{}
+	for i := 0; i < 50; i++ {
+		item := string(rune('a' + i%12))
+		recv.Update(item)
+		base[item]++
+	}
+	const w = 13
+	recv.MergeWeighted(donor, w)
+	if !reflect.DeepEqual(donor, before) {
+		t.Fatal("MergeWeighted changed its donor")
+	}
+	if recv.Count() != 50+w*400 {
+		t.Errorf("Count = %d, want %d", recv.Count(), 50+w*400)
+	}
+	for _, h := range recv.Top(0) {
+		if n := base[h.Item] + w*truth[h.Item]; n > h.Count || n < h.Count-h.Err {
+			t.Errorf("%s: true %d outside [%d, %d]", h.Item, n, h.Count-h.Err, h.Count)
+		}
+	}
+	for item, n := range truth {
+		if _, ok := recv.Estimate(item); !ok && base[item]+w*n > recv.UntrackedBound() {
+			t.Errorf("untracked %s: true %d above the bound %d", item, base[item]+w*n, recv.UntrackedBound())
+		}
+	}
+
+	small, exact := NewSpaceSaving(4), NewSpaceSaving(4)
+	small.Update("x")
+	small.UpdateWeighted("y", 3)
+	exact.MergeWeighted(small, 5)
+	if x, _ := exact.Estimate("x"); x != 5 {
+		t.Errorf("x = %d, want 5", x)
+	}
+	if y, _ := exact.Estimate("y"); y != 15 {
+		t.Errorf("y = %d, want 15", y)
+	}
+	exact.MergeWeighted(small, 0)
+	exact.MergeWeighted(nil, 2)
+	if exact.Count() != 20 {
+		t.Errorf("weight 0 and a nil donor changed the count to %d", exact.Count())
+	}
+
+	// The donor evicted "a" (true count 1, untracked bound 1); the
+	// receiver tracks it. Ten copies of the donor hold it ten times, so
+	// the bound is raised tenfold too.
+	evicted, recvA := NewSpaceSaving(2), NewSpaceSaving(4)
+	for _, item := range []string{"a", "b", "c"} {
+		evicted.Update(item)
+	}
+	recvA.Update("a")
+	recvA.MergeWeighted(evicted, 10)
+	if a, _ := recvA.Estimate("a"); a < 11 {
+		t.Errorf("a = %d below its true count 11", a)
 	}
 }
 

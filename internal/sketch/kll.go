@@ -174,8 +174,31 @@ func (s *KLL) StoredItems() int { return s.size }
 // keeping the finer k would advertise a 4/k bound the merged data
 // cannot support (found by FuzzKLLMerge).
 func (s *KLL) Merge(other *KLL) error {
+	s.mergeRaised(other, 0)
+	return nil
+}
+
+// MergeWeighted folds w copies of other's stream into s, in one merge
+// per set bit of w. An item at level h stands for 2^h observations, so
+// 2^j copies of other merged and compacted level by level are exactly
+// other with every level raised by j: a level that holds each item
+// twice compacts to one copy of it whichever half the coin keeps, so
+// the raise adds no rank error to other's own. Merging those raised
+// copies is an ordinary merge, with its usual bound. other is only
+// read.
+func (s *KLL) MergeWeighted(other *KLL, w uint64) {
+	for j := 0; w>>j != 0; j++ {
+		if w>>j&1 == 1 {
+			s.mergeRaised(other, j)
+		}
+	}
+}
+
+// mergeRaised merges other into s with its level h folded into level
+// h+j: 2^j copies of other's stream.
+func (s *KLL) mergeRaised(other *KLL, j int) {
 	if other == nil {
-		return nil
+		return
 	}
 	if other.k < s.k {
 		s.k = other.k
@@ -184,13 +207,13 @@ func (s *KLL) Merge(other *KLL) error {
 			s.maxSize += s.capacity(h)
 		}
 	}
-	for len(s.compactors) < len(other.compactors) {
+	for len(s.compactors) < len(other.compactors)+j {
 		s.grow()
 	}
 	for h, items := range other.compactors {
-		s.compactors[h] = append(s.compactors[h], items...)
+		s.compactors[h+j] = append(s.compactors[h+j], items...)
 	}
-	s.n += other.n
+	s.n += other.n << uint(j)
 	s.recount()
 	for s.size >= s.maxSize {
 		before := s.size
@@ -205,7 +228,6 @@ func (s *KLL) Merge(other *KLL) error {
 			s.grow()
 		}
 	}
-	return nil
 }
 
 // weightedItem is one retained value and the number of observations
