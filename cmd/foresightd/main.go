@@ -14,8 +14,8 @@
 // summaries at /api/debug/insights (score quantiles, hot columns,
 // top-k margins per class; see also -query-log-sample and the
 // `foresight top` dashboard), and operational stats at /api/stats.
-// POST /api/ingest appends row batches live (CSV or JSON;
-// the sketch store extends incrementally, bounded by -ingest-queue).
+// POST /api/ingest appends row batches live (CSV or JSON; each post is
+// one engine ingest, and the sketch store extends incrementally).
 // With -wal-dir, acked batches are durable: a CRC-framed write-ahead
 // log (sync policy -fsync/-fsync-interval) plus checkpointed
 // snapshots (-checkpoint-rows) let a restart recover every acked row

@@ -456,6 +456,10 @@ func scanSegment(fsys FS, seg segmentInfo, last, repair bool, stats *ScanStats, 
 		return "", fmt.Errorf("durable: opening WAL segment %s: %w", seg.name, err)
 	}
 	defer rc.Close()
+	size, err := fsys.Size(seg.name)
+	if err != nil {
+		return "", fmt.Errorf("durable: sizing WAL segment %s: %w", seg.name, err)
+	}
 	magic := make([]byte, len(walMagic))
 	if _, err := io.ReadFull(rc, magic); err != nil {
 		return "missing segment header", truncateTo(fsys, seg.name, 0, last, repair, stats)
@@ -477,6 +481,11 @@ func scanSegment(fsys FS, seg segmentInfo, last, repair bool, stats *ScanStats, 
 		sum := uint32(hdr[4]) | uint32(hdr[5])<<8 | uint32(hdr[6])<<16 | uint32(hdr[7])<<24
 		if length > maxRecordPayload {
 			return "implausible record length", truncateTo(fsys, seg.name, goodOff, last, repair, stats)
+		}
+		// A length past the segment's end is a short payload: say so
+		// before allocating what the header states.
+		if int64(length) > size-goodOff-recordHeaderSize {
+			return "short record payload", truncateTo(fsys, seg.name, goodOff, last, repair, stats)
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(rc, payload); err != nil {

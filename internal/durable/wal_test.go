@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -291,4 +293,129 @@ func TestParseFsyncPolicy(t *testing.T) {
 	if _, err := ParseFsyncPolicy("bogus"); err == nil {
 		t.Fatal("bogus policy should error")
 	}
+}
+
+// writeSegment stores b as the WAL segment whose first record is seq.
+func writeSegment(t *testing.T, fs *ErrFS, seq uint64, b []byte) {
+	t.Helper()
+	f, err := fs.Create(join("wal", segmentName(seq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func discardf(string, ...any) {}
+
+// scanAllocCeiling is what a scan of an L-byte log may allocate: the
+// reader's copy and the payloads are each at most L, every record's
+// decode is held to decodeAllocCeiling, and the constant covers the
+// segment list, the headers and the warning.
+func scanAllocCeiling(l int) uint64 { return 2*uint64(l) + decodeAllocCeiling(l) + 64<<10 }
+
+// scanAllocBytes scans fsys's log without repair and reports the heap
+// bytes the scan allocated: the fewer of two runs, as decodeAllocBytes
+// does.
+func scanAllocBytes(fsys FS) uint64 {
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for range 2 {
+		runtime.ReadMemStats(&before)
+		_, _ = scanWAL(fsys, "wal", 0, false, false, discardf, nil)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestScanBoundsPayloadBySegment: a 16-byte segment, the magic and one
+// header stating a payload of 2^30-1 bytes, is a torn tail with a
+// short record payload, found without allocating the stated length.
+func TestScanBoundsPayloadBySegment(t *testing.T) {
+	seg := append([]byte(walMagic), appendU32(appendU32(nil, 1<<30-1), 0)...)
+	fs := NewErrFS()
+	writeSegment(t, fs, 1, seg)
+	if alloc, limit := scanAllocBytes(fs), scanAllocCeiling(len(seg)); alloc > limit {
+		t.Fatalf("scanning a %d-byte segment allocated %d bytes, ceiling %d", len(seg), alloc, limit)
+	}
+	var warned string
+	stats, err := scanWAL(fs, "wal", 0, false, false, func(format string, args ...any) {
+		warned = fmt.Sprintf(format, args...)
+	}, nil)
+	if err != nil || !stats.TornDetected || stats.Records != 0 {
+		t.Fatalf("scan = %+v, %v; want a torn tail and no records", stats, err)
+	}
+	if !strings.Contains(warned, "short record payload") {
+		t.Errorf("warning %q should name a short record payload", warned)
+	}
+}
+
+// FuzzScanWAL feeds arbitrary bytes to the WAL scan as a segment file,
+// since recovery reads whatever a segment holds. The scan must never
+// panic; it allocates within a constant times the segment's bytes
+// however large a length a header states; it applies only records
+// framed under a valid CRC in those bytes; and damage it forgives as a
+// torn tail at the end of the log, strict mode refuses once another
+// segment follows.
+func FuzzScanWAL(f *testing.F) {
+	seg := func(recs ...batchRecord) []byte {
+		b := []byte(walMagic)
+		for _, r := range recs {
+			b = append(b, frameRecord(r.encode())...)
+		}
+		return b
+	}
+	rec := func(seq uint64) batchRecord {
+		cols, rows := testBatch(int(seq))
+		return batchRecord{Seq: seq, Columns: cols, Records: rows}
+	}
+	valid := seg(rec(1), rec(2), rec(3))
+	for n := range len(valid) + 1 {
+		f.Add(valid[:n])
+	}
+	badCRC := bytes.Clone(valid)
+	badCRC[len(badCRC)-1] ^= 1
+	f.Add(badCRC)
+	f.Add(seg(rec(1), rec(3))) // a sequence gap
+	f.Add(append(seg(rec(1)), 1, 2, 3))
+	for _, n := range []uint32{1<<30 - 1, 1<<30 + 1, 0xFFFFFFFF} {
+		f.Add(append([]byte(walMagic), appendU32(appendU32(nil, n), 0)...))
+	}
+	f.Add([]byte("FWALSEG2"))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		lone := NewErrFS()
+		writeSegment(t, lone, 1, b)
+		if alloc, limit := scanAllocBytes(lone), scanAllocCeiling(len(b)); alloc > limit {
+			t.Fatalf("scanning a %d-byte segment allocated %d bytes, ceiling %d", len(b), alloc, limit)
+		}
+		var applied []batchRecord
+		stats, err := scanWAL(lone, "wal", 0, false, false, discardf, func(r batchRecord) error {
+			applied = append(applied, r)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("the last segment's damage is a torn tail, got %v", err)
+		}
+		for _, r := range applied {
+			if !bytes.Contains(b, frameRecord(r.encode())) {
+				t.Fatalf("applied record %d is not framed under its CRC in the segment", r.Seq)
+			}
+		}
+		two := NewErrFS()
+		writeSegment(t, two, 1, b)
+		writeSegment(t, two, 1<<40, []byte(walMagic))
+		_, err = scanWAL(two, "wal", 0, false, false, discardf, nil)
+		if stats.TornDetected && !IsMidLogCorruption(err) {
+			t.Fatalf("strict scan with a segment after the damage = %v, want mid-log corruption", err)
+		}
+		if !stats.TornDetected && err != nil {
+			t.Fatalf("strict scan of an undamaged segment = %v", err)
+		}
+	})
 }

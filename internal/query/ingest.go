@@ -43,15 +43,21 @@ type IngestResult struct {
 // recovery re-reads them under the defaults, so a batch read under
 // other rules would come back as different data.
 //
-// The context is checked before the work starts and between the two
+// A call waiting behind another ingest waits under ctx: if ctx ends
+// first it returns ctx's error and the batch never applies. The
+// context is checked again before the work starts and between the two
 // expensive phases (append, sketch delta); once the swap has happened
 // the batch is applied regardless of ctx. On error the engine is
 // untouched, and so it is by a batch of no rows, which reports the
 // current row count and generation.
 func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.ReadCSVOptions) (IngestResult, error) {
 	defer e.observeOp("ingest", time.Now())
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
+	select {
+	case e.ingestSlot <- struct{}{}:
+	case <-ctx.Done():
+		return IngestResult{}, e.noteCancel(ctx.Err())
+	}
+	defer e.unlockIngest()
 	if err := ctx.Err(); err != nil {
 		return IngestResult{}, e.noteCancel(err)
 	}

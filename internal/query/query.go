@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -112,13 +111,15 @@ func results(rs []ranking) []Result {
 type Engine struct {
 	registry *core.Registry
 	// gen is the live generation. Only Ingest and RestoreSnapshot
-	// replace it, under ingestMu.
+	// replace it, holding ingestSlot.
 	gen atomic.Pointer[generation]
-	// ingestMu serializes Ingest and RestoreSnapshot, so concurrent
-	// appends cannot both extend the same base frame and lose rows.
-	ingestMu sync.Mutex
+	// ingestSlot is the ingest lock, a one-slot channel so that Ingest
+	// can give up waiting for it when its context ends. It serializes
+	// Ingest and RestoreSnapshot, so concurrent appends cannot both
+	// extend the same base frame and lose rows.
+	ingestSlot chan struct{}
 	// durableSink, when set, logs every applied batch before Ingest
-	// reports success (recover.go). Guarded by ingestMu.
+	// reports success (recover.go). Guarded by ingestSlot.
 	durableSink DurableSink
 	// workers is the candidate-scoring parallelism (see SetWorkers);
 	// values < 2 mean sequential.
@@ -158,7 +159,7 @@ func NewEngine(f *frame.Frame, reg *core.Registry, profile *sketch.DatasetProfil
 	if reg == nil {
 		reg = core.NewRegistry()
 	}
-	e := &Engine{registry: reg}
+	e := &Engine{registry: reg, ingestSlot: make(chan struct{}, 1)}
 	e.gen.Store(newGeneration(0, f, profile, nil))
 	return e, nil
 }

@@ -27,10 +27,16 @@ type DurableSink interface {
 // installing the sink — replayed batches are already in the log and
 // must not be logged again.
 func (e *Engine) SetDurableSink(s DurableSink) {
-	e.ingestMu.Lock()
+	e.lockIngest()
 	e.durableSink = s
-	e.ingestMu.Unlock()
+	e.unlockIngest()
 }
+
+// lockIngest takes the ingest lock (Engine.ingestSlot) whatever the
+// wait; only Ingest waits for it under a context.
+func (e *Engine) lockIngest() { e.ingestSlot <- struct{}{} }
+
+func (e *Engine) unlockIngest() { <-e.ingestSlot }
 
 // RestoreSnapshot installs a recovered (frame, profile) pair as the
 // engine's current state — the checkpoint fast path: the snapshot
@@ -52,8 +58,8 @@ func (e *Engine) RestoreSnapshot(f *frame.Frame, p *sketch.DatasetProfile) error
 	if p != nil && p.Rows != f.Rows() {
 		return fmt.Errorf("query: restore: the profile sketches %d rows, the frame has %d", p.Rows, f.Rows())
 	}
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
+	e.lockIngest()
+	defer e.unlockIngest()
 	g := e.gen.Load()
 	if p == nil {
 		p = g.profile
@@ -71,8 +77,8 @@ func (e *Engine) RestoreSnapshot(f *frame.Frame, p *sketch.DatasetProfile) error
 // Deprecated: use RestoreSnapshot. InvalidateCache remains for
 // benchmark/layers, which times cold passes with it.
 func (e *Engine) InvalidateCache() {
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
+	e.lockIngest()
+	defer e.unlockIngest()
 	g := e.gen.Load()
 	e.gen.Store(newGeneration(g.n+1, g.frame, g.profile, nil))
 }

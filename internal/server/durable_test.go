@@ -119,9 +119,9 @@ func newIngestServerUnready(t *testing.T) (*httptest.Server, *Server) {
 	return ts, srv
 }
 
-// TestIngestFailsFastAfterClose: once Close has stopped the worker, a
-// POST /api/ingest answers 503 + Retry-After immediately instead of
-// hanging until the request deadline.
+// TestIngestFailsFastAfterClose: once Close has run, a POST
+// /api/ingest answers 503 + Retry-After naming the shutdown, and its
+// batch does not apply.
 func TestIngestFailsFastAfterClose(t *testing.T) {
 	ts, srv := newIngestServer(t)
 	srv.Close()
@@ -134,6 +134,9 @@ func TestIngestFailsFastAfterClose(t *testing.T) {
 	}
 	if msg, _ := body["error"].(string); !strings.Contains(msg, "closing") {
 		t.Errorf("fail-fast error %q should name the shutdown", msg)
+	}
+	if n := srv.engine.Frame().Rows(); n != 3 {
+		t.Errorf("rows after a refused post = %d, want 3", n)
 	}
 }
 

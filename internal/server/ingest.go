@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,174 +11,60 @@ import (
 	"time"
 
 	"foresight/internal/frame"
-	"foresight/internal/query"
 )
 
 // Live ingest over HTTP: POST /api/ingest accepts a row batch as CSV
 // (with a header naming dataset columns) or JSON ({"columns": [...],
 // "rows": [[...]]} or {"rows": [{column: value}]}), bounded by the
-// usual body cap. Batches flow through a small bounded queue drained
-// by one worker goroutine, which coalesces whatever is queued into a
-// single Engine.Ingest — under a burst of small appends the sketch
-// delta and cache invalidation run once per group instead of once per
-// request. The response is 202 Accepted with the rows taken from this
-// request, the dataset's new row count, and the new score-cache
-// generation; a full queue sheds with 503 + Retry-After, the same
-// back-pressure contract as the inflight gate.
+// usual body cap, and applies it with one Engine.Ingest under the
+// request's context. The response is 202 Accepted with the rows taken
+// from this request, the dataset's new row count, and the new
+// score-cache generation. A request whose deadline passes while it
+// waits for the engine's ingest lock answers 504 and its batch never
+// applies, so a retry cannot land it twice.
 
-// maxCoalescedRows bounds how many rows the worker folds into one
-// Engine.Ingest before replying; beyond it, waiters would trade too
-// much acknowledgement latency for batching.
-const maxCoalescedRows = 100000
+// maxPendingIngests bounds the ingests admitted but not yet answered:
+// the one applying and those waiting behind it. Past it POST
+// /api/ingest sheds with 503 + Retry-After, the same back-pressure
+// contract as the inflight gate.
+const maxPendingIngests = 64
 
-// errServerClosing fails batches still queued when Close runs.
-var errServerClosing = errors.New("ingest: server closing")
-
-type ingestReply struct {
-	res query.IngestResult
-	err error
-}
-
-// ingestJob is one accepted batch: records normalized to the frame's
-// full column order (so queued jobs concatenate directly), the
-// requester's context (its values — request ID, trace — follow the
-// batch into the engine; its cancellation does not, because an applied
-// batch must be acknowledged truthfully even if the client left), and
-// a buffered reply channel so the worker never blocks on a waiter.
-type ingestJob struct {
-	ctx     context.Context
-	records [][]string
-	done    chan ingestReply
-}
-
-// startIngest wires the queue, metrics, and worker; called from New.
-func (s *Server) startIngest(queueSize int) {
-	if queueSize <= 0 {
-		queueSize = defaultIngestQueue
-	}
-	s.ingestQ = make(chan *ingestJob, queueSize)
-	s.ingestStop = make(chan struct{})
+// instrumentIngest registers the ingest metrics; called from New.
+func (s *Server) instrumentIngest() {
 	reg := s.registry
 	s.ingestRequests = reg.Counter("foresight_ingest_requests_total",
-		"Ingest requests accepted into the queue.")
+		"Ingest requests received.")
 	s.ingestRejected = reg.Counter("foresight_ingest_rejected_total",
-		"Ingest requests shed because the queue was full (returned as 503).")
+		"Ingest requests shed with 503 (too many pending, not ready, or closing).")
 	s.ingestRows = reg.Counter("foresight_ingest_rows_total",
 		"Rows applied to the dataset by ingest.")
 	s.ingestBatches = reg.Counter("foresight_ingest_batches_total",
-		"Engine ingests applied (coalesced groups count once).")
-	s.ingestCoalesced = reg.Counter("foresight_ingest_coalesced_total",
-		"Ingest requests folded into another request's engine ingest.")
+		"Engine ingests applied.")
 	s.ingestSeconds = reg.Histogram("foresight_ingest_seconds",
-		"Engine ingest latency (append + sketch delta + swap).", nil)
+		"Engine ingest latency (wait for the ingest lock + append + sketch delta + swap + WAL).", nil)
 	reg.GaugeFunc("foresight_ingest_queue_depth",
-		"Ingest batches waiting in the queue.",
-		func() float64 { return float64(len(s.ingestQ)) })
-	s.ingestWG.Add(1)
-	go s.ingestWorker()
+		"Ingest batches admitted and not yet answered.",
+		func() float64 { return float64(s.ingestPending.Load()) })
 }
 
-// Close stops the ingest worker, failing batches still queued with a
-// server-closing error, and waits for it to exit. The HTTP routes
-// remain usable for reads; further ingest posts fail fast with 503
-// (handleIngest selects on ingestStop). Safe to call more than once.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() { close(s.ingestStop) })
-	s.ingestWG.Wait()
-	// Sweep batches that slipped into the queue after the worker's own
-	// drain; their handlers are waiting on done (or already gone).
-	for {
-		select {
-		case j := <-s.ingestQ:
-			j.done <- ingestReply{err: errServerClosing}
-		default:
-			return
-		}
-	}
-}
+// Close refuses further ingest: a later POST /api/ingest answers 503 +
+// Retry-After naming the shutdown. An ingest already admitted finishes
+// and is answered truthfully; reads stay served. Safe to call more
+// than once.
+func (s *Server) Close() { s.closed.Store(true) }
 
-// ingestWorker drains the queue: one job, plus whatever else is
-// already queued (up to maxCoalescedRows), applied as one engine
-// ingest. On a group failure each job is retried alone so one bad
-// batch cannot poison the others' acknowledgements.
-func (s *Server) ingestWorker() {
-	defer s.ingestWG.Done()
-	for {
-		select {
-		case <-s.ingestStop:
-			for {
-				select {
-				case j := <-s.ingestQ:
-					j.done <- ingestReply{err: errServerClosing}
-				default:
-					return
-				}
-			}
-		case j := <-s.ingestQ:
-			group := []*ingestJob{j}
-			rows := len(j.records)
-		coalesce:
-			for rows < maxCoalescedRows {
-				select {
-				case nj := <-s.ingestQ:
-					group = append(group, nj)
-					rows += len(nj.records)
-				default:
-					break coalesce
-				}
-			}
-			if len(group) > 1 {
-				s.ingestCoalesced.Add(uint64(len(group) - 1))
-			}
-			records := make([][]string, 0, rows)
-			for _, gj := range group {
-				records = append(records, gj.records...)
-			}
-			// The lead request's context carries its trace and request ID
-			// into the engine spans; cancellation is stripped because the
-			// group is applied on behalf of every waiter.
-			ctx := context.WithoutCancel(group[0].ctx)
-			start := time.Now()
-			res, err := s.engine.Ingest(ctx, frame.RowBatch{Records: records}, nil)
-			s.ingestSeconds.Observe(time.Since(start).Seconds())
-			if err != nil && len(group) > 1 {
-				for _, gj := range group {
-					r2, e2 := s.engine.Ingest(context.WithoutCancel(gj.ctx),
-						frame.RowBatch{Records: gj.records}, nil)
-					if e2 == nil {
-						s.ingestBatches.Inc()
-						s.ingestRows.Add(uint64(len(gj.records)))
-					}
-					gj.done <- ingestReply{res: r2, err: e2}
-				}
-				continue
-			}
-			if err == nil {
-				s.ingestBatches.Inc()
-				s.ingestRows.Add(uint64(rows))
-			}
-			for _, gj := range group {
-				gj.done <- ingestReply{res: res, err: err}
-			}
-		}
-	}
-}
-
-// handleIngest accepts one row batch and replies 202 once it has been
-// applied (possibly coalesced with neighbors). The body cap, queue
-// bound, and per-request deadline make the path fully bounded; a
-// client that stops waiting gets the usual 504/499 mapping while its
-// already-queued batch still applies.
+// handleIngest applies one row batch and replies 202 once it has
+// landed. The body cap, the pending bound, and the per-request
+// deadline make the path fully bounded; a client that stops waiting
+// gets the usual 504/499 mapping, and its batch applies only if the
+// engine had already swapped it in.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingestRequests.Inc()
 	// Writes are rejected until startup recovery has replayed the WAL:
 	// accepting a batch before the log is open again would ack rows the
 	// durability layer cannot log.
 	if !s.ready.Load() {
-		s.ingestRejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.jsonError(w, r, http.StatusServiceUnavailable,
-			fmt.Errorf("ingest unavailable: startup recovery in progress; retry shortly"))
+		s.shedIngest(w, r, fmt.Errorf("ingest unavailable: startup recovery in progress; retry shortly"))
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
@@ -200,71 +84,38 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, r, http.StatusBadRequest, fmt.Errorf("ingest: no rows in batch"))
 		return
 	}
-	j := &ingestJob{ctx: r.Context(), records: records, done: make(chan ingestReply, 1)}
-	select {
-	case <-s.ingestStop:
-		// Fail fast after Close: the worker is gone, so waiting on the
-		// queue would only ride out the request deadline.
-		s.closingError(w, r)
-		return
-	default:
-	}
-	select {
-	case s.ingestQ <- j:
-	default:
-		s.ingestRejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.jsonError(w, r, http.StatusServiceUnavailable,
-			fmt.Errorf("ingest queue full (%d batches pending); retry shortly", cap(s.ingestQ)))
+	if s.closed.Load() {
+		s.shedIngest(w, r, fmt.Errorf("ingest unavailable: server closing"))
 		return
 	}
-	select {
-	case <-r.Context().Done():
-		// The queued batch may still apply; only the acknowledgement is
-		// abandoned.
-		s.jsonError(w, r, http.StatusGatewayTimeout, r.Context().Err())
-	case <-s.ingestStop:
-		// Shutdown raced the enqueue. The worker's drain (or Close's
-		// sweep, or an in-flight apply) still replies; give it a moment
-		// so an applied batch is acknowledged truthfully instead of
-		// being reported retryable (a false 503 would invite a duplicate
-		// retry).
-		select {
-		case rep := <-j.done:
-			s.ingestReply(w, r, rep, len(records))
-		case <-time.After(2 * time.Second):
-			s.closingError(w, r)
-		}
-	case rep := <-j.done:
-		s.ingestReply(w, r, rep, len(records))
-	}
-}
-
-// ingestReply writes the worker's verdict: 202 with the new row count
-// and generation on success, 503 + Retry-After when the server was
-// closing (the batch did not apply and the client should retry against
-// the restarted process), 500 otherwise.
-func (s *Server) ingestReply(w http.ResponseWriter, r *http.Request, rep ingestReply, accepted int) {
-	if errors.Is(rep.err, errServerClosing) {
-		s.closingError(w, r)
+	if s.ingestPending.Add(1) > maxPendingIngests {
+		s.ingestPending.Add(-1)
+		s.shedIngest(w, r, fmt.Errorf("too many ingests pending (%d); retry shortly", maxPendingIngests))
 		return
 	}
-	if rep.err != nil {
-		s.jsonError(w, r, http.StatusInternalServerError, rep.err)
+	defer s.ingestPending.Add(-1)
+	start := time.Now()
+	res, err := s.engine.Ingest(r.Context(), frame.RowBatch{Records: records}, nil)
+	s.ingestSeconds.Observe(time.Since(start).Seconds())
+	if err != nil {
+		s.jsonError(w, r, http.StatusInternalServerError, err)
 		return
 	}
+	s.ingestBatches.Inc()
+	s.ingestRows.Add(uint64(len(records)))
 	s.writeJSONStatus(w, http.StatusAccepted, map[string]interface{}{
-		"rows_accepted": accepted,
-		"row_count":     rep.res.TotalRows,
-		"generation":    rep.res.Generation,
+		"rows_accepted": len(records),
+		"row_count":     res.TotalRows,
+		"generation":    res.Generation,
 	})
 }
 
-func (s *Server) closingError(w http.ResponseWriter, r *http.Request) {
+// shedIngest answers 503 + Retry-After: the batch did not apply and
+// the client should retry.
+func (s *Server) shedIngest(w http.ResponseWriter, r *http.Request, err error) {
 	s.ingestRejected.Inc()
 	w.Header().Set("Retry-After", "1")
-	s.jsonError(w, r, http.StatusServiceUnavailable,
-		fmt.Errorf("ingest unavailable: %w", errServerClosing))
+	s.jsonError(w, r, http.StatusServiceUnavailable, err)
 }
 
 // parseCSVBatch reads a CSV body whose header names dataset columns
@@ -375,8 +226,7 @@ func cellString(v interface{}) (string, error) {
 }
 
 // normalizeBatch maps rows keyed by cols to full frame-order records
-// (unnamed frame columns get missing cells), so every queued batch
-// shares one layout and concatenates directly.
+// (unnamed frame columns get missing cells).
 func normalizeBatch(cols []string, rows [][]string, names []string) ([][]string, error) {
 	byName := indexNames(names)
 	pos := make([]int, len(cols))

@@ -32,7 +32,7 @@ type Flags struct {
 	k, workers                         int
 	approx, quiet                      bool
 	seed                               int64
-	slowMS, maxInflight, ingestQueue   int
+	slowMS, maxInflight                int
 	requestTimeout, shutdownGrace      time.Duration
 	queryLogSample                     float64
 	walDir, fsyncMode                  string
@@ -56,7 +56,6 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&fl.quiet, "quiet", false, "suppress per-request JSON logs on stderr")
 	fs.DurationVar(&fl.requestTimeout, "request-timeout", 5*time.Second, "per-request deadline for API requests; expired requests get 504 and release their workers (0 = no deadline)")
 	fs.IntVar(&fl.maxInflight, "max-inflight", 256, "maximum concurrently served API requests; excess requests are shed with 503 (0 = unlimited)")
-	fs.IntVar(&fl.ingestQueue, "ingest-queue", defaultIngestQueue, "maximum queued /api/ingest batches; excess batches are shed with 503")
 	fs.DurationVar(&fl.shutdownGrace, "shutdown-grace", 15*time.Second, "how long SIGINT/SIGTERM waits for in-flight requests to drain before forcing exit")
 	fs.Float64Var(&fl.queryLogSample, "query-log-sample", 0, "fraction of engine queries logged as structured JSON telemetry lines (0 = off, 1 = every query, 0.01 = every 100th)")
 	fs.StringVar(&fl.walDir, "wal-dir", "", "durability directory for the write-ahead log and snapshots; empty disables durable ingest (acked batches then live only in memory)")
@@ -157,7 +156,6 @@ func (fl *Flags) Run(version string) error {
 		Version:            version,
 		RequestTimeout:     fl.requestTimeout,
 		MaxInflight:        fl.maxInflight,
-		IngestQueue:        fl.ingestQueue,
 		QueryLogSample:     fl.queryLogSample,
 	}
 	if fl.quiet {
@@ -229,7 +227,7 @@ func (fl *Flags) Run(version string) error {
 	log.Printf("foresight server %s: serving %s on http://localhost%s (workers=%d timeout=%v max-inflight=%d; /metrics, /api/stats, /api/debug/traces, /api/debug/insights)",
 		version, f.Summary(), fl.addr, engine.Workers(), fl.requestTimeout, fl.maxInflight)
 	err = runUntilSignalled(httpSrv, fl.shutdownGrace, fatal)
-	srv.Close() // stop the ingest worker after the listener has drained
+	srv.Close() // refuse ingest after the listener has drained
 	if durMgr != nil {
 		if cerr := durMgr.Close(); cerr != nil {
 			log.Printf("closing WAL: %v", cerr)

@@ -60,10 +60,6 @@ const statusClientClosedRequest = 499
 // traceCapacity bounds the /api/debug/traces ring buffer.
 const traceCapacity = 64
 
-// defaultIngestQueue is the /api/ingest queue bound when Options leaves
-// it 0, and the default of -ingest-queue.
-const defaultIngestQueue = 64
-
 // Options configures the server's observability stack. The zero value
 // is fully functional: a private registry, a 64-trace ring buffer
 // keeping every trace, and no request logging.
@@ -89,8 +85,11 @@ type Options struct {
 	// /metrics are never gated, so the UI loads and observability
 	// survives saturation.
 	MaxInflight int
-	// IngestQueue bounds the /api/ingest batch queue (ingest.go);
-	// excess batches are shed with 503. 0 → 64 (defaultIngestQueue).
+	// IngestQueue is ignored: /api/ingest admits at most
+	// maxPendingIngests unanswered batches (ingest.go).
+	//
+	// Deprecated: IngestQueue remains for benchmark/layers, which sets
+	// it.
 	IngestQueue int
 	// QueryLogSample is the fraction of engine queries logged as
 	// structured JSON lines through LogWriter (0 disables, 1 logs every
@@ -150,17 +149,15 @@ type Server struct {
 	timeouts       *obs.Counter
 	sheds          *obs.Counter
 
-	// Live-ingest queue and worker (ingest.go). Close stops the worker.
-	ingestQ         chan *ingestJob
-	ingestStop      chan struct{}
-	ingestWG        sync.WaitGroup
-	closeOnce       sync.Once
-	ingestRequests  *obs.Counter
-	ingestRejected  *obs.Counter
-	ingestRows      *obs.Counter
-	ingestBatches   *obs.Counter
-	ingestCoalesced *obs.Counter
-	ingestSeconds   *obs.Histogram
+	// Live ingest (ingest.go): the admitted-and-unanswered count, and
+	// closed, which Close sets to refuse further ingest.
+	ingestPending  atomic.Int64
+	closed         atomic.Bool
+	ingestRequests *obs.Counter
+	ingestRejected *obs.Counter
+	ingestRows     *obs.Counter
+	ingestBatches  *obs.Counter
+	ingestSeconds  *obs.Histogram
 }
 
 // New returns a Server over the engine with carousel length k. o
@@ -234,7 +231,7 @@ func New(engine *query.Engine, k int, approx bool, o Options) *Server {
 	s.handle("/api/overview", s.handleOverview, http.MethodGet)
 	s.handle("/api/render", s.handleRender, http.MethodGet)
 	s.handle("/api/neighborhood", s.handleNeighborhood, http.MethodGet)
-	s.startIngest(o.IngestQueue)
+	s.instrumentIngest()
 	s.handle("/api/ingest", s.handleIngest, http.MethodPost)
 	s.handle("/api/focus", s.handleFocus, http.MethodPost)
 	s.handle("/api/unfocus", s.handleUnfocus, http.MethodPost)
@@ -818,13 +815,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"ready":                s.ready.Load(),
 		},
 		"ingest": map[string]interface{}{
-			"queue_depth": len(s.ingestQ),
-			"queue_cap":   cap(s.ingestQ),
+			"queue_depth": s.ingestPending.Load(),
+			"queue_cap":   maxPendingIngests,
 			"requests":    s.ingestRequests.Value(),
 			"rejected":    s.ingestRejected.Value(),
 			"rows":        s.ingestRows.Value(),
 			"batches":     s.ingestBatches.Value(),
-			"coalesced":   s.ingestCoalesced.Value(),
 		},
 	}
 	if s.durable != nil {
