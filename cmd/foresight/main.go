@@ -241,13 +241,15 @@ func runOverview(args []string) error {
 		return err
 	}
 	fmt.Printf("%s overview (%s): %d×%d, %d scored tuples\n",
-		ov.Class, ov.Metric, len(ov.RowAttrs), len(ov.ColAttrs), len(ov.Insights))
-	top := ov.Insights
-	if len(top) > 10 {
-		top = top[:10]
+		ov.Class, ov.Metric, len(ov.RowAttrs), len(ov.ColAttrs), ov.DefinedTuples())
+	top, err := engine.ExecuteContext(context.Background(), foresight.Query{Classes: []string{ov.Class}, Metric: ov.Metric, K: 10, Approx: *approx})
+	if err != nil {
+		return err
 	}
-	for i, in := range top {
-		fmt.Printf("  %2d. %-40s %+.4f\n", i+1, strings.Join(in.Attrs, ", "), in.Raw)
+	for _, r := range top {
+		for i, in := range r.Insights {
+			fmt.Printf("  %2d. %-40s %+.4f\n", i+1, strings.Join(in.Attrs, ", "), in.Raw)
+		}
 	}
 	if *svgPath != "" {
 		svg := foresight.CorrelogramSVG(ov, fmt.Sprintf("%s overview of %s", ov.Class, f.Name()))

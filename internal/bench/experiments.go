@@ -64,21 +64,25 @@ func RunE2Overview(w io.Writer, outDir string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	ov, err := engine.OverviewContext(context.Background(), "linear", "", false)
+	ctx := context.Background()
+	ov, err := engine.OverviewContext(ctx, "linear", "", false)
+	if err != nil {
+		return err
+	}
+	top, err := engine.ExecuteContext(ctx, query.Query{Classes: []string{"linear"}, Metric: ov.Metric, K: 10})
 	if err != nil {
 		return err
 	}
 	t := NewTable("E2 / Figure 2: pairwise correlation overview (strongest 10 pairs)",
 		"x", "y", "pearson")
-	for i, in := range ov.Insights {
-		if i >= 10 {
-			break
+	for _, r := range top {
+		for _, in := range r.Insights {
+			t.AddRow(in.Attrs[0], in.Attrs[1], in.Raw)
 		}
-		t.AddRow(in.Attrs[0], in.Attrs[1], in.Raw)
 	}
 	t.Print(w)
 	fmt.Fprintf(w, "full matrix: %d×%d attributes, %d pairs scored\n",
-		len(ov.RowAttrs), len(ov.ColAttrs), len(ov.Insights))
+		len(ov.RowAttrs), len(ov.ColAttrs), ov.DefinedTuples())
 	if err := t.WriteTSV(outDir, "e2_top_pairs"); err != nil {
 		return err
 	}

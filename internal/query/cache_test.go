@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,13 +83,8 @@ func overviewEqual(t *testing.T, label string, a, b *Overview) {
 			}
 		}
 	}
-	if len(a.Insights) != len(b.Insights) {
-		t.Fatalf("%s: %d vs %d insights", label, len(a.Insights), len(b.Insights))
-	}
-	for i := range a.Insights {
-		if !insightEqual(a.Insights[i], b.Insights[i]) {
-			t.Errorf("%s: insight %d differs", label, i)
-		}
+	if !slices.Equal(a.RowAttrs, b.RowAttrs) || !slices.Equal(a.ColAttrs, b.ColAttrs) {
+		t.Errorf("%s: axes differ: %v × %v vs %v × %v", label, a.RowAttrs, a.ColAttrs, b.RowAttrs, b.ColAttrs)
 	}
 }
 

@@ -300,8 +300,68 @@ func TestOverviewCorrelationMatrix(t *testing.T) {
 	if v := ov.Values[ai][bi]; math.Abs(v-0.9) > 0.05 {
 		t.Errorf("ρ(a,b) in overview = %v, want ≈0.9", v)
 	}
-	if len(ov.Insights) != d*(d-1)/2 {
-		t.Errorf("overview insights = %d, want %d", len(ov.Insights), d*(d-1)/2)
+	c, _ := e.registry.Lookup("linear")
+	var want []core.Insight
+	for _, attrs := range c.Candidates(e.Frame()) {
+		in, err := c.Score(e.Frame(), attrs, ov.Metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, in)
+	}
+	if len(want) != d*(d-1)/2 {
+		t.Fatalf("%d candidates, want %d", len(want), d*(d-1)/2)
+	}
+	checkOverviewCells(t, "linear overview", ov, want)
+}
+
+// TestOverviewDiagonal: a symmetric overview's diagonal is each
+// attribute's association with itself. That is 1 under every metric
+// but mi and mutualinfo, where it is the attribute's entropy, which no
+// candidate scores, so those diagonals are undefined. Every other cell
+// is the oracle's.
+func TestOverviewDiagonal(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	n := 400
+	x, y, z := make([]float64, n), make([]float64, n), make([]float64, n)
+	u, v, w := make([]string, n), make([]string, n), make([]string, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		y[i] = x[i]*x[i] + rng.NormFloat64()*0.3
+		z[i] = 0.5*x[i] + rng.NormFloat64()
+		u[i] = fmt.Sprintf("u%d", i%3)
+		v[i] = fmt.Sprintf("v%d", (i%3+rng.Intn(2))%4)
+		w[i] = fmt.Sprintf("w%d", rng.Intn(4))
+	}
+	f := frame.MustNew("diagonal",
+		frame.NewNumericColumn("x", x), frame.NewNumericColumn("y", y), frame.NewNumericColumn("z", z),
+		frame.NewCategoricalColumn("u", u), frame.NewCategoricalColumn("v", v), frame.NewCategoricalColumn("w", w))
+	reg := core.NewRegistry()
+	if err := reg.Register(core.NewNonlinearDependenceClass(0)); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(f, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range []string{"linear", "monotonic", "nonlinear", "catassoc"} {
+		c, _ := reg.Lookup(class)
+		for _, metric := range c.Metrics() {
+			ov, err := e.OverviewContext(context.Background(), class, metric, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ov.Symmetric || len(ov.Values) < 2 {
+				t.Fatalf("%s/%s: symmetric %v, %d rows", class, metric, ov.Symmetric, len(ov.Values))
+			}
+			entropy := metric == "mi" || metric == "mutualinfo"
+			for i, row := range ov.Values {
+				if d := row[i]; entropy && !math.IsNaN(d) || !entropy && d != 1 {
+					t.Errorf("%s/%s: diagonal cell %s = %v", class, metric, ov.RowAttrs[i], d)
+				}
+			}
+			oracleOverview(t, class+"/"+metric, e, ov, false)
+		}
 	}
 }
 

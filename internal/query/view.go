@@ -1,9 +1,7 @@
 package query
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"math"
 	"slices"
 	"sort"
@@ -100,7 +98,6 @@ func newClassView(c core.Class, metric string, cands [][]string, scored []core.I
 	}
 	v := &classView{candidates: len(cands)}
 	if defined > 0 {
-		// Otherwise nil, which an overview encodes as null.
 		v.ranked = make([]core.Insight, 0, defined)
 		v.keys = make([]string, 0, defined)
 	}
@@ -115,7 +112,7 @@ func newClassView(c core.Class, metric string, cands [][]string, scored []core.I
 	sort.Sort(byRank{v})
 	v.sample = keep(classSample(c.Name(), len(cands), 0, len(cands)-defined, v.ranked, math.NaN()))
 	if c.Arity() <= 2 {
-		v.overview = assembleOverview(c, metric, cands, scored, v.ranked)
+		v.overview = assembleOverview(c, metric, cands, scored)
 	}
 	return v
 }
@@ -172,9 +169,8 @@ func holds(near []int32, p int) bool {
 // encoded once per view.
 func (v *classView) overviewJSON() ([]byte, error) {
 	v.encode.Do(func() {
-		var buf bytes.Buffer
-		v.bodyErr = json.NewEncoder(&buf).Encode(v.overview)
-		v.body = buf.Bytes()
+		v.body, v.bodyErr = v.overview.MarshalJSON()
+		v.body = append(v.body, '\n')
 	})
 	return v.body, v.bodyErr
 }

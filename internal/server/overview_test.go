@@ -1,9 +1,17 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"foresight/internal/core"
@@ -92,4 +100,121 @@ func TestOverviewConditionalGet(t *testing.T) {
 	if status, afterRestore, _ := getOverview(t, url, afterIngest); status != 200 || afterRestore == afterIngest || afterRestore == tag {
 		t.Errorf("after a restore: status %d, ETag %q (was %q)", status, afterRestore, afterIngest)
 	}
+}
+
+// TestOverviewConstantColumn: a constant column's cells are undefined
+// under every class here, and the JSON overview holding them is a 200
+// with null at exactly those cells and the six documented fields,
+// while the SVG overview draws what it drew before.
+func TestOverviewConstantColumn(t *testing.T) {
+	n := 40
+	x, y, k := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i] = float64(i)
+		y[i] = float64(i*i%17) + 0.5*float64(i)
+		k[i] = 3
+	}
+	f := frame.MustNew("constant",
+		frame.NewNumericColumn("x", x), frame.NewNumericColumn("y", y), frame.NewNumericColumn("k", k))
+	engine, err := query.NewEngine(f, core.NewRegistry(), sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, K: 32}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(engine, 5, false, Options{})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	// The SVG digests were taken before undefined cells encoded as
+	// null; like the reply corpus's, they are amd64 facts.
+	for class, svgDigest := range map[string]string{
+		"linear":     "288ea42265a2b126fa68bfba6e3ee0004d5814d01400d41603a70186b547e13f",
+		"monotonic":  "a96019fecaee1392fae355de136435ebd16c537e064348d7de8aa85a4307bb59",
+		"skew":       "e9632a7f36552a313d5768eb9f6f4cb5534a2d74480a383fb6d3ad256deb7d1a",
+		"heavytails": "9b0de6035b138c6b2d8d000cca6fceff631e452801d49cc1e23eba6ebcbb8f95",
+	} {
+		url := ts.URL + "/api/overview?class=" + class
+		status, _, body := getOverview(t, url, "")
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", class, status, body)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatalf("%s: %v", class, err)
+		}
+		var keys []string
+		for key := range fields {
+			keys = append(keys, key)
+		}
+		if sort.Strings(keys); !slices.Equal(keys, []string{"class", "col_attrs", "metric", "row_attrs", "symmetric", "values"}) {
+			t.Errorf("%s: fields %v", class, keys)
+		}
+		var ov struct {
+			RowAttrs []string     `json:"row_attrs"`
+			ColAttrs []string     `json:"col_attrs"`
+			Values   [][]*float64 `json:"values"`
+		}
+		if err := json.Unmarshal(body, &ov); err != nil {
+			t.Fatalf("%s: %v", class, err)
+		}
+		if len(ov.Values) != len(ov.RowAttrs) {
+			t.Fatalf("%s: %d rows for %d row labels", class, len(ov.Values), len(ov.RowAttrs))
+		}
+		for i, row := range ov.Values {
+			for j, cell := range row {
+				// A pair holding k is undefined, the diagonal is 1; a
+				// unary class has one row, and k's cell is undefined.
+				r, c := ov.RowAttrs[i], ov.ColAttrs[j]
+				undefined := c == "k" && (len(ov.Values) == 1 || r != "k") || r == "k" && c != "k"
+				if undefined != (cell == nil) {
+					t.Errorf("%s: cell (%s, %s) null %v, want %v", class, r, c, cell == nil, undefined)
+				}
+			}
+		}
+
+		status, _, svg := getOverview(t, url+"&format=svg", "")
+		sum := sha256.Sum256(svg)
+		if status != http.StatusOK || runtime.GOARCH == "amd64" && hex.EncodeToString(sum[:]) != svgDigest {
+			t.Errorf("%s svg: status %d, digest %x, want %s", class, status, sum, svgDigest)
+		}
+	}
+}
+
+// FuzzIfNoneMatch: etagMatches, which reads the If-None-Match header a
+// client sends with a conditional overview GET, never panics. "*"
+// matches. A list that holds the tag, weak or strong, amid any
+// whitespace and commas and whatever other entries, matches. A header
+// that names neither the tag nor "*" does not.
+func FuzzIfNoneMatch(f *testing.F) {
+	f.Add(`"stale", W/"other"`, uint64(0xcafe), " ", ", \t", true)
+	f.Add("", uint64(0), "", "", false)
+	f.Add(`W/"1",*`, uint64(1), ",,", " ", false)
+	f.Fuzz(func(t *testing.T, header string, h uint64, before, after string, weak bool) {
+		etag := `"` + strconv.FormatUint(h, 16) + `"`
+		only := func(set string) func(rune) rune {
+			return func(r rune) rune {
+				if strings.ContainsRune(set, r) {
+					return r
+				}
+				return -1
+			}
+		}
+		if !strings.Contains(header, etag) && !strings.Contains(header, "*") && etagMatches(header, etag) {
+			t.Errorf("%q matches %s", header, etag)
+		}
+		if star := strings.Map(only(" \t"), before) + "*" + strings.Map(only(" \t"), after); !etagMatches(star, etag) {
+			t.Errorf("%q does not match %s", star, etag)
+		}
+		tag := etag
+		if weak {
+			tag = "W/" + tag
+		}
+		tag = strings.Map(only(" \t,"), before) + tag + strings.Map(only(" \t,"), after)
+		for _, list := range []string{tag, header + "," + tag, tag + "," + header, header + "," + tag + "," + header} {
+			if !etagMatches(list, etag) {
+				t.Errorf("%q does not match %s", list, etag)
+			}
+		}
+	})
 }

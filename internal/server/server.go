@@ -570,7 +570,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleOverview serves a class's global view. The JSON reply — the
-// one multi-megabyte body of the API at hundreds of attributes — is a
+// largest body of the API at hundreds of attributes — is a
 // pure function of (generation, class, metric, backend): the engine
 // keeps it encoded for the generation, and it carries a strong ETag so
 // a client that still holds it revalidates with If-None-Match and gets
@@ -599,12 +599,7 @@ func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, gen, err := s.engine.OverviewJSON(r.Context(), class, metric, approx)
-	var unencodable *json.UnsupportedValueError
-	switch {
-	case errors.As(err, &unencodable):
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	case err != nil:
+	if err != nil {
 		s.jsonError(w, r, http.StatusBadRequest, err)
 		return
 	}
