@@ -154,7 +154,7 @@ func recoverAndVerify(t *testing.T, fs *ErrFS, ackedMin, attempted int, label st
 // sectionRecords decodes a row section.
 func sectionRecords(t *testing.T, s rowSection) [][]string {
 	t.Helper()
-	c := &cursor{b: append(appendU32(nil, uint32(s.n)), s.b...)}
+	c := &cursor{b: slices.Concat(append([][]byte{appendU32(nil, uint32(s.n))}, s.blocks...)...)}
 	recs := c.rows("section row")
 	if c.err != nil || c.off != len(c.b) {
 		t.Fatalf("row section does not decode: %v (%d of %d bytes read)", c.err, c.off, len(c.b))

@@ -129,13 +129,13 @@ type Manager struct {
 	rowsSince int
 	byteSince int64
 	// rows is the snapshot row section of every row the engine has
-	// appended since the base dataset — each batch's cells as the WAL
-	// logs them, in frame column order — including a batch the WAL
-	// refused, which the engine applied all the same. snapRows (a prefix
-	// of rows), snapProfile and snapSeq are what the next checkpoint
-	// writes: the section and the engine's profile as of a logged batch.
-	// AppendBatch (which runs under the engine's ingest lock) extends rows
-	// and captures the triple, so a checkpoint always snapshots rows and
+	// appended since the base dataset — one block per batch, its cells
+	// as the WAL logs them, in frame column order — including a batch
+	// the WAL refused, which the engine applied all the same. snapRows
+	// (a prefix of rows), snapProfile and snapSeq are what the next
+	// checkpoint writes: the section and the engine's profile as of a
+	// logged batch. AppendBatch (which runs under the engine's ingest
+	// lock) extends rows and captures the triple, so a checkpoint always snapshots rows and
 	// a profile that describe the same data even while ingest continues,
 	// and renders no row to do it.
 	rows        rowSection
@@ -225,7 +225,9 @@ func (m *Manager) Recover(e *query.Engine) (RecoveryStats, error) {
 		}
 		stats.SnapshotSeq = snap.Seq
 		stats.SnapshotRows = snap.Rows.n
-		rows = rowSection{n: snap.Rows.n, b: slices.Clone(snap.Rows.b)}
+		// The snapshot's block aliases the whole file, profile
+		// included: keep a copy of the rows alone.
+		rows.addBlock(snap.Rows.n, slices.Concat(snap.Rows.blocks...))
 	}
 
 	ctx := context.Background()
@@ -316,9 +318,11 @@ func (m *Manager) applySnapshot(e *query.Engine, records [][]string, p *sketch.D
 // been applied and before the caller acknowledges it. The WAL append
 // (and, under FsyncAlways, its flush) must succeed for the ingest to
 // report success. The batch's cells join the row section either way,
-// since the engine serves them either way; only a logged batch captures
-// the (rows, profile, seq) triple for the checkpointer and may fire a
-// checkpoint, when the rows- or bytes-since-checkpoint trigger trips. A
+// since the engine serves them either way: a logged batch in frame
+// column order as the rows of its WAL record, any other as one block
+// encoded in frame order. Only a logged batch captures the (rows,
+// profile, seq) triple for the checkpointer and may fire a checkpoint,
+// when the rows- or bytes-since-checkpoint trigger trips. A
 // refused batch has no seq, so it reaches a snapshot only under the seq
 // of a later batch the log took.
 //
@@ -332,11 +336,16 @@ func (m *Manager) AppendBatch(batch frame.RowBatch, res query.IngestResult) erro
 	if !m.recovered.Load() {
 		return fmt.Errorf("durable: ingest before recovery completed")
 	}
-	seq, n, err := m.wal.Append(batch.Columns, batch.Records)
+	seq, rec, err := m.wal.Append(batch.Columns, batch.Records)
+	n := len(rec)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.rows.add(m.cols, batch.Columns, batch.Records)
+	if err == nil && len(batch.Columns) == 0 {
+		m.rows.addBlock(len(batch.Records), rec[rowsAt(nil):])
+	} else {
+		m.rows.add(m.cols, batch.Columns, batch.Records)
+	}
 	if err != nil {
 		m.appendErrors.Add(1)
 		return err

@@ -69,42 +69,48 @@ func appendRow(b []byte, row []string) []byte {
 	return b
 }
 
-func appendRows(b []byte, rows [][]string) []byte {
-	b = appendU32(b, uint32(len(rows)))
-	for _, row := range rows {
-		b = appendRow(b, row)
-	}
-	return b
-}
-
-// encode serializes the record payload (everything under the frame
-// header).
-func (r batchRecord) encode() []byte {
-	n := 8 + 4 + 4
-	for _, c := range r.Columns {
+// rowsAt is the offset in frameBatch's record of a batch naming columns
+// at which its rows begin, past their count.
+func rowsAt(columns []string) int {
+	n := recordHeaderSize + 8 + 4 + 4
+	for _, c := range columns {
 		n += 4 + len(c)
 	}
-	for _, row := range r.Records {
+	return n
+}
+
+// rowsSize is the encoded size of records in the row layout, past
+// their count.
+func rowsSize(records [][]string) int {
+	n := 0
+	for _, row := range records {
 		n += 4
 		for _, cell := range row {
 			n += 4 + len(cell)
 		}
 	}
-	b := make([]byte, 0, n)
-	b = appendU64(b, r.Seq)
-	b = appendU32(b, uint32(len(r.Columns)))
-	for _, c := range r.Columns {
-		b = appendString(b, c)
-	}
-	return appendRows(b, r.Records)
+	return n
 }
 
-// frame wraps a payload in the length+CRC record header.
-func frameRecord(payload []byte) []byte {
-	out := make([]byte, 0, recordHeaderSize+len(payload))
-	out = appendU32(out, uint32(len(payload)))
-	out = appendU32(out, crc32.Checksum(payload, crcTable))
-	return append(out, payload...)
+// frameBatch encodes one WAL record, the length+CRC header and the
+// payload, into a buffer of exactly its size. A batch in frame column
+// order (columns empty) leaves its rows, frame[rowsAt(nil):], in the
+// layout of a snapshot row section, so the section keeps that sub-slice
+// as the batch's block instead of encoding the cells again.
+func frameBatch(seq uint64, columns []string, records [][]string) []byte {
+	b := make([]byte, recordHeaderSize, rowsAt(columns)+rowsSize(records))
+	b = appendU64(b, seq)
+	b = appendU32(b, uint32(len(columns)))
+	for _, c := range columns {
+		b = appendString(b, c)
+	}
+	b = appendU32(b, uint32(len(records)))
+	for _, row := range records {
+		b = appendRow(b, row)
+	}
+	payload := b[recordHeaderSize:]
+	appendU32(appendU32(b[:0], uint32(len(payload))), crc32.Checksum(payload, crcTable))
+	return b
 }
 
 // cursor is a bounds-checked little-endian reader over a byte slice;

@@ -2,9 +2,56 @@ package durable
 
 import (
 	"bytes"
+	"hash/crc32"
 	"runtime"
 	"testing"
 )
+
+// encode serializes the record payload (everything under the frame
+// header) the way the log did before frameBatch built the framed record
+// in one buffer: the oracle for the bytes frameBatch writes.
+func (r batchRecord) encode() []byte {
+	b := appendU64(nil, r.Seq)
+	b = appendU32(b, uint32(len(r.Columns)))
+	for _, c := range r.Columns {
+		b = appendString(b, c)
+	}
+	b = appendU32(b, uint32(len(r.Records)))
+	for _, row := range r.Records {
+		b = appendRow(b, row)
+	}
+	return b
+}
+
+// frameRecord wraps a payload in the length+CRC record header; with
+// encode, the oracle for frameBatch.
+func frameRecord(payload []byte) []byte {
+	out := appendU32(nil, uint32(len(payload)))
+	out = appendU32(out, crc32.Checksum(payload, crcTable))
+	return append(out, payload...)
+}
+
+// checkFramed fails unless frameBatch frames rec as the oracle does, in
+// a buffer of exactly that size, with its rows at rowsAt.
+func checkFramed(t *testing.T, rec batchRecord) {
+	t.Helper()
+	payload := rec.encode()
+	got := frameBatch(rec.Seq, rec.Columns, rec.Records)
+	if want := frameRecord(payload); !bytes.Equal(got, want) {
+		t.Fatalf("record %d frames differently:\n got  %x\n want %x", rec.Seq, got, want)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("record %d: a %d-byte frame in a %d-byte buffer", rec.Seq, len(got), cap(got))
+	}
+	// The rows past their count, where the payload's record count ends.
+	c := &cursor{b: payload}
+	c.u64("seq")
+	c.strs("column name")
+	c.u32("record count")
+	if at := rowsAt(rec.Columns); !bytes.Equal(got[at:], payload[c.off:]) {
+		t.Fatalf("record %d: rows at %d of the frame are not the payload's rows", rec.Seq, at)
+	}
+}
 
 // decodeAllocCeiling is what the decoder's length guards let an L-byte
 // payload allocate. Every count is held to what the remaining bytes
@@ -35,7 +82,8 @@ func decodeAllocBytes(payload []byte) (batchRecord, uint64, error) {
 // which reads whatever bytes it finds on disk. It must never panic, its
 // allocation stays within what the length guards allow however large a
 // count the payload states, and any payload it accepts is canonical:
-// re-encoding the record reproduces it byte for byte.
+// re-encoding the record reproduces it byte for byte, and frameBatch
+// frames it as the oracle does.
 func FuzzBatchRecord(f *testing.F) {
 	valid := batchRecord{
 		Seq:     7,
@@ -71,5 +119,6 @@ func FuzzBatchRecord(f *testing.F) {
 		if got := rec.encode(); !bytes.Equal(got, payload) {
 			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", payload, got)
 		}
+		checkFramed(t, rec)
 	})
 }

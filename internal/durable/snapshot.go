@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -40,43 +41,55 @@ import (
 const snapshotHeaderSize = len(snapMagic) + 12
 
 // rowSection is a snapshot's row section held encoded: n rows in the
-// WAL's row layout, without the section's leading count. The manager
-// keeps one for every row appended since the base dataset and extends
-// it as batches are logged, so a checkpoint writes rows it never has
-// to render; a copy of it is a prefix that later appends leave alone,
-// since they write only past its length.
+// WAL's row layout, without the section's leading count, as a list of
+// per-batch blocks. The manager keeps one for every row appended since
+// the base dataset and appends a block as each batch is logged, so a
+// checkpoint writes rows it never has to render. A batch in frame column
+// order adds the rows of its own WAL record, so its cells are encoded
+// once, for the log; no block is ever copied again. A copy of a section
+// is a prefix that later appends leave alone, since they write only past
+// its length.
 type rowSection struct {
-	n int
-	b []byte
+	n      int
+	blocks [][]byte
 }
 
-// add appends records to s with one cell per column of cols, in cols'
-// order. columns names the records' fields as a frame.RowBatch does
-// (empty: cols itself); a column the batch does not name gets the empty
-// cell, which AppendRows reads as missing, just as it reads an unnamed
-// column.
-func (s *rowSection) add(cols, columns []string, records [][]string) {
-	s.n += len(records)
-	if len(columns) == 0 {
-		for _, rec := range records {
-			s.b = appendRow(s.b, rec)
-		}
+// addBlock appends a block of n rows already in the section's layout.
+func (s *rowSection) addBlock(n int, block []byte) {
+	if n == 0 {
 		return
 	}
-	fieldOf := make([]int, len(cols))
-	for ci, name := range cols {
-		fieldOf[ci] = slices.Index(columns, name)
-	}
-	for _, rec := range records {
-		s.b = appendU32(s.b, uint32(len(cols)))
-		for _, fi := range fieldOf {
-			cell := ""
-			if fi >= 0 {
-				cell = rec[fi]
-			}
-			s.b = appendString(s.b, cell)
+	s.n += n
+	s.blocks = append(s.blocks, block)
+}
+
+// add appends records as one exact-size block with one cell per column
+// of cols, in cols' order. columns names the records' fields as a
+// frame.RowBatch does (empty: cols itself); a column the batch does not
+// name gets the empty cell, which AppendRows reads as missing, just as
+// it reads an unnamed column.
+func (s *rowSection) add(cols, columns []string, records [][]string) {
+	if len(columns) > 0 {
+		fieldOf := make([]int, len(cols))
+		for ci, name := range cols {
+			fieldOf[ci] = slices.Index(columns, name)
 		}
+		ordered := make([][]string, len(records))
+		for ri, rec := range records {
+			ordered[ri] = make([]string, len(cols))
+			for ci, fi := range fieldOf {
+				if fi >= 0 {
+					ordered[ri][ci] = rec[fi]
+				}
+			}
+		}
+		records = ordered
 	}
+	b := make([]byte, 0, rowsSize(records))
+	for _, rec := range records {
+		b = appendRow(b, rec)
+	}
+	s.addBlock(len(records), b)
 }
 
 // snapshotBody is a snapshot's body as it is on disk: the profile
@@ -93,10 +106,10 @@ type snapshotBody struct {
 	Profile []byte
 }
 
-// pieces returns the body's encoding in four parts — what precedes the
-// rows, the rows, the profile flag and length, the profile — so that
-// writing it copies neither of the large sections.
-func (b *snapshotBody) pieces() [4][]byte {
+// pieces returns the body's encoding in parts — what precedes the rows,
+// each block of rows, the profile flag and length, the profile — so that
+// writing it copies neither of the large sections into a body buffer.
+func (b *snapshotBody) pieces() [][]byte {
 	head := appendU64(nil, b.Seq)
 	head = appendU64(head, uint64(b.BaseRows))
 	head = appendU32(head, uint32(len(b.Cols)))
@@ -108,7 +121,10 @@ func (b *snapshotBody) pieces() [4][]byte {
 	if b.Profile != nil {
 		flag = appendU64([]byte{1}, uint64(len(b.Profile)))
 	}
-	return [4][]byte{head, b.Rows.b, flag, b.Profile}
+	out := make([][]byte, 0, len(b.Rows.blocks)+3)
+	out = append(out, head)
+	out = append(out, b.Rows.blocks...)
+	return append(out, flag, b.Profile)
 }
 
 func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }
@@ -140,6 +156,10 @@ func listSnapshots(fsys FS, dir string) ([]snapshotInfo, error) {
 	return snaps, nil
 }
 
+// snapshotWriteBuffer sizes the buffered writer a checkpoint writes
+// through.
+const snapshotWriteBuffer = 256 << 10
+
 // writeSnapshot persists body atomically and returns the final path.
 func writeSnapshot(fsys FS, dir string, body *snapshotBody) (string, error) {
 	pieces := body.pieces()
@@ -156,11 +176,17 @@ func writeSnapshot(fsys FS, dir string, body *snapshotBody) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("durable: creating snapshot temp file: %w", err)
 	}
-	_, err = f.Write(appendU32(appendU64([]byte(snapMagic), size), sum))
+	// One buffered writer: a section of many small blocks costs a few
+	// large writes, not a write per block.
+	w := bufio.NewWriterSize(f, snapshotWriteBuffer)
+	_, err = w.Write(appendU32(appendU64([]byte(snapMagic), size), sum))
 	for _, p := range pieces {
-		if err == nil && len(p) > 0 {
-			_, err = f.Write(p)
+		if err == nil {
+			_, err = w.Write(p)
 		}
+	}
+	if err == nil {
+		err = w.Flush()
 	}
 	if err != nil {
 		f.Close()
@@ -251,7 +277,7 @@ func parseSnapshot(file []byte) (*snapshotBody, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	b.Rows = rowSection{n: len(b.Records), b: body[start:c.off:c.off]}
+	b.Rows.addBlock(len(b.Records), body[start:c.off:c.off])
 	if c.off >= len(body) {
 		return nil, fmt.Errorf("durable: snapshot missing profile flag")
 	}

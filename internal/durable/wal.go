@@ -190,31 +190,31 @@ func (w *wal) startSegment() error {
 	return nil
 }
 
-// Append logs one batch and returns its sequence number and framed
-// size. Under FsyncAlways the record is durable on return; under the
-// other policies it is buffered. A failed write is rolled back by
+// Append logs one batch and returns its sequence number and the framed
+// record it wrote. Under FsyncAlways the record is durable on return;
+// under the other policies it is buffered. A failed write is rolled back by
 // truncating the segment to the last good record boundary so the tail
 // stays parseable; if even the rollback fails the log latches failed
 // and every later append errors immediately (the server then refuses
 // to ack, which is the honest outcome).
-func (w *wal) Append(columns []string, records [][]string) (seq uint64, n int, err error) {
+func (w *wal) Append(columns []string, records [][]string) (seq uint64, frame []byte, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed != nil {
-		return 0, 0, fmt.Errorf("durable: WAL failed earlier: %w", w.failed)
+		return 0, nil, fmt.Errorf("durable: WAL failed earlier: %w", w.failed)
 	}
 	if w.size >= w.segBytes {
 		w.nextSeqSegment()
 	}
 	seq = w.nextSeq
-	frame := frameRecord(batchRecord{Seq: seq, Columns: columns, Records: records}.encode())
+	frame = frameBatch(seq, columns, records)
 	wrote, werr := w.f.Write(frame)
 	if werr != nil || wrote != len(frame) {
 		if werr == nil {
 			werr = io.ErrShortWrite
 		}
 		w.rollbackTail(werr)
-		return 0, 0, fmt.Errorf("durable: WAL append: %w", werr)
+		return 0, nil, fmt.Errorf("durable: WAL append: %w", werr)
 	}
 	w.size += int64(len(frame))
 	w.dirty = true
@@ -224,13 +224,13 @@ func (w *wal) Append(columns []string, records [][]string) (seq uint64, n int, e
 			// The bytes may or may not be durable; roll the tail back so
 			// the unacked record cannot surface after recovery.
 			w.rollbackTail(serr)
-			return 0, 0, fmt.Errorf("durable: WAL fsync: %w", serr)
+			return 0, nil, fmt.Errorf("durable: WAL fsync: %w", serr)
 		}
 		w.onSync(nil)
 		w.dirty = false
 	}
 	w.nextSeq++
-	return seq, len(frame), nil
+	return seq, frame, nil
 }
 
 // nextSeqSegment rotates to a fresh segment; on failure the current

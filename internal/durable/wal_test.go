@@ -42,12 +42,12 @@ func TestWALRoundTrip(t *testing.T) {
 			}
 			for i := 0; i < 10; i++ {
 				cols, rows := testBatch(i)
-				seq, n, err := w.Append(cols, rows)
+				seq, rec, err := w.Append(cols, rows)
 				if err != nil {
 					t.Fatalf("append %d: %v", i, err)
 				}
-				if seq != uint64(i+1) || n <= 0 {
-					t.Fatalf("append %d: seq=%d n=%d", i, seq, n)
+				if seq != uint64(i+1) || len(rec) <= 0 {
+					t.Fatalf("append %d: seq=%d n=%d", i, seq, len(rec))
 				}
 			}
 			if err := w.Close(); err != nil {

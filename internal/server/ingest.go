@@ -226,11 +226,13 @@ func cellString(v interface{}) (string, error) {
 }
 
 // normalizeBatch maps rows keyed by cols to full frame-order records
-// (unnamed frame columns get missing cells).
+// (unnamed frame columns get missing cells). Rows whose cols already
+// are the frame's names in order come back as they are.
 func normalizeBatch(cols []string, rows [][]string, names []string) ([][]string, error) {
 	byName := indexNames(names)
 	pos := make([]int, len(cols))
 	seen := make(map[string]bool, len(cols))
+	inOrder := len(cols) == len(names)
 	for i, c := range cols {
 		c = strings.TrimSpace(c)
 		ci, ok := byName[c]
@@ -242,12 +244,18 @@ func normalizeBatch(cols []string, rows [][]string, names []string) ([][]string,
 		}
 		seen[c] = true
 		pos[i] = ci
+		inOrder = inOrder && ci == i
 	}
-	out := make([][]string, len(rows))
 	for ri, row := range rows {
 		if len(row) != len(cols) {
 			return nil, fmt.Errorf("ingest: row %d has %d cells, want %d", ri, len(row), len(cols))
 		}
+	}
+	if inOrder {
+		return rows, nil
+	}
+	out := make([][]string, len(rows))
+	for ri, row := range rows {
 		rec := make([]string, len(names))
 		for i, cell := range row {
 			rec[pos[i]] = cell

@@ -412,3 +412,48 @@ func FuzzIngestBody(f *testing.F) {
 		}
 	})
 }
+
+// TestNormalizeBatch: a header that already lists the frame's columns
+// in order, padding aside, hands its rows back as they are, after the
+// same checks any header gets; any other header is mapped to one
+// frame-order record per row.
+func TestNormalizeBatch(t *testing.T) {
+	names := []string{"x", "g"}
+	rows := [][]string{{"1", "a"}, {"", "b"}}
+	got, err := normalizeBatch([]string{" x", "g "}, rows, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows) || &got[0] != &rows[0] {
+		t.Fatalf("an in-order header copied its rows: %q", got)
+	}
+	for _, c := range []struct {
+		cols []string
+		rows [][]string
+		want [][]string
+	}{
+		{[]string{"g", "x"}, [][]string{{"a", "1"}, {"b", ""}}, [][]string{{"1", "a"}, {"", "b"}}},
+		{[]string{"g"}, [][]string{{"c"}}, [][]string{{"", "c"}}},
+	} {
+		got, err := normalizeBatch(c.cols, c.rows, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("header %q: %q, want %q", c.cols, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		cols []string
+		rows [][]string
+		err  string
+	}{
+		{[]string{"x", "g"}, [][]string{{"1", "a"}, {"2"}}, "row 1 has 1 cells"},
+		{[]string{"x", "x"}, [][]string{{"1", "2"}}, "duplicate column"},
+		{[]string{"x", "zz"}, [][]string{{"1", "2"}}, "unknown column"},
+	} {
+		if _, err := normalizeBatch(c.cols, c.rows, names); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("header %q: error %v, want %q", c.cols, err, c.err)
+		}
+	}
+}

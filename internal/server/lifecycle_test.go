@@ -303,3 +303,18 @@ func TestJSONResponsesCarryContentLength(t *testing.T) {
 		}
 	}
 }
+
+// TestListenURL: the startup log names the URL a listener answers at,
+// built from its -addr: localhost only when the address names no host.
+func TestListenURL(t *testing.T) {
+	for _, c := range []struct{ addr, want string }{
+		{":8600", "http://localhost:8600"},
+		{"127.0.0.1:7071", "http://127.0.0.1:7071"},
+		{"[::1]:80", "http://[::1]:80"},
+		{"example.test:8080", "http://example.test:8080"},
+	} {
+		if got := listenURL(c.addr); got != c.want {
+			t.Errorf("listenURL(%q) = %q, want %q", c.addr, got, c.want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -224,8 +225,8 @@ func (fl *Flags) Run(version string) error {
 		WriteTimeout:      max(30*time.Second, fl.requestTimeout+10*time.Second),
 		IdleTimeout:       120 * time.Second,
 	}
-	log.Printf("foresight server %s: serving %s on http://localhost%s (workers=%d timeout=%v max-inflight=%d; /metrics, /api/stats, /api/debug/traces, /api/debug/insights)",
-		version, f.Summary(), fl.addr, engine.Workers(), fl.requestTimeout, fl.maxInflight)
+	log.Printf("foresight server %s: serving %s on %s (workers=%d timeout=%v max-inflight=%d; /metrics, /api/stats, /api/debug/traces, /api/debug/insights)",
+		version, f.Summary(), listenURL(fl.addr), engine.Workers(), fl.requestTimeout, fl.maxInflight)
 	err = runUntilSignalled(httpSrv, fl.shutdownGrace, fatal)
 	srv.Close() // refuse ingest after the listener has drained
 	if durMgr != nil {
@@ -272,6 +273,19 @@ func runUntilSignalled(srv *http.Server, grace time.Duration, fatal <-chan error
 	return nil
 }
 
+// listenURL is the base URL of a listener on addr: the host addr names,
+// an IPv6 one in brackets, or localhost when it names none (":8600").
+func listenURL(addr string) string {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "http://" + addr
+	}
+	if host == "" {
+		host = "localhost"
+	}
+	return "http://" + net.JoinHostPort(host, port)
+}
+
 // serveDebug runs the pprof + metrics sidecar listener. pprof's
 // handlers are registered explicitly rather than via the package's
 // DefaultServeMux side effect, so importing net/http/pprof never
@@ -286,7 +300,7 @@ func serveDebug(addr string, reg *obs.Registry) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/metrics", reg.Handler())
-	log.Printf("debug listener on http://localhost%s (pprof at /debug/pprof/)", addr)
+	log.Printf("debug listener on %s (pprof at /debug/pprof/)", listenURL(addr))
 	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("debug listener on %s failed: %v (continuing without pprof sidecar)", addr, err)

@@ -25,8 +25,15 @@ func DipSorted(sorted []float64) float64 {
 		return 0 // constant sample: perfectly unimodal
 	}
 
+	// The work arrays come from the pool: every entry the routine reads
+	// it has written earlier in the same call.
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+
 	// x[1..n] with a dummy 0 slot to keep the reference indexing.
-	x := make([]float64, n+1)
+	sc.floats = grow(sc.floats, n+1)
+	x := sc.floats
+	x[0] = 0
 	copy(x[1:], sorted)
 
 	low, high := 1, n
@@ -34,10 +41,11 @@ func DipSorted(sorted []float64) float64 {
 	// minimal attainable value 1/n (i.e. dip = 1/(2n)).
 	dip := 1.0
 
-	mn := make([]int, n+1)
-	mj := make([]int, n+1)
-	gcm := make([]int, n+2)
-	lcm := make([]int, n+2)
+	sc.ints = grow(sc.ints, 4*n+6)
+	mn := sc.ints[: n+1 : n+1]
+	mj := sc.ints[n+1 : 2*n+2 : 2*n+2]
+	gcm := sc.ints[2*n+2 : 3*n+4 : 3*n+4]
+	lcm := sc.ints[3*n+4 : 4*n+6]
 
 	// Greatest convex minorant indices.
 	mn[1] = 1

@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -151,5 +153,91 @@ func BenchmarkDip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Dip(xs)
+	}
+}
+
+// bimodalSorted is n sorted values from two separated normals.
+func bimodalSorted(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = rng.NormFloat64() + float64(4*(i%2))
+	}
+	slices.Sort(xs)
+	return xs
+}
+
+// TestDipSortedAllocations: the dip's work arrays come from the scratch
+// pool, so 100 dips of 8 000 values allocate next to nothing; fresh
+// arrays cost 40 bytes a value, ≈ 32 MB over the 100. The fewest bytes
+// of three rounds count: a round whose goroutine moved to a processor
+// with a cold pool pays for its arrays once.
+func TestDipSortedAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects at random")
+	}
+	const n, calls, ceiling = 8000, 100, 100 << 10
+	xs := bimodalSorted(n, 3)
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		for range calls {
+			DipSorted(xs)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > ceiling {
+		t.Fatalf("%d dips of %d values allocated %d bytes, ceiling %d", calls, n, least, ceiling)
+	}
+}
+
+// TestDipSortedPooledScratch: a dip reads only work-array entries it
+// wrote, so a pooled scratch full of another call's leftovers, or of
+// garbage, gives the dip bit for bit that fresh zeroed arrays give.
+func TestDipSortedPooledScratch(t *testing.T) {
+	var samples [][]float64
+	for i, n := range []int{8000, 50, 777, 3, 2000} {
+		samples = append(samples, bimodalSorted(n, int64(i)))
+	}
+	fresh := make([]float64, len(samples))
+	for i, s := range samples {
+		scratchPool.Put(new(scratch))
+		fresh[i] = DipSorted(s)
+	}
+	poison := &scratch{floats: make([]float64, 9000), ints: make([]int, 40000)}
+	for i := range poison.floats {
+		poison.floats[i] = math.NaN()
+	}
+	for i := range poison.ints {
+		poison.ints[i] = 1 << 40
+	}
+	for i, s := range samples {
+		scratchPool.Put(poison)
+		if got := DipSorted(s); math.Float64bits(got) != math.Float64bits(fresh[i]) {
+			t.Errorf("sample %d (n=%d): dip %v on a used scratch, %v on a fresh one", i, len(s), got, fresh[i])
+		}
+	}
+}
+
+// TestNumBinsSortedInPlace: sorted NaN-free values are binned without
+// a sorted copy, to the same count a shuffled copy of them gets.
+func TestNumBinsSortedInPlace(t *testing.T) {
+	xs := bimodalSorted(4000, 5)
+	shuffled := slices.Clone(xs)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	withNaN := append(slices.Clone(xs), math.NaN())
+	for _, rule := range []BinRule{FreedmanDiaconis, Sturges, Scott} {
+		want := NumBins(shuffled, rule)
+		if got := NumBins(xs, rule); got != want {
+			t.Errorf("rule %d: %d bins sorted, %d shuffled", rule, got, want)
+		}
+		if got := NumBins(withNaN, rule); got != want {
+			t.Errorf("rule %d: %d bins with a NaN, %d without", rule, got, want)
+		}
+		if a := testing.AllocsPerRun(10, func() { NumBins(xs, rule) }); a != 0 {
+			t.Errorf("rule %d: NumBins of sorted values allocated %v times", rule, a)
+		}
 	}
 }

@@ -28,9 +28,13 @@ type Histogram struct {
 }
 
 // NumBins returns the suggested number of bins for the non-NaN values
-// of xs under the rule, always at least 1.
+// of xs under the rule, always at least 1. Values already sorted and
+// free of NaN (Ordered.Sorted) are read in place.
 func NumBins(xs []float64, rule BinRule) int {
-	s := sortedCopy(xs)
+	s := xs
+	if !sortedClean(xs) {
+		s = sortedCopy(xs)
+	}
 	n := len(s)
 	if n == 0 {
 		return 1
@@ -64,6 +68,17 @@ func NumBins(xs []float64, rule BinRule) int {
 		bins = 512
 	}
 	return bins
+}
+
+// sortedClean reports whether xs is ascending and free of NaN, as
+// sortedCopy would leave it.
+func sortedClean(xs []float64) bool {
+	for i, x := range xs {
+		if math.IsNaN(x) || (i > 0 && x < xs[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewHistogram bins the non-NaN values of xs into the given number of

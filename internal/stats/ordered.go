@@ -304,12 +304,13 @@ func ExtendOrder(order []int32, xs []float64, from int) []int32 {
 }
 
 // scratch is the pooled working memory of the pair kernels
-// (SpearmanOrdered's drop tables, silhouette) and of the radix sort;
-// nothing in it outlives a call.
+// (SpearmanOrdered's drop tables, silhouette), of the radix sort and of
+// the dip; nothing in it outlives a call.
 type scratch struct {
 	floats []float64
 	slots  []int32
 	keys   []uint64
+	ints   []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
