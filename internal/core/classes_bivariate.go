@@ -153,7 +153,7 @@ func (c *monotonicClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, m
 	x, y := ps.num[0], ps.num[1]
 	switch {
 	case in.Metric == "kendall":
-		return rankInsight(in, stats.KendallTauB(x.RowSampleValues, y.RowSampleValues)), nil
+		return rankInsight(in, stats.KendallTauB(x.RowSampleValues(), y.RowSampleValues())), nil
 	case x.RankPlanes != nil && y.RankPlanes != nil:
 		// The rank-projection sketch (sketch.DatasetProfile.EstimateSpearman).
 		return rankInsight(in, x.RankPlanes.EstimateCorrelation(y.RankPlanes)), nil
@@ -242,7 +242,7 @@ func (c *dependenceClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, 
 		return Insight{}, err
 	}
 	cp := ps.cat[1]
-	eta2 := stats.CorrelationRatio(cp.RowSampleCodes, ps.num[0].RowSampleValues, cp.Cardinality)
+	eta2 := stats.CorrelationRatio(cp.RowSampleCodes(), ps.num[0].RowSampleValues(), cp.Cardinality)
 	return scored(in, eta2, map[string]float64{"groups": float64(cp.Cardinality)}), nil
 }
 
@@ -311,7 +311,7 @@ func (c *catAssocClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, me
 		return Insight{}, err
 	}
 	a, b := ps.cat[0], ps.cat[1]
-	ct := stats.NewContingency(a.RowSampleCodes, b.RowSampleCodes, a.Cardinality, b.Cardinality)
+	ct := stats.NewContingency(a.RowSampleCodes(), b.RowSampleCodes(), a.Cardinality, b.Cardinality)
 	return scored(in, association(ct, in.Metric), nil), nil
 }
 
@@ -417,7 +417,7 @@ func (c *segmentationClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string
 		return Insight{}, err
 	}
 	xs, ys, z := ps.num[0].RowSampleOrdered(), ps.num[1].RowSampleOrdered(), ps.cat[2]
-	sil := stats.GroupSilhouette(xs, ys, z.RowSampleCodes, z.Cardinality, c.step(min(len(xs.Values), len(ys.Values), len(z.RowSampleCodes))))
+	sil := stats.GroupSilhouette(xs, ys, z.RowSampleCodes(), z.Cardinality, c.step(min(len(xs.Values), len(ys.Values), len(z.RowSampleCodes()))))
 	return silhouetteInsight(in, sil, z.Cardinality)
 }
 

@@ -64,7 +64,7 @@ func (c *nonlinearClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, m
 	if err != nil {
 		return Insight{}, err
 	}
-	return c.score(in, ps.num[0].RowSampleValues, ps.num[1].RowSampleValues), nil
+	return c.score(in, ps.num[0].RowSampleValues(), ps.num[1].RowSampleValues()), nil
 }
 
 // normalityClass ranks numeric attributes by closeness to a normal

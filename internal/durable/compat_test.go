@@ -118,9 +118,9 @@ func TestRecoverSnapshotWithParentV3Profile(t *testing.T) {
 	}
 	m, e, rec := life()
 	p := e.Profile()
-	if rec.SnapshotSeq != 6 || p.Config.SampleSize != 8 || !slices.Equal(p.RowSample.Indexes, []int{2, 3, 8, 11, 13, 15, 16, 21}) {
+	if rec.SnapshotSeq != 6 || p.Config.SampleSize != 8 || !slices.Equal(p.RowSample.Indexes(), []int{2, 3, 8, 11, 13, 15, 16, 21}) {
 		t.Fatalf("recovery %+v did not restore the snapshot's profile: sample size %d, row sample %v",
-			rec, p.Config.SampleSize, p.RowSample.Indexes)
+			rec, p.Config.SampleSize, p.RowSample.Indexes())
 	}
 	for i := 6; i < 10; i++ {
 		if _, err := e.Ingest(context.Background(), crashBatch(i), nil); err != nil {
@@ -134,11 +134,11 @@ func TestRecoverSnapshotWithParentV3Profile(t *testing.T) {
 		}
 		// The row sample still names distinct rows of the frame, and the
 		// gathers still hold them.
-		for j, row := range p.RowSample.Indexes {
-			if row < 0 || row >= len(x) || slices.Index(p.RowSample.Indexes, row) != j {
-				t.Fatalf("after batch %d: row sample %v over %d rows", i, p.RowSample.Indexes, len(x))
+		for j, row := range p.RowSample.Indexes() {
+			if row < 0 || row >= len(x) || slices.Index(p.RowSample.Indexes(), row) != j {
+				t.Fatalf("after batch %d: row sample %v over %d rows", i, p.RowSample.Indexes(), len(x))
 			}
-			if got := p.Numeric["x"].RowSampleValues[j]; got != x[row] {
+			if got := p.Numeric["x"].RowSampleValues()[j]; got != x[row] {
 				t.Fatalf("after batch %d: slot %d holds %v, row %d is %v", i, j, got, row, x[row])
 			}
 		}

@@ -104,6 +104,9 @@ type Stats struct {
 	Checkpoints         uint64        `json:"checkpoints"`
 	CheckpointErrors    uint64        `json:"checkpoint_errors"`
 	Recovery            RecoveryStats `json:"recovery"`
+	// Failed is the error the WAL latched failed with (an append whose
+	// tail rollback failed too): every later ingest fails until restart.
+	Failed string `json:"failed,omitempty"`
 }
 
 // Manager owns one WAL directory and wires durability into an engine:
@@ -443,9 +446,12 @@ func (m *Manager) Stats() Stats {
 	w := m.wal
 	rec := m.recovery
 	m.mu.Unlock()
-	segments := 0
+	segments, failed := 0, ""
 	if w != nil {
 		segments = w.Segments()
+		if err := w.Failed(); err != nil {
+			failed = err.Error()
+		}
 	}
 	return Stats{
 		Dir:                 m.dir,
@@ -462,6 +468,7 @@ func (m *Manager) Stats() Stats {
 		Checkpoints:         m.checkpoints.Load(),
 		CheckpointErrors:    m.ckptErrors.Load(),
 		Recovery:            rec,
+		Failed:              failed,
 	}
 }
 

@@ -265,6 +265,13 @@ func (w *wal) rollbackTail(cause error) {
 	}
 }
 
+// Failed returns the error the log latched failed with, or nil.
+func (w *wal) Failed() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.failed
+}
+
 // Sync flushes buffered appends. Used by the interval loop and Close.
 // The fsync itself runs outside mu — on a disk where fsync takes
 // milliseconds, holding the lock would stall every append landing in

@@ -25,20 +25,27 @@ func TestProfileBuildMetrics(t *testing.T) {
 	ts := httptest.NewServer(New(engine, 5, false, Options{}))
 	t.Cleanup(ts.Close)
 
-	// A build on workers and its extension after server construction:
-	// their phase timings must flow through the observer into the
-	// server's registry.
+	// A build on workers and its extension after server construction,
+	// then the first read of a sample array the extension left as slot
+	// writes: their phase timings must flow through the observer into
+	// the server's registry.
 	row := make([]string, f.Cols())
 	for c := range row {
 		row[c] = f.Column(c).StringAt(0)
 	}
-	grown, err := f.AppendRows(frame.RowBatch{Records: [][]string{row}}, nil)
+	batch := frame.RowBatch{}
+	for range 300 {
+		batch.Records = append(batch.Records, row)
+	}
+	grown, err := f.AppendRows(batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, K: 64, Workers: 2}).Extend(grown); err != nil {
+	ext, err := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 1, K: 64, Workers: 2}).Extend(grown)
+	if err != nil {
 		t.Fatal(err)
 	}
+	ext.RowSample.Indexes()
 
 	_, _, body := fetch(t, ts.URL+"/metrics")
 	for _, want := range []string{
@@ -48,6 +55,7 @@ func TestProfileBuildMetrics(t *testing.T) {
 		`foresight_profile_build_seconds_count{phase="build.rowsample"}`,
 		`foresight_profile_build_seconds_count{phase="extend.delta"}`,
 		`foresight_profile_build_seconds_count{phase="merge"}`,
+		`foresight_profile_build_seconds_count{phase="sample.build"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

@@ -173,6 +173,44 @@ func TestStatsDurableSection(t *testing.T) {
 	}
 }
 
+// TestReadyzReportsLatchedWALFailure: an append whose write crashes the
+// filesystem cannot roll its tail back either, so the WAL latches
+// failed. Every later ingest then fails fast, /readyz answers 503 with
+// the cause, /api/stats names it, and reads keep serving.
+func TestReadyzReportsLatchedWALFailure(t *testing.T) {
+	ts, _, m, fs := newDurableServer(t)
+	fs.CrashAt(fs.Ops() + 1)
+	if res, body := postIngest(t, ts.URL, "application/json", `{"rows": [["4", "b"]]}`); res.StatusCode < 500 {
+		t.Fatalf("ingest onto a crashing write = %d (%v), want a 5xx", res.StatusCode, body)
+	}
+	res, body := postIngest(t, ts.URL, "application/json", `{"rows": [["5", "a"]]}`)
+	if msg, _ := body["error"].(string); res.StatusCode < 500 || !strings.Contains(msg, "WAL failed earlier") {
+		t.Fatalf("ingest after the latch = %d %q, want a 5xx naming the earlier failure", res.StatusCode, msg)
+	}
+
+	failed := m.Stats().Failed
+	if !strings.Contains(failed, "tail rollback failed") {
+		t.Fatalf("durable.Stats().Failed = %q, want the rollback failure", failed)
+	}
+	var ready struct {
+		Ready  bool   `json:"ready"`
+		Reason string `json:"reason"`
+	}
+	if res := getJSON(t, ts.URL+"/readyz", &ready); res.StatusCode != http.StatusServiceUnavailable ||
+		ready.Ready || ready.Reason != "WAL failed: "+failed {
+		t.Fatalf("/readyz after the latch = %d %+v, want 503 naming %q", res.StatusCode, ready, failed)
+	}
+	var st struct {
+		Durable durable.Stats `json:"durable"`
+	}
+	if res := getJSON(t, ts.URL+"/api/stats", &st); res.StatusCode != 200 || st.Durable.Failed != failed {
+		t.Fatalf("/api/stats durable.failed = %q (status %d), want %q", st.Durable.Failed, res.StatusCode, failed)
+	}
+	if res := getJSON(t, ts.URL+"/api/carousels?k=2", nil); res.StatusCode != 200 {
+		t.Fatalf("carousel after the latch = %d, want 200", res.StatusCode)
+	}
+}
+
 // TestIngestAckSurvivesSimulatedCrash is the HTTP-level durability
 // contract: a 202 with fsync=always means the rows are recoverable
 // even if the process dies immediately after.

@@ -398,13 +398,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is the readiness probe: 503 until startup recovery
 // (snapshot load + WAL replay) has completed, 200 after. Orchestrators
-// keep traffic away until this flips.
+// keep traffic away until this flips. It is 503 again, naming the
+// cause, once the WAL has latched failed: every ingest fails until a
+// restart, though reads keep serving.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		w.Header().Set("Retry-After", "1")
 		s.writeJSONStatus(w, http.StatusServiceUnavailable,
 			map[string]interface{}{"ready": false, "reason": "startup recovery in progress"})
 		return
+	}
+	if s.durable != nil {
+		if failed := s.durable.Stats().Failed; failed != "" {
+			s.writeJSONStatus(w, http.StatusServiceUnavailable,
+				map[string]interface{}{"ready": false, "reason": "WAL failed: " + failed})
+			return
+		}
 	}
 	s.writeJSON(w, map[string]interface{}{"ready": true})
 }

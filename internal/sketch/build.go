@@ -44,8 +44,11 @@ func buildRangeSketches(f *frame.Frame, cfg ProfileConfig, start, end int) *Data
 		np := &NumericProfile{
 			Name:      nc.Name(),
 			Quantiles: NewKLL(cfg.KLLSize, cfg.Seed+int64(i)*7+2+int64(start)),
-			Sample:    NewReservoir(cfg.SampleSize, reservoirSeed(cfg.Seed, nc.Name())+int64(start)),
+			// Sized for the range, so a batch's delta does not grow by
+			// doublings.
+			Sample: newReservoir(cfg.SampleSize, reservoirSeed(cfg.Seed, nc.Name())+int64(start), end-start),
 		}
+		np.Quantiles.compactors[0] = make([]float64, 0, min(np.Quantiles.capacity(0), end-start))
 		for _, v := range nc.ValuesRange(start, end) {
 			if math.IsNaN(v) {
 				continue
@@ -186,11 +189,11 @@ func finish(f *frame.Frame, p *DatasetProfile) {
 	p.RowSample = NewRowSample(f.Rows(), cfg.RowSampleSize, cfg.Seed+1)
 	eachColumn(len(numeric), cfg.Workers, func(i int) {
 		nc := numeric[i]
-		p.Numeric[nc.Name()].RowSampleValues = p.RowSample.GatherFloats(nc.Values())
+		p.Numeric[nc.Name()].gather = builtSlots(p.RowSample.GatherFloats(nc.Values()))
 	})
 	eachColumn(len(categorical), cfg.Workers, func(i int) {
 		cc := categorical[i]
-		p.Categorical[cc.Name()].RowSampleCodes = p.RowSample.GatherCodes(cc.Codes())
+		p.Categorical[cc.Name()].codes = builtSlots(p.RowSample.GatherCodes(cc.Codes()))
 	})
 	observeSince("build.rowsample", sampleStart)
 }

@@ -20,7 +20,8 @@ import (
 // moments, the KLL compactors, the projection dots, the categorical
 // sketches — each copied once. What Merge replaces rather than writes
 // (the value reservoir, the sign bits) and what Extend itself replaces
-// (the row sample and its gathers) is shared with p until then. Rank
+// (the row sample and its gathers) is shared with p until then; their
+// successors record the slots the batch writes (slotted). Rank
 // (Spearman) projections are left out: ranks cannot extend, and stale
 // ones would silently answer for the old rows only.
 func (p *DatasetProfile) mergeTarget() *DatasetProfile {
@@ -33,25 +34,25 @@ func (p *DatasetProfile) mergeTarget() *DatasetProfile {
 	}
 	for name, np := range p.Numeric {
 		out.Numeric[name] = &NumericProfile{
-			Name:            np.Name,
-			Moments:         np.Moments,
-			Quantiles:       np.Quantiles.Clone(),
-			Proj:            &Projection{Dots: append([]float64(nil), np.Proj.Dots...), Rows: np.Proj.Rows, Seed: np.Proj.Seed},
-			ProjCenter:      np.ProjCenter,
-			Planes:          np.Planes,
-			Sample:          np.Sample,
-			RowSampleValues: np.RowSampleValues,
+			Name:       np.Name,
+			Moments:    np.Moments,
+			Quantiles:  np.Quantiles.Clone(),
+			Proj:       &Projection{Dots: append([]float64(nil), np.Proj.Dots...), Rows: np.Proj.Rows, Seed: np.Proj.Seed},
+			ProjCenter: np.ProjCenter,
+			Planes:     np.Planes,
+			Sample:     np.Sample,
+			gather:     np.gather,
 		}
 	}
 	for name, cp := range p.Categorical {
 		out.Categorical[name] = &CategoricalProfile{
-			Name:           cp.Name,
-			Heavy:          cp.Heavy.Clone(),
-			Distinct:       cp.Distinct.Clone(),
-			Rows:           cp.Rows,
-			RowSampleCodes: cp.RowSampleCodes,
-			Cardinality:    cp.Cardinality,
-			Dict:           cp.Dict,
+			Name:        cp.Name,
+			Heavy:       cp.Heavy.Clone(),
+			Distinct:    cp.Distinct.Clone(),
+			Rows:        cp.Rows,
+			codes:       cp.codes,
+			Cardinality: cp.Cardinality,
+			Dict:        cp.Dict,
 		}
 	}
 	return out
@@ -63,11 +64,13 @@ func (p *DatasetProfile) mergeTarget() *DatasetProfile {
 // shape). The new rows are profiled by buildRange — centered on the
 // stored build-time projection centers so the partial stays
 // merge-compatible — and folded by Merge into mergeTarget's copy of p;
-// the shared row sample is offered the new rows and only the slots
-// they take are regathered. The receiver is never mutated, so
-// concurrent readers holding p keep a consistent store; the result
+// the shared row sample is offered the new rows, and the slots they
+// take are recorded in it and in every column's gather, read from f.
+// The receiver is never mutated, so concurrent readers holding p keep
+// a consistent store; the result
 // shares with it what the batch left alone. The cost is O(appended
-// rows) plus one copy of the sketches, whatever p.Rows is, and the
+// rows) plus one copy of the sketches, whatever p.Rows is — the sample
+// arrays are built by their first reader, not copied here — and the
 // result is a function of (what Save writes of p, f): a profile
 // reloaded from a snapshot extends to the same bytes. Rank (Spearman)
 // projections are dropped from the result. With no rows appended the
@@ -122,19 +125,22 @@ func (p *DatasetProfile) Extend(f *frame.Frame) (*DatasetProfile, error) {
 	observeSince("extend.merge", mergeStart)
 
 	// The state that indexes or labels the whole frame: offer the new
-	// rows to the row sample and regather the slots they took; take the
-	// dictionaries (appends can introduce labels) from the frame.
+	// rows to the row sample and record the slots they took, in it and
+	// in each column's gather; take the dictionaries (appends can
+	// introduce labels) from the frame.
 	sampleStart := time.Now()
-	var slots []int
-	out.RowSample, slots = p.RowSample.extended(old, f.Rows(), cfg.RowSampleSize, cfg.Seed+1)
-	idx := out.RowSample.Indexes
+	ws := rowSampleWrites(old, f.Rows(), cfg.RowSampleSize, cfg.Seed+1)
+	n := min(f.Rows(), cfg.RowSampleSize)
+	out.RowSample = &RowSample{indexes: p.RowSample.indexes.extended(n, ws)}
+	fws := make([]slotWrite[float64], len(ws))
 	for _, nc := range numeric {
 		np := out.Numeric[nc.Name()]
-		np.RowSampleValues = regather(np.RowSampleValues, nc.Values(), idx, slots)
+		np.gather = np.gather.extended(n, gatherWrites(fws, ws, nc.Values()))
 	}
+	cws := make([]slotWrite[int32], len(ws))
 	for _, cc := range categorical {
 		cp := out.Categorical[cc.Name()]
-		cp.RowSampleCodes = regather(cp.RowSampleCodes, cc.Codes(), idx, slots)
+		cp.codes = cp.codes.extended(n, gatherWrites(cws, ws, cc.Codes()))
 		cp.Cardinality = cc.Cardinality()
 		cp.Dict = cc.Dict()
 	}
@@ -143,18 +149,11 @@ func (p *DatasetProfile) Extend(f *frame.Frame) (*DatasetProfile, error) {
 	return out, nil
 }
 
-// regather returns a column's gather at the row sample idx, given its
-// gather at the sample idx extends and the slots the extension wrote:
-// a copy of old with those slots read afresh from col, or old itself
-// when there are none.
-func regather[T any](old, col []T, idx, slots []int) []T {
-	if len(slots) == 0 {
-		return old
+// gatherWrites fills dst with a column's writes for the row sample's
+// writes ws: the value of col at each written row, at its slot.
+func gatherWrites[T any](dst []slotWrite[T], ws []slotWrite[int], col []T) []slotWrite[T] {
+	for i, w := range ws {
+		dst[i] = slotWrite[T]{w.slot, col[w.v]}
 	}
-	out := make([]T, len(idx))
-	copy(out, old)
-	for _, j := range slots {
-		out[j] = col[idx[j]]
-	}
-	return out
+	return dst
 }

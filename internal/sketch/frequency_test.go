@@ -390,7 +390,7 @@ func TestRowSample(t *testing.T) {
 		t.Fatalf("Len = %d, want 10", s.Len())
 	}
 	seen := map[int]bool{}
-	for _, idx := range s.Indexes {
+	for _, idx := range s.Indexes() {
 		if idx < 0 || idx >= 100 {
 			t.Fatalf("index %d out of range", idx)
 		}

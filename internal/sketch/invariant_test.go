@@ -240,7 +240,7 @@ func TestExtendLeavesReceiverIntact(t *testing.T) {
 		s.distinct = p.Categorical["cat"].Distinct.Distinct()
 		top := p.Categorical["cat"].Heavy.Top(1)
 		s.topItem, s.topCount = top[0].Item, top[0].Count
-		s.rowSample0 = p.Numeric["x"].RowSampleValues[0]
+		s.rowSample0 = p.Numeric["x"].RowSampleValues()[0]
 		s.rowSampleMean = p.Numeric["x"].RowSampleOrdered().Mean
 		return s
 	}

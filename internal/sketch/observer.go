@@ -25,8 +25,11 @@ import (
 //	extend.copy        copying what the merge will write (mergeTarget)
 //	extend.delta       the partial profile over the appended rows
 //	extend.merge       folding the partial in (also reported as merge)
-//	extend.rowsample   offering the rows to the row sample, regathering
+//	extend.rowsample   offering the rows to the row sample, recording
+//	                   the slots they take in it and in each gather
 //	merge              one DatasetProfile.Merge call
+//	sample.build       the first read of a sample array an Extend left
+//	                   as slot writes (row sample, gather, reservoir)
 //
 // build and extend are each reported once per call at any worker count.
 // A sub-phase is reported by whoever runs it: an extension's delta is a

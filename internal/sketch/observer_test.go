@@ -35,13 +35,24 @@ func TestTimingObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Extend(f2); err != nil {
+	ext, err := p.Extend(f2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range []string{"extend", "extend.copy", "extend.delta", "extend.merge", "extend.rowsample"} {
 		if got[op] != 1 {
 			t.Errorf("op %s observed %d times, want 1", op, got[op])
 		}
+	}
+	// The row sample it took slots of is built by its first reader,
+	// once.
+	if got["sample.build"] != 0 {
+		t.Errorf("Extend built %d sample arrays nobody read", got["sample.build"])
+	}
+	ext.RowSample.Indexes()
+	ext.RowSample.Indexes()
+	if got["sample.build"] != 1 {
+		t.Errorf("two reads of the row sample reported %d sample builds, want 1", got["sample.build"])
 	}
 
 	// One phase table at any worker count: a build or an extension on

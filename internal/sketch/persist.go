@@ -168,13 +168,13 @@ func kmvFromWire(w kmvWire) *KMV {
 }
 
 func reservoirToWire(s *Reservoir) reservoirWire {
-	return reservoirWire{Capacity: s.capacity, N: s.n, Items: append([]float64(nil), s.items...)}
+	return reservoirWire{Capacity: s.capacity, N: s.n, Items: append([]float64(nil), s.Sample()...)}
 }
 
 func reservoirFromWire(w reservoirWire, seed int64) *Reservoir {
 	s := NewReservoir(w.Capacity, seed)
 	s.n = w.N
-	s.items = append([]float64(nil), w.Items...)
+	s.items = builtSlots(append([]float64(nil), w.Items...))
 	return s
 }
 
@@ -208,7 +208,7 @@ func (p *DatasetProfile) Save(w io.Writer) error {
 		Version:   profileWireVersion,
 		Rows:      p.Rows,
 		Config:    p.Config,
-		RowSample: p.RowSample.Indexes,
+		RowSample: p.RowSample.Indexes(),
 	}
 	wire.Config.Workers = 0
 	// Deterministic column order for stable output.
@@ -222,7 +222,7 @@ func (p *DatasetProfile) Save(w io.Writer) error {
 				ProjCenter:      np.ProjCenter,
 				Planes:          hyperplaneToWire(np.Planes),
 				Sample:          reservoirToWire(np.Sample),
-				RowSampleValues: np.RowSampleValues,
+				RowSampleValues: np.RowSampleValues(),
 			}
 			if np.RankProj != nil {
 				nw.HasRank = true
@@ -238,7 +238,7 @@ func (p *DatasetProfile) Save(w io.Writer) error {
 			Heavy:          spaceSavingToWire(cp.Heavy),
 			Distinct:       kmvToWire(cp.Distinct),
 			Rows:           cp.Rows,
-			RowSampleCodes: cp.RowSampleCodes,
+			RowSampleCodes: cp.RowSampleCodes(),
 			Cardinality:    cp.Cardinality,
 			Dict:           cp.Dict,
 		})
@@ -277,20 +277,20 @@ func LoadProfile(r io.Reader) (*DatasetProfile, error) {
 	p := &DatasetProfile{
 		Rows:        wire.Rows,
 		Config:      wire.Config,
-		RowSample:   &RowSample{Indexes: wire.RowSample},
+		RowSample:   &RowSample{indexes: builtSlots(wire.RowSample)},
 		Numeric:     make(map[string]*NumericProfile, len(wire.Numeric)),
 		Categorical: make(map[string]*CategoricalProfile, len(wire.Categorical)),
 	}
 	for _, nw := range wire.Numeric {
 		np := &NumericProfile{
-			Name:            nw.Name,
-			Moments:         nw.Moments,
-			Quantiles:       kllFromWire(nw.Quantiles),
-			Proj:            projectionFromWire(nw.Proj),
-			ProjCenter:      nw.ProjCenter,
-			Planes:          hyperplaneFromWire(nw.Planes),
-			Sample:          reservoirFromWire(nw.Sample, reservoirSeed(wire.Config.Seed, nw.Name)),
-			RowSampleValues: nw.RowSampleValues,
+			Name:       nw.Name,
+			Moments:    nw.Moments,
+			Quantiles:  kllFromWire(nw.Quantiles),
+			Proj:       projectionFromWire(nw.Proj),
+			ProjCenter: nw.ProjCenter,
+			Planes:     hyperplaneFromWire(nw.Planes),
+			Sample:     reservoirFromWire(nw.Sample, reservoirSeed(wire.Config.Seed, nw.Name)),
+			gather:     builtSlots(nw.RowSampleValues),
 		}
 		if nw.HasRank {
 			np.RankProj = projectionFromWire(nw.RankProj)
@@ -300,13 +300,13 @@ func LoadProfile(r io.Reader) (*DatasetProfile, error) {
 	}
 	for _, cw := range wire.Categorical {
 		p.Categorical[cw.Name] = &CategoricalProfile{
-			Name:           cw.Name,
-			Heavy:          spaceSavingFromWire(cw.Heavy),
-			Distinct:       kmvFromWire(cw.Distinct),
-			Rows:           cw.Rows,
-			RowSampleCodes: cw.RowSampleCodes,
-			Cardinality:    cw.Cardinality,
-			Dict:           cw.Dict,
+			Name:        cw.Name,
+			Heavy:       spaceSavingFromWire(cw.Heavy),
+			Distinct:    kmvFromWire(cw.Distinct),
+			Rows:        cw.Rows,
+			codes:       builtSlots(cw.RowSampleCodes),
+			Cardinality: cw.Cardinality,
+			Dict:        cw.Dict,
 		}
 	}
 	return p, nil

@@ -51,7 +51,7 @@ func TestProfileSaveLoadRoundTrip(t *testing.T) {
 		if onp.OutlierScoreEstimate(0) != lnp.OutlierScoreEstimate(0) {
 			t.Errorf("%s: outlier estimate differs", name)
 		}
-		if len(onp.RowSampleValues) != len(lnp.RowSampleValues) {
+		if len(onp.RowSampleValues()) != len(lnp.RowSampleValues()) {
 			t.Errorf("%s: row sample values lost", name)
 		}
 	}
@@ -98,7 +98,7 @@ func TestProfileSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// Row sample restored.
-	if len(loaded.RowSample.Indexes) != len(orig.RowSample.Indexes) {
+	if loaded.RowSample.Len() != orig.RowSample.Len() {
 		t.Error("row sample lost")
 	}
 }

@@ -96,23 +96,27 @@ type NumericProfile struct {
 	// Sample is a uniform value sample for metrics with no closed-form
 	// sketch (dip statistic, outlier mean distance).
 	Sample *Reservoir
-	// RowSampleValues are this column's values at the dataset's shared
-	// sampled row indexes; aligned across columns, so bivariate
-	// statistics computed from them preserve joint structure.
-	RowSampleValues []float64
+	// gather holds RowSampleValues.
+	gather *slotted[float64]
 	// rowSampleView caches RowSampleOrdered.
 	rowSampleView atomic.Pointer[stats.Ordered]
 }
+
+// RowSampleValues returns this column's values at the dataset's shared
+// sampled row indexes; aligned across columns, so bivariate statistics
+// computed from them preserve joint structure. Built on first use
+// after an Extend; read-only.
+func (np *NumericProfile) RowSampleValues() []float64 { return np.gather.get() }
 
 // RowSampleOrdered returns the ordered view (row order, sorted values,
 // mean, σ) of RowSampleValues, built on first use and retained: the
 // sample-based fallbacks of the approximate path rank each column's
 // sample once rather than once per partner. The cache is keyed on the
-// slice it was built from, so reassigning RowSampleValues (the
-// builders do, before a profile is shared) simply rebuilds it;
-// concurrent first calls may each build one, and either is correct.
+// slice it was built from, so replacing the gather (the builders do,
+// before a profile is shared) simply rebuilds it; concurrent first
+// calls may each build one, and either is correct.
 func (np *NumericProfile) RowSampleOrdered() *stats.Ordered {
-	vals := np.RowSampleValues
+	vals := np.RowSampleValues()
 	if v := np.rowSampleView.Load(); v != nil && len(v.Values) == len(vals) &&
 		(len(vals) == 0 || &v.Values[0] == &vals[0]) {
 		return v
@@ -132,9 +136,8 @@ type CategoricalProfile struct {
 	Distinct *KMV
 	// Rows is the number of non-missing cells observed.
 	Rows uint64
-	// RowSampleCodes are this column's dictionary codes at the shared
-	// sampled row indexes (aligned with NumericProfile.RowSampleValues).
-	RowSampleCodes []int32
+	// codes holds RowSampleCodes.
+	codes *slotted[int32]
 	// Cardinality is the exact number of distinct values (known for
 	// free from the dictionary encoding).
 	Cardinality int
@@ -142,6 +145,11 @@ type CategoricalProfile struct {
 	// frame so sketch-only rendering can label categories).
 	Dict []string
 }
+
+// RowSampleCodes returns this column's dictionary codes at the shared
+// sampled row indexes (aligned with NumericProfile.RowSampleValues).
+// Built on first use after an Extend; read-only.
+func (cp *CategoricalProfile) RowSampleCodes() []int32 { return cp.codes.get() }
 
 // DatasetProfile is the preprocessed store for one Frame: every
 // per-column sketch plus one shared row sample that preserves joint

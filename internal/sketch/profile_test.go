@@ -261,8 +261,8 @@ func TestProfileRowSampleShared(t *testing.T) {
 
 // TestRowSampleOrdered: the cached view is the view of the current
 // RowSampleValues — retained across calls, consistent under concurrent
-// first calls (run with -race), and rebuilt when the builders reassign
-// the slice.
+// first calls (run with -race), and rebuilt when the builders replace
+// the gather.
 func TestRowSampleOrdered(t *testing.T) {
 	p := BuildProfile(testFrame(3000, 3), ProfileConfig{Seed: 11})
 	np := p.Numeric["x"]
@@ -276,7 +276,7 @@ func TestRowSampleOrdered(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	want := stats.NewOrdered(np.RowSampleValues)
+	want := stats.NewOrdered(np.RowSampleValues())
 	for _, v := range views {
 		if !slices.Equal(v.Order, want.Order) || !slices.Equal(v.Sorted, want.Sorted) || v.Mean != want.Mean || v.StdDev != want.StdDev {
 			t.Fatal("a concurrent first call returned a view that differs from a fresh one")
@@ -285,8 +285,8 @@ func TestRowSampleOrdered(t *testing.T) {
 	if np.RowSampleOrdered() != np.RowSampleOrdered() {
 		t.Error("the view is rebuilt on every call")
 	}
-	np.RowSampleValues = append([]float64{-1e9}, np.RowSampleValues[1:]...)
-	if got := np.RowSampleOrdered(); got.Sorted[0] != -1e9 || &got.Values[0] != &np.RowSampleValues[0] {
-		t.Error("the view survived a reassignment of RowSampleValues")
+	np.gather = builtSlots(append([]float64{-1e9}, np.RowSampleValues()[1:]...))
+	if got := np.RowSampleOrdered(); got.Sorted[0] != -1e9 || &got.Values[0] != &np.RowSampleValues()[0] {
+		t.Error("the view survived a replacement of the gather")
 	}
 }

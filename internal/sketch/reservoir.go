@@ -5,10 +5,11 @@ package sketch
 // sketch analytically (e.g. to estimate η² and silhouettes). The
 // replacement slot of the n-th value is coin(seed, 0, n): a copy, or a
 // reservoir rebuilt from (seed, count, items), continues the stream
-// exactly as the original would.
+// exactly as the original would. A merge records the slots it writes
+// into a full reservoir (slotted), built by the first reader.
 type Reservoir struct {
 	capacity int
-	items    []float64
+	items    *slotted[float64]
 	n        uint64
 	seed     int64
 }
@@ -17,10 +18,16 @@ type Reservoir struct {
 // with deterministic sampling under seed. capacity ≤ 0 defaults to
 // 1024.
 func NewReservoir(capacity int, seed int64) *Reservoir {
+	return newReservoir(capacity, seed, 0)
+}
+
+// newReservoir is NewReservoir with room reserved for the first
+// reserve values, at most capacity.
+func newReservoir(capacity int, seed int64, reserve int) *Reservoir {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Reservoir{capacity: capacity, seed: seed}
+	return &Reservoir{capacity: capacity, items: builtSlots(make([]float64, 0, min(reserve, capacity))), seed: seed}
 }
 
 // reservoirSeed is the seed of column name's value reservoir in a
@@ -31,24 +38,27 @@ func reservoirSeed(seed int64, name string) int64 {
 	return seed + int64(hash64(name))
 }
 
-// Update offers one value to the reservoir.
+// Update offers one value to the reservoir. It writes the sample in
+// place, so it must not be called on a reservoir a merge has read: the
+// merge's result may share its sample.
 func (s *Reservoir) Update(x float64) {
 	s.n++
-	if len(s.items) < s.capacity {
-		s.items = append(s.items, x)
+	items := s.items.get()
+	if len(items) < s.capacity {
+		s.items.built = append(items, x)
 		return
 	}
 	if j := below(coin(s.seed, 0, s.n), s.n); j < uint64(s.capacity) {
-		s.items[j] = x
+		items[j] = x
 	}
 }
 
 // whole reports whether the reservoir still holds every value it was
 // offered, in stream order.
-func (s *Reservoir) whole() bool { return s.n == uint64(len(s.items)) }
+func (s *Reservoir) whole() bool { return s.n == uint64(s.items.len()) }
 
 // Sample returns the current sample. Read-only; order is arbitrary.
-func (s *Reservoir) Sample() []float64 { return s.items }
+func (s *Reservoir) Sample() []float64 { return s.items.get() }
 
 // Count returns the number of values offered.
 func (s *Reservoir) Count() uint64 { return s.n }
@@ -59,9 +69,9 @@ func (s *Reservoir) Count() uint64 { return s.n }
 // silhouettes, Spearman) be estimated from per-column value lookups —
 // a form of sketch composition across attributes.
 type RowSample struct {
-	// Indexes holds the sampled rows in slot order (algorithm R's, not
+	// indexes holds the sampled rows in slot order (algorithm R's, not
 	// ascending).
-	Indexes []int
+	indexes *slotted[int]
 }
 
 // rowSampleSlot is algorithm R over row indexes: the slot of a
@@ -86,55 +96,50 @@ func NewRowSample(n, capacity int, seed int64) *RowSample {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	s, _ := (&RowSample{}).extended(0, n, capacity, seed)
-	return s
+	idx := make([]int, min(n, capacity))
+	for r := range n {
+		if j := rowSampleSlot(seed, r, capacity); j >= 0 {
+			idx[j] = r
+		}
+	}
+	return &RowSample{indexes: builtSlots(idx)}
 }
 
-// extended returns the sample after rows [from, to) are offered to s,
-// which must be the sample of rows [0, from) under the same capacity
-// and seed, and the slots that were written (a slot written twice is
-// listed twice). s is not modified; it is the result when no row took
-// a slot.
-func (s *RowSample) extended(from, to, capacity int, seed int64) (*RowSample, []int) {
-	var idx, slots []int
+// rowSampleWrites offers rows [from, to) to a capacity-slot row sample
+// and returns, in order, the (slot, row) of each row that took a slot
+// (a slot written twice is listed twice).
+func rowSampleWrites(from, to, capacity int, seed int64) []slotWrite[int] {
+	var ws []slotWrite[int]
 	for r := from; r < to; r++ {
-		j := rowSampleSlot(seed, r, capacity)
-		if j < 0 {
-			continue
+		if j := rowSampleSlot(seed, r, capacity); j >= 0 {
+			ws = append(ws, slotWrite[int]{j, r})
 		}
-		if idx == nil {
-			idx = make([]int, min(to, capacity))
-			copy(idx, s.Indexes)
-		}
-		idx[j] = r
-		slots = append(slots, j)
 	}
-	if idx == nil {
-		return s, nil
-	}
-	return &RowSample{Indexes: idx}, slots
+	return ws
 }
+
+// Indexes returns the sampled rows in slot order (algorithm R's, not
+// ascending). Read-only.
+func (s *RowSample) Indexes() []int { return s.indexes.get() }
 
 // Len returns the sample size.
-func (s *RowSample) Len() int { return len(s.Indexes) }
+func (s *RowSample) Len() int { return s.indexes.len() }
 
 // GatherFloats returns values[i] for each sampled index i.
 func (s *RowSample) GatherFloats(values []float64) []float64 {
-	out := make([]float64, 0, len(s.Indexes))
-	for _, i := range s.Indexes {
-		if i < len(values) {
-			out = append(out, values[i])
-		}
-	}
-	return out
+	return gather(s.Indexes(), values)
 }
 
 // GatherCodes returns codes[i] for each sampled index i.
 func (s *RowSample) GatherCodes(codes []int32) []int32 {
-	out := make([]int32, 0, len(s.Indexes))
-	for _, i := range s.Indexes {
-		if i < len(codes) {
-			out = append(out, codes[i])
+	return gather(s.Indexes(), codes)
+}
+
+func gather[T any](idx []int, col []T) []T {
+	out := make([]T, 0, len(idx))
+	for _, i := range idx {
+		if i < len(col) {
+			out = append(out, col[i])
 		}
 	}
 	return out

@@ -109,6 +109,60 @@ func TestCheckProfileQueryIdentityDetectsMutation(t *testing.T) {
 	}
 }
 
+// TestCheckProfileInvariantsReadsGatherCells: a row-sample gather is
+// held to the frame cell for cell, not just by its length — one
+// altered value or code, and one slot an Extend left holding the row it
+// replaced, are each caught.
+func TestCheckProfileInvariantsReadsGatherCells(t *testing.T) {
+	f := checkFrame(3000, 5)
+	base, err := PrefixFrame(f, 2500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sketch.ProfileConfig{Seed: 2}
+	flagged := func(label string, p *sketch.DatasetProfile) {
+		t.Helper()
+		r := &Report{}
+		CheckProfileInvariants(r, p, f)
+		if r.Ok() || !strings.Contains(r.Err().Error(), "profile/row-sample-cell") {
+			t.Errorf("%s not caught by profile/row-sample-cell: %v", label, r.Err())
+		}
+	}
+	p := sketch.BuildProfile(base, cfg)
+	ext, err := p.Extend(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Report{}
+	CheckProfileInvariants(r, ext, f)
+	if !r.Ok() {
+		t.Fatalf("healthy extension flagged: %v", r.Err())
+	}
+
+	built := sketch.BuildProfile(f, cfg)
+	built.Numeric["x"].RowSampleValues()[5] += 1
+	flagged("an altered value", built)
+	built = sketch.BuildProfile(f, cfg)
+	codes := built.Categorical["cat"].RowSampleCodes()
+	codes[7] = (codes[7] + 1) % int32(built.Categorical["cat"].Cardinality)
+	flagged("an altered code", built)
+
+	stale, err := p.Extend(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	was, now := p.RowSample.Indexes(), stale.RowSample.Indexes()
+	j := 0
+	for j < len(was) && was[j] == now[j] {
+		j++
+	}
+	if j == len(was) {
+		t.Fatal("the extension took no row-sample slot")
+	}
+	stale.Numeric["y"].RowSampleValues()[j] = p.Numeric["y"].RowSampleValues()[j]
+	flagged("a slot left stale", stale)
+}
+
 // TestCheckProfilesCompatibleGatesSpearman: the cross-path gate looks
 // at the rank projections whenever both sides carry them — it used to
 // compare Pearson estimates only, while the server always serves

@@ -79,9 +79,7 @@ func CheckProfileInvariants(r *Report, p *sketch.DatasetProfile, f *frame.Frame)
 			r.check(self == 1, "profile/self-correlation",
 				"%s: self-correlation = %v, want 1", name, self)
 		}
-		r.check(len(np.RowSampleValues) == p.RowSample.Len(), "profile/row-sample-gather",
-			"%s: %d row-sample values for %d shared indexes",
-			name, len(np.RowSampleValues), p.RowSample.Len())
+		checkGather(r, name, np.RowSampleValues(), p.RowSample.Indexes(), values, sameBits)
 		if finite {
 			out := np.OutlierScoreEstimate(0)
 			r.check(!math.IsNaN(out) && out >= 0, "profile/outlier-range",
@@ -116,10 +114,38 @@ func CheckProfileInvariants(r *Report, p *sketch.DatasetProfile, f *frame.Frame)
 			"%s: profile Cardinality = %d, column dictionary has %d values",
 			name, cp.Cardinality, cc.Cardinality())
 		CheckEntropy(r, name, cp.Heavy, cp.Distinct)
-		r.check(len(cp.RowSampleCodes) == p.RowSample.Len(), "profile/row-sample-gather",
-			"%s: %d row-sample codes for %d shared indexes",
-			name, len(cp.RowSampleCodes), p.RowSample.Len())
+		checkGather(r, name, cp.RowSampleCodes(), p.RowSample.Indexes(), cc.Codes(),
+			func(a, b int32) bool { return a == b })
 	}
+}
+
+// checkGather holds a column's row-sample gather to the column read at
+// the sample's indexes, cell for cell: one assertion for the length and
+// one for the cells, which names the first slot that differs.
+func checkGather[T any](r *Report, name string, got []T, idx []int, col []T, same func(a, b T) bool) {
+	if !r.check(len(got) == len(idx), "profile/row-sample-gather",
+		"%s: %d row-sample cells for %d shared indexes", name, len(got), len(idx)) {
+		return
+	}
+	for j, row := range idx {
+		if row < 0 || row >= len(col) {
+			r.Fail("profile/row-sample-cell", "%s: row-sample slot %d indexes row %d of a %d-row column",
+				name, j, row, len(col))
+			return
+		}
+		if !same(got[j], col[row]) {
+			r.Fail("profile/row-sample-cell", "%s: row-sample slot %d holds %v, row %d of the column holds %v",
+				name, j, got[j], row, col[row])
+			return
+		}
+	}
+	r.check(true, "profile/row-sample-cell", "")
+}
+
+// sameBits is bit-for-bit float equality, with every NaN equal to
+// every other.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
 func relClose(a, b, tol float64) bool {
@@ -168,7 +194,7 @@ func CheckProfileQueryIdentity(r *Report, label string, a, b *sketch.DatasetProf
 			label, name, na.DipEstimate(), nb.DipEstimate())
 		r.check(floatsEqual(na.Sample.Sample(), nb.Sample.Sample()), "identity/sample",
 			"%s: %s reservoir samples differ", label, name)
-		r.check(floatsEqual(na.RowSampleValues, nb.RowSampleValues), "identity/row-sample",
+		r.check(floatsEqual(na.RowSampleValues(), nb.RowSampleValues()), "identity/row-sample",
 			"%s: %s row-sample values differ", label, name)
 	}
 	// Pairwise correlation estimates (both estimator families).

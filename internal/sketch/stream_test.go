@@ -273,34 +273,80 @@ func rowSampleOracle(n, capacity int, seed int64) []int {
 
 // checkRowSampleExtend offers [0, n) to a row sample in the pieces the
 // cuts make and holds every intermediate sample to the oracle's
-// one-shot sample of that many rows; the slots reported written must
-// account for every difference from the sample before.
-func checkRowSampleExtend(n, capacity int, seed int64, cuts []int) error {
-	s, at := &RowSample{}, 0
-	for _, to := range append(slices.Clone(cuts), n) {
+// one-shot sample of that many rows. The copying extension's reported
+// slots must account for every difference from the sample before, and
+// the slotted indexes, and a slotted gather over them, must equal the
+// copying oracles (rowSampleExtendedCopy, regather) at every cut —
+// read at the cut when its read bit is set, and otherwise only after
+// the later cuts have extended them unread.
+func checkRowSampleExtend(n, capacity int, seed int64, cuts []int, read []bool) error {
+	if capacity <= 0 {
+		capacity = 1024
+	}
+	col := make([]float64, n)
+	for r := range col {
+		col[r] = float64(r)*1.5 - 7
+	}
+	type generation struct {
+		at         int
+		idx        *slotted[int]
+		gather     *slotted[float64]
+		wantIdx    []int
+		wantGather []float64
+	}
+	idx, gath, at := []int(nil), []float64(nil), 0
+	var sIdx *slotted[int]
+	var sGather *slotted[float64]
+	var gens []generation
+	check := func(g generation) error {
+		if !slices.Equal(g.idx.get(), g.wantIdx) {
+			return fmt.Errorf("n=%d capacity=%d seed=%d: slotted indexes at %d differ from the copying oracle's", n, capacity, seed, g.at)
+		}
+		if !slices.Equal(g.gather.get(), g.wantGather) {
+			return fmt.Errorf("n=%d capacity=%d seed=%d: slotted gather at %d differs from regather's", n, capacity, seed, g.at)
+		}
+		return nil
+	}
+	for i, to := range append(slices.Clone(cuts), n) {
 		if to < at || to > n {
 			continue
 		}
-		next, slots := s.extended(at, to, capacity, seed)
-		if want := rowSampleOracle(to, capacity, seed); !slices.Equal(next.Indexes, want) {
+		next, slots := rowSampleExtendedCopy(idx, at, to, capacity, seed)
+		if want := rowSampleOracle(to, capacity, seed); !slices.Equal(next, want) {
 			return fmt.Errorf("n=%d capacity=%d seed=%d: extending %d→%d differs from the one-shot sample", n, capacity, seed, at, to)
 		}
-		for j, r := range next.Indexes {
-			if (j >= len(s.Indexes) || s.Indexes[j] != r) && !slices.Contains(slots, j) {
+		for j, r := range next {
+			if (j >= len(idx) || idx[j] != r) && !slices.Contains(slots, j) {
 				return fmt.Errorf("n=%d capacity=%d seed=%d: extending %d→%d rewrote slot %d without reporting it", n, capacity, seed, at, to, j)
 			}
 		}
-		s, at = next, to
+		ws := rowSampleWrites(at, to, capacity, seed)
+		size := min(to, capacity)
+		sIdx = sIdx.extended(size, ws)
+		sGather = sGather.extended(size, gatherWrites(make([]slotWrite[float64], len(ws)), ws, col))
+		idx, gath, at = next, regather(gath, col, next, slots), to
+		g := generation{at: at, idx: sIdx, gather: sGather, wantIdx: idx, wantGather: gath}
+		if i < len(read) && read[i] {
+			if err := check(g); err != nil {
+				return err
+			}
+		}
+		gens = append(gens, g)
 	}
-	seen := make(map[int]bool, len(s.Indexes))
-	for _, r := range s.Indexes {
+	for _, g := range gens {
+		if err := check(g); err != nil {
+			return err
+		}
+	}
+	seen := make(map[int]bool, len(idx))
+	for _, r := range idx {
 		if r < 0 || r >= n || seen[r] {
 			return fmt.Errorf("n=%d capacity=%d seed=%d: index %d out of range or repeated", n, capacity, seed, r)
 		}
 		seen[r] = true
 	}
-	if len(s.Indexes) != min(n, capacity) {
-		return fmt.Errorf("n=%d capacity=%d seed=%d: %d indexes", n, capacity, seed, len(s.Indexes))
+	if len(idx) != min(n, capacity) {
+		return fmt.Errorf("n=%d capacity=%d seed=%d: %d indexes", n, capacity, seed, len(idx))
 	}
 	return nil
 }
@@ -312,17 +358,17 @@ func TestRowSampleExtendMatchesBuild(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 2048, 2049, 5000, 30000} {
 		for _, capacity := range []int{1, 2, 5, 99, 100, 101, 2048, 40000} {
 			for seed := int64(-1); seed <= 3; seed++ {
-				if got, want := NewRowSample(n, capacity, seed).Indexes, rowSampleOracle(n, capacity, seed); !slices.Equal(got, want) {
+				if got, want := NewRowSample(n, capacity, seed).Indexes(), rowSampleOracle(n, capacity, seed); !slices.Equal(got, want) {
 					t.Fatalf("n=%d capacity=%d seed=%d: NewRowSample differs from the oracle", n, capacity, seed)
 				}
 				cuts := []int{n / 3, n / 3, n/2 + 1, n - 1}
-				if err := checkRowSampleExtend(n, capacity, seed, cuts); err != nil {
+				if err := checkRowSampleExtend(n, capacity, seed, cuts, []bool{seed%2 == 0, false, true}); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
-	if got, want := NewRowSample(3000, 0, 9).Indexes, rowSampleOracle(3000, 0, 9); !slices.Equal(got, want) {
+	if got, want := NewRowSample(3000, 0, 9).Indexes(), rowSampleOracle(3000, 0, 9); !slices.Equal(got, want) {
 		t.Fatal("default capacity: NewRowSample differs from the oracle")
 	}
 }
@@ -336,7 +382,7 @@ func TestRowSampleUniform(t *testing.T) {
 	const n, capacity, buckets, seeds = 30000, 2048, 30, 200
 	var hits [buckets]float64
 	for seed := int64(0); seed < seeds; seed++ {
-		for _, r := range NewRowSample(n, capacity, seed).Indexes {
+		for _, r := range NewRowSample(n, capacity, seed).Indexes() {
 			hits[r/(n/buckets)]++
 		}
 	}
@@ -351,7 +397,7 @@ func TestRowSampleUniform(t *testing.T) {
 }
 
 // FuzzRowSampleExtend cuts the way to n rows wherever the fuzzer
-// likes.
+// likes, and reads the slotted arrays at the cuts whose step is odd.
 func FuzzRowSampleExtend(f *testing.F) {
 	f.Add(uint16(5000), uint16(64), int64(1), []byte{10, 200, 30})
 	f.Add(uint16(100), uint16(100), int64(-3), []byte{})
@@ -360,12 +406,13 @@ func FuzzRowSampleExtend(f *testing.F) {
 		if len(steps) > 64 {
 			steps = steps[:64]
 		}
-		cuts, at := make([]int, 0, len(steps)), 0
+		cuts, read, at := make([]int, 0, len(steps)), make([]bool, 0, len(steps)), 0
 		for _, step := range steps {
 			at += int(step) * (int(n)/256 + 1)
 			cuts = append(cuts, min(at, int(n)))
+			read = append(read, step%2 == 1)
 		}
-		if err := checkRowSampleExtend(int(n), int(capacity)+1, seed, cuts); err != nil {
+		if err := checkRowSampleExtend(int(n), int(capacity)+1, seed, cuts, read); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -107,14 +107,14 @@ func (s profileSource) column(kind byte, attr string) (column, error) {
 		if err != nil {
 			return column{}, err
 		}
-		return column{values: np.RowSampleValues, sketch: np}, nil
+		return column{values: np.RowSampleValues(), sketch: np}, nil
 	}
 	cp, err := s.p.CategoricalProfileOf(attr)
 	if err != nil {
 		return column{}, err
 	}
 	hits := cp.Heavy.Top(0)
-	c := column{codes: cp.RowSampleCodes, dict: cp.Dict, card: cp.Cardinality,
+	c := column{codes: cp.RowSampleCodes(), dict: cp.Dict, card: cp.Cardinality,
 		labels: make([]string, len(hits)), counts: make([]int, len(hits))}
 	for i, h := range hits {
 		c.labels[i], c.counts[i] = h.Item, int(h.Count)
