@@ -226,7 +226,7 @@ func (c *outliersClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, me
 		// No closed-form sketch: run the detector on the reservoir.
 		score, _ = stats.OutlierScore(np.Sample.Sample(), c.detectorFor(in.Metric))
 	default: // meandist / iqr: KLL fences ⊕ reservoir composition
-		score = np.OutlierScoreEstimate(0)
+		score = np.OutlierScoreAt(qs[0], qs[2], 0)
 	}
 	return scored(in, score, map[string]float64{
 		"q1":     qs[0],

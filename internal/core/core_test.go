@@ -688,3 +688,20 @@ func meanStd(xs []float64) (float64, float64) {
 	}
 	return m, math.Sqrt(ss / float64(n))
 }
+
+// ScoreAll enumerates the candidates of class c in f and scores each
+// exactly with the given metric ("" = default). Tuples whose score is
+// NaN (undefined) are dropped. The result is sorted by descending
+// score with a deterministic tie-break on the attribute tuple.
+func ScoreAll(c Class, f *frame.Frame, metric string) []Insight {
+	var out []Insight
+	for _, attrs := range c.Candidates(f) {
+		in, err := c.Score(f, attrs, metric)
+		if err != nil || math.IsNaN(in.Score) {
+			continue
+		}
+		out = append(out, in)
+	}
+	SortInsights(out)
+	return out
+}

@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -41,7 +40,6 @@ const (
 	VisMosaic       VisKind = "mosaic"
 	VisColorScatter VisKind = "color-scatter"
 	VisBar          VisKind = "bar"
-	VisCorrelogram  VisKind = "correlogram"
 	// VisHistogramDensity is a histogram with a KDE curve overlay,
 	// used by the multimodality class.
 	VisHistogramDensity VisKind = "histogram-density"
@@ -177,23 +175,6 @@ func (r *Registry) Names() []string {
 		names[i] = c.Name()
 	}
 	return names
-}
-
-// ScoreAll enumerates the candidates of class c in f and scores each
-// exactly with the given metric ("" = default). Tuples whose score is
-// NaN (undefined) are dropped. The result is sorted by descending
-// score with a deterministic tie-break on the attribute tuple.
-func ScoreAll(c Class, f *frame.Frame, metric string) []Insight {
-	var out []Insight
-	for _, attrs := range c.Candidates(f) {
-		in, err := c.Score(f, attrs, metric)
-		if err != nil || math.IsNaN(in.Score) {
-			continue
-		}
-		out = append(out, in)
-	}
-	SortInsights(out)
-	return out
 }
 
 // SortInsights orders insights by descending score, breaking ties by

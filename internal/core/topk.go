@@ -7,7 +7,7 @@ import (
 
 // KBest keeps the k items that come first under a strict total order
 // out of any number offered one at a time, in O(log k) per offer. It
-// is the one bounded heap behind TopK, TopKFunc and the engine's
+// is the one bounded heap behind TopKExcluded and the engine's
 // running kth-best threshold. k ≤ 0 keeps nothing.
 type KBest[T any] struct {
 	k      int
@@ -76,34 +76,10 @@ func (b *KBest[T]) Sorted() []T {
 	return b.h
 }
 
-// TopKFunc returns the k first items under the strict total order
-// before; k ≤ 0 or k ≥ len(items) sorts items in place and returns
-// them. Otherwise the winners are selected in O(n log k) into a fresh
-// slice and items is left unmodified; because the order is total the
-// result equals sort-then-truncate exactly.
-func TopKFunc[T any](items []T, k int, before func(a, b T) bool) []T {
-	if k <= 0 || k >= len(items) {
-		sort.Slice(items, func(i, j int) bool { return before(items[i], items[j]) })
-		return items
-	}
-	best := NewKBest(k, before)
-	for _, x := range items {
-		best.Offer(x)
-	}
-	return best.Sorted()
-}
-
-// TopK returns the k strongest insights in SortInsights order
-// (descending score, ties broken by key), selected as TopKFunc does.
-// Inputs should be NaN-free (the engine filters NaN scores before
-// ranking), as NaN has no defined rank.
-func TopK(ins []Insight, k int) []Insight {
-	return TopKFunc(ins, k, outranks)
-}
-
-// TopKExcluded selects like TopK and additionally reports the highest
-// score among the insights the cut excluded, tracked for free during
-// the selection pass (so callers computing a top-k margin avoid a
+// TopKExcluded returns the k strongest insights in SortInsights order
+// (descending score, ties broken by key) and the highest score among
+// the insights the cut excluded, tracked for free during the selection
+// pass (so callers computing a top-k margin avoid a
 // second scan over the candidates). The score is NaN when nothing was
 // excluded.
 func TopKExcluded(ins []Insight, k int) ([]Insight, float64) {

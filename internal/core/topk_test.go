@@ -125,3 +125,28 @@ func TestTopKFuncMatchesSortThenTruncate(t *testing.T) {
 		t.Error("KBest(0) reports a kth item")
 	}
 }
+
+// TopKFunc returns the k first items under the strict total order
+// before; k ≤ 0 or k ≥ len(items) sorts items in place and returns
+// them. Otherwise the winners are selected in O(n log k) into a fresh
+// slice and items is left unmodified; because the order is total the
+// result equals sort-then-truncate exactly.
+func TopKFunc[T any](items []T, k int, before func(a, b T) bool) []T {
+	if k <= 0 || k >= len(items) {
+		sort.Slice(items, func(i, j int) bool { return before(items[i], items[j]) })
+		return items
+	}
+	best := NewKBest(k, before)
+	for _, x := range items {
+		best.Offer(x)
+	}
+	return best.Sorted()
+}
+
+// TopK returns the k strongest insights in SortInsights order
+// (descending score, ties broken by key), selected as TopKFunc does.
+// Inputs should be NaN-free (the engine filters NaN scores before
+// ranking), as NaN has no defined rank.
+func TopK(ins []Insight, k int) []Insight {
+	return TopKFunc(ins, k, outranks)
+}

@@ -27,11 +27,11 @@ func TestMarginalsShapes(t *testing.T) {
 		t.Errorf("normal sd = %v", s)
 	}
 	logn := draw(LogNormal{Mu: 0, Sigma: 1})
-	if sk := stats.Skewness(logn); sk < 2 {
+	if sk := stats.NewMoments(logn).Skewness(); sk < 2 {
 		t.Errorf("lognormal skewness = %v, want strongly positive", sk)
 	}
 	left := draw(LeftSkew{Max: 95, Mu: 2.8, Sigma: 0.45})
-	if sk := stats.Skewness(left); sk > -1 {
+	if sk := stats.NewMoments(left).Skewness(); sk > -1 {
 		t.Errorf("leftskew skewness = %v, want strongly negative", sk)
 	}
 	mx, _ := stats.MinMax(left)
@@ -101,7 +101,7 @@ func TestFactorTableCorrelations(t *testing.T) {
 		{Name: "y", Loadings: map[string]float64{"p": 0.9}},
 	}
 	oc := FactorTable(20000, over, rand.New(rand.NewSource(5)))
-	if v := stats.Variance(oc[0]); math.Abs(v-1) > 0.05 {
+	if v := stats.NewMoments(oc[0]).Variance(); math.Abs(v-1) > 0.05 {
 		t.Errorf("normalized column variance = %v, want 1", v)
 	}
 }
@@ -134,10 +134,10 @@ func TestOECDShapeAndScenarioFacts(t *testing.T) {
 	if r := stats.Pearson(ls, srh); r < 0.6 {
 		t.Errorf("ρ(LS, SRH) = %v, want strongly positive", r)
 	}
-	if sk := stats.Skewness(srh); sk > -0.8 {
+	if sk := stats.NewMoments(srh).Skewness(); sk > -0.8 {
 		t.Errorf("SRH skewness = %v, want left-skewed", sk)
 	}
-	if sk := stats.Skewness(tdl); math.Abs(sk) > 0.15 {
+	if sk := stats.NewMoments(tdl).Skewness(); math.Abs(sk) > 0.15 {
 		t.Errorf("TDTL skewness = %v, want ≈0 (normal)", sk)
 	}
 	// Metadata present.
@@ -233,7 +233,7 @@ func TestIMDBShape(t *testing.T) {
 		t.Errorf("top director share = %v, want heavy hitter", float64(max)/5000)
 	}
 	// Gross is heavy-tailed.
-	if k := stats.Kurtosis(gross.Values()); k < 10 {
+	if k := stats.NewMoments(gross.Values()).Kurtosis(); k < 10 {
 		t.Errorf("Gross kurtosis = %v, want heavy", k)
 	}
 	if IMDB(0, 1).Rows() != 5000 {
@@ -319,4 +319,22 @@ func TestPlantHelpers(t *testing.T) {
 	if len(UniformStrings(10, "u", 0, nil)) != 10 {
 		t.Error("degenerate uniform args should still work")
 	}
+}
+
+// TruePairCorrelation returns the planted (asymptotic latent-scale)
+// correlation between numeric columns i and j of a Scalable dataset:
+// λi·λj within a block, 0 across blocks. Marginal transforms attenuate
+// the observable Pearson value below this bound for non-normal
+// marginals, so use it as a structural reference, not an exact truth.
+func TruePairCorrelation(cfg ScalableConfig, i, j int) float64 {
+	cfg.fill()
+	if i/cfg.BlockSize != j/cfg.BlockSize {
+		return 0
+	}
+	if i == j {
+		return 1
+	}
+	li := 0.9 - 0.12*float64((i%cfg.BlockSize)%5)
+	lj := 0.9 - 0.12*float64((j%cfg.BlockSize)%5)
+	return li * lj
 }

@@ -97,21 +97,3 @@ func Scalable(cfg ScalableConfig) *frame.Frame {
 	}
 	return f
 }
-
-// TruePairCorrelation returns the planted (asymptotic latent-scale)
-// correlation between numeric columns i and j of a Scalable dataset:
-// λi·λj within a block, 0 across blocks. Marginal transforms attenuate
-// the observable Pearson value below this bound for non-normal
-// marginals, so use it as a structural reference, not an exact truth.
-func TruePairCorrelation(cfg ScalableConfig, i, j int) float64 {
-	cfg.fill()
-	if i/cfg.BlockSize != j/cfg.BlockSize {
-		return 0
-	}
-	if i == j {
-		return 1
-	}
-	li := 0.9 - 0.12*float64((i%cfg.BlockSize)%5)
-	lj := 0.9 - 0.12*float64((j%cfg.BlockSize)%5)
-	return li * lj
-}

@@ -404,10 +404,6 @@ type ScanStats struct {
 // segment's tail — the case recovery refuses to accept silently.
 var errMidLogCorruption = errors.New("durable: WAL corrupted mid-log")
 
-// IsMidLogCorruption reports whether err is the recovery-refusing
-// mid-log corruption error (as opposed to a tolerated torn tail).
-func IsMidLogCorruption(err error) bool { return errors.Is(err, errMidLogCorruption) }
-
 // scanWAL reads every segment in order, invoking apply for each record
 // with seq > afterSeq. The final record of the final segment may be
 // torn (partial header, short payload, or CRC mismatch): it is

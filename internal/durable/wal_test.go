@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -419,3 +420,7 @@ func FuzzScanWAL(f *testing.F) {
 		}
 	})
 }
+
+// IsMidLogCorruption reports whether err is the recovery-refusing
+// mid-log corruption error (as opposed to a tolerated torn tail).
+func IsMidLogCorruption(err error) bool { return errors.Is(err, errMidLogCorruption) }

@@ -138,21 +138,6 @@ func (c *NumericColumn) StringAt(i int) string {
 // copies rather than writing into a successor column's cells.
 func (c *NumericColumn) Values() []float64 { return c.values[:len(c.values):len(c.values)] }
 
-// Present returns the non-missing values in order. It allocates a new
-// slice only when the column contains missing values.
-func (c *NumericColumn) Present() []float64 {
-	if c.missing == 0 {
-		return c.Values()
-	}
-	out := make([]float64, 0, len(c.values)-c.missing)
-	for _, v := range c.values {
-		if !math.IsNaN(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // At returns the value of cell i (possibly NaN).
 func (c *NumericColumn) At(i int) float64 { return c.values[i] }
 

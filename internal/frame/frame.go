@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // SemanticType is optional attribute metadata describing what an
@@ -21,7 +20,6 @@ const (
 	SemanticPercent  SemanticType = "percent"
 	SemanticCount    SemanticType = "count"
 	SemanticScore    SemanticType = "score"
-	SemanticID       SemanticType = "id"
 )
 
 // Metadata carries per-attribute annotations that are not derivable
@@ -211,14 +209,6 @@ func (f *Frame) Select(names ...string) (*Frame, error) {
 	return out, nil
 }
 
-// Head returns up to k row indexes [0,k).
-func (f *Frame) Head(k int) int {
-	if k > f.rows {
-		return f.rows
-	}
-	return k
-}
-
 // Summary returns a short human-readable description of the frame
 // shape and column kinds, for logging and CLIs.
 func (f *Frame) Summary() string {
@@ -232,14 +222,6 @@ func (f *Frame) Summary() string {
 	}
 	return fmt.Sprintf("%s: %d rows × %d cols (%d numeric, %d categorical)",
 		f.name, f.rows, len(f.cols), numeric, categorical)
-}
-
-// SortedNames returns column names in lexicographic order; useful for
-// deterministic iteration in tests and overviews.
-func (f *Frame) SortedNames() []string {
-	names := f.Names()
-	sort.Strings(names)
-	return names
 }
 
 // FilterRows returns a new Frame containing only the rows where

@@ -458,3 +458,18 @@ func TestReadCSVThousandsSeparators(t *testing.T) {
 		t.Errorf("values = %v", v.Values())
 	}
 }
+
+// Present returns the non-missing values in order. It allocates a new
+// slice only when the column contains missing values.
+func (c *NumericColumn) Present() []float64 {
+	if c.missing == 0 {
+		return c.Values()
+	}
+	out := make([]float64, 0, len(c.values)-c.missing)
+	for _, v := range c.values {
+		if !math.IsNaN(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}

@@ -48,8 +48,11 @@ type IngestResult struct {
 // context is checked again before the work starts and between the two
 // expensive phases (append, sketch delta); once the swap has happened
 // the batch is applied regardless of ctx. On error the engine is
-// untouched, and so it is by a batch of no rows, which reports the
-// current row count and generation.
+// untouched, with one exception: when the durable sink fails to log a
+// batch, the batch is already published and stays live in memory,
+// although the error reports it unacknowledged (ROADMAP 3(a) logs
+// before it publishes). A batch of no rows leaves the engine untouched
+// too, and reports the current row count and generation.
 func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.ReadCSVOptions) (IngestResult, error) {
 	defer e.observeOp("ingest", time.Now())
 	select {

@@ -88,7 +88,7 @@ func oracleExecute(t *testing.T, e *Engine, q Query) []Result {
 				ins = append(ins, in)
 			}
 		}
-		if ins = core.TopK(ins, q.K); len(ins) > 0 {
+		if ins, _ = core.TopKExcluded(ins, q.K); len(ins) > 0 {
 			out = append(out, Result{Class: c.Name(), Metric: metric, Insights: ins})
 		}
 	}

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,29 +28,82 @@ import (
 // extension folds the range's partial into its copy of the store
 // through the merge operators.
 
-// buildRangeSketches builds the row-local partial sketches of rows
+// numericPartial is one numeric column's partial sketches in one
+// allocation; a delta's are its scratch's, reset for each batch.
+type numericPartial struct {
+	np    NumericProfile
+	kll   KLL
+	res   Reservoir
+	items slotted[float64]
+	proj  Projection
+}
+
+// reset makes c the empty partial of the i-th numeric column, name,
+// over rows [start, end): its sketches seeded as the range's, its k
+// projection dots zero. It keeps the arrays an earlier batch grew, and
+// sizes the first KLL level and the value reservoir for the range, so a
+// batch's delta does not grow by doublings.
+func (c *numericPartial) reset(i int, name string, cfg ProfileConfig, start, end int) {
+	c.kll.reuse(cfg.KLLSize, cfg.Seed+int64(i)*7+2+int64(start))
+	if n := min(c.kll.capacity(0), end-start); cap(c.kll.compactors[0]) < n {
+		c.kll.compactors[0] = make([]float64, 0, n)
+	}
+	capacity := cfg.SampleSize
+	if capacity <= 0 {
+		capacity = 1024
+	}
+	items := c.items.built[:0]
+	if n := min(capacity, end-start); cap(items) < n {
+		items = make([]float64, 0, n)
+	}
+	c.items = slotted[float64]{built: items}
+	c.res = Reservoir{capacity: capacity, items: &c.items, seed: reservoirSeed(cfg.Seed, name) + int64(start)}
+	dots := c.proj.Dots
+	if cap(dots) < cfg.K {
+		dots = make([]float64, cfg.K)
+	}
+	dots = dots[:cfg.K]
+	clear(dots)
+	c.proj = Projection{Dots: dots, Rows: end - start, Seed: cfg.Seed + 101}
+	c.np = NumericProfile{Name: name, Quantiles: &c.kll, Sample: &c.res, Proj: &c.proj}
+}
+
+// categoricalPartial is one categorical column's partial sketches in
+// one allocation; a delta's are its scratch's, reset for each batch.
+type categoricalPartial struct {
+	cp       CategoricalProfile
+	heavy    SpaceSaving
+	distinct KMV
+}
+
+// reset makes c the empty partial of column cc, keeping the maps and
+// arrays an earlier batch grew.
+func (c *categoricalPartial) reset(cc *frame.CategoricalColumn, cfg ProfileConfig) {
+	c.heavy.reuse(cfg.HeavyCapacity)
+	c.distinct.reuse(cfg.KMVSize)
+	c.cp = CategoricalProfile{
+		Name:        cc.Name(),
+		Heavy:       &c.heavy,
+		Distinct:    &c.distinct,
+		Cardinality: cc.Cardinality(),
+		Dict:        cc.Dict(),
+	}
+}
+
+// buildRangeSketches fills the row-local partial sketches of rows
 // [start, end) of f: moments, quantiles, value samples, heavy hitters
-// and distinct counts — everything in a partial profile except the
+// and distinct counts — everything in a partial except the
 // shared-direction projections, which need a common centre and are
 // filled in by buildRange. Zero-copy row views feed the update loops,
 // so a range touches only its own window of each column. Per-column
 // sketch seeds are salted with the range start, so a given (cfg,
 // range) is deterministic while distinct ranges — a build and each
 // extension's batch — flip independent compaction/sampling coins.
-func buildRangeSketches(f *frame.Frame, cfg ProfileConfig, start, end int) *DatasetProfile {
+func buildRangeSketches(f *frame.Frame, start, end int, nums []*numericPartial, cats []*categoricalPartial, workers int) {
 	numeric, categorical := f.NumericColumns(), f.CategoricalColumns()
-	nps := make([]*NumericProfile, len(numeric))
-	eachColumn(len(numeric), cfg.Workers, func(i int) {
-		nc := numeric[i]
-		np := &NumericProfile{
-			Name:      nc.Name(),
-			Quantiles: NewKLL(cfg.KLLSize, cfg.Seed+int64(i)*7+2+int64(start)),
-			// Sized for the range, so a batch's delta does not grow by
-			// doublings.
-			Sample: newReservoir(cfg.SampleSize, reservoirSeed(cfg.Seed, nc.Name())+int64(start), end-start),
-		}
-		np.Quantiles.compactors[0] = make([]float64, 0, min(np.Quantiles.capacity(0), end-start))
-		for _, v := range nc.ValuesRange(start, end) {
+	eachColumn(len(numeric), workers, func(i int) {
+		np := &nums[i].np
+		for _, v := range numeric[i].ValuesRange(start, end) {
 			if math.IsNaN(v) {
 				continue
 			}
@@ -57,18 +111,9 @@ func buildRangeSketches(f *frame.Frame, cfg ProfileConfig, start, end int) *Data
 			np.Quantiles.Update(v)
 			np.Sample.Update(v)
 		}
-		nps[i] = np
 	})
-	cps := make([]*CategoricalProfile, len(categorical))
-	eachColumn(len(categorical), cfg.Workers, func(i int) {
-		cc := categorical[i]
-		cp := &CategoricalProfile{
-			Name:        cc.Name(),
-			Heavy:       NewSpaceSaving(cfg.HeavyCapacity),
-			Distinct:    NewKMV(cfg.KMVSize),
-			Cardinality: cc.Cardinality(),
-			Dict:        cc.Dict(),
-		}
+	eachColumn(len(categorical), workers, func(i int) {
+		cc, cp := categorical[i], &cats[i].cp
 		for _, code := range cc.CodesRange(start, end) {
 			if code < 0 {
 				continue
@@ -78,22 +123,7 @@ func buildRangeSketches(f *frame.Frame, cfg ProfileConfig, start, end int) *Data
 			cp.Distinct.Update(item)
 			cp.Rows++
 		}
-		cps[i] = cp
 	})
-	p := &DatasetProfile{
-		Rows:        end - start,
-		Numeric:     make(map[string]*NumericProfile, len(nps)),
-		Categorical: make(map[string]*CategoricalProfile, len(cps)),
-		RowSample:   &RowSample{},
-		Config:      cfg,
-	}
-	for _, np := range nps {
-		p.Numeric[np.Name] = np
-	}
-	for _, cp := range cps {
-		p.Categorical[cp.Name] = cp
-	}
-	return p
 }
 
 // buildRange builds the partial profile of rows [lo, hi) of f (see the
@@ -103,24 +133,38 @@ func buildRangeSketches(f *frame.Frame, cfg ProfileConfig, start, end int) *Data
 // store; nil centres each column on the mean of its moments over the
 // range. With given centres and cfg.Workers > 1, the row-local sketches
 // and the projections run concurrently, each on the workers. cfg must
-// be filled. The partial carries no row sample and no rank projections:
-// both are functions of the whole frame, not of a range (finish).
-func buildRange(f *frame.Frame, cfg ProfileConfig, lo, hi int, centers []float64) *DatasetProfile {
-	numeric := f.NumericColumns()
-	cols := make([][]float64, len(numeric))
+// be filled. The partial carries no row sample, no rank projections
+// and no sign bits: the first two are functions of the whole frame, not
+// of a range, and the bits of the merged dots, not of the partial's
+// (finish, Merge). The partial and everything in it is built in ds:
+// an extension's scratch, valid until it is given back, or, when ds is
+// nil, a new one the partial keeps.
+func buildRange(f *frame.Frame, cfg ProfileConfig, lo, hi int, centers []float64, ds *deltaScratch) *DatasetProfile {
+	if ds == nil {
+		ds = new(deltaScratch)
+	}
+	numeric, categorical := f.NumericColumns(), f.CategoricalColumns()
+	p, nums, cats := ds.partial(cfg, hi-lo, len(numeric), len(categorical))
+	ds.cols = slices.Grow(ds.cols[:0], len(numeric))[:len(numeric)]
+	ds.projs = slices.Grow(ds.projs[:0], len(numeric))[:len(numeric)]
+	cols, projs := ds.cols, ds.projs
 	for i, nc := range numeric {
-		cols[i] = nc.Values()
+		nums[i].reset(i, nc.Name(), cfg, lo, hi)
+		cols[i], projs[i] = nc.Values(), &nums[i].proj
+		p.Numeric[nc.Name()] = &nums[i].np
+	}
+	for i, cc := range categorical {
+		cats[i].reset(cc, cfg)
+		p.Categorical[cc.Name()] = &cats[i].cp
 	}
 
-	var p *DatasetProfile
 	sketches := func() {
 		defer observeSince("build.sketch", time.Now())
-		p = buildRangeSketches(f, cfg, lo, hi)
+		buildRangeSketches(f, lo, hi, nums, cats, cfg.Workers)
 	}
-	var proj []*Projection
 	project := func() {
 		defer observeSince("build.project", time.Now())
-		proj = projectRange(cols, centers, lo, hi,
+		projectInto(projs, cols, centers, lo, hi,
 			ProjectConfig{K: cfg.K, Seed: cfg.Seed + 101, Workers: cfg.Workers})
 	}
 	switch {
@@ -129,8 +173,8 @@ func buildRange(f *frame.Frame, cfg ProfileConfig, lo, hi int, centers []float64
 		// compute.
 		sketches()
 		centers = make([]float64, len(numeric))
-		for i, nc := range numeric {
-			centers[i] = p.Numeric[nc.Name()].Moments.Mean
+		for i := range nums {
+			centers[i] = nums[i].np.Moments.Mean
 		}
 		project()
 	case resolveParallel(cfg.Workers) > 1:
@@ -148,11 +192,8 @@ func buildRange(f *frame.Frame, cfg ProfileConfig, lo, hi int, centers []float64
 		sketches()
 		project()
 	}
-	for i, nc := range numeric {
-		np := p.Numeric[nc.Name()]
-		np.Proj = proj[i]
-		np.ProjCenter = centers[i]
-		np.Planes = HyperplaneFromProjection(np.Proj)
+	for i := range nums {
+		nums[i].np.ProjCenter = centers[i]
 	}
 	return p
 }
@@ -184,16 +225,19 @@ func finish(f *frame.Frame, p *DatasetProfile) {
 		}
 		observeSince("build.spearman", spearmanStart)
 	}
+	for _, np := range p.Numeric {
+		np.Planes = HyperplaneFromProjection(np.Proj)
+	}
 
 	sampleStart := time.Now()
 	p.RowSample = NewRowSample(f.Rows(), cfg.RowSampleSize, cfg.Seed+1)
 	eachColumn(len(numeric), cfg.Workers, func(i int) {
 		nc := numeric[i]
-		p.Numeric[nc.Name()].gather = builtSlots(p.RowSample.GatherFloats(nc.Values()))
+		p.Numeric[nc.Name()].gather = builtGather(p.RowSample.GatherFloats(nc.Values()))
 	})
 	eachColumn(len(categorical), cfg.Workers, func(i int) {
 		cc := categorical[i]
-		p.Categorical[cc.Name()].codes = builtSlots(p.RowSample.GatherCodes(cc.Codes()))
+		p.Categorical[cc.Name()].codes = builtGather(p.RowSample.GatherCodes(cc.Codes()))
 	})
 	observeSince("build.rowsample", sampleStart)
 }
@@ -205,7 +249,7 @@ func finish(f *frame.Frame, p *DatasetProfile) {
 func BuildProfile(f *frame.Frame, cfg ProfileConfig) *DatasetProfile {
 	defer observeSince("build", time.Now())
 	cfg.fill(f.Rows())
-	p := buildRange(f, cfg, 0, f.Rows(), nil)
+	p := buildRange(f, cfg, 0, f.Rows(), nil, nil)
 	finish(f, p)
 	return p
 }

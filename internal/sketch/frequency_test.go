@@ -495,3 +495,12 @@ func TestEntropyEstimateEdgeCases(t *testing.T) {
 		t.Errorf("uniform-4 uniformity = %v, want ≈1", u)
 	}
 }
+
+// Estimate returns the estimated count of item (0 if untracked) and
+// whether the item is currently tracked.
+func (s *SpaceSaving) Estimate(item string) (uint64, bool) {
+	if c, ok := s.counters[item]; ok {
+		return c.count, true
+	}
+	return 0, false
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 )
 
 // Projection is the random-projection sketch of one centered column:
@@ -236,13 +237,20 @@ func fillDirections(seed int64, b int, buf []float32) {
 // draws; memory O(directionGranule·k) per chunk + d·k.
 func projectRange(cols [][]float64, means []float64, start, end int, cfg ProjectConfig) []*Projection {
 	cfg.fill()
-	d := len(cols)
-	out := make([]*Projection, d)
+	out := make([]*Projection, len(cols))
 	for j := range out {
 		out[j] = &Projection{Dots: make([]float64, cfg.K), Rows: end - start, Seed: cfg.Seed}
 	}
+	projectInto(out, cols, means, start, end, cfg)
+	return out
+}
+
+// projectInto is projectRange into out, one projection per column, each
+// with cfg.K zero dots (a delta's come from its scratch); cfg is filled.
+func projectInto(out []*Projection, cols [][]float64, means []float64, start, end int, cfg ProjectConfig) {
+	d := len(cols)
 	if d == 0 || start >= end {
-		return out
+		return
 	}
 	// A chunk that draws every direction itself, about sixteen
 	// multiply-adds' worth each, wants at least that many columns to
@@ -254,7 +262,7 @@ func projectRange(cols [][]float64, means []float64, start, end int, cfg Project
 	chunks := min(resolveParallel(cfg.Workers), tiles/minChunkTiles)
 	if chunks < 2 {
 		projectChunk(cols, means, out, start, end, cfg)
-		return out
+		return
 	}
 	chunk := func(c int) (lo, hi int) {
 		return c * tiles / chunks * tileColumns, min(d, (c+1)*tiles/chunks*tileColumns)
@@ -266,34 +274,44 @@ func projectRange(cols [][]float64, means []float64, start, end int, cfg Project
 				projectBlock(cols[clo:chi], means[clo:chi], out[clo:chi], lo, hi, g, cfg.K)
 			})
 		})
-		return out
+		return
 	}
 	eachColumn(chunks, chunks, func(c int) {
 		lo, hi := chunk(c)
 		projectChunk(cols[lo:hi], means[lo:hi], out[lo:hi], start, end, cfg)
 	})
-	return out
 }
 
 // tileColumns is how many columns the kernel projects at once: their
 // running dots for one direction are projectTile's accumulators.
 const tileColumns = 8
 
+// directionBlocks keeps eachBlock's block arrays: a pass holds one from
+// its first block to its last. An extension's projection runs one pass,
+// a build's one per column chunk.
+var directionBlocks = freeList[[]float32]{max: 2}
+
 // eachBlock draws the directions of rows [start, end) one direction
 // block at a time, in ascending order, and hands fn each block's part
 // of the range: rows [lo, hi) and their directions g, row-major, k a
-// row. g is overwritten by the next block.
+// row. g is overwritten by the next block, and is not fn's to keep.
 func eachBlock(start, end int, cfg ProjectConfig, fn func(lo, hi int, g []float32)) {
 	k := cfg.K
 	// One block's directions, up to the last row of it the range reaches.
 	first := start / directionGranule
-	block := make([]float32, min(directionGranule, end-first*directionGranule)*k)
+	bp := directionBlocks.get()
+	block := slices.Grow((*bp)[:0], min(directionGranule, end-first*directionGranule)*k)
 	for b := first; b*directionGranule < end; b++ {
 		base := b * directionGranule
 		lo, hi := max(start, base), min(end, base+directionGranule)
 		fillDirections(cfg.Seed, b, block[:(hi-base)*k])
 		fn(lo, hi, block[(lo-base)*k:(hi-base)*k])
 	}
+	*bp = block[:0]
+	if poisonScratch.Load() {
+		poisonFloats((*bp)[:cap(block)])
+	}
+	directionBlocks.put(bp)
 }
 
 // projectChunk adds rows [start, end) of cols to out's dots, one

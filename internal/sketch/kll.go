@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // KLL is the Karnin–Lang–Liberty quantile sketch: a single-pass,
@@ -27,16 +26,30 @@ type KLL struct {
 // ~O(1/k); 200 is a common default and is used when k < 8) and the
 // given deterministic seed for compaction coin flips.
 func NewKLL(k int, seed int64) *KLL {
-	if k < 8 {
-		k = 200
-	}
-	s := &KLL{k: k, seed: seed}
-	s.grow()
+	s := &KLL{}
+	s.reuse(k, seed)
 	return s
 }
 
+// reuse makes s the empty sketch NewKLL(k, seed) returns, keeping the
+// level arrays s holds for the levels it grows again.
+func (s *KLL) reuse(k int, seed int64) {
+	if k < 8 {
+		k = 200
+	}
+	*s = KLL{k: k, seed: seed, compactors: s.compactors[:0]}
+	s.grow()
+}
+
+// grow adds a level on top. A level array kept past the end of the
+// level list (reuse's, the merge's working levels) is the new level's.
 func (s *KLL) grow() {
-	s.compactors = append(s.compactors, nil)
+	if n := len(s.compactors); n < cap(s.compactors) {
+		s.compactors = s.compactors[:n+1]
+		s.compactors[n] = s.compactors[n][:0]
+	} else {
+		s.compactors = append(s.compactors, nil)
+	}
 	s.maxSize = 0
 	for h := range s.compactors {
 		s.maxSize += s.capacity(h)
@@ -76,25 +89,13 @@ func (s *KLL) UpdateAll(xs []float64) {
 	}
 }
 
-// kllScratch pools the transient buffers that hold a compaction's
-// promoted half before it is copied into the next level. Compactions
-// are frequent and short-lived, and a build on workers runs many
-// sketches' compactions concurrently, so pooling keeps the
-// allocator out of the hot path. Buffers are only ever held within a
-// single compress call, so the pool is safe at any concurrency.
-var kllScratch = sync.Pool{New: func() any { return new([]float64) }}
-
 func (s *KLL) compress() {
 	for h := 0; h < len(s.compactors); h++ {
 		if len(s.compactors[h]) >= s.capacity(h) {
 			if h+1 >= len(s.compactors) {
 				s.grow()
 			}
-			bufp := kllScratch.Get().(*[]float64)
-			promoted := s.compactLevel(h, (*bufp)[:0])
-			s.compactors[h+1] = append(s.compactors[h+1], promoted...)
-			*bufp = promoted[:0]
-			kllScratch.Put(bufp)
+			s.compactLevel(h)
 			s.recount()
 			if s.size < s.maxSize {
 				return
@@ -103,19 +104,18 @@ func (s *KLL) compress() {
 	}
 }
 
-// compactLevel sorts level h, appends a random half to buf (the
-// survivors double their implicit weight), and clears the level. The
-// returned slice is valid until buf's next reuse; callers copy it out
-// before returning the buffer to the pool.
-func (s *KLL) compactLevel(h int, buf []float64) []float64 {
+// compactLevel sorts level h, appends a random half of it to level h+1
+// (the survivors double their implicit weight), and clears it. No two
+// levels share an array's room (Clone clips each to its length), so
+// the appends never reach level h.
+func (s *KLL) compactLevel(h int) {
 	items := s.compactors[h]
 	sort.Float64s(items)
 	offset := int(coin(s.seed, uint64(h), s.n) & 1)
 	for i := offset; i < len(items); i += 2 {
-		buf = append(buf, items[i])
+		s.compactors[h+1] = append(s.compactors[h+1], items[i])
 	}
-	s.compactors[h] = s.compactors[h][:0]
-	return buf
+	s.compactors[h] = items[:0]
 }
 
 func (s *KLL) recount() {
@@ -162,6 +162,39 @@ func (s *KLL) Clone() *KLL {
 		c.compactors[h] = buf[len(buf)-len(items) : len(buf) : len(buf)]
 	}
 	return c
+}
+
+// kllLevels keeps the working levels of merged, one array per level at
+// the length it grew to; a merge on each of several workers takes its
+// own.
+var kllLevels = freeList[[][]float64]{max: 16}
+
+// merged returns what s.Clone() becomes after Merge(other), and leaves
+// s as it was. The merge and its compactions run on scratch working
+// levels, with the same coins, sorts and promotions in the same order
+// as on a clone, and the result is copied out once, in Clone's layout:
+// the only arrays it allocates are the result's.
+func (s *KLL) merged(other *KLL) *KLL {
+	lp := kllLevels.get()
+	levels := *lp
+	for len(levels) < len(s.compactors) {
+		levels = append(levels, nil)
+	}
+	w := KLL{k: s.k, size: s.size, maxSize: s.maxSize, n: s.n, seed: s.seed, compactors: levels[:len(s.compactors)]}
+	for h, items := range s.compactors {
+		w.compactors[h] = append(w.compactors[h][:0], items...)
+	}
+	w.mergeRaised(other, 0)
+	out := w.Clone()
+	levels = w.compactors[:cap(w.compactors)]
+	if poisonScratch.Load() {
+		for _, level := range levels {
+			poisonFloats(level[:cap(level)])
+		}
+	}
+	*lp = levels
+	kllLevels.put(lp)
+	return out
 }
 
 // StoredItems returns the number of retained items (space usage).

@@ -21,13 +21,26 @@ type KMV struct {
 // NewKMV returns a KMV sketch keeping the k smallest hashes (minimum
 // 16; 1024 when k ≤ 0).
 func NewKMV(k int) *KMV {
+	s := &KMV{}
+	s.reuse(k)
+	return s
+}
+
+// reuse makes s the empty sketch NewKMV(k) returns, keeping its hash
+// array and set.
+func (s *KMV) reuse(k int) {
 	if k <= 0 {
 		k = 1024
 	}
 	if k < 16 {
 		k = 16
 	}
-	return &KMV{k: k, seen: make(map[uint64]struct{})}
+	seen := s.seen
+	if seen == nil {
+		seen = make(map[uint64]struct{})
+	}
+	clear(seen)
+	*s = KMV{k: k, hashes: s.hashes[:0], seen: seen}
 }
 
 func hash64(item string) uint64 {

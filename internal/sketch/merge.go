@@ -74,11 +74,11 @@ func (p *DatasetProfile) Merge(other *DatasetProfile) error {
 
 // merge folds one numeric column's sketches over a disjoint row
 // partition into np; Merge has checked that both sides share a centre.
+// np's quantile sketch is only read: the merged one replaces it
+// (KLL.merged). Nothing of o is kept.
 func (np *NumericProfile) merge(o *NumericProfile) error {
 	np.Moments.Merge(o.Moments)
-	if err := np.Quantiles.Merge(o.Quantiles); err != nil {
-		return err
-	}
+	np.Quantiles = np.Quantiles.merged(o.Quantiles)
 	if err := np.Proj.Merge(o.Proj); err != nil {
 		return err
 	}

@@ -290,7 +290,7 @@ func LoadProfile(r io.Reader) (*DatasetProfile, error) {
 			ProjCenter: nw.ProjCenter,
 			Planes:     hyperplaneFromWire(nw.Planes),
 			Sample:     reservoirFromWire(nw.Sample, reservoirSeed(wire.Config.Seed, nw.Name)),
-			gather:     builtSlots(nw.RowSampleValues),
+			gather:     builtGather(nw.RowSampleValues),
 		}
 		if nw.HasRank {
 			np.RankProj = projectionFromWire(nw.RankProj)
@@ -304,7 +304,7 @@ func LoadProfile(r io.Reader) (*DatasetProfile, error) {
 			Heavy:       spaceSavingFromWire(cw.Heavy),
 			Distinct:    kmvFromWire(cw.Distinct),
 			Rows:        cw.Rows,
-			codes:       builtSlots(cw.RowSampleCodes),
+			codes:       builtGather(cw.RowSampleCodes),
 			Cardinality: cw.Cardinality,
 			Dict:        cw.Dict,
 		}

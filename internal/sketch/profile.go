@@ -97,7 +97,7 @@ type NumericProfile struct {
 	// sketch (dip statistic, outlier mean distance).
 	Sample *Reservoir
 	// gather holds RowSampleValues.
-	gather *slotted[float64]
+	gather *gathered[float64]
 	// rowSampleView caches RowSampleOrdered.
 	rowSampleView atomic.Pointer[stats.Ordered]
 }
@@ -137,7 +137,7 @@ type CategoricalProfile struct {
 	// Rows is the number of non-missing cells observed.
 	Rows uint64
 	// codes holds RowSampleCodes.
-	codes *slotted[int32]
+	codes *gathered[int32]
 	// Cardinality is the exact number of distinct values (known for
 	// free from the dictionary encoding).
 	Cardinality int
@@ -233,11 +233,17 @@ func (p *DatasetProfile) EstimateSpearman(x, y string) (float64, error) {
 // sampled values outside the fences). k is the fence multiplier
 // (1.5 when zero).
 func (np *NumericProfile) OutlierScoreEstimate(k float64) float64 {
+	qs := np.Quantiles.Quantiles([]float64{0.25, 0.75})
+	return np.OutlierScoreAt(qs[0], qs[1], k)
+}
+
+// OutlierScoreAt is OutlierScoreEstimate with the quartiles q1 and q3
+// already read from the quantile sketch, for a caller that reads them
+// anyway: one weighted pass of the sketch serves both.
+func (np *NumericProfile) OutlierScoreAt(q1, q3, k float64) float64 {
 	if k == 0 {
 		k = 1.5
 	}
-	qs := np.Quantiles.Quantiles([]float64{0.25, 0.75})
-	q1, q3 := qs[0], qs[1]
 	iqr := q3 - q1
 	if math.IsNaN(iqr) || iqr == 0 {
 		return 0

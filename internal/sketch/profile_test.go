@@ -144,9 +144,9 @@ func TestProfileMomentsMatchExact(t *testing.T) {
 			t.Errorf("%s: got %v want %v", name, got, want)
 		}
 	}
-	almostEq("variance", np.Moments.Variance(), stats.Variance(sk.Values()), 1e-9)
-	almostEq("skewness", np.Moments.Skewness(), stats.Skewness(sk.Values()), 1e-9)
-	almostEq("kurtosis", np.Moments.Kurtosis(), stats.Kurtosis(sk.Values()), 1e-9)
+	almostEq("variance", np.Moments.Variance(), stats.NewMoments(sk.Values()).Variance(), 1e-9)
+	almostEq("skewness", np.Moments.Skewness(), stats.NewMoments(sk.Values()).Skewness(), 1e-9)
+	almostEq("kurtosis", np.Moments.Kurtosis(), stats.NewMoments(sk.Values()).Kurtosis(), 1e-9)
 	// KLL quantiles close to exact.
 	almostEq("median", np.Quantiles.Median(), stats.Median(sk.Values()), 0.1)
 }
@@ -285,7 +285,7 @@ func TestRowSampleOrdered(t *testing.T) {
 	if np.RowSampleOrdered() != np.RowSampleOrdered() {
 		t.Error("the view is rebuilt on every call")
 	}
-	np.gather = builtSlots(append([]float64{-1e9}, np.RowSampleValues()[1:]...))
+	np.gather = builtGather(append([]float64{-1e9}, np.RowSampleValues()[1:]...))
 	if got := np.RowSampleOrdered(); got.Sorted[0] != -1e9 || &got.Values[0] != &np.RowSampleValues()[0] {
 		t.Error("the view survived a replacement of the gather")
 	}

@@ -18,16 +18,10 @@ type Reservoir struct {
 // with deterministic sampling under seed. capacity ≤ 0 defaults to
 // 1024.
 func NewReservoir(capacity int, seed int64) *Reservoir {
-	return newReservoir(capacity, seed, 0)
-}
-
-// newReservoir is NewReservoir with room reserved for the first
-// reserve values, at most capacity.
-func newReservoir(capacity int, seed int64, reserve int) *Reservoir {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Reservoir{capacity: capacity, items: builtSlots(make([]float64, 0, min(reserve, capacity))), seed: seed}
+	return &Reservoir{capacity: capacity, items: builtSlots([]float64{}), seed: seed}
 }
 
 // reservoirSeed is the seed of column name's value reservoir in a

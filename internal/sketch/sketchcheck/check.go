@@ -268,19 +268,6 @@ func CheckKMV(r *Report, label string, s *sketch.KMV, trueDistinct int) {
 	}
 }
 
-// CheckKMVEqual asserts two KMV sketches are query-identical — the
-// differential form of "merge ≡ one-pass", exact because the hash
-// function is unkeyed and the k smallest hashes of a union are
-// determined by the inputs.
-func CheckKMVEqual(r *Report, label string, a, b *sketch.KMV) {
-	r.check(a.Count() == b.Count(), "kmv/equal-count",
-		"%s: counts differ: %d vs %d", label, a.Count(), b.Count())
-	r.check(a.K() == b.K(), "kmv/equal-k",
-		"%s: k differs: %d vs %d", label, a.K(), b.K())
-	r.check(a.Distinct() == b.Distinct(), "kmv/equal-distinct",
-		"%s: Distinct() differs: %v vs %v", label, a.Distinct(), b.Distinct())
-}
-
 // CheckEntropy asserts the composed entropy estimator's contract for
 // one (SpaceSaving, KMV) pair: the estimate is finite and
 // non-negative, and the normalized form lies in [0, 1] — for any

@@ -10,8 +10,10 @@ import (
 // column's gather at them, each value reservoir's items — change in a
 // handful of slots per ingest batch, and most of the generations a
 // stream of batches makes are never read. So an extension records the
-// slots it writes instead of copying the array to write them, and the
-// array is built once, by its first reader.
+// slots it writes to the row sample and the reservoirs instead of
+// copying the array to write them, records nothing for a gather (it is
+// the column at the row sample's indexes), and each array is built
+// once, by its first reader.
 
 // slotWrite is one recorded write of a slotted array: v at index slot.
 type slotWrite[T any] struct {
@@ -125,4 +127,43 @@ func claimWrites[T any](ws []slotWrite[T], claimed *atomic.Bool, extra int) []sl
 	out := make([]slotWrite[T], n+extra, 2*(n+extra))
 	copy(out, ws)
 	return out
+}
+
+// gathered is a column's values at the row sample's indexes
+// (RowSampleValues, RowSampleCodes). A build or a load holds it built;
+// an extension holds the row sample and the column instead, and get
+// gathers it once, for the first reader. The nil *gathered is the empty
+// array.
+type gathered[T any] struct {
+	once  sync.Once
+	rows  *RowSample
+	col   []T
+	built []T
+}
+
+// builtGather returns the gather that is arr, which it retains.
+func builtGather[T any](arr []T) *gathered[T] { return &gathered[T]{built: arr} }
+
+// gatherAt returns col at the indexes of rows, gathered by its first
+// reader. col must hold every row rows indexes and never change.
+func gatherAt[T any](rows *RowSample, col []T) *gathered[T] {
+	return &gathered[T]{rows: rows, col: col}
+}
+
+// get returns the array, gathering it on the first call; safe for
+// concurrent use. The result is shared and read-only.
+func (g *gathered[T]) get() []T {
+	if g == nil {
+		return nil
+	}
+	g.once.Do(func() {
+		if g.rows == nil {
+			return
+		}
+		start := time.Now()
+		g.built = gather(g.rows.Indexes(), g.col)
+		g.rows, g.col = nil, nil
+		observeSince("sample.build", start)
+	})
+	return g.built
 }

@@ -77,8 +77,9 @@ func mergeReservoirsCopying(a, b *Reservoir) *Reservoir {
 }
 
 // extendCopying is Extend with the copying oracles in place of the
-// slotted arrays: the same merge target, delta and merge, then a
-// copied row sample, regathered columns and copy-replayed reservoirs.
+// slotted arrays and with no scratch: the same merge target, the delta
+// allocated and merged on fresh arrays (mergeFresh), then a copied row
+// sample, regathered columns and copy-replayed reservoirs.
 func extendCopying(p *DatasetProfile, f *frame.Frame) (*DatasetProfile, error) {
 	old := p.Rows
 	numeric, categorical := f.NumericColumns(), f.CategoricalColumns()
@@ -89,8 +90,8 @@ func extendCopying(p *DatasetProfile, f *frame.Frame) (*DatasetProfile, error) {
 	out := p.mergeTarget()
 	cfg := out.Config
 	cfg.Spearman = false
-	delta := buildRange(f, cfg, old, f.Rows(), centers)
-	if err := out.Merge(delta); err != nil {
+	delta := buildRange(f, cfg, old, f.Rows(), centers, nil)
+	if err := mergeFresh(out, delta); err != nil {
 		return nil, err
 	}
 	idx, slots := rowSampleExtendedCopy(p.RowSample.Indexes(), old, f.Rows(), cfg.RowSampleSize, cfg.Seed+1)
@@ -98,11 +99,11 @@ func extendCopying(p *DatasetProfile, f *frame.Frame) (*DatasetProfile, error) {
 	for _, nc := range numeric {
 		np, was := out.Numeric[nc.Name()], p.Numeric[nc.Name()]
 		np.Sample = mergeReservoirsCopying(was.Sample, delta.Numeric[nc.Name()].Sample)
-		np.gather = builtSlots(regather(was.RowSampleValues(), nc.Values(), idx, slots))
+		np.gather = builtGather(regather(was.RowSampleValues(), nc.Values(), idx, slots))
 	}
 	for _, cc := range categorical {
 		cp := out.Categorical[cc.Name()]
-		cp.codes = builtSlots(regather(p.Categorical[cc.Name()].RowSampleCodes(), cc.Codes(), idx, slots))
+		cp.codes = builtGather(regather(p.Categorical[cc.Name()].RowSampleCodes(), cc.Codes(), idx, slots))
 		cp.Cardinality = cc.Cardinality()
 		cp.Dict = cc.Dict()
 	}

@@ -49,13 +49,23 @@ const defaultSpaceSavingCapacity = 64
 // NewSpaceSaving returns a sketch tracking up to capacity items
 // (defaultSpaceSavingCapacity when capacity ≤ 0).
 func NewSpaceSaving(capacity int) *SpaceSaving {
+	s := &SpaceSaving{}
+	s.reuse(capacity)
+	return s
+}
+
+// reuse makes s the empty sketch NewSpaceSaving(capacity) returns,
+// keeping its counter map.
+func (s *SpaceSaving) reuse(capacity int) {
 	if capacity <= 0 {
 		capacity = defaultSpaceSavingCapacity
 	}
-	return &SpaceSaving{
-		capacity: capacity,
-		counters: make(map[string]*ssCounter, capacity),
+	counters := s.counters
+	if counters == nil {
+		counters = make(map[string]*ssCounter, capacity)
 	}
+	clear(counters)
+	*s = SpaceSaving{capacity: capacity, counters: counters}
 }
 
 // Update folds one occurrence of item (with weight 1).
@@ -113,15 +123,6 @@ func (s *SpaceSaving) admit(item string, weight uint64) {
 
 // Count returns the total stream weight observed.
 func (s *SpaceSaving) Count() uint64 { return s.n }
-
-// Estimate returns the estimated count of item (0 if untracked) and
-// whether the item is currently tracked.
-func (s *SpaceSaving) Estimate(item string) (uint64, bool) {
-	if c, ok := s.counters[item]; ok {
-		return c.count, true
-	}
-	return 0, false
-}
 
 // Top returns the k highest-count tracked items, sorted by descending
 // estimated count (ties broken by item for determinism).

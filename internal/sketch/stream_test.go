@@ -275,7 +275,7 @@ func rowSampleOracle(n, capacity int, seed int64) []int {
 // cuts make and holds every intermediate sample to the oracle's
 // one-shot sample of that many rows. The copying extension's reported
 // slots must account for every difference from the sample before, and
-// the slotted indexes, and a slotted gather over them, must equal the
+// the slotted indexes, and a column gathered at them, must equal the
 // copying oracles (rowSampleExtendedCopy, regather) at every cut —
 // read at the cut when its read bit is set, and otherwise only after
 // the later cuts have extended them unread.
@@ -290,20 +290,19 @@ func checkRowSampleExtend(n, capacity int, seed int64, cuts []int, read []bool) 
 	type generation struct {
 		at         int
 		idx        *slotted[int]
-		gather     *slotted[float64]
+		gather     *gathered[float64]
 		wantIdx    []int
 		wantGather []float64
 	}
 	idx, gath, at := []int(nil), []float64(nil), 0
 	var sIdx *slotted[int]
-	var sGather *slotted[float64]
 	var gens []generation
 	check := func(g generation) error {
 		if !slices.Equal(g.idx.get(), g.wantIdx) {
 			return fmt.Errorf("n=%d capacity=%d seed=%d: slotted indexes at %d differ from the copying oracle's", n, capacity, seed, g.at)
 		}
 		if !slices.Equal(g.gather.get(), g.wantGather) {
-			return fmt.Errorf("n=%d capacity=%d seed=%d: slotted gather at %d differs from regather's", n, capacity, seed, g.at)
+			return fmt.Errorf("n=%d capacity=%d seed=%d: gather at %d differs from regather's", n, capacity, seed, g.at)
 		}
 		return nil
 	}
@@ -323,7 +322,7 @@ func checkRowSampleExtend(n, capacity int, seed int64, cuts []int, read []bool) 
 		ws := rowSampleWrites(at, to, capacity, seed)
 		size := min(to, capacity)
 		sIdx = sIdx.extended(size, ws)
-		sGather = sGather.extended(size, gatherWrites(make([]slotWrite[float64], len(ws)), ws, col))
+		sGather := gatherAt(&RowSample{indexes: sIdx}, col[:to])
 		idx, gath, at = next, regather(gath, col, next, slots), to
 		g := generation{at: at, idx: sIdx, gather: sGather, wantIdx: idx, wantGather: gath}
 		if i < len(read) && read[i] {

@@ -96,28 +96,11 @@ func (s pairSums) pearson() float64 {
 	return r
 }
 
-// Covariance returns the population covariance of the
-// pairwise-complete observations of xs and ys.
-func Covariance(xs, ys []float64) float64 {
-	s := newPairSums(xs, ys)
-	if s.n < 2 {
-		return math.NaN()
-	}
-	return s.sxy / float64(s.n)
-}
-
 // Pearson returns the Pearson correlation coefficient
 // ρ(x,y) = Σ(xᵢ−µx)(yᵢ−µy)/(n·σx·σy) over pairwise-complete
 // observations — the paper's linear-relationship metric. It returns
 // NaN when either side is constant or fewer than two pairs exist.
 func Pearson(xs, ys []float64) float64 { return newPairSums(xs, ys).pearson() }
-
-// PearsonFit returns Pearson(xs, ys) and FitLine(xs, ys) from one scan
-// of the pairs: both are functions of the same five sums.
-func PearsonFit(xs, ys []float64) (float64, LinearFit) {
-	s := newPairSums(xs, ys)
-	return s.pearson(), s.fit()
-}
 
 // KendallTauB returns Kendall's τ-b rank correlation over
 // pairwise-complete observations, computed in O(n log n) with Knight's

@@ -184,3 +184,20 @@ func TestQuickSpearmanMonotoneInvariance(t *testing.T) {
 		}
 	}
 }
+
+// Covariance returns the population covariance of the
+// pairwise-complete observations of xs and ys.
+func Covariance(xs, ys []float64) float64 {
+	s := newPairSums(xs, ys)
+	if s.n < 2 {
+		return math.NaN()
+	}
+	return s.sxy / float64(s.n)
+}
+
+// PearsonFit returns Pearson(xs, ys) and FitLine(xs, ys) from one scan
+// of the pairs: both are functions of the same five sums.
+func PearsonFit(xs, ys []float64) (float64, LinearFit) {
+	s := newPairSums(xs, ys)
+	return s.pearson(), s.fit()
+}

@@ -112,14 +112,6 @@ func (m *Moments) Variance() float64 {
 	return m.M2 / float64(m.N)
 }
 
-// SampleVariance returns the n−1 denominated variance.
-func (m *Moments) SampleVariance() float64 {
-	if m.N < 2 {
-		return math.NaN()
-	}
-	return m.M2 / float64(m.N-1)
-}
-
 // StdDev returns the population standard deviation.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
@@ -194,18 +186,9 @@ func Mean(xs []float64) float64 {
 	return sum / float64(n)
 }
 
-// Variance returns the population variance of the non-NaN values.
-func Variance(xs []float64) float64 { return NewMoments(xs).Variance() }
-
 // StdDev returns the population standard deviation of the non-NaN
 // values.
 func StdDev(xs []float64) float64 { return NewMoments(xs).StdDev() }
-
-// Skewness returns γ₁ of the non-NaN values.
-func Skewness(xs []float64) float64 { return NewMoments(xs).Skewness() }
-
-// Kurtosis returns the kurtosis of the non-NaN values.
-func Kurtosis(xs []float64) float64 { return NewMoments(xs).Kurtosis() }
 
 // MinMax returns the extrema of the non-NaN values, or NaNs if none
 // exist.

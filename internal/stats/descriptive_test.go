@@ -242,3 +242,20 @@ func TestJarqueBeraAndNormality(t *testing.T) {
 	constant := NewMoments([]float64{3, 3, 3, 3, 3, 3, 3, 3, 3})
 	almost(t, "constant JB", constant.JarqueBera(), math.NaN(), 0)
 }
+
+// SampleVariance returns the n−1 denominated variance.
+func (m *Moments) SampleVariance() float64 {
+	if m.N < 2 {
+		return math.NaN()
+	}
+	return m.M2 / float64(m.N-1)
+}
+
+// Variance returns the population variance of the non-NaN values.
+func Variance(xs []float64) float64 { return NewMoments(xs).Variance() }
+
+// Skewness returns γ₁ of the non-NaN values.
+func Skewness(xs []float64) float64 { return NewMoments(xs).Skewness() }
+
+// Kurtosis returns the kurtosis of the non-NaN values.
+func Kurtosis(xs []float64) float64 { return NewMoments(xs).Kurtosis() }

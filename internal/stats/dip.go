@@ -309,7 +309,3 @@ func normQuantile(p float64) float64 {
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
 }
-
-// NormQuantile exposes the standard normal inverse CDF for data
-// generation and sketch sizing.
-func NormQuantile(p float64) float64 { return normQuantile(p) }

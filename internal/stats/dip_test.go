@@ -129,16 +129,16 @@ func TestBimodalitySeparation(t *testing.T) {
 }
 
 func TestNormQuantile(t *testing.T) {
-	almost(t, "median", NormQuantile(0.5), 0, 1e-9)
-	almost(t, "q975", NormQuantile(0.975), 1.959964, 1e-5)
-	almost(t, "q025", NormQuantile(0.025), -1.959964, 1e-5)
-	almost(t, "q0.999", NormQuantile(0.999), 3.090232, 1e-5)
-	if !math.IsInf(NormQuantile(0), -1) || !math.IsInf(NormQuantile(1), 1) {
+	almost(t, "median", normQuantile(0.5), 0, 1e-9)
+	almost(t, "q975", normQuantile(0.975), 1.959964, 1e-5)
+	almost(t, "q025", normQuantile(0.025), -1.959964, 1e-5)
+	almost(t, "q0.999", normQuantile(0.999), 3.090232, 1e-5)
+	if !math.IsInf(normQuantile(0), -1) || !math.IsInf(normQuantile(1), 1) {
 		t.Error("extremes should be ±Inf")
 	}
 	// Round trip through the normal CDF via erf.
 	for _, p := range []float64{0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99} {
-		z := NormQuantile(p)
+		z := normQuantile(p)
 		cdf := 0.5 * (1 + math.Erf(z/math.Sqrt2))
 		almost(t, "round trip", cdf, p, 1e-6)
 	}

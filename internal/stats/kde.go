@@ -44,9 +44,6 @@ func NewKDE(xs []float64, bandwidth float64) *KDE {
 	return &KDE{sample: sample, bandwidth: bandwidth}
 }
 
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
 // Len returns the sample size.
 func (k *KDE) Len() int { return len(k.sample) }
 

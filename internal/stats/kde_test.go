@@ -132,3 +132,6 @@ func TestQuickKDEProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Bandwidth returns the kernel bandwidth in use.
+func (k *KDE) Bandwidth() float64 { return k.bandwidth }

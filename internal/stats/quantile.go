@@ -36,17 +36,11 @@ func QuantileSorted(s []float64, q float64) float64 {
 // Median returns the 0.5 quantile of the non-NaN values.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// IQR returns the interquartile range Q3−Q1 of the non-NaN values.
-func IQR(xs []float64) float64 { return IQRSorted(sortedCopy(xs)) }
-
-// IQRSorted is IQR for data already sorted ascending and free of NaNs.
+// IQRSorted returns the interquartile range Q3−Q1 of s, which is
+// sorted ascending and free of NaNs.
 func IQRSorted(s []float64) float64 {
 	return QuantileSorted(s, 0.75) - QuantileSorted(s, 0.25)
 }
-
-// MAD returns the median absolute deviation from the median, a robust
-// scale estimate.
-func MAD(xs []float64) float64 { return madSorted(sortedCopy(xs)) }
 
 func madSorted(s []float64) float64 {
 	if len(s) == 0 {

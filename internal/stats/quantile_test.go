@@ -206,3 +206,10 @@ func TestSortedCopyLeavesInputAlone(t *testing.T) {
 		t.Error("sortedCopy mutated input")
 	}
 }
+
+// IQR returns the interquartile range Q3−Q1 of the non-NaN values.
+func IQR(xs []float64) float64 { return IQRSorted(sortedCopy(xs)) }
+
+// MAD returns the median absolute deviation from the median, a robust
+// scale estimate.
+func MAD(xs []float64) float64 { return madSorted(sortedCopy(xs)) }
