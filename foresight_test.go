@@ -232,9 +232,13 @@ func TestFacadeParallelWorkers(t *testing.T) {
 func TestDrillDownWorkflow(t *testing.T) {
 	f := foresight.ParkinsonDataset(2000, 11)
 	// Constrain to the PD cohort.
-	keep, err := f.WhereCategory("Cohort", "PD")
+	cohort, err := f.Categorical("Cohort")
 	if err != nil {
 		t.Fatal(err)
+	}
+	keep := make([]bool, f.Rows())
+	for i := range keep {
+		keep[i] = !cohort.IsMissing(i) && cohort.StringAt(i) == "PD"
 	}
 	sub, err := f.FilterRows(keep)
 	if err != nil {
@@ -264,9 +268,13 @@ func TestDrillDownWorkflow(t *testing.T) {
 		t.Errorf("drill-down correlations missing: %+v", lin)
 	}
 	// Numeric range drill-down.
-	keepAge, err := f.WhereNumeric("AgeAtVisit", 70, 200)
+	age, err := f.Numeric("AgeAtVisit")
 	if err != nil {
 		t.Fatal(err)
+	}
+	keepAge := make([]bool, f.Rows())
+	for i, v := range age.Values() {
+		keepAge[i] = v >= 70 && v <= 200
 	}
 	old, err := f.FilterRows(keepAge)
 	if err != nil {

@@ -22,7 +22,9 @@ import (
 //	acked batches ⊆ recovered rows ⊆ attempted batches,
 //
 // recovered rows are a whole-batch prefix (no torn batch half-applied),
-// and every recovered cell is bit-identical to what was ingested.
+// and every recovered cell is bit-identical to what was ingested. Before
+// the crash, after every ingest, the engine serves exactly the acked
+// batches: memory == durable prefix.
 
 const crashBatchRows = 3
 
@@ -64,8 +66,10 @@ func crashBatch(i int) frame.RowBatch {
 // ingest `batches` batches (forcing a synchronous checkpoint after
 // checkpointAfter batches when > 0), close. It returns how many
 // batches were acked before the first failure. fsync=always, so an ack
-// means durable.
-func runScenario(fs *ErrFS, batches, checkpointAfter int) (acked int) {
+// means durable. After every ingest, acked or not, the engine serves
+// exactly the batches the log took: memory is the durable prefix.
+func runScenario(t *testing.T, fs *ErrFS, batches, checkpointAfter int) (acked int) {
+	t.Helper()
 	e, err := newScenarioEngine()
 	if err != nil {
 		return 0
@@ -81,13 +85,17 @@ func runScenario(fs *ErrFS, batches, checkpointAfter int) (acked int) {
 	if _, err := m.Recover(e); err != nil {
 		return 0
 	}
-	prior := int(m.Recovery().LastSeq) // batches already durable from an earlier life
+	prior := int(m.Stats().Recovery.LastSeq) // batches already durable from an earlier life
 	ctx := context.Background()
 	for i := 0; i < batches; i++ {
-		if _, err := e.Ingest(ctx, crashBatch(prior+i), nil); err != nil {
+		_, err := e.Ingest(ctx, crashBatch(prior+i), nil)
+		if err == nil {
+			acked++
+		}
+		checkFrame(t, e, prior+acked, fmt.Sprintf("engine after batch %d", prior+i))
+		if err != nil {
 			return acked
 		}
-		acked++
 		if checkpointAfter > 0 && i+1 == checkpointAfter {
 			_ = m.Checkpoint() // a failed checkpoint must not lose acked batches
 		}
@@ -131,13 +139,26 @@ func recoverAndVerify(t *testing.T, fs *ErrFS, ackedMin, attempted int, label st
 	if gotBatches > attempted {
 		t.Fatalf("%s: recovered %d batches > %d attempted", label, gotBatches, attempted)
 	}
-	// Bit-identical replay: every recovered cell matches what the
-	// original batch carried, in ingest order.
+	checkFrame(t, e, gotBatches, label)
+	if m.wal == nil {
+		t.Fatalf("%s: recovery did not open the WAL for appending", label)
+	}
+	checkRowSection(t, m, gotBatches, label)
+}
+
+// checkFrame requires e's frame to be the base dataset followed by
+// exactly the first `batches` scenario batches, every cell as the batch
+// carried it, in ingest order.
+func checkFrame(t *testing.T, e *query.Engine, batches int, label string) {
+	t.Helper()
+	base := baseTestFrame().Rows()
+	if got, want := e.Frame().Rows()-base, batches*crashBatchRows; got != want {
+		t.Fatalf("%s: frame holds %d rows past the base, want %d batches of %d", label, got, batches, crashBatchRows)
+	}
 	xcol, _ := e.Frame().Lookup("x")
 	gcol, _ := e.Frame().Lookup("g")
-	for b := 0; b < gotBatches; b++ {
-		want := crashBatch(b)
-		for r, row := range want.Records {
+	for b := 0; b < batches; b++ {
+		for r, row := range crashBatch(b).Records {
 			i := base + b*crashBatchRows + r
 			if xcol.StringAt(i) != row[0] || gcol.StringAt(i) != row[1] {
 				t.Fatalf("%s: batch %d row %d: got (%s,%s) want (%s,%s)",
@@ -145,10 +166,6 @@ func recoverAndVerify(t *testing.T, fs *ErrFS, ackedMin, attempted int, label st
 			}
 		}
 	}
-	if m.wal == nil {
-		t.Fatalf("%s: recovery did not open the WAL for appending", label)
-	}
-	checkRowSection(t, m, gotBatches, label)
 }
 
 // sectionRecords decodes a row section.
@@ -189,7 +206,7 @@ func checkRowSection(t *testing.T, m *Manager, batches int, label string) {
 func TestCrashMatrixFreshLog(t *testing.T) {
 	const batches, ckptAfter = 6, 3
 	dry := NewErrFS()
-	ackedFull := runScenario(dry, batches, ckptAfter)
+	ackedFull := runScenario(t, dry, batches, ckptAfter)
 	if ackedFull != batches {
 		t.Fatalf("fault-free dry run acked %d/%d", ackedFull, batches)
 	}
@@ -202,7 +219,7 @@ func TestCrashMatrixFreshLog(t *testing.T) {
 	for n := 1; n <= ops; n++ {
 		fs := NewErrFS()
 		fs.CrashAt(n)
-		acked := runScenario(fs, batches, ckptAfter)
+		acked := runScenario(t, fs, batches, ckptAfter)
 		if !fs.Crashed() {
 			t.Fatalf("crash point %d/%d did not fire", n, ops)
 		}
@@ -213,9 +230,9 @@ func TestCrashMatrixFreshLog(t *testing.T) {
 // runAsyncScenario is runScenario with the checkpoints left to the
 // row trigger, which fires every second batch; each is waited for
 // before the next batch, so the op sequence is deterministic. After
-// every batch, acked or not, the row section the next checkpoint writes
-// must be exactly the acked batches, and the running section must hold
-// every row the engine does, a batch the WAL refused included.
+// every batch, acked or not, the engine's frame and the row section the
+// next checkpoint writes must both be exactly the acked batches, and the
+// running section must hold every row the engine does.
 func runAsyncScenario(t *testing.T, fs *ErrFS, batches int) (acked int) {
 	e, err := newScenarioEngine()
 	if err != nil {
@@ -232,7 +249,7 @@ func runAsyncScenario(t *testing.T, fs *ErrFS, batches int) (acked int) {
 	if _, err := m.Recover(e); err != nil {
 		return 0
 	}
-	prior := int(m.Recovery().LastSeq)
+	prior := int(m.Stats().Recovery.LastSeq)
 	for i := 0; i < batches; i++ {
 		_, err := e.Ingest(context.Background(), crashBatch(prior+i), nil)
 		m.ckptWG.Wait()
@@ -240,6 +257,7 @@ func runAsyncScenario(t *testing.T, fs *ErrFS, batches int) (acked int) {
 			acked++
 		}
 		label := fmt.Sprintf("after batch %d", prior+i)
+		checkFrame(t, e, prior+acked, label)
 		checkRowSection(t, m, prior+acked, label)
 		m.mu.Lock()
 		running := m.rows.n
@@ -256,8 +274,9 @@ func runAsyncScenario(t *testing.T, fs *ErrFS, batches int) (acked int) {
 
 // TestCrashMatrixAsyncCheckpoints crashes a scenario whose checkpoints
 // the row trigger fires (every second batch, CheckpointRows = 6) at
-// every filesystem operation it performs. At every fault point the row
-// section a checkpoint would write is the acked prefix, and recovery — from
+// every filesystem operation it performs. At every fault point the
+// engine's frame and the row section a checkpoint would write are the
+// acked prefix, and recovery — from
 // whichever snapshot survived, re-seeding the section from it and the
 // replayed tail — yields that prefix again, in the frame and in the
 // section the next checkpoint would write.
@@ -292,7 +311,7 @@ func TestCrashMatrixRestartedLog(t *testing.T) {
 	const first, second, ckptAfter = 4, 3, 2
 	seed := func() *ErrFS {
 		fs := NewErrFS()
-		if acked := runScenario(fs, first, ckptAfter); acked != first {
+		if acked := runScenario(t, fs, first, ckptAfter); acked != first {
 			t.Fatalf("seeding run acked %d/%d", acked, first)
 		}
 		fs.Restart() // the first life ends with a clean restart
@@ -301,7 +320,7 @@ func TestCrashMatrixRestartedLog(t *testing.T) {
 
 	dry := seed()
 	before := dry.Ops()
-	if acked := runScenario(dry, second, 0); acked != second {
+	if acked := runScenario(t, dry, second, 0); acked != second {
 		t.Fatalf("dry second life acked %d/%d", acked, second)
 	}
 	ops := dry.Ops() - before
@@ -310,7 +329,7 @@ func TestCrashMatrixRestartedLog(t *testing.T) {
 	for n := 1; n <= ops; n++ {
 		fs := seed()
 		fs.CrashAt(fs.Ops() + n)
-		acked := runScenario(fs, second, 0)
+		acked := runScenario(t, fs, second, 0)
 		if !fs.Crashed() {
 			t.Fatalf("crash point %d/%d did not fire", n, ops)
 		}
@@ -327,7 +346,7 @@ func TestCrashMatrixRestartedLog(t *testing.T) {
 func TestRecoverySurvivesConcurrentQueries(t *testing.T) {
 	fs := NewErrFS()
 	const batches = 40
-	if acked := runScenario(fs, batches, 0); acked != batches {
+	if acked := runScenario(t, fs, batches, 0); acked != batches {
 		t.Fatalf("seed acked %d/%d", acked, batches)
 	}
 	fs.Restart()
@@ -375,7 +394,7 @@ func TestRecoverySurvivesConcurrentQueries(t *testing.T) {
 func TestRecoveredProfileMatchesColdRebuild(t *testing.T) {
 	fs := NewErrFS()
 	const batches = 12
-	if acked := runScenario(fs, batches, 6); acked != batches {
+	if acked := runScenario(t, fs, batches, 6); acked != batches {
 		t.Fatalf("seed acked %d/%d", acked, batches)
 	}
 	fs.Restart()
@@ -406,7 +425,7 @@ func TestRecoveredProfileMatchesColdRebuild(t *testing.T) {
 // dataset's log must fail loudly, not replay nonsense.
 func TestRecoverRefusesForeignDataset(t *testing.T) {
 	fs := NewErrFS()
-	if acked := runScenario(fs, 4, 2); acked != 4 {
+	if acked := runScenario(t, fs, 4, 2); acked != 4 {
 		t.Fatal("seed failed")
 	}
 	fs.Restart()

@@ -77,17 +77,17 @@ func (e *ErrFS) CrashAt(n int) { e.mu.Lock(); e.crashAt = n; e.mu.Unlock() }
 // ErrCrashed until Restart.
 func (e *ErrFS) Crash() { e.mu.Lock(); e.crashed = true; e.mu.Unlock() }
 
-// FailSyncAt makes the nth File.Sync call (1-based) return ErrInjected
-// without crashing; 0 disarms.
-func (e *ErrFS) FailSyncAt(n int) { e.mu.Lock(); e.failSyncAt = n; e.mu.Unlock() }
+// FailSyncAt makes the nth File.Sync call from now (1-based) return
+// ErrInjected without crashing; 0 disarms.
+func (e *ErrFS) FailSyncAt(n int) { e.mu.Lock(); e.failSyncAt = e.syncCalls + n; e.mu.Unlock() }
 
-// FailRenameAt makes the nth Rename call (1-based) return ErrInjected
-// without crashing; 0 disarms.
-func (e *ErrFS) FailRenameAt(n int) { e.mu.Lock(); e.failRenAt = n; e.mu.Unlock() }
+// FailRenameAt makes the nth Rename call from now (1-based) return
+// ErrInjected without crashing; 0 disarms.
+func (e *ErrFS) FailRenameAt(n int) { e.mu.Lock(); e.failRenAt = e.renameCalls + n; e.mu.Unlock() }
 
-// FailWriteAt makes the nth Write call (1-based) write only half its
-// buffer and return ErrInjected (a short write); 0 disarms.
-func (e *ErrFS) FailWriteAt(n int) { e.mu.Lock(); e.failWriteAt = n; e.mu.Unlock() }
+// FailWriteAt makes the nth Write call from now (1-based) write only
+// half its buffer and return ErrInjected (a short write); 0 disarms.
+func (e *ErrFS) FailWriteAt(n int) { e.mu.Lock(); e.failWriteAt = e.writeCalls + n; e.mu.Unlock() }
 
 // Ops returns the number of mutating operations performed so far; a
 // fault-free dry run of a scenario yields the crash-point space to

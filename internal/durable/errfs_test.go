@@ -6,11 +6,6 @@ import (
 	"testing"
 )
 
-// Test-only peeks at the fault counters, so fault indices can be armed
-// relative to "now".
-func (e *ErrFS) writeCallsSnapshot() int { e.mu.Lock(); defer e.mu.Unlock(); return e.writeCalls }
-func (e *ErrFS) syncCallsSnapshot() int  { e.mu.Lock(); defer e.mu.Unlock(); return e.syncCalls }
-
 // readAll opens name and returns its full content, failing the test on
 // any error.
 func readAll(t *testing.T, fsys FS, name string) []byte {
@@ -148,7 +143,7 @@ func TestErrFSInjectedFaults(t *testing.T) {
 	fs := NewErrFS()
 	f, _ := fs.Create("d/a")
 
-	fs.FailWriteAt(fs.writeCallsSnapshot() + 1)
+	fs.FailWriteAt(1)
 	if n, err := f.Write([]byte("abcd")); !errors.Is(err, ErrInjected) || n != 2 {
 		t.Fatalf("short write: n=%d err=%v", n, err)
 	}
@@ -156,7 +151,7 @@ func TestErrFSInjectedFaults(t *testing.T) {
 		t.Fatalf("write after injected fault: %v", err)
 	}
 
-	fs.FailSyncAt(fs.syncCallsSnapshot() + 1)
+	fs.FailSyncAt(1)
 	if err := f.Sync(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("sync fault = %v", err)
 	}

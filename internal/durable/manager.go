@@ -112,8 +112,8 @@ type Stats struct {
 // Manager owns one WAL directory and wires durability into an engine:
 // Recover replays the on-disk state into the engine at startup, after
 // which the manager installs itself as the engine's DurableSink so
-// every applied ingest batch is logged before it is acknowledged, and
-// checkpoints fold the log back into snapshots.
+// every ingest batch is logged before it is published and
+// acknowledged, and checkpoints fold the log back into snapshots.
 type Manager struct {
 	opts Options
 	fsys FS
@@ -131,16 +131,15 @@ type Manager struct {
 	ckptSeq   uint64
 	rowsSince int
 	byteSince int64
-	// rows is the snapshot row section of every row the engine has
-	// appended since the base dataset — one block per batch, its cells
-	// as the WAL logs them, in frame column order — including a batch
-	// the WAL refused, which the engine applied all the same. snapRows
-	// (a prefix of rows), snapProfile and snapSeq are what the next
-	// checkpoint writes: the section and the engine's profile as of a
-	// logged batch. AppendBatch (which runs under the engine's ingest
-	// lock) extends rows and captures the triple, so a checkpoint always snapshots rows and
-	// a profile that describe the same data even while ingest continues,
-	// and renders no row to do it.
+	// rows is the snapshot row section of every batch the WAL has
+	// logged since the base dataset — one block per batch, its cells as
+	// the WAL logs them, in frame column order. snapRows (a prefix of
+	// rows), snapProfile and snapSeq are what the next checkpoint
+	// writes: the section and the profile the engine publishes with the
+	// last batch that kept them in step. AppendBatch (which runs under
+	// the engine's ingest lock) extends rows and captures the triple, so
+	// a checkpoint always snapshots rows and a profile that describe the
+	// same data even while ingest continues, and renders no row to do it.
 	rows        rowSection
 	snapRows    rowSection
 	snapProfile *sketch.DatasetProfile
@@ -318,50 +317,52 @@ func (m *Manager) applySnapshot(e *query.Engine, records [][]string, p *sketch.D
 
 // AppendBatch implements query.DurableSink: it is called by
 // Engine.Ingest, under the engine's ingest lock, after the batch has
-// been applied and before the caller acknowledges it. The WAL append
-// (and, under FsyncAlways, its flush) must succeed for the ingest to
-// report success. The batch's cells join the row section either way,
-// since the engine serves them either way: a logged batch in frame
-// column order as the rows of its WAL record, any other as one block
-// encoded in frame order. Only a logged batch captures the (rows,
-// profile, seq) triple for the checkpointer and may fire a checkpoint,
-// when the rows- or bytes-since-checkpoint trigger trips. A
-// refused batch has no seq, so it reaches a snapshot only under the seq
-// of a later batch the log took.
+// been appended and sketched and before the engine publishes it. The
+// WAL append (and, under FsyncAlways, its flush) must succeed for the
+// ingest to go on; a refused batch returns before anything else
+// changes. A logged batch joins the row section — in frame column order
+// as the rows of its WAL record, any other as one block encoded in
+// frame order — and may fire a checkpoint, when the rows- or
+// bytes-since-checkpoint trigger trips.
 //
-// The triple is captured only while the section holds as many rows as
-// the engine's frame does past the base, which it always does while the
-// engine moves by Ingest alone. An engine rolled back behind the
-// manager's back (RestoreSnapshot), or a batch logged that the engine
-// does not hold, breaks that for good; the last triple captured then
-// stands, and recovery replays the log past it.
+// The (rows, profile, seq) triple is captured from the arguments alone:
+// res.Profile, the store the engine is about to publish, and only while
+// the section holds res.TotalRows past the base, which it always does
+// while the engine moves by Ingest alone. An engine rolled back behind
+// the manager's back (RestoreSnapshot), or a batch logged that the
+// engine does not hold, breaks that for good; the last triple captured
+// then stands, and recovery replays the log past it.
+//
+// One edge remains: when a failed append's rollback fails too (the WAL
+// latches failed), the refused record may stay whole on disk, and that
+// unacknowledged batch can reappear after a restart.
 func (m *Manager) AppendBatch(batch frame.RowBatch, res query.IngestResult) error {
 	if !m.recovered.Load() {
 		return fmt.Errorf("durable: ingest before recovery completed")
 	}
 	seq, rec, err := m.wal.Append(batch.Columns, batch.Records)
+	if err != nil {
+		m.appendErrors.Add(1)
+		return err
+	}
 	n := len(rec)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err == nil && len(batch.Columns) == 0 {
+	if len(batch.Columns) == 0 {
 		m.rows.addBlock(len(batch.Records), rec[rowsAt(nil):])
 	} else {
 		m.rows.add(m.cols, batch.Columns, batch.Records)
-	}
-	if err != nil {
-		m.appendErrors.Add(1)
-		return err
 	}
 	m.appends.Add(1)
 	m.appendBytes.Add(uint64(n))
 	m.lastSeq = seq
 	m.rowsSince += res.RowsAppended
 	m.byteSince += int64(n)
-	if m.rows.n != m.engine.Frame().Rows()-m.baseRows {
+	if m.rows.n != res.TotalRows-m.baseRows {
 		return nil
 	}
-	m.snapRows, m.snapProfile, m.snapSeq = m.rows, m.engine.Profile(), seq
+	m.snapRows, m.snapProfile, m.snapSeq = m.rows, res.Profile, seq
 	trigger := (m.opts.CheckpointRows > 0 && m.rowsSince >= m.opts.CheckpointRows) ||
 		(m.opts.CheckpointBytes > 0 && m.byteSince >= m.opts.CheckpointBytes)
 	if trigger && m.checkpointing.CompareAndSwap(false, true) {
@@ -430,13 +431,6 @@ func (m *Manager) runCheckpoint(rows rowSection, p *sketch.DatasetProfile, seq u
 	}
 	pruneSnapshots(m.fsys, m.dir, m.opts.SnapshotsKept)
 	return nil
-}
-
-// Recovery returns the stats of the startup recovery pass.
-func (m *Manager) Recovery() RecoveryStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.recovery
 }
 
 // Stats returns the durability counters for /api/stats.

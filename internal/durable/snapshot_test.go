@@ -196,9 +196,9 @@ func recoverLife(t *testing.T, fs *ErrFS, e *query.Engine) (*Manager, RecoverySt
 
 // checkRecovered kills the process behind m and recovers fs into a
 // fresh engine. Recovery must start from want's snapshot, replay want's
-// number of batches, and end bit for bit where an uninterrupted run of
-// lifeBatch 0 … batches−1 does.
-func checkRecovered(t *testing.T, fs *ErrFS, m *Manager, want RecoveryStats, batches int) {
+// number of batches, and end bit for bit where whole, an uninterrupted
+// run of the batches the log took, does.
+func checkRecovered(t *testing.T, fs *ErrFS, m *Manager, want RecoveryStats, whole *query.Engine) {
 	t.Helper()
 	fs.Crash()
 	_ = m.Close()
@@ -209,34 +209,43 @@ func checkRecovered(t *testing.T, fs *ErrFS, m *Manager, want RecoveryStats, bat
 	if rec.SnapshotSeq != want.SnapshotSeq || rec.ReplayedBatches != want.ReplayedBatches {
 		t.Fatalf("recovered %+v, want the snapshot at seq %d and %d batches replayed", rec, want.SnapshotSeq, want.ReplayedBatches)
 	}
-	whole := lifeEngine(t, batches)
 	sameFrame(t, "frame", whole.Frame(), got.Frame())
 	if !bytes.Equal(saved(t, whole.Profile()), saved(t, got.Profile())) {
 		t.Error("the recovered profile saves to other bytes than the uninterrupted one")
 	}
 }
 
-// TestRefusedAppendStaysInSnapshot: a batch whose WAL append fails is
-// unacknowledged but live — the engine applied it before the log
-// refused it — so the next snapshot's rows and profile must both hold
-// it. Batch 1's append is cut short and rolled back, batch 2 is logged
-// and checkpointed, batch 3 is logged, and the process dies: recovery
-// ends bit for bit where an uninterrupted run of all four batches does.
-func TestRefusedAppendStaysInSnapshot(t *testing.T) {
+// TestRefusedAppendNeverLands: a batch whose WAL append fails is neither
+// acknowledged nor published. Batch 1's append is cut short and rolled
+// back, and the engine's row count, generation and profile bytes are
+// those from before the call. Batch 2 is logged and checkpointed, batch
+// 3 is logged, and the process dies: recovery ends bit for bit where an
+// uninterrupted run of batches 0, 2 and 3 does.
+func TestRefusedAppendNeverLands(t *testing.T) {
 	const batches, refused, ckpt = 4, 1, 2
 	ctx := context.Background()
 	fs := NewErrFS()
 	e := lifeEngine(t, 0)
+	whole := lifeEngine(t, 0)
 	m, _ := recoverLife(t, fs, e)
 	for i := range batches {
-		if i == refused {
-			fs.mu.Lock()
-			fs.failWriteAt = fs.writeCalls + 1 // this batch's record
-			fs.mu.Unlock()
-		}
-		_, err := e.Ingest(ctx, lifeBatch(i), nil)
-		if (err != nil) != (i == refused) {
-			t.Fatalf("batch %d: error %v", i, err)
+		if i != refused {
+			if _, err := e.Ingest(ctx, lifeBatch(i), nil); err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+			if _, err := whole.Ingest(ctx, lifeBatch(i), nil); err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+		} else {
+			rows, gen, profile := e.Frame().Rows(), e.CacheStats().Generation, saved(t, e.Profile())
+			fs.FailWriteAt(1) // this batch's record
+			if _, err := e.Ingest(ctx, lifeBatch(i), nil); err == nil {
+				t.Fatalf("batch %d: a short write was acknowledged", i)
+			}
+			if e.Frame().Rows() != rows || e.CacheStats().Generation != gen || !bytes.Equal(saved(t, e.Profile()), profile) {
+				t.Fatalf("a refused batch moved the engine: %d rows at generation %d, was %d at %d (profile bytes equal: %v)",
+					e.Frame().Rows(), e.CacheStats().Generation, rows, gen, bytes.Equal(saved(t, e.Profile()), profile))
+			}
 		}
 		if i == ckpt {
 			if err := m.Checkpoint(); err != nil {
@@ -244,7 +253,7 @@ func TestRefusedAppendStaysInSnapshot(t *testing.T) {
 			}
 		}
 	}
-	checkRecovered(t, fs, m, RecoveryStats{SnapshotSeq: 2, ReplayedBatches: 1}, batches)
+	checkRecovered(t, fs, m, RecoveryStats{SnapshotSeq: 2, ReplayedBatches: 1}, whole)
 }
 
 // TestEngineMovedBehindManager: an engine rolled back by RestoreSnapshot
@@ -284,7 +293,7 @@ func TestEngineMovedBehindManager(t *testing.T) {
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	checkRecovered(t, fs, m, RecoveryStats{SnapshotSeq: 3, ReplayedBatches: 2}, 5)
+	checkRecovered(t, fs, m, RecoveryStats{SnapshotSeq: 3, ReplayedBatches: 2}, lifeEngine(t, 5))
 }
 
 // TestCheckpointWhileAppending runs checkpoints — forced ones back to

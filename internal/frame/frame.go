@@ -3,7 +3,6 @@ package frame
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // SemanticType is optional attribute metadata describing what an
@@ -186,29 +185,6 @@ func (f *Frame) SetMeta(name string, m Metadata) error {
 // if none was set).
 func (f *Frame) Meta(name string) Metadata { return f.meta[name] }
 
-// Select returns a new Frame containing only the named columns, in the
-// given order. Metadata is carried over.
-func (f *Frame) Select(names ...string) (*Frame, error) {
-	cols := make([]Column, 0, len(names))
-	for _, name := range names {
-		c, ok := f.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("frame: no column %q", name)
-		}
-		cols = append(cols, c)
-	}
-	out, err := New(f.name, cols...)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range names {
-		if m, ok := f.meta[name]; ok {
-			out.meta[name] = m
-		}
-	}
-	return out, nil
-}
-
 // Summary returns a short human-readable description of the frame
 // shape and column kinds, for logging and CLIs.
 func (f *Frame) Summary() string {
@@ -273,36 +249,4 @@ func (f *Frame) FilterRows(keep []bool) (*Frame, error) {
 		_ = out.SetMeta(name, m)
 	}
 	return out, nil
-}
-
-// WhereNumeric returns a keep-mask selecting rows whose value in the
-// named numeric column lies in [lo, hi] (NaN cells never match).
-func (f *Frame) WhereNumeric(name string, lo, hi float64) ([]bool, error) {
-	col, err := f.Numeric(name)
-	if err != nil {
-		return nil, err
-	}
-	keep := make([]bool, f.rows)
-	for i, v := range col.Values() {
-		keep[i] = !math.IsNaN(v) && v >= lo && v <= hi
-	}
-	return keep, nil
-}
-
-// WhereCategory returns a keep-mask selecting rows whose value in the
-// named categorical column is one of the given values.
-func (f *Frame) WhereCategory(name string, values ...string) ([]bool, error) {
-	col, err := f.Categorical(name)
-	if err != nil {
-		return nil, err
-	}
-	want := make(map[string]bool, len(values))
-	for _, v := range values {
-		want[v] = true
-	}
-	keep := make([]bool, f.rows)
-	for i := range keep {
-		keep[i] = !col.IsMissing(i) && want[col.StringAt(i)]
-	}
-	return keep, nil
 }

@@ -146,28 +146,6 @@ func TestFrameMetadata(t *testing.T) {
 	}
 }
 
-func TestFrameSelect(t *testing.T) {
-	f := MustNew("t",
-		NewNumericColumn("a", []float64{1}),
-		NewNumericColumn("b", []float64{2}),
-		NewNumericColumn("c", []float64{3}),
-	)
-	_ = f.SetMeta("c", Metadata{Unit: "kg"})
-	sub, err := f.Select("c", "a")
-	if err != nil {
-		t.Fatalf("Select: %v", err)
-	}
-	if sub.Cols() != 2 || sub.Column(0).Name() != "c" {
-		t.Errorf("Select produced wrong columns: %v", sub.Names())
-	}
-	if sub.Meta("c").Unit != "kg" {
-		t.Error("Select should carry metadata")
-	}
-	if _, err := f.Select("zzz"); err == nil {
-		t.Error("Select of missing column should fail")
-	}
-}
-
 func TestReadCSVInference(t *testing.T) {
 	src := "name,score,views\nalpha,1.5,10\nbeta,NA,20\ngamma,2.5,-\n"
 	f, err := ReadCSV(strings.NewReader(src), "test", nil)
@@ -332,11 +310,7 @@ func TestFilterRows(t *testing.T) {
 		NewCategoricalColumn("g", []string{"a", "b", "a", "b", "a"}),
 	)
 	_ = f.SetMeta("v", Metadata{Unit: "kg"})
-	keep, err := f.WhereNumeric("v", 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := f.FilterRows(keep)
+	sub, err := f.FilterRows([]bool{false, true, true, true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,30 +328,8 @@ func TestFilterRows(t *testing.T) {
 	if sub.Meta("v").Unit != "kg" {
 		t.Error("metadata lost in filter")
 	}
-	// Category filter.
-	keepA, err := f.WhereCategory("g", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	subA, err := f.FilterRows(keepA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if subA.Rows() != 3 {
-		t.Errorf("category filter rows = %d, want 3", subA.Rows())
-	}
-	// Errors.
 	if _, err := f.FilterRows([]bool{true}); err == nil {
 		t.Error("wrong mask length should fail")
-	}
-	if _, err := f.WhereNumeric("g", 0, 1); err == nil {
-		t.Error("WhereNumeric on categorical should fail")
-	}
-	if _, err := f.WhereCategory("v", "a"); err == nil {
-		t.Error("WhereCategory on numeric should fail")
-	}
-	if _, err := f.WhereNumeric("zzz", 0, 1); err == nil {
-		t.Error("missing column should fail")
 	}
 }
 
@@ -389,17 +341,6 @@ func TestFilterRowsAllOut(t *testing.T) {
 	}
 	if sub.Rows() != 0 {
 		t.Errorf("empty filter rows = %d", sub.Rows())
-	}
-}
-
-func TestWhereCategorySkipsMissing(t *testing.T) {
-	f := MustNew("t", NewCategoricalColumn("g", []string{"a", "", "a"}))
-	keep, err := f.WhereCategory("g", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keep[1] {
-		t.Error("missing cell must not match")
 	}
 }
 

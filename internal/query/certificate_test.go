@@ -154,8 +154,10 @@ func TestCertificatesKeepReplies(t *testing.T) {
 	// Candidates each class pruned, summed over the steps: telemetry
 	// counts them per generation, and a step is one generation.
 	pruned := map[*Engine]map[string]uint64{carrying: {}, fresh: {}}
+	telem := map[*Engine]*telemetry.Insights{}
 	for e := range pruned {
-		e.SetInsightTelemetry(telemetry.New(telemetry.Config{}))
+		telem[e] = telemetry.New(telemetry.Config{})
+		e.SetInsightTelemetry(telem[e])
 	}
 	for step := 0; step <= 6; step++ {
 		if step > 0 {
@@ -176,7 +178,7 @@ func TestCertificatesKeepReplies(t *testing.T) {
 			}
 		}
 		for e, sum := range pruned {
-			for _, c := range e.InsightTelemetry().Snapshot(e.CacheStats().Generation, 1).Classes {
+			for _, c := range telem[e].Snapshot(e.CacheStats().Generation, 1).Classes {
 				sum[c.Class] += c.Pruned
 			}
 		}

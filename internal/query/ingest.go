@@ -15,10 +15,11 @@ import (
 // the one they loaded), the sketch store grows by the mergeable-sketch
 // delta path (sketch.DatasetProfile.Extend profiles just the new rows
 // and folds them in via Merge, paper §3, on the workers the profile was
-// built with — foresightd's -workers), and the pair is stored as the
-// next generation (cache.go) in one atomic swap, so every query that
-// loaded the generation before sees the old dataset and every query
-// after sees the new one.
+// built with — foresightd's -workers), the durable sink logs the batch,
+// and only then is the pair stored as the next generation (cache.go)
+// in one atomic swap, so every query that loaded the generation before
+// sees the old dataset, every query after sees the new one, and no
+// query sees rows the log refused.
 
 // IngestResult reports one applied ingest batch.
 type IngestResult struct {
@@ -31,10 +32,16 @@ type IngestResult struct {
 	// appended, so a client can tell whether a response was computed
 	// before or after its batch landed.
 	Generation uint64 `json:"generation"`
+	// Profile is the sketch store of that generation (nil without
+	// one): what Ingest hands the durable sink to snapshot with the
+	// batch's rows.
+	Profile *sketch.DatasetProfile `json:"-"`
 }
 
 // Ingest appends a batch of rows to the engine's dataset and extends
-// the sketch store incrementally (when one is attached). Concurrent
+// the sketch store incrementally (when one is attached), in one order
+// under the ingest lock: validate, append, extend, log to the durable
+// sink (when one is installed), publish, acknowledge. Concurrent
 // Ingest calls serialize; queries are never blocked — they keep
 // answering from the previous generation until the swap and from the
 // new one after it. opts carries the missing-value rules
@@ -46,13 +53,11 @@ type IngestResult struct {
 // A call waiting behind another ingest waits under ctx: if ctx ends
 // first it returns ctx's error and the batch never applies. The
 // context is checked again before the work starts and between the two
-// expensive phases (append, sketch delta); once the swap has happened
-// the batch is applied regardless of ctx. On error the engine is
-// untouched, with one exception: when the durable sink fails to log a
-// batch, the batch is already published and stays live in memory,
-// although the error reports it unacknowledged (ROADMAP 3(a) logs
-// before it publishes). A batch of no rows leaves the engine untouched
-// too, and reports the current row count and generation.
+// expensive phases (append, sketch delta); once the sink has taken
+// the batch it is published regardless of ctx. On error — the sink's
+// included — the engine is untouched: no rows, no profile, no new
+// generation. A batch of no rows leaves the engine untouched too, and
+// reports the current row count and generation.
 func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.ReadCSVOptions) (IngestResult, error) {
 	defer e.observeOp("ingest", time.Now())
 	select {
@@ -77,7 +82,7 @@ func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.R
 	}
 	if f2.Rows() == g.frame.Rows() {
 		// Nothing appended: nothing to publish or log.
-		return IngestResult{TotalRows: f2.Rows(), Generation: g.n}, nil
+		return IngestResult{TotalRows: f2.Rows(), Generation: g.n, Profile: g.profile}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return IngestResult{}, e.noteCancel(err)
@@ -93,27 +98,23 @@ func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.R
 		}
 	}
 
-	next := g.successor(f2, p2)
-	e.gen.Store(next)
 	res := IngestResult{
 		RowsAppended: f2.Rows() - g.frame.Rows(),
 		TotalRows:    f2.Rows(),
-		Generation:   next.n,
+		Generation:   g.n + 1,
+		Profile:      p2,
 	}
-
-	// Durability barrier: the batch is applied, now it must be logged
-	// before the caller acknowledges it. A sink failure reports the
-	// batch unacknowledged even though it is live in memory — the
-	// client retries and the recovered state after a restart decides;
-	// the alternative (ack without log) would silently lose acked rows
-	// on the next crash.
+	// Durability barrier: the batch is published only once the log has
+	// taken it, so a refused batch is never served and a retry cannot
+	// land it twice.
 	if e.durableSink != nil {
 		endLog := obs.StartSpan(ctx, "ingest:wal")
 		err := e.durableSink.AppendBatch(batch, res)
 		endLog()
 		if err != nil {
-			return IngestResult{}, fmt.Errorf("batch applied in memory but WAL append failed (unacknowledged): %w", err)
+			return IngestResult{}, err
 		}
 	}
+	e.gen.Store(g.successor(f2, p2))
 	return res, nil
 }

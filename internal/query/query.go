@@ -118,8 +118,8 @@ type Engine struct {
 	// Ingest and RestoreSnapshot, so concurrent appends cannot both
 	// extend the same base frame and lose rows.
 	ingestSlot chan struct{}
-	// durableSink, when set, logs every applied batch before Ingest
-	// reports success (recover.go). Guarded by ingestSlot.
+	// durableSink, when set, logs every batch before Ingest publishes
+	// it (recover.go). Guarded by ingestSlot.
 	durableSink DurableSink
 	// workers is the candidate-scoring parallelism (see SetWorkers);
 	// values < 2 mean sequential.
@@ -193,9 +193,6 @@ func (e *Engine) noteCancel(err error) error {
 // the engine's locks, so telemetry never extends a query's critical
 // sections.
 func (e *Engine) SetInsightTelemetry(t *telemetry.Insights) { e.telem.Store(t) }
-
-// InsightTelemetry returns the attached telemetry store (nil if none).
-func (e *Engine) InsightTelemetry() *telemetry.Insights { return e.telem.Load() }
 
 // Registry returns the engine's insight-class registry.
 func (e *Engine) Registry() *core.Registry { return e.registry }

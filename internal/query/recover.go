@@ -7,17 +7,17 @@ import (
 	"foresight/internal/sketch"
 )
 
-// DurableSink receives every applied ingest batch before Ingest
-// reports success. The durability manager (internal/durable) implements
-// it with a write-ahead-log append: a batch is acknowledged to the
-// client only after the sink accepts it, so the engine's in-memory
-// state never runs ahead of what a restart can recover (modulo the
-// configured fsync policy's window).
+// DurableSink logs every ingest batch before Ingest publishes it. The
+// durability manager (internal/durable) implements it with a
+// write-ahead-log append: a batch is served and acknowledged only
+// after the sink accepts it, so the engine's in-memory state never
+// runs ahead of what a restart can recover (modulo the configured
+// fsync policy's window).
 type DurableSink interface {
 	// AppendBatch is called under the engine's ingest lock, after the
-	// batch has been applied to the engine and before Ingest returns.
-	// An error fails the ingest call (the rows are applied in memory
-	// but reported as unacknowledged).
+	// batch has been appended and sketched and before the generation
+	// res describes (its row count and res.Profile) is published. An
+	// error fails the ingest call and nothing is published.
 	AppendBatch(batch frame.RowBatch, res IngestResult) error
 }
 

@@ -267,9 +267,6 @@ func NewSession(e *Engine, k int, approx bool) *Session {
 	return &Session{engine: e, K: k, Approx: approx, Blend: 0.5}
 }
 
-// Engine returns the underlying engine.
-func (s *Session) Engine() *Engine { return s.engine }
-
 // FocusOn adds an insight to the focus set (deduplicated by key).
 func (s *Session) FocusOn(in core.Insight) {
 	for _, f := range s.Focus {

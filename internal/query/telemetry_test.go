@@ -21,9 +21,6 @@ func TestEngineTelemetryWiring(t *testing.T) {
 	}
 	ins := telemetry.New(telemetry.Config{})
 	e.SetInsightTelemetry(ins)
-	if e.InsightTelemetry() != ins {
-		t.Fatal("telemetry store not attached")
-	}
 
 	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 2})
 	if err != nil || len(res) == 0 {

@@ -211,6 +211,40 @@ func TestReadyzReportsLatchedWALFailure(t *testing.T) {
 	}
 }
 
+// TestRefusedIngestServesNothing: a POST /api/ingest whose WAL append
+// is cut short answers 500, and /api/stats' rows and a carousel body
+// stay byte for byte what they were: a batch the log refused is never
+// served. The log rolled its tail back, so the next post lands.
+func TestRefusedIngestServesNothing(t *testing.T) {
+	ts, _, _, fs := newDurableServer(t)
+	if res, body := postIngest(t, ts.URL, "application/json", `{"rows": [["4", "b"]]}`); res.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest = %d (%v)", res.StatusCode, body)
+	}
+	served := func() (int, string) {
+		t.Helper()
+		code, _, carousel := fetch(t, ts.URL+"/api/carousels?k=2")
+		if code != http.StatusOK {
+			t.Fatalf("/api/carousels = %d", code)
+		}
+		return readStats(t, ts.URL).Rows, carousel
+	}
+	rows, carousel := served()
+
+	fs.FailWriteAt(1) // the batch's record
+	if res, body := postIngest(t, ts.URL, "application/json", `{"rows": [["9", "c"], ["10", "c"]]}`); res.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("ingest onto a short write = %d (%v), want 500", res.StatusCode, body)
+	}
+	if gotRows, gotCarousel := served(); gotRows != rows || gotCarousel != carousel {
+		t.Fatalf("after a refused ingest: %d rows (was %d), carousel body equal: %v", gotRows, rows, gotCarousel == carousel)
+	}
+	if res, body := postIngest(t, ts.URL, "application/json", `{"rows": [["5", "a"]]}`); res.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest after the refusal = %d (%v), want 202", res.StatusCode, body)
+	}
+	if got := readStats(t, ts.URL).Rows; got != rows+1 {
+		t.Fatalf("rows after the next ingest = %d, want %d", got, rows+1)
+	}
+}
+
 // TestIngestAckSurvivesSimulatedCrash is the HTTP-level durability
 // contract: a 202 with fsync=always means the rows are recoverable
 // even if the process dies immediately after.

@@ -41,7 +41,7 @@ func (s *Server) instrumentIngest() {
 	s.ingestBatches = reg.Counter("foresight_ingest_batches_total",
 		"Engine ingests applied.")
 	s.ingestSeconds = reg.Histogram("foresight_ingest_seconds",
-		"Engine ingest latency (wait for the ingest lock + append + sketch delta + swap + WAL).", nil)
+		"Engine ingest latency (wait for the ingest lock + append + sketch delta + WAL + swap).", nil)
 	reg.GaugeFunc("foresight_ingest_queue_depth",
 		"Ingest batches admitted and not yet answered.",
 		func() float64 { return float64(s.ingestPending.Load()) })
@@ -57,7 +57,7 @@ func (s *Server) Close() { s.closed.Store(true) }
 // landed. The body cap, the pending bound, and the per-request
 // deadline make the path fully bounded; a client that stops waiting
 // gets the usual 504/499 mapping, and its batch applies only if the
-// engine had already swapped it in.
+// log had already taken it.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingestRequests.Inc()
 	// Writes are rejected until startup recovery has replayed the WAL:

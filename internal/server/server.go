@@ -387,9 +387,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // replay completes (or immediately when there is no WAL).
 func (s *Server) SetReady() { s.ready.Store(true) }
 
-// Ready reports whether the server has completed startup recovery.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // handleHealthz is the liveness probe: the process is up and serving
 // HTTP. It says nothing about recovery — a replaying server is alive.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -338,11 +338,7 @@ func TestProfileExtendErrors(t *testing.T) {
 		t.Error("extending onto a smaller frame should fail")
 	}
 	// Column set mismatch.
-	sub, err := f.Select("x", "y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Extend(sub); err == nil {
+	if _, err := p.Extend(selectColumns(t, f, "x", "y")); err == nil {
 		t.Error("extending onto a narrower frame should fail")
 	}
 }

@@ -176,15 +176,30 @@ func TestProfileMergeErrors(t *testing.T) {
 		t.Errorf("nil merge should no-op, got %v", err)
 	}
 	// Missing column.
-	sub, err := f.Select("x", "y")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := selectColumns(t, f, "x", "y")
 	d := BuildProfile(f, ProfileConfig{Seed: 1, K: 32})
 	e := BuildProfile(sub, ProfileConfig{Seed: 1, K: 32})
 	if err := e.Merge(d); err == nil {
 		t.Error("merging superset into subset should fail on missing column")
 	}
+}
+
+// selectColumns is a frame of f's named columns, in the given order.
+func selectColumns(t *testing.T, f *frame.Frame, names ...string) *frame.Frame {
+	t.Helper()
+	cols := make([]frame.Column, len(names))
+	for i, name := range names {
+		c, ok := f.Lookup(name)
+		if !ok {
+			t.Fatalf("no column %q", name)
+		}
+		cols[i] = c
+	}
+	out, err := frame.New(f.Name(), cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestMergeReservoirs(t *testing.T) {

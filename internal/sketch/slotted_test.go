@@ -274,10 +274,7 @@ func TestExtendChainAllocatesNoSampleArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	numericOnly, err := f.Select("x", "y", "z", "skew", "gaps")
-	if err != nil {
-		t.Fatal(err)
-	}
+	numericOnly := selectColumns(t, f, "x", "y", "z", "skew", "gaps")
 	frames := make([]*frame.Frame, chain)
 	at, g := base, numericOnly
 	for i := range frames {
