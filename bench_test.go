@@ -616,7 +616,7 @@ func exploreReads(b *testing.B, f *frame.Frame, cfg sketch.ProfileConfig) []expl
 // overview, fix= query, render, unfocus — 500 times in a row through
 // Server.ServeHTTP, answered from the sketches, on 2000 rows × (64 + 2),
 // rotating over four focus pairs. Nothing reads the insight telemetry
-// meanwhile, so its deferred fold runs inline whenever a write stripe's
+// meanwhile, so its deferred fold runs inline whenever the store's
 // queue fills, as on a server nobody scrapes. It reports the ms per
 // cycle of the first and the last 100 cycles and their ratio: a cost
 // that grows with the requests served shows as a ratio above 1. It

@@ -60,7 +60,7 @@ func TestRecoverSnapshotWithV2Profile(t *testing.T) {
 	e := newCrashEngine(t)
 	base := e.Frame().Rows()
 	var logged []string
-	m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1, CheckpointBytes: -1,
+	m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1,
 		Logf: func(format string, args ...any) { logged = append(logged, format) }})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestRecoverSnapshotWithParentV3Profile(t *testing.T) {
 		t.Helper()
 		fs.Restart()
 		e := newCrashEngine(t)
-		m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1, CheckpointBytes: -1,
+		m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1,
 			Logf: func(format string, args ...any) { t.Errorf("recovery logged: "+format, args...) }})
 		if err != nil {
 			t.Fatal(err)

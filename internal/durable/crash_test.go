@@ -76,7 +76,7 @@ func runScenario(t *testing.T, fs *ErrFS, batches, checkpointAfter int) (acked i
 	}
 	m, err := Open(Options{
 		Dir: "wal", FS: fs, Fsync: FsyncAlways,
-		CheckpointRows: -1, CheckpointBytes: -1, // explicit checkpoints only: deterministic op sequence
+		CheckpointRows: -1, // explicit checkpoints only: deterministic op sequence
 	})
 	if err != nil {
 		return 0
@@ -119,7 +119,7 @@ func recoverAndVerify(t *testing.T, fs *ErrFS, ackedMin, attempted int, label st
 	fs.Restart()
 	e := newCrashEngine(t)
 	base := e.Frame().Rows()
-	m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1, CheckpointBytes: -1})
+	m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1})
 	if err != nil {
 		t.Fatalf("%s: open after restart: %v", label, err)
 	}
@@ -240,7 +240,7 @@ func runAsyncScenario(t *testing.T, fs *ErrFS, batches int) (acked int) {
 	}
 	m, err := Open(Options{
 		Dir: "wal", FS: fs, Fsync: FsyncAlways,
-		CheckpointRows: 2 * crashBatchRows, CheckpointBytes: -1,
+		CheckpointRows: 2 * crashBatchRows,
 	})
 	if err != nil {
 		return 0
@@ -371,7 +371,7 @@ func TestRecoverySurvivesConcurrentQueries(t *testing.T) {
 			}
 		}()
 	}
-	m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1, CheckpointBytes: -1})
+	m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,8 +457,8 @@ func TestManagerCheckpointTruncatesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := Open(Options{
-		Dir: "wal", FS: fs, Fsync: FsyncAlways, SegmentBytes: 64,
-		CheckpointRows: -1, CheckpointBytes: -1,
+		Dir: "wal", FS: fs, Fsync: FsyncAlways, segBytes: 64,
+		CheckpointRows: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

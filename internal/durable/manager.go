@@ -26,19 +26,10 @@ type Options struct {
 	// FsyncInterval is the background flush period under
 	// FsyncInterval (0 → 100ms).
 	FsyncInterval time.Duration
-	// SegmentBytes rotates WAL segments at this size (0 → 8 MiB).
-	SegmentBytes int64
 	// CheckpointRows triggers a checkpoint once this many rows have
 	// been appended since the last one (0 → 50000; negative disables
 	// the row trigger).
 	CheckpointRows int
-	// CheckpointBytes triggers a checkpoint once this many WAL bytes
-	// have been appended since the last one (0 → 64 MiB; negative
-	// disables the byte trigger).
-	CheckpointBytes int64
-	// SnapshotsKept bounds retained snapshots (0 → 2; older ones are
-	// fallbacks against a corrupted newest snapshot).
-	SnapshotsKept int
 	// Permissive lets recovery keep the valid WAL prefix on mid-log
 	// corruption instead of refusing to start (-recover-permissive).
 	Permissive bool
@@ -49,7 +40,20 @@ type Options struct {
 	// Logf receives recovery warnings and checkpoint errors; nil
 	// discards them.
 	Logf func(format string, args ...any)
+
+	// segBytes rotates WAL segments at this size instead of
+	// segmentBytes when positive; only the package's tests set it.
+	segBytes int64
 }
+
+const (
+	// checkpointBytes triggers a checkpoint once this many WAL bytes
+	// have been appended since the last one.
+	checkpointBytes = 64 << 20
+	// snapshotsKept bounds retained snapshots; older ones are
+	// fallbacks against a corrupted newest snapshot.
+	snapshotsKept = 2
+)
 
 func (o *Options) fill() {
 	if o.FS == nil {
@@ -58,17 +62,8 @@ func (o *Options) fill() {
 	if o.FsyncInterval <= 0 {
 		o.FsyncInterval = 100 * time.Millisecond
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 8 << 20
-	}
 	if o.CheckpointRows == 0 {
 		o.CheckpointRows = 50000
-	}
-	if o.CheckpointBytes == 0 {
-		o.CheckpointBytes = 64 << 20
-	}
-	if o.SnapshotsKept <= 0 {
-		o.SnapshotsKept = 2
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -268,7 +263,7 @@ func (m *Manager) Recover(e *query.Engine) (RecoveryStats, error) {
 	m.mu.Unlock()
 
 	if !m.opts.ReadOnly {
-		w, err := openWAL(m.fsys, m.dir, stats.LastSeq+1, m.opts.Fsync, m.opts.FsyncInterval, m.opts.SegmentBytes, m.onSync)
+		w, err := openWAL(m.fsys, m.dir, stats.LastSeq+1, m.opts.Fsync, m.opts.FsyncInterval, m.opts.segBytes, m.onSync)
 		if err != nil {
 			return stats, err
 		}
@@ -364,7 +359,7 @@ func (m *Manager) AppendBatch(batch frame.RowBatch, res query.IngestResult) erro
 	}
 	m.snapRows, m.snapProfile, m.snapSeq = m.rows, res.Profile, seq
 	trigger := (m.opts.CheckpointRows > 0 && m.rowsSince >= m.opts.CheckpointRows) ||
-		(m.opts.CheckpointBytes > 0 && m.byteSince >= m.opts.CheckpointBytes)
+		m.byteSince >= checkpointBytes
 	if trigger && m.checkpointing.CompareAndSwap(false, true) {
 		m.rowsSince, m.byteSince = 0, 0
 		m.ckptWG.Add(1)
@@ -429,7 +424,7 @@ func (m *Manager) runCheckpoint(rows rowSection, p *sketch.DatasetProfile, seq u
 	if _, err := m.wal.TruncateThrough(seq); err != nil {
 		m.opts.Logf("durable: retiring WAL segments through seq %d: %v", seq, err)
 	}
-	pruneSnapshots(m.fsys, m.dir, m.opts.SnapshotsKept)
+	pruneSnapshots(m.fsys, m.dir)
 	return nil
 }
 

@@ -181,7 +181,7 @@ func TestAppendBatchAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncOff, CheckpointRows: -1, CheckpointBytes: -1})
+	m, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncOff, CheckpointRows: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

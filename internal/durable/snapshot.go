@@ -304,13 +304,10 @@ func parseSnapshot(file []byte) (*snapshotBody, error) {
 	return b, nil
 }
 
-// pruneSnapshots removes all but the newest keep snapshots (older ones
-// exist only as fallbacks against a corrupted newest snapshot) plus
-// any stale temp files from interrupted checkpoints.
-func pruneSnapshots(fsys FS, dir string, keep int) {
-	if keep < 1 {
-		keep = 1
-	}
+// pruneSnapshots removes all but the newest snapshotsKept snapshots
+// (older ones exist only as fallbacks against a corrupted newest
+// snapshot) plus any stale temp files from interrupted checkpoints.
+func pruneSnapshots(fsys FS, dir string) {
 	names, err := fsys.ReadDir(dir)
 	if err == nil {
 		for _, name := range names {
@@ -320,10 +317,10 @@ func pruneSnapshots(fsys FS, dir string, keep int) {
 		}
 	}
 	snaps, err := listSnapshots(fsys, dir)
-	if err != nil || len(snaps) <= keep {
+	if err != nil || len(snaps) <= snapshotsKept {
 		return
 	}
-	for _, s := range snaps[keep:] {
+	for _, s := range snaps[snapshotsKept:] {
 		_ = fsys.Remove(s.name)
 	}
 	_ = fsys.SyncDir(dir)

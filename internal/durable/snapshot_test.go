@@ -119,7 +119,7 @@ func TestLivesMatchUninterruptedRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1, CheckpointBytes: -1})
+		m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func lifeEngine(t *testing.T, batches int) *query.Engine {
 // and recovers e from it.
 func recoverLife(t *testing.T, fs *ErrFS, e *query.Engine) (*Manager, RecoveryStats) {
 	t.Helper()
-	m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1, CheckpointBytes: -1})
+	m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestCheckpointWhileAppending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: crashBatchRows, CheckpointBytes: -1})
+	m, err := Open(Options{Dir: "wal", FS: fs, Fsync: FsyncAlways, CheckpointRows: crashBatchRows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := Open(Options{Dir: b.TempDir(), Fsync: FsyncOff, CheckpointRows: -1, CheckpointBytes: -1})
+	m, err := Open(Options{Dir: b.TempDir(), Fsync: FsyncOff, CheckpointRows: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -113,13 +113,16 @@ type wal struct {
 	syncDone chan struct{}
 }
 
+// segmentBytes is the size at which the WAL rotates segments.
+const segmentBytes = 8 << 20
+
 // openWAL starts a fresh segment whose first record will be nextSeq
 // (recovery always rotates rather than appending to a possibly
 // repaired tail segment) and, under FsyncInterval, starts the
 // background syncer.
 func openWAL(fsys FS, dir string, nextSeq uint64, policy FsyncPolicy, interval time.Duration, segBytes int64, onSync func(error)) (*wal, error) {
 	if segBytes <= 0 {
-		segBytes = 8 << 20
+		segBytes = segmentBytes
 	}
 	if interval <= 0 {
 		interval = 100 * time.Millisecond

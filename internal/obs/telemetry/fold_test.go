@@ -23,8 +23,7 @@ import (
 // (count − err ≤ true ≤ count), and a class whose trackers never evict
 // reporting every item with its exact count. Run it under -race.
 func TestWeightedFoldMatchesRequestMultiset(t *testing.T) {
-	const topItems = 16
-	ins := New(Config{ScoreK: 64, TopItems: topItems, Stripes: 4})
+	ins := New()
 	rng := rand.New(rand.NewSource(9))
 	emission := func(class string, n, cols int) ClassSample {
 		s := ClassSample{Class: class, Candidates: n + 3, Filtered: 3, Emitted: n, Margin: 0.01}
@@ -162,29 +161,25 @@ func TestWeightedFoldMatchesRequestMultiset(t *testing.T) {
 
 // TestKeptSampleFoldsOncePerDrain: however many requests emit a kept
 // sample between two snapshots, its sketches fold in one weighted
-// merge, so a class whose trackers never evict reports exact counts —
-// also in a second store, sized otherwise than the one whose
-// configuration built the sample's sketches.
+// merge, so a class whose trackers never evict reports exact counts.
 func TestKeptSampleFoldsOncePerDrain(t *testing.T) {
 	s := Keep(ClassSample{Class: "linear", Scores: []float64{0.1, 0.5, 0.9}, Attrs: [][]string{{"a", "b"}, {"a", "c"}, {"b", "c"}},
 		Candidates: 3, Emitted: 3, Margin: math.NaN()})
-	for _, cfg := range []Config{{Stripes: 1}, {Stripes: 2, ScoreK: 32, TopItems: 8}} {
-		ins := New(cfg)
-		for i := 0; i < 37; i++ {
-			ins.Record(QuerySample{Op: "overview", Generation: 1, Classes: []ClassSample{s}})
+	ins := New()
+	for i := 0; i < 37; i++ {
+		ins.Record(QuerySample{Op: "overview", Generation: 1, Classes: []ClassSample{s}})
+	}
+	cs := ins.Snapshot(1, 5).Classes[0]
+	if cs.Queries != 37 || cs.ScoreCount != 3*37 || cs.Emitted != 3*37 {
+		t.Fatalf("after 37 records: %+v", cs)
+	}
+	for _, h := range append(cs.HotColumns, cs.HotTuples...) {
+		want := uint64(37)
+		if !strings.Contains(h.Item, ",") {
+			want = 2 * 37
 		}
-		cs := ins.Snapshot(1, 5).Classes[0]
-		if cs.Queries != 37 || cs.ScoreCount != 3*37 || cs.Emitted != 3*37 {
-			t.Fatalf("%+v: after 37 records: %+v", cfg, cs)
-		}
-		for _, h := range append(cs.HotColumns, cs.HotTuples...) {
-			want := uint64(37)
-			if !strings.Contains(h.Item, ",") {
-				want = 2 * 37
-			}
-			if h.Count != want || h.Err != 0 {
-				t.Errorf("%+v: %s: count %d err %d, want %d exactly", cfg, h.Item, h.Count, h.Err, want)
-			}
+		if h.Count != want || h.Err != 0 {
+			t.Errorf("%s: count %d err %d, want %d exactly", h.Item, h.Count, h.Err, want)
 		}
 	}
 }

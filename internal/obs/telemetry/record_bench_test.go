@@ -27,7 +27,7 @@ func steadySample() QuerySample {
 }
 
 func BenchmarkRecordSteady(b *testing.B) {
-	t := New(Config{})
+	t := New()
 	s := steadySample()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -37,7 +37,7 @@ func BenchmarkRecordSteady(b *testing.B) {
 }
 
 func BenchmarkRecordSteadyInstrumented(b *testing.B) {
-	t := New(Config{})
+	t := New()
 	t.Instrument(obs.NewRegistry())
 	s := steadySample()
 	b.ReportAllocs()

@@ -13,19 +13,18 @@
 //     strongest excluded one — a shrinking margin means rankings are
 //     about to churn.
 //
-// Writes are striped: each recorded query folds into one of a few
-// lock-striped partial stores, and Snapshot drains the partials into a
-// cumulative store using the sketch layer's own Merge operators — the
-// exact code path ingest merges exercise, now under a
-// serving workload. Snapshotting therefore never blocks scoring for
-// longer than a map-pointer swap per stripe.
+// The store is one set of per-class aggregates under one mutex. Record
+// appends a sample to a pending queue; the sketch folds run batched, at
+// Snapshot or inline once the queue doubles past foldBatch.
 //
 // The store follows the engine's cache generation: samples carry the
 // generation they were computed against, and a sample from a newer
-// generation resets the sketches (the data changed; old score
-// distributions no longer describe it) while lifetime counters and the
-// per-query ring survive. Snapshot reports how stale the telemetry is
-// relative to the engine's current generation.
+// generation resets the store (the data changed; old score
+// distributions no longer describe it). The reset counts in resets
+// whenever the old generation recorded anything, and the old
+// generation's queued samples count in stale_samples; lifetime
+// counters and the per-query ring survive. Snapshot reports how stale
+// the telemetry is relative to the engine's current generation.
 package telemetry
 
 import (
@@ -40,51 +39,23 @@ import (
 	"foresight/internal/sketch"
 )
 
-// Config sizes the telemetry store. The zero value selects the
-// defaults noted on each field; every structure is bounded, so the
-// store's footprint is O(classes · (ScoreK + TopItems + MarginWindow)
-// + QueryLog) regardless of traffic.
-type Config struct {
-	// ScoreK is the KLL accuracy parameter for the per-class score
-	// sketches (default 128: ~3% rank error, a few KB per class).
-	ScoreK int
-	// TopItems caps the SpaceSaving trackers for hot columns and hot
-	// tuples (default 32).
-	TopItems int
-	// QueryLog bounds the ring of recent per-query records (default 256).
-	QueryLog int
-	// MarginWindow bounds the per-class top-k margin trend (default 32).
-	MarginWindow int
-	// Stripes is the number of write stripes (default 4). More stripes
-	// mean less write contention and slightly more merge work per
-	// snapshot.
-	Stripes int
-	// Seed makes the sketch coin flips deterministic (default 1); the
-	// per-class seed also folds in the class name.
-	Seed int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.ScoreK <= 0 {
-		c.ScoreK = 128
-	}
-	if c.TopItems <= 0 {
-		c.TopItems = 32
-	}
-	if c.QueryLog <= 0 {
-		c.QueryLog = 256
-	}
-	if c.MarginWindow <= 0 {
-		c.MarginWindow = 32
-	}
-	if c.Stripes <= 0 {
-		c.Stripes = 4
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
+// The store's sizes. Every structure is bounded, so the store's
+// footprint is O(classes · (scoreK + topItems + marginWindow) +
+// queryLog) regardless of traffic.
+const (
+	// scoreK is the KLL accuracy parameter of the per-class score
+	// sketches: ~3% rank error, a few KB per class.
+	scoreK = 128
+	// topItems caps the SpaceSaving trackers of hot columns and tuples.
+	topItems = 32
+	// queryLog bounds the ring of recent per-query records.
+	queryLog = 256
+	// marginWindow bounds the per-class top-k margin trend.
+	marginWindow = 32
+	// seed makes the sketch coin flips deterministic; the per-class
+	// seed also folds in the class name.
+	seed = 1
+)
 
 // ClassSample is the telemetry one engine operation emits for one
 // insight class.
@@ -154,10 +125,7 @@ type QuerySample struct {
 	Classes []ClassSample
 }
 
-// classAgg is the per-class aggregate: sketches plus counters. It
-// appears both as a stripe partial and in the cumulative store; the
-// two are combined with merge, which rides the sketch layer's own
-// Merge operators.
+// classAgg is the per-class aggregate: sketches plus counters.
 type classAgg struct {
 	scores   *sketch.KLL
 	cols     *sketch.SpaceSaving
@@ -172,38 +140,34 @@ type classAgg struct {
 }
 
 // MarginPoint is one observed top-k margin, tagged with the generation
-// it was computed against so trends survive ingest churn legibly. The
-// unexported sequence number orders points across write stripes.
+// it was computed against so trends survive ingest churn legibly.
 type MarginPoint struct {
 	Generation uint64  `json:"generation"`
 	Margin     float64 `json:"margin"`
-	Seq        uint64  `json:"-"`
 }
 
-func newClassAgg(cfg Config, class string) *classAgg {
+func newClassAgg(class string) *classAgg {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(class))
-	seed := cfg.Seed + int64(h.Sum64()&0x7fffffff)
 	return &classAgg{
-		scores: sketch.NewKLL(cfg.ScoreK, seed),
-		cols:   sketch.NewSpaceSaving(cfg.TopItems),
-		tuples: sketch.NewSpaceSaving(cfg.TopItems),
+		scores: sketch.NewKLL(scoreK, seed+int64(h.Sum64()&0x7fffffff)),
+		cols:   sketch.NewSpaceSaving(topItems),
+		tuples: sketch.NewSpaceSaving(topItems),
 	}
 }
 
-// count absorbs one sample's counters and margin into the aggregate.
-// gen and seq tag the margin point so trends stay ordered across
-// stripes.
-func (a *classAgg) count(s ClassSample, window int, gen, seq uint64) {
+// count absorbs one sample's counters and margin into the aggregate;
+// gen tags the margin point.
+func (a *classAgg) count(s ClassSample, gen uint64) {
 	a.queries++
 	a.cands += uint64(s.Candidates)
 	a.pruned += uint64(s.Pruned)
 	a.filtered += uint64(s.Filtered)
 	a.emitted += uint64(s.Emitted)
 	if !math.IsNaN(s.Margin) {
-		a.margins = append(a.margins, MarginPoint{Generation: gen, Margin: s.Margin, Seq: seq})
-		if len(a.margins) > window {
-			a.margins = a.margins[len(a.margins)-window:]
+		a.margins = append(a.margins, MarginPoint{Generation: gen, Margin: s.Margin})
+		if len(a.margins) > marginWindow {
+			a.margins = a.margins[len(a.margins)-marginWindow:]
 		}
 	}
 }
@@ -226,38 +190,17 @@ func (a *classAgg) observe(s ClassSample) {
 }
 
 // foldKept folds w emissions of the kept sample s into the sketches:
-// the sketches of one emission, built once per sample with the
-// configuration of the first store to fold it, merged in weighted by w
-// (KLL.MergeWeighted, SpaceSaving.MergeWeighted). Both merges keep
-// their bounds across sizes, so a store configured otherwise stays
-// honest, at the coarser of the two accuracies.
-func (a *classAgg) foldKept(cfg Config, s ClassSample, w uint64) {
+// the sketches of one emission, built once per sample, merged in
+// weighted by w (KLL.MergeWeighted, SpaceSaving.MergeWeighted).
+func (a *classAgg) foldKept(s ClassSample, w uint64) {
 	k := s.kept
 	k.once.Do(func() {
-		k.agg = newClassAgg(cfg, s.Class)
+		k.agg = newClassAgg(s.Class)
 		k.agg.observe(s)
 	})
 	a.scores.MergeWeighted(k.agg.scores, w)
 	a.cols.MergeWeighted(k.agg.cols, w)
 	a.tuples.MergeWeighted(k.agg.tuples, w)
-}
-
-// merge folds other into a via the sketch Merge operators. Margin
-// windows interleave by sequence so the trend stays in record order.
-func (a *classAgg) merge(other *classAgg, window int) {
-	a.queries += other.queries
-	a.cands += other.cands
-	a.pruned += other.pruned
-	a.filtered += other.filtered
-	a.emitted += other.emitted
-	_ = a.scores.Merge(other.scores)
-	_ = a.cols.Merge(other.cols)
-	_ = a.tuples.Merge(other.tuples)
-	a.margins = append(a.margins, other.margins...)
-	sort.Slice(a.margins, func(i, j int) bool { return a.margins[i].Seq < a.margins[j].Seq })
-	if len(a.margins) > window {
-		a.margins = a.margins[len(a.margins)-window:]
-	}
 }
 
 // appendTupleKey renders an attribute tuple as one SpaceSaving item
@@ -271,33 +214,9 @@ func appendTupleKey(buf []byte, attrs []string) []byte {
 	return buf
 }
 
-// stripe is one write shard: a short mutex over a partial per-class
-// store, tagged with the generation its samples describe.
-type stripe struct {
-	mu      sync.Mutex
-	gen     uint64
-	classes map[string]*classAgg
-	// pending holds recorded samples whose sketch folds are deferred:
-	// Record only appends here, and the folds run batched — at
-	// Snapshot time, or inline once the queue doubles past foldBatch.
-	// Batching keeps the expensive part (sketch map/compactor walks,
-	// cold in a request's cache footprint) off the serving path and
-	// touches each sketch once per batch while it is warm; a kept
-	// sample folds once per batch, whatever number of requests in it
-	// emitted it (foldLocked).
-	pending []pendingSample
-}
-
-// pendingSample is one recorded sample awaiting its sketch fold. seq
-// preserves record order for the margin trend across stripes.
-type pendingSample struct {
-	s   QuerySample
-	seq uint64
-}
-
 // foldBatch sizes the deferred-fold queue: Record folds the oldest
-// foldBatch samples inline once a stripe's queue reaches twice this,
-// bounding memory when nothing ever snapshots.
+// foldBatch samples inline once the queue reaches twice this, bounding
+// memory when nothing ever snapshots.
 const foldBatch = 32
 
 // QueryRecord is one entry of the bounded per-query ring.
@@ -362,23 +281,25 @@ var scoreBuckets = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1, 1.5
 var marginBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1}
 
 // Insights is the bounded, concurrency-safe insight-telemetry store.
-// Record may be called from any number of goroutines; Snapshot may run
-// concurrently with records and blocks each writer for at most the
-// batched fold of that one stripe's small pending queue plus a
-// map-pointer swap. The zero value is not usable; call New. A nil
-// *Insights is safe to record into (no-op), so callers never guard.
+// Record and Snapshot may be called from any number of goroutines. The
+// zero value is not usable; call New. A nil *Insights is safe to record
+// into (no-op), so callers never guard.
 type Insights struct {
-	cfg     Config
-	stripes []*stripe
-	rr      atomic.Uint64 // round-robin stripe cursor
-
-	// mu guards the cumulative store that snapshots fold into.
-	mu     sync.Mutex
-	cum    map[string]*classAgg
-	cumGen uint64
-	resets uint64
-
-	ringMu   sync.Mutex
+	// mu guards the store: the generation its aggregates describe, the
+	// aggregates, the pending queue and the ring.
+	mu      sync.Mutex
+	gen     uint64
+	classes map[string]*classAgg
+	// pending holds recorded samples whose sketch folds are deferred:
+	// Record only appends here, and the folds run batched — at
+	// Snapshot time, or inline once the queue doubles past foldBatch.
+	// Batching keeps the expensive part (sketch map/compactor walks,
+	// cold in a request's cache footprint) off the serving path and
+	// touches each sketch once per batch while it is warm; a kept
+	// sample folds once per batch, whatever number of requests in it
+	// emitted it (foldLocked).
+	pending  []QuerySample
+	resets   uint64
 	ring     []QueryRecord
 	ringNext int
 
@@ -395,16 +316,9 @@ type Insights struct {
 	m atomic.Pointer[metricsSet]
 }
 
-// New returns an empty telemetry store sized by cfg (zero value for
-// defaults).
-func New(cfg Config) *Insights {
-	cfg = cfg.withDefaults()
-	t := &Insights{cfg: cfg, cum: make(map[string]*classAgg)}
-	t.stripes = make([]*stripe, cfg.Stripes)
-	for i := range t.stripes {
-		t.stripes[i] = &stripe{classes: make(map[string]*classAgg)}
-	}
-	return t
+// New returns an empty telemetry store.
+func New() *Insights {
+	return &Insights{classes: make(map[string]*classAgg)}
 }
 
 // SetQueryLog routes a sampled structured query log through logger:
@@ -461,52 +375,51 @@ func (t *Insights) Instrument(reg *obs.Registry) {
 		func() uint64 { t.mu.Lock(); defer t.mu.Unlock(); return t.resets })
 	reg.GaugeFunc("foresight_insight_generation",
 		"Engine cache generation the telemetry sketches describe.",
-		func() float64 { t.mu.Lock(); defer t.mu.Unlock(); return float64(t.cumGen) })
+		func() float64 { t.mu.Lock(); defer t.mu.Unlock(); return float64(t.gen) })
 	t.m.Store(m)
 }
 
 // Record absorbs one operation's telemetry into the store. Safe on a
-// nil receiver. The serving path pays only an append onto one write
-// stripe's pending queue under a short stripe-local lock (plus the
-// ring and the counter/histogram bumps below); the sketch folds
-// themselves are deferred and batched — see stripe.pending. Nothing
-// here touches the engine's locks, so callers invoke it strictly
-// after scoring, outside the hot path's critical sections.
+// nil receiver. The serving path pays only an append onto the pending
+// queue and a ring write under the store's lock (plus the
+// counter/histogram bumps below); the sketch folds themselves are
+// deferred and batched — see Insights.pending. Nothing here touches
+// the engine's locks, so callers invoke it strictly after scoring,
+// outside the hot path's critical sections.
 func (t *Insights) Record(s QuerySample) {
 	if t == nil {
 		return
 	}
 	n := t.totalQueries.Add(1)
-	st := t.stripes[int(t.rr.Add(1))%len(t.stripes)]
-	st.mu.Lock()
-	if s.Generation > st.gen {
-		// The data moved under us: this stripe's partial describes a
-		// dataset that no longer exists. Start fresh; the cumulative
-		// store resets the same way when the drained partial reaches it.
-		t.dropped.Add(uint64(len(st.pending)))
-		st.classes = make(map[string]*classAgg)
-		st.pending = st.pending[:0]
-		st.gen = s.Generation
+	rec := queryRecordFor(s)
+	t.mu.Lock()
+	if s.Generation > t.gen {
+		// The data moved under us: the store describes a dataset that
+		// no longer exists. Start fresh.
+		if len(t.classes) > 0 || len(t.pending) > 0 {
+			t.resets++
+		}
+		t.dropped.Add(uint64(len(t.pending)))
+		clear(t.pending)
+		t.pending = t.pending[:0]
+		t.classes = make(map[string]*classAgg)
+		t.gen = s.Generation
 	}
-	if s.Generation == st.gen {
-		st.pending = append(st.pending, pendingSample{s: s, seq: n})
-		if len(st.pending) >= 2*foldBatch {
-			t.foldLocked(st, foldBatch)
+	if s.Generation == t.gen {
+		t.pending = append(t.pending, s)
+		if len(t.pending) >= 2*foldBatch {
+			t.foldLocked(foldBatch)
 		}
 	} else {
 		t.dropped.Add(1)
 	}
-	st.mu.Unlock()
-
-	rec := queryRecordFor(s)
-	t.ringMu.Lock()
-	if len(t.ring) < t.cfg.QueryLog {
+	if len(t.ring) < queryLog {
 		t.ring = append(t.ring, rec)
 	} else {
 		t.ring[t.ringNext] = rec
 	}
-	t.ringNext = (t.ringNext + 1) % t.cfg.QueryLog
-	t.ringMu.Unlock()
+	t.ringNext = (t.ringNext + 1) % queryLog
+	t.mu.Unlock()
 
 	if m := t.m.Load(); m != nil {
 		for _, cs := range s.Classes {
@@ -544,28 +457,25 @@ func (t *Insights) Record(s QuerySample) {
 	}
 }
 
-// foldLocked folds the oldest n pending samples of st into its partial
-// aggregates. The counters and margins of every sample fold in record
-// order; a kept sample's sketches fold once, weighted by how many of
-// the n samples carry it, after the rest. The caller holds st.mu.
-func (t *Insights) foldLocked(st *stripe, n int) {
-	if n > len(st.pending) {
-		n = len(st.pending)
-	}
+// foldLocked folds the oldest n pending samples into the aggregates.
+// The counters and margins of every sample fold in record order; a
+// kept sample's sketches fold once, weighted by how many of the n
+// samples carry it, after the rest. The caller holds t.mu.
+func (t *Insights) foldLocked(n int) {
 	type weighted struct {
 		a  *classAgg
 		cs ClassSample
 		w  uint64
 	}
 	var kepts []weighted
-	for _, p := range st.pending[:n] {
-		for _, cs := range p.s.Classes {
-			a := st.classes[cs.Class]
+	for _, p := range t.pending[:n] {
+		for _, cs := range p.Classes {
+			a := t.classes[cs.Class]
 			if a == nil {
-				a = newClassAgg(t.cfg, cs.Class)
-				st.classes[cs.Class] = a
+				a = newClassAgg(cs.Class)
+				t.classes[cs.Class] = a
 			}
-			a.count(cs, t.cfg.MarginWindow, p.s.Generation, p.seq)
+			a.count(cs, p.Generation)
 			if cs.kept == nil {
 				a.observe(cs)
 				continue
@@ -579,15 +489,13 @@ func (t *Insights) foldLocked(st *stripe, n int) {
 		}
 	}
 	for _, k := range kepts {
-		k.a.foldKept(t.cfg, k.cs, k.w)
+		k.a.foldKept(k.cs, k.w)
 	}
 	// Slide the tail down and zero the vacated slots so folded samples
 	// stop pinning the engine's score/attr slices.
-	rem := copy(st.pending, st.pending[n:])
-	for i := rem; i < len(st.pending); i++ {
-		st.pending[i] = pendingSample{}
-	}
-	st.pending = st.pending[:rem]
+	rem := copy(t.pending, t.pending[n:])
+	clear(t.pending[rem:])
+	t.pending = t.pending[:rem]
 }
 
 // queryRecordFor summarizes one sample as a ring entry.
@@ -666,11 +574,10 @@ type Snapshot struct {
 	RecentQueries []QueryRecord `json:"recent_queries,omitempty"`
 }
 
-// Snapshot drains the write stripes into the cumulative store (via the
-// sketch Merge operators) and returns the JSON-ready view. currentGen
-// is the engine's live cache generation, used to report staleness.
-// topN caps the hot-column/tuple lists (≤0 → 10). Safe on a nil
-// receiver (returns the zero Snapshot).
+// Snapshot folds the pending queue into the store and returns the
+// JSON-ready view. currentGen is the engine's live cache generation,
+// used to report staleness. topN caps the hot-column/tuple lists
+// (≤0 → 10). Safe on a nil receiver (returns the zero Snapshot).
 func (t *Insights) Snapshot(currentGen uint64, topN int) Snapshot {
 	if t == nil {
 		return Snapshot{CurrentGeneration: currentGen}
@@ -678,69 +585,27 @@ func (t *Insights) Snapshot(currentGen uint64, topN int) Snapshot {
 	if topN <= 0 {
 		topN = 10
 	}
-	if topN > t.cfg.TopItems {
-		topN = t.cfg.TopItems
-	}
-
-	type drained struct {
-		gen     uint64
-		classes map[string]*classAgg
-	}
-	parts := make([]drained, 0, len(t.stripes))
-	for _, st := range t.stripes {
-		st.mu.Lock()
-		t.foldLocked(st, len(st.pending))
-		if len(st.classes) > 0 {
-			parts = append(parts, drained{gen: st.gen, classes: st.classes})
-			st.classes = make(map[string]*classAgg)
-		}
-		st.mu.Unlock()
-	}
-	// Fold oldest generations first so a newer partial's reset wins and
-	// same-generation partials all land.
-	sort.Slice(parts, func(i, j int) bool { return parts[i].gen < parts[j].gen })
+	topN = min(topN, topItems)
 
 	t.mu.Lock()
-	for _, p := range parts {
-		if p.gen > t.cumGen {
-			if len(t.cum) > 0 {
-				t.resets++
-			}
-			t.cum = make(map[string]*classAgg)
-			t.cumGen = p.gen
-		}
-		if p.gen != t.cumGen {
-			// The partial predates the cumulative store's generation;
-			// its samples describe data that no longer exists.
-			for _, agg := range p.classes {
-				t.dropped.Add(agg.queries)
-			}
-			continue
-		}
-		for class, agg := range p.classes {
-			if have := t.cum[class]; have != nil {
-				have.merge(agg, t.cfg.MarginWindow)
-			} else {
-				t.cum[class] = agg
-			}
-		}
-	}
+	defer t.mu.Unlock()
+	t.foldLocked(len(t.pending))
 	snap := Snapshot{
-		Generation:        t.cumGen,
+		Generation:        t.gen,
 		CurrentGeneration: currentGen,
-		Stale:             t.cumGen != currentGen,
+		Stale:             t.gen != currentGen,
 		Resets:            t.resets,
 		TotalQueries:      t.totalQueries.Load(),
 		StaleSamples:      t.dropped.Load(),
-		ScoreRankError:    4.0 / float64(t.cfg.ScoreK),
+		ScoreRankError:    4.0 / scoreK,
 	}
-	names := make([]string, 0, len(t.cum))
-	for class := range t.cum {
+	names := make([]string, 0, len(t.classes))
+	for class := range t.classes {
 		names = append(names, class)
 	}
 	sort.Strings(names)
 	for _, class := range names {
-		a := t.cum[class]
+		a := t.classes[class]
 		cs := ClassSnapshot{
 			Class:      class,
 			Queries:    a.queries,
@@ -764,15 +629,8 @@ func (t *Insights) Snapshot(currentGen uint64, topN int) Snapshot {
 		}
 		snap.Classes = append(snap.Classes, cs)
 	}
-	t.mu.Unlock()
-
-	t.ringMu.Lock()
-	for i := 0; i < len(t.ring); i++ {
-		idx := (t.ringNext - 1 - i + 2*t.cfg.QueryLog) % t.cfg.QueryLog
-		if idx < len(t.ring) {
-			snap.RecentQueries = append(snap.RecentQueries, t.ring[idx])
-		}
+	for i := range t.ring {
+		snap.RecentQueries = append(snap.RecentQueries, t.ring[(t.ringNext-1-i+queryLog)%queryLog])
 	}
-	t.ringMu.Unlock()
 	return snap
 }

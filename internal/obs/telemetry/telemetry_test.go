@@ -42,7 +42,7 @@ func TestNilStoreIsSafe(t *testing.T) {
 // recorded scores within the sketch's advertised rank-error bound.
 // Deterministic: fixed RNG seed and fixed sketch seeds.
 func TestScoreQuantilesWithinKLLBounds(t *testing.T) {
-	ins := New(Config{ScoreK: 128, Stripes: 4})
+	ins := New()
 	rng := rand.New(rand.NewSource(42))
 	const n = 40000
 	exact := make([]float64, 0, n)
@@ -96,8 +96,9 @@ func TestScoreQuantilesWithinKLLBounds(t *testing.T) {
 }
 
 func TestCountersHotColumnsAndMargins(t *testing.T) {
-	ins := New(Config{Stripes: 2, MarginWindow: 4})
-	for i := 0; i < 10; i++ {
+	const n = marginWindow + 8
+	ins := New()
+	for i := 0; i < n; i++ {
 		s := sampleFor("correlation", []float64{0.9, 0.8},
 			[][]string{{"price", "tax"}, {"price", "tip"}})
 		s.Classes[0].Margin = float64(i) / 100
@@ -108,14 +109,14 @@ func TestCountersHotColumnsAndMargins(t *testing.T) {
 		t.Fatalf("classes = %d", len(snap.Classes))
 	}
 	cs := snap.Classes[0]
-	if cs.Queries != 10 || cs.Emitted != 20 || cs.Pruned != 20 || cs.Filtered != 10 || cs.Candidates != 40 {
+	if cs.Queries != n || cs.Emitted != 2*n || cs.Pruned != 2*n || cs.Filtered != n || cs.Candidates != 4*n {
 		t.Fatalf("counters = %+v", cs)
 	}
 	if len(cs.HotColumns) == 0 || cs.HotColumns[0].Item != "price" {
 		t.Fatalf("hot columns = %+v", cs.HotColumns)
 	}
-	if cs.HotColumns[0].Count != 20 {
-		t.Fatalf("price count = %d, want 20", cs.HotColumns[0].Count)
+	if cs.HotColumns[0].Count != 2*n {
+		t.Fatalf("price count = %d, want %d", cs.HotColumns[0].Count, 2*n)
 	}
 	wantTuples := map[string]bool{"price,tax": true, "price,tip": true}
 	for _, h := range cs.HotTuples {
@@ -123,24 +124,27 @@ func TestCountersHotColumnsAndMargins(t *testing.T) {
 			t.Fatalf("unexpected tuple %q", h.Item)
 		}
 	}
-	// Margin window bounded at 4, keeping the most recent values.
-	if len(cs.Margins) != 4 {
+	// Margin window bounded at marginWindow, keeping the most recent
+	// values in record order.
+	if len(cs.Margins) != marginWindow {
 		t.Fatalf("margins = %+v", cs.Margins)
 	}
-	if cs.Margins[3].Margin != 0.09 {
-		t.Fatalf("latest margin = %v", cs.Margins[3].Margin)
+	for i, m := range cs.Margins {
+		if want := float64(n-marginWindow+i) / 100; m.Margin != want {
+			t.Fatalf("margin %d = %v, want %v", i, m.Margin, want)
+		}
 	}
-	if snap.TotalQueries != 10 {
+	if snap.TotalQueries != n {
 		t.Fatalf("TotalQueries = %d", snap.TotalQueries)
 	}
 	// Ring is most recent first.
-	if len(snap.RecentQueries) != 10 || snap.RecentQueries[0].MinMargin != 0.09 {
+	if len(snap.RecentQueries) != n || snap.RecentQueries[0].MinMargin != float64(n-1)/100 {
 		t.Fatalf("recent = %+v", snap.RecentQueries)
 	}
 }
 
 func TestGenerationBumpResetsSketches(t *testing.T) {
-	ins := New(Config{Stripes: 2})
+	ins := New()
 	for i := 0; i < 4; i++ {
 		s := sampleFor("dip", []float64{0.3}, [][]string{{"old_col"}})
 		ins.Record(s)
@@ -188,8 +192,46 @@ func TestGenerationBumpResetsSketches(t *testing.T) {
 	}
 }
 
+// TestGenerationBumpAccountsEverySample records 2·foldBatch samples at
+// generation 1 — the inline fold takes the first foldBatch, the rest
+// stay queued — and then one at generation 2, with and without a
+// scrape in between. Either way the bump is one reset, every sample
+// counts in total_queries, and the class reports only the generation-2
+// sample; without the scrape the queued generation-1 samples are
+// discarded and counted as stale.
+func TestGenerationBumpAccountsEverySample(t *testing.T) {
+	for _, scrape := range []bool{false, true} {
+		ins := New()
+		for i := 0; i < 2*foldBatch; i++ {
+			ins.Record(sampleFor("dip", []float64{0.3}, [][]string{{"old_col"}}))
+		}
+		if scrape {
+			_ = ins.Snapshot(1, 5)
+		}
+		s := sampleFor("dip", []float64{0.7}, [][]string{{"new_col"}})
+		s.Generation = 2
+		ins.Record(s)
+		snap := ins.Snapshot(2, 5)
+		wantStale := uint64(foldBatch)
+		if scrape {
+			wantStale = 0
+		}
+		if snap.Resets != 1 || snap.TotalQueries != 2*foldBatch+1 || snap.StaleSamples != wantStale {
+			t.Fatalf("scrape=%v: resets=%d total_queries=%d stale_samples=%d, want 1, %d, %d",
+				scrape, snap.Resets, snap.TotalQueries, snap.StaleSamples, 2*foldBatch+1, wantStale)
+		}
+		if len(snap.Classes) != 1 {
+			t.Fatalf("scrape=%v: classes = %+v", scrape, snap.Classes)
+		}
+		cs := snap.Classes[0]
+		if cs.Queries != 1 || cs.ScoreCount != 1 || len(cs.HotColumns) != 1 || cs.HotColumns[0].Item != "new_col" {
+			t.Fatalf("scrape=%v: class reports more than the generation-2 sample: %+v", scrape, cs)
+		}
+	}
+}
+
 func TestStalenessReported(t *testing.T) {
-	ins := New(Config{})
+	ins := New()
 	ins.Record(sampleFor("outlier", []float64{0.5}, nil))
 	snap := ins.Snapshot(3, 5) // engine is already at gen 3
 	if !snap.Stale || snap.Generation != 1 || snap.CurrentGeneration != 3 {
@@ -198,7 +240,7 @@ func TestStalenessReported(t *testing.T) {
 }
 
 func TestInstrumentExportsFamilies(t *testing.T) {
-	ins := New(Config{})
+	ins := New()
 	reg := obs.NewRegistry()
 	ins.Instrument(reg)
 	s := sampleFor("outlier", []float64{0.5, 0.95}, nil)
@@ -226,7 +268,7 @@ func TestInstrumentExportsFamilies(t *testing.T) {
 }
 
 func TestSampledQueryLog(t *testing.T) {
-	ins := New(Config{})
+	ins := New()
 	var buf bytes.Buffer
 	ins.SetQueryLog(obs.NewLogger(&buf), 0.25) // every 4th
 	for i := 0; i < 12; i++ {
@@ -266,18 +308,19 @@ func TestSampledQueryLog(t *testing.T) {
 }
 
 func TestQueryRingBounded(t *testing.T) {
-	ins := New(Config{QueryLog: 8})
-	for i := 0; i < 50; i++ {
+	const n = 2*queryLog + 50
+	ins := New()
+	for i := 0; i < n; i++ {
 		s := sampleFor("outlier", nil, nil)
 		s.DurationMS = float64(i)
 		ins.Record(s)
 	}
 	snap := ins.Snapshot(1, 5)
-	if len(snap.RecentQueries) != 8 {
-		t.Fatalf("ring size = %d, want 8", len(snap.RecentQueries))
+	if len(snap.RecentQueries) != queryLog {
+		t.Fatalf("ring size = %d, want %d", len(snap.RecentQueries), queryLog)
 	}
 	for i, r := range snap.RecentQueries {
-		if want := float64(49 - i); r.DurationMS != want {
+		if want := float64(n - 1 - i); r.DurationMS != want {
 			t.Fatalf("ring[%d].DurationMS = %v, want %v", i, r.DurationMS, want)
 		}
 	}
@@ -286,7 +329,7 @@ func TestQueryRingBounded(t *testing.T) {
 func TestSnapshotJSONRoundTrips(t *testing.T) {
 	// Margins use a -1 sentinel instead of NaN so snapshots always
 	// marshal (encoding/json rejects NaN).
-	ins := New(Config{})
+	ins := New()
 	ins.Record(sampleFor("outlier", []float64{0.5}, [][]string{{"a", "b"}}))
 	b, err := json.Marshal(ins.Snapshot(1, 5))
 	if err != nil {
@@ -298,7 +341,7 @@ func TestSnapshotJSONRoundTrips(t *testing.T) {
 }
 
 func TestConcurrentRecordSnapshotMerge(t *testing.T) {
-	ins := New(Config{Stripes: 4, QueryLog: 64})
+	ins := New()
 	reg := obs.NewRegistry()
 	ins.Instrument(reg)
 	var wg sync.WaitGroup

@@ -156,7 +156,7 @@ func TestCertificatesKeepReplies(t *testing.T) {
 	pruned := map[*Engine]map[string]uint64{carrying: {}, fresh: {}}
 	telem := map[*Engine]*telemetry.Insights{}
 	for e := range pruned {
-		telem[e] = telemetry.New(telemetry.Config{})
+		telem[e] = telemetry.New()
 		e.SetInsightTelemetry(telem[e])
 	}
 	for step := 0; step <= 6; step++ {

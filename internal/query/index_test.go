@@ -221,8 +221,7 @@ func TestIndexReadersMatchScans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			small := telemetry.Config{ScoreK: 16, TopItems: 4}
-			prodTelem, scanTelem := telemetry.New(small), telemetry.New(small)
+			prodTelem, scanTelem := telemetry.New(), telemetry.New()
 			// same runs prod once to warm the engine, then prod and scan
 			// from that state, each into its own telemetry store, and
 			// compares the replies and the memo counters each moved.

@@ -62,7 +62,7 @@ func insightFamilies(t *testing.T, f *frame.Frame, approx bool) string {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	ins := telemetry.New(telemetry.Config{})
+	ins := telemetry.New()
 	ins.Instrument(reg)
 	e.SetInsightTelemetry(ins)
 	ctx := context.Background()

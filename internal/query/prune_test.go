@@ -273,7 +273,7 @@ func TestPrunedFilteredTelemetrySplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := telemetry.New(telemetry.Config{})
+	ins := telemetry.New()
 	e.SetInsightTelemetry(ins)
 
 	// Every dip bound is ~0.25, strictly below MinScore 0.5: the whole

@@ -34,7 +34,7 @@ func BenchmarkCachedCarouselNoTelemetry(b *testing.B) {
 
 func BenchmarkCachedCarouselTelemetry(b *testing.B) {
 	e := benchEngine(b)
-	e.SetInsightTelemetry(telemetry.New(telemetry.Config{}))
+	e.SetInsightTelemetry(telemetry.New())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,7 +19,7 @@ func TestEngineTelemetryWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := telemetry.New(telemetry.Config{})
+	ins := telemetry.New()
 	e.SetInsightTelemetry(ins)
 
 	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 2})
@@ -78,7 +78,7 @@ func TestEngineTelemetryGenerationFollowsIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := telemetry.New(telemetry.Config{})
+	ins := telemetry.New()
 	e.SetInsightTelemetry(ins)
 	if _, err := e.CarouselsContext(context.Background(), 2, false); err != nil {
 		t.Fatal(err)

@@ -356,7 +356,7 @@ func TestViewKeepsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	telem := telemetry.New(telemetry.Config{})
+	telem := telemetry.New()
 	e.SetInsightTelemetry(telem)
 
 	// Per class: candidates, those with a defined score, the same two

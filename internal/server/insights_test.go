@@ -149,8 +149,8 @@ func TestSampledQueryLogThroughServer(t *testing.T) {
 
 // TestConcurrentScrapeTelemetryAndGenerationBumps hammers /metrics and
 // /api/debug/insights while queries write telemetry and the cache
-// generation keeps bumping — the -race coverage the telemetry store's
-// striped design is meant to survive.
+// generation keeps bumping — the -race coverage of the telemetry
+// store's one lock and its generation resets.
 func TestConcurrentScrapeTelemetryAndGenerationBumps(t *testing.T) {
 	ts, srv := newObsServer(t, nil)
 	var wg sync.WaitGroup

@@ -209,11 +209,11 @@ func New(engine *query.Engine, k int, approx bool, o Options) *Server {
 	}
 	// Insight telemetry: Foresight observing itself with its own
 	// sketches (obs/telemetry). The store is bounded and always on —
-	// recording costs one stripe lock after scoring — and is served at
+	// recording costs one store lock after scoring — and is served at
 	// /api/debug/insights plus the foresight_insight_* metric families.
 	// The sampled query log shares the request logger's writer and
 	// mutex, so the two JSON streams interleave cleanly.
-	s.telem = telemetry.New(telemetry.Config{})
+	s.telem = telemetry.New()
 	s.telem.Instrument(reg)
 	s.telem.SetQueryLog(s.httpObs.Log, o.QueryLogSample)
 	engine.SetInsightTelemetry(s.telem)
@@ -875,7 +875,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 // carried before the split), top-k margin trends, the recent-query
 // ring, and staleness against the engine's live cache generation.
 // ?top= bounds the hot-item lists.
-// Snapshotting drains the write stripes without blocking scoring.
+// Snapshotting folds the store's pending samples under its lock.
 func (s *Server) handleDebugInsights(w http.ResponseWriter, r *http.Request) {
 	top := intParam(r, "top", 10)
 	snap := s.telem.Snapshot(s.engine.CacheStats().Generation, top)
