@@ -1,18 +1,19 @@
 // Command foresight-bench regenerates the paper's evaluation: every
-// figure (E1, E2), every quantified claim (E3 accuracy, E4
-// preprocessing speedup, E5 interactive latency, E6 all-pairs
-// complexity), the §4.1 usage scenario (E7), the §4.2 demo datasets
-// (E8), and the sketch-parameter ablations. The serving layer built on
-// top (cache, observability, cancellation, ingest, telemetry,
-// durability) is timed end to end by the repository benchmark
-// (benchmark/), not here.
+// figure (E1, E2), the accuracy claim (E3: each class's approximate
+// scores against its exact ones), the §4.1 usage scenario (E7), the
+// §4.2 demo datasets (E8), and the sketch-parameter ablations. The
+// timing claims (E4 preprocessing speedup, E5 interactive latency, E6
+// all-pairs complexity) are the root package's BenchmarkE4*–E6*
+// pairs; the serving layer built on top (cache, observability,
+// cancellation, ingest, telemetry, durability) is timed end to end by
+// the repository benchmark (benchmark/), not here.
 // Results print to stdout and, with -out, land as TSV/SVG artifacts.
 //
 // Usage:
 //
 //	foresight-bench                 # everything, moderate sizes
-//	foresight-bench -exp e3,e4      # selected experiments
-//	foresight-bench -full -out results   # paper-scale sizes (slower)
+//	foresight-bench -exp e3,e7      # selected experiments
+//	foresight-bench -full -out results_full -exp e3   # paper-scale E3 (slower)
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -27,76 +29,56 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: e1,e2,e3,e4,e5,e6,e7,e8,ablations")
+	exp := flag.String("exp", "all", "comma-separated experiments: all or "+strings.Join(names(bench.Experiments(false)), ","))
 	out := flag.String("out", "", "directory for TSV/SVG artifacts (empty = stdout only)")
-	full := flag.Bool("full", false, "paper-scale sizes (n=100K, d up to 200; slower)")
+	full := flag.Bool("full", false, "paper-scale E3 sizes (n=100K, d up to 200; slower)")
 	seed := flag.Int64("seed", 42, "experiment seed")
-	k := flag.Int("k", 64, "hyperplane sketch width for E4-E6")
 	flag.Parse()
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(strings.ToLower(*exp), ",") {
-		want[strings.TrimSpace(e)] = true
+	run, err := parseExperiments(*exp, bench.Experiments(*full))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "foresight-bench:", err)
+		os.Exit(2)
 	}
-	all := want["all"]
 	w := os.Stdout
-
-	rows3, dims3 := 20000, []int{25, 50}
-	rows4, dims4 := 20000, []int{50, 100}
-	rows5, dims5 := 30000, 100
-	dims6, rows6 := 64, []int{5000, 10000, 20000, 40000}
-	if *full {
-		rows3, dims3 = 100000, []int{25, 50, 100, 200}
-		rows4, dims4 = 100000, []int{50, 100, 200}
-		rows5, dims5 = 100000, 200
-		dims6, rows6 = 100, []int{10000, 25000, 50000, 100000}
-	}
-
 	start := time.Now()
-	run := func(name string, fn func() error) {
-		if !all && !want[name] {
-			return
-		}
-		fmt.Fprintf(w, "\n######## %s ########\n", strings.ToUpper(name))
+	for _, e := range run {
+		fmt.Fprintf(w, "\n######## %s ########\n", strings.ToUpper(e.Name))
 		t0 := time.Now()
-		if err := fn(); err != nil {
-			log.Fatalf("%s: %v", name, err)
+		if err := e.Run(w, *out, *seed); err != nil {
+			log.Fatalf("%s: %v", e.Name, err)
 		}
-		fmt.Fprintf(w, "[%s finished in %v]\n", name, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(w, "[%s finished in %v]\n", e.Name, time.Since(t0).Round(time.Millisecond))
 	}
-
-	run("e1", func() error { return bench.RunE1Carousels(w, *out, 5, *seed) })
-	run("e2", func() error { return bench.RunE2Overview(w, *out, *seed) })
-	run("e3", func() error {
-		return bench.RunE3Accuracy(w, *out, bench.E3Config{Rows: rows3, Dims: dims3, Seed: *seed})
-	})
-	run("e4", func() error {
-		return bench.RunE4Preprocess(w, *out, bench.E4Config{Rows: rows4, Dims: dims4, K: *k, Seed: *seed})
-	})
-	run("e5", func() error {
-		return bench.RunE5QueryLatency(w, *out, bench.E5Config{Rows: rows5, Dims: dims5, K: *k, Seed: *seed})
-	})
-	run("e6", func() error {
-		return bench.RunE6AllPairs(w, *out, bench.E6Config{Dims: dims6, RowsSet: rows6, K: *k, Seed: *seed})
-	})
-	run("e7", func() error {
-		checks, err := bench.RunE7Scenario(w, *out, *seed)
-		if err != nil {
-			return err
-		}
-		failed := 0
-		for _, c := range checks {
-			if !c.Pass {
-				failed++
-			}
-		}
-		if failed > 0 {
-			return fmt.Errorf("%d scenario checks failed", failed)
-		}
-		return nil
-	})
-	run("e8", func() error { return bench.RunE8DemoDatasets(w, *out, *seed) })
-	run("ablations", func() error { return bench.RunAllAblations(w, *out, *seed) })
-
 	fmt.Fprintf(w, "\nall experiments finished in %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// parseExperiments resolves a comma-separated -exp value ("all" for
+// every experiment) to the experiments of all it names, in run order.
+// An unknown or empty name is an error that lists the valid ones.
+func parseExperiments(spec string, all []bench.Experiment) ([]bench.Experiment, error) {
+	valid := names(all)
+	want := map[string]bool{}
+	for _, name := range strings.Split(strings.ToLower(spec), ",") {
+		name = strings.TrimSpace(name)
+		if name != "all" && !slices.Contains(valid, name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: all, %s)", name, strings.Join(valid, ", "))
+		}
+		want[name] = true
+	}
+	var run []bench.Experiment
+	for _, e := range all {
+		if want["all"] || want[e.Name] {
+			run = append(run, e)
+		}
+	}
+	return run, nil
+}
+
+func names(es []bench.Experiment) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = e.Name
+	}
+	return out
 }

@@ -6,34 +6,31 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"time"
 
+	"foresight/internal/core"
 	"foresight/internal/datagen"
 	"foresight/internal/sketch"
 	"foresight/internal/stats"
 )
 
-// RunAblationK sweeps the hyperplane/projection width k, reporting the
-// accuracy/time trade-off that motivates the paper's k = O(log²n)
-// sizing (DESIGN.md ablation #1).
+// RunAblationK sweeps the hyperplane/projection width k, reporting
+// CompareScorers' linear row at each k: the accuracy/time trade-off
+// that motivates the paper's k = O(log²n) sizing (DESIGN.md ablation
+// #1).
 func RunAblationK(w io.Writer, outDir string, rows, dims int, seed int64) error {
-	if rows <= 0 {
-		rows = 20000
-	}
-	if dims <= 0 {
-		dims = 30
-	}
 	f := datagen.Scalable(datagen.ScalableConfig{Rows: rows, NumericCols: dims, Seed: seed})
-	exact := BuildExactStore(f, false)
 	t := NewTable(fmt.Sprintf("Ablation: hyperplane width k (n=%d, d=%d; log²n=%d)", rows, dims, sketch.KForRows(rows)),
-		"k", "build time", "pearson val%", "P@20", "bits/column")
+		"k", "build time", "pearson val%", fmt.Sprintf("P@%d", topK), "bits/column")
 	for _, k := range []int{16, 32, 64, 128, 256, 512} {
-		var p *sketch.DatasetProfile
-		dur := timeIt(func() {
-			p = sketch.BuildProfile(f, sketch.ProfileConfig{K: k, Seed: seed})
-		})
-		profiles := sortedNumericProfiles(f, p)
-		est := sketchAllPairs(profiles, false)
-		t.AddRow(k, dur, matrixValueAccuracy(exact.Pearson, est), precisionAtK(exact.Pearson, est, 20), k)
+		start := time.Now()
+		p := sketch.BuildProfile(f, sketch.ProfileConfig{K: k, Seed: seed})
+		dur := time.Since(start)
+		cmp, err := CompareScorers(f, p, core.NewLinearClass(), "")
+		if err != nil {
+			return err
+		}
+		t.AddRow(k, dur, cmp.Value, cmp.PAtK, k)
 	}
 	t.Print(w)
 	return t.WriteTSV(outDir, "ablation_k")
@@ -42,9 +39,6 @@ func RunAblationK(w io.Writer, outDir string, rows, dims int, seed int64) error 
 // RunAblationKLL sweeps the quantile-sketch size, reporting rank error
 // against exact quantiles and space used (DESIGN.md ablation #2).
 func RunAblationKLL(w io.Writer, outDir string, rows int, seed int64) error {
-	if rows <= 0 {
-		rows = 200000
-	}
 	f := datagen.Scalable(datagen.ScalableConfig{Rows: rows, NumericCols: 4, Seed: seed})
 	col := f.NumericColumns()[0].Values()
 	ecdf := stats.NewECDF(col)
@@ -52,11 +46,10 @@ func RunAblationKLL(w io.Writer, outDir string, rows int, seed int64) error {
 	t := NewTable(fmt.Sprintf("Ablation: KLL compactor size (n=%d)", rows),
 		"k", "build time", "max rank err", "mean rank err", "stored items")
 	for _, k := range []int{32, 64, 128, 256, 512} {
-		var s *sketch.KLL
-		dur := timeIt(func() {
-			s = sketch.NewKLL(k, seed)
-			s.UpdateAll(col)
-		})
+		start := time.Now()
+		s := sketch.NewKLL(k, seed)
+		s.UpdateAll(col)
+		dur := time.Since(start)
 		est := s.Quantiles(qs)
 		var maxErr, sumErr float64
 		for i, q := range qs {
@@ -76,22 +69,10 @@ func RunAblationKLL(w io.Writer, outDir string, rows int, seed int64) error {
 // RelFreq(3) metric on Zipf data of varying skew (DESIGN.md ablation
 // #3).
 func RunAblationHeavy(w io.Writer, outDir string, rows int, seed int64) error {
-	if rows <= 0 {
-		rows = 200000
-	}
 	t := NewTable(fmt.Sprintf("Ablation: SpaceSaving capacity (n=%d, 5000 distinct)", rows),
 		"capacity", "zipf s", "relfreq err", "count err bound")
 	for _, s := range []float64{1.2, 1.8} {
-		vals := datagen.ZipfStrings(rows, "v", 5000, s, nil)
-		exactCounts := map[string]int{}
-		for _, v := range vals {
-			exactCounts[v]++
-		}
-		counts := make([]int, 0, len(exactCounts))
-		for _, c := range exactCounts {
-			counts = append(counts, c)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(counts)))
+		vals, counts := zipfCounts(rows, 5000, s)
 		exactRF := 0.0
 		for i := 0; i < 3 && i < len(counts); i++ {
 			exactRF += float64(counts[i])
@@ -113,24 +94,15 @@ func RunAblationHeavy(w io.Writer, outDir string, rows int, seed int64) error {
 // (SpaceSaving ⊕ KMV) against exact entropy across distribution
 // skews (DESIGN.md ablation #4: composition vs exact).
 func RunAblationEntropy(w io.Writer, outDir string, rows int, seed int64) error {
-	if rows <= 0 {
-		rows = 100000
-	}
 	t := NewTable(fmt.Sprintf("Ablation: composed entropy estimator (n=%d, 2000 distinct)", rows),
 		"zipf s", "exact H", "estimate", "rel err%")
 	for _, s := range []float64{1.1, 1.5, 2.0, 3.0} {
-		vals := datagen.ZipfStrings(rows, "v", 2000, s, nil)
-		exactCounts := map[string]int{}
+		vals, counts := zipfCounts(rows, 2000, s)
 		heavy := sketch.NewSpaceSaving(128)
 		distinct := sketch.NewKMV(2048)
 		for _, v := range vals {
-			exactCounts[v]++
 			heavy.Update(v)
 			distinct.Update(v)
-		}
-		counts := make([]int, 0, len(exactCounts))
-		for _, c := range exactCounts {
-			counts = append(counts, c)
 		}
 		exactH := stats.Entropy(counts)
 		estH := sketch.EntropyEstimate(heavy, distinct)
@@ -144,9 +116,6 @@ func RunAblationEntropy(w io.Writer, outDir string, rows int, seed int64) error 
 // RunAblationReservoir sweeps the shared row-sample size against the
 // exact η² dependence metric (DESIGN.md ablation #5).
 func RunAblationReservoir(w io.Writer, outDir string, rows int, seed int64) error {
-	if rows <= 0 {
-		rows = 100000
-	}
 	f := datagen.Parkinson(rows, seed)
 	num, err := f.Numeric("UPDRS_Total")
 	if err != nil {
@@ -160,35 +129,47 @@ func RunAblationReservoir(w io.Writer, outDir string, rows int, seed int64) erro
 	t := NewTable(fmt.Sprintf("Ablation: row-sample size for η² (n=%d, exact η²=%.4f)", f.Rows(), exactEta),
 		"sample", "estimate", "abs err", "build time")
 	for _, size := range []int{128, 512, 2048, 8192} {
-		var est float64
-		dur := timeIt(func() {
-			rs := sketch.NewRowSample(f.Rows(), size, seed)
-			est = stats.CorrelationRatio(rs.GatherCodes(cat.Codes()), rs.GatherFloats(num.Values()), cat.Cardinality())
-		})
+		start := time.Now()
+		rs := sketch.NewRowSample(f.Rows(), size, seed)
+		est := stats.CorrelationRatio(rs.GatherCodes(cat.Codes()), rs.GatherFloats(num.Values()), cat.Cardinality())
+		dur := time.Since(start)
 		t.AddRow(size, est, math.Abs(est-exactEta), dur)
 	}
 	t.Print(w)
 	return t.WriteTSV(outDir, "ablation_reservoir")
 }
 
-// RunAllAblations runs every ablation with moderate sizes.
+// RunAllAblations runs every ablation at its committed size.
 func RunAllAblations(w io.Writer, outDir string, seed int64) error {
-	if err := RunAblationK(w, outDir, 0, 0, seed); err != nil {
-		return err
+	for _, run := range []func() error{
+		func() error { return RunAblationK(w, outDir, 20000, 30, seed) },
+		func() error { return RunAblationKLL(w, outDir, 200000, seed) },
+		func() error { return RunAblationHeavy(w, outDir, 200000, seed) },
+		func() error { return RunAblationEntropy(w, outDir, 100000, seed) },
+		func() error { return RunAblationMultimodality(w, outDir, 20000, seed) },
+		func() error { return RunAblationReservoir(w, outDir, 100000, seed) },
+	} {
+		if err := run(); err != nil {
+			return err
+		}
 	}
-	if err := RunAblationKLL(w, outDir, 0, seed); err != nil {
-		return err
+	return nil
+}
+
+// zipfCounts draws rows Zipf(s) values over distinct strings and
+// returns them with their exact counts, largest first.
+func zipfCounts(rows, distinct int, s float64) ([]string, []int) {
+	vals := datagen.ZipfStrings(rows, "v", distinct, s, nil)
+	byValue := map[string]int{}
+	for _, v := range vals {
+		byValue[v]++
 	}
-	if err := RunAblationHeavy(w, outDir, 0, seed); err != nil {
-		return err
+	counts := make([]int, 0, len(byValue))
+	for _, c := range byValue {
+		counts = append(counts, c)
 	}
-	if err := RunAblationEntropy(w, outDir, 0, seed); err != nil {
-		return err
-	}
-	if err := RunAblationMultimodality(w, outDir, 0, seed); err != nil {
-		return err
-	}
-	return RunAblationReservoir(w, outDir, 0, seed)
+	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
+	return vals, counts
 }
 
 // RunAblationMultimodality compares the three multimodality metrics
@@ -196,9 +177,6 @@ func RunAllAblations(w io.Writer, outDir string, seed int64) error {
 // unimodal, bimodal and trimodal data across separation strengths —
 // the metric-choice ablation for the multimodality insight class.
 func RunAblationMultimodality(w io.Writer, outDir string, rows int, seed int64) error {
-	if rows <= 0 {
-		rows = 20000
-	}
 	rng := rand.New(rand.NewSource(seed))
 	t := NewTable(fmt.Sprintf("Ablation: multimodality metrics (n=%d)", rows),
 		"shape", "separation", "dip", "2-means sep", "kde modes")

@@ -4,14 +4,13 @@
 //
 //	E1  Figure 1   — ranked insight carousels on the OECD-like data
 //	E2  Figure 2   — pairwise-correlation overview heat map
-//	E3  §3 claim   — sketch estimator accuracy (">90% accuracy")
-//	E4  §3 claim   — preprocessing speedup ("3x−4x", single-threaded)
-//	E5  §3 claim   — interactive exploration latency
-//	E6  §2.2       — all-pairs correlation O(|B|²k) vs O(|B|²n)
+//	E3  §3 claim   — approximate vs exact scores (">90% accuracy")
 //	E7  §4.1       — scripted usage-scenario discoveries
 //	E8  §4.2       — Parkinson / IMDB demo-dataset insights
 //
 // plus ablations over the sketch parameters called out in DESIGN.md.
+// E4–E6 (preprocessing speedup, query latency, all-pairs complexity)
+// are timings, taken by the root package's BenchmarkE4*–E6* pairs.
 // Each experiment prints a human-readable table to its writer and,
 // when outDir is non-empty, writes machine-readable TSV series and
 // SVG figures there.
@@ -23,8 +22,38 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"text/tabwriter"
 	"time"
+	"unicode/utf8"
 )
+
+// Experiment is one named entry of foresight-bench's -exp list.
+type Experiment struct {
+	Name string
+	// Run writes the experiment's tables to w and its artifacts into
+	// outDir (none when empty).
+	Run func(w io.Writer, outDir string, seed int64) error
+}
+
+// Experiments lists every experiment, in run order; full selects E3's
+// paper-scale sizes.
+func Experiments(full bool) []Experiment {
+	rows, dims := 20000, []int{25, 50}
+	if full {
+		rows, dims = 100000, []int{25, 50, 100, 200}
+	}
+	return []Experiment{
+		{"e1", RunE1Carousels},
+		{"e2", RunE2Overview},
+		{"e3", func(w io.Writer, outDir string, seed int64) error { return RunE3Accuracy(w, outDir, rows, dims, seed) }},
+		{"e7", func(w io.Writer, outDir string, seed int64) error {
+			_, err := RunE7Scenario(w, outDir, seed)
+			return err
+		}},
+		{"e8", RunE8DemoDatasets},
+		{"ablations", RunAllAblations},
+	}
+}
 
 // Table accumulates aligned rows for terminal output and TSV export.
 type Table struct {
@@ -56,51 +85,27 @@ func (t *Table) AddRow(cells ...interface{}) {
 
 // Print renders the table with aligned columns.
 func (t *Table) Print(w io.Writer) {
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
 	fmt.Fprintf(w, "\n== %s ==\n", t.Title)
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	rule := make([]string, len(t.Columns))
 	for i, c := range t.Columns {
-		fmt.Fprintf(w, "%-*s  ", widths[i], c)
+		rule[i] = strings.Repeat("-", utf8.RuneCountInString(c))
 	}
-	fmt.Fprintln(w)
-	for i := range t.Columns {
-		fmt.Fprintf(w, "%s  ", strings.Repeat("-", widths[i]))
+	for _, row := range append([][]string{t.Columns, rule}, t.Rows...) {
+		fmt.Fprintln(tw, strings.Join(row, "\t"))
 	}
-	fmt.Fprintln(w)
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) {
-				fmt.Fprintf(w, "%-*s  ", widths[i], cell)
-			}
-		}
-		fmt.Fprintln(w)
-	}
+	tw.Flush()
 }
 
 // WriteTSV writes the table as a TSV file into dir (no-op when dir is
 // empty), named from the slug.
 func (t *Table) WriteTSV(dir, slug string) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	var b strings.Builder
 	b.WriteString(strings.Join(t.Columns, "\t") + "\n")
 	for _, row := range t.Rows {
 		b.WriteString(strings.Join(row, "\t") + "\n")
 	}
-	return os.WriteFile(filepath.Join(dir, slug+".tsv"), []byte(b.String()), 0o644)
+	return writeFile(dir, slug+".tsv", b.String())
 }
 
 // writeFile writes content into dir/name (no-op when dir is empty).
@@ -112,11 +117,4 @@ func writeFile(dir, name, content string) error {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644)
-}
-
-// timeIt runs fn once and returns its wall-clock duration.
-func timeIt(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }

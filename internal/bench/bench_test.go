@@ -2,12 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-
-	"foresight/internal/datagen"
+	"time"
 )
 
 func TestTablePrintAndTSV(t *testing.T) {
@@ -40,7 +42,7 @@ func TestTablePrintAndTSV(t *testing.T) {
 func TestRunE1AndE2(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := RunE1Carousels(&buf, dir, 3, 42); err != nil {
+	if err := RunE1Carousels(&buf, dir, 42); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "E1 / Figure 1") {
@@ -98,72 +100,118 @@ func TestRunE8(t *testing.T) {
 }
 
 func TestRunE3AccuracySmall(t *testing.T) {
+	dir := t.TempDir()
 	var buf bytes.Buffer
-	err := RunE3Accuracy(&buf, t.TempDir(), E3Config{Rows: 4000, Dims: []int{12}, K: 256, Seed: 1})
+	if err := RunE3Accuracy(&buf, dir, 4000, []int{12}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "E3: approximate vs exact scores") {
+		t.Error("E3 header missing")
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "e3_accuracy.tsv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "E3: sketch accuracy") {
-		t.Error("E3 header missing")
+	// One row per class (12 built-ins, nonlinear, normality) on each of
+	// scalable d=12, oecd, parkinson and imdb.
+	rows := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+		cells := strings.Split(line, "\t")
+		if len(cells) != 7 {
+			t.Fatalf("E3 row %q has %d cells, want 7", line, len(cells))
+		}
+		rows[cells[0]]++
+		if cells[3] == "0" && cells[5] != "no candidates" {
+			t.Errorf("E3 row %q: a class without candidates must say so", line)
+		}
 	}
-}
-
-func TestRunE4E6Small(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunE4Preprocess(&buf, "", E4Config{Rows: 3000, Dims: []int{10}, K: 32, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "speedup") {
-		t.Error("E4 speedup column missing")
-	}
-	buf.Reset()
-	if err := RunE6AllPairs(&buf, "", E6Config{Dims: 10, RowsSet: []int{1000, 2000}, K: 32, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "all-pairs") {
-		t.Error("E6 header missing")
-	}
-}
-
-func TestRunE5Small(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunE5QueryLatency(&buf, "", E5Config{Rows: 3000, Dims: 12, K: 32, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"carousels", "range filter", "neighborhood", "overview"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("E5 missing row %q", want)
+	for _, ds := range []string{"scalable d=12", "oecd", "parkinson", "imdb"} {
+		if rows[ds] != 14 {
+			t.Errorf("E3 has %d rows for %s, want 14", rows[ds], ds)
 		}
 	}
 }
 
-func TestExactStoreMatchesStats(t *testing.T) {
-	f := datagen.Scalable(datagen.ScalableConfig{Rows: 2000, NumericCols: 8, Seed: 5, MissingEvery: 3})
-	st := BuildExactStore(f, true)
-	if len(st.Pearson) != len(f.NumericColumns()) {
-		t.Fatal("exact store shape wrong")
+// TestResultsRegenerate writes every artifact foresight-bench writes
+// without -full, at its default seed, and compares each byte for byte
+// with the committed results/, except the cells a Table writes from a
+// time.Duration. Every committed file must be among those regenerated.
+// The experiments run side by side: each writes its own files, and
+// none depends on the order.
+func TestResultsRegenerate(t *testing.T) {
+	dir := t.TempDir()
+	exps := Experiments(false)
+	errs := make([]error, len(exps))
+	var wg sync.WaitGroup
+	for i, e := range exps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = e.Run(io.Discard, dir, 42)
+		}()
 	}
-	// Symmetry and diagonal.
-	for i := range st.Pearson {
-		if st.Pearson[i][i] != 1 {
-			t.Error("diagonal must be 1")
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", exps[i].Name, err)
 		}
-		for j := range st.Pearson[i] {
-			if st.Pearson[i][j] != st.Pearson[j][i] {
-				t.Error("pearson matrix asymmetric")
+	}
+	const committed = "../../results"
+	names := map[string]bool{}
+	for _, d := range []string{dir, committed} {
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, en := range entries {
+			names[en.Name()] = true
+		}
+	}
+	for name := range names {
+		got, gerr := os.ReadFile(filepath.Join(dir, name))
+		want, werr := os.ReadFile(filepath.Join(committed, name))
+		switch {
+		case gerr != nil:
+			t.Errorf("results/%s is committed but no experiment writes it", name)
+		case werr != nil:
+			t.Errorf("%s is written but not committed under results/", name)
+		case strings.HasSuffix(name, ".tsv"):
+			if diff := tsvDiff(string(got), string(want)); diff != "" {
+				t.Errorf("results/%s does not regenerate: %s", name, diff)
+			}
+		case !bytes.Equal(got, want):
+			t.Errorf("results/%s does not regenerate byte for byte", name)
+		}
+	}
+}
+
+// tsvDiff describes the first cell where two TSV files differ, skipping
+// cells both hold as a time.Duration (the timings, which no run
+// repeats); "" when they agree.
+func tsvDiff(got, want string) string {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	if len(gl) != len(wl) {
+		return fmt.Sprintf("%d lines, committed %d", len(gl), len(wl))
+	}
+	for i := range gl {
+		gc, wc := strings.Split(gl[i], "\t"), strings.Split(wl[i], "\t")
+		if len(gc) != len(wc) {
+			return fmt.Sprintf("line %d: %q, committed %q", i+1, gl[i], wl[i])
+		}
+		for j := range gc {
+			if gc[j] != wc[j] && !(isDuration(gc[j]) && isDuration(wc[j])) {
+				return fmt.Sprintf("line %d column %d: %q, committed %q", i+1, j+1, gc[j], wc[j])
 			}
 		}
 	}
-	// Spearman bounded.
-	for i := range st.Spearman {
-		for j := range st.Spearman[i] {
-			v := st.Spearman[i][j]
-			if v < -1.01 || v > 1.01 {
-				t.Errorf("spearman out of range: %v", v)
-			}
-		}
-	}
+	return ""
+}
+
+// isDuration reports whether a cell is time.Duration.String's output:
+// a number with a unit (a bare "0" is a number).
+func isDuration(cell string) bool {
+	_, err := time.ParseDuration(cell)
+	return err == nil && cell != "0"
 }
 
 func TestAblationsSmall(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"foresight/internal/core"
@@ -14,13 +15,11 @@ import (
 	"foresight/internal/viz"
 )
 
-// RunE1Carousels regenerates Figure 1: the top-k ranked insights of
+// RunE1Carousels regenerates Figure 1: the top-5 ranked insights of
 // every class on the OECD-like dataset, one carousel per class. SVGs
 // of the top insight per class land in outDir.
-func RunE1Carousels(w io.Writer, outDir string, k int, seed int64) error {
-	if k <= 0 {
-		k = 5
-	}
+func RunE1Carousels(w io.Writer, outDir string, seed int64) error {
+	const k = 5
 	f := datagen.OECD(0, seed)
 	engine, err := query.NewEngine(f, core.NewRegistry(), nil)
 	if err != nil {
@@ -111,9 +110,8 @@ func RunE2Overview(w io.Writer, outDir string, seed int64) error {
 
 // ScenarioCheck is one assertion of the §4.1 usage scenario.
 type ScenarioCheck struct {
-	Name   string
-	Detail string
-	Pass   bool
+	Name, Detail string
+	Pass         bool
 }
 
 // RunE7Scenario replays the §4.1 OECD usage scenario as a scripted
@@ -139,7 +137,7 @@ func RunE7Scenario(w io.Writer, outDir string, seed int64) ([]ScenarioCheck, err
 	var wlhTdl *core.Insight
 	rank := -1
 	for i, in := range res[0].Insights {
-		if hasAttr(in, "WorkingLongHours") && hasAttr(in, "TimeDevotedToLeisure") {
+		if slices.Contains(in.Attrs, "WorkingLongHours") && slices.Contains(in.Attrs, "TimeDevotedToLeisure") {
 			cp := in
 			wlhTdl = &cp
 			rank = i + 1
@@ -217,7 +215,7 @@ func RunE7Scenario(w io.Writer, outDir string, seed int64) ([]ScenarioCheck, err
 			continue
 		}
 		for _, in := range r.Insights {
-			if hasAttr(in, "LifeSatisfaction") && hasAttr(in, "SelfReportedHealth") {
+			if slices.Contains(in.Attrs, "LifeSatisfaction") && slices.Contains(in.Attrs, "SelfReportedHealth") {
 				foundLsSrh = true
 				lsRho = in.Raw
 			}
@@ -230,19 +228,24 @@ func RunE7Scenario(w io.Writer, outDir string, seed int64) ([]ScenarioCheck, err
 	var buf strings.Builder
 	saveOK := session.Save(&buf) == nil
 	add("Session state saved", fmt.Sprintf("%d bytes", buf.Len()), saveOK)
-	if outDir != "" {
-		if err := writeFile(outDir, "e7_session.json", buf.String()); err != nil {
-			return nil, err
-		}
+	if err := writeFile(outDir, "e7_session.json", buf.String()); err != nil {
+		return nil, err
 	}
 
 	t := NewTable("E7 / §4.1 usage scenario (scripted)", "check", "detail", "pass")
+	failed := 0
 	for _, c := range checks {
 		t.AddRow(c.Name, c.Detail, c.Pass)
+		if !c.Pass {
+			failed++
+		}
 	}
 	t.Print(w)
 	if err := t.WriteTSV(outDir, "e7_scenario"); err != nil {
 		return nil, err
+	}
+	if failed > 0 {
+		return checks, fmt.Errorf("%d scenario checks failed", failed)
 	}
 	return checks, nil
 }
@@ -252,6 +255,7 @@ func RunE7Scenario(w io.Writer, outDir string, seed int64) ([]ScenarioCheck, err
 // prompts (e.g. "What factors correlate highly with a film's
 // profitability?").
 func RunE8DemoDatasets(w io.Writer, outDir string, seed int64) error {
+	var engine *query.Engine
 	for _, ds := range []struct {
 		name string
 		f    *frame.Frame
@@ -259,7 +263,8 @@ func RunE8DemoDatasets(w io.Writer, outDir string, seed int64) error {
 		{"parkinson", datagen.Parkinson(0, seed)},
 		{"imdb", datagen.IMDB(0, seed+1)},
 	} {
-		engine, err := query.NewEngine(ds.f, core.NewRegistry(), nil)
+		var err error
+		engine, err = query.NewEngine(ds.f, core.NewRegistry(), nil)
 		if err != nil {
 			return err
 		}
@@ -281,12 +286,7 @@ func RunE8DemoDatasets(w io.Writer, outDir string, seed int64) error {
 		}
 	}
 	// The IMDB profitability question, answered with a fixed-attribute
-	// query (correlates of Gross).
-	imdb := datagen.IMDB(0, seed+1)
-	engine, err := query.NewEngine(imdb, core.NewRegistry(), nil)
-	if err != nil {
-		return err
-	}
+	// query (correlates of Gross) on the last engine, imdb's.
 	res, err := engine.ExecuteContext(context.Background(), query.Query{Classes: []string{"monotonic"}, Fixed: []string{"Gross"}, K: 5})
 	if err != nil {
 		return err
@@ -300,13 +300,4 @@ func RunE8DemoDatasets(w io.Writer, outDir string, seed int64) error {
 	}
 	t.Print(w)
 	return t.WriteTSV(outDir, "e8_imdb_gross_partners")
-}
-
-func hasAttr(in core.Insight, name string) bool {
-	for _, a := range in.Attrs {
-		if a == name {
-			return true
-		}
-	}
-	return false
 }

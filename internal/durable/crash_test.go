@@ -3,6 +3,7 @@ package durable
 import (
 	"context"
 	"fmt"
+	"os"
 	"slices"
 	"sync"
 	"testing"
@@ -467,22 +468,111 @@ func TestManagerCheckpointTruncatesWAL(t *testing.T) {
 	if _, err := m.Recover(e); err != nil {
 		t.Fatal(err)
 	}
+	// The first checkpoint retires nothing: its snapshot has no
+	// fallback yet, so the log must still reach back to seq 1. The
+	// second retires through the first snapshot, its fallback.
 	for i := 0; i < 6; i++ {
 		if _, err := e.Ingest(ctx, crashBatch(i), nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-	segsBefore := m.wal.Segments()
-	if err := m.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	if m.wal.Segments() >= segsBefore {
-		t.Fatalf("checkpoint retired no segments (%d → %d)", segsBefore, m.wal.Segments())
+		if i != 2 && i != 5 {
+			continue
+		}
+		segsBefore := m.wal.Segments()
+		if err := m.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		switch segs := m.wal.Segments(); {
+		case i == 2 && segs != segsBefore:
+			t.Fatalf("the first checkpoint retired segments (%d → %d)", segsBefore, segs)
+		case i == 5 && segs >= segsBefore:
+			t.Fatalf("the second checkpoint retired no segments (%d → %d)", segsBefore, segs)
+		}
 	}
 	st := m.Stats()
-	if st.Checkpoints != 1 || st.CheckpointSeq != st.LastSeq {
+	if st.Checkpoints != 2 || st.CheckpointSeq != st.LastSeq {
 		t.Fatalf("stats after checkpoint: %+v", st)
+	}
+	segs, err := listSegments(fs, "wal")
+	if err != nil || len(segs) == 0 || segs[0].firstSeq != 4 {
+		t.Fatalf("after checkpoints at seqs 3 and 6 the log starts at %+v (%v), want seq 4", segs, err)
 	}
 	_ = m.Close()
 	recoverAndVerify(t, fs, 6, 6, "post-checkpoint restart")
+}
+
+// TestCorruptNewestSnapshotFallsBackWithItsLog corrupts the newest of
+// the two snapshots kept. Recovery falls back to the older one and
+// needs the WAL from just past it: all 7 acked batches come back.
+// With that log cut short, as by retiring segments through the newest
+// snapshot, recovery refuses the gap rather than serve fewer batches.
+func TestCorruptNewestSnapshotFallsBackWithItsLog(t *testing.T) {
+	dir := t.TempDir()
+	e, err := newScenarioEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(Options{Dir: dir, Fsync: FsyncAlways, segBytes: 64, CheckpointRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Recover(e); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		if _, err := e.Ingest(context.Background(), crashBatch(i), nil); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 || i == 5 {
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	newest := join(dir, snapshotName(6))
+	b, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(newest, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	recoverInto := func() (*query.Engine, RecoveryStats, error) {
+		e := newCrashEngine(t)
+		m, err := Open(Options{Dir: dir, Fsync: FsyncAlways, CheckpointRows: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		rec, err := m.Recover(e)
+		return e, rec, err
+	}
+	e, rec, err := recoverInto()
+	if err != nil {
+		t.Fatalf("recover with the newest snapshot corrupted: %v", err)
+	}
+	if rec.SnapshotSeq != 3 || rec.SnapshotsSkipped != 1 {
+		t.Fatalf("recovery = %+v, want snapshot 3 after skipping one", rec)
+	}
+	checkFrame(t, e, 7, "fallback snapshot")
+
+	segs, err := listSegments(OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range segs {
+		if s.firstSeq == 4 || s.firstSeq == 5 {
+			if err := os.Remove(s.name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, _, err := recoverInto(); !IsMidLogCorruption(err) {
+		t.Fatalf("recover over a log that starts past the fallback snapshot = %v, want mid-log corruption", err)
+	}
 }

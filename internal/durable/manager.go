@@ -50,8 +50,9 @@ const (
 	// checkpointBytes triggers a checkpoint once this many WAL bytes
 	// have been appended since the last one.
 	checkpointBytes = 64 << 20
-	// snapshotsKept bounds retained snapshots; older ones are
-	// fallbacks against a corrupted newest snapshot.
+	// snapshotsKept bounds retained snapshots: the newest, and older
+	// ones as fallbacks against a corrupted newest snapshot. The WAL
+	// keeps every record after the oldest one kept (pruneSnapshots).
 	snapshotsKept = 2
 )
 
@@ -387,7 +388,8 @@ func (m *Manager) Checkpoint() error {
 }
 
 // runCheckpoint writes one snapshot — the captured row section as it
-// is, and p's Save bytes — and retires the WAL segments it covers.
+// is, and p's Save bytes — prunes the snapshots past snapshotsKept, and
+// retires the WAL segments the oldest snapshot kept covers.
 // Profiles are immutable once published and appends leave a captured
 // section's bytes alone, so this runs concurrently with live ingest
 // without any engine lock.
@@ -421,10 +423,11 @@ func (m *Manager) runCheckpoint(rows rowSection, p *sketch.DatasetProfile, seq u
 		m.ckptSeq = seq
 	}
 	m.mu.Unlock()
-	if _, err := m.wal.TruncateThrough(seq); err != nil {
-		m.opts.Logf("durable: retiring WAL segments through seq %d: %v", seq, err)
+	if fallback, ok := pruneSnapshots(m.fsys, m.dir); ok {
+		if _, err := m.wal.TruncateThrough(fallback); err != nil {
+			m.opts.Logf("durable: retiring WAL segments through seq %d: %v", fallback, err)
+		}
 	}
-	pruneSnapshots(m.fsys, m.dir)
 	return nil
 }
 

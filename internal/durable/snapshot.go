@@ -304,10 +304,14 @@ func parseSnapshot(file []byte) (*snapshotBody, error) {
 	return b, nil
 }
 
-// pruneSnapshots removes all but the newest snapshotsKept snapshots
-// (older ones exist only as fallbacks against a corrupted newest
-// snapshot) plus any stale temp files from interrupted checkpoints.
-func pruneSnapshots(fsys FS, dir string) {
+// pruneSnapshots removes all but the newest snapshotsKept snapshots,
+// plus any stale temp files from interrupted checkpoints. It returns
+// the seq of the oldest snapshot kept, the fallback recovery loads
+// when every newer one is corrupted: the WAL must still hold each
+// record after it, so a checkpoint retires segments only through it.
+// ok is false, and no segment may go, while fewer than snapshotsKept
+// snapshots exist or the directory cannot be listed.
+func pruneSnapshots(fsys FS, dir string) (fallback uint64, ok bool) {
 	names, err := fsys.ReadDir(dir)
 	if err == nil {
 		for _, name := range names {
@@ -317,11 +321,14 @@ func pruneSnapshots(fsys FS, dir string) {
 		}
 	}
 	snaps, err := listSnapshots(fsys, dir)
-	if err != nil || len(snaps) <= snapshotsKept {
-		return
+	if err != nil || len(snaps) < snapshotsKept {
+		return 0, false
 	}
-	for _, s := range snaps[snapshotsKept:] {
-		_ = fsys.Remove(s.name)
+	if len(snaps) > snapshotsKept {
+		for _, s := range snaps[snapshotsKept:] {
+			_ = fsys.Remove(s.name)
+		}
+		_ = fsys.SyncDir(dir)
 	}
-	_ = fsys.SyncDir(dir)
+	return snaps[snapshotsKept-1].seq, true
 }

@@ -337,11 +337,12 @@ func (w *wal) Segments() int {
 	return len(w.segments)
 }
 
-// TruncateThrough removes segments made obsolete by a checkpoint at
-// seq: a segment can go once the NEXT segment's first sequence number
-// is ≤ seq+1, because then every record it holds is ≤ seq and the
-// snapshot already covers them. The active segment never qualifies
-// (its successor does not exist).
+// TruncateThrough removes the segments a snapshot at seq covers: a
+// segment can go once the NEXT segment's first sequence number is ≤
+// seq+1, because then every record it holds is ≤ seq. The active
+// segment never qualifies (its successor does not exist). A checkpoint
+// passes the seq of the oldest snapshot it keeps, not its own, so a
+// fallback snapshot always has its log.
 func (w *wal) TruncateThrough(seq uint64) (removed int, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -412,10 +413,14 @@ var errMidLogCorruption = errors.New("durable: WAL corrupted mid-log")
 // torn (partial header, short payload, or CRC mismatch): it is
 // discarded with a warning and, when repair is set, the segment is
 // truncated to the last good boundary so the next scan is clean. The
-// same damage anywhere else — or a sequence-number gap — is mid-log
-// corruption: scanning stops with errMidLogCorruption unless
-// permissive is set, in which case the valid prefix is kept and the
-// rest of the log is dropped with a warning.
+// same damage anywhere else is mid-log corruption, and so is a
+// sequence gap anywhere, the final segment included (a torn write
+// cannot leave a whole record under a valid CRC): between two records,
+// or a first record past afterSeq+1, where the log no longer reaches
+// back to the snapshot it extends. Scanning then stops with
+// errMidLogCorruption unless permissive is set, in which case the
+// valid prefix is kept and the rest of the log is dropped with a
+// warning.
 func scanWAL(fsys FS, dir string, afterSeq uint64, permissive, repair bool, warnf func(string, ...any), apply func(batchRecord) error) (ScanStats, error) {
 	if warnf == nil {
 		warnf = func(string, ...any) {}
@@ -433,12 +438,12 @@ func scanWAL(fsys FS, dir string, afterSeq uint64, permissive, repair bool, warn
 	havePrev := false
 	for i, seg := range segs {
 		last := i == len(segs)-1
-		corrupt, err := scanSegment(fsys, seg, last, repair, &stats, &prevSeq, &havePrev, afterSeq, warnf, apply)
+		corrupt, gap, err := scanSegment(fsys, seg, last, repair, &stats, &prevSeq, &havePrev, afterSeq, apply)
 		if err != nil {
 			return stats, err
 		}
 		if corrupt != "" {
-			if last {
+			if last && !gap {
 				stats.TornDetected = true
 				warnf("durable: torn WAL tail in %s (%s): discarding partial record", seg.name, corrupt)
 				break
@@ -454,58 +459,62 @@ func scanWAL(fsys FS, dir string, afterSeq uint64, permissive, repair bool, warn
 }
 
 // scanSegment reads one segment. It returns a non-empty corruption
-// description when the segment's tail is damaged; hard errors (I/O,
-// apply failures) come back as err.
-func scanSegment(fsys FS, seg segmentInfo, last, repair bool, stats *ScanStats, prevSeq *uint64, havePrev *bool, afterSeq uint64, warnf func(string, ...any), apply func(batchRecord) error) (corruption string, err error) {
+// description when the segment's tail is damaged, with gap set when
+// the damage is a sequence gap; hard errors (I/O, apply failures) come
+// back as err.
+func scanSegment(fsys FS, seg segmentInfo, last, repair bool, stats *ScanStats, prevSeq *uint64, havePrev *bool, afterSeq uint64, apply func(batchRecord) error) (corruption string, gap bool, err error) {
 	rc, err := fsys.Open(seg.name)
 	if err != nil {
-		return "", fmt.Errorf("durable: opening WAL segment %s: %w", seg.name, err)
+		return "", false, fmt.Errorf("durable: opening WAL segment %s: %w", seg.name, err)
 	}
 	defer rc.Close()
 	size, err := fsys.Size(seg.name)
 	if err != nil {
-		return "", fmt.Errorf("durable: sizing WAL segment %s: %w", seg.name, err)
+		return "", false, fmt.Errorf("durable: sizing WAL segment %s: %w", seg.name, err)
 	}
 	magic := make([]byte, len(walMagic))
 	if _, err := io.ReadFull(rc, magic); err != nil {
-		return "missing segment header", truncateTo(fsys, seg.name, 0, last, repair, stats)
+		return "missing segment header", false, truncateTo(fsys, seg.name, 0, last, repair, stats)
 	}
 	if string(magic) != walMagic {
-		return "bad segment magic", nil
+		return "bad segment magic", false, nil
 	}
 	goodOff := int64(len(walMagic))
 	hdr := make([]byte, recordHeaderSize)
 	for {
 		_, err := io.ReadFull(rc, hdr)
 		if err == io.EOF {
-			return "", nil // clean end of segment
+			return "", false, nil // clean end of segment
 		}
 		if err != nil {
-			return "partial record header", truncateTo(fsys, seg.name, goodOff, last, repair, stats)
+			return "partial record header", false, truncateTo(fsys, seg.name, goodOff, last, repair, stats)
 		}
 		length := uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24
 		sum := uint32(hdr[4]) | uint32(hdr[5])<<8 | uint32(hdr[6])<<16 | uint32(hdr[7])<<24
 		if length > maxRecordPayload {
-			return "implausible record length", truncateTo(fsys, seg.name, goodOff, last, repair, stats)
+			return "implausible record length", false, truncateTo(fsys, seg.name, goodOff, last, repair, stats)
 		}
 		// A length past the segment's end is a short payload: say so
 		// before allocating what the header states.
 		if int64(length) > size-goodOff-recordHeaderSize {
-			return "short record payload", truncateTo(fsys, seg.name, goodOff, last, repair, stats)
+			return "short record payload", false, truncateTo(fsys, seg.name, goodOff, last, repair, stats)
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(rc, payload); err != nil {
-			return "short record payload", truncateTo(fsys, seg.name, goodOff, last, repair, stats)
+			return "short record payload", false, truncateTo(fsys, seg.name, goodOff, last, repair, stats)
 		}
 		if crc32.Checksum(payload, crcTable) != sum {
-			return "record CRC mismatch", truncateTo(fsys, seg.name, goodOff, last, repair, stats)
+			return "record CRC mismatch", false, truncateTo(fsys, seg.name, goodOff, last, repair, stats)
 		}
 		rec, derr := decodeBatchRecord(payload)
 		if derr != nil {
-			return "undecodable record: " + derr.Error(), truncateTo(fsys, seg.name, goodOff, last, repair, stats)
+			return "undecodable record: " + derr.Error(), false, truncateTo(fsys, seg.name, goodOff, last, repair, stats)
 		}
 		if *havePrev && rec.Seq != *prevSeq+1 {
-			return fmt.Sprintf("sequence gap (%d after %d)", rec.Seq, *prevSeq), nil
+			return fmt.Sprintf("sequence gap (%d after %d)", rec.Seq, *prevSeq), true, nil
+		}
+		if !*havePrev && rec.Seq > afterSeq+1 {
+			return fmt.Sprintf("sequence gap (first record %d after snapshot seq %d)", rec.Seq, afterSeq), true, nil
 		}
 		*prevSeq, *havePrev = rec.Seq, true
 		goodOff += int64(recordHeaderSize) + int64(length)
@@ -514,7 +523,7 @@ func scanSegment(fsys FS, seg segmentInfo, last, repair bool, stats *ScanStats, 
 		if rec.Seq > afterSeq && apply != nil {
 			stats.Rows += len(rec.Records)
 			if err := apply(rec); err != nil {
-				return "", fmt.Errorf("durable: replaying WAL record %d: %w", rec.Seq, err)
+				return "", false, fmt.Errorf("durable: replaying WAL record %d: %w", rec.Seq, err)
 			}
 		}
 	}
