@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -41,6 +42,7 @@ func BenchmarkE1Carousels(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		coldIteration(b, engine)
 		if _, err := engine.CarouselsContext(context.Background(), 5, false); err != nil {
 			b.Fatal(err)
 		}
@@ -57,6 +59,7 @@ func BenchmarkE2Overview(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		coldIteration(b, engine)
 		ov, err := engine.OverviewContext(context.Background(), "linear", "", false)
 		if err != nil {
 			b.Fatal(err)
@@ -250,10 +253,10 @@ func TestAllPairsDotSelfConsistency(t *testing.T) {
 
 // --- E5: interactive query latency over a preprocessed store ---
 //
-// Every E5 and E6 iteration starts a fresh generation on the same data
-// (freshGeneration), so each times the cold work — scoring, or the
-// class view's build — and not a read of the view the iteration before
-// built.
+// Every E5 and E6 iteration, like every E1, E2 and E8 one, starts a
+// fresh generation on the same data (freshGeneration), so each times
+// the cold work — scoring, or the class view's build — and not a read
+// of the view the iteration before built.
 
 func newE5Engine(b *testing.B) *query.Engine {
 	b.Helper()
@@ -272,6 +275,17 @@ func freshGeneration(b *testing.B, engine *query.Engine) {
 	if err := engine.RestoreSnapshot(engine.Frame(), nil); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// coldIteration starts a fresh generation from a collected heap, off
+// the clock: on a dataset as small as OECD or IMDB a garbage
+// collection costs as much as the iteration it lands in, so without it
+// ns/op would depend on how many collections b.N happens to span.
+func coldIteration(b *testing.B, engine *query.Engine) {
+	b.StopTimer()
+	freshGeneration(b, engine)
+	runtime.GC()
+	b.StartTimer()
 }
 
 func BenchmarkE5CarouselsApprox(b *testing.B) {
@@ -380,6 +394,7 @@ func BenchmarkE8IMDBCarousels(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		coldIteration(b, engine)
 		if _, err := engine.CarouselsContext(context.Background(), 1, false); err != nil {
 			b.Fatal(err)
 		}

@@ -19,9 +19,10 @@
 // With -wal-dir, acked batches are durable: a CRC-framed write-ahead
 // log (sync policy -fsync/-fsync-interval) plus checkpointed
 // snapshots (-checkpoint-rows) let a restart recover every acked row
-// and replay the tail; /healthz reports liveness, /readyz flips to
-// 200 once recovery completes, and -recover-permissive accepts a
-// mid-log-corrupt WAL's valid prefix instead of refusing to start.
+// and replay the tail before the listener opens; /healthz reports
+// liveness, /readyz turns 503 once the WAL has latched failed, and
+// -recover-permissive accepts a mid-log-corrupt WAL's valid prefix
+// instead of refusing to start.
 // With -debug-addr a second listener additionally serves
 // net/http/pprof under /debug/pprof/ (kept off the main port so
 // profiling endpoints are never exposed to UI traffic).

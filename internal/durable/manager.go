@@ -178,9 +178,10 @@ func Open(opts Options) (*Manager, error) {
 // installs the manager as the engine's durable sink. A torn final WAL
 // record is truncated with a warning — never a startup failure;
 // corruption anywhere else fails recovery unless Permissive keeps the
-// valid prefix. The engine stays fully queryable while replay runs:
-// every replayed batch goes through Engine.Ingest, so concurrent
-// queries see consistent pre- or post-batch snapshots throughout.
+// valid prefix. Every replayed batch goes through Engine.Ingest, so a
+// library caller that queries the engine while replay runs sees
+// consistent pre- or post-batch snapshots throughout; foresightd does
+// not, since it opens its listener only once Recover has returned.
 func (m *Manager) Recover(e *query.Engine) (RecoveryStats, error) {
 	start := time.Now()
 	var stats RecoveryStats
@@ -504,17 +505,14 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 		"Checkpoint (snapshot write + WAL truncation) latency in seconds.", nil)
 }
 
-// Close detaches the sink, waits for an in-flight checkpoint, flushes
-// the WAL and closes it. Safe to call once after the server stops
-// ingesting.
+// Close waits for an in-flight checkpoint, flushes the WAL and closes
+// it. The manager stays the engine's sink and refuses every later
+// batch, so an ingest that outlives the server's shutdown fails rather
+// than publishing rows no restart brings back. Safe to call once.
 func (m *Manager) Close() error {
-	if m.engine != nil && !m.opts.ReadOnly {
-		m.engine.SetDurableSink(nil)
-	}
 	m.ckptWG.Wait()
 	m.mu.Lock()
 	w := m.wal
-	m.wal = nil
 	m.mu.Unlock()
 	if w == nil {
 		return nil

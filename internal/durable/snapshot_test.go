@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -254,6 +255,32 @@ func TestRefusedAppendNeverLands(t *testing.T) {
 		}
 	}
 	checkRecovered(t, fs, m, RecoveryStats{SnapshotSeq: 2, ReplayedBatches: 1}, whole)
+}
+
+// TestClosedManagerRefusesIngest: a closed manager stays the engine's
+// sink and refuses, so an ingest that takes the slot after Close fails
+// and moves neither the rows nor the generation, and a restart finds
+// only what was logged before it.
+func TestClosedManagerRefusesIngest(t *testing.T) {
+	ctx := context.Background()
+	fs := NewErrFS()
+	e := lifeEngine(t, 0)
+	m, _ := recoverLife(t, fs, e)
+	if _, err := e.Ingest(ctx, lifeBatch(0), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rows, gen := e.Frame().Rows(), e.CacheStats().Generation
+	if _, err := e.Ingest(ctx, lifeBatch(1), nil); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("ingest after Close: err = %v, want a refusal naming the closed WAL", err)
+	}
+	if e.Frame().Rows() != rows || e.CacheStats().Generation != gen {
+		t.Fatalf("an ingest after Close moved the engine: %d rows at generation %d, was %d at %d",
+			e.Frame().Rows(), e.CacheStats().Generation, rows, gen)
+	}
+	checkRecovered(t, fs, m, RecoveryStats{ReplayedBatches: 1}, lifeEngine(t, 1))
 }
 
 // TestEngineMovedBehindManager: an engine rolled back by RestoreSnapshot

@@ -199,12 +199,15 @@ func (w *wal) startSegment() error {
 // truncating the segment to the last good record boundary so the tail
 // stays parseable; if even the rollback fails the log latches failed
 // and every later append errors immediately (the server then refuses
-// to ack, which is the honest outcome).
+// to ack, which is the honest outcome). A closed log refuses too.
 func (w *wal) Append(columns []string, records [][]string) (seq uint64, frame []byte, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed != nil {
 		return 0, nil, fmt.Errorf("durable: WAL failed earlier: %w", w.failed)
+	}
+	if w.f == nil {
+		return 0, nil, errWALClosed
 	}
 	if w.size >= w.segBytes {
 		w.nextSeqSegment()
@@ -403,6 +406,9 @@ type ScanStats struct {
 	TornDetected bool `json:"torn_detected"`
 	Truncated    bool `json:"truncated"`
 }
+
+// errWALClosed refuses an append after Close.
+var errWALClosed = errors.New("durable: WAL closed")
 
 // errMidLogCorruption marks corruption anywhere but the final
 // segment's tail — the case recovery refuses to accept silently.

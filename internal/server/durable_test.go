@@ -1,10 +1,20 @@
 package server
 
 import (
+	"context"
+	"encoding/json"
+	"flag"
+	"io"
+	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"foresight/internal/core"
 	"foresight/internal/durable"
@@ -44,79 +54,147 @@ func newDurableServer(t *testing.T) (*httptest.Server, *Server, *durable.Manager
 	return ts, srv, m, fs
 }
 
-// TestHealthzAlwaysUp: liveness answers 200 even while not ready.
-func TestHealthzAlwaysUp(t *testing.T) {
-	f := frame.MustNew("live", frame.NewNumericColumn("x", []float64{1, 2, 3}))
-	engine, err := query.NewEngine(f, core.NewRegistry(), nil)
+// holdFS is the production filesystem with every snapshot read held
+// until release is closed; held is closed by the first one.
+type holdFS struct {
+	durable.FS
+	once    sync.Once
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (h *holdFS) Open(name string) (io.ReadCloser, error) {
+	if strings.HasSuffix(name, ".snap") {
+		h.once.Do(func() { close(h.held) })
+		<-h.release
+	}
+	return h.FS.Open(name)
+}
+
+// oecdRows is a batch of n rows of f from row from on, every cell as
+// the frame renders it.
+func oecdRows(f *frame.Frame, from, n int) frame.RowBatch {
+	recs := make([][]string, n)
+	for r := range recs {
+		for _, name := range f.Names() {
+			col, _ := f.Lookup(name)
+			recs[r] = append(recs[r], col.StringAt(from+r))
+		}
+	}
+	return frame.RowBatch{Records: recs}
+}
+
+// TestRestartAnswersWithEveryAckedRow restarts foresightd's Run on a WAL
+// directory holding a snapshot and a tail, with the snapshot read held
+// for a while. Nothing may answer before recovery ends: the first
+// /api/stats reply, during the hold or after it, reports the base
+// dataset plus every acknowledged row.
+func TestRestartAnswersWithEveryAckedRow(t *testing.T) {
+	dir := t.TempDir()
+	f, err := LoadData("oecd", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(engine, 5, false, Options{StartUnready: true})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() { ts.Close(); srv.Close() })
-
-	var health struct {
-		Status string `json:"status"`
-	}
-	if res := getJSON(t, ts.URL+"/healthz", &health); res.StatusCode != 200 || health.Status != "ok" {
-		t.Fatalf("/healthz = %d %q while unready", res.StatusCode, health.Status)
-	}
-}
-
-// TestReadyzGatesUntilRecovery: /readyz is 503 and ingest is rejected
-// until SetReady; both flip together. Queries serve throughout.
-func TestReadyzGatesUntilRecovery(t *testing.T) {
-	ts, srv := newIngestServerUnready(t)
-
-	var ready struct {
-		Ready bool `json:"ready"`
-	}
-	res := getJSON(t, ts.URL+"/readyz", &ready)
-	if res.StatusCode != http.StatusServiceUnavailable || ready.Ready {
-		t.Fatalf("/readyz before recovery = %d ready=%v, want 503", res.StatusCode, ready.Ready)
-	}
-	if res.Header.Get("Retry-After") == "" {
-		t.Error("unready /readyz missing Retry-After")
-	}
-
-	// Reads still serve while unready (recovery replays in background).
-	if res := getJSON(t, ts.URL+"/api/dataset", nil); res.StatusCode != 200 {
-		t.Fatalf("/api/dataset while unready = %d", res.StatusCode)
-	}
-
-	// Writes are rejected: acking a batch with no WAL open would break
-	// the durability contract.
-	res2, body := postIngest(t, ts.URL, "application/json", `{"rows": [["4", "b"]]}`)
-	if res2.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("ingest while unready = %d (%v)", res2.StatusCode, body)
-	}
-
-	srv.SetReady()
-	res = getJSON(t, ts.URL+"/readyz", &ready)
-	if res.StatusCode != 200 || !ready.Ready {
-		t.Fatalf("/readyz after SetReady = %d ready=%v", res.StatusCode, ready.Ready)
-	}
-	res3, body := postIngest(t, ts.URL, "application/json", `{"rows": [["4", "b"]]}`)
-	if res3.StatusCode != http.StatusAccepted {
-		t.Fatalf("ingest after SetReady = %d (%v)", res3.StatusCode, body)
-	}
-}
-
-// newIngestServerUnready mirrors newIngestServer but starts unready.
-func newIngestServerUnready(t *testing.T) (*httptest.Server, *Server) {
-	t.Helper()
-	f := frame.MustNew("live",
-		frame.NewNumericColumn("x", []float64{1, 2, 3}),
-		frame.NewCategoricalColumn("g", []string{"a", "b", "a"}),
-	)
-	engine, err := query.NewEngine(f, core.NewRegistry(), nil)
+	p, err := Preprocess(f, "", 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(engine, 5, false, Options{StartUnready: true})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() { ts.Close(); srv.Close() })
-	return ts, srv
+	engine, err := query.NewEngine(f, core.NewRegistry(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := durable.Open(durable.Options{Dir: dir, Fsync: durable.FsyncAlways, CheckpointRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Recover(engine); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []int{2, 3, 1} { // the snapshot takes two batches, the tail one
+		if i == 2 {
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := engine.Ingest(context.Background(), oecdRows(f, i, n), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acked := engine.Frame().Rows()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	hold := &holdFS{FS: durable.OS, held: make(chan struct{}), release: make(chan struct{})}
+	durable.OS = hold
+	prevLog := log.Writer()
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { durable.OS = hold.FS; log.SetOutput(prevLog) })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	flags := flag.NewFlagSet("foresightd", flag.ContinueOnError)
+	fl := RegisterFlags(flags)
+	if err := flags.Parse([]string{"-data", "oecd", "-addr", addr, "-quiet", "-wal-dir", dir, "-fsync", "always"}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- fl.Run("test") }()
+	select {
+	case <-hold.held:
+	case err := <-done:
+		t.Fatalf("Run returned before it read the snapshot: %v", err)
+	case <-time.After(time.Minute):
+		t.Fatal("recovery never read the snapshot")
+	}
+
+	type restartStats struct {
+		Rows    int `json:"rows"`
+		Durable struct {
+			Recovery durable.RecoveryStats `json:"recovery"`
+		} `json:"durable"`
+	}
+	client := &http.Client{Timeout: time.Second}
+	firstReply := func(within time.Duration) *restartStats {
+		for deadline := time.Now().Add(within); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			res, err := client.Get("http://" + addr + "/api/stats")
+			if err != nil {
+				continue
+			}
+			var st restartStats
+			err = json.NewDecoder(res.Body).Decode(&st)
+			res.Body.Close()
+			if err != nil {
+				t.Fatalf("decoding /api/stats: %v", err)
+			}
+			return &st
+		}
+		return nil
+	}
+	first := firstReply(300 * time.Millisecond)
+	close(hold.release)
+	if first == nil {
+		first = firstReply(time.Minute)
+	}
+	if first == nil {
+		t.Fatal("the restarted server never answered")
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if first.Rows != acked {
+		t.Fatalf("the first reply after the restart reports %d rows, want the base %d plus every acked row: %d",
+			first.Rows, f.Rows(), acked)
+	}
+	if rec := first.Durable.Recovery; rec.SnapshotSeq != 2 || rec.ReplayedBatches != 1 {
+		t.Fatalf("recovery = %+v, want the snapshot at seq 2 and one replayed batch", rec)
+	}
 }
 
 // TestIngestFailsFastAfterClose: once Close has run, a POST
@@ -151,10 +229,6 @@ func TestStatsDurableSection(t *testing.T) {
 
 	var st struct {
 		Durable *durable.Stats `json:"durable"`
-		Ready   struct {
-			Ready bool `json:"ready"`
-		}
-		Lifecycle map[string]interface{} `json:"lifecycle"`
 	}
 	if res := getJSON(t, ts.URL+"/api/stats", &st); res.StatusCode != 200 {
 		t.Fatalf("/api/stats = %d", res.StatusCode)
@@ -164,9 +238,6 @@ func TestStatsDurableSection(t *testing.T) {
 	}
 	if st.Durable.Appends != 1 || st.Durable.LastSeq != 1 || st.Durable.Fsync != "always" {
 		t.Fatalf("durable stats after one batch: %+v", st.Durable)
-	}
-	if ready, _ := st.Lifecycle["ready"].(bool); !ready {
-		t.Fatalf("lifecycle.ready = %v, want true", st.Lifecycle["ready"])
 	}
 	if m.Stats().AppendedBytes == 0 {
 		t.Fatal("appended bytes not counted")

@@ -42,7 +42,7 @@ const indexHTML = `<!DOCTYPE html>
 <div id="overview"></div>
 <script>
 async function loadCarousels() {
-  const res = await fetch('/api/carousels?k=5');
+  const res = await fetch('/api/carousels');
   const data = await res.json();
   const root = document.getElementById('carousels');
   root.innerHTML = '';

@@ -35,7 +35,7 @@ func (s *Server) instrumentIngest() {
 	s.ingestRequests = reg.Counter("foresight_ingest_requests_total",
 		"Ingest requests received.")
 	s.ingestRejected = reg.Counter("foresight_ingest_rejected_total",
-		"Ingest requests shed with 503 (too many pending, not ready, or closing).")
+		"Ingest requests shed with 503 (too many pending, or closing).")
 	s.ingestRows = reg.Counter("foresight_ingest_rows_total",
 		"Rows applied to the dataset by ingest.")
 	s.ingestBatches = reg.Counter("foresight_ingest_batches_total",
@@ -60,13 +60,6 @@ func (s *Server) Close() { s.closed.Store(true) }
 // log had already taken it.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingestRequests.Inc()
-	// Writes are rejected until startup recovery has replayed the WAL:
-	// accepting a batch before the log is open again would ack rows the
-	// durability layer cannot log.
-	if !s.ready.Load() {
-		s.shedIngest(w, r, fmt.Errorf("ingest unavailable: startup recovery in progress; retry shortly"))
-		return
-	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	names := s.engine.Frame().Names()
 	var records [][]string

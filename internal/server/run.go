@@ -129,8 +129,9 @@ func (fl *Flags) load(reg *obs.Registry) (*frame.Frame, error) {
 // preprocess it into the sketch store (exact queries read raw data,
 // but their score bounds come from the sketches, so the store is
 // always built), start the engine, open and recover the WAL when
-// -wal-dir is set, and serve with listener timeouts, draining
-// in-flight requests on the way out. version is reported by
+// -wal-dir is set, and only then listen, with listener timeouts,
+// draining in-flight requests on the way out. So a restarted server
+// answers nothing it has not recovered. version is reported by
 // /api/stats and the build-info metric.
 func (fl *Flags) Run(version string) error {
 	reg := obs.NewRegistry()
@@ -163,10 +164,12 @@ func (fl *Flags) Run(version string) error {
 		opts.LogWriter = nil
 	}
 
-	// Durable ingest (DESIGN.md §6k): with -wal-dir, every acked ingest
-	// batch is write-ahead logged and periodically checkpointed, and
-	// startup recovers snapshot + WAL tail into the engine before the
-	// server reports ready.
+	// Durable ingest (DESIGN.md §6k): with -wal-dir, the snapshot and
+	// WAL tail are replayed into the engine before anything listens,
+	// and every acked ingest batch is write-ahead logged and
+	// periodically checkpointed. A recovery failure is fatal — starting
+	// with silently missing acked rows is worse than not starting (use
+	// -recover-permissive to accept a truncated log explicitly).
 	var durMgr *durable.Manager
 	if fl.walDir != "" {
 		policy, err := durable.ParseFsyncPolicy(fl.fsyncMode)
@@ -184,31 +187,16 @@ func (fl *Flags) Run(version string) error {
 		if err != nil {
 			return err
 		}
+		rec, err := durMgr.Recover(engine)
+		if err != nil {
+			return fmt.Errorf("WAL recovery: %w", err)
+		}
+		log.Printf("recovered %s: snapshot seq %d (%d rows) + %d replayed batches (%d rows), last seq %d, torn tail %v (%.3fs)",
+			fl.walDir, rec.SnapshotSeq, rec.SnapshotRows, rec.ReplayedBatches, rec.ReplayedRows, rec.LastSeq, rec.TornTailDetected, rec.DurationSeconds)
 		durMgr.Instrument(reg)
-		opts.StartUnready = true
 		opts.Durable = durMgr
 	}
 	srv := New(engine, fl.k, approx, opts)
-
-	// Recovery runs concurrently with the listener coming up: queries
-	// serve against the pre-replay snapshot immediately, /readyz stays
-	// 503 and ingest is rejected until the replay lands. A recovery
-	// failure is fatal — starting with silently missing acked rows is
-	// worse than not starting (use -recover-permissive to accept a
-	// truncated log explicitly).
-	fatal := make(chan error, 1)
-	if durMgr != nil {
-		go func() {
-			rec, err := durMgr.Recover(engine)
-			if err != nil {
-				fatal <- fmt.Errorf("WAL recovery: %w", err)
-				return
-			}
-			log.Printf("recovered %s: snapshot seq %d (%d rows) + %d replayed batches (%d rows), last seq %d, torn tail %v (%.3fs)",
-				fl.walDir, rec.SnapshotSeq, rec.SnapshotRows, rec.ReplayedBatches, rec.ReplayedRows, rec.LastSeq, rec.TornTailDetected, rec.DurationSeconds)
-			srv.SetReady()
-		}()
-	}
 	if fl.debugAddr != "" {
 		go serveDebug(fl.debugAddr, reg)
 	}
@@ -227,9 +215,12 @@ func (fl *Flags) Run(version string) error {
 	}
 	log.Printf("foresight server %s: serving %s on %s (workers=%d timeout=%v max-inflight=%d; /metrics, /api/stats, /api/debug/traces, /api/debug/insights)",
 		version, f.Summary(), listenURL(fl.addr), engine.Workers(), fl.requestTimeout, fl.maxInflight)
-	err = runUntilSignalled(httpSrv, fl.shutdownGrace, fatal)
+	err = runUntilSignalled(httpSrv, fl.shutdownGrace)
 	srv.Close() // refuse ingest after the listener has drained
 	if durMgr != nil {
+		// A closed manager stays the engine's sink and refuses, so a
+		// handler still running past the grace period cannot ack a
+		// batch the log did not take.
 		if cerr := durMgr.Close(); cerr != nil {
 			log.Printf("closing WAL: %v", cerr)
 		}
@@ -242,10 +233,10 @@ func (fl *Flags) Run(version string) error {
 
 // runUntilSignalled serves on srv until SIGINT/SIGTERM, then drains
 // in-flight requests via Shutdown for up to grace before returning.
-// A listener error (port taken, etc.) or an error on fatal is returned
-// immediately; a drain that outlives the grace period returns the
-// shutdown error so the exit status reflects the forced stop.
-func runUntilSignalled(srv *http.Server, grace time.Duration, fatal <-chan error) error {
+// A listener error (port taken, etc.) is returned immediately; a drain
+// that outlives the grace period returns the shutdown error so the
+// exit status reflects the forced stop.
+func runUntilSignalled(srv *http.Server, grace time.Duration) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -259,8 +250,6 @@ func runUntilSignalled(srv *http.Server, grace time.Duration, fatal <-chan error
 	select {
 	case err := <-errc:
 		return fmt.Errorf("listen on %s: %w", srv.Addr, err)
-	case err := <-fatal:
-		return err
 	case <-ctx.Done():
 	}
 	stop() // restore default signal behavior: a second signal kills immediately

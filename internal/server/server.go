@@ -97,13 +97,6 @@ type Options struct {
 	// HTTP log: a query line carries scoring telemetry (candidates,
 	// pruned, filtered, emitted, top-k margin), not HTTP fields.
 	QueryLogSample float64
-	// StartUnready starts the server not ready: /readyz answers 503 and
-	// ingest is rejected with 503 + Retry-After until SetReady is
-	// called. Used while WAL recovery replays into the engine — queries
-	// already serve (against the pre-replay snapshot), but accepting
-	// writes before the log is open would break the durability
-	// contract.
-	StartUnready bool
 	// Durable, when set, contributes the "durable" section of
 	// /api/stats (WAL/checkpoint/recovery counters).
 	Durable DurableStats
@@ -135,10 +128,8 @@ type Server struct {
 	start    time.Time
 	version  string
 
-	// ready gates ingest and /readyz; it starts false under
-	// Options.StartUnready and flips once via SetReady when recovery
-	// replay completes. durable is the optional stats source.
-	ready   atomic.Bool
+	// durable is the optional stats source; a latched WAL failure in
+	// it turns /readyz to 503.
 	durable DurableStats
 
 	// Serving-path safety rails (§6e): the per-request deadline, the
@@ -184,7 +175,6 @@ func New(engine *query.Engine, k int, approx bool, o Options) *Server {
 		requestTimeout: o.RequestTimeout,
 		durable:        o.Durable,
 	}
-	s.ready.Store(!o.StartUnready)
 	if o.MaxInflight > 0 {
 		s.gate = make(chan struct{}, o.MaxInflight)
 	}
@@ -382,29 +372,17 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// SetReady flips the server to ready: /readyz answers 200 and ingest
-// is accepted. Called once by the startup path after WAL recovery
-// replay completes (or immediately when there is no WAL).
-func (s *Server) SetReady() { s.ready.Store(true) }
-
 // handleHealthz is the liveness probe: the process is up and serving
-// HTTP. It says nothing about recovery — a replaying server is alive.
+// HTTP.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]interface{}{"status": "ok", "uptime_s": time.Since(s.start).Seconds()})
 }
 
-// handleReadyz is the readiness probe: 503 until startup recovery
-// (snapshot load + WAL replay) has completed, 200 after. Orchestrators
-// keep traffic away until this flips. It is 503 again, naming the
-// cause, once the WAL has latched failed: every ingest fails until a
-// restart, though reads keep serving.
+// handleReadyz is the readiness probe: 200, or 503 naming the cause
+// once the WAL has latched failed: every ingest fails until a restart,
+// though reads keep serving. A foresightd listens only after startup
+// recovery, so there is no recovering state to report.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
-		w.Header().Set("Retry-After", "1")
-		s.writeJSONStatus(w, http.StatusServiceUnavailable,
-			map[string]interface{}{"ready": false, "reason": "startup recovery in progress"})
-		return
-	}
 	if s.durable != nil {
 		if failed := s.durable.Stats().Failed; failed != "" {
 			s.writeJSONStatus(w, http.StatusServiceUnavailable,
@@ -535,16 +513,16 @@ func (s *Server) handleClasses(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCarousels(w http.ResponseWriter, r *http.Request) {
-	k := intParam(r, "k", 5)
-	// The per-request k is passed explicitly instead of being written
-	// into the shared session, and a copy of the session is scored
-	// outside the lock, so carousels rank beside each other and beside
-	// focus changes (scores come from the engine's memo after the first
-	// request).
+	// The per-request k (the session's K when absent) is passed
+	// explicitly instead of being written into the shared session, and
+	// a copy of the session is scored outside the lock, so carousels
+	// rank beside each other and beside focus changes (scores come from
+	// the engine's memo after the first request).
 	s.mu.RLock()
 	session := *s.session
 	session.Focus = append([]core.Insight(nil), s.session.Focus...)
 	s.mu.RUnlock()
+	k := intParam(r, "k", session.K)
 	res, err := session.RecommendationsKContext(r.Context(), k)
 	if err != nil {
 		s.jsonError(w, r, http.StatusInternalServerError, err)
@@ -813,7 +791,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"request_timeout_ms":   float64(s.requestTimeout) / float64(time.Millisecond),
 			"max_inflight":         cap(s.gate),
 			"engine_cancellations": s.engine.Cancellations(),
-			"ready":                s.ready.Load(),
 		},
 		"ingest": map[string]interface{}{
 			"queue_depth": s.ingestPending.Load(),

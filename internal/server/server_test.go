@@ -145,6 +145,30 @@ func TestCarouselsAndFocusFlow(t *testing.T) {
 	res3.Body.Close()
 }
 
+// TestCarouselsDefaultToServerK: /api/carousels without k answers the
+// carousel length the server was built with (foresightd's -k), not a
+// constant of the route.
+func TestCarouselsDefaultToServerK(t *testing.T) {
+	engine, err := query.NewEngine(datagen.OECD(0, 42), core.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(engine, 3, false, Options{}))
+	t.Cleanup(ts.Close)
+	var out struct {
+		Carousels []query.Result `json:"carousels"`
+	}
+	getJSON(t, ts.URL+"/api/carousels", &out)
+	if len(out.Carousels) < 7 {
+		t.Fatalf("carousels = %d", len(out.Carousels))
+	}
+	for _, c := range out.Carousels {
+		if len(c.Insights) != 3 {
+			t.Errorf("carousel %s holds %d insights, want the server's k = 3", c.Class, len(c.Insights))
+		}
+	}
+}
+
 func TestQueryEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	var out struct {
