@@ -2,9 +2,10 @@
 // metrics registry (atomic counters, gauges and fixed-bucket latency
 // histograms rendered in Prometheus text format), lightweight request
 // tracing with named spans and a ring buffer of recent traces, and a
-// structured JSON request logger. The serving path (engine, sketch
-// store, HTTP handlers) records into it; /metrics and
-// /api/debug/traces expose it.
+// structured JSON logger. The engine, the sketch store and the
+// server's one request path (internal/server's Server.handle) record
+// into it; /metrics and /api/debug/traces expose it. It holds no HTTP
+// middleware.
 //
 // Everything here is safe for concurrent use and designed to be cheap
 // enough to leave on in production: counters and histogram buckets

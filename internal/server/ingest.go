@@ -70,20 +70,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		records, err = parseJSONBatch(r.Body, names)
 	}
 	if err != nil {
-		s.jsonError(w, r, http.StatusBadRequest, err)
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(records) == 0 {
-		s.jsonError(w, r, http.StatusBadRequest, fmt.Errorf("ingest: no rows in batch"))
+		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("ingest: no rows in batch"))
 		return
 	}
 	if s.closed.Load() {
-		s.shedIngest(w, r, fmt.Errorf("ingest unavailable: server closing"))
+		s.shedIngest(w, fmt.Errorf("ingest unavailable: server closing"))
 		return
 	}
 	if s.ingestPending.Add(1) > maxPendingIngests {
 		s.ingestPending.Add(-1)
-		s.shedIngest(w, r, fmt.Errorf("too many ingests pending (%d); retry shortly", maxPendingIngests))
+		s.shedIngest(w, fmt.Errorf("too many ingests pending (%d); retry shortly", maxPendingIngests))
 		return
 	}
 	defer s.ingestPending.Add(-1)
@@ -91,7 +91,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	res, err := s.engine.Ingest(r.Context(), frame.RowBatch{Records: records}, nil)
 	s.ingestSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
-		s.jsonError(w, r, http.StatusInternalServerError, err)
+		s.jsonError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.ingestBatches.Inc()
@@ -105,10 +105,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // shedIngest answers 503 + Retry-After: the batch did not apply and
 // the client should retry.
-func (s *Server) shedIngest(w http.ResponseWriter, r *http.Request, err error) {
+func (s *Server) shedIngest(w http.ResponseWriter, err error) {
 	s.ingestRejected.Inc()
 	w.Header().Set("Retry-After", "1")
-	s.jsonError(w, r, http.StatusServiceUnavailable, err)
+	s.jsonError(w, http.StatusServiceUnavailable, err)
 }
 
 // parseCSVBatch reads a CSV body whose header names dataset columns

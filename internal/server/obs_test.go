@@ -284,7 +284,7 @@ func TestMetricsUnderConcurrency(t *testing.T) {
 	for c := 0; c < clients; c++ {
 		<-done
 	}
-	got := srv.httpObs.Metrics.Requests.With("/api/carousels", "200").Value()
+	got := srv.httpRequests.With("/api/carousels", "200").Value()
 	if got != clients*rounds {
 		t.Errorf("request counter = %d, want %d", got, clients*rounds)
 	}

@@ -3,26 +3,24 @@
 // page that renders insight carousels, supports focusing insights to
 // update recommendations, and shows per-class overview heat maps.
 //
-// The server is fully instrumented (internal/obs): every route
-// records per-route request counts, latency histograms and response
-// bytes; every request carries an X-Request-ID and a trace whose
-// spans (parse → enumerate → score → rank → render) land in a ring
-// buffer served at /api/debug/traces; /metrics exposes the whole
-// registry in Prometheus text format.
-//
-// The serving path is bounded end to end (DESIGN.md §6e): every API
-// request runs under an optional deadline whose expiry surfaces as
-// 504 (the engine honors the context, so the workers actually stop),
-// a bounded-concurrency gate sheds excess load with 503 instead of
-// queueing without limit, handler panics are recovered into 500s with
-// the stack in the structured log, and POST bodies are capped. The
-// cancellation/timeout/shed/panic counters land in /metrics next to
-// everything else.
+// Every route, /metrics included, is registered through one request
+// path, Server.handle (DESIGN.md §6d, §6e). It gives each request an
+// X-Request-ID and a trace whose spans (parse → enumerate → score →
+// rank → render) land in a ring buffer served at /api/debug/traces;
+// runs API requests under an optional deadline whose expiry surfaces
+// as 504 (the engine honors the context, so the workers stop) and
+// behind a bounded-concurrency gate that sheds excess load with 503;
+// recovers handler panics into 500s with the stack in the structured
+// log; and records per-route request counts, latency and response
+// bytes into the internal/obs registry that /metrics exposes. POST
+// bodies are capped.
 package server
 
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,6 +30,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -122,7 +121,7 @@ type Server struct {
 	mux     *http.ServeMux
 
 	registry *obs.Registry
-	httpObs  *obs.HTTP
+	log      *obs.Logger
 	traces   *obs.TraceLog
 	telem    *telemetry.Insights
 	start    time.Time
@@ -139,6 +138,13 @@ type Server struct {
 	panics         *obs.Counter
 	timeouts       *obs.Counter
 	sheds          *obs.Counter
+
+	// The request path's families (handle): completed requests by
+	// route and code, latency and response bytes by route, in-flight.
+	httpRequests *obs.CounterVec
+	httpSeconds  *obs.HistogramVec
+	httpInflight *obs.Gauge
+	httpBytes    *obs.CounterVec
 
 	// Live ingest (ingest.go): the admitted-and-unanswered count, and
 	// closed, which Close sets to refuse further ingest.
@@ -169,6 +175,7 @@ func New(engine *query.Engine, k int, approx bool, o Options) *Server {
 		session:        query.NewSession(engine, k, approx),
 		mux:            http.NewServeMux(),
 		registry:       reg,
+		log:            obs.NewLogger(o.LogWriter),
 		traces:         obs.NewTraceLog(traceCapacity, o.SlowTraceThreshold),
 		start:          time.Now(),
 		version:        version,
@@ -192,11 +199,13 @@ func New(engine *query.Engine, k int, approx bool, o Options) *Server {
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	reg.GaugeFunc("go_heap_alloc_bytes", "Bytes of allocated heap objects.",
 		func() float64 { return float64(readRuntimeStats().HeapAlloc) })
-	s.httpObs = &obs.HTTP{
-		Metrics: obs.NewHTTPMetrics(reg, "foresight_http"),
-		Log:     obs.NewLogger(o.LogWriter),
-		Traces:  s.traces,
-	}
+	s.httpRequests = reg.CounterVec("foresight_http_requests_total",
+		"Completed HTTP requests by route and status code.", "route", "code")
+	s.httpSeconds = reg.HistogramVec("foresight_http_request_seconds",
+		"HTTP request latency by route.", obs.DefBuckets, "route")
+	s.httpInflight = reg.Gauge("foresight_http_inflight_requests", "HTTP requests currently being served.")
+	s.httpBytes = reg.CounterVec("foresight_http_response_bytes_total",
+		"HTTP response body bytes by route.", "route")
 	// Insight telemetry: Foresight observing itself with its own
 	// sketches (obs/telemetry). The store is bounded and always on —
 	// recording costs one store lock after scoring — and is served at
@@ -205,7 +214,7 @@ func New(engine *query.Engine, k int, approx bool, o Options) *Server {
 	// mutex, so the two JSON streams interleave cleanly.
 	s.telem = telemetry.New()
 	s.telem.Instrument(reg)
-	s.telem.SetQueryLog(s.httpObs.Log, o.QueryLogSample)
+	s.telem.SetQueryLog(s.log, o.QueryLogSample)
 	engine.SetInsightTelemetry(s.telem)
 	obs.SetBuildInfo(reg, version)
 
@@ -229,7 +238,9 @@ func New(engine *query.Engine, k int, approx bool, o Options) *Server {
 	s.handle("/api/stats", s.handleStats, http.MethodGet)
 	s.handle("/api/debug/traces", s.handleDebugTraces, http.MethodGet)
 	s.handle("/api/debug/insights", s.handleDebugInsights, http.MethodGet)
-	s.mux.Handle("/metrics", s.httpObs.Wrap("/metrics", s.recoverPanics("/metrics", reg.Handler())))
+	// /metrics is not under /api/, so no gate or deadline: observability
+	// survives saturation.
+	s.handle("/metrics", reg.Handler().ServeHTTP)
 	return s
 }
 
@@ -248,125 +259,150 @@ func observeBuildTimings(reg *obs.Registry) *obs.HistogramVec {
 	return buildSeconds
 }
 
-// handle registers an instrumented handler for pattern: the obs
-// middleware assigns the request ID, trace, per-route metrics and log
-// line; inside it, panic recovery converts a crashing handler into a
-// 500; API routes additionally pass the load-shedding gate and run
-// under the per-request deadline; innermost, the guard rejects
-// methods outside allowed with a consistent 405 JSON error naming the
-// allowed set.
+// handle registers h for pattern behind the server's one request
+// path. In: assign or honour the X-Request-ID and start the trace; on
+// /api/ routes bound the context by the per-request deadline (the
+// engine stops when it fires; jsonError maps it to 504) and take a
+// max-inflight slot, shedding with 503 when none is free; reject a
+// method outside allowed with 405. Out, in one deferred block: recover
+// a panic into a 500 with its stack in the log (re-raising
+// http.ErrAbortHandler, net/http's sanctioned abort, once recorded),
+// record foresight_http_*, file the trace and log the request. The
+// pattern, never the raw URL, is the route label and the trace name.
 func (s *Server) handle(pattern string, h http.HandlerFunc, allowed ...string) {
-	var next http.Handler = h
-	if len(allowed) > 0 {
-		next = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			for _, m := range allowed {
-				if r.Method == m || (m == http.MethodGet && r.Method == http.MethodHead) {
-					h(w, r)
-					return
+	api := strings.HasPrefix(pattern, "/api/")
+	allow := strings.Join(allowed, ", ")
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		id := r.Header.Get(requestIDHeader)
+		if !validRequestID(id) {
+			id = newRequestID()
+		}
+		w.Header().Set(requestIDHeader, id)
+		tr := obs.NewTrace(pattern, id)
+		ctx, cancel := obs.WithTrace(r.Context(), tr), func() {}
+		if api && s.requestTimeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, s.requestTimeout)
+		}
+		r = r.WithContext(ctx)
+		rw := &responseWriter{ResponseWriter: w}
+		held := false
+		s.httpInflight.Add(1)
+		start := time.Now()
+		defer func() {
+			if held {
+				<-s.gate
+			}
+			cancel()
+			rec := recover()
+			err, _ := rec.(error)
+			abort := errors.Is(err, http.ErrAbortHandler)
+			if rec != nil && !abort {
+				s.panics.Inc()
+				s.log.Log("panic", map[string]interface{}{
+					"request_id": id,
+					"route":      pattern,
+					"method":     r.Method,
+					"panic":      fmt.Sprint(rec),
+					"stack":      string(debug.Stack()),
+				})
+				if rw.status == 0 {
+					s.jsonError(rw, http.StatusInternalServerError,
+						fmt.Errorf("internal error serving %s (panic recovered; see server log)", pattern))
 				}
 			}
-			w.Header().Set("Allow", strings.Join(allowed, ", "))
-			s.jsonError(w, r, http.StatusMethodNotAllowed,
-				fmt.Errorf("method %s not allowed (allow: %s)", r.Method, strings.Join(allowed, ", ")))
-		})
-	}
-	if strings.HasPrefix(pattern, "/api/") {
-		next = s.withDeadline(next)
-		next = s.withGate(next)
-	}
-	s.mux.Handle(pattern, s.httpObs.Wrap(pattern, s.recoverPanics(pattern, next)))
+			dur := time.Since(start)
+			if rw.status == 0 {
+				rw.status = http.StatusOK
+			}
+			s.httpInflight.Add(-1)
+			s.httpRequests.With(pattern, strconv.Itoa(rw.status)).Inc()
+			s.httpSeconds.With(pattern).Observe(dur.Seconds())
+			s.httpBytes.With(pattern).Add(uint64(rw.bytes))
+			s.traces.Record(tr.Finish())
+			s.log.Log("request", map[string]interface{}{
+				"request_id":  id,
+				"method":      r.Method,
+				"route":       pattern,
+				"path":        r.URL.Path,
+				"status":      rw.status,
+				"duration_ms": float64(dur) / float64(time.Millisecond),
+				"bytes":       rw.bytes,
+				"remote":      r.RemoteAddr,
+			})
+			if abort {
+				panic(rec)
+			}
+		}()
+		if api && s.gate != nil {
+			select {
+			case s.gate <- struct{}{}:
+				held = true
+			default:
+				s.sheds.Inc()
+				rw.Header().Set("Retry-After", "1")
+				s.jsonError(rw, http.StatusServiceUnavailable,
+					fmt.Errorf("server saturated (%d requests in flight); retry shortly", cap(s.gate)))
+				return
+			}
+		}
+		if len(allowed) > 0 && !slices.Contains(allowed, r.Method) &&
+			!(r.Method == http.MethodHead && slices.Contains(allowed, http.MethodGet)) {
+			rw.Header().Set("Allow", allow)
+			s.jsonError(rw, http.StatusMethodNotAllowed,
+				fmt.Errorf("method %s not allowed (allow: %s)", r.Method, allow))
+			return
+		}
+		h(rw, r)
+	})
 }
 
-// trackingWriter remembers whether anything was written so the panic
-// recovery knows if a 500 body can still be sent.
-type trackingWriter struct {
+// responseWriter records the status and body bytes a handler wrote,
+// for the request's metrics and log line, and so a recovered panic
+// writes its 500 only while nothing was written.
+type responseWriter struct {
 	http.ResponseWriter
-	wrote bool
+	status int
+	bytes  int
 }
 
-func (w *trackingWriter) WriteHeader(code int) {
-	w.wrote = true
+func (w *responseWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *trackingWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-// Flush forwards to the underlying writer when it supports streaming.
-func (w *trackingWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
+func (w *responseWriter) Write(b []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
 	}
+	n, err := w.ResponseWriter.Write(b)
+	w.bytes += n
+	return n, err
 }
 
-// recoverPanics isolates handler panics: the process keeps serving,
-// the client gets a 500 JSON error (when nothing was written yet), the
-// stack lands in the structured log, and foresight_http_panics_total
-// increments. http.ErrAbortHandler is re-raised — it is net/http's
-// sanctioned way to abort a response, not a crash.
-func (s *Server) recoverPanics(route string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tw := &trackingWriter{ResponseWriter: w}
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if err, ok := rec.(error); ok && errors.Is(err, http.ErrAbortHandler) {
-				panic(rec)
-			}
-			s.panics.Inc()
-			s.httpObs.Log.Log("panic", map[string]interface{}{
-				"request_id": obs.RequestIDFrom(r.Context()),
-				"route":      route,
-				"method":     r.Method,
-				"panic":      fmt.Sprint(rec),
-				"stack":      string(debug.Stack()),
-			})
-			if !tw.wrote {
-				s.jsonError(tw, r, http.StatusInternalServerError,
-					fmt.Errorf("internal error serving %s (panic recovered; see server log)", route))
-			}
-		}()
-		next.ServeHTTP(tw, r)
-	})
-}
+// requestIDHeader is set on every response handle serves, so clients,
+// log lines, traces and JSON error bodies correlate.
+const requestIDHeader = "X-Request-ID"
 
-// withGate sheds load once MaxInflight API requests are already being
-// served: the request is rejected immediately with 503 rather than
-// queueing behind work the server cannot keep up with.
-func (s *Server) withGate(next http.Handler) http.Handler {
-	if s.gate == nil {
-		return next
+var requestSeq atomic.Uint64
+
+// newRequestID returns a fresh request ID: 8 random bytes hex, with a
+// process-local sequence fallback if the system RNG fails.
+func newRequestID() string {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return fmt.Sprintf("req-%d", requestSeq.Add(1))
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.gate <- struct{}{}:
-			defer func() { <-s.gate }()
-			next.ServeHTTP(w, r)
-		default:
-			s.sheds.Inc()
-			w.Header().Set("Retry-After", "1")
-			s.jsonError(w, r, http.StatusServiceUnavailable,
-				fmt.Errorf("server saturated (%d requests in flight); retry shortly", cap(s.gate)))
-		}
-	})
+	return hex.EncodeToString(b[:])
 }
 
-// withDeadline bounds the request context. The handlers pass this
-// context into the engine, which stops scoring when it fires; the
-// resulting context.DeadlineExceeded is mapped to 504 by jsonError.
-func (s *Server) withDeadline(next http.Handler) http.Handler {
-	if s.requestTimeout <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
+// validRequestID reports whether a caller's X-Request-ID is honoured:
+// 1–64 bytes of [A-Za-z0-9._:-]. It is echoed, logged and kept in the
+// trace ring, so an unbounded one would pin caller bytes there.
+func validRequestID(id string) bool {
+	const chars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._:-"
+	return id != "" && len(id) <= 64 && strings.Trim(id, chars) == ""
 }
 
 // ServeHTTP implements http.Handler.
@@ -414,11 +450,11 @@ func errorStatus(code int, err error) int {
 	return code
 }
 
-// jsonError writes a JSON error body carrying the request ID so the
-// response correlates with log lines and traces. Context errors
+// jsonError writes a JSON error body carrying the X-Request-ID handle
+// set on the response, so it correlates with log lines and traces. Context errors
 // override the caller's status (504 deadline / 499 client gone) so
 // every handler maps cancellation consistently.
-func (s *Server) jsonError(w http.ResponseWriter, r *http.Request, code int, err error) {
+func (s *Server) jsonError(w http.ResponseWriter, code int, err error) {
 	code = errorStatus(code, err)
 	if code == http.StatusGatewayTimeout {
 		s.timeouts.Inc()
@@ -426,7 +462,7 @@ func (s *Server) jsonError(w http.ResponseWriter, r *http.Request, code int, err
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	body := map[string]string{"error": err.Error()}
-	if id := obs.RequestIDFrom(r.Context()); id != "" {
+	if id := w.Header().Get(requestIDHeader); id != "" {
 		body["request_id"] = id
 	}
 	_ = json.NewEncoder(w).Encode(body)
@@ -525,7 +561,7 @@ func (s *Server) handleCarousels(w http.ResponseWriter, r *http.Request) {
 	k := intParam(r, "k", session.K)
 	res, err := session.RecommendationsKContext(r.Context(), k)
 	if err != nil {
-		s.jsonError(w, r, http.StatusInternalServerError, err)
+		s.jsonError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.writeJSON(w, map[string]interface{}{"carousels": res, "focus": session.Focus})
@@ -547,7 +583,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.engine.ExecuteContext(r.Context(), q)
 	if err != nil {
-		s.jsonError(w, r, http.StatusBadRequest, err)
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.writeJSON(w, map[string]interface{}{"results": res})
@@ -568,7 +604,7 @@ func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "svg" {
 		ov, err := s.engine.OverviewContext(r.Context(), class, metric, approx)
 		if err != nil {
-			s.jsonError(w, r, http.StatusBadRequest, err)
+			s.jsonError(w, http.StatusBadRequest, err)
 			return
 		}
 		defer obs.StartSpan(r.Context(), "render")()
@@ -584,7 +620,7 @@ func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
 	}
 	body, gen, err := s.engine.OverviewJSON(r.Context(), class, metric, approx)
 	if err != nil {
-		s.jsonError(w, r, http.StatusBadRequest, err)
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The process start time keeps a tag from outliving a restart,
@@ -620,12 +656,12 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	class := r.URL.Query().Get("class")
 	attrs := r.URL.Query().Get("attrs")
 	if class == "" || attrs == "" {
-		s.jsonError(w, r, http.StatusBadRequest, fmt.Errorf("render needs class and attrs"))
+		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("render needs class and attrs"))
 		return
 	}
 	c, ok := s.engine.Registry().Lookup(class)
 	if !ok {
-		s.jsonError(w, r, http.StatusBadRequest, fmt.Errorf("unknown class %q", class))
+		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("unknown class %q", class))
 		return
 	}
 	var svg string
@@ -636,34 +672,34 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		p := s.engine.Profile()
 		if p == nil {
 			endScore()
-			s.jsonError(w, r, http.StatusBadRequest, fmt.Errorf("approx render requires a preprocessed profile"))
+			s.jsonError(w, http.StatusBadRequest, fmt.Errorf("approx render requires a preprocessed profile"))
 			return
 		}
 		in, err := c.ScoreApprox(p, strings.Split(attrs, ","), r.URL.Query().Get("metric"))
 		endScore()
 		if err != nil {
-			s.jsonError(w, r, http.StatusBadRequest, err)
+			s.jsonError(w, http.StatusBadRequest, err)
 			return
 		}
 		endRender := obs.StartSpan(r.Context(), "render")
 		svg, err = viz.RenderSVGFromProfile(p, in)
 		endRender()
 		if err != nil {
-			s.jsonError(w, r, http.StatusBadRequest, err)
+			s.jsonError(w, http.StatusBadRequest, err)
 			return
 		}
 	} else {
 		in, err := c.Score(s.engine.Frame(), strings.Split(attrs, ","), r.URL.Query().Get("metric"))
 		endScore()
 		if err != nil {
-			s.jsonError(w, r, http.StatusBadRequest, err)
+			s.jsonError(w, http.StatusBadRequest, err)
 			return
 		}
 		endRender := obs.StartSpan(r.Context(), "render")
 		svg, err = viz.RenderSVG(s.engine.Frame(), in)
 		endRender()
 		if err != nil {
-			s.jsonError(w, r, http.StatusBadRequest, err)
+			s.jsonError(w, http.StatusBadRequest, err)
 			return
 		}
 	}
@@ -679,17 +715,17 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 	class := r.URL.Query().Get("class")
 	attrs := r.URL.Query().Get("attrs")
 	if class == "" || attrs == "" {
-		s.jsonError(w, r, http.StatusBadRequest, fmt.Errorf("neighborhood needs class and attrs"))
+		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("neighborhood needs class and attrs"))
 		return
 	}
 	c, ok := s.engine.Registry().Lookup(class)
 	if !ok {
-		s.jsonError(w, r, http.StatusBadRequest, fmt.Errorf("unknown class %q", class))
+		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("unknown class %q", class))
 		return
 	}
 	focus, err := c.Score(s.engine.Frame(), strings.Split(attrs, ","), r.URL.Query().Get("metric"))
 	if err != nil {
-		s.jsonError(w, r, http.StatusBadRequest, err)
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
 	var within []string
@@ -698,7 +734,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 	}
 	nbrs, err := s.engine.NeighborhoodContext(r.Context(), focus, within, intParam(r, "k", 10), boolParam(r, "approx"))
 	if err != nil {
-		s.jsonError(w, r, http.StatusBadRequest, err)
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.writeJSON(w, map[string]interface{}{"focus": focus, "neighbors": nbrs})
@@ -715,17 +751,17 @@ func (s *Server) handleFocus(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	var req focusRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.jsonError(w, r, http.StatusBadRequest, err)
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
 	c, ok := s.engine.Registry().Lookup(req.Class)
 	if !ok {
-		s.jsonError(w, r, http.StatusBadRequest, fmt.Errorf("unknown class %q", req.Class))
+		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("unknown class %q", req.Class))
 		return
 	}
 	in, err := c.Score(s.engine.Frame(), req.Attrs, req.Metric)
 	if err != nil {
-		s.jsonError(w, r, http.StatusBadRequest, err)
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.mu.Lock()
@@ -781,7 +817,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"os_arch": runtime.GOOS + "/" + runtime.GOARCH,
 		},
 		"http": map[string]interface{}{
-			"requests_total":  s.httpObs.Metrics.Requests.Total(),
+			"requests_total":  s.httpRequests.Total(),
 			"traces_recorded": s.traces.Total(),
 			"panics":          s.panics.Value(),
 			"timeouts":        s.timeouts.Value(),
@@ -869,7 +905,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		err := s.session.Save(&buf)
 		s.mu.RUnlock()
 		if err != nil {
-			s.jsonError(w, r, http.StatusInternalServerError, err)
+			s.jsonError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -879,7 +915,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 		restored, err := query.LoadSession(r.Body, s.engine)
 		if err != nil {
-			s.jsonError(w, r, http.StatusBadRequest, err)
+			s.jsonError(w, http.StatusBadRequest, err)
 			return
 		}
 		s.mu.Lock()

@@ -309,7 +309,7 @@ func TestRenderApproxEndpoint(t *testing.T) {
 }
 
 func TestClassesEndpoint(t *testing.T) {
-	ts := newTestServer(t)
+	ts, srv := newObsServer(t, nil)
 	var out struct {
 		Classes []struct {
 			Name    string   `json:"name"`
@@ -317,7 +317,16 @@ func TestClassesEndpoint(t *testing.T) {
 			Metrics []string `json:"metrics"`
 		} `json:"classes"`
 	}
-	getJSON(t, ts.URL+"/api/classes", &out)
+	_, _, body := fetch(t, ts.URL+"/api/classes")
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
+		t.Fatal(err)
+	}
+	// The request path's gauge drains and its byte counter counts the
+	// body.
+	waitForCond(t, "foresight_http_inflight_requests back to 0", func() bool { return srv.httpInflight.Value() == 0 })
+	if got := srv.httpBytes.With("/api/classes").Value(); got != uint64(len(body)) {
+		t.Errorf("foresight_http_response_bytes_total = %d, want the body's %d", got, len(body))
+	}
 	if len(out.Classes) != 12 {
 		t.Fatalf("classes = %d, want 12", len(out.Classes))
 	}
@@ -345,7 +354,7 @@ func TestOverviewSVGUnaryClass(t *testing.T) {
 }
 
 func TestNeighborhoodEndpoint(t *testing.T) {
-	ts := newTestServer(t)
+	ts, srv := newObsServer(t, nil)
 	var out struct {
 		Focus     core.Insight   `json:"focus"`
 		Neighbors []core.Insight `json:"neighbors"`
@@ -370,6 +379,11 @@ func TestNeighborhoodEndpoint(t *testing.T) {
 		t.Errorf("bad class = %d", res2.StatusCode)
 	}
 	res2.Body.Close()
+	// A status the handler wrote is the code label.
+	waitForCond(t, "no request in flight", func() bool { return srv.httpInflight.Value() == 0 })
+	if got := srv.httpRequests.With("/api/neighborhood", "400").Value(); got != 2 {
+		t.Errorf(`foresight_http_requests_total{route="/api/neighborhood",code="400"} = %d, want 2`, got)
+	}
 }
 
 func TestStatsEndpoint(t *testing.T) {
@@ -417,6 +431,8 @@ func TestConcurrentReadEndpoints(t *testing.T) {
 	}
 	const clients = 8
 	var wg sync.WaitGroup
+	var idMu sync.Mutex
+	ids := map[string]bool{}
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -428,6 +444,9 @@ func TestConcurrentReadEndpoints(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				idMu.Lock()
+				ids[res.Header.Get("X-Request-ID")] = true
+				idMu.Unlock()
 				if res.StatusCode != 200 {
 					t.Errorf("%s = %d", url, res.StatusCode)
 					res.Body.Close()
@@ -467,6 +486,10 @@ func TestConcurrentReadEndpoints(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	// Every request was minted an ID of its own.
+	if len(ids) != clients*4 || ids[""] {
+		t.Errorf("%d distinct request IDs over %d requests (empty among them: %v)", len(ids), clients*4, ids[""])
+	}
 }
 
 // TestConcurrentFocusAndReads mixes writers (focus/unfocus) with the
