@@ -1,8 +1,9 @@
 // Package obs is the service's observability layer: a dependency-free
 // metrics registry (atomic counters, gauges and fixed-bucket latency
-// histograms rendered in Prometheus text format), lightweight request
-// tracing with named spans and a ring buffer of recent traces, and a
-// structured JSON logger. The engine, the sketch store and the
+// histograms, each the child of one generic labelled family, and
+// callback-valued counters and gauges, rendered in Prometheus text
+// format), lightweight request tracing with named spans and a ring
+// buffer of recent traces, and a structured JSON logger. The engine, the sketch store and the
 // server's one request path (internal/server's Server.handle) record
 // into it; /metrics and /api/debug/traces expose it. It holds no HTTP
 // middleware.
@@ -19,6 +20,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,12 +31,12 @@ import (
 // name that already exists returns the existing collector (and panics
 // only if the kind differs — that is a programming error).
 type Registry struct {
-	mu      sync.RWMutex
-	byName  map[string]collector
-	ordered []collector
+	mu     sync.RWMutex
+	byName map[string]collector
 }
 
-// collector is one named metric family that can render itself.
+// collector is one named metric family that can render itself: a
+// labelled family (vec) or a callback (funcCollector).
 type collector interface {
 	name() string
 	kind() string
@@ -59,14 +61,16 @@ func (r *Registry) register(c collector) collector {
 		return have
 	}
 	r.byName[c.name()] = c
-	r.ordered = append(r.ordered, c)
 	return c
 }
 
 // WritePrometheus renders every registered metric, sorted by name.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.RLock()
-	cs := append([]collector(nil), r.ordered...)
+	cs := make([]collector, 0, len(r.byName))
+	for _, c := range r.byName {
+		cs = append(cs, c)
+	}
 	r.mu.RUnlock()
 	sort.Slice(cs, func(i, j int) bool { return cs[i].name() < cs[j].name() })
 	for _, c := range cs {
@@ -83,61 +87,34 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-func writeHeader(w io.Writer, name, help, typ string) {
-	if help != "" {
-		fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(help))
-	}
-	fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+// desc is what a metric family states about itself: its name, its
+// HELP text and its TYPE.
+type desc struct {
+	nameStr, help, typ string
 }
 
-// escapeHelp escapes a HELP string per the Prometheus text exposition
-// format: backslash and line feed only (double quotes stay literal in
-// HELP text).
-func escapeHelp(s string) string {
-	if !strings.ContainsAny(s, "\\\n") {
-		return s
+func (d *desc) name() string { return d.nameStr }
+func (d *desc) kind() string { return d.typ }
+func (d *desc) writeHeader(w io.Writer) {
+	if d.help != "" {
+		fmt.Fprintf(w, "# HELP %s %s\n", d.nameStr, escapeHelp(d.help))
 	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
+	fmt.Fprintf(w, "# TYPE %s %s\n", d.nameStr, d.typ)
 }
 
-// escapeLabelValue escapes a label value per the Prometheus text
-// exposition format: exactly backslash, double quote and line feed.
-// Everything else — including tabs, control bytes and non-ASCII UTF-8
-// — passes through verbatim, which is what conformant parsers expect
-// (strconv-style \xNN escapes are NOT part of the format and would be
-// misread as a literal backslash sequence).
-func escapeLabelValue(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
+var (
+	// escapeHelp escapes a HELP string per the Prometheus text
+	// exposition format: backslash and line feed only (double quotes
+	// stay literal in HELP text).
+	escapeHelp = strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace
+	// escapeLabelValue escapes a label value per the Prometheus text
+	// exposition format: exactly backslash, double quote and line feed.
+	// Everything else — including tabs, control bytes and non-ASCII
+	// UTF-8 — passes through verbatim, which is what conformant parsers
+	// expect (strconv-style \xNN escapes are NOT part of the format and
+	// would be misread as a literal backslash sequence).
+	escapeLabelValue = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace
+)
 
 // formatLabels renders {k="v",...} for parallel name/value slices,
 // escaping values per the exposition format.
@@ -178,15 +155,13 @@ func formatFloat(v float64) string {
 
 // Counter is a monotonically increasing count.
 type Counter struct {
-	nameStr, help string
-	v             atomic.Uint64
+	name string
+	v    atomic.Uint64
 }
 
 // Counter returns the counter registered under name, creating it if
-// needed.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.register(&Counter{nameStr: name, help: help}).(*Counter)
-}
+// needed: the one child of an unlabelled family.
+func (r *Registry) Counter(name, help string) *Counter { return r.CounterVec(name, help).With() }
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
@@ -197,46 +172,21 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-func (c *Counter) name() string { return c.nameStr }
-func (c *Counter) kind() string { return "counter" }
-func (c *Counter) render(w io.Writer) {
-	writeHeader(w, c.nameStr, c.help, "counter")
-	fmt.Fprintf(w, "%s %d\n", c.nameStr, c.Value())
-}
-
-// CounterFunc is a counter whose value is read from a callback at
-// scrape time — the bridge for counts that already live elsewhere
-// (e.g. the engine's scoring-cache hit/miss totals).
-type CounterFunc struct {
-	nameStr, help string
-	fn            func() uint64
-}
-
-// CounterFunc registers a callback-valued counter.
-func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
-	r.register(&CounterFunc{nameStr: name, help: help, fn: fn})
-}
-
-func (c *CounterFunc) name() string { return c.nameStr }
-func (c *CounterFunc) kind() string { return "counter" }
-func (c *CounterFunc) render(w io.Writer) {
-	writeHeader(w, c.nameStr, c.help, "counter")
-	fmt.Fprintf(w, "%s %d\n", c.nameStr, c.fn())
+func (c *Counter) renderSamples(w io.Writer, labelNames, labelValues []string) {
+	fmt.Fprintf(w, "%s%s %d\n", c.name, formatLabels(labelNames, labelValues), c.Value())
 }
 
 // ---------------------------------------------------------------- gauge
 
 // Gauge is an integer value that can go up and down.
 type Gauge struct {
-	nameStr, help string
-	v             atomic.Int64
+	name string
+	v    atomic.Int64
 }
 
 // Gauge returns the gauge registered under name, creating it if
-// needed.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(&Gauge{nameStr: name, help: help}).(*Gauge)
-}
+// needed: the one child of an unlabelled family.
+func (r *Registry) Gauge(name, help string) *Gauge { return r.GaugeVec(name, help).With() }
 
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
@@ -247,30 +197,36 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-func (g *Gauge) name() string { return g.nameStr }
-func (g *Gauge) kind() string { return "gauge" }
-func (g *Gauge) render(w io.Writer) {
-	writeHeader(w, g.nameStr, g.help, "gauge")
-	fmt.Fprintf(w, "%s %d\n", g.nameStr, g.Value())
+func (g *Gauge) renderSamples(w io.Writer, labelNames, labelValues []string) {
+	fmt.Fprintf(w, "%s%s %d\n", g.name, formatLabels(labelNames, labelValues), g.Value())
 }
 
-// GaugeFunc is a gauge whose value is read from a callback at scrape
-// time (goroutine counts, heap bytes, cache entries, queue depth).
-type GaugeFunc struct {
-	nameStr, help string
-	fn            func() float64
+// ---------------------------------------------------------------- callbacks
+
+// funcCollector is a counter or gauge whose value is read from a
+// callback at scrape time — the bridge for values that already live
+// elsewhere (the engine's scoring-cache totals, goroutine counts, heap
+// bytes, queue depth). value reads the callback and formats it.
+type funcCollector struct {
+	desc
+	value func() string
+}
+
+// CounterFunc registers a callback-valued counter.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.register(&funcCollector{desc{name, help, "counter"},
+		func() string { return strconv.FormatUint(fn(), 10) }})
 }
 
 // GaugeFunc registers a callback-valued gauge.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(&GaugeFunc{nameStr: name, help: help, fn: fn})
+	r.register(&funcCollector{desc{name, help, "gauge"},
+		func() string { return formatFloat(fn()) }})
 }
 
-func (g *GaugeFunc) name() string { return g.nameStr }
-func (g *GaugeFunc) kind() string { return "gauge" }
-func (g *GaugeFunc) render(w io.Writer) {
-	writeHeader(w, g.nameStr, g.help, "gauge")
-	fmt.Fprintf(w, "%s %s\n", g.nameStr, formatFloat(g.fn()))
+func (c *funcCollector) render(w io.Writer) {
+	c.writeHeader(w)
+	fmt.Fprintf(w, "%s %s\n", c.nameStr, c.value())
 }
 
 // ---------------------------------------------------------------- histogram
@@ -286,42 +242,35 @@ var DefBuckets = []float64{
 // Histogram is a fixed-bucket histogram with atomic bucket counts. An
 // implicit +Inf bucket catches everything beyond the last bound.
 type Histogram struct {
-	nameStr, help string
-	bounds        []float64 // ascending upper bounds, +Inf implicit
-	counts        []atomic.Uint64
-	sumBits       atomic.Uint64 // float64 bits, CAS-updated
-	count         atomic.Uint64
+	name    string
+	bounds  []float64 // ascending upper bounds, +Inf implicit
+	counts  []atomic.Uint64
+	sumBits atomic.Uint64 // float64 bits, CAS-updated
+	count   atomic.Uint64
 }
 
-func newHistogram(name, help string, buckets []float64) *Histogram {
+// sortedBounds returns a sorted copy of buckets (nil → DefBuckets).
+func sortedBounds(buckets []float64) []float64 {
 	if len(buckets) == 0 {
 		buckets = DefBuckets
 	}
 	bounds := append([]float64(nil), buckets...)
 	sort.Float64s(bounds)
-	h := &Histogram{nameStr: name, help: help, bounds: bounds}
-	h.counts = make([]atomic.Uint64, len(bounds)+1)
-	return h
+	return bounds
 }
 
 // Histogram returns the histogram registered under name, creating it
-// with the given bucket upper bounds (nil → DefBuckets).
+// with the given bucket upper bounds (nil → DefBuckets): the one child
+// of an unlabelled family.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.register(newHistogram(name, help, buckets)).(*Histogram)
+	return r.HistogramVec(name, help, buckets).With()
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
+	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	h.addSum(v)
 }
 
 // ObserveAll records a batch of samples in one pass: bucket counts
@@ -337,10 +286,14 @@ func (h *Histogram) ObserveAll(vs []float64) {
 		sum += v
 	}
 	h.count.Add(uint64(len(vs)))
+	h.addSum(sum)
+}
+
+// addSum adds v to the sum with a compare-and-swap loop over its bits.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + sum)
-		if h.sumBits.CompareAndSwap(old, next) {
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
@@ -360,11 +313,7 @@ type HistogramSummary struct {
 // SummarizeHistogram reduces vs over the bucket upper bounds buckets
 // (nil → DefBuckets), as ObserveAll would bucket and sum them.
 func SummarizeHistogram(buckets, vs []float64) HistogramSummary {
-	if len(buckets) == 0 {
-		buckets = DefBuckets
-	}
-	bounds := append([]float64(nil), buckets...)
-	sort.Float64s(bounds)
+	bounds := sortedBounds(buckets)
 	s := HistogramSummary{counts: make([]uint64, len(bounds)+1), n: uint64(len(vs))}
 	for _, v := range vs {
 		s.counts[sort.SearchFloat64s(bounds, v)]++
@@ -380,7 +329,7 @@ func (h *Histogram) Add(s HistogramSummary) {
 		return
 	}
 	if len(s.counts) != len(h.counts) {
-		panic(fmt.Sprintf("obs: %s: a summary over %d buckets added to %d", h.nameStr, len(s.counts), len(h.counts)))
+		panic(fmt.Sprintf("obs: %s: a summary over %d buckets added to %d", h.name, len(s.counts), len(h.counts)))
 	}
 	for i, c := range s.counts {
 		if c != 0 {
@@ -388,13 +337,7 @@ func (h *Histogram) Add(s HistogramSummary) {
 		}
 	}
 	h.count.Add(s.n)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + s.sum)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	h.addSum(s.sum)
 }
 
 // Count returns the number of observations.
@@ -403,57 +346,89 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-func (h *Histogram) name() string { return h.nameStr }
-func (h *Histogram) kind() string { return "histogram" }
-func (h *Histogram) render(w io.Writer) {
-	writeHeader(w, h.nameStr, h.help, "histogram")
-	h.renderSamples(w, nil, nil)
-}
-
 // renderSamples writes the _bucket/_sum/_count series with optional
-// labels (used by both the plain histogram and HistogramVec children).
+// labels, le last.
 func (h *Histogram) renderSamples(w io.Writer, labelNames, labelValues []string) {
 	bucketNames := append(append([]string(nil), labelNames...), "le")
 	var cum uint64
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket%s %d\n", h.nameStr,
+		fmt.Fprintf(w, "%s_bucket%s %d\n", h.name,
 			formatLabels(bucketNames, append(append([]string(nil), labelValues...), formatFloat(b))), cum)
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket%s %d\n", h.nameStr,
+	fmt.Fprintf(w, "%s_bucket%s %d\n", h.name,
 		formatLabels(bucketNames, append(append([]string(nil), labelValues...), "+Inf")), cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", h.nameStr, formatLabels(labelNames, labelValues), formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", h.nameStr, formatLabels(labelNames, labelValues), cum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", h.name, formatLabels(labelNames, labelValues), formatFloat(h.Sum()))
+	fmt.Fprintf(w, "%s_count%s %d\n", h.name, formatLabels(labelNames, labelValues), cum)
 }
 
-// ---------------------------------------------------------------- vectors
+// ---------------------------------------------------------------- families
 
 // labelSep joins label values into child-map keys; it cannot appear in
 // well-formed label values.
 const labelSep = "\x1f"
 
+// vec is a family of one kind of metric partitioned by label values:
+// a child per label set, created on first use and rendered in sorted
+// label-key order. A plain Counter, Gauge or Histogram is the one
+// child of a family with no labels. Only the child constructor and
+// the child's sample writer differ by kind.
+type vec[T any] struct {
+	desc
+	labels        []string
+	newChild      func() *T
+	renderSamples func(c *T, w io.Writer, labelNames, labelValues []string)
+	mu            sync.RWMutex
+	children      map[string]*T
+}
+
 // CounterVec is a family of counters partitioned by label values
 // (e.g. one request counter per route and status code).
-type CounterVec struct {
-	nameStr, help string
-	labels        []string
-	mu            sync.RWMutex
-	children      map[string]*Counter
+type CounterVec = vec[Counter]
+
+// GaugeVec is a family of gauges partitioned by label values (e.g.
+// the build-info gauge, whose labels carry the interesting data and
+// whose value is a constant 1).
+type GaugeVec = vec[Gauge]
+
+// HistogramVec is a family of histograms partitioned by label values
+// (e.g. one latency histogram per route). All children share bucket
+// bounds.
+type HistogramVec = vec[Histogram]
+
+func registerVec[T any](r *Registry, d desc, labels []string, newChild func() *T,
+	renderSamples func(*T, io.Writer, []string, []string)) *vec[T] {
+	return r.register(&vec[T]{desc: d, labels: labels, newChild: newChild,
+		renderSamples: renderSamples, children: make(map[string]*T)}).(*vec[T])
 }
 
 // CounterVec returns the labeled counter family registered under
 // name, creating it if needed.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return r.register(&CounterVec{
-		nameStr: name, help: help, labels: labels,
-		children: make(map[string]*Counter),
-	}).(*CounterVec)
+	return registerVec(r, desc{name, help, "counter"}, labels,
+		func() *Counter { return &Counter{name: name} }, (*Counter).renderSamples)
 }
 
-// With returns the child counter for the given label values (one per
-// label name, in order), creating it on first use.
-func (v *CounterVec) With(values ...string) *Counter {
+// GaugeVec returns the labeled gauge family registered under name,
+// creating it if needed.
+func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
+	return registerVec(r, desc{name, help, "gauge"}, labels,
+		func() *Gauge { return &Gauge{name: name} }, (*Gauge).renderSamples)
+}
+
+// HistogramVec returns the labeled histogram family registered under
+// name, creating it if needed (nil buckets → DefBuckets).
+func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
+	bounds := sortedBounds(buckets)
+	return registerVec(r, desc{name, help, "histogram"}, labels, func() *Histogram {
+		return &Histogram{name: name, bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+	}, (*Histogram).renderSamples)
+}
+
+// With returns the child for the given label values (one per label
+// name, in order), creating it on first use.
+func (v *vec[T]) With(values ...string) *T {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.nameStr, len(v.labels), len(values)))
 	}
@@ -469,27 +444,29 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if c, ok = v.children[key]; ok {
 		return c
 	}
-	c = &Counter{nameStr: v.nameStr}
+	c = v.newChild()
 	v.children[key] = c
 	return c
 }
 
-// Total sums every child counter.
-func (v *CounterVec) Total() uint64 {
+// Total sums the children of a counter family; a gauge or histogram
+// family has no total and reports 0.
+func (v *vec[T]) Total() uint64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	var sum uint64
 	for _, c := range v.children {
-		sum += c.Value()
+		if c, ok := any(c).(*Counter); ok {
+			sum += c.Value()
+		}
 	}
 	return sum
 }
 
-func (v *CounterVec) name() string { return v.nameStr }
-func (v *CounterVec) kind() string { return "counter" }
-func (v *CounterVec) render(w io.Writer) {
-	writeHeader(w, v.nameStr, v.help, "counter")
+func (v *vec[T]) render(w io.Writer) {
+	v.writeHeader(w)
 	v.mu.RLock()
+	defer v.mu.RUnlock()
 	keys := make([]string, 0, len(v.children))
 	for k := range v.children {
 		keys = append(keys, k)
@@ -497,135 +474,9 @@ func (v *CounterVec) render(w io.Writer) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		var values []string
-		if k != "" || len(v.labels) > 0 {
+		if len(v.labels) > 0 {
 			values = strings.Split(k, labelSep)
 		}
-		fmt.Fprintf(w, "%s%s %d\n", v.nameStr, formatLabels(v.labels, values), v.children[k].Value())
+		v.renderSamples(v.children[k], w, v.labels, values)
 	}
-	v.mu.RUnlock()
-}
-
-// GaugeVec is a family of gauges partitioned by label values (e.g.
-// the build-info gauge, whose labels carry the interesting data and
-// whose value is a constant 1).
-type GaugeVec struct {
-	nameStr, help string
-	labels        []string
-	mu            sync.RWMutex
-	children      map[string]*Gauge
-}
-
-// GaugeVec returns the labeled gauge family registered under name,
-// creating it if needed.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return r.register(&GaugeVec{
-		nameStr: name, help: help, labels: labels,
-		children: make(map[string]*Gauge),
-	}).(*GaugeVec)
-}
-
-// With returns the child gauge for the given label values (one per
-// label name, in order), creating it on first use.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.nameStr, len(v.labels), len(values)))
-	}
-	key := strings.Join(values, labelSep)
-	v.mu.RLock()
-	g, ok := v.children[key]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok = v.children[key]; ok {
-		return g
-	}
-	g = &Gauge{nameStr: v.nameStr}
-	v.children[key] = g
-	return g
-}
-
-func (v *GaugeVec) name() string { return v.nameStr }
-func (v *GaugeVec) kind() string { return "gauge" }
-func (v *GaugeVec) render(w io.Writer) {
-	writeHeader(w, v.nameStr, v.help, "gauge")
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		var values []string
-		if k != "" || len(v.labels) > 0 {
-			values = strings.Split(k, labelSep)
-		}
-		fmt.Fprintf(w, "%s%s %d\n", v.nameStr, formatLabels(v.labels, values), v.children[k].Value())
-	}
-	v.mu.RUnlock()
-}
-
-// HistogramVec is a family of histograms partitioned by label values
-// (e.g. one latency histogram per route). All children share bucket
-// bounds.
-type HistogramVec struct {
-	nameStr, help string
-	labels        []string
-	buckets       []float64
-	mu            sync.RWMutex
-	children      map[string]*Histogram
-}
-
-// HistogramVec returns the labeled histogram family registered under
-// name, creating it if needed (nil buckets → DefBuckets).
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return r.register(&HistogramVec{
-		nameStr: name, help: help, labels: labels, buckets: buckets,
-		children: make(map[string]*Histogram),
-	}).(*HistogramVec)
-}
-
-// With returns the child histogram for the given label values,
-// creating it on first use.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.nameStr, len(v.labels), len(values)))
-	}
-	key := strings.Join(values, labelSep)
-	v.mu.RLock()
-	h, ok := v.children[key]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.children[key]; ok {
-		return h
-	}
-	h = newHistogram(v.nameStr, "", v.buckets)
-	v.children[key] = h
-	return h
-}
-
-func (v *HistogramVec) name() string { return v.nameStr }
-func (v *HistogramVec) kind() string { return "histogram" }
-func (v *HistogramVec) render(w io.Writer) {
-	writeHeader(w, v.nameStr, v.help, "histogram")
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		var values []string
-		if k != "" || len(v.labels) > 0 {
-			values = strings.Split(k, labelSep)
-		}
-		v.children[k].renderSamples(w, v.labels, values)
-	}
-	v.mu.RUnlock()
 }

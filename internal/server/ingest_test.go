@@ -325,6 +325,54 @@ func TestIngestDeadlineLeavesBatchUnapplied(t *testing.T) {
 	}
 }
 
+// TestStalledBodyReleasesSlotAtDeadline: an ingest whose body stalls
+// mid-upload holds the one max-inflight slot only until its deadline.
+// Then the blocked body read fails, the ingest answers 504 and counts
+// as a timeout, the read behind it is served, and no row lands, though
+// the bytes sent so far are a whole CSV row.
+func TestStalledBodyReleasesSlotAtDeadline(t *testing.T) {
+	ts, srv := newIngestServerWith(t, Options{MaxInflight: 1, RequestTimeout: 100 * time.Millisecond})
+	rows := readStats(t, ts.URL).Rows
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	ingest := make(chan int, 1)
+	go func() {
+		res, err := http.Post(ts.URL+"/api/ingest", "text/csv", pr)
+		if err != nil {
+			ingest <- -1
+			return
+		}
+		res.Body.Close()
+		ingest <- res.StatusCode
+	}()
+	start := time.Now()
+	if _, err := pw.Write([]byte("x,g\n4,b\n")); err != nil {
+		t.Fatal(err)
+	}
+	waitForCond(t, "the ingest to hold the gate", func() bool { return len(srv.gate) == 1 })
+	within := start.Add(time.Second)
+	for code := 0; code != http.StatusOK; {
+		if time.Now().After(within) {
+			t.Fatalf("GET /api/dataset = %d a second after the ingest stalled, want 200", code)
+		}
+		code, _, _ = fetch(t, ts.URL+"/api/dataset")
+	}
+	select {
+	case code := <-ingest:
+		if code != http.StatusGatewayTimeout {
+			t.Fatalf("stalled ingest = %d, want 504", code)
+		}
+	case <-time.After(time.Until(within)):
+		t.Fatal("the stalled ingest was not answered within a second")
+	}
+	if got := readStats(t, ts.URL).Rows; got != rows {
+		t.Errorf("rows = %d after the stalled ingest, want %d", got, rows)
+	}
+	if m := metricsBody(t, ts); !strings.Contains(m, "\nforesight_http_timeouts_total 1\n") {
+		t.Errorf("/metrics does not count the stalled ingest as the one timeout:\n%s", m)
+	}
+}
+
 // TestIngestShedsPastPendingBound: while one ingest is held in the WAL
 // sink, the rest of maxPendingIngests wait behind it and the next post
 // is shed with 503 + Retry-After. Once released, every admitted batch

@@ -23,7 +23,7 @@ import (
 	"foresight/internal/query"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/replies from this build's replies")
+var update = flag.Bool("update", false, "rewrite the testdata goldens (replies, metric families) from this build")
 
 // TestRepliesPinned is the reply corpus: every body a fixed exploration
 // script gets from Server.ServeHTTP, on each demo dataset, exact and

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -243,5 +245,72 @@ func TestAbortHandlerReraised(t *testing.T) {
 	if srv.httpInflight.Value() != 0 || srv.httpRequests.With("/api/abort", "200").Value() != 1 {
 		t.Errorf("abort left in-flight %d and recorded %d requests, want 0 and 1",
 			srv.httpInflight.Value(), srv.httpRequests.With("/api/abort", "200").Value())
+	}
+}
+
+// The real server's metric families are pinned: the # HELP and # TYPE
+// lines of a WAL-backed server's first scrape, before any other
+// request, must equal testdata/metric_families.txt. A family that is
+// added, renamed, retyped or reworded moves a line here. go test -run
+// TestMetricFamiliesPinned -update rewrites the file.
+func TestMetricFamiliesPinned(t *testing.T) {
+	f, err := LoadData("oecd", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Preprocess(f, "", 42, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := query.NewEngine(f, core.NewRegistry(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := durable.Open(durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncAlways, CheckpointRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Recover(engine); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(engine, 5, false, Options{Durable: m, MaxInflight: 1})
+	m.Instrument(srv.Registry())
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+		_ = m.Close()
+	})
+	_, _, body := fetch(t, ts.URL+"/metrics")
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(body, "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			got.WriteString(line)
+		}
+	}
+	path := filepath.Join("testdata", "metric_families.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to write it)", err)
+	}
+	if got.String() != string(want) {
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("%s line %d:\n got %q\nwant %q", path, i+1, g, w)
+			}
+		}
 	}
 }

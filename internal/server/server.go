@@ -28,6 +28,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -262,13 +263,14 @@ func observeBuildTimings(reg *obs.Registry) *obs.HistogramVec {
 // handle registers h for pattern behind the server's one request
 // path. In: assign or honour the X-Request-ID and start the trace; on
 // /api/ routes bound the context by the per-request deadline (the
-// engine stops when it fires; jsonError maps it to 504) and take a
-// max-inflight slot, shedding with 503 when none is free; reject a
-// method outside allowed with 405. Out, in one deferred block: recover
-// a panic into a 500 with its stack in the log (re-raising
-// http.ErrAbortHandler, net/http's sanctioned abort, once recorded),
-// record foresight_http_*, file the trace and log the request. The
-// pattern, never the raw URL, is the route label and the trace name.
+// engine stops when it fires, and so does a body read blocked then;
+// jsonError maps either to 504) and take a max-inflight slot, shedding
+// with 503 when none is free; reject a method outside allowed with
+// 405. Out, in one deferred block: recover a panic into a 500 with its
+// stack in the log (re-raising http.ErrAbortHandler, net/http's
+// sanctioned abort, once recorded), record foresight_http_*, file the
+// trace and log the request. The pattern, never the raw URL, is the
+// route label and the trace name.
 func (s *Server) handle(pattern string, h http.HandlerFunc, allowed ...string) {
 	api := strings.HasPrefix(pattern, "/api/")
 	allow := strings.Join(allowed, ", ")
@@ -279,12 +281,16 @@ func (s *Server) handle(pattern string, h http.HandlerFunc, allowed ...string) {
 		}
 		w.Header().Set(requestIDHeader, id)
 		tr := obs.NewTrace(pattern, id)
+		rw := &responseWriter{ResponseWriter: w}
 		ctx, cancel := obs.WithTrace(r.Context(), tr), func() {}
 		if api && s.requestTimeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, s.requestTimeout)
+			if r.ContentLength != 0 {
+				stop, cancelTimeout := rw.interruptBodyReadWhenDone(ctx), cancel
+				cancel = func() { stop(); cancelTimeout() }
+			}
 		}
 		r = r.WithContext(ctx)
-		rw := &responseWriter{ResponseWriter: w}
 		held := false
 		s.httpInflight.Add(1)
 		start := time.Now()
@@ -358,27 +364,69 @@ func (s *Server) handle(pattern string, h http.HandlerFunc, allowed ...string) {
 
 // responseWriter records the status and body bytes a handler wrote,
 // for the request's metrics and log line, and so a recovered panic
-// writes its 500 only while nothing was written.
+// writes its 500 only while nothing was written. mu orders the start
+// of the response against interruptBodyReadWhenDone.
 type responseWriter struct {
 	http.ResponseWriter
-	status int
-	bytes  int
+	status      int
+	bytes       int
+	mu          sync.Mutex
+	interrupted bool
 }
 
 func (w *responseWriter) WriteHeader(code int) {
 	if w.status == 0 {
-		w.status = code
+		w.start(code)
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *responseWriter) Write(b []byte) (int, error) {
 	if w.status == 0 {
-		w.status = http.StatusOK
+		w.start(http.StatusOK)
 	}
 	n, err := w.ResponseWriter.Write(b)
 	w.bytes += n
 	return n, err
+}
+
+// start records the status the response begins with. One whose body
+// read was interrupted closes its connection: net/http would reuse it
+// with its context cancelled, for its background read failed at the
+// expired deadline.
+func (w *responseWriter) start(code int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.status = code
+	if w.interrupted {
+		w.Header().Set("Connection", "close")
+	}
+}
+
+// interruptBodyReadWhenDone expires the connection's read deadline once
+// ctx ends, unless the response has begun, so that a blocked body read
+// fails with os.ErrDeadlineExceeded (a 504) instead of holding its
+// max-inflight slot until the client sends more. Set at the start of
+// the request, the deadline would let net/http's background read
+// cancel the request and turn its 504 into a 499. A writer that cannot
+// take deadlines is left alone. The returned stop must run before the
+// handler returns; it waits out a call under way.
+func (w *responseWriter) interruptBodyReadWhenDone(ctx context.Context) (stop func()) {
+	done := make(chan struct{})
+	stopAfter := context.AfterFunc(ctx, func() {
+		defer close(done)
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if w.status == 0 {
+			w.interrupted = true
+			_ = http.NewResponseController(w.ResponseWriter).SetReadDeadline(time.Now())
+		}
+	})
+	return func() {
+		if !stopAfter() {
+			<-done
+		}
+	}
 }
 
 // requestIDHeader is set on every response handle serves, so clients,
@@ -434,15 +482,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Registry() *obs.Registry { return s.registry }
 
 // errorStatus refines a handler's fallback status from the error's
-// identity: an expired per-request deadline is a 504 (and counts
-// toward the timeout counter at the write site), a client that went
-// away is recorded as 499, and an oversized POST body is a 413.
+// identity: an expired per-request deadline, or a body read it
+// interrupted, is a 504 (and counts toward the timeout counter at the
+// write site), a client that went away is recorded as 499, and an
+// oversized POST body is a 413.
 func errorStatus(code int, err error) int {
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, os.ErrDeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return statusClientClosedRequest
@@ -664,44 +713,33 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("unknown class %q", class))
 		return
 	}
-	var svg string
-	endScore := obs.StartSpan(r.Context(), "score:"+class)
+	// Exact: scored over the frame and drawn from it. Sketch-only: both
+	// the score and the pixels come from the preprocessed store.
+	f := s.engine.Frame()
+	score := func(attrs []string, metric string) (core.Insight, error) { return c.Score(f, attrs, metric) }
+	draw := func(in core.Insight) (string, error) { return viz.RenderSVG(f, in) }
 	if boolParam(r, "approx") {
-		// Sketch-only panel: both the score and the pixels come from
-		// the preprocessed store.
 		p := s.engine.Profile()
 		if p == nil {
-			endScore()
 			s.jsonError(w, http.StatusBadRequest, fmt.Errorf("approx render requires a preprocessed profile"))
 			return
 		}
-		in, err := c.ScoreApprox(p, strings.Split(attrs, ","), r.URL.Query().Get("metric"))
-		endScore()
-		if err != nil {
-			s.jsonError(w, http.StatusBadRequest, err)
-			return
-		}
-		endRender := obs.StartSpan(r.Context(), "render")
-		svg, err = viz.RenderSVGFromProfile(p, in)
-		endRender()
-		if err != nil {
-			s.jsonError(w, http.StatusBadRequest, err)
-			return
-		}
-	} else {
-		in, err := c.Score(s.engine.Frame(), strings.Split(attrs, ","), r.URL.Query().Get("metric"))
-		endScore()
-		if err != nil {
-			s.jsonError(w, http.StatusBadRequest, err)
-			return
-		}
-		endRender := obs.StartSpan(r.Context(), "render")
-		svg, err = viz.RenderSVG(s.engine.Frame(), in)
-		endRender()
-		if err != nil {
-			s.jsonError(w, http.StatusBadRequest, err)
-			return
-		}
+		score = func(attrs []string, metric string) (core.Insight, error) { return c.ScoreApprox(p, attrs, metric) }
+		draw = func(in core.Insight) (string, error) { return viz.RenderSVGFromProfile(p, in) }
+	}
+	endScore := obs.StartSpan(r.Context(), "score:"+class)
+	in, err := score(strings.Split(attrs, ","), r.URL.Query().Get("metric"))
+	endScore()
+	if err != nil {
+		s.jsonError(w, http.StatusBadRequest, err)
+		return
+	}
+	endRender := obs.StartSpan(r.Context(), "render")
+	svg, err := draw(in)
+	endRender()
+	if err != nil {
+		s.jsonError(w, http.StatusBadRequest, err)
+		return
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
 	w.Header().Set("Content-Length", strconv.Itoa(len(svg)))
