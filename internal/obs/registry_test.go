@@ -193,38 +193,3 @@ func BenchmarkCounterVecWith(b *testing.B) {
 		}
 	})
 }
-
-// TestHistogramAddMatchesObserveAll: a summarized batch adds what
-// observing it adds — bucket for bucket, and the same sum, bit for bit
-// — including values on a bound, beyond the last, NaN and an empty
-// batch, and a summary added into a histogram already holding values.
-func TestHistogramAddMatchesObserveAll(t *testing.T) {
-	buckets := []float64{0.5, 0.1, 1, 10} // unsorted on purpose
-	batches := [][]float64{
-		{0.1, 0.1000001, 0.3, 0.5, 0.7, 1, 3, 10, 11, -2},
-		{},
-		{0.2, 0.2, 0.30000000000000004, 1e-17, 0.6},
-		{1e16, 1, -1e16, 1, 0.1, 0.2},  // a sum whose order shows
-		{math.Inf(1), math.NaN(), 0.4}, // last: the sum stays NaN
-	}
-	r := NewRegistry()
-	observed, added := r.Histogram("observed", "", buckets), r.Histogram("added", "", buckets)
-	for _, vs := range batches {
-		observed.ObserveAll(vs)
-		added.Add(SummarizeHistogram(buckets, vs))
-		if math.Float64bits(observed.Sum()) != math.Float64bits(added.Sum()) || observed.Count() != added.Count() {
-			t.Fatalf("after %v: sum %v count %d, ObserveAll has %v %d", vs, added.Sum(), added.Count(), observed.Sum(), observed.Count())
-		}
-		for i := range observed.counts {
-			if a, o := added.counts[i].Load(), observed.counts[i].Load(); a != o {
-				t.Fatalf("after %v: bucket %d holds %d, ObserveAll has %d", vs, i, a, o)
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("a summary over other buckets was added")
-		}
-	}()
-	added.Add(SummarizeHistogram([]float64{1}, []float64{0.5}))
-}

@@ -30,7 +30,6 @@ package telemetry
 import (
 	"hash/fnv"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,33 +81,6 @@ type ClassSample struct {
 	// retained insight minus the strongest excluded one. NaN when the
 	// query did not truncate (k ≤ 0 or fewer survivors than k).
 	Margin float64
-
-	// kept is set on a sample Keep prepared: what recording it costs,
-	// computed once and shared by every copy.
-	kept *kept
-}
-
-// kept is what a sample that many requests emit unchanged costs to
-// record, computed once: the summary its scores add to the class
-// histogram and, built by the first fold that reaches it, the sketches
-// of one emission, which the fold merges in weighted by how many
-// requests emitted it.
-type kept struct {
-	hist obs.HistogramSummary
-	once sync.Once
-	agg  *classAgg
-}
-
-// Keep returns s prepared to be recorded many times unchanged — a
-// class view's ranking, emitted whole by every request that reads the
-// view. Recording it adds a precomputed summary to the score histogram
-// in O(buckets), the same bucket counts and sum as observing each
-// score, and each drain of the deferred fold folds the requests that
-// emitted it in one weighted merge rather than score by score
-// (foldKept). s and the slices it holds must not change afterwards.
-func Keep(s ClassSample) ClassSample {
-	s.kept = &kept{hist: obs.SummarizeHistogram(scoreBuckets, s.Scores)}
-	return s
 }
 
 // QuerySample is the telemetry for one engine operation (one execute,
@@ -187,20 +159,6 @@ func (a *classAgg) observe(s ClassSample) {
 			a.tuples.UpdateBytes(a.keyBuf)
 		}
 	}
-}
-
-// foldKept folds w emissions of the kept sample s into the sketches:
-// the sketches of one emission, built once per sample, merged in
-// weighted by w (KLL.MergeWeighted, SpaceSaving.MergeWeighted).
-func (a *classAgg) foldKept(s ClassSample, w uint64) {
-	k := s.kept
-	k.once.Do(func() {
-		k.agg = newClassAgg(s.Class)
-		k.agg.observe(s)
-	})
-	a.scores.MergeWeighted(k.agg.scores, w)
-	a.cols.MergeWeighted(k.agg.cols, w)
-	a.tuples.MergeWeighted(k.agg.tuples, w)
 }
 
 // appendTupleKey renders an attribute tuple as one SpaceSaving item
@@ -295,9 +253,7 @@ type Insights struct {
 	// Snapshot time, or inline once the queue doubles past foldBatch.
 	// Batching keeps the expensive part (sketch map/compactor walks,
 	// cold in a request's cache footprint) off the serving path and
-	// touches each sketch once per batch while it is warm; a kept
-	// sample folds once per batch, whatever number of requests in it
-	// emitted it (foldLocked).
+	// touches each sketch once per batch while it is warm.
 	pending  []QuerySample
 	resets   uint64
 	ring     []QueryRecord
@@ -429,11 +385,7 @@ func (t *Insights) Record(s QuerySample) {
 			cm.pruned.Add(uint64(cs.Pruned))
 			cm.filtered.Add(uint64(cs.Filtered))
 			cm.emitted.Add(uint64(cs.Emitted))
-			if cs.kept != nil {
-				cm.scores.Add(cs.kept.hist)
-			} else {
-				cm.scores.ObserveAll(cs.Scores)
-			}
+			cm.scores.ObserveAll(cs.Scores)
 			if !math.IsNaN(cs.Margin) {
 				cm.margins.Observe(cs.Margin)
 			}
@@ -457,17 +409,9 @@ func (t *Insights) Record(s QuerySample) {
 	}
 }
 
-// foldLocked folds the oldest n pending samples into the aggregates.
-// The counters and margins of every sample fold in record order; a
-// kept sample's sketches fold once, weighted by how many of the n
-// samples carry it, after the rest. The caller holds t.mu.
+// foldLocked folds the oldest n pending samples into the aggregates,
+// in record order. The caller holds t.mu.
 func (t *Insights) foldLocked(n int) {
-	type weighted struct {
-		a  *classAgg
-		cs ClassSample
-		w  uint64
-	}
-	var kepts []weighted
 	for _, p := range t.pending[:n] {
 		for _, cs := range p.Classes {
 			a := t.classes[cs.Class]
@@ -476,20 +420,8 @@ func (t *Insights) foldLocked(n int) {
 				t.classes[cs.Class] = a
 			}
 			a.count(cs, p.Generation)
-			if cs.kept == nil {
-				a.observe(cs)
-				continue
-			}
-			i := slices.IndexFunc(kepts, func(k weighted) bool { return k.cs.kept == cs.kept })
-			if i < 0 {
-				i = len(kepts)
-				kepts = append(kepts, weighted{a: a, cs: cs})
-			}
-			kepts[i].w++
+			a.observe(cs)
 		}
-	}
-	for _, k := range kepts {
-		k.a.foldKept(k.cs, k.w)
 	}
 	// Slide the tail down and zero the vacated slots so folded samples
 	// stop pinning the engine's score/attr slices.

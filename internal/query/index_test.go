@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"foresight/internal/core"
 	"foresight/internal/datagen"
@@ -28,7 +27,6 @@ import (
 // scanNeighborhood is NeighborhoodContext offering every insight of a
 // class read whole.
 func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classes []string, k int, approx bool) ([]core.Insight, error) {
-	start := time.Now()
 	rq, err := e.begin(ctx, Query{Classes: classes, Approx: approx})
 	if err != nil {
 		return nil, err
@@ -48,6 +46,7 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 			}
 		}
 	}
+	counts := make([]passCounts, len(rq.classes))
 	var walk []int
 	for i, c := range rq.classes {
 		own := c.Name() == focus.Class && rq.metrics[i] == focus.Metric
@@ -55,11 +54,11 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 			walk = append(walk, i)
 			continue
 		}
-		r, st, err := e.scoreClass(ctx, rq.tr, rq.g, c, Query{Approx: approx}, rq.metrics[i], rq.maxScore, rq.telem != nil)
+		r, err := e.scoreClass(ctx, rq.tr, rq.g, c, Query{Approx: approx}, rq.metrics[i], rq.maxScore)
 		if err != nil {
 			return nil, err
 		}
-		rq.note(st)
+		counts[i] = r.counts
 		offer(r.ins, r.view.keys[r.from:r.from+len(r.ins)])
 	}
 	for _, i := range walk {
@@ -71,25 +70,26 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 			}
 		}
 		slices.Sort(levels)
-		st := telemetry.ClassSample{Class: c.Name(), Margin: math.NaN()}
 		for l := len(levels) - 1; l >= 0; l-- {
 			if kth, ok := top.Kth(); ok && kth.score > levels[l] {
 				break
 			}
 			at := levels[l]
 			q := Query{Approx: approx, K: k, keep: func(attrs []string) bool { return jaccard(focus.Attrs, attrs) == at }}
-			r, part, err := e.scoreClass(ctx, rq.tr, rq.g, c, q, rq.metrics[i], rq.maxScore, rq.telem != nil)
+			r, err := e.scoreClass(ctx, rq.tr, rq.g, c, q, rq.metrics[i], rq.maxScore)
 			if err != nil {
 				return nil, err
 			}
 			offer(r.ins, nil)
-			st.Candidates, st.Pruned, st.Filtered = st.Candidates+part.Candidates, st.Pruned+part.Pruned, st.Filtered+part.Filtered
-			st.Emitted, st.Scores, st.Attrs = st.Emitted+part.Emitted, append(st.Scores, part.Scores...), append(st.Attrs, part.Attrs...)
+			counts[i].candidates += r.counts.candidates
+			counts[i].pruned += r.counts.pruned
+			counts[i].filtered += r.counts.filtered
 		}
-		rq.note(st)
 	}
-	rq.record("neighborhood", start)
-	return insightsOf(top), nil
+	out := insightsOf(top)
+	rq.noteNeighbors(counts, out)
+	rq.record("neighborhood")
+	return out, nil
 }
 
 // scanRecommendations is RecommendationsKContext blending every insight
@@ -99,7 +99,7 @@ func scanRecommendations(ctx context.Context, s *Session, k int) ([]Result, erro
 	if len(s.Focus) == 0 {
 		q.top = k
 	}
-	rs, err := s.engine.executeOp(ctx, q, "carousels")
+	rq, rs, err := s.engine.executeOp(ctx, q, "carousels")
 	if err != nil {
 		return nil, err
 	}
@@ -109,9 +109,10 @@ func scanRecommendations(ctx context.Context, s *Session, k int) ([]Result, erro
 	}
 	out := make([]Result, 0, len(rs))
 	for _, r := range rs {
-		maxScore := r.ins[0].Score
 		var carousel []core.Insight
-		if len(s.Focus) > 0 && maxScore > 0 {
+		margin := math.NaN()
+		if len(s.Focus) > 0 && len(r.ins) > 0 && r.ins[0].Score > 0 {
+			maxScore := r.ins[0].Score
 			top := newTopRanked(k, func(a, b ranked) bool {
 				if a.score != b.score {
 					return a.score > b.score
@@ -129,9 +130,18 @@ func scanRecommendations(ctx context.Context, s *Session, k int) ([]Result, erro
 				n = k
 			}
 			carousel = slices.Clone(r.ins[:n])
+			next := r.next
+			if n < len(r.ins) {
+				next = r.ins[n].Score
+			}
+			margin = topKMargin(carousel, next)
 		}
-		out = append(out, Result{Class: r.class, Metric: r.metric, Insights: carousel})
+		rq.note(r.class, r.counts, carousel, margin)
+		if len(carousel) > 0 {
+			out = append(out, Result{Class: r.class, Metric: r.metric, Insights: carousel})
+		}
 	}
+	rq.record("carousels")
 	return out, nil
 }
 
@@ -225,25 +235,20 @@ func TestIndexReadersMatchScans(t *testing.T) {
 			// same runs prod once to warm the engine, then prod and scan
 			// from that state, each into its own telemetry store, and
 			// compares the replies and the memo counters each moved.
-			var recording bool
 			same := func(label string, prod, scan func() (any, error), equal func(a, b any) bool) {
 				t.Helper()
 				e.SetInsightTelemetry(nil)
 				if _, err := prod(); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if recording {
-					e.SetInsightTelemetry(prodTelem)
-				}
+				e.SetInsightTelemetry(prodTelem)
 				s0 := e.CacheStats()
 				got, err := prod()
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				s1 := e.CacheStats()
-				if recording {
-					e.SetInsightTelemetry(scanTelem)
-				}
+				e.SetInsightTelemetry(scanTelem)
 				want, err := scan()
 				if err != nil {
 					t.Fatalf("%s: scan: %v", label, err)
@@ -257,8 +262,7 @@ func TestIndexReadersMatchScans(t *testing.T) {
 					t.Fatalf("%s: hits, misses, waits %v against the scan's %v", label, d1, d2)
 				}
 			}
-			// Folding the stores is slow, so they are compared once a
-			// phase.
+			// The stores are compared once a phase.
 			sameTelemetry := func(label string) {
 				t.Helper()
 				gen := e.CacheStats().Generation
@@ -291,9 +295,6 @@ func TestIndexReadersMatchScans(t *testing.T) {
 						ks = append(ks, 0)
 					}
 					for _, k := range ks {
-						// A class read whole samples its view whatever k is, so
-						// the stores record one k: a cut one.
-						recording = k == 5
 						for _, focus := range foci {
 							label := fmt.Sprintf("round %d neighborhood of %s k=%d", round, focus.Key(), k)
 							same(label,
@@ -390,9 +391,9 @@ func undefinedAttr(e *Engine) string {
 	return best
 }
 
-// checkFixedSamples compares, class by class, the ranking and the
-// telemetry sample the index gives a fixed-attribute query with those
-// of the per-candidate pass.
+// checkFixedSamples compares, class by class, the ranking, the counts
+// and the excluded score the index gives a fixed-attribute query with
+// those of the per-candidate pass.
 func checkFixedSamples(t *testing.T, e *Engine, q Query) {
 	t.Helper()
 	ctx := context.Background()
@@ -403,19 +404,19 @@ func checkFixedSamples(t *testing.T, e *Engine, q Query) {
 	scan := q
 	scan.keep = func([]string) bool { return true }
 	for i, c := range rq.classes {
-		got, gotSt, err := e.scoreClass(ctx, nil, rq.g, c, q, rq.metrics[i], rq.maxScore, true)
+		got, err := e.scoreClass(ctx, nil, rq.g, c, q, rq.metrics[i], rq.maxScore)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantSt, err := e.scoreClass(ctx, nil, rq.g, c, scan, rq.metrics[i], rq.maxScore, true)
+		want, err := e.scoreClass(ctx, nil, rq.g, c, scan, rq.metrics[i], rq.maxScore)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !insightsEqual(got.ins, want.ins) {
 			t.Fatalf("%s %+v: ranking differs from the pass's", c.Name(), q)
 		}
-		if g, w := fmt.Sprintf("%+v", gotSt), fmt.Sprintf("%+v", wantSt); g != w {
-			t.Fatalf("%s %+v: sample differs from the pass's:\n got %s\nwant %s", c.Name(), q, g, w)
+		if g, w := fmt.Sprintf("%+v %v", got.counts, got.next), fmt.Sprintf("%+v %v", want.counts, want.next); g != w {
+			t.Fatalf("%s %+v: counts differ from the pass's:\n got %s\nwant %s", c.Name(), q, g, w)
 		}
 	}
 }

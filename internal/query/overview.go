@@ -184,15 +184,16 @@ func (e *Engine) overviewView(ctx context.Context, className, metric string, app
 		return nil, 0, e.noteCancel(err)
 	}
 	if telem := e.telem.Load(); telem != nil {
-		// An overview emits every scored tuple (no top-k), so the
-		// sample has no margin and nothing is ever pruned; filtered
-		// counts the tuples whose metric was undefined or whose
-		// scoring errored.
+		// An overview returns no insights, so the sample has no scores
+		// and no margin, and nothing is ever pruned; filtered counts
+		// the tuples whose metric was undefined or whose scoring
+		// errored.
+		counts := passCounts{candidates: v.candidates, filtered: v.candidates - len(v.ranked)}
 		telem.Record(telemetry.QuerySample{
 			Op:         "overview",
 			Generation: g.n,
 			DurationMS: time.Since(start).Seconds() * 1e3,
-			Classes:    []telemetry.ClassSample{v.sample},
+			Classes:    []telemetry.ClassSample{classSample(c.Name(), counts, nil, math.NaN())},
 		})
 	}
 	return v, g.n, nil

@@ -74,27 +74,33 @@ type Result struct {
 type ranking struct {
 	class  string
 	metric string
-	// ins is ranked by strength and never empty.
+	// ins is ranked by strength; it is empty when nothing survived.
 	ins []core.Insight
 	// view is set exactly when ins is view.ranked[from:from+len(ins)],
 	// a slice of the class's view (view.go), shared and read-only.
 	// Otherwise ins is a fresh slice.
 	view *classView
 	from int
+	// counts is what the pass behind ins counted, and next the score of
+	// the strongest insight its top-k cut left out (NaN when it cut
+	// nothing).
+	counts passCounts
+	next   float64
 }
 
-// results hands rankings to a caller: what aliases a class view is
-// copied on the way out.
-func results(rs []ranking) []Result {
-	var out []Result
-	for _, r := range rs {
-		ins := r.ins
-		if r.view != nil {
-			ins = slices.Clone(ins)
-		}
-		out = append(out, Result{Class: r.class, Metric: r.metric, Insights: ins})
+// passCounts is what one class's pass counted: its candidates, those
+// it pruned unscored, and those it scored and then dropped by NaN or
+// the strength filter.
+type passCounts struct{ candidates, pruned, filtered int }
+
+// head returns r's first k insights (all of them when k ≤ 0 or k ≥
+// len(r.ins)) and the top-k margin of that cut: to the next insight of
+// r, or, past its last, to the one r's own cut left out.
+func (r ranking) head(k int) ([]core.Insight, float64) {
+	if k <= 0 || k >= len(r.ins) {
+		return r.ins, topKMargin(r.ins, r.next)
 	}
-	return out
+	return r.ins[:k], topKMargin(r.ins[:k], r.ins[k].Score)
 }
 
 // Engine executes insight queries against one dataset. The profile is
@@ -214,42 +220,59 @@ func (e *Engine) Profile() *sketch.DatasetProfile { return e.gen.Load().profile 
 // completed before the cutoff stay in the memo, so a retry resumes
 // warm). Early exits increment the engine's cancellation counter.
 func (e *Engine) ExecuteContext(ctx context.Context, q Query) ([]Result, error) {
-	rs, err := e.executeOp(ctx, q, "execute")
-	return results(rs), err
+	return e.results(ctx, q, "execute")
 }
 
-// executeOp is ExecuteContext with an operation label — carousels and
-// neighborhoods funnel through the same scoring path but report their
-// own op in the engine metrics and the insight-telemetry samples — and
-// without the copy out of the class views, which the session and the
-// neighborhood read in place.
-func (e *Engine) executeOp(ctx context.Context, q Query, op string) ([]ranking, error) {
-	start := time.Now()
-	defer e.observeOp(op, start)
-	rq, err := e.begin(ctx, q)
+// results runs q under op, records what it returns and hands it out:
+// every class with surviving insights, copied where they alias a view.
+func (e *Engine) results(ctx context.Context, q Query, op string) ([]Result, error) {
+	rq, rs, err := e.executeOp(ctx, q, op)
 	if err != nil {
 		return nil, err
 	}
-	var out []ranking
+	var out []Result
+	for _, r := range rs {
+		ins, margin := r.head(0)
+		rq.note(r.class, r.counts, ins, margin)
+		if len(ins) == 0 {
+			continue
+		}
+		if r.view != nil {
+			ins = slices.Clone(ins)
+		}
+		out = append(out, Result{Class: r.class, Metric: r.metric, Insights: ins})
+	}
+	rq.record(op)
+	return out, nil
+}
+
+// executeOp ranks every class q resolves to, under an operation label —
+// carousels funnel through the same scoring path but report their own
+// op in the engine metrics — and returns the request and the rankings,
+// empty ones included, for its caller to cut, record and copy out.
+func (e *Engine) executeOp(ctx context.Context, q Query, op string) (request, []ranking, error) {
+	defer e.observeOp(op, time.Now())
+	rq, err := e.begin(ctx, q)
+	if err != nil {
+		return rq, nil, err
+	}
+	out := make([]ranking, 0, len(rq.classes))
 	for i, c := range rq.classes {
 		if err := ctx.Err(); err != nil {
-			return nil, e.noteCancel(err)
+			return rq, nil, e.noteCancel(err)
 		}
-		r, st, err := e.scoreClass(ctx, rq.tr, rq.g, c, q, rq.metrics[i], rq.maxScore, rq.telem != nil)
+		r, err := e.scoreClass(ctx, rq.tr, rq.g, c, q, rq.metrics[i], rq.maxScore)
 		if err != nil {
-			return nil, e.noteCancel(err)
+			return rq, nil, e.noteCancel(err)
 		}
-		rq.note(st)
-		if len(r.ins) > 0 {
-			out = append(out, r)
-		}
+		out = append(out, r)
 	}
-	rq.record(op, start)
-	return out, nil
+	return rq, out, nil
 }
 
 // request is an engine read past its parse phase (begin).
 type request struct {
+	start    time.Time
 	tr       *obs.Trace
 	g        *generation
 	classes  []core.Class
@@ -273,7 +296,7 @@ func (e *Engine) begin(ctx context.Context, q Query) (request, error) {
 	if err != nil {
 		return request{}, err
 	}
-	rq := request{tr: tr, g: e.gen.Load(), maxScore: q.MaxScore, telem: e.telem.Load()}
+	rq := request{start: time.Now(), tr: tr, g: e.gen.Load(), maxScore: q.MaxScore, telem: e.telem.Load()}
 	if q.Approx && rq.g.profile == nil {
 		return request{}, fmt.Errorf("query: approximate query requires a preprocessed profile")
 	}
@@ -314,31 +337,31 @@ func (e *Engine) begin(ctx context.Context, q Query) (request, error) {
 	return rq, nil
 }
 
-// note keeps one class's telemetry sample when a store is attached.
-func (rq *request) note(st telemetry.ClassSample) {
+// note keeps, when a store is attached, the telemetry of one class:
+// the insights the request returns for it, cut with the given top-k
+// margin, and the counts of the pass that produced them.
+func (rq *request) note(class string, c passCounts, ins []core.Insight, margin float64) {
 	if rq.telem != nil {
-		rq.samples = append(rq.samples, st)
+		rq.samples = append(rq.samples, classSample(class, c, ins, margin))
 	}
 }
 
 // record files the request's samples under op.
-func (rq *request) record(op string, start time.Time) {
+func (rq *request) record(op string) {
 	if rq.telem != nil {
 		rq.telem.Record(telemetry.QuerySample{
 			Op:         op,
 			Generation: rq.g.n,
-			DurationMS: time.Since(start).Seconds() * 1e3,
+			DurationMS: time.Since(rq.start).Seconds() * 1e3,
 			Classes:    rq.samples,
 		})
 	}
 }
 
 // scoreClass ranks one class against generation g under the resolved
-// metric. When wantStats is set (a telemetry store is attached) it
-// also fills a ClassSample with candidate/pruned/filtered/emitted
-// counts, the emitted scores and attribute tuples, and the top-k
-// margin; otherwise the sample is zero and no extra work happens on
-// the hot path.
+// metric, with the counts of the pass that ranked it and the score its
+// top-k cut left out first, from which the caller records what it
+// returns.
 //
 // A query that constrains no attribute ranks the whole class, and the
 // class view is that ranking: SortInsights is a total order, so the
@@ -358,13 +381,13 @@ func (rq *request) record(op string, start time.Time) {
 // class they cut nothing from — a constant bound is one run of equal
 // bounds, one chunk — is scored whole, and the pass leaves its view.
 //
-// The Margin telemetry of that pass is conservative: the strongest
-// excluded candidate may have been pruned rather than scored, so the
-// reported margin can exceed the true one. The returned insights are
-// unaffected (see the equivalence argument in score.go).
-func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c core.Class, q Query, metric string, maxScore float64, wantStats bool) (ranking, telemetry.ClassSample, error) {
-	r := ranking{class: c.Name(), metric: metric}
-	var st telemetry.ClassSample
+// The next score of that pass, hence its margin telemetry, is
+// conservative: the strongest excluded candidate may have been pruned
+// rather than scored, so the reported margin can exceed the true one.
+// The returned insights are unaffected (see the equivalence argument
+// in score.go).
+func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c core.Class, q Query, metric string, maxScore float64) (ranking, error) {
+	r := ranking{class: c.Name(), metric: metric, next: math.NaN()}
 	whole := len(q.Fixed) == 0 && q.Semantic == frame.SemanticNone && q.keep == nil
 	k := q.K
 	if whole && k <= 0 && !q.Approx {
@@ -373,30 +396,24 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c
 	if whole {
 		v, err := e.viewOf(ctx, tr, g, c, metric, q.Approx, !prunes(c, g, k, q.MinScore))
 		if err != nil {
-			return r, st, err
+			return r, err
 		}
 		if v != nil {
 			defer tr.StartSpan("rank:" + r.class)()
 			lo, hi := v.scoreRange(q.MinScore, maxScore)
-			end, bestExcluded := hi, math.NaN()
+			end := hi
 			if q.K > 0 && lo+q.K < hi {
-				end, bestExcluded = lo+q.K, v.ranked[lo+q.K].Score
+				end, r.next = lo+q.K, v.ranked[lo+q.K].Score
 			}
 			r.ins, r.view, r.from = v.ranked[lo:end], v, lo
-			if wantStats {
-				st = v.sample
-				if end-lo < len(v.ranked) {
-					st = classSample(r.class, v.candidates, 0, v.candidates-(hi-lo), r.ins, topKMargin(r.ins, bestExcluded))
-				}
-			}
-			return r, st, nil
+			r.counts = passCounts{candidates: v.candidates, filtered: v.candidates - (hi - lo)}
+			return r, nil
 		}
 	}
 	if len(q.Fixed) > 0 && q.Semantic == frame.SemanticNone && q.keep == nil {
 		if v := g.view(viewKey{class: r.class, metric: metric, approx: q.Approx}); v != nil {
 			defer tr.StartSpan("rank:" + r.class)()
-			r, st = e.fixedFromView(r, v, q, maxScore, wantStats)
-			return r, st, nil
+			return e.fixedFromView(r, v, q, maxScore), nil
 		}
 	}
 	// Filter candidates by the structural constraints first, then
@@ -414,13 +431,13 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c
 	}
 	endEnum()
 	if err := ctx.Err(); err != nil {
-		return r, st, err
+		return r, err
 	}
 	endScore := tr.StartSpan("score:" + r.class)
 	scored, pruned, err := e.scorePass(ctx, g, c, cands, q.Approx, metric, k, q.MinScore, maxScore)
 	endScore()
 	if err != nil {
-		return r, st, err
+		return r, err
 	}
 	if whole && k != q.K && pruned == 0 {
 		endView := tr.StartSpan("view:" + r.class)
@@ -436,12 +453,9 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c
 		}
 		ins = append(ins, in)
 	}
-	var bestExcluded float64
-	r.ins, bestExcluded = core.TopKExcluded(ins, k)
-	if wantStats {
-		st = classSample(r.class, len(cands), pruned, len(cands)-pruned-len(ins), r.ins, topKMargin(r.ins, bestExcluded))
-	}
-	return r, st, nil
+	r.ins, r.next = core.TopKExcluded(ins, k)
+	r.counts = passCounts{candidates: len(cands), pruned: pruned, filtered: len(cands) - pruned - len(ins)}
+	return r, nil
 }
 
 // fixedFromView ranks the insights of view v that hold every attribute
@@ -451,9 +465,9 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c
 // and of those the ones within [MinScore, maxScore], which in view
 // order are already ranked, so their top K is their head. Each matching
 // candidate, defined or not, counts one memo hit, as the pass's peek
-// would; the sample's Filtered counts the matches outside the strength
-// range, not those the top-K cut drops.
-func (e *Engine) fixedFromView(r ranking, v *classView, q Query, maxScore float64, wantStats bool) (ranking, telemetry.ClassSample) {
+// would; the filtered count is the matches outside the strength range,
+// not those the top-K cut drops.
+func (e *Engine) fixedFromView(r ranking, v *classView, q Query, maxScore float64) ranking {
 	var list []int32
 	for i, a := range q.Fixed {
 		if l := v.holding(a); i == 0 || len(l) < len(list) {
@@ -461,7 +475,7 @@ func (e *Engine) fixedFromView(r ranking, v *classView, q Query, maxScore float6
 		}
 	}
 	lo, hi := v.scoreRange(q.MinScore, maxScore)
-	matched, kept, bestExcluded := 0, 0, math.NaN()
+	matched, kept := 0, 0
 	for _, p := range list {
 		in := &v.ranked[p]
 		if !containsAll(in.Attrs, q.Fixed) {
@@ -474,7 +488,7 @@ func (e *Engine) fixedFromView(r ranking, v *classView, q Query, maxScore float6
 		if kept++; q.K <= 0 || kept <= q.K {
 			r.ins = append(r.ins, *in)
 		} else if kept == q.K+1 {
-			bestExcluded = in.Score
+			r.next = in.Score
 		}
 	}
 	for _, attrs := range v.undefined {
@@ -483,22 +497,18 @@ func (e *Engine) fixedFromView(r ranking, v *classView, q Query, maxScore float6
 		}
 	}
 	e.hits.Add(uint64(matched))
-	var st telemetry.ClassSample
-	if wantStats {
-		st = classSample(r.class, matched, 0, matched-kept, r.ins, topKMargin(r.ins, bestExcluded))
-	}
-	return r, st
+	r.counts = passCounts{candidates: matched, filtered: matched - kept}
+	return r
 }
 
-// classSample is the telemetry record of one class's scoring pass:
-// how many candidates it had, how many were pruned unscored, how many
-// were scored and then dropped, and the insights it emitted.
-func classSample(class string, candidates, pruned, filtered int, emitted []core.Insight, margin float64) telemetry.ClassSample {
+// classSample is the telemetry record of one class: the counts of the
+// pass behind it and the insights returned from it.
+func classSample(class string, c passCounts, emitted []core.Insight, margin float64) telemetry.ClassSample {
 	st := telemetry.ClassSample{
 		Class:      class,
-		Candidates: candidates,
-		Pruned:     pruned,
-		Filtered:   filtered,
+		Candidates: c.candidates,
+		Pruned:     c.pruned,
+		Filtered:   c.filtered,
 		Emitted:    len(emitted),
 		Margin:     margin,
 		Scores:     make([]float64, len(emitted)),
@@ -585,6 +595,5 @@ func anySemantic(f *frame.Frame, attrs []string, want frame.SemanticType) bool {
 // cancellation, but reports op "carousels" in the engine metrics and
 // telemetry.
 func (e *Engine) CarouselsContext(ctx context.Context, k int, approx bool) ([]Result, error) {
-	rs, err := e.executeOp(ctx, Query{K: k, Approx: approx}, "carousels")
-	return results(rs), err
+	return e.results(ctx, Query{K: k, Approx: approx}, "carousels")
 }

@@ -12,7 +12,6 @@ import (
 
 	"foresight/internal/core"
 	"foresight/internal/obs"
-	"foresight/internal/obs/telemetry"
 )
 
 // Similarity returns a [0,1] similarity between two insights,
@@ -74,15 +73,17 @@ func jaccard(a, b []string) float64 {
 // whose pass could prune nothing (k ≤ 0 means no cut) — is read from
 // its view's attribute index (offerNear); the rest are walked by
 // Jaccard level, highest first, one top-k pass a level, until the kth
-// neighbor is more similar than the next level.
+// neighbor is more similar than the next level. The telemetry records,
+// per class, the neighbors it returns and the counts of the passes
+// that produced them.
 func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, classes []string, k int, approx bool) ([]core.Insight, error) {
-	start := time.Now()
-	defer e.observeOp("neighborhood", start)
+	defer e.observeOp("neighborhood", time.Now())
 	rq, err := e.begin(ctx, Query{Classes: classes, Approx: approx})
 	if err != nil {
 		return nil, err
 	}
 	top := newTopRanked(k, nearer)
+	counts := make([]passCounts, len(rq.classes))
 	var walk []int
 	for i, c := range rq.classes {
 		if err := ctx.Err(); err != nil {
@@ -93,16 +94,16 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 			walk = append(walk, i)
 			continue
 		}
-		r, st, err := e.scoreClass(ctx, rq.tr, rq.g, c, Query{Approx: approx}, rq.metrics[i], rq.maxScore, rq.telem != nil)
+		r, err := e.scoreClass(ctx, rq.tr, rq.g, c, Query{Approx: approx}, rq.metrics[i], rq.maxScore)
 		if err != nil {
 			return nil, e.noteCancel(err)
 		}
-		rq.note(st)
+		counts[i] = r.counts
 		offerNear(top, focus, r, own, k)
 	}
 
 	// A level's candidates tie on similarity, so the class's top k of a
-	// level is all of it that can place. The sample sums the passes.
+	// level is all of it that can place. The counts sum the passes.
 	focusKey := focus.Key()
 	for _, i := range walk {
 		c := rq.classes[i]
@@ -113,14 +114,13 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 			}
 		}
 		slices.Sort(levels)
-		st := telemetry.ClassSample{Class: c.Name(), Margin: math.NaN()}
 		for l := len(levels) - 1; l >= 0; l-- {
 			if kth, ok := top.Kth(); ok && kth.score > levels[l] {
 				break
 			}
 			at := levels[l]
 			q := Query{Approx: approx, K: k, keep: func(attrs []string) bool { return jaccard(focus.Attrs, attrs) == at }}
-			r, part, err := e.scoreClass(ctx, rq.tr, rq.g, c, q, rq.metrics[i], rq.maxScore, rq.telem != nil)
+			r, err := e.scoreClass(ctx, rq.tr, rq.g, c, q, rq.metrics[i], rq.maxScore)
 			if err != nil {
 				return nil, e.noteCancel(err)
 			}
@@ -129,17 +129,37 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 					top.Offer(ranked{&r.ins[j], Similarity(focus, r.ins[j]), key})
 				}
 			}
-			st.Candidates, st.Pruned, st.Filtered = st.Candidates+part.Candidates, st.Pruned+part.Pruned, st.Filtered+part.Filtered
-			st.Emitted, st.Scores, st.Attrs = st.Emitted+part.Emitted, append(st.Scores, part.Scores...), append(st.Attrs, part.Attrs...)
+			counts[i].candidates += r.counts.candidates
+			counts[i].pruned += r.counts.pruned
+			counts[i].filtered += r.counts.filtered
 		}
-		rq.note(st)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, e.noteCancel(err)
 	}
-	rq.record("neighborhood", start)
 	defer obs.StartSpan(ctx, "similarity")()
-	return insightsOf(top), nil
+	out := insightsOf(top)
+	rq.noteNeighbors(counts, out)
+	rq.record("neighborhood")
+	return out, nil
+}
+
+// noteNeighbors notes, class by class, the neighbors in out that the
+// class gave and the counts of its passes; similarity ranks no class by
+// strength, so there is no margin.
+func (rq *request) noteNeighbors(counts []passCounts, out []core.Insight) {
+	if rq.telem == nil {
+		return
+	}
+	for i, c := range rq.classes {
+		var mine []core.Insight
+		for _, in := range out {
+			if in.Class == c.Name() {
+				mine = append(mine, in)
+			}
+		}
+		rq.note(c.Name(), counts[i], mine, math.NaN())
+	}
 }
 
 // nearer is the neighborhood's order: similarity desc, then strength
@@ -324,7 +344,7 @@ func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result,
 	if len(s.Focus) == 0 {
 		q.top = k
 	}
-	rs, err := s.engine.executeOp(ctx, q, "carousels")
+	rq, rs, err := s.engine.executeOp(ctx, q, "carousels")
 	if err != nil {
 		return nil, err
 	}
@@ -340,18 +360,20 @@ func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result,
 	out := make([]Result, 0, len(rs))
 	for _, r := range rs {
 		var carousel []core.Insight
-		if len(s.Focus) > 0 && r.ins[0].Score > 0 {
+		margin := math.NaN()
+		if len(s.Focus) > 0 && len(r.ins) > 0 && r.ins[0].Score > 0 {
 			carousel = s.blendFocused(r, k, blend, focusAttrs)
 		} else {
 			// Already ranked by strength: the carousel is its head.
-			n := len(r.ins)
-			if k > 0 && k < n {
-				n = k
-			}
-			carousel = slices.Clone(r.ins[:n])
+			carousel, margin = r.head(k)
+			carousel = slices.Clone(carousel)
 		}
-		out = append(out, Result{Class: r.class, Metric: r.metric, Insights: carousel})
+		rq.note(r.class, r.counts, carousel, margin)
+		if len(carousel) > 0 {
+			out = append(out, Result{Class: r.class, Metric: r.metric, Insights: carousel})
+		}
 	}
+	rq.record("carousels")
 	return out, nil
 }
 

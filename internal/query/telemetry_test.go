@@ -9,6 +9,7 @@ import (
 	"foresight/internal/core"
 	"foresight/internal/datagen"
 	"foresight/internal/obs/telemetry"
+	"foresight/internal/sketch"
 )
 
 // TestEngineTelemetryWiring drives every labeled engine operation and
@@ -141,5 +142,105 @@ func TestTopKMargin(t *testing.T) {
 	// Tie fully retained → margin to the next score below.
 	if m := margin(mk(0.9, 0.7, 0.7, 0.5), 3); math.Abs(m-0.2) > 1e-12 {
 		t.Errorf("retained-tie margin = %v, want 0.2", m)
+	}
+}
+
+// TestTelemetryRecordsWhatIsReturned runs every recorded operation
+// twice on one engine — an execute with K = 2, CarouselsContext, the
+// session's carousels unfocused and focused, exact and from the
+// sketches, a neighborhood of k = 3 and an overview — and checks after
+// each request that every class's emitted count and score count grew
+// by what the request returned for that class: nothing for the
+// overview, which returns no insights. A request served from a class
+// view records the view's insights only as far as it returns them.
+func TestTelemetryRecordsWhatIsReturned(t *testing.T) {
+	f := datagen.OECD(0, 42)
+	e, err := NewEngine(f, core.NewRegistry(), sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 42, Spearman: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := telemetry.New()
+	e.SetInsightTelemetry(ins)
+	ctx := context.Background()
+	top, err := e.ExecuteContext(ctx, Query{Classes: []string{"linear"}, K: 1})
+	if err != nil || len(top) == 0 {
+		t.Fatalf("linear top 1: %v", err)
+	}
+	focus := top[0].Insights[0]
+
+	perClass := func(rs []Result) map[string]int {
+		out := map[string]int{}
+		for _, r := range rs {
+			out[r.Class] += len(r.Insights)
+		}
+		return out
+	}
+	carousels := func(approx, focused bool) func() (map[string]int, error) {
+		return func() (map[string]int, error) {
+			s := NewSession(e, 5, approx)
+			if focused {
+				s.FocusOn(focus)
+			}
+			rs, err := s.RecommendationsKContext(ctx, 2)
+			return perClass(rs), err
+		}
+	}
+	requests := []struct {
+		name string
+		run  func() (map[string]int, error)
+	}{
+		{"execute", func() (map[string]int, error) {
+			rs, err := e.ExecuteContext(ctx, Query{K: 2})
+			return perClass(rs), err
+		}},
+		{"carousels", func() (map[string]int, error) {
+			rs, err := e.CarouselsContext(ctx, 2, false)
+			return perClass(rs), err
+		}},
+		{"session exact", carousels(false, false)},
+		{"session approx", carousels(true, false)},
+		{"session exact focused", carousels(false, true)},
+		{"session approx focused", carousels(true, true)},
+		{"neighborhood", func() (map[string]int, error) {
+			nbrs, err := e.NeighborhoodContext(ctx, focus, nil, 3, false)
+			out := map[string]int{}
+			for _, in := range nbrs {
+				out[in.Class]++
+			}
+			return out, err
+		}},
+		{"overview", func() (map[string]int, error) {
+			_, err := e.OverviewContext(ctx, "linear", "", false)
+			return nil, err
+		}},
+	}
+	counts := func() map[string][2]uint64 {
+		out := map[string][2]uint64{}
+		for _, c := range ins.Snapshot(e.CacheStats().Generation, 5).Classes {
+			out[c.Class] = [2]uint64{c.Emitted, c.ScoreCount}
+		}
+		return out
+	}
+	for _, rq := range requests {
+		for round := 0; round < 2; round++ {
+			before := counts()
+			returned, err := rq.run()
+			if err != nil {
+				t.Fatalf("%s: %v", rq.name, err)
+			}
+			total := 0
+			for _, n := range returned {
+				total += n
+			}
+			if total == 0 && rq.name != "overview" {
+				t.Fatalf("%s returned nothing", rq.name)
+			}
+			for class, after := range counts() {
+				want := uint64(returned[class])
+				if d := [2]uint64{after[0] - before[class][0], after[1] - before[class][1]}; d != [2]uint64{want, want} {
+					t.Errorf("%s, round %d: %s recorded %d emitted and %d scores, returned %d", rq.name, round, class, d[0], d[1], want)
+				}
+			}
+		}
 	}
 }

@@ -345,10 +345,11 @@ func topKPass(e *Engine, c core.Class, k int) (scored, defined int) {
 }
 
 // TestViewKeepsCounters replays a fixed request sequence and checks
-// the memo counters and the per-class telemetry against what one
+// the memo counters and the per-class pass counts against what one
 // lookup per candidate per request gives — the accounting every
 // request had before views, which a view-served class must keep — and
-// against what the unfocused carousel's top-5 pass scores.
+// against what the unfocused carousel's top-5 pass scores; the emitted
+// counts are what each request returned.
 func TestViewKeepsCounters(t *testing.T) {
 	f := testFrame(300, 24)
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 24, K: 64})
@@ -414,8 +415,12 @@ func TestViewKeepsCounters(t *testing.T) {
 	s.FocusOn(lin)
 	_, err = s.RecommendationsKContext(context.Background(), 5)
 	must(err)
-	_, err = e.NeighborhoodContext(context.Background(), lin, nil, 10, false)
+	nbrs, err := e.NeighborhoodContext(context.Background(), lin, nil, 10, false)
 	must(err)
+	near := map[string]int{}
+	for _, in := range nbrs {
+		near[in.Class]++
+	}
 	_, err = e.OverviewContext(context.Background(), "linear", "", false)
 	must(err)
 	_, err = e.ExecuteContext(context.Background(), Query{K: 3})
@@ -433,24 +438,23 @@ func TestViewKeepsCounters(t *testing.T) {
 	for _, c := range snap.Classes {
 		n, def := cands[c.Class], scored[c.Class]
 		passed, passedDef := top5[c.Class], definedTop5[c.Class]
-		// The cold carousel emits the top five of what its pass scored,
-		// and so does the warm one unless the cold one left a view; the
-		// focused carousel and the neighborhood emit the whole class, the
-		// top-3 query min(3, def), the fixed query two of what holds a.
+		// Each unfocused carousel emits the top five of what its pass
+		// scored (all of them when a view was left), the focused one five
+		// of the class, the neighborhood the class's neighbors, the top-3
+		// query min(3, def), the fixed query two of what holds a, and the
+		// overview nothing.
 		wantQueries, wantCands := uint64(6), uint64(5*n+withA[c.Class])
 		wantPruned := uint64(2 * (n - passed))
-		wantEmitted := uint64(min(5, passedDef) + 2*def + min(3, def) + min(2, scoredWithA[c.Class]))
+		wantEmitted := uint64(2*min(5, passedDef) + min(5, def) + near[c.Class] + min(3, def) + min(2, scoredWithA[c.Class]))
 		wantFiltered := uint64(passed - passedDef + 3*(n-def) + withA[c.Class] - scoredWithA[c.Class])
 		if passed == n {
-			wantEmitted += uint64(def)
 			wantFiltered += uint64(n - def)
 		} else {
-			wantEmitted += uint64(min(5, passedDef))
 			wantFiltered += uint64(passed - passedDef)
 		}
 		if c.Class == "linear" {
 			wantQueries, wantCands = 8, wantCands+uint64(2*n)
-			wantEmitted += uint64(def + strong)
+			wantEmitted += uint64(strong)
 			wantFiltered += uint64(n - def + n - strong)
 		}
 		if c.Queries != wantQueries || c.Candidates != wantCands || c.Pruned != wantPruned ||

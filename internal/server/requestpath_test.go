@@ -15,6 +15,7 @@ import (
 
 	"foresight/internal/core"
 	"foresight/internal/durable"
+	"foresight/internal/obs"
 	"foresight/internal/query"
 )
 
@@ -312,5 +313,21 @@ func TestMetricFamiliesPinned(t *testing.T) {
 				t.Fatalf("%s line %d:\n got %q\nwant %q", path, i+1, g, w)
 			}
 		}
+	}
+}
+
+// TestRepeatedRouteStatusRecordsWithoutAllocating: once a route has
+// answered a status, counting another such request allocates nothing,
+// and every count lands in the family's child for the pair.
+func TestRepeatedRouteStatusRecordsWithoutAllocating(t *testing.T) {
+	vec := obs.NewRegistry().CounterVec("requests_total", "", "route", "code")
+	rr := &routeRequests{vec: vec, route: "/api/query", byCode: make(map[int]*obs.Counter)}
+	rr.inc(http.StatusNotFound)
+	if allocs := testing.AllocsPerRun(100, func() { rr.inc(http.StatusNotFound) }); allocs != 0 {
+		t.Errorf("a repeated (route, status) allocates %v times a request", allocs)
+	}
+	rr.inc(http.StatusOK)
+	if n404, n200 := vec.With("/api/query", "404").Value(), vec.With("/api/query", "200").Value(); n404 != 102 || n200 != 1 {
+		t.Errorf("counted %d 404s and %d 200s, want 102 and 1", n404, n200)
 	}
 }

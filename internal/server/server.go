@@ -274,6 +274,7 @@ func observeBuildTimings(reg *obs.Registry) *obs.HistogramVec {
 func (s *Server) handle(pattern string, h http.HandlerFunc, allowed ...string) {
 	api := strings.HasPrefix(pattern, "/api/")
 	allow := strings.Join(allowed, ", ")
+	requests := &routeRequests{vec: s.httpRequests, route: pattern, byCode: make(map[int]*obs.Counter)}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(requestIDHeader)
 		if !validRequestID(id) {
@@ -321,7 +322,7 @@ func (s *Server) handle(pattern string, h http.HandlerFunc, allowed ...string) {
 				rw.status = http.StatusOK
 			}
 			s.httpInflight.Add(-1)
-			s.httpRequests.With(pattern, strconv.Itoa(rw.status)).Inc()
+			requests.inc(rw.status)
 			s.httpSeconds.With(pattern).Observe(dur.Seconds())
 			s.httpBytes.With(pattern).Add(uint64(rw.bytes))
 			s.traces.Record(tr.Finish())
@@ -360,6 +361,29 @@ func (s *Server) handle(pattern string, h http.HandlerFunc, allowed ...string) {
 		}
 		h(rw, r)
 	})
+}
+
+// routeRequests counts one route's requests into
+// foresight_http_requests_total, resolving the child of each status
+// code once: the family's With formats the code and joins the label
+// values into a new key on every call.
+type routeRequests struct {
+	vec    *obs.CounterVec
+	route  string
+	mu     sync.Mutex
+	byCode map[int]*obs.Counter
+}
+
+// inc counts one request answered with code.
+func (rr *routeRequests) inc(code int) {
+	rr.mu.Lock()
+	c, ok := rr.byCode[code]
+	if !ok {
+		c = rr.vec.With(rr.route, strconv.Itoa(code))
+		rr.byCode[code] = c
+	}
+	rr.mu.Unlock()
+	c.Inc()
 }
 
 // responseWriter records the status and body bytes a handler wrote,

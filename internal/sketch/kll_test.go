@@ -127,56 +127,6 @@ func TestKLLMerge(t *testing.T) {
 	}
 }
 
-// TestKLLMergeWeighted: w weighted copies of a sketch stand for its
-// stream repeated w times — the count is exact, the donor is left as
-// it was, a raise by a power of two moves every item up without a
-// compaction error, and every quantile stays within the rank bound of
-// the repeated stream.
-func TestKLLMergeWeighted(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	donor := NewKLL(64, 5)
-	var exact []float64
-	for i := 0; i < 5000; i++ {
-		v := rng.NormFloat64()
-		donor.Update(v)
-		exact = append(exact, v)
-	}
-	sort.Float64s(exact)
-	before := donor.Clone()
-	for _, w := range []uint64{1, 2, 7, 64, 1000} {
-		s := NewKLL(64, 6)
-		s.MergeWeighted(donor, w)
-		if s.Count() != w*5000 {
-			t.Fatalf("w=%d: Count = %d", w, s.Count())
-		}
-		if !reflect.DeepEqual(donor, before) {
-			t.Fatalf("w=%d: MergeWeighted changed its donor", w)
-		}
-		eps := s.RankErrorBound()
-		for _, q := range []float64{0.01, 0.25, 0.5, 0.75, 0.99} {
-			lo := stats.QuantileSorted(exact, math.Max(0, q-eps))
-			hi := stats.QuantileSorted(exact, math.Min(1, q+eps))
-			if got := s.Quantile(q); got < lo || got > hi {
-				t.Errorf("w=%d: q%v = %v outside [%v, %v]", w, q, got, lo, hi)
-			}
-		}
-		if w&(w-1) == 0 {
-			// A power of two is one raise: the same items, each 2^j heavier.
-			items, total := s.weighted()
-			want, wantTotal := donor.weighted()
-			if total != w*wantTotal || len(items) != len(want) {
-				t.Errorf("w=%d: %d items weighing %d, want %d weighing %d", w, len(items), total, len(want), w*wantTotal)
-			}
-		}
-	}
-	s := NewKLL(64, 6)
-	s.MergeWeighted(donor, 0)
-	s.MergeWeighted(nil, 3)
-	if s.Count() != 0 {
-		t.Errorf("weight 0 and a nil donor merged %d items", s.Count())
-	}
-}
-
 func TestKLLMergeDifferentLevels(t *testing.T) {
 	big := NewKLL(64, 1)
 	for i := 0; i < 100000; i++ {

@@ -205,30 +205,20 @@ func (s *SpaceSaving) UntrackedBound() uint64 {
 // the result's floor, which reads zero whenever the merge lands below
 // capacity (found by FuzzSpaceSavingMerge).
 func (s *SpaceSaving) Merge(other *SpaceSaving) error {
-	s.MergeWeighted(other, 1)
-	return nil
-}
-
-// MergeWeighted folds w copies of other's stream into s. Repeating a
-// stream w times multiplies every true count by w, so other with its
-// counts, error bounds and untracked bound multiplied by w keeps
-// est ≥ true ≥ est − err for that stream; the merge is then Merge's.
-// other is only read.
-func (s *SpaceSaving) MergeWeighted(other *SpaceSaving, w uint64) {
-	if other == nil || w == 0 {
-		return
+	if other == nil {
+		return nil
 	}
-	boundS, boundO := s.UntrackedBound(), other.UntrackedBound()*w
+	boundS, boundO := s.UntrackedBound(), other.UntrackedBound()
 	merged := make(map[string]*ssCounter, len(s.counters)+len(other.counters))
 	for item, c := range s.counters {
 		merged[item] = &ssCounter{item: item, count: c.count, err: c.err}
 	}
 	for item, c := range other.counters {
 		if m, ok := merged[item]; ok {
-			m.count += c.count * w
-			m.err += c.err * w
+			m.count += c.count
+			m.err += c.err
 		} else {
-			merged[item] = &ssCounter{item: item, count: c.count*w + boundS, err: c.err*w + boundS}
+			merged[item] = &ssCounter{item: item, count: c.count + boundS, err: c.err + boundS}
 		}
 	}
 	for item, m := range merged {
@@ -260,8 +250,9 @@ func (s *SpaceSaving) MergeWeighted(other *SpaceSaving, w uint64) {
 		}
 	}
 	s.counters = merged
-	s.n += other.n * w
+	s.n += other.n
 	s.evictBound = bound
+	return nil
 }
 
 // TrackedItems returns the number of counters currently held.
