@@ -273,22 +273,6 @@ func (h *Histogram) Observe(v float64) {
 	h.addSum(v)
 }
 
-// ObserveAll records a batch of samples in one pass: bucket counts
-// are still bumped per value, but the observation count and the sum
-// each fold in with a single atomic update instead of one per value.
-func (h *Histogram) ObserveAll(vs []float64) {
-	if len(vs) == 0 {
-		return
-	}
-	var sum float64
-	for _, v := range vs {
-		h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
-		sum += v
-	}
-	h.count.Add(uint64(len(vs)))
-	h.addSum(sum)
-}
-
 // addSum adds v to the sum with a compare-and-swap loop over its bits.
 func (h *Histogram) addSum(v float64) {
 	for {

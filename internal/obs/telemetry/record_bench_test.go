@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"foresight/internal/core"
 	"foresight/internal/obs"
 )
 
@@ -12,15 +13,18 @@ import (
 func steadySample() QuerySample {
 	var classes []ClassSample
 	for c := 0; c < 12; c++ {
-		scores := make([]float64, 5)
-		attrs := make([][]string, 5)
-		for i := range scores {
-			scores[i] = 0.1 * float64(i+c)
-			attrs[i] = []string{fmt.Sprintf("col%d", c), fmt.Sprintf("col%d", i+10)}
+		class := fmt.Sprintf("class%d", c)
+		ins := make([]core.Insight, 5)
+		for i := range ins {
+			ins[i] = core.Insight{
+				Class: class,
+				Attrs: []string{fmt.Sprintf("col%d", c), fmt.Sprintf("col%d", i+10)},
+				Score: 0.1 * float64(i+c),
+			}
 		}
 		classes = append(classes, ClassSample{
-			Class: fmt.Sprintf("class%d", c), Scores: scores, Attrs: attrs,
-			Candidates: 56, Pruned: 1, Emitted: 5, Margin: 0.1,
+			Class: class, Insights: ins,
+			Candidates: 56, Pruned: 1, Margin: 0.1,
 		})
 	}
 	return QuerySample{Op: "carousels", Classes: classes, DurationMS: 0.5}

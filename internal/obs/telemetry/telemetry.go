@@ -14,17 +14,20 @@
 //     about to churn.
 //
 // The store is one set of per-class aggregates under one mutex. Record
-// appends a sample to a pending queue; the sketch folds run batched, at
-// Snapshot or inline once the queue doubles past foldBatch.
+// folds each sample into them inline, under that mutex: a sample holds
+// the insights the request returned (a carousel's k a class, an
+// overview none), so a fold is a few sketch updates, and nothing is
+// queued between a request and a scrape.
 //
 // The store follows the engine's cache generation: samples carry the
 // generation they were computed against, and a sample from a newer
 // generation resets the store (the data changed; old score
 // distributions no longer describe it). The reset counts in resets
-// whenever the old generation recorded anything, and the old
-// generation's queued samples count in stale_samples; lifetime
-// counters and the per-query ring survive. Snapshot reports how stale
-// the telemetry is relative to the engine's current generation.
+// whenever the old generation recorded anything; a straggler sample
+// from a generation older than the store's counts in stale_samples.
+// Lifetime counters and the per-query ring survive. Snapshot reports
+// how stale the telemetry is relative to the engine's current
+// generation.
 package telemetry
 
 import (
@@ -34,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"foresight/internal/core"
 	"foresight/internal/obs"
 	"foresight/internal/sketch"
 )
@@ -61,11 +65,9 @@ const (
 type ClassSample struct {
 	// Class is the insight class name.
 	Class string
-	// Scores are the scores of the emitted (returned) insights.
-	Scores []float64
-	// Attrs are the attribute tuples of the emitted insights, parallel
-	// to Scores.
-	Attrs [][]string
+	// Insights are the insights the operation returned for the class,
+	// read only while Record folds them.
+	Insights []core.Insight
 	// Candidates is the number of candidate tuples enumerated.
 	Candidates int
 	// Pruned is the number of candidates skipped outright — never
@@ -75,8 +77,6 @@ type ClassSample struct {
 	// strength-range filters before ranking. (Before pruning existed
 	// this count was misreported as Pruned.)
 	Filtered int
-	// Emitted is the number of insights returned after top-k.
-	Emitted int
 	// Margin is the top-k score margin: the score of the weakest
 	// retained insight minus the strongest excluded one. NaN when the
 	// query did not truncate (k ≤ 0 or fewer survivors than k).
@@ -128,34 +128,31 @@ func newClassAgg(class string) *classAgg {
 	}
 }
 
-// count absorbs one sample's counters and margin into the aggregate;
-// gen tags the margin point.
-func (a *classAgg) count(s ClassSample, gen uint64) {
+// fold absorbs one sample into the aggregate: its counters, its margin
+// (tagged with gen), and the scores and attribute tuples of its
+// insights.
+func (a *classAgg) fold(s ClassSample, gen uint64) {
 	a.queries++
 	a.cands += uint64(s.Candidates)
 	a.pruned += uint64(s.Pruned)
 	a.filtered += uint64(s.Filtered)
-	a.emitted += uint64(s.Emitted)
+	a.emitted += uint64(len(s.Insights))
 	if !math.IsNaN(s.Margin) {
-		a.margins = append(a.margins, MarginPoint{Generation: gen, Margin: s.Margin})
-		if len(a.margins) > marginWindow {
-			a.margins = a.margins[len(a.margins)-marginWindow:]
+		// A full window slides down in place, so it stops allocating.
+		if len(a.margins) == marginWindow {
+			a.margins = a.margins[:copy(a.margins, a.margins[1:])]
 		}
+		a.margins = append(a.margins, MarginPoint{Generation: gen, Margin: s.Margin})
 	}
-}
-
-// observe folds one emission's scores and attribute tuples into the
-// sketches.
-func (a *classAgg) observe(s ClassSample) {
-	a.scores.UpdateAll(s.Scores)
-	for _, attrs := range s.Attrs {
-		for _, col := range attrs {
+	for _, in := range s.Insights {
+		a.scores.Update(in.Score)
+		for _, col := range in.Attrs {
 			a.cols.Update(col)
 		}
-		if len(attrs) >= 2 {
+		if len(in.Attrs) >= 2 {
 			// Build the composite key in the reusable scratch buffer so
 			// the steady state (tuple already tracked) allocates nothing.
-			a.keyBuf = appendTupleKey(a.keyBuf[:0], attrs)
+			a.keyBuf = appendTupleKey(a.keyBuf[:0], in.Attrs)
 			a.tuples.UpdateBytes(a.keyBuf)
 		}
 	}
@@ -171,11 +168,6 @@ func appendTupleKey(buf []byte, attrs []string) []byte {
 	}
 	return buf
 }
-
-// foldBatch sizes the deferred-fold queue: Record folds the oldest
-// foldBatch samples inline once the queue reaches twice this, bounding
-// memory when nothing ever snapshots.
-const foldBatch = 32
 
 // QueryRecord is one entry of the bounded per-query ring.
 type QueryRecord struct {
@@ -244,23 +236,16 @@ var marginBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25
 // into (no-op), so callers never guard.
 type Insights struct {
 	// mu guards the store: the generation its aggregates describe, the
-	// aggregates, the pending queue and the ring.
-	mu      sync.Mutex
-	gen     uint64
-	classes map[string]*classAgg
-	// pending holds recorded samples whose sketch folds are deferred:
-	// Record only appends here, and the folds run batched — at
-	// Snapshot time, or inline once the queue doubles past foldBatch.
-	// Batching keeps the expensive part (sketch map/compactor walks,
-	// cold in a request's cache footprint) off the serving path and
-	// touches each sketch once per batch while it is warm.
-	pending  []QuerySample
+	// aggregates and the ring.
+	mu       sync.Mutex
+	gen      uint64
+	classes  map[string]*classAgg
 	resets   uint64
 	ring     []QueryRecord
 	ringNext int
 
 	totalQueries atomic.Uint64
-	dropped      atomic.Uint64 // stale-generation samples not folded
+	dropped      atomic.Uint64 // samples older than the store's generation
 
 	// Sampled query log: every sampleEvery-th Record emits one
 	// structured line through logger. Set once via SetQueryLog before
@@ -335,13 +320,11 @@ func (t *Insights) Instrument(reg *obs.Registry) {
 	t.m.Store(m)
 }
 
-// Record absorbs one operation's telemetry into the store. Safe on a
-// nil receiver. The serving path pays only an append onto the pending
-// queue and a ring write under the store's lock (plus the
-// counter/histogram bumps below); the sketch folds themselves are
-// deferred and batched — see Insights.pending. Nothing here touches
-// the engine's locks, so callers invoke it strictly after scoring,
-// outside the hot path's critical sections.
+// Record folds one operation's telemetry into the store, inline under
+// the store's lock, and writes its ring entry. Safe on a nil receiver.
+// Nothing here touches the engine's locks, so callers invoke it
+// strictly after scoring, outside the hot path's critical sections,
+// and the store keeps nothing of s once Record returns.
 func (t *Insights) Record(s QuerySample) {
 	if t == nil {
 		return
@@ -352,19 +335,20 @@ func (t *Insights) Record(s QuerySample) {
 	if s.Generation > t.gen {
 		// The data moved under us: the store describes a dataset that
 		// no longer exists. Start fresh.
-		if len(t.classes) > 0 || len(t.pending) > 0 {
+		if len(t.classes) > 0 {
 			t.resets++
 		}
-		t.dropped.Add(uint64(len(t.pending)))
-		clear(t.pending)
-		t.pending = t.pending[:0]
 		t.classes = make(map[string]*classAgg)
 		t.gen = s.Generation
 	}
 	if s.Generation == t.gen {
-		t.pending = append(t.pending, s)
-		if len(t.pending) >= 2*foldBatch {
-			t.foldLocked(foldBatch)
+		for _, cs := range s.Classes {
+			a := t.classes[cs.Class]
+			if a == nil {
+				a = newClassAgg(cs.Class)
+				t.classes[cs.Class] = a
+			}
+			a.fold(cs, s.Generation)
 		}
 	} else {
 		t.dropped.Add(1)
@@ -384,8 +368,10 @@ func (t *Insights) Record(s QuerySample) {
 			cm.cands.Add(uint64(cs.Candidates))
 			cm.pruned.Add(uint64(cs.Pruned))
 			cm.filtered.Add(uint64(cs.Filtered))
-			cm.emitted.Add(uint64(cs.Emitted))
-			cm.scores.ObserveAll(cs.Scores)
+			cm.emitted.Add(uint64(len(cs.Insights)))
+			for _, in := range cs.Insights {
+				cm.scores.Observe(in.Score)
+			}
 			if !math.IsNaN(cs.Margin) {
 				cm.margins.Observe(cs.Margin)
 			}
@@ -409,27 +395,6 @@ func (t *Insights) Record(s QuerySample) {
 	}
 }
 
-// foldLocked folds the oldest n pending samples into the aggregates,
-// in record order. The caller holds t.mu.
-func (t *Insights) foldLocked(n int) {
-	for _, p := range t.pending[:n] {
-		for _, cs := range p.Classes {
-			a := t.classes[cs.Class]
-			if a == nil {
-				a = newClassAgg(cs.Class)
-				t.classes[cs.Class] = a
-			}
-			a.count(cs, p.Generation)
-			a.observe(cs)
-		}
-	}
-	// Slide the tail down and zero the vacated slots so folded samples
-	// stop pinning the engine's score/attr slices.
-	rem := copy(t.pending, t.pending[n:])
-	clear(t.pending[rem:])
-	t.pending = t.pending[:rem]
-}
-
 // queryRecordFor summarizes one sample as a ring entry.
 func queryRecordFor(s QuerySample) QueryRecord {
 	rec := QueryRecord{
@@ -443,7 +408,7 @@ func queryRecordFor(s QuerySample) QueryRecord {
 		rec.Candidates += cs.Candidates
 		rec.Pruned += cs.Pruned
 		rec.Filtered += cs.Filtered
-		rec.Emitted += cs.Emitted
+		rec.Emitted += len(cs.Insights)
 		if !math.IsNaN(cs.Margin) && (rec.MinMargin < 0 || cs.Margin < rec.MinMargin) {
 			rec.MinMargin = cs.Margin
 		}
@@ -506,10 +471,10 @@ type Snapshot struct {
 	RecentQueries []QueryRecord `json:"recent_queries,omitempty"`
 }
 
-// Snapshot folds the pending queue into the store and returns the
-// JSON-ready view. currentGen is the engine's live cache generation,
-// used to report staleness. topN caps the hot-column/tuple lists
-// (≤0 → 10). Safe on a nil receiver (returns the zero Snapshot).
+// Snapshot returns the store's JSON-ready view. currentGen is the
+// engine's live cache generation, used to report staleness. topN caps
+// the hot-column/tuple lists (≤0 → 10). Safe on a nil receiver
+// (returns the zero Snapshot).
 func (t *Insights) Snapshot(currentGen uint64, topN int) Snapshot {
 	if t == nil {
 		return Snapshot{CurrentGeneration: currentGen}
@@ -521,7 +486,6 @@ func (t *Insights) Snapshot(currentGen uint64, topN int) Snapshot {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.foldLocked(len(t.pending))
 	snap := Snapshot{
 		Generation:        t.gen,
 		CurrentGeneration: currentGen,

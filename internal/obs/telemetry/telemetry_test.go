@@ -12,16 +12,26 @@ import (
 	"sync"
 	"testing"
 
+	"foresight/internal/core"
 	"foresight/internal/obs"
 	"foresight/internal/stats"
 )
 
+// sampleFor is one execute of class returning an insight per score,
+// attrs[i] the tuple of the ith (none past the end of attrs).
 func sampleFor(class string, scores []float64, attrs [][]string) QuerySample {
+	ins := make([]core.Insight, len(scores))
+	for i, s := range scores {
+		ins[i] = core.Insight{Class: class, Score: s}
+		if i < len(attrs) {
+			ins[i].Attrs = attrs[i]
+		}
+	}
 	return QuerySample{
 		Op: "execute", Generation: 1, DurationMS: 1,
 		Classes: []ClassSample{{
-			Class: class, Scores: scores, Attrs: attrs,
-			Candidates: len(scores) + 2, Pruned: 2, Filtered: 1, Emitted: len(scores),
+			Class: class, Insights: ins,
+			Candidates: len(scores) + 2, Pruned: 2, Filtered: 1,
 			Margin: math.NaN(),
 		}},
 	}
@@ -192,17 +202,18 @@ func TestGenerationBumpResetsSketches(t *testing.T) {
 	}
 }
 
-// TestGenerationBumpAccountsEverySample records 2·foldBatch samples at
-// generation 1 — the inline fold takes the first foldBatch, the rest
-// stay queued — and then one at generation 2, with and without a
-// scrape in between. Either way the bump is one reset, every sample
-// counts in total_queries, and the class reports only the generation-2
-// sample; without the scrape the queued generation-1 samples are
-// discarded and counted as stale.
+// TestGenerationBumpAccountsEverySample records 64 samples at
+// generation 1, then one at generation 2, with and without a scrape in
+// between, then a straggler from generation 1. Every sample is folded
+// as it is recorded, so the scrape changes nothing: the bump is one
+// reset, every sample counts in total_queries, the class reports only
+// the generation-2 sample, and stale_samples counts the straggler
+// alone.
 func TestGenerationBumpAccountsEverySample(t *testing.T) {
+	const old = 64
 	for _, scrape := range []bool{false, true} {
 		ins := New()
-		for i := 0; i < 2*foldBatch; i++ {
+		for i := 0; i < old; i++ {
 			ins.Record(sampleFor("dip", []float64{0.3}, [][]string{{"old_col"}}))
 		}
 		if scrape {
@@ -212,13 +223,9 @@ func TestGenerationBumpAccountsEverySample(t *testing.T) {
 		s.Generation = 2
 		ins.Record(s)
 		snap := ins.Snapshot(2, 5)
-		wantStale := uint64(foldBatch)
-		if scrape {
-			wantStale = 0
-		}
-		if snap.Resets != 1 || snap.TotalQueries != 2*foldBatch+1 || snap.StaleSamples != wantStale {
-			t.Fatalf("scrape=%v: resets=%d total_queries=%d stale_samples=%d, want 1, %d, %d",
-				scrape, snap.Resets, snap.TotalQueries, snap.StaleSamples, 2*foldBatch+1, wantStale)
+		if snap.Resets != 1 || snap.TotalQueries != old+1 || snap.StaleSamples != 0 {
+			t.Fatalf("scrape=%v: resets=%d total_queries=%d stale_samples=%d, want 1, %d, 0",
+				scrape, snap.Resets, snap.TotalQueries, snap.StaleSamples, old+1)
 		}
 		if len(snap.Classes) != 1 {
 			t.Fatalf("scrape=%v: classes = %+v", scrape, snap.Classes)
@@ -226,6 +233,11 @@ func TestGenerationBumpAccountsEverySample(t *testing.T) {
 		cs := snap.Classes[0]
 		if cs.Queries != 1 || cs.ScoreCount != 1 || len(cs.HotColumns) != 1 || cs.HotColumns[0].Item != "new_col" {
 			t.Fatalf("scrape=%v: class reports more than the generation-2 sample: %+v", scrape, cs)
+		}
+		ins.Record(sampleFor("dip", []float64{0.3}, [][]string{{"old_col"}}))
+		if snap := ins.Snapshot(2, 5); snap.StaleSamples != 1 || snap.Classes[0].Queries != 1 {
+			t.Fatalf("scrape=%v: a straggler gave stale_samples=%d, class %+v; want 1 and the class unchanged",
+				scrape, snap.StaleSamples, snap.Classes[0])
 		}
 	}
 }

@@ -96,8 +96,8 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 // of every class.
 func scanRecommendations(ctx context.Context, s *Session, k int) ([]Result, error) {
 	q := Query{Approx: s.Approx}
-	if len(s.Focus) == 0 {
-		q.top = k
+	if len(s.Focus) == 0 && !s.Approx {
+		q.K = k
 	}
 	rq, rs, err := s.engine.executeOp(ctx, q, "carousels")
 	if err != nil {

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"foresight/internal/core"
-	"foresight/internal/obs"
-	"foresight/internal/obs/telemetry"
 )
 
 // Overview is the paper's optional per-class "global view of insight
@@ -151,52 +149,27 @@ func (e *Engine) OverviewJSON(ctx context.Context, className, metric string, app
 	return body, gen, err
 }
 
-// overviewView is one overview operation: it validates the request,
-// fetches (or builds) the class view that holds the overview, and
-// records the operation's metrics and telemetry.
+// overviewView is one overview operation, a whole-class read like any
+// other: begin parses it, scoreClass ranks the class, whose view holds
+// the overview, and the request records it. An overview returns no
+// insights, so its telemetry has no scores and no margin.
 func (e *Engine) overviewView(ctx context.Context, className, metric string, approx bool) (*classView, uint64, error) {
-	start := time.Now()
-	defer e.observeOp("overview", start)
-	if err := ctx.Err(); err != nil {
-		return nil, 0, e.noteCancel(err)
+	defer e.observeOp("overview", time.Now())
+	rq, err := e.begin(ctx, Query{Classes: []string{className}, Metric: metric, Approx: approx})
+	if err != nil {
+		return nil, 0, err
 	}
-	c, ok := e.registry.Lookup(className)
-	if !ok {
-		return nil, 0, fmt.Errorf("query: unknown insight class %q", className)
-	}
-	if metric != "" && !supportsMetric(c, metric) {
-		return nil, 0, fmt.Errorf("query: class %q does not support metric %q", className, metric)
-	}
+	c := rq.classes[0]
 	if c.Arity() > 2 {
 		return nil, 0, fmt.Errorf("query: class %q (arity %d) has no overview visualization", className, c.Arity())
 	}
-	g := e.gen.Load()
-	if approx && g.profile == nil {
-		return nil, 0, fmt.Errorf("query: approximate overview requires a preprocessed profile")
-	}
-	if metric == "" {
-		metric = c.Metrics()[0]
-	}
-	// An overview shows every tuple, so it reads the view every other
-	// whole-class request of the generation reads.
-	v, err := e.viewOf(ctx, obs.TraceFrom(ctx), g, c, metric, approx, true)
+	r, err := e.scoreClass(ctx, rq.tr, rq.g, c, Query{Approx: approx}, rq.metrics[0], rq.maxScore)
 	if err != nil {
 		return nil, 0, e.noteCancel(err)
 	}
-	if telem := e.telem.Load(); telem != nil {
-		// An overview returns no insights, so the sample has no scores
-		// and no margin, and nothing is ever pruned; filtered counts
-		// the tuples whose metric was undefined or whose scoring
-		// errored.
-		counts := passCounts{candidates: v.candidates, filtered: v.candidates - len(v.ranked)}
-		telem.Record(telemetry.QuerySample{
-			Op:         "overview",
-			Generation: g.n,
-			DurationMS: time.Since(start).Seconds() * 1e3,
-			Classes:    []telemetry.ClassSample{classSample(c.Name(), counts, nil, math.NaN())},
-		})
-	}
-	return v, g.n, nil
+	rq.note(r.class, r.counts, nil, math.NaN())
+	rq.record("overview")
+	return r.view, rq.g.n, nil
 }
 
 // unitDiagonal names the symmetric metrics under which an attribute's

@@ -70,8 +70,11 @@ func TestPruningEquivalence(t *testing.T) {
 	}
 
 	// Considered counts every candidate of a bounded pass, whether the
-	// memo answered it or not. Linear has no view yet, so a fixed-
-	// attribute query takes the pass.
+	// memo answered it or not. A fresh generation holds no view of
+	// linear, so a fixed-attribute query takes the pass.
+	if err := e.RestoreSnapshot(f, nil); err != nil {
+		t.Fatal(err)
+	}
 	lin, _ := e.registry.Lookup("linear")
 	want := uint64(0)
 	for _, attrs := range lin.Candidates(f) {

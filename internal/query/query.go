@@ -54,8 +54,6 @@ type Query struct {
 	// represent currency or dates"). Applies to any position in the
 	// tuple: at least one attribute must match.
 	Semantic frame.SemanticType `json:"semantic,omitempty"`
-	// top is the carousel length of a session without a focus.
-	top int
 	// keep, when set, is one more structural constraint on a tuple.
 	keep func(attrs []string) bool
 }
@@ -334,6 +332,9 @@ func (e *Engine) begin(ctx context.Context, q Query) (request, error) {
 		}
 		rq.classes, rq.metrics = append(rq.classes, c), append(rq.metrics, metric)
 	}
+	if rq.telem != nil {
+		rq.samples = make([]telemetry.ClassSample, 0, len(rq.classes))
+	}
 	return rq, nil
 }
 
@@ -342,7 +343,14 @@ func (e *Engine) begin(ctx context.Context, q Query) (request, error) {
 // margin, and the counts of the pass that produced them.
 func (rq *request) note(class string, c passCounts, ins []core.Insight, margin float64) {
 	if rq.telem != nil {
-		rq.samples = append(rq.samples, classSample(class, c, ins, margin))
+		rq.samples = append(rq.samples, telemetry.ClassSample{
+			Class:      class,
+			Insights:   ins,
+			Candidates: c.candidates,
+			Pruned:     c.pruned,
+			Filtered:   c.filtered,
+			Margin:     margin,
+		})
 	}
 }
 
@@ -358,62 +366,44 @@ func (rq *request) record(op string) {
 	}
 }
 
-// scoreClass ranks one class against generation g under the resolved
-// metric, with the counts of the pass that ranked it and the score its
-// top-k cut left out first, from which the caller records what it
+// scoreClass is the one place a class is enumerated, scored, published
+// and ranked: it ranks class c against generation g under the resolved
+// metric, with the counts of the pass behind the ranking and the score
+// its top-k cut left out first, from which the caller records what it
 // returns.
 //
-// A query that constrains no attribute ranks the whole class, and the
-// class view is that ranking: SortInsights is a total order, so the
-// insights within [MinScore, MaxScore] are one contiguous run of the
-// view, their top k is the head of that run, and the strongest
-// excluded insight is the one right after it — filter → top-k over
-// the scored candidates gives exactly this slice. Such a query reads
-// the generation's view when there is one and builds it when its own
-// pass would score every candidate anyway. A query that fixes
-// attributes and nothing else reads the view's attribute index when
-// there is a view (fixedFromView). Otherwise — a semantic or keep
-// constraint, or a query arriving before any view — the candidates go
-// through the bound-ordered per-candidate pass. So
-// does an exact session carousel without a focus (q.top) of a class
-// without a view, whatever the class: bounds that discriminate (profile
-// moments, a carried certificate) leave most candidates unscored, and a
-// class they cut nothing from — a constant bound is one run of equal
-// bounds, one chunk — is scored whole, and the pass leaves its view.
+// A read with no semantic or keep constraint is answered from the
+// generation's view of the class when there is one: a whole-class read
+// is a slice of it (sliceView), a fixed-attribute read a walk of its
+// attribute index (fixedFromView). Otherwise the candidates go through
+// the bound-ordered pass under the read's own K and MinScore. A
+// whole-class pass that pruned nothing has scored every candidate — no
+// bounds, nothing to prune against, or bounds that cut nothing (a
+// constant bound is one run of equal bounds, one chunk) — so it
+// publishes the class's view, whatever K was, and answers from it. A
+// pass that pruned (profile moments, a carried certificate) or that
+// saw only part of the class ranks what it scored.
 //
-// The next score of that pass, hence its margin telemetry, is
+// The next score of a pruned pass, hence its margin telemetry, is
 // conservative: the strongest excluded candidate may have been pruned
 // rather than scored, so the reported margin can exceed the true one.
 // The returned insights are unaffected (see the equivalence argument
 // in score.go).
 func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c core.Class, q Query, metric string, maxScore float64) (ranking, error) {
 	r := ranking{class: c.Name(), metric: metric, next: math.NaN()}
-	whole := len(q.Fixed) == 0 && q.Semantic == frame.SemanticNone && q.keep == nil
-	k := q.K
-	if whole && k <= 0 && !q.Approx {
-		k = q.top
-	}
-	if whole {
-		v, err := e.viewOf(ctx, tr, g, c, metric, q.Approx, !prunes(c, g, k, q.MinScore))
-		if err != nil {
-			return r, err
-		}
-		if v != nil {
+	key := viewKey{class: r.class, metric: metric, approx: q.Approx}
+	free := q.Semantic == frame.SemanticNone && q.keep == nil
+	whole := free && len(q.Fixed) == 0
+	if free {
+		if v := g.view(key); v != nil {
 			defer tr.StartSpan("rank:" + r.class)()
-			lo, hi := v.scoreRange(q.MinScore, maxScore)
-			end := hi
-			if q.K > 0 && lo+q.K < hi {
-				end, r.next = lo+q.K, v.ranked[lo+q.K].Score
+			if !whole {
+				return e.fixedFromView(r, v, q, maxScore), nil
 			}
-			r.ins, r.view, r.from = v.ranked[lo:end], v, lo
-			r.counts = passCounts{candidates: v.candidates, filtered: v.candidates - (hi - lo)}
-			return r, nil
-		}
-	}
-	if len(q.Fixed) > 0 && q.Semantic == frame.SemanticNone && q.keep == nil {
-		if v := g.view(viewKey{class: r.class, metric: metric, approx: q.Approx}); v != nil {
-			defer tr.StartSpan("rank:" + r.class)()
-			return e.fixedFromView(r, v, q, maxScore), nil
+			// A view read stands for one memo hit per candidate, which
+			// keeps the hit ratio meaning "scored before".
+			e.hits.Add(uint64(v.candidates))
+			return sliceView(r, v, q, maxScore), nil
 		}
 	}
 	// Filter candidates by the structural constraints first, then
@@ -434,15 +424,17 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c
 		return r, err
 	}
 	endScore := tr.StartSpan("score:" + r.class)
-	scored, pruned, err := e.scorePass(ctx, g, c, cands, q.Approx, metric, k, q.MinScore, maxScore)
+	scored, pruned, err := e.scorePass(ctx, g, c, cands, q.Approx, metric, q.K, q.MinScore, maxScore)
 	endScore()
 	if err != nil {
 		return r, err
 	}
-	if whole && k != q.K && pruned == 0 {
+	if whole && pruned == 0 {
 		endView := tr.StartSpan("view:" + r.class)
-		g.publishView(viewKey{class: r.class, metric: metric, approx: q.Approx}, newClassView(c, metric, cands, scored))
+		v := g.publishView(key, newClassView(c, metric, cands, scored))
 		endView()
+		defer tr.StartSpan("rank:" + r.class)()
+		return sliceView(r, v, q, maxScore), nil
 	}
 	defer tr.StartSpan("rank:" + r.class)()
 	ins := make([]core.Insight, 0, len(scored)-pruned)
@@ -453,9 +445,25 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c
 		}
 		ins = append(ins, in)
 	}
-	r.ins, r.next = core.TopKExcluded(ins, k)
+	r.ins, r.next = core.TopKExcluded(ins, q.K)
 	r.counts = passCounts{candidates: len(cands), pruned: pruned, filtered: len(cands) - pruned - len(ins)}
 	return r, nil
+}
+
+// sliceView ranks the whole class from its view v: SortInsights is a
+// total order, so the insights within [MinScore, maxScore] are one
+// contiguous run of the view, their top K is the head of that run, and
+// the strongest excluded insight is the one right after it — filter →
+// top-k over the scored candidates gives exactly this slice.
+func sliceView(r ranking, v *classView, q Query, maxScore float64) ranking {
+	lo, hi := v.scoreRange(q.MinScore, maxScore)
+	end := hi
+	if q.K > 0 && lo+q.K < hi {
+		end, r.next = lo+q.K, v.ranked[lo+q.K].Score
+	}
+	r.ins, r.view, r.from = v.ranked[lo:end], v, lo
+	r.counts = passCounts{candidates: v.candidates, filtered: v.candidates - (hi - lo)}
+	return r
 }
 
 // fixedFromView ranks the insights of view v that hold every attribute
@@ -499,26 +507,6 @@ func (e *Engine) fixedFromView(r ranking, v *classView, q Query, maxScore float6
 	e.hits.Add(uint64(matched))
 	r.counts = passCounts{candidates: matched, filtered: matched - kept}
 	return r
-}
-
-// classSample is the telemetry record of one class: the counts of the
-// pass behind it and the insights returned from it.
-func classSample(class string, c passCounts, emitted []core.Insight, margin float64) telemetry.ClassSample {
-	st := telemetry.ClassSample{
-		Class:      class,
-		Candidates: c.candidates,
-		Pruned:     c.pruned,
-		Filtered:   c.filtered,
-		Emitted:    len(emitted),
-		Margin:     margin,
-		Scores:     make([]float64, len(emitted)),
-		Attrs:      make([][]string, len(emitted)),
-	}
-	for i, in := range emitted {
-		st.Scores[i] = in.Score
-		st.Attrs[i] = in.Attrs
-	}
-	return st
 }
 
 // topKMargin returns the top-k score margin: the score of the weakest

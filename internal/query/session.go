@@ -337,12 +337,14 @@ func (s *Session) relevance(attrs []string) float64 {
 // in the engine metrics and telemetry — this is the carousel view's
 // serving path.
 func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result, error) {
-	// The query constrains nothing, so a ranking is a class view, read
-	// in place with only the carousels copied out — or, without a focus
-	// to re-rank by, just the top k of a class that can prune.
+	// The query constrains nothing. Without a focus to re-rank by, an
+	// exact carousel is each class's top k, which a class that can prune
+	// ranks without scoring it whole. A focused or approximate one reads
+	// each class whole, in place from its view, with only the carousels
+	// copied out.
 	q := Query{Approx: s.Approx}
-	if len(s.Focus) == 0 {
-		q.top = k
+	if len(s.Focus) == 0 && !s.Approx {
+		q.K = k
 	}
 	rq, rs, err := s.engine.executeOp(ctx, q, "carousels")
 	if err != nil {

@@ -1,14 +1,12 @@
 package query
 
 import (
-	"context"
 	"math"
 	"slices"
 	"sort"
 	"sync"
 
 	"foresight/internal/core"
-	"foresight/internal/obs"
 )
 
 // This file implements the class view: the ranking of one whole class,
@@ -16,18 +14,20 @@ import (
 // repeated request cheap per candidate; at "attributes in the
 // hundreds" a class has tens of thousands of candidates, and every
 // carousel, neighborhood and overview still re-keyed, re-copied and
-// re-sorted all of them. A view is that work done once: it is built by
-// the first request that needs the whole class, from the slots the
-// ordinary scoring pass returns, and every later whole-class read of
-// the generation is a slice of it. The reads that want only the tuples
+// re-sorted all of them. A view is that work done once. scoreClass
+// (query.go) alone builds and reads views: the first whole-class pass
+// of a generation that prunes nothing, at any K, publishes the view
+// from the slots it scored, and every later whole-class read of the
+// generation is a slice of it. The reads that want only the tuples
 // holding given attributes — a fix= query, a focused carousel, a
-// neighborhood — find them through the view's attribute index (holding),
-// built by the first of them.
+// neighborhood — find them through the view's attribute index
+// (holding), built by the first of them.
 //
 // A view lives in its generation beside the memo, under the same mutex,
 // and is dropped with it, so it needs no size knob and no eviction:
 // there are at most classes × metrics × 2 of them, each as large as its
-// class.
+// class. A pass cancelled mid-scoring publishes nothing, and leaves only
+// the memoized scores its retry starts from.
 
 // viewKey names a view: a class under a resolved metric on the exact
 // or the approximate backend.
@@ -182,38 +182,4 @@ func (g *generation) publishView(k viewKey, v *classView) *classView {
 	}
 	g.views[k] = v
 	return v
-}
-
-// viewOf returns g's view of class c under the resolved metric. Serving
-// a class from its view stands for one memo hit per candidate, which
-// keeps the hit ratio meaning "scored before". When g holds none and
-// build is set, it scores every candidate through scorePass with
-// nothing to prune against — so the memo, the singleflight map, the
-// worker pool and cancellation all apply as to any other pass — ranks
-// the result and publishes it; without build it returns nil. An error
-// (cancellation) leaves no view behind, only the memoized scores the
-// retry starts from.
-func (e *Engine) viewOf(ctx context.Context, tr *obs.Trace, g *generation, c core.Class, metric string, approx, build bool) (*classView, error) {
-	key := viewKey{class: c.Name(), metric: metric, approx: approx}
-	if v := g.view(key); v != nil {
-		e.hits.Add(uint64(v.candidates))
-		return v, nil
-	}
-	if !build {
-		return nil, nil
-	}
-	endEnum := tr.StartSpan("enumerate:" + key.class)
-	cands := c.Candidates(g.frame)
-	endEnum()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	endScore := tr.StartSpan("score:" + key.class)
-	scored, _, err := e.scorePass(ctx, g, c, cands, approx, metric, 0, 0, math.Inf(1))
-	endScore()
-	if err != nil {
-		return nil, err
-	}
-	defer tr.StartSpan("view:" + key.class)()
-	return g.publishView(key, newClassView(c, metric, cands, scored)), nil
 }

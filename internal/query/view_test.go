@@ -197,26 +197,31 @@ func TestViewDiesWithGeneration(t *testing.T) {
 	}
 
 	lin, _ := e.registry.Lookup("linear")
+	read := func(g *generation) *classView {
+		t.Helper()
+		r, err := e.scoreClass(context.Background(), nil, g, lin, Query{}, "pearson", math.Inf(1))
+		if err != nil || r.view == nil {
+			t.Fatalf("whole-class read of generation %d: view %v, err %v", g.n, r.view, err)
+		}
+		return r.view
+	}
 	stale := e.gen.Load()
 	if err := e.RestoreSnapshot(e.Frame(), nil); err != nil {
 		t.Fatal(err)
 	}
 	before := e.CacheStats()
-	v, err := e.viewOf(context.Background(), nil, stale, lin, "pearson", false, true)
-	if err != nil || v == nil {
-		t.Fatalf("stale build: view %v, err %v", v, err)
-	}
+	v := read(stale)
 	if n := viewCount(e); n != 0 {
 		t.Errorf("a retired generation's pass published %d views into the live one", n)
 	}
 	if after := e.CacheStats(); after.Entries != before.Entries || after.Generation != before.Generation {
 		t.Errorf("a retired generation's pass touched the live memo: %+v, was %+v", after, before)
 	}
-	live, err := e.viewOf(context.Background(), nil, e.gen.Load(), lin, "pearson", false, true)
-	if err != nil || viewCount(e) != 1 {
-		t.Fatalf("live build: err %v, %d views", err, viewCount(e))
+	live := read(e.gen.Load())
+	if n := viewCount(e); n != 1 {
+		t.Fatalf("live build left %d views, want 1", n)
 	}
-	if got, _ := e.viewOf(context.Background(), nil, stale, lin, "pearson", false, false); got != v || got == live {
+	if got := read(stale); got != v || got == live {
 		t.Error("a retired generation read the live generation's view instead of its own")
 	}
 	if !insightsEqual(v.ranked, live.ranked) {
@@ -623,5 +628,78 @@ func TestWarmReadAllocationCeiling(t *testing.T) {
 		if a > small[op]+2 {
 			t.Errorf("%s: %v allocations at %d candidates, %v at %d: grows with the class", op, small[op], nSmall, a, nLarge)
 		}
+	}
+}
+
+// TestWholePassPublishesItsView: a whole-class top-k query whose pass
+// prunes nothing — linear's bound is a constant, so its candidates are
+// one run of equal bounds — has scored the class whole and publishes
+// the view, whatever its K; the next identical query reads it. Two
+// first queries of a fresh generation agree and publish one view.
+func TestWholePassPublishesItsView(t *testing.T) {
+	f := datagen.OECD(0, 42)
+	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 42, Spearman: true})
+	e, err := NewEngine(f, core.NewRegistry(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin, _ := e.registry.Lookup("linear")
+	n := uint64(len(lin.Candidates(f)))
+	if n != 276 {
+		t.Fatalf("oecd has %d linear candidates, want 276", n)
+	}
+	q := Query{Classes: []string{"linear"}, K: 3}
+	var first []Result
+	for call := 0; call < 3; call++ {
+		before := e.CacheStats()
+		got, err := e.ExecuteContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := e.CacheStats()
+		hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+		switch {
+		case call == 0 && (misses != n || hits != 0):
+			t.Errorf("first call: %d misses, %d hits; want %d misses", misses, hits, n)
+		case call > 0 && (hits != n || misses != 0):
+			t.Errorf("call %d: %d hits, %d misses; want %d hits and nothing scored", call, hits, misses, n)
+		}
+		if v := viewCount(e); v != 1 {
+			t.Errorf("call %d: the generation holds %d views, want 1", call, v)
+		}
+		if call == 0 {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Errorf("call %d replied differently from the first", call)
+		}
+	}
+	if len(first) != 1 || len(first[0].Insights) != 3 {
+		t.Fatalf("reply %+v, want linear's top 3", first)
+	}
+
+	if err := e.RestoreSnapshot(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	replies := make([][]Result, 2)
+	errs := make([]error, 2)
+	for i := range replies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			replies[i], errs[i] = e.ExecuteContext(context.Background(), q)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(replies[0], replies[1]) || !reflect.DeepEqual(replies[0], first) {
+		t.Error("two first queries of a fresh generation replied differently")
+	}
+	if v := viewCount(e); v != 1 {
+		t.Errorf("two first queries published %d views, want 1", v)
 	}
 }

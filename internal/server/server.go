@@ -950,7 +950,6 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 // carried before the split), top-k margin trends, the recent-query
 // ring, and staleness against the engine's live cache generation.
 // ?top= bounds the hot-item lists.
-// Snapshotting folds the store's pending samples under its lock.
 func (s *Server) handleDebugInsights(w http.ResponseWriter, r *http.Request) {
 	top := intParam(r, "top", 10)
 	snap := s.telem.Snapshot(s.engine.CacheStats().Generation, top)
