@@ -28,16 +28,21 @@ type RowBatch struct {
 // can see changes, so concurrent readers of f stay consistent; an
 // empty batch returns f itself.
 //
-// The cost is amortised O(batch) cells per column, plus a copy of each
-// categorical dictionary: a successor column shares its predecessor's
-// backing array and writes only the spare capacity above the
-// predecessor's Len() (see growTail), so a chain of appends — each
-// onto the frame the last one returned, as live ingest does — copies a
-// column only when it outgrows its array. Appending to the same frame
-// twice is allowed; the second successor copies. A numeric column
-// whose ordered view was already built hands its row order to the
-// successor column, merged with the batch rows in O(n + b·log n)
-// rather than re-sorted; a column nobody ordered hands over nothing.
+// The cost is O(batch) cells per column: a column is its loaded prefix
+// plus the rows appended since in tail chunks (see cells), and a
+// successor column shares its predecessor's arrays and writes only
+// past the predecessor's Len() — into the spare capacity there when
+// the batch fits, else into a new chunk — so a chain of appends, each
+// onto the frame the last one returned, as live ingest does, copies no
+// column. Each categorical dictionary, and the index from text to
+// code, grows the same way. Appending to the same frame twice is
+// allowed; the second successor writes a chunk of its own. A whole-
+// column reader (Values, Codes, Ordered…) folds a column's chunks into
+// one array once, on first call, and the column's successor takes that
+// array's spare capacity. A numeric column hands its successor the
+// row order and moments its ordered view had (or it was handed); the
+// successor's first Ordered call splices in the rows they miss,
+// O(n + b·log n), rather than re-sorting.
 // opts may be nil for defaults; only Comma is ignored (the batch is
 // already split into cells).
 func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
@@ -74,6 +79,7 @@ func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 		}
 	}
 
+	k := len(b.Records)
 	cols := make([]Column, len(f.cols))
 	for ci, c := range f.cols {
 		bi := fieldOf[ci]
@@ -85,9 +91,10 @@ func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 		}
 		switch col := c.(type) {
 		case *NumericColumn:
-			vals := growTail(col.values, &col.tail, len(b.Records))
+			next := new(NumericColumn)
+			vals, _ := col.cells.extendInto(&next.cells, k)
 			missing := 0
-			for r := range b.Records {
+			for r := range vals {
 				s := cell(r)
 				v := math.NaN()
 				if !missingCell.is(s) {
@@ -98,37 +105,40 @@ func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {
 				if math.IsNaN(v) {
 					missing++
 				}
-				vals[f.rows+r] = v
+				vals[r] = v
 			}
-			cols[ci] = col.extended(vals, missing)
+			col.extended(next, missing)
+			cols[ci] = next
 		case *CategoricalColumn:
-			// The successor's codes continue the predecessor's in the array
-			// growTail hands over; its dictionary is a copy that grows.
-			codes := growTail(col.codes, &col.tail, len(b.Records))
-			d := dictionary{
-				codes:   codes[:f.rows],
-				dict:    append([]string(nil), col.dict...),
-				index:   make(map[string]int32, len(col.dict)),
-				missing: col.missing,
+			// With the tail claim the successor takes the dictionary's spare
+			// capacity and its index; without it, a copy that grows.
+			next := &CategoricalColumn{name: col.name}
+			codes, owner := col.cells.extendInto(&next.cells, k)
+			d := dictionary{codes: codes[:0], dict: col.dict, index: col.index}
+			if !owner {
+				d.dict, d.index = d.dict[:len(d.dict):len(d.dict)], nil
 			}
-			for code, v := range d.dict {
-				d.index[v] = int32(code)
+			if d.index == nil {
+				d.index = make(map[string]int32, len(d.dict))
+				for code, v := range d.dict {
+					d.index[v] = int32(code)
+				}
 			}
-			for r := range b.Records {
+			for r := range codes {
 				s := cell(r)
 				d.add(s, missingCell.is(s))
 			}
-			cols[ci] = d.column(col.name)
+			next.dict, next.index, next.missing = d.dict, d.index, col.missing+d.missing
+			cols[ci] = next
 		default:
 			return nil, fmt.Errorf("frame: append: cannot append to column kind %T", c)
 		}
 	}
-	out, err := New(f.name, cols...)
-	if err != nil {
-		return nil, err
-	}
+	// The columns keep their names and order, so the name index is f's,
+	// which nothing writes after New; the metadata is the successor's own.
+	out := &Frame{name: f.name, cols: cols, byName: f.byName, meta: make(map[string]Metadata, len(f.meta)), rows: f.rows + k}
 	for name, m := range f.meta {
-		_ = out.SetMeta(name, m)
+		out.meta[name] = m
 	}
 	return out, nil
 }

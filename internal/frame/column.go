@@ -58,43 +58,28 @@ type Column interface {
 }
 
 // NumericColumn is a column of float64 values. Missing values are
-// stored as NaN, so the backing slice always has length Len().
+// stored as NaN.
 type NumericColumn struct {
-	name string
-	// values has length Len(); the capacity past it is the tail (see
-	// growTail), so every accessor hands out values[:n:n].
-	values  []float64
-	tail    atomic.Bool
+	name    string
+	cells   cells[float64]
 	missing int
 
 	// The ordered view (see Ordered) is built at most once, on first
-	// request. carried is the row order handed down by AppendRows when
-	// the predecessor column had one, and fold the moments and sum of a
-	// prefix of the rows, handed down with it; both are written before
-	// the column is shared and never after.
+	// request. carried is what AppendRows handed down of the nearest
+	// predecessor that had a view: written before the column is shared
+	// and never after, and shared by every successor until one builds a
+	// view of its own.
 	viewOnce sync.Once
 	view     atomic.Pointer[stats.Ordered]
-	carried  []int32
-	fold     stats.Fold
+	carried  *carry
 }
 
-// growTail returns a slice of length len(s)+extra whose first len(s)
-// cells are s's and whose remaining cells the caller may write: how a
-// successor column extends its predecessor in amortised O(extra). A
-// column's backing array is append-only — cells below Len() never
-// change, and readers never see past Len() — so the successor can
-// share it and write only the spare capacity above. That tail goes to
-// at most one successor, the first to claim it; a second append from
-// the same column, or one the spare capacity cannot hold, copies into
-// a new array a quarter larger than it needs.
-func growTail[T any](s []T, claimed *atomic.Bool, extra int) []T {
-	n := len(s)
-	if cap(s)-n >= extra && claimed.CompareAndSwap(false, true) {
-		return s[:n+extra]
-	}
-	out := make([]T, n+extra, max(n+extra, n+n/4))
-	copy(out, s)
-	return out
+// carry is the order of a column's first rows and the fold — moments
+// and sum — of a prefix of them, handed down an append chain.
+type carry struct {
+	order []int32
+	rows  int
+	fold  stats.Fold
 }
 
 // NewNumericColumn builds a numeric column over values. The slice is
@@ -107,7 +92,7 @@ func NewNumericColumn(name string, values []float64) *NumericColumn {
 			missing++
 		}
 	}
-	return &NumericColumn{name: name, values: values[:len(values):len(values)], missing: missing}
+	return &NumericColumn{name: name, cells: newCells(values), missing: missing}
 }
 
 // Name returns the attribute name.
@@ -117,76 +102,78 @@ func (c *NumericColumn) Name() string { return c.name }
 func (c *NumericColumn) Kind() Kind { return Numeric }
 
 // Len returns the number of cells.
-func (c *NumericColumn) Len() int { return len(c.values) }
+func (c *NumericColumn) Len() int { return c.cells.n }
 
 // Missing returns the number of NaN cells.
 func (c *NumericColumn) Missing() int { return c.missing }
 
 // IsMissing reports whether cell i is NaN.
-func (c *NumericColumn) IsMissing(i int) bool { return math.IsNaN(c.values[i]) }
+func (c *NumericColumn) IsMissing(i int) bool { return math.IsNaN(c.At(i)) }
 
 // StringAt renders cell i, or "" when missing.
 func (c *NumericColumn) StringAt(i int) string {
 	if c.IsMissing(i) {
 		return ""
 	}
-	return fmt.Sprintf("%g", c.values[i])
+	return fmt.Sprintf("%g", c.At(i))
 }
 
-// Values returns the backing slice (NaN = missing). Callers must treat
-// it as read-only; its capacity is its length, so an append to it
-// copies rather than writing into a successor column's cells.
-func (c *NumericColumn) Values() []float64 { return c.values[:len(c.values):len(c.values)] }
+// Values returns every cell contiguous (NaN = missing). Callers must
+// treat it as read-only; its capacity is its length, so an append to
+// it copies rather than writing into a successor column's cells. On a
+// column holding appended rows in tail chunks the first call folds
+// them into one array, which every later call returns.
+func (c *NumericColumn) Values() []float64 { return c.cells.all() }
 
-// At returns the value of cell i (possibly NaN).
-func (c *NumericColumn) At(i int) float64 { return c.values[i] }
+// At returns the value of cell i (possibly NaN). It never folds.
+func (c *NumericColumn) At(i int) float64 { return c.cells.at(i) }
 
 // Ordered returns the column's ordered view: its non-missing rows by
 // ascending value, the sorted values, moments, mean and σ. The first
 // call sorts the column (or finishes the order AppendRows carried
-// forward, and folds only the rows the carried moments have not seen);
-// every later call, from any goroutine, returns the same retained view.
-// A column never changes, so the view can never be stale: a new dataset
-// generation is a new column with a view of its own, and a column
-// nobody scores exactly never pays for one.
+// forward, splicing in only the rows it lacks, and folds only the rows
+// the carried moments have not seen); every later call, from any
+// goroutine, returns the same retained view. A column never changes,
+// so the view can never be stale: a new dataset generation is a new
+// column with a view of its own, and a column nobody scores exactly
+// never pays for one.
 func (c *NumericColumn) Ordered() *stats.Ordered {
 	c.viewOnce.Do(func() {
-		if c.carried != nil {
-			c.view.Store(stats.OrderedFrom(c.Values(), c.carried, c.fold))
-		} else {
-			c.view.Store(stats.NewOrdered(c.Values()))
+		values := c.Values()
+		switch k := c.carried; {
+		case k == nil:
+			c.view.Store(stats.NewOrdered(values))
+		case k.rows < len(values):
+			c.view.Store(stats.OrderedFrom(values, stats.ExtendOrder(k.order, values, k.rows), k.fold))
+		default:
+			c.view.Store(stats.OrderedFrom(values, k.order, k.fold))
 		}
 	})
 	return c.view.Load()
 }
 
-// extended returns the column that continues c with the appended
-// cells in values[c.Len():] (values from growTail), `missing` of them
-// NaN. When c's order is already known it is carried forward by
-// splicing in the appended rows, so the successor's first Ordered call
-// does not sort the whole column again; the moments known with it are
-// handed down as they are, and that call folds in the rows they miss.
-func (c *NumericColumn) extended(values []float64, missing int) *NumericColumn {
-	out := &NumericColumn{name: c.name, values: values, missing: c.missing + missing}
-	order, fold := c.carried, c.fold
+// extended makes next the column that continues c with the cells
+// extendInto gave it, `missing` of them NaN. The order and moments
+// known of c — its view's, or what c itself was handed — are handed
+// down as they are: the successor's first Ordered call splices in and
+// folds the rows they miss, so an append sorts nothing.
+func (c *NumericColumn) extended(next *NumericColumn, missing int) {
+	next.name, next.missing, next.carried = c.name, c.missing+missing, c.carried
 	if v := c.view.Load(); v != nil {
-		order, fold = v.Order, v.Fold()
+		next.carried = &carry{order: v.Order, rows: len(v.Values), fold: v.Fold()}
 	}
-	if order != nil {
-		out.carried, out.fold = stats.ExtendOrder(order, values, len(c.values)), fold
-	}
-	return out
 }
 
-// CategoricalColumn is a dictionary-encoded string column. codes[i] is
-// an index into dict, or -1 for a missing cell.
+// CategoricalColumn is a dictionary-encoded string column: each cell
+// is an index into dict, or -1 for a missing cell.
 type CategoricalColumn struct {
-	name string
-	// codes has length Len(); the capacity past it is the tail (see
-	// growTail), so every accessor hands out codes[:n:n].
-	codes   []int32
-	tail    atomic.Bool
+	name  string
+	cells cells[int32]
+	// dict is the distinct texts in order of first appearance; its
+	// spare capacity, and index — text to code, built by the first
+	// append and shared down the chain — go with the cells' tail claim.
 	dict    []string
+	index   map[string]int32
 	missing int
 }
 
@@ -219,7 +206,7 @@ func (d *dictionary) add(cell string, missing bool) {
 
 // column is the finished column.
 func (d *dictionary) column(name string) *CategoricalColumn {
-	return &CategoricalColumn{name: name, codes: d.codes, dict: d.dict, missing: d.missing}
+	return &CategoricalColumn{name: name, cells: newCells(d.codes), dict: d.dict, missing: d.missing}
 }
 
 // NewCategoricalColumn builds a categorical column from raw string
@@ -246,7 +233,7 @@ func NewCategoricalFromCodes(name string, codes []int32, dict []string) (*Catego
 			return nil, fmt.Errorf("frame: column %q: code %d at row %d out of range [0,%d)", name, code, i, len(dict))
 		}
 	}
-	return &CategoricalColumn{name: name, codes: codes[:len(codes):len(codes)], dict: dict, missing: missing}, nil
+	return &CategoricalColumn{name: name, cells: newCells(codes), dict: dict[:len(dict):len(dict)], missing: missing}, nil
 }
 
 // Name returns the attribute name.
@@ -256,28 +243,33 @@ func (c *CategoricalColumn) Name() string { return c.name }
 func (c *CategoricalColumn) Kind() Kind { return Categorical }
 
 // Len returns the number of cells.
-func (c *CategoricalColumn) Len() int { return len(c.codes) }
+func (c *CategoricalColumn) Len() int { return c.cells.n }
 
 // Missing returns the number of missing cells.
 func (c *CategoricalColumn) Missing() int { return c.missing }
 
 // IsMissing reports whether cell i is missing.
-func (c *CategoricalColumn) IsMissing(i int) bool { return c.codes[i] < 0 }
+func (c *CategoricalColumn) IsMissing(i int) bool { return c.CodeAt(i) < 0 }
 
 // StringAt renders cell i, or "" when missing.
 func (c *CategoricalColumn) StringAt(i int) string {
-	if c.codes[i] < 0 {
-		return ""
+	if code := c.CodeAt(i); code >= 0 {
+		return c.dict[code]
 	}
-	return c.dict[c.codes[i]]
+	return ""
 }
 
-// Codes returns the backing code slice (-1 = missing). Read-only;
-// like Values, its capacity is its length.
-func (c *CategoricalColumn) Codes() []int32 { return c.codes[:len(c.codes):len(c.codes)] }
+// Codes returns every cell's code contiguous (-1 = missing). Read-only;
+// like Values, its capacity is its length, and its first call on a
+// column holding appended rows in tail chunks folds them.
+func (c *CategoricalColumn) Codes() []int32 { return c.cells.all() }
 
-// Dict returns the dictionary of distinct values. Read-only.
-func (c *CategoricalColumn) Dict() []string { return c.dict }
+// CodeAt returns the code of cell i (-1 = missing). It never folds.
+func (c *CategoricalColumn) CodeAt(i int) int32 { return c.cells.at(i) }
+
+// Dict returns the dictionary of distinct values. Read-only; its
+// capacity is its length.
+func (c *CategoricalColumn) Dict() []string { return c.dict[:len(c.dict):len(c.dict)] }
 
 // Cardinality returns the number of distinct non-missing values.
 func (c *CategoricalColumn) Cardinality() int { return len(c.dict) }
@@ -286,7 +278,7 @@ func (c *CategoricalColumn) Cardinality() int { return len(c.dict) }
 // code. Missing cells are not counted.
 func (c *CategoricalColumn) Counts() []int {
 	counts := make([]int, len(c.dict))
-	for _, code := range c.codes {
+	for _, code := range c.Codes() {
 		if code >= 0 {
 			counts[code]++
 		}

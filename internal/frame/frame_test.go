@@ -406,8 +406,8 @@ func (c *NumericColumn) Present() []float64 {
 	if c.missing == 0 {
 		return c.Values()
 	}
-	out := make([]float64, 0, len(c.values)-c.missing)
-	for _, v := range c.values {
+	out := make([]float64, 0, c.Len()-c.missing)
+	for _, v := range c.Values() {
 		if !math.IsNaN(v) {
 			out = append(out, v)
 		}

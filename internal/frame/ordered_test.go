@@ -124,8 +124,8 @@ func TestAppendRowsCarriesMoments(t *testing.T) {
 			if c.carried == nil {
 				continue
 			}
-			if want := p.Len(); c.fold.Rows > want || (touched && c.fold.Rows != want) {
-				t.Fatalf("step %d %s: the append folded %d rows, its predecessor had %d", step, c.Name(), c.fold.Rows, want)
+			if want := p.Len(); c.carried.fold.Rows > want || (touched && c.carried.fold.Rows != want) {
+				t.Fatalf("step %d %s: the append folded %d rows, its predecessor had %d", step, c.Name(), c.carried.fold.Rows, want)
 			}
 		}
 		if step%3 != 1 {

@@ -47,7 +47,7 @@ func tailBatch(k, from int) RowBatch {
 }
 
 // checkTailFrame verifies every cell, length and count of f against
-// tailCell, through every accessor that hands out the backing arrays.
+// tailCell, through every accessor that hands out cells.
 func checkTailFrame(f *Frame, rows int) error {
 	x, g := f.NumericColumns()[0], f.CategoricalColumns()[0]
 	if f.Rows() != rows || x.Len() != rows || g.Len() != rows || len(x.Values()) != rows || len(g.Codes()) != rows {
@@ -55,6 +55,16 @@ func checkTailFrame(f *Frame, rows int) error {
 	}
 	if cap(x.Values()) != rows || cap(g.Codes()) != rows || cap(x.ValuesRange(0, rows/2)) != rows/2 || cap(g.CodesRange(0, rows/2)) != rows/2 {
 		return fmt.Errorf("an accessor exposes capacity past its length")
+	}
+	// Cell by cell first, which never folds, then through the folds.
+	for i := 0; i < rows; i++ {
+		want, label := tailCell(i)
+		if got := x.At(i); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			return fmt.Errorf("At x[%d] = %v, want %v", i, got, want)
+		}
+		if g.StringAt(i) != label {
+			return fmt.Errorf("g[%d] = %q, want %q", i, g.StringAt(i), label)
+		}
 	}
 	vals, tail, codes := x.Values(), x.ValuesRange(rows/2, rows), g.CodesRange(rows/2, rows)
 	missing, blank := 0, 0
@@ -91,27 +101,38 @@ func checkTailFrame(f *Frame, rows int) error {
 }
 
 // TestAppendChainUnderReaders: while 200 successive appends extend the
-// chain — every one after the first writing into the array the readers'
-// generation lives in — readers of generation g keep seeing g's cells,
-// lengths and counts. Run under -race, this is also the proof that the
-// writes never touch a cell a reader can reach.
+// chain — every one after the first writing into arrays the readers'
+// generations live in — readers of the generations already made keep
+// seeing each one's cells, lengths and counts, and fold them (Values,
+// Codes, Ordered) as the chain goes on past them: the first a
+// fold-free generation, then each reader the newest one it can see or
+// an older one. Run under -race, this is also the proof that neither
+// the writes nor the folds touch a cell a reader can reach.
 func TestAppendChainUnderReaders(t *testing.T) {
 	const base, batch, appends = 500, 25, 200
 	f := tailFrame(base)
-	// One append first, so the generation the readers hold has a tail
-	// for its successors to write.
+	// One append first, so the generation the readers start on has a
+	// tail for its successors to write.
 	g, err := f.AppendRows(tailBatch(batch, base), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	gens := []*Frame{g}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if err := checkTailFrame(g, base+batch); err != nil {
+			for i := 0; ; i++ {
+				mu.Lock()
+				gen := gens[len(gens)-1]
+				if i%2 == 1 {
+					gen = gens[(i*7+r)%len(gens)]
+				}
+				mu.Unlock()
+				if err := checkTailFrame(gen, gen.Rows()); err != nil {
 					t.Error(err)
 					return
 				}
@@ -128,11 +149,19 @@ func TestAppendChainUnderReaders(t *testing.T) {
 		if head, err = head.AppendRows(tailBatch(batch, head.Rows()), nil); err != nil {
 			t.Fatal(err)
 		}
+		mu.Lock()
+		gens = append(gens, head)
+		mu.Unlock()
 	}
 	close(stop)
 	wg.Wait()
-	if err := checkTailFrame(head, base+batch*(appends+1)); err != nil {
-		t.Errorf("head of the chain: %v", err)
+	for _, gen := range []*Frame{head, g} {
+		if err := checkTailFrame(gen, gen.Rows()); err != nil {
+			t.Errorf("generation of %d rows: %v", gen.Rows(), err)
+		}
+	}
+	if head.Rows() != base+batch*(appends+1) {
+		t.Errorf("head of the chain has %d rows", head.Rows())
 	}
 	if err := checkTailFrame(f, base); err != nil {
 		t.Errorf("base frame: %v", err)
@@ -212,48 +241,189 @@ func TestAppendToValuesCopies(t *testing.T) {
 }
 
 // TestAppendChainAllocation: 40 batches of 250 rows onto 20 000 × 9
-// must allocate about what they add — under three times the appended
-// cells plus one regrowth of the columns — where copying every column
-// on every batch allocates thirty times that. TotalAlloc is a count of
-// bytes, not a timing.
+// must allocate about what they add. A chain nobody reads whole writes
+// its rows into tail chunks and copies no column: under three times
+// the appended cells. A chain with an exact reader of every generation
+// folds each column (Values, Codes) once a quarter of its rows have
+// come in, as a regrowing array would: under three times the appended
+// cells plus one regrowth of the columns. Its reader also asks every
+// generation for the ordered views, whose own arrays are not counted:
+// what is counted is that an append no longer sorts or splices.
+// Copying every column on every batch allocates thirty times that.
+// TotalAlloc is a count of bytes, not a timing.
 func TestAppendChainAllocation(t *testing.T) {
 	const base, batch, batches, numeric = 20000, 250, 40, 8
-	cols := make([]Column, numeric+1)
+	const rowBytes = numeric*8 + 4
+	appended := uint64(batch * batches * rowBytes)
+	for _, exact := range []bool{false, true} {
+		cols := make([]Column, numeric+1)
+		for c := 0; c < numeric; c++ {
+			cols[c] = NewNumericColumn("x"+strconv.Itoa(c), make([]float64, base))
+		}
+		labels := make([]string, base)
+		for i := range labels {
+			labels[i] = "ab"[i%2 : i%2+1]
+		}
+		cols[numeric] = NewCategoricalColumn("g", labels)
+		f := MustNew("wide", cols...)
+		rec := make([]string, numeric+1)
+		for c := range rec {
+			rec[c] = "1.5"
+		}
+		rec[numeric] = "b"
+		b := RowBatch{Records: make([][]string, batch)}
+		for r := range b.Records {
+			b.Records[r] = rec
+		}
+		order := func(f *Frame) {
+			for _, x := range f.NumericColumns() {
+				x.Ordered()
+			}
+		}
+		if exact {
+			order(f)
+		}
+		var got uint64
+		var before, after runtime.MemStats
+		for i := 0; i < batches; i++ {
+			runtime.ReadMemStats(&before)
+			var err error
+			if f, err = f.AppendRows(b, nil); err != nil {
+				t.Fatal(err)
+			}
+			if exact {
+				for _, x := range f.NumericColumns() {
+					x.Values()
+				}
+				f.CategoricalColumns()[0].Codes()
+			}
+			runtime.ReadMemStats(&after)
+			got += after.TotalAlloc - before.TotalAlloc
+			if exact {
+				order(f)
+			}
+		}
+		bound := 3 * appended
+		if exact {
+			// The array the last fold made, or the one the column extends.
+			x := f.NumericColumns()[0]
+			arr := x.cells.prefix
+			if w := x.cells.whole.Load(); w != nil {
+				arr = *w
+			}
+			bound += uint64(cap(arr)) * rowBytes
+		}
+		if got > bound {
+			t.Errorf("exact reader %v: chain allocated %d bytes; %d appended cell bytes, bound %d", exact, got, appended, bound)
+		}
+		if x := f.NumericColumns()[numeric-1]; f.Rows() != base+batch*batches || x.At(base-1) != 0 || x.At(f.Rows()-1) != 1.5 {
+			t.Errorf("exact reader %v: chain of %d rows ends in %v", exact, f.Rows(), x.At(f.Rows()-1))
+		}
+	}
+}
+
+// TestAppendStreamAllocation: one round of a live ingest stream — six
+// cycles of eight 250-row batches and a 10-row one, onto 20 000 rows of
+// 48 numeric and 4 categorical columns, some batches bringing new
+// labels — allocates at most half again its new cells: the tail chunks,
+// which grow by half at a time, and each generation's column headers.
+// Regrowing the columns instead allocated eight and a half times them.
+func TestAppendStreamAllocation(t *testing.T) {
+	const base, numeric, categorical = 20000, 48, 4
+	cols := make([]Column, 0, numeric+categorical)
 	for c := 0; c < numeric; c++ {
-		cols[c] = NewNumericColumn("x"+strconv.Itoa(c), make([]float64, base))
+		vals := make([]float64, base)
+		for i := range vals {
+			vals[i] = float64(i % (c + 7))
+		}
+		cols = append(cols, NewNumericColumn("n"+strconv.Itoa(c), vals))
 	}
-	labels := make([]string, base)
-	for i := range labels {
-		labels[i] = "ab"[i%2 : i%2+1]
+	for c := 0; c < categorical; c++ {
+		labels := make([]string, base)
+		for i := range labels {
+			labels[i] = "l" + strconv.Itoa(i%(10*c+3))
+		}
+		cols = append(cols, NewCategoricalColumn("c"+strconv.Itoa(c), labels))
 	}
-	cols[numeric] = NewCategoricalColumn("g", labels)
-	f := MustNew("wide", cols...)
-	rec := make([]string, numeric+1)
-	for c := range rec {
-		rec[c] = "1.5"
-	}
-	rec[numeric] = "b"
-	b := RowBatch{Records: make([][]string, batch)}
-	for r := range b.Records {
-		b.Records[r] = rec
+	f := MustNew("stream", cols...)
+	var batches []RowBatch
+	rows := 0
+	for cycle := 0; cycle < 6; cycle++ {
+		for _, k := range []int{250, 250, 250, 250, 250, 250, 250, 250, 10} {
+			b := RowBatch{Records: make([][]string, k)}
+			for r := range b.Records {
+				rec := make([]string, numeric+categorical)
+				for c := range rec {
+					rec[c] = strconv.Itoa((rows + r) % (c + 11))
+				}
+				for c := numeric; c < len(rec); c++ {
+					rec[c] = "l" + strconv.Itoa((rows+r)%(10*c+5))
+				}
+				b.Records[r] = rec
+			}
+			batches = append(batches, b)
+			rows += k
+		}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < batches; i++ {
+	for _, b := range batches {
 		var err error
 		if f, err = f.AppendRows(b, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
-	const rowBytes = numeric*8 + 4
-	appended := uint64(batch * batches * rowBytes)
-	regrowth := uint64(cap(f.NumericColumns()[0].values)) * rowBytes
-	if got := after.TotalAlloc - before.TotalAlloc; got > 3*appended+regrowth {
-		t.Errorf("chain allocated %d bytes; %d appended cell bytes, one regrowth %d, bound %d",
-			got, appended, regrowth, 3*appended+regrowth)
+	cells := uint64(rows * (numeric*8 + categorical*4))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d rows: %d bytes allocated for %d bytes of new cells (%.2f×)", rows, got, cells, float64(got)/float64(cells))
+	if 2*got > 3*cells {
+		t.Errorf("a round of %d rows allocated %d bytes for %d bytes of new cells (%.2f×)", rows, got, cells, float64(got)/float64(cells))
 	}
-	if x := f.NumericColumns()[numeric-1]; f.Rows() != base+batch*batches || x.At(base-1) != 0 || x.At(f.Rows()-1) != 1.5 {
-		t.Errorf("chain of %d rows ends in %v", f.Rows(), x.At(f.Rows()-1))
+	if f.Rows() != base+rows || f.CategoricalColumns()[3].StringAt(f.Rows()-1) != "l"+strconv.Itoa((rows-1)%(10*51+5)) {
+		t.Errorf("stream ends at %d rows", f.Rows())
+	}
+}
+
+// TestBatchIsOneWindow: whatever a chain does — batches of one row, of
+// a chunk's size and past it, an exact reader folding some generations,
+// a second append from one frame — each batch lands whole in one
+// segment, so the window of its rows, which a sketch extension reads,
+// is zero-copy and folds nothing.
+func TestBatchIsOneWindow(t *testing.T) {
+	f := tailFrame(300)
+	for i, k := range []int{1, 255, 2, 300, 4096, 7, 5000, 3, 900, 1} {
+		next, err := f.AppendRows(tailBatch(k, f.Rows()), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 4 {
+			// A second successor of f, which cannot take f's tail.
+			if _, err := f.AppendRows(tailBatch(k, f.Rows()), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		x, g := next.NumericColumns()[0], next.CategoricalColumns()[0]
+		vals, codes := x.ValuesRange(f.Rows(), next.Rows()), g.CodesRange(f.Rows(), next.Rows())
+		if x.cells.whole.Load() != nil || g.cells.whole.Load() != nil {
+			t.Fatalf("batch %d (%d rows): reading its window folded the column", i, k)
+		}
+		for r := range vals {
+			want, label := tailCell(f.Rows() + r)
+			if got := vals[r]; got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("batch %d: x[%d] = %v, want %v", i, f.Rows()+r, got, want)
+			}
+			if (codes[r] < 0) != (label == "") || (codes[r] >= 0 && g.Dict()[codes[r]] != label) {
+				t.Fatalf("batch %d: g[%d] = code %d, want %q", i, f.Rows()+r, codes[r], label)
+			}
+		}
+		if i%3 == 1 {
+			next.NumericColumns()[0].Values()
+			next.CategoricalColumns()[0].Codes()
+		}
+		f = next
+	}
+	if err := checkTailFrame(f, f.Rows()); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,22 +1,22 @@
 package frame
 
-// Zero-copy row-range views. The profile builder (package sketch)
-// runs its sketch pass over a row range — every row at startup, the
-// appended batch on ingest; these views hand it that window of every
-// column's backing array without copying a single value. A view
-// is valid as long as the frame is — frames are immutable by
-// convention, so views never observe mutation.
+// Zero-copy row-range views. A profile build (package sketch) runs its
+// sketch pass over every row of a frame; these views hand it a window
+// of every column's cells without copying a single value. A view is
+// valid as long as the frame is — frames are immutable by convention,
+// so views never observe mutation.
 
-// ValuesRange returns the zero-copy window values[start:end) of the
-// column's backing slice (NaN = missing). Read-only, like Values.
-// Panics when the range is out of bounds, matching slice semantics.
+// ValuesRange returns the cells [start, end) of the column (NaN =
+// missing), capacity end−start. Read-only, like Values. The window is
+// zero-copy when the cells lie in one segment — the loaded prefix or a
+// tail chunk; a range that crosses into the tail folds the column, as
+// Values does. Panics when the range is out of bounds.
 func (c *NumericColumn) ValuesRange(start, end int) []float64 {
-	return c.values[start:end:end]
+	return c.cells.window(start, end)
 }
 
-// CodesRange returns the zero-copy window codes[start:end) of the
-// dictionary-code slice (-1 = missing). Read-only, like Codes.
-// Panics when the range is out of bounds, matching slice semantics.
+// CodesRange returns the codes of cells [start, end) (-1 = missing),
+// capacity end−start, under ValuesRange's rules. Read-only, like Codes.
 func (c *CategoricalColumn) CodesRange(start, end int) []int32 {
-	return c.codes[start:end:end]
+	return c.cells.window(start, end)
 }

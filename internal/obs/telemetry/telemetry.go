@@ -128,6 +128,15 @@ func newClassAgg(class string) *classAgg {
 	}
 }
 
+// reset empties the aggregate for a new generation, keeping its
+// sketches' arrays and maps and its margin window's array.
+func (a *classAgg) reset() {
+	a.scores.Reset()
+	a.cols.Reset()
+	a.tuples.Reset()
+	*a = classAgg{scores: a.scores, cols: a.cols, tuples: a.tuples, margins: a.margins[:0], keyBuf: a.keyBuf}
+}
+
 // fold absorbs one sample into the aggregate: its counters, its margin
 // (tagged with gen), and the scores and attribute tuples of its
 // insights.
@@ -334,11 +343,16 @@ func (t *Insights) Record(s QuerySample) {
 	t.mu.Lock()
 	if s.Generation > t.gen {
 		// The data moved under us: the store describes a dataset that
-		// no longer exists. Start fresh.
-		if len(t.classes) > 0 {
+		// no longer exists. Start fresh, in the aggregates' own arrays
+		// and maps.
+		live := false
+		for _, a := range t.classes {
+			live = live || a.queries > 0
+			a.reset()
+		}
+		if live {
 			t.resets++
 		}
-		t.classes = make(map[string]*classAgg)
 		t.gen = s.Generation
 	}
 	if s.Generation == t.gen {
@@ -502,6 +516,9 @@ func (t *Insights) Snapshot(currentGen uint64, topN int) Snapshot {
 	sort.Strings(names)
 	for _, class := range names {
 		a := t.classes[class]
+		if a.queries == 0 {
+			continue // recorded in an earlier generation only
+		}
 		cs := ClassSnapshot{
 			Class:      class,
 			Queries:    a.queries,

@@ -242,6 +242,45 @@ func TestGenerationBumpAccountsEverySample(t *testing.T) {
 	}
 }
 
+// TestRecordAfterBumpAllocatesAsSteady: the first record after a
+// generation bump resets every class aggregate in place — its KLL
+// levels, its SpaceSaving maps and counters, its margin window — so it
+// allocates no more than a record within one generation does, where
+// rebuilding the aggregates cost hundreds of allocations for a
+// 12-class sample.
+func TestRecordAfterBumpAllocatesAsSteady(t *testing.T) {
+	var sample QuerySample
+	for c := 0; c < 12; c++ {
+		class := fmt.Sprintf("class%02d", c)
+		one := sampleFor(class, []float64{0.9, 0.8, 0.7, 0.6, 0.5},
+			[][]string{{"a", "b"}, {"a", "c"}, {"b", "c"}, {"c", "d"}, {"d", "e"}})
+		one.Classes[0].Margin = 0.05
+		sample.Classes = append(sample.Classes, one.Classes...)
+	}
+	sample.Op, sample.DurationMS = "carousels", 1
+	ins := New()
+	gen := uint64(1)
+	record := func(bump bool) {
+		if bump {
+			gen++
+		}
+		sample.Generation = gen
+		ins.Record(sample)
+	}
+	// Two generations first, so every aggregate has been reset once.
+	record(false)
+	record(true)
+	steady := testing.AllocsPerRun(50, func() { record(false) })
+	bumped := testing.AllocsPerRun(50, func() { record(true) })
+	if bumped > steady {
+		t.Errorf("a record after a bump allocates %.0f times, one within a generation %.0f", bumped, steady)
+	}
+	snap := ins.Snapshot(gen, 5)
+	if snap.Resets != gen-1 || len(snap.Classes) != 12 || snap.Classes[0].Queries != 1 || snap.Classes[0].HotColumns[0].Count != 3 {
+		t.Fatalf("after %d bumps: resets %d, %d classes, first %+v", gen-1, snap.Resets, len(snap.Classes), snap.Classes[0])
+	}
+}
+
 func TestStalenessReported(t *testing.T) {
 	ins := New()
 	ins.Record(sampleFor("outlier", []float64{0.5}, nil))

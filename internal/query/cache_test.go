@@ -453,3 +453,64 @@ func TestConcurrentInvalidation(t *testing.T) {
 	}
 	resultsEqual(t, "post-swap", golden, again)
 }
+
+// TestScoreThroughMemo: Engine.Score answers a tuple a pass scored from
+// the memo, bit for bit what the class scores; memoizes a tuple it
+// scores itself, so the next call is a hit; and hands back the class's
+// own error for a tuple or metric the class cannot score, memoizing
+// nothing.
+func TestScoreThroughMemo(t *testing.T) {
+	f := testFrame(600, 5)
+	e, err := NewEngine(f, core.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear, _ := e.Registry().Lookup("linear")
+	top, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 1})
+	if err != nil || len(top) == 0 || len(top[0].Insights) == 0 {
+		t.Fatalf("no top insight: %v", err)
+	}
+	in := top[0].Insights[0]
+	want, err := linear.Score(f, in.Attrs, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.CacheStats()
+	for _, metric := range []string{"", in.Metric} {
+		got, err := e.Score(linear, in.Attrs, metric)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("metric %q: Score = %+v, %v; the class scores %+v", metric, got, err, want)
+		}
+	}
+	if st := e.CacheStats(); st.Hits != before.Hits+2 || st.Misses != before.Misses {
+		t.Errorf("a tuple the pass scored: hits %d → %d, misses %d → %d", before.Hits, st.Hits, before.Misses, st.Misses)
+	}
+
+	reversed := []string{in.Attrs[1], in.Attrs[0]}
+	first, err := e.Score(linear, reversed, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = e.CacheStats()
+	again, err := e.Score(linear, reversed, "")
+	if err != nil || !reflect.DeepEqual(first, again) {
+		t.Fatalf("second call = %+v, %v; first %+v", again, err, first)
+	}
+	if st := e.CacheStats(); st.Hits != before.Hits+1 || st.Entries != before.Entries {
+		t.Errorf("a tuple Score memoized: hits %d → %d, entries %d → %d", before.Hits, st.Hits, before.Entries, st.Entries)
+	}
+
+	before = e.CacheStats()
+	for _, c := range []struct {
+		attrs  []string
+		metric string
+	}{{[]string{"a", "nope"}, ""}, {in.Attrs, "bogus"}} {
+		_, want := linear.Score(f, c.attrs, c.metric)
+		if _, err := e.Score(linear, c.attrs, c.metric); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("%v %q: error %v, the class's %v", c.attrs, c.metric, err, want)
+		}
+	}
+	if st := e.CacheStats(); st.Entries != before.Entries {
+		t.Errorf("failed scores memoized: entries %d → %d", before.Entries, st.Entries)
+	}
+}

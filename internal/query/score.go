@@ -132,9 +132,15 @@ func runsOf(c core.Class, approx bool, cands [][]string, idx, owned []int, worke
 // (nil when none). This is the unit of work the memo operates on, and
 // the worker pool's whenever runsOf forms no run.
 func scoreOne(c core.Class, g *generation, attrs []string, approx bool, metric string) (core.Insight, core.Certificate) {
-	var in core.Insight
-	var cert core.Certificate
-	var err error
+	in, cert, err := scoreTuple(c, g, attrs, approx, metric)
+	if err != nil {
+		return skipped, nil
+	}
+	return in, cert
+}
+
+// scoreTuple is scoreOne with the class's error.
+func scoreTuple(c core.Class, g *generation, attrs []string, approx bool, metric string) (in core.Insight, cert core.Certificate, err error) {
 	switch s, ok := c.(core.Successor); {
 	case approx:
 		in, err = c.ScoreApprox(g.profile, attrs, metric)
@@ -143,10 +149,45 @@ func scoreOne(c core.Class, g *generation, attrs []string, approx bool, metric s
 	default:
 		in, err = c.Score(g.frame, attrs, metric)
 	}
-	if err != nil {
-		return skipped, nil
+	return in, cert, err
+}
+
+// Score returns class c's exact insight on attrs under metric ("" for
+// the class's first) on the live generation, through its memo: a tuple
+// a pass or an earlier call scored there is not scored again, and one
+// scored here is memoized, with its certificate, for the passes and
+// calls after. An error is the class's own — an unknown column, a
+// tuple the class cannot score, a metric it lacks — and leaves nothing
+// in the memo. The focus, neighborhood and exact render requests score
+// their one insight here.
+func (e *Engine) Score(c core.Class, attrs []string, metric string) (core.Insight, error) {
+	g := e.gen.Load()
+	if metric == "" {
+		metric = c.Metrics()[0]
 	}
-	return in, cert
+	if !supportsMetric(c, metric) {
+		return c.Score(g.frame, attrs, metric)
+	}
+	key := keyFor(c.Name(), metric, false, attrs)
+	g.mu.Lock()
+	in, ok := g.entries[key]
+	g.mu.Unlock()
+	if ok && in.Class != "" {
+		e.hits.Add(1)
+		return in, nil
+	}
+	e.misses.Add(1)
+	in, cert, err := scoreTuple(c, g, attrs, false, metric)
+	if err != nil {
+		return in, err
+	}
+	g.mu.Lock()
+	g.entries[key] = in
+	if cert != nil {
+		g.certs[key] = cert
+	}
+	g.mu.Unlock()
+	return in, nil
 }
 
 // scorePass returns one slot per candidate tuple, in candidate order,

@@ -740,7 +740,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	// Exact: scored over the frame and drawn from it. Sketch-only: both
 	// the score and the pixels come from the preprocessed store.
 	f := s.engine.Frame()
-	score := func(attrs []string, metric string) (core.Insight, error) { return c.Score(f, attrs, metric) }
+	score := func(attrs []string, metric string) (core.Insight, error) { return s.engine.Score(c, attrs, metric) }
 	draw := func(in core.Insight) (string, error) { return viz.RenderSVG(f, in) }
 	if boolParam(r, "approx") {
 		p := s.engine.Profile()
@@ -785,7 +785,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("unknown class %q", class))
 		return
 	}
-	focus, err := c.Score(s.engine.Frame(), strings.Split(attrs, ","), r.URL.Query().Get("metric"))
+	focus, err := s.engine.Score(c, strings.Split(attrs, ","), r.URL.Query().Get("metric"))
 	if err != nil {
 		s.jsonError(w, http.StatusBadRequest, err)
 		return
@@ -821,7 +821,7 @@ func (s *Server) handleFocus(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("unknown class %q", req.Class))
 		return
 	}
-	in, err := c.Score(s.engine.Frame(), req.Attrs, req.Metric)
+	in, err := s.engine.Score(c, req.Attrs, req.Metric)
 	if err != nil {
 		s.jsonError(w, http.StatusBadRequest, err)
 		return

@@ -17,10 +17,12 @@ import (
 //
 //	range → sketches → centre → project → finish
 //
-// buildRange builds the range's row-local sketches over zero-copy row
-// views (buildRangeSketches), centres the projections — on the
-// caller's centres, or on the range's means — and runs the projection
-// kernel over the range. Parallelism is one knob, cfg.Workers: the
+// buildRange builds the range's row-local sketches over zero-copy
+// windows of the range's rows (buildRangeSketches) — a build's are the
+// loaded columns, an extension's batch lies in the one tail chunk or
+// spare capacity the append wrote it to, so neither folds a column —
+// centres the projections — on the caller's centres, or on the range's
+// means — and runs the projection kernel over the same windows. Parallelism is one knob, cfg.Workers: the
 // sketch passes fan out over columns and the projection over column
 // chunks, each column built by the same operations in the same order
 // at any count, so the bytes do not depend on it. A build then
@@ -90,20 +92,19 @@ func (c *categoricalPartial) reset(cc *frame.CategoricalColumn, cfg ProfileConfi
 	}
 }
 
-// buildRangeSketches fills the row-local partial sketches of rows
-// [start, end) of f: moments, quantiles, value samples, heavy hitters
+// buildRangeSketches fills the row-local partial sketches of a row
+// range, whose numeric columns' rows are cols and categorical columns'
+// codes are codes: moments, quantiles, value samples, heavy hitters
 // and distinct counts — everything in a partial except the
 // shared-direction projections, which need a common centre and are
-// filled in by buildRange. Zero-copy row views feed the update loops,
-// so a range touches only its own window of each column. Per-column
-// sketch seeds are salted with the range start, so a given (cfg,
-// range) is deterministic while distinct ranges — a build and each
-// extension's batch — flip independent compaction/sampling coins.
-func buildRangeSketches(f *frame.Frame, start, end int, nums []*numericPartial, cats []*categoricalPartial, workers int) {
-	numeric, categorical := f.NumericColumns(), f.CategoricalColumns()
-	eachColumn(len(numeric), workers, func(i int) {
+// filled in by buildRange. Per-column sketch seeds are salted with the
+// range start (numericPartial.reset), so a given (cfg, range) is
+// deterministic while distinct ranges — a build and each extension's
+// batch — flip independent compaction/sampling coins.
+func buildRangeSketches(cols [][]float64, codes [][]int32, nums []*numericPartial, cats []*categoricalPartial, workers int) {
+	eachColumn(len(cols), workers, func(i int) {
 		np := &nums[i].np
-		for _, v := range numeric[i].ValuesRange(start, end) {
+		for _, v := range cols[i] {
 			if math.IsNaN(v) {
 				continue
 			}
@@ -112,9 +113,9 @@ func buildRangeSketches(f *frame.Frame, start, end int, nums []*numericPartial, 
 			np.Sample.Update(v)
 		}
 	})
-	eachColumn(len(categorical), workers, func(i int) {
-		cc, cp := categorical[i], &cats[i].cp
-		for _, code := range cc.CodesRange(start, end) {
+	eachColumn(len(codes), workers, func(i int) {
+		cp := &cats[i].cp
+		for _, code := range codes[i] {
 			if code < 0 {
 				continue
 			}
@@ -146,21 +147,23 @@ func buildRange(f *frame.Frame, cfg ProfileConfig, lo, hi int, centers []float64
 	numeric, categorical := f.NumericColumns(), f.CategoricalColumns()
 	p, nums, cats := ds.partial(cfg, hi-lo, len(numeric), len(categorical))
 	ds.cols = slices.Grow(ds.cols[:0], len(numeric))[:len(numeric)]
+	ds.codes = slices.Grow(ds.codes[:0], len(categorical))[:len(categorical)]
 	ds.projs = slices.Grow(ds.projs[:0], len(numeric))[:len(numeric)]
-	cols, projs := ds.cols, ds.projs
+	cols, codes, projs := ds.cols, ds.codes, ds.projs
 	for i, nc := range numeric {
 		nums[i].reset(i, nc.Name(), cfg, lo, hi)
-		cols[i], projs[i] = nc.Values(), &nums[i].proj
+		cols[i], projs[i] = nc.ValuesRange(lo, hi), &nums[i].proj
 		p.Numeric[nc.Name()] = &nums[i].np
 	}
 	for i, cc := range categorical {
 		cats[i].reset(cc, cfg)
+		codes[i] = cc.CodesRange(lo, hi)
 		p.Categorical[cc.Name()] = &cats[i].cp
 	}
 
 	sketches := func() {
 		defer observeSince("build.sketch", time.Now())
-		buildRangeSketches(f, lo, hi, nums, cats, cfg.Workers)
+		buildRangeSketches(cols, codes, nums, cats, cfg.Workers)
 	}
 	project := func() {
 		defer observeSince("build.project", time.Now())

@@ -71,9 +71,11 @@ type deltaScratch struct {
 	profile     DatasetProfile
 	numeric     []*numericPartial
 	categorical []*categoricalPartial
-	cols        [][]float64
-	projs       []*Projection
-	centers     []float64
+	// cols and codes are windows of each column at the range's rows.
+	cols    [][]float64
+	codes   [][]int32
+	projs   []*Projection
+	centers []float64
 }
 
 // deltaScratches keeps the scratch of the extensions that ran; one
@@ -106,6 +108,7 @@ func (ds *deltaScratch) partial(cfg ProfileConfig, rows, n, m int) (*DatasetProf
 func (ds *deltaScratch) release() {
 	// Kept scratch must not keep the frame's columns alive.
 	clear(ds.cols)
+	clear(ds.codes)
 	clear(ds.projs)
 	if poisonScratch.Load() {
 		for _, c := range ds.numeric {
@@ -210,13 +213,13 @@ func (p *DatasetProfile) Extend(f *frame.Frame) (*DatasetProfile, error) {
 	out.RowSample = &RowSample{indexes: p.RowSample.indexes.extended(n, ws)}
 	for _, nc := range numeric {
 		if len(ws) > 0 {
-			out.Numeric[nc.Name()].gather = gatherAt(out.RowSample, nc.Values())
+			out.Numeric[nc.Name()].gather = gatherAt(out.RowSample, nc.At)
 		}
 	}
 	for _, cc := range categorical {
 		cp := out.Categorical[cc.Name()]
 		if len(ws) > 0 {
-			cp.codes = gatherAt(out.RowSample, cc.Codes())
+			cp.codes = gatherAt(out.RowSample, cc.CodeAt)
 		}
 		cp.Cardinality = cc.Cardinality()
 		cp.Dict = cc.Dict()

@@ -241,12 +241,18 @@ func projectRange(cols [][]float64, means []float64, start, end int, cfg Project
 	for j := range out {
 		out[j] = &Projection{Dots: make([]float64, cfg.K), Rows: end - start, Seed: cfg.Seed}
 	}
-	projectInto(out, cols, means, start, end, cfg)
+	rows := make([][]float64, len(cols))
+	for j, col := range cols {
+		rows[j] = col[min(start, len(col)):]
+	}
+	projectInto(out, rows, means, start, end, cfg)
 	return out
 }
 
 // projectInto is projectRange into out, one projection per column, each
-// with cfg.K zero dots (a delta's come from its scratch); cfg is filled.
+// with cfg.K zero dots (a delta's come from its scratch), over columns
+// that hold rows from start on: cols[j][r−start] is row r of column j.
+// cfg is filled.
 func projectInto(out []*Projection, cols [][]float64, means []float64, start, end int, cfg ProjectConfig) {
 	d := len(cols)
 	if d == 0 || start >= end {
@@ -271,7 +277,7 @@ func projectInto(out []*Projection, cols [][]float64, means []float64, start, en
 		eachBlock(start, end, cfg, func(lo, hi int, g []float32) {
 			eachColumn(chunks, chunks, func(c int) {
 				clo, chi := chunk(c)
-				projectBlock(cols[clo:chi], means[clo:chi], out[clo:chi], lo, hi, g, cfg.K)
+				projectBlock(cols[clo:chi], means[clo:chi], out[clo:chi], start, lo, hi, g, cfg.K)
 			})
 		})
 		return
@@ -314,16 +320,18 @@ func eachBlock(start, end int, cfg ProjectConfig, fn func(lo, hi int, g []float3
 	directionBlocks.put(bp)
 }
 
-// projectChunk adds rows [start, end) of cols to out's dots, one
-// direction block at a time (projectBlock).
+// projectChunk adds rows [start, end) of cols, which hold rows from
+// start on, to out's dots, one direction block at a time
+// (projectBlock).
 func projectChunk(cols [][]float64, means []float64, out []*Projection, start, end int, cfg ProjectConfig) {
 	eachBlock(start, end, cfg, func(lo, hi int, g []float32) {
-		projectBlock(cols, means, out, lo, hi, g, cfg.K)
+		projectBlock(cols, means, out, start, lo, hi, g, cfg.K)
 	})
 }
 
-// projectBlock adds rows [lo, hi) of cols, which lie in one direction
-// block, to out's dots; g holds the rows' directions, k a row. The work
+// projectBlock adds rows [lo, hi) of cols, which hold rows from base
+// on, to out's dots; the rows lie in one direction block, and g holds
+// their directions, k a row. The work
 // is tiled: the centred values of tileColumns columns are staged once
 // (missing cells and rows past a column's end as 0, whose products
 // leave a dot unchanged), then for each direction their tileColumns
@@ -335,7 +343,7 @@ func projectChunk(cols [][]float64, means []float64, out []*Projection, start, e
 // definition's order, which is what keeps every dot bit-identical to it
 // (projectRangeScalar in the tests). The last tile may hold fewer
 // columns; the unused lanes project zeros into dots nobody reads.
-func projectBlock(cols [][]float64, means []float64, out []*Projection, lo, hi int, g []float32, k int) {
+func projectBlock(cols [][]float64, means []float64, out []*Projection, base, lo, hi int, g []float32, k int) {
 	var staged [tileColumns][directionGranule]float64
 	var acc [tileColumns]float64
 	n := hi - lo
@@ -343,7 +351,7 @@ func projectBlock(cols [][]float64, means []float64, out []*Projection, lo, hi i
 		tile := out[j:min(j+tileColumns, len(cols))]
 		for c := range staged {
 			if c < len(tile) {
-				center(staged[c][:n], cols[j+c], lo, means[j+c])
+				center(staged[c][:n], cols[j+c], lo-base, means[j+c])
 			} else {
 				clear(staged[c][:n])
 			}

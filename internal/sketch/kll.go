@@ -41,6 +41,10 @@ func (s *KLL) reuse(k int, seed int64) {
 	s.grow()
 }
 
+// Reset empties s for a new stream under its k and seed, keeping the
+// level arrays it grew.
+func (s *KLL) Reset() { s.reuse(s.k, s.seed) }
+
 // grow adds a level on top. A level array kept past the end of the
 // level list (reuse's, the merge's working levels) is the new level's.
 func (s *KLL) grow() {

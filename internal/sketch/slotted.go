@@ -131,23 +131,25 @@ func claimWrites[T any](ws []slotWrite[T], claimed *atomic.Bool, extra int) []sl
 
 // gathered is a column's values at the row sample's indexes
 // (RowSampleValues, RowSampleCodes). A build or a load holds it built;
-// an extension holds the row sample and the column instead, and get
-// gathers it once, for the first reader. The nil *gathered is the empty
-// array.
+// an extension holds the row sample and the column's cell reader
+// instead, and get gathers it once, for the first reader. The nil
+// *gathered is the empty array.
 type gathered[T any] struct {
 	once  sync.Once
 	rows  *RowSample
-	col   []T
+	at    func(int) T
 	built []T
 }
 
 // builtGather returns the gather that is arr, which it retains.
 func builtGather[T any](arr []T) *gathered[T] { return &gathered[T]{built: arr} }
 
-// gatherAt returns col at the indexes of rows, gathered by its first
-// reader. col must hold every row rows indexes and never change.
-func gatherAt[T any](rows *RowSample, col []T) *gathered[T] {
-	return &gathered[T]{rows: rows, col: col}
+// gatherAt returns the cells at(i) of a column at the indexes of rows,
+// gathered by its first reader row by row — a column's At or CodeAt,
+// which reads its tail chunks where they are rather than folding them.
+// at must read every row rows indexes and never change.
+func gatherAt[T any](rows *RowSample, at func(int) T) *gathered[T] {
+	return &gathered[T]{rows: rows, at: at}
 }
 
 // get returns the array, gathering it on the first call; safe for
@@ -161,8 +163,12 @@ func (g *gathered[T]) get() []T {
 			return
 		}
 		start := time.Now()
-		g.built = gather(g.rows.Indexes(), g.col)
-		g.rows, g.col = nil, nil
+		idx := g.rows.Indexes()
+		g.built = make([]T, len(idx))
+		for k, i := range idx {
+			g.built[k] = g.at(i)
+		}
+		g.rows, g.at = nil, nil
 		observeSince("sample.build", start)
 	})
 	return g.built

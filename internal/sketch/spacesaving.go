@@ -23,6 +23,10 @@ type SpaceSaving struct {
 	// untracked items may still have occurred up to the donor's floor
 	// (found by FuzzSpaceSavingMerge).
 	evictBound uint64
+	// spare holds the counters of the stream before the last Reset: an
+	// item they tracked takes its counter (and its string) back on its
+	// first sighting, so that sighting allocates nothing.
+	spare map[string]*ssCounter
 }
 
 type ssCounter struct {
@@ -68,6 +72,18 @@ func (s *SpaceSaving) reuse(capacity int) {
 	*s = SpaceSaving{capacity: capacity, counters: counters}
 }
 
+// Reset empties s for a new stream at the same capacity, keeping its
+// maps and counters (see spare), so a sketch reset and fed the items it
+// tracked before allocates nothing.
+func (s *SpaceSaving) Reset() {
+	counters := s.spare
+	if counters == nil {
+		counters = make(map[string]*ssCounter, s.capacity)
+	}
+	clear(counters)
+	*s = SpaceSaving{capacity: s.capacity, counters: counters, spare: s.counters}
+}
+
 // Update folds one occurrence of item (with weight 1).
 func (s *SpaceSaving) Update(item string) { s.UpdateWeighted(item, 1) }
 
@@ -81,6 +97,10 @@ func (s *SpaceSaving) UpdateBytes(b []byte) {
 	s.n++
 	if c, ok := s.counters[string(b)]; ok {
 		c.count++
+		return
+	}
+	if c, ok := s.spare[string(b)]; ok {
+		s.admit(c.item, 1)
 		return
 	}
 	s.admit(string(b), 1)
@@ -105,7 +125,7 @@ func (s *SpaceSaving) UpdateWeighted(item string, weight uint64) {
 // is a function of its update sequence and not of map iteration order.
 func (s *SpaceSaving) admit(item string, weight uint64) {
 	if len(s.counters) < s.capacity {
-		s.counters[item] = &ssCounter{item: item, count: weight}
+		s.counters[item] = s.counter(item, weight, 0)
 		return
 	}
 	var min *ssCounter
@@ -118,7 +138,17 @@ func (s *SpaceSaving) admit(item string, weight uint64) {
 	if min.count > s.evictBound {
 		s.evictBound = min.count
 	}
-	s.counters[item] = &ssCounter{item: item, count: min.count + weight, err: min.count}
+	s.counters[item] = s.counter(item, min.count+weight, min.count)
+}
+
+// counter returns a counter for item: its spare one when it has one.
+func (s *SpaceSaving) counter(item string, count, err uint64) *ssCounter {
+	if c, ok := s.spare[item]; ok {
+		delete(s.spare, item)
+		c.count, c.err = count, err
+		return c
+	}
+	return &ssCounter{item: item, count: count, err: err}
 }
 
 // Count returns the total stream weight observed.

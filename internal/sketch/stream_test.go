@@ -322,7 +322,8 @@ func checkRowSampleExtend(n, capacity int, seed int64, cuts []int, read []bool) 
 		ws := rowSampleWrites(at, to, capacity, seed)
 		size := min(to, capacity)
 		sIdx = sIdx.extended(size, ws)
-		sGather := gatherAt(&RowSample{indexes: sIdx}, col[:to])
+		prefix := col[:to]
+		sGather := gatherAt(&RowSample{indexes: sIdx}, func(i int) float64 { return prefix[i] })
 		idx, gath, at = next, regather(gath, col, next, slots), to
 		g := generation{at: at, idx: sIdx, gather: sGather, wantIdx: idx, wantGather: gath}
 		if i < len(read) && read[i] {
