@@ -2,6 +2,7 @@ package query
 
 import (
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 
@@ -10,31 +11,26 @@ import (
 	"foresight/internal/sketch"
 )
 
-// This file implements the engine's generations and their score memo.
-// Foresight's interactivity rests on answering insight queries in
-// near-real-time (paper §3), and the dominant workload is repeated
-// queries over the same dataset: every carousel refresh, overview,
-// neighborhood and focus update re-ranks the same candidate tuples.
-// Scores depend only on (class, metric, tuple, approx) for a fixed
-// frame/profile, so they are perfectly cacheable. A generation is one
-// (frame, profile) pair together with everything computed from it: the
-// memo holding each scored slot, the singleflight map through which the
-// scoring pass (score.go) collapses duplicate concurrent scoring of the
-// same key — so a thundering herd of identical requests computes each
-// score exactly once — the class views, and the certificates exact
-// scores leave. The engine holds the live generation behind one atomic
-// pointer; a request loads it once and works on what it loaded, so a
-// pass that outlives its generation reads and fills maps no new reader
-// sees. Filters (MinScore/MaxScore, Fixed, Semantic) and ranking always
-// apply after the memo lookup, so a memoized score and a fresh one give
-// bit-identical results.
+// This file implements the engine's generations: one (frame, profile)
+// pair and what has been computed from it. Every carousel, overview,
+// neighborhood and focus re-ranks the same candidate tuples (paper §3),
+// so a class's candidates are a table, built once, and a candidate is
+// its position in it. A score depends only on (class, metric, tuple,
+// backend) on a fixed frame and profile, so a generation keeps a column
+// of slots per (class, metric, backend), sized to the table, which the
+// scoring pass (score.go) fills. The engine holds the live generation
+// behind one atomic pointer; a request loads it once and works on what
+// it loaded, so a pass that outlives its generation fills columns no
+// new reader sees.
 //
-// Cancellation threads through the singleflight protocol: a waiter
-// blocks on the owner's done channel AND its own ctx, so an expired
-// deadline or a disconnected client returns promptly even while the
-// owner is still scoring. Scores completed before a cancellation are
-// published to the memo as usual, so an abandoned request's partial
-// work still warms the memo for the retry.
+// A slot is empty, in flight or done. A pass claims empty slots under
+// the generation's mutex, marking them with its done channel, scores
+// them outside the lock and publishes each as it finishes; once its
+// pool has stopped it returns the unfinished ones to empty and closes
+// the channel. A pass that finds a slot in flight waits on that channel
+// or its own ctx, then reads the slot again: done, or empty to claim.
+// So duplicate concurrent requests score each candidate once, and the
+// scores finished before a cancellation stay for the retry.
 
 // CacheStats is a point-in-time snapshot of the engine's scoring
 // cache, exposed via Engine.CacheStats and the server's /api/stats.
@@ -56,80 +52,166 @@ type CacheStats struct {
 	Generation uint64 `json:"generation"`
 }
 
-// cacheKey identifies one scored slot: the candidate tuple of a class
-// under a resolved metric, on the exact or the approximate backend.
-type cacheKey struct {
-	class  string
-	metric string
-	attrs  string // tuple joined with \x1f (never appears in names)
-	approx bool
+// table is one class's candidate tuples in enumeration order; a
+// candidate is its position. It never changes once built, and the
+// successors whose enumeration is the same share it.
+type table struct {
+	tuples [][]string
+	// keys[p] is tuples[p] joined with ",", the end of Key().
+	keys []string
+	// all lists every position, ascending: a whole-class read.
+	all []int32
+	// postings maps each attribute to the ascending positions holding it.
+	postings map[string][]int32
 }
 
-func keyFor(class, metric string, approx bool, attrs []string) cacheKey {
-	return cacheKey{class: class, metric: metric, attrs: strings.Join(attrs, "\x1f"), approx: approx}
+func newTable(tuples [][]string) *table {
+	t := &table{tuples: tuples, keys: make([]string, len(tuples)), all: make([]int32, len(tuples)), postings: make(map[string][]int32)}
+	for p, attrs := range tuples {
+		t.keys[p], t.all[p] = strings.Join(attrs, ","), int32(p)
+		for i, a := range attrs {
+			if !slices.Contains(attrs[:i], a) {
+				t.postings[a] = append(t.postings[a], int32(p))
+			}
+		}
+	}
+	return t
 }
 
-// inflightSlot is one in-flight scoring computation. The owner stores
-// the result and closes done; waiters block on done (or their own
-// ctx) and read in. abandoned is set (before close) when the owner
-// gave up without scoring — waiters then score the candidate
-// themselves. Both fields are published by the channel close, so
-// waiters read them without a lock.
-type inflightSlot struct {
-	done      chan struct{}
-	in        core.Insight
-	abandoned bool
+// slot is one candidate's score in a column: empty (both fields nil),
+// in flight (wait is the claiming pass's done channel) or done.
+type slot struct {
+	wait chan struct{}
+	done *scored
+}
+
+// scored is a done slot's insight, and the certificate an exact score
+// of a core.Successor left (nil when none).
+type scored struct {
+	in   core.Insight
+	cert core.Certificate
+}
+
+// column is a generation's scores of one class under a resolved metric
+// on one backend, and mu the generation's lock, under which its slots
+// are written. carried holds, by position, the certificates handed down
+// to an exact column (nil when there are none), each a bound on its
+// tuple's exact score on the generation's frame.
+type column struct {
+	c       core.Class
+	metric  string
+	approx  bool
+	t       *table
+	mu      *sync.Mutex
+	slots   []slot
+	carried []core.Certificate
 }
 
 // generation is the engine's dataset and what has been computed from
-// it. n, frame, profile and carried never change; the maps below mu are
-// guarded by it, and scoring itself runs outside the lock.
+// it. n, frame and profile never change; the fields below mu are
+// guarded by it, and scoring itself runs outside the lock. prior holds
+// the tables handed down, by class, and handed the exact columns handed
+// down whose certificates no column of this generation has read yet.
 type generation struct {
 	n       uint64
 	frame   *frame.Frame
 	profile *sketch.DatasetProfile
-	// carried holds the certificates handed down to this generation by
-	// the ingests since the last restore, each a bound on its tuple's
-	// exact score on frame.
-	carried map[cacheKey]core.Certificate
 
-	mu       sync.Mutex
-	entries  map[cacheKey]core.Insight
-	inflight map[cacheKey]*inflightSlot
-	views    map[viewKey]*classView
-	// certs holds the certificates this generation's exact scores left.
-	certs map[cacheKey]core.Certificate
+	mu     *sync.Mutex
+	prior  map[string]*table
+	handed map[viewKey]*column
+	tables map[string]*table
+	cols   map[viewKey]*column
+	views  map[viewKey]*classView
+	done   int // done slots, over every column
 }
 
-func newGeneration(n uint64, f *frame.Frame, p *sketch.DatasetProfile, carried map[cacheKey]core.Certificate) *generation {
+// newGeneration is a generation of f and p handed nothing.
+func newGeneration(n uint64, f *frame.Frame, p *sketch.DatasetProfile) *generation {
 	return &generation{
-		n: n, frame: f, profile: p, carried: carried,
-		entries:  make(map[cacheKey]core.Insight),
-		inflight: make(map[cacheKey]*inflightSlot),
-		views:    make(map[viewKey]*classView),
-		certs:    make(map[cacheKey]core.Certificate),
+		n: n, frame: f, profile: p,
+		mu:     new(sync.Mutex),
+		tables: make(map[string]*table),
+		cols:   make(map[viewKey]*column),
+		views:  make(map[viewKey]*classView),
 	}
 }
 
 // successor is the generation of f, which extends g's frame by appended
-// rows, and its profile p. A certificate records the rows it was made
-// on, so all of g's carry over, its own over those handed down to it.
-// The map is a fresh one: g's passes may still be publishing into
-// g.certs while the successor's read its carried set.
+// rows, and p. It is handed g's tables and exact columns, and what g was
+// handed of the rest: a certificate bounds its tuple on any frame that
+// extends the one it was made on. Only the two small maps are copied.
 func (g *generation) successor(f *frame.Frame, p *sketch.DatasetProfile) *generation {
+	s := newGeneration(g.n+1, f, p)
 	g.mu.Lock()
-	carried := make(map[cacheKey]core.Certificate, len(g.carried)+len(g.certs))
-	maps.Copy(carried, g.carried)
-	maps.Copy(carried, g.certs)
-	g.mu.Unlock()
-	return newGeneration(g.n+1, f, p, carried)
+	defer g.mu.Unlock()
+	s.prior, s.handed = maps.Clone(g.prior), maps.Clone(g.handed)
+	if s.prior == nil {
+		s.prior, s.handed = make(map[string]*table), make(map[viewKey]*column)
+	}
+	maps.Copy(s.prior, g.tables)
+	for k, col := range g.cols {
+		if !k.approx {
+			s.handed[k] = col
+		}
+	}
+	return s
+}
+
+// column returns g's column of c under metric on the given backend,
+// built at its first read, with the class's table (the one handed down
+// when the enumeration is the same) and, by position, the certificates
+// handed down for it. A changed table takes none: a certificate is only
+// a bound, so the class's own stand in.
+func (g *generation) column(c core.Class, metric string, approx bool) *column {
+	k := viewKey{c.Name(), metric, approx}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if col := g.cols[k]; col != nil {
+		return col
+	}
+	t := g.tables[k.class]
+	if t == nil {
+		tuples := c.Candidates(g.frame)
+		if t = g.prior[k.class]; t == nil || !slices.EqualFunc(t.tuples, tuples, slices.Equal[[]string]) {
+			t = newTable(tuples)
+		}
+		g.tables[k.class] = t
+	}
+	col := &column{c: c, metric: metric, approx: approx, t: t, mu: g.mu, slots: make([]slot, len(t.tuples))}
+	if h := g.handed[k]; h != nil {
+		if h.t == t {
+			col.carried = h.certificates()
+		}
+		// Read once: the retired column's insights may go.
+		delete(g.handed, k)
+	}
+	g.cols[k] = col
+	return col
+}
+
+// certificates returns, by position, the certificate of each done slot
+// of col, or else the one col carried; nil when there is none.
+func (col *column) certificates() []core.Certificate {
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	out := slices.Clone(col.carried)
+	for p, s := range col.slots {
+		if s.done != nil && s.done.cert != nil {
+			if out == nil {
+				out = make([]core.Certificate, len(col.slots))
+			}
+			out[p] = s.done.cert
+		}
+	}
+	return out
 }
 
 // CacheStats returns a snapshot of the scoring-cache counters.
 func (e *Engine) CacheStats() CacheStats {
 	g := e.gen.Load()
 	g.mu.Lock()
-	entries := len(g.entries)
+	entries := g.done
 	g.mu.Unlock()
 	return CacheStats{
 		Hits:       e.hits.Load(),
@@ -138,25 +220,4 @@ func (e *Engine) CacheStats() CacheStats {
 		Entries:    entries,
 		Generation: g.n,
 	}
-}
-
-// peek answers keys from g's memo without scoring, waiting or claiming:
-// a memoized score lands in out at its key's index; the indices of the
-// rest come back in ascending order. The caller counts the answered
-// ones as hits — a missing candidate counts as a miss only once the
-// pass claims it, and never if it is pruned.
-func (g *generation) peek(keys []cacheKey, out []core.Insight) (misses []int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i, k := range keys {
-		if in, ok := g.entries[k]; ok {
-			out[i] = in
-			continue
-		}
-		if misses == nil {
-			misses = make([]int, 0, len(keys)-i)
-		}
-		misses = append(misses, i)
-	}
-	return misses
 }

@@ -149,16 +149,18 @@ func TestCacheEquivalence(t *testing.T) {
 func TestStaleGenerationBypassesMemo(t *testing.T) {
 	e := newTestEngine(t, 400, 36)
 	c, _ := e.registry.Lookup("linear")
-	cands := c.Candidates(e.Frame())
 	stale := e.gen.Load()
+	col := stale.column(c, "pearson", false)
+	cands := col.t.tuples
 	// Warm the old generation, then move past it.
-	if _, _, err := e.scorePass(context.Background(), stale, c, cands, false, "pearson", 0, 0, math.Inf(1)); err != nil {
+	if _, _, err := e.scorePass(context.Background(), stale, col, col.t.all, 0, 0, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RestoreSnapshot(e.Frame(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.scorePass(context.Background(), e.gen.Load(), c, cands[:1], false, "pearson", 0, 0, math.Inf(1)); err != nil {
+	live := e.gen.Load().column(c, "pearson", false)
+	if _, _, err := e.scorePass(context.Background(), e.gen.Load(), live, live.t.all[:1], 0, 0, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	before := e.CacheStats()
@@ -167,7 +169,7 @@ func TestStaleGenerationBypassesMemo(t *testing.T) {
 	}
 	for _, k := range []int{0, 2} { // unbounded and top-k passes alike
 		hits := e.CacheStats().Hits
-		got, _, err := e.scorePass(context.Background(), stale, c, cands, false, "pearson", k, 0, math.Inf(1))
+		got, _, err := e.scorePass(context.Background(), stale, col, col.t.all, k, 0, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,10 +457,10 @@ func TestConcurrentInvalidation(t *testing.T) {
 }
 
 // TestScoreThroughMemo: Engine.Score answers a tuple a pass scored from
-// the memo, bit for bit what the class scores; memoizes a tuple it
-// scores itself, so the next call is a hit; and hands back the class's
-// own error for a tuple or metric the class cannot score, memoizing
-// nothing.
+// its slot, bit for bit what the class scores; scores a tuple outside
+// the class's table (a reversed pair) directly on every call, touching
+// no counter and no slot; and hands back the class's own error for a
+// tuple or metric the class cannot score, memoizing nothing.
 func TestScoreThroughMemo(t *testing.T) {
 	f := testFrame(600, 5)
 	e, err := NewEngine(f, core.NewRegistry(), nil)
@@ -496,8 +498,8 @@ func TestScoreThroughMemo(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(first, again) {
 		t.Fatalf("second call = %+v, %v; first %+v", again, err, first)
 	}
-	if st := e.CacheStats(); st.Hits != before.Hits+1 || st.Entries != before.Entries {
-		t.Errorf("a tuple Score memoized: hits %d → %d, entries %d → %d", before.Hits, st.Hits, before.Entries, st.Entries)
+	if st := e.CacheStats(); st != before {
+		t.Errorf("a tuple outside the table has no slot: %+v → %+v", before, st)
 	}
 
 	before = e.CacheStats()
@@ -512,5 +514,84 @@ func TestScoreThroughMemo(t *testing.T) {
 	}
 	if st := e.CacheStats(); st.Entries != before.Entries {
 		t.Errorf("failed scores memoized: entries %d → %d", before.Entries, st.Entries)
+	}
+}
+
+// TestScoreJoinsInflightPass: Engine.Score on a tuple whose slot a pass
+// holds in flight waits for that pass and returns its insight — one
+// wait, and one score of each candidate in total. A tuple outside the
+// class's table has no slot: a reversed pair scores directly, bit for
+// bit the same on every call, and adds no entry.
+func TestScoreJoinsInflightPass(t *testing.T) {
+	gc := &gateClass{gate: make(chan struct{}), blockAttr: "a"}
+	e := gatedEngine(t, gc)
+	n := int64(len(gc.Candidates(e.Frame())))
+	pass := make(chan []Result, 1)
+	go func() {
+		res, err := e.ExecuteContext(context.Background(), Query{})
+		if err != nil {
+			t.Error(err)
+		}
+		pass <- res
+	}()
+	waitFor(t, "the pass to reach the gated Score", func() bool { return gc.calls.Load() >= 1 })
+	before := e.CacheStats()
+	type reply struct {
+		in  core.Insight
+		err error
+	}
+	scored := make(chan reply, 1)
+	go func() {
+		in, err := e.Score(gc, []string{"a"}, "")
+		scored <- reply{in, err}
+	}()
+	waitFor(t, "Score to wait on the pass or score the tuple itself", func() bool {
+		return e.CacheStats().Waits > before.Waits || gc.calls.Load() > 1
+	})
+	close(gc.gate)
+	res := <-pass
+	got := <-scored
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	var want core.Insight
+	for _, in := range res[0].Insights {
+		if in.Attrs[0] == "a" {
+			want = in
+		}
+	}
+	if !reflect.DeepEqual(got.in, want) {
+		t.Errorf("Score = %+v, the pass scored %+v", got.in, want)
+	}
+	if w := e.CacheStats().Waits - before.Waits; w != 1 {
+		t.Errorf("Score waited on %d slots, want 1", w)
+	}
+	if c := gc.calls.Load(); c != n {
+		t.Errorf("%d scores of %d candidates: Score scored its tuple again", c, n)
+	}
+
+	f := testFrame(300, 6)
+	le, err := NewEngine(f, core.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear, _ := le.Registry().Lookup("linear")
+	if _, err := le.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}}); err != nil {
+		t.Fatal(err)
+	}
+	reversed := []string{"b", "a"}
+	wantRev, err := linear.Score(f, reversed, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := le.CacheStats()
+	for call := 0; call < 2; call++ {
+		got, err := le.Score(linear, reversed, "")
+		if err != nil || !reflect.DeepEqual(got, wantRev) {
+			t.Errorf("call %d: Score(%v) = %+v, %v; the class scores %+v", call, reversed, got, err, wantRev)
+		}
+	}
+	if st := le.CacheStats(); st != stats {
+		t.Errorf("a reversed pair touched the memo: %+v → %+v", stats, st)
 	}
 }

@@ -190,15 +190,34 @@ func TestCertificatesKeepReplies(t *testing.T) {
 	if st, bare := carrying.PruneStats(), fresh.PruneStats(); st.Carried == 0 || bare.Carried != 0 || st.Pruned <= bare.Pruned {
 		t.Errorf("carrying engine %+v, fresh engine %+v", st, bare)
 	}
-	carried := map[string]bool{}
-	for key := range carrying.gen.Load().carried {
-		carried[key.class] = true
-	}
+	carried := handedCerts(carrying.gen.Load())
 	for _, class := range []string{"segmentation", "monotonic", "multimodality"} {
-		if got, bare := pruned[carrying][class], pruned[fresh][class]; !carried[class] || got <= bare {
-			t.Errorf("%s: carried %v, pruned %d by the carrying engine and %d by the fresh one", class, carried[class], got, bare)
+		if got, bare := pruned[carrying][class], pruned[fresh][class]; carried[class] == 0 || got <= bare {
+			t.Errorf("%s: carried %v, pruned %d by the carrying engine and %d by the fresh one", class, carried[class] > 0, got, bare)
 		}
 	}
+}
+
+// handedCerts counts, by class, the certificates handed down to g: those
+// its columns carry, and those of the columns it has yet to read.
+func handedCerts(g *generation) map[string]int {
+	n := map[string]int{}
+	count := func(class string, certs []core.Certificate) {
+		for _, cert := range certs {
+			if cert != nil {
+				n[class]++
+			}
+		}
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for k, col := range g.cols {
+		count(k.class, col.carried)
+	}
+	for k, col := range g.handed {
+		count(k.class, col.certificates())
+	}
+	return n
 }
 
 // TestCertificatesDropOnInvalidate: only an append hands certificates
@@ -206,7 +225,12 @@ func TestCertificatesKeepReplies(t *testing.T) {
 // that carries none, whatever the frame.
 func TestCertificatesDropOnInvalidate(t *testing.T) {
 	e, _, g := linkedEngines(t, 600, 8, 7)
-	carried := func() int { return len(e.gen.Load().carried) }
+	carried := func() (n int) {
+		for _, c := range handedCerts(e.gen.Load()) {
+			n += c
+		}
+		return n
+	}
 	for _, drop := range []struct {
 		name string
 		do   func() error
@@ -299,7 +323,7 @@ func TestRetiredPassBesideSuccessor(t *testing.T) {
 	}()
 	waitFor(t, "the pass to reach the gate", func() bool { return seg.entered.Load() > 0 })
 	ingest()
-	if len(e.gen.Load().carried) == 0 {
+	if len(handedCerts(e.gen.Load())) == 0 {
 		t.Fatal("the ingest carried no certificates")
 	}
 
@@ -321,6 +345,153 @@ func TestRetiredPassBesideSuccessor(t *testing.T) {
 		t.Error("the retired pass differs from the oracle on its own frame")
 	}
 	if st := e.PruneStats(); st.Carried == 0 {
+		t.Errorf("no miss was bounded by a carried certificate: %+v", st)
+	}
+}
+
+// TestSlotsAcrossGenerations: ingests change the candidate tables — a
+// one-level categorical taking its second level inserts tuples in the
+// middle of the dependence, catassoc and segmentation tables, and a
+// categorical turning identifier-like takes its tuples out — and an
+// engine that hands its tables and certificates down still replies,
+// body for body, what one that starts every generation afresh replies:
+// exact and approximate carousels, fixed queries, neighborhoods and
+// Engine.Score. Run it with -race.
+func TestSlotsAcrossGenerations(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	// batch returns n rows: six numeric columns spread alike, and a
+	// 4-level c00 whose level k moves n000 and n001 by 4k and the rest by
+	// 4 times a level of their own, so its segmentation triples range
+	// from strong (n000, n001) through one strong axis to none (two of
+	// n002…n005), and a certificate on the wrong triple would give a
+	// tight bound of the wrong score; u1 and u2, "x"
+	// until their second level opens; and tag, which holds tags[i] in row
+	// i and is missing past them.
+	batch := func(n int, u1, u2 bool, tags []string) [][]string {
+		rows := make([][]string, n)
+		for i := range rows {
+			k := rng.Intn(4)
+			for j := 0; j < 6; j++ {
+				v := rng.NormFloat64() + 4*float64(k)
+				if j >= 2 {
+					v += 4 * float64(rng.Intn(4)-k)
+				}
+				rows[i] = append(rows[i], strconv.FormatFloat(v, 'g', 6, 64))
+			}
+			a, b, tag := "x", "x", ""
+			if u1 && rng.Intn(2) == 0 {
+				a = "y"
+			}
+			if u2 && rng.Intn(2) == 0 {
+				b = "y"
+			}
+			if i < len(tags) {
+				tag = tags[i]
+			}
+			rows[i] = append(rows[i], "K"+strconv.Itoa(k), a, b, tag)
+		}
+		return rows
+	}
+	// Twelve tags twice each: segmentation's cardinality cap, and half
+	// the 24 cells that hold one, so not identifier-like.
+	var tags []string
+	for i := 0; i < 24; i++ {
+		tags = append(tags, fmt.Sprintf("T%d", i/2))
+	}
+	var csv strings.Builder
+	csv.WriteString("n000,n001,n002,n003,n004,n005,c00,u1,u2,tag\n")
+	for _, rec := range batch(300, false, false, tags) {
+		csv.WriteString(strings.Join(rec, ",") + "\n")
+	}
+	f, err := frame.ReadCSV(strings.NewReader(csv.String()), "slots", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var engines [2]*Engine
+	for i := range engines {
+		if engines[i], err = NewEngine(f, core.NewRegistry(), sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 42, Spearman: true})); err != nil {
+			t.Fatal(err)
+		}
+		engines[i].SetWorkers(2)
+	}
+	carrying, fresh := engines[0], engines[1]
+	scores := func(e *Engine) [][]byte {
+		var out [][]byte
+		for _, tuple := range [][]string{
+			{"n000", "n002", "c00"}, {"n001", "n003", "c00"}, {"n000", "n001", "u1"}, {"n002", "n003", "u2"}, {"n004", "tag"}, {"n001", "n000"},
+		} {
+			c, _ := e.Registry().Lookup(map[int]string{2: "dependence", 3: "segmentation"}[len(tuple)])
+			if tuple[0] == "n001" && tuple[1] == "n000" {
+				c, _ = e.Registry().Lookup("linear")
+			}
+			in, err := e.Score(c, tuple, "")
+			body, _ := json.Marshal(in)
+			out = append(out, append(body, fmt.Sprint(err)...))
+		}
+		return out
+	}
+	strong := func(e *Engine) []byte {
+		res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"segmentation"}, MinScore: 0.17})
+		body, _ := json.Marshal(res)
+		return append(body, fmt.Sprint(err)...)
+	}
+	// An eleventh tag and five more make tag identifier-like: 18 tags
+	// over 34 cells.
+	idLike := []string{"T0", "T1", "T2", "T3", "T12", "T13", "T14", "T15", "T16", "T17"}
+	steps := []struct {
+		u1, u2 bool
+		tags   []string
+	}{{}, {}, {u1: true}, {u1: true}, {u1: true, tags: idLike}, {u1: true, u2: true}, {u1: true, u2: true}}
+	changed := map[int]bool{}
+	for step, s := range steps {
+		if step > 0 {
+			b := frame.RowBatch{Records: batch(10, s.u1, s.u2, s.tags)}
+			for _, e := range engines {
+				if _, err := e.Ingest(context.Background(), b, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fresh.RestoreSnapshot(fresh.Frame(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got, want [][]byte
+		if step%2 == 0 {
+			got, want = scores(carrying), scores(fresh)
+		}
+		// The strong triple and the one-axis ones (≈ 0.18): a certificate
+		// of a two-noise triple on one of them would prune it.
+		got, want = append(got, strong(carrying)), append(want, strong(fresh))
+		got, want = append(got, replies(t, carrying, step%2 == 1)...), append(want, replies(t, fresh, step%2 == 1)...)
+		got, want = append(got, scores(carrying)...), append(want, scores(fresh)...)
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("step %d, reply %d differs:\n got %s\nwant %s", step, i, got[i], want[i])
+			}
+		}
+		gen := carrying.gen.Load()
+		if step > 0 && gen.tables["segmentation"] != gen.prior["segmentation"] {
+			changed[step] = true
+		}
+		// Every certificate a column carries bounds its own tuple.
+		seg, _ := carrying.Registry().Lookup("segmentation")
+		col := gen.column(seg, "silhouette", false)
+		for p, attrs := range col.t.tuples {
+			if p >= len(col.carried) || col.carried[p] == nil {
+				continue
+			}
+			in, err := seg.Score(gen.frame, attrs, "silhouette")
+			if b := seg.(core.Successor).SuccessorBound(col.carried[p], gen.frame, attrs, "silhouette"); err == nil && b < in.Score {
+				t.Errorf("step %d: %v scores %v, above the bound %v its carried certificate gives", step, attrs, in.Score, b)
+			}
+		}
+	}
+	// The replies matched across changed tables, and across kept ones
+	// whose certificates bounded misses.
+	if want := map[int]bool{2: true, 4: true, 5: true}; !reflect.DeepEqual(changed, want) {
+		t.Errorf("segmentation's table changed at steps %v, want %v", changed, want)
+	}
+	if st := carrying.PruneStats(); st.Carried == 0 {
 		t.Errorf("no miss was bounded by a carried certificate: %+v", st)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -33,16 +32,10 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 	}
 	top := newTopRanked(k, nearer)
 	focusKey := focus.Key()
-	offer := func(ins []core.Insight, keys []string) {
+	offer := func(ins []core.Insight, key func(i int) string) {
 		for i := range ins {
-			var key string
-			if keys != nil {
-				key = keys[i]
-			} else {
-				key = ins[i].Key()
-			}
-			if key != focusKey {
-				top.Offer(ranked{&ins[i], Similarity(focus, ins[i]), key})
+			if ins[i].Key() != focusKey {
+				top.Offer(ranked{&ins[i], Similarity(focus, ins[i]), key(i)})
 			}
 		}
 	}
@@ -59,7 +52,7 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 			return nil, err
 		}
 		counts[i] = r.counts
-		offer(r.ins, r.view.keys[r.from:r.from+len(r.ins)])
+		offer(r.ins, func(i int) string { return r.view.key(r.from + i) })
 	}
 	for _, i := range walk {
 		c := rq.classes[i]
@@ -80,7 +73,7 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 			if err != nil {
 				return nil, err
 			}
-			offer(r.ins, nil)
+			offer(r.ins, func(i int) string { return strings.Join(r.ins[i].Attrs, ",") })
 			counts[i].candidates += r.counts.candidates
 			counts[i].pruned += r.counts.pruned
 			counts[i].filtered += r.counts.filtered
@@ -121,7 +114,7 @@ func scanRecommendations(ctx context.Context, s *Session, k int) ([]Result, erro
 			})
 			for i := range r.ins {
 				in := &r.ins[i]
-				top.Offer(ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(in.Attrs)), r.view.keys[r.from+i]})
+				top.Offer(ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(in.Attrs)), r.view.key(r.from + i)})
 			}
 			carousel = insightsOf(top)
 		} else {
@@ -382,8 +375,8 @@ func undefinedAttr(e *Engine) string {
 	defer g.mu.Unlock()
 	best := ""
 	for _, v := range g.views {
-		for _, attrs := range v.undefined {
-			if best == "" || attrs[0] < best {
+		for p, i := range v.rank {
+			if attrs := v.t.tuples[p]; i < 0 && (best == "" || attrs[0] < best) {
 				best = attrs[0]
 			}
 		}
@@ -479,11 +472,11 @@ func TestUnknownFixedAttributeRejected(t *testing.T) {
 // handView ranks ins into a view of one class, as newClassView does,
 // and returns the whole of it as a ranking.
 func handView(ins ...core.Insight) ranking {
-	v := &classView{candidates: len(ins), ranked: ins}
-	for _, in := range ins {
-		v.keys = append(v.keys, in.Key())
+	tuples := make([][]string, len(ins))
+	for i, in := range ins {
+		tuples[i] = in.Attrs
 	}
-	sort.Sort(byRank{v})
+	v := newClassView(newTable(tuples), ins)
 	return ranking{class: ins[0].Class, metric: ins[0].Metric, ins: v.ranked, view: v}
 }
 

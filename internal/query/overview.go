@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -198,26 +199,29 @@ func assembleOverview(c core.Class, metric string, cands [][]string, scored []co
 			ov.Values[0] = append(ov.Values[0], raw)
 		}
 	case 2:
-		rowIdx := map[string]int{}
-		colIdx := map[string]int{}
-		for _, attrs := range cands {
-			if _, ok := rowIdx[attrs[0]]; !ok {
-				rowIdx[attrs[0]] = len(ov.RowAttrs)
-				ov.RowAttrs = append(ov.RowAttrs, attrs[0])
-			}
-			if _, ok := colIdx[attrs[1]]; !ok {
-				colIdx[attrs[1]] = len(ov.ColAttrs)
-				ov.ColAttrs = append(ov.ColAttrs, attrs[1])
-			}
-		}
 		// Pairwise same-kind classes enumerate i<j; unify the axes so
 		// the heat map is square and symmetric (Figure 2).
-		ov.Symmetric = sameAttrSets(ov.RowAttrs, ov.ColAttrs, cands)
-		if ov.Symmetric {
-			union := unionOrdered(ov.RowAttrs, ov.ColAttrs)
-			ov.RowAttrs, ov.ColAttrs = union, union
-			rowIdx, colIdx = indexOf(union), indexOf(union)
+		var rows, cols []string
+		inRows, inCols := map[string]bool{}, map[string]bool{}
+		for _, attrs := range cands {
+			if !inRows[attrs[0]] {
+				inRows[attrs[0]], rows = true, append(rows, attrs[0])
+			}
+			if !inCols[attrs[1]] {
+				inCols[attrs[1]], cols = true, append(cols, attrs[1])
+			}
 		}
+		ov.Symmetric = slices.ContainsFunc(cols, func(a string) bool { return inRows[a] })
+		if ov.Symmetric {
+			for _, a := range cols {
+				if !inRows[a] {
+					inRows[a], rows = true, append(rows, a)
+				}
+			}
+			cols = rows
+		}
+		ov.RowAttrs, ov.ColAttrs = rows, cols
+		rowIdx, colIdx := indexOf(rows), indexOf(cols)
 		ov.Values = make([][]float64, len(ov.RowAttrs))
 		for i := range ov.Values {
 			ov.Values[i] = make([]float64, len(ov.ColAttrs))
@@ -246,48 +250,6 @@ func assembleOverview(c core.Class, metric string, cands [][]string, scored []co
 		}
 	}
 	return ov
-}
-
-// sameAttrSets reports whether the first and second tuple positions
-// draw from one shared attribute universe (true for numeric×numeric
-// pair classes, false for numeric×categorical).
-func sameAttrSets(rows, cols []string, cands [][]string) bool {
-	seen := map[string]bool{}
-	for _, r := range rows {
-		seen[r] = true
-	}
-	overlap := false
-	for _, c := range cols {
-		if seen[c] {
-			overlap = true
-			break
-		}
-	}
-	if !overlap {
-		return false
-	}
-	// Verify no tuple pairs an attribute with itself-kind mismatch;
-	// candidates of mixed classes never overlap, so overlap implies a
-	// shared universe.
-	return len(cands) > 0
-}
-
-func unionOrdered(a, b []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range a {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	for _, s := range b {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 func indexOf(names []string) map[string]int {

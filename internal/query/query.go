@@ -164,7 +164,7 @@ func NewEngine(f *frame.Frame, reg *core.Registry, profile *sketch.DatasetProfil
 		reg = core.NewRegistry()
 	}
 	e := &Engine{registry: reg, ingestSlot: make(chan struct{}, 1)}
-	e.gen.Store(newGeneration(0, f, profile, nil))
+	e.gen.Store(newGeneration(0, f, profile))
 	return e, nil
 }
 
@@ -366,29 +366,23 @@ func (rq *request) record(op string) {
 	}
 }
 
-// scoreClass is the one place a class is enumerated, scored, published
-// and ranked: it ranks class c against generation g under the resolved
+// scoreClass is the one place a class is read, scored, published and
+// ranked: it ranks class c against generation g under the resolved
 // metric, with the counts of the pass behind the ranking and the score
 // its top-k cut left out first, from which the caller records what it
 // returns.
 //
 // A read with no semantic or keep constraint is answered from the
 // generation's view of the class when there is one: a whole-class read
-// is a slice of it (sliceView), a fixed-attribute read a walk of its
-// attribute index (fixedFromView). Otherwise the candidates go through
-// the bound-ordered pass under the read's own K and MinScore. A
-// whole-class pass that pruned nothing has scored every candidate — no
-// bounds, nothing to prune against, or bounds that cut nothing (a
-// constant bound is one run of equal bounds, one chunk) — so it
-// publishes the class's view, whatever K was, and answers from it. A
-// pass that pruned (profile moments, a carried certificate) or that
-// saw only part of the class ranks what it scored.
-//
-// The next score of a pruned pass, hence its margin telemetry, is
-// conservative: the strongest excluded candidate may have been pruned
-// rather than scored, so the reported margin can exceed the true one.
-// The returned insights are unaffected (see the equivalence argument
-// in score.go).
+// is a slice of it (sliceView), a fixed-attribute read a walk of the
+// table's postings (fixedFromView). Otherwise the positions of the
+// class's table that the read admits go through the bound-ordered pass
+// under the read's own K and MinScore. A whole-class pass that pruned
+// nothing has scored every candidate, so it publishes the class's view,
+// whatever K was, and answers from it. A pass that pruned or saw only
+// part of the class ranks what it scored; its next score, hence its
+// margin telemetry, is conservative (the strongest excluded candidate
+// may be unscored), its insights exact (score.go).
 func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c core.Class, q Query, metric string, maxScore float64) (ranking, error) {
 	r := ranking{class: c.Name(), metric: metric, next: math.NaN()}
 	key := viewKey{class: r.class, metric: metric, approx: q.Approx}
@@ -402,36 +396,35 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c
 			}
 			// A view read stands for one memo hit per candidate, which
 			// keeps the hit ratio meaning "scored before".
-			e.hits.Add(uint64(v.candidates))
+			e.hits.Add(uint64(len(v.rank)))
 			return sliceView(r, v, q, maxScore), nil
 		}
 	}
-	// Filter candidates by the structural constraints first, then
-	// score (scorePass), then filter by strength and rank.
+	// Filter the class's table by the structural constraints first,
+	// then score (scorePass), then filter by strength and rank.
 	endEnum := tr.StartSpan("enumerate:" + r.class)
-	var cands [][]string
-	for _, attrs := range c.Candidates(g.frame) {
-		if !containsAll(attrs, q.Fixed) {
-			continue
-		}
-		if q.Semantic != frame.SemanticNone && !anySemantic(g.frame, attrs, q.Semantic) || q.keep != nil && !q.keep(attrs) {
-			continue
-		}
-		cands = append(cands, attrs)
+	col := g.column(c, metric, q.Approx)
+	pos := col.t.all
+	if !whole {
+		pos = col.t.filter(g.frame, q)
 	}
 	endEnum()
 	if err := ctx.Err(); err != nil {
 		return r, err
 	}
 	endScore := tr.StartSpan("score:" + r.class)
-	scored, pruned, err := e.scorePass(ctx, g, c, cands, q.Approx, metric, q.K, q.MinScore, maxScore)
+	scored, pruned, err := e.scorePass(ctx, g, col, pos, q.K, q.MinScore, maxScore)
 	endScore()
 	if err != nil {
 		return r, err
 	}
 	if whole && pruned == 0 {
 		endView := tr.StartSpan("view:" + r.class)
-		v := g.publishView(key, newClassView(c, metric, cands, scored))
+		v := newClassView(col.t, scored)
+		if c.Arity() <= 2 {
+			v.overview = assembleOverview(c, metric, col.t.tuples, scored)
+		}
+		v = g.publishView(key, v)
 		endView()
 		defer tr.StartSpan("rank:" + r.class)()
 		return sliceView(r, v, q, maxScore), nil
@@ -446,7 +439,7 @@ func (e *Engine) scoreClass(ctx context.Context, tr *obs.Trace, g *generation, c
 		ins = append(ins, in)
 	}
 	r.ins, r.next = core.TopKExcluded(ins, q.K)
-	r.counts = passCounts{candidates: len(cands), pruned: pruned, filtered: len(cands) - pruned - len(ins)}
+	r.counts = passCounts{candidates: len(pos), pruned: pruned, filtered: len(pos) - pruned - len(ins)}
 	return r, nil
 }
 
@@ -462,50 +455,42 @@ func sliceView(r ranking, v *classView, q Query, maxScore float64) ranking {
 		end, r.next = lo+q.K, v.ranked[lo+q.K].Score
 	}
 	r.ins, r.view, r.from = v.ranked[lo:end], v, lo
-	r.counts = passCounts{candidates: v.candidates, filtered: v.candidates - (hi - lo)}
+	r.counts = passCounts{candidates: len(v.rank), filtered: len(v.rank) - (hi - lo)}
 	return r
 }
 
 // fixedFromView ranks the insights of view v that hold every attribute
 // q fixes — what the per-candidate pass would return, since the view
-// holds every candidate's memoized slot: it visits the shortest posting
-// list of the fixed attributes, keeps the tuples that hold them all,
+// holds every candidate's slot: it visits the table's shortest posting
+// list among the fixed attributes, keeps the tuples that hold them all,
 // and of those the ones within [MinScore, maxScore], which in view
-// order are already ranked, so their top K is their head. Each matching
+// order are ranked, so their top K is their head. Each matching
 // candidate, defined or not, counts one memo hit, as the pass's peek
 // would; the filtered count is the matches outside the strength range,
 // not those the top-K cut drops.
 func (e *Engine) fixedFromView(r ranking, v *classView, q Query, maxScore float64) ranking {
-	var list []int32
-	for i, a := range q.Fixed {
-		if l := v.holding(a); i == 0 || len(l) < len(list) {
-			list = l
-		}
-	}
 	lo, hi := v.scoreRange(q.MinScore, maxScore)
-	matched, kept := 0, 0
+	list := v.t.shortest(q.Fixed)
+	kept := make([]int32, 0, len(list))
+	matched := 0
 	for _, p := range list {
-		in := &v.ranked[p]
-		if !containsAll(in.Attrs, q.Fixed) {
+		if !containsAll(v.t.tuples[p], q.Fixed) {
 			continue
 		}
 		matched++
-		if int(p) < lo || int(p) >= hi {
-			continue
-		}
-		if kept++; q.K <= 0 || kept <= q.K {
-			r.ins = append(r.ins, *in)
-		} else if kept == q.K+1 {
-			r.next = in.Score
+		if i := v.rank[p]; i >= int32(lo) && i < int32(hi) {
+			kept = append(kept, i)
 		}
 	}
-	for _, attrs := range v.undefined {
-		if containsAll(attrs, q.Fixed) {
-			matched++
-		}
+	r.counts = passCounts{candidates: matched, filtered: matched - len(kept)}
+	slices.Sort(kept)
+	if q.K > 0 && q.K < len(kept) {
+		kept, r.next = kept[:q.K], v.ranked[kept[q.K]].Score
+	}
+	for _, i := range kept {
+		r.ins = append(r.ins, v.ranked[i])
 	}
 	e.hits.Add(uint64(matched))
-	r.counts = passCounts{candidates: matched, filtered: matched - kept}
 	return r
 }
 
@@ -566,6 +551,33 @@ func containsAll(attrs, fixed []string) bool {
 		}
 	}
 	return true
+}
+
+// shortest returns t's shortest posting list among attrs (all of t
+// when there are none): a superset of the positions holding them all.
+func (t *table) shortest(attrs []string) []int32 {
+	list := t.all
+	for _, a := range attrs {
+		if l := t.postings[a]; len(l) < len(list) {
+			list = l
+		}
+	}
+	return list
+}
+
+// filter returns the ascending positions of t whose tuples hold every
+// attribute q fixes, one of q's semantic type if it names one, and
+// pass q's keep constraint if it has one.
+func (t *table) filter(f *frame.Frame, q Query) []int32 {
+	var pos []int32
+	for _, p := range t.shortest(q.Fixed) {
+		if attrs := t.tuples[p]; containsAll(attrs, q.Fixed) &&
+			(q.Semantic == frame.SemanticNone || anySemantic(f, attrs, q.Semantic)) &&
+			(q.keep == nil || q.keep(attrs)) {
+			pos = append(pos, p)
+		}
+	}
+	return pos
 }
 
 func anySemantic(f *frame.Frame, attrs []string, want frame.SemanticType) bool {

@@ -66,7 +66,7 @@ func (e *Engine) RestoreSnapshot(f *frame.Frame, p *sketch.DatasetProfile) error
 	} else if g.profile != nil {
 		p.Config.Workers = g.profile.Config.Workers
 	}
-	e.gen.Store(newGeneration(g.n+1, f, p, nil))
+	e.gen.Store(newGeneration(g.n+1, f, p))
 	return nil
 }
 
@@ -80,5 +80,5 @@ func (e *Engine) InvalidateCache() {
 	e.lockIngest()
 	defer e.unlockIngest()
 	g := e.gen.Load()
-	e.gen.Store(newGeneration(g.n+1, g.frame, g.profile, nil))
+	e.gen.Store(newGeneration(g.n+1, g.frame, g.profile))
 }

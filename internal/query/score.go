@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"foresight/internal/core"
@@ -10,17 +11,18 @@ import (
 )
 
 // This file is the engine's one scoring pass. Every insight query and
-// every overview scores a class's candidates through scorePass, in
+// every overview scores a list of positions of a class's candidate
+// table (cache.go) through scorePass, into the slots of one column, in
 // this order:
 //
-//	key   one memo key per candidate
-//	peek  one locked look at the memo; hits are answered by value
+//	peek  one locked look at the column; done slots are answered by
+//	      value
 //	bound only when the query has something to prune against (K or
 //	      MinScore), the class is a core.Bounder and the generation has
 //	      a profile: bound the misses (by a handed-down certificate where
 //	      that is lower), order them by descending bound
-//	score claim → score → publish the misses through the singleflight
-//	      map and the worker pool (scoreMisses), in 2×workers chunks
+//	score claim → score → publish the misses' slots through the worker
+//	      pool (scoreMisses), in 2×workers chunks
 //	      when bounded, raising the kth-best threshold between chunks
 //	      and stopping at the first bound strictly below it; a run of
 //	      equal bounds is never split. The pool's unit is a run: up to
@@ -94,32 +96,27 @@ func prunes(c core.Class, g *generation, k int, minScore float64) bool {
 	return bounded && g.profile != nil && (k > 0 || minScore > 0)
 }
 
-// runsOf partitions the owned misses of a pass (idx[owned[o]] indexes
-// cands) into the worker pool's units: a unit is up to core.RunWidth
-// consecutive owned misses that are consecutive candidates and share
-// their first attribute, for an exact pass of a core.RunScorer that is
-// not a core.Successor, and otherwise one miss. Unit u is
+// runsOf partitions the owned misses of a pass (pos[owned[o]] is a
+// position of t) into the worker pool's units: a unit is up to
+// core.RunWidth consecutive owned misses at consecutive positions that
+// share their first attribute, for an exact pass of a core.RunScorer
+// that is not a core.Successor, and otherwise one miss. Unit u is
 // owned[starts[u]:starts[u+1]]; starts is nil when every unit is one
 // miss. No unit is wider than ⌈len(owned)/workers⌉, so runs never leave
 // a worker idle.
-func runsOf(c core.Class, approx bool, cands [][]string, idx, owned []int, workers int) (core.RunScorer, []int) {
-	rs, ok := c.(core.RunScorer)
-	_, succ := c.(core.Successor)
+func runsOf(col *column, pos []int32, owned []int, workers int) (core.RunScorer, []int) {
+	rs, ok := col.c.(core.RunScorer)
+	_, succ := col.c.(core.Successor)
 	width := min(core.RunWidth, (len(owned)+workers-1)/workers)
-	if !ok || succ || approx || width < 2 {
+	if !ok || succ || col.approx || width < 2 {
 		return nil, nil
-	}
-	first := func(o int) string {
-		if attrs := cands[idx[owned[o]]]; len(attrs) > 0 {
-			return attrs[0]
-		}
-		return ""
 	}
 	starts := make([]int, 0, len(owned)+1)
 	for o := 0; o < len(owned); {
 		starts = append(starts, o)
-		end := o + 1
-		for end < len(owned) && end-o < width && idx[owned[end]] == idx[owned[end-1]]+1 && first(end) == first(o) {
+		end, first := o+1, col.t.tuples[pos[owned[o]]][0]
+		for end < len(owned) && end-o < width && owned[end] == owned[end-1]+1 &&
+			pos[owned[end]] == pos[owned[end-1]]+1 && col.t.tuples[pos[owned[end]]][0] == first {
 			end++
 		}
 		o = end
@@ -127,19 +124,8 @@ func runsOf(c core.Class, approx bool, cands [][]string, idx, owned []int, worke
 	return rs, append(starts, len(owned))
 }
 
-// scoreOne scores a single candidate tuple, folding scoring errors
-// into a skipped slot, and returns the certificate an exact score left
-// (nil when none). This is the unit of work the memo operates on, and
-// the worker pool's whenever runsOf forms no run.
-func scoreOne(c core.Class, g *generation, attrs []string, approx bool, metric string) (core.Insight, core.Certificate) {
-	in, cert, err := scoreTuple(c, g, attrs, approx, metric)
-	if err != nil {
-		return skipped, nil
-	}
-	return in, cert
-}
-
-// scoreTuple is scoreOne with the class's error.
+// scoreTuple scores one candidate tuple of c on generation g and
+// returns the certificate an exact score left (nil when none).
 func scoreTuple(c core.Class, g *generation, attrs []string, approx bool, metric string) (in core.Insight, cert core.Certificate, err error) {
 	switch s, ok := c.(core.Successor); {
 	case approx:
@@ -153,13 +139,13 @@ func scoreTuple(c core.Class, g *generation, attrs []string, approx bool, metric
 }
 
 // Score returns class c's exact insight on attrs under metric ("" for
-// the class's first) on the live generation, through its memo: a tuple
-// a pass or an earlier call scored there is not scored again, and one
-// scored here is memoized, with its certificate, for the passes and
-// calls after. An error is the class's own — an unknown column, a
-// tuple the class cannot score, a metric it lacks — and leaves nothing
-// in the memo. The focus, neighborhood and exact render requests score
-// their one insight here.
+// the class's first) on the live generation, through its slot: a tuple
+// scored there is not scored again, one in flight is waited for, and
+// one scored here stays, with its certificate. A tuple outside the
+// class's table (a reversed pair, a column the class does not take) has
+// no slot and is scored directly, as is a metric the class lacks. An
+// error is the class's own. The focus, neighborhood and exact render
+// requests score their one insight here.
 func (e *Engine) Score(c core.Class, attrs []string, metric string) (core.Insight, error) {
 	g := e.gen.Load()
 	if metric == "" {
@@ -168,59 +154,60 @@ func (e *Engine) Score(c core.Class, attrs []string, metric string) (core.Insigh
 	if !supportsMetric(c, metric) {
 		return c.Score(g.frame, attrs, metric)
 	}
-	key := keyFor(c.Name(), metric, false, attrs)
-	g.mu.Lock()
-	in, ok := g.entries[key]
-	g.mu.Unlock()
-	if ok && in.Class != "" {
-		e.hits.Add(1)
-		return in, nil
+	col := g.column(c, metric, false)
+	for _, p := range col.t.shortest(attrs) {
+		if !slices.Equal(col.t.tuples[p], attrs) {
+			continue
+		}
+		// A failed score's slot is skipped: the direct score gives the error.
+		out := make([]core.Insight, 1)
+		if e.scoreMisses(context.Background(), g, col, []int32{p}, []int{0}, out) == nil && out[0].Class != "" {
+			return out[0], nil
+		}
+		break
 	}
-	e.misses.Add(1)
-	in, cert, err := scoreTuple(c, g, attrs, false, metric)
-	if err != nil {
-		return in, err
-	}
-	g.mu.Lock()
-	g.entries[key] = in
-	if cert != nil {
-		g.certs[key] = cert
-	}
-	g.mu.Unlock()
-	return in, nil
+	in, _, err := scoreTuple(c, g, attrs, false, metric)
+	return in, err
 }
 
-// scorePass returns one slot per candidate tuple, in candidate order,
-// plus the number of candidates it pruned: proved outside the top k
-// scores within [minScore, maxScore] without scoring them (k ≤ 0 means
-// no top-k cut). Pruned and errored candidates come back as skipped
-// slots. Scoring runs entirely against generation g and reads and
-// fills only g's memo, whether or not g is still the live one.
+// scorePass returns the slot of each position of pos, in order, plus
+// the number of candidates it pruned: proved outside the top k scores
+// within [minScore, maxScore] without scoring them (k ≤ 0 means no
+// top-k cut). Pruned and errored candidates come back as skipped slots.
+// Scoring runs entirely against generation g and reads and fills only
+// col, one of g's columns, whether or not g is still the live one.
 //
 // The context bounds the whole pass: scoring stops dispatching and
 // singleflight waits unblock as soon as ctx is done, returning
-// ctx.Err(). Whatever was scored before the cutoff is already in the
-// memo.
-func (e *Engine) scorePass(ctx context.Context, g *generation, c core.Class, cands [][]string, approx bool, metric string, k int, minScore, maxScore float64) ([]core.Insight, int, error) {
-	out := make([]core.Insight, len(cands))
-	keys := make([]cacheKey, len(cands))
-	class := c.Name()
-	for i, attrs := range cands {
-		keys[i] = keyFor(class, metric, approx, attrs)
+// ctx.Err(). Whatever was scored before the cutoff stays in col.
+func (e *Engine) scorePass(ctx context.Context, g *generation, col *column, pos []int32, k int, minScore, maxScore float64) ([]core.Insight, int, error) {
+	// One locked look answers the done slots; the rest are the misses.
+	out := make([]core.Insight, len(pos))
+	var misses []int
+	g.mu.Lock()
+	for j, p := range pos {
+		if s := col.slots[p].done; s != nil {
+			out[j] = s.in
+			continue
+		}
+		if misses == nil {
+			misses = make([]int, 0, len(pos)-j)
+		}
+		misses = append(misses, j)
 	}
-	misses := g.peek(keys, out)
-	e.hits.Add(uint64(len(keys) - len(misses)))
+	g.mu.Unlock()
+	e.hits.Add(uint64(len(pos) - len(misses)))
 
-	if !prunes(c, g, k, minScore) {
+	if !prunes(col.c, g, k, minScore) {
 		// No bounds, or nothing to prune against: score every miss.
 		if len(misses) > 0 {
-			if err := e.scoreMisses(ctx, g, c, cands, keys, misses, out, approx, metric); err != nil {
+			if err := e.scoreMisses(ctx, g, col, pos, misses, out); err != nil {
 				return nil, 0, err
 			}
 		}
 		return out, 0, nil
 	}
-	e.pruneConsidered.Add(uint64(len(cands)))
+	e.pruneConsidered.Add(uint64(len(pos)))
 
 	// The threshold is the kth-best score seen so far that survives the
 	// caller's strength filter (NaN never does), floored by minScore.
@@ -235,26 +222,27 @@ func (e *Engine) scorePass(ctx context.Context, g *generation, c core.Class, can
 		return false
 	}
 	var seeded uint64
-	for i, m := 0, 0; i < len(out); i++ {
-		if m < len(misses) && misses[m] == i {
+	for j, m := 0, 0; j < len(out); j++ {
+		if m < len(misses) && misses[m] == j {
 			m++
-		} else if offer(out[i].Score) {
+		} else if offer(out[j].Score) {
 			seeded++
 		}
 	}
 	e.pruneSeeded.Add(seeded)
 
-	// Misses in descending bound order, index-ascending on ties, so the
-	// pass is deterministic. Bounds are never NaN (ScoreBoundFor, and a
-	// NaN certificate bound is never below it).
-	bounds := make([]float64, len(cands))
-	succ, _ := c.(core.Successor)
+	// Misses in descending bound order, position-ascending on ties, so
+	// the pass is deterministic. Bounds are never NaN (ScoreBoundFor,
+	// and a NaN certificate bound is never below it).
+	bounds := make([]float64, len(pos))
+	succ, _ := col.c.(core.Successor)
 	var carried uint64
-	for _, i := range misses {
-		bounds[i] = core.ScoreBoundFor(c, g.profile, cands[i], metric)
-		if cert, ok := g.carried[keys[i]]; ok {
-			if b := succ.SuccessorBound(cert, g.frame, cands[i], metric); b < bounds[i] {
-				bounds[i] = b
+	for _, j := range misses {
+		p := pos[j]
+		bounds[j] = core.ScoreBoundFor(col.c, g.profile, col.t.tuples[p], col.metric)
+		if col.carried != nil && col.carried[p] != nil {
+			if b := succ.SuccessorBound(col.carried[p], g.frame, col.t.tuples[p], col.metric); b < bounds[j] {
+				bounds[j] = b
 				carried++
 			}
 		}
@@ -274,154 +262,153 @@ func (e *Engine) scorePass(ctx context.Context, g *generation, c core.Class, can
 	// equal bounds B is one chunk: its scores cannot lift the threshold
 	// above B, so all of it is scored either way, in one hand-off.
 	chunk := 2 * e.Workers()
-	pos := 0
-	for pos < len(misses) {
+	next := 0
+	for next < len(misses) {
 		t := minScore
 		if s, ok := kth.Kth(); ok && s > t {
 			t = s
 		}
-		end := pos
+		end := next
 		for end < len(misses) && bounds[misses[end]] >= t &&
-			(end-pos < chunk || bounds[misses[end]] == bounds[misses[end-1]]) {
+			(end-next < chunk || bounds[misses[end]] == bounds[misses[end-1]]) {
 			end++
 		}
-		if end == pos {
+		if end == next {
 			break
 		}
-		if err := e.scoreMisses(ctx, g, c, cands, keys, misses[pos:end], out, approx, metric); err != nil {
+		if err := e.scoreMisses(ctx, g, col, pos, misses[next:end], out); err != nil {
 			return nil, 0, err
 		}
-		for _, i := range misses[pos:end] {
-			offer(out[i].Score)
+		for _, j := range misses[next:end] {
+			offer(out[j].Score)
 		}
-		pos = end
+		next = end
 	}
-	pruned := misses[pos:]
-	for _, i := range pruned {
-		out[i] = skipped
+	pruned := misses[next:]
+	for _, j := range pruned {
+		out[j] = skipped
 	}
 	e.prunedTotal.Add(uint64(len(pruned)))
 	return out, len(pruned), nil
 }
 
-// scoreMisses fills out[i] for every candidate index i in idx: from
-// the memo when another request published the score since the peek,
-// by waiting on another request's in-flight scoring of the same key,
-// or by claiming the key, scoring it on the worker pool and publishing
-// it — so concurrent duplicate scoring collapses to one computation.
-//
-// An owner that bails out (its ctx fired, or its scorer panicked)
-// marks its unfinished slots abandoned and wakes every waiter; waiters
-// claim abandoned candidates afresh instead of inheriting work nobody
-// finished. A panicking scorer propagates to the caller after that.
-func (e *Engine) scoreMisses(ctx context.Context, g *generation, c core.Class, cands [][]string, keys []cacheKey, idx []int, out []core.Insight, approx bool, metric string) error {
-	// slots[j] is the in-flight slot of idx[j], owned or waited on.
-	slots := make([]*inflightSlot, len(idx))
-	owned := make([]int, 0, len(idx))
-	var waiting []int
+// scoreMisses fills out[j] for every index j in idx with the slot of
+// position pos[j]: done since the peek, in flight in another request
+// and waited for, or claimed, scored on the worker pool and published.
+// Its own slots are settled (scoreOwned) before it waits on anyone
+// else's, and a slot its owner gave up on is claimed afresh.
+func (e *Engine) scoreMisses(ctx context.Context, g *generation, col *column, pos []int32, idx []int, out []core.Insight) error {
+	var mine chan struct{}
+	var owned, waiting []int
+	var waitOn []chan struct{}
 	var hits uint64
 	g.mu.Lock()
-	for j, i := range idx {
-		if in, ok := g.entries[keys[i]]; ok {
-			out[i] = in
+	for _, j := range idx {
+		switch s := &col.slots[pos[j]]; {
+		case s.done != nil:
+			out[j] = s.done.in
 			hits++
-			continue
+		case s.wait != nil:
+			waiting, waitOn = append(waiting, j), append(waitOn, s.wait)
+		default:
+			if mine == nil {
+				mine = make(chan struct{})
+			}
+			s.wait = mine
+			owned = append(owned, j)
 		}
-		if sl, ok := g.inflight[keys[i]]; ok {
-			slots[j] = sl
-			waiting = append(waiting, j)
-			continue
-		}
-		slots[j] = &inflightSlot{done: make(chan struct{})}
-		g.inflight[keys[i]] = slots[j]
-		owned = append(owned, j)
 	}
 	g.mu.Unlock()
 	e.hits.Add(hits)
 	e.misses.Add(uint64(len(owned) + len(waiting)))
 	e.waits.Add(uint64(len(waiting)))
 
-	// Abandon any owned slot that never completed, whatever the exit
-	// path (ctx error, waiter-loop bailout, scorer panic): waiters are
-	// woken with abandoned set so the work is retried by whoever still
-	// wants it, never inherited as a hang. Runs after the pool has
-	// quiesced, so no owner can race the close.
+	if len(owned) > 0 {
+		if err := e.scoreOwned(ctx, g, col, pos, owned, out, mine); err != nil {
+			return err
+		}
+	}
+	if len(waiting) == 0 {
+		return nil
+	}
+	for _, ch := range waitOn {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-ch:
+		}
+	}
+	var retry []int
+	g.mu.Lock()
+	for _, j := range waiting {
+		if s := col.slots[pos[j]].done; s != nil {
+			out[j] = s.in
+		} else {
+			retry = append(retry, j)
+		}
+	}
+	g.mu.Unlock()
+	if len(retry) == 0 {
+		return nil
+	}
+	// Their owner gave up before scoring these (cancelled or panicked):
+	// claim them like any other miss.
+	return e.scoreMisses(ctx, g, col, pos, retry, out)
+}
+
+// scoreOwned scores the slots scoreMisses claimed with mine on the
+// worker pool, publishing each as it finishes. Once the pool has
+// stopped, however it stopped (done, ctx fired, a scorer panicked, which
+// then propagates), the unfinished ones go back to empty and mine
+// closes.
+func (e *Engine) scoreOwned(ctx context.Context, g *generation, col *column, pos []int32, owned []int, out []core.Insight, mine chan struct{}) error {
 	defer func() {
+		g.mu.Lock()
 		for _, j := range owned {
-			sl := slots[j]
-			select {
-			case <-sl.done:
-			default:
-				g.mu.Lock()
-				if g.inflight[keys[idx[j]]] == sl {
-					delete(g.inflight, keys[idx[j]])
-				}
-				g.mu.Unlock()
-				sl.abandoned = true
-				close(sl.done)
+			if s := &col.slots[pos[j]]; s.done == nil {
+				s.wait = nil
 			}
 		}
+		g.mu.Unlock()
+		close(mine)
 	}()
-
-	// publish completes owned slot j with its score.
-	publish := func(j int, in core.Insight, cert core.Certificate) {
-		sl, i := slots[j], idx[j]
-		out[i], sl.in = in, in
-		close(sl.done)
+	publish := func(j int, sc *scored) {
+		out[j] = sc.in
 		g.mu.Lock()
-		g.entries[keys[i]] = in
-		delete(g.inflight, keys[i])
-		if cert != nil {
-			g.certs[keys[i]] = cert
-		}
+		col.slots[pos[j]] = slot{done: sc}
+		g.done++
 		g.mu.Unlock()
 	}
 	// The pool's unit is a run of owned misses (runsOf), scored straight
 	// into its slots of out; a run that fails as a whole is scored a
 	// candidate at a time.
-	rs, starts := runsOf(c, approx, cands, idx, owned, e.Workers())
+	rs, starts := runsOf(col, pos, owned, e.Workers())
 	units := len(owned)
 	if starts != nil {
 		units = len(starts) - 1
 	}
-	err := par.Each(ctx, e.Workers(), units, func(u int) {
+	return par.Each(ctx, e.Workers(), units, func(u int) {
 		lo, hi := u, u+1
 		if starts != nil {
 			lo, hi = starts[u], starts[u+1]
 		}
 		e.inflightScores.Add(int64(hi - lo))
 		defer e.inflightScores.Add(int64(lo - hi))
-		if i, w := idx[owned[lo]], hi-lo; w > 1 && rs.ScoreRun(g.frame, cands[i:i+w], metric, out[i:i+w]) == nil {
-			for _, j := range owned[lo:hi] {
-				publish(j, out[idx[j]], nil)
+		if j, w := owned[lo], hi-lo; w > 1 {
+			p := pos[j]
+			if rs.ScoreRun(g.frame, col.t.tuples[p:p+int32(w)], col.metric, out[j:j+w]) == nil {
+				for _, j := range owned[lo:hi] {
+					publish(j, &scored{in: out[j]})
+				}
+				return
 			}
-			return
 		}
 		for _, j := range owned[lo:hi] {
-			in, cert := scoreOne(c, g, cands[idx[j]], approx, metric)
-			publish(j, in, cert)
+			in, cert, err := scoreTuple(col.c, g, col.t.tuples[pos[j]], col.approx, col.metric)
+			if err != nil {
+				in, cert = skipped, nil
+			}
+			publish(j, &scored{in, cert})
 		}
 	})
-	if err != nil {
-		return err
-	}
-	var retry []int
-	for _, j := range waiting {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-slots[j].done:
-		}
-		if slots[j].abandoned {
-			retry = append(retry, idx[j])
-		} else {
-			out[idx[j]] = slots[j].in
-		}
-	}
-	if len(retry) == 0 {
-		return nil
-	}
-	// Their owner gave up before scoring these keys (cancelled or
-	// panicked): claim them like any other miss.
-	return e.scoreMisses(ctx, g, c, cands, keys, retry, out, approx, metric)
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"foresight/internal/core"
@@ -71,11 +72,10 @@ func jaccard(a, b []string) float64 {
 // Across classes similarity is attribute Jaccard alone. So a class read
 // whole — one with a view, the focus's own (class, metric), or one
 // whose pass could prune nothing (k ≤ 0 means no cut) — is read from
-// its view's attribute index (offerNear); the rest are walked by
-// Jaccard level, highest first, one top-k pass a level, until the kth
-// neighbor is more similar than the next level. The telemetry records,
-// per class, the neighbors it returns and the counts of the passes
-// that produced them.
+// its view (offerNear); the rest are walked by Jaccard level, highest
+// first, one top-k pass a level, until the kth neighbor is more similar
+// than the next level. The telemetry records, per class, the neighbors
+// it returns and the counts of the passes that produced them.
 func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, classes []string, k int, approx bool) ([]core.Insight, error) {
 	defer e.observeOp("neighborhood", time.Now())
 	rq, err := e.begin(ctx, Query{Classes: classes, Approx: approx})
@@ -103,12 +103,13 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 	}
 
 	// A level's candidates tie on similarity, so the class's top k of a
-	// level is all of it that can place. The counts sum the passes.
-	focusKey := focus.Key()
+	// level is all of it that can place. The counts sum the passes. The
+	// focus is not in a walked class: it is not the focus's own.
 	for _, i := range walk {
 		c := rq.classes[i]
+		t := rq.g.column(c, rq.metrics[i], approx).t
 		var levels []float64
-		for _, attrs := range c.Candidates(rq.g.frame) {
+		for _, attrs := range t.tuples {
 			if l := jaccard(focus.Attrs, attrs); !slices.Contains(levels, l) {
 				levels = append(levels, l)
 			}
@@ -125,9 +126,7 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 				return nil, e.noteCancel(err)
 			}
 			for j := range r.ins {
-				if key := r.ins[j].Key(); key != focusKey {
-					top.Offer(ranked{&r.ins[j], Similarity(focus, r.ins[j]), key})
-				}
+				top.Offer(ranked{&r.ins[j], Similarity(focus, r.ins[j]), strings.Join(r.ins[j].Attrs, ",")})
 			}
 			counts[i].candidates += r.counts.candidates
 			counts[i].pruned += r.counts.pruned
@@ -163,7 +162,7 @@ func (rq *request) noteNeighbors(counts []passCounts, out []core.Insight) {
 }
 
 // nearer is the neighborhood's order: similarity desc, then strength
-// desc, then key.
+// desc, then Key().
 func nearer(a, b ranked) bool {
 	if a.score != b.score {
 		return a.score > b.score
@@ -171,7 +170,34 @@ func nearer(a, b ranked) bool {
 	if a.in.Score != b.in.Score {
 		return a.in.Score > b.in.Score
 	}
-	return a.key < b.key
+	return keyBefore(a, b)
+}
+
+// keyBefore reports a.in.Key() < b.in.Key() from the offered table
+// keys: Key() is class/metric/key, compared as one byte stream each
+// without building it. The fields cannot be compared one at a time,
+// because a name may hold bytes that sort below the separator.
+func keyBefore(a, b ranked) bool {
+	if a.in.Class == b.in.Class && a.in.Metric == b.in.Metric {
+		return a.key < b.key
+	}
+	x, y := [...]string{a.in.Class, "/", a.in.Metric, "/", a.key}, [...]string{b.in.Class, "/", b.in.Metric, "/", b.key}
+	xs, ys := x[:], y[:]
+	for len(xs) > 0 && len(ys) > 0 {
+		n := min(len(xs[0]), len(ys[0]))
+		if xs[0][:n] != ys[0][:n] {
+			return xs[0][:n] < ys[0][:n]
+		}
+		if xs[0], ys[0] = xs[0][n:], ys[0][n:]; xs[0] == "" {
+			xs = xs[1:]
+		}
+		if ys[0] == "" {
+			ys = ys[1:]
+		}
+	}
+	// A key that ends first is a proper prefix, hence smaller: what is
+	// left of y is more than its empty table key.
+	return len(xs) == 0 && (len(ys) > 1 || len(ys) == 1 && ys[0] != "")
 }
 
 // simSlack bounds how far rounding can lift Similarity above its exact
@@ -185,7 +211,7 @@ const simSlack = 0x1p-50
 // offerNear offers top the insights of r — a class read whole from its
 // view — that can still rank among the k nearest to focus; with k ≤ 0,
 // all of them. Those sharing an attribute with the focus come from the
-// view's attribute index. The rest have Jaccard 0. In another class
+// table's postings. The rest have Jaccard 0. In another class
 // their similarity is 0, so they rank in view order and only the first
 // k can place. In the focus's own (class, metric) it is 0.5·proximity,
 // which falls with the distance from the focus's score on either side
@@ -193,21 +219,18 @@ const simSlack = 0x1p-50
 // by simSlack, is strictly below the kth.
 func offerNear(top *core.KBest[ranked], focus core.Insight, r ranking, own bool, k int) {
 	v, lo, hi := r.view, r.from, r.from+len(r.ins)
-	focusKey := focus.Key()
+	focusKey := strings.Join(focus.Attrs, ",")
 	offer := func(p int) bool {
-		if v.keys[p] == focusKey {
+		if own && v.key(p) == focusKey {
 			return false
 		}
-		top.Offer(ranked{&v.ranked[p], Similarity(focus, v.ranked[p]), v.keys[p]})
+		top.Offer(ranked{&v.ranked[p], Similarity(focus, v.ranked[p]), v.key(p)})
 		return true
 	}
-	near := v.holdingAny(focus.Attrs, lo, hi)
-	for _, p := range near {
-		offer(int(p))
-	}
+	v.eachHolding(focus.Attrs, lo, hi, func(p int) { offer(p) })
 	if !own {
 		for p, n := lo, 0; p < hi && (k <= 0 || n < k); p++ {
-			if !holds(near, p) && offer(p) {
+			if !holdsAny(v.ranked[p].Attrs, focus.Attrs) && offer(p) {
 				n++
 			}
 		}
@@ -215,7 +238,7 @@ func offerNear(top *core.KBest[ranked], focus core.Insight, r ranking, own bool,
 	}
 	outward := func(p, end, step int) {
 		for ; p != end; p += step {
-			if holds(near, p) {
+			if holdsAny(v.ranked[p].Attrs, focus.Attrs) {
 				continue
 			}
 			if kth, ok := top.Kth(); ok && Similarity(focus, v.ranked[p])+simSlack < kth.score {
@@ -232,7 +255,8 @@ func offerNear(top *core.KBest[ranked], focus core.Insight, r ranking, own bool,
 
 // ranked is an insight with what a rank stage orders it by — a score
 // (similarity to the focus, or blended strength) and, for ties, its
-// key — each computed once per insight rather than per comparison.
+// tuple's table key — each computed once per insight rather than per
+// comparison.
 type ranked struct {
 	in    *core.Insight
 	score float64
@@ -381,7 +405,7 @@ func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result,
 
 // blendFocused returns the carousel of r, a class read whole from its
 // view, k long: its insights ranked by blended score desc, then key.
-// Those holding one of focusAttrs come from the view's attribute index.
+// Those holding one of focusAttrs come from the table's postings.
 // The rest have relevance 0, so they blend to strength·blend, which
 // does not rise in view order: past the kth of them, the first that
 // blends strictly lower ends the class. Ties go on, because they break
@@ -397,15 +421,12 @@ func (s *Session) blendFocused(r ranking, k int, blend float64, focusAttrs []str
 	maxScore := r.ins[0].Score
 	blended := func(p int) ranked {
 		in := &v.ranked[p]
-		return ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(in.Attrs)), v.keys[p]}
+		return ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(in.Attrs)), v.key(p)}
 	}
-	near := v.holdingAny(focusAttrs, lo, hi)
-	for _, p := range near {
-		top.Offer(blended(int(p)))
-	}
+	v.eachHolding(focusAttrs, lo, hi, func(p int) { top.Offer(blended(p)) })
 	var last float64
 	for p, n := lo, 0; p < hi; p++ {
-		if holds(near, p) {
+		if holdsAny(v.ranked[p].Attrs, focusAttrs) {
 			continue
 		}
 		x := blended(p)

@@ -567,7 +567,9 @@ func TestJaccardMatchesSetBody(t *testing.T) {
 
 // warmAllocs builds an engine over cols numeric columns, warms its
 // views, and returns the allocations of one warm call of each
-// whole-class read and of a fixed-attribute query.
+// whole-class read and of a fixed-attribute query; and of a warm top-k
+// read that takes the pass, skew's on an engine with a profile, whose
+// moment bounds prune it.
 func warmAllocs(t *testing.T, cols int) (allocs map[string]float64, candidates int) {
 	t.Helper()
 	f := datagen.Scalable(datagen.ScalableConfig{Rows: 200, NumericCols: cols, Seed: 26})
@@ -611,6 +613,18 @@ func warmAllocs(t *testing.T, cols int) (allocs map[string]float64, candidates i
 			return err
 		}),
 	}
+	pe, err := NewEngine(f, reg, sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 26}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	skew := Query{Classes: []string{"skew"}, K: 5}
+	if _, err := pe.ExecuteContext(context.Background(), skew); err != nil {
+		t.Fatal(err)
+	}
+	if st := pe.PruneStats(); st.Pruned == 0 || viewCount(pe) != 0 {
+		t.Fatalf("skew's top 5 at %d columns should prune and publish no view: %+v", cols, st)
+	}
+	allocs["pruned top-k pass"] = run(func() error { _, err := pe.ExecuteContext(context.Background(), skew); return err })
 	return allocs, len(res[0].Insights) + len(res[1].Insights)
 }
 
