@@ -900,9 +900,9 @@ func BenchmarkFreshCarousel(b *testing.B) {
 // Engine.Ingest, then an exact session carousel on every core. It is
 // the in-process counterpart of explore_exact's cycle_ms, reports the
 // carousel alone as carousel_ms and the candidates its bound-ordered
-// passes scored as scored, and gates nothing. Every class takes that
-// pass; linear's 496 pairs, whose bound is the constant 1, are all of
-// them scored. The categorical comes two ways:
+// passes scored as scored, and gates nothing. Linear's 496 pairs have
+// no bound, so they are all scored and none counts there. The
+// categorical comes two ways:
 //
 //   - cycled: no level segments anything, so every silhouette is ≤ 0
 //     and all 496 scores tie at 0. The certificates the previous

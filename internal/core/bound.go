@@ -9,55 +9,40 @@ import (
 )
 
 // This file implements the upper-bound side of threshold-style top-k
-// pruning (the engine's two-phase scoring pass in internal/query).
-// Each built-in class implements Bounder: a cheap score bound computed
-// from the per-column statistics the sketch store already holds, so
-// the engine can order candidates by their best possible score and
-// stop scoring once no remaining candidate can enter the top k.
+// pruning (the engine's scoring pass in internal/query): the engine
+// orders candidates by their best possible score and stops scoring once
+// no remaining candidate can enter the top k. A bound cuts only if it
+// can fall below an in-range threshold, so every bound here is computed
+// for the candidate itself; a class with nothing better than its
+// metric's range has no bound and its candidates are never skipped.
 //
-// Soundness contract: for every candidate tuple, ScoreBound must be ≥
-// the score that Score (exact path) or ScoreApprox (sketch path) would
-// return — pruning on an unsound bound silently changes results, so a
-// class that cannot promise the inequality for a metric returns +Inf
-// for it (the engine then never prunes those candidates). The bounds
-// fall into three soundness tiers, weakest argument last:
+// Soundness contract: for every candidate tuple a bound must be ≥ the
+// score the class returns — pruning on an unsound bound silently
+// changes results — and +Inf where no sound bound exists (the engine
+// never prunes those candidates). There are two sources:
 //
-//  1. Mathematical range caps: metrics whose scorers clamp into a
-//     known range (|ρ| ≤ 1, η² ≤ 1, Cramér's V ≤ 1, normalized MI and
-//     entropy ≤ 1, silhouette ≤ 1, dip ≤ 1/4, MI ≤ ln min(r,c),
-//     binned MI ≤ ln bins). These hold for both scoring paths by
-//     construction of the scorer.
-//  2. Sketch identities: the profile's Moments are exact running sums
-//     over the same cells the exact scorer reads, and SpaceSaving
-//     estimates are per-item upper bounds, so variance/stddev/IQR/
-//     skewness/kurtosis/normality bounds and the RelFreq mass bracket
-//     dominate both paths up to floating-point accumulation order.
-//  3. +Inf: metrics with no sound cheap bound (cv near a zero mean,
-//     raw entropy estimates that can exceed ln(cardinality), detector
-//     scores standardized by sample moments, separation/kdemodes).
+//  1. Profile bounds (Bounder), from sketch identities: the profile's
+//     Moments are exact running sums over the same cells the exact
+//     scorer reads, SpaceSaving estimates are per-item upper bounds and
+//     the per-column cardinalities are exact, so the variance/stddev/
+//     IQR/skewness/kurtosis/normality/outlier bounds, the RelFreq mass
+//     bracket and catassoc's MI ≤ ln min(r,c) dominate both scoring
+//     paths, up to floating-point accumulation order (boundSlack).
+//  2. Certificates (Successor): an exact score's own certificate bounds
+//     the score after rows are appended (segmentation, monotonic's
+//     Spearman, multimodality's dip). They need no profile.
 //
-// Tier-2 bounds are inflated by boundSlack to absorb accumulation-
-// order divergence between the profile's (possibly merged, after an
-// ingest) moments and the exact scorer's sequential pass; see boundSlack. The
-// `foresight selfcheck` bound gate and the engine's oracle tests
-// (query.TestPruningOnDemoDatasets) cross-check the inequality on
-// real data.
-//
-// A fourth source is the Successor extension: an exact score's own
-// certificate bounds the score after rows are appended (segmentation,
-// monotonic's Spearman, multimodality's dip), and the engine prunes on
-// the lower of the two bounds. Every bounded class takes the unfocused
-// exact carousel's top-k pass; the tier-1 constants cut nothing there
-// and leave the class scored whole, while the tier-2 and certificate
-// bounds discriminate. `foresight selfcheck` gates the certificates too
-// (CheckSuccessorBounds).
+// The engine prunes on the lower of the two. The `foresight selfcheck`
+// gates (CheckScoreBounds, CheckSuccessorBounds) and the engine's
+// oracle tests (query.TestPruningOnDemoDatasets) cross-check both
+// inequalities on real data.
 
-// Bounder is an optional Class extension: classes that implement it
-// participate in the engine's threshold-style top-k pruning.
+// Bounder is an optional Class extension: the profile-bound source of
+// the engine's threshold-style top-k pruning.
 //
 // ScoreBound returns an upper bound on the score Score or ScoreApprox
 // can return for attrs under the resolved metric, computed only from
-// the preprocessed profile (never from raw data — it must be O(1)-ish
+// the candidate's own columns in the preprocessed profile (never from raw data — it must be O(1)-ish
 // per candidate, far cheaper than scoring). It returns +Inf when no
 // sound bound exists for the metric or the needed column profile is
 // missing; NaN is treated as +Inf by callers. The bound must hold for
@@ -107,11 +92,6 @@ func boundSlack(v float64) float64 {
 	return v + math.Abs(v)*1e-6 + 1e-9
 }
 
-// unitBound is the inflated cap for metrics clamped into [0, 1] (or
-// [-1, 1] before taking a magnitude): slack absorbs scorers like the
-// silhouette mean whose clamp is mathematical rather than explicit.
-var unitBound = boundSlack(1)
-
 // ScoreBoundFor resolves the bound for one candidate: +Inf when c
 // does not implement Bounder, the profile is nil, or the bound comes
 // back NaN. The engine and the selfcheck gate both normalize through
@@ -130,8 +110,8 @@ func ScoreBoundFor(c Class, p *sketch.DatasetProfile, attrs []string, metric str
 }
 
 // ScoreBound bounds the moment-family scores (dispersion, skew,
-// heavytails) from the profile's exact running moments: the sketch
-// identity tier — both scorers compute the same statistic from the
+// heavytails) from the profile's exact running moments, a sketch
+// identity: both scorers compute the same statistic from the
 // same cells, so the profile value plus slack dominates. The IQR is
 // bounded by the full range (exact min/max) because the KLL quantile
 // estimate returns actual data values and the exact IQR is a spread
@@ -231,113 +211,46 @@ func (c *heavyHittersClass) ScoreBound(p *sketch.DatasetProfile, attrs []string,
 	return b
 }
 
-// ScoreBound caps the multimodality metrics: Hartigan's dip statistic
-// is mathematically ≤ 1/4 for any distribution (both scorers compute
-// it directly), while separation and kdemodes are unbounded sample
-// statistics with no cheap cap.
-func (c *multimodalityClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	if metric == "dip" {
-		return quarterBound
-	}
-	return math.Inf(1)
-}
-
-// quarterBound is the inflated cap of the dip, which is at most ¼.
-var quarterBound = boundSlack(0.25)
-
 // SuccessorBound is the dip plus what the rows appended since the
-// certificate can move it, b/(n+b) for n values (DESIGN §6j), inflated
-// and capped as ScoreBound is.
+// certificate can move it, b/(n+b) for n values (DESIGN §6j), inflated.
 func (c *multimodalityClass) SuccessorBound(cert Certificate, f *frame.Frame, attrs []string, metric string) float64 {
 	appended := f.Rows() - int(cert[0])
 	if metric != "dip" || appended < 0 {
 		return math.Inf(1)
 	}
-	return min(boundSlack(stats.DipBound(cert[2], int(cert[1]), appended)), quarterBound)
-}
-
-// ScoreBound caps normalized entropy at its range maximum 1. Raw
-// entropy has no sound cheap bound: the sketch-path estimate composes
-// SpaceSaving with a KMV cardinality estimate and can exceed
-// ln(cardinality).
-func (c *uniformityClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	if metric == "normentropy" {
-		return unitBound
-	}
-	return math.Inf(1)
-}
-
-// ScoreBound caps |ρ| and R² at 1: the exact Pearson and both sketch
-// estimators clamp into [-1, 1].
-func (c *linearClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	switch metric {
-	case "pearson", "r2":
-		return unitBound
-	}
-	return math.Inf(1)
-}
-
-// ScoreBound caps |Spearman ρ| and |Kendall τ| at 1 (the exact
-// scorers clamp; the SimHash estimate is a cosine).
-func (c *monotonicClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	switch metric {
-	case "spearman", "kendall":
-		return unitBound
-	}
-	return math.Inf(1)
+	return boundSlack(stats.DipBound(cert[2], int(cert[1]), appended))
 }
 
 // SuccessorBound is the rank sums' bound on |ρ| after the rows appended
-// since the certificate (stats.RankSums.Bound, DESIGN §6j), inflated and
-// capped as ScoreBound is. Kendall leaves no certificate.
+// since the certificate (stats.RankSums.Bound, DESIGN §6j), inflated.
+// Kendall leaves no certificate.
 func (c *monotonicClass) SuccessorBound(cert Certificate, f *frame.Frame, attrs []string, metric string) float64 {
 	appended := f.Rows() - int(cert[0])
 	if metric != "spearman" || appended < 0 {
 		return math.Inf(1)
 	}
 	s := stats.RankSums{M: int(cert[1]), XX: cert[2], YY: cert[3], XY: cert[4]}
-	return min(boundSlack(s.Bound(appended)), unitBound)
+	return boundSlack(s.Bound(appended))
 }
 
-// ScoreBound caps η² at its clamped range maximum 1.
-func (c *dependenceClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	if metric == "eta2" {
-		return unitBound
-	}
-	return math.Inf(1)
-}
-
-// ScoreBound caps Cramér's V at 1 (clamped by the scorer) and mutual
-// information at ln min(cardinality): MI in nats never exceeds the
-// log cardinality of the smaller side, and the per-column profiles
-// carry exact cardinalities. Both scoring paths build contingency
-// tables whose support is capped by those cardinalities.
+// ScoreBound caps mutual information at ln min(cardinality): MI in
+// nats never exceeds the log cardinality of the smaller side, and the
+// per-column profiles carry exact cardinalities. Both scoring paths
+// build contingency tables whose support is capped by those
+// cardinalities. Cramér's V has no bound below its range's top.
 func (c *catAssocClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	switch metric {
-	case "cramersv":
-		return unitBound
-	case "mutualinfo":
-		_, ps, err := c.onProfile(p, attrs, metric)
-		if err != nil {
-			return math.Inf(1)
-		}
-		card := min(ps.cat[0].Cardinality, ps.cat[1].Cardinality)
-		if card < 1 {
-			return math.Inf(1)
-		}
-		return boundSlack(math.Log(float64(card)))
+	if metric != "mutualinfo" {
+		return math.Inf(1)
 	}
-	return math.Inf(1)
-}
-
-// ScoreBound caps the silhouette score at 1: per-point silhouettes
-// live in [-1, 1] mathematically and the score is their (clamped ≥ 0)
-// mean; slack covers the unclamped mean's rounding.
-func (c *segmentationClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	if metric == "silhouette" {
-		return unitBound
+	_, ps, err := c.onProfile(p, attrs, metric)
+	if err != nil {
+		return math.Inf(1)
 	}
-	return math.Inf(1)
+	card := min(ps.cat[0].Cardinality, ps.cat[1].Cardinality)
+	if card < 1 {
+		return math.Inf(1)
+	}
+	return boundSlack(math.Log(float64(card)))
 }
 
 // SuccessorBound is the kernel's bound on the raw silhouette, inflated
@@ -352,26 +265,10 @@ func (c *segmentationClass) SuccessorBound(cert Certificate, f *frame.Frame, att
 	return max(boundSlack(b), 0)
 }
 
-// ScoreBound caps normalized binned MI at 1 (clamped by the scorer)
-// and raw binned MI at ln(bins): a contingency table over bins×bins
-// quantile cells cannot carry more than ln(bins) nats.
-func (c *nonlinearClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	switch metric {
-	case "normmi":
-		return unitBound
-	case "mi":
-		if c.bins < 2 {
-			return math.Inf(1)
-		}
-		return boundSlack(math.Log(float64(c.bins)))
-	}
-	return math.Inf(1)
-}
-
 // ScoreBound bounds both normality metrics' ranking score (always
 // NormalityScore ∈ (0, 1]) by the profile-moment value plus slack —
-// a rare *discriminating* unit-range bound, since both paths compute
-// the score from moments of the same cells.
+// a unit-range metric whose bound discriminates, since both paths
+// compute the score from moments of the same cells.
 func (c *normalityClass) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
 	_, ps, err := c.onProfile(p, attrs, metric)
 	if err != nil {

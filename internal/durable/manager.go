@@ -21,7 +21,7 @@ type Options struct {
 	Dir string
 	// FS overrides the filesystem (tests use ErrFS); nil means OS.
 	FS FS
-	// Fsync is the WAL flush policy (FsyncInterval by default).
+	// Fsync is the WAL flush policy; the zero value is FsyncAlways.
 	Fsync FsyncPolicy
 	// FsyncInterval is the background flush period under
 	// FsyncInterval (0 → 100ms).

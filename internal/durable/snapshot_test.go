@@ -283,6 +283,22 @@ func TestClosedManagerRefusesIngest(t *testing.T) {
 	checkRecovered(t, fs, m, RecoveryStats{ReplayedBatches: 1}, lifeEngine(t, 1))
 }
 
+// TestZeroFsyncPolicyIsAlways: Options leaves Fsync as it finds it, so
+// a manager opened with the zero policy syncs every append.
+func TestZeroFsyncPolicyIsAlways(t *testing.T) {
+	m, err := Open(Options{Dir: "wal", FS: NewErrFS(), CheckpointRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Recover(lifeEngine(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Stats().Fsync; got != "always" {
+		t.Errorf("zero policy reports fsync %q, want \"always\"", got)
+	}
+}
+
 // TestEngineMovedBehindManager: an engine rolled back by RestoreSnapshot
 // while the manager is its sink, and a batch logged that the engine does
 // not hold — both of which the repository benchmark's layered trace does

@@ -63,6 +63,10 @@ type table struct {
 	all []int32
 	// postings maps each attribute to the ascending positions holding it.
 	postings map[string][]int32
+	// byKey lists every position in key order, built at the first
+	// position lookup.
+	byKeyOnce sync.Once
+	byKey     []int32
 }
 
 func newTable(tuples [][]string) *table {
@@ -76,6 +80,23 @@ func newTable(tuples [][]string) *table {
 		}
 	}
 	return t
+}
+
+// position returns the position of attrs in t, and false when t does
+// not hold it. Names may hold commas, so tuples can share a key.
+func (t *table) position(attrs []string) (int32, bool) {
+	t.byKeyOnce.Do(func() {
+		t.byKey = slices.Clone(t.all)
+		slices.SortFunc(t.byKey, func(a, b int32) int { return strings.Compare(t.keys[a], t.keys[b]) })
+	})
+	key := strings.Join(attrs, ",")
+	i, _ := slices.BinarySearchFunc(t.byKey, key, func(p int32, key string) int { return strings.Compare(t.keys[p], key) })
+	for ; i < len(t.byKey) && t.keys[t.byKey[i]] == key; i++ {
+		if p := t.byKey[i]; slices.Equal(t.tuples[p], attrs) {
+			return p, true
+		}
+	}
+	return 0, false
 }
 
 // slot is one candidate's score in a column: empty (both fields nil),

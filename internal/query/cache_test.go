@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
@@ -487,6 +488,11 @@ func TestScoreThroughMemo(t *testing.T) {
 	if st := e.CacheStats(); st.Hits != before.Hits+2 || st.Misses != before.Misses {
 		t.Errorf("a tuple the pass scored: hits %d → %d, misses %d → %d", before.Hits, st.Hits, before.Misses, st.Misses)
 	}
+	// A warm hit is one lookup in the table's key index: only the key
+	// allocates.
+	if n := testing.AllocsPerRun(100, func() { e.Score(linear, in.Attrs, "") }); n > 1 {
+		t.Errorf("a warm hit allocates %v times, want at most 1", n)
+	}
 
 	reversed := []string{in.Attrs[1], in.Attrs[0]}
 	first, err := e.Score(linear, reversed, "")
@@ -514,6 +520,42 @@ func TestScoreThroughMemo(t *testing.T) {
 	}
 	if st := e.CacheStats(); st.Entries != before.Entries {
 		t.Errorf("failed scores memoized: entries %d → %d", before.Entries, st.Entries)
+	}
+}
+
+// TestScoreCommaNames: attribute names may hold commas, so two tuples of
+// a table can share a key. Engine.Score finds each one's own slot.
+func TestScoreCommaNames(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var cols []frame.Column
+	for _, name := range []string{"x", "y,z", "x,y", "z"} {
+		v := make([]float64, 200)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		cols = append(cols, frame.NewNumericColumn(name, v))
+	}
+	f := frame.MustNew("commas", cols...)
+	e, err := NewEngine(f, core.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear, _ := e.Registry().Lookup("linear")
+	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}}); err != nil {
+		t.Fatal(err)
+	}
+	before := e.CacheStats()
+	for _, attrs := range [][]string{{"x", "y,z"}, {"x,y", "z"}} {
+		want, err := linear.Score(f, attrs, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := e.Score(linear, attrs, ""); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: Score = %+v, %v; the class scores %+v", attrs, got, err, want)
+		}
+	}
+	if st := e.CacheStats(); st.Hits != before.Hits+2 || st.Misses != before.Misses {
+		t.Errorf("two tuples the pass scored: hits %d → %d, misses %d → %d", before.Hits, st.Hits, before.Misses, st.Misses)
 	}
 }
 

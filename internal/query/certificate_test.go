@@ -198,6 +198,48 @@ func TestCertificatesKeepReplies(t *testing.T) {
 	}
 }
 
+// TestCertificatesPruneWithoutProfile: certificates need no sketch
+// store, so an engine built without one prunes on those its ingests hand
+// down. Its exact top-k answers of the three classes that leave them
+// are the oracle's on every generation, and each class pruned some of
+// its candidates by a carried bound.
+func TestCertificatesPruneWithoutProfile(t *testing.T) {
+	base, _, g := linkedEngines(t, 300, 12, 5)
+	e, err := NewEngine(base.Frame(), core.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetWorkers(2)
+	pruned := map[string]uint64{}
+	for step := 0; step <= 4; step++ {
+		if step > 0 {
+			if _, err := e.Ingest(context.Background(), frame.RowBatch{Records: g.rows(10)}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, class := range []string{"segmentation", "monotonic", "multimodality"} {
+			q := Query{Classes: []string{class}, K: 5}
+			before := e.PruneStats().Pruned
+			got, err := e.ExecuteContext(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleExecute(t, e, q); !reflect.DeepEqual(got, want) {
+				t.Errorf("step %d, %s: pruned results differ from the oracle:\n got: %+v\nwant: %+v", step, class, got, want)
+			}
+			pruned[class] += e.PruneStats().Pruned - before
+		}
+	}
+	for class, n := range pruned {
+		if n == 0 {
+			t.Errorf("%s: no candidate pruned", class)
+		}
+	}
+	if st := e.PruneStats(); st.Pruned == 0 || st.Carried == 0 {
+		t.Errorf("profile-less engine did not prune on certificates: %+v", st)
+	}
+}
+
 // handedCerts counts, by class, the certificates handed down to g: those
 // its columns carry, and those of the columns it has yet to read.
 func handedCerts(g *generation) map[string]int {
@@ -259,7 +301,6 @@ func TestCertificatesDropOnInvalidate(t *testing.T) {
 // successorClass is a class whose exact scores outlive an append.
 type successorClass interface {
 	core.Class
-	core.Bounder
 	core.Successor
 }
 

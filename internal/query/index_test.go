@@ -43,7 +43,7 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 	var walk []int
 	for i, c := range rq.classes {
 		own := c.Name() == focus.Class && rq.metrics[i] == focus.Metric
-		if !own && prunes(c, rq.g, k, 0) && rq.g.view(viewKey{c.Name(), rq.metrics[i], approx}) == nil {
+		if !own && k > 0 && rq.g.view(viewKey{c.Name(), rq.metrics[i], approx}) == nil {
 			walk = append(walk, i)
 			continue
 		}

@@ -71,18 +71,19 @@ func TestPruningEquivalence(t *testing.T) {
 
 	// Considered counts every candidate of a bounded pass, whether the
 	// memo answered it or not. A fresh generation holds no view of
-	// linear, so a fixed-attribute query takes the pass.
+	// skew, whose bound is each column's own skewness, so a
+	// fixed-attribute query takes the pass.
 	if err := e.RestoreSnapshot(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	lin, _ := e.registry.Lookup("linear")
+	skew, _ := e.registry.Lookup("skew")
 	want := uint64(0)
-	for _, attrs := range lin.Candidates(f) {
+	for _, attrs := range skew.Candidates(f) {
 		if slices.Contains(attrs, "a") {
 			want++
 		}
 	}
-	fixA := Query{Classes: []string{"linear"}, Fixed: []string{"a"}, K: 1}
+	fixA := Query{Classes: []string{"skew"}, Fixed: []string{"a"}, K: 1}
 	before := e.PruneStats().Considered
 	if _, err := e.ExecuteContext(context.Background(), fixA); err != nil {
 		t.Fatal(err)
@@ -110,9 +111,10 @@ func TestPruningEquivalence(t *testing.T) {
 		t.Error("neighborhood differs from the oracle")
 	}
 
-	// The run must have actually pruned (the dip bound alone
-	// guarantees it under MinScore 0.5) and seeded from the memo on
-	// the repeat pass; the profile-less engine must never have.
+	// The run must have actually pruned (skew's bound alone guarantees
+	// it under MinScore 0.5: most columns are near-symmetric) and seeded
+	// from the memo on the repeat pass; the profile-less engine, which
+	// never ingests, must never have.
 	st := e.PruneStats()
 	if st.Considered == 0 || st.Pruned == 0 || st.Seeded == 0 {
 		t.Errorf("engine never pruned/seeded: %+v", st)
@@ -123,10 +125,13 @@ func TestPruningEquivalence(t *testing.T) {
 	if st := bare.PruneStats(); st != (PruneStats{}) {
 		t.Errorf("profile-less engine recorded pruning work: %+v", st)
 	}
-	// A top-k query that finds the class's view (the overview built
-	// it) reads the view: no pass runs, so nothing is considered.
-	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, K: 1}); err != nil {
-		t.Fatal(err)
+	// A top-k query that finds the class's view (a whole-class read
+	// with no cut built it) reads the view: no pass runs, so nothing is
+	// considered.
+	for _, q := range []Query{{Classes: []string{"skew"}}, {Classes: []string{"skew"}, K: 1}} {
+		if _, err := e.ExecuteContext(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := e.PruneStats().Considered - st.Considered; got != 0 {
 		t.Errorf("a view-served query considered %d candidates, want 0", got)
@@ -193,8 +198,9 @@ func TestPruningEquivalenceUnderIngest(t *testing.T) {
 // datasets (OECD, Parkinson, IMDB; the correctness half of the retired
 // E16 experiment): zero differing insights against the oracle, and
 // the bounds must actually skip work on at least one of them.
-// Segmentation's bound is the constant 1, so every pass of the matrix
-// scores all of its triples, twice (the oracle's turn included): on
+// Segmentation's only bounds are certificates, and an engine that has
+// not ingested carries none, so every pass of the matrix scores all of
+// its triples, twice (the oracle's turn included): on
 // OECD (none) and IMDB that is affordable, on Parkinson's 4 730 triples
 // of 667 points it is two minutes under -race, so there the class sits
 // out (TestPruningEquivalence covers it).
@@ -279,12 +285,13 @@ func TestPrunedFilteredTelemetrySplit(t *testing.T) {
 	ins := telemetry.New()
 	e.SetInsightTelemetry(ins)
 
-	// Every dip bound is ~0.25, strictly below MinScore 0.5: the whole
-	// class is pruned without scoring a single candidate.
-	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"multimodality"}, MinScore: 0.5}); err != nil {
+	// Every skew bound is its column's |skewness|, strictly below
+	// MinScore 20: the whole class is pruned without scoring a single
+	// candidate.
+	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"skew"}, MinScore: 20}); err != nil {
 		t.Fatal(err)
 	}
-	// The linear bound (~1) clears MinScore 0.999, so every pair is
+	// Linear has no bound, so under MinScore 0.999 every pair is
 	// scored — and then dropped by the filter: pure Filtered traffic.
 	if _, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"linear"}, MinScore: 0.999}); err != nil {
 		t.Fatal(err)
@@ -295,9 +302,9 @@ func TestPrunedFilteredTelemetrySplit(t *testing.T) {
 	for _, c := range snap.Classes {
 		byClass[c.Class] = c
 	}
-	mm, ok := byClass["multimodality"]
+	mm, ok := byClass["skew"]
 	if !ok {
-		t.Fatalf("no multimodality sample: %+v", snap.Classes)
+		t.Fatalf("no skew sample: %+v", snap.Classes)
 	}
 	if mm.Pruned == 0 || mm.Filtered != 0 || mm.ScoreCount != 0 || mm.Emitted != 0 {
 		t.Errorf("pruned class should be all-Pruned, nothing scored: %+v", mm)

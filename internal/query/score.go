@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"math"
-	"slices"
 	"sort"
 
 	"foresight/internal/core"
@@ -18,9 +17,9 @@ import (
 //	peek  one locked look at the column; done slots are answered by
 //	      value
 //	bound only when the query has something to prune against (K or
-//	      MinScore), the class is a core.Bounder and the generation has
-//	      a profile: bound the misses (by a handed-down certificate where
-//	      that is lower), order them by descending bound
+//	      MinScore) and there are bounds (prunes): bound the misses by
+//	      the class's profile bound and a handed-down certificate,
+//	      whichever is lower, and order them by descending bound
 //	score claim → score → publish the misses' slots through the worker
 //	      pool (scoreMisses), in 2×workers chunks
 //	      when bounded, raising the kth-best threshold between chunks
@@ -87,13 +86,14 @@ func (e *Engine) PruneStats() PruneStats {
 // keeps it out of every ranking.
 var skipped = core.Insight{Score: math.NaN()}
 
-// prunes reports whether a pass over c's candidates takes the
-// bound-ordered branch: the class has bounds, generation g has the
-// profile they are computed from, and the query has a top-k cut or a
-// strength floor for them to fall below.
-func prunes(c core.Class, g *generation, k int, minScore float64) bool {
-	_, bounded := c.(core.Bounder)
-	return bounded && g.profile != nil && (k > 0 || minScore > 0)
+// prunes reports whether a pass over col on generation g takes the
+// bound-ordered branch: the query has a top-k cut or a strength floor
+// for bounds to fall below, and there are bounds, from the class's
+// profile (a core.Bounder on a generation with a profile) or from the
+// certificates handed down to col.
+func prunes(col *column, g *generation, k int, minScore float64) bool {
+	_, bounded := col.c.(core.Bounder)
+	return (k > 0 || minScore > 0) && (bounded && g.profile != nil || col.carried != nil)
 }
 
 // runsOf partitions the owned misses of a pass (pos[owned[o]] is a
@@ -155,16 +155,21 @@ func (e *Engine) Score(c core.Class, attrs []string, metric string) (core.Insigh
 		return c.Score(g.frame, attrs, metric)
 	}
 	col := g.column(c, metric, false)
-	for _, p := range col.t.shortest(attrs) {
-		if !slices.Equal(col.t.tuples[p], attrs) {
-			continue
+	if p, ok := col.t.position(attrs); ok {
+		g.mu.Lock()
+		s := col.slots[p].done
+		g.mu.Unlock()
+		in := skipped
+		if s != nil {
+			e.hits.Add(1)
+			in = s.in
+		} else if out := make([]core.Insight, 1); e.scoreMisses(context.Background(), g, col, []int32{p}, []int{0}, out) == nil {
+			in = out[0]
 		}
 		// A failed score's slot is skipped: the direct score gives the error.
-		out := make([]core.Insight, 1)
-		if e.scoreMisses(context.Background(), g, col, []int32{p}, []int{0}, out) == nil && out[0].Class != "" {
-			return out[0], nil
+		if in.Class != "" {
+			return in, nil
 		}
-		break
 	}
 	in, _, err := scoreTuple(c, g, attrs, false, metric)
 	return in, err
@@ -198,7 +203,7 @@ func (e *Engine) scorePass(ctx context.Context, g *generation, col *column, pos 
 	g.mu.Unlock()
 	e.hits.Add(uint64(len(pos) - len(misses)))
 
-	if !prunes(col.c, g, k, minScore) {
+	if !prunes(col, g, k, minScore) {
 		// No bounds, or nothing to prune against: score every miss.
 		if len(misses) > 0 {
 			if err := e.scoreMisses(ctx, g, col, pos, misses, out); err != nil {

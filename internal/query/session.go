@@ -70,12 +70,12 @@ func jaccard(a, b []string) float64 {
 // span.
 //
 // Across classes similarity is attribute Jaccard alone. So a class read
-// whole — one with a view, the focus's own (class, metric), or one
-// whose pass could prune nothing (k ≤ 0 means no cut) — is read from
-// its view (offerNear); the rest are walked by Jaccard level, highest
-// first, one top-k pass a level, until the kth neighbor is more similar
-// than the next level. The telemetry records, per class, the neighbors
-// it returns and the counts of the passes that produced them.
+// whole — one with a view, the focus's own (class, metric), or any when
+// k ≤ 0 (no cut) — is read from its view (offerNear); the rest are
+// walked by Jaccard level, highest first, one top-k pass a level, until
+// the kth neighbor is more similar than the next level. The telemetry
+// records, per class, the neighbors it returns and the counts of the
+// passes that produced them.
 func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, classes []string, k int, approx bool) ([]core.Insight, error) {
 	defer e.observeOp("neighborhood", time.Now())
 	rq, err := e.begin(ctx, Query{Classes: classes, Approx: approx})
@@ -90,7 +90,7 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 			return nil, e.noteCancel(err)
 		}
 		own := c.Name() == focus.Class && rq.metrics[i] == focus.Metric
-		if !own && prunes(c, rq.g, k, 0) && rq.g.view(viewKey{c.Name(), rq.metrics[i], approx}) == nil {
+		if !own && k > 0 && rq.g.view(viewKey{c.Name(), rq.metrics[i], approx}) == nil {
 			walk = append(walk, i)
 			continue
 		}

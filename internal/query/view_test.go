@@ -646,8 +646,8 @@ func TestWarmReadAllocationCeiling(t *testing.T) {
 }
 
 // TestWholePassPublishesItsView: a whole-class top-k query whose pass
-// prunes nothing — linear's bound is a constant, so its candidates are
-// one run of equal bounds — has scored the class whole and publishes
+// prunes nothing — linear has no bound, so its pass scores every
+// candidate — has scored the class whole and publishes
 // the view, whatever its K; the next identical query reads it. Two
 // first queries of a fresh generation agree and publish one view.
 func TestWholePassPublishesItsView(t *testing.T) {
