@@ -99,7 +99,7 @@ func (c *momentsClass) Score(f *frame.Frame, attrs []string, metric string) (Ins
 		return Insight{}, err
 	}
 	view := cols.num[0].Ordered()
-	return momentInsight(in, &view.Moments, func() float64 { return stats.IQRSorted(view.Sorted) }), nil
+	return momentInsight(in, &view.Moments, view.IQR), nil
 }
 
 func (c *momentsClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
@@ -202,7 +202,7 @@ func (c *outliersClass) Score(f *frame.Frame, attrs []string, metric string) (In
 	}
 	view := cols.num[0].Ordered()
 	score, outliers := stats.OutlierScoreOrdered(view, c.detectorFor(in.Metric))
-	box := stats.NewBoxStatsSorted(view.Sorted, 0)
+	box := view.BoxStats(0)
 	return scored(in, score, map[string]float64{
 		"count":  float64(len(outliers)),
 		"q1":     box.Q1,
@@ -370,14 +370,18 @@ func (c *multimodalityClass) ScoreCertified(f *frame.Frame, attrs []string, metr
 	if err != nil {
 		return Insight{}, nil, err
 	}
-	// Histogram counts are integers, so binning order is moot too.
-	vals := cols.num[0].Ordered().Sorted
-	in = modesInsight(in, vals)
-	in.Details = map[string]float64{"peaks": float64(stats.AutoHistogram(vals, stats.FreedmanDiaconis).PeakCount())}
+	// Histogram counts are integers, so binning order is moot too. None
+	// of the three keeps the sorted values, so a view with a delta run
+	// merges them into scratch.
+	view := cols.num[0].Ordered()
+	view.WithSorted(func(vals []float64) {
+		in = modesInsight(in, vals)
+		in.Details = map[string]float64{"peaks": float64(stats.AutoHistogram(vals, stats.FreedmanDiaconis).PeakCount())}
+	})
 	var cert Certificate
 	if in.Metric == "dip" {
-		cert = Certificate{float64(f.Rows()), float64(len(vals)), in.Score}
-		in.Details["pvalue"] = stats.DipPValueApprox(in.Score, len(vals))
+		cert = Certificate{float64(f.Rows()), float64(view.Len()), in.Score}
+		in.Details["pvalue"] = stats.DipPValueApprox(in.Score, view.Len())
 	}
 	return in, cert, nil
 }

@@ -40,9 +40,9 @@ type RowBatch struct {
 // column reader (Values, Codes, Ordered…) folds a column's chunks into
 // one array once, on first call, and the column's successor takes that
 // array's spare capacity. A numeric column hands its successor the
-// row order and moments its ordered view had (or it was handed); the
-// successor's first Ordered call splices in the rows they miss,
-// O(n + b·log n), rather than re-sorting.
+// base run and moments its ordered view had (or it was handed); the
+// successor's first Ordered call sorts only the rows after the base,
+// O(d·log d) for d of them, rather than re-sorting.
 // opts may be nil for defaults; only Comma is ignored (the batch is
 // already split into cells).
 func (f *Frame) AppendRows(b RowBatch, opts *ReadCSVOptions) (*Frame, error) {

@@ -74,12 +74,12 @@ type NumericColumn struct {
 	carried  *carry
 }
 
-// carry is the order of a column's first rows and the fold — moments
-// and sum — of a prefix of them, handed down an append chain.
+// carry is what an append chain hands down of a view: its base run,
+// the sorted order of the column's first rows, and the fold — moments
+// and sum — of a prefix of them.
 type carry struct {
-	order []int32
-	rows  int
-	fold  stats.Fold
+	base *stats.Run
+	fold stats.Fold
 }
 
 // NewNumericColumn builds a numeric column over values. The slice is
@@ -129,38 +129,35 @@ func (c *NumericColumn) Values() []float64 { return c.cells.all() }
 func (c *NumericColumn) At(i int) float64 { return c.cells.at(i) }
 
 // Ordered returns the column's ordered view: its non-missing rows by
-// ascending value, the sorted values, moments, mean and σ. The first
-// call sorts the column (or finishes the order AppendRows carried
-// forward, splicing in only the rows it lacks, and folds only the rows
-// the carried moments have not seen); every later call, from any
-// goroutine, returns the same retained view. A column never changes,
-// so the view can never be stale: a new dataset generation is a new
-// column with a view of its own, and a column nobody scores exactly
-// never pays for one.
+// ascending value, moments, mean and σ. The first call sorts the
+// column, or, given the base run AppendRows carried forward, sorts only
+// the rows after it (merging the two once those pass a share of the
+// base; see stats.ExtendOrdered) and folds only the rows the carried
+// moments have not seen; every later call, from any goroutine, returns
+// the same retained view. A column never changes, so the view can
+// never be stale: a new dataset generation is a new column with a view
+// of its own, and a column nobody scores exactly never pays for one.
 func (c *NumericColumn) Ordered() *stats.Ordered {
 	c.viewOnce.Do(func() {
 		values := c.Values()
-		switch k := c.carried; {
-		case k == nil:
+		if k := c.carried; k != nil {
+			c.view.Store(stats.ExtendOrdered(values, k.base, k.fold))
+		} else {
 			c.view.Store(stats.NewOrdered(values))
-		case k.rows < len(values):
-			c.view.Store(stats.OrderedFrom(values, stats.ExtendOrder(k.order, values, k.rows), k.fold))
-		default:
-			c.view.Store(stats.OrderedFrom(values, k.order, k.fold))
 		}
 	})
 	return c.view.Load()
 }
 
 // extended makes next the column that continues c with the cells
-// extendInto gave it, `missing` of them NaN. The order and moments
+// extendInto gave it, `missing` of them NaN. The base run and moments
 // known of c — its view's, or what c itself was handed — are handed
-// down as they are: the successor's first Ordered call splices in and
-// folds the rows they miss, so an append sorts nothing.
+// down as they are: the successor's first Ordered call sorts and folds
+// the rows after them, so an append sorts nothing.
 func (c *NumericColumn) extended(next *NumericColumn, missing int) {
 	next.name, next.missing, next.carried = c.name, c.missing+missing, c.carried
 	if v := c.view.Load(); v != nil {
-		next.carried = &carry{order: v.Order, rows: len(v.Values), fold: v.Fold()}
+		next.carried = &carry{base: v.Base(), fold: v.Fold()}
 	}
 }
 

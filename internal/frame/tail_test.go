@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -94,8 +93,8 @@ func checkTailFrame(f *Frame, rows int) error {
 	if x.Missing() != missing || g.Missing() != blank {
 		return fmt.Errorf("Missing() = %d/%d, recount %d/%d", x.Missing(), g.Missing(), missing, blank)
 	}
-	if o := x.Ordered(); len(o.Order) != rows-missing || len(o.Values) != rows || !slices.IsSorted(o.Sorted) {
-		return fmt.Errorf("ordered view: %d of %d rows ordered over %d values", len(o.Order), rows-missing, len(o.Values))
+	if o := x.Ordered(); o.Len() != rows-missing || len(o.Values) != rows || !ascending(o) {
+		return fmt.Errorf("ordered view: %d of %d rows ordered over %d values", o.Len(), rows-missing, len(o.Values))
 	}
 	return nil
 }

@@ -237,12 +237,13 @@ func dipChain(t *testing.T, rng *rand.Rand, mode uint8) {
 		}
 	}
 	x := NewOrdered(xs)
-	dip := DipSorted(x.Sorted)
+	var dip float64
+	x.WithSorted(func(s []float64) { dip = DipSorted(s) })
 	requireSameBits(t, "DipSorted", dip, Dip(xs))
-	n, kept := len(xs), len(x.Sorted)
+	n, kept := len(xs), x.Len()
 	tie := value()
 	if kept > 0 {
-		tie = x.Sorted[rng.Intn(kept)]
+		tie = x.runs().at(rng.Intn(kept))
 	}
 	kind := int(mode/3) % 6
 	for batch := 0; batch < 1+rng.Intn(4); batch++ {

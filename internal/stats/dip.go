@@ -15,7 +15,7 @@ import (
 func Dip(xs []float64) float64 { return DipSorted(sortedCopy(xs)) }
 
 // DipSorted is Dip for data already sorted ascending and free of NaNs
-// (Ordered.Sorted). It avoids the copy and sort.
+// (Ordered.WithSorted). It avoids the copy and sort.
 func DipSorted(sorted []float64) float64 {
 	n := len(sorted)
 	if n < 2 {

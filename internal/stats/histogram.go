@@ -29,7 +29,7 @@ type Histogram struct {
 
 // NumBins returns the suggested number of bins for the non-NaN values
 // of xs under the rule, always at least 1. Values already sorted and
-// free of NaN (Ordered.Sorted) are read in place.
+// free of NaN (Ordered.WithSorted) are read in place.
 func NumBins(xs []float64, rule BinRule) int {
 	s := xs
 	if !sortedClean(xs) {

@@ -86,6 +86,16 @@ func checkOrder(t *testing.T, xs []float64) {
 func checkRanks(t *testing.T, xs []float64) {
 	t.Helper()
 	checkOrder(t, xs)
+	whole := NewOrdered(xs)
+	checkView(t, whole, xs)
+	for _, from := range splits(xs) {
+		v := splitOrdered(xs, from)
+		checkView(t, v, xs)
+		// Ranked against the whole view, the split one ranks as it does.
+		if got, want := SpearmanSums(v, whole), SpearmanSums(whole, whole); !sameSums(got, want) {
+			t.Fatalf("SpearmanSums of %v split at %d against itself = %+v, unsplit %+v", xs, from, got, want)
+		}
+	}
 	got, want := Ranks(xs), ranksOracle(xs)
 	if len(got) != len(want) {
 		t.Fatalf("Ranks(%v): %d ranks, oracle %d", xs, len(got), len(want))
@@ -98,7 +108,9 @@ func checkRanks(t *testing.T, xs []float64) {
 }
 
 // checkSpearman compares both entry points — the transient-order
-// wrapper and the retained-view kernel — to the oracle.
+// wrapper and the retained-view kernel — to the oracle, the kernel also
+// over views of xs and ys split into base and delta runs, each at a
+// split of its own.
 func checkSpearman(t *testing.T, xs, ys []float64) {
 	t.Helper()
 	checkOrder(t, xs)
@@ -106,6 +118,92 @@ func checkSpearman(t *testing.T, xs, ys []float64) {
 	want := spearmanOracle(xs, ys)
 	requireSameBits(t, "Spearman", Spearman(xs, ys), want)
 	requireSameBits(t, "SpearmanOrdered", SpearmanOrdered(NewOrdered(xs), NewOrdered(ys)), want)
+	sums := SpearmanSums(NewOrdered(xs), NewOrdered(ys))
+	fx, fy := splits(xs), splits(ys)
+	for k := range max(len(fx), len(fy)) {
+		x, y := splitOrdered(xs, fx[k%len(fx)]), splitOrdered(ys, fy[(k*7+3)%len(fy)])
+		requireSameBits(t, "SpearmanOrdered over runs", SpearmanOrdered(x, y), want)
+		if got := SpearmanSums(x, y); !sameSums(got, sums) {
+			t.Fatalf("SpearmanSums split at %d, %d = %+v, unsplit %+v", x.base.to, y.base.to, got, sums)
+		}
+	}
+}
+
+// splitOrdered is the view of xs as a base run over xs[:from] and a
+// delta run over the rest, never merged however long the delta.
+func splitOrdered(xs []float64, from int) *Ordered {
+	prefix := NewOrdered(xs[:from])
+	return extendOrdered(xs, prefix.Base(), prefix.Fold(), false)
+}
+
+// splits returns where to split xs into runs: everywhere when it is
+// short, else at its ends, a third of the way and at points drawn from
+// its length.
+func splits(xs []float64) []int {
+	n := len(xs)
+	if n <= 40 {
+		all := make([]int, n+1)
+		for i := range all {
+			all[i] = i
+		}
+		return all
+	}
+	return []int{0, 1, n / 3, n * 7 / 8, n - 1, n, n*5/9 + n%13}
+}
+
+func sameSums(a, b RankSums) bool {
+	return a.M == b.M && sameBits(a.XX, b.XX) && sameBits(a.YY, b.YY) && sameBits(a.XY, b.XY)
+}
+
+// checkView holds every reader of v to the oracle order of xs, the
+// sample v views: the walk, each position's value, the quantiles, box
+// statistics and detectors read from it, the merged copy and the fold.
+func checkView(t *testing.T, v *Ordered, xs []float64) {
+	t.Helper()
+	order, sorted := orderFromOracle(xs, 0)
+	if v.Len() != len(order) {
+		t.Fatalf("view of %v split at %d: Len %d, oracle %d", xs, v.base.to, v.Len(), len(order))
+	}
+	k := 0
+	v.Walk(func(row int32, x float64) {
+		if k >= len(order) || row != order[k] || !sameBits(x, sorted[k]) {
+			t.Fatalf("view of %v split at %d: walk step %d is row %d (%v), oracle %v", xs, v.base.to, k, row, x, order)
+		}
+		k++
+	})
+	for k := range sorted {
+		requireSameBits(t, fmt.Sprintf("value %d split at %d", k, v.base.to), v.runs().at(k), sorted[k])
+	}
+	v.WithSorted(func(s []float64) {
+		for k := range s {
+			requireSameBits(t, "WithSorted", s[k], sorted[k])
+		}
+	})
+	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
+		requireSameBits(t, fmt.Sprint("Quantile ", q), v.Quantile(q), QuantileSorted(sorted, q))
+	}
+	requireSameBits(t, "IQR", v.IQR(), iqr(sortedRuns{a: sorted}))
+	got, want := v.BoxStats(0), NewBoxStatsSorted(sorted, 0)
+	for _, f := range [][2]float64{{got.Min, want.Min}, {got.Q1, want.Q1}, {got.Median, want.Median}, {got.Q3, want.Q3},
+		{got.Max, want.Max}, {got.WhiskerLow, want.WhiskerLow}, {got.WhiskerHigh, want.WhiskerHigh}} {
+		requireSameBits(t, "BoxStats", f[0], f[1])
+	}
+	if len(got.Outliers) != len(want.Outliers) {
+		t.Fatalf("BoxStats: %d outliers, oracle %d", len(got.Outliers), len(want.Outliers))
+	}
+	for k := range got.Outliers {
+		requireSameBits(t, "BoxStats outlier", got.Outliers[k], want.Outliers[k])
+	}
+	for _, det := range []OutlierDetector{IQRDetector{}, MADDetector{}} {
+		score, flagged := OutlierScoreOrdered(v, det)
+		wantScore, wantFlagged := OutlierScore(xs, det)
+		requireSameBits(t, det.Name()+" score", score, wantScore)
+		if !slices.Equal(flagged, wantFlagged) {
+			t.Fatalf("%s flags %v, oracle %v", det.Name(), flagged, wantFlagged)
+		}
+	}
+	requireSameBits(t, "Mean", v.Mean, Mean(xs))
+	requireSameBits(t, "StdDev", v.StdDev, StdDev(xs))
 }
 
 var nan = math.NaN()
@@ -202,8 +300,33 @@ func TestSpearmanMatchesOracle(t *testing.T) {
 // the lengths int64 alone cannot carry: the 128-bit total of int64 block
 // sums, each block as long as rowsPerBlock allows for m rows of the
 // largest centred rank m−1, up to the 2³¹−1 rows an Ordered allows;
-// and the single rounding of a total to float64, at ties included.
+// and the single rounding of a total to float64, at ties included. The
+// sums over views split into base and delta runs — tie groups and NaN
+// on both sides of each split, and splits that differ between the
+// columns — are the unsplit views' to the bit.
 func TestSpearmanSumsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(400)
+		levels := []int{2, 7, 50, 1 << 20}[trial%4]
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ys[i] = float64(rng.Intn(levels)), float64(rng.Intn(levels)+i%3)
+			if rng.Intn(10) == 0 {
+				xs[i] = nan
+			}
+			if rng.Intn(12) == 0 {
+				ys[i] = nan
+			}
+		}
+		want := SpearmanSums(NewOrdered(xs), NewOrdered(ys))
+		for range 6 {
+			fx, fy := rng.Intn(n+1), rng.Intn(n+1)
+			if got := SpearmanSums(splitOrdered(xs, fx), splitOrdered(ys, fy)); !sameSums(got, want) {
+				t.Fatalf("n %d split at %d, %d: sums %+v, unsplit %+v", n, fx, fy, got, want)
+			}
+		}
+	}
 	maxInt64 := new(big.Int).SetInt64(math.MaxInt64)
 	for _, m := range []int{2, 3, 1000, 1<<21 - 1, 1 << 21, 1<<21 + 1, 1 << 28, math.MaxInt32} {
 		worst := big.NewInt(int64(m - 1))
@@ -231,7 +354,7 @@ func TestSpearmanSumsExact(t *testing.T) {
 		}
 	}
 	// Totals far past 2⁶⁴ in both signs, and the carries between halves.
-	rng := rand.New(rand.NewSource(29))
+	rng = rand.New(rand.NewSource(29))
 	for trial := 0; trial < 200; trial++ {
 		var total int128
 		want := new(big.Int)
@@ -376,22 +499,29 @@ func TestOrderIsSortedAndExtendable(t *testing.T) {
 				t.Fatalf("order of %v = %v: rows %d, %d out of order", xs, order, a, b)
 			}
 		}
-		for _, from := range []int{0, len(xs) / 3, len(xs) - 1, len(xs)} {
+		// Extending a prefix's view keeps its base until the rows after
+		// it pass 1/compactShare of the base's, then merges the two into
+		// a base over every row: either way the view of the whole.
+		for _, from := range []int{0, len(xs) / 3, len(xs) * 8 / 9, len(xs) - 1, len(xs)} {
 			if from < 0 {
 				continue
 			}
-			prefix, _ := orderFrom(xs[:from], 0)
-			got := ExtendOrder(prefix, xs, from)
-			if !slices.Equal(got, order) {
-				t.Fatalf("ExtendOrder(from %d) of %v = %v, want %v", from, xs, got, order)
+			prefix := NewOrdered(xs[:from])
+			v := ExtendOrdered(xs, prefix.Base(), prefix.Fold())
+			checkView(t, v, xs)
+			if merged := (len(xs)-from)*compactShare > from; merged {
+				if v.Base() == prefix.Base() || v.Base().to != len(xs) || len(v.delta.order) != 0 || !slices.Equal(v.Base().order, order) {
+					t.Fatalf("%d rows after a base of %d: the runs were not merged into one of every row", len(xs)-from, from)
+				}
+			} else if v.Base() != prefix.Base() || v.delta.from != from || v.delta.to != len(xs) {
+				t.Fatalf("%d rows after a base of %d: the base was not kept", len(xs)-from, from)
 			}
 		}
 		v := NewOrdered(xs)
-		if !slices.Equal(v.Sorted, sortedCopy(xs)) && !containsBothZeros(xs) {
-			t.Fatalf("Sorted %v, sortedCopy %v", v.Sorted, sortedCopy(xs))
+		checkView(t, v, xs)
+		if s := sortedCopy(xs); !slices.Equal(v.base.sorted, s) && !containsBothZeros(xs) {
+			t.Fatalf("sorted %v, sortedCopy %v", v.base.sorted, s)
 		}
-		requireSameBits(t, "Mean", v.Mean, Mean(xs))
-		requireSameBits(t, "StdDev", v.StdDev, StdDev(xs))
 	}
 }
 
@@ -597,7 +727,11 @@ func benchColumns(n int) (xs, ys []float64) {
 // on each side, and values rounded to 6 significant digits, so tie
 // groups form as they do in the repository benchmark's CSVs. The
 // lengths are the row sample the approximate fallback ranks, and the
-// columns of explore_exact and of ingest_stream. It gates nothing.
+// columns of explore_exact and of ingest_stream. Each length is timed
+// over views of one base run, and over views whose last 1/16 of the
+// rows (under the share that merges them) is a delta run, as an exact
+// read after a run of ingests sees them: what the per-pair merge walk
+// that places both runs costs. It gates nothing.
 func BenchmarkSpearmanPair(b *testing.B) {
 	for _, n := range []int{2048, 8000, 20000} {
 		rng := rand.New(rand.NewSource(3))
@@ -614,14 +748,20 @@ func BenchmarkSpearmanPair(b *testing.B) {
 				}
 			}
 		}
-		x, y := NewOrdered(xs), NewOrdered(ys)
-		benchSink = SpearmanOrdered(x, y)
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink = SpearmanOrdered(x, y)
+		for _, delta := range []int{0, n / 16} {
+			x, y := splitOrdered(xs, n-delta), splitOrdered(ys, n-delta)
+			benchSink = SpearmanOrdered(x, y)
+			name := fmt.Sprint(n)
+			if delta > 0 {
+				name += "/delta"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink = SpearmanOrdered(x, y)
+				}
+			})
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ type OutlierDetector interface {
 // from order statistics: given the sample's sorted non-NaN values they
 // skip their own copy and sort.
 type sortedDetector interface {
-	detectSorted(xs, sorted []float64) []int
+	detectSorted(xs []float64, sorted sortedRuns) []int
 }
 
 // ZScoreDetector flags |x−µ|/σ > Threshold. The classical parametric
@@ -65,14 +65,16 @@ type MADDetector struct {
 func (d MADDetector) Name() string { return "mad" }
 
 // Detect implements OutlierDetector.
-func (d MADDetector) Detect(xs []float64) []int { return d.detectSorted(xs, sortedCopy(xs)) }
+func (d MADDetector) Detect(xs []float64) []int {
+	return d.detectSorted(xs, sortedRuns{a: sortedCopy(xs)})
+}
 
-func (d MADDetector) detectSorted(xs, s []float64) []int {
+func (d MADDetector) detectSorted(xs []float64, s sortedRuns) []int {
 	thr := d.Threshold
 	if thr == 0 {
 		thr = 3.5
 	}
-	med := QuantileSorted(s, 0.5)
+	med := quantile(s, 0.5)
 	mad := madSorted(s)
 	if mad == 0 || math.IsNaN(mad) {
 		return nil
@@ -98,18 +100,20 @@ type IQRDetector struct {
 func (d IQRDetector) Name() string { return "iqr" }
 
 // Detect implements OutlierDetector.
-func (d IQRDetector) Detect(xs []float64) []int { return d.detectSorted(xs, sortedCopy(xs)) }
+func (d IQRDetector) Detect(xs []float64) []int {
+	return d.detectSorted(xs, sortedRuns{a: sortedCopy(xs)})
+}
 
-func (d IQRDetector) detectSorted(xs, s []float64) []int {
+func (d IQRDetector) detectSorted(xs []float64, s sortedRuns) []int {
 	k := d.K
 	if k == 0 {
 		k = 1.5
 	}
-	if len(s) < 4 {
+	if s.len() < 4 {
 		return nil
 	}
-	q1 := QuantileSorted(s, 0.25)
-	q3 := QuantileSorted(s, 0.75)
+	q1 := quantile(s, 0.25)
+	q3 := quantile(s, 0.75)
 	iqr := q3 - q1
 	if iqr == 0 {
 		return nil
@@ -136,14 +140,14 @@ func OutlierScore(xs []float64, det OutlierDetector) (score float64, outliers []
 }
 
 // OutlierScoreOrdered is OutlierScore(o.Values, det): the built-in IQR
-// and MAD detectors reuse o.Sorted, and the score reads o.Moments; any
-// other detector runs as usual.
+// and MAD detectors read their order statistics from o's runs, and the
+// score reads o.Moments; any other detector runs as usual.
 func OutlierScoreOrdered(o *Ordered, det OutlierDetector) (score float64, outliers []int) {
 	if det == nil {
 		det = IQRDetector{}
 	}
 	if sd, ok := det.(sortedDetector); ok {
-		return scoreOutliers(o.Values, sd.detectSorted(o.Values, o.Sorted), &o.Moments)
+		return scoreOutliers(o.Values, sd.detectSorted(o.Values, o.runs()), &o.Moments)
 	}
 	return scoreOutliers(o.Values, det.Detect(o.Values), &o.Moments)
 }
@@ -185,35 +189,38 @@ func NewBoxStats(xs []float64, k float64) *BoxStats { return NewBoxStatsSorted(s
 
 // NewBoxStatsSorted is NewBoxStats for data already sorted ascending
 // and free of NaNs.
-func NewBoxStatsSorted(s []float64, k float64) *BoxStats {
+func NewBoxStatsSorted(s []float64, k float64) *BoxStats { return boxStats(sortedRuns{a: s}, k) }
+
+func boxStats(s sortedRuns, k float64) *BoxStats {
 	if k == 0 {
 		k = 1.5
 	}
-	if len(s) == 0 {
+	n := s.len()
+	if n == 0 {
 		return &BoxStats{Min: math.NaN(), Q1: math.NaN(), Median: math.NaN(), Q3: math.NaN(), Max: math.NaN()}
 	}
 	b := &BoxStats{
-		Min:    s[0],
-		Q1:     QuantileSorted(s, 0.25),
-		Median: QuantileSorted(s, 0.5),
-		Q3:     QuantileSorted(s, 0.75),
-		Max:    s[len(s)-1],
+		Min:    s.at(0),
+		Q1:     quantile(s, 0.25),
+		Median: quantile(s, 0.5),
+		Q3:     quantile(s, 0.75),
+		Max:    s.at(n - 1),
 	}
 	iqr := b.Q3 - b.Q1
 	lo, hi := b.Q1-k*iqr, b.Q3+k*iqr
 	b.WhiskerLow, b.WhiskerHigh = b.Q3, b.Q1
 	first := true
-	for _, v := range s {
+	s.each(func(v float64, _, _ int) {
 		if v < lo || v > hi {
 			b.Outliers = append(b.Outliers, v)
-			continue
+			return
 		}
 		if first {
 			b.WhiskerLow = v
 			first = false
 		}
 		b.WhiskerHigh = v
-	}
+	})
 	if first { // everything was an outlier (degenerate)
 		b.WhiskerLow, b.WhiskerHigh = b.Q1, b.Q3
 	}

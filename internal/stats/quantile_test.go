@@ -208,8 +208,8 @@ func TestSortedCopyLeavesInputAlone(t *testing.T) {
 }
 
 // IQR returns the interquartile range Q3−Q1 of the non-NaN values.
-func IQR(xs []float64) float64 { return IQRSorted(sortedCopy(xs)) }
+func IQR(xs []float64) float64 { return iqr(sortedRuns{a: sortedCopy(xs)}) }
 
 // MAD returns the median absolute deviation from the median, a robust
 // scale estimate.
-func MAD(xs []float64) float64 { return madSorted(sortedCopy(xs)) }
+func MAD(xs []float64) float64 { return madSorted(sortedRuns{a: sortedCopy(xs)}) }
