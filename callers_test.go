@@ -1,10 +1,17 @@
 package foresight_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"slices"
@@ -21,20 +28,22 @@ import (
 // "importpath.Type.Method", every method of a type as
 // "importpath.Type.*". Each entry says why it stays.
 var shippedTestSupport = map[string]string{
+	"foresight/internal/core.ScoreBoundFor":           "deprecated pin benchmark/layers still times, +Inf for every class (ROADMAP 16)",
 	"foresight/internal/durable.NewErrFS":             "the fault-injecting filesystem of the crash tests of durable and server",
 	"foresight/internal/durable.ErrFS.*":              "the crash and fault hooks those tests arm on it",
 	"foresight/internal/durable.Manager.Checkpoint":   "the forced checkpoint benchmark/layers times (ROADMAP 16)",
 	"foresight/internal/frame.MustNew":                "builds the literal frames of the tests of nine packages",
 	"foresight/internal/query.Engine.InvalidateCache": "deprecated call benchmark/layers still makes (ROADMAP 16)",
 	"foresight/internal/sketch.BuildProfileSharded":   "deprecated alias benchmark/layers still calls (ROADMAP 16)",
+	"foresight/internal/sketch.SpaceSaving.Clone":     "builds FuzzSpaceSavingMerge's merge tree in sketchcheck",
 	"foresight/internal/stats.Pearson":                "the pair kernel benchmark/layers times (ROADMAP 16)",
 	"foresight/internal/stats.Spearman":               "the pair kernel benchmark/layers times (ROADMAP 16)",
 }
 
 // implicitInterfaces are the methods of the standard library's
 // interfaces that the tree satisfies without selecting the method
-// anywhere: sort.Sort calls Len, Less and Swap.
-var implicitInterfaces = []string{"Len", "Less", "Swap"}
+// anywhere: sort.Sort calls Len, Less and Swap, fmt calls String.
+var implicitInterfaces = []string{"Len", "Less", "Swap", "String"}
 
 // TestEveryExportHasAProductionCaller holds the tree to code that
 // something ships: every exported package-level func, type, var and
@@ -42,13 +51,15 @@ var implicitInterfaces = []string{"Len", "Less", "Swap"}
 // internal/ is in use. A package-level name is in use when a non-test
 // file other than the one declaring it names it — in its own package,
 // another internal package, a command, an example or the facade. A
-// method is in use when a non-test file other than its own selects its
-// name (x.Name for any x but an import: the check reads syntax, not
-// types), or when an interface declared in a non-test file, or one of
-// implicitInterfaces, declares it. Either is also in use when a
-// declaration of its own file that is itself in use names it: an
-// unexported declaration (unused ones are staticcheck's to find), an
-// unexported method, or an exported name or method in use. The
+// method is in use when a non-test file other than its own selects it
+// (x.Name, resolved by go/types to the method of x's type, so a
+// same-named method of another type does not count), or when its name
+// is dispatched: declared by an interface of a non-test file or by one
+// of implicitInterfaces, or selected on an interface value in one.
+// Either is also in use when a declaration of its own file that is
+// itself in use names it: an unexported declaration (unused ones are
+// staticcheck's to find), an unexported method, or an exported name or
+// method in use. The
 // benchmark module does not count as a caller. A name or method only
 // tests call belongs in a _test.go file, or goes.
 func TestEveryExportHasAProductionCaller(t *testing.T) {
@@ -56,7 +67,7 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 	// names it declares under internal/, or the exported method it
 	// declares there as "Type.Method" (neither for an unexported
 	// declaration or method, which count as in use), the identifiers it
-	// names and the names it selects.
+	// names and the methods it selects, as "importpath.Type.Method".
 	type node struct {
 		exported       []string
 		method         string
@@ -71,13 +82,14 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 	// other than its declaring one names: through an import, or, for
 	// names of its own package, as a bare identifier.
 	foreign := map[string]map[string]bool{}
-	// selected holds, for each name selected as x.Name with x not an
-	// import, the non-test files that select it.
+	// selected holds, for each method selected as x.Name, as
+	// "importpath.Type.Method", the non-test files that select it.
 	selected := map[string]map[string]bool{}
-	// declaredByInterface holds every method name an interface declares.
-	declaredByInterface := map[string]bool{}
+	// dispatched holds every method name an interface declares or a
+	// call through an interface value selects.
+	dispatched := map[string]bool{}
 	for _, name := range implicitInterfaces {
-		declaredByInterface[name] = true
+		dispatched[name] = true
 	}
 	mark := func(m map[string]map[string]bool, key, p string) {
 		if m[key] == nil {
@@ -87,24 +99,9 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 	}
 
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && p != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		fl := file{path: p, pkg: path.Join("foresight", filepath.ToSlash(filepath.Dir(p)))}
+	for _, src := range typedFiles(t, fset) {
+		p, f, info := src.path, src.file, src.info
+		fl := file{path: p, pkg: src.pkg}
 		imports := map[string]string{}
 		for _, im := range f.Imports {
 			ip, _ := strconv.Unquote(im.Path.Value)
@@ -129,14 +126,20 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 							return false
 						}
 					}
-					nd.selects[n.Sel.Name] = true
-					mark(selected, n.Sel.Name, p)
+					if sel := info.Selections[n]; sel != nil && sel.Kind() != types.FieldVal {
+						if key := methodKey(sel); key != "" {
+							nd.selects[key] = true
+							mark(selected, key, p)
+						} else {
+							dispatched[n.Sel.Name] = true
+						}
+					}
 					ast.Inspect(n.X, visit)
 					return false
 				case *ast.InterfaceType:
 					for _, m := range n.Methods.List {
 						for _, id := range m.Names {
-							declaredByInterface[id.Name] = true
+							dispatched[id.Name] = true
 						}
 					}
 				case *ast.Ident:
@@ -203,21 +206,15 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 			}
 		}
 		files = append(files, fl)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	var dead []string
 	needed := map[string]bool{}
 	for _, fl := range files {
 		// inUse and declared hold the file's exported names and its
-		// methods ("Type.Method"); methods maps a method name to the
-		// methods of that name the file declares.
+		// methods ("Type.Method").
 		inUse := map[string]bool{}
 		declared := map[string]bool{}
-		methods := map[string][]string{}
 		elsewhere := func(files map[string]bool) bool {
 			for other := range files {
 				if other != fl.path {
@@ -233,9 +230,8 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 			}
 			if nd.method != "" {
 				name := nd.method[strings.IndexByte(nd.method, '.')+1:]
-				methods[name] = append(methods[name], nd.method)
 				declared[nd.method] = true
-				inUse[nd.method] = declaredByInterface[name] || elsewhere(selected[name])
+				inUse[nd.method] = dispatched[name] || elsewhere(selected[fl.pkg+"."+nd.method])
 			}
 		}
 		for changed := true; changed; {
@@ -258,8 +254,8 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 						use(name)
 					}
 				}
-				for name := range nd.selects {
-					for _, m := range methods[name] {
+				for key := range nd.selects {
+					if m, ok := strings.CutPrefix(key, fl.pkg+"."); ok && declared[m] {
 						use(m)
 					}
 				}
@@ -294,4 +290,88 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 		t.Errorf("%d exported names and methods have no production caller; delete them, move them into a _test.go file, or list them in shippedTestSupport with the reason:\n\t%s",
 			len(dead), strings.Join(dead, "\n\t"))
 	}
+}
+
+// typedFile is one non-test file of the module: its path relative to
+// the module root, its package's import path, its syntax and its
+// package's type information.
+type typedFile struct {
+	path, pkg string
+	file      *ast.File
+	info      *types.Info
+}
+
+// typedFiles type-checks every package of the module (the benchmark
+// module is its own) from its non-test files. Imports are read from the
+// export data `go list -export` leaves in the build cache.
+func typedFiles(t *testing.T, fset *token.FileSet) []typedFile {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		Standard                bool
+	}
+	exports := map[string]string{}
+	var module []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var l listed
+		if err := dec.Decode(&l); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		exports[l.ImportPath] = l.Export
+		if !l.Standard {
+			module = append(module, l)
+		}
+	}
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	var srcs []typedFile
+	for _, l := range module {
+		info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		var files []*ast.File
+		for _, name := range l.GoFiles {
+			abs := filepath.Join(l.Dir, name)
+			f, err := parser.ParseFile(fset, abs, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := filepath.Rel(root, abs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+			srcs = append(srcs, typedFile{path: rel, pkg: l.ImportPath, file: f, info: info})
+		}
+		if _, err := conf.Check(l.ImportPath, fset, files, info); err != nil {
+			t.Fatalf("type-checking %s: %v", l.ImportPath, err)
+		}
+	}
+	return srcs
+}
+
+// methodKey is "importpath.Type.Method" for a selection of a method of
+// a named type (generic ones by their declaration), and "" for an
+// interface's method.
+func methodKey(sel *types.Selection) string {
+	fn := sel.Obj().(*types.Func).Origin()
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || types.IsInterface(named) {
+		return ""
+	}
+	return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
 }

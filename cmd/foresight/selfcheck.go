@@ -22,18 +22,17 @@ import (
 // the extend path against the one-pass build within -tol. With
 // -profile it instead verifies an already-persisted sketch store
 // against the dataset it claims to summarize. It then
-// cross-checks the pruning contract — ScoreBound ≥ Score on sampled
-// candidates of every bounded insight class, both scoring paths, and
-// SuccessorBound ≥ Score once rows are appended —
-// since an unsound bound would silently change top-k results. Exits
-// non-zero when any invariant is violated, so it slots into CI and
-// operational smoke tests directly.
+// cross-checks the pruning contract — SuccessorBound ≥ Score on
+// sampled candidates of every class that leaves certificates, once
+// rows are appended — since an unsound bound would silently change
+// top-k results. Exits non-zero when any invariant is violated, so it
+// slots into CI and operational smoke tests directly.
 func runSelfcheck(args []string) error {
 	fs := flag.NewFlagSet("selfcheck", flag.ExitOnError)
 	data := fs.String("data", "", "CSV path or demo dataset name")
 	profilePath := fs.String("profile", "", "verify this saved sketch store instead of building fresh")
 	tol := fs.Float64("tol", sketchcheck.DefaultScoreTol, "estimator-delta gate between build paths (every alternate path is held to it)")
-	boundSample := fs.Int("bound-sample", 64, "candidates sampled per class/metric for the ScoreBound ≥ Score gate (0 = all)")
+	boundSample := fs.Int("bound-sample", 64, "candidates sampled per class/metric for the SuccessorBound ≥ Score gate (0 = all)")
 	seed := fs.Int64("seed", 42, "seed for demo datasets / sketches")
 	walDir := fs.String("wal", "", "verify this WAL/snapshot directory instead: CRC-scan every segment, replay into a scratch engine over -data, and gate the recovered profile against a cold rebuild")
 	permissive := fs.Bool("recover-permissive", false, "with -wal: tolerate mid-log corruption and verify the valid prefix")
@@ -47,14 +46,13 @@ func runSelfcheck(args []string) error {
 	}
 
 	var r *sketchcheck.Report
-	var p *sketch.DatasetProfile
 	if *profilePath != "" {
 		file, err := os.Open(*profilePath)
 		if err != nil {
 			return err
 		}
 		defer file.Close()
-		p, err = sketch.LoadProfile(file)
+		p, err := sketch.LoadProfile(file)
 		if err != nil {
 			return err
 		}
@@ -64,28 +62,22 @@ func runSelfcheck(args []string) error {
 		// gates cover the profile that is actually served.
 		cfg := sketch.ProfileConfig{Seed: *seed, Spearman: true}
 		r = sketchcheck.Run(f, sketchcheck.Config{Profile: cfg, ScoreTol: *tol})
-		p = sketch.BuildProfile(f, cfg)
 	}
 	sketchcheck.WriteReport(os.Stdout, r)
 
-	violations := core.CheckScoreBounds(foresight.NewRegistry(), f, p, *boundSample)
-	if len(violations) == 0 {
-		fmt.Printf("score-bound gate OK: ScoreBound ≥ Score on sampled candidates (sample=%d per class/metric)\n", *boundSample)
-	}
 	// The successor gate: certificates made on the dataset bound the
 	// scores once 1 % of its rows (at least one) are appended again.
 	grown, err := f.AppendRows(ownRows(f, max(1, f.Rows()/100)), nil)
 	if err != nil {
 		return fmt.Errorf("selfcheck: growing the dataset: %w", err)
 	}
-	successors := core.CheckSuccessorBounds(foresight.NewRegistry(), f, grown, *boundSample)
-	if len(successors) == 0 {
+	violations := core.CheckSuccessorBounds(foresight.NewRegistry(), f, grown, *boundSample)
+	if len(violations) == 0 {
 		fmt.Printf("successor-bound gate OK: SuccessorBound ≥ Score with %d of the dataset's rows appended (sample=%d per class/metric)\n", grown.Rows()-f.Rows(), *boundSample)
 	}
-	violations = append(violations, successors...)
 	for _, v := range violations {
-		fmt.Printf("VIOLATION score-bound %s/%s %s (%s): score %v > bound %v\n",
-			v.Class, v.Metric, strings.Join(v.Attrs, ","), v.Mode, v.Score, v.Bound)
+		fmt.Printf("VIOLATION successor-bound %s/%s %s: score %v > bound %v\n",
+			v.Class, v.Metric, strings.Join(v.Attrs, ","), v.Score, v.Bound)
 	}
 
 	if !r.Ok() || len(violations) > 0 {

@@ -11,8 +11,7 @@ import (
 	"foresight/internal/sketch"
 )
 
-// stubClass is a minimal Class for registry/bound plumbing tests. It
-// deliberately does NOT implement Bounder.
+// stubClass is a minimal Class for registry/bound plumbing tests.
 type stubClass struct {
 	name    string
 	metrics []string
@@ -36,79 +35,6 @@ func (c *stubClass) Score(f *frame.Frame, attrs []string, metric string) (Insigh
 }
 func (c *stubClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
 	return Insight{Class: c.name, Metric: metric, Attrs: attrs, Score: c.score, Approx: true}, nil
-}
-
-// boundedStub additionally claims a (possibly unsound) score bound.
-type boundedStub struct {
-	stubClass
-	bound float64
-}
-
-func (c *boundedStub) ScoreBound(p *sketch.DatasetProfile, attrs []string, metric string) float64 {
-	return c.bound
-}
-
-// TestScoreBoundsHold is the positive soundness check behind the
-// pruning equivalence guarantee: on a demo dataset (every candidate)
-// and on the planted frame (strided sample), no built-in class may
-// return a Score or ScoreApprox above its claimed ScoreBound.
-func TestScoreBoundsHold(t *testing.T) {
-	cases := []struct {
-		name     string
-		f        *frame.Frame
-		perClass int
-	}{
-		{"oecd-exhaustive", datagen.OECD(0, 42), 0},
-		{"planted-sampled", plantedFrame(1200, 11), 48},
-	}
-	for _, tc := range cases {
-		p := sketch.BuildProfile(tc.f, sketch.ProfileConfig{Seed: 11, Spearman: true})
-		for _, v := range CheckScoreBounds(NewRegistry(), tc.f, p, tc.perClass) {
-			t.Errorf("%s: unsound bound %s/%s %v (%s): score %v > bound %v",
-				tc.name, v.Class, v.Metric, v.Attrs, v.Mode, v.Score, v.Bound)
-		}
-	}
-}
-
-// TestCheckScoreBoundsCatchesUnsoundBound is the negative test: a
-// class whose bound lies below its own score must be flagged on both
-// scoring paths, with the violation carrying enough context to act on.
-func TestCheckScoreBoundsCatchesUnsoundBound(t *testing.T) {
-	f := plantedFrame(200, 12)
-	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 12})
-	reg := NewEmptyRegistry()
-	bad := &boundedStub{stubClass{name: "bad", metrics: []string{"m"}, score: 0.9}, 0.5}
-	if err := reg.Register(bad); err != nil {
-		t.Fatal(err)
-	}
-	vs := CheckScoreBounds(reg, f, p, 1)
-	if len(vs) != 2 {
-		t.Fatalf("want exact+approx violations for 1 sampled candidate, got %d: %+v", len(vs), vs)
-	}
-	modes := map[string]bool{}
-	for _, v := range vs {
-		modes[v.Mode] = true
-		if v.Class != "bad" || v.Metric != "m" || len(v.Attrs) != 1 ||
-			v.Score != 0.9 || v.Bound != 0.5 {
-			t.Errorf("violation fields wrong: %+v", v)
-		}
-	}
-	if !modes["exact"] || !modes["approx"] {
-		t.Errorf("want both scoring paths flagged, got %v", modes)
-	}
-
-	// A sound bound (and an undefined +Inf one) must pass silently.
-	reg2 := NewEmptyRegistry()
-	good := &boundedStub{stubClass{name: "good", metrics: []string{"m"}, score: 0.9}, 0.9}
-	unbounded := &boundedStub{stubClass{name: "unb", metrics: []string{"m"}, score: 1e9}, math.Inf(1)}
-	for _, c := range []Class{good, unbounded} {
-		if err := reg2.Register(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if vs := CheckScoreBounds(reg2, f, p, 0); len(vs) != 0 {
-		t.Errorf("sound/unbounded classes flagged: %+v", vs)
-	}
 }
 
 // TestSuccessorBoundsHold is the positive half of the successor gate: on
@@ -233,7 +159,7 @@ func TestCheckSuccessorBoundsCatchesUnsoundBound(t *testing.T) {
 		vs := CheckSuccessorBounds(reg, f, tc.grown, 0)
 		caught := slices.ContainsFunc(vs, func(v BoundViolation) bool { return slices.Equal(v.Attrs, tc.attrs) })
 		for _, v := range vs {
-			if v.Mode != "successor" || v.Class != tc.sound.Name() || v.Metric != tc.sound.Metrics()[0] || !(v.Score > v.Bound) {
+			if v.Class != tc.sound.Name() || v.Metric != tc.sound.Metrics()[0] || !(v.Score > v.Bound) {
 				t.Errorf("violation fields wrong: %+v", v)
 			}
 		}
@@ -243,28 +169,20 @@ func TestCheckSuccessorBoundsCatchesUnsoundBound(t *testing.T) {
 	}
 }
 
-// TestScoreBoundForNormalization pins the "never prune" conventions:
-// non-Bounder classes, a nil profile, and NaN bounds all normalize to
-// +Inf so the engine treats them as unprunable.
+// TestScoreBoundForNormalization pins the deprecated ScoreBoundFor:
+// +Inf for every class, profile or not, so nothing that still calls it
+// can take it for a bound.
 func TestScoreBoundForNormalization(t *testing.T) {
 	f := plantedFrame(100, 13)
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 13})
-	attrs := []string{f.NumericColumns()[0].Name()}
-
-	plain := &stubClass{name: "plain", metrics: []string{"m"}, score: 1}
-	if b := ScoreBoundFor(plain, p, attrs, "m"); !math.IsInf(b, 1) {
-		t.Errorf("non-Bounder class: bound %v, want +Inf", b)
-	}
-	bounded := &boundedStub{stubClass{name: "b", metrics: []string{"m"}, score: 1}, 0.7}
-	if b := ScoreBoundFor(bounded, nil, attrs, "m"); !math.IsInf(b, 1) {
-		t.Errorf("nil profile: bound %v, want +Inf", b)
-	}
-	if b := ScoreBoundFor(bounded, p, attrs, "m"); b != 0.7 {
-		t.Errorf("finite bound not passed through: %v", b)
-	}
-	bounded.bound = math.NaN()
-	if b := ScoreBoundFor(bounded, p, attrs, "m"); !math.IsInf(b, 1) {
-		t.Errorf("NaN bound: %v, want +Inf", b)
+	for _, c := range append(NewRegistry().Classes(), &stubClass{name: "plain", metrics: []string{"m"}, score: 1}) {
+		for _, attrs := range c.Candidates(f)[:1] {
+			for _, prof := range []*sketch.DatasetProfile{p, nil} {
+				if b := ScoreBoundFor(c, prof, attrs, c.Metrics()[0]); !math.IsInf(b, 1) {
+					t.Errorf("%s %v: bound %v, want +Inf", c.Name(), attrs, b)
+				}
+			}
+		}
 	}
 }
 

@@ -325,14 +325,6 @@ func (w *wal) syncLoop(interval time.Duration) {
 	}
 }
 
-// LastSeq returns the sequence number of the most recently appended
-// record (nextSeq-1).
-func (w *wal) LastSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nextSeq - 1
-}
-
 // Segments returns the number of live segment files.
 func (w *wal) Segments() int {
 	w.mu.Lock()

@@ -60,8 +60,8 @@ func TestConcurrentIncrements(t *testing.T) {
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
 	}
-	if h.Count() != workers*per {
-		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)
+	if h.count.Load() != workers*per {
+		t.Errorf("histogram count = %d, want %d", h.count.Load(), workers*per)
 	}
 	if got := h.Sum(); math.Abs(got-0.05*workers*per) > 1e-6 {
 		t.Errorf("histogram sum = %v", got)
@@ -97,8 +97,8 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, b.String())
 		}
 	}
-	if h.Count() != 80 || math.Abs(h.Sum()-(0.5+0.5+2.25+9+9+25)) > 1e-9 {
-		t.Errorf("count %d, sum %v", h.Count(), h.Sum())
+	if h.count.Load() != 80 || math.Abs(h.Sum()-(0.5+0.5+2.25+9+9+25)) > 1e-9 {
+		t.Errorf("count %d, sum %v", h.count.Load(), h.Sum())
 	}
 }
 

@@ -183,7 +183,7 @@ func (g *generation) successor(f *frame.Frame, p *sketch.DatasetProfile) *genera
 // built at its first read, with the class's table (the one handed down
 // when the enumeration is the same) and, by position, the certificates
 // handed down for it. A changed table takes none: a certificate is only
-// a bound, so the class's own stand in.
+// a bound, so the column is scored whole.
 func (g *generation) column(c core.Class, metric string, approx bool) *column {
 	k := viewKey{c.Name(), metric, approx}
 	g.mu.Lock()

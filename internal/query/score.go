@@ -18,8 +18,8 @@ import (
 //	      value
 //	bound only when the query has something to prune against (K or
 //	      MinScore) and there are bounds (prunes): bound the misses by
-//	      the class's profile bound and a handed-down certificate,
-//	      whichever is lower, and order them by descending bound
+//	      the certificates an ingest handed down (+Inf for a miss
+//	      without one), and order them by descending bound
 //	score claim → score → publish the misses' slots through the worker
 //	      pool (scoreMisses), in 2×workers chunks
 //	      when bounded, raising the kth-best threshold between chunks
@@ -31,13 +31,13 @@ import (
 //	      stay per candidate
 //
 // and the caller filters and ranks what comes back. Nothing selects
-// between scorers: "nothing to prune against", "no profile" and one
-// worker are conditions the pass reads from its inputs.
+// between scorers: "nothing to prune against", "no certificates" and
+// one worker are conditions the pass reads from its inputs.
 //
 // Equivalence argument (skipping candidates never changes a result): a
 // candidate is skipped only when bound < t for the threshold t at that
 // moment, and bounds are sound (score ≤ bound, enforced by the
-// selfcheck gate and TestPruningOnDemoDatasets). If t came from
+// selfcheck successor gate and TestPruningOnDemoDatasets). If t came from
 // MinScore, the score would have been dropped by the strength filter;
 // if t is the kth-best filtered score seen so far, at least k
 // candidates outscore it strictly, so it cannot enter the top k
@@ -65,8 +65,8 @@ type PruneStats struct {
 	// Seeded counts memoized scores that pre-seeded the top-k
 	// threshold before any scoring ran (higher = earlier cutoffs).
 	Seeded uint64 `json:"seeded"`
-	// Carried counts the misses of those passes whose bound came from a
-	// certificate an ingest handed down: it was below the class's own.
+	// Carried counts the misses of those passes bounded by a
+	// certificate an ingest handed down.
 	Carried uint64 `json:"carried"`
 }
 
@@ -86,14 +86,11 @@ func (e *Engine) PruneStats() PruneStats {
 // keeps it out of every ranking.
 var skipped = core.Insight{Score: math.NaN()}
 
-// prunes reports whether a pass over col on generation g takes the
-// bound-ordered branch: the query has a top-k cut or a strength floor
-// for bounds to fall below, and there are bounds, from the class's
-// profile (a core.Bounder on a generation with a profile) or from the
-// certificates handed down to col.
-func prunes(col *column, g *generation, k int, minScore float64) bool {
-	_, bounded := col.c.(core.Bounder)
-	return (k > 0 || minScore > 0) && (bounded && g.profile != nil || col.carried != nil)
+// prunes reports whether a pass over col takes the bound-ordered
+// branch: the query has a top-k cut or a strength floor for bounds to
+// fall below, and an ingest handed certificates down to col.
+func prunes(col *column, k int, minScore float64) bool {
+	return (k > 0 || minScore > 0) && col.carried != nil
 }
 
 // runsOf partitions the owned misses of a pass (pos[owned[o]] is a
@@ -203,7 +200,7 @@ func (e *Engine) scorePass(ctx context.Context, g *generation, col *column, pos 
 	g.mu.Unlock()
 	e.hits.Add(uint64(len(pos) - len(misses)))
 
-	if !prunes(col, g, k, minScore) {
+	if !prunes(col, k, minScore) {
 		// No bounds, or nothing to prune against: score every miss.
 		if len(misses) > 0 {
 			if err := e.scoreMisses(ctx, g, col, pos, misses, out); err != nil {
@@ -237,15 +234,15 @@ func (e *Engine) scorePass(ctx context.Context, g *generation, col *column, pos 
 	e.pruneSeeded.Add(seeded)
 
 	// Misses in descending bound order, position-ascending on ties, so
-	// the pass is deterministic. Bounds are never NaN (ScoreBoundFor,
-	// and a NaN certificate bound is never below it).
+	// the pass is deterministic. A bound is never NaN: a NaN certificate
+	// bound is never below +Inf.
 	bounds := make([]float64, len(pos))
-	succ, _ := col.c.(core.Successor)
+	succ := col.c.(core.Successor)
 	var carried uint64
 	for _, j := range misses {
 		p := pos[j]
-		bounds[j] = core.ScoreBoundFor(col.c, g.profile, col.t.tuples[p], col.metric)
-		if col.carried != nil && col.carried[p] != nil {
+		bounds[j] = math.Inf(1)
+		if col.carried[p] != nil {
 			if b := succ.SuccessorBound(col.carried[p], g.frame, col.t.tuples[p], col.metric); b < bounds[j] {
 				bounds[j] = b
 				carried++

@@ -308,16 +308,21 @@ func TestViewConcurrentFirstRequests(t *testing.T) {
 
 // topKPass is what the bound-ordered top-k pass scores of c's candidates
 // on e's live generation, by the rule score.go states but without its
-// memo, pool or certificates: in descending ScoreBound order (candidate
-// order on ties), 2×workers at a time and a run of equal bounds whole,
-// while the next bound is not below the kth-best score so far. It
-// returns how many it scores and how many of those are defined.
+// memo or pool: in descending order of the bounds the certificates
+// handed down to the generation give (+Inf without one; candidate order
+// on ties), 2×workers at a time and a run of equal bounds whole, while
+// the next bound is not below the kth-best score so far. It returns how
+// many it scores and how many of those are defined.
 func topKPass(e *Engine, c core.Class, k int) (scored, defined int) {
 	g, metric := e.gen.Load(), c.Metrics()[0]
+	col := g.column(c, metric, false)
 	type slot struct{ bound, score float64 }
 	var slots []slot
-	for _, attrs := range c.Candidates(g.frame) {
-		s := slot{core.ScoreBoundFor(c, g.profile, attrs, metric), math.NaN()}
+	for p, attrs := range col.t.tuples {
+		s := slot{math.Inf(1), math.NaN()}
+		if col.carried != nil && col.carried[p] != nil {
+			s.bound = c.(core.Successor).SuccessorBound(col.carried[p], g.frame, attrs, metric)
+		}
 		if in, err := c.Score(g.frame, attrs, metric); err == nil {
 			s.score = in.Score
 		}
@@ -349,19 +354,27 @@ func topKPass(e *Engine, c core.Class, k int) (scored, defined int) {
 	return scored, len(best)
 }
 
-// TestViewKeepsCounters replays a fixed request sequence and checks
-// the memo counters and the per-class pass counts against what one
-// lookup per candidate per request gives — the accounting every
-// request had before views, which a view-served class must keep — and
-// against what the unfocused carousel's top-5 pass scores; the emitted
-// counts are what each request returned.
+// TestViewKeepsCounters replays a fixed request sequence on a
+// generation that carries certificates and checks the memo counters and
+// the per-class pass counts against what one lookup per candidate per
+// request gives — the accounting every request had before views, which
+// a view-served class must keep — and against what the unfocused
+// carousel's top-5 pass scores; the emitted counts are what each
+// request returned.
 func TestViewKeepsCounters(t *testing.T) {
-	f := testFrame(300, 24)
-	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 24, K: 64})
-	e, err := NewEngine(f, core.NewRegistry(), p)
+	base := testFrame(300, 24)
+	e, err := NewEngine(base, core.NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := e.ExecuteContext(context.Background(), Query{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Ingest(context.Background(), headRows(base, 10), nil); err != nil {
+		t.Fatal(err)
+	}
+	f := e.Frame()
+	start := e.CacheStats()
 	telem := telemetry.New()
 	e.SetInsightTelemetry(telem)
 
@@ -408,8 +421,8 @@ func TestViewKeepsCounters(t *testing.T) {
 	// whole leaves its view.
 	_, err = s.RecommendationsKContext(context.Background(), 5)
 	must(err)
-	if st := e.CacheStats(); st.Misses != uint64(cold) || st.Hits != 0 || st.Entries != cold {
-		t.Fatalf("cold carousel: %+v, want %d misses", st, cold)
+	if st := e.CacheStats(); st.Misses-start.Misses != uint64(cold) || st.Hits != start.Hits || st.Entries != cold {
+		t.Fatalf("cold carousel: %+v, want %d misses since %+v", st, cold, start)
 	}
 	// Warm: one hit per candidate of a class with a view, and per scored
 	// candidate of one without, whose memo proves the rest out again.
@@ -435,8 +448,8 @@ func TestViewKeepsCounters(t *testing.T) {
 	_, err = e.ExecuteContext(context.Background(), Query{Fixed: []string{"a"}, K: 2})
 	must(err)
 	wantHits := uint64(2*cold + 2*total + 2*cands["linear"] + fixedTotal)
-	if st := e.CacheStats(); st.Hits != wantHits || st.Misses != uint64(total) || st.Entries != total {
-		t.Errorf("after the sequence: %+v, want %d hits, %d misses and entries", st, wantHits, total)
+	if st := e.CacheStats(); st.Hits-start.Hits != wantHits || st.Misses-start.Misses != uint64(total) || st.Entries != total {
+		t.Errorf("after the sequence: %+v, want %d hits, %d misses and entries since %+v", st, wantHits, total, start)
 	}
 
 	snap := telem.Snapshot(e.CacheStats().Generation, 3)
@@ -568,14 +581,14 @@ func TestJaccardMatchesSetBody(t *testing.T) {
 // warmAllocs builds an engine over cols numeric columns, warms its
 // views, and returns the allocations of one warm call of each
 // whole-class read and of a fixed-attribute query; and of a warm top-k
-// read that takes the pass, skew's on an engine with a profile, whose
-// moment bounds prune it.
+// read that takes the pass, monotonic's after an ingest, whose
+// carried certificates prune it.
 func warmAllocs(t *testing.T, cols int) (allocs map[string]float64, candidates int) {
 	t.Helper()
 	f := datagen.Scalable(datagen.ScalableConfig{Rows: 200, NumericCols: cols, Seed: 26})
 	reg := core.NewEmptyRegistry()
 	for _, c := range core.BuiltinClasses() {
-		if c.Name() == "linear" || c.Name() == "skew" {
+		if c.Name() == "linear" || c.Name() == "monotonic" {
 			if err := reg.Register(c); err != nil {
 				t.Fatal(err)
 			}
@@ -613,18 +626,17 @@ func warmAllocs(t *testing.T, cols int) (allocs map[string]float64, candidates i
 			return err
 		}),
 	}
-	pe, err := NewEngine(f, reg, sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 26}))
-	if err != nil {
+	if _, err := e.Ingest(context.Background(), headRows(f, 2), nil); err != nil {
 		t.Fatal(err)
 	}
-	skew := Query{Classes: []string{"skew"}, K: 5}
-	if _, err := pe.ExecuteContext(context.Background(), skew); err != nil {
+	rho := Query{Classes: []string{"monotonic"}, K: 5}
+	if _, err := e.ExecuteContext(context.Background(), rho); err != nil {
 		t.Fatal(err)
 	}
-	if st := pe.PruneStats(); st.Pruned == 0 || viewCount(pe) != 0 {
-		t.Fatalf("skew's top 5 at %d columns should prune and publish no view: %+v", cols, st)
+	if st := e.PruneStats(); st.Pruned == 0 || viewCount(e) != 0 {
+		t.Fatalf("monotonic's top 5 at %d columns should prune and publish no view: %+v", cols, st)
 	}
-	allocs["pruned top-k pass"] = run(func() error { _, err := pe.ExecuteContext(context.Background(), skew); return err })
+	allocs["pruned top-k pass"] = run(func() error { _, err := e.ExecuteContext(context.Background(), rho); return err })
 	return allocs, len(res[0].Insights) + len(res[1].Insights)
 }
 
@@ -642,6 +654,54 @@ func TestWarmReadAllocationCeiling(t *testing.T) {
 		if a > small[op]+2 {
 			t.Errorf("%s: %v allocations at %d candidates, %v at %d: grows with the class", op, small[op], nSmall, a, nLarge)
 		}
+	}
+}
+
+// TestFreshCarouselLeavesEveryView: a generation that carries no
+// certificates has no bounds, so the exact top-5 carousel of its first
+// generation scores every class whole and publishes a view for each
+// class it returns insights of, profile or not. A following fix= read
+// of a moment class slices that view and scores nothing.
+func TestFreshCarouselLeavesEveryView(t *testing.T) {
+	f := testFrame(300, 27)
+	e, err := NewEngine(f, core.NewRegistry(), sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 27, Spearman: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewSession(e, 5, false).RecommendationsKContext(context.Background(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := e.gen.Load()
+	returned := 0
+	for _, r := range res {
+		if len(r.Insights) == 0 {
+			continue
+		}
+		returned++
+		g.mu.Lock()
+		v := g.views[viewKey{r.Class, r.Metric, false}]
+		g.mu.Unlock()
+		if v == nil {
+			t.Errorf("%s/%s returned %d insights and published no view", r.Class, r.Metric, len(r.Insights))
+		}
+	}
+	if returned < 10 {
+		t.Fatalf("the carousel returned insights of %d classes, want at least 10", returned)
+	}
+	if st := e.PruneStats(); st != (PruneStats{}) {
+		t.Errorf("a generation without certificates recorded pruning work: %+v", st)
+	}
+	before := e.CacheStats()
+	got, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"skew"}, Fixed: []string{"a"}, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleExecute(t, e, Query{Classes: []string{"skew"}, Fixed: []string{"a"}, K: 3}); !reflect.DeepEqual(got, want) || len(got[0].Insights) != 1 {
+		t.Errorf("fix= skew read %+v, oracle %+v", got, want)
+	}
+	if after := e.CacheStats(); after.Misses != before.Misses {
+		t.Errorf("the fix= read scored %d candidates, want none", after.Misses-before.Misses)
 	}
 }
 

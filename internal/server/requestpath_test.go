@@ -101,7 +101,7 @@ func TestMetricsMatchStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(engine, 5, false, Options{Durable: m, MaxInflight: 1})
-	m.Instrument(srv.Registry())
+	m.Instrument(srv.registry)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -275,7 +275,7 @@ func TestMetricFamiliesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(engine, 5, false, Options{Durable: m, MaxInflight: 1})
-	m.Instrument(srv.Registry())
+	m.Instrument(srv.registry)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()

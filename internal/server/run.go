@@ -127,8 +127,8 @@ func (fl *Flags) load(reg *obs.Registry) (*frame.Frame, error) {
 
 // Run serves the parsed flags until SIGINT/SIGTERM: load the dataset,
 // preprocess it into the sketch store (exact queries read raw data,
-// but their score bounds come from the sketches, so the store is
-// always built), start the engine, open and recover the WAL when
+// but any request may ask approx=1, so the store is always built),
+// start the engine, open and recover the WAL when
 // -wal-dir is set, and only then listen, with listener timeouts,
 // draining in-flight requests on the way out. So a restarted server
 // answers nothing it has not recovered. version is reported by

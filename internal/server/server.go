@@ -501,10 +501,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]interface{}{"ready": true})
 }
 
-// Registry returns the server's metrics registry (for mounting
-// /metrics on a separate debug listener).
-func (s *Server) Registry() *obs.Registry { return s.registry }
-
 // errorStatus refines a handler's fallback status from the error's
 // identity: an expired per-request deadline, or a body read it
 // interrupted, is a 504 (and counts toward the timeout counter at the

@@ -334,9 +334,6 @@ func (s *KLL) Quantiles(qs []float64) []float64 {
 	return out
 }
 
-// Median is Quantile(0.5).
-func (s *KLL) Median() float64 { return s.Quantile(0.5) }
-
 // IQR returns the estimated interquartile range.
 func (s *KLL) IQR() float64 {
 	qs := s.Quantiles([]float64{0.25, 0.75})

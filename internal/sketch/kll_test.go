@@ -21,7 +21,7 @@ func TestKLLExactWhenSmall(t *testing.T) {
 	}
 	// With n < k the sketch holds everything; quantiles are exact up
 	// to the rank convention.
-	if m := s.Median(); math.Abs(m-50) > 1 {
+	if m := s.Quantile(0.5); math.Abs(m-50) > 1 {
 		t.Errorf("Median = %v, want ≈50", m)
 	}
 	if q := s.Quantile(0); q != 1 {
@@ -141,7 +141,7 @@ func TestKLLMergeDifferentLevels(t *testing.T) {
 	if small.Count() != 100001 {
 		t.Errorf("Count = %d", small.Count())
 	}
-	med := small.Median()
+	med := small.Quantile(0.5)
 	if math.Abs(med-50000) > 3000 {
 		t.Errorf("median after deep merge = %v, want ≈50000", med)
 	}

@@ -48,7 +48,7 @@ func TestProfileSaveLoadRoundTrip(t *testing.T) {
 				t.Errorf("%s: q%v differs: %v vs %v", name, q, a, b)
 			}
 		}
-		if onp.OutlierScoreEstimate(0) != lnp.OutlierScoreEstimate(0) {
+		if outlierScore(onp) != outlierScore(lnp) {
 			t.Errorf("%s: outlier estimate differs", name)
 		}
 		if len(onp.RowSampleValues()) != len(lnp.RowSampleValues()) {
@@ -123,7 +123,7 @@ func TestProfileLoadedSketchesStillUpdatable(t *testing.T) {
 	if np.Quantiles.Count() != before+50000 {
 		t.Error("post-load KLL updates broken")
 	}
-	if med := np.Quantiles.Median(); math.IsNaN(med) {
+	if med := np.Quantiles.Quantile(0.5); math.IsNaN(med) {
 		t.Error("post-load median NaN")
 	}
 	cp := loaded.Categorical["cat"]
@@ -284,7 +284,7 @@ func TestPersistEmptyProfile(t *testing.T) {
 	if np == nil {
 		t.Fatal("numeric profile lost")
 	}
-	if got := np.Quantiles.Median(); !math.IsNaN(got) {
+	if got := np.Quantiles.Quantile(0.5); !math.IsNaN(got) {
 		t.Fatalf("empty median = %v, want NaN", got)
 	}
 	if n := len(np.Sample.Sample()); n != 0 {

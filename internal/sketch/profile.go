@@ -228,18 +228,10 @@ func (p *DatasetProfile) EstimateSpearman(x, y string) (float64, error) {
 	return px.RankPlanes.EstimateCorrelation(py.RankPlanes), nil
 }
 
-// OutlierScoreEstimate composes the KLL quantile sketch (Tukey
-// fences) with the reservoir sample (mean standardized distance of
-// sampled values outside the fences). k is the fence multiplier
-// (1.5 when zero).
-func (np *NumericProfile) OutlierScoreEstimate(k float64) float64 {
-	qs := np.Quantiles.Quantiles([]float64{0.25, 0.75})
-	return np.OutlierScoreAt(qs[0], qs[1], k)
-}
-
-// OutlierScoreAt is OutlierScoreEstimate with the quartiles q1 and q3
-// already read from the quantile sketch, for a caller that reads them
-// anyway: one weighted pass of the sketch serves both.
+// OutlierScoreAt composes the quartiles q1 and q3, read from the KLL
+// quantile sketch (Tukey fences), with the reservoir sample: the mean
+// standardized distance of sampled values outside the fences. k is the
+// fence multiplier (1.5 when zero).
 func (np *NumericProfile) OutlierScoreAt(q1, q3, k float64) float64 {
 	if k == 0 {
 		k = 1.5
@@ -264,11 +256,6 @@ func (np *NumericProfile) OutlierScoreAt(q1, q3, k float64) float64 {
 		return 0
 	}
 	return sum / float64(count)
-}
-
-// DipEstimate returns the dip statistic of the reservoir sample.
-func (np *NumericProfile) DipEstimate() float64 {
-	return stats.Dip(np.Sample.Sample())
 }
 
 // EntropyEstimate returns the composed entropy estimate of the

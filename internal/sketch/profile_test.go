@@ -148,7 +148,14 @@ func TestProfileMomentsMatchExact(t *testing.T) {
 	almostEq("skewness", np.Moments.Skewness(), stats.NewMoments(sk.Values()).Skewness(), 1e-9)
 	almostEq("kurtosis", np.Moments.Kurtosis(), stats.NewMoments(sk.Values()).Kurtosis(), 1e-9)
 	// KLL quantiles close to exact.
-	almostEq("median", np.Quantiles.Median(), stats.Median(sk.Values()), 0.1)
+	almostEq("median", np.Quantiles.Quantile(0.5), stats.Median(sk.Values()), 0.1)
+}
+
+// outlierScore is the sketch-path outlier score of np as the outliers
+// class takes it: OutlierScoreAt the KLL quartiles.
+func outlierScore(np *NumericProfile) float64 {
+	qs := np.Quantiles.Quantiles([]float64{0.25, 0.5, 0.75})
+	return np.OutlierScoreAt(qs[0], qs[2], 0)
 }
 
 func TestProfileOutlierScoreEstimate(t *testing.T) {
@@ -165,7 +172,7 @@ func TestProfileOutlierScoreEstimate(t *testing.T) {
 	f := frame.MustNew("t", frame.NewNumericColumn("v", vals))
 	p := BuildProfile(f, ProfileConfig{Seed: 3, SampleSize: 4096})
 	np := p.Numeric["v"]
-	estimate := np.OutlierScoreEstimate(0)
+	estimate := outlierScore(np)
 	exact, _ := stats.OutlierScore(vals, stats.IQRDetector{})
 	if estimate <= 0 {
 		t.Fatalf("outlier estimate = %v, want positive", estimate)
@@ -178,7 +185,7 @@ func TestProfileOutlierScoreEstimate(t *testing.T) {
 	// Constant column → 0.
 	cf := frame.MustNew("c", frame.NewNumericColumn("v", []float64{1, 1, 1, 1}))
 	cp := BuildProfile(cf, ProfileConfig{Seed: 1})
-	if got := cp.Numeric["v"].OutlierScoreEstimate(0); got != 0 {
+	if got := outlierScore(cp.Numeric["v"]); got != 0 {
 		t.Errorf("constant outlier estimate = %v, want 0", got)
 	}
 }
@@ -196,7 +203,7 @@ func TestProfileDipEstimate(t *testing.T) {
 	}
 	f := frame.MustNew("t", frame.NewNumericColumn("v", bimodal))
 	p := BuildProfile(f, ProfileConfig{Seed: 2, SampleSize: 2048})
-	if d := p.Numeric["v"].DipEstimate(); d < 0.05 {
+	if d := stats.Dip(p.Numeric["v"].Sample.Sample()); d < 0.05 {
 		t.Errorf("bimodal dip estimate = %v, want large", d)
 	}
 }
@@ -286,7 +293,7 @@ func TestRowSampleOrdered(t *testing.T) {
 		t.Error("the view is rebuilt on every call")
 	}
 	np.gather = builtGather(append([]float64{-1e9}, np.RowSampleValues()[1:]...))
-	if got := np.RowSampleOrdered(); got.Quantile(0) != -1e9 || &got.Values[0] != &np.RowSampleValues()[0] {
+	if got := np.RowSampleOrdered(); got.BoxStats(0).Min != -1e9 || &got.Values[0] != &np.RowSampleValues()[0] {
 		t.Error("the view survived a replacement of the gather")
 	}
 }

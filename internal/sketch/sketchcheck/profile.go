@@ -9,6 +9,15 @@ import (
 	"foresight/internal/stats"
 )
 
+// outlierScore is the sketch-path outlier score of np under the
+// meandist and iqr metrics, as the outliers class takes it: the
+// reservoir composed with the KLL quartiles it reads. (The dip the
+// multimodality class takes of np is stats.Dip of the reservoir.)
+func outlierScore(np *sketch.NumericProfile) float64 {
+	qs := np.Quantiles.Quantiles([]float64{0.25, 0.5, 0.75})
+	return np.OutlierScoreAt(qs[0], qs[2], 0)
+}
+
 // momentsEqual compares moment accumulators field by field with
 // NaN-tolerant equality — struct equality would call two identical
 // all-NaN accumulators unequal (found by FuzzExtendVsRebuild).
@@ -81,9 +90,9 @@ func CheckProfileInvariants(r *Report, p *sketch.DatasetProfile, f *frame.Frame)
 		}
 		checkGather(r, name, np.RowSampleValues(), p.RowSample.Indexes(), values, sameBits)
 		if finite {
-			out := np.OutlierScoreEstimate(0)
+			out := outlierScore(np)
 			r.check(!math.IsNaN(out) && out >= 0, "profile/outlier-range",
-				"%s: OutlierScoreEstimate = %v", name, out)
+				"%s: outlier score = %v", name, out)
 		}
 	}
 
@@ -186,12 +195,12 @@ func CheckProfileQueryIdentity(r *Report, label string, a, b *sketch.DatasetProf
 		r.check(na.Quantiles.Count() == nb.Quantiles.Count(), "identity/kll-count",
 			"%s: %s KLL counts differ: %d vs %d", label, name,
 			na.Quantiles.Count(), nb.Quantiles.Count())
-		r.check(sameFloat(na.OutlierScoreEstimate(0), nb.OutlierScoreEstimate(0)),
+		r.check(sameFloat(outlierScore(na), outlierScore(nb)),
 			"identity/outlier", "%s: %s outlier estimates differ: %v vs %v",
-			label, name, na.OutlierScoreEstimate(0), nb.OutlierScoreEstimate(0))
-		r.check(sameFloat(na.DipEstimate(), nb.DipEstimate()),
+			label, name, outlierScore(na), outlierScore(nb))
+		r.check(sameFloat(stats.Dip(na.Sample.Sample()), stats.Dip(nb.Sample.Sample())),
 			"identity/dip", "%s: %s dip estimates differ: %v vs %v",
-			label, name, na.DipEstimate(), nb.DipEstimate())
+			label, name, stats.Dip(na.Sample.Sample()), stats.Dip(nb.Sample.Sample()))
 		r.check(floatsEqual(na.Sample.Sample(), nb.Sample.Sample()), "identity/sample",
 			"%s: %s reservoir samples differ", label, name)
 		r.check(floatsEqual(na.RowSampleValues(), nb.RowSampleValues()), "identity/row-sample",

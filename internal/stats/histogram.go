@@ -134,17 +134,6 @@ func AutoHistogram(xs []float64, rule BinRule) *Histogram {
 	return NewHistogram(xs, NumBins(xs, rule))
 }
 
-// Mode returns the index of the most populated bin (first on ties).
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Densities returns per-bin probability densities (count /(N·width)).
 func (h *Histogram) Densities() []float64 {
 	out := make([]float64, len(h.Counts))

@@ -22,7 +22,7 @@ import (
 // alone. The order the view stands for is the merge of the two, equal
 // values base first — ascending value, equal values by ascending row,
 // the order a sort of the whole sample gives. Readers go through
-// methods (Len, Quantile, IQR, BoxStats, Walk, WithSorted,
+// methods (Len, IQR, BoxStats, Walk, WithSorted,
 // SpearmanSums), which read across the runs — an order statistic is a
 // k-th selection across the two — and return, bit for bit, what they
 // would over one merged array.
@@ -204,9 +204,6 @@ func (v *Ordered) Len() int { return len(v.base.order) + len(v.delta.order) }
 
 // runs returns the view's sorted values as the two runs they are.
 func (v *Ordered) runs() sortedRuns { return sortedRuns{v.base.sorted, v.delta.sorted} }
-
-// Quantile is QuantileSorted over the view's non-NaN values.
-func (v *Ordered) Quantile(q float64) float64 { return quantile(v.runs(), q) }
 
 // IQR is the interquartile range Q3−Q1 of the view's non-NaN values.
 func (v *Ordered) IQR() float64 { return iqr(v.runs()) }

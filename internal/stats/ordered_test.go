@@ -180,7 +180,7 @@ func checkView(t *testing.T, v *Ordered, xs []float64) {
 		}
 	})
 	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
-		requireSameBits(t, fmt.Sprint("Quantile ", q), v.Quantile(q), QuantileSorted(sorted, q))
+		requireSameBits(t, fmt.Sprint("Quantile ", q), quantile(v.runs(), q), QuantileSorted(sorted, q))
 	}
 	requireSameBits(t, "IQR", v.IQR(), iqr(sortedRuns{a: sorted}))
 	got, want := v.BoxStats(0), NewBoxStatsSorted(sorted, 0)

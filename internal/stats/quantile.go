@@ -129,6 +129,3 @@ func (e *ECDF) At(x float64) float64 {
 	}
 	return float64(idx) / float64(len(e.sorted))
 }
-
-// Values returns the sorted backing sample. Read-only.
-func (e *ECDF) Values() []float64 { return e.sorted }

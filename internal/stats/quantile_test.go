@@ -95,9 +95,6 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Counts[0] != 3 || h.Counts[1] != 4 {
 		t.Errorf("Counts = %v, want [3 4]", h.Counts)
 	}
-	if h.Mode() != 1 {
-		t.Errorf("Mode = %d, want 1", h.Mode())
-	}
 	d := h.Densities()
 	sum := 0.0
 	for i, dens := range d {
