@@ -43,7 +43,7 @@ var shippedTestSupport = map[string]string{
 // implicitInterfaces are the methods of the standard library's
 // interfaces that the tree satisfies without selecting the method
 // anywhere: sort.Sort calls Len, Less and Swap, fmt calls String.
-var implicitInterfaces = []string{"Len", "Less", "Swap", "String"}
+var implicitInterfaces = map[string]bool{"Len": true, "Less": true, "Swap": true, "String": true}
 
 // TestEveryExportHasAProductionCaller holds the tree to code that
 // something ships: every exported package-level func, type, var and
@@ -53,9 +53,11 @@ var implicitInterfaces = []string{"Len", "Less", "Swap", "String"}
 // another internal package, a command, an example or the facade. A
 // method is in use when a non-test file other than its own selects it
 // (x.Name, resolved by go/types to the method of x's type, so a
-// same-named method of another type does not count), or when its name
-// is dispatched: declared by an interface of a non-test file or by one
-// of implicitInterfaces, or selected on an interface value in one.
+// same-named method of another type does not count), when a non-test
+// file selects it on a value of an interface its type implements
+// (types.Implements, so a same-named method of a type that could not
+// be in that value does not count), or when its name is one of
+// implicitInterfaces.
 // Either is also in use when a declaration of its own file that is
 // itself in use names it: an unexported declaration (unused ones are
 // staticcheck's to find), an unexported method, or an exported name or
@@ -85,12 +87,9 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 	// selected holds, for each method selected as x.Name, as
 	// "importpath.Type.Method", the non-test files that select it.
 	selected := map[string]map[string]bool{}
-	// dispatched holds every method name an interface declares or a
-	// call through an interface value selects.
-	dispatched := map[string]bool{}
-	for _, name := range implicitInterfaces {
-		dispatched[name] = true
-	}
+	// dispatched holds, for each interface a non-test file selects a
+	// method on, the names it selects.
+	dispatched := map[*types.Interface]map[string]bool{}
 	mark := func(m map[string]map[string]bool, key, p string) {
 		if m[key] == nil {
 			m[key] = map[string]bool{}
@@ -99,7 +98,8 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 	}
 
 	fset := token.NewFileSet()
-	for _, src := range typedFiles(t, fset) {
+	srcs, pkgs := typedFiles(t, fset)
+	for _, src := range srcs {
 		p, f, info := src.path, src.file, src.info
 		fl := file{path: p, pkg: src.pkg}
 		imports := map[string]string{}
@@ -131,17 +131,15 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 							nd.selects[key] = true
 							mark(selected, key, p)
 						} else {
-							dispatched[n.Sel.Name] = true
+							it := sel.Obj().Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+							if dispatched[it] == nil {
+								dispatched[it] = map[string]bool{}
+							}
+							dispatched[it][n.Sel.Name] = true
 						}
 					}
 					ast.Inspect(n.X, visit)
 					return false
-				case *ast.InterfaceType:
-					for _, m := range n.Methods.List {
-						for _, id := range m.Names {
-							dispatched[id.Name] = true
-						}
-					}
 				case *ast.Ident:
 					nd.names[n.Name] = true
 					mark(foreign, fl.pkg+"."+n.Name, p)
@@ -208,6 +206,35 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 		files = append(files, fl)
 	}
 
+	// viaInterface holds, as "importpath.Type.Method", every method a
+	// call through an interface value can reach: the method of that name
+	// of each type of the module that implements the interface, declared
+	// by the type or promoted into it from an embedded one.
+	viaInterface := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			typ := tn.Type()
+			generic := typ.(*types.Named).TypeParams().Len() > 0
+			for it, names := range dispatched {
+				// types.Implements leaves an uninstantiated generic type
+				// unspecified, so one is held to the names alone.
+				if !generic && !types.Implements(typ, it) && !types.Implements(types.NewPointer(typ), it) {
+					continue
+				}
+				for name := range names {
+					obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(typ), false, pkg, name)
+					if fn, ok := obj.(*types.Func); ok {
+						viaInterface[funcKey(fn)] = true
+					}
+				}
+			}
+		}
+	}
+
 	var dead []string
 	needed := map[string]bool{}
 	for _, fl := range files {
@@ -231,7 +258,8 @@ func TestEveryExportHasAProductionCaller(t *testing.T) {
 			if nd.method != "" {
 				name := nd.method[strings.IndexByte(nd.method, '.')+1:]
 				declared[nd.method] = true
-				inUse[nd.method] = dispatched[name] || elsewhere(selected[fl.pkg+"."+nd.method])
+				inUse[nd.method] = implicitInterfaces[name] || viaInterface[fl.pkg+"."+nd.method] ||
+					elsewhere(selected[fl.pkg+"."+nd.method])
 			}
 		}
 		for changed := true; changed; {
@@ -302,9 +330,12 @@ type typedFile struct {
 }
 
 // typedFiles type-checks every package of the module (the benchmark
-// module is its own) from its non-test files. Imports are read from the
-// export data `go list -export` leaves in the build cache.
-func typedFiles(t *testing.T, fset *token.FileSet) []typedFile {
+// module is its own) from its non-test files and returns the files and
+// the packages. Dependencies go first, so a package imports the
+// module's packages as they were checked here and one type is one
+// object throughout; the standard library is read from the export data
+// `go list -export` leaves in the build cache.
+func typedFiles(t *testing.T, fset *token.FileSet) ([]typedFile, []*types.Package) {
 	t.Helper()
 	out, err := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...").Output()
 	if err != nil {
@@ -333,10 +364,18 @@ func typedFiles(t *testing.T, fset *token.FileSet) []typedFile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		return os.Open(exports[path])
+	})
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		return gc.Import(path)
 	})}
 	var srcs []typedFile
+	var pkgs []*types.Package
 	for _, l := range module {
 		info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
 		var files []*ast.File
@@ -353,18 +392,31 @@ func typedFiles(t *testing.T, fset *token.FileSet) []typedFile {
 			files = append(files, f)
 			srcs = append(srcs, typedFile{path: rel, pkg: l.ImportPath, file: f, info: info})
 		}
-		if _, err := conf.Check(l.ImportPath, fset, files, info); err != nil {
+		pkg, err := conf.Check(l.ImportPath, fset, files, info)
+		if err != nil {
 			t.Fatalf("type-checking %s: %v", l.ImportPath, err)
 		}
+		checked[l.ImportPath] = pkg
+		pkgs = append(pkgs, pkg)
 	}
-	return srcs
+	return srcs, pkgs
 }
+
+// importFunc is a types.Importer.
+type importFunc func(path string) (*types.Package, error)
+
+func (f importFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // methodKey is "importpath.Type.Method" for a selection of a method of
 // a named type (generic ones by their declaration), and "" for an
 // interface's method.
 func methodKey(sel *types.Selection) string {
-	fn := sel.Obj().(*types.Func).Origin()
+	return funcKey(sel.Obj().(*types.Func))
+}
+
+// funcKey is methodKey for the method fn.
+func funcKey(fn *types.Func) string {
+	fn = fn.Origin()
 	recv := fn.Type().(*types.Signature).Recv().Type()
 	if ptr, ok := recv.(*types.Pointer); ok {
 		recv = ptr.Elem()

@@ -93,9 +93,9 @@ run 'foresight <command> -h' for per-command flags`)
 }
 
 // newEngine builds the engine. With sketches set it carries a sketch
-// store, loaded from profilePath (if given) or built fresh: approximate
-// queries answer from it, and exact top-k queries take their score
-// bounds from it while still scoring from raw data.
+// store, loaded from profilePath (if given) or built fresh, which
+// approximate queries answer from; exact queries score from raw data
+// either way.
 func newEngine(f *foresight.Frame, sketches bool, seed int64, profilePath string) (*foresight.Engine, error) {
 	var profile *foresight.Profile
 	if sketches || profilePath != "" {

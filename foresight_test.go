@@ -238,7 +238,7 @@ func TestDrillDownWorkflow(t *testing.T) {
 	}
 	keep := make([]bool, f.Rows())
 	for i := range keep {
-		keep[i] = !cohort.IsMissing(i) && cohort.StringAt(i) == "PD"
+		keep[i] = cohort.CodeAt(i) >= 0 && cohort.StringAt(i) == "PD"
 	}
 	sub, err := f.FilterRows(keep)
 	if err != nil {

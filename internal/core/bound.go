@@ -71,7 +71,7 @@ func ScoreBoundFor(c Class, p *sketch.DatasetProfile, attrs []string, metric str
 }
 
 // SuccessorBound is the dip plus what the rows appended since the
-// certificate can move it, b/(n+b) for n values (DESIGN §6j), inflated.
+// certificate can move it, b/(n+b) for n values (DESIGN §7.3), inflated.
 func (c *multimodalityClass) SuccessorBound(cert Certificate, f *frame.Frame, attrs []string, metric string) float64 {
 	appended := f.Rows() - int(cert[0])
 	if metric != "dip" || appended < 0 {
@@ -81,7 +81,7 @@ func (c *multimodalityClass) SuccessorBound(cert Certificate, f *frame.Frame, at
 }
 
 // SuccessorBound is the rank sums' bound on |ρ| after the rows appended
-// since the certificate (stats.RankSums.Bound, DESIGN §6j), inflated.
+// since the certificate (stats.RankSums.Bound, DESIGN §7.3), inflated.
 // Kendall leaves no certificate.
 func (c *monotonicClass) SuccessorBound(cert Certificate, f *frame.Frame, attrs []string, metric string) float64 {
 	appended := f.Rows() - int(cert[0])

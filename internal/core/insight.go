@@ -189,7 +189,7 @@ func outranks(a, b Insight) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
-	return keyLess(&a, &b)
+	return KeyLess(&a, &b)
 }
 
 // keyPiece returns the i-th piece of in.Key() — class, "/", metric,
@@ -214,11 +214,11 @@ func (in *Insight) keyPiece(i int) (string, bool) {
 	}
 }
 
-// keyLess reports a.Key() < b.Key() without building either string:
+// KeyLess reports a.Key() < b.Key() without building either string:
 // it walks the two keys piece by piece as one byte stream each. The
 // fields cannot be compared one at a time instead, because a name may
 // hold bytes that sort below the separators.
-func keyLess(a, b *Insight) bool {
+func KeyLess(a, b *Insight) bool {
 	ai, bi := 0, 0
 	as, aok := a.keyPiece(0)
 	bs, bok := b.keyPiece(0)

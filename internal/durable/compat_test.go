@@ -130,7 +130,7 @@ func TestRecoverSnapshotWithParentV3Profile(t *testing.T) {
 		r := &sketchcheck.Report{}
 		sketchcheck.CheckProfileInvariants(r, p, e.Frame())
 		if !r.Ok() {
-			t.Fatalf("after batch %d: %v", i, r.Err())
+			t.Fatalf("after batch %d: %v", i, r.Violations)
 		}
 		// The row sample still names distinct rows of the frame, and the
 		// gathers still hold them.

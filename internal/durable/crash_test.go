@@ -418,7 +418,7 @@ func TestRecoveredProfileMatchesColdRebuild(t *testing.T) {
 	cold := sketch.BuildProfile(e.Frame(), crashProfileConfig)
 	sketchcheck.CheckProfilesCompatible(r, "wal-recovered", p, cold, sketchcheck.DefaultScoreTol, false)
 	if r.Checked == 0 || !r.Ok() {
-		t.Fatalf("recovered vs cold rebuild: %d checks, %v", r.Checked, r.Err())
+		t.Fatalf("recovered vs cold rebuild: %d checks, %v", r.Checked, r.Violations)
 	}
 }
 

@@ -186,23 +186,6 @@ func (e *ErrFS) Create(name string) (File, error) {
 	return &errFile{fs: e, ino: ino}, nil
 }
 
-func (e *ErrFS) Append(name string) (File, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.crashed {
-		return nil, ErrCrashed
-	}
-	ino, ok := e.live[name]
-	if !ok {
-		if e.step() {
-			return nil, ErrCrashed
-		}
-		ino = &errInode{}
-		e.live[name] = ino
-	}
-	return &errFile{fs: e, ino: ino}, nil
-}
-
 func (e *ErrFS) Rename(oldName, newName string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -1,4 +1,4 @@
-// Package durable makes live ingest survive crashes (DESIGN.md §6k).
+// Package durable makes live ingest survive crashes (DESIGN.md §8.4, §8.6).
 // Three cooperating pieces give the serving path the classic
 // durability trio:
 //
@@ -57,8 +57,6 @@ type FS interface {
 	Open(name string) (io.ReadCloser, error)
 	// Create opens name for writing, truncating any existing file.
 	Create(name string) (File, error)
-	// Append opens name for appending, creating it when absent.
-	Append(name string) (File, error)
 	Rename(oldName, newName string) error
 	Remove(name string) error
 	// Truncate cuts name down to size bytes (torn-tail repair).
@@ -93,10 +91,6 @@ func (osFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
 
 func (osFS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-}
-
-func (osFS) Append(name string) (File, error) {
-	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 }
 
 func (osFS) Rename(oldName, newName string) error { return os.Rename(oldName, newName) }

@@ -51,7 +51,7 @@ func TestAppendRowsBasics(t *testing.T) {
 	if g.StringAt(3) != "c" {
 		t.Errorf("g[3] = %q, want c (dict extended)", g.StringAt(3))
 	}
-	if !g.IsMissing(4) {
+	if g.CodeAt(4) >= 0 {
 		t.Error("empty cell should append missing")
 	}
 	if g.Cardinality() != 3 {

@@ -51,8 +51,6 @@ type Column interface {
 	Len() int
 	// Missing reports the number of missing cells.
 	Missing() int
-	// IsMissing reports whether cell i is missing.
-	IsMissing(i int) bool
 	// StringAt renders cell i for display ("" for missing cells).
 	StringAt(i int) string
 }
@@ -244,9 +242,6 @@ func (c *CategoricalColumn) Len() int { return c.cells.n }
 
 // Missing returns the number of missing cells.
 func (c *CategoricalColumn) Missing() int { return c.missing }
-
-// IsMissing reports whether cell i is missing.
-func (c *CategoricalColumn) IsMissing(i int) bool { return c.CodeAt(i) < 0 }
 
 // StringAt renders cell i, or "" when missing.
 func (c *CategoricalColumn) StringAt(i int) string {

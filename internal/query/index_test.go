@@ -32,10 +32,10 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 	}
 	top := newTopRanked(k, nearer)
 	focusKey := focus.Key()
-	offer := func(ins []core.Insight, key func(i int) string) {
+	offer := func(ins []core.Insight) {
 		for i := range ins {
 			if ins[i].Key() != focusKey {
-				top.Offer(ranked{&ins[i], Similarity(focus, ins[i]), key(i)})
+				top.Offer(ranked{&ins[i], Similarity(focus, ins[i])})
 			}
 		}
 	}
@@ -52,7 +52,7 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 			return nil, err
 		}
 		counts[i] = r.counts
-		offer(r.ins, func(i int) string { return r.view.key(r.from + i) })
+		offer(r.ins)
 	}
 	for _, i := range walk {
 		c := rq.classes[i]
@@ -73,7 +73,7 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 			if err != nil {
 				return nil, err
 			}
-			offer(r.ins, func(i int) string { return strings.Join(r.ins[i].Attrs, ",") })
+			offer(r.ins)
 			counts[i].candidates += r.counts.candidates
 			counts[i].pruned += r.counts.pruned
 			counts[i].filtered += r.counts.filtered
@@ -89,7 +89,7 @@ func scanNeighborhood(ctx context.Context, e *Engine, focus core.Insight, classe
 // of every class.
 func scanRecommendations(ctx context.Context, s *Session, k int) ([]Result, error) {
 	q := Query{Approx: s.Approx}
-	if len(s.Focus) == 0 && !s.Approx {
+	if len(s.Focus) == 0 {
 		q.K = k
 	}
 	rq, rs, err := s.engine.executeOp(ctx, q, "carousels")
@@ -110,11 +110,11 @@ func scanRecommendations(ctx context.Context, s *Session, k int) ([]Result, erro
 				if a.score != b.score {
 					return a.score > b.score
 				}
-				return a.key < b.key
+				return core.KeyLess(a.in, b.in)
 			})
 			for i := range r.ins {
 				in := &r.ins[i]
-				top.Offer(ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(in.Attrs)), r.view.key(r.from + i)})
+				top.Offer(ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(in.Attrs))})
 			}
 			carousel = insightsOf(top)
 		} else {
@@ -494,7 +494,7 @@ func TestOutwardWalkPastRounding(t *testing.T) {
 		t.Fatalf("no rounding bump: similarity %v at %v, %v at %v", sNear, near.Score, sFar, far.Score)
 	}
 	top := newTopRanked(1, nearer)
-	top.Offer(ranked{&core.Insight{Class: "y"}, sFar, "y"})
+	top.Offer(ranked{&core.Insight{Class: "y"}, sFar})
 	offerNear(top, focus, handView(near, far), true, 1)
 	if got := insightsOf(top); len(got) != 1 || got[0].Key() != far.Key() {
 		t.Errorf("nearest %v, want %s", got, far.Key())

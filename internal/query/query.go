@@ -154,8 +154,9 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over f using the registry's insight
-// classes. profile may be nil: exact queries only, and no score
-// bounds, so every candidate of a top-k query is scored.
+// classes. profile may be nil: exact queries only. Score bounds do not
+// come from the profile but from the certificates an ingest hands down,
+// so a top-k query prunes with or without one.
 func NewEngine(f *frame.Frame, reg *core.Registry, profile *sketch.DatasetProfile) (*Engine, error) {
 	if f == nil {
 		return nil, fmt.Errorf("query: nil frame")

@@ -126,7 +126,7 @@ func (e *Engine) NeighborhoodContext(ctx context.Context, focus core.Insight, cl
 				return nil, e.noteCancel(err)
 			}
 			for j := range r.ins {
-				top.Offer(ranked{&r.ins[j], Similarity(focus, r.ins[j]), strings.Join(r.ins[j].Attrs, ",")})
+				top.Offer(ranked{&r.ins[j], Similarity(focus, r.ins[j])})
 			}
 			counts[i].candidates += r.counts.candidates
 			counts[i].pruned += r.counts.pruned
@@ -170,39 +170,12 @@ func nearer(a, b ranked) bool {
 	if a.in.Score != b.in.Score {
 		return a.in.Score > b.in.Score
 	}
-	return keyBefore(a, b)
-}
-
-// keyBefore reports a.in.Key() < b.in.Key() from the offered table
-// keys: Key() is class/metric/key, compared as one byte stream each
-// without building it. The fields cannot be compared one at a time,
-// because a name may hold bytes that sort below the separator.
-func keyBefore(a, b ranked) bool {
-	if a.in.Class == b.in.Class && a.in.Metric == b.in.Metric {
-		return a.key < b.key
-	}
-	x, y := [...]string{a.in.Class, "/", a.in.Metric, "/", a.key}, [...]string{b.in.Class, "/", b.in.Metric, "/", b.key}
-	xs, ys := x[:], y[:]
-	for len(xs) > 0 && len(ys) > 0 {
-		n := min(len(xs[0]), len(ys[0]))
-		if xs[0][:n] != ys[0][:n] {
-			return xs[0][:n] < ys[0][:n]
-		}
-		if xs[0], ys[0] = xs[0][n:], ys[0][n:]; xs[0] == "" {
-			xs = xs[1:]
-		}
-		if ys[0] == "" {
-			ys = ys[1:]
-		}
-	}
-	// A key that ends first is a proper prefix, hence smaller: what is
-	// left of y is more than its empty table key.
-	return len(xs) == 0 && (len(ys) > 1 || len(ys) == 1 && ys[0] != "")
+	return core.KeyLess(a.in, b.in)
 }
 
 // simSlack bounds how far rounding can lift Similarity above its exact
 // value on a tuple that shares no attribute with the focus (DESIGN
-// §6c): 0.5·(1 − |a−b|/den) rounds three times, to within 2u of its
+// §7.6): 0.5·(1 − |a−b|/den) rounds three times, to within 2u of its
 // exact value, u = 2⁻⁵³. A tuple farther from the focus's score is
 // exactly no more similar, so it computes at most 4u above a nearer
 // one; 8u leaves room for the rounding of the sum itself.
@@ -224,7 +197,7 @@ func offerNear(top *core.KBest[ranked], focus core.Insight, r ranking, own bool,
 		if own && v.key(p) == focusKey {
 			return false
 		}
-		top.Offer(ranked{&v.ranked[p], Similarity(focus, v.ranked[p]), v.key(p)})
+		top.Offer(ranked{&v.ranked[p], Similarity(focus, v.ranked[p])})
 		return true
 	}
 	v.eachHolding(focus.Attrs, lo, hi, func(p int) { offer(p) })
@@ -253,14 +226,12 @@ func offerNear(top *core.KBest[ranked], focus core.Insight, r ranking, own bool,
 	outward(mid, hi, 1)
 }
 
-// ranked is an insight with what a rank stage orders it by — a score
-// (similarity to the focus, or blended strength) and, for ties, its
-// tuple's table key — each computed once per insight rather than per
-// comparison.
+// ranked is an insight with what a rank stage orders it by first — a
+// score (similarity to the focus, or blended strength) — computed once
+// per insight rather than per comparison; ties break by Key().
 type ranked struct {
 	in    *core.Insight
 	score float64
-	key   string
 }
 
 // newTopRanked selects the k first insights offered under before (all
@@ -361,13 +332,12 @@ func (s *Session) relevance(attrs []string) float64 {
 // in the engine metrics and telemetry — this is the carousel view's
 // serving path.
 func (s *Session) RecommendationsKContext(ctx context.Context, k int) ([]Result, error) {
-	// The query constrains nothing. Without a focus to re-rank by, an
-	// exact carousel is each class's top k, which a class that can prune
-	// ranks without scoring it whole. A focused or approximate one reads
-	// each class whole, in place from its view, with only the carousels
-	// copied out.
+	// The query constrains nothing. Without a focus to re-rank by, a
+	// carousel is each class's top k, which a class that can prune ranks
+	// without scoring it whole. A focused one reads each class whole, in
+	// place from its view, with only the carousels copied out.
 	q := Query{Approx: s.Approx}
-	if len(s.Focus) == 0 && !s.Approx {
+	if len(s.Focus) == 0 {
 		q.K = k
 	}
 	rq, rs, err := s.engine.executeOp(ctx, q, "carousels")
@@ -415,13 +385,13 @@ func (s *Session) blendFocused(r ranking, k int, blend float64, focusAttrs []str
 		if a.score != b.score {
 			return a.score > b.score
 		}
-		return a.key < b.key
+		return core.KeyLess(a.in, b.in)
 	})
 	v, lo, hi := r.view, r.from, r.from+len(r.ins)
 	maxScore := r.ins[0].Score
 	blended := func(p int) ranked {
 		in := &v.ranked[p]
-		return ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(in.Attrs)), v.key(p)}
+		return ranked{in, (in.Score / maxScore) * (blend + (1-blend)*s.relevance(in.Attrs))}
 	}
 	v.eachHolding(focusAttrs, lo, hi, func(p int) { top.Offer(blended(p)) })
 	var last float64

@@ -164,7 +164,7 @@ func (fl *Flags) Run(version string) error {
 		opts.LogWriter = nil
 	}
 
-	// Durable ingest (DESIGN.md §6k): with -wal-dir, the snapshot and
+	// Durable ingest (DESIGN.md §8.6): with -wal-dir, the snapshot and
 	// WAL tail are replayed into the engine before anything listens,
 	// and every acked ingest batch is write-ahead logged and
 	// periodically checkpointed. A recovery failure is fatal — starting

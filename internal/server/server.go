@@ -4,7 +4,7 @@
 // update recommendations, and shows per-class overview heat maps.
 //
 // Every route, /metrics included, is registered through one request
-// path, Server.handle (DESIGN.md §6d, §6e). It gives each request an
+// path, Server.handle (DESIGN.md §7.7). It gives each request an
 // X-Request-ID and a trace whose spans (parse → enumerate → score →
 // rank → render) land in a ring buffer served at /api/debug/traces;
 // runs API requests under an optional deadline whose expiry surfaces

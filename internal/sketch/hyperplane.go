@@ -228,7 +228,7 @@ func fillDirections(seed int64, b int, buf []float32) {
 // whose row-local sketches run beside the projection and want the core
 // a second copy of the draws would take — each block is drawn once and
 // the chunks read it side by side, meeting once per block. Both sides
-// of the cutoff are measured (DESIGN §6g, step 4). Either way a
+// of the cutoff are measured (DESIGN §8.3, step 4). Either way a
 // column's dots are computed by one
 // goroutine with the same operations in the same order wherever its
 // chunk boundary falls, so the result is identical at any worker count.

@@ -78,19 +78,6 @@ func (r *Report) Fail(invariant, format string, args ...any) {
 // Ok reports whether every assertion held.
 func (r *Report) Ok() bool { return len(r.Violations) == 0 }
 
-// Err returns nil when the report is clean, else one error naming
-// every violation.
-func (r *Report) Err() error {
-	if r.Ok() {
-		return nil
-	}
-	msg := fmt.Sprintf("sketchcheck: %d of %d invariants violated:", len(r.Violations), r.Checked)
-	for _, v := range r.Violations {
-		msg += "\n  " + v.String()
-	}
-	return fmt.Errorf("%s", msg)
-}
-
 // sameFloat is equality that treats NaN as equal to NaN — the right
 // notion for "answers queries identically".
 func sameFloat(a, b float64) bool {

@@ -1,6 +1,7 @@
 package sketchcheck
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,6 +10,19 @@ import (
 	"foresight/internal/frame"
 	"foresight/internal/sketch"
 )
+
+// violations returns nil when r is clean, else one error naming every
+// violation.
+func violations(r *Report) error {
+	if r.Ok() {
+		return nil
+	}
+	msg := fmt.Sprintf("sketchcheck: %d of %d invariants violated:", len(r.Violations), r.Checked)
+	for _, v := range r.Violations {
+		msg += "\n  " + v.String()
+	}
+	return errors.New(msg)
+}
 
 // A checker that cannot fail checks nothing. Each test here feeds a
 // checker a deliberately broken input and requires a violation, then
@@ -31,7 +45,7 @@ func TestCheckKLLDetectsCorruption(t *testing.T) {
 	r := &Report{}
 	CheckKLL(r, "healthy", s, vals)
 	if !r.Ok() {
-		t.Fatalf("healthy sketch flagged: %v", r.Err())
+		t.Fatalf("healthy sketch flagged: %v", violations(r))
 	}
 	if r.Checked == 0 {
 		t.Fatal("no invariants checked")
@@ -60,7 +74,7 @@ func TestCheckSpaceSavingDetectsViolations(t *testing.T) {
 	r := &Report{}
 	CheckSpaceSaving(r, "healthy", s, truth)
 	if !r.Ok() {
-		t.Fatalf("healthy sketch flagged: %v", r.Err())
+		t.Fatalf("healthy sketch flagged: %v", violations(r))
 	}
 
 	// Claim an untracked item occurred more often than the bound.
@@ -70,8 +84,8 @@ func TestCheckSpaceSavingDetectsViolations(t *testing.T) {
 	if r.Ok() {
 		t.Fatal("phantom heavy hitter not detected")
 	}
-	if !strings.Contains(r.Err().Error(), "untracked") {
-		t.Fatalf("wrong violation: %v", r.Err())
+	if !strings.Contains(violations(r).Error(), "untracked") {
+		t.Fatalf("wrong violation: %v", violations(r))
 	}
 }
 
@@ -83,7 +97,7 @@ func TestCheckKMVExactRegime(t *testing.T) {
 	r := &Report{}
 	CheckKMV(r, "exact", s, 20)
 	if !r.Ok() {
-		t.Fatalf("exact-regime sketch flagged: %v", r.Err())
+		t.Fatalf("exact-regime sketch flagged: %v", violations(r))
 	}
 	r = &Report{}
 	CheckKMV(r, "wrong", s, 21)
@@ -99,7 +113,7 @@ func TestCheckProfileQueryIdentityDetectsMutation(t *testing.T) {
 	r := &Report{}
 	CheckProfileQueryIdentity(r, "twin", p, c)
 	if !r.Ok() {
-		t.Fatalf("twin flagged: %v", r.Err())
+		t.Fatalf("twin flagged: %v", violations(r))
 	}
 	c.Numeric["x"].Quantiles.Update(1e12)
 	r = &Report{}
@@ -124,8 +138,8 @@ func TestCheckProfileInvariantsReadsGatherCells(t *testing.T) {
 		t.Helper()
 		r := &Report{}
 		CheckProfileInvariants(r, p, f)
-		if r.Ok() || !strings.Contains(r.Err().Error(), "profile/row-sample-cell") {
-			t.Errorf("%s not caught by profile/row-sample-cell: %v", label, r.Err())
+		if r.Ok() || !strings.Contains(violations(r).Error(), "profile/row-sample-cell") {
+			t.Errorf("%s not caught by profile/row-sample-cell: %v", label, violations(r))
 		}
 	}
 	p := sketch.BuildProfile(base, cfg)
@@ -136,7 +150,7 @@ func TestCheckProfileInvariantsReadsGatherCells(t *testing.T) {
 	r := &Report{}
 	CheckProfileInvariants(r, ext, f)
 	if !r.Ok() {
-		t.Fatalf("healthy extension flagged: %v", r.Err())
+		t.Fatalf("healthy extension flagged: %v", violations(r))
 	}
 
 	built := sketch.BuildProfile(f, cfg)
@@ -177,7 +191,7 @@ func TestCheckProfilesCompatibleGatesSpearman(t *testing.T) {
 	r := &Report{}
 	CheckProfilesCompatible(r, "workers", one, other, DefaultScoreTol, true)
 	if !r.Ok() {
-		t.Fatalf("build on workers flagged: %v", r.Err())
+		t.Fatalf("build on workers flagged: %v", violations(r))
 	}
 	withRanks := r.Checked
 
@@ -189,15 +203,15 @@ func TestCheckProfilesCompatibleGatesSpearman(t *testing.T) {
 	ny.RankPlanes = sketch.HyperplaneFromProjection(ny.RankProj)
 	r = &Report{}
 	CheckProfilesCompatible(r, "reversed", one, other, DefaultScoreTol, true)
-	if r.Ok() || !strings.Contains(r.Err().Error(), "compat/spearman") {
-		t.Fatalf("reversed rank projection not caught by compat/spearman: %v", r.Err())
+	if r.Ok() || !strings.Contains(violations(r).Error(), "compat/spearman") {
+		t.Fatalf("reversed rank projection not caught by compat/spearman: %v", violations(r))
 	}
 
 	plain := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 2})
 	r = &Report{}
 	CheckProfilesCompatible(r, "no-ranks", one, plain, DefaultScoreTol, true)
 	if !r.Ok() || r.Checked != withRanks-1 {
-		t.Fatalf("without rank projections: %d checks (want %d), err %v", r.Checked, withRanks-1, r.Err())
+		t.Fatalf("without rank projections: %d checks (want %d), err %v", r.Checked, withRanks-1, violations(r))
 	}
 }
 
@@ -225,7 +239,7 @@ func TestRunCleanOnNaturalData(t *testing.T) {
 	f := checkFrame(1200, 11)
 	r := Run(f, Config{})
 	if !r.Ok() {
-		t.Fatalf("selfcheck on natural data failed:\n%v", r.Err())
+		t.Fatalf("selfcheck on natural data failed:\n%v", violations(r))
 	}
 	if r.Checked < 100 {
 		t.Fatalf("suspiciously few invariants checked: %d", r.Checked)
@@ -238,7 +252,7 @@ func TestRunProfileFlagsWrongFrame(t *testing.T) {
 	f := checkFrame(800, 3)
 	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 2})
 	if r := RunProfile(f, p); !r.Ok() {
-		t.Fatalf("matching frame flagged: %v", r.Err())
+		t.Fatalf("matching frame flagged: %v", violations(r))
 	}
 	other := checkFrame(800, 99)
 	if r := RunProfile(other, p); r.Ok() {
@@ -274,7 +288,7 @@ func TestReportFormatting(t *testing.T) {
 	if r.Ok() {
 		t.Fatal("Fail did not record a violation")
 	}
-	msg := r.Err().Error()
+	msg := violations(r).Error()
 	if !strings.Contains(msg, "b/bad") || !strings.Contains(msg, "value 7 out of range") {
 		t.Fatalf("error message: %s", msg)
 	}

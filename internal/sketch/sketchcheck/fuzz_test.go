@@ -64,7 +64,7 @@ func (z *fz) values(n int) []float64 {
 
 func fatalReport(t *testing.T, r *Report) {
 	t.Helper()
-	if err := r.Err(); err != nil {
+	if err := violations(r); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -117,8 +117,9 @@ func (s *slotted[T]) extended(n int, ws []slotWrite[T]) *slotted[T] {
 }
 
 // claimWrites returns ws lengthened by extra writes, to be filled: in
-// place when ws has the room and no successor claimed it before
-// (frame.growTail's rule), else in a copy with as much room again.
+// place when ws has the room and no successor claimed it before (the
+// rule of the frame's tail claim, frame.cells.tail), else in a copy
+// with as much room again.
 func claimWrites[T any](ws []slotWrite[T], claimed *atomic.Bool, extra int) []slotWrite[T] {
 	n := len(ws)
 	if cap(ws)-n >= extra && claimed.CompareAndSwap(false, true) {

@@ -201,7 +201,7 @@ func DipSorted(sorted []float64) float64 {
 // arithmetic that callers inflate. The values added move the empirical
 // CDF by at most b/(n+b) in sup norm; the dip, an inf over unimodal G of
 // a sup distance to G, is 1-Lipschitz in that norm; and the 1/(2n) floor
-// DipSorted applies only falls as n grows (DESIGN §6j).
+// DipSorted applies only falls as n grows (DESIGN §7.3).
 func DipBound(dip float64, n, b int) float64 {
 	return dip + float64(b)/float64(max(n+b, 1))
 }

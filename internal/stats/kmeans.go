@@ -298,7 +298,7 @@ func addMember(g []float64, x, y float64) {
 // Bound returns an upper bound on GroupSilhouette(x, y, codes, levels,
 // stride) for columns whose first rows, codes included, are the ones the
 // certificate was made on: S + (m·λ + ΣE + J·(1 − S))/(m + J) for m
-// points at silhouette S and J appended points (DESIGN §6j), in rounded
+// points at silhouette S and J appended points (DESIGN §7.3), in rounded
 // arithmetic that callers inflate. It is +Inf where the certificate
 // says nothing: the stride or the levels differ, or an appended point
 // joins a group of fewer than two, or too close to bound.

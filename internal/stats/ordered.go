@@ -451,7 +451,7 @@ func (s RankSums) Rho() float64 {
 
 // Bound returns an upper bound on |ρ| over the same two columns once up
 // to b rows are appended, in rounded arithmetic that callers inflate, or
-// +Inf. With m' = m + b (DESIGN §6j): an old row's average rank rises by
+// +Inf. With m' = m + b (DESIGN §7.3): an old row's average rank rises by
 // s ∈ [0, b] and the mean rank by b/2, so its centred rank moves by at
 // most b/2; a new row's centred rank is below m'/2 in magnitude. Hence
 // |Σa'b'| ≤ |S_xy| + E with E = (b/2)·√m·(√S_xx + √S_yy) + m·b²/4 +

@@ -197,9 +197,9 @@ func checkView(t *testing.T, v *Ordered, xs []float64) {
 	for _, det := range []OutlierDetector{IQRDetector{}, MADDetector{}} {
 		score, flagged := OutlierScoreOrdered(v, det)
 		wantScore, wantFlagged := OutlierScore(xs, det)
-		requireSameBits(t, det.Name()+" score", score, wantScore)
+		requireSameBits(t, fmt.Sprintf("%T", det)+" score", score, wantScore)
 		if !slices.Equal(flagged, wantFlagged) {
-			t.Fatalf("%s flags %v, oracle %v", det.Name(), flagged, wantFlagged)
+			t.Fatalf("%s flags %v, oracle %v", fmt.Sprintf("%T", det), flagged, wantFlagged)
 		}
 	}
 	requireSameBits(t, "Mean", v.Mean, Mean(xs))

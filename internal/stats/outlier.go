@@ -9,8 +9,6 @@ import (
 // taxonomy); Foresight ships the standard trio below and accepts any
 // implementation of this interface.
 type OutlierDetector interface {
-	// Name identifies the detector for display and configuration.
-	Name() string
 	// Detect returns the indexes (into xs) of outlying observations.
 	// NaN cells are never outliers.
 	Detect(xs []float64) []int
@@ -29,9 +27,6 @@ type ZScoreDetector struct {
 	// Threshold in standard deviations; 3 when zero.
 	Threshold float64
 }
-
-// Name implements OutlierDetector.
-func (d ZScoreDetector) Name() string { return "zscore" }
 
 // Detect implements OutlierDetector.
 func (d ZScoreDetector) Detect(xs []float64) []int {
@@ -60,9 +55,6 @@ type MADDetector struct {
 	// Hoaglin's recommendation).
 	Threshold float64
 }
-
-// Name implements OutlierDetector.
-func (d MADDetector) Name() string { return "mad" }
 
 // Detect implements OutlierDetector.
 func (d MADDetector) Detect(xs []float64) []int {
@@ -95,9 +87,6 @@ type IQRDetector struct {
 	// K is the fence multiplier; 1.5 when zero.
 	K float64
 }
-
-// Name implements OutlierDetector.
-func (d IQRDetector) Name() string { return "iqr" }
 
 // Detect implements OutlierDetector.
 func (d IQRDetector) Detect(xs []float64) []int {
