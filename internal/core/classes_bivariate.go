@@ -121,28 +121,33 @@ func rankInsight(in Insight, rho float64) Insight {
 }
 
 func (c *monotonicClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
-	in, _, err := c.ScoreCertified(f, attrs, metric)
+	in, _, err := c.rank(f, attrs, metric)
 	return in, err
 }
 
 // ScoreCertified is the pair's |ρ| or |τ-b|, and for a defined Spearman ρ
 // the certificate: the frame's rows and the kernel's rank sums.
 func (c *monotonicClass) ScoreCertified(f *frame.Frame, attrs []string, metric string) (Insight, Certificate, error) {
+	in, s, err := c.rank(f, attrs, metric)
+	if err != nil || in.Metric == "kendall" || in.Raw != in.Raw {
+		return in, nil, err
+	}
+	return in, Certificate{float64(f.Rows()), float64(s.M), s.XX, s.YY, s.XY}, nil
+}
+
+// rank is the pair's insight and, for Spearman, the rank sums its ρ is
+// formed from; Score leaves them, so it allocates no certificate.
+func (c *monotonicClass) rank(f *frame.Frame, attrs []string, metric string) (Insight, stats.RankSums, error) {
 	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
-		return Insight{}, nil, err
+		return Insight{}, stats.RankSums{}, err
 	}
 	x, y := cols.num[0], cols.num[1]
 	if in.Metric == "kendall" {
-		return rankInsight(in, stats.KendallTauB(x.Values(), y.Values())), nil, nil
+		return rankInsight(in, stats.KendallTauB(x.Values(), y.Values())), stats.RankSums{}, nil
 	}
 	s := stats.SpearmanSums(x.Ordered(), y.Ordered())
-	var cert Certificate
-	rho := s.Rho()
-	if rho == rho {
-		cert = Certificate{float64(f.Rows()), float64(s.M), s.XX, s.YY, s.XY}
-	}
-	return rankInsight(in, rho), cert, nil
+	return rankInsight(in, s.Rho()), s, nil
 }
 
 func (c *monotonicClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
@@ -150,17 +155,12 @@ func (c *monotonicClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, m
 	if err != nil {
 		return Insight{}, err
 	}
-	x, y := ps.num[0], ps.num[1]
-	switch {
-	case in.Metric == "kendall":
-		return rankInsight(in, stats.KendallTauB(x.RowSampleValues(), y.RowSampleValues())), nil
-	case x.RankPlanes != nil && y.RankPlanes != nil:
+	if x, y := ps.num[0].RankPlanes, ps.num[1].RankPlanes; in.Metric == "spearman" && x != nil && y != nil {
 		// The rank-projection sketch (sketch.DatasetProfile.EstimateSpearman).
-		return rankInsight(in, x.RankPlanes.EstimateCorrelation(y.RankPlanes)), nil
-	default:
-		// Rank projections were not built: the shared row sample.
-		return rankInsight(in, stats.SpearmanOrdered(x.RowSampleOrdered(), y.RowSampleOrdered())), nil
+		return rankInsight(in, x.EstimateCorrelation(y)), nil
 	}
+	// Kendall, or Spearman without rank projections: the row sample.
+	return c.onSample(p, attrs, metric, c.Score)
 }
 
 // dependenceClass covers "general statistical dependencies" between a
@@ -201,10 +201,16 @@ func (c *dependenceClass) Candidates(f *frame.Frame) [][]string {
 	return out
 }
 
+// Score is η² of one pair by the pair kernel, the bits ScoreRun gives
+// it: a run of one would fill the run kernel's block with copies of it.
 func (c *dependenceClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
-	var out [1]Insight
-	err := c.ScoreRun(f, [][]string{attrs}, metric, out[:])
-	return out[0], err
+	in, cols, err := c.onFrame(f, attrs, metric)
+	if err != nil {
+		return Insight{}, err
+	}
+	z := cols.cat[1]
+	eta2 := stats.CorrelationRatio(z.Codes(), cols.num[0].Values(), z.Cardinality())
+	return scored(in, eta2, map[string]float64{"groups": float64(z.Cardinality())}), nil
 }
 
 // ScoreRun is Score for every pair of a run that shares its numeric
@@ -237,13 +243,7 @@ func (c *dependenceClass) ScoreRun(f *frame.Frame, run [][]string, metric string
 }
 
 func (c *dependenceClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	in, ps, err := c.onProfile(p, attrs, metric)
-	if err != nil {
-		return Insight{}, err
-	}
-	cp := ps.cat[1]
-	eta2 := stats.CorrelationRatio(cp.RowSampleCodes(), ps.num[0].RowSampleValues(), cp.Cardinality)
-	return scored(in, eta2, map[string]float64{"groups": float64(cp.Cardinality)}), nil
+	return c.onSample(p, attrs, metric, c.Score)
 }
 
 // catAssocClass measures association between two categorical
@@ -286,15 +286,6 @@ func (c *catAssocClass) Candidates(f *frame.Frame) [][]string {
 	return out
 }
 
-// association is the contingency table's Cramér's V or mutual
-// information, as metric asks.
-func association(ct *stats.Contingency, metric string) float64 {
-	if metric == "mutualinfo" {
-		return ct.MutualInformation()
-	}
-	return ct.CramersV()
-}
-
 func (c *catAssocClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
 	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
@@ -302,17 +293,19 @@ func (c *catAssocClass) Score(f *frame.Frame, attrs []string, metric string) (In
 	}
 	a, b := cols.cat[0], cols.cat[1]
 	ct := stats.NewContingency(a.Codes(), b.Codes(), a.Cardinality(), b.Cardinality())
-	return scored(in, association(ct, in.Metric), map[string]float64{"chi2": ct.ChiSquare()}), nil
+	v := ct.CramersV
+	if in.Metric == "mutualinfo" {
+		v = ct.MutualInformation
+	}
+	return scored(in, v(), map[string]float64{"chi2": ct.ChiSquare()}), nil
 }
 
 func (c *catAssocClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	in, ps, err := c.onProfile(p, attrs, metric)
-	if err != nil {
-		return Insight{}, err
-	}
-	a, b := ps.cat[0], ps.cat[1]
-	ct := stats.NewContingency(a.RowSampleCodes(), b.RowSampleCodes(), a.Cardinality, b.Cardinality)
-	return scored(in, association(ct, in.Metric), nil), nil
+	in, err := c.onSample(p, attrs, metric, c.Score)
+	// χ² grows with the rows, so the sample's is no estimate of the
+	// frame's; Cramér's V and mutual information do not.
+	in.Details = nil
+	return in, err
 }
 
 // segmentationClass covers the paper's "strong clustering of
@@ -376,28 +369,15 @@ func (c *segmentationClass) step(n int) int {
 	return 1
 }
 
-// silhouetteInsight fills in the insight of a raw silhouette over the
-// given number of groups; the score clamps a negative one ("no
-// segmentation") to 0, and an undefined one has no insight.
-func silhouetteInsight(in Insight, sil float64, groups int) (Insight, error) {
-	if math.IsNaN(sil) {
-		return Insight{}, errUndefined(in.Class, in.Attrs)
-	}
-	score := sil
-	if score < 0 {
-		score = 0
-	}
-	in.Score, in.Raw, in.Details = score, sil, map[string]float64{"groups": float64(groups)}
-	return in, nil
-}
-
 func (c *segmentationClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
 	in, _, err := c.ScoreCertified(f, attrs, metric)
 	return in, err
 }
 
 // ScoreCertified is the silhouette of the grouping z's codes induce on
-// the standardized (x, y) scatter, and the kernel's certificate.
+// the standardized (x, y) scatter, and the kernel's certificate. The
+// score clamps a negative silhouette ("no segmentation") to 0, and an
+// undefined one has no insight.
 func (c *segmentationClass) ScoreCertified(f *frame.Frame, attrs []string, metric string) (Insight, Certificate, error) {
 	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
@@ -405,20 +385,18 @@ func (c *segmentationClass) ScoreCertified(f *frame.Frame, attrs []string, metri
 	}
 	z := cols.cat[2]
 	sil, cert := stats.CertifiedSilhouette(cols.num[0].Ordered(), cols.num[1].Ordered(), z.Codes(), z.Cardinality(), c.step(f.Rows()))
-	if in, err = silhouetteInsight(in, sil, z.Cardinality()); err != nil {
-		return Insight{}, nil, err
+	if math.IsNaN(sil) {
+		return Insight{}, nil, errUndefined(in.Class, in.Attrs)
+	}
+	in.Score, in.Raw, in.Details = sil, sil, map[string]float64{"groups": float64(z.Cardinality())}
+	if sil < 0 {
+		in.Score = 0
 	}
 	return in, Certificate(cert), nil
 }
 
 func (c *segmentationClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	in, ps, err := c.onProfile(p, attrs, metric)
-	if err != nil {
-		return Insight{}, err
-	}
-	xs, ys, z := ps.num[0].RowSampleOrdered(), ps.num[1].RowSampleOrdered(), ps.cat[2]
-	sil := stats.GroupSilhouette(xs, ys, z.RowSampleCodes(), z.Cardinality, c.step(min(len(xs.Values), len(ys.Values), len(z.RowSampleCodes()))))
-	return silhouetteInsight(in, sil, z.Cardinality)
+	return c.onSample(p, attrs, metric, c.Score)
 }
 
 func errUndefined(class string, attrs []string) error {

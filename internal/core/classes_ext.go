@@ -40,31 +40,20 @@ func NewNonlinearDependenceClass(bins int) Class {
 
 func (c *nonlinearClass) Candidates(f *frame.Frame) [][]string { return numericPairs(f) }
 
-func (c *nonlinearClass) score(in Insight, xs, ys []float64) Insight {
-	var raw float64
-	switch in.Metric {
-	case "normmi":
-		raw = stats.NormalizedBinnedMI(xs, ys, c.bins)
-	case "mi":
-		raw = stats.BinnedMutualInformation(xs, ys, c.bins)
-	}
-	return scored(in, raw, map[string]float64{"bins": float64(c.bins)})
-}
-
 func (c *nonlinearClass) Score(f *frame.Frame, attrs []string, metric string) (Insight, error) {
 	in, cols, err := c.onFrame(f, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	return c.score(in, cols.num[0].Values(), cols.num[1].Values()), nil
+	mi := stats.NormalizedBinnedMI
+	if in.Metric == "mi" {
+		mi = stats.BinnedMutualInformation
+	}
+	return scored(in, mi(cols.num[0].Values(), cols.num[1].Values(), c.bins), map[string]float64{"bins": float64(c.bins)}), nil
 }
 
 func (c *nonlinearClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	in, ps, err := c.onProfile(p, attrs, metric)
-	if err != nil {
-		return Insight{}, err
-	}
-	return c.score(in, ps.num[0].RowSampleValues(), ps.num[1].RowSampleValues()), nil
+	return c.onSample(p, attrs, metric, c.Score)
 }
 
 // normalityClass ranks numeric attributes by closeness to a normal

@@ -10,11 +10,11 @@ import (
 // spec describes a built-in insight class: the Class methods other than
 // Candidates, Score and ScoreApprox, and the kind of column each tuple
 // position reads. Every built-in class embeds one, and each of its
-// scorers starts from onFrame or onProfile, which take the decisions
-// every class shares in one order (arity, then the metric, then each
-// position's column in tuple order) and build the insight's envelope, so
-// a scorer holds only its formula. Plug-in classes implement Class
-// directly.
+// scorers starts from onFrame, onProfile or onSample, which take the
+// decisions every class shares in one order (arity, then the metric,
+// then each position's column in tuple order) and build the insight's
+// envelope, so a scorer holds only its formula. Plug-in classes
+// implement Class directly.
 type spec struct {
 	name, desc string
 	metrics    []string
@@ -94,6 +94,21 @@ func (s *spec) onProfile(p *sketch.DatasetProfile, attrs []string, metric string
 		}
 	}
 	return in, ps, err
+}
+
+// onSample is the approximate score of a statistic with no sketch: the
+// class's exact score on p's row sample (sketch.DatasetProfile.Sample),
+// marked approximate, once onProfile's checks pass.
+func (s *spec) onSample(p *sketch.DatasetProfile, attrs []string, metric string, score func(*frame.Frame, []string, string) (Insight, error)) (Insight, error) {
+	if _, _, err := s.onProfile(p, attrs, metric); err != nil {
+		return Insight{}, err
+	}
+	in, err := score(p.Sample(), attrs, metric)
+	if err != nil {
+		return Insight{}, err
+	}
+	in.Approx = true
+	return in, nil
 }
 
 // scored is in with score as both its Score and its Raw value.

@@ -134,11 +134,12 @@ func TestRecoverSnapshotWithParentV3Profile(t *testing.T) {
 		}
 		// The row sample still names distinct rows of the frame, and the
 		// gathers still hold them.
+		sampled, _ := p.Sample().Numeric("x")
 		for j, row := range p.RowSample.Indexes() {
 			if row < 0 || row >= len(x) || slices.Index(p.RowSample.Indexes(), row) != j {
 				t.Fatalf("after batch %d: row sample %v over %d rows", i, p.RowSample.Indexes(), len(x))
 			}
-			if got := p.Numeric["x"].RowSampleValues()[j]; got != x[row] {
+			if got := sampled.At(j); got != x[row] {
 				t.Fatalf("after batch %d: slot %d holds %v, row %d is %v", i, j, got, row, x[row])
 			}
 		}

@@ -280,8 +280,8 @@ func TestProfileExtendMatchesScratch(t *testing.T) {
 				t.Errorf("%s: extended q%v = %v, exact %v", name, q, got, exact)
 			}
 		}
-		if len(enp.RowSampleValues()) != len(snp.RowSampleValues()) {
-			t.Errorf("%s: row-sample gather %d vs %d", name, len(enp.RowSampleValues()), len(snp.RowSampleValues()))
+		if len(enp.gather.get()) != len(snp.gather.get()) {
+			t.Errorf("%s: row-sample gather %d vs %d", name, len(enp.gather.get()), len(snp.gather.get()))
 		}
 	}
 	// Correlation estimates: the extended profile's projections are
@@ -522,12 +522,12 @@ func TestExtendAfterLoadMatchesLive(t *testing.T) {
 				t.Errorf("%s: extended row sample differs from a rebuild's", label)
 			}
 			for name, np := range rebuilt.Numeric {
-				if !slices.Equal(live.Numeric[name].RowSampleValues(), np.RowSampleValues()) {
+				if !slices.Equal(live.Numeric[name].gather.get(), np.gather.get()) {
 					t.Errorf("%s: %s row-sample values differ from a rebuild's", label, name)
 				}
 			}
 			for name, cp := range rebuilt.Categorical {
-				if !slices.Equal(live.Categorical[name].RowSampleCodes(), cp.RowSampleCodes()) ||
+				if !slices.Equal(live.Categorical[name].codes.get(), cp.codes.get()) ||
 					!slices.Equal(live.Categorical[name].Dict, cp.Dict) {
 					t.Errorf("%s: %s row-sample codes or labels differ from a rebuild's", label, name)
 				}

@@ -240,8 +240,9 @@ func TestExtendLeavesReceiverIntact(t *testing.T) {
 		s.distinct = p.Categorical["cat"].Distinct.Distinct()
 		top := p.Categorical["cat"].Heavy.Top(1)
 		s.topItem, s.topCount = top[0].Item, top[0].Count
-		s.rowSample0 = p.Numeric["x"].RowSampleValues()[0]
-		s.rowSampleMean = p.Numeric["x"].RowSampleOrdered().Mean
+		s.rowSample0 = p.Numeric["x"].gather.get()[0]
+		x, _ := p.Sample().Numeric("x")
+		s.rowSampleMean = x.Ordered().Mean
 		return s
 	}
 	before := take(p)
@@ -269,7 +270,7 @@ func TestExtendLeavesReceiverIntact(t *testing.T) {
 	// Every link extends the one before it, which shares with p what no
 	// batch so far has written; each frame is also reached from p again,
 	// on two workers.
-	onWorkers := *p
+	onWorkers := &DatasetProfile{Rows: p.Rows, Numeric: p.Numeric, Categorical: p.Categorical, RowSample: p.RowSample, Config: p.Config}
 	onWorkers.Config.Workers = 2
 	cur, grown := p, f
 	for i := 0; i < 6; i++ {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Profile persistence: a DatasetProfile serializes to a stream so the
@@ -222,7 +223,7 @@ func (p *DatasetProfile) Save(w io.Writer) error {
 				ProjCenter:      np.ProjCenter,
 				Planes:          hyperplaneToWire(np.Planes),
 				Sample:          reservoirToWire(np.Sample),
-				RowSampleValues: np.RowSampleValues(),
+				RowSampleValues: np.gather.get(),
 			}
 			if np.RankProj != nil {
 				nw.HasRank = true
@@ -238,7 +239,7 @@ func (p *DatasetProfile) Save(w io.Writer) error {
 			Heavy:          spaceSavingToWire(cp.Heavy),
 			Distinct:       kmvToWire(cp.Distinct),
 			Rows:           cp.Rows,
-			RowSampleCodes: cp.RowSampleCodes(),
+			RowSampleCodes: cp.codes.get(),
 			Cardinality:    cp.Cardinality,
 			Dict:           cp.Dict,
 		})
@@ -257,15 +258,12 @@ func sortedProfileNames(p *DatasetProfile) []string {
 	for name := range p.Categorical {
 		names = append(names, name)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	slices.Sort(names)
 	return names
 }
 
-// LoadProfile deserializes a profile written by Save.
+// LoadProfile deserializes a profile written by Save, refusing a store
+// whose row sample no frame can hold (see DatasetProfile.Sample).
 func LoadProfile(r io.Reader) (*DatasetProfile, error) {
 	var wire profileWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -299,6 +297,9 @@ func LoadProfile(r io.Reader) (*DatasetProfile, error) {
 		p.Numeric[np.Name] = np
 	}
 	for _, cw := range wire.Categorical {
+		if cw.Cardinality != len(cw.Dict) {
+			return nil, fmt.Errorf("sketch: decoding profile: column %q has cardinality %d and %d labels", cw.Name, cw.Cardinality, len(cw.Dict))
+		}
 		p.Categorical[cw.Name] = &CategoricalProfile{
 			Name:        cw.Name,
 			Heavy:       spaceSavingFromWire(cw.Heavy),
@@ -309,5 +310,10 @@ func LoadProfile(r io.Reader) (*DatasetProfile, error) {
 			Dict:        cw.Dict,
 		}
 	}
+	sample, err := p.sampleFrame()
+	if err != nil {
+		return nil, fmt.Errorf("sketch: decoding profile: row sample: %w", err)
+	}
+	p.sampleOnce.Do(func() { p.sample = sample })
 	return p, nil
 }

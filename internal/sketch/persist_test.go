@@ -51,7 +51,7 @@ func TestProfileSaveLoadRoundTrip(t *testing.T) {
 		if outlierScore(onp) != outlierScore(lnp) {
 			t.Errorf("%s: outlier estimate differs", name)
 		}
-		if len(onp.RowSampleValues()) != len(lnp.RowSampleValues()) {
+		if len(onp.gather.get()) != len(lnp.gather.get()) {
 			t.Errorf("%s: row sample values lost", name)
 		}
 	}
@@ -304,6 +304,60 @@ func TestPersistEmptyProfile(t *testing.T) {
 	}
 }
 
+// ScoreSample scores every candidate and metric of the classes whose
+// approximate score reads the row sample on p's sample frame. It is set
+// by this package's external tests, since the classes (internal/core)
+// import this package.
+var ScoreSample func(p *DatasetProfile)
+
+// misalignedStores are saved profiles whose row sample no frame can
+// hold: a categorical with 14 sample codes for 16 sampled rows, one of
+// them 99, past its 16-label dictionary; a numeric gather one cell
+// short; a code past the dictionary in a gather of the right length;
+// and a cardinality other than the dictionary's length.
+func misalignedStores(t testing.TB) [][]byte {
+	labels := make([]string, 16)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("c%d", i)
+	}
+	var out [][]byte
+	for _, spoil := range []func(p *DatasetProfile){
+		func(p *DatasetProfile) {
+			cp := p.Categorical["cat"]
+			codes := append([]int32(nil), cp.codes.get()[:14]...)
+			codes[3] = 99
+			cp.codes, cp.Dict, cp.Cardinality = builtGather(codes), labels, len(labels)
+		},
+		func(p *DatasetProfile) {
+			np := p.Numeric["x"]
+			np.gather = builtGather(np.gather.get()[1:])
+		},
+		func(p *DatasetProfile) {
+			cp := p.Categorical["cat"]
+			codes := append([]int32(nil), cp.codes.get()...)
+			codes[5] = int32(len(cp.Dict))
+			cp.codes = builtGather(codes)
+		},
+		func(p *DatasetProfile) { p.Categorical["cat"].Cardinality++ },
+	} {
+		p := BuildProfile(testFrame(40, 5), ProfileConfig{Seed: 1, K: 8, RowSampleSize: 16})
+		spoil(p)
+		out = append(out, savedProfile(t, p))
+	}
+	return out
+}
+
+// TestLoadProfileRefusesMisalignedSample: each misaligned store is
+// refused, since scores on its row sample would read rows that do not
+// line up.
+func TestLoadProfileRefusesMisalignedSample(t *testing.T) {
+	for i, store := range misalignedStores(t) {
+		if _, err := LoadProfile(bytes.NewReader(store)); err == nil {
+			t.Errorf("store %d: a row sample no frame can hold was accepted", i)
+		}
+	}
+}
+
 // loadAllocCeiling is the most LoadProfile may allocate for an l-byte
 // input. The slope covers a column that states nothing: gob decodes an
 // empty wire struct from a byte or two, and each becomes a profile of
@@ -362,6 +416,10 @@ func FuzzLoadProfile(f *testing.F) {
 	inflated := BuildProfile(fr, ProfileConfig{Seed: 1, K: 8})
 	inflated.Categorical["cat"].Heavy.capacity = 1 << 26
 	f.Add(savedProfile(f, inflated))
+	// Row samples no frame can hold.
+	for _, store := range misalignedStores(f) {
+		f.Add(store)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p, alloc, err := loadAllocBytes(b)
@@ -370,6 +428,10 @@ func FuzzLoadProfile(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		p.Sample()
+		if ScoreSample != nil {
+			ScoreSample(p)
 		}
 		once := savedProfile(t, p)
 		again, err := LoadProfile(bytes.NewReader(once))

@@ -3,9 +3,9 @@ package sketch
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
+	"sync"
 
-	"foresight/internal/stats"
+	"foresight/internal/frame"
 )
 
 // ProfileConfig sizes the per-column sketches built during
@@ -96,34 +96,8 @@ type NumericProfile struct {
 	// Sample is a uniform value sample for metrics with no closed-form
 	// sketch (dip statistic, outlier mean distance).
 	Sample *Reservoir
-	// gather holds RowSampleValues.
+	// gather is the column's values at the row sample (Sample's column).
 	gather *gathered[float64]
-	// rowSampleView caches RowSampleOrdered.
-	rowSampleView atomic.Pointer[stats.Ordered]
-}
-
-// RowSampleValues returns this column's values at the dataset's shared
-// sampled row indexes; aligned across columns, so bivariate statistics
-// computed from them preserve joint structure. Built on first use
-// after an Extend; read-only.
-func (np *NumericProfile) RowSampleValues() []float64 { return np.gather.get() }
-
-// RowSampleOrdered returns the ordered view (row order, sorted values,
-// mean, σ) of RowSampleValues, built on first use and retained: the
-// sample-based fallbacks of the approximate path rank each column's
-// sample once rather than once per partner. The cache is keyed on the
-// slice it was built from, so replacing the gather (the builders do,
-// before a profile is shared) simply rebuilds it; concurrent first
-// calls may each build one, and either is correct.
-func (np *NumericProfile) RowSampleOrdered() *stats.Ordered {
-	vals := np.RowSampleValues()
-	if v := np.rowSampleView.Load(); v != nil && len(v.Values) == len(vals) &&
-		(len(vals) == 0 || &v.Values[0] == &vals[0]) {
-		return v
-	}
-	v := stats.NewOrdered(vals)
-	np.rowSampleView.Store(v)
-	return v
 }
 
 // CategoricalProfile bundles the per-column sketches of one
@@ -136,7 +110,7 @@ type CategoricalProfile struct {
 	Distinct *KMV
 	// Rows is the number of non-missing cells observed.
 	Rows uint64
-	// codes holds RowSampleCodes.
+	// codes is the column's codes at the row sample (Sample's column).
 	codes *gathered[int32]
 	// Cardinality is the exact number of distinct values (known for
 	// free from the dictionary encoding).
@@ -145,11 +119,6 @@ type CategoricalProfile struct {
 	// frame so sketch-only rendering can label categories).
 	Dict []string
 }
-
-// RowSampleCodes returns this column's dictionary codes at the shared
-// sampled row indexes (aligned with NumericProfile.RowSampleValues).
-// Built on first use after an Extend; read-only.
-func (cp *CategoricalProfile) RowSampleCodes() []int32 { return cp.codes.get() }
 
 // DatasetProfile is the preprocessed store for one Frame: every
 // per-column sketch plus one shared row sample that preserves joint
@@ -161,6 +130,53 @@ type DatasetProfile struct {
 	// RowSample holds shared sampled row indexes (slot order).
 	RowSample *RowSample
 	Config    ProfileConfig
+
+	sampleOnce sync.Once
+	sample     *frame.Frame
+}
+
+// Sample returns the row sample as a frame, one column per profiled
+// column in name order: a numeric one wraps its gather, a categorical
+// one is the gathered codes over Dict. The statistics with no sketch are
+// their class's exact score on it (internal/core). Its first caller
+// builds it, once per profile, so an Extend chain nobody reads gathers
+// nothing. Nil for a profile of no columns. Read-only.
+func (p *DatasetProfile) Sample() *frame.Frame {
+	p.sampleOnce.Do(func() {
+		var err error
+		if p.sample, err = p.sampleFrame(); err != nil {
+			// A build and an Extend gather every column at the one row
+			// sample, and LoadProfile refuses a store that does not.
+			panic(fmt.Sprintf("sketch: the row sample is not a frame: %v", err))
+		}
+	})
+	return p.sample
+}
+
+// sampleFrame builds Sample's frame, or says why the gathers make none.
+func (p *DatasetProfile) sampleFrame() (*frame.Frame, error) {
+	names := sortedProfileNames(p)
+	if len(names) == 0 {
+		return nil, nil
+	}
+	cols := make([]frame.Column, len(names))
+	for i, name := range names {
+		if np, ok := p.Numeric[name]; ok {
+			cols[i] = frame.NewNumericColumn(name, np.gather.get())
+			continue
+		}
+		cp := p.Categorical[name]
+		cc, err := frame.NewCategoricalFromCodes(name, cp.codes.get(), cp.Dict)
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = cc
+	}
+	f, err := frame.New("sample", cols...)
+	if err == nil && f.Rows() != p.RowSample.Len() {
+		err = fmt.Errorf("sketch: %d cells a column for %d sampled rows", f.Rows(), p.RowSample.Len())
+	}
+	return f, err
 }
 
 // NumericProfileOf returns the profile for a numeric attribute, or an

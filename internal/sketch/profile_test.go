@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"foresight/internal/frame"
@@ -266,41 +265,35 @@ func TestProfileRowSampleShared(t *testing.T) {
 	}
 }
 
-// TestRowSampleOrdered: the cached view is the view of the current
-// RowSampleValues — retained across calls, consistent under concurrent
-// first calls (run with -race), and rebuilt when the builders replace
-// the gather.
-func TestRowSampleOrdered(t *testing.T) {
-	p := BuildProfile(testFrame(3000, 3), ProfileConfig{Seed: 11})
-	np := p.Numeric["x"]
-	views := make([]*stats.Ordered, 6)
-	var wg sync.WaitGroup
-	for g := range views {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			views[g] = np.RowSampleOrdered()
-		}()
+// TestSampleFrame: the row sample as a frame is every profiled column
+// in name order, each the column's cells at the sampled rows: a numeric
+// column over its gather itself (no copy), a categorical one over the
+// gathered codes and the profile's dictionary. It is built once and
+// retained, and a profile of no columns has none.
+func TestSampleFrame(t *testing.T) {
+	f := testFrame(3000, 3)
+	p := BuildProfile(f, ProfileConfig{Seed: 11, RowSampleSize: 500})
+	s := p.Sample()
+	if s != p.Sample() {
+		t.Fatal("the sample frame is rebuilt on every call")
 	}
-	wg.Wait()
-	want := stats.NewOrdered(np.RowSampleValues())
-	for _, v := range views {
-		if !slices.Equal(orderOf(v), orderOf(want)) || v.Mean != want.Mean || v.StdDev != want.StdDev {
-			t.Fatal("a concurrent first call returned a view that differs from a fresh one")
+	if got, want := s.Names(), []string{"cat", "skew", "x", "y", "z"}; !slices.Equal(got, want) || s.Rows() != 500 {
+		t.Fatalf("sample frame has columns %v over %d rows, want %v over 500", got, s.Rows(), want)
+	}
+	for _, name := range []string{"x", "y", "z", "skew"} {
+		col, _ := s.Numeric(name)
+		src, _ := f.Numeric(name)
+		vals, gather := col.Values(), p.Numeric[name].gather.get()
+		if &vals[0] != &gather[0] || !slices.Equal(vals, p.RowSample.GatherFloats(src.Values())) {
+			t.Errorf("%s: the sample column is not the gather at the sampled rows", name)
 		}
 	}
-	if np.RowSampleOrdered() != np.RowSampleOrdered() {
-		t.Error("the view is rebuilt on every call")
+	cat, _ := s.Categorical("cat")
+	src, _ := f.Categorical("cat")
+	if !slices.Equal(cat.Codes(), p.RowSample.GatherCodes(src.Codes())) || !slices.Equal(cat.Dict(), src.Dict()) {
+		t.Error("cat: the sample column is not the codes at the sampled rows over the frame's dictionary")
 	}
-	np.gather = builtGather(append([]float64{-1e9}, np.RowSampleValues()[1:]...))
-	if got := np.RowSampleOrdered(); got.BoxStats(0).Min != -1e9 || &got.Values[0] != &np.RowSampleValues()[0] {
-		t.Error("the view survived a replacement of the gather")
+	if (&DatasetProfile{}).Sample() != nil {
+		t.Error("a profile of no columns has a sample frame")
 	}
-}
-
-// orderOf returns a view's rows in its order.
-func orderOf(v *stats.Ordered) []int32 {
-	var rows []int32
-	v.Walk(func(row int32, _ float64) { rows = append(rows, row) })
-	return rows
 }

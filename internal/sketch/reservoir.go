@@ -2,7 +2,7 @@ package sketch
 
 // Reservoir maintains a uniform random sample of a float64 stream
 // using Vitter's algorithm R. Foresight samples columns it cannot
-// sketch analytically (e.g. to estimate η² and silhouettes). The
+// sketch analytically (the dip, the outliers' mean distance). The
 // replacement slot of the n-th value is coin(seed, 0, n): a copy, or a
 // reservoir rebuilt from (seed, count, items), continues the stream
 // exactly as the original would. A merge records the slots it writes
@@ -59,8 +59,8 @@ func (s *Reservoir) Count() uint64 { return s.n }
 
 // RowSample is a shared uniform sample of row indexes. Sampling rows
 // once and reusing the same index set across columns preserves joint
-// distributions, which lets bivariate metrics (η², Cramér's V,
-// silhouettes, Spearman) be estimated from per-column value lookups —
+// distributions, so bivariate metrics (η², Cramér's V, silhouettes,
+// Spearman) are estimated on the sampled rows (DatasetProfile.Sample) —
 // a form of sketch composition across attributes.
 type RowSample struct {
 	// indexes holds the sampled rows in slot order (algorithm R's, not

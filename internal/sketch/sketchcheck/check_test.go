@@ -154,11 +154,13 @@ func TestCheckProfileInvariantsReadsGatherCells(t *testing.T) {
 	}
 
 	built := sketch.BuildProfile(f, cfg)
-	built.Numeric["x"].RowSampleValues()[5] += 1
+	x, _ := built.Sample().Numeric("x")
+	x.Values()[5] += 1
 	flagged("an altered value", built)
 	built = sketch.BuildProfile(f, cfg)
-	codes := built.Categorical["cat"].RowSampleCodes()
-	codes[7] = (codes[7] + 1) % int32(built.Categorical["cat"].Cardinality)
+	cat, _ := built.Sample().Categorical("cat")
+	codes := cat.Codes()
+	codes[7] = (codes[7] + 1) % int32(cat.Cardinality())
 	flagged("an altered code", built)
 
 	stale, err := p.Extend(f)
@@ -173,7 +175,9 @@ func TestCheckProfileInvariantsReadsGatherCells(t *testing.T) {
 	if j == len(was) {
 		t.Fatal("the extension took no row-sample slot")
 	}
-	stale.Numeric["y"].RowSampleValues()[j] = p.Numeric["y"].RowSampleValues()[j]
+	staleY, _ := stale.Sample().Numeric("y")
+	y, _ := p.Sample().Numeric("y")
+	staleY.Values()[j] = y.Values()[j]
 	flagged("a slot left stale", stale)
 }
 

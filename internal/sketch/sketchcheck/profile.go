@@ -88,7 +88,8 @@ func CheckProfileInvariants(r *Report, p *sketch.DatasetProfile, f *frame.Frame)
 			r.check(self == 1, "profile/self-correlation",
 				"%s: self-correlation = %v, want 1", name, self)
 		}
-		checkGather(r, name, np.RowSampleValues(), p.RowSample.Indexes(), values, sameBits)
+		sampled, _ := p.Sample().Numeric(name)
+		checkGather(r, name, sampled.Values(), p.RowSample.Indexes(), values, sameBits)
 		if finite {
 			out := outlierScore(np)
 			r.check(!math.IsNaN(out) && out >= 0, "profile/outlier-range",
@@ -123,7 +124,8 @@ func CheckProfileInvariants(r *Report, p *sketch.DatasetProfile, f *frame.Frame)
 			"%s: profile Cardinality = %d, column dictionary has %d values",
 			name, cp.Cardinality, cc.Cardinality())
 		CheckEntropy(r, name, cp.Heavy, cp.Distinct)
-		checkGather(r, name, cp.RowSampleCodes(), p.RowSample.Indexes(), cc.Codes(),
+		sampled, _ := p.Sample().Categorical(name)
+		checkGather(r, name, sampled.Codes(), p.RowSample.Indexes(), cc.Codes(),
 			func(a, b int32) bool { return a == b })
 	}
 }
@@ -203,7 +205,9 @@ func CheckProfileQueryIdentity(r *Report, label string, a, b *sketch.DatasetProf
 			label, name, stats.Dip(na.Sample.Sample()), stats.Dip(nb.Sample.Sample()))
 		r.check(floatsEqual(na.Sample.Sample(), nb.Sample.Sample()), "identity/sample",
 			"%s: %s reservoir samples differ", label, name)
-		r.check(floatsEqual(na.RowSampleValues(), nb.RowSampleValues()), "identity/row-sample",
+		sa, _ := a.Sample().Numeric(name)
+		sb, _ := b.Sample().Numeric(name)
+		r.check(floatsEqual(sa.Values(), sb.Values()), "identity/row-sample",
 			"%s: %s row-sample values differ", label, name)
 	}
 	// Pairwise correlation estimates (both estimator families).

@@ -107,9 +107,8 @@ func Run(f *frame.Frame, cfg Config) *Report {
 		r.check(bytes.Equal(before, saved(base)), "extend/isolation",
 			"the receiver of Extend saves to different bytes afterwards")
 		// The worker count is not in the bytes.
-		par := *base
-		par.Config.Workers = -1
-		if extPar, err := par.Extend(f); err != nil {
+		base.Config.Workers = -1
+		if extPar, err := base.Extend(f); err != nil {
 			r.Fail("extend/workers", "Extend on every core: %v", err)
 		} else {
 			r.check(bytes.Equal(saved(ext), saved(extPar)), "extend/workers",

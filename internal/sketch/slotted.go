@@ -130,8 +130,8 @@ func claimWrites[T any](ws []slotWrite[T], claimed *atomic.Bool, extra int) []sl
 	return out
 }
 
-// gathered is a column's values at the row sample's indexes
-// (RowSampleValues, RowSampleCodes). A build or a load holds it built;
+// gathered is a column's cells at the row sample's indexes (a column
+// of DatasetProfile.Sample). A build or a load holds it built;
 // an extension holds the row sample and the column's cell reader
 // instead, and get gathers it once, for the first reader. The nil
 // *gathered is the empty array.

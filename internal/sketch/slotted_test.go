@@ -99,11 +99,11 @@ func extendCopying(p *DatasetProfile, f *frame.Frame) (*DatasetProfile, error) {
 	for _, nc := range numeric {
 		np, was := out.Numeric[nc.Name()], p.Numeric[nc.Name()]
 		np.Sample = mergeReservoirsCopying(was.Sample, delta.Numeric[nc.Name()].Sample)
-		np.gather = builtGather(regather(was.RowSampleValues(), nc.Values(), idx, slots))
+		np.gather = builtGather(regather(was.gather.get(), nc.Values(), idx, slots))
 	}
 	for _, cc := range categorical {
 		cp := out.Categorical[cc.Name()]
-		cp.codes = builtGather(regather(p.Categorical[cc.Name()].RowSampleCodes(), cc.Codes(), idx, slots))
+		cp.codes = builtGather(regather(p.Categorical[cc.Name()].codes.get(), cc.Codes(), idx, slots))
 		cp.Cardinality = cc.Cardinality()
 		cp.Dict = cc.Dict()
 	}
@@ -139,13 +139,13 @@ func readSamples(p *DatasetProfile, rng *rand.Rand, prob float64) {
 	for _, name := range sortedProfileNames(p) {
 		if np, ok := p.Numeric[name]; ok {
 			if read() {
-				np.RowSampleValues()
+				np.gather.get()
 			}
 			if read() {
 				np.Sample.Sample()
 			}
 		} else if read() {
-			p.Categorical[name].RowSampleCodes()
+			p.Categorical[name].codes.get()
 		}
 	}
 }
@@ -162,13 +162,13 @@ func sameSamples(got, want *DatasetProfile) string {
 	for _, name := range sortedProfileNames(want) {
 		if wn, ok := want.Numeric[name]; ok {
 			gn := got.Numeric[name]
-			if !bits(gn.RowSampleValues(), wn.RowSampleValues()) {
+			if !bits(gn.gather.get(), wn.gather.get()) {
 				return name + " gather"
 			}
 			if !bits(gn.Sample.Sample(), wn.Sample.Sample()) || gn.Sample.Count() != wn.Sample.Count() {
 				return name + " reservoir"
 			}
-		} else if !slices.Equal(got.Categorical[name].RowSampleCodes(), want.Categorical[name].RowSampleCodes()) {
+		} else if !slices.Equal(got.Categorical[name].codes.get(), want.Categorical[name].codes.get()) {
 			return name + " codes"
 		}
 	}
@@ -361,11 +361,10 @@ func extendAllocs() map[allocSite]int64 {
 	return out
 }
 
-// TestSlottedFirstReadsRaceSave: eight goroutines make the first read
-// of every sample array of one unread generation while a Save of it
-// runs (run with -race). Each array is built once, every reader sees
-// the copying oracle's array, and the Save writes the oracle's bytes.
-func TestSlottedFirstReadsRaceSave(t *testing.T) {
+// unreadGeneration returns the end of a three-link Extend chain that
+// nobody has read, and the copying oracle's generation for it.
+func unreadGeneration(t *testing.T) (p, oracle *DatasetProfile) {
+	t.Helper()
 	src := gappyFrame(6000+3*250, 11)
 	keep := make([]bool, src.Rows())
 	for i := range 6000 {
@@ -376,7 +375,7 @@ func TestSlottedFirstReadsRaceSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ProfileConfig{Seed: 5, K: 32, Workers: 2}
-	p, oracle := BuildProfile(f, cfg), BuildProfile(f, cfg)
+	p, oracle = BuildProfile(f, cfg), BuildProfile(f, cfg)
 	for i := range 3 {
 		if f, err = f.AppendRows(rowsOf(src, 6000+i*250, 6000+(i+1)*250), nil); err != nil {
 			t.Fatal(err)
@@ -388,6 +387,15 @@ func TestSlottedFirstReadsRaceSave(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return p, oracle
+}
+
+// TestSlottedFirstReadsRaceSave: eight goroutines make the first read
+// of every sample array of one unread generation while a Save of it
+// runs (run with -race). Each array is built once, every reader sees
+// the copying oracle's array, and the Save writes the oracle's bytes.
+func TestSlottedFirstReadsRaceSave(t *testing.T) {
+	p, oracle := unreadGeneration(t)
 	want := saveBytes(t, oracle)
 
 	var mu sync.Mutex
@@ -436,5 +444,60 @@ func TestSlottedFirstReadsRaceSave(t *testing.T) {
 	}
 	if arrays := 1 + 2*len(p.Numeric) + len(p.Categorical); builds != arrays {
 		t.Errorf("%d sample builds for %d arrays, each left unbuilt by the chain: want one each", builds, arrays)
+	}
+}
+
+// TestSampleFirstCallsRaceSave: eight goroutines make the first Sample
+// call on one unread generation while a Save of it runs (run with
+// -race). They all get one frame, whose columns are the copying
+// oracle's arrays, and the Save writes the oracle's bytes.
+func TestSampleFirstCallsRaceSave(t *testing.T) {
+	p, oracle := unreadGeneration(t)
+	want := saveBytes(t, oracle)
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	var saved bytes.Buffer
+	var saveErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		saveErr = p.Save(&saved)
+	}()
+	frames := make([]*frame.Frame, 8)
+	for g := range frames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			frames[g] = p.Sample()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if saveErr != nil {
+		t.Fatal(saveErr)
+	}
+	if !bytes.Equal(saved.Bytes(), want) {
+		t.Error("a Save racing the first Sample calls wrote other bytes than the copying oracle's")
+	}
+	for g, f := range frames {
+		if f != frames[0] {
+			t.Fatalf("caller %d got a frame of its own", g)
+		}
+	}
+	for _, name := range sortedProfileNames(oracle) {
+		if np, ok := oracle.Numeric[name]; ok {
+			col, _ := frames[0].Numeric(name)
+			if !slices.EqualFunc(col.Values(), np.gather.get(), func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Errorf("%s: the sample column differs from the copying oracle's gather", name)
+			}
+			continue
+		}
+		col, _ := frames[0].Categorical(name)
+		if cp := oracle.Categorical[name]; !slices.Equal(col.Codes(), cp.codes.get()) || !slices.Equal(col.Dict(), cp.Dict) {
+			t.Errorf("%s: the sample column differs from the copying oracle's codes", name)
+		}
 	}
 }

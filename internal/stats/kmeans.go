@@ -78,8 +78,8 @@ func nearestCenter(centers []float64, v float64) int {
 	return best
 }
 
-// GroupSilhouette measures how well a categorical attribute segments a
-// 2-D numeric scatter: the mean silhouette coefficient,
+// CertifiedSilhouette measures how well a categorical attribute
+// segments a 2-D numeric scatter: the mean silhouette coefficient,
 // ((b−a)/max(a,b)) averaged over points, of the grouping codes induce,
 // where a is a point's mean distance to its own group and b to the
 // nearest other group. Values near 1 indicate strong segmentation. It
@@ -90,8 +90,8 @@ func nearestCenter(centers []float64, v float64) int {
 // its own Mean and StdDev (a σ of 0 or NaN reads as 1). codes are
 // dictionary codes: a row whose code is outside [0, levels), or whose
 // standardised coordinates include a NaN, is not scored. O(m²) time and
-// O(m·levels) pooled scratch for m scored points, no allocation;
-// callers choose stride to bound m.
+// O(m·levels) pooled scratch for m scored points, no allocation but the
+// certificate's; callers choose stride to bound m.
 //
 // The scored points are laid out group by group (ascending code), rows
 // ascending within a group — the order the result averages them in.
@@ -110,19 +110,11 @@ func nearestCenter(centers []float64, v float64) int {
 // nor underflow; when σ was unusable and the largest finite |coordinate|
 // is beyond 1e±150 the points are divided by it first, which a
 // silhouette — a ratio of distances — does not see.
-func GroupSilhouette(x, y *Ordered, codes []int32, levels, stride int) float64 {
-	s, _ := silhouette(x, y, codes, levels, stride, false)
-	return s
-}
-
-// CertifiedSilhouette is GroupSilhouette, same bits, and its certificate
-// in O(m·levels) more: nil when a group has one point, a mean distance
-// is not positive and finite, the points were rescaled, or S is NaN.
+//
+// It returns the silhouette's certificate too, in O(m·levels) more: nil
+// when a group has one point, a mean distance is not positive and
+// finite, the points were rescaled, or S is NaN.
 func CertifiedSilhouette(x, y *Ordered, codes []int32, levels, stride int) (float64, SilhouetteCert) {
-	return silhouette(x, y, codes, levels, stride, true)
-}
-
-func silhouette(x, y *Ordered, codes []int32, levels, stride int, certify bool) (float64, SilhouetteCert) {
 	n := min(len(x.Values), len(y.Values), len(codes))
 	stride = max(stride, 1)
 	if n < 2 || levels < 2 {
@@ -227,7 +219,7 @@ func silhouette(x, y *Ordered, codes []int32, levels, stride int, certify bool) 
 		return math.NaN(), nil
 	}
 	s := total / float64(count)
-	if !certify || rescale || s != s {
+	if rescale || s != s {
 		return s, nil
 	}
 	return s, newSilhouetteCert(s, x, y, n, levels, stride, start, xs, ys, sums)
@@ -295,9 +287,9 @@ func addMember(g []float64, x, y float64) {
 	g[groupM2Y] += dy * (y - g[groupMeanY])
 }
 
-// Bound returns an upper bound on GroupSilhouette(x, y, codes, levels,
-// stride) for columns whose first rows, codes included, are the ones the
-// certificate was made on: S + (m·λ + ΣE + J·(1 − S))/(m + J) for m
+// Bound returns an upper bound on CertifiedSilhouette(x, y, codes,
+// levels, stride) for columns whose first rows, codes included, are the
+// ones the certificate was made on: S + (m·λ + ΣE + J·(1 − S))/(m + J) for m
 // points at silhouette S and J appended points (DESIGN §7.3), in rounded
 // arithmetic that callers inflate. It is +Inf where the certificate
 // says nothing: the stride or the levels differ, or an appended point

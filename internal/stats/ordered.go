@@ -357,7 +357,7 @@ func radixOrder(order []int32, xs []float64) {
 }
 
 // scratch is the pooled working memory of the pair kernels
-// (SpearmanOrdered's drop and rank tables, silhouette), of the radix
+// (SpearmanSums' drop and rank tables, silhouette), of the radix
 // sort, of the dip and of WithSorted's merged copy; nothing in it
 // outlives a call.
 type scratch struct {
@@ -413,28 +413,7 @@ func Ranks(xs []float64) []float64 {
 	return ranks
 }
 
-// SpearmanOrdered is Spearman over two samples whose orders are already
-// known, in one pass over the two views' rank indexes and in exact
-// integer arithmetic.
-//
-// Among the m pairwise-complete rows, a row whose tie group covers
-// Order positions [s, e) has the doubled average rank s + e + 1 − D(s) −
-// D(e), where D(p) counts the rows at positions below p that the partner
-// misses (a pooled prefix table, filled from just those rows; none on
-// complete data). Centred on m + 1 that is an integer a with |a| < m,
-// and Σa², Σb² and Σab are summed in int64 over blocks short enough
-// that no block can overflow, the block sums into 128 bits.
-//
-// Those integers are four times the centred sums Pearson forms over the
-// ranks; Pearson's own float64 sums are exact — every term and partial
-// sum a multiple of ¼ below 2⁵³ — up to about 300 000 complete rows,
-// and there the kernel returns the bits Pearson(ranks) returns. Beyond
-// that, to the 2³¹ − 1 rows an Ordered allows, the sums stay exact and
-// each is rounded once, where Pearson's would drift. No sort and, with
-// the pooled scratch, no allocation once both indexes exist.
-func SpearmanOrdered(x, y *Ordered) float64 { return SpearmanSums(x, y).Rho() }
-
-// RankSums are what SpearmanOrdered forms ρ from: the m pairwise-complete
+// RankSums are what SpearmanSums forms ρ from: the m pairwise-complete
 // rows and, over them, Σa², Σb² and Σab for a and b the average ranks
 // less (m + 1)/2, each exact and rounded once. Below two complete rows
 // the sums are zero.
@@ -468,7 +447,25 @@ func (s RankSums) Bound(b int) float64 {
 	return (math.Abs(s.XY) + e) / math.Sqrt(lx*ly)
 }
 
-// SpearmanSums is SpearmanOrdered's kernel, which returns the sums.
+// SpearmanSums is Spearman over two samples whose orders are already
+// known, as the sums RankSums.Rho forms ρ from, in one pass over the two
+// views' rank indexes and in exact integer arithmetic.
+//
+// Among the m pairwise-complete rows, a row whose tie group covers
+// Order positions [s, e) has the doubled average rank s + e + 1 − D(s) −
+// D(e), where D(p) counts the rows at positions below p that the partner
+// misses (a pooled prefix table, filled from just those rows; none on
+// complete data). Centred on m + 1 that is an integer a with |a| < m,
+// and Σa², Σb² and Σab are summed in int64 over blocks short enough
+// that no block can overflow, the block sums into 128 bits.
+//
+// Those integers are four times the centred sums Pearson forms over the
+// ranks; Pearson's own float64 sums are exact — every term and partial
+// sum a multiple of ¼ below 2⁵³ — up to about 300 000 complete rows,
+// and there Rho returns the bits Pearson(ranks) returns. Beyond
+// that, to the 2³¹ − 1 rows an Ordered allows, the sums stay exact and
+// each is rounded once, where Pearson's would drift. No sort and, with
+// the pooled scratch, no allocation once both indexes exist.
 //
 // A view with a delta run ranks its rows in the merged order without
 // building it: a base tie group [s, e) of value w sits at merged
@@ -714,7 +711,7 @@ func (r *rankIndex) centredAt(at int32, twice []uint32, m int) int64 {
 	return int64(twice[at]) - int64(m)
 }
 
-// rowsPerBlock is how many rows one int64 block of SpearmanOrdered may
+// rowsPerBlock is how many rows one int64 block of SpearmanSums may
 // sum: each term is at most (m−1)² in magnitude.
 func rowsPerBlock(m int) int {
 	worst := int64(m-1) * int64(m-1)
@@ -767,7 +764,7 @@ func (a int128) float64() float64 {
 // fractional ranks (average-tie convention). It is the paper's metric
 // for nonlinear monotonic relationships. It sorts both samples to rank
 // them; callers that score one column against many partners keep its
-// Ordered and call SpearmanOrdered.
+// Ordered and call SpearmanSums.
 func Spearman(xs, ys []float64) float64 {
-	return SpearmanOrdered(NewOrdered(xs), NewOrdered(ys))
+	return SpearmanSums(NewOrdered(xs), NewOrdered(ys)).Rho()
 }

@@ -12,6 +12,17 @@ import (
 	"testing"
 )
 
+// SpearmanOrdered is SpearmanSums' ρ, the form these tests hold to the
+// oracles.
+func SpearmanOrdered(x, y *Ordered) float64 { return SpearmanSums(x, y).Rho() }
+
+// GroupSilhouette is CertifiedSilhouette's score without its
+// certificate.
+func GroupSilhouette(x, y *Ordered, codes []int32, levels, stride int) float64 {
+	s, _ := CertifiedSilhouette(x, y, codes, levels, stride)
+	return s
+}
+
 // fuzzAlphabet is what one fuzz byte decodes to: the values that break
 // rankers (NaN runs, both zeros, both infinities) and a handful of
 // small numbers so ties are heavy.

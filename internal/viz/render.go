@@ -97,8 +97,9 @@ func (s frameSource) column(kind byte, attr string) (column, error) {
 	return column{codes: col.Codes(), dict: col.Dict(), card: col.Cardinality(), labels: col.Dict(), counts: col.Counts()}, nil
 }
 
-// profileSource looks up a position in a sketch store: the row sample,
-// a numeric column's profile, and a categorical column's heavy hitters.
+// profileSource looks up a position in a sketch store: the row sample's
+// column (sketch.DatasetProfile.Sample), a numeric column's profile, and
+// a categorical column's heavy hitters.
 type profileSource struct{ p *sketch.DatasetProfile }
 
 func (s profileSource) column(kind byte, attr string) (column, error) {
@@ -107,14 +108,16 @@ func (s profileSource) column(kind byte, attr string) (column, error) {
 		if err != nil {
 			return column{}, err
 		}
-		return column{values: np.RowSampleValues(), sketch: np}, nil
+		sampled, _ := s.p.Sample().Numeric(attr)
+		return column{values: sampled.Values(), sketch: np}, nil
 	}
 	cp, err := s.p.CategoricalProfileOf(attr)
 	if err != nil {
 		return column{}, err
 	}
 	hits := cp.Heavy.Top(0)
-	c := column{codes: cp.RowSampleCodes(), dict: cp.Dict, card: cp.Cardinality,
+	sampled, _ := s.p.Sample().Categorical(attr)
+	c := column{codes: sampled.Codes(), dict: cp.Dict, card: cp.Cardinality,
 		labels: make([]string, len(hits)), counts: make([]int, len(hits))}
 	for i, h := range hits {
 		c.labels[i], c.counts[i] = h.Item, int(h.Count)
