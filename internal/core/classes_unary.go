@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"foresight/internal/frame"
 	"foresight/internal/sketch"
@@ -219,14 +218,15 @@ func (c *outliersClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, me
 		return Insight{}, err
 	}
 	np := ps.num[0]
+	sampled, _ := p.Sample().Numeric(attrs[0])
 	qs := np.Quantiles.Quantiles([]float64{0.25, 0.5, 0.75})
 	var score float64
 	switch in.Metric {
 	case "zscore", "mad":
-		// No closed-form sketch: run the detector on the reservoir.
-		score, _ = stats.OutlierScore(np.Sample.Sample(), c.detectorFor(in.Metric))
-	default: // meandist / iqr: KLL fences ⊕ reservoir composition
-		score = np.OutlierScoreAt(qs[0], qs[2], 0)
+		// No closed-form sketch: run the detector on the row sample.
+		score, _ = stats.OutlierScore(sampled.Values(), c.detectorFor(in.Metric))
+	default: // meandist / iqr: KLL fences ⊕ row sample
+		score = np.OutlierScoreAt(sampled.Values(), qs[0], qs[2], 0)
 	}
 	return scored(in, score, map[string]float64{
 		"q1":     qs[0],
@@ -387,13 +387,13 @@ func (c *multimodalityClass) ScoreCertified(f *frame.Frame, attrs []string, metr
 }
 
 func (c *multimodalityClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metric string) (Insight, error) {
-	in, ps, err := c.onProfile(p, attrs, metric)
+	in, _, err := c.onProfile(p, attrs, metric)
 	if err != nil {
 		return Insight{}, err
 	}
-	sample := slices.DeleteFunc(slices.Clone(ps.num[0].Sample.Sample()), math.IsNaN)
-	slices.Sort(sample)
-	return modesInsight(in, sample), nil
+	sampled, _ := p.Sample().Numeric(attrs[0])
+	sampled.Ordered().WithSorted(func(sorted []float64) { in = modesInsight(in, sorted) })
+	return in, nil
 }
 
 // uniformityClass ranks categorical columns by how evenly their values

@@ -113,7 +113,7 @@ func TestAllMetricVariantsBothPaths(t *testing.T) {
 // TestOutlierDetectorVariants verifies the detector-as-metric wiring.
 func TestOutlierDetectorVariants(t *testing.T) {
 	f := plantedFrame(2000, 56)
-	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 3, K: 32, SampleSize: 4096})
+	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 3, K: 32, RowSampleSize: 4096})
 	c := NewOutliersClass(nil)
 	for _, metric := range []string{"meandist", "iqr", "zscore", "mad"} {
 		exact, err := c.Score(f, []string{"outl"}, metric)
@@ -201,7 +201,7 @@ func TestMultimodalityKdemodesRanking(t *testing.T) {
 	if scoreOf(ins, "bimodal") <= scoreOf(ins, "lo_var") {
 		t.Error("bimodal should out-mode unimodal noise")
 	}
-	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 6, K: 32, SampleSize: 2048})
+	p := sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 6, K: 32, RowSampleSize: 2048})
 	approx, err := c.ScoreApprox(p, []string{"bimodal"}, "kdemodes")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"foresight/internal/datagen"
@@ -48,8 +49,10 @@ func (s sampled) codes(name string) []int32 {
 
 // oracleApprox is the approximate score the five classes with no sketch
 // for a statistic gave when each wrote its formula out over the row
-// sample by hand, reading s for the sample. Monotonic's Spearman still
-// reads the rank projections when both columns have them.
+// sample by hand, reading s for the sample, and the score outliers and
+// multimodality gave of a per-column value sample, given s's cells of
+// the column instead. Monotonic's Spearman still reads the rank
+// projections when both columns have them.
 func oracleApprox(c Class, p *sketch.DatasetProfile, s sampled, attrs []string, metric string) (Insight, error) {
 	switch c := c.(type) {
 	case *monotonicClass:
@@ -116,12 +119,42 @@ func oracleApprox(c Class, p *sketch.DatasetProfile, s sampled, attrs []string, 
 			raw = stats.BinnedMutualInformation(xs, ys, c.bins)
 		}
 		return scored(in, raw, map[string]float64{"bins": float64(c.bins)}), nil
+	case *outliersClass:
+		in, ps, err := c.onProfile(p, attrs, metric)
+		if err != nil {
+			return Insight{}, err
+		}
+		np := ps.num[0]
+		qs := np.Quantiles.Quantiles([]float64{0.25, 0.5, 0.75})
+		var score float64
+		switch in.Metric {
+		case "zscore", "mad":
+			score, _ = stats.OutlierScore(s.values(attrs[0]), c.detectorFor(in.Metric))
+		default:
+			score = np.OutlierScoreAt(s.values(attrs[0]), qs[0], qs[2], 0)
+		}
+		return scored(in, score, map[string]float64{
+			"q1":     qs[0],
+			"median": qs[1],
+			"q3":     qs[2],
+			"min":    np.Moments.Min(),
+			"max":    np.Moments.Max(),
+		}), nil
+	case *multimodalityClass:
+		in, _, err := c.onProfile(p, attrs, metric)
+		if err != nil {
+			return Insight{}, err
+		}
+		sample := slices.DeleteFunc(slices.Clone(s.values(attrs[0])), math.IsNaN)
+		slices.Sort(sample)
+		return modesInsight(in, sample), nil
 	}
 	panic("no oracle for class " + c.Name())
 }
 
-// sampleClasses are the classes whose approximate score is their exact
-// one on the row sample.
+// sampleClasses are the classes whose approximate score reads the row
+// sample: the five whose approximate score is their exact one on it,
+// and the two that read one column of it.
 func sampleClasses() []Class {
 	return []Class{
 		NewMonotonicClass(),
@@ -129,6 +162,8 @@ func sampleClasses() []Class {
 		NewCategoricalAssociationClass(0),
 		NewSegmentationClass(0, 0),
 		NewNonlinearDependenceClass(0),
+		NewOutliersClass(nil),
+		NewMultimodalityClass(),
 	}
 }
 
@@ -176,8 +211,8 @@ func appendBatch(src *frame.Frame, start, end int) frame.RowBatch {
 }
 
 // TestSampleScoresMatchOracles: the sample classes' approximate scores,
-// their exact scores on the profile's sample frame, are the formulas
-// they replaced, bit for bit: on each demo dataset's built profile, and
+// read from the profile's sample frame, are the formulas they replaced,
+// bit for bit: on each demo dataset's built profile, and
 // at the end of an Extend chain nobody read along the way, whose batches
 // carry missing cells, so every gather is slotted and first read by the
 // scores. The six cases run in parallel.

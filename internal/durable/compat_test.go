@@ -91,12 +91,13 @@ func TestRecoverSnapshotWithV2Profile(t *testing.T) {
 // TestRecoverSnapshotWithParentV3Profile restarts on a snapshot written
 // by the release before sketch coins were hashed from stream position
 // (testdata/v3-snap-…: the same six batches, checkpointed, from an
-// engine whose reservoirs and row sample hold 8 of its 22 rows). The
+// engine whose row sample holds 8 of its 22 rows, and whose numeric
+// column still kept a value reservoir, which the decoder skips). The
 // wire version did not change: that profile's sketches — a row sample
-// drawn by the old shuffle, reservoirs filled by the old generator —
-// are valid states for the new coins to continue. Recovery restores it
-// as it is, it keeps extending, and a crash four batches later
-// recovers (snapshot plus WAL tail) to the bytes the engine had reached.
+// drawn by the old shuffle — are valid states for the new coins to
+// continue. Recovery restores it as it is, it keeps extending, and a
+// crash four batches later recovers (snapshot plus WAL tail) to the
+// bytes the engine had reached.
 func TestRecoverSnapshotWithParentV3Profile(t *testing.T) {
 	fs := plantSnapshot(t, "v3-snap-0000000000000006.snap", 6)
 	recoverAndVerify(t, fs, 6, 6, "v3 snapshot")
@@ -118,9 +119,9 @@ func TestRecoverSnapshotWithParentV3Profile(t *testing.T) {
 	}
 	m, e, rec := life()
 	p := e.Profile()
-	if rec.SnapshotSeq != 6 || p.Config.SampleSize != 8 || !slices.Equal(p.RowSample.Indexes(), []int{2, 3, 8, 11, 13, 15, 16, 21}) {
+	if rec.SnapshotSeq != 6 || p.Config.RowSampleSize != 8 || !slices.Equal(p.RowSample.Indexes(), []int{2, 3, 8, 11, 13, 15, 16, 21}) {
 		t.Fatalf("recovery %+v did not restore the snapshot's profile: sample size %d, row sample %v",
-			rec, p.Config.SampleSize, p.RowSample.Indexes())
+			rec, p.Config.RowSampleSize, p.RowSample.Indexes())
 	}
 	for i := 6; i < 10; i++ {
 		if _, err := e.Ingest(context.Background(), crashBatch(i), nil); err != nil {

@@ -33,33 +33,21 @@ import (
 // numericPartial is one numeric column's partial sketches in one
 // allocation; a delta's are its scratch's, reset for each batch.
 type numericPartial struct {
-	np    NumericProfile
-	kll   KLL
-	res   Reservoir
-	items slotted[float64]
-	proj  Projection
+	np   NumericProfile
+	kll  KLL
+	proj Projection
 }
 
 // reset makes c the empty partial of the i-th numeric column, name,
 // over rows [start, end): its sketches seeded as the range's, its k
 // projection dots zero. It keeps the arrays an earlier batch grew, and
-// sizes the first KLL level and the value reservoir for the range, so a
-// batch's delta does not grow by doublings.
+// sizes the first KLL level for the range, so a batch's delta does not
+// grow by doublings.
 func (c *numericPartial) reset(i int, name string, cfg ProfileConfig, start, end int) {
 	c.kll.reuse(cfg.KLLSize, cfg.Seed+int64(i)*7+2+int64(start))
 	if n := min(c.kll.capacity(0), end-start); cap(c.kll.compactors[0]) < n {
 		c.kll.compactors[0] = make([]float64, 0, n)
 	}
-	capacity := cfg.SampleSize
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	items := c.items.built[:0]
-	if n := min(capacity, end-start); cap(items) < n {
-		items = make([]float64, 0, n)
-	}
-	c.items = slotted[float64]{built: items}
-	c.res = Reservoir{capacity: capacity, items: &c.items, seed: reservoirSeed(cfg.Seed, name) + int64(start)}
 	dots := c.proj.Dots
 	if cap(dots) < cfg.K {
 		dots = make([]float64, cfg.K)
@@ -67,7 +55,7 @@ func (c *numericPartial) reset(i int, name string, cfg ProfileConfig, start, end
 	dots = dots[:cfg.K]
 	clear(dots)
 	c.proj = Projection{Dots: dots, Rows: end - start, Seed: cfg.Seed + 101}
-	c.np = NumericProfile{Name: name, Quantiles: &c.kll, Sample: &c.res, Proj: &c.proj}
+	c.np = NumericProfile{Name: name, Quantiles: &c.kll, Proj: &c.proj}
 }
 
 // categoricalPartial is one categorical column's partial sketches in
@@ -94,13 +82,13 @@ func (c *categoricalPartial) reset(cc *frame.CategoricalColumn, cfg ProfileConfi
 
 // buildRangeSketches fills the row-local partial sketches of a row
 // range, whose numeric columns' rows are cols and categorical columns'
-// codes are codes: moments, quantiles, value samples, heavy hitters
-// and distinct counts — everything in a partial except the
-// shared-direction projections, which need a common centre and are
-// filled in by buildRange. Per-column sketch seeds are salted with the
+// codes are codes: moments, quantiles, heavy hitters and distinct
+// counts — everything in a partial except the shared-direction
+// projections, which need a common centre and are filled in by
+// buildRange. Per-column sketch seeds are salted with the
 // range start (numericPartial.reset), so a given (cfg, range) is
 // deterministic while distinct ranges — a build and each extension's
-// batch — flip independent compaction/sampling coins.
+// batch — flip independent compaction coins.
 func buildRangeSketches(cols [][]float64, codes [][]int32, nums []*numericPartial, cats []*categoricalPartial, workers int) {
 	eachColumn(len(cols), workers, func(i int) {
 		np := &nums[i].np
@@ -110,7 +98,6 @@ func buildRangeSketches(cols [][]float64, codes [][]int32, nums []*numericPartia
 			}
 			np.Moments.Add(v)
 			np.Quantiles.Update(v)
-			np.Sample.Update(v)
 		}
 	})
 	eachColumn(len(codes), workers, func(i int) {
@@ -246,8 +233,9 @@ func finish(f *frame.Frame, p *DatasetProfile) {
 }
 
 // BuildProfile preprocesses f: one pass per column for moments,
-// quantile, heavy-hitter, distinct and reservoir sketches, then one
-// blocked pass for the shared-direction projections, on cfg.Workers.
+// quantile, heavy-hitter and distinct sketches, then one blocked pass
+// for the shared-direction projections, then the row sample and every
+// column's gather at it, on cfg.Workers.
 // Deterministic given (f, cfg), and the same bytes at any worker count.
 func BuildProfile(f *frame.Frame, cfg ProfileConfig) *DatasetProfile {
 	defer observeSince("build", time.Now())

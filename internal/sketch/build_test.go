@@ -22,10 +22,12 @@ func saveBytes(t *testing.T, p *DatasetProfile) []byte {
 // TestBuildProfileBytesPinned holds BuildProfile to the bytes it saved
 // to before the three builders became one (digests generated on the
 // parent of that change; the wide row on the parent of the tiled
-// projection kernel): the demo datasets at their default sizes as
+// projection kernel; every row re-pinned when the per-column value
+// reservoir left the wire, each to the bytes its predecessor's store
+// saves to once loaded): the demo datasets at their default sizes as
 // the server builds them, one synthetic shape large enough to compact
-// the quantile sketches and overflow both samples, that shape with no
-// rows, a wider one, and the extension by a 10-row batch. Any worker
+// the quantile sketches and overflow the row sample, that shape with
+// no rows, a wider one, and the extension by a 10-row batch. Any worker
 // count is the same build, and saves to the same bytes (the worker
 // count is not written).
 func TestBuildProfileBytesPinned(t *testing.T) {
@@ -46,12 +48,12 @@ func TestBuildProfileBytesPinned(t *testing.T) {
 		f    *frame.Frame
 		want string
 	}{
-		{"oecd", datagen.OECD(0, 42), "1c22db5e992bc45ce88d678334cb21466b83d25aedc5096a6b09fe2444359a87"},
-		{"parkinson", datagen.Parkinson(0, 42), "5614510c16088c3aacb7435a16236a989cce17be97b62320e61c5e90e123de1c"},
-		{"imdb", datagen.IMDB(0, 42), "eb90275f152ae424f3d2f55e098219a958edca5133de3a7ecdf5baa6bfc6b513"},
-		{"scalable", scalable, "bd7fb5114bf70d69883c927d9d40ef0e535436c5f65e620e2ea46eb9cffbdddf"},
-		{"empty", empty, "a0d6a0069d8da822942d35be1150af76505fda64d7a36170a43a7b3c907ebb54"},
-		{"wide", wide, "2b1d6a74525b4d2fa080ae64438f4b536c2ed1455030a07f17953083b84ce528"},
+		{"oecd", datagen.OECD(0, 42), "5d53fb18fdc0059032150b039b5198f31c6a27b99f833ec0126a842a09b92a51"},
+		{"parkinson", datagen.Parkinson(0, 42), "ad138bf3544c3c23fbac24f966812701a84ca67a161ab839e64b8b9f52fa8058"},
+		{"imdb", datagen.IMDB(0, 42), "742302eb35e96a8d4445166e2516751483356957fdb1491d109b5e989604651f"},
+		{"scalable", scalable, "6d7a98802032fbc5293d68e9d0139b20746b4967281e7528116f9fe56e9395c0"},
+		{"empty", empty, "73e4860f41ecb3ea8178df6dd83e030b30e22a12ccb7d9ad11244f45c38f7e09"},
+		{"wide", wide, "42dc283fb5da3513065ac13ccb94671d9e3de288308395abdc499bc24acf5405"},
 	} {
 		if got := digest(BuildProfile(c.f, cfg)); got != c.want {
 			t.Errorf("%s: BuildProfile saves to %s, pinned %s", c.name, got, c.want)
@@ -69,7 +71,7 @@ func TestBuildProfileBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantExt = "8ad138e57dbf5563b0ab5fdf8709c2ef8cd9ad3f8566873cf3a81a5a900cc911"
+	const wantExt = "347939a840b96120e8c837afd10f7e11ecf97e8d2d8f099697de3be12f719d1d"
 	for _, workers := range []int{0, -1, 2, 3} {
 		par := cfg
 		par.Workers = workers

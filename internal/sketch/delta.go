@@ -19,7 +19,7 @@ import (
 // p that owns everything DatasetProfile.Merge writes in place — the
 // moments, the projection dots, the distinct-count sketch — each copied
 // once. What Merge replaces rather than writes (the quantile sketch,
-// the heavy hitters' counters, the value reservoir, the sign bits) and
+// the heavy hitters' counters, the sign bits) and
 // what Extend itself replaces (the row sample and its gathers) is
 // shared with p until then; Merge only reads p's. Rank (Spearman)
 // projections are left out: ranks cannot extend, and stale ones would
@@ -40,7 +40,6 @@ func (p *DatasetProfile) mergeTarget() *DatasetProfile {
 			Proj:       &Projection{Dots: append([]float64(nil), np.Proj.Dots...), Rows: np.Proj.Rows, Seed: np.Proj.Seed},
 			ProjCenter: np.ProjCenter,
 			Planes:     np.Planes,
-			Sample:     np.Sample,
 			gather:     np.gather,
 		}
 	}
@@ -64,9 +63,9 @@ func (p *DatasetProfile) mergeTarget() *DatasetProfile {
 // maps they grew, and the column and centre lists that build it. It
 // lives in a free list between extensions, and each Extend takes its
 // own, so siblings extended from one receiver at once never share one. The
-// merge keeps nothing of it — a merged reservoir, KLL (KLL.merged),
-// projection and categorical sketch copy what they take from the delta
-// — so it goes back as soon as the batch is merged.
+// merge keeps nothing of it — a merged KLL (KLL.merged), projection and
+// categorical sketch copy what they take from the delta — so it goes
+// back as soon as the batch is merged.
 type deltaScratch struct {
 	profile     DatasetProfile
 	numeric     []*numericPartial
@@ -115,7 +114,6 @@ func (ds *deltaScratch) release() {
 			for _, level := range c.kll.compactors[:cap(c.kll.compactors)] {
 				poisonFloats(level[:cap(level)])
 			}
-			poisonFloats(c.items.built[:cap(c.items.built)])
 			poisonFloats(c.proj.Dots[:cap(c.proj.Dots)])
 		}
 		for _, c := range ds.categorical {

@@ -16,111 +16,6 @@ import (
 	"foresight/internal/stats"
 )
 
-// TestMergeReservoirsUniform guards the prefix-bias fix: a
-// reservoir's item array is not in random order (underfilled it is in
-// stream order, and algorithm R overwrites in place), so a merge that
-// consumed side prefixes would over-represent early-stream items.
-// Values encode stream position; after merging, the taken items from
-// each side must cover that side's stream positions uniformly — both
-// when a side is replayed whole (1000 values under the capacity) and
-// when two subsampled sides go through the weighted draw.
-func TestMergeReservoirsUniform(t *testing.T) {
-	for _, per := range []int{1000, 6000} {
-		a := NewReservoir(1024, 1)
-		b := NewReservoir(1024, 2)
-		for i := 0; i < per; i++ {
-			a.Update(float64(i))       // side A: positions 0..per-1
-			b.Update(float64(per + i)) // side B: positions per..2·per-1
-		}
-		m := mergeReservoirs(a, b)
-		if m.Count() != uint64(2*per) {
-			t.Fatalf("per=%d: merged count = %d, want %d", per, m.Count(), 2*per)
-		}
-		if len(m.Sample()) != 1024 {
-			t.Fatalf("per=%d: merged sample len = %d, want capacity 1024", per, len(m.Sample()))
-		}
-		fromA, lateA, lateB := 0, 0, 0
-		for _, v := range m.Sample() {
-			if v < float64(per) {
-				fromA++
-				if v >= float64(per/2) {
-					lateA++
-				}
-			} else if v >= float64(per+per/2) {
-				lateB++
-			}
-		}
-		fromB := len(m.Sample()) - fromA
-		// Side balance: each side contributed half the stream.
-		if fromA < 410 || fromA > 614 {
-			t.Errorf("per=%d: side A contributed %d/1024, want ≈512", per, fromA)
-		}
-		// Within-side uniformity: the second half of each stream must hold
-		// ≈half of that side's taken items. The prefix-bias bug put all of
-		// a side's taken items in its stream prefix.
-		if frac := float64(lateA) / float64(fromA); frac < 0.35 || frac > 0.65 {
-			t.Errorf("per=%d: late-stream share of side A = %.2f (%d/%d), want ≈0.5", per, frac, lateA, fromA)
-		}
-		if frac := float64(lateB) / float64(fromB); frac < 0.35 || frac > 0.65 {
-			t.Errorf("per=%d: late-stream share of side B = %.2f (%d/%d), want ≈0.5", per, frac, lateB, fromB)
-		}
-	}
-}
-
-// TestReservoirMergeReplay: merging a side that still holds its whole
-// stream is feeding that side's values to Update — on a copy, under
-// the receiver's seed, whichever side is the whole one.
-func TestReservoirMergeReplay(t *testing.T) {
-	fill := func(s *Reservoir, n int, from float64) *Reservoir {
-		for i := 0; i < n; i++ {
-			s.Update(from + float64(i))
-		}
-		return s
-	}
-	for _, tc := range []struct {
-		name   string
-		na, nb int
-	}{
-		{"subsampled+whole", 5000, 40},
-		{"whole+whole", 30, 40},
-		{"whole+whole overflowing", 50, 40},
-		{"whole+subsampled", 40, 5000},
-		{"empty+whole", 0, 40},
-		{"empty+subsampled", 0, 5000},
-	} {
-		a := fill(NewReservoir(64, 11), tc.na, 0)
-		b := fill(NewReservoir(64, 12), tc.nb, 1e6)
-		aItems, bItems := slices.Clone(a.Sample()), slices.Clone(b.Sample())
-
-		// The oracle: the other side's state under a's seed, fed the
-		// whole side value by value.
-		into, replay := a, b
-		if !b.whole() {
-			into, replay = b, a
-		}
-		want := &Reservoir{capacity: 64, items: builtSlots(slices.Clone(into.Sample())), n: into.n, seed: a.seed}
-		for _, x := range replay.Sample() {
-			want.Update(x)
-		}
-
-		got := mergeReservoirs(a, b)
-		if got.seed != a.seed || got.n != uint64(tc.na+tc.nb) || !slices.Equal(got.Sample(), want.Sample()) {
-			t.Errorf("%s: merge differs from replay (seed %d, n %d)", tc.name, got.seed, got.n)
-		}
-		if !slices.Equal(a.Sample(), aItems) || !slices.Equal(b.Sample(), bItems) || a.n != uint64(tc.na) || b.n != uint64(tc.nb) {
-			t.Errorf("%s: merge modified an argument", tc.name)
-		}
-		// And the result goes on as the oracle does.
-		for i := 0; i < 500; i++ {
-			got.Update(float64(-i))
-			want.Update(float64(-i))
-		}
-		if !slices.Equal(got.Sample(), want.Sample()) {
-			t.Errorf("%s: merged reservoir does not continue the replayed one's coins", tc.name)
-		}
-	}
-}
-
 // TestSpaceSavingMergeBounds asserts the conservative-merge contract
 // on every tracked item — true ≤ est ≤ true + err stays intact after
 // Merge — and that no untracked item's true count can exceed the
@@ -371,7 +266,7 @@ func TestExtendZeroRows(t *testing.T) {
 // TestExtendWorkerPanicReachesCaller: a panic inside the delta's
 // parallel loops is re-raised on the goroutine that called Extend
 // instead of killing the process from a worker. The store has lost its
-// value reservoirs, so merging the delta's into them dereferences nil
+// quantile sketches, so merging the delta's into them dereferences nil
 // on every numeric column, on every share of the pool.
 func TestExtendWorkerPanicReachesCaller(t *testing.T) {
 	f := testFrame(1000, 44)
@@ -382,7 +277,7 @@ func TestExtendWorkerPanicReachesCaller(t *testing.T) {
 	for _, workers := range []int{2, 4, -1} {
 		p := BuildProfile(f, ProfileConfig{Seed: 1, K: 32, Workers: workers})
 		for _, np := range p.Numeric {
-			np.Sample = nil
+			np.Quantiles = nil
 		}
 		got := func() (r any) {
 			defer func() { r = recover() }()
@@ -474,15 +369,14 @@ func rowsOf(f *frame.Frame, from, to int) frame.RowBatch {
 // function of (what Save writes of its receiver, the frame), so a
 // profile reloaded from a snapshot mid-stream and the live one it was
 // saved from extend to the same saved bytes. The small configuration
-// makes every batch overflow the reservoirs (the weighted merge draw)
-// and compact the quantile sketches; the default one takes the replay
-// path. The chain's row sample must also be the one a rebuild draws.
+// compacts the quantile sketches and evicts heavy hitters on every
+// batch. The chain's row sample must also be the one a rebuild draws.
 func TestExtendAfterLoadMatchesLive(t *testing.T) {
 	src := testFrame(6*250, 6)
 	catCol := src.ColumnIndex("cat")
 	for _, cfg := range []ProfileConfig{
 		{Seed: 6, K: 64},
-		{Seed: 6, K: 64, KLLSize: 16, HeavyCapacity: 8, KMVSize: 16, SampleSize: 64, RowSampleSize: 128},
+		{Seed: 6, K: 64, KLLSize: 16, HeavyCapacity: 8, KMVSize: 16, RowSampleSize: 128},
 	} {
 		for _, newLabels := range []bool{false, true} {
 			f := testFrame(3000, 5)
@@ -513,7 +407,7 @@ func TestExtendAfterLoadMatchesLive(t *testing.T) {
 					}
 				}
 			}
-			label := fmt.Sprintf("sample=%d newLabels=%v", cfg.SampleSize, newLabels)
+			label := fmt.Sprintf("sample=%d newLabels=%v", cfg.RowSampleSize, newLabels)
 			if !bytes.Equal(saveBytes(t, live), saveBytes(t, reloaded)) {
 				t.Errorf("%s: the live chain and the one reloaded after batch 3 save to different bytes", label)
 			}
@@ -562,21 +456,23 @@ func extendCost(t *testing.T, p *DatasetProfile, f *frame.Frame) (bytesPerOp, al
 // allocates, the part of its cost a test can pin exactly. A 250-row
 // batch costs the same onto 8K rows as onto 128K — the copies are of
 // sketches, whose size does not follow the row count, the row sample
-// and the reservoirs record the slots the batch takes (≈ 62 onto 8K,
-// ≈ 4 onto 128K) instead of being copied, and the gathers record
+// records the slots the batch takes (≈ 62 onto 8K, ≈ 4 onto 128K)
+// instead of being copied, and the gathers record
 // nothing — and stays under a ceiling that the clone by wire round trip
 // it replaces did not (2.67 MB in 1 489 allocations at this shape), nor
 // the copies of every sample array a batch wrote (1.1 MB), nor a delta
 // allocated for each batch beside a cloned quantile sketch per column
-// (0.68 MB in 943). What is left is the successor Extend publishes: the
-// ceiling is the 8K figure, 0.148 MB in 493 allocations, plus ≈ 18 %.
+// (0.68 MB in 943), nor the per-column value reservoirs a batch merged
+// (0.147 MB in 502). What is left is the successor Extend publishes:
+// the ceiling is the 8K figure, 0.137 MB in 438 allocations, plus
+// ≈ 18 %.
 // A 10-row batch pays the same copies and almost no slots, so it costs
 // no more than a 250-row batch onto the same rows.
 func TestExtendAllocationCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 128K-row profile")
 	}
-	const ceilingBytes, ceilingAllocs = 0.175e6, 580
+	const ceilingBytes, ceilingAllocs = 0.162e6, 517
 	var cost [2][2]float64
 	for i, base := range []int{8 << 10, 128 << 10} {
 		f := datagen.Scalable(datagen.ScalableConfig{Rows: base, NumericCols: 16, CatCols: 2, Seed: 5})

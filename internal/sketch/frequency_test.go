@@ -277,42 +277,6 @@ func TestKMVSmallKCoerced(t *testing.T) {
 	}
 }
 
-func TestReservoirBasics(t *testing.T) {
-	r := NewReservoir(10, 1)
-	for i := 0; i < 5; i++ {
-		r.Update(float64(i))
-	}
-	if len(r.Sample()) != 5 || r.Count() != 5 {
-		t.Errorf("under-capacity reservoir wrong: %v", r.Sample())
-	}
-	for i := 5; i < 10000; i++ {
-		r.Update(float64(i))
-	}
-	if len(r.Sample()) != 10 {
-		t.Errorf("capacity overflow: %d items", len(r.Sample()))
-	}
-	if r.Count() != 10000 {
-		t.Errorf("Count = %d", r.Count())
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Mean of a large reservoir over 1..n should approximate (n+1)/2.
-	r := NewReservoir(2000, 99)
-	n := 100000
-	for i := 1; i <= n; i++ {
-		r.Update(float64(i))
-	}
-	sum := 0.0
-	for _, v := range r.Sample() {
-		sum += v
-	}
-	mean := sum / float64(len(r.Sample()))
-	if math.Abs(mean-float64(n+1)/2) > 2500 {
-		t.Errorf("reservoir mean = %v, want ≈%v", mean, float64(n+1)/2)
-	}
-}
-
 func TestRowSample(t *testing.T) {
 	s := NewRowSample(100, 10, 1)
 	if s.Len() != 10 {

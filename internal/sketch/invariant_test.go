@@ -233,7 +233,7 @@ func TestExtendLeavesReceiverIntact(t *testing.T) {
 	take := func(p *DatasetProfile) snapshot {
 		var s snapshot
 		s.median = p.Numeric["x"].Quantiles.Quantile(0.5)
-		s.outlier = outlierScore(p.Numeric["x"])
+		s.outlier = outlierScore(p, "x")
 		s.pearson, _ = p.EstimatePearson("x", "y")
 		s.spearman, _ = p.EstimateSpearman("x", "y")
 		s.entropy = p.Categorical["cat"].EntropyEstimate()

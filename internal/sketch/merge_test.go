@@ -12,16 +12,15 @@ import (
 
 // TestPartitionedProfileMatchesSinglePass builds a prefix and folds
 // the rest of the frame in with Extend: a batch that spans many
-// direction blocks and holds more rows than a value reservoir, so
-// both reservoirs arrive subsampled and mergeReservoirs takes its
-// weighted two-subsample path. The merged profile is held to the
-// one-pass build: moments up to association, dots to the one-pass
-// projection at the stored centres, KLL within its error bounds, and
-// the categorical sketches' bounds against exact counts.
+// direction blocks and holds more rows than the row sample. The merged
+// profile is held to the one-pass build: moments up to association,
+// dots to the one-pass projection at the stored centres, KLL within its
+// error bounds, the row sample cell for cell, and the categorical
+// sketches' bounds against exact counts.
 func TestPartitionedProfileMatchesSinglePass(t *testing.T) {
 	f := testFrame(12000, 41)
 	cfg := ProfileConfig{Seed: 6, K: 256}
-	const cut = 5000 // mid-block; the batch is 7 000 rows > SampleSize
+	const cut = 5000 // mid-block; the batch is 7 000 rows > RowSampleSize
 	keep := make([]bool, f.Rows())
 	for i := range cut {
 		keep[i] = true
@@ -74,10 +73,11 @@ func TestPartitionedProfileMatchesSinglePass(t *testing.T) {
 				t.Errorf("%s: merged q%v = %v, exact %v", name, q, got, exact)
 			}
 		}
-		// The weighted merge keeps a full reservoir over the union.
-		if pnp.Sample.Count() != snp.Sample.Count() || len(pnp.Sample.Sample()) != parted.Config.SampleSize {
-			t.Errorf("%s: reservoir holds %d of %d, want %d of %d", name,
-				len(pnp.Sample.Sample()), pnp.Sample.Count(), len(snp.Sample.Sample()), snp.Sample.Count())
+		// The row sample is the same rows on both paths.
+		ps, _ := parted.Sample().Numeric(name)
+		ss, _ := single.Sample().Numeric(name)
+		if !slices.EqualFunc(ps.Values(), ss.Values(), func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Errorf("%s: the row sample's values differ from the one-pass build's", name)
 		}
 	}
 	// Hyperplane correlation estimates effectively identical.
@@ -155,9 +155,9 @@ func TestPartitionedEdgeCases(t *testing.T) {
 	if p.Rows != 0 || len(p.Numeric) != 4 || len(p.Categorical) != 1 {
 		t.Fatalf("empty frame: rows %d, %d numeric, %d categorical", p.Rows, len(p.Numeric), len(p.Categorical))
 	}
-	if np := p.Numeric["x"]; np.Moments.Count() != 0 || np.Proj.K() != 32 || np.RankProj.K() != 32 || np.Sample.Count() != 0 {
-		t.Errorf("empty frame: x has count %d, %d dots, %d rank dots, %d sampled",
-			np.Moments.Count(), np.Proj.K(), np.RankProj.K(), np.Sample.Count())
+	if np := p.Numeric["x"]; np.Moments.Count() != 0 || np.Proj.K() != 32 || np.RankProj.K() != 32 || p.Sample().Rows() != 0 {
+		t.Errorf("empty frame: x has count %d, %d dots, %d rank dots, %d sampled rows",
+			np.Moments.Count(), np.Proj.K(), np.RankProj.K(), p.Sample().Rows())
 	}
 }
 
@@ -200,37 +200,4 @@ func selectColumns(t *testing.T, f *frame.Frame, names ...string) *frame.Frame {
 		t.Fatal(err)
 	}
 	return out
-}
-
-func TestMergeReservoirs(t *testing.T) {
-	a := NewReservoir(100, 1)
-	b := NewReservoir(100, 2)
-	for i := 0; i < 1000; i++ {
-		a.Update(0) // stream A is all zeros
-		b.Update(1) // stream B is all ones
-	}
-	m := mergeReservoirs(a, b)
-	if m.Count() != 2000 {
-		t.Fatalf("merged count = %d", m.Count())
-	}
-	ones := 0
-	for _, v := range m.Sample() {
-		if v == 1 {
-			ones++
-		}
-	}
-	// Expect ≈50% from each stream.
-	if ones < 25 || ones > 75 {
-		t.Errorf("merged sample has %d/100 ones, want ≈50", ones)
-	}
-	// Degenerate sides.
-	empty := NewReservoir(100, 5)
-	if got := mergeReservoirs(a, empty); got != a {
-		t.Error("empty rhs should return lhs")
-	}
-	// An empty lhs takes the rhs sample but keeps its own coin stream.
-	got := mergeReservoirs(empty, b)
-	if got == b || got.seed != empty.seed || got.Count() != b.Count() || !slices.Equal(got.Sample(), b.Sample()) {
-		t.Errorf("empty lhs: seed %d count %d, want the rhs sample under seed %d", got.seed, got.Count(), empty.seed)
-	}
 }

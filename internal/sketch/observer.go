@@ -29,7 +29,7 @@ import (
 //	                   the slots they take in it and in each gather
 //	merge              one DatasetProfile.Merge call
 //	sample.build       the first read of a sample array an Extend left
-//	                   as slot writes (row sample, gather, reservoir)
+//	                   as slot writes (row sample, gather)
 //
 // build and extend are each reported once per call at any worker count.
 // A sub-phase is reported by whoever runs it: an extension's delta is a

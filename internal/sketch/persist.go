@@ -17,9 +17,8 @@ import (
 //
 // Persisted sketches answer queries identically to the originals, and
 // take future updates identically too: their coins are a function of
-// (seed, count) — see coin — and both are either on the wire or
-// derived from what is (reservoirSeed), so Extend of a reloaded profile
-// saves to the bytes Extend of the original would.
+// (seed, count) — see coin — and both are on the wire, so Extend of a
+// reloaded profile saves to the bytes Extend of the original would.
 
 // profileWireVersion guards the serialized layout and the meaning of
 // its numbers. Version 2 added NumericProfile.ProjCenter (the
@@ -27,7 +26,10 @@ import (
 // extension). Version 3 has version 2's layout but its dots are drawn
 // from the per-block direction stream (fillDirections): a version-2
 // store still answers queries, but extending it would add dots along
-// different directions, so it is refused rather than converted.
+// different directions, so it is refused rather than converted. A
+// version-3 store written while each numeric column also kept a value
+// reservoir carries that sample and its size, in fields the decoder
+// skips: every other field means what it meant, so it loads.
 const profileWireVersion = 3
 
 // ErrProfileVersion is returned (wrapped) by LoadProfile for a store
@@ -59,12 +61,6 @@ type kmvWire struct {
 	Hashes []uint64
 }
 
-type reservoirWire struct {
-	Capacity int
-	N        uint64
-	Items    []float64
-}
-
 type projectionWire struct {
 	Dots []float64
 	Rows int
@@ -87,7 +83,6 @@ type numericProfileWire struct {
 	HasRank         bool
 	RankProj        projectionWire
 	RankPlanes      hyperplaneWire
-	Sample          reservoirWire
 	RowSampleValues []float64
 }
 
@@ -168,17 +163,6 @@ func kmvFromWire(w kmvWire) *KMV {
 	return s
 }
 
-func reservoirToWire(s *Reservoir) reservoirWire {
-	return reservoirWire{Capacity: s.capacity, N: s.n, Items: append([]float64(nil), s.Sample()...)}
-}
-
-func reservoirFromWire(w reservoirWire, seed int64) *Reservoir {
-	s := NewReservoir(w.Capacity, seed)
-	s.n = w.N
-	s.items = builtSlots(append([]float64(nil), w.Items...))
-	return s
-}
-
 func projectionToWire(p *Projection) projectionWire {
 	if p == nil {
 		return projectionWire{}
@@ -222,7 +206,6 @@ func (p *DatasetProfile) Save(w io.Writer) error {
 				Proj:            projectionToWire(np.Proj),
 				ProjCenter:      np.ProjCenter,
 				Planes:          hyperplaneToWire(np.Planes),
-				Sample:          reservoirToWire(np.Sample),
 				RowSampleValues: np.gather.get(),
 			}
 			if np.RankProj != nil {
@@ -287,7 +270,6 @@ func LoadProfile(r io.Reader) (*DatasetProfile, error) {
 			Proj:       projectionFromWire(nw.Proj),
 			ProjCenter: nw.ProjCenter,
 			Planes:     hyperplaneFromWire(nw.Planes),
-			Sample:     reservoirFromWire(nw.Sample, reservoirSeed(wire.Config.Seed, nw.Name)),
 			gather:     builtGather(nw.RowSampleValues),
 		}
 		if nw.HasRank {

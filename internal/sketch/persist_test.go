@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func TestProfileSaveLoadRoundTrip(t *testing.T) {
 				t.Errorf("%s: q%v differs: %v vs %v", name, q, a, b)
 			}
 		}
-		if outlierScore(onp) != outlierScore(lnp) {
+		if outlierScore(orig, name) != outlierScore(loaded, name) {
 			t.Errorf("%s: outlier estimate differs", name)
 		}
 		if len(onp.gather.get()) != len(lnp.gather.get()) {
@@ -132,8 +133,6 @@ func TestProfileLoadedSketchesStillUpdatable(t *testing.T) {
 		t.Error("post-load SpaceSaving update broken")
 	}
 	cp.Distinct.Update("newitem")
-	// Reservoir updates.
-	np.Sample.Update(1.5)
 }
 
 func TestLoadProfileErrors(t *testing.T) {
@@ -260,8 +259,8 @@ func TestPersistSpaceSavingTrimmedState(t *testing.T) {
 	}
 }
 
-// TestPersistEmptyProfile: a profile of a zero-row frame — empty
-// reservoirs, empty KLL (no compactors filled), zero-count moments —
+// TestPersistEmptyProfile: a profile of a zero-row frame — an empty
+// row sample, empty KLL (no compactors filled), zero-count moments —
 // must round-trip and answer queries identically (NaN for NaN).
 func TestPersistEmptyProfile(t *testing.T) {
 	f := frame.MustNew("empty",
@@ -287,16 +286,8 @@ func TestPersistEmptyProfile(t *testing.T) {
 	if got := np.Quantiles.Quantile(0.5); !math.IsNaN(got) {
 		t.Fatalf("empty median = %v, want NaN", got)
 	}
-	if n := len(np.Sample.Sample()); n != 0 {
-		t.Fatalf("empty reservoir reloaded with %d items", n)
-	}
-	if np.Sample.Count() != 0 {
-		t.Fatalf("empty reservoir count = %d", np.Sample.Count())
-	}
-	// And it must still accept updates after reload.
-	np.Sample.Update(1)
-	if n := len(np.Sample.Sample()); n != 1 {
-		t.Fatalf("post-reload reservoir update lost (%d items)", n)
+	if n := loaded.Sample().Rows(); n != 0 {
+		t.Fatalf("empty row sample reloaded with %d rows", n)
 	}
 	cp := loaded.Categorical["cat"]
 	if cp == nil || cp.Heavy.Count() != 0 || cp.Distinct.Count() != 0 {
@@ -392,6 +383,44 @@ func savedProfile(t testing.TB, p *DatasetProfile) []byte {
 	return buf.Bytes()
 }
 
+// reservoirStoreConfigs are the configurations of reservoirStores, both
+// over testFrame(8, 5): plain, and with rank projections.
+var reservoirStoreConfigs = [2]ProfileConfig{{Seed: 1, K: 8}, {Seed: 2, K: 8, Spearman: true}}
+
+// reservoirStores returns two version-3 stores saved while each numeric
+// column also kept a 1 024-value reservoir (testdata/v3-reservoir-*):
+// profiles of testFrame(8, 5) under reservoirStoreConfigs.
+func reservoirStores(t testing.TB) (plain, ranked []byte) {
+	t.Helper()
+	var out [2][]byte
+	for i, name := range []string{"plain", "ranked"} {
+		b, err := os.ReadFile("testdata/v3-reservoir-" + name + ".gob")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out[0], out[1]
+}
+
+// TestLoadProfileSkipsReservoir: a store saved while each numeric
+// column kept a value reservoir loads, the decoder skipping that field
+// and the config's sample size, and saves to the bytes a build of the
+// same frame saves to today: every other field means what it meant.
+func TestLoadProfileSkipsReservoir(t *testing.T) {
+	fr := testFrame(8, 5)
+	plain, ranked := reservoirStores(t)
+	for i, old := range [][]byte{plain, ranked} {
+		p, err := LoadProfile(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("store %d: %v", i, err)
+		}
+		if got, want := savedProfile(t, p), savedProfile(t, BuildProfile(fr, reservoirStoreConfigs[i])); !bytes.Equal(got, want) {
+			t.Errorf("store %d loads to a profile that saves to other bytes than a build today", i)
+		}
+	}
+}
+
 // FuzzLoadProfile feeds arbitrary bytes to LoadProfile, which reads a
 // store from outside the program (foresightd -profile, selfcheck
 // -profile, every snapshot's profile section). It must never panic;
@@ -400,18 +429,21 @@ func savedProfile(t testing.TB, p *DatasetProfile) []byte {
 // again identically.
 func FuzzLoadProfile(f *testing.F) {
 	fr := testFrame(8, 5)
-	plain := savedProfile(f, BuildProfile(fr, ProfileConfig{Seed: 1, K: 8}))
-	ranked := savedProfile(f, BuildProfile(fr, ProfileConfig{Seed: 2, K: 8, Spearman: true}))
 	// Every cut of the plain store; the ranked one shares its layout,
-	// so a cut every few bytes covers the sections it adds.
-	for n := range len(plain) {
-		f.Add(plain[:n])
+	// so a cut every few bytes covers the sections it adds. First the
+	// two as saved while each numeric column also kept a value
+	// reservoir (reservoirStores), then as saved today.
+	addCuts := func(plain, ranked []byte) {
+		for n := range len(plain) {
+			f.Add(plain[:n])
+		}
+		for n := 0; n < len(ranked); n += 16 {
+			f.Add(ranked[:n])
+		}
+		f.Add(plain)
+		f.Add(ranked)
 	}
-	for n := 0; n < len(ranked); n += 16 {
-		f.Add(ranked[:n])
-	}
-	f.Add(plain)
-	f.Add(ranked)
+	addCuts(reservoirStores(f))
 	// A heavy-hitter sketch stating a capacity its counters never use.
 	inflated := BuildProfile(fr, ProfileConfig{Seed: 1, K: 8})
 	inflated.Categorical["cat"].Heavy.capacity = 1 << 26
@@ -420,6 +452,8 @@ func FuzzLoadProfile(f *testing.F) {
 	for _, store := range misalignedStores(f) {
 		f.Add(store)
 	}
+	addCuts(savedProfile(f, BuildProfile(fr, reservoirStoreConfigs[0])),
+		savedProfile(f, BuildProfile(fr, reservoirStoreConfigs[1])))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p, alloc, err := loadAllocBytes(b)

@@ -22,8 +22,6 @@ type ProfileConfig struct {
 	HeavyCapacity int
 	// KMVSize is the distinct-count sketch size (0 → 1024).
 	KMVSize int
-	// SampleSize is the per-column reservoir size (0 → 1024).
-	SampleSize int
 	// RowSampleSize is the shared row-index sample size (0 → 2048).
 	RowSampleSize int
 	// Seed drives every random choice; profiles are deterministic
@@ -62,9 +60,6 @@ func (c *ProfileConfig) fill(rows int) {
 	if c.KMVSize <= 0 {
 		c.KMVSize = 1024
 	}
-	if c.SampleSize <= 0 {
-		c.SampleSize = 1024
-	}
 	if c.RowSampleSize <= 0 {
 		c.RowSampleSize = 2048
 	}
@@ -93,9 +88,6 @@ type NumericProfile struct {
 	// column (present only when ProfileConfig.Spearman is set).
 	RankProj   *Projection
 	RankPlanes *Hyperplane
-	// Sample is a uniform value sample for metrics with no closed-form
-	// sketch (dip statistic, outlier mean distance).
-	Sample *Reservoir
 	// gather is the column's values at the row sample (Sample's column).
 	gather *gathered[float64]
 }
@@ -245,10 +237,12 @@ func (p *DatasetProfile) EstimateSpearman(x, y string) (float64, error) {
 }
 
 // OutlierScoreAt composes the quartiles q1 and q3, read from the KLL
-// quantile sketch (Tukey fences), with the reservoir sample: the mean
-// standardized distance of sampled values outside the fences. k is the
-// fence multiplier (1.5 when zero).
-func (np *NumericProfile) OutlierScoreAt(q1, q3, k float64) float64 {
+// quantile sketch (Tukey fences), with sample, the column's values at
+// the row sample (a column of DatasetProfile.Sample): the mean
+// standardized distance, under the column's exact moments, of the
+// sampled values outside the fences. A missing cell (NaN) is outside
+// neither. k is the fence multiplier (1.5 when zero).
+func (np *NumericProfile) OutlierScoreAt(sample []float64, q1, q3, k float64) float64 {
 	if k == 0 {
 		k = 1.5
 	}
@@ -262,7 +256,7 @@ func (np *NumericProfile) OutlierScoreAt(q1, q3, k float64) float64 {
 		return 0
 	}
 	sum, count := 0.0, 0
-	for _, v := range np.Sample.Sample() {
+	for _, v := range sample {
 		if v < lo || v > hi {
 			sum += math.Abs(v-np.Moments.Mean) / sd
 			count++

@@ -150,11 +150,14 @@ func TestProfileMomentsMatchExact(t *testing.T) {
 	almostEq("median", np.Quantiles.Quantile(0.5), stats.Median(sk.Values()), 0.1)
 }
 
-// outlierScore is the sketch-path outlier score of np as the outliers
-// class takes it: OutlierScoreAt the KLL quartiles.
-func outlierScore(np *NumericProfile) float64 {
+// outlierScore is the sketch-path outlier score of p's column name as
+// the outliers class takes it: OutlierScoreAt the KLL quartiles, over
+// the column's row-sample values.
+func outlierScore(p *DatasetProfile, name string) float64 {
+	np := p.Numeric[name]
+	sampled, _ := p.Sample().Numeric(name)
 	qs := np.Quantiles.Quantiles([]float64{0.25, 0.5, 0.75})
-	return np.OutlierScoreAt(qs[0], qs[2], 0)
+	return np.OutlierScoreAt(sampled.Values(), qs[0], qs[2], 0)
 }
 
 func TestProfileOutlierScoreEstimate(t *testing.T) {
@@ -169,14 +172,13 @@ func TestProfileOutlierScoreEstimate(t *testing.T) {
 		vals[i*97] = 25 + float64(i)
 	}
 	f := frame.MustNew("t", frame.NewNumericColumn("v", vals))
-	p := BuildProfile(f, ProfileConfig{Seed: 3, SampleSize: 4096})
-	np := p.Numeric["v"]
-	estimate := outlierScore(np)
+	p := BuildProfile(f, ProfileConfig{Seed: 3, RowSampleSize: 4096})
+	estimate := outlierScore(p, "v")
 	exact, _ := stats.OutlierScore(vals, stats.IQRDetector{})
 	if estimate <= 0 {
 		t.Fatalf("outlier estimate = %v, want positive", estimate)
 	}
-	// The reservoir may or may not catch the planted points often; the
+	// The row sample may or may not catch the planted points often; the
 	// estimate should be within a factor-2 band of exact when it does.
 	if estimate > 0 && exact > 0 && (estimate > exact*3 || estimate < exact/3) {
 		t.Errorf("outlier estimate %v too far from exact %v", estimate, exact)
@@ -184,7 +186,7 @@ func TestProfileOutlierScoreEstimate(t *testing.T) {
 	// Constant column → 0.
 	cf := frame.MustNew("c", frame.NewNumericColumn("v", []float64{1, 1, 1, 1}))
 	cp := BuildProfile(cf, ProfileConfig{Seed: 1})
-	if got := outlierScore(cp.Numeric["v"]); got != 0 {
+	if got := outlierScore(cp, "v"); got != 0 {
 		t.Errorf("constant outlier estimate = %v, want 0", got)
 	}
 }
@@ -201,8 +203,9 @@ func TestProfileDipEstimate(t *testing.T) {
 		}
 	}
 	f := frame.MustNew("t", frame.NewNumericColumn("v", bimodal))
-	p := BuildProfile(f, ProfileConfig{Seed: 2, SampleSize: 2048})
-	if d := stats.Dip(p.Numeric["v"].Sample.Sample()); d < 0.05 {
+	p := BuildProfile(f, ProfileConfig{Seed: 2, RowSampleSize: 2048})
+	sampled, _ := p.Sample().Numeric("v")
+	if d := stats.Dip(sampled.Values()); d < 0.05 {
 		t.Errorf("bimodal dip estimate = %v, want large", d)
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzLoadProfile scores what it accepts with the classes whose
-// approximate score is their exact score on the row sample: none may
-// panic on a store LoadProfile lets through.
+// approximate score reads the row sample: none may panic on a store
+// LoadProfile lets through.
 func init() {
 	sketch.ScoreSample = func(p *sketch.DatasetProfile) {
 		f := p.Sample()
@@ -20,6 +20,8 @@ func init() {
 			core.NewCategoricalAssociationClass(0),
 			core.NewSegmentationClass(0, 0),
 			core.NewNonlinearDependenceClass(0),
+			core.NewOutliersClass(nil),
+			core.NewMultimodalityClass(),
 		} {
 			for _, attrs := range c.Candidates(f) {
 				for _, metric := range c.Metrics() {

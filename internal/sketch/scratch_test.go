@@ -109,8 +109,8 @@ type scratchChain struct {
 
 // TestExtendPoisonedScratchMatchesFresh: with every scratch array
 // overwritten by garbage as it is given back, random ingest chains —
-// batches of 1 to 3 000 rows, one over the reservoir's capacity, onto
-// bases under and over it, a sibling now and then, a frame with gaps
+// batches of 1 to 3 000 rows, one over 1 024, onto bases of 700 to
+// 3 000 rows, a sibling now and then, a frame with gaps
 // and one wide enough for the projection's column chunks, on 1 and 2
 // workers — save at every generation to the bytes of the copying
 // oracle, whose delta and quantile merges are allocated afresh. So no

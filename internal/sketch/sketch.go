@@ -10,7 +10,6 @@
 //   - KLL: quantile sketch with uniform rank-error guarantees.
 //   - SpaceSaving: frequent-items sketch (heavy hitters).
 //   - KMV: k-minimum-values distinct-count sketch.
-//   - Reservoir: uniform random sample of a stream.
 //   - Hyperplane: random hyperplane (SimHash) sketch; the Hamming
 //     distance between two column sketches yields an unbiased
 //     estimator cos(πH/k) of the Pearson correlation (paper's worked
@@ -20,6 +19,9 @@
 //   - Entropy estimation by *composing* SpaceSaving + KMV (paper §3
 //     emphasizes sketch composability): exact contribution from the
 //     heavy hitters, maximum-entropy (uniform) model for the tail.
+//   - RowSample: the one uniform sample, of row indexes (algorithm R),
+//     with every column's cells at it (DatasetProfile.Sample) for the
+//     statistics no sketch answers.
 //
 // All sketches are deterministic given their seed, are built in one
 // pass, and support Merge with another sketch of the same shape, so

@@ -297,15 +297,19 @@ func fuzzFrame(z *fz, rows int) *frame.Frame {
 }
 
 func fuzzProfileConfig(z *fz) sketch.ProfileConfig {
-	return sketch.ProfileConfig{
+	cfg := sketch.ProfileConfig{
 		K:             8 + int(z.byte()%64),
 		KLLSize:       8 + int(z.byte()%120),
 		HeavyCapacity: 1 + int(z.byte()%16),
 		KMVSize:       16 + int(z.byte()%64),
-		SampleSize:    1 + int(z.byte()%32),
-		RowSampleSize: 1 + int(z.byte()%32),
-		Seed:          int64(z.byte()),
 	}
+	// This byte sized a per-column value sample profiles no longer keep;
+	// it is still read, so the corpus under testdata/fuzz keeps its
+	// meaning.
+	z.byte()
+	cfg.RowSampleSize = 1 + int(z.byte()%32)
+	cfg.Seed = int64(z.byte())
+	return cfg
 }
 
 // saveBytes returns what p.Save writes.
@@ -321,7 +325,7 @@ func saveBytes(t *testing.T, p *sketch.DatasetProfile) []byte {
 // FuzzProfileRoundTrip builds profiles in one pass and as a prefix
 // extended by the rest of the frame (reaching merged boundary states:
 // KLL levels freshly grown by merge, SpaceSaving counters trimmed after
-// over-capacity merges, empty reservoirs from all-missing sides, an
+// over-capacity merges, empty gathers of all-missing columns, an
 // empty prefix or batch, no rows at all), persists each, and requires
 // the reloaded profile to answer every query identically, while both
 // continue to satisfy the ground-truth invariants.
@@ -370,9 +374,11 @@ func FuzzProfileRoundTrip(f *testing.F) {
 // extended profile still satisfies every ground-truth invariant for
 // the full frame, (b) the same extension on two workers saves to the
 // same bytes, wherever the appended rows fall among the direction
-// blocks, and (c) the exact statistics — counts, min/max, KMV distinct
-// — match a from-scratch rebuild precisely, since their merges admit
-// no drift.
+// blocks, (c) the exact statistics — counts, min/max, KMV distinct —
+// match a from-scratch rebuild precisely, since their merges admit no
+// drift, and (d) the row-sample frame is the rebuild's cell for cell
+// (compat/row-sample), missing cells and all: algorithm R on positional
+// coins samples the same rows on both paths.
 func FuzzExtendVsRebuild(f *testing.F) {
 	f.Add([]byte{16, 0, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18})
 	f.Add([]byte{2, 0, 1, 0, 255, 255, 254, 255, 253, 255, 0, 0, 9, 9})
@@ -423,6 +429,9 @@ func FuzzExtendVsRebuild(f *testing.F) {
 			r.check(ec.Rows == cp.Rows, "extend/categorical-rows",
 				"%s: extended rows %d, rebuilt %d", name, ec.Rows, cp.Rows)
 			CheckKMVEqual(r, "extend/"+name, ec.Distinct, cp.Distinct)
+		}
+		for _, name := range full.Names() {
+			checkRowSample(r, "extend", name, rebuild, ext)
 		}
 		fatalReport(t, r)
 	})

@@ -2,6 +2,7 @@ package sketchcheck
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"foresight/internal/frame"
@@ -9,13 +10,14 @@ import (
 	"foresight/internal/stats"
 )
 
-// outlierScore is the sketch-path outlier score of np under the
-// meandist and iqr metrics, as the outliers class takes it: the
-// reservoir composed with the KLL quartiles it reads. (The dip the
-// multimodality class takes of np is stats.Dip of the reservoir.)
-func outlierScore(np *sketch.NumericProfile) float64 {
+// outlierScore is the sketch-path outlier score of p's numeric column
+// name under the meandist and iqr metrics, as the outliers class takes
+// it: the column's row-sample values composed with the KLL quartiles.
+func outlierScore(p *sketch.DatasetProfile, name string) float64 {
+	np := p.Numeric[name]
+	sampled, _ := p.Sample().Numeric(name)
 	qs := np.Quantiles.Quantiles([]float64{0.25, 0.5, 0.75})
-	return np.OutlierScoreAt(qs[0], qs[2], 0)
+	return np.OutlierScoreAt(sampled.Values(), qs[0], qs[2], 0)
 }
 
 // momentsEqual compares moment accumulators field by field with
@@ -67,12 +69,6 @@ func CheckProfileInvariants(r *Report, p *sketch.DatasetProfile, f *frame.Frame)
 			"%s: Moments.Count() = %d, column has %d non-NaN values",
 			name, np.Moments.Count(), nonNaN)
 		CheckKLL(r, name, np.Quantiles, values)
-		r.check(np.Sample.Count() == uint64(nonNaN), "profile/sample-count",
-			"%s: Sample.Count() = %d, column has %d non-NaN values",
-			name, np.Sample.Count(), nonNaN)
-		r.check(len(np.Sample.Sample()) <= nonNaN || nonNaN == 0, "profile/sample-size",
-			"%s: reservoir holds %d items from a %d-value stream",
-			name, len(np.Sample.Sample()), nonNaN)
 		// The running mean must agree with the exact mean up to
 		// floating-point reassociation (merge paths re-associate sums).
 		if nonNaN > 0 && finite {
@@ -91,7 +87,7 @@ func CheckProfileInvariants(r *Report, p *sketch.DatasetProfile, f *frame.Frame)
 		sampled, _ := p.Sample().Numeric(name)
 		checkGather(r, name, sampled.Values(), p.RowSample.Indexes(), values, sameBits)
 		if finite {
-			out := outlierScore(np)
+			out := outlierScore(p, name)
 			r.check(!math.IsNaN(out) && out >= 0, "profile/outlier-range",
 				"%s: outlier score = %v", name, out)
 		}
@@ -197,14 +193,9 @@ func CheckProfileQueryIdentity(r *Report, label string, a, b *sketch.DatasetProf
 		r.check(na.Quantiles.Count() == nb.Quantiles.Count(), "identity/kll-count",
 			"%s: %s KLL counts differ: %d vs %d", label, name,
 			na.Quantiles.Count(), nb.Quantiles.Count())
-		r.check(sameFloat(outlierScore(na), outlierScore(nb)),
+		r.check(sameFloat(outlierScore(a, name), outlierScore(b, name)),
 			"identity/outlier", "%s: %s outlier estimates differ: %v vs %v",
-			label, name, outlierScore(na), outlierScore(nb))
-		r.check(sameFloat(stats.Dip(na.Sample.Sample()), stats.Dip(nb.Sample.Sample())),
-			"identity/dip", "%s: %s dip estimates differ: %v vs %v",
-			label, name, stats.Dip(na.Sample.Sample()), stats.Dip(nb.Sample.Sample()))
-		r.check(floatsEqual(na.Sample.Sample(), nb.Sample.Sample()), "identity/sample",
-			"%s: %s reservoir samples differ", label, name)
+			label, name, outlierScore(a, name), outlierScore(b, name))
 		sa, _ := a.Sample().Numeric(name)
 		sb, _ := b.Sample().Numeric(name)
 		r.check(floatsEqual(sa.Values(), sb.Values()), "identity/row-sample",
@@ -291,14 +282,12 @@ func hittersEqual(a, b []sketch.HeavyHitter) bool {
 //     a *different estimator* whose drift is unbounded on
 //     mean-shifting columns, not an execution-order invariant;
 //   - Spearman estimates are gated the same way whenever both sides
-//     carry rank projections (Extend drops them).
-//
-// Reservoir-fed estimators (outlier, dip) are deliberately NOT
-// cross-checked: different build paths legitimately retain different
-// samples, and a mean over the few sampled fence-outliers swings
-// arbitrarily (including 0 vs nonzero) with the draw. Each path's
-// estimate is instead checked against ground truth in
-// CheckProfileInvariants.
+//     carry rank projections (Extend drops them);
+//   - the row sample frames (DatasetProfile.Sample) are equal cell for
+//     cell, values NaN-aware and codes exactly: the row sample is
+//     algorithm R over row indexes on positional coins, the same rows
+//     on every path, and the estimates it feeds (the sample classes,
+//     the dip, the outliers beyond the KLL fences) read only it.
 func CheckProfilesCompatible(r *Report, label string, a, b *sketch.DatasetProfile, scoreTol float64, sameCenters bool) {
 	r.check(a.Rows == b.Rows, "compat/rows", "%s: rows %d vs %d", label, a.Rows, b.Rows)
 	names := make([]string, 0, len(a.Numeric))
@@ -318,6 +307,7 @@ func CheckProfilesCompatible(r *Report, label string, a, b *sketch.DatasetProfil
 		r.check(relClose(na.Moments.Mean, nb.Moments.Mean, 1e-9) ||
 			(math.IsNaN(na.Moments.Mean) && math.IsNaN(nb.Moments.Mean)), "compat/mean",
 			"%s: %s means differ: %v vs %v", label, name, na.Moments.Mean, nb.Moments.Mean)
+		checkRowSample(r, label, name, a, b)
 		// Rank-space agreement at a's quantile probes.
 		if na.Quantiles.Count() > 0 && nb.Quantiles.Count() > 0 {
 			bound := na.Quantiles.RankErrorBound() + nb.Quantiles.RankErrorBound()
@@ -373,6 +363,7 @@ func CheckProfilesCompatible(r *Report, label string, a, b *sketch.DatasetProfil
 			"%s: %s rows %d vs %d", label, name, ca.Rows, cb.Rows)
 		r.check(ca.Cardinality == cb.Cardinality, "compat/cardinality",
 			"%s: %s cardinality %d vs %d", label, name, ca.Cardinality, cb.Cardinality)
+		checkRowSample(r, label, name, a, b)
 		// KMV merge is exactly one-pass: the distinct estimate may not
 		// drift at all between build paths.
 		r.check(ca.Distinct.Distinct() == cb.Distinct.Distinct(), "compat/distinct",
@@ -382,4 +373,21 @@ func CheckProfilesCompatible(r *Report, label string, a, b *sketch.DatasetProfil
 		r.check(math.Abs(ea-eb) <= scoreTol, "compat/uniformity",
 			"%s: %s uniformity %v vs %v exceeds score gate %.2f", label, name, ea, eb, scoreTol)
 	}
+}
+
+// checkRowSample holds column name of a's row-sample frame to b's cell
+// for cell (compat/row-sample): values NaN-aware, codes exactly. Both
+// profiles must have the column.
+func checkRowSample(r *Report, label, name string, a, b *sketch.DatasetProfile) {
+	if _, ok := a.Numeric[name]; ok {
+		sa, _ := a.Sample().Numeric(name)
+		sb, _ := b.Sample().Numeric(name)
+		r.check(floatsEqual(sa.Values(), sb.Values()), "compat/row-sample",
+			"%s: %s row-sample values differ", label, name)
+		return
+	}
+	sa, _ := a.Sample().Categorical(name)
+	sb, _ := b.Sample().Categorical(name)
+	r.check(slices.Equal(sa.Codes(), sb.Codes()), "compat/row-sample",
+		"%s: %s row-sample codes differ", label, name)
 }

@@ -6,14 +6,13 @@ import (
 	"time"
 )
 
-// The sample arrays of the store — the row sample's indexes, each
-// column's gather at them, each value reservoir's items — change in a
-// handful of slots per ingest batch, and most of the generations a
-// stream of batches makes are never read. So an extension records the
-// slots it writes to the row sample and the reservoirs instead of
-// copying the array to write them, records nothing for a gather (it is
-// the column at the row sample's indexes), and each array is built
-// once, by its first reader.
+// The sample arrays of the store — the row sample's indexes and each
+// column's gather at them — change in a handful of slots per ingest
+// batch, and most of the generations a stream of batches makes are
+// never read. So an extension records the slots it writes to the row
+// sample instead of copying the array to write them, records nothing
+// for a gather (it is the column at the row sample's indexes), and
+// each array is built once, by its first reader.
 
 // slotWrite is one recorded write of a slotted array: v at index slot.
 type slotWrite[T any] struct {
@@ -47,9 +46,7 @@ type slotted[T any] struct {
 func builtSlots[T any](arr []T) *slotted[T] { return &slotted[T]{built: arr} }
 
 // get returns the array, building it on the first call; safe for
-// concurrent use. The result is shared: read-only, except that the
-// owner of an array nothing was extended from may write it in place
-// (Reservoir.Update).
+// concurrent use. The result is shared and read-only.
 func (s *slotted[T]) get() []T {
 	if s == nil {
 		return nil

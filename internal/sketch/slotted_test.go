@@ -16,8 +16,8 @@ import (
 )
 
 // The copying oracles the slotted sample arrays replaced: the row
-// sample, each gather and each whole-side reservoir replay copied the
-// array in order to write the slots a batch took.
+// sample and each gather copied the array in order to write the slots
+// a batch took.
 
 // rowSampleExtendedCopy returns the row sample idx (of rows [0, from))
 // after rows [from, to) are offered to it, as a copy, and the slots
@@ -59,27 +59,10 @@ func regather[T any](old, col []T, idx, slots []int) []T {
 	return out
 }
 
-// mergeReservoirsCopying is mergeReservoirs with every whole-side
-// replay made on a copy of the other side.
-func mergeReservoirsCopying(a, b *Reservoir) *Reservoir {
-	if b.n == 0 || !(b.whole() || a.whole()) {
-		return mergeReservoirs(a, b)
-	}
-	into, replay := a, b
-	if !b.whole() {
-		into, replay = b, a
-	}
-	out := &Reservoir{capacity: a.capacity, items: builtSlots(slices.Clone(into.Sample())), n: into.n, seed: a.seed}
-	for _, x := range replay.Sample() {
-		out.Update(x)
-	}
-	return out
-}
-
 // extendCopying is Extend with the copying oracles in place of the
 // slotted arrays and with no scratch: the same merge target, the delta
 // allocated and merged on fresh arrays (mergeFresh), then a copied row
-// sample, regathered columns and copy-replayed reservoirs.
+// sample and regathered columns.
 func extendCopying(p *DatasetProfile, f *frame.Frame) (*DatasetProfile, error) {
 	old := p.Rows
 	numeric, categorical := f.NumericColumns(), f.CategoricalColumns()
@@ -97,9 +80,7 @@ func extendCopying(p *DatasetProfile, f *frame.Frame) (*DatasetProfile, error) {
 	idx, slots := rowSampleExtendedCopy(p.RowSample.Indexes(), old, f.Rows(), cfg.RowSampleSize, cfg.Seed+1)
 	out.RowSample = &RowSample{indexes: builtSlots(idx)}
 	for _, nc := range numeric {
-		np, was := out.Numeric[nc.Name()], p.Numeric[nc.Name()]
-		np.Sample = mergeReservoirsCopying(was.Sample, delta.Numeric[nc.Name()].Sample)
-		np.gather = builtGather(regather(was.gather.get(), nc.Values(), idx, slots))
+		out.Numeric[nc.Name()].gather = builtGather(regather(p.Numeric[nc.Name()].gather.get(), nc.Values(), idx, slots))
 	}
 	for _, cc := range categorical {
 		cp := out.Categorical[cc.Name()]
@@ -112,7 +93,7 @@ func extendCopying(p *DatasetProfile, f *frame.Frame) (*DatasetProfile, error) {
 }
 
 // gappyFrame is testFrame with a numeric column missing every fifth
-// cell, so a batch's delta reservoir sees fewer values than rows.
+// cell, so its gathers hold missing cells.
 func gappyFrame(n int, seed int64) *frame.Frame {
 	base := testFrame(n, seed)
 	gaps := make([]float64, n)
@@ -141,9 +122,6 @@ func readSamples(p *DatasetProfile, rng *rand.Rand, prob float64) {
 			if read() {
 				np.gather.get()
 			}
-			if read() {
-				np.Sample.Sample()
-			}
 		} else if read() {
 			p.Categorical[name].codes.get()
 		}
@@ -165,9 +143,6 @@ func sameSamples(got, want *DatasetProfile) string {
 			if !bits(gn.gather.get(), wn.gather.get()) {
 				return name + " gather"
 			}
-			if !bits(gn.Sample.Sample(), wn.Sample.Sample()) || gn.Sample.Count() != wn.Sample.Count() {
-				return name + " reservoir"
-			}
 		} else if !slices.Equal(got.Categorical[name].codes.get(), want.Categorical[name].codes.get()) {
 			return name + " codes"
 		}
@@ -176,9 +151,8 @@ func sameSamples(got, want *DatasetProfile) string {
 }
 
 // TestSlottedExtendMatchesCopying: along random ingest chains — batches
-// of 1 to 3 000 rows, one of them over the reservoir's capacity, onto a
-// base under the reservoir's capacity and one under the row sample's,
-// so both fill phases run, and onto one large enough that most batches
+// of 1 to 3 000 rows, one of them over 1 024, onto two bases under the
+// row sample's capacity, so both fill phases run, and onto one large enough that most batches
 // leave their arrays unbuilt — every generation's sample arrays equal the
 // copying oracles' and the generation saves to the oracle's bytes,
 // whether the chain was read at random points or not at all until the
@@ -255,9 +229,9 @@ func TestSlottedExtendMatchesCopying(t *testing.T) {
 }
 
 // TestExtendChainAllocatesNoSampleArray: twenty 250-row Extends in a
-// chain nobody reads allocate no array of a sample's length — no
-// reservoir's (1 024 values), no row sample's or gather's (2 048) —
-// — and the first read then builds each array to what the copying
+// chain nobody reads allocate no array of a sample's length — no row
+// sample's or gather's (2 048 cells, the smallest a gather of codes) —
+// and the first read then builds each array to what the copying
 // oracle holds. Every allocation is in the memory profile (rate 1), an
 // allocation's size is its record's bytes over its objects, and an
 // allocation is Extend's when Extend is on its stack. K is small
@@ -289,7 +263,7 @@ func TestExtendChainAllocatesNoSampleArray(t *testing.T) {
 	}
 	cfg := ProfileConfig{Seed: 2, K: 4}
 	p, oracle := BuildProfile(numericOnly, cfg), BuildProfile(numericOnly, cfg)
-	smallest := int64(8 * min(p.Config.SampleSize, p.Config.RowSampleSize))
+	smallest := int64(4 * p.Config.RowSampleSize) // a gather of int32 codes
 
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
@@ -442,7 +416,7 @@ func TestSlottedFirstReadsRaceSave(t *testing.T) {
 			t.Errorf("reader %d: %s differs from the copying oracle's", g, what)
 		}
 	}
-	if arrays := 1 + 2*len(p.Numeric) + len(p.Categorical); builds != arrays {
+	if arrays := 1 + len(p.Numeric) + len(p.Categorical); builds != arrays {
 		t.Errorf("%d sample builds for %d arrays, each left unbuilt by the chain: want one each", builds, arrays)
 	}
 }

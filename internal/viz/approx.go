@@ -78,8 +78,9 @@ func histogramBarsSVG(edges, counts []float64, title string) string {
 }
 
 // boxFromSketchSVG renders a box plot from KLL quantiles, moments
-// extrema, and reservoir-sampled outliers.
-func boxFromSketchSVG(np *sketch.NumericProfile, title string) string {
+// extrema, and the outliers among sampled, the column's values at the
+// row sample.
+func boxFromSketchSVG(np *sketch.NumericProfile, sampled []float64, title string) string {
 	s := newSVG(defaultW, 180)
 	s.text(defaultW/2, 18, 13, "middle", title)
 	qs := np.Quantiles.Quantiles([]float64{0.25, 0.5, 0.75})
@@ -99,7 +100,7 @@ func boxFromSketchSVG(np *sketch.NumericProfile, title string) string {
 	s.line(x.at(qs[2]), mid, x.at(wHi), mid, "#333", 1.5)
 	s.rect(x.at(qs[0]), mid-boxH/2, x.at(qs[2])-x.at(qs[0]), boxH, colorPrimary, 0.35)
 	s.line(x.at(qs[1]), mid-boxH/2, x.at(qs[1]), mid+boxH/2, colorPrimary, 2.5)
-	for _, v := range np.Sample.Sample() {
+	for _, v := range sampled {
 		if v < fenceLo || v > fenceHi {
 			s.circle(x.at(v), mid, 3, colorAccent, 0.9)
 		}

@@ -33,7 +33,7 @@ func approxTestProfile(t *testing.T) (*frame.Frame, *sketch.DatasetProfile) {
 		frame.NewCategoricalColumn("g", grp),
 		frame.NewCategoricalColumn("h", hc),
 	)
-	return f, sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 3, K: 64, SampleSize: 4096})
+	return f, sketch.BuildProfile(f, sketch.ProfileConfig{Seed: 3, K: 64, RowSampleSize: 4096})
 }
 
 func TestRenderSVGFromProfileAllKinds(t *testing.T) {
@@ -132,8 +132,9 @@ func TestBoxFromSketchShowsOutlier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The planted outlier at 30 should be drawn as an accent circle
-	// when it survived in the reservoir (SampleSize=4096 ≥ n, so it did).
+	// Sampled values past the fences are drawn as accent circles: the
+	// planted outlier at 30 when the row sample (4 096 of the 5 000
+	// rows) holds it, and the normal tail's few.
 	if !strings.Contains(svg, colorAccent) {
 		t.Error("outlier marker missing from sketch box plot")
 	}

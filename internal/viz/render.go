@@ -31,7 +31,8 @@ type column struct {
 	// values are a numeric position's rows.
 	values []float64
 	// sketch is a numeric position's profile (nil on the frame): the
-	// unary drawings read its sketches instead of values.
+	// histogram and the box plot read its sketches (the box's outlier
+	// dots read values).
 	sketch *sketch.NumericProfile
 	// codes, dict and card are a categorical position's rows (-1 =
 	// missing), dictionary and cardinality.
@@ -138,10 +139,11 @@ func RenderSVG(f *frame.Frame, in core.Insight) (string, error) {
 // RenderSVGFromProfile draws an insight's visualization using *only*
 // the preprocessed sketch store — no access to the raw columns. This
 // is the display-side counterpart of §3: histograms reconstruct from
-// KLL CDF differences, box plots from KLL quantiles plus the
-// reservoir, Pareto charts from SpaceSaving counters, scatters from
-// the shared row sample. Approximate renderings are titled with the
-// "~" marker.
+// KLL CDF differences, box plots from KLL quantiles plus the row
+// sample's outliers, Pareto charts from SpaceSaving counters, density
+// histograms, scatters and the rest from the row sample
+// (sketch.DatasetProfile.Sample). Approximate renderings are titled
+// with the "~" marker.
 func RenderSVGFromProfile(p *sketch.DatasetProfile, in core.Insight) (string, error) {
 	in.Approx = true
 	cols, err := resolve(in, profileSource{p})
@@ -162,14 +164,10 @@ func drawSVG(in core.Insight, c []column) string {
 		}
 		return HistogramSVG(c[0].values, title)
 	case core.VisHistogramDensity:
-		if np := c[0].sketch; np != nil {
-			// The reservoir sample stands in for the raw column.
-			return HistogramDensitySVG(np.Sample.Sample(), title)
-		}
 		return HistogramDensitySVG(c[0].values, title)
 	case core.VisBoxPlot:
 		if np := c[0].sketch; np != nil {
-			return boxFromSketchSVG(np, title)
+			return boxFromSketchSVG(np, c[0].values, title)
 		}
 		return BoxPlotSVG(c[0].values, title)
 	case core.VisPareto:
