@@ -130,7 +130,8 @@ type DatasetProfile struct {
 // Sample returns the row sample as a frame, one column per profiled
 // column in name order: a numeric one wraps its gather, a categorical
 // one is the gathered codes over Dict. The statistics with no sketch are
-// their class's exact score on it (internal/core). Its first caller
+// their class's exact score on it, or, for the dip and the outliers past
+// the KLL fences, read from its columns (internal/core). Its first caller
 // builds it, once per profile, so an Extend chain nobody reads gathers
 // nothing. Nil for a profile of no columns. Read-only.
 func (p *DatasetProfile) Sample() *frame.Frame {
